@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench benchall benchshard benchsmoke benchworkload benchoverload benchdiff workload overload raceoverload chaos crash shard reconfig obsdeps
+.PHONY: check vet build test race bench benchall benchshard benchsmoke benchtest benchworkload benchoverload benchdiff workload overload raceoverload chaos crash shard reconfig obsdeps
 
-check: vet obsdeps build race shard crash chaos reconfig workload overload raceoverload benchsmoke
+check: vet obsdeps build race shard crash chaos reconfig workload overload raceoverload benchsmoke benchtest
 
 vet:
 	$(GO) vet ./...
@@ -158,6 +158,14 @@ benchsmoke:
 	$(GO) run ./cmd/benchjson -validate BENCH_shard.json
 	$(GO) run ./cmd/benchjson -validate BENCH_workload.json
 	$(GO) run ./cmd/benchjson -validate BENCH_overload.json
+
+# The repository benchmark (BENCHMARK.json, bench/) is a module of its
+# own, so `go vet ./...` and `go test ./...` at the root do not see it:
+# vet it and run its tests (generator, statistics, manifest agreement,
+# the transparent wrappers) here. The benchmark itself is run with
+# `bash bench/run.sh`; see bench/README.md.
+benchtest:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Every benchmark in the repo (paper figures included), human-readable.
 benchall:

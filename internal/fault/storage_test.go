@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,20 +8,8 @@ import (
 
 	"repdir/internal/keyspace"
 	"repdir/internal/wal"
+	"repdir/internal/wal/waltest"
 )
-
-// memFile is an in-memory wal.File for storage-injector tests.
-type memFile struct {
-	buf bytes.Buffer
-}
-
-func (m *memFile) Write(p []byte) (int, error) { return m.buf.Write(p) }
-func (m *memFile) Sync() error                 { return nil }
-func (m *memFile) Close() error                { return nil }
-func (m *memFile) Truncate(size int64) error {
-	m.buf.Truncate(int(size))
-	return nil
-}
 
 func walRec(i int) wal.Record {
 	return wal.Record{Kind: wal.KindInsert, Txn: 1, Key: keyspace.New("k"), Version: 1, Value: "v"}
@@ -138,7 +125,7 @@ func TestFaultFileFsyncFail(t *testing.T) {
 // sequence injects exactly the same faults.
 func TestFaultFileDeterminism(t *testing.T) {
 	run := func() StorageStats {
-		ff := NewFaultFile(&memFile{}, StoragePlan{
+		ff := NewFaultFile(&waltest.File{}, StoragePlan{
 			PFsyncFail: 0.2, PWriteErr: 0.1, PTornWrite: 0.1, PBitFlip: 0.1, Seed: 42,
 		})
 		buf := make([]byte, 64)
@@ -159,7 +146,7 @@ func TestFaultFileDeterminism(t *testing.T) {
 
 // TestFaultFileQuiesce: after Quiesce the file behaves cleanly.
 func TestFaultFileQuiesce(t *testing.T) {
-	ff := NewFaultFile(&memFile{}, StoragePlan{PWriteErr: 1, Seed: 1})
+	ff := NewFaultFile(&waltest.File{}, StoragePlan{PWriteErr: 1, Seed: 1})
 	if _, err := ff.Write([]byte("x")); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("write = %v, want ErrNoSpace", err)
 	}

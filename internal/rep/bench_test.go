@@ -3,11 +3,15 @@ package rep
 import (
 	"context"
 	"fmt"
-	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
+	"repdir/internal/wal"
+	"repdir/internal/wal/waltest"
 )
 
 // populatedRep builds a representative with n committed entries.
@@ -94,25 +98,46 @@ func BenchmarkRepCoalesce(b *testing.B) {
 	}
 }
 
-// BenchmarkDurableCommit measures the cost of a committed insert with a
-// file-backed write-ahead log.
+// BenchmarkDurableCommit measures committed inserts through a file log
+// whose fsync takes 2 ms, from 1, 8 and 64 concurrent committers on
+// disjoint keys. Alone, a committer pays one fsync per commit; together
+// they share them, so commits/s should rise with the committers and
+// fsyncs/commit fall, which is the group size the log reached.
 func BenchmarkDurableCommit(b *testing.B) {
-	dir := b.TempDir()
-	r, d, err := OpenDurable("bench", filepath.Join(dir, "w.wal"), filepath.Join(dir, "s.snap"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Close()
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := lock.TxnID(i + 1)
-		if err := r.Insert(ctx, id, keyspace.FromUint64(uint64(i)), 1, "v"); err != nil {
-			b.Fatal(err)
-		}
-		if err := r.Commit(ctx, id); err != nil {
-			b.Fatal(err)
-		}
+	for _, committers := range []int{1, 8, 64} {
+		b.Run(fmt.Sprint(committers), func(b *testing.B) {
+			log := wal.NewFileLog(&waltest.File{Delay: 2 * time.Millisecond})
+			r := New("bench", WithLog(log))
+			ctx := context.Background()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for c := 0; c < committers; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						i := next.Add(1)
+						if i > int64(b.N) {
+							return
+						}
+						id := lock.TxnID(i)
+						if err := r.Insert(ctx, id, keyspace.FromUint64(uint64(i)), 1, "v"); err != nil {
+							b.Error(err)
+							return
+						}
+						if err := r.Commit(ctx, id); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "commits/s")
+			b.ReportMetric(float64(log.SyncCount())/float64(b.N), "fsyncs/commit")
+		})
 	}
 }

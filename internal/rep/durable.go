@@ -142,9 +142,11 @@ func (r *Rep) seedStore(entries []btree.Entry) {
 }
 
 // checkpointState atomically captures the entry dump and the last
-// log LSN while no transactions are in flight. Holding r.mu for both
-// excludes concurrent commits, so the pair is consistent: every record
-// at or below the returned LSN is reflected in the entries.
+// log LSN while no transactions are in flight. A transaction stays in
+// r.txns until its commit record is durable and its effects are final,
+// and epoch records are appended under r.mu, so with r.mu held and
+// r.txns empty nothing is appending: every record at or below the
+// returned LSN is reflected in the entries, and none above it exists.
 func (r *Rep) checkpointState() ([]btree.Entry, uint64, uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -460,8 +462,10 @@ type Durability struct {
 func (d *Durability) Recovery() RecoveryReport { return d.recovery }
 
 // Checkpoint writes a snapshot of the current committed state and then
-// truncates the write-ahead log. It fails with ErrBusy while transactions
-// are in flight.
+// truncates the write-ahead log, unless a record was appended while the
+// snapshot was being written: that record is in the log alone, so the
+// log is kept whole and the next checkpoint compacts it. It fails with
+// ErrBusy while transactions are in flight.
 func (d *Durability) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -480,7 +484,7 @@ func (d *Durability) Checkpoint() error {
 	}
 	// A crash here leaves the full log alongside the snapshot; recovery
 	// skips the covered prefix by LSN. Truncation is pure compaction.
-	return d.log.Truncate()
+	return d.log.TruncateAt(lastLSN)
 }
 
 // Close flushes and closes the log.

@@ -278,6 +278,54 @@ func TestDurableConcurrentCommits(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsCommitsThatRaceIt: a checkpoint on a live
+// representative writes its snapshot with nothing held, so transactions
+// commit meanwhile. Their records are in the log alone; compacting the
+// log then would discard commits that were acknowledged.
+func TestCheckpointKeepsCommitsThatRaceIt(t *testing.T) {
+	walPath, snapPath := durablePaths(t)
+	// The race is between the snapshot write and the commits, not the
+	// commits' own fsyncs; without them the run takes a moment.
+	r, d, err := OpenDurable("live", walPath, snapPath, WithSyncPolicy(wal.SyncNever))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const commits = 3000
+	stop := make(chan struct{})
+	checkpointer := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				checkpointer <- nil
+				return
+			default:
+			}
+			if err := d.Checkpoint(); err != nil && !errors.Is(err, ErrBusy) {
+				checkpointer <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < commits; i++ {
+		commitInsert(t, r, lock.TxnID(i+1), fmt.Sprintf("k%04d", i), i)
+	}
+	close(stop)
+	if err := <-checkpointer; err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	d.Close()
+
+	r2, d2, err := OpenDurable("live", walPath, snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if lost := 2 + commits - r2.Len(); lost != 0 {
+		t.Fatalf("%d of %d acknowledged commits lost across checkpoints", lost, commits)
+	}
+}
+
 // TestDurableTortureLoop interleaves committed work, checkpoints, and
 // reopen-from-disk "crashes", auditing the full contents each life.
 func TestDurableTortureLoop(t *testing.T) {

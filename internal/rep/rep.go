@@ -14,6 +14,11 @@
 // package lock, with strict two-phase locking: locks taken by an
 // operation are held until the transaction commits or aborts. Recovery
 // uses redo logging through package wal.
+//
+// The Rep mutex guards the in-memory state only. Prepare, Commit and
+// Abort wait for the log with the mutex released (see logStep), so an
+// fsync delays the transaction that asked for it and whoever conflicts
+// with its range locks, and nothing else.
 package rep
 
 import (
@@ -137,12 +142,15 @@ type undoRec struct {
 // txnState tracks one in-flight transaction at this representative.
 // pendingRedo is set only on transactions reconstructed as in-doubt
 // during recovery: their effects were not applied and must be installed
-// if Commit arrives.
+// if Commit arrives. logging marks a Prepare, Commit or Abort that is
+// waiting for the log with r.mu released; every other call under the
+// same transaction ID waits in settled until it clears.
 type txnState struct {
 	undo        []undoRec
 	redo        []wal.Record
 	pendingRedo []wal.Record
 	prepared    bool
+	logging     bool
 }
 
 // Rep is an in-process directory representative.
@@ -154,6 +162,7 @@ type Rep struct {
 	store    *btree.Tree
 	txns     map[lock.TxnID]*txnState
 	outcomes map[lock.TxnID]bool // decided 2PC participants: true = committed
+	stepDone sync.Cond           // on mu: some transaction's logging flag cleared
 	log      wal.Log
 	stats    counters
 
@@ -196,6 +205,7 @@ func New(name string, opts ...Option) *Rep {
 		txns:     make(map[lock.TxnID]*txnState),
 		outcomes: make(map[lock.TxnID]bool),
 	}
+	r.stepDone.L = &r.mu
 	r.store.Put(btree.Entry{Key: keyspace.Low(), Version: version.Lowest, GapAfter: version.Lowest})
 	r.store.Put(btree.Entry{Key: keyspace.High(), Version: version.Lowest})
 	for _, o := range opts {
@@ -492,6 +502,12 @@ func (r *Rep) applyCoalesce(lo, hi keyspace.Key, ver version.V) error {
 
 // Prepare implements Directory: phase one of two-phase commit. The
 // transaction's redo records and a prepare marker are forced to the log.
+//
+// A participant that only read logs nothing, here or at Commit and
+// Abort: its vote is bookkeeping. If it crashes it answers
+// StatusUnknown afterwards, which cooperative termination already
+// counts as not-committed — the decision rests with the participants
+// that wrote, and they do log.
 func (r *Rep) Prepare(ctx context.Context, txn lock.TxnID) error {
 	if err := r.checkEpoch(ctx); err != nil {
 		return err
@@ -511,10 +527,7 @@ func (r *Rep) Prepare(ctx context.Context, txn lock.TxnID) error {
 	if st.prepared {
 		return nil
 	}
-	if err := r.appendRecords(st.redo); err != nil {
-		return err
-	}
-	if err := r.appendRecords([]wal.Record{{Kind: wal.KindPrepare, Txn: uint64(txn)}}); err != nil {
+	if err := r.logStep(st, txn, st.redo, wal.KindPrepare); err != nil {
 		return err
 	}
 	st.prepared = true
@@ -534,6 +547,7 @@ func (r *Rep) Prepare(ctx context.Context, txn lock.TxnID) error {
 func (r *Rep) Commit(ctx context.Context, txn lock.TxnID) error {
 	r.adoptEpoch(ctx)
 	r.mu.Lock()
+	st := r.settled(txn)
 	if committed, decided := r.outcomes[txn]; decided {
 		r.mu.Unlock()
 		// Sweep locks even on the decided path: a duplicate operation
@@ -546,8 +560,7 @@ func (r *Rep) Commit(ctx context.Context, txn lock.TxnID) error {
 		}
 		return fmt.Errorf("%w: commit of aborted txn %d", ErrTxnDecided, txn)
 	}
-	st, ok := r.txns[txn]
-	if !ok {
+	if st == nil {
 		// No record of the transaction at all: nothing committed here,
 		// so nothing is counted. Locks are still swept in case a failed
 		// operation acquired one before registering the transaction.
@@ -559,13 +572,11 @@ func (r *Rep) Commit(ctx context.Context, txn lock.TxnID) error {
 	// untouched (in-doubt effects stay withheld, state is retained) and
 	// the commit can be retried — never a mutated store with no commit
 	// record behind it.
+	var redo []wal.Record
 	if !st.prepared {
-		if err := r.appendRecords(st.redo); err != nil {
-			r.mu.Unlock()
-			return err
-		}
+		redo = st.redo
 	}
-	if err := r.appendRecords([]wal.Record{{Kind: wal.KindCommit, Txn: uint64(txn)}}); err != nil {
+	if err := r.logStep(st, txn, redo, wal.KindCommit); err != nil {
 		r.mu.Unlock()
 		return err
 	}
@@ -597,6 +608,7 @@ func (r *Rep) Commit(ctx context.Context, txn lock.TxnID) error {
 func (r *Rep) Abort(ctx context.Context, txn lock.TxnID) error {
 	r.adoptEpoch(ctx)
 	r.mu.Lock()
+	st := r.settled(txn)
 	if committed, decided := r.outcomes[txn]; decided {
 		r.mu.Unlock()
 		// Same decided-path sweep as Commit: a late duplicate operation
@@ -607,8 +619,7 @@ func (r *Rep) Abort(ctx context.Context, txn lock.TxnID) error {
 		}
 		return fmt.Errorf("%w: abort of committed txn %d", ErrTxnDecided, txn)
 	}
-	st, ok := r.txns[txn]
-	if ok {
+	if st != nil {
 		for i := len(st.undo) - 1; i >= 0; i-- {
 			u := st.undo[i]
 			for _, k := range u.del {
@@ -619,7 +630,7 @@ func (r *Rep) Abort(ctx context.Context, txn lock.TxnID) error {
 			}
 		}
 		if st.prepared {
-			if err := r.appendRecords([]wal.Record{{Kind: wal.KindAbort, Txn: uint64(txn)}}); err != nil {
+			if err := r.logStep(st, txn, nil, wal.KindAbort); err != nil {
 				r.mu.Unlock()
 				return err
 			}
@@ -633,9 +644,59 @@ func (r *Rep) Abort(ctx context.Context, txn lock.TxnID) error {
 	return nil
 }
 
+// logStep is the durable part of Prepare, Commit and Abort: it appends
+// redo and then the marker record for txn, with r.mu released so that
+// neither the write nor the fsync stalls the representative. Callers
+// hold r.mu, and hold it again on return. Three things keep that safe:
+//
+//   - The transaction's range locks stay held until its caller releases
+//     them after logStep returns, so no other transaction reads or logs
+//     behind a record that is not yet durable, and conflicting
+//     transactions reach the log in the order they commit.
+//   - st.logging admits one durable step per transaction: any other
+//     call under the same ID waits in settled and then sees the step's
+//     result, exactly as it did when r.mu was held throughout.
+//   - The transaction stays in r.txns for the whole wait, so
+//     checkpointState answers ErrBusy and no snapshot is cut across it.
+//
+// On failure the transaction's state is as it was before the call, and
+// the step can be retried.
+//
+// A transaction with nothing a log could replay — it only read here —
+// skips the log altogether: see Prepare.
+func (r *Rep) logStep(st *txnState, txn lock.TxnID, redo []wal.Record, marker wal.Kind) error {
+	if r.log == nil || len(st.redo) == 0 && len(st.pendingRedo) == 0 {
+		return nil
+	}
+	st.logging = true
+	r.mu.Unlock()
+	err := r.appendRecords(redo)
+	if err == nil {
+		err = r.appendRecords([]wal.Record{{Kind: marker, Txn: uint64(txn)}})
+	}
+	r.mu.Lock()
+	st.logging = false
+	r.stepDone.Broadcast()
+	return err
+}
+
+// settled returns txn's state (nil if there is none) once no durable
+// step of it is in flight; callers hold r.mu, which is released while
+// waiting.
+func (r *Rep) settled(txn lock.TxnID) *txnState {
+	st := r.txns[txn]
+	for st != nil && st.logging {
+		r.stepDone.Wait()
+		st = r.txns[txn]
+	}
+	return st
+}
+
 // undecided rejects operations arriving under an already-decided
-// transaction ID; callers hold r.mu.
+// transaction ID, first waiting out a durable step that is deciding it;
+// callers hold r.mu.
 func (r *Rep) undecided(id lock.TxnID) error {
+	r.settled(id)
 	if committed, decided := r.outcomes[id]; decided {
 		return fmt.Errorf("%w: txn %d (committed=%v)", ErrTxnDecided, id, committed)
 	}
@@ -661,8 +722,7 @@ func (r *Rep) txn(id lock.TxnID) *txnState {
 	return st
 }
 
-// appendRecords writes records to the log if one is attached; callers
-// hold r.mu.
+// appendRecords writes records to the log if one is attached.
 func (r *Rep) appendRecords(recs []wal.Record) error {
 	if r.log == nil {
 		return nil

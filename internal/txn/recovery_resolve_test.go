@@ -77,3 +77,88 @@ func TestResolveSettlesCrashRestartedParticipant(t *testing.T) {
 		t.Errorf("B lookup after resolve = %+v, want found v", got)
 	}
 }
+
+// TestResolveAfterReadOnlyParticipantCrash: a participant that only read
+// logs nothing at prepare or commit, so a crash leaves it with no memory
+// of the transaction. Cooperative termination must still drive the
+// participants that wrote to one outcome: the one a writer already
+// reached, or abort when no writer committed (the coordinator, which
+// reports success only after every commit, cannot have).
+func TestResolveAfterReadOnlyParticipantCrash(t *testing.T) {
+	for _, tt := range []struct {
+		name      string
+		commitAtB bool // the coordinator reached the reader and writer B before dying
+		want      rep.TxnStatus
+	}{
+		{"no writer committed", false, rep.StatusAborted},
+		{"one writer committed", true, rep.StatusCommitted},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			ctx := context.Background()
+			logA := &wal.MemoryLog{}
+			a := rep.New("A", rep.WithLog(logA))
+			b := rep.New("B", rep.WithLog(&wal.MemoryLog{}))
+			c := rep.New("C", rep.WithLog(&wal.MemoryLog{}))
+			id := lock.TxnID(42)
+			key := keyspace.New("k")
+
+			if _, err := a.Lookup(ctx, id, key); err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []*rep.Rep{b, c} {
+				if err := w.Insert(ctx, id, key, 1, "v"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range []*rep.Rep{a, b, c} {
+				if err := p.Prepare(ctx, id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tt.commitAtB {
+				for _, p := range []*rep.Rep{a, b} {
+					if err := p.Commit(ctx, id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got := logA.Records(); len(got) != 0 {
+				t.Fatalf("read-only participant logged %+v, want nothing", got)
+			}
+
+			// The reader crashes and restarts from its (empty) log.
+			a2, err := rep.Recover("A", logA.Records(), rep.WithLog(logA))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, _ := a2.Status(ctx, id); st != rep.StatusUnknown {
+				t.Fatalf("reader's status after crash = %v, want unknown", st)
+			}
+
+			res, err := Resolve(ctx, id, []rep.Directory{a2, b, c})
+			if err != nil {
+				t.Fatalf("resolve = %v", err)
+			}
+			if res.Committed != (tt.want == rep.StatusCommitted) {
+				t.Errorf("resolution committed = %v, want outcome %v", res.Committed, tt.want)
+			}
+			for _, w := range []*rep.Rep{b, c} {
+				if st, _ := w.Status(ctx, id); st != tt.want {
+					t.Errorf("%s status = %v, want %v", w.Name(), st, tt.want)
+				}
+				got, err := w.Lookup(ctx, 50, key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Found != (tt.want == rep.StatusCommitted) {
+					t.Errorf("%s lookup after resolve = %+v under outcome %v", w.Name(), got, tt.want)
+				}
+				w.Commit(ctx, 50)
+			}
+			// The reader's locks died with it; the key is free there too.
+			if _, err := a2.Lookup(ctx, 51, key); err != nil {
+				t.Errorf("reader lookup after resolve: %v", err)
+			}
+		})
+	}
+}

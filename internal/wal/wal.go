@@ -201,6 +201,10 @@ func (p SyncPolicy) String() string {
 // satisfies it; the fault-injection harness wraps one to impose fsync
 // failures, short (torn) writes, ENOSPC, and bit flips underneath an
 // otherwise-real log.
+//
+// A FileLog never overlaps two Writes or two Syncs, but it does call
+// Write while a Sync is in progress (that overlap is what group commit
+// is), so an implementation must allow the pair.
 type File interface {
 	io.Writer
 	Sync() error
@@ -212,14 +216,33 @@ type File interface {
 // frame.go), so a log can be reopened for appending and recovery can
 // distinguish every record that was fully written from torn or
 // corrupted bytes.
+//
+// Appends that need an fsync are group-committed: frames are staged in
+// the buffered writer under mu, and the appender that finds no sync in
+// flight flushes and fsyncs everything staged so far with mu released.
+// Appenders that arrive meanwhile stage behind it and form the next
+// group, which the first of them to wake leads. A lone appender is its
+// own group and pays exactly one write and one fsync, inline.
 type FileLog struct {
 	mu     sync.Mutex
 	f      File
-	w      *bufio.Writer
+	w      *bufio.Writer // frames staged since the last flush
 	next   uint64
 	policy SyncPolicy
 	syncs  uint64
 	closed bool
+
+	syncing  bool       // a group leader is inside f.Sync with mu released
+	waiting  *syncGroup // appenders staged behind the sync in flight; nil when none
+	syncDone sync.Cond  // on mu: a sync ended or the log closed
+}
+
+// syncGroup carries one fsync's result to the appenders that waited for
+// it. It is allocated only when an appender has to wait, so the
+// uncontended path allocates nothing.
+type syncGroup struct {
+	done bool
+	err  error
 }
 
 var _ Log = (*FileLog)(nil)
@@ -241,7 +264,9 @@ func OpenFileLog(path string) (*FileLog, error) {
 // handle. Most callers want OpenFileLog; this entry point exists so a
 // fault-injecting File wrapper can sit between the log and the disk.
 func NewFileLog(f File) *FileLog {
-	return &FileLog{f: f, w: bufio.NewWriter(f)}
+	l := &FileLog{f: f, w: bufio.NewWriter(f)}
+	l.syncDone.L = &l.mu
+	return l
 }
 
 // SetSyncPolicy selects when appends fsync.
@@ -289,14 +314,22 @@ func (l *FileLog) NextLSN() uint64 {
 	return l.next + 1
 }
 
-// Truncate discards the log file's contents. LSNs keep counting from
-// where they were, so snapshots that recorded a last-covered LSN remain
-// valid whether or not the truncation completed before a crash.
-func (l *FileLog) Truncate() error {
+// TruncateAt discards the log file's contents if the last record
+// appended is still lastLSN, and otherwise does nothing. A checkpoint
+// passes the LSN its snapshot covers: a record appended since is in the
+// log alone, so the file is left as it is and compaction waits for the
+// next checkpoint. The check and the truncation share one hold of the
+// log mutex, so no append can slip between them. LSNs keep counting
+// from where they were, so snapshots that recorded a last-covered LSN
+// remain valid whether or not the truncation completed before a crash.
+func (l *FileLog) TruncateAt(lastLSN uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
+	}
+	if l.next != lastLSN {
+		return nil
 	}
 	if err := l.w.Flush(); err != nil {
 		return fmt.Errorf("wal: flush before truncate: %w", err)
@@ -309,7 +342,10 @@ func (l *FileLog) Truncate() error {
 	return nil
 }
 
-// Append encodes and flushes one record, stamping its LSN.
+// Append stamps the record's LSN and stages its frame. A record the
+// policy does not sync is flushed to the file before Append returns; one
+// it does sync returns only after an fsync that began after its frame
+// was flushed (see commitStaged).
 func (l *FileLog) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -325,29 +361,87 @@ func (l *FileLog) Append(r Record) error {
 	if _, err := l.w.Write(frame); err != nil {
 		return fmt.Errorf("wal: write frame: %w", err)
 	}
+	if l.needsSync(r.Kind) {
+		return l.commitStaged()
+	}
 	if err := l.w.Flush(); err != nil {
 		return fmt.Errorf("wal: flush: %w", err)
-	}
-	if l.needsSync(r.Kind) {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: sync: %w", err)
-		}
-		l.syncs++
 	}
 	return nil
 }
 
-// Sync forces the file to stable storage.
+// commitStaged makes every frame staged so far durable, the caller's
+// included; callers hold l.mu. With no sync in flight the caller leads:
+// it flushes, then fsyncs with l.mu released so later appenders can
+// stage behind it. With one in flight the caller joins the group
+// waiting behind it; when that sync ends, whichever member wakes first
+// leads the group and hands the rest its result.
+func (l *FileLog) commitStaged() error {
+	if l.syncing {
+		g := l.waiting
+		if g == nil {
+			g = new(syncGroup)
+			l.waiting = g
+		}
+		for l.syncing && !g.done {
+			l.syncDone.Wait()
+		}
+		if g.done {
+			return g.err
+		}
+	}
+	// Lead, for everyone waiting — the caller's own group if it waited,
+	// or one whose members have not woken yet if it did not.
+	g := l.waiting
+	l.waiting = nil
+	err := l.flushAndSync()
+	if g != nil {
+		g.done, g.err = true, err
+	}
+	l.syncDone.Broadcast()
+	return err
+}
+
+// flushAndSync writes the staged frames and fsyncs the file, releasing
+// l.mu for the fsync; callers hold l.mu and have seen l.syncing false.
+func (l *FileLog) flushAndSync() error {
+	if l.closed {
+		return ErrClosed
+	}
+	if err := l.w.Flush(); err != nil {
+		return fmt.Errorf("wal: flush: %w", err)
+	}
+	l.syncing = true
+	l.mu.Unlock()
+	err := l.f.Sync()
+	l.mu.Lock()
+	l.syncing = false
+	if err != nil {
+		return fmt.Errorf("wal: sync: %w", err)
+	}
+	l.syncs++
+	return nil
+}
+
+// Sync flushes anything staged and forces the file to stable storage.
 func (l *FileLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.syncing {
+		l.syncDone.Wait()
+	}
 	if l.closed {
 		return ErrClosed
+	}
+	if err := l.w.Flush(); err != nil {
+		return fmt.Errorf("wal: flush: %w", err)
 	}
 	return l.f.Sync()
 }
 
-// Close flushes and closes the file.
+// Close waits out a sync in flight, then flushes and closes the file.
+// Appenders still waiting for a sync get ErrClosed: their frames were
+// written but never fsynced.
 func (l *FileLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -355,6 +449,9 @@ func (l *FileLog) Close() error {
 		return nil
 	}
 	l.closed = true
+	for l.syncing {
+		l.syncDone.Wait()
+	}
 	if err := l.w.Flush(); err != nil {
 		l.f.Close()
 		return fmt.Errorf("wal: flush on close: %w", err)

@@ -173,8 +173,16 @@ func TestFileLogLSNAcrossReopenAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.StartAt(records[len(records)-1].LSN + 1)
+	// A truncation for a snapshot that covers only LSN 1 must leave the
+	// log alone: record 2 is nowhere else.
+	if err := l2.TruncateAt(1); err != nil {
+		t.Fatal(err)
+	}
+	if records, err = ReadFileLog(path); err != nil || len(records) != 2 {
+		t.Fatalf("after stale TruncateAt: %d records (err %v), want 2", len(records), err)
+	}
 	// Truncate keeps counting.
-	if err := l2.Truncate(); err != nil {
+	if err := l2.TruncateAt(2); err != nil {
 		t.Fatal(err)
 	}
 	l2.Append(rec(KindInsert, 2, "b"))
