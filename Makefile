@@ -52,9 +52,15 @@ shard:
 # boundary of a logged workload, one flipped bit at every byte — see
 # DESIGN.md section 11) plus a short chaos soak whose storage phase
 # wipes a minority of WALs mid-run and rebuilds them from peers. The
-# soak seed doubles as the replay handle on failure.
+# soak seed doubles as the replay handle on failure. Recovery reads two
+# formats back that something else wrote — the log's record stream and
+# the wire's messages — so each decoder gets a moment of fuzzing here:
+# log analysis must decide every transaction one way whatever order its
+# records come in, and the codec must round-trip every tag.
 crash:
 	$(GO) test -count 1 -run 'TestCrashPoints' -v ./internal/fault/
+	$(GO) test -run xxx -fuzz FuzzAnalyze -fuzztime 10s ./internal/wal/
+	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/transport/
 	$(GO) test -race -count 1 -run 'TestChaosSoakDeterministic' -v .
 
 # Reconfiguration gate: the epoch-fencing/joint-transition unit suite,

@@ -301,8 +301,16 @@ func TestChaosSoakChurn(t *testing.T) {
 			if res.StaleProbes != 3 {
 				t.Errorf("seed %d: %d stale-epoch probes fenced, want 3", seed, res.StaleProbes)
 			}
-			if res.Reconfig.Epochs != 7 {
-				t.Errorf("seed %d: observer counted %d epoch advances, want 7", seed, res.Reconfig.Epochs)
+			// The observer counts an advance when the manager's record write
+			// reports success. A write that commits but loses its reply to
+			// the fault schedule is adopted by the next attempt's refresh
+			// instead (the ErrConflict branch of the churn loop) and goes
+			// uncounted, so the count may fall short of the final epoch,
+			// which is pinned above: under DefaultPlan it does on one seed
+			// in six (3 of seeds 1-16 before the point operations were cut
+			// to fewer calls, 2 of them after — seed 1 among those).
+			if res.Reconfig.Epochs < 1 || res.Reconfig.Epochs > 7 {
+				t.Errorf("seed %d: observer counted %d epoch advances, want at most the 7 made and at least Init's", seed, res.Reconfig.Epochs)
 			}
 			if res.Reconfig.StaleRejections == 0 {
 				t.Errorf("seed %d: no stale-epoch rejection ever counted", seed)

@@ -79,7 +79,7 @@ func (tx *Tx) realPredecessor(ctx context.Context, x keyspace.Key) (neighbor, er
 	chains := make([]chain, len(members))
 	for i, m := range members {
 		chains[i].member = m
-		tx.txn.Join(m.Dir)
+		tx.joinReader(m.Dir)
 	}
 	fetch := func(ctx context.Context, m quorum.Member, k keyspace.Key, fanout int) ([]rep.NeighborResult, error) {
 		tx.msgs++
@@ -140,7 +140,7 @@ func (tx *Tx) realSuccessor(ctx context.Context, x keyspace.Key) (neighbor, erro
 	chains := make([]chain, len(members))
 	for i, m := range members {
 		chains[i].member = m
-		tx.txn.Join(m.Dir)
+		tx.joinReader(m.Dir)
 	}
 	fetch := func(ctx context.Context, m quorum.Member, k keyspace.Key, fanout int) ([]rep.NeighborResult, error) {
 		tx.msgs++
@@ -256,23 +256,37 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 		SuccessorWalkSteps:   succ.steps,
 		NeighborRPCs:         pred.rpcs + succ.rpcs,
 	}
+	// In a point write the coalesce is the last thing the transaction
+	// sends a member, and the bound lookups above have made the
+	// transaction known to every one of them: it carries the prepare.
+	// That puts a log force inside the call, so the calls go out as a
+	// round, like an entry's writes, not one after the other.
 	coalesceSpan := tx.span("coalesce", key)
-	for _, m := range members {
-		tx.msgs++
-		res, err := m.Dir.Coalesce(ctx, tx.txn.ID, pred.key, succ.key, ver.Next())
-		if err != nil {
-			tx.noteFailure(m.Dir.Name(), err)
-			return fmt.Errorf("coalesce %s..%s at %s: %w", pred.key, succ.key, m.Dir.Name(), err)
+	cctx := ctx
+	if tx.shape == pointWrite {
+		cctx = rep.MarkPrepare(ctx)
+	}
+	results := make([]rep.CoalesceResult, len(members))
+	errs := make([]error, len(members))
+	tx.fanOut(members, func(i int, m quorum.Member) {
+		results[i], errs[i] = m.Dir.Coalesce(cctx, tx.txn.ID, pred.key, succ.key, ver.Next())
+	})
+	coalesceSpan.End()
+	if err := tx.roundError(members, errs, "coalesce around", x); err != nil {
+		return err
+	}
+	tx.mutated = true
+	for i, m := range members {
+		if tx.shape == pointWrite {
+			tx.txn.Voted(m.Dir)
 		}
-		tx.mutated = true
-		obs.EntriesCoalesced = append(obs.EntriesCoalesced, len(res.DeletedKeys))
-		for _, dk := range res.DeletedKeys {
+		obs.EntriesCoalesced = append(obs.EntriesCoalesced, len(results[i].DeletedKeys))
+		for _, dk := range results[i].DeletedKeys {
 			if !dk.Equal(x) {
 				obs.GhostDeletions++
 			}
 		}
 	}
-	coalesceSpan.End()
 	tx.observations = append(tx.observations, obs)
 	return nil
 }

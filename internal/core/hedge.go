@@ -12,11 +12,13 @@
 //
 // Correctness: the spare's reply substitutes for the slow member's slot
 // in the quorum only if the spare carries at least as many votes, so
-// the substituted read set still intersects every write quorum. The
-// spare joins the transaction before its probe fires (txn.Join is
-// concurrency-safe), so its read lock is released with everyone else's
-// at commit/abort. Witnesses are never spares (no values), and members
-// excluded by earlier failures are not considered.
+// the substituted read set still intersects every write quorum. In a
+// point read the spare's probe is one-shot like the primary's, and
+// neither leaves a lock behind, whichever wins. In any other
+// transaction the spare joins as a reader before its probe fires
+// (txn.JoinReader is concurrency-safe), so its read lock is released
+// with everyone else's. Witnesses are never spares (no values), and
+// members excluded by earlier failures are not considered.
 package core
 
 import (
@@ -193,7 +195,7 @@ func (tx *Tx) hedgedProbe(ctx context.Context, key keyspace.Key, members []quoru
 			tx.suite.counters.hedgedReads.Add(1)
 			tx.hedgeMsgs.Add(1)
 			d := tx.suite.wrapDir(sp.Dir)
-			tx.txn.Join(d)
+			tx.joinReader(d)
 			go func() {
 				r, err := d.Lookup(pctx, tx.txn.ID, key)
 				ch <- probeRes{r: r, err: err, hedge: true}

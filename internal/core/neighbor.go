@@ -18,7 +18,7 @@ import (
 func (s *Suite) Successor(ctx context.Context, after string) (KV, bool, error) {
 	var kv KV
 	var found bool
-	err := s.runTxn(ctx, OpSuccessor, false, func(tx *Tx) error {
+	err := s.runTxn(ctx, OpSuccessor, manyOps, func(tx *Tx) error {
 		var err error
 		kv, found, err = tx.SuccessorKey(ctx, lowerBound(after))
 		return err
@@ -33,7 +33,7 @@ func (s *Suite) Successor(ctx context.Context, after string) (KV, bool, error) {
 func (s *Suite) Predecessor(ctx context.Context, before string) (KV, bool, error) {
 	var kv KV
 	var found bool
-	err := s.runTxn(ctx, OpPredecessor, false, func(tx *Tx) error {
+	err := s.runTxn(ctx, OpPredecessor, manyOps, func(tx *Tx) error {
 		var err error
 		kv, found, err = tx.PredecessorKey(ctx, upperBound(before))
 		return err

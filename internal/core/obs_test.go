@@ -69,6 +69,9 @@ func TestObservedDeleteTrace(t *testing.T) {
 	if err := ts.suite.Insert(ctx, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
+	// Read through C, write to A and B: C only reads, and a member that
+	// only read is what a delete still sends a prepare round for.
+	ts.script.set([]int{0, 2}, []int{0, 1})
 	if err := ts.suite.Delete(ctx, "k"); err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func (s *Suite) repairKeyOn(ctx context.Context, key string, targets []rep.Direc
 	var firstErr error
 	for _, target := range targets {
 		var stats RepairStats
-		err := s.runTxn(ctx, OpReadRepair, true, func(tx *Tx) error {
+		err := s.runTxn(ctx, OpReadRepair, repairOps, func(tx *Tx) error {
 			stats = RepairStats{}
 			return repairEntry(ctx, tx, target, key, &stats)
 		})

@@ -107,7 +107,9 @@ func TestReadRepairIgnoresGhosts(t *testing.T) {
 
 	// Write k everywhere, then delete it through {A, B} only: C keeps
 	// its now-ghost entry at version 1.
-	ts.script.set([]int{0, 1}, []int{0, 1, 2})
+	// (A point write draws its write quorum from the members it read
+	// from, so "everywhere" has to read everywhere too.)
+	ts.script.set([]int{0, 1, 2}, []int{0, 1, 2})
 	if err := ts.suite.Insert(ctx, "k", "v1"); err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func RepairReplicaOpts(ctx context.Context, s *Suite, target rep.Directory, opts
 		// retries never double-count.
 		var page []KV
 		var batch RepairStats
-		err := s.runTxn(ctx, OpRepair, true, func(tx *Tx) error {
+		err := s.runTxn(ctx, OpRepair, repairOps, func(tx *Tx) error {
 			batch = RepairStats{}
 			var err error
 			page, err = tx.Scan(ctx, after, pageSize)
@@ -154,7 +154,7 @@ func ReconcileReplica(ctx context.Context, s *Suite, target rep.Directory, opts 
 		var batch RepairStats
 		var next keyspace.Key
 		done := false
-		err := s.runTxn(ctx, OpRepair, true, func(tx *Tx) error {
+		err := s.runTxn(ctx, OpRepair, repairOps, func(tx *Tx) error {
 			batch = RepairStats{}
 			done = false
 			k := after

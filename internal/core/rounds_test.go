@@ -1,0 +1,585 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"repdir/internal/keyspace"
+	"repdir/internal/lock"
+	"repdir/internal/obs"
+	"repdir/internal/quorum"
+	"repdir/internal/rep"
+	"repdir/internal/transport"
+	"repdir/internal/version"
+)
+
+// The tests in this file pin what the point operations cost in messages
+// to representatives and in sequential rounds of them — the paper's
+// section 4 unit — by counting at the representatives.
+
+// tape records every call that reaches a set of representatives: which
+// member, which call with which marks, and when it began and ended on a
+// clock that ticks once per event.
+type tape struct {
+	mu    sync.Mutex
+	clock int
+	calls []tapedCall
+}
+
+type tapedCall struct {
+	member, kind string
+	txn          lock.TxnID
+	start, end   int
+}
+
+func (t *tape) begin(member, kind string, ctx context.Context, id lock.TxnID) int {
+	if rep.OneShot(ctx) {
+		kind += "+once"
+	}
+	if rep.PrepareRides(ctx) {
+		kind += "+prepare"
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.clock++
+	t.calls = append(t.calls, tapedCall{member: member, kind: kind, txn: id, start: t.clock})
+	return len(t.calls) - 1
+}
+
+func (t *tape) finish(i int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.clock++
+	t.calls[i].end = t.clock
+}
+
+// take returns the calls recorded since the last take, in start order.
+func (t *tape) take() []tapedCall {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := t.calls
+	t.calls = nil
+	return out
+}
+
+// kinds is the sequence of call kinds; rounds the number of maximal runs
+// of one kind in it. The suite puts a barrier between rounds, so calls
+// of one round never interleave with the next one's however the members
+// of a parallel round race each other.
+func kinds(calls []tapedCall) []string {
+	out := make([]string, len(calls))
+	for i, c := range calls {
+		out[i] = c.kind
+	}
+	return out
+}
+
+func rounds(calls []tapedCall) int {
+	n := 0
+	for i, c := range calls {
+		if i == 0 || c.kind != calls[i-1].kind {
+			n++
+		}
+	}
+	return n
+}
+
+// membersOf lists, sorted, the members that got a call of one of kinds.
+func membersOf(calls []tapedCall, kinds ...string) []string {
+	seen := map[string]bool{}
+	for _, c := range calls {
+		for _, k := range kinds {
+			if c.kind == k {
+				seen[c.member] = true
+			}
+		}
+	}
+	var out []string
+	for m := range seen {
+		out = append(out, m)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// tapedDir is a rep.Directory that records each call on a tape.
+type tapedDir struct {
+	inner rep.Directory
+	t     *tape
+}
+
+var _ rep.Directory = (*tapedDir)(nil)
+
+func (d *tapedDir) Name() string { return d.inner.Name() }
+
+func (d *tapedDir) Lookup(ctx context.Context, id lock.TxnID, key keyspace.Key) (rep.LookupResult, error) {
+	defer d.t.finish(d.t.begin(d.Name(), "lookup", ctx, id))
+	return d.inner.Lookup(ctx, id, key)
+}
+
+func (d *tapedDir) Predecessor(ctx context.Context, id lock.TxnID, key keyspace.Key) (rep.NeighborResult, error) {
+	defer d.t.finish(d.t.begin(d.Name(), "neighbor", ctx, id))
+	return d.inner.Predecessor(ctx, id, key)
+}
+
+func (d *tapedDir) Successor(ctx context.Context, id lock.TxnID, key keyspace.Key) (rep.NeighborResult, error) {
+	defer d.t.finish(d.t.begin(d.Name(), "neighbor", ctx, id))
+	return d.inner.Successor(ctx, id, key)
+}
+
+func (d *tapedDir) PredecessorBatch(ctx context.Context, id lock.TxnID, key keyspace.Key, max int) ([]rep.NeighborResult, error) {
+	defer d.t.finish(d.t.begin(d.Name(), "neighbor", ctx, id))
+	return d.inner.PredecessorBatch(ctx, id, key, max)
+}
+
+func (d *tapedDir) SuccessorBatch(ctx context.Context, id lock.TxnID, key keyspace.Key, max int) ([]rep.NeighborResult, error) {
+	defer d.t.finish(d.t.begin(d.Name(), "neighbor", ctx, id))
+	return d.inner.SuccessorBatch(ctx, id, key, max)
+}
+
+func (d *tapedDir) Insert(ctx context.Context, id lock.TxnID, key keyspace.Key, ver version.V, value string) error {
+	defer d.t.finish(d.t.begin(d.Name(), "insert", ctx, id))
+	return d.inner.Insert(ctx, id, key, ver, value)
+}
+
+func (d *tapedDir) Coalesce(ctx context.Context, id lock.TxnID, lo, hi keyspace.Key, ver version.V) (rep.CoalesceResult, error) {
+	defer d.t.finish(d.t.begin(d.Name(), "coalesce", ctx, id))
+	return d.inner.Coalesce(ctx, id, lo, hi, ver)
+}
+
+func (d *tapedDir) Prepare(ctx context.Context, id lock.TxnID) error {
+	defer d.t.finish(d.t.begin(d.Name(), "prepare", ctx, id))
+	return d.inner.Prepare(ctx, id)
+}
+
+func (d *tapedDir) Commit(ctx context.Context, id lock.TxnID) error {
+	defer d.t.finish(d.t.begin(d.Name(), "commit", ctx, id))
+	return d.inner.Commit(ctx, id)
+}
+
+func (d *tapedDir) Abort(ctx context.Context, id lock.TxnID) error {
+	defer d.t.finish(d.t.begin(d.Name(), "abort", ctx, id))
+	return d.inner.Abort(ctx, id)
+}
+
+func (d *tapedDir) Status(ctx context.Context, id lock.TxnID) (rep.TxnStatus, error) {
+	defer d.t.finish(d.t.begin(d.Name(), "status", ctx, id))
+	return d.inner.Status(ctx, id)
+}
+
+// tapedSuite is a healthy 3-2-2 suite whose representatives A, B, C
+// record on one tape, with an observer for the suite's own count.
+type tapedSuite struct {
+	suite *Suite
+	reps  []*rep.Rep
+	tape  *tape
+	obs   *obs.Observer
+}
+
+// newTapedSuite builds one in process (the tape sits where the suite
+// calls the member) or over loopback TCP (the tape sits behind the
+// server, so what it sees has crossed the wire). sel may be nil for the
+// seeded random selector.
+func newTapedSuite(t *testing.T, tcp bool, seed int64, sel func(quorum.Config) quorum.Selector, opts ...Option) *tapedSuite {
+	t.Helper()
+	ts := &tapedSuite{tape: &tape{}, obs: obs.NewObserver(obs.ObserverConfig{})}
+	dirs := make([]rep.Directory, 3)
+	for i, name := range []string{"A", "B", "C"} {
+		r := rep.New(name)
+		ts.reps = append(ts.reps, r)
+		taped := &tapedDir{inner: r, t: ts.tape}
+		if !tcp {
+			dirs[i] = transport.NewLocal(taped)
+			continue
+		}
+		srv, err := transport.Serve(taped, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		cl, err := transport.Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		dirs[i] = cl
+	}
+	cfg := quorum.NewUniform(dirs, 2, 2)
+	var s quorum.Selector = quorum.NewRandomSelector(cfg, seed)
+	if sel != nil {
+		s = sel(cfg)
+	}
+	opts = append([]Option{WithSelector(s), WithObserver(ts.obs), WithLocalReads("B")}, opts...)
+	suite, err := NewSuite(cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(suite.Close)
+	ts.suite = suite
+	return ts
+}
+
+// run performs one operation and returns the calls it made, having
+// checked that the suite's own message count for it says the same.
+func (ts *tapedSuite) run(t *testing.T, what string, op func() error) []tapedCall {
+	t.Helper()
+	ts.tape.take()
+	if err := op(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	calls := ts.tape.take()
+	recent := ts.obs.Tracer().Recent()
+	if got := recent[len(recent)-1].Messages; got != len(calls) {
+		t.Errorf("%s: the suite counted %d messages, the representatives served %d: %v", what, got, len(calls), kinds(calls))
+	}
+	return calls
+}
+
+// idle checks that no representative is left holding anything.
+func (ts *tapedSuite) idle(t *testing.T, what string) {
+	t.Helper()
+	for _, r := range ts.reps {
+		if s := r.Strays(); len(s) != 0 {
+			t.Errorf("%s: %s has stray transactions %v", what, r.Name(), s)
+		}
+		if n := r.Locks().ActiveTransactions(); n != 0 {
+			t.Errorf("%s: %d transactions hold locks at %s", what, n, r.Name())
+		}
+	}
+}
+
+// TestPointOperationRounds is the table the message diet is held to: on
+// a healthy 3-2-2 suite, whatever quorums the random selector draws, a
+// lookup is 2 messages in 1 round, an insert or update 6 in 3, a local
+// lookup 1 in 1, and a delete ends coalesce+prepare, then a prepare to
+// each member that only read (often none), then commit.
+func TestPointOperationRounds(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name     string
+		tcp      bool
+		parallel bool
+		seeds    int64
+	}{
+		{"local", false, false, 40},
+		{"local-parallel", false, true, 40},
+		{"tcp", true, true, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pureReaders, noPureReaders := 0, 0
+			for seed := int64(1); seed <= tc.seeds; seed++ {
+				ts := newTapedSuite(t, tc.tcp, seed, nil, WithParallelQuorum(tc.parallel))
+				for _, k := range []string{"b", "d", "f", "h"} {
+					if err := ts.suite.Insert(ctx, k, "v0"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				what := func(op string) string { return fmt.Sprintf("seed %d %s", seed, op) }
+
+				calls := ts.run(t, what("lookup"), func() error {
+					_, found, err := ts.suite.Lookup(ctx, "d")
+					if err == nil && !found {
+						err = fmt.Errorf("d not found")
+					}
+					return err
+				})
+				if got := kinds(calls); !reflect.DeepEqual(got, []string{"lookup+once", "lookup+once"}) {
+					t.Errorf("%s: calls %v, want 2 one-shot lookups", what("lookup"), got)
+				}
+
+				calls = ts.run(t, what("lookup-local"), func() error {
+					_, _, _, err := ts.suite.LocalLookup(ctx, "d")
+					return err
+				})
+				if got := kinds(calls); !reflect.DeepEqual(got, []string{"lookup+once"}) || calls[0].member != "B" {
+					t.Errorf("%s: calls %v, want 1 one-shot lookup at B", what("lookup-local"), got)
+				}
+
+				for _, w := range []struct {
+					op  string
+					run func() error
+				}{
+					{"insert", func() error { return ts.suite.Insert(ctx, "e", "v") }},
+					{"update", func() error { return ts.suite.Update(ctx, "d", "v1") }},
+					{"insertV", func() error { _, err := ts.suite.InsertV(ctx, "c", "v"); return err }},
+					{"updateV", func() error { _, err := ts.suite.UpdateV(ctx, "d", "v2"); return err }},
+				} {
+					calls = ts.run(t, what(w.op), w.run)
+					want := []string{"lookup", "lookup", "insert+prepare", "insert+prepare", "commit", "commit"}
+					if got := kinds(calls); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: calls %v, want %v", what(w.op), got, want)
+						continue
+					}
+					if rounds(calls) != 3 {
+						t.Errorf("%s: %d rounds", what(w.op), rounds(calls))
+					}
+					readers, writers, committed := membersOf(calls, "lookup"), membersOf(calls, "insert+prepare"), membersOf(calls, "commit")
+					if !reflect.DeepEqual(readers, writers) || !reflect.DeepEqual(writers, committed) {
+						t.Errorf("%s: read %v, wrote %v, committed %v: want one pair of members", what(w.op), readers, writers, committed)
+					}
+				}
+
+				calls = ts.run(t, what("delete"), func() error { return ts.suite.Delete(ctx, "f") })
+				writers := membersOf(calls, "coalesce+prepare")
+				var pure []string
+				for _, m := range membersOf(calls, "lookup", "neighbor") {
+					if m != writers[0] && m != writers[1] {
+						pure = append(pure, m)
+					}
+				}
+				tail := calls[len(calls)-4-len(pure):]
+				want := []string{"coalesce+prepare", "coalesce+prepare"}
+				for range pure {
+					want = append(want, "prepare")
+				}
+				want = append(want, "commit", "commit")
+				if got := kinds(tail); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: ends %v, want %v", what("delete"), got, want)
+				}
+				if got := membersOf(calls, "prepare"); !reflect.DeepEqual(got, pure) {
+					t.Errorf("%s: prepare sent to %v, members that only read are %v", what("delete"), got, pure)
+				}
+				if got := membersOf(calls, "commit", "abort"); !reflect.DeepEqual(got, writers) {
+					t.Errorf("%s: outcome sent to %v, want the writers %v", what("delete"), got, writers)
+				}
+				if len(pure) == 0 {
+					noPureReaders++
+				} else {
+					pureReaders++
+				}
+				ts.idle(t, what("all"))
+
+				// The observer's per-operation mean is the same count.
+				if got := ts.obs.MessagesPerOp(OpLookup); got != 2 {
+					t.Errorf("seed %d: messages per lookup = %v, want 2", seed, got)
+				}
+				if got := ts.obs.MessagesPerOp(OpUpdate); got != 6 {
+					t.Errorf("seed %d: messages per update = %v, want 6", seed, got)
+				}
+				if got := ts.obs.MessagesPerOp(OpLocalLookup); got != 1 {
+					t.Errorf("seed %d: messages per local lookup = %v, want 1", seed, got)
+				}
+			}
+			if tc.seeds >= 40 && (pureReaders == 0 || noPureReaders == 0) {
+				t.Errorf("deletes with a member that only read: %d, without: %d; want both covered", pureReaders, noPureReaders)
+			}
+		})
+	}
+}
+
+// fixedSelector answers every draw with the scripted members that are
+// not excluded, whether or not they still make a quorum — which is how
+// the paper's figures choose quorums, and what a point write's narrowed
+// draw has to survive.
+func fixedSelector(read, write []int) func(quorum.Config) quorum.Selector {
+	return func(cfg quorum.Config) quorum.Selector {
+		s := &scriptSelector{cfg: cfg}
+		s.set(read, write)
+		return s
+	}
+}
+
+// TestPureReaderReleasedAfterLockPoint: when the write quorum leaves out
+// a member the version read used, that member is released by a prepare
+// of its own, and never before every write of the round has been
+// acknowledged: until then the transaction is still acquiring locks,
+// and two-phase locking forbids it to release any. The writer the read
+// did not reach gets a plain write and is asked in the same round.
+func TestPureReaderReleasedAfterLockPoint(t *testing.T) {
+	ctx := context.Background()
+	// Read at A and C, write to A and B: C only reads, B only writes.
+	ts := newTapedSuite(t, false, 1, fixedSelector([]int{0, 2}, []int{0, 1}), WithParallelQuorum(true))
+	for i := 0; i < 20; i++ {
+		key := fmt.Sprintf("k%02d", i)
+		calls := ts.run(t, key, func() error { return ts.suite.Insert(ctx, key, "v") })
+		got := make([]string, len(calls))
+		for j, c := range calls {
+			got[j] = c.kind + "@" + c.member
+		}
+		sort.Strings(got[0:2])
+		sort.Strings(got[2:4])
+		sort.Strings(got[4:6])
+		sort.Strings(got[6:8])
+		want := []string{
+			"lookup@A", "lookup@C",
+			"insert+prepare@A", "insert@B",
+			"prepare@B", "prepare@C",
+			"commit@A", "commit@B",
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: calls %v, want %v", key, got, want)
+		}
+		lockPoint := 0
+		for _, c := range calls[2:4] {
+			lockPoint = max(lockPoint, c.end)
+		}
+		for _, c := range calls[4:6] {
+			if c.start < lockPoint {
+				t.Fatalf("%s: %s@%s began at tick %d, before the write round was acknowledged at %d", key, c.kind, c.member, c.start, lockPoint)
+			}
+		}
+	}
+	ts.idle(t, "inserts")
+}
+
+// restartingDir restarts one representative, losing its locks and
+// transaction records as a crash does, right after it has served the
+// first Lookup of a transaction — and lets a rival writer through while
+// the locks are gone.
+type restartingDir struct {
+	*transport.Local
+	restart func() // cleared when it fires; the rival's own lookups pass through
+}
+
+func (d *restartingDir) Lookup(ctx context.Context, id lock.TxnID, key keyspace.Key) (rep.LookupResult, error) {
+	res, err := d.Local.Lookup(ctx, id, key)
+	if restart := d.restart; restart != nil && !rep.OneShot(ctx) {
+		d.restart = nil
+		restart()
+	}
+	return res, err
+}
+
+// TestReadOnlyParticipantCrashStillAborts: a member serves a writer's
+// version read and then restarts before the commit, so the read lock
+// the writer relies on is gone — and a rival uses the gap to commit the
+// very version number the writer is about to use. The writer must
+// notice, whether the restarted member is in its write quorum (the
+// write that carries the prepare is refused) or only read for it (its
+// prepare is refused); abort, and on the retry build on the rival's
+// version instead of overwriting it.
+func TestReadOnlyParticipantCrashStillAborts(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name        string
+		read, write []int
+		refusedCall string
+	}{
+		// A restarts. The writer reads A, B.
+		{"in the write quorum", []int{0, 1}, []int{0, 1}, "insert+prepare"},
+		{"pure reader", []int{0, 1}, []int{1, 2}, "prepare"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tp := &tape{}
+			var reps [3]*rep.Rep
+			var locals [3]*transport.Local
+			dirs := make([]rep.Directory, 3)
+			for i, name := range []string{"A", "B", "C"} {
+				reps[i] = rep.New(name)
+				locals[i] = transport.NewLocal(&tapedDir{inner: reps[i], t: tp})
+				dirs[i] = locals[i]
+			}
+			restarting := &restartingDir{Local: locals[0]}
+			dirs[0] = restarting
+			cfg := quorum.NewUniform(dirs, 2, 2)
+			writer, err := NewSuite(cfg, WithSelector(fixedSelector(tc.read, tc.write)(cfg)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The rival reads and writes through A and C only, so it never
+			// meets the lock the writer still holds at B.
+			rival, err := NewSuite(cfg, WithSelector(fixedSelector([]int{0, 2}, []int{0, 2})(cfg)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writer.Insert(ctx, "k", "v1"); err != nil {
+				t.Fatal(err)
+			}
+			restarting.restart = func() {
+				fresh := rep.New("A")
+				for _, e := range reps[0].Dump() {
+					if !e.Key.IsSentinel() {
+						if err := fresh.Insert(ctx, 1, e.Key, e.Version, e.Value); err != nil {
+							t.Error(err)
+						}
+					}
+				}
+				if err := fresh.Commit(ctx, 1); err != nil {
+					t.Error(err)
+				}
+				reps[0] = fresh
+				locals[0].Replace(&tapedDir{inner: fresh, t: tp})
+				if err := rival.Update(ctx, "k", "rival"); err != nil {
+					t.Errorf("rival update: %v", err)
+				}
+			}
+			tp.take()
+
+			ver, err := writer.UpdateV(ctx, "k", "writer")
+			if err != nil {
+				t.Fatalf("update: %v", err)
+			}
+			if st := writer.Stats(); st.Retries != 1 {
+				t.Errorf("retries = %d, want 1", st.Retries)
+			}
+			// v1 was version 1, the rival's update 2; the writer's must be 3.
+			if ver != 3 {
+				t.Errorf("the writer committed version %d, want 3: it must build on the rival's update, not overwrite it", ver)
+			}
+			if v, found, err := rival.Lookup(ctx, "k"); err != nil || !found || v != "writer" {
+				t.Errorf("final value = %q, %v, %v", v, found, err)
+			}
+
+			// The first attempt: refused at the restarted member, and no
+			// commit under its ID anywhere.
+			calls := tp.take()
+			first := calls[0].txn
+			refused := false
+			for _, c := range calls {
+				if c.txn != first {
+					continue
+				}
+				if c.kind == "commit" {
+					t.Errorf("the attempt that lost its read lock sent a commit to %s", c.member)
+				}
+				if c.kind == tc.refusedCall && c.member == "A" {
+					refused = true
+				}
+			}
+			if !refused {
+				t.Errorf("no %s reached the restarted member under the first attempt: %v", tc.refusedCall, kinds(calls))
+			}
+			for _, r := range reps {
+				if n := r.Locks().ActiveTransactions(); n != 0 {
+					t.Errorf("%d transactions still hold locks at %s", n, r.Name())
+				}
+			}
+		})
+	}
+}
+
+// TestDeleteCarriesPrepareOnlyAsAPointWrite: inside RunInTxn a delete is
+// one operation of several, so its coalesce is not known to be the last
+// write and the prepare travels in a round of its own.
+func TestDeleteCarriesPrepareOnlyAsAPointWrite(t *testing.T) {
+	ctx := context.Background()
+	ts := newTapedSuite(t, false, 1, nil)
+	for _, k := range []string{"b", "d", "f"} {
+		if err := ts.suite.Insert(ctx, k, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls := ts.run(t, "txn", func() error {
+		return ts.suite.RunInTxn(ctx, func(tx *Tx) error {
+			if _, _, err := tx.Lookup(ctx, "b"); err != nil {
+				return err
+			}
+			return tx.Delete(ctx, "d")
+		})
+	})
+	got := strings.Join(kinds(calls), " ")
+	for _, marked := range []string{"+once", "+prepare"} {
+		if strings.Contains(got, marked) {
+			t.Errorf("a multi-operation transaction sent a %s call: %s", marked, got)
+		}
+	}
+	if !strings.Contains(got, "coalesce coalesce prepare") || !strings.HasSuffix(got, "commit commit") {
+		t.Errorf("calls = %s, want a prepare round after the coalesces and a commit round last", got)
+	}
+	ts.idle(t, "txn")
+}

@@ -25,7 +25,7 @@ type KV struct {
 // consistent snapshot.
 func (s *Suite) Scan(ctx context.Context, after string, limit int) ([]KV, error) {
 	var out []KV
-	err := s.runTxn(ctx, OpScan, false, func(tx *Tx) error {
+	err := s.runTxn(ctx, OpScan, manyOps, func(tx *Tx) error {
 		var err error
 		out, err = tx.Scan(ctx, after, limit)
 		return err
@@ -43,7 +43,7 @@ func (tx *Tx) Scan(ctx context.Context, after string, limit int) ([]KV, error) {
 // means "to the end".
 func (s *Suite) ScanRange(ctx context.Context, after, until string, limit int) ([]KV, error) {
 	var out []KV
-	err := s.runTxn(ctx, OpScan, false, func(tx *Tx) error {
+	err := s.runTxn(ctx, OpScan, manyOps, func(tx *Tx) error {
 		var err error
 		out, err = tx.ScanRange(ctx, after, until, limit)
 		return err
@@ -63,7 +63,7 @@ func (tx *Tx) ScanRange(ctx context.Context, after, until string, limit int) ([]
 func (s *Suite) ScanPrefix(ctx context.Context, limit int, components ...string) ([]KV, error) {
 	after, upper := keyspace.TuplePrefixRange(components...)
 	var out []KV
-	err := s.runTxn(ctx, OpScan, false, func(tx *Tx) error {
+	err := s.runTxn(ctx, OpScan, manyOps, func(tx *Tx) error {
 		var err error
 		out, err = tx.ScanSpan(ctx, after, upper, limit)
 		return err
@@ -133,7 +133,7 @@ func (tx *Tx) walkSpan(ctx context.Context, after, until keyspace.Key, limit int
 // is the mirror of Scan, built on the real-predecessor search.
 func (s *Suite) ScanReverse(ctx context.Context, before string, limit int) ([]KV, error) {
 	var out []KV
-	err := s.runTxn(ctx, OpScan, false, func(tx *Tx) error {
+	err := s.runTxn(ctx, OpScan, manyOps, func(tx *Tx) error {
 		var err error
 		out, err = tx.ScanReverse(ctx, before, limit)
 		return err
@@ -189,7 +189,7 @@ func (tx *Tx) ScanReverseSpan(ctx context.Context, before keyspace.Key, limit in
 // real-successor search per entry.
 func (s *Suite) Count(ctx context.Context) (int, error) {
 	var n int
-	err := s.runTxn(ctx, OpCount, false, func(tx *Tx) error {
+	err := s.runTxn(ctx, OpCount, manyOps, func(tx *Tx) error {
 		var err error
 		n, err = tx.Count(ctx)
 		return err

@@ -53,7 +53,7 @@ const OpLocalLookup = "lookup-local"
 // monotonic-read floors from quorum reads.
 func (s *Suite) LookupV(ctx context.Context, key string) (string, bool, version.V, error) {
 	var res rep.LookupResult
-	err := s.runTxn(ctx, OpLookup, false, func(tx *Tx) error {
+	err := s.runTxn(ctx, OpLookup, pointRead, func(tx *Tx) error {
 		k, err := validateKey(key)
 		if err != nil {
 			return err
@@ -67,7 +67,7 @@ func (s *Suite) LookupV(ctx context.Context, key string) (string, bool, version.
 // InsertV is Insert plus the version the new entry was written with.
 func (s *Suite) InsertV(ctx context.Context, key, value string) (version.V, error) {
 	var ver version.V
-	err := s.runTxn(ctx, OpInsert, false, func(tx *Tx) error {
+	err := s.runTxn(ctx, OpInsert, pointWrite, func(tx *Tx) error {
 		var err error
 		ver, err = tx.InsertV(ctx, key, value)
 		return err
@@ -78,7 +78,7 @@ func (s *Suite) InsertV(ctx context.Context, key, value string) (version.V, erro
 // UpdateV is Update plus the version the replacement was written with.
 func (s *Suite) UpdateV(ctx context.Context, key, value string) (version.V, error) {
 	var ver version.V
-	err := s.runTxn(ctx, OpUpdate, false, func(tx *Tx) error {
+	err := s.runTxn(ctx, OpUpdate, pointWrite, func(tx *Tx) error {
 		var err error
 		ver, err = tx.UpdateV(ctx, key, value)
 		return err
@@ -128,9 +128,9 @@ func (tx *Tx) UpdateV(ctx context.Context, key, value string) (version.V, error)
 // write quorums containing the member (the sticky policy's invariant),
 // but possibly stale otherwise, so callers needing session guarantees
 // must check the returned version against their floor and fall back to
-// Lookup/LookupV on violation. The read still runs as a transaction
-// (the member takes and releases a read lock), so it never observes a
-// torn write.
+// Lookup/LookupV on violation. The member takes the read lock for the
+// length of the call, so the read never observes a torn or uncommitted
+// write, and holds nothing afterwards.
 func (s *Suite) LocalLookup(ctx context.Context, key string) (string, bool, version.V, error) {
 	if s.localMember == "" {
 		return "", false, version.Lowest, ErrNoLocalMember
@@ -140,16 +140,15 @@ func (s *Suite) LocalLookup(ctx context.Context, key string) (string, bool, vers
 		return "", false, version.Lowest, fmt.Errorf("%w: %q left the configuration", ErrNoLocalMember, s.localMember)
 	}
 	var res rep.LookupResult
-	err := s.runTxn(ctx, OpLocalLookup, false, func(tx *Tx) error {
+	err := s.runTxn(ctx, OpLocalLookup, pointRead, func(tx *Tx) error {
 		k, err := validateKey(key)
 		if err != nil {
 			return err
 		}
 		d := s.wrapDir(m.Dir)
-		tx.txn.Join(d)
 		tx.msgs++
 		sp := tx.span("local-read", k.Raw())
-		res, err = d.Lookup(ctx, tx.txn.ID, k)
+		res, err = d.Lookup(rep.MarkOneShot(ctx), tx.txn.ID, k)
 		sp.End()
 		if err != nil {
 			tx.noteFailure(d.Name(), err)

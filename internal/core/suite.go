@@ -253,10 +253,11 @@ func (s *Suite) Health() *HealthTracker { return s.health }
 func (s *Suite) Config() quorum.Config { return s.cfg }
 
 // Lookup returns the value stored under key and whether an entry exists.
+// It costs one round of R messages: see pointRead.
 func (s *Suite) Lookup(ctx context.Context, key string) (string, bool, error) {
 	var value string
 	var found bool
-	err := s.runTxn(ctx, OpLookup, false, func(tx *Tx) error {
+	err := s.runTxn(ctx, OpLookup, pointRead, func(tx *Tx) error {
 		var err error
 		value, found, err = tx.Lookup(ctx, key)
 		return err
@@ -265,8 +266,9 @@ func (s *Suite) Lookup(ctx context.Context, key string) (string, bool, error) {
 }
 
 // Insert creates an entry for key. It returns ErrKeyExists if one exists.
+// It costs three rounds — read, write, commit: see pointWrite.
 func (s *Suite) Insert(ctx context.Context, key, value string) error {
-	return s.runTxn(ctx, OpInsert, false, func(tx *Tx) error {
+	return s.runTxn(ctx, OpInsert, pointWrite, func(tx *Tx) error {
 		return tx.Insert(ctx, key, value)
 	})
 }
@@ -274,7 +276,7 @@ func (s *Suite) Insert(ctx context.Context, key, value string) error {
 // Update replaces the value of an existing entry. It returns
 // ErrKeyNotFound if the key has no entry.
 func (s *Suite) Update(ctx context.Context, key, value string) error {
-	return s.runTxn(ctx, OpUpdate, false, func(tx *Tx) error {
+	return s.runTxn(ctx, OpUpdate, pointWrite, func(tx *Tx) error {
 		return tx.Update(ctx, key, value)
 	})
 }
@@ -282,7 +284,7 @@ func (s *Suite) Update(ctx context.Context, key, value string) error {
 // Delete removes the entry for key. It returns ErrKeyNotFound if the key
 // has no entry.
 func (s *Suite) Delete(ctx context.Context, key string) error {
-	return s.runTxn(ctx, OpDelete, false, func(tx *Tx) error {
+	return s.runTxn(ctx, OpDelete, pointWrite, func(tx *Tx) error {
 		return tx.Delete(ctx, key)
 	})
 }
@@ -293,8 +295,36 @@ func (s *Suite) Delete(ctx context.Context, key string) error {
 // failures, so it must be idempotent from the caller's perspective (pure
 // directory operations are).
 func (s *Suite) RunInTxn(ctx context.Context, fn func(tx *Tx) error) error {
-	return s.runTxn(ctx, OpTxn, false, fn)
+	return s.runTxn(ctx, OpTxn, manyOps, fn)
 }
+
+// txShape is what the suite knows about a transaction before running
+// it, which decides how many rounds its member calls can be folded
+// into. The suite's own point operations know they are the whole
+// transaction; a caller's RunInTxn, a scan, a repair and a cross-shard
+// transaction can promise nothing and take the general form.
+type txShape uint8
+
+const (
+	// manyOps: any number of operations. Strict two-phase locking at
+	// every member, then a prepare round, then a commit round.
+	manyOps txShape = iota
+	// repairOps is manyOps for the suite's internal repairs (read
+	// repair, RepairReplica), whose quorum reads never enqueue further
+	// read repairs, so a freshen that observes more staleness cannot
+	// loop on itself.
+	repairOps
+	// pointRead: exactly one quorum read. Each member call is one-shot
+	// (rep.MarkOneShot): it is the transaction's lock point at that
+	// member, so the member releases before it answers, nothing joins
+	// the transaction and no second round is sent.
+	pointRead
+	// pointWrite: exactly one Insert, Update or Delete. The write quorum
+	// is drawn from the members that served the version read where their
+	// votes suffice, and the last write to each such member carries the
+	// prepare (rep.MarkPrepare): read, write, commit.
+	pointWrite
+)
 
 // Operation labels used for traces and per-operation histograms.
 const (
@@ -312,14 +342,12 @@ const (
 )
 
 // runTxn is RunInTxn plus the operation label (for traces and
-// histograms) and the repair-transaction marker: repair transactions
-// (read repair, RepairReplica) never enqueue further read repairs, so a
-// freshen that observes more staleness cannot loop on itself.
+// histograms) and the transaction's shape.
 //
 // Every call ends up in exactly one of the commits, failures, or
 // cancelled counters, so SuiteStats always satisfies
 // Commits + Failures + Cancelled == Calls at rest.
-func (s *Suite) runTxn(ctx context.Context, op string, repairTxn bool, fn func(tx *Tx) error) (err error) {
+func (s *Suite) runTxn(ctx context.Context, op string, shape txShape, fn func(tx *Tx) error) (err error) {
 	s.counters.calls.Add(1)
 	trace := s.obs.StartTrace(op)
 	msgs := 0
@@ -351,11 +379,11 @@ func (s *Suite) runTxn(ctx context.Context, op string, repairTxn bool, fn func(t
 		attemptTxn := txn.New(txn.AttemptID(base, attempt))
 		attemptTxn.Parallel = s.parallel
 		tx := &Tx{
-			suite:     s,
-			txn:       attemptTxn,
-			trace:     trace,
-			exclude:   exclude,
-			repairTxn: repairTxn,
+			suite:   s,
+			txn:     attemptTxn,
+			trace:   trace,
+			exclude: exclude,
+			shape:   shape,
 		}
 		if s.obs != nil {
 			attemptTxn.Phase = tx.observePhase

@@ -32,10 +32,12 @@ type Tx struct {
 	trace *obs.Trace
 	msgs  int
 
-	// repairTxn marks internal repair transactions (read repair,
-	// RepairReplica), whose quorum reads must not enqueue further read
-	// repairs.
-	repairTxn bool
+	// shape is what the suite promised about the transaction (suite.go).
+	shape txShape
+	// read is the quorum of a point write's version read: the members
+	// its write quorum is drawn from, and that can take the prepare on
+	// the write because they already know the transaction.
+	read []quorum.Member
 	// failed collects members that became unavailable during this
 	// attempt, so the retry can route around them.
 	failed map[string]bool
@@ -98,14 +100,15 @@ func (tx *Tx) noteFailure(name string, err error) {
 	}
 }
 
-// finish commits a mutating transaction (two-phase commit when several
-// representatives participated) or releases a read-only one.
+// finish commits a mutating transaction (two-phase commit across the
+// representatives that participated) or releases a read-only one.
 func (tx *Tx) finish(ctx context.Context) error {
 	if tx.mutated {
 		return tx.txn.Commit(ctx)
 	}
 	// Read-only: abort releases locks without logging; it cannot change
-	// any state because none was written.
+	// any state because none was written. A point read joined nobody and
+	// sends nothing.
 	return tx.txn.Abort(ctx)
 }
 
@@ -190,10 +193,29 @@ func (tx *Tx) Lookup(ctx context.Context, key string) (string, bool, error) {
 // suiteLookup sends DirRepLookup to a read quorum and returns the reply
 // with the largest version number. When Found is false, Version is the
 // winning gap version.
+//
+// In a point read the quorum round is the whole transaction, and every
+// call in it is one-shot: the member locks, answers and releases, so
+// the reply needs no second round to clean up after it. The result is
+// still linearizable per key. A write exposes its version at no member
+// before all of its write quorum hold their RepModify locks and have
+// prepared, and each of them keeps the lock until it has committed; a
+// read quorum meets that write quorum in some member, which is then
+// unwritten, locked, or committed. Unwritten, the read took its answer
+// before the write exposed anything anywhere, and is ordered before it.
+// Locked, the read waits (or dies and retries) until committed. So no
+// read that begins after a version was returned — to the writer or to
+// another reader — can miss it.
 func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResult, error) {
 	members, err := tx.readQuorum()
 	if err != nil {
 		return rep.LookupResult{}, err
+	}
+	if tx.shape == pointRead {
+		ctx = rep.MarkOneShot(ctx)
+	}
+	for _, m := range members {
+		tx.joinReader(m.Dir)
 	}
 	sp := tx.span("quorum-read", key.Raw())
 	replies := make([]rep.LookupResult, len(members))
@@ -214,6 +236,9 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	sp.End()
 	if err := tx.roundError(members, errs, "lookup", key); err != nil {
 		return rep.LookupResult{}, err
+	}
+	if tx.shape == pointWrite {
+		tx.read = members
 	}
 	// Figure 8: bestv starts at LowestVersion; strictly larger versions
 	// win. Replies at LowestVersion leave the default "not present".
@@ -258,7 +283,7 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	// just this key on just those members. Only entry wins trigger it —
 	// a winning gap (not-present) needs no install, and lingering
 	// ghosts are harmless by version dominance.
-	if tx.suite.rrQueue != nil && !tx.repairTxn && best.Found {
+	if tx.suite.rrQueue != nil && tx.shape != repairOps && best.Found {
 		var stale []rep.Directory
 		for i := range members {
 			if errs[i] == nil && replies[i].Version < best.Version {
@@ -274,15 +299,19 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 
 // chaseValue fetches the value behind a winning witness reply from a
 // store member outside the read quorum, inside the same transaction.
-// Safety: the quorum read already holds lookup locks that intersect
-// every write quorum, so no write can change the key's version while
-// the chase runs — a store member answering with a version at or above
-// the winner's holds the current value. Quorum intersection guarantees
-// no member can exceed the quorum maximum for a committed write, and
-// W > witness votes (quorum.Config.Validate) guarantees at least one
-// store member holds the winning entry, so the chase fails only when
-// every such member is unreachable — which is retryable unavailability,
-// not a semantic failure.
+// Safety: the quorum read holds lookup locks that intersect every write
+// quorum, so no write can change the key's version while the chase runs
+// — a store member answering with a version at or above the winner's
+// holds the current value. (A point read holds no lock by now, so the
+// member may answer with a later committed version: the value of a
+// write that completed while the read was in progress, which is as good
+// an answer. If the entry was deleted meanwhile no member has it, and
+// the read retries.) Quorum intersection guarantees no member can
+// exceed the quorum maximum for a committed write, and W > witness
+// votes (quorum.Config.Validate) guarantees at least one store member
+// holds the winning entry, so the chase fails only when every such
+// member is unreachable or the entry is gone — which is retryable
+// unavailability, not a semantic failure.
 func (tx *Tx) chaseValue(ctx context.Context, key keyspace.Key, best rep.LookupResult, members []quorum.Member) (rep.LookupResult, error) {
 	inRound := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -296,7 +325,7 @@ func (tx *Tx) chaseValue(ctx context.Context, key keyspace.Key, best rep.LookupR
 			continue
 		}
 		d := tx.suite.wrapDir(m.Dir)
-		tx.txn.Join(d)
+		tx.joinReader(d)
 		tx.msgs++
 		res, err := d.Lookup(ctx, tx.txn.ID, key)
 		if err != nil {
@@ -344,9 +373,19 @@ func (tx *Tx) roundError(members []quorum.Member, errs []error, verb string, key
 	return first
 }
 
-// fanOut joins every member and runs do for each, concurrently when the
-// suite is configured for parallel quorums. do must only write to its own
-// slot; error handling happens after the join.
+// joinReader makes d a participant before a read is sent to it: it will
+// hold a lock until the transaction ends. A point read's calls are
+// one-shot and hold nothing, so it has no participants.
+func (tx *Tx) joinReader(d rep.Directory) {
+	if tx.shape != pointRead {
+		tx.txn.JoinReader(d)
+	}
+}
+
+// fanOut runs do for each member, concurrently when the suite is
+// configured for parallel quorums; the caller has joined the members to
+// the transaction. do must only write to its own slot; error handling
+// happens after the barrier.
 //
 // The calling goroutine runs the first member's op inline and spawns
 // goroutines only for the rest: it would otherwise just block on the
@@ -358,9 +397,6 @@ func (tx *Tx) roundError(members []quorum.Member, errs []error, verb string, key
 // only layer that sees cross-transaction traffic.
 func (tx *Tx) fanOut(members []quorum.Member, do func(i int, m quorum.Member)) {
 	tx.msgs += len(members)
-	for _, m := range members {
-		tx.txn.Join(m.Dir)
-	}
 	if !tx.suite.parallel || len(members) < 2 {
 		for i, m := range members {
 			do(i, m)
@@ -414,20 +450,100 @@ func (tx *Tx) Update(ctx context.Context, key, value string) error {
 }
 
 // writeEntry inserts the entry into a write quorum.
+//
+// A point write draws the quorum from the members that served its
+// version read, where their votes suffice. They are participants
+// already, so the transaction gains none by writing, and none is left a
+// pure reader that a message of its own would have to release. And the
+// write is the last the transaction sends them, so it carries the
+// prepare: read, write, commit — three rounds. A member the read did
+// not reach (the draw fell back to the whole suite) gets a plain write
+// and is asked to prepare in a round of its own, as in any transaction;
+// so is a member that only read — after this round has been
+// acknowledged, because until then the transaction is still acquiring
+// locks and may release none.
 func (tx *Tx) writeEntry(ctx context.Context, key keyspace.Key, ver version.V, value string) error {
-	members, err := tx.writeQuorum()
+	members, err := tx.entryWriters()
 	if err != nil {
 		return err
+	}
+	for _, m := range members {
+		tx.txn.Join(m.Dir)
+	}
+	withPrepare := ctx
+	if tx.shape == pointWrite {
+		withPrepare = rep.MarkPrepare(ctx)
 	}
 	sp := tx.span("quorum-write", key.Raw())
 	errs := make([]error, len(members))
 	tx.fanOut(members, func(i int, m quorum.Member) {
-		errs[i] = m.Dir.Insert(ctx, tx.txn.ID, key, ver, value)
+		c := ctx
+		if tx.didRead(m) {
+			c = withPrepare
+		}
+		errs[i] = m.Dir.Insert(c, tx.txn.ID, key, ver, value)
 	})
 	sp.End()
 	if err := tx.roundError(members, errs, "insert", key); err != nil {
 		return err
 	}
+	for _, m := range members {
+		if tx.didRead(m) {
+			tx.txn.Voted(m.Dir)
+		}
+	}
 	tx.mutated = true
 	return nil
+}
+
+// entryWriters draws the write quorum for writeEntry.
+func (tx *Tx) entryWriters() ([]quorum.Member, error) {
+	if tx.shape != pointWrite {
+		return tx.writeQuorum()
+	}
+	// Selectors take exclusions, not preferences: exclude everyone the
+	// read did not reach, if those it did reach have the votes. They
+	// answered a moment ago, so the health tracker has nothing to add.
+	all := tx.suite.cfg.Members
+	exclude := make(map[string]bool, len(all))
+	votes := 0
+	for _, m := range all {
+		if tx.didRead(m) && !tx.exclude[m.Dir.Name()] {
+			votes += m.Votes
+		} else {
+			exclude[m.Dir.Name()] = true
+		}
+	}
+	if votes >= tx.suite.cfg.W {
+		members, err := tx.wrapMembers(tx.suite.sel.Select(quorum.Write, exclude))
+		// A selector written for whole-suite draws may answer a narrowed
+		// one with what is left of its usual pick: count the votes.
+		if err == nil && votesOf(members) >= tx.suite.cfg.W {
+			return members, nil
+		}
+	}
+	return tx.writeQuorum()
+}
+
+func votesOf(members []quorum.Member) int {
+	votes := 0
+	for _, m := range members {
+		votes += m.Votes
+	}
+	return votes
+}
+
+// didRead reports whether m served this point write's version read
+// (never, in a transaction of another shape). Such a member knows the
+// transaction, so it can take the prepare with the write: a
+// representative refuses a write that carries the prepare from a
+// transaction it does not know, as it refuses a Prepare — that is how a
+// restart that lost the transaction's read lock is caught.
+func (tx *Tx) didRead(m quorum.Member) bool {
+	for _, r := range tx.read {
+		if r.Dir.Name() == m.Dir.Name() {
+			return true
+		}
+	}
+	return false
 }

@@ -12,7 +12,9 @@
 //
 // Transactions follow strict two-phase locking: locks accumulate during
 // the transaction and are released all at once by ReleaseAll at commit or
-// abort, which (with [Traiger 82]) yields global serializability.
+// abort, which (with [Traiger 82]) yields global serializability. A
+// transaction that is one read here may give its single lock back with
+// Release as soon as it has read: nothing it does later needs a lock.
 //
 // Deadlocks across representatives are avoided with the wait-die scheme:
 // transaction IDs are timestamps; an older transaction waits for a younger
@@ -121,8 +123,49 @@ func NewManager() *Manager {
 // incompatible lock is held by an older transaction. It returns ErrDie if
 // wait-die requires txn to abort, or ctx.Err() if the context ends first.
 func (m *Manager) Acquire(ctx context.Context, txn TxnID, mode Mode, rng interval.Range) error {
+	_, err := m.acquire(ctx, txn, mode, rng)
+	return err
+}
+
+// Grant is one granted lock, held by a caller that gives it back itself.
+type Grant struct{ n *inode }
+
+// AcquireOne is Acquire for the lock of an operation that is the whole
+// of its transaction at this representative. Such a transaction's lock
+// point is that operation, so two-phase locking lets the lock go as
+// soon as the operation has its answer: the caller passes the grant to
+// Release, and no other lock held under the same ID is touched.
+func (m *Manager) AcquireOne(ctx context.Context, txn TxnID, mode Mode, rng interval.Range) (Grant, error) {
+	n, err := m.acquire(ctx, txn, mode, rng)
+	return Grant{n}, err
+}
+
+// Release gives back a lock granted by AcquireOne and wakes all
+// waiters. A grant that ReleaseAll already swept is left alone.
+func (m *Manager) Release(g Grant) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	txn := g.n.lock.txn
+	nodes := m.byTxn[txn]
+	for i, n := range nodes {
+		if n != g.n {
+			continue
+		}
+		m.idx.remove(n)
+		if len(nodes) == 1 {
+			delete(m.byTxn, txn)
+		} else {
+			nodes[i] = nodes[len(nodes)-1]
+			m.byTxn[txn] = nodes[:len(nodes)-1]
+		}
+		m.wake()
+		return
+	}
+}
+
+func (m *Manager) acquire(ctx context.Context, txn TxnID, mode Mode, rng interval.Range) (*inode, error) {
 	if !rng.Valid() {
-		return fmt.Errorf("lock: invalid range %s", rng)
+		return nil, fmt.Errorf("lock: invalid range %s", rng)
 	}
 	for {
 		m.mu.Lock()
@@ -132,13 +175,13 @@ func (m *Manager) Acquire(ctx context.Context, txn TxnID, mode Mode, rng interva
 			m.byTxn[txn] = append(m.byTxn[txn], n)
 			m.stats.Grants++
 			m.mu.Unlock()
-			return nil
+			return n, nil
 		}
 		if txn > conflict {
 			// The requester is younger than some conflicting holder: die.
 			m.stats.Dies++
 			m.mu.Unlock()
-			return ErrDie
+			return nil, ErrDie
 		}
 		// The requester is older than every conflicting holder: wait for a
 		// release and retry.
@@ -153,14 +196,14 @@ func (m *Manager) Acquire(ctx context.Context, txn TxnID, mode Mode, rng interva
 			m.mu.Lock()
 			delete(m.waiters, ch)
 			m.mu.Unlock()
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 }
 
-// ReleaseAll drops every lock held by txn and wakes all waiters. Strict
-// two-phase locking releases only at commit or abort, so no per-lock
-// release is offered.
+// ReleaseAll drops every lock held by txn and wakes all waiters: strict
+// two-phase locking releases at commit or abort. (Release is the one
+// exception, for a lock that is all its transaction holds here.)
 func (m *Manager) ReleaseAll(txn TxnID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -172,6 +215,11 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 		m.idx.remove(n)
 	}
 	delete(m.byTxn, txn)
+	m.wake()
+}
+
+// wake lets every waiter re-check for conflicts; callers hold m.mu.
+func (m *Manager) wake() {
 	for ch := range m.waiters {
 		close(ch)
 		delete(m.waiters, ch)

@@ -150,6 +150,46 @@ func TestReleaseAllOnlyDropsOwnLocks(t *testing.T) {
 	}
 }
 
+// TestReleaseDropsOneLock: Release gives back the granted lock and no
+// other of the same transaction, wakes a waiter, and is harmless after
+// ReleaseAll has already swept the grant.
+func TestReleaseDropsOneLock(t *testing.T) {
+	ctx := context.Background()
+	m := NewManager()
+	mustAcquire(t, m, 5, ModeLookup, rng("a", "c"))
+	g, err := m.AcquireOne(ctx, 5, ModeLookup, rng("m", "p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An older writer waits for the one-shot lock, and gets through
+	// when it — and only it — is released.
+	done := make(chan error, 1)
+	go func() { done <- m.Acquire(ctx, 1, ModeModify, rng("n", "o")) }()
+	for m.Stats().Waits == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	m.Release(g)
+	if err := <-done; err != nil {
+		t.Fatalf("writer after release: %v", err)
+	}
+	if n := m.HeldBy(5); n != 1 {
+		t.Fatalf("transaction 5 holds %d locks after releasing one of two", n)
+	}
+	if err := m.Acquire(ctx, 9, ModeModify, rng("b", "b")); !errors.Is(err, ErrDie) {
+		t.Fatalf("the lock not released no longer conflicts: %v", err)
+	}
+
+	g, err = m.AcquireOne(ctx, 5, ModeLookup, rng("x", "z"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(5)
+	m.Release(g)
+	if n := m.ActiveTransactions(); n != 1 { // the writer, txn 1
+		t.Fatalf("%d transactions hold locks, want 1", n)
+	}
+}
+
 func TestInvalidRangeRejected(t *testing.T) {
 	m := NewManager()
 	bad := interval.Range{Lo: keyspace.New("z"), Hi: keyspace.New("a")}

@@ -5,6 +5,13 @@ import "sync/atomic"
 // Counters are cumulative operation counts for one representative,
 // suitable for operational dashboards (repdir-server prints them at
 // shutdown).
+//
+// Each counts calls served — the paper's messages, counted where they
+// arrive — not the steps a call performs: a one-shot Lookup is one
+// Lookups and no Aborts although it releases its lock, and an Insert or
+// Coalesce that carries the prepare is one Inserts or Coalesces and no
+// Prepares although it prepares. Summed, they are the messages this
+// representative received.
 type Counters struct {
 	Lookups        uint64
 	NeighborProbes uint64

@@ -57,10 +57,11 @@ var (
 	// has already recorded (e.g. a resolver finished it). The caller
 	// must retry under a fresh attempt ID.
 	ErrTxnDecided = errors.New("rep: transaction already decided")
-	// ErrUnknownTxn is Prepare's abort vote for a transaction this
-	// representative has no record of: either the transaction never
-	// operated here, or a crash wiped its volatile state — in both
-	// cases committing would silently lose its writes.
+	// ErrUnknownTxn is the abort vote — of Prepare, or of a write that
+	// carries the prepare — for a transaction this representative has
+	// no record of: either the transaction never operated here, or a
+	// crash wiped its volatile state — in both cases committing would
+	// silently lose its writes or rest on locks it no longer holds.
 	ErrUnknownTxn = errors.New("rep: prepare of unknown transaction")
 	// ErrRecovering is returned by read operations while the
 	// representative is rebuilding lost storage from its peers. A
@@ -253,13 +254,27 @@ func (r *Rep) readable() error {
 }
 
 // Lookup implements Directory. Sentinel keys are always present.
-// Locks RepLookup(key, key).
+// Locks RepLookup(key, key) — until the transaction ends, or, under the
+// one-shot mark (marks.go), only until the answer is read: the call
+// then leaves neither a lock nor a transaction record behind.
 func (r *Rep) Lookup(ctx context.Context, txn lock.TxnID, key keyspace.Key) (LookupResult, error) {
 	if err := r.checkEpoch(ctx); err != nil {
 		return LookupResult{}, err
 	}
 	if err := r.readable(); err != nil {
 		return LookupResult{}, err
+	}
+	if OneShot(ctx) {
+		g, err := r.locks.AcquireOne(ctx, txn, lock.ModeLookup, interval.Point(key))
+		if err != nil {
+			return LookupResult{}, err
+		}
+		r.stats.lookups.Add(1)
+		r.mu.Lock()
+		res, err := r.get(key)
+		r.mu.Unlock()
+		r.locks.Release(g)
+		return res, err
 	}
 	if err := r.locks.Acquire(ctx, txn, lock.ModeLookup, interval.Point(key)); err != nil {
 		return LookupResult{}, err
@@ -271,6 +286,11 @@ func (r *Rep) Lookup(ctx context.Context, txn lock.TxnID, key keyspace.Key) (Loo
 		return LookupResult{}, err
 	}
 	r.touch(txn)
+	return r.get(key)
+}
+
+// get answers a Lookup from the store; callers hold r.mu and the lock.
+func (r *Rep) get(key keyspace.Key) (LookupResult, error) {
 	if e, ok := r.store.Get(key); ok {
 		return LookupResult{Found: true, Version: e.Version, Value: e.Value}, nil
 	}
@@ -384,7 +404,8 @@ func (r *Rep) Successor(ctx context.Context, txn lock.TxnID, key keyspace.Key) (
 
 // Insert implements Directory. Creating a new entry splits the gap it
 // lands in; both halves keep the gap's version number. Overwriting an
-// existing entry leaves gap versions untouched.
+// existing entry leaves gap versions untouched. Under the prepare mark
+// (marks.go) the transaction is prepared before the call returns.
 // Locks RepModify(key, key).
 func (r *Rep) Insert(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver version.V, value string) error {
 	if key.IsSentinel() {
@@ -404,10 +425,10 @@ func (r *Rep) Insert(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver 
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.undecided(txn); err != nil {
+	st, err := r.writer(ctx, txn)
+	if err != nil {
 		return err
 	}
-	st := r.txn(txn)
 	if old, ok := r.store.Get(key); ok {
 		st.undo = append(st.undo, undoRec{put: []btree.Entry{old}})
 	} else {
@@ -422,6 +443,9 @@ func (r *Rep) Insert(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver 
 		Version: ver,
 		Value:   value,
 	})
+	if PrepareRides(ctx) {
+		return r.vote(st, txn)
+	}
 	return nil
 }
 
@@ -438,7 +462,9 @@ func (r *Rep) applyInsert(key keyspace.Key, ver version.V, value string) {
 	r.store.Put(btree.Entry{Key: key, Version: ver, Value: value, GapAfter: pred.GapAfter})
 }
 
-// Coalesce implements Directory. Locks RepModify(lo, hi).
+// Coalesce implements Directory; under the prepare mark (marks.go) the
+// transaction is prepared before the call returns.
+// Locks RepModify(lo, hi).
 func (r *Rep) Coalesce(ctx context.Context, txn lock.TxnID, lo, hi keyspace.Key, ver version.V) (CoalesceResult, error) {
 	if !lo.Less(hi) {
 		return CoalesceResult{}, fmt.Errorf("%w: %s..%s", ErrBadRange, lo, hi)
@@ -451,7 +477,8 @@ func (r *Rep) Coalesce(ctx context.Context, txn lock.TxnID, lo, hi keyspace.Key,
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.undecided(txn); err != nil {
+	st, err := r.writer(ctx, txn)
+	if err != nil {
 		return CoalesceResult{}, err
 	}
 	loEntry, ok := r.store.Get(lo)
@@ -461,7 +488,6 @@ func (r *Rep) Coalesce(ctx context.Context, txn lock.TxnID, lo, hi keyspace.Key,
 	if _, ok := r.store.Get(hi); !ok {
 		return CoalesceResult{}, fmt.Errorf("%w: high bound %s", ErrMissingBound, hi)
 	}
-	st := r.txn(txn)
 	victims := r.store.Between(lo, hi)
 	undo := undoRec{put: append([]btree.Entry{loEntry}, victims...)}
 	st.undo = append(st.undo, undo)
@@ -480,6 +506,11 @@ func (r *Rep) Coalesce(ctx context.Context, txn lock.TxnID, lo, hi keyspace.Key,
 	keys := make([]keyspace.Key, len(victims))
 	for i, e := range victims {
 		keys[i] = e.Key
+	}
+	if PrepareRides(ctx) {
+		if err := r.vote(st, txn); err != nil {
+			return CoalesceResult{}, err
+		}
 	}
 	return CoalesceResult{DeletedKeys: keys}, nil
 }
@@ -503,18 +534,24 @@ func (r *Rep) applyCoalesce(lo, hi keyspace.Key, ver version.V) error {
 // Prepare implements Directory: phase one of two-phase commit. The
 // transaction's redo records and a prepare marker are forced to the log.
 //
-// A participant that only read logs nothing, here or at Commit and
-// Abort: its vote is bookkeeping. If it crashes it answers
-// StatusUnknown afterwards, which cooperative termination already
-// counts as not-committed — the decision rests with the participants
-// that wrote, and they do log.
+// A participant that only read has nothing to force and nothing to
+// commit, so its yes vote is also its last act: it releases the
+// transaction's locks and forgets it, and the coordinator sends it no
+// second message. (The coordinator asks only after every participant
+// has granted every lock the transaction takes, so the release is past
+// the lock point.) The vote still has to be asked for: a reader that
+// crashed has lost read locks the transaction relied on, and says so
+// here with ErrUnknownTxn. Having logged nothing, a reader that crashes
+// after voting answers StatusUnknown, which cooperative termination
+// already counts as not-committed — the decision rests with the
+// participants that wrote, and they do log.
 func (r *Rep) Prepare(ctx context.Context, txn lock.TxnID) error {
 	if err := r.checkEpoch(ctx); err != nil {
 		return err
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if err := r.undecided(txn); err != nil {
+		r.mu.Unlock()
 		return err
 	}
 	st, ok := r.txns[txn]
@@ -522,8 +559,28 @@ func (r *Rep) Prepare(ctx context.Context, txn lock.TxnID) error {
 		// Vote abort: this representative has no record of the
 		// transaction. Either it never operated here, or a crash wiped
 		// its state — committing would silently drop its writes.
+		r.mu.Unlock()
 		return fmt.Errorf("%w: txn %d", ErrUnknownTxn, txn)
 	}
+	if !st.prepared && len(st.redo) == 0 {
+		delete(r.txns, txn)
+		r.mu.Unlock()
+		r.locks.ReleaseAll(txn)
+		r.stats.prepares.Add(1)
+		return nil
+	}
+	prepared := st.prepared
+	err := r.vote(st, txn)
+	r.mu.Unlock()
+	if err == nil && !prepared {
+		r.stats.prepares.Add(1)
+	}
+	return err
+}
+
+// vote prepares a transaction that wrote here: its redo records and a
+// prepare marker are made durable. Callers hold r.mu.
+func (r *Rep) vote(st *txnState, txn lock.TxnID) error {
 	if st.prepared {
 		return nil
 	}
@@ -531,7 +588,6 @@ func (r *Rep) Prepare(ctx context.Context, txn lock.TxnID) error {
 		return err
 	}
 	st.prepared = true
-	r.stats.prepares.Add(1)
 	return nil
 }
 
@@ -663,7 +719,8 @@ func (r *Rep) Abort(ctx context.Context, txn lock.TxnID) error {
 // the step can be retried.
 //
 // A transaction with nothing a log could replay — it only read here —
-// skips the log altogether: see Prepare.
+// skips the log altogether: an Abort of one Prepare has not yet seen,
+// or a Commit from a coordinator that does not tell readers apart.
 func (r *Rep) logStep(st *txnState, txn lock.TxnID, redo []wal.Record, marker wal.Kind) error {
 	if r.log == nil || len(st.redo) == 0 && len(st.pendingRedo) == 0 {
 		return nil
@@ -710,6 +767,21 @@ func (r *Rep) undecided(id lock.TxnID) error {
 // for its part.
 func (r *Rep) touch(id lock.TxnID) {
 	_ = r.txn(id)
+}
+
+// writer returns the state an Insert or Coalesce records itself in,
+// refusing an already-decided transaction. A write that carries the
+// prepare must find the transaction known — see Prepare's abort vote;
+// the lock the write took on its way in is swept by the Abort that
+// answers the refusal. Callers hold r.mu.
+func (r *Rep) writer(ctx context.Context, id lock.TxnID) (*txnState, error) {
+	if err := r.undecided(id); err != nil {
+		return nil, err
+	}
+	if _, known := r.txns[id]; !known && PrepareRides(ctx) {
+		return nil, fmt.Errorf("%w: txn %d", ErrUnknownTxn, id)
+	}
+	return r.txn(id), nil
 }
 
 // txn returns (creating if needed) the state for txn; callers hold r.mu.

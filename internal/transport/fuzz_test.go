@@ -32,6 +32,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(uint8(1), uint64(1), uint64(2), uint8(2), "key", uint8(0), "", uint64(3), "value", 4, uint8(0), "", []byte{})
 	f.Add(uint8(6), uint64(9), uint64(8), uint8(2), "k", uint8(1), "hi", uint64(1<<40), "v", 0, uint8(2), "msg", []byte{0x01, 0x02})
 	f.Add(uint8(12), uint64(0), uint64(0), uint8(0), "", uint8(2), "z", uint64(0), "", -1, uint8(9), "boom", []byte{0xff, 0xff, 0xff})
+	// The marked calls, tags 13-15, each with its own encoding as raw.
+	f.Add(uint8(12), uint64(7), uint64(9), uint8(2), "k", uint8(0), "", uint64(4), "v", 0, uint8(0), "", []byte{0x0d, 0x07, 0x09, 0x02, 0x01, 'k'})
+	f.Add(uint8(13), uint64(1), uint64(2), uint8(2), "ab", uint8(0), "", uint64(3), "xyz", 0, uint8(8), "no", []byte{0x0e, 0x01, 0x02, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'})
+	f.Add(uint8(14), uint64(1), uint64(2), uint8(0), "", uint8(1), "", uint64(5), "", 0, uint8(0), "", []byte{0x0f, 0x01, 0x02, 0x01, 0x03, 0x05})
 
 	f.Fuzz(func(t *testing.T, tag uint8, id, txn uint64, keyKind uint8, keyS string,
 		hiKind uint8, hiS string, ver uint64, value string, count int, codeByte uint8, msg string, raw []byte) {
@@ -39,12 +43,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		// Structured round trip: a valid request of every op, at both
 		// codec versions (epoch rides the v2 header only).
 		wver := byte(tag%2) + 1
-		reqOp := op(tag%12) + 1
+		reqOp := op(tag%15) + 1
 		req := request{ID: id, Op: reqOp, Txn: txn}
 		if wver >= 2 {
 			req.Epoch = id ^ txn
 		}
-		switch reqOp {
+		switch reqOp.unmarked() {
 		case opLookup, opPredecessor, opSuccessor:
 			req.Key = fuzzKey(keyKind, keyS)
 		case opPredecessorBatch, opSuccessorBatch:
@@ -80,7 +84,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if resp.Code != codeOK {
 			resp.Msg = msg
 		} else {
-			switch reqOp {
+			switch reqOp.unmarked() {
 			case opLookup:
 				resp.Found = ver%2 == 0
 				resp.Version = version.V(ver)

@@ -1,0 +1,170 @@
+package transport
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repdir/internal/keyspace"
+	"repdir/internal/lock"
+	"repdir/internal/rep"
+	"repdir/internal/version"
+)
+
+// markSpy is a served directory that notes which call marks arrive.
+type markSpy struct {
+	*rep.Rep
+	mu   sync.Mutex
+	seen []string
+}
+
+func (d *markSpy) note(call string, ctx context.Context) {
+	if rep.OneShot(ctx) {
+		call += "+once"
+	}
+	if rep.PrepareRides(ctx) {
+		call += "+prepare"
+	}
+	d.mu.Lock()
+	d.seen = append(d.seen, call)
+	d.mu.Unlock()
+}
+
+func (d *markSpy) Lookup(ctx context.Context, id lock.TxnID, key keyspace.Key) (rep.LookupResult, error) {
+	d.note("lookup", ctx)
+	return d.Rep.Lookup(ctx, id, key)
+}
+
+func (d *markSpy) Insert(ctx context.Context, id lock.TxnID, key keyspace.Key, ver version.V, value string) error {
+	d.note("insert", ctx)
+	return d.Rep.Insert(ctx, id, key, ver, value)
+}
+
+func (d *markSpy) Coalesce(ctx context.Context, id lock.TxnID, lo, hi keyspace.Key, ver version.V) (rep.CoalesceResult, error) {
+	d.note("coalesce", ctx)
+	return d.Rep.Coalesce(ctx, id, lo, hi, ver)
+}
+
+// TestCallMarksCrossTheWire: the one-shot and prepare marks set on the
+// caller's context reach the served representative, over both codecs
+// and through Local, and an unmarked call arrives unmarked.
+func TestCallMarksCrossTheWire(t *testing.T) {
+	ctx := context.Background()
+	drive := func(t *testing.T, d rep.Directory, spy *markSpy) {
+		t.Helper()
+		key, hi := keyspace.New("k"), keyspace.New("m")
+		if _, err := d.Lookup(rep.MarkOneShot(ctx), 5, key); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Lookup(ctx, 7, key); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Insert(ctx, 7, hi, 1, "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Insert(rep.MarkPrepare(ctx), 7, key, 1, "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Commit(ctx, 7); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Lookup(ctx, 9, keyspace.Low()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Coalesce(rep.MarkPrepare(ctx), 9, keyspace.Low(), hi, 2); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := d.Status(ctx, 9); err != nil || st != rep.StatusInDoubt {
+			t.Fatalf("status after coalesce+prepare = %v, %v", st, err)
+		}
+		if err := d.Commit(ctx, 9); err != nil {
+			t.Fatal(err)
+		}
+		want := "lookup+once lookup insert insert+prepare lookup coalesce+prepare"
+		spy.mu.Lock()
+		got := strings.Join(spy.seen, " ")
+		spy.mu.Unlock()
+		if got != want {
+			t.Fatalf("served calls = %q, want %q", got, want)
+		}
+		if n := spy.Locks().ActiveTransactions(); n != 0 {
+			t.Fatalf("%d transactions still hold locks", n)
+		}
+	}
+	t.Run("local", func(t *testing.T) {
+		spy := &markSpy{Rep: rep.New("A")}
+		drive(t, NewLocal(spy), spy)
+	})
+	for _, proto := range []string{ProtoBinary, ProtoGob} {
+		t.Run(proto, func(t *testing.T) {
+			spy := &markSpy{Rep: rep.New("A")}
+			srv, err := Serve(spy, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			var opts []DialOption
+			if proto == ProtoGob {
+				opts = append(opts, WithGobProtocol())
+			}
+			c, err := Dial(srv.Addr(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if c.Protocol() != proto {
+				t.Fatalf("protocol = %s", c.Protocol())
+			}
+			drive(t, c, spy)
+		})
+	}
+}
+
+// TestUnknownTagFailsPromptly: a server that does not know a request's
+// tag — an older build sent one of the marked calls — must cost the
+// caller an error at once, not its deadline. On the binary codec the
+// server cannot skip a message whose layout it does not know, so it
+// drops the connection and the call fails as unavailable; on gob the
+// request decodes and the handler refuses it.
+func TestUnknownTagFailsPromptly(t *testing.T) {
+	const fromTheFuture = op(99)
+	for _, proto := range []string{ProtoBinary, ProtoGob} {
+		t.Run(proto, func(t *testing.T) {
+			srv, err := Serve(rep.New("A"), "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			var opts []DialOption
+			if proto == ProtoGob {
+				opts = append(opts, WithGobProtocol())
+			}
+			c, err := Dial(srv.Addr(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			start := time.Now()
+			_, err = c.call(ctx, request{Op: fromTheFuture, Txn: 1})
+			if err == nil {
+				t.Fatal("a call with an unknown tag succeeded")
+			}
+			if ctx.Err() != nil || time.Since(start) > 5*time.Second {
+				t.Fatalf("unknown tag hung until the deadline: %v after %v", err, time.Since(start))
+			}
+			if proto == ProtoBinary && !errors.Is(err, ErrUnavailable) {
+				t.Errorf("binary: error = %v, want ErrUnavailable", err)
+			}
+			// The client is still usable: the next call redials.
+			if _, err := c.Lookup(context.Background(), 2, keyspace.New("k")); err != nil {
+				t.Fatalf("call after the refused one: %v", err)
+			}
+		})
+	}
+}

@@ -36,7 +36,28 @@ const (
 	opAbort
 	opStatus
 	opName
+	// The marked forms of three calls (rep/marks.go): same fields as the
+	// plain call, one tag each, so that the mark costs no byte and an
+	// older peer refuses it instead of silently running the plain call —
+	// which would leave a lock nobody releases, or skip a prepare.
+	opLookupOnce
+	opInsertPrepare
+	opCoalescePrepare
 )
+
+// unmarked maps a marked call to the plain one whose layout and handler
+// it shares, and every other call to itself.
+func (o op) unmarked() op {
+	switch o {
+	case opLookupOnce:
+		return opLookup
+	case opInsertPrepare:
+		return opInsert
+	case opCoalescePrepare:
+		return opCoalesce
+	}
+	return o
+}
 
 // Protocol names, as reported by Client.Protocol.
 const (
@@ -544,10 +565,16 @@ func (s *Server) handle(req *request) response {
 	if req.Epoch != 0 {
 		ctx = rep.WithEpoch(ctx, req.Epoch)
 	}
+	switch req.Op {
+	case opLookupOnce:
+		ctx = rep.MarkOneShot(ctx)
+	case opInsertPrepare, opCoalescePrepare:
+		ctx = rep.MarkPrepare(ctx)
+	}
 	txn := lock.TxnID(req.Txn)
 	var resp response
 	var err error
-	switch req.Op {
+	switch req.Op.unmarked() {
 	case opLookup:
 		var r rep.LookupResult
 		r, err = s.dir.Lookup(ctx, txn, req.Key)
@@ -1117,7 +1144,11 @@ func (c *Client) Name() string {
 
 // Lookup implements rep.Directory.
 func (c *Client) Lookup(ctx context.Context, txn lock.TxnID, key keyspace.Key) (rep.LookupResult, error) {
-	resp, err := c.call(ctx, request{Op: opLookup, Txn: uint64(txn), Key: key})
+	o := opLookup
+	if rep.OneShot(ctx) {
+		o = opLookupOnce
+	}
+	resp, err := c.call(ctx, request{Op: o, Txn: uint64(txn), Key: key})
 	if err != nil {
 		return rep.LookupResult{}, err
 	}
@@ -1162,13 +1193,21 @@ func (c *Client) SuccessorBatch(ctx context.Context, txn lock.TxnID, key keyspac
 
 // Insert implements rep.Directory.
 func (c *Client) Insert(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver version.V, value string) error {
-	_, err := c.call(ctx, request{Op: opInsert, Txn: uint64(txn), Key: key, Version: ver, Value: value})
+	o := opInsert
+	if rep.PrepareRides(ctx) {
+		o = opInsertPrepare
+	}
+	_, err := c.call(ctx, request{Op: o, Txn: uint64(txn), Key: key, Version: ver, Value: value})
 	return err
 }
 
 // Coalesce implements rep.Directory.
 func (c *Client) Coalesce(ctx context.Context, txn lock.TxnID, lo, hi keyspace.Key, ver version.V) (rep.CoalesceResult, error) {
-	resp, err := c.call(ctx, request{Op: opCoalesce, Txn: uint64(txn), Key: lo, Hi: hi, Version: ver})
+	o := opCoalesce
+	if rep.PrepareRides(ctx) {
+		o = opCoalescePrepare
+	}
+	resp, err := c.call(ctx, request{Op: o, Txn: uint64(txn), Key: lo, Hi: hi, Version: ver})
 	if err != nil {
 		return rep.CoalesceResult{}, err
 	}

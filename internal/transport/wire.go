@@ -56,7 +56,11 @@ import (
 // strings and byte fields are uvarint length + raw bytes. The exact
 // per-op field layouts are pinned byte-for-byte by
 // TestWireGoldenVectors; this encoding is an on-wire contract — extend
-// it with new tags, never by reshaping existing ones.
+// it with new tags, never by reshaping existing ones. Tags 13–15 are
+// such an extension: the one-shot Lookup and the Insert and Coalesce
+// that carry the prepare (rep/marks.go), each laid out exactly like its
+// plain form. A peer that predates them fails the decode and closes the
+// connection, so the caller gets ErrUnavailable at once, not a hang.
 
 const (
 	// preambleByte opens a binary-codec stream; see above for why 0x00.
@@ -131,7 +135,7 @@ func appendRequest(b []byte, req *request, ver byte) []byte {
 	if ver >= 3 {
 		b = appendUvarint(b, req.Deadline)
 	}
-	switch req.Op {
+	switch req.Op.unmarked() {
 	case opLookup, opPredecessor, opSuccessor:
 		b = appendKey(b, req.Key)
 	case opPredecessorBatch, opSuccessorBatch:
@@ -159,7 +163,7 @@ func appendResponse(b []byte, resp *response) []byte {
 	if resp.Code != codeOK {
 		return appendBytes(b, resp.Msg)
 	}
-	switch resp.Op {
+	switch resp.Op.unmarked() {
 	case opLookup:
 		b = appendBool(b, resp.Found)
 		b = appendUvarint(b, uint64(resp.Version))
@@ -306,7 +310,7 @@ func (r *wireReader) readRequest(req *request, ver byte) error {
 			return err
 		}
 	}
-	switch req.Op {
+	switch req.Op.unmarked() {
 	case opLookup, opPredecessor, opSuccessor:
 		req.Key, err = r.readKey()
 	case opPredecessorBatch, opSuccessorBatch:
@@ -371,7 +375,7 @@ func (r *wireReader) readResponse(resp *response) error {
 		resp.Msg, err = r.readString()
 		return err
 	}
-	switch resp.Op {
+	switch resp.Op.unmarked() {
 	case opLookup:
 		if resp.Found, err = r.readBool(); err != nil {
 			return err

@@ -53,6 +53,23 @@ func TestWireGoldenVectors(t *testing.T) {
 			req:  request{ID: 200, Op: opPrepare, Txn: 300},
 			want: []byte{0x08, 0xc8, 0x01, 0xac, 0x02},
 		},
+		// The marked calls (rep/marks.go): a tag of their own, the plain
+		// call's fields.
+		{
+			name: "lookup_once",
+			req:  request{ID: 7, Op: opLookupOnce, Txn: 9, Key: keyspace.New("k")},
+			want: []byte{0x0d, 0x07, 0x09, 0x02, 0x01, 'k'},
+		},
+		{
+			name: "insert_prepare",
+			req:  request{ID: 1, Op: opInsertPrepare, Txn: 2, Key: keyspace.New("ab"), Version: 3, Value: "xyz"},
+			want: []byte{0x0e, 0x01, 0x02, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'},
+		},
+		{
+			name: "coalesce_prepare",
+			req:  request{ID: 1, Op: opCoalescePrepare, Txn: 2, Key: keyspace.Low(), Hi: keyspace.High(), Version: 5},
+			want: []byte{0x0f, 0x01, 0x02, 0x01, 0x03, 0x05},
+		},
 	}
 	for _, v := range reqVectors {
 		t.Run("request_v1_"+v.name, func(t *testing.T) {
@@ -123,6 +140,11 @@ func TestWireGoldenVectors(t *testing.T) {
 			req:  request{ID: 200, Op: opPrepare, Txn: 300, Deadline: 1},
 			want: []byte{0x08, 0xc8, 0x01, 0xac, 0x02, 0x00, 0x01},
 		},
+		{
+			name: "lookup_once_epoch_deadline",
+			req:  request{ID: 7, Op: opLookupOnce, Txn: 9, Epoch: 5, Deadline: 300, Key: keyspace.New("k")},
+			want: []byte{0x0d, 0x07, 0x09, 0x05, 0xac, 0x02, 0x02, 0x01, 'k'},
+		},
 	}
 	for _, v := range reqV3Vectors {
 		t.Run("request_v3_"+v.name, func(t *testing.T) {
@@ -158,6 +180,26 @@ func TestWireGoldenVectors(t *testing.T) {
 			resp: response{ID: 1, Op: opInsert, Code: codeSentinel, Msg: "no"},
 			want: []byte{0x06, 0x01, 0x02, 0x02, 'n', 'o'},
 		},
+		{
+			name: "lookup_once_found",
+			resp: response{ID: 7, Op: opLookupOnce, Code: codeOK, Found: true, Version: 4, Value: "v"},
+			want: []byte{0x0d, 0x07, 0x00, 0x01, 0x04, 0x01, 'v'},
+		},
+		{
+			name: "insert_prepare_ok",
+			resp: response{ID: 1, Op: opInsertPrepare, Code: codeOK},
+			want: []byte{0x0e, 0x01, 0x00},
+		},
+		{
+			name: "coalesce_prepare_deleted",
+			resp: response{ID: 1, Op: opCoalescePrepare, Code: codeOK, DeletedKeys: []keyspace.Key{keyspace.New("a")}},
+			want: []byte{0x0f, 0x01, 0x00, 0x01, 0x02, 0x01, 'a'},
+		},
+		{
+			name: "insert_prepare_unknown_txn",
+			resp: response{ID: 1, Op: opInsertPrepare, Code: codeUnknownTxn, Msg: "no"},
+			want: []byte{0x0e, 0x01, 0x08, 0x02, 'n', 'o'},
+		},
 	}
 	for _, v := range respVectors {
 		t.Run("response_"+v.name, func(t *testing.T) {
@@ -185,6 +227,9 @@ func wireRequestVariants() []request {
 		{ID: 19, Op: opAbort, Txn: 20},
 		{ID: 21, Op: opStatus, Txn: 22},
 		{ID: 23, Op: opName},
+		{ID: 25, Op: opLookupOnce, Txn: 26, Key: keyspace.New("alpha")},
+		{ID: 27, Op: opInsertPrepare, Txn: 28, Key: keyspace.New("k"), Version: 9, Value: "v"},
+		{ID: 29, Op: opCoalescePrepare, Txn: 30, Key: keyspace.New("a"), Hi: keyspace.High(), Version: 7},
 	}
 }
 
@@ -209,6 +254,10 @@ func wireResponseVariants() []response {
 		{ID: 14, Op: opName, Name: "rep-a"},
 		{ID: 15, Op: opInsert, Code: codeSentinel, Msg: "cannot overwrite sentinel"},
 		{ID: 16, Op: opLookup, Code: codeUnavailable, Msg: "down"},
+		{ID: 17, Op: opLookupOnce, Found: true, Version: 9, Value: "v"},
+		{ID: 18, Op: opInsertPrepare},
+		{ID: 19, Op: opCoalescePrepare, DeletedKeys: []keyspace.Key{keyspace.New("a")}},
+		{ID: 20, Op: opInsertPrepare, Code: codeUnknownTxn, Msg: "restarted"},
 	}
 }
 

@@ -79,36 +79,91 @@ type Txn struct {
 	Phase func(phase string, participants int) func()
 
 	mu           sync.Mutex
-	participants []rep.Directory
-	seen         map[string]bool
+	participants []participant
+	seen         map[string]int // name → index into participants
 	done         bool
+}
+
+// participant is one representative the transaction operated at.
+type participant struct {
+	dir rep.Directory
+	// reader: nothing but reads was sent here, so once it has voted
+	// there is nothing left to tell it (rep.Prepare releases a reader).
+	reader bool
+	// voted: its last write carried the prepare (rep.MarkPrepare) and
+	// succeeded, so the prepare round has nothing to ask it.
+	voted bool
 }
 
 // New begins a transaction with the given ID.
 func New(id lock.TxnID) *Txn {
-	return &Txn{ID: id, seen: make(map[string]bool)}
+	return &Txn{ID: id, seen: make(map[string]int)}
 }
 
-// Join records d as a participant. Every representative that received an
-// operation under this transaction — including pure reads, which hold
-// locks — must be joined so commit or abort releases it.
-func (t *Txn) Join(d rep.Directory) {
+// Join records d as a participant the transaction may have written at:
+// it is asked to prepare, and told the outcome. Every representative
+// that received an operation under this transaction must be joined —
+// before the operation is sent, so that a failed or unanswered call is
+// still cleaned up — with Join or, for a read, JoinReader.
+func (t *Txn) Join(d rep.Directory) { t.join(d, false) }
+
+// JoinReader records d as a participant the transaction has only read
+// from, unless it is already known as more. A reader holds locks, so it
+// is asked to prepare — which verifies that it still holds them and
+// releases them — but it has nothing to commit, and Commit sends it no
+// second message. Abort reaches it like any participant.
+func (t *Txn) JoinReader(d rep.Directory) { t.join(d, true) }
+
+func (t *Txn) join(d rep.Directory, reader bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.seen[d.Name()] {
+	if i, ok := t.seen[d.Name()]; ok {
+		if !reader {
+			t.participants[i].reader = false
+		}
 		return
 	}
-	t.seen[d.Name()] = true
-	t.participants = append(t.participants, d)
+	t.seen[d.Name()] = len(t.participants)
+	t.participants = append(t.participants, participant{dir: d, reader: reader})
+}
+
+// Voted records that d, already joined, has prepared: the caller's last
+// write to it carried the prepare and was acknowledged.
+func (t *Txn) Voted(d rep.Directory) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i, ok := t.seen[d.Name()]; ok {
+		t.participants[i].voted = true
+	}
 }
 
 // Participants returns the joined representatives.
 func (t *Txn) Participants() []rep.Directory {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]rep.Directory, len(t.participants))
-	copy(out, t.participants)
+	return dirs(t.participants, func(participant) bool { return true })
+}
+
+// dirs lists the participants keep admits.
+func dirs(parts []participant, keep func(participant) bool) []rep.Directory {
+	out := make([]rep.Directory, 0, len(parts))
+	for _, p := range parts {
+		if keep(p) {
+			out = append(out, p.dir)
+		}
+	}
 	return out
+}
+
+// finish marks the transaction done and returns its participants.
+func (t *Txn) finish() ([]participant, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.done {
+		return nil, ErrFinished
+	}
+	t.done = true
+	return append([]participant(nil), t.participants...), nil
 }
 
 // ErrFinished is returned by Commit and Abort when the transaction was
@@ -116,37 +171,45 @@ func (t *Txn) Participants() []rep.Directory {
 var ErrFinished = errors.New("txn: transaction already finished")
 
 // Commit atomically commits at every participant via two-phase commit:
-// prepare everywhere, then commit everywhere. The prepare round is run
-// even for a single participant — a participant that lost the
-// transaction's state in a crash votes abort at prepare
+// every participant votes, then every participant that may have written
+// is told to commit. A participant votes either in the prepare round
+// here or, before it, on the last write it was sent (Voted). The vote is
+// asked of every participant, a lone one and a reader included: one
+// that lost the transaction's state in a crash votes abort
 // (rep.ErrUnknownTxn) instead of silently acknowledging a commit that
-// would apply nothing. If any prepare fails, the transaction is aborted
-// everywhere and the prepare error returned.
+// would apply nothing, or that rests on read locks it no longer holds.
+// A reader's yes vote releases it, so the commit round passes it by. If
+// any prepare fails, the transaction is aborted wherever it may still
+// hold anything and the prepare error returned.
 func (t *Txn) Commit(ctx context.Context) error {
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
-		return ErrFinished
+	parts, err := t.finish()
+	if err != nil {
+		return err
 	}
-	t.done = true
-	parts := make([]rep.Directory, len(t.participants))
-	copy(parts, t.participants)
-	t.mu.Unlock()
-
-	if len(parts) == 0 {
-		return nil
-	}
-	prepErrs := t.observedRound(ctx, "prepare", parts, rep.Directory.Prepare)
-	for i, p := range parts {
-		if prepErrs[i] != nil {
-			t.abortAll(ctx, parts)
-			return fmt.Errorf("txn %d: prepare at %s: %w", t.ID, p.Name(), prepErrs[i])
+	ask := dirs(parts, func(p participant) bool { return !p.voted })
+	prepErrs := t.observedRound(ctx, "prepare", ask, rep.Directory.Prepare)
+	var first error
+	var refused map[string]bool
+	for i, d := range ask {
+		if prepErrs[i] == nil {
+			continue
 		}
+		if first == nil {
+			first = fmt.Errorf("txn %d: prepare at %s: %w", t.ID, d.Name(), prepErrs[i])
+			refused = make(map[string]bool)
+		}
+		refused[d.Name()] = true
 	}
-	commitErrs := t.decidedRound(ctx, "commit", parts, rep.Directory.Commit)
-	for i, p := range parts {
+	if first != nil {
+		// A reader that voted yes has already let go of everything.
+		t.abortAll(ctx, dirs(parts, func(p participant) bool { return !p.reader || refused[p.dir.Name()] }))
+		return first
+	}
+	writers := dirs(parts, func(p participant) bool { return !p.reader })
+	commitErrs := t.decidedRound(ctx, "commit", writers, rep.Directory.Commit)
+	for i, d := range writers {
 		if commitErrs[i] != nil {
-			return fmt.Errorf("txn %d: commit at %s: %w", t.ID, p.Name(), commitErrs[i])
+			return fmt.Errorf("txn %d: commit at %s: %w", t.ID, d.Name(), commitErrs[i])
 		}
 	}
 	return nil
@@ -193,16 +256,11 @@ func (t *Txn) round(ctx context.Context, parts []rep.Directory,
 // swallowed: an unreachable participant will discard the transaction as
 // presumed-abort when it recovers.
 func (t *Txn) Abort(ctx context.Context) error {
-	t.mu.Lock()
-	if t.done {
-		t.mu.Unlock()
-		return ErrFinished
+	parts, err := t.finish()
+	if err != nil {
+		return err
 	}
-	t.done = true
-	parts := make([]rep.Directory, len(t.participants))
-	copy(parts, t.participants)
-	t.mu.Unlock()
-	t.abortAll(ctx, parts)
+	t.abortAll(ctx, dirs(parts, func(participant) bool { return true }))
 	return nil
 }
 
@@ -230,6 +288,9 @@ const decisionGrace = 2 * time.Second
 // is safe because Commit and Abort are idempotent per participant.
 func (t *Txn) decidedRound(ctx context.Context, name string, parts []rep.Directory,
 	phase func(rep.Directory, context.Context, lock.TxnID) error) []error {
+	if len(parts) == 0 {
+		return nil
+	}
 	if ctx.Err() == nil {
 		errs := t.observedRound(ctx, name, parts, phase)
 		if ctx.Err() == nil || !anyFailed(errs) {

@@ -3,6 +3,7 @@ package txn
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -295,5 +296,112 @@ func TestEmptyTransactionCommit(t *testing.T) {
 	tx := New(1)
 	if err := tx.Commit(ctx); err != nil {
 		t.Errorf("empty commit = %v", err)
+	}
+}
+
+// callLog records which two-phase-commit calls reach a participant.
+type callLog struct {
+	*rep.Rep
+	mu    *sync.Mutex
+	calls *[]string
+}
+
+func (d callLog) note(call string) {
+	d.mu.Lock()
+	*d.calls = append(*d.calls, call+" "+d.Name())
+	d.mu.Unlock()
+}
+
+func (d callLog) Prepare(ctx context.Context, id lock.TxnID) error {
+	d.note("prepare")
+	return d.Rep.Prepare(ctx, id)
+}
+
+func (d callLog) Commit(ctx context.Context, id lock.TxnID) error {
+	d.note("commit")
+	return d.Rep.Commit(ctx, id)
+}
+
+func (d callLog) Abort(ctx context.Context, id lock.TxnID) error {
+	d.note("abort")
+	return d.Rep.Abort(ctx, id)
+}
+
+// TestReadersAndVotersGetOneMessage: a reader is asked to prepare and
+// told nothing more; a participant that voted on its last write is told
+// to commit and asked nothing; a plain participant gets both.
+func TestReadersAndVotersGetOneMessage(t *testing.T) {
+	var mu sync.Mutex
+	var calls []string
+	wrap := func(name string) callLog { return callLog{Rep: rep.New(name), mu: &mu, calls: &calls} }
+	reader, voter, plain := wrap("reader"), wrap("voter"), wrap("plain")
+	key := keyspace.New("k")
+
+	tx := New(100)
+	tx.JoinReader(reader)
+	tx.JoinReader(voter) // read first, like a point write's version read
+	for _, d := range []callLog{reader, voter} {
+		if _, err := d.Lookup(ctx, tx.ID, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx.Join(voter)
+	if err := voter.Insert(rep.MarkPrepare(ctx), tx.ID, key, 1, "v"); err != nil {
+		t.Fatal(err)
+	}
+	tx.Voted(voter)
+	tx.Join(plain)
+	if err := plain.Insert(ctx, tx.ID, key, 1, "v"); err != nil {
+		t.Fatal(err)
+	}
+	tx.JoinReader(plain) // a later read does not make a writer a reader
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"prepare reader", "prepare plain", "commit voter", "commit plain"}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("calls = %v, want %v", calls, want)
+	}
+	for _, d := range []callLog{reader, voter, plain} {
+		if n := d.Locks().ActiveTransactions(); n != 0 {
+			t.Errorf("%s still holds locks for %d transactions", d.Name(), n)
+		}
+	}
+}
+
+// TestRefusedPrepareAbortsWhoeverStillHolds: when a participant refuses,
+// the abort goes to the writers and to the readers that did not get to
+// vote yes — a reader that did has let go already.
+func TestRefusedPrepareAbortsWhoeverStillHolds(t *testing.T) {
+	var mu sync.Mutex
+	var calls []string
+	wrap := func(name string) callLog { return callLog{Rep: rep.New(name), mu: &mu, calls: &calls} }
+	released, lost, writer := wrap("released"), wrap("lost"), wrap("writer")
+	key := keyspace.New("k")
+
+	tx := New(100)
+	tx.JoinReader(released)
+	if _, err := released.Lookup(ctx, tx.ID, key); err != nil {
+		t.Fatal(err)
+	}
+	tx.JoinReader(lost) // joined, but the representative has no record: it restarted
+	tx.Join(writer)
+	if err := writer.Insert(ctx, tx.ID, key, 1, "v"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(ctx); !errors.Is(err, rep.ErrUnknownTxn) {
+		t.Fatalf("commit = %v, want the lost reader's abort vote", err)
+	}
+	want := []string{"prepare released", "prepare lost", "prepare writer", "abort lost", "abort writer"}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("calls = %v, want %v", calls, want)
+	}
+	if st, _ := writer.Status(ctx, tx.ID); st != rep.StatusAborted {
+		t.Errorf("writer status = %v, want aborted", st)
+	}
+	for _, d := range []callLog{released, lost, writer} {
+		if n := d.Locks().ActiveTransactions(); n != 0 {
+			t.Errorf("%s still holds locks for %d transactions", d.Name(), n)
+		}
 	}
 }

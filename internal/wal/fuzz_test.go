@@ -131,6 +131,9 @@ func FuzzSalvage(f *testing.F) {
 // invariants for arbitrary record streams.
 func FuzzAnalyze(f *testing.F) {
 	f.Add(uint8(1), uint64(1), uint8(4), uint64(1))
+	// Found by this fuzzer: an abort followed by a prepare of the same
+	// transaction was reported both decided and in doubt.
+	f.Add(uint8(5), uint64(1), uint8(3), uint64(1))
 	f.Fuzz(func(t *testing.T, k1 uint8, t1 uint64, k2 uint8, t2 uint64) {
 		records := []Record{
 			{Kind: Kind(k1%6) + 0, Txn: t1},

@@ -511,6 +511,11 @@ type Analysis struct {
 // prepare, commit, or abort marker were alive at a crash before phase
 // one completed; they are presumed aborted (their coordinator cannot
 // have committed).
+//
+// Analyze is total: the first commit or abort record of a transaction
+// decides it, and any later record under the same ID — redo or marker —
+// changes nothing, so no record order can leave a transaction both
+// decided and in doubt.
 func Analyze(records []Record) (Analysis, error) {
 	a := Analysis{
 		InDoubt:  make(map[uint64][]Record),
@@ -519,6 +524,9 @@ func Analyze(records []Record) (Analysis, error) {
 	pending := make(map[uint64][]Record)
 	prepared := make(map[uint64]bool)
 	for _, r := range records {
+		if _, decided := a.Outcomes[r.Txn]; decided && r.Kind >= KindInsert && r.Kind <= KindAbort {
+			continue
+		}
 		switch r.Kind {
 		case KindInsert, KindCoalesce:
 			pending[r.Txn] = append(pending[r.Txn], r)
