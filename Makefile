@@ -41,11 +41,14 @@ chaos:
 # Sharding gate: the router/suite equivalence suite (every traversal op
 # against the same data through a router and through one suite must
 # agree, split points placed on, between, and outside the keys), a
-# moment of split-placement fuzzing, and the sharded chaos soak driving
-# cross-shard transactions and Count checks under fault injection.
+# moment of split-placement fuzzing and one of fuzzing the merge every
+# traversal is made of (arbitrary member replies against Figure 8 key by
+# key), and the sharded chaos soak driving cross-shard transactions and
+# Count checks under fault injection.
 shard:
 	$(GO) test -race -count 1 -run 'TestEquivalence|TestMap|TestRouter|TestCrossShard|TestManyShards|TestCountConsistent' -v ./internal/shard/
 	$(GO) test -run xxx -fuzz FuzzSplitPlacement -fuzztime 10s ./internal/shard/
+	$(GO) test -run xxx -fuzz FuzzMergeRuns -fuzztime 10s ./internal/core/
 	$(GO) test -race -count 1 -run 'TestChaosSoakSharded|TestChaosShardedDeterministic' -v .
 
 # Storage-fault gate: the crash-point harness (power loss at every byte

@@ -221,6 +221,58 @@ func (t *Tree) AscendRange(lo, hi keyspace.Key, fn func(Entry) bool) {
 	}
 }
 
+// AscendFloor calls fn for the entry with the largest key at or below key,
+// if there is one, and then for every entry above it in ascending order,
+// stopping early if fn returns false: one descent finds where a run of
+// successors starts and the gap that precedes it.
+func (t *Tree) AscendFloor(key keyspace.Key, fn func(Entry) bool) {
+	n := t.leafFor(key)
+	// Index of the first entry > key within the leaf; the floor is the
+	// entry before it, in this leaf or at the end of an earlier one.
+	i := sort.Search(len(n.entries), func(j int) bool {
+		return key.Less(n.entries[j].Key)
+	}) - 1
+	for i < 0 && n.prev != nil {
+		n = n.prev
+		i = len(n.entries) - 1
+	}
+	if i < 0 {
+		i = 0
+	}
+	for ; n != nil; n = n.next {
+		for ; i < len(n.entries); i++ {
+			if !fn(n.entries[i]) {
+				return
+			}
+		}
+		i = 0
+	}
+}
+
+// DescendRange calls fn for every entry with lo <= key <= hi in
+// descending order, stopping early if fn returns false.
+func (t *Tree) DescendRange(hi, lo keyspace.Key, fn func(Entry) bool) {
+	leaf := t.leafFor(hi)
+	// Index of the last entry <= hi within the leaf.
+	i := sort.Search(len(leaf.entries), func(j int) bool {
+		return hi.Less(leaf.entries[j].Key)
+	}) - 1
+	for n := leaf; n != nil; {
+		for ; i >= 0; i-- {
+			e := n.entries[i]
+			if e.Key.Less(lo) {
+				return
+			}
+			if !fn(e) {
+				return
+			}
+		}
+		if n = n.prev; n != nil {
+			i = len(n.entries) - 1
+		}
+	}
+}
+
 // Ascend calls fn for every entry in ascending order, stopping early if fn
 // returns false.
 func (t *Tree) Ascend(fn func(Entry) bool) {

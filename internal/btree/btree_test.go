@@ -256,6 +256,95 @@ func TestAscendRange(t *testing.T) {
 	}
 }
 
+func TestDescendRange(t *testing.T) {
+	tr := NewWithDegree(2)
+	for i := 0; i < 20; i += 2 {
+		tr.Put(entry(fmt.Sprintf("%02d", i), 1))
+	}
+	var got []string
+	tr.DescendRange(ke("11"), ke("04"), func(e Entry) bool {
+		got = append(got, e.Key.Raw())
+		return true
+	})
+	want := []string{"10", "08", "06", "04"}
+	if len(got) != len(want) {
+		t.Fatalf("DescendRange got %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("DescendRange got %v, want %v", got, want)
+		}
+	}
+	// Early stop.
+	count := 0
+	tr.DescendRange(keyspace.High(), keyspace.Low(), func(Entry) bool {
+		count++
+		return count < 3
+	})
+	if count != 3 {
+		t.Errorf("DescendRange early stop visited %d, want 3", count)
+	}
+}
+
+// TestRangeWalksMatchEntries checks AscendRange, DescendRange and
+// AscendFloor against the sorted entry list, with bounds on, between and
+// outside the keys, across leaf boundaries and after deletions.
+func TestRangeWalksMatchEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, degree := range []int{2, 3, 16} {
+		tr := NewWithDegree(degree)
+		for i := 0; i < 300; i++ {
+			tr.Put(entry(fmt.Sprintf("%03d", rng.Intn(200)*2), 1))
+		}
+		for i := 0; i < 80; i++ {
+			tr.Delete(ke(fmt.Sprintf("%03d", rng.Intn(200)*2)))
+		}
+		all := tr.Entries()
+		probes := []keyspace.Key{keyspace.Low(), keyspace.High(), ke(""), ke("999")}
+		for i := 0; i < 60; i++ {
+			probes = append(probes, ke(fmt.Sprintf("%03d", rng.Intn(402))))
+		}
+		for _, lo := range probes {
+			for _, hi := range probes[:12] {
+				var want, asc, desc []Entry
+				for _, e := range all {
+					if !e.Key.Less(lo) && !hi.Less(e.Key) {
+						want = append(want, e)
+					}
+				}
+				tr.AscendRange(lo, hi, func(e Entry) bool { asc = append(asc, e); return true })
+				tr.DescendRange(hi, lo, func(e Entry) bool { desc = append(desc, e); return true })
+				if len(asc) != len(want) || len(desc) != len(want) {
+					t.Fatalf("degree %d [%s, %s]: ascend %d, descend %d entries, want %d", degree, lo, hi, len(asc), len(desc), len(want))
+				}
+				for i := range want {
+					if asc[i] != want[i] || desc[len(want)-1-i] != want[i] {
+						t.Fatalf("degree %d [%s, %s]: walk differs at %d", degree, lo, hi, i)
+					}
+				}
+			}
+			// AscendFloor starts at the largest entry <= lo.
+			start := 0
+			for i, e := range all {
+				if !lo.Less(e.Key) {
+					start = i
+				}
+			}
+			i := start
+			tr.AscendFloor(lo, func(e Entry) bool {
+				if i >= len(all) || e != all[i] {
+					t.Fatalf("degree %d AscendFloor(%s): entry %d is %s, want %s", degree, lo, i-start, e.Key, all[i].Key)
+				}
+				i++
+				return true
+			})
+			if i != len(all) {
+				t.Fatalf("degree %d AscendFloor(%s) stopped after %d entries, want %d", degree, lo, i-start, len(all)-start)
+			}
+		}
+	}
+}
+
 func TestBetweenAndDeleteBetween(t *testing.T) {
 	tr := NewWithDegree(2)
 	for _, s := range []string{"a", "b", "c", "d", "e"} {

@@ -4,279 +4,167 @@ import (
 	"context"
 	"fmt"
 
-	"repdir/internal/keyspace"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/version"
 )
 
-// neighbor is the result of a real-predecessor or real-successor search:
-// a key that is current (present in the directory suite), its entry
-// version and value, the largest gap version encountered while walking
-// past ghosts, the number of walk iterations, and the number of neighbor
-// RPCs issued (for the section 4 statistics and the batching ablation).
-type neighbor struct {
-	key    keyspace.Key
-	value  string
-	ver    version.V
-	maxGap version.V
-	steps  int
-	rpcs   int
-}
-
-// chain caches one quorum member's batched neighbor replies during a
-// walk. Replies are ordered in walk direction (descending keys for
-// predecessor walks, ascending for successor walks) and consumed as the
-// walk advances; when the cache runs out, another batch is fetched from
-// the member. With fanout 1 this reduces to the paper's Figure 12: one
-// DirRepPredecessor/DirRepSuccessor message per member per iteration.
-type chain struct {
-	member quorum.Member
-	cached []rep.NeighborResult
-	idx    int
-}
-
-// next returns the member's neighbor of k in walk direction, fetching a
-// batch when the cache is exhausted. beyond reports whether a cached key
-// still lies beyond k in walk direction; elements the walk has moved past
-// are skipped and never revisited.
-func (c *chain) next(ctx context.Context, k keyspace.Key, fanout int,
-	fetch func(context.Context, quorum.Member, keyspace.Key, int) ([]rep.NeighborResult, error),
-	beyond func(cand, k keyspace.Key) bool, rpcs *int) (rep.NeighborResult, error) {
-	for c.idx < len(c.cached) && !beyond(c.cached[c.idx].Key, k) {
-		c.idx++
-	}
-	if c.idx >= len(c.cached) {
-		batch, err := fetch(ctx, c.member, k, fanout)
-		if err != nil {
-			return rep.NeighborResult{}, err
-		}
-		*rpcs++
-		c.cached, c.idx = batch, 0
-	}
-	return c.cached[c.idx], nil
-}
-
-// realPredecessor implements the Figure 12 search, generalized to
-// batched neighbor probes. Starting from x, it repeatedly takes the
-// maximum per-member predecessor candidate and checks whether that
-// candidate is current via a suite lookup; ghosts are skipped by
-// continuing the walk from them. Every gap version encountered is folded
-// into maxGap, which is what lets DirSuiteDelete assign the coalesced gap
-// a version dominating everything in the range.
-func (tx *Tx) realPredecessor(ctx context.Context, x keyspace.Key) (neighbor, error) {
-	// The LOW sentinel has no predecessor. Answer locally instead of
-	// probing: DirRepPredecessor(LOW) draws rep.ErrNoNeighbor from every
-	// member, which would make the domain edge indistinguishable from a
-	// failed search to callers that fall through to a neighboring shard.
-	if x.IsLow() {
-		return neighbor{key: x, ver: version.Lowest, maxGap: version.Lowest}, nil
-	}
-	members, err := tx.readQuorum()
-	if err != nil {
-		return neighbor{}, err
-	}
-	chains := make([]chain, len(members))
-	for i, m := range members {
-		chains[i].member = m
-		tx.joinReader(m.Dir)
-	}
-	fetch := func(ctx context.Context, m quorum.Member, k keyspace.Key, fanout int) ([]rep.NeighborResult, error) {
-		tx.msgs++
-		batch, err := m.Dir.PredecessorBatch(ctx, tx.txn.ID, k, fanout)
-		if err != nil {
-			tx.noteFailure(m.Dir.Name(), err)
-			return nil, fmt.Errorf("predecessor of %s at %s: %w", k, m.Dir.Name(), err)
-		}
-		return batch, nil
-	}
-	below := func(cand, k keyspace.Key) bool { return cand.Less(k) }
-
-	sp := tx.span("pred-walk", x.Raw())
-	defer sp.End()
-	k := x
-	maxGap := version.Lowest
-	steps, rpcs := 0, 0
-	for {
-		steps++
-		pred := keyspace.Low()
-		for i := range chains {
-			nb, err := chains[i].next(ctx, k, tx.suite.fanout, fetch, below, &rpcs)
-			if err != nil {
-				return neighbor{}, err
-			}
-			pred = keyspace.Max(pred, nb.Key)
-			maxGap = version.Max(maxGap, nb.GapVersion)
-		}
-		if pred.IsLow() {
-			// LOW is stored by every representative, so it is always
-			// current; no quorum check is needed (or possible — its
-			// version, LowestVersion, never wins a Figure 8 comparison).
-			return neighbor{key: pred, ver: version.Lowest, maxGap: maxGap, steps: steps, rpcs: rpcs}, nil
-		}
-		cur, err := tx.suiteLookup(ctx, pred)
-		if err != nil {
-			return neighbor{}, err
-		}
-		if cur.Found {
-			return neighbor{key: pred, value: cur.Value, ver: cur.Version,
-				maxGap: maxGap, steps: steps, rpcs: rpcs}, nil
-		}
-		// pred is a ghost; keep walking down from it.
-		k = pred
-	}
-}
-
-// realSuccessor is the mirror image of realPredecessor.
-func (tx *Tx) realSuccessor(ctx context.Context, x keyspace.Key) (neighbor, error) {
-	// Mirror of realPredecessor's edge guard: HIGH has no successor.
-	if x.IsHigh() {
-		return neighbor{key: x, ver: version.Lowest, maxGap: version.Lowest}, nil
-	}
-	members, err := tx.readQuorum()
-	if err != nil {
-		return neighbor{}, err
-	}
-	chains := make([]chain, len(members))
-	for i, m := range members {
-		chains[i].member = m
-		tx.joinReader(m.Dir)
-	}
-	fetch := func(ctx context.Context, m quorum.Member, k keyspace.Key, fanout int) ([]rep.NeighborResult, error) {
-		tx.msgs++
-		batch, err := m.Dir.SuccessorBatch(ctx, tx.txn.ID, k, fanout)
-		if err != nil {
-			tx.noteFailure(m.Dir.Name(), err)
-			return nil, fmt.Errorf("successor of %s at %s: %w", k, m.Dir.Name(), err)
-		}
-		return batch, nil
-	}
-	above := func(cand, k keyspace.Key) bool { return k.Less(cand) }
-
-	sp := tx.span("succ-walk", x.Raw())
-	defer sp.End()
-	k := x
-	maxGap := version.Lowest
-	steps, rpcs := 0, 0
-	for {
-		steps++
-		succ := keyspace.High()
-		for i := range chains {
-			nb, err := chains[i].next(ctx, k, tx.suite.fanout, fetch, above, &rpcs)
-			if err != nil {
-				return neighbor{}, err
-			}
-			succ = keyspace.Min(succ, nb.Key)
-			maxGap = version.Max(maxGap, nb.GapVersion)
-		}
-		if succ.IsHigh() {
-			// HIGH is stored by every representative; see the LOW case
-			// in realPredecessor.
-			return neighbor{key: succ, ver: version.Lowest, maxGap: maxGap, steps: steps, rpcs: rpcs}, nil
-		}
-		cur, err := tx.suiteLookup(ctx, succ)
-		if err != nil {
-			return neighbor{}, err
-		}
-		if cur.Found {
-			return neighbor{key: succ, value: cur.Value, ver: cur.Version,
-				maxGap: maxGap, steps: steps, rpcs: rpcs}, nil
-		}
-		k = succ
-	}
-}
-
 // Delete implements DirSuiteDelete (Figure 13) within the transaction.
+//
+// Its reads — the real-successor and real-predecessor searches of Figure
+// 12, each a run, and the lookup of the key itself — go out as one round,
+// and to the members of the write quorum where their votes make a read
+// quorum too: what a member's own replies show of the bounds then need
+// not be asked again, and no member is left that only read. So a delete
+// is read, coalesce, commit: three rounds where no ghost hides the
+// neighbors and no writer lacks one.
 func (tx *Tx) Delete(ctx context.Context, key string) error {
 	x, err := validateKey(key)
 	if err != nil {
 		return err
 	}
-	members, err := tx.writeQuorum()
+	writers, err := tx.writeQuorum()
 	if err != nil {
 		return err
+	}
+	readers := writers
+	if votesOf(writers) < tx.suite.cfg.R {
+		if readers, err = tx.readQuorum(); err != nil {
+			return err
+		}
 	}
 
-	// Find the real successor and real predecessor of x.
-	succ, err := tx.realSuccessor(ctx, x)
-	if err != nil {
+	// Find the real successor and real predecessor of x, and x itself. A
+	// member gets its three reads one after the other — a member never
+	// serves two calls of one transaction at once — and stops at the
+	// first that fails.
+	n := len(readers)
+	runs := [2]*run{tx.newRun(readers, x, false), tx.newRun(readers, x, true)}
+	replies := make([]rep.LookupResult, n)
+	errs := make([]error, n)
+	sp := tx.span("delete-read", key)
+	tx.fanOut(readers, func(i int, m quorum.Member) {
+		for _, r := range runs {
+			if r.probe(ctx, i, tx.suite.fanout); r.errs[i] != nil {
+				return
+			}
+		}
+		replies[i], errs[i] = m.Dir.Lookup(ctx, tx.txn.ID, x)
+	})
+	sp.End()
+	for i := range readers {
+		// fanOut counted one message a member; count the others sent.
+		for _, r := range runs {
+			if r.errs[i] != nil {
+				break
+			}
+			tx.msgs++
+		}
+	}
+	for _, r := range runs {
+		if err := r.loaded(n); err != nil {
+			return err
+		}
+	}
+	if err := tx.roundError(readers, errs, "lookup", x); err != nil {
 		return err
 	}
-	pred, err := tx.realPredecessor(ctx, x)
-	if err != nil {
-		return err
+	var bounds [2]neighbor
+	for b, r := range runs {
+		if bounds[b], err = r.next(ctx, tx.suite.fanout); err != nil {
+			return err
+		}
 	}
-
-	// The version number of the coalesced gap must be higher than the
-	// maximum of any version numbers in the range coalesced.
-	ver := version.Max(succ.maxGap, pred.maxGap)
-	cur, err := tx.suiteLookup(ctx, x)
+	succ, pred := bounds[0], bounds[1]
+	cur, err := tx.resolve(ctx, x, readers, replies)
 	if err != nil {
 		return err
 	}
 	if !cur.Found {
 		return fmt.Errorf("%w: %s", ErrKeyNotFound, x)
 	}
-	ver = version.Max(ver, cur.Version)
+	// The version number of the coalesced gap must be higher than the
+	// maximum of any version numbers in the range coalesced.
+	ver := version.Max(version.Max(succ.maxGap, pred.maxGap), cur.Version)
 
 	// Make sure the predecessor and successor exist in every member of
 	// the write quorum, copying them (with their current version and
-	// value) where missing.
-	insertions := 0
+	// value) where missing. A writer that served the read round has shown
+	// whether it holds them; the others are asked, in one round — about
+	// both bounds whatever they are, which also makes the transaction
+	// known to them before the coalesce.
 	boundSpan := tx.span("bound-copy", key)
-	for _, m := range members {
+	var asked, copies []quorum.Member // one element per call
+	var askedFor, copied []int        // which bound each call is about
+	for _, m := range writers {
 		tx.txn.Join(m.Dir)
-		for _, nb := range []neighbor{succ, pred} {
-			tx.msgs++
-			res, err := m.Dir.Lookup(ctx, tx.txn.ID, nb.key)
-			if err != nil {
-				tx.noteFailure(m.Dir.Name(), err)
-				return fmt.Errorf("lookup bound %s at %s: %w", nb.key, m.Dir.Name(), err)
+		ri := indexOf(readers, m)
+		for b := range bounds {
+			switch {
+			case ri < 0:
+				asked, askedFor = append(asked, m), append(askedFor, b)
+			case !runs[b].holds(ri):
+				copies, copied = append(copies, m), append(copied, b)
 			}
-			if res.Found {
-				continue
-			}
-			tx.msgs++
-			if err := m.Dir.Insert(ctx, tx.txn.ID, nb.key, nb.ver, nb.value); err != nil {
-				tx.noteFailure(m.Dir.Name(), err)
-				return fmt.Errorf("copy bound %s to %s: %w", nb.key, m.Dir.Name(), err)
-			}
-			tx.mutated = true
-			insertions++
 		}
+	}
+	if len(asked) > 0 {
+		found := make([]rep.LookupResult, len(asked))
+		errs := make([]error, len(asked))
+		tx.fanOut(asked, func(i int, m quorum.Member) {
+			found[i], errs[i] = m.Dir.Lookup(ctx, tx.txn.ID, bounds[askedFor[i]].key)
+		})
+		if err := tx.roundError(asked, errs, "lookup bound of", x); err != nil {
+			return err
+		}
+		for i, m := range asked {
+			if !found[i].Found {
+				copies, copied = append(copies, m), append(copied, askedFor[i])
+			}
+		}
+	}
+	if len(copies) > 0 {
+		errs := make([]error, len(copies))
+		tx.fanOut(copies, func(i int, m quorum.Member) {
+			nb := bounds[copied[i]]
+			errs[i] = m.Dir.Insert(ctx, tx.txn.ID, nb.key, nb.ver, nb.value)
+		})
+		if err := tx.roundError(copies, errs, "copy bound of", x); err != nil {
+			return err
+		}
+		tx.mutated = true
 	}
 	boundSpan.End()
 
 	// Coalesce the range in each member of the quorum.
 	obs := DeleteObservation{
 		Key:                  key,
-		EntriesCoalesced:     make([]int, 0, len(members)),
-		Insertions:           insertions,
-		PredecessorWalkSteps: pred.steps,
-		SuccessorWalkSteps:   succ.steps,
-		NeighborRPCs:         pred.rpcs + succ.rpcs,
+		EntriesCoalesced:     make([]int, 0, len(writers)),
+		Insertions:           len(copies),
+		PredecessorWalkSteps: runs[1].steps,
+		SuccessorWalkSteps:   runs[0].steps,
+		NeighborRPCs:         runs[0].rpcs + runs[1].rpcs,
 	}
 	// In a point write the coalesce is the last thing the transaction
-	// sends a member, and the bound lookups above have made the
-	// transaction known to every one of them: it carries the prepare.
-	// That puts a log force inside the call, so the calls go out as a
-	// round, like an entry's writes, not one after the other.
+	// sends a member, and the reads above have made the transaction
+	// known to every one of them: it carries the prepare. That puts a
+	// log force inside the call, so the calls go out as a round.
 	coalesceSpan := tx.span("coalesce", key)
 	cctx := ctx
 	if tx.shape == pointWrite {
 		cctx = rep.MarkPrepare(ctx)
 	}
-	results := make([]rep.CoalesceResult, len(members))
-	errs := make([]error, len(members))
-	tx.fanOut(members, func(i int, m quorum.Member) {
+	results := make([]rep.CoalesceResult, len(writers))
+	errs = make([]error, len(writers))
+	tx.fanOut(writers, func(i int, m quorum.Member) {
 		results[i], errs[i] = m.Dir.Coalesce(cctx, tx.txn.ID, pred.key, succ.key, ver.Next())
 	})
 	coalesceSpan.End()
-	if err := tx.roundError(members, errs, "coalesce around", x); err != nil {
+	if err := tx.roundError(writers, errs, "coalesce around", x); err != nil {
 		return err
 	}
 	tx.mutated = true
-	for i, m := range members {
+	for i, m := range writers {
 		if tx.shape == pointWrite {
 			tx.txn.Voted(m.Dir)
 		}
@@ -289,4 +177,14 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 	}
 	tx.observations = append(tx.observations, obs)
 	return nil
+}
+
+// indexOf finds m among members by name, or returns -1.
+func indexOf(members []quorum.Member, m quorum.Member) int {
+	for i, r := range members {
+		if r.Dir.Name() == m.Dir.Name() {
+			return i
+		}
+	}
+	return -1
 }

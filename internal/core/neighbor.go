@@ -46,40 +46,22 @@ func (s *Suite) Predecessor(ctx context.Context, before string) (KV, bool, error
 // PredecessorKey) is answered locally as found == false with no
 // representative probes.
 func (tx *Tx) SuccessorKey(ctx context.Context, after keyspace.Key) (KV, bool, error) {
-	k := after
-	for {
-		nb, err := tx.realSuccessor(ctx, k)
-		if err != nil {
-			return KV{}, false, err
-		}
-		if nb.key.IsHigh() {
-			return KV{}, false, nil
-		}
-		// System entries are invisible to the public API; keep walking.
-		if isSystemKey(nb.key) {
-			k = nb.key
-			continue
-		}
-		return KV{Key: nb.key.Raw(), Value: nb.value}, true, nil
-	}
+	return tx.first(ctx, after, keyspace.High(), false)
 }
 
 // PredecessorKey is the transactional, Key-typed form of
 // Suite.Predecessor.
 func (tx *Tx) PredecessorKey(ctx context.Context, before keyspace.Key) (KV, bool, error) {
-	k := before
-	for {
-		nb, err := tx.realPredecessor(ctx, k)
-		if err != nil {
-			return KV{}, false, err
-		}
-		if nb.key.IsLow() {
-			return KV{}, false, nil
-		}
-		if isSystemKey(nb.key) {
-			k = nb.key
-			continue
-		}
-		return KV{Key: nb.key.Raw(), Value: nb.value}, true, nil
-	}
+	return tx.first(ctx, before, keyspace.Low(), true)
+}
+
+// first is a walk of one entry. System entries are invisible to the
+// public API; the walk steps over them.
+func (tx *Tx) first(ctx context.Context, from, bound keyspace.Key, desc bool) (KV, bool, error) {
+	var kv KV
+	found := false
+	err := tx.walk(ctx, from, bound, desc, 1, func(nb neighbor) {
+		kv, found = KV{Key: nb.key.Raw(), Value: nb.value}, true
+	})
+	return kv, found, err
 }

@@ -127,8 +127,8 @@ func RepairReplicaOpts(ctx context.Context, s *Suite, target rep.Directory, opts
 // only in gap versions, so copying entries alone would leave the
 // replica answering version.Lowest for gaps it once knew dominated.
 //
-// The reconcile walks the keyspace left to right with the Figure 12
-// real-successor search, which already folds the quorum-maximum gap
+// The reconcile walks the keyspace left to right with a run (the Figure
+// 12 real-successor search), which already folds the quorum-maximum gap
 // version over every range it crosses. For each segment between
 // adjacent current entries it installs the upper entry on the target
 // (versioned install, idempotent) and then coalesces the segment on the
@@ -157,9 +157,14 @@ func ReconcileReplica(ctx context.Context, s *Suite, target rep.Directory, opts 
 		err := s.runTxn(ctx, OpRepair, repairOps, func(tx *Tx) error {
 			batch = RepairStats{}
 			done = false
+			members, err := tx.readQuorum()
+			if err != nil {
+				return err
+			}
+			r := tx.newRun(members, after, false)
 			k := after
 			for segs := 0; segs < pageSize; segs++ {
-				nb, err := tx.realSuccessor(ctx, k)
+				nb, err := r.next(ctx, pageSize-segs)
 				if err != nil {
 					return err
 				}

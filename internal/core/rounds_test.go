@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
@@ -18,8 +21,8 @@ import (
 	"repdir/internal/version"
 )
 
-// The tests in this file pin what the point operations cost in messages
-// to representatives and in sequential rounds of them — the paper's
+// The tests in this file pin what the operations cost in messages to
+// representatives and in sequential rounds of them — the paper's
 // section 4 unit — by counting at the representatives.
 
 // tape records every call that reaches a set of representatives: which
@@ -83,6 +86,33 @@ func rounds(calls []tapedCall) int {
 	n := 0
 	for i, c := range calls {
 		if i == 0 || c.kind != calls[i-1].kind {
+			n++
+		}
+	}
+	return n
+}
+
+// phases is the sequence of rounds with the reads a delete sends
+// together — neighbor batches and lookups, in one round — under one name.
+func phases(calls []tapedCall) []string {
+	var out []string
+	for _, c := range calls {
+		k := c.kind
+		if k == "neighbor" || k == "lookup" {
+			k = "read"
+		}
+		if len(out) == 0 || out[len(out)-1] != k {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// count is the number of calls of one kind.
+func count(calls []tapedCall, kind string) int {
+	n := 0
+	for _, c := range calls {
+		if c.kind == kind {
 			n++
 		}
 	}
@@ -225,10 +255,12 @@ func newTapedSuite(t *testing.T, tcp bool, seed int64, sel func(quorum.Config) q
 }
 
 // run performs one operation and returns the calls it made, having
-// checked that the suite's own message count for it says the same.
+// checked that the suite's own message count for it, and the
+// representatives' counters, say the same.
 func (ts *tapedSuite) run(t *testing.T, what string, op func() error) []tapedCall {
 	t.Helper()
 	ts.tape.take()
+	before := ts.served()
 	if err := op(); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -237,7 +269,20 @@ func (ts *tapedSuite) run(t *testing.T, what string, op func() error) []tapedCal
 	if got := recent[len(recent)-1].Messages; got != len(calls) {
 		t.Errorf("%s: the suite counted %d messages, the representatives served %d: %v", what, got, len(calls), kinds(calls))
 	}
+	if got := ts.served() - before; got != uint64(len(calls)) {
+		t.Errorf("%s: the representatives' counters went up by %d, they served %d calls: %v", what, got, len(calls), kinds(calls))
+	}
 	return calls
+}
+
+// served is the sum of the representatives' counters of calls served.
+func (ts *tapedSuite) served() uint64 {
+	var n uint64
+	for _, r := range ts.reps {
+		c := r.Counters()
+		n += c.Lookups + c.NeighborProbes + c.Inserts + c.Coalesces + c.Prepares + c.Commits + c.Aborts
+	}
+	return n
 }
 
 // idle checks that no representative is left holding anything.
@@ -256,8 +301,8 @@ func (ts *tapedSuite) idle(t *testing.T, what string) {
 // TestPointOperationRounds is the table the message diet is held to: on
 // a healthy 3-2-2 suite, whatever quorums the random selector draws, a
 // lookup is 2 messages in 1 round, an insert or update 6 in 3, a local
-// lookup 1 in 1, and a delete ends coalesce+prepare, then a prepare to
-// each member that only read (often none), then commit.
+// lookup 1 in 1, and a delete 10 in 3 (one more round where a writer
+// lacks a bound and is sent a copy).
 func TestPointOperationRounds(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -271,7 +316,7 @@ func TestPointOperationRounds(t *testing.T) {
 		{"tcp", true, true, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pureReaders, noPureReaders := 0, 0
+			deletesWithoutCopies := 0
 			for seed := int64(1); seed <= tc.seeds; seed++ {
 				ts := newTapedSuite(t, tc.tcp, seed, nil, WithParallelQuorum(tc.parallel))
 				for _, k := range []string{"b", "d", "f", "h"} {
@@ -324,33 +369,27 @@ func TestPointOperationRounds(t *testing.T) {
 					}
 				}
 
+				// A delete reads (two neighbor batches and a lookup at each
+				// writer), coalesces and commits, all at its write quorum:
+				// 10 messages in 3 rounds, plus one round of copies where a
+				// writer lacks a bound. No member only reads, so none is
+				// sent a prepare of its own.
 				calls = ts.run(t, what("delete"), func() error { return ts.suite.Delete(ctx, "f") })
 				writers := membersOf(calls, "coalesce+prepare")
-				var pure []string
-				for _, m := range membersOf(calls, "lookup", "neighbor") {
-					if m != writers[0] && m != writers[1] {
-						pure = append(pure, m)
-					}
+				copies := count(calls, "insert")
+				wantPhases := []string{"read", "coalesce+prepare", "commit"}
+				if copies > 0 {
+					wantPhases = []string{"read", "insert", "coalesce+prepare", "commit"}
 				}
-				tail := calls[len(calls)-4-len(pure):]
-				want := []string{"coalesce+prepare", "coalesce+prepare"}
-				for range pure {
-					want = append(want, "prepare")
+				if got := phases(calls); !reflect.DeepEqual(got, wantPhases) || len(calls) != 10+copies ||
+					count(calls, "neighbor") != 4 || count(calls, "lookup") != 2 {
+					t.Errorf("%s: %d calls %v in rounds %v, want 10 + %d copies in %v", what("delete"), len(calls), kinds(calls), got, copies, wantPhases)
 				}
-				want = append(want, "commit", "commit")
-				if got := kinds(tail); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: ends %v, want %v", what("delete"), got, want)
+				if got := membersOf(calls, "neighbor", "lookup", "insert", "commit"); len(writers) != 2 || !reflect.DeepEqual(got, writers) {
+					t.Errorf("%s: calls went to %v, want all of them at the two writers %v", what("delete"), got, writers)
 				}
-				if got := membersOf(calls, "prepare"); !reflect.DeepEqual(got, pure) {
-					t.Errorf("%s: prepare sent to %v, members that only read are %v", what("delete"), got, pure)
-				}
-				if got := membersOf(calls, "commit", "abort"); !reflect.DeepEqual(got, writers) {
-					t.Errorf("%s: outcome sent to %v, want the writers %v", what("delete"), got, writers)
-				}
-				if len(pure) == 0 {
-					noPureReaders++
-				} else {
-					pureReaders++
+				if copies == 0 {
+					deletesWithoutCopies++
 				}
 				ts.idle(t, what("all"))
 
@@ -365,11 +404,215 @@ func TestPointOperationRounds(t *testing.T) {
 					t.Errorf("seed %d: messages per local lookup = %v, want 1", seed, got)
 				}
 			}
-			if tc.seeds >= 40 && (pureReaders == 0 || noPureReaders == 0) {
-				t.Errorf("deletes with a member that only read: %d, without: %d; want both covered", pureReaders, noPureReaders)
+			if tc.seeds >= 40 && (deletesWithoutCopies == 0 || deletesWithoutCopies == int(tc.seeds)) {
+				t.Errorf("%d of %d deletes copied no bound; want both kinds covered", deletesWithoutCopies, tc.seeds)
 			}
 		})
 	}
+}
+
+// TestRangeOperationRounds is the table the ordered operations are held
+// to. Every representative holds every one of N keys, so whatever quorum
+// the selector draws, a round of batches decides a whole page: a scan of
+// 10, forward or backward, and a successor are one round of 2 batch
+// calls and one of 2 aborts that release the range; a count reads
+// ceil((N+1)/rep.MaxBatch) rounds — N entries and the HIGH that ends
+// them, a page a round — and releases in one more; a delete is 10
+// messages in 3 rounds at its two writers.
+func TestRangeOperationRounds(t *testing.T) {
+	ctx := context.Background()
+	const keys = 150
+	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
+	for _, tc := range []struct {
+		name     string
+		tcp      bool
+		parallel bool
+		seeds    int64
+	}{
+		{"local", false, false, 40},
+		{"local-parallel", false, true, 40},
+		{"tcp", true, true, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= tc.seeds; seed++ {
+				ts := newTapedSuite(t, tc.tcp, seed, nil, WithParallelQuorum(tc.parallel))
+				for i, r := range ts.reps {
+					id := lock.TxnID(i + 1)
+					for k := 0; k < keys; k++ {
+						if err := r.Insert(ctx, id, keyspace.New(key(k)), 1, "v"+key(k)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := r.Commit(ctx, id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				what := func(op string) string { return fmt.Sprintf("seed %d %s", seed, op) }
+				oneRound := []string{"neighbor", "neighbor", "abort", "abort"}
+
+				var page []KV
+				calls := ts.run(t, what("scan"), func() (err error) {
+					page, err = ts.suite.Scan(ctx, key(10), 10)
+					return err
+				})
+				if got := kinds(calls); !reflect.DeepEqual(got, oneRound) || len(page) != 10 || page[0].Key != key(11) || page[9] != (KV{key(20), "v" + key(20)}) {
+					t.Errorf("%s: calls %v returned %v; want %v and k011..k020", what("scan"), got, page, oneRound)
+				}
+				calls = ts.run(t, what("scan-reverse"), func() (err error) {
+					page, err = ts.suite.ScanReverse(ctx, key(100), 10)
+					return err
+				})
+				if got := kinds(calls); !reflect.DeepEqual(got, oneRound) || len(page) != 10 || page[0].Key != key(99) || page[9].Key != key(90) {
+					t.Errorf("%s: calls %v returned %v; want %v and k099..k090", what("scan-reverse"), got, page, oneRound)
+				}
+				var kv KV
+				calls = ts.run(t, what("successor"), func() (err error) {
+					kv, _, err = ts.suite.Successor(ctx, key(10))
+					return err
+				})
+				if got := kinds(calls); !reflect.DeepEqual(got, oneRound) || kv.Key != key(11) {
+					t.Errorf("%s: calls %v returned %v; want %v and k011", what("successor"), got, kv, oneRound)
+				}
+
+				var n int
+				calls = ts.run(t, what("count"), func() (err error) {
+					n, err = ts.suite.Count(ctx)
+					return err
+				})
+				readRounds := (keys + 1 + rep.MaxBatch - 1) / rep.MaxBatch
+				readers := membersOf(calls, "neighbor")
+				if n != keys || len(calls) != 2*readRounds+2 || rounds(calls) != 2 || len(readers) != 2 ||
+					count(calls, "neighbor") != 2*readRounds || !reflect.DeepEqual(membersOf(calls, "abort"), readers) {
+					t.Errorf("%s: counted %d in calls %v; want %d in %d rounds of 2 batches at one pair of members, then their 2 aborts", what("count"), n, kinds(calls), keys, readRounds)
+				}
+
+				calls = ts.run(t, what("delete"), func() error { return ts.suite.Delete(ctx, key(50)) })
+				writers := membersOf(calls, "coalesce+prepare")
+				if got := phases(calls); !reflect.DeepEqual(got, []string{"read", "coalesce+prepare", "commit"}) || len(calls) != 10 ||
+					count(calls, "neighbor") != 4 || count(calls, "lookup") != 2 || len(writers) != 2 ||
+					!reflect.DeepEqual(membersOf(calls, "neighbor", "lookup", "commit"), writers) {
+					t.Errorf("%s: %d calls %v; want 10 in 3 rounds, all at the two writers", what("delete"), len(calls), kinds(calls))
+				}
+				// No round starts before the one before it has been answered.
+				last := map[string]int{}
+				for _, c := range calls {
+					ph := phases([]tapedCall{c})[0]
+					last[ph] = max(last[ph], c.end)
+				}
+				for _, c := range calls {
+					if c.kind == "coalesce+prepare" && c.start < last["read"] || c.kind == "commit" && c.start < last["coalesce+prepare"] {
+						t.Errorf("%s: %s@%s began at tick %d, before the round before it was answered", what("delete"), c.kind, c.member, c.start)
+					}
+				}
+				ts.idle(t, what("all"))
+
+				for op, want := range map[string]float64{OpScan: 4, OpSuccessor: 4, OpCount: float64(2*readRounds + 2), OpDelete: 10} {
+					if got := ts.obs.MessagesPerOp(op); got != want {
+						t.Errorf("seed %d: messages per %s = %v, want %v", seed, op, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// slowDir delays each call to a representative by a random few hundred
+// microseconds, so that the members of one round answer far apart.
+type slowDir struct {
+	rep.Directory
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+func (d *slowDir) pause() {
+	d.mu.Lock()
+	n := d.rng.Intn(300)
+	d.mu.Unlock()
+	time.Sleep(time.Duration(n) * time.Microsecond)
+}
+
+func (d *slowDir) SuccessorBatch(ctx context.Context, id lock.TxnID, key keyspace.Key, max int) ([]rep.NeighborResult, error) {
+	d.pause()
+	return d.Directory.SuccessorBatch(ctx, id, key, max)
+}
+
+func (d *slowDir) Insert(ctx context.Context, id lock.TxnID, key keyspace.Key, ver version.V, value string) error {
+	d.pause()
+	return d.Directory.Insert(ctx, id, key, ver, value)
+}
+
+// TestScanNeverSeesHalfATransaction: a writer updates two keys of one
+// range in a single transaction, each at a write quorum of its own, while
+// scans read that range at quorums of theirs. A scan must see both new
+// values or both old. It would see one of each if a member's range lock
+// went before every member had answered: the scan's quorum can meet the
+// two write quorums in different members, and the one that answers first
+// may do so before the writer has reached it, the other after the writer
+// has committed.
+func TestScanNeverSeesHalfATransaction(t *testing.T) {
+	ctx := context.Background()
+	dirs := make([]rep.Directory, 3)
+	for i, name := range []string{"A", "B", "C"} {
+		dirs[i] = &slowDir{Directory: transport.NewLocal(rep.New(name)), rng: rand.New(rand.NewSource(int64(i)))}
+	}
+	cfg := quorum.NewUniform(dirs, 2, 2)
+	newSuite := func(seed int64) *Suite {
+		s, err := NewSuite(cfg, WithSelector(quorum.NewRandomSelector(cfg, seed)), WithParallelQuorum(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	writer := newSuite(1)
+	for _, k := range []string{"a", "c", "e", "g", "i"} {
+		if err := writer.Insert(ctx, k, "0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rewrites = 150
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for s := int64(0); s < 3; s++ {
+		scanner := newSuite(10 + s)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				page, err := scanner.Scan(ctx, "", 10)
+				if err != nil {
+					t.Errorf("scan: %v", err)
+					return
+				}
+				seen := map[string]string{}
+				for _, kv := range page {
+					seen[kv.Key] = kv.Value
+				}
+				if len(page) != 5 || seen["c"] != seen["g"] {
+					t.Errorf("a scan saw half a transaction: %v", page)
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i <= rewrites; i++ {
+		v := strconv.Itoa(i)
+		err := writer.RunInTxn(ctx, func(tx *Tx) error {
+			if err := tx.Update(ctx, "c", v); err != nil {
+				return err
+			}
+			return tx.Update(ctx, "g", v)
+		})
+		if err != nil {
+			t.Fatalf("rewrite %d: %v", i, err)
+		}
+	}
+	close(done)
+	wg.Wait()
 }
 
 // fixedSelector answers every draw with the scripted members that are

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repdir/internal/keyspace"
+	"repdir/internal/rep"
 )
 
 // KV is one entry returned by Scan.
@@ -17,17 +18,23 @@ type KV struct {
 // than after, in ascending key order, as one atomic transaction. Pass
 // after = "" to scan from the beginning; limit <= 0 means no limit.
 //
-// Scanning is built from the same machinery as deletion: each step is a
-// real-successor search (Figure 12), which skips ghosts by quorum version
-// comparison, so stale replicas can neither hide a current entry nor
-// resurrect a deleted one. The scan holds read locks on the traversed
-// range until it completes (strict two-phase locking), so the result is a
-// consistent snapshot.
+// Scanning is built from the same machinery as deletion's real-successor
+// search (Figure 12): a run over a read quorum, which drops ghosts by
+// quorum version comparison, so stale replicas can neither hide a current
+// entry nor resurrect a deleted one. It costs one round per page of
+// entries returned, and one more to release: the scan holds read locks on
+// the traversed range until it completes (strict two-phase locking), so
+// the result is a consistent snapshot. Each probe locks what it returns,
+// which may reach up to a page past the end of a bounded scan.
 func (s *Suite) Scan(ctx context.Context, after string, limit int) ([]KV, error) {
+	return s.scan(ctx, func(tx *Tx) ([]KV, error) { return tx.Scan(ctx, after, limit) })
+}
+
+// scan runs fn, one of the scans, as a transaction of its own.
+func (s *Suite) scan(ctx context.Context, fn func(tx *Tx) ([]KV, error)) ([]KV, error) {
 	var out []KV
-	err := s.runTxn(ctx, OpScan, manyOps, func(tx *Tx) error {
-		var err error
-		out, err = tx.Scan(ctx, after, limit)
+	err := s.runTxn(ctx, OpScan, manyOps, func(tx *Tx) (err error) {
+		out, err = fn(tx)
 		return err
 	})
 	return out, err
@@ -42,13 +49,7 @@ func (tx *Tx) Scan(ctx context.Context, after string, limit int) ([]KV, error) {
 // until, in ascending order, as one atomic transaction. An empty until
 // means "to the end".
 func (s *Suite) ScanRange(ctx context.Context, after, until string, limit int) ([]KV, error) {
-	var out []KV
-	err := s.runTxn(ctx, OpScan, manyOps, func(tx *Tx) error {
-		var err error
-		out, err = tx.ScanRange(ctx, after, until, limit)
-		return err
-	})
-	return out, err
+	return s.scan(ctx, func(tx *Tx) ([]KV, error) { return tx.ScanRange(ctx, after, until, limit) })
 }
 
 // ScanRange is the transactional form of Suite.ScanRange.
@@ -62,13 +63,7 @@ func (tx *Tx) ScanRange(ctx context.Context, after, until string, limit int) ([]
 // keyspace.EncodeTuple.
 func (s *Suite) ScanPrefix(ctx context.Context, limit int, components ...string) ([]KV, error) {
 	after, upper := keyspace.TuplePrefixRange(components...)
-	var out []KV
-	err := s.runTxn(ctx, OpScan, manyOps, func(tx *Tx) error {
-		var err error
-		out, err = tx.ScanSpan(ctx, after, upper, limit)
-		return err
-	})
-	return out, err
+	return s.scan(ctx, func(tx *Tx) ([]KV, error) { return tx.ScanSpan(ctx, after, upper, limit) })
 }
 
 // ScanSpan is ScanRange with Key-typed bounds: Low() and High() are the
@@ -77,52 +72,64 @@ func (s *Suite) ScanPrefix(ctx context.Context, limit int, components ...string)
 // which a genuine minimal bound and "no bound" are indistinguishable).
 // Both bounds are exclusive.
 func (tx *Tx) ScanSpan(ctx context.Context, after, until keyspace.Key, limit int) ([]KV, error) {
-	var out []KV
-	err := tx.walkSpan(ctx, after, until, limit, func(nb neighbor) {
-		out = append(out, KV{Key: nb.key.Raw(), Value: nb.value})
-	})
-	return out, err
+	return tx.collect(ctx, after, until, false, limit)
 }
 
-// walkSpan walks real successors from after (exclusive) up to until
-// (exclusive), calling visit for each current entry, at most limit times
-// when limit > 0.
-func (tx *Tx) walkSpan(ctx context.Context, after, until keyspace.Key, limit int, visit func(neighbor)) error {
-	if !after.Less(until) {
-		// Empty span: after == until (or inverted bounds) admits no key
-		// with after < key < until. Return before the first successor
-		// probe — probing would read-lock keys beyond the requested
-		// range and, at after == HIGH, ask representatives for the
-		// successor of the maximum key.
+// collect gathers the entries walk visits.
+func (tx *Tx) collect(ctx context.Context, from, bound keyspace.Key, desc bool, limit int) ([]KV, error) {
+	var out []KV
+	if limit > 0 {
+		out = make([]KV, 0, min(limit, rep.MaxBatch))
+	}
+	err := tx.walk(ctx, from, bound, desc, limit, func(nb neighbor) {
+		out = append(out, KV{Key: nb.key.Raw(), Value: nb.value})
+	})
+	if err != nil || len(out) == 0 {
+		return nil, err
+	}
+	return out, nil
+}
+
+// walk calls visit for each current entry strictly between from and
+// bound, ascending or descending from from, at most limit times when
+// limit > 0. Each round asks the members for as many entries as the
+// caller still wants, a page when it wants them all.
+func (tx *Tx) walk(ctx context.Context, from, bound keyspace.Key, desc bool, limit int, visit func(neighbor)) error {
+	if !ahead(desc, bound, from) {
+		// Empty span: equal or inverted bounds admit no key between
+		// them. Return before the first probe — probing would read-lock
+		// keys beyond the requested range and, at from == HIGH (or LOW,
+		// descending), ask representatives for the neighbor of the
+		// last key.
 		return nil
 	}
-	k := after
-	seen := 0
-	for limit <= 0 || seen < limit {
-		succ, err := tx.realSuccessor(ctx, k)
+	members, err := tx.readQuorum()
+	if err != nil {
+		return err
+	}
+	r := tx.newRun(members, from, desc)
+	for seen := 0; limit <= 0 || seen < limit; {
+		want := rep.MaxBatch
+		if limit > 0 {
+			want = limit - seen
+		}
+		nb, err := r.next(ctx, want)
 		if err != nil {
-			return fmt.Errorf("scan after %s: %w", k, err)
+			return fmt.Errorf("scan from %s: %w", from, err)
 		}
-		if succ.key.IsHigh() || !succ.key.Less(until) {
-			break
-		}
-		// Each step must strictly advance. A violation means a
-		// representative served a successor at or below the probe key —
-		// revisiting it would double-count the entry (and loop forever
-		// with limit <= 0), so fail the scan instead.
-		if !k.Less(succ.key) {
-			return fmt.Errorf("core: scan after %s: successor %s did not advance", k, succ.key)
+		if !ahead(desc, bound, nb.key) {
+			// At or past the bound; the sentinel that ends the keyspace
+			// is never short of it.
+			return nil
 		}
 		// System entries (the replicated configuration record) are real
 		// entries at the representative layer but are not user state:
 		// step over them without visiting or counting.
-		if isSystemKey(succ.key) {
-			k = succ.key
+		if isSystemKey(nb.key) {
 			continue
 		}
-		visit(succ)
+		visit(nb)
 		seen++
-		k = succ.key
 	}
 	return nil
 }
@@ -132,13 +139,7 @@ func (tx *Tx) walkSpan(ctx context.Context, after, until keyspace.Key, limit int
 // Pass before = "" to scan from the end; limit <= 0 means no limit. It
 // is the mirror of Scan, built on the real-predecessor search.
 func (s *Suite) ScanReverse(ctx context.Context, before string, limit int) ([]KV, error) {
-	var out []KV
-	err := s.runTxn(ctx, OpScan, manyOps, func(tx *Tx) error {
-		var err error
-		out, err = tx.ScanReverse(ctx, before, limit)
-		return err
-	})
-	return out, err
+	return s.scan(ctx, func(tx *Tx) ([]KV, error) { return tx.ScanReverse(ctx, before, limit) })
 }
 
 // ScanReverse is the transactional form of Suite.ScanReverse.
@@ -150,34 +151,7 @@ func (tx *Tx) ScanReverse(ctx context.Context, before string, limit int) ([]KV, 
 // unbounded). A before at or below every stored key — including Low()
 // itself — returns empty with no error and no representative probes.
 func (tx *Tx) ScanReverseSpan(ctx context.Context, before keyspace.Key, limit int) ([]KV, error) {
-	if before.IsLow() {
-		// Nothing lies below the LOW sentinel; probing would ask for
-		// the predecessor of the minimum key.
-		return nil, nil
-	}
-	k := before
-	var out []KV
-	for limit <= 0 || len(out) < limit {
-		pred, err := tx.realPredecessor(ctx, k)
-		if err != nil {
-			return nil, fmt.Errorf("scan before %s: %w", k, err)
-		}
-		if pred.key.IsLow() {
-			break
-		}
-		// Mirror of walkSpan's guard: each step must strictly descend.
-		if !pred.key.Less(k) {
-			return nil, fmt.Errorf("core: scan before %s: predecessor %s did not advance", k, pred.key)
-		}
-		// Step over system entries without emitting them (see walkSpan).
-		if isSystemKey(pred.key) {
-			k = pred.key
-			continue
-		}
-		out = append(out, KV{Key: pred.key.Raw(), Value: pred.value})
-		k = pred.key
-	}
-	return out, nil
+	return tx.collect(ctx, before, keyspace.Low(), true, limit)
 }
 
 // Count returns the number of current entries as one atomic transaction.
@@ -185,8 +159,7 @@ func (tx *Tx) ScanReverseSpan(ctx context.Context, before keyspace.Key, limit in
 // locking), so the total is quorum-consistent: entries installed by
 // concurrent writers or read-repair freshens either commit before the
 // count (and are locked out of changing mid-walk) or after it — never
-// half-observed. Intended for small directories and audits; it costs one
-// real-successor search per entry.
+// half-observed. It costs one round per page of rep.MaxBatch entries.
 func (s *Suite) Count(ctx context.Context) (int, error) {
 	var n int
 	err := s.runTxn(ctx, OpCount, manyOps, func(tx *Tx) error {
@@ -203,13 +176,11 @@ func (tx *Tx) Count(ctx context.Context) (int, error) {
 }
 
 // CountSpan counts current entries with after < key < until without
-// materializing them. The strict-advance guard in walkSpan is what makes
-// the total trustworthy: no key can be visited (and so counted) twice,
-// even if a representative serves an anomalous successor during a
-// concurrent read-repair install.
+// materializing them. A run decides every key once, in order, so no key
+// can be counted twice.
 func (tx *Tx) CountSpan(ctx context.Context, after, until keyspace.Key) (int, error) {
 	n := 0
-	err := tx.walkSpan(ctx, after, until, 0, func(neighbor) { n++ })
+	err := tx.walk(ctx, after, until, false, 0, func(neighbor) { n++ })
 	return n, err
 }
 

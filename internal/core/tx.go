@@ -240,19 +240,17 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	if tx.shape == pointWrite {
 		tx.read = members
 	}
-	// Figure 8: bestv starts at LowestVersion; strictly larger versions
-	// win. Replies at LowestVersion leave the default "not present".
+	return tx.resolve(ctx, key, members, replies)
+}
+
+// resolve applies Figure 8 to one key's replies from a read quorum:
+// bestv starts at LowestVersion and the largest version wins (outranks),
+// so replies at LowestVersion leave the default "not present".
+func (tx *Tx) resolve(ctx context.Context, key keyspace.Key, members []quorum.Member, replies []rep.LookupResult) (rep.LookupResult, error) {
 	best := rep.LookupResult{Found: false, Version: version.Lowest}
 	bestIdx := -1
 	for i := range members {
-		// Strictly larger wins, as in Figure 8. Version dominance
-		// (section 3.3) guarantees current data outranks stale data, so
-		// ties only occur between equally current replies — and there a
-		// store member's reply is preferred over a witness's, whose value
-		// is blank by construction.
-		if replies[i].Version > best.Version ||
-			(bestIdx >= 0 && replies[i].Version == best.Version &&
-				members[bestIdx].Witness && !members[i].Witness) {
+		if outranks(members, i, replies[i].Version, bestIdx, best.Version) {
 			best = replies[i]
 			bestIdx = i
 		}
@@ -268,9 +266,7 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	}
 	// A witness holds versions but no values: when the winning entry
 	// reply came from one, chase the value from a store member before
-	// answering. Every value the suite ever returns — lookups, scans,
-	// neighbor searches, and Delete's bound copies — flows through this
-	// one comparison, so the chase here covers them all.
+	// answering. (A run does the same for the entries it returns.)
 	if best.Found && bestIdx >= 0 && members[bestIdx].Witness {
 		chased, err := tx.chaseValue(ctx, key, best, members)
 		if err != nil {
@@ -278,15 +274,10 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 		}
 		best = chased
 	}
-	// Read repair: responders whose reply lost to the winning entry
-	// hold a stale or missing copy; enqueue an asynchronous freshen of
-	// just this key on just those members. Only entry wins trigger it —
-	// a winning gap (not-present) needs no install, and lingering
-	// ghosts are harmless by version dominance.
-	if tx.suite.rrQueue != nil && tx.shape != repairOps && best.Found {
+	if tx.repairsReads() && best.Found {
 		var stale []rep.Directory
 		for i := range members {
-			if errs[i] == nil && replies[i].Version < best.Version {
+			if replies[i].Version < best.Version {
 				stale = append(stale, members[i].Dir)
 			}
 		}
@@ -295,6 +286,16 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 		}
 	}
 	return best, nil
+}
+
+// repairsReads reports whether this transaction's quorum reads feed
+// read repair: responders whose reply lost to a winning entry hold a
+// stale or missing copy, and an asynchronous freshen of just that key
+// on just those members is enqueued. Only entry wins trigger it — a
+// winning gap (not-present) needs no install, and lingering ghosts are
+// harmless by version dominance.
+func (tx *Tx) repairsReads() bool {
+	return tx.suite.rrQueue != nil && tx.shape != repairOps
 }
 
 // chaseValue fetches the value behind a winning witness reply from a
@@ -540,10 +541,5 @@ func votesOf(members []quorum.Member) int {
 // transaction it does not know, as it refuses a Prepare — that is how a
 // restart that lost the transaction's read lock is caught.
 func (tx *Tx) didRead(m quorum.Member) bool {
-	for _, r := range tx.read {
-		if r.Dir.Name() == m.Dir.Name() {
-			return true
-		}
-	}
-	return false
+	return indexOf(tx.read, m) >= 0
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 
+	"repdir/internal/btree"
 	"repdir/internal/interval"
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
+	"repdir/internal/version"
 )
 
 // PredecessorBatch returns up to max successive predecessors of key,
@@ -23,60 +25,14 @@ import (
 // call to each member of the quorum."
 //
 // Locks RepLookup(y, key) where y is the lowest key returned; fewer
-// entries than max are returned only when LOW is reached.
+// entries than max are returned only when LOW is reached. max must be
+// positive, and is cut to MaxBatch: the count comes off the wire, and
+// the reply is sized from it.
 func (r *Rep) PredecessorBatch(ctx context.Context, txn lock.TxnID, key keyspace.Key, max int) ([]NeighborResult, error) {
 	if key.IsLow() {
 		return nil, fmt.Errorf("%w: predecessor of LOW", ErrNoNeighbor)
 	}
-	if err := r.checkEpoch(ctx); err != nil {
-		return nil, err
-	}
-	if err := r.readable(); err != nil {
-		return nil, err
-	}
-	r.stats.neighborProbes.Add(1)
-	if max < 1 {
-		return nil, fmt.Errorf("rep: batch size %d must be positive", max)
-	}
-	var lockedLo keyspace.Key
-	locked := false
-	for {
-		r.mu.Lock()
-		if err := r.undecided(txn); err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
-		r.touch(txn)
-		out := make([]NeighborResult, 0, max)
-		k := key
-		for len(out) < max {
-			pred, ok := r.store.Lower(k)
-			if !ok {
-				r.mu.Unlock()
-				return nil, fmt.Errorf("rep: %s: no predecessor entry for %s", r.name, k)
-			}
-			out = append(out, NeighborResult{
-				Key:        pred.Key,
-				Version:    pred.Version,
-				Value:      pred.Value,
-				GapVersion: pred.GapAfter,
-			})
-			if pred.Key.IsLow() {
-				break
-			}
-			k = pred.Key
-		}
-		lowest := out[len(out)-1].Key
-		if locked && !lowest.Less(lockedLo) {
-			r.mu.Unlock()
-			return out, nil
-		}
-		r.mu.Unlock()
-		if err := r.locks.Acquire(ctx, txn, lock.ModeLookup, interval.Span(lowest, key)); err != nil {
-			return nil, err
-		}
-		lockedLo, locked = lowest, true
-	}
+	return r.neighborBatch(ctx, txn, key, max, true)
 }
 
 // SuccessorBatch is the mirror image of PredecessorBatch: up to max
@@ -86,6 +42,20 @@ func (r *Rep) SuccessorBatch(ctx context.Context, txn lock.TxnID, key keyspace.K
 	if key.IsHigh() {
 		return nil, fmt.Errorf("%w: successor of HIGH", ErrNoNeighbor)
 	}
+	return r.neighborBatch(ctx, txn, key, max, false)
+}
+
+// MaxBatch is the most neighbors one batch call returns: the page of a
+// range read. A caller that wants more asks again from the last key.
+const MaxBatch = 64
+
+// neighborBatch reads the run of entries beyond key, downward or
+// upward, in one pass over the tree, and widens the lock and reads
+// again until the run is stable under it.
+func (r *Rep) neighborBatch(ctx context.Context, txn lock.TxnID, key keyspace.Key, max int, down bool) ([]NeighborResult, error) {
+	if max < 1 {
+		return nil, fmt.Errorf("rep: batch size %d must be positive", max)
+	}
 	if err := r.checkEpoch(ctx); err != nil {
 		return nil, err
 	}
@@ -93,10 +63,11 @@ func (r *Rep) SuccessorBatch(ctx context.Context, txn lock.TxnID, key keyspace.K
 		return nil, err
 	}
 	r.stats.neighborProbes.Add(1)
-	if max < 1 {
-		return nil, fmt.Errorf("rep: batch size %d must be positive", max)
+	if max > MaxBatch {
+		max = MaxBatch
 	}
-	var lockedHi keyspace.Key
+	out := make([]NeighborResult, 0, max)
+	var lockedTo keyspace.Key
 	locked := false
 	for {
 		r.mu.Lock()
@@ -105,39 +76,43 @@ func (r *Rep) SuccessorBatch(ctx context.Context, txn lock.TxnID, key keyspace.K
 			return nil, err
 		}
 		r.touch(txn)
-		out := make([]NeighborResult, 0, max)
-		k := key
-		for len(out) < max {
-			succ, ok := r.store.Higher(k)
-			if !ok {
-				r.mu.Unlock()
-				return nil, fmt.Errorf("rep: %s: no successor entry for %s", r.name, k)
-			}
-			floor, ok := r.store.Floor(k)
-			if !ok {
-				r.mu.Unlock()
-				return nil, fmt.Errorf("rep: %s: no floor entry for %s", r.name, k)
-			}
-			out = append(out, NeighborResult{
-				Key:        succ.Key,
-				Version:    succ.Version,
-				Value:      succ.Value,
-				GapVersion: floor.GapAfter,
+		out = out[:0]
+		if down {
+			// Every entry below key, with the gap above it.
+			r.store.DescendRange(key, keyspace.Low(), func(e btree.Entry) bool {
+				if e.Key.Less(key) {
+					out = append(out, NeighborResult{Key: e.Key, Version: e.Version, Value: e.Value, GapVersion: e.GapAfter})
+				}
+				return len(out) < max
 			})
-			if succ.Key.IsHigh() {
-				break
-			}
-			k = succ.Key
-		}
-		highest := out[len(out)-1].Key
-		if locked && !lockedHi.Less(highest) {
-			r.mu.Unlock()
-			return out, nil
+		} else {
+			// From the entry at or below key, whose gap reaches the
+			// first successor: each entry above it, with the gap below.
+			var gap version.V
+			r.store.AscendFloor(key, func(e btree.Entry) bool {
+				if key.Less(e.Key) {
+					out = append(out, NeighborResult{Key: e.Key, Version: e.Version, Value: e.Value, GapVersion: gap})
+				}
+				gap = e.GapAfter
+				return len(out) < max
+			})
 		}
 		r.mu.Unlock()
-		if err := r.locks.Acquire(ctx, txn, lock.ModeLookup, interval.Span(key, highest)); err != nil {
+		if len(out) == 0 {
+			// Unreachable: LOW and HIGH are always stored.
+			return nil, fmt.Errorf("rep: %s: no neighbor entry for %s", r.name, key)
+		}
+		last := out[len(out)-1].Key
+		rng, covered := interval.Span(key, last), !lockedTo.Less(last)
+		if down {
+			rng, covered = interval.Span(last, key), !last.Less(lockedTo)
+		}
+		if locked && covered {
+			return out, nil
+		}
+		if err := r.locks.Acquire(ctx, txn, lock.ModeLookup, rng); err != nil {
 			return nil, err
 		}
-		lockedHi, locked = highest, true
+		lockedTo, locked = last, true
 	}
 }

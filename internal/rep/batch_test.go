@@ -139,6 +139,99 @@ func TestBatchValidation(t *testing.T) {
 	r.Abort(ctx, 1)
 }
 
+// A refused call is not a served message, and a count off the wire does
+// not size the reply: the page constant does.
+func TestBatchRefusedBeforeCountedAndClamped(t *testing.T) {
+	r := New("A")
+	for i := 0; i < 2*MaxBatch; i++ {
+		mustInsert(t, r, lock.TxnID(i+1), fmt.Sprintf("k%03d", i), 1, "v")
+	}
+	for _, max := range []int{0, -1} {
+		if _, err := r.SuccessorBatch(ctx, 500, keyspace.Low(), max); err == nil {
+			t.Errorf("SuccessorBatch(max %d) accepted", max)
+		}
+		if _, err := r.PredecessorBatch(ctx, 500, keyspace.High(), max); err == nil {
+			t.Errorf("PredecessorBatch(max %d) accepted", max)
+		}
+	}
+	if n := r.Counters().NeighborProbes; n != 0 {
+		t.Errorf("refused batch calls counted as %d served neighbor probes", n)
+	}
+	if n := r.Locks().ActiveTransactions(); n != 0 {
+		t.Errorf("refused batch calls left %d transactions holding locks", n)
+	}
+	for _, down := range []bool{false, true} {
+		var batch []NeighborResult
+		var err error
+		if down {
+			batch, err = r.PredecessorBatch(ctx, 501, keyspace.High(), 1<<20)
+		} else {
+			batch, err = r.SuccessorBatch(ctx, 501, keyspace.Low(), 1<<20)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch) != MaxBatch || cap(batch) != MaxBatch {
+			t.Errorf("down=%v: a batch of 1<<20 returned len %d cap %d, want the page, %d", down, len(batch), cap(batch), MaxBatch)
+		}
+	}
+	if n := r.Counters().NeighborProbes; n != 2 {
+		t.Errorf("neighbor probes = %d, want 2", n)
+	}
+	r.Abort(ctx, 501)
+}
+
+// The probe key may be an entry, lie in a gap, or be a sentinel: the
+// batch never returns it, and the first gap version is the one that
+// follows (or precedes) the probe key.
+func TestBatchProbeKeyPositions(t *testing.T) {
+	r := New("A")
+	mustInsert(t, r, 1, "b", 1, "vb")
+	mustInsert(t, r, 2, "d", 2, "vd")
+	mustInsert(t, r, 3, "f", 3, "vf")
+	// Coalesce (b, f): d goes, the gap b..f gets version 7.
+	if _, err := r.Coalesce(ctx, 4, k("b"), k("f"), 7); err != nil {
+		t.Fatal(err)
+	}
+	r.Commit(ctx, 4)
+	for _, tc := range []struct {
+		probe   keyspace.Key
+		up      string
+		upGap   version.V
+		down    string
+		downGap version.V
+	}{
+		{k("b"), "f", 7, "", 0},
+		{k("c"), "f", 7, "b", 7},
+		{k("f"), "", 0, "b", 7},
+		{k("a"), "b", 0, "", 0},
+	} {
+		up, err := r.SuccessorBatch(ctx, 9, tc.probe, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := keyspace.High()
+		if tc.up != "" {
+			want = k(tc.up)
+		}
+		if len(up) != 1 || !up[0].Key.Equal(want) || up[0].GapVersion != tc.upGap {
+			t.Errorf("SuccessorBatch(%s) = %+v, want %s behind gap %d", tc.probe, up, want, tc.upGap)
+		}
+		down, err := r.PredecessorBatch(ctx, 9, tc.probe, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = keyspace.Low()
+		if tc.down != "" {
+			want = k(tc.down)
+		}
+		if len(down) != 1 || !down[0].Key.Equal(want) || down[0].GapVersion != tc.downGap {
+			t.Errorf("PredecessorBatch(%s) = %+v, want %s behind gap %d", tc.probe, down, want, tc.downGap)
+		}
+	}
+	r.Abort(ctx, 9)
+}
+
 func TestBatchTakesRangeLock(t *testing.T) {
 	r := New("A")
 	mustInsert(t, r, 1, "b", 1, "v")

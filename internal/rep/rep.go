@@ -303,103 +303,23 @@ func (r *Rep) get(key keyspace.Key) (LookupResult, error) {
 	return LookupResult{Found: false, Version: pred.GapAfter}, nil
 }
 
-// Predecessor implements Directory. Locks RepLookup(y, key) where y is
-// the key returned; the lock range is widened and re-checked until the
-// predecessor is stable under the lock.
+// Predecessor implements Directory: a batch of one (batch.go). Locks
+// RepLookup(y, key) where y is the key returned.
 func (r *Rep) Predecessor(ctx context.Context, txn lock.TxnID, key keyspace.Key) (NeighborResult, error) {
-	if key.IsLow() {
-		return NeighborResult{}, fmt.Errorf("%w: predecessor of LOW", ErrNoNeighbor)
-	}
-	if err := r.checkEpoch(ctx); err != nil {
-		return NeighborResult{}, err
-	}
-	if err := r.readable(); err != nil {
-		return NeighborResult{}, err
-	}
-	r.stats.neighborProbes.Add(1)
-	var lockedLo keyspace.Key
-	locked := false
-	for {
-		r.mu.Lock()
-		if err := r.undecided(txn); err != nil {
-			r.mu.Unlock()
-			return NeighborResult{}, err
-		}
-		r.touch(txn)
-		pred, ok := r.store.Lower(key)
-		if !ok {
-			r.mu.Unlock()
-			return NeighborResult{}, fmt.Errorf("rep: %s: no predecessor entry for %s", r.name, key)
-		}
-		if locked && !pred.Key.Less(lockedLo) {
-			res := NeighborResult{
-				Key:        pred.Key,
-				Version:    pred.Version,
-				Value:      pred.Value,
-				GapVersion: pred.GapAfter,
-			}
-			r.mu.Unlock()
-			return res, nil
-		}
-		r.mu.Unlock()
-		if err := r.locks.Acquire(ctx, txn, lock.ModeLookup, interval.Span(pred.Key, key)); err != nil {
-			return NeighborResult{}, err
-		}
-		lockedLo, locked = pred.Key, true
-	}
+	return first(r.PredecessorBatch(ctx, txn, key, 1))
 }
 
 // Successor implements Directory. Locks RepLookup(key, y) where y is the
-// key returned, widening until stable.
+// key returned.
 func (r *Rep) Successor(ctx context.Context, txn lock.TxnID, key keyspace.Key) (NeighborResult, error) {
-	if key.IsHigh() {
-		return NeighborResult{}, fmt.Errorf("%w: successor of HIGH", ErrNoNeighbor)
-	}
-	if err := r.checkEpoch(ctx); err != nil {
+	return first(r.SuccessorBatch(ctx, txn, key, 1))
+}
+
+func first(batch []NeighborResult, err error) (NeighborResult, error) {
+	if err != nil {
 		return NeighborResult{}, err
 	}
-	if err := r.readable(); err != nil {
-		return NeighborResult{}, err
-	}
-	r.stats.neighborProbes.Add(1)
-	var lockedHi keyspace.Key
-	locked := false
-	for {
-		r.mu.Lock()
-		if err := r.undecided(txn); err != nil {
-			r.mu.Unlock()
-			return NeighborResult{}, err
-		}
-		r.touch(txn)
-		succ, ok := r.store.Higher(key)
-		if !ok {
-			r.mu.Unlock()
-			return NeighborResult{}, fmt.Errorf("rep: %s: no successor entry for %s", r.name, key)
-		}
-		if locked && !lockedHi.Less(succ.Key) {
-			// The gap between key and its successor is the gap following
-			// the entry at or below key (floor), which always exists
-			// because LOW is stored.
-			floor, ok := r.store.Floor(key)
-			if !ok {
-				r.mu.Unlock()
-				return NeighborResult{}, fmt.Errorf("rep: %s: no floor entry for %s", r.name, key)
-			}
-			res := NeighborResult{
-				Key:        succ.Key,
-				Version:    succ.Version,
-				Value:      succ.Value,
-				GapVersion: floor.GapAfter,
-			}
-			r.mu.Unlock()
-			return res, nil
-		}
-		r.mu.Unlock()
-		if err := r.locks.Acquire(ctx, txn, lock.ModeLookup, interval.Span(key, succ.Key)); err != nil {
-			return NeighborResult{}, err
-		}
-		lockedHi, locked = succ.Key, true
-	}
+	return batch[0], nil
 }
 
 // Insert implements Directory. Creating a new entry splits the gap it

@@ -47,7 +47,7 @@ func TestRunTraffic(t *testing.T) {
 	if res.DeleteTrace == "" {
 		t.Error("no delete trace captured")
 	} else {
-		for _, span := range []string{"quorum-read", "2pc-prepare", "2pc-commit"} {
+		for _, span := range []string{"delete-read", "coalesce", "2pc-commit"} {
 			if !strings.Contains(res.DeleteTrace, span) {
 				t.Errorf("delete trace lacks %q:\n%s", span, res.DeleteTrace)
 			}
