@@ -12,12 +12,13 @@ import (
 // Delete implements DirSuiteDelete (Figure 13) within the transaction.
 //
 // Its reads — the real-successor and real-predecessor searches of Figure
-// 12, each a run, and the lookup of the key itself — go out as one round,
-// and to the members of the write quorum where their votes make a read
-// quorum too: what a member's own replies show of the bounds then need
+// 12, each a run, and the lookup of the key itself — are one call to
+// each reader, the neighborhood read of section 4 (rep.MarkAround), and
+// go to the members of the write quorum where their votes make a read
+// quorum too: what a member's own reply shows of the bounds then need
 // not be asked again, and no member is left that only read. So a delete
-// is read, coalesce, commit: three rounds where no ghost hides the
-// neighbors and no writer lacks one.
+// is read, coalesce, commit: three rounds, as many messages as an
+// insert, where no ghost hides the neighbors and no writer lacks one.
 func (tx *Tx) Delete(ctx context.Context, key string) error {
 	x, err := validateKey(key)
 	if err != nil {
@@ -34,40 +35,28 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 		}
 	}
 
-	// Find the real successor and real predecessor of x, and x itself. A
-	// member gets its three reads one after the other — a member never
-	// serves two calls of one transaction at once — and stops at the
-	// first that fails.
-	n := len(readers)
+	// Find the real successor and real predecessor of x, and x itself:
+	// each reader's neighborhood of x, cut at x, starts the two runs and
+	// answers the lookup.
 	runs := [2]*run{tx.newRun(readers, x, false), tx.newRun(readers, x, true)}
-	replies := make([]rep.LookupResult, n)
-	errs := make([]error, n)
+	replies := make([]rep.LookupResult, len(readers))
+	errs := make([]error, len(readers))
+	around := rep.MarkAround(ctx)
+	n := min(tx.suite.fanout, rep.MaxBatch) // each side; the wire admits no more
 	sp := tx.span("delete-read", key)
 	tx.fanOut(readers, func(i int, m quorum.Member) {
-		for _, r := range runs {
-			if r.probe(ctx, i, tx.suite.fanout); r.errs[i] != nil {
-				return
-			}
-		}
-		replies[i], errs[i] = m.Dir.Lookup(ctx, tx.txn.ID, x)
+		var hood []rep.NeighborResult
+		hood, errs[i] = m.Dir.SuccessorBatch(around, tx.txn.ID, x, n)
+		runs[1].replies[i], replies[i], runs[0].replies[i] = rep.SplitAround(hood, x)
 	})
 	sp.End()
-	for i := range readers {
-		// fanOut counted one message a member; count the others sent.
-		for _, r := range runs {
-			if r.errs[i] != nil {
-				break
-			}
-			tx.msgs++
-		}
+	if err := tx.roundError(readers, errs, "neighborhood of", x); err != nil {
+		return err
 	}
 	for _, r := range runs {
-		if err := r.loaded(n); err != nil {
+		if err := r.load(x); err != nil {
 			return err
 		}
-	}
-	if err := tx.roundError(readers, errs, "lookup", x); err != nil {
-		return err
 	}
 	var bounds [2]neighbor
 	for b, r := range runs {
@@ -143,7 +132,7 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 		Insertions:           len(copies),
 		PredecessorWalkSteps: runs[1].steps,
 		SuccessorWalkSteps:   runs[0].steps,
-		NeighborRPCs:         runs[0].rpcs + runs[1].rpcs,
+		NeighborRPCs:         len(readers) + runs[0].rpcs + runs[1].rpcs,
 	}
 	// In a point write the coalesce is the last thing the transaction
 	// sends a member, and the reads above have made the transaction

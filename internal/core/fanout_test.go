@@ -86,10 +86,10 @@ func TestFanoutEquivalence(t *testing.T) {
 			t.Fatalf("fanout %d: %d observations", fanout, rec.count)
 		}
 		// With fanout 1, the ghost-skipping delete of "a" needs an extra
-		// probe round; with fanout >= 2 the first round already carries
-		// the ghost's neighbor.
-		if fanout >= 2 && rec.total > 2*2*2 {
-			t.Errorf("fanout %d: %d neighbor RPCs, want <= 8 (one round per member per walk)",
+		// probe round; with fanout >= 2 the one neighborhood read already
+		// carries the ghost's neighbor.
+		if fanout >= 2 && rec.total != 2*2 {
+			t.Errorf("fanout %d: %d neighbor RPCs, want 4 (one call a member a delete)",
 				fanout, rec.total)
 		}
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repdir/internal/btree"
@@ -383,6 +385,226 @@ func TestMergeMatchesPerKeyWalk(t *testing.T) {
 	}
 	if ghosts == 0 || multiRound == 0 || chased == 0 {
 		t.Errorf("coverage: %d searches skipped a ghost, %d runs took more than one round, %d states had a witness; want all three", ghosts, multiRound, chased)
+	}
+}
+
+// refDeleteRead is the delete's read as it was before the neighborhood
+// read (rep.MarkAround) replaced it: three calls to each reader, a batch
+// of n neighbors each way and a lookup of x. It is kept as the reference
+// the one call is compared with.
+func refDeleteRead(ctx context.Context, tx *Tx, readers []quorum.Member, x keyspace.Key, n int) (runs [2]*run, bounds [2]neighbor, cur rep.LookupResult, err error) {
+	runs = [2]*run{tx.newRun(readers, x, false), tx.newRun(readers, x, true)}
+	replies := make([]rep.LookupResult, len(readers))
+	for i, m := range readers {
+		for _, r := range runs {
+			if r.probe(ctx, i, n); r.errs[i] != nil {
+				return runs, bounds, cur, r.errs[i]
+			}
+		}
+		if replies[i], err = m.Dir.Lookup(ctx, tx.txn.ID, x); err != nil {
+			return runs, bounds, cur, err
+		}
+	}
+	for b, r := range runs {
+		r.rpcs += len(readers)
+		if err = r.load(x); err != nil {
+			return runs, bounds, cur, err
+		}
+		if bounds[b], err = r.next(ctx, n); err != nil {
+			return runs, bounds, cur, err
+		}
+	}
+	cur, err = tx.resolve(ctx, x, readers, replies)
+	return runs, bounds, cur, err
+}
+
+// writeSpy notes the writes a member is sent.
+type writeSpy struct {
+	rep.Directory
+	mu     sync.Mutex
+	writes []string
+}
+
+func (d *writeSpy) Insert(ctx context.Context, id lock.TxnID, key keyspace.Key, ver version.V, value string) error {
+	d.mu.Lock()
+	d.writes = append(d.writes, fmt.Sprintf("%s: insert %s v%d %q", d.Name(), key, ver, value))
+	d.mu.Unlock()
+	return d.Directory.Insert(ctx, id, key, ver, value)
+}
+
+func (d *writeSpy) Coalesce(ctx context.Context, id lock.TxnID, lo, hi keyspace.Key, ver version.V) (rep.CoalesceResult, error) {
+	d.mu.Lock()
+	d.writes = append(d.writes, fmt.Sprintf("%s: coalesce %s..%s v%d", d.Name(), lo, hi, ver))
+	d.mu.Unlock()
+	return d.Directory.Coalesce(ctx, id, lo, hi, ver)
+}
+
+func (d *writeSpy) take() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := d.writes
+	d.writes = nil
+	return out
+}
+
+// TestDeleteReadMatchesThreeCalls compares what a delete does on its one
+// neighborhood read a member with what the three calls it replaced would
+// have made it do — the bounds with what was crossed on the way to them,
+// the version the coalesce is given, the copies of bounds sent to writers
+// that lack them, the section 4 statistics — over the generated replica
+// states, random write quorums and fanouts, for keys present and absent.
+func TestDeleteReadMatchesThreeCalls(t *testing.T) {
+	states := 2000
+	if testing.Short() {
+		states = 200
+	}
+	ctx := context.Background()
+	missing, ghosts, staleUnderGap, witnessHeld, copied := 0, 0, 0, 0, 0
+	for seed := int64(1); seed <= int64(states); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := newWorld(t, rng)
+		w.evolve(5 + rng.Intn(40))
+		cfg := w.cfg
+		cfg.Members = append([]quorum.Member(nil), w.cfg.Members...)
+		spies := make([]*writeSpy, len(cfg.Members))
+		for i := range cfg.Members {
+			spies[i] = &writeSpy{Directory: cfg.Members[i].Dir}
+			cfg.Members[i].Dir = spies[i]
+		}
+		script := &scriptSelector{cfg: cfg}
+		rec := &recorder{}
+		fanout := 1 + rng.Intn(3)
+		suite, err := NewSuite(cfg, WithSelector(script), WithMetrics(rec), WithNeighborFanout(fanout))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for probe := 0; probe < 3; probe++ {
+			// A user key — system keys are only ever neighbors — and after
+			// the first probe one the directory holds, if it holds any.
+			key := mergeKeys[2+rng.Intn(len(mergeKeys)-2)]
+			var held []string
+			for _, k := range w.keys() {
+				if !isSystemKey(keyspace.New(k)) {
+					held = append(held, k)
+				}
+			}
+			if probe > 0 && len(held) > 0 {
+				key = held[rng.Intn(len(held))]
+			}
+			x := keyspace.New(key)
+			quorumIdx := w.quorumOf(w.cfg.W)
+			script.set(quorumIdx, quorumIdx)
+			what := fmt.Sprintf("seed %d probe %d (delete %s at %v, fanout %d)", seed, probe, key, quorumIdx, fanout)
+
+			// The reference, in a transaction that only reads.
+			var want []string
+			var wantSteps [2]int
+			var wantRPCs int
+			var found bool
+			err := suite.RunInTxn(ctx, func(tx *Tx) error {
+				readers, err := tx.writeQuorum()
+				if err != nil {
+					return err
+				}
+				runs, bounds, cur, err := refDeleteRead(ctx, tx, readers, x, fanout)
+				if err != nil {
+					return err
+				}
+				found = cur.Found
+				if !found {
+					return nil
+				}
+				succ, pred := bounds[0], bounds[1]
+				ver := version.Max(version.Max(succ.maxGap, pred.maxGap), cur.Version).Next()
+				for i, m := range readers {
+					for b, nb := range bounds {
+						if !runs[b].holds(i) {
+							want = append(want, fmt.Sprintf("%s: insert %s v%d %q", m.Dir.Name(), nb.key, nb.ver, nb.value))
+						}
+					}
+					want = append(want, fmt.Sprintf("%s: coalesce %s..%s v%d", m.Dir.Name(), pred.key, succ.key, ver))
+				}
+				wantSteps = [2]int{runs[0].steps, runs[1].steps}
+				// The one call stands for the first round of both runs.
+				wantRPCs = runs[0].rpcs + runs[1].rpcs - len(readers)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: reference read: %v", what, err)
+			}
+			if _, ok := w.truth[key]; ok != found {
+				t.Fatalf("%s: the three-call read finds the key: %v; the directory holds it: %v", what, found, ok)
+			}
+
+			// What the states cover. (A witness never holds the winning
+			// version alone here: W exceeds the witnesses' votes twice
+			// over, so a store member among the readers ties with it, and
+			// is preferred.)
+			for _, i := range quorumIdx {
+				v, holds := answerOf(w.reps[i].Dump(), x)
+				switch {
+				case found && v < w.version[key]:
+					missing++
+				case found && w.cfg.Members[i].Witness:
+					witnessHeld++
+				case !found && holds:
+					staleUnderGap++
+				}
+			}
+
+			err = suite.Delete(ctx, key)
+			var got []string
+			for _, spy := range spies {
+				got = append(got, spy.take()...)
+			}
+			if !found {
+				if !errors.Is(err, ErrKeyNotFound) || len(got) != 0 {
+					t.Fatalf("%s: delete of an absent key = %v after writes %v; want ErrKeyNotFound and none", what, err, got)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: the delete wrote\n%v\nthe three-call read would have it write\n%v", what, got, want)
+			}
+			o := rec.last(t)
+			if o.SuccessorWalkSteps != wantSteps[0] || o.PredecessorWalkSteps != wantSteps[1] || o.NeighborRPCs != wantRPCs || o.Insertions != len(want)-len(quorumIdx) {
+				t.Fatalf("%s: observed %+v; the three-call read walks %v steps and, its first rounds one call a member, sends %d neighbor RPCs and %d copies",
+					what, o, wantSteps, wantRPCs, len(want)-len(quorumIdx))
+			}
+			if wantSteps[0] > 1 || wantSteps[1] > 1 {
+				ghosts++
+			}
+			if o.Insertions > 0 {
+				copied++
+			}
+			delete(w.truth, key)
+			delete(w.version, key)
+
+			// And the directory is the one without the key.
+			script.set(w.quorumOf(w.cfg.R), nil)
+			scan, err := suite.Scan(ctx, "", 0)
+			if err != nil {
+				t.Fatalf("%s: scan: %v", what, err)
+			}
+			var left []KV
+			for _, k := range w.keys() {
+				if !isSystemKey(keyspace.New(k)) {
+					left = append(left, KV{Key: k, Value: w.truth[k]})
+				}
+			}
+			if !reflect.DeepEqual(scan, left) {
+				t.Fatalf("%s: afterwards a scan at %v = %v, the directory holds %v", what, script.readIdx, scan, left)
+			}
+		}
+	}
+	if missing == 0 || ghosts == 0 || staleUnderGap == 0 || witnessHeld == 0 || copied == 0 {
+		t.Errorf("coverage: %d readers missed the newest entry, %d deletes skipped a ghost, %d readers held a stale entry under a newer gap, %d witnesses held the winning version, %d deletes copied a bound; want all five",
+			missing, ghosts, staleUnderGap, witnessHeld, copied)
 	}
 }
 

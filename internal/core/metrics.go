@@ -25,9 +25,10 @@ type DeleteObservation struct {
 	PredecessorWalkSteps int
 	SuccessorWalkSteps   int
 	// NeighborRPCs is the number of DirRepPredecessor/DirRepSuccessor
-	// messages (batched or not) both searches sent in total. With
-	// neighbor fanout f, a member is re-asked only after the walk moves
-	// past f cached entries — the section 4 batching optimization.
+	// messages both searches sent in total: one to each reader for its
+	// neighborhood of the key, f entries each way at neighbor fanout f —
+	// the section 4 batching optimization — and one for each time a
+	// member is asked again, after a walk has moved past what it sent.
 	NeighborRPCs int
 }
 

@@ -47,6 +47,9 @@ func (t *tape) begin(member, kind string, ctx context.Context, id lock.TxnID) in
 	if rep.PrepareRides(ctx) {
 		kind += "+prepare"
 	}
+	if rep.Around(ctx) {
+		kind += "+around"
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.clock++
@@ -70,10 +73,10 @@ func (t *tape) take() []tapedCall {
 	return out
 }
 
-// kinds is the sequence of call kinds; rounds the number of maximal runs
-// of one kind in it. The suite puts a barrier between rounds, so calls
-// of one round never interleave with the next one's however the members
-// of a parallel round race each other.
+// kinds is the sequence of call kinds; phases the rounds, each maximal
+// run of one kind named once. The suite puts a barrier between rounds, so
+// calls of one round never interleave with the next one's however the
+// members of a parallel round race each other.
 func kinds(calls []tapedCall) []string {
 	out := make([]string, len(calls))
 	for i, c := range calls {
@@ -82,27 +85,11 @@ func kinds(calls []tapedCall) []string {
 	return out
 }
 
-func rounds(calls []tapedCall) int {
-	n := 0
-	for i, c := range calls {
-		if i == 0 || c.kind != calls[i-1].kind {
-			n++
-		}
-	}
-	return n
-}
-
-// phases is the sequence of rounds with the reads a delete sends
-// together — neighbor batches and lookups, in one round — under one name.
 func phases(calls []tapedCall) []string {
 	var out []string
 	for _, c := range calls {
-		k := c.kind
-		if k == "neighbor" || k == "lookup" {
-			k = "read"
-		}
-		if len(out) == 0 || out[len(out)-1] != k {
-			out = append(out, k)
+		if len(out) == 0 || out[len(out)-1] != c.kind {
+			out = append(out, c.kind)
 		}
 	}
 	return out
@@ -209,6 +196,7 @@ type tapedSuite struct {
 	reps  []*rep.Rep
 	tape  *tape
 	obs   *obs.Observer
+	rec   *recorder
 }
 
 // newTapedSuite builds one in process (the tape sits where the suite
@@ -217,7 +205,7 @@ type tapedSuite struct {
 // seeded random selector.
 func newTapedSuite(t *testing.T, tcp bool, seed int64, sel func(quorum.Config) quorum.Selector, opts ...Option) *tapedSuite {
 	t.Helper()
-	ts := &tapedSuite{tape: &tape{}, obs: obs.NewObserver(obs.ObserverConfig{})}
+	ts := &tapedSuite{tape: &tape{}, obs: obs.NewObserver(obs.ObserverConfig{}), rec: &recorder{}}
 	dirs := make([]rep.Directory, 3)
 	for i, name := range []string{"A", "B", "C"} {
 		r := rep.New(name)
@@ -244,7 +232,7 @@ func newTapedSuite(t *testing.T, tcp bool, seed int64, sel func(quorum.Config) q
 	if sel != nil {
 		s = sel(cfg)
 	}
-	opts = append([]Option{WithSelector(s), WithObserver(ts.obs), WithLocalReads("B")}, opts...)
+	opts = append([]Option{WithSelector(s), WithObserver(ts.obs), WithMetrics(ts.rec), WithLocalReads("B")}, opts...)
 	suite, err := NewSuite(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -285,6 +273,17 @@ func (ts *tapedSuite) served() uint64 {
 	return n
 }
 
+// ghostFree checks the section 4 statistics of the last delete, which
+// met no ghost: one neighborhood read at each of two readers, the first
+// candidate current on both sides, and as many copies as were sent.
+func (ts *tapedSuite) ghostFree(t *testing.T, what string, copies int) {
+	t.Helper()
+	o := ts.rec.last(t)
+	if o.NeighborRPCs != 2 || o.PredecessorWalkSteps != 1 || o.SuccessorWalkSteps != 1 || o.GhostDeletions != 0 || o.Insertions != copies {
+		t.Errorf("%s: observed %+v; want 2 neighbor RPCs, 1 walk step each way, no ghost, %d insertions", what, o, copies)
+	}
+}
+
 // idle checks that no representative is left holding anything.
 func (ts *tapedSuite) idle(t *testing.T, what string) {
 	t.Helper()
@@ -301,8 +300,8 @@ func (ts *tapedSuite) idle(t *testing.T, what string) {
 // TestPointOperationRounds is the table the message diet is held to: on
 // a healthy 3-2-2 suite, whatever quorums the random selector draws, a
 // lookup is 2 messages in 1 round, an insert or update 6 in 3, a local
-// lookup 1 in 1, and a delete 10 in 3 (one more round where a writer
-// lacks a bound and is sent a copy).
+// lookup 1 in 1, and a delete 6 in 3 (one more message for each bound a
+// writer lacks and is sent a copy of, in one more round).
 func TestPointOperationRounds(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -360,8 +359,8 @@ func TestPointOperationRounds(t *testing.T) {
 						t.Errorf("%s: calls %v, want %v", what(w.op), got, want)
 						continue
 					}
-					if rounds(calls) != 3 {
-						t.Errorf("%s: %d rounds", what(w.op), rounds(calls))
+					if n := len(phases(calls)); n != 3 {
+						t.Errorf("%s: %d rounds", what(w.op), n)
 					}
 					readers, writers, committed := membersOf(calls, "lookup"), membersOf(calls, "insert+prepare"), membersOf(calls, "commit")
 					if !reflect.DeepEqual(readers, writers) || !reflect.DeepEqual(writers, committed) {
@@ -369,25 +368,25 @@ func TestPointOperationRounds(t *testing.T) {
 					}
 				}
 
-				// A delete reads (two neighbor batches and a lookup at each
+				// A delete reads (one neighborhood of the key at each
 				// writer), coalesces and commits, all at its write quorum:
-				// 10 messages in 3 rounds, plus one round of copies where a
+				// 6 messages in 3 rounds, plus one round of copies where a
 				// writer lacks a bound. No member only reads, so none is
 				// sent a prepare of its own.
 				calls = ts.run(t, what("delete"), func() error { return ts.suite.Delete(ctx, "f") })
 				writers := membersOf(calls, "coalesce+prepare")
 				copies := count(calls, "insert")
-				wantPhases := []string{"read", "coalesce+prepare", "commit"}
+				wantPhases := []string{"neighbor+around", "coalesce+prepare", "commit"}
 				if copies > 0 {
-					wantPhases = []string{"read", "insert", "coalesce+prepare", "commit"}
+					wantPhases = []string{"neighbor+around", "insert", "coalesce+prepare", "commit"}
 				}
-				if got := phases(calls); !reflect.DeepEqual(got, wantPhases) || len(calls) != 10+copies ||
-					count(calls, "neighbor") != 4 || count(calls, "lookup") != 2 {
-					t.Errorf("%s: %d calls %v in rounds %v, want 10 + %d copies in %v", what("delete"), len(calls), kinds(calls), got, copies, wantPhases)
+				if got := phases(calls); !reflect.DeepEqual(got, wantPhases) || len(calls) != 6+copies || count(calls, "neighbor+around") != 2 {
+					t.Errorf("%s: %d calls %v in rounds %v, want 6 + %d copies in %v", what("delete"), len(calls), kinds(calls), got, copies, wantPhases)
 				}
-				if got := membersOf(calls, "neighbor", "lookup", "insert", "commit"); len(writers) != 2 || !reflect.DeepEqual(got, writers) {
+				if got := membersOf(calls, "neighbor+around", "insert", "commit"); len(writers) != 2 || !reflect.DeepEqual(got, writers) {
 					t.Errorf("%s: calls went to %v, want all of them at the two writers %v", what("delete"), got, writers)
 				}
+				ts.ghostFree(t, what("delete"), copies)
 				if copies == 0 {
 					deletesWithoutCopies++
 				}
@@ -417,7 +416,7 @@ func TestPointOperationRounds(t *testing.T) {
 // 10, forward or backward, and a successor are one round of 2 batch
 // calls and one of 2 aborts that release the range; a count reads
 // ceil((N+1)/rep.MaxBatch) rounds — N entries and the HIGH that ends
-// them, a page a round — and releases in one more; a delete is 10
+// them, a page a round — and releases in one more; a delete is 6
 // messages in 3 rounds at its two writers.
 func TestRangeOperationRounds(t *testing.T) {
 	ctx := context.Background()
@@ -481,32 +480,32 @@ func TestRangeOperationRounds(t *testing.T) {
 				})
 				readRounds := (keys + 1 + rep.MaxBatch - 1) / rep.MaxBatch
 				readers := membersOf(calls, "neighbor")
-				if n != keys || len(calls) != 2*readRounds+2 || rounds(calls) != 2 || len(readers) != 2 ||
+				if n != keys || len(calls) != 2*readRounds+2 || len(phases(calls)) != 2 || len(readers) != 2 ||
 					count(calls, "neighbor") != 2*readRounds || !reflect.DeepEqual(membersOf(calls, "abort"), readers) {
 					t.Errorf("%s: counted %d in calls %v; want %d in %d rounds of 2 batches at one pair of members, then their 2 aborts", what("count"), n, kinds(calls), keys, readRounds)
 				}
 
 				calls = ts.run(t, what("delete"), func() error { return ts.suite.Delete(ctx, key(50)) })
 				writers := membersOf(calls, "coalesce+prepare")
-				if got := phases(calls); !reflect.DeepEqual(got, []string{"read", "coalesce+prepare", "commit"}) || len(calls) != 10 ||
-					count(calls, "neighbor") != 4 || count(calls, "lookup") != 2 || len(writers) != 2 ||
-					!reflect.DeepEqual(membersOf(calls, "neighbor", "lookup", "commit"), writers) {
-					t.Errorf("%s: %d calls %v; want 10 in 3 rounds, all at the two writers", what("delete"), len(calls), kinds(calls))
+				want := []string{"neighbor+around", "neighbor+around", "coalesce+prepare", "coalesce+prepare", "commit", "commit"}
+				if got := kinds(calls); !reflect.DeepEqual(got, want) || len(writers) != 2 ||
+					!reflect.DeepEqual(membersOf(calls, "neighbor+around", "commit"), writers) {
+					t.Errorf("%s: calls %v; want %v, all at the two writers", what("delete"), got, want)
 				}
+				ts.ghostFree(t, what("delete"), 0)
 				// No round starts before the one before it has been answered.
 				last := map[string]int{}
 				for _, c := range calls {
-					ph := phases([]tapedCall{c})[0]
-					last[ph] = max(last[ph], c.end)
+					last[c.kind] = max(last[c.kind], c.end)
 				}
 				for _, c := range calls {
-					if c.kind == "coalesce+prepare" && c.start < last["read"] || c.kind == "commit" && c.start < last["coalesce+prepare"] {
+					if c.kind == "coalesce+prepare" && c.start < last["neighbor+around"] || c.kind == "commit" && c.start < last["coalesce+prepare"] {
 						t.Errorf("%s: %s@%s began at tick %d, before the round before it was answered", what("delete"), c.kind, c.member, c.start)
 					}
 				}
 				ts.idle(t, what("all"))
 
-				for op, want := range map[string]float64{OpScan: 4, OpSuccessor: 4, OpCount: float64(2*readRounds + 2), OpDelete: 10} {
+				for op, want := range map[string]float64{OpScan: 4, OpSuccessor: 4, OpCount: float64(2*readRounds + 2), OpDelete: 6} {
 					if got := ts.obs.MessagesPerOp(op); got != want {
 						t.Errorf("seed %d: messages per %s = %v, want %v", seed, op, got, want)
 					}

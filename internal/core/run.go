@@ -169,15 +169,6 @@ func (r *run) probe(ctx context.Context, i, n int) {
 	r.pos[i] = 0
 }
 
-// loaded takes in a round of probes, to asked members, whoever sent it.
-func (r *run) loaded(asked int) error {
-	r.rpcs += asked
-	if err := r.tx.roundError(r.members, r.errs, "neighbors of", r.at); err != nil {
-		return err
-	}
-	return r.load(r.at)
-}
-
 // next returns the next current entry beyond the one it returned last,
 // or the sentinel when there is none; the caller must not go on past the
 // sentinel. When the common span is used up it sends one more round: it
@@ -196,7 +187,11 @@ func (r *run) next(ctx context.Context, n int) (neighbor, error) {
 			sp := r.tx.span("neighbors", r.at.Raw())
 			r.tx.fanOut(r.ask, func(j int, _ quorum.Member) { r.probe(ctx, r.which[j], n) })
 			sp.End()
-			if err := r.loaded(len(r.ask)); err != nil {
+			r.rpcs += len(r.ask)
+			if err := r.tx.roundError(r.members, r.errs, "neighbors of", r.at); err != nil {
+				return neighbor{}, err
+			}
+			if err := r.load(r.at); err != nil {
 				return neighbor{}, err
 			}
 			continue

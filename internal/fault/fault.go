@@ -24,7 +24,10 @@
 // calls rather than wall-clock time. A driver that issues operations
 // from one goroutine therefore gets a fully reproducible fault schedule
 // for a given seed — even with parallel quorum fan-out, which issues at
-// most one concurrent call per member per round.
+// most one concurrent call per member per round. That holds by
+// construction, not by a sequential loop in the suite: every operation
+// sends a member one call a round, a delete too — its reads are one
+// neighborhood call a member (rep.MarkAround).
 package fault
 
 import (

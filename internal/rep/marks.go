@@ -2,10 +2,10 @@ package rep
 
 import "context"
 
-// Call marks. Two things a coordinator knows about a call cut a round
-// trip out of the point operations, and the Directory signatures have
-// no parameter for either, so they travel the way the epoch does: a
-// context value on the caller's side, an op tag on the wire
+// Call marks. Three things a coordinator knows about a call cut round
+// trips out of the point operations, and the Directory signatures have
+// no parameter for any of them, so they travel the way the epoch does:
+// a context value on the caller's side, an op tag on the wire
 // (transport), a context value again at the representative.
 //
 //   - One-shot: the Lookup is the only thing its transaction does at
@@ -20,9 +20,16 @@ import "context"
 //     before: like Prepare, the call votes ErrUnknownTxn if the
 //     representative does not know the transaction, because then a
 //     crash has lost locks the transaction still relies on.
+//   - Around: the SuccessorBatch is a delete's whole read of key x. The
+//     representative answers with the neighborhood of x — the max
+//     entries below it, x's own entry if it stores one, the max entries
+//     above it — instead of only the entries above (batch.go). The call
+//     joins the transaction like any batch call and keeps its lock: the
+//     coalesce that follows upgrades it.
 
 type oneShotKey struct{}
 type prepareRidesKey struct{}
+type aroundKey struct{}
 
 // MarkOneShot marks the Lookups made under ctx as one-shot.
 func MarkOneShot(ctx context.Context) context.Context {
@@ -44,5 +51,17 @@ func MarkPrepare(ctx context.Context) context.Context {
 // PrepareRides reports whether ctx carries the prepare mark.
 func PrepareRides(ctx context.Context) bool {
 	v, _ := ctx.Value(prepareRidesKey{}).(bool)
+	return v
+}
+
+// MarkAround marks the SuccessorBatch calls made under ctx as reads of
+// the key's whole neighborhood.
+func MarkAround(ctx context.Context) context.Context {
+	return context.WithValue(ctx, aroundKey{}, true)
+}
+
+// Around reports whether ctx carries the neighborhood mark.
+func Around(ctx context.Context) bool {
+	v, _ := ctx.Value(aroundKey{}).(bool)
 	return v
 }

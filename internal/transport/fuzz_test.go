@@ -36,6 +36,13 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(uint8(12), uint64(7), uint64(9), uint8(2), "k", uint8(0), "", uint64(4), "v", 0, uint8(0), "", []byte{0x0d, 0x07, 0x09, 0x02, 0x01, 'k'})
 	f.Add(uint8(13), uint64(1), uint64(2), uint8(2), "ab", uint8(0), "", uint64(3), "xyz", 0, uint8(8), "no", []byte{0x0e, 0x01, 0x02, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'})
 	f.Add(uint8(14), uint64(1), uint64(2), uint8(0), "", uint8(1), "", uint64(5), "", 0, uint8(0), "", []byte{0x0f, 0x01, 0x02, 0x01, 0x03, 0x05})
+	// Tag 16, the neighborhood read; and under each of the three batch
+	// tags a count of 65, one over the page, which the request decoder
+	// refuses (TestWireRefusesOversizedBatch).
+	f.Add(uint8(15), uint64(1), uint64(2), uint8(2), "k", uint8(0), "", uint64(3), "v", 3, uint8(0), "", []byte{0x10, 0x01, 0x02, 0x02, 0x01, 'k', 0x03})
+	f.Add(uint8(15), uint64(1), uint64(2), uint8(2), "k", uint8(0), "", uint64(3), "v", rep.MaxBatch, uint8(0), "", []byte{0x10, 0x01, 0x02, 0x02, 0x01, 'k', 0x41})
+	f.Add(uint8(4), uint64(1), uint64(2), uint8(0), "", uint8(0), "", uint64(0), "", rep.MaxBatch, uint8(0), "", []byte{0x05, 0x01, 0x02, 0x01, 0x41})
+	f.Add(uint8(3), uint64(1), uint64(2), uint8(1), "", uint8(0), "", uint64(0), "", rep.MaxBatch, uint8(0), "", []byte{0x04, 0x01, 0x02, 0x03, 0x41})
 
 	f.Fuzz(func(t *testing.T, tag uint8, id, txn uint64, keyKind uint8, keyS string,
 		hiKind uint8, hiS string, ver uint64, value string, count int, codeByte uint8, msg string, raw []byte) {
@@ -43,7 +50,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		// Structured round trip: a valid request of every op, at both
 		// codec versions (epoch rides the v2 header only).
 		wver := byte(tag%2) + 1
-		reqOp := op(tag%15) + 1
+		reqOp := op(tag%16) + 1
 		req := request{ID: id, Op: reqOp, Txn: txn}
 		if wver >= 2 {
 			req.Epoch = id ^ txn
@@ -56,7 +63,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if count < 0 {
 				count = -count
 			}
-			req.Count = count % (1 << 20)
+			req.Count = count % (rep.MaxBatch + 1)
 		case opInsert:
 			req.Key = fuzzKey(keyKind, keyS)
 			req.Version = version.V(ver)

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +29,9 @@ func (d *markSpy) note(call string, ctx context.Context) {
 	if rep.PrepareRides(ctx) {
 		call += "+prepare"
 	}
+	if rep.Around(ctx) {
+		call += "+around"
+	}
 	d.mu.Lock()
 	d.seen = append(d.seen, call)
 	d.mu.Unlock()
@@ -48,9 +52,15 @@ func (d *markSpy) Coalesce(ctx context.Context, id lock.TxnID, lo, hi keyspace.K
 	return d.Rep.Coalesce(ctx, id, lo, hi, ver)
 }
 
-// TestCallMarksCrossTheWire: the one-shot and prepare marks set on the
-// caller's context reach the served representative, over both codecs
-// and through Local, and an unmarked call arrives unmarked.
+func (d *markSpy) SuccessorBatch(ctx context.Context, id lock.TxnID, key keyspace.Key, max int) ([]rep.NeighborResult, error) {
+	d.note("successors", ctx)
+	return d.Rep.SuccessorBatch(ctx, id, key, max)
+}
+
+// TestCallMarksCrossTheWire: the one-shot, prepare and neighborhood
+// marks set on the caller's context reach the served representative,
+// over both codecs and through Local, and an unmarked call arrives
+// unmarked.
 func TestCallMarksCrossTheWire(t *testing.T) {
 	ctx := context.Background()
 	drive := func(t *testing.T, d rep.Directory, spy *markSpy) {
@@ -83,7 +93,19 @@ func TestCallMarksCrossTheWire(t *testing.T) {
 		if err := d.Commit(ctx, 9); err != nil {
 			t.Fatal(err)
 		}
-		want := "lookup+once lookup insert insert+prepare lookup coalesce+prepare"
+		// The neighborhood of hi, which the coalesce left alone between
+		// the sentinels; unmarked, its successors only.
+		hood, err := d.SuccessorBatch(rep.MarkAround(ctx), 11, hi, 2)
+		if err != nil || len(hood) != 3 || !hood[0].Key.IsLow() || !hood[1].Key.Equal(hi) || hood[1].Value != "v" || !hood[2].Key.IsHigh() {
+			t.Fatalf("neighborhood of %s = %+v, %v; want LOW, the entry, HIGH", hi, hood, err)
+		}
+		if up, err := d.SuccessorBatch(ctx, 11, hi, 2); err != nil || len(up) != 1 || !up[0].Key.IsHigh() {
+			t.Fatalf("successors of %s = %+v, %v; want HIGH", hi, up, err)
+		}
+		if err := d.Abort(ctx, 11); err != nil {
+			t.Fatal(err)
+		}
+		want := "lookup+once lookup insert insert+prepare lookup coalesce+prepare successors+around successors"
 		spy.mu.Lock()
 		got := strings.Join(spy.seen, " ")
 		spy.mu.Unlock()
@@ -128,11 +150,18 @@ func TestCallMarksCrossTheWire(t *testing.T) {
 // caller an error at once, not its deadline. On the binary codec the
 // server cannot skip a message whose layout it does not know, so it
 // drops the connection and the call fails as unavailable; on gob the
-// request decodes and the handler refuses it.
+// request decodes and the handler refuses it. The tag after the newest
+// — what tag 16, the neighborhood read, is to a build before it — and
+// one from further off.
 func TestUnknownTagFailsPromptly(t *testing.T) {
-	const fromTheFuture = op(99)
+	for _, fromTheFuture := range []op{opSuccessorBatchAround + 1, 99} {
+		testUnknownTag(t, fromTheFuture)
+	}
+}
+
+func testUnknownTag(t *testing.T, fromTheFuture op) {
 	for _, proto := range []string{ProtoBinary, ProtoGob} {
-		t.Run(proto, func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/tag%d", proto, fromTheFuture), func(t *testing.T) {
 			srv, err := Serve(rep.New("A"), "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -151,7 +180,7 @@ func TestUnknownTagFailsPromptly(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			start := time.Now()
-			_, err = c.call(ctx, request{Op: fromTheFuture, Txn: 1})
+			_, err = c.call(ctx, request{Op: fromTheFuture, Txn: 1, Key: keyspace.New("k"), Count: 1})
 			if err == nil {
 				t.Fatal("a call with an unknown tag succeeded")
 			}

@@ -36,13 +36,15 @@ const (
 	opAbort
 	opStatus
 	opName
-	// The marked forms of three calls (rep/marks.go): same fields as the
+	// The marked forms of four calls (rep/marks.go): same fields as the
 	// plain call, one tag each, so that the mark costs no byte and an
 	// older peer refuses it instead of silently running the plain call —
-	// which would leave a lock nobody releases, or skip a prepare.
+	// which would leave a lock nobody releases, skip a prepare, or
+	// answer a delete's read with the successors alone.
 	opLookupOnce
 	opInsertPrepare
 	opCoalescePrepare
+	opSuccessorBatchAround
 )
 
 // unmarked maps a marked call to the plain one whose layout and handler
@@ -55,6 +57,8 @@ func (o op) unmarked() op {
 		return opInsert
 	case opCoalescePrepare:
 		return opCoalesce
+	case opSuccessorBatchAround:
+		return opSuccessorBatch
 	}
 	return o
 }
@@ -570,6 +574,8 @@ func (s *Server) handle(req *request) response {
 		ctx = rep.MarkOneShot(ctx)
 	case opInsertPrepare, opCoalescePrepare:
 		ctx = rep.MarkPrepare(ctx)
+	case opSuccessorBatchAround:
+		ctx = rep.MarkAround(ctx)
 	}
 	txn := lock.TxnID(req.Txn)
 	var resp response
@@ -1124,12 +1130,35 @@ func (c *Client) call(ctx context.Context, req request) (response, error) {
 			if r.err != nil {
 				return response{}, r.err
 			}
-			return r.resp, decodeError(r.resp.Code, r.resp.Msg)
+			err := decodeError(r.resp.Code, r.resp.Msg)
+			if err != nil {
+				// The server acts on the deadline it was sent, so its
+				// refusal (ErrExpired, or its handler's own context
+				// error) races this caller's timer. A caller whose
+				// context is done sees that, whoever noticed first.
+				if done := callerDone(ctx); done != nil {
+					err = fmt.Errorf("%w: %w", done, err)
+				}
+			}
+			return r.resp, err
 		case <-ctx.Done():
 			cc.unregister(req.ID)
 			return response{}, ctx.Err()
 		}
 	}
+}
+
+// callerDone returns the context's error if the caller has given up or
+// its deadline has passed — by the clock: the server's timer for the
+// same instant may fire, and its reply arrive, before the context's own.
+func callerDone(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // Name implements rep.Directory.
@@ -1184,7 +1213,11 @@ func (c *Client) PredecessorBatch(ctx context.Context, txn lock.TxnID, key keysp
 
 // SuccessorBatch implements rep.Directory.
 func (c *Client) SuccessorBatch(ctx context.Context, txn lock.TxnID, key keyspace.Key, max int) ([]rep.NeighborResult, error) {
-	resp, err := c.call(ctx, request{Op: opSuccessorBatch, Txn: uint64(txn), Key: key, Count: max})
+	o := opSuccessorBatch
+	if rep.Around(ctx) {
+		o = opSuccessorBatchAround
+	}
+	resp, err := c.call(ctx, request{Op: o, Txn: uint64(txn), Key: key, Count: max})
 	if err != nil {
 		return nil, err
 	}

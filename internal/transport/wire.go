@@ -56,10 +56,11 @@ import (
 // strings and byte fields are uvarint length + raw bytes. The exact
 // per-op field layouts are pinned byte-for-byte by
 // TestWireGoldenVectors; this encoding is an on-wire contract — extend
-// it with new tags, never by reshaping existing ones. Tags 13–15 are
-// such an extension: the one-shot Lookup and the Insert and Coalesce
-// that carry the prepare (rep/marks.go), each laid out exactly like its
-// plain form. A peer that predates them fails the decode and closes the
+// it with new tags, never by reshaping existing ones. Tags 13–16 are
+// such an extension: the one-shot Lookup, the Insert and Coalesce that
+// carry the prepare and the SuccessorBatch that reads a key's whole
+// neighborhood (rep/marks.go), each laid out exactly like its plain
+// form. A peer that predates them fails the decode and closes the
 // connection, so the caller gets ErrUnavailable at once, not a hang.
 
 const (
@@ -321,8 +322,10 @@ func (r *wireReader) readRequest(req *request, ver byte) error {
 		if n, err = r.readUvarint(); err != nil {
 			return err
 		}
-		if n > 1<<20 {
-			return fmt.Errorf("%w: batch count %d", errWire, n)
+		// The representative sizes its reply from the count: refuse here
+		// what it would only cut down.
+		if n > rep.MaxBatch {
+			return fmt.Errorf("%w: batch count %d exceeds %d", errWire, n, rep.MaxBatch)
 		}
 		req.Count = int(n)
 	case opInsert:

@@ -70,6 +70,11 @@ func TestWireGoldenVectors(t *testing.T) {
 			req:  request{ID: 1, Op: opCoalescePrepare, Txn: 2, Key: keyspace.Low(), Hi: keyspace.High(), Version: 5},
 			want: []byte{0x0f, 0x01, 0x02, 0x01, 0x03, 0x05},
 		},
+		{
+			name: "successor_batch_around",
+			req:  request{ID: 1, Op: opSuccessorBatchAround, Txn: 2, Key: keyspace.New("k"), Count: 3},
+			want: []byte{0x10, 0x01, 0x02, 0x02, 0x01, 'k', 0x03},
+		},
 	}
 	for _, v := range reqVectors {
 		t.Run("request_v1_"+v.name, func(t *testing.T) {
@@ -145,6 +150,11 @@ func TestWireGoldenVectors(t *testing.T) {
 			req:  request{ID: 7, Op: opLookupOnce, Txn: 9, Epoch: 5, Deadline: 300, Key: keyspace.New("k")},
 			want: []byte{0x0d, 0x07, 0x09, 0x05, 0xac, 0x02, 0x02, 0x01, 'k'},
 		},
+		{
+			name: "successor_batch_around_epoch_deadline",
+			req:  request{ID: 1, Op: opSuccessorBatchAround, Txn: 2, Epoch: 5, Deadline: 300, Key: keyspace.New("k"), Count: 1},
+			want: []byte{0x10, 0x01, 0x02, 0x05, 0xac, 0x02, 0x02, 0x01, 'k', 0x01},
+		},
 	}
 	for _, v := range reqV3Vectors {
 		t.Run("request_v3_"+v.name, func(t *testing.T) {
@@ -196,6 +206,15 @@ func TestWireGoldenVectors(t *testing.T) {
 			want: []byte{0x0f, 0x01, 0x00, 0x01, 0x02, 0x01, 'a'},
 		},
 		{
+			name: "successor_batch_around_neighborhood",
+			resp: response{ID: 1, Op: opSuccessorBatchAround, Code: codeOK, Neighbors: []rep.NeighborResult{
+				{Key: keyspace.Low(), GapVersion: 2},
+				{Key: keyspace.New("k"), Version: 3, Value: "v", GapVersion: 4},
+				{Key: keyspace.High(), GapVersion: 4},
+			}},
+			want: []byte{0x10, 0x01, 0x00, 0x03, 0x01, 0x00, 0x00, 0x02, 0x02, 0x01, 'k', 0x03, 0x01, 'v', 0x04, 0x03, 0x00, 0x00, 0x04},
+		},
+		{
 			name: "insert_prepare_unknown_txn",
 			resp: response{ID: 1, Op: opInsertPrepare, Code: codeUnknownTxn, Msg: "no"},
 			want: []byte{0x0e, 0x01, 0x08, 0x02, 'n', 'o'},
@@ -230,6 +249,7 @@ func wireRequestVariants() []request {
 		{ID: 25, Op: opLookupOnce, Txn: 26, Key: keyspace.New("alpha")},
 		{ID: 27, Op: opInsertPrepare, Txn: 28, Key: keyspace.New("k"), Version: 9, Value: "v"},
 		{ID: 29, Op: opCoalescePrepare, Txn: 30, Key: keyspace.New("a"), Hi: keyspace.High(), Version: 7},
+		{ID: 31, Op: opSuccessorBatchAround, Txn: 32, Key: keyspace.New("k"), Count: rep.MaxBatch},
 	}
 }
 
@@ -258,6 +278,11 @@ func wireResponseVariants() []response {
 		{ID: 18, Op: opInsertPrepare},
 		{ID: 19, Op: opCoalescePrepare, DeletedKeys: []keyspace.Key{keyspace.New("a")}},
 		{ID: 20, Op: opInsertPrepare, Code: codeUnknownTxn, Msg: "restarted"},
+		{ID: 21, Op: opSuccessorBatchAround, Neighbors: []rep.NeighborResult{
+			{Key: keyspace.New("j"), Version: 1, Value: "jv", GapVersion: 2},
+			{Key: keyspace.New("k"), Version: 3, Value: "kv", GapVersion: 4},
+			{Key: keyspace.High(), GapVersion: 4},
+		}},
 	}
 }
 
@@ -312,6 +337,32 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if r.remaining() != 0 {
 		t.Fatalf("%d bytes left over after decoding all responses", r.remaining())
+	}
+}
+
+// TestWireRefusesOversizedBatch: a batch count is the size of the reply
+// the representative allocates, so the request decoder admits the page,
+// rep.MaxBatch, and nothing above it — under all three batch tags, at
+// every codec version.
+func TestWireRefusesOversizedBatch(t *testing.T) {
+	for _, o := range []op{opPredecessorBatch, opSuccessorBatch, opSuccessorBatchAround} {
+		for _, ver := range []byte{1, 2, 3} {
+			for _, tc := range []struct {
+				count int
+				ok    bool
+			}{{rep.MaxBatch, true}, {rep.MaxBatch + 1, false}, {1 << 20, false}} {
+				req := request{ID: 1, Op: o, Txn: 2, Key: keyspace.New("k"), Count: tc.count}
+				r := wireReader{buf: appendRequest(nil, &req, ver)}
+				var got request
+				err := r.readRequest(&got, ver)
+				if tc.ok && (err != nil || got.Count != tc.count) {
+					t.Errorf("tag %d v%d count %d: decoded %d, %v", o, ver, tc.count, got.Count, err)
+				}
+				if !tc.ok && !errors.Is(err, errWire) {
+					t.Errorf("tag %d v%d count %d: error = %v, want a refused frame", o, ver, tc.count, err)
+				}
+			}
+		}
 	}
 }
 
