@@ -58,10 +58,13 @@ shard:
 # soak seed doubles as the replay handle on failure. Recovery reads two
 # formats back that something else wrote — the log's record stream and
 # the wire's messages — so each decoder gets a moment of fuzzing here:
-# log analysis must decide every transaction one way whatever order its
-# records come in, and the codec must round-trip every tag.
+# the record codec must round-trip every record and refuse every byte
+# string that is not one, log analysis must decide every transaction one
+# way whatever order its records come in, and the wire codec must
+# round-trip every tag.
 crash:
 	$(GO) test -count 1 -run 'TestCrashPoints' -v ./internal/fault/
+	$(GO) test -run xxx -fuzz FuzzRecordRoundTrip -fuzztime 10s ./internal/wal/
 	$(GO) test -run xxx -fuzz FuzzAnalyze -fuzztime 10s ./internal/wal/
 	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/transport/
 	$(GO) test -race -count 1 -run 'TestChaosSoakDeterministic' -v .

@@ -18,21 +18,24 @@ var errShortKey = errors.New("keyspace: truncated key encoding")
 // MarshalBinary encodes the key as a one-byte kind tag followed by the
 // spelling for normal keys. It never fails.
 func (k Key) MarshalBinary() ([]byte, error) {
+	return k.AppendBinary(make([]byte, 0, 1+len(k.s))), nil
+}
+
+// AppendBinary appends the MarshalBinary encoding of the key to b, for
+// callers that encode into a buffer they reuse.
+func (k Key) AppendBinary(b []byte) []byte {
 	switch k.k {
 	case kindLow:
-		return []byte{wireLow}, nil
+		return append(b, wireLow)
 	case kindHigh:
-		return []byte{wireHigh}, nil
+		return append(b, wireHigh)
 	default:
-		out := make([]byte, 1+len(k.s))
-		out[0] = wireNormal
-		copy(out[1:], k.s)
-		return out, nil
+		return append(append(b, wireNormal), k.s...)
 	}
 }
 
 // GobEncode implements gob.GobEncoder so keys with unexported fields can
-// travel through the gob-based RPC transport and log files.
+// travel through the gob-based RPC transport and snapshot files.
 func (k Key) GobEncode() ([]byte, error) { return k.MarshalBinary() }
 
 // GobDecode implements gob.GobDecoder.

@@ -35,15 +35,13 @@ type snapshotFile struct {
 	Entries []btree.Entry
 	// Epoch is the configuration-epoch fence at checkpoint time; log
 	// truncation would otherwise discard the KindEpoch records that
-	// made the fence durable. Old snapshots decode with zero (gob).
+	// made the fence durable.
 	Epoch uint64
 }
 
-// Snapshot container format, version 2: a 12-byte header — magic,
-// payload length, CRC32C over header and payload — then the gob
-// payload. Legacy snapshots (bare gob) remain readable: a gob stream
-// can never start with 0xF7 (that prefix byte would announce a 9-byte
-// integer), so the magic is unambiguous.
+// Snapshot container format: a 12-byte header — magic, payload length,
+// CRC32C over header and payload — then the gob payload. A file without
+// the header is corrupt, whatever it holds.
 var snapMagic = [4]byte{0xF7, 'S', 'N', '2'}
 
 const snapHeaderLen = 12
@@ -92,8 +90,7 @@ func WriteSnapshot(path, name string, lastLSN uint64, entries []btree.Entry, epo
 	return wal.SyncDir(dir)
 }
 
-// ReadSnapshot loads a snapshot file, verifying its checksum when it
-// carries one (legacy bare-gob snapshots are still accepted). A missing
+// ReadSnapshot loads a snapshot file, verifying its checksum. A missing
 // file is not an error; it returns ok = false. A file that exists but
 // is truncated or damaged returns an error wrapping ErrSnapshotCorrupt,
 // which OpenDurable downgrades to a WAL-only recovery when possible.
@@ -105,22 +102,17 @@ func ReadSnapshot(path string) (name string, lastLSN uint64, entries []btree.Ent
 		}
 		return "", 0, nil, 0, false, fmt.Errorf("rep: open snapshot %q: %w", path, err)
 	}
-	payload := data
-	if len(data) >= 4 && bytes.Equal(data[:4], snapMagic[:]) {
-		if len(data) < snapHeaderLen {
-			return "", 0, nil, 0, false, fmt.Errorf("%w: %q: truncated header (%d bytes)", ErrSnapshotCorrupt, path, len(data))
-		}
-		n := binary.BigEndian.Uint32(data[4:8])
-		if int64(n) != int64(len(data)-snapHeaderLen) {
-			return "", 0, nil, 0, false, fmt.Errorf("%w: %q: header claims %d payload bytes, file holds %d",
-				ErrSnapshotCorrupt, path, n, len(data)-snapHeaderLen)
-		}
-		crc := crc32.Update(0, snapCRC, data[:8])
-		crc = crc32.Update(crc, snapCRC, data[snapHeaderLen:])
-		if crc != binary.BigEndian.Uint32(data[8:12]) {
-			return "", 0, nil, 0, false, fmt.Errorf("%w: %q: checksum mismatch", ErrSnapshotCorrupt, path)
-		}
-		payload = data[snapHeaderLen:]
+	if len(data) < snapHeaderLen || !bytes.Equal(data[:4], snapMagic[:]) {
+		return "", 0, nil, 0, false, fmt.Errorf("%w: %q: no snapshot header in its %d bytes", ErrSnapshotCorrupt, path, len(data))
+	}
+	payload := data[snapHeaderLen:]
+	if n := binary.BigEndian.Uint32(data[4:8]); int64(n) != int64(len(payload)) {
+		return "", 0, nil, 0, false, fmt.Errorf("%w: %q: header claims %d payload bytes, file holds %d",
+			ErrSnapshotCorrupt, path, n, len(payload))
+	}
+	crc := crc32.Update(0, snapCRC, data[:8])
+	if crc32.Update(crc, snapCRC, payload) != binary.BigEndian.Uint32(data[8:12]) {
+		return "", 0, nil, 0, false, fmt.Errorf("%w: %q: checksum mismatch", ErrSnapshotCorrupt, path)
 	}
 	var snap snapshotFile
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
@@ -274,6 +266,10 @@ func WithRepOptions(opts ...Option) DurableOption {
 // OpenDurable opens (or creates) a durable representative: snapshot
 // loaded if present, write-ahead log replayed on top, log reopened for
 // appending with monotone LSNs.
+//
+// A log in a format this build no longer reads is refused with
+// wal.ErrOldFormat under every policy, the file untouched: it is not
+// damage, and salvaging it would open the representative empty.
 //
 // Storage damage is handled per the recovery policy. A torn log tail —
 // the ordinary signature of a crash mid-append — is quarantined and

@@ -288,21 +288,61 @@ func TestTornTailRecoversUnderStrict(t *testing.T) {
 	r.Commit(ctx, 10)
 }
 
-func TestLegacySnapshotStillReadable(t *testing.T) {
+// TestBareGobSnapshotIsCorrupt: a snapshot without the checksummed
+// header — what builds before the header wrote — is not read on trust.
+// It is a corrupt snapshot like any other: abandoned when the log covers
+// for it, refused when it does not.
+func TestBareGobSnapshotIsCorrupt(t *testing.T) {
 	walPath, snapPath := durablePaths(t)
-	// Write a v1 (bare gob) snapshot the way the old code did.
-	entries := New("old").Dump()
-	writeLegacySnapshot(t, snapPath, snapshotFile{Name: "old", LastLSN: 0, Entries: entries})
+	seedDurable(t, "old", walPath, "", 2)
+	var bare bytes.Buffer
+	if err := gob.NewEncoder(&bare).Encode(snapshotFile{Name: "old", Entries: New("old").Dump()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapPath, bare.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, _, err := ReadSnapshot(snapPath); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("ReadSnapshot = %v, want ErrSnapshotCorrupt", err)
+	}
 	r, d, err := OpenDurable("old", walPath, snapPath)
 	if err != nil {
-		t.Fatalf("legacy snapshot unreadable: %v", err)
+		t.Fatalf("the log covers for the snapshot: %v", err)
 	}
 	defer d.Close()
-	if !d.Recovery().SnapshotLoaded {
-		t.Error("legacy snapshot not loaded")
+	if rec := d.Recovery(); rec.SnapshotLoaded || !rec.SnapshotCorrupt {
+		t.Errorf("recovery report = %+v", rec)
 	}
-	if r.Len() != 2 {
-		t.Errorf("legacy snapshot entries lost: %d", r.Len())
+	if r.Len() != 4 {
+		t.Errorf("recovered %d entries from the log, want 4", r.Len())
+	}
+}
+
+// TestOldFormatLogRefusedUnderEveryPolicy: a log this build cannot read
+// is not damage. Salvage would quarantine all of it and rebuild would
+// archive it, and either way the representative would open empty, so
+// every policy refuses and the file stays as it was.
+func TestOldFormatLogRefusedUnderEveryPolicy(t *testing.T) {
+	old, err := os.ReadFile("../wal/testdata/v1.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []RecoveryPolicy{RecoverStrict, RecoverSalvage, RecoverRebuild} {
+		walPath, snapPath := durablePaths(t)
+		if err := os.WriteFile(walPath, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := OpenDurable("old", walPath, snapPath, WithRecovery(policy)); !errors.Is(err, wal.ErrOldFormat) {
+			t.Errorf("%s: OpenDurable = %v, want wal.ErrOldFormat", policy, err)
+		}
+		if after, err := os.ReadFile(walPath); err != nil || !bytes.Equal(after, old) {
+			t.Errorf("%s: refused log was modified (%v)", policy, err)
+		}
+		for _, moved := range []string{walPath + ".quarantine", walPath + ".corrupt"} {
+			if _, err := os.Stat(moved); !os.IsNotExist(err) {
+				t.Errorf("%s: %s exists after a refusal", policy, moved)
+			}
+		}
 	}
 }
 
@@ -320,21 +360,5 @@ func TestParseRecoveryPolicy(t *testing.T) {
 	}
 	if _, err := ParseRecoveryPolicy("yolo"); err == nil {
 		t.Error("unknown policy should error")
-	}
-}
-
-// writeLegacySnapshot writes a v1 (bare gob, no checksum) snapshot the
-// way the pre-upgrade code did.
-func writeLegacySnapshot(t *testing.T, path string, snap snapshotFile) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(f).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

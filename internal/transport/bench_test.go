@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 	"testing"
+	"time"
 
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
@@ -169,9 +169,9 @@ func (d nopDir) Insert(context.Context, lock.TxnID, keyspace.Key, version.V, str
 func (d nopDir) Coalesce(context.Context, lock.TxnID, keyspace.Key, keyspace.Key, version.V) (rep.CoalesceResult, error) {
 	return rep.CoalesceResult{}, nil
 }
-func (d nopDir) Prepare(context.Context, lock.TxnID) error              { return nil }
-func (d nopDir) Commit(context.Context, lock.TxnID) error               { return nil }
-func (d nopDir) Abort(context.Context, lock.TxnID) error                { return nil }
+func (d nopDir) Prepare(context.Context, lock.TxnID) error                 { return nil }
+func (d nopDir) Commit(context.Context, lock.TxnID) error                  { return nil }
+func (d nopDir) Abort(context.Context, lock.TxnID) error                   { return nil }
 func (d nopDir) Status(context.Context, lock.TxnID) (rep.TxnStatus, error) { return 0, nil }
 
 // benchQuorumRound is the codec comparison harness: one round = a

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -17,29 +17,19 @@ import (
 
 // Frame buffer tuning. Coalesced frames are flushed once they pass
 // batchFlushBytes; a single message may exceed it (up to maxFrameLen)
-// and then travels in a frame of its own. Buffers above poolMaxCap are
-// left to the garbage collector instead of being pooled, so one huge
+// and then travels in a frame of its own. A connection's buffers start
+// at frameBufCap and grow with its traffic; one that grew past
+// frameBufKeep is left to the garbage collector after use, so one huge
 // value cannot pin a huge buffer forever.
 const (
 	batchFlushBytes = 256 << 10
-	poolMaxCap      = 1 << 20
+	frameBufCap     = 4096
+	frameBufKeep    = 1 << 20
+	// frameHdrMax is the room a frameWriter keeps free in front of its
+	// messages for the frame's length prefix: maxFrameLen fits a uvarint
+	// of four bytes.
+	frameHdrMax = binary.MaxVarintLen32
 )
-
-// framePool recycles frame buffers across connections: writers build
-// outgoing frames in them, readers land incoming frames in them.
-var framePool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 4096); return &b },
-}
-
-func getFrameBuf() []byte { return (*framePool.Get().(*[]byte))[:0] }
-
-func putFrameBuf(b []byte) {
-	if cap(b) > poolMaxCap {
-		return
-	}
-	b = b[:0]
-	framePool.Put(&b)
-}
 
 // WireStats counts the transport's frame traffic in both directions:
 // frames, bytes, and messages, plus histograms of bytes per frame and
@@ -47,22 +37,13 @@ func putFrameBuf(b []byte) {
 // connections of a Client or Server, so the numbers describe the
 // endpoint, not one socket. All methods are safe for concurrent use and
 // nil-receiver safe.
-type WireStats struct {
-	framesSent atomic64
-	framesRecv atomic64
-	bytesSent  atomic64
-	bytesRecv  atomic64
-	msgsSent   atomic64
-	msgsRecv   atomic64
+type WireStats struct{ tx, rx wireDir }
 
-	frameBytesTx obs.SizeHistogram
-	frameBytesRx obs.SizeHistogram
-	batchTx      obs.SizeHistogram
-	batchRx      obs.SizeHistogram
+// wireDir is one direction's live counters.
+type wireDir struct {
+	frames, bytes, msgs atomic.Uint64
+	frameBytes, batch   obs.SizeHistogram
 }
-
-// atomic64 is a tiny alias to keep the struct declaration readable.
-type atomic64 = atomic.Uint64
 
 // WireSnapshot is a point-in-time copy of one direction's counters.
 type WireSnapshot struct {
@@ -73,18 +54,30 @@ type WireSnapshot struct {
 	Batch      obs.SizeSnapshot
 }
 
+func (d *wireDir) note(frameBytes, msgs int) {
+	d.frames.Add(1)
+	d.bytes.Add(uint64(frameBytes))
+	d.msgs.Add(uint64(msgs))
+	d.frameBytes.Observe(uint64(frameBytes))
+	d.batch.Observe(uint64(msgs))
+}
+
+func (d *wireDir) snapshot() WireSnapshot {
+	return WireSnapshot{
+		Frames:     d.frames.Load(),
+		Bytes:      d.bytes.Load(),
+		Msgs:       d.msgs.Load(),
+		FrameBytes: d.frameBytes.Snapshot(),
+		Batch:      d.batch.Snapshot(),
+	}
+}
+
 // Sent returns the send-direction snapshot.
 func (s *WireStats) Sent() WireSnapshot {
 	if s == nil {
 		return WireSnapshot{}
 	}
-	return WireSnapshot{
-		Frames:     s.framesSent.Load(),
-		Bytes:      s.bytesSent.Load(),
-		Msgs:       s.msgsSent.Load(),
-		FrameBytes: s.frameBytesTx.Snapshot(),
-		Batch:      s.batchTx.Snapshot(),
-	}
+	return s.tx.snapshot()
 }
 
 // Recv returns the receive-direction snapshot.
@@ -92,53 +85,26 @@ func (s *WireStats) Recv() WireSnapshot {
 	if s == nil {
 		return WireSnapshot{}
 	}
-	return WireSnapshot{
-		Frames:     s.framesRecv.Load(),
-		Bytes:      s.bytesRecv.Load(),
-		Msgs:       s.msgsRecv.Load(),
-		FrameBytes: s.frameBytesRx.Snapshot(),
-		Batch:      s.batchRx.Snapshot(),
-	}
+	return s.rx.snapshot()
 }
 
 func (s *WireStats) noteSent(frameBytes, msgs int) {
-	if s == nil {
-		return
+	if s != nil {
+		s.tx.note(frameBytes, msgs)
 	}
-	s.framesSent.Add(1)
-	s.bytesSent.Add(uint64(frameBytes))
-	s.msgsSent.Add(uint64(msgs))
-	s.frameBytesTx.Observe(uint64(frameBytes))
-	s.batchTx.Observe(uint64(msgs))
 }
 
 func (s *WireStats) noteRecv(frameBytes, msgs int) {
-	if s == nil {
-		return
+	if s != nil {
+		s.rx.note(frameBytes, msgs)
 	}
-	s.framesRecv.Add(1)
-	s.bytesRecv.Add(uint64(frameBytes))
-	s.msgsRecv.Add(uint64(msgs))
-	s.frameBytesRx.Observe(uint64(frameBytes))
-	s.batchRx.Observe(uint64(msgs))
-}
-
-// Register exposes the wire counters and histograms on reg under
-// repdir_wire_* names, labeled by endpoint (e.g. "server", "client")
-// and direction.
-func (s *WireStats) Register(reg *obs.Registry, endpoint string) {
-	if s == nil {
-		return
-	}
-	RegisterWireStats(reg, map[string]*WireStats{endpoint: s})
 }
 
 // RegisterWireStats exposes several endpoints' wire counters and
-// histograms under one set of repdir_wire_* families, one endpoint
-// label value each. A registry panics on duplicate family names, so a
-// process with multiple transports (say, one server per shard member it
-// hosts) must register them together rather than calling Register once
-// per transport.
+// histograms on reg under one set of repdir_wire_* families, labeled by
+// endpoint (e.g. "server", "client") and direction. A registry panics on
+// duplicate family names, so a process with multiple transports (say,
+// one server per shard member it hosts) registers them together.
 func RegisterWireStats(reg *obs.Registry, stats map[string]*WireStats) {
 	endpoints := make([]string, 0, len(stats))
 	for ep, s := range stats {
@@ -147,66 +113,54 @@ func RegisterWireStats(reg *obs.Registry, stats map[string]*WireStats) {
 		}
 	}
 	sort.Strings(endpoints)
-	reg.CounterVec("repdir_wire_frames_total",
-		"Wire frames carried by the binary transport codec.",
-		[]string{"endpoint", "dir"}, func() []obs.Sample {
-			var out []obs.Sample
-			for _, ep := range endpoints {
-				s := stats[ep]
-				out = append(out,
-					obs.Sample{Labels: []string{ep, "tx"}, Value: float64(s.framesSent.Load())},
-					obs.Sample{Labels: []string{ep, "rx"}, Value: float64(s.framesRecv.Load())})
-			}
+	labels := []string{"endpoint", "dir"}
+	each := func(visit func(labels []string, d *wireDir)) {
+		for _, ep := range endpoints {
+			visit([]string{ep, "tx"}, &stats[ep].tx)
+			visit([]string{ep, "rx"}, &stats[ep].rx)
+		}
+	}
+	counter := func(name, help string, read func(*wireDir) *atomic.Uint64) {
+		reg.CounterVec(name, help, labels, func() (out []obs.Sample) {
+			each(func(l []string, d *wireDir) {
+				out = append(out, obs.Sample{Labels: l, Value: float64(read(d).Load())})
+			})
 			return out
 		})
-	reg.CounterVec("repdir_wire_bytes_total",
-		"Wire frame payload bytes carried by the binary transport codec.",
-		[]string{"endpoint", "dir"}, func() []obs.Sample {
-			var out []obs.Sample
-			for _, ep := range endpoints {
-				s := stats[ep]
-				out = append(out,
-					obs.Sample{Labels: []string{ep, "tx"}, Value: float64(s.bytesSent.Load())},
-					obs.Sample{Labels: []string{ep, "rx"}, Value: float64(s.bytesRecv.Load())})
-			}
+	}
+	sizes := func(name, help string, read func(*wireDir) *obs.SizeHistogram) {
+		reg.SizeHistogramVec(name, help, labels, func() (out []obs.SizeSample) {
+			each(func(l []string, d *wireDir) {
+				out = append(out, obs.SizeSample{Labels: l, Snap: read(d).Snapshot()})
+			})
 			return out
 		})
-	reg.CounterVec("repdir_wire_messages_total",
-		"Request/response messages carried by the binary transport codec.",
-		[]string{"endpoint", "dir"}, func() []obs.Sample {
-			var out []obs.Sample
-			for _, ep := range endpoints {
-				s := stats[ep]
-				out = append(out,
-					obs.Sample{Labels: []string{ep, "tx"}, Value: float64(s.msgsSent.Load())},
-					obs.Sample{Labels: []string{ep, "rx"}, Value: float64(s.msgsRecv.Load())})
-			}
-			return out
-		})
-	reg.SizeHistogramVec("repdir_wire_frame_bytes",
-		"Distribution of frame payload sizes in bytes.",
-		[]string{"endpoint", "dir"}, func() []obs.SizeSample {
-			var out []obs.SizeSample
-			for _, ep := range endpoints {
-				s := stats[ep]
-				out = append(out,
-					obs.SizeSample{Labels: []string{ep, "tx"}, Snap: s.frameBytesTx.Snapshot()},
-					obs.SizeSample{Labels: []string{ep, "rx"}, Snap: s.frameBytesRx.Snapshot()})
-			}
-			return out
-		})
-	reg.SizeHistogramVec("repdir_wire_batch_size",
-		"Distribution of messages coalesced per frame.",
-		[]string{"endpoint", "dir"}, func() []obs.SizeSample {
-			var out []obs.SizeSample
-			for _, ep := range endpoints {
-				s := stats[ep]
-				out = append(out,
-					obs.SizeSample{Labels: []string{ep, "tx"}, Snap: s.batchTx.Snapshot()},
-					obs.SizeSample{Labels: []string{ep, "rx"}, Snap: s.batchRx.Snapshot()})
-			}
-			return out
-		})
+	}
+	counter("repdir_wire_frames_total", "Wire frames carried by the binary transport codec.",
+		func(d *wireDir) *atomic.Uint64 { return &d.frames })
+	counter("repdir_wire_bytes_total", "Wire frame payload bytes carried by the binary transport codec.",
+		func(d *wireDir) *atomic.Uint64 { return &d.bytes })
+	counter("repdir_wire_messages_total", "Request/response messages carried by the binary transport codec.",
+		func(d *wireDir) *atomic.Uint64 { return &d.msgs })
+	sizes("repdir_wire_frame_bytes", "Distribution of frame payload sizes in bytes.",
+		func(d *wireDir) *obs.SizeHistogram { return &d.frameBytes })
+	sizes("repdir_wire_batch_size", "Distribution of messages coalesced per frame.",
+		func(d *wireDir) *obs.SizeHistogram { return &d.batch })
+}
+
+// outMsg is one message for a frameWriter to encode: a request, in the
+// layout of codec version ver, or a response.
+type outMsg struct {
+	req  *request
+	ver  byte
+	resp *response
+}
+
+func (m outMsg) appendTo(b []byte) []byte {
+	if m.req != nil {
+		return appendRequest(b, m.req, m.ver)
+	}
+	return appendResponse(b, m.resp)
 }
 
 // frameWriter coalesces encoded messages into length-prefixed frames
@@ -218,6 +172,14 @@ func RegisterWireStats(reg *obs.Registry, stats map[string]*WireStats) {
 // rounds, frames batch up automatically. An optional window makes the
 // flusher linger after the first message of a batch, trading a bounded
 // latency bump for bigger frames.
+//
+// The writer owns two buffers and never copies between them. Enqueuers
+// encode into pending under mu; the flusher swaps pending for the spare
+// under mu and writes what it took with mu released, so at any moment a
+// buffer is either being filled or being written, never both, and the
+// steady state allocates nothing. Each buffer keeps frameHdrMax bytes
+// free in front of its messages: the length prefix is written there,
+// right before the body, and a frame is one Write.
 //
 // A failed write permanently breaks the writer: the error is recorded,
 // onErr runs once (tearing down the connection and failing in-flight
@@ -234,40 +196,45 @@ type frameWriter struct {
 	onErr    func(error)
 
 	mu       sync.Mutex
-	pending  []byte // encoded messages awaiting flush
+	pending  []byte // frameHdrMax free bytes, then encoded messages awaiting flush
 	ends     []int  // message end offsets within pending
 	flushing bool
 	err      error
+
+	// The other buffer and its offsets. Only the flusher touches them,
+	// and the role changes hands under mu.
+	spare     []byte
+	spareEnds []int
 }
 
 func newFrameWriter(w io.Writer, window time.Duration, maxBatch int, stats *WireStats, onErr func(error)) *frameWriter {
-	return &frameWriter{w: w, window: window, maxBatch: maxBatch, stats: stats, onErr: onErr}
+	return &frameWriter{w: w, window: window, maxBatch: maxBatch, stats: stats, onErr: onErr,
+		pending: newFrameBuf(), spare: newFrameBuf()}
 }
 
-// enqueue appends one message (encoded by fn, which must append
-// exactly one complete message) and flushes per the group-commit
-// policy. It returns once the message is durably handed to the kernel
-// or queued behind an active flusher that will carry it.
-func (fw *frameWriter) enqueue(fn func([]byte) []byte) error {
+func newFrameBuf() []byte { return make([]byte, frameHdrMax, frameBufCap) }
+
+// enqueue encodes one message behind those already pending and flushes
+// per the group-commit policy. It returns once the message is handed to
+// the kernel or queued behind an active flusher that will carry it.
+func (fw *frameWriter) enqueue(m outMsg) error {
 	fw.mu.Lock()
 	if fw.err != nil {
 		err := fw.err
 		fw.mu.Unlock()
 		return err
 	}
-	if fw.pending == nil {
-		fw.pending = getFrameBuf()
-	}
-	fw.pending = fn(fw.pending)
-	fw.ends = append(fw.ends, len(fw.pending))
-	if len(fw.ends) == 1 && len(fw.pending) > maxFrameLen {
-		// A single message over the frame bound would poison the stream
-		// at the receiver; fail just this call.
-		fw.pending = fw.pending[:0]
-		fw.ends = fw.ends[:0]
+	start := len(fw.pending)
+	fw.pending = m.appendTo(fw.pending)
+	if len(fw.pending)-start > maxFrameLen {
+		// A message over the frame bound would poison the stream at the
+		// receiver; fail just this call, wherever in the batch it sits,
+		// and do not keep the buffer it grew.
+		fw.pending = append(newFrameBuf()[:0], fw.pending[:start]...)
 		fw.mu.Unlock()
 		return fmt.Errorf("%w: message exceeds %d-byte frame bound", errWire, maxFrameLen)
 	}
+	fw.ends = append(fw.ends, len(fw.pending))
 	if fw.flushing {
 		// The active flusher will pick this message up; its write
 		// outcome reaches this caller through the connection teardown
@@ -293,61 +260,56 @@ func (fw *frameWriter) enqueue(fn func([]byte) []byte) error {
 // flushLoop drains pending as the current flush leader. It returns the
 // first write error (also recorded for later enqueuers).
 func (fw *frameWriter) flushLoop() error {
-	var hdr [binary.MaxVarintLen64]byte
 	for {
 		fw.mu.Lock()
-		if fw.err != nil {
+		if fw.err != nil || len(fw.ends) == 0 {
 			err := fw.err
 			fw.flushing = false
 			fw.mu.Unlock()
 			return err
 		}
-		if len(fw.ends) == 0 {
-			fw.flushing = false
-			if fw.pending != nil {
-				putFrameBuf(fw.pending)
-				fw.pending = nil
-			}
-			fw.mu.Unlock()
-			return nil
-		}
-		// Take a prefix of whole messages bounded by batchFlushBytes
-		// and maxBatch; an oversized first message goes alone.
-		take := len(fw.ends)
-		if fw.maxBatch > 0 && take > fw.maxBatch {
-			take = fw.maxBatch
-		}
-		for take > 1 && fw.ends[take-1] > batchFlushBytes {
-			take--
-		}
-		cut := fw.ends[take-1]
-		body := fw.pending[:cut]
-		rest := fw.pending[cut:]
-		var carry []byte
-		if len(rest) > 0 {
-			carry = getFrameBuf()
-			carry = append(carry, rest...)
-		}
-		restEnds := fw.ends[take:]
-		for i := range restEnds {
-			restEnds[i] -= cut
-		}
-		ends := append([]int(nil), restEnds...)
-		fw.pending, fw.ends = carry, ends
+		buf, ends := fw.pending, fw.ends
+		fw.pending, fw.ends = fw.spare[:frameHdrMax], fw.spareEnds[:0]
 		fw.mu.Unlock()
 
-		n := binary.PutUvarint(hdr[:], uint64(len(body)))
-		bufs := net.Buffers{hdr[:n], body}
-		_, err := bufs.WriteTo(fw.w)
-		if err == nil {
-			fw.stats.noteSent(cut, take)
+		err := fw.writeFrames(buf, ends)
+		if cap(buf) > frameBufKeep {
+			buf = newFrameBuf()
 		}
-		putFrameBuf(body[:0])
+		fw.spare, fw.spareEnds = buf, ends
 		if err != nil {
 			fw.fail(fmt.Errorf("transport: frame write: %w", err))
 			return err
 		}
 	}
+}
+
+// writeFrames sends the messages of buf, which end at ends, as frames of
+// whole messages bounded by batchFlushBytes and maxBatch; a message over
+// batchFlushBytes goes alone. The caller owns buf: each frame's length
+// prefix is written right before its body, over the free bytes at the
+// front or over messages already sent.
+func (fw *frameWriter) writeFrames(buf []byte, ends []int) error {
+	start := frameHdrMax
+	for len(ends) > 0 {
+		take := len(ends)
+		if fw.maxBatch > 0 && take > fw.maxBatch {
+			take = fw.maxBatch
+		}
+		for take > 1 && ends[take-1]-start > batchFlushBytes {
+			take--
+		}
+		end := ends[take-1]
+		body := uint64(end - start)
+		hdr := start - (bits.Len64(body|1)+6)/7
+		binary.PutUvarint(buf[hdr:start], body)
+		if _, err := fw.w.Write(buf[hdr:end]); err != nil {
+			return err
+		}
+		fw.stats.noteSent(end-start, take)
+		start, ends = end, ends[take:]
+	}
+	return nil
 }
 
 // fail records the first write error and runs the teardown hook once.
@@ -368,11 +330,12 @@ func (fw *frameWriter) fail(err error) {
 	}
 }
 
-// readFrame reads one length-prefixed frame into a pooled buffer. The
-// caller owns the returned buffer and must putFrameBuf it when every
-// message decoded from it has been copied out; it also records receive
-// stats once it knows the message count.
-func readFrame(br *bufio.Reader) ([]byte, error) {
+// readFrame reads one length-prefixed frame into buf, growing it when
+// the frame is larger, and returns the frame. A connection has one
+// reader, which passes the same buffer back in for every frame: each
+// message is copied out of it as it is decoded, so nothing outlives the
+// next read.
+func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
@@ -380,15 +343,11 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	if n == 0 || n > maxFrameLen {
 		return nil, fmt.Errorf("%w: frame length %d out of range", errWire, n)
 	}
-	buf := getFrameBuf()
-	if cap(buf) < int(n) {
-		putFrameBuf(buf)
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
+	if uint64(cap(buf)) < n || cap(buf) > frameBufKeep {
+		buf = make([]byte, max(n, frameBufCap))
 	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(br, buf); err != nil {
-		putFrameBuf(buf)
 		return nil, err
 	}
 	return buf, nil

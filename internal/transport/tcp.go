@@ -234,12 +234,6 @@ type Server struct {
 	gobOnly bool
 	// stats aggregates binary-codec frame traffic across connections.
 	stats WireStats
-
-	// Shared per-op deadline context, refreshed coarsely (see opCtx).
-	ctxMu     sync.Mutex
-	opCtxVal  context.Context
-	opCtxStop context.CancelFunc
-	opCtxBorn time.Time
 }
 
 // Serve starts a server for dir on addr (e.g. "127.0.0.1:0"). Close must
@@ -294,12 +288,6 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	err := s.ln.Close()
 	s.wg.Wait()
-	s.ctxMu.Lock()
-	if s.opCtxStop != nil {
-		s.opCtxStop()
-		s.opCtxVal, s.opCtxStop = nil, nil
-	}
-	s.ctxMu.Unlock()
 	return err
 }
 
@@ -367,33 +355,13 @@ func (s *Server) serveConnBinary(conn net.Conn, br *bufio.Reader) {
 	// the connection so the client's in-flight calls fail fast instead
 	// of waiting out their timeouts.
 	fw := newFrameWriter(conn, 0, 0, &s.stats, func(error) { conn.Close() })
-	// Long-lived worker pool: a channel handoff costs a fraction of a
-	// goroutine spawn, and the pool size is the same per-connection
-	// concurrency bound the sem used to enforce — when every worker is
-	// busy (and the dispatch queue, if buffered, is full) the decode
-	// loop blocks, applying backpressure to the client.
-	work := make(chan request, s.queueDepth)
-	var handlers sync.WaitGroup
-	// Outstanding handlers may still be mid-operation when the decode
-	// loop exits; wait for them before tearing the connection down so
-	// their (failing) writes never race the close.
-	defer handlers.Wait()
-	defer close(work)
-	reply := func(resp response) {
-		_ = fw.enqueue(func(b []byte) []byte { return appendResponse(b, &resp) })
-	}
-	for i := 0; i < s.perConn; i++ {
-		handlers.Add(1)
-		go func() {
-			defer handlers.Done()
-			for req := range work {
-				reply(s.dispatch(&req))
-			}
-		}()
-	}
+	reply := func(resp *response) { _ = fw.enqueue(outMsg{resp: resp}) }
+	work, stop := s.startWorkers(reply)
+	defer stop()
+	var buf []byte
 	for {
-		buf, err := readFrame(br)
-		if err != nil {
+		var err error
+		if buf, err = readFrame(br, buf); err != nil {
 			return
 		}
 		r := wireReader{buf: buf}
@@ -401,15 +369,37 @@ func (s *Server) serveConnBinary(conn net.Conn, br *bufio.Reader) {
 		for r.remaining() > 0 {
 			var req request
 			if err := r.readRequest(&req, ver); err != nil {
-				putFrameBuf(buf)
 				return
 			}
 			msgs++
 			s.offer(req, work, reply)
 		}
 		s.stats.noteRecv(len(buf), msgs)
-		putFrameBuf(buf)
 	}
+}
+
+// startWorkers starts a connection's worker pool and returns its queue:
+// a channel handoff costs a fraction of a goroutine spawn, and when
+// every worker is busy (and the queue, if buffered, is full) the decode
+// loop blocks, applying backpressure to the client. A worker fills the
+// same response for every request, so reply must be done with it on
+// return. stop closes the queue and waits out handlers mid-operation, so
+// their (failing) writes never race the connection's close.
+func (s *Server) startWorkers(reply func(*response)) (work chan request, stop func()) {
+	work = make(chan request, s.queueDepth)
+	var handlers sync.WaitGroup
+	for i := 0; i < s.perConn; i++ {
+		handlers.Add(1)
+		go func() {
+			defer handlers.Done()
+			var resp response
+			for req := range work {
+				s.dispatch(&req, &resp)
+				reply(&resp)
+			}
+		}()
+	}
+	return work, func() { close(work); handlers.Wait() }
 }
 
 // serveConnGob is the legacy per-message gob loop.
@@ -417,11 +407,7 @@ func (s *Server) serveConnGob(conn net.Conn, br *bufio.Reader) {
 	dec := gob.NewDecoder(br)
 	enc := gob.NewEncoder(conn)
 	var wmu sync.Mutex
-	work := make(chan request, s.queueDepth)
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
-	defer close(work)
-	reply := func(resp response) {
+	reply := func(resp *response) {
 		wmu.Lock()
 		err := enc.Encode(resp)
 		wmu.Unlock()
@@ -433,15 +419,8 @@ func (s *Server) serveConnGob(conn net.Conn, br *bufio.Reader) {
 			conn.Close()
 		}
 	}
-	for i := 0; i < s.perConn; i++ {
-		handlers.Add(1)
-		go func() {
-			defer handlers.Done()
-			for req := range work {
-				reply(s.dispatch(&req))
-			}
-		}()
-	}
+	work, stop := s.startWorkers(reply)
+	defer stop()
 	for {
 		var req request
 		if err := dec.Decode(&req); err != nil {
@@ -468,23 +447,22 @@ func (s *Server) serveConnGob(conn net.Conn, br *bufio.Reader) {
 // when the offered load does. Two-phase-commit resolution is never
 // shed: it blocks on the queue like the legacy path, so lock-holding
 // transactions always drain.
-func (s *Server) offer(req request, work chan<- request, reply func(response)) {
+func (s *Server) offer(req request, work chan<- request, reply func(*response)) {
 	req.arrived = time.Now()
 	if req.Deadline > 0 {
 		req.expires = req.arrived.Add(time.Duration(req.Deadline) * time.Microsecond)
 	}
 	if sheddable(req.Op) && s.admit.enabled {
-		if s.admit.shouldShed() && s.admit.overBacklog(len(work), s.perConn) {
-			s.admit.shed.Add(1)
-			reply(errorResponse(&req, ErrOverloaded))
-			return
+		if !s.admit.shouldShed() || !s.admit.overBacklog(len(work), s.perConn) {
+			select {
+			case work <- req:
+				return
+			default:
+			}
 		}
-		select {
-		case work <- req:
-		default:
-			s.admit.shed.Add(1)
-			reply(errorResponse(&req, ErrOverloaded))
-		}
+		s.admit.shed.Add(1)
+		resp := errorResponse(&req, ErrOverloaded)
+		reply(&resp)
 		return
 	}
 	work <- req
@@ -494,20 +472,20 @@ func (s *Server) offer(req request, work chan<- request, reply func(response)) {
 // queue sojourn, refuse work whose propagated deadline has already
 // passed (or provably cannot be met given typical service time), and
 // otherwise run the handler, feeding its service time back into the
-// controller's estimate.
-func (s *Server) dispatch(req *request) response {
+// controller's estimate. The reply is left in *resp.
+func (s *Server) dispatch(req *request, resp *response) {
 	s.admit.pickup(req.arrived)
 	if sheddable(req.Op) && !req.expires.IsZero() {
 		if time.Now().After(req.expires) || s.admit.wontFinish(req.expires) {
 			s.admit.expired.Add(1)
-			return errorResponse(req, ErrExpired)
+			*resp = errorResponse(req, ErrExpired)
+			return
 		}
 	}
 	start := time.Now()
-	resp := s.handle(req)
+	s.handle(req, resp)
 	s.admit.observeService(time.Since(start))
 	s.admit.admitted.Add(1)
-	return resp
 }
 
 // errorResponse builds the reply for a request refused before its
@@ -518,67 +496,114 @@ func errorResponse(req *request, err error) response {
 	return resp
 }
 
-// opCtx returns a context carrying the call-timeout deadline. One
-// timer context is shared by every request arriving within a refresh
-// interval (callTimeout/8, capped at 1s), so the steady-state cost per
-// request is a mutex and a clock read instead of a timer create/stop
-// pair — which profiles as ~10% of a saturated server's CPU. The
-// tradeoff: a request may observe a deadline up to one interval shorter
-// than callTimeout. Superseded contexts are not cancelled (requests may
-// still hold them); their timers lapse at their own deadlines.
-func (s *Server) opCtx() context.Context {
-	refresh := s.callTimeout / 8
-	if refresh > time.Second {
-		refresh = time.Second
-	}
-	now := time.Now()
-	s.ctxMu.Lock()
-	if s.opCtxVal == nil || now.Sub(s.opCtxBorn) > refresh {
-		s.opCtxVal, s.opCtxStop = context.WithTimeout(context.Background(), s.callTimeout)
-		s.opCtxBorn = now
-	}
-	ctx := s.opCtxVal
-	s.ctxMu.Unlock()
-	return ctx
+// callCtx is the context a request's handler runs under, one object a
+// request. It answers for the request's deadline, for the caller's
+// configuration epoch (zero from a v1 or gob peer, which the rep fences
+// as a legacy unversioned caller) and for the call mark its op tag
+// carries. A handler that never blocks never calls Done, and for it the
+// context costs no channel and no timer: the first Done makes both. Err
+// goes by the clock, so a handler that only polls still sees its
+// deadline pass.
+type callCtx struct {
+	deadline time.Time
+	epoch    uint64
+	op       op
+
+	mu    sync.Mutex
+	done  chan struct{} // made by the first Done
+	timer *time.Timer   // armed by the first Done, if the call is still live
+	err   error         // set once: the deadline passed or the handler returned
 }
 
-func (s *Server) handle(req *request) response {
-	var ctx context.Context
-	if !req.expires.IsZero() {
-		// The request carries its client's own deadline: honor it
-		// per-request instead of the shared coarse context, capped by the
-		// server's call timeout so a client claiming an hour of budget
-		// cannot pin a worker that long. This is what keeps one
-		// short-deadline call from cancelling a long-deadline sibling on
-		// the same connection.
-		limit := req.expires
-		if hard := req.arrived.Add(s.callTimeout); hard.Before(limit) {
-			limit = hard
+// The representative reads the epoch and the marks by context keys of
+// unexported types, which Value must recognize and cannot name. Each
+// accessor hands its key to the context it is asked about.
+var (
+	epochKey   = ctxKeyOf(func(ctx context.Context) { rep.EpochFromContext(ctx) })
+	oneShotKey = ctxKeyOf(func(ctx context.Context) { rep.OneShot(ctx) })
+	prepareKey = ctxKeyOf(func(ctx context.Context) { rep.PrepareRides(ctx) })
+	aroundKey  = ctxKeyOf(func(ctx context.Context) { rep.Around(ctx) })
+)
+
+type keyProbe struct {
+	context.Context
+	key any
+}
+
+func (p *keyProbe) Value(key any) any { p.key = key; return nil }
+
+func ctxKeyOf(ask func(context.Context)) any {
+	p := &keyProbe{Context: context.Background()}
+	ask(p)
+	return p.key
+}
+
+func (c *callCtx) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func (c *callCtx) Value(key any) any {
+	switch {
+	case key == epochKey && c.epoch != 0:
+		return c.epoch
+	case key == oneShotKey && c.op == opLookupOnce,
+		key == prepareKey && (c.op == opInsertPrepare || c.op == opCoalescePrepare),
+		key == aroundKey && c.op == opSuccessorBatchAround:
+		return true
+	}
+	return nil
+}
+
+func (c *callCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done == nil {
+		c.done = make(chan struct{})
+		if c.err != nil {
+			close(c.done)
+		} else {
+			c.timer = time.AfterFunc(time.Until(c.deadline), func() { c.settle(context.DeadlineExceeded) })
 		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(context.Background(), limit)
-		defer cancel()
-	} else {
-		// No propagated deadline (legacy peer, or client context without
-		// one): the shared coarse call-timeout context.
-		ctx = s.opCtx()
 	}
-	// Restore the caller's configuration epoch so the representative can
-	// fence stale-epoch operations (a v1 or gob peer sends no epoch,
-	// which the rep treats as a legacy unversioned caller).
-	if req.Epoch != 0 {
-		ctx = rep.WithEpoch(ctx, req.Epoch)
+	return c.done
+}
+
+func (c *callCtx) Err() error { return c.settle(nil) }
+
+// settle ends the context with err — or, given nil, with
+// DeadlineExceeded once the deadline has passed — unless it has ended
+// already, and returns what it ended with: nil while it is live.
+func (c *callCtx) settle(err error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err == nil && !time.Now().Before(c.deadline) {
+		err = context.DeadlineExceeded
 	}
-	switch req.Op {
-	case opLookupOnce:
-		ctx = rep.MarkOneShot(ctx)
-	case opInsertPrepare, opCoalescePrepare:
-		ctx = rep.MarkPrepare(ctx)
-	case opSuccessorBatchAround:
-		ctx = rep.MarkAround(ctx)
+	if c.err == nil && err != nil {
+		c.err = err
+		if c.done != nil {
+			close(c.done)
+		}
+		if c.timer != nil {
+			c.timer.Stop()
+		}
 	}
+	return c.err
+}
+
+// handle runs one request against the representative and leaves the
+// reply in *resp. The handler's deadline is the client's own when the
+// request carries one — which is what keeps one short-deadline call from
+// cancelling a long-deadline sibling on the same connection — capped by
+// the server's call timeout, so a client claiming an hour of budget
+// cannot pin a worker that long.
+func (s *Server) handle(req *request, resp *response) {
+	limit := req.arrived.Add(s.callTimeout)
+	if !req.expires.IsZero() && req.expires.Before(limit) {
+		limit = req.expires
+	}
+	ctx := &callCtx{deadline: limit, epoch: req.Epoch, op: req.Op}
+	defer ctx.settle(context.Canceled)
+	*resp = response{ID: req.ID, Op: req.Op}
 	txn := lock.TxnID(req.Txn)
-	var resp response
 	var err error
 	switch req.Op.unmarked() {
 	case opLookup:
@@ -616,10 +641,7 @@ func (s *Server) handle(req *request) response {
 	default:
 		err = fmt.Errorf("transport: unknown op %d", req.Op)
 	}
-	resp.ID = req.ID
-	resp.Op = req.Op
 	resp.Code, resp.Msg = encodeError(err)
-	return resp
 }
 
 // Redial backoff bounds: the first redial after a failed dial waits on
@@ -634,18 +656,29 @@ const (
 	redialMax  = time.Second
 )
 
-// callResult is what a waiting caller receives from the demux loop.
-type callResult struct {
-	resp response
-	err  error
+// pendingCall is everything one exchange needs on the client, in one
+// pooled object: the request as sent, the slot the demux loop fills with
+// the reply or the connection's failure, and the channel that says it
+// did. Only the goroutine that received from ready puts a pendingCall
+// back in the pool: a call abandoned or failed at send may still be
+// known to the demux loop or to fail, which would write into whatever
+// call reused it, so those go to the garbage collector instead.
+type pendingCall struct {
+	req   request
+	resp  response
+	err   error
+	ready chan struct{}
+}
+
+var pendingCallPool = sync.Pool{
+	New: func() any { return &pendingCall{ready: make(chan struct{}, 1)} },
 }
 
 // clientConn is one live multiplexed connection speaking one protocol:
 // binary (requests group-commit through a frameWriter) or gob (a shared
 // encoder guarded by a write mutex). Either way, an in-flight table maps
-// request IDs to the channels of the callers awaiting their responses,
-// and a single reader goroutine (readLoop) demultiplexes responses by
-// ID.
+// request IDs to the calls awaiting their responses, and a single reader
+// goroutine (readLoop) demultiplexes responses by ID.
 type clientConn struct {
 	conn  net.Conn
 	proto string
@@ -661,7 +694,7 @@ type clientConn struct {
 	stats *WireStats
 
 	imu      sync.Mutex
-	inflight map[uint64]chan callResult
+	inflight map[uint64]*pendingCall
 	broken   bool
 }
 
@@ -671,7 +704,7 @@ func newClientConn(conn net.Conn, proto string, ver byte, addr string, window ti
 		proto:    proto,
 		ver:      ver,
 		stats:    stats,
-		inflight: make(map[uint64]chan callResult),
+		inflight: make(map[uint64]*pendingCall),
 	}
 	if proto == ProtoBinary {
 		cc.fw = newFrameWriter(conn, window, maxBatch, stats, func(err error) {
@@ -689,7 +722,7 @@ func newClientConn(conn net.Conn, proto string, ver byte, addr string, window ti
 // shared stream either way).
 func (cc *clientConn) send(req *request) error {
 	if cc.fw != nil {
-		return cc.fw.enqueue(func(b []byte) []byte { return appendRequest(b, req, cc.ver) })
+		return cc.fw.enqueue(outMsg{req: req, ver: cc.ver})
 	}
 	cc.wmu.Lock()
 	err := cc.enc.Encode(req)
@@ -697,14 +730,15 @@ func (cc *clientConn) send(req *request) error {
 	return err
 }
 
-// register claims an ID slot; it fails if the connection already broke.
-func (cc *clientConn) register(id uint64, ch chan callResult) bool {
+// register claims the call's ID slot; it fails if the connection
+// already broke.
+func (cc *clientConn) register(pc *pendingCall) bool {
 	cc.imu.Lock()
 	defer cc.imu.Unlock()
 	if cc.broken {
 		return false
 	}
-	cc.inflight[id] = ch
+	cc.inflight[pc.req.ID] = pc
 	return true
 }
 
@@ -717,13 +751,14 @@ func (cc *clientConn) unregister(id uint64) {
 }
 
 // complete routes one response to its waiting caller.
-func (cc *clientConn) complete(resp response) {
+func (cc *clientConn) complete(resp *response) {
 	cc.imu.Lock()
-	ch := cc.inflight[resp.ID]
+	pc := cc.inflight[resp.ID]
 	delete(cc.inflight, resp.ID)
 	cc.imu.Unlock()
-	if ch != nil {
-		ch <- callResult{resp: resp}
+	if pc != nil {
+		pc.resp = *resp
+		pc.ready <- struct{}{}
 	}
 }
 
@@ -737,11 +772,12 @@ func (cc *clientConn) fail(err error) {
 	}
 	cc.broken = true
 	pending := cc.inflight
-	cc.inflight = make(map[uint64]chan callResult)
+	cc.inflight = nil
 	cc.imu.Unlock()
 	cc.conn.Close()
-	for _, ch := range pending {
-		ch <- callResult{err: err}
+	for _, pc := range pending {
+		pc.err = err
+		pc.ready <- struct{}{}
 	}
 }
 
@@ -766,7 +802,7 @@ func (cc *clientConn) readLoop(addr string) {
 			cc.fail(fmt.Errorf("%w: receive from %s: %v", ErrUnavailable, addr, err))
 			return
 		}
-		cc.complete(resp)
+		cc.complete(&resp)
 	}
 }
 
@@ -774,26 +810,27 @@ func (cc *clientConn) readLoop(addr string) {
 // message in each.
 func (cc *clientConn) readLoopBinary(addr string) {
 	br := bufio.NewReaderSize(cc.conn, 64<<10)
+	var (
+		buf  []byte
+		resp response
+	)
 	for {
-		buf, err := readFrame(br)
-		if err != nil {
+		var err error
+		if buf, err = readFrame(br, buf); err != nil {
 			cc.fail(fmt.Errorf("%w: receive from %s: %v", ErrUnavailable, addr, err))
 			return
 		}
 		r := wireReader{buf: buf}
 		msgs := 0
 		for r.remaining() > 0 {
-			var resp response
 			if err := r.readResponse(&resp); err != nil {
-				putFrameBuf(buf)
 				cc.fail(fmt.Errorf("%w: receive from %s: %v", ErrUnavailable, addr, err))
 				return
 			}
 			msgs++
-			cc.complete(resp)
+			cc.complete(&resp)
 		}
 		cc.stats.noteRecv(len(buf), msgs)
-		putFrameBuf(buf)
 	}
 }
 
@@ -1063,14 +1100,6 @@ func (c *Client) ensureConn(ctx context.Context) (*clientConn, error) {
 	}
 }
 
-// resultChanPool recycles the per-call result channels. A channel is
-// returned to the pool only after its call received from it (so it is
-// provably empty); abandoned calls leak their channel to the garbage
-// collector instead, because a late response may still be sent into it.
-var resultChanPool = sync.Pool{
-	New: func() any { return make(chan callResult, 1) },
-}
-
 // call performs one request/response exchange on the multiplexed
 // connection. Many calls may be outstanding at once; each waits only for
 // its own response or its own context.
@@ -1080,6 +1109,8 @@ func (c *Client) call(ctx context.Context, req request) (response, error) {
 	// peers both transmit it; a v1 server simply never sees it (it is
 	// an old build with nothing to fence against).
 	req.Epoch = rep.EpochFromContext(ctx)
+	pc := pendingCallPool.Get().(*pendingCall)
+	pc.req = req
 	for attempt := 0; ; attempt++ {
 		cc, err := c.ensureConn(ctx)
 		if err != nil {
@@ -1094,14 +1125,10 @@ func (c *Client) call(ctx context.Context, req request) (response, error) {
 			if rem <= 0 {
 				return response{}, context.DeadlineExceeded
 			}
-			req.Deadline = uint64(rem / time.Microsecond)
-			if req.Deadline == 0 {
-				req.Deadline = 1
-			}
+			pc.req.Deadline = max(1, uint64(rem/time.Microsecond))
 		}
-		req.ID = c.nextID.Add(1)
-		ch := resultChanPool.Get().(chan callResult)
-		if !cc.register(req.ID, ch) {
+		pc.req.ID = c.nextID.Add(1)
+		if !cc.register(pc) {
 			// The connection broke between ensureConn and register;
 			// retry once on a fresh dial, then give up.
 			c.dropConn(cc)
@@ -1110,8 +1137,8 @@ func (c *Client) call(ctx context.Context, req request) (response, error) {
 			}
 			return response{}, fmt.Errorf("%w: %s: connection reset", ErrUnavailable, c.addr)
 		}
-		if err := cc.send(&req); err != nil {
-			cc.unregister(req.ID)
+		if err := cc.send(&pc.req); err != nil {
+			cc.unregister(pc.req.ID)
 			if cc.proto == ProtoGob {
 				// A failed write poisons the gob stream for every user of
 				// the connection, not just this call. (The binary path's
@@ -1125,13 +1152,14 @@ func (c *Client) call(ctx context.Context, req request) (response, error) {
 			return response{}, fmt.Errorf("%w: send to %s: %v", ErrUnavailable, c.addr, err)
 		}
 		select {
-		case r := <-ch:
-			resultChanPool.Put(ch)
-			if r.err != nil {
-				return response{}, r.err
-			}
-			err := decodeError(r.resp.Code, r.resp.Msg)
+		case <-pc.ready:
+			resp, err := pc.resp, pc.err
+			*pc = pendingCall{ready: pc.ready} // the pool must not keep the call's strings alive
+			pendingCallPool.Put(pc)
 			if err != nil {
+				return response{}, err
+			}
+			if err = decodeError(resp.Code, resp.Msg); err != nil {
 				// The server acts on the deadline it was sent, so its
 				// refusal (ErrExpired, or its handler's own context
 				// error) races this caller's timer. A caller whose
@@ -1140,9 +1168,9 @@ func (c *Client) call(ctx context.Context, req request) (response, error) {
 					err = fmt.Errorf("%w: %w", done, err)
 				}
 			}
-			return r.resp, err
+			return resp, err
 		case <-ctx.Done():
-			cc.unregister(req.ID)
+			cc.unregister(pc.req.ID)
 			return response{}, ctx.Err()
 		}
 	}
@@ -1186,16 +1214,16 @@ func (c *Client) Lookup(ctx context.Context, txn lock.TxnID, key keyspace.Key) (
 
 // Predecessor implements rep.Directory.
 func (c *Client) Predecessor(ctx context.Context, txn lock.TxnID, key keyspace.Key) (rep.NeighborResult, error) {
-	resp, err := c.call(ctx, request{Op: opPredecessor, Txn: uint64(txn), Key: key})
-	if err != nil {
-		return rep.NeighborResult{}, err
-	}
-	return rep.NeighborResult{Key: resp.Key, Version: resp.Version, Value: resp.Value, GapVersion: resp.GapVersion}, nil
+	return c.neighbor(ctx, opPredecessor, txn, key)
 }
 
 // Successor implements rep.Directory.
 func (c *Client) Successor(ctx context.Context, txn lock.TxnID, key keyspace.Key) (rep.NeighborResult, error) {
-	resp, err := c.call(ctx, request{Op: opSuccessor, Txn: uint64(txn), Key: key})
+	return c.neighbor(ctx, opSuccessor, txn, key)
+}
+
+func (c *Client) neighbor(ctx context.Context, o op, txn lock.TxnID, key keyspace.Key) (rep.NeighborResult, error) {
+	resp, err := c.call(ctx, request{Op: o, Txn: uint64(txn), Key: key})
 	if err != nil {
 		return rep.NeighborResult{}, err
 	}

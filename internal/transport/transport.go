@@ -2,13 +2,14 @@
 // representatives.
 //
 // The paper writes remote operations as "Send(<procedure invocation>)
-// to(<object instance>)" (section 3). This package supplies three
-// implementations of that primitive, all satisfying rep.Directory:
+// to(<object instance>)" (section 3). This package supplies two
+// implementations of that primitive, both satisfying rep.Directory:
 //
 //   - Local: a direct in-process hop with optional fault injection
 //     (crashed replica, added latency), used by simulations and tests.
-//   - Client/Server: a TCP transport carrying gob-encoded requests, used
-//     by the cmd/repdir-server and cmd/repdir-cli executables.
+//   - Client/Server: a multiplexed TCP transport speaking the binary
+//     codec of wire.go (gob to a peer that predates it), used by the
+//     cmd/repdir-server and cmd/repdir-cli executables.
 //
 // Errors that the replication algorithm reacts to (wait-die aborts,
 // unavailable replicas, missing coalesce bounds) are mapped to wire codes
@@ -72,70 +73,48 @@ const (
 	codeOverloaded
 )
 
+// codeErrors pairs each wire code with the error whose identity it
+// carries, in the order encodeError tries them.
+var codeErrors = []struct {
+	c   code
+	err error
+}{
+	{codeDie, lock.ErrDie},
+	{codeSentinel, rep.ErrSentinel},
+	{codeMissingBound, rep.ErrMissingBound},
+	{codeBadRange, rep.ErrBadRange},
+	{codeNoNeighbor, rep.ErrNoNeighbor},
+	{codeUnavailable, ErrUnavailable},
+	{codeTxnDecided, rep.ErrTxnDecided},
+	{codeUnknownTxn, rep.ErrUnknownTxn},
+	{codeRecovering, rep.ErrRecovering},
+	{codeStaleEpoch, rep.ErrStaleEpoch},
+	{codeExpired, ErrExpired},
+	{codeOverloaded, ErrOverloaded},
+}
+
 // encodeError maps an error to its wire code plus display message.
 func encodeError(err error) (code, string) {
-	switch {
-	case err == nil:
+	if err == nil {
 		return codeOK, ""
-	case errors.Is(err, lock.ErrDie):
-		return codeDie, err.Error()
-	case errors.Is(err, rep.ErrSentinel):
-		return codeSentinel, err.Error()
-	case errors.Is(err, rep.ErrMissingBound):
-		return codeMissingBound, err.Error()
-	case errors.Is(err, rep.ErrBadRange):
-		return codeBadRange, err.Error()
-	case errors.Is(err, rep.ErrNoNeighbor):
-		return codeNoNeighbor, err.Error()
-	case errors.Is(err, ErrUnavailable):
-		return codeUnavailable, err.Error()
-	case errors.Is(err, rep.ErrTxnDecided):
-		return codeTxnDecided, err.Error()
-	case errors.Is(err, rep.ErrUnknownTxn):
-		return codeUnknownTxn, err.Error()
-	case errors.Is(err, rep.ErrRecovering):
-		return codeRecovering, err.Error()
-	case errors.Is(err, rep.ErrStaleEpoch):
-		return codeStaleEpoch, err.Error()
-	case errors.Is(err, ErrExpired):
-		return codeExpired, err.Error()
-	case errors.Is(err, ErrOverloaded):
-		return codeOverloaded, err.Error()
-	default:
-		return codeOther, err.Error()
 	}
+	for _, ce := range codeErrors {
+		if errors.Is(err, ce.err) {
+			return ce.c, err.Error()
+		}
+	}
+	return codeOther, err.Error()
 }
 
 // decodeError reconstructs an error whose identity survives errors.Is.
 func decodeError(c code, msg string) error {
-	switch c {
-	case codeOK:
+	if c == codeOK {
 		return nil
-	case codeDie:
-		return fmt.Errorf("%w (remote: %s)", lock.ErrDie, msg)
-	case codeSentinel:
-		return fmt.Errorf("%w (remote: %s)", rep.ErrSentinel, msg)
-	case codeMissingBound:
-		return fmt.Errorf("%w (remote: %s)", rep.ErrMissingBound, msg)
-	case codeBadRange:
-		return fmt.Errorf("%w (remote: %s)", rep.ErrBadRange, msg)
-	case codeNoNeighbor:
-		return fmt.Errorf("%w (remote: %s)", rep.ErrNoNeighbor, msg)
-	case codeUnavailable:
-		return fmt.Errorf("%w (remote: %s)", ErrUnavailable, msg)
-	case codeTxnDecided:
-		return fmt.Errorf("%w (remote: %s)", rep.ErrTxnDecided, msg)
-	case codeUnknownTxn:
-		return fmt.Errorf("%w (remote: %s)", rep.ErrUnknownTxn, msg)
-	case codeRecovering:
-		return fmt.Errorf("%w (remote: %s)", rep.ErrRecovering, msg)
-	case codeStaleEpoch:
-		return fmt.Errorf("%w (remote: %s)", rep.ErrStaleEpoch, msg)
-	case codeExpired:
-		return fmt.Errorf("%w (remote: %s)", ErrExpired, msg)
-	case codeOverloaded:
-		return fmt.Errorf("%w (remote: %s)", ErrOverloaded, msg)
-	default:
-		return errors.New(msg)
 	}
+	for _, ce := range codeErrors {
+		if ce.c == c {
+			return fmt.Errorf("%w (remote: %s)", ce.err, msg)
+		}
+	}
+	return errors.New(msg)
 }

@@ -10,15 +10,14 @@ import (
 	"repdir/internal/version"
 )
 
-// Hand-rolled binary wire codec (protocol version 1).
-//
-// The gob codec the transport launched with spends ~30µs of CPU per
-// message on reflection-driven encode/decode — two orders of magnitude
-// above the wire's cost (EXPERIMENTS.md, "Multiplexed TCP transport").
-// This codec replaces it with fixed one-byte op tags, varint integer
-// fields, and length-prefixed byte strings, so a request encodes with a
-// handful of appends into a pooled buffer and decodes with a handful of
-// slice reads.
+// Hand-rolled binary wire codec: fixed one-byte op tags, varint integer
+// fields and length-prefixed byte strings, so a request encodes with a
+// handful of appends into the frame writer's own buffer and decodes with
+// a handful of slice reads. Encoding allocates nothing and a round trip
+// allocates only the strings it delivers (TestEncodeZeroAlloc,
+// TestCallRoundTripAllocs); EXPERIMENTS.md, "Wire codec", has what that
+// bought over the reflection-driven gob codec the transport launched
+// with, which remains for peers that predate this one.
 //
 // Stream preamble (once per connection, client then server):
 //
@@ -27,10 +26,9 @@ import (
 //	+------+---------+
 //
 // 0x00 can never begin a gob stream (gob frames open with a non-zero
-// message length: one byte 0x01..0x7F, or 0xF8..0xFF for multi-byte
-// lengths), so a server can tell a binary client from a legacy gob
-// client by its first byte, and a legacy server feeds the preamble to
-// its gob decoder, errors, and closes — which a binary client takes as
+// message length), so a server can tell a binary client from a gob
+// client by its first byte, and a gob-only server feeds the preamble to
+// its decoder, errors, and closes — which a binary client takes as
 // "negotiate down to gob" (see ensureConn).
 //
 // After the preamble, both directions carry frames:
@@ -44,13 +42,8 @@ import (
 // batching mechanism (see frameWriter). Messages are self-delimiting,
 // so the decoder simply reads until the frame is exhausted.
 //
-// Request message:
-//
-//	tag(1) id(uvarint) txn(uvarint) fields...
-//
-// Response message:
-//
-//	tag(1) id(uvarint) code(1) [msg(bytes) if code!=OK | fields if OK]
+//	request:   tag(1) id(uvarint) txn(uvarint) fields...
+//	response:  tag(1) id(uvarint) code(1) [msg(bytes) if code!=OK | fields if OK]
 //
 // Keys reuse the keyspace wire kinds (1=LOW, 2=normal+bytes, 3=HIGH);
 // strings and byte fields are uvarint length + raw bytes. The exact
@@ -124,8 +117,8 @@ func appendBool(b []byte, v bool) []byte {
 }
 
 // appendRequest appends one encoded request message to b, in the layout
-// of the negotiated codec version. It never fails and performs no
-// allocation beyond growing b.
+// of the negotiated codec version. It never fails and allocates only to
+// grow b.
 func appendRequest(b []byte, req *request, ver byte) []byte {
 	b = append(b, byte(req.Op))
 	b = appendUvarint(b, req.ID)
@@ -198,273 +191,167 @@ func appendResponse(b []byte, resp *response) []byte {
 	return b
 }
 
-// wireReader decodes messages from one frame body. Byte-string reads
-// are zero-copy slices into the frame; callers materialize strings only
-// where an owned copy must outlive the frame buffer.
+// wireReader decodes messages from one frame body. The first malformed
+// field sets err and ends the frame, and every read after it returns
+// zero, so a message is decoded field by field and checked once.
+// Byte-string reads are zero-copy slices into the frame; strings and
+// keys are materialized, since they must outlive the frame buffer.
 type wireReader struct {
 	buf []byte
 	off int
+	err error
 }
 
 func (r *wireReader) remaining() int { return len(r.buf) - r.off }
 
-func (r *wireReader) readByte() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, fmt.Errorf("%w: truncated message", errWire)
+func (r *wireReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", errWire, fmt.Sprintf(format, args...))
 	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
+	r.off = len(r.buf)
 }
 
-func (r *wireReader) readUvarint() (uint64, error) {
+func (r *wireReader) readByte() byte {
+	if r.off >= len(r.buf) {
+		r.fail("truncated message")
+		return 0
+	}
+	r.off++
+	return r.buf[r.off-1]
+}
+
+func (r *wireReader) readUvarint() uint64 {
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: bad varint", errWire)
+		r.fail("bad varint")
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
 }
+
+func (r *wireReader) readVersion() version.V { return version.V(r.readUvarint()) }
 
 // readBytes returns a zero-copy slice into the frame buffer.
-func (r *wireReader) readBytes() ([]byte, error) {
-	n, err := r.readUvarint()
-	if err != nil {
-		return nil, err
-	}
+func (r *wireReader) readBytes() []byte {
+	n := r.readUvarint()
 	if n > uint64(r.remaining()) {
-		return nil, fmt.Errorf("%w: byte string length %d exceeds frame", errWire, n)
+		r.fail("byte string length %d exceeds frame", n)
+		return nil
 	}
-	s := r.buf[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s, nil
+	return r.buf[r.off-int(n) : r.off]
 }
 
-// readString materializes an owned string.
-func (r *wireReader) readString() (string, error) {
-	b, err := r.readBytes()
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
+func (r *wireReader) readString() string { return string(r.readBytes()) }
 
-// readKey decodes a key. Normal keys copy their spelling out of the
-// frame (keyspace.Key holds a string, which must own its bytes).
-func (r *wireReader) readKey() (keyspace.Key, error) {
-	kind, err := r.readByte()
-	if err != nil {
-		return keyspace.Key{}, err
-	}
-	switch kind {
+func (r *wireReader) readKey() keyspace.Key {
+	switch kind := r.readByte(); kind {
 	case 1:
-		return keyspace.Low(), nil
+		return keyspace.Low()
 	case 3:
-		return keyspace.High(), nil
+		return keyspace.High()
 	case 2:
-		s, err := r.readString()
-		if err != nil {
-			return keyspace.Key{}, err
-		}
-		return keyspace.New(s), nil
+		return keyspace.New(r.readString())
 	default:
-		return keyspace.Key{}, fmt.Errorf("%w: unknown key kind %d", errWire, kind)
+		r.fail("unknown key kind %d", kind)
+		return keyspace.Key{}
 	}
 }
 
-func (r *wireReader) readBool() (bool, error) {
-	b, err := r.readByte()
-	if err != nil {
-		return false, err
+func (r *wireReader) readBool() bool {
+	b := r.readByte()
+	if b > 1 {
+		r.fail("bad bool byte %d", b)
 	}
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	default:
-		return false, fmt.Errorf("%w: bad bool byte %d", errWire, b)
+	return b == 1
+}
+
+// readCount reads the length of a list whose every element takes at
+// least one byte, so the frame itself bounds what is allocated for it.
+func (r *wireReader) readCount(what string) uint64 {
+	n := r.readUvarint()
+	if n > uint64(r.remaining()) {
+		r.fail("%s count %d exceeds frame", what, n)
+		return 0
 	}
+	return n
 }
 
 // readRequest decodes the next request message into *req, overwriting
 // every field, in the layout of the negotiated codec version.
 func (r *wireReader) readRequest(req *request, ver byte) error {
-	tag, err := r.readByte()
-	if err != nil {
-		return err
-	}
-	*req = request{Op: op(tag)}
-	if req.ID, err = r.readUvarint(); err != nil {
-		return err
-	}
-	if req.Txn, err = r.readUvarint(); err != nil {
-		return err
-	}
+	*req = request{Op: op(r.readByte())}
+	req.ID = r.readUvarint()
+	req.Txn = r.readUvarint()
 	if ver >= 2 {
-		if req.Epoch, err = r.readUvarint(); err != nil {
-			return err
-		}
+		req.Epoch = r.readUvarint()
 	}
 	if ver >= 3 {
-		if req.Deadline, err = r.readUvarint(); err != nil {
-			return err
-		}
+		req.Deadline = r.readUvarint()
 	}
 	switch req.Op.unmarked() {
 	case opLookup, opPredecessor, opSuccessor:
-		req.Key, err = r.readKey()
+		req.Key = r.readKey()
 	case opPredecessorBatch, opSuccessorBatch:
-		if req.Key, err = r.readKey(); err != nil {
-			return err
-		}
-		var n uint64
-		if n, err = r.readUvarint(); err != nil {
-			return err
-		}
+		req.Key = r.readKey()
 		// The representative sizes its reply from the count: refuse here
 		// what it would only cut down.
-		if n > rep.MaxBatch {
-			return fmt.Errorf("%w: batch count %d exceeds %d", errWire, n, rep.MaxBatch)
+		if n := r.readUvarint(); n > rep.MaxBatch {
+			r.fail("batch count %d exceeds %d", n, rep.MaxBatch)
+		} else {
+			req.Count = int(n)
 		}
-		req.Count = int(n)
 	case opInsert:
-		if req.Key, err = r.readKey(); err != nil {
-			return err
-		}
-		var v uint64
-		if v, err = r.readUvarint(); err != nil {
-			return err
-		}
-		req.Version = version.V(v)
-		req.Value, err = r.readString()
+		req.Key, req.Version, req.Value = r.readKey(), r.readVersion(), r.readString()
 	case opCoalesce:
-		if req.Key, err = r.readKey(); err != nil {
-			return err
-		}
-		if req.Hi, err = r.readKey(); err != nil {
-			return err
-		}
-		var v uint64
-		if v, err = r.readUvarint(); err != nil {
-			return err
-		}
-		req.Version = version.V(v)
+		req.Key, req.Hi, req.Version = r.readKey(), r.readKey(), r.readVersion()
 	case opPrepare, opCommit, opAbort, opStatus, opName:
 		// No fields.
 	default:
-		return fmt.Errorf("%w: unknown request tag %d", errWire, tag)
+		r.fail("unknown request tag %d", req.Op)
 	}
-	return err
+	return r.err
 }
 
 // readResponse decodes the next response message into *resp,
 // overwriting every field.
 func (r *wireReader) readResponse(resp *response) error {
-	tag, err := r.readByte()
-	if err != nil {
-		return err
-	}
-	*resp = response{Op: op(tag)}
-	if resp.ID, err = r.readUvarint(); err != nil {
-		return err
-	}
-	c, err := r.readByte()
-	if err != nil {
-		return err
-	}
-	resp.Code = code(c)
+	*resp = response{Op: op(r.readByte())}
+	resp.ID = r.readUvarint()
+	resp.Code = code(r.readByte())
 	if resp.Code != codeOK {
-		resp.Msg, err = r.readString()
-		return err
+		resp.Msg = r.readString()
+		return r.err
 	}
 	switch resp.Op.unmarked() {
 	case opLookup:
-		if resp.Found, err = r.readBool(); err != nil {
-			return err
-		}
-		var v uint64
-		if v, err = r.readUvarint(); err != nil {
-			return err
-		}
-		resp.Version = version.V(v)
-		resp.Value, err = r.readString()
+		resp.Found, resp.Version, resp.Value = r.readBool(), r.readVersion(), r.readString()
 	case opPredecessor, opSuccessor:
-		if resp.Key, err = r.readKey(); err != nil {
-			return err
-		}
-		var v uint64
-		if v, err = r.readUvarint(); err != nil {
-			return err
-		}
-		resp.Version = version.V(v)
-		if resp.Value, err = r.readString(); err != nil {
-			return err
-		}
-		if v, err = r.readUvarint(); err != nil {
-			return err
-		}
-		resp.GapVersion = version.V(v)
+		resp.Key, resp.Version, resp.Value, resp.GapVersion = r.readKey(), r.readVersion(), r.readString(), r.readVersion()
 	case opPredecessorBatch, opSuccessorBatch:
-		var n uint64
-		if n, err = r.readUvarint(); err != nil {
-			return err
-		}
-		// Every neighbor needs at least 4 bytes (key kind, version,
-		// empty value, gap version), so the count is bounded by the
-		// frame itself.
-		if n > uint64(r.remaining()) {
-			return fmt.Errorf("%w: neighbor count %d exceeds frame", errWire, n)
-		}
-		if n > 0 {
+		if n := r.readCount("neighbor"); n > 0 {
 			resp.Neighbors = make([]rep.NeighborResult, n)
 		}
-		for i := range resp.Neighbors {
+		for i := 0; i < len(resp.Neighbors) && r.err == nil; i++ {
 			nb := &resp.Neighbors[i]
-			if nb.Key, err = r.readKey(); err != nil {
-				return err
-			}
-			var v uint64
-			if v, err = r.readUvarint(); err != nil {
-				return err
-			}
-			nb.Version = version.V(v)
-			if nb.Value, err = r.readString(); err != nil {
-				return err
-			}
-			if v, err = r.readUvarint(); err != nil {
-				return err
-			}
-			nb.GapVersion = version.V(v)
+			nb.Key, nb.Version, nb.Value, nb.GapVersion = r.readKey(), r.readVersion(), r.readString(), r.readVersion()
 		}
 	case opCoalesce:
-		var n uint64
-		if n, err = r.readUvarint(); err != nil {
-			return err
-		}
-		if n > uint64(r.remaining()) {
-			return fmt.Errorf("%w: deleted-key count %d exceeds frame", errWire, n)
-		}
-		if n > 0 {
+		if n := r.readCount("deleted-key"); n > 0 {
 			resp.DeletedKeys = make([]keyspace.Key, n)
 		}
-		for i := range resp.DeletedKeys {
-			if resp.DeletedKeys[i], err = r.readKey(); err != nil {
-				return err
-			}
+		for i := 0; i < len(resp.DeletedKeys) && r.err == nil; i++ {
+			resp.DeletedKeys[i] = r.readKey()
 		}
 	case opStatus:
-		var v uint64
-		if v, err = r.readUvarint(); err != nil {
-			return err
-		}
-		resp.TxnStatus = rep.TxnStatus(v)
+		resp.TxnStatus = rep.TxnStatus(r.readUvarint())
 	case opName:
-		resp.Name, err = r.readString()
+		resp.Name = r.readString()
 	case opInsert, opPrepare, opCommit, opAbort:
 		// No result fields.
 	default:
-		return fmt.Errorf("%w: unknown response tag %d", errWire, tag)
+		r.fail("unknown response tag %d", resp.Op)
 	}
-	return err
+	return r.err
 }

@@ -2,31 +2,48 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+
+	"repdir/internal/keyspace"
+	"repdir/internal/version"
 )
 
-// Frame format. Version 2 frames carry a magic number, the payload
-// length, and a CRC32C over header and payload, so recovery can tell a
-// torn or bit-flipped frame from a valid one instead of trusting the
-// gob decoder to notice:
+// Frame format. A log is a sequence of frames, one record each; there is
+// one format, written and read:
 //
-//	[0:4]  magic  F7 'W' 'A' '2'
+//	[0:4]  magic  F7 'W' 'R' '3'
 //	[4:8]  payload length, big endian
 //	[8:12] CRC32C over bytes [0:8] and the payload
-//	[12:]  gob-encoded Record
+//	[12:]  the record
 //
-// Version 1 frames (length prefix + gob payload, no checksum) remain
-// readable: the reader distinguishes the two by the magic, which can
-// never be a plausible v1 length prefix (0xF7... decodes to ~4 GiB,
-// far over MaxFrameLen).
-var frameMagic = [4]byte{0xF7, 'W', 'A', '2'}
+// so recovery can tell a torn or bit-flipped frame from a valid one
+// before it looks at the record. The record is every field of Record in
+// a fixed order, whatever the kind:
+//
+//	kind     uvarint
+//	lsn      uvarint
+//	txn      uvarint
+//	key      uvarint length, then keyspace.Key.AppendBinary's bytes
+//	hi       as key
+//	version  uvarint
+//	value    uvarint length, then the bytes
+//	epoch    uvarint
+//
+// The encoding is canonical: a varint with a padding byte, a sentinel key
+// with a spelling, or bytes left over after the epoch are CauseDecode, so
+// a payload that decodes re-encodes to itself.
+var frameMagic = [4]byte{0xF7, 'W', 'R', '3'}
+
+// oldFrameMagic opened the frames of the gob-payload format this one
+// replaced. The two differ in four bits, so no single flipped bit turns a
+// damaged log into an "old" one.
+var oldFrameMagic = [4]byte{0xF7, 'W', 'A', '2'}
 
 const frameHeaderLen = 12
 
@@ -36,22 +53,96 @@ const frameHeaderLen = 12
 // driving a multi-gigabyte make([]byte, n).
 const MaxFrameLen = 16 << 20
 
+// ErrOldFormat reports a log written before the frame format above: its
+// first frame opens with the old magic, or with the bare length prefix of
+// the format before that. Nothing here reads those, and quarantining the
+// whole file as damage would open the representative empty, so every
+// reader and every recovery policy refuses and leaves the file as it is.
+var ErrOldFormat = errors.New("wal: log is in a format this build no longer reads")
+
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeFrame renders one record as a v2 frame.
-func encodeFrame(r Record) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(r); err != nil {
-		return nil, fmt.Errorf("wal: encode: %w", err)
+// appendFrame appends r to b as one frame. It allocates only to grow b.
+func appendFrame(b []byte, r *Record) ([]byte, error) {
+	start := len(b)
+	b = append(b, frameMagic[:]...)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // length and CRC, once the payload is there
+	b = binary.AppendUvarint(b, uint64(r.Kind))
+	b = binary.AppendUvarint(b, r.LSN)
+	b = binary.AppendUvarint(b, r.Txn)
+	b = appendKey(b, r.Key)
+	b = appendKey(b, r.Hi)
+	b = binary.AppendUvarint(b, uint64(r.Version))
+	b = binary.AppendUvarint(b, uint64(len(r.Value)))
+	b = append(b, r.Value...)
+	b = binary.AppendUvarint(b, r.Epoch)
+	payload := b[start+frameHeaderLen:]
+	if len(payload) > MaxFrameLen {
+		return b[:start], fmt.Errorf("wal: %d-byte record exceeds the %d-byte frame bound", len(payload), MaxFrameLen)
 	}
-	frame := make([]byte, frameHeaderLen+payload.Len())
-	copy(frame, frameMagic[:])
-	binary.BigEndian.PutUint32(frame[4:8], uint32(payload.Len()))
-	copy(frame[frameHeaderLen:], payload.Bytes())
-	crc := crc32.Update(0, crcTable, frame[:8])
-	crc = crc32.Update(crc, crcTable, frame[frameHeaderLen:])
-	binary.BigEndian.PutUint32(frame[8:12], crc)
-	return frame, nil
+	binary.BigEndian.PutUint32(b[start+4:], uint32(len(payload)))
+	crc := crc32.Update(0, crcTable, b[start:start+8])
+	binary.BigEndian.PutUint32(b[start+8:], crc32.Update(crc, crcTable, payload))
+	return b, nil
+}
+
+func appendKey(b []byte, k keyspace.Key) []byte {
+	return k.AppendBinary(binary.AppendUvarint(b, uint64(1+len(k.Raw())))) // a sentinel's Raw is empty
+}
+
+// recordReader walks one frame payload. The first malformed field sets
+// bad, and every read after it returns zero.
+type recordReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *recordReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) { // cut short, over 64 bits, or padded
+		r.b, r.bad = nil, true
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *recordReader) bytes() []byte {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.b, r.bad = nil, true
+		return nil
+	}
+	s := r.b[:n]
+	r.b = r.b[n:]
+	return s
+}
+
+func (r *recordReader) key() keyspace.Key {
+	var k keyspace.Key
+	raw := r.bytes()
+	if r.bad {
+		return k
+	}
+	if err := k.UnmarshalBinary(raw); err != nil || (k.IsSentinel() && len(raw) != 1) {
+		r.bad = true
+	}
+	return k
+}
+
+// decodeRecord decodes a frame payload, which must hold one record and
+// nothing else. Strings are copied out: the payload buffer is reused.
+func decodeRecord(payload []byte) (rec Record, ok bool) {
+	r := recordReader{b: payload}
+	rec.Kind = Kind(r.uvarint())
+	rec.LSN = r.uvarint()
+	rec.Txn = r.uvarint()
+	rec.Key = r.key()
+	rec.Hi = r.key()
+	rec.Version = version.V(r.uvarint())
+	rec.Value = string(r.bytes())
+	rec.Epoch = r.uvarint()
+	return rec, !r.bad && len(r.b) == 0
 }
 
 // CorruptionCause classifies why a log scan stopped before a clean EOF.
@@ -69,11 +160,14 @@ const (
 	// CauseBadLength: a length prefix over MaxFrameLen; the header bytes
 	// themselves are damaged.
 	CauseBadLength
-	// CauseBadCRC: a v2 frame whose checksum does not cover its bytes.
+	// CauseBadCRC: a frame whose checksum does not cover its bytes.
 	CauseBadCRC
-	// CauseDecode: the payload passed its length (and, for v2, CRC)
-	// checks but the gob decoder rejected it.
+	// CauseDecode: the payload passed its length and CRC checks but is not
+	// one canonical record.
 	CauseDecode
+	// CauseBadMagic: four bytes where a frame should start that are not
+	// the frame magic.
+	CauseBadMagic
 )
 
 // String names the cause.
@@ -91,6 +185,8 @@ func (c CorruptionCause) String() string {
 		return "bad-crc"
 	case CauseDecode:
 		return "bad-payload"
+	case CauseBadMagic:
+		return "bad-magic"
 	default:
 		return fmt.Sprintf("CorruptionCause(%d)", int(c))
 	}
@@ -135,89 +231,63 @@ func (r *CorruptionReport) Error() string {
 func scanFrames(path string, r io.Reader, size int64) ([]Record, CorruptionReport) {
 	br := bufio.NewReader(r)
 	var (
-		out []Record
-		off int64
+		out     []Record
+		off     int64
+		payload []byte // reused from frame to frame
 	)
-	report := func(cause CorruptionCause) CorruptionReport {
+	report := func(cause CorruptionCause) ([]Record, CorruptionReport) {
 		rep := CorruptionReport{Path: path, Cause: cause, Offset: off, Records: len(out)}
 		if len(out) > 0 {
 			rep.LastLSN = out[len(out)-1].LSN
 		}
-		return rep
+		return out, rep
 	}
 	for {
 		remaining := size - off
 		if remaining == 0 {
-			return out, report(CauseNone)
+			return report(CauseNone)
 		}
 		var head [frameHeaderLen]byte
 		if remaining < 4 {
-			return out, report(CauseTornHeader)
+			return report(CauseTornHeader)
 		}
 		if _, err := io.ReadFull(br, head[:4]); err != nil {
-			return out, report(CauseTornHeader)
+			return report(CauseTornHeader)
 		}
-		var (
-			payloadLen uint32
-			headerLen  int64
-			checked    bool // v2: CRC protects the frame
-			crcWant    uint32
-		)
-		if bytes.Equal(head[:4], frameMagic[:]) {
-			headerLen = frameHeaderLen
-			if remaining < frameHeaderLen {
-				return out, report(CauseTornHeader)
-			}
-			if _, err := io.ReadFull(br, head[4:frameHeaderLen]); err != nil {
-				return out, report(CauseTornHeader)
-			}
-			payloadLen = binary.BigEndian.Uint32(head[4:8])
-			crcWant = binary.BigEndian.Uint32(head[8:12])
-			checked = true
-		} else {
-			// Legacy v1 frame: bare length prefix.
-			headerLen = 4
-			payloadLen = binary.BigEndian.Uint32(head[:4])
+		if [4]byte(head[:4]) != frameMagic {
+			return report(CauseBadMagic)
 		}
+		if remaining < frameHeaderLen {
+			return report(CauseTornHeader)
+		}
+		if _, err := io.ReadFull(br, head[4:]); err != nil {
+			return report(CauseTornHeader)
+		}
+		payloadLen := binary.BigEndian.Uint32(head[4:8])
 		if payloadLen > MaxFrameLen {
-			return out, report(CauseBadLength)
+			return report(CauseBadLength)
 		}
-		if int64(payloadLen) > remaining-headerLen {
-			return out, report(CauseTornPayload)
+		if int64(payloadLen) > remaining-frameHeaderLen {
+			return report(CauseTornPayload)
 		}
-		payload := make([]byte, payloadLen)
+		if uint32(cap(payload)) < payloadLen {
+			payload = make([]byte, payloadLen)
+		}
+		payload = payload[:payloadLen]
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return out, report(CauseTornPayload)
+			return report(CauseTornPayload)
 		}
-		if checked {
-			crc := crc32.Update(0, crcTable, head[:8])
-			crc = crc32.Update(crc, crcTable, payload)
-			if crc != crcWant {
-				return out, report(CauseBadCRC)
-			}
+		crc := crc32.Update(0, crcTable, head[:8])
+		if crc32.Update(crc, crcTable, payload) != binary.BigEndian.Uint32(head[8:12]) {
+			return report(CauseBadCRC)
 		}
-		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return out, report(CauseDecode)
+		rec, ok := decodeRecord(payload)
+		if !ok {
+			return report(CauseDecode)
 		}
 		out = append(out, rec)
-		off += headerLen + int64(payloadLen)
+		off += frameHeaderLen + int64(payloadLen)
 	}
-}
-
-// scanFile opens and scans one log file.
-func scanFile(path string) ([]Record, CorruptionReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, CorruptionReport{}, fmt.Errorf("wal: open %q: %w", path, err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, CorruptionReport{}, fmt.Errorf("wal: stat %q: %w", path, err)
-	}
-	records, report := scanFrames(path, f, info.Size())
-	return records, report, nil
 }
 
 // SalvageFileLog recovers the longest valid prefix of a log file. When
@@ -236,10 +306,7 @@ func SalvageFileLog(path string) ([]Record, *CorruptionReport, error) {
 	if err != nil || report == nil {
 		return records, report, err
 	}
-	if err := Quarantine(path, report); err != nil {
-		return records, report, err
-	}
-	return records, report, nil
+	return records, report, Quarantine(path, report)
 }
 
 // ScanFileLog recovers the longest valid prefix of a log file without
@@ -247,12 +314,27 @@ func SalvageFileLog(path string) ([]Record, *CorruptionReport, error) {
 // the report says why the scan stopped, and the caller decides whether
 // to repair (Quarantine), refuse, or discard — the split exists so a
 // strict recovery policy can refuse to open a damaged log without
-// having already truncated it.
+// having already truncated it. Only a log's first frame can be in an old
+// format (every build appends in its own, to a file it could read), so
+// that is where ErrOldFormat is decided.
 func ScanFileLog(path string) ([]Record, *CorruptionReport, error) {
-	records, report, err := scanFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("wal: open %q: %w", path, err)
 	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: stat %q: %w", path, err)
+	}
+	var first [4]byte
+	if n, _ := f.ReadAt(first[:], 0); n == len(first) {
+		v1Len := binary.BigEndian.Uint32(first[:])
+		if first == oldFrameMagic || (v1Len > 0 && v1Len <= MaxFrameLen) {
+			return nil, nil, fmt.Errorf("%w: %q", ErrOldFormat, path)
+		}
+	}
+	records, report := scanFrames(path, f, info.Size())
 	if report.Cause == CauseNone {
 		return records, nil, nil
 	}
@@ -260,17 +342,11 @@ func ScanFileLog(path string) ([]Record, *CorruptionReport, error) {
 }
 
 // Quarantine performs the repair half of SalvageFileLog on a report
-// returned by ScanFileLog: the unreadable tail moves to the
+// returned by ScanFileLog: everything from report.Offset on moves to the
 // ".quarantine" sidecar and the log is truncated to its valid prefix,
-// with the report's QuarantinedBytes and SidecarPath filled in.
+// fsyncing both files and the directory so the surgery itself survives
+// a crash. The report's QuarantinedBytes and SidecarPath are filled in.
 func Quarantine(path string, report *CorruptionReport) error {
-	return quarantineTail(path, report)
-}
-
-// quarantineTail preserves everything from report.Offset on in a
-// sidecar file and truncates the log to the valid prefix, fsyncing both
-// files and the directory so the surgery itself survives a crash.
-func quarantineTail(path string, report *CorruptionReport) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return fmt.Errorf("wal: quarantine open %q: %w", path, err)

@@ -3,98 +3,192 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/hex"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repdir/internal/keyspace"
+	"repdir/internal/version"
+	"repdir/internal/wal/waltest"
 )
 
-// appendV1Frame writes a legacy (length prefix + gob, no checksum)
-// frame, byte-identical to what the v1 writer produced.
-func appendV1Frame(t *testing.T, path string, r Record) {
-	t.Helper()
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(r); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// TestOldFormatRefused: a log whose first frame is in a format this
+// build no longer reads — the bare-length v1 fixture, or a v2 frame with
+// the old magic — is refused by every reader with ErrOldFormat and left
+// byte for byte as it was. Salvaging it would quarantine the whole file
+// and hand recovery an empty log.
+func TestOldFormatRefused(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	var head [4]byte
-	binary.BigEndian.PutUint32(head[:], uint32(payload.Len()))
-	if _, err := f.Write(head[:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(payload.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestV1FixtureStillReadable reads an on-disk log written by the v1
-// (pre-checksum) code, checked in as a fixture — the migration
-// guarantee that upgrading the binary does not orphan existing logs.
-func TestV1FixtureStillReadable(t *testing.T) {
-	records, err := ReadFileLog(filepath.Join("testdata", "v1.wal"))
-	if err != nil {
-		t.Fatalf("v1 fixture unreadable: %v", err)
-	}
-	if len(records) != 8 {
-		t.Fatalf("read %d records from v1 fixture, want 8", len(records))
-	}
-	if records[0].Kind != KindInsert || records[0].Key.Raw() != "alpha" ||
-		records[0].Version != 3 || records[0].Value != "a" {
-		t.Errorf("first fixture record = %+v", records[0])
-	}
-	if records[7].Kind != KindPrepare || records[7].Txn != 3 {
-		t.Errorf("last fixture record = %+v", records[7])
-	}
-	for i, r := range records {
-		if r.LSN != uint64(i+1) {
-			t.Errorf("record %d LSN = %d", i, r.LSN)
+	v2 := append(append([]byte(nil), oldFrameMagic[:]...), 0, 0, 0, 1, 0xde, 0xad, 0xbe, 0xef, 0x00)
+	for name, data := range map[string][]byte{"v1": v1, "v2": v2} {
+		path := filepath.Join(t.TempDir(), name+".wal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFileLog(path); !errors.Is(err, ErrOldFormat) {
+			t.Errorf("%s: ReadFileLog = %v, want ErrOldFormat", name, err)
+		}
+		if _, _, err := ScanFileLog(path); !errors.Is(err, ErrOldFormat) {
+			t.Errorf("%s: ScanFileLog = %v, want ErrOldFormat", name, err)
+		}
+		if _, _, err := SalvageFileLog(path); !errors.Is(err, ErrOldFormat) {
+			t.Errorf("%s: SalvageFileLog = %v, want ErrOldFormat", name, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
+			t.Errorf("%s: refused log was modified (%v)", name, err)
+		}
+		if _, err := os.Stat(path + ".quarantine"); !os.IsNotExist(err) {
+			t.Errorf("%s: refused log was quarantined", name)
 		}
 	}
-	// The analysis machinery must see the same history: txns 1 and 2
-	// committed, txn 3 in doubt.
-	a, err := Analyze(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Outcomes[1] || !a.Outcomes[2] {
-		t.Errorf("outcomes = %v, want txns 1 and 2 committed", a.Outcomes)
-	}
-	if _, ok := a.InDoubt[3]; !ok {
-		t.Errorf("txn 3 should be in doubt, got %v", a.InDoubt)
+}
+
+// goldenFrames pins the frame format byte for byte, one record of each
+// kind with the fields that kind uses. The format is an on-disk
+// contract: a change here orphans every log already written.
+var goldenFrames = []struct {
+	rec Record
+	hex string
+}{
+	// magic | length | crc32c | kind lsn txn | key | hi | version | value | epoch
+	{Record{LSN: 1, Kind: KindInsert, Txn: 7, Key: keyspace.New("alpha"), Version: 3, Value: "a"},
+		"f7575233 00000010 a22e4fa0 010107 0602616c706861 0102 03 0161 00"},
+	{Record{LSN: 2, Kind: KindCoalesce, Txn: 7, Key: keyspace.Low(), Hi: keyspace.High(), Version: 300},
+		"f7575233 0000000b aa7079b5 020207 0101 0103 ac02 00 00"},
+	{Record{LSN: 3, Kind: KindPrepare, Txn: 7},
+		"f7575233 0000000a e85ba043 030307 0102 0102 00 00 00"},
+	{Record{LSN: 4, Kind: KindCommit, Txn: 1 << 40},
+		"f7575233 0000000f ef70345f 0404808080808020 0102 0102 00 00 00"},
+	{Record{LSN: 5, Kind: KindAbort, Txn: 8},
+		"f7575233 0000000a d34a4df3 050508 0102 0102 00 00 00"},
+	{Record{LSN: 6, Kind: KindEpoch, Epoch: 9},
+		"f7575233 0000000a a87a64d2 060600 0102 0102 00 00 09"},
+}
+
+func TestGoldenFrames(t *testing.T) {
+	for _, g := range goldenFrames {
+		want, err := hex.DecodeString(strings.ReplaceAll(g.hex, " ", ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendFrame(nil, &g.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s frame = %x, want %x", g.rec.Kind, got, want)
+		}
+		records, report := scanFrames("golden", bytes.NewReader(want), int64(len(want)))
+		if report.Cause != CauseNone || len(records) != 1 || records[0] != g.rec {
+			t.Errorf("%s frame reads back as %+v (%v), want %+v", g.rec.Kind, records, report.Cause, g.rec)
+		}
 	}
 }
 
-// TestMixedVersionLog appends v2 frames after v1 frames — the shape of
-// any log that lived across the upgrade — and reads them as one stream.
-func TestMixedVersionLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "mixed.wal")
-	appendV1Frame(t, path, Record{LSN: 1, Kind: KindInsert, Txn: 1, Key: keyspace.New("a"), Value: "v"})
-	appendV1Frame(t, path, Record{LSN: 2, Kind: KindCommit, Txn: 1})
-	l, err := OpenFileLog(path)
+// TestRecordEdgesRoundTrip: the sentinel keys, the empty key, the empty
+// value and the largest integers all survive a frame.
+func TestRecordEdgesRoundTrip(t *testing.T) {
+	for _, rec := range []Record{
+		{},
+		{Kind: KindCoalesce, Key: keyspace.Low(), Hi: keyspace.High()},
+		{Kind: KindCoalesce, Key: keyspace.High(), Hi: keyspace.Low()},
+		{Kind: KindInsert, Key: keyspace.New(""), Value: ""},
+		{Kind: KindInsert, Key: keyspace.New("\x00\x01"), Value: "\x00"},
+		{LSN: ^uint64(0), Kind: KindEpoch, Txn: ^uint64(0), Version: ^version.V(0), Epoch: ^uint64(0)},
+	} {
+		frame, err := appendFrame(nil, &rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := decodeRecord(frame[frameHeaderLen:])
+		if !ok || got != rec {
+			t.Errorf("%+v decodes as %+v (ok=%v)", rec, got, ok)
+		}
+	}
+}
+
+// TestDecodeRejectsNonCanonical: each payload below says what a valid
+// one says, another way, or says more than one record; none may decode.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	frame, err := appendFrame(nil, &Record{LSN: 1, Kind: KindCommit, Txn: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.StartAt(3)
-	if err := l.Append(Record{Kind: KindInsert, Txn: 2, Key: keyspace.New("b"), Value: "w"}); err != nil {
+	valid := frame[frameHeaderLen:] // 04 01 07 0102 0102 00 00 00
+	if _, ok := decodeRecord(valid); !ok {
+		t.Fatalf("valid payload %x refused", valid)
+	}
+	for name, payload := range map[string][]byte{
+		"trailing byte":          append(append([]byte(nil), valid...), 0),
+		"cut short":              valid[:len(valid)-1],
+		"padded varint":          append([]byte{0x84, 0x00}, valid[1:]...),
+		"sentinel with spelling": {4, 1, 7, 2, 1, 'x', 1, 2, 0, 0, 0},
+		"unknown key tag":        {4, 1, 7, 1, 9, 1, 2, 0, 0, 0},
+		"empty key":              {4, 1, 7, 0, 1, 2, 0, 0, 0},
+		"value past the end":     {4, 1, 7, 1, 2, 1, 2, 0, 200, 0},
+	} {
+		if rec, ok := decodeRecord(payload); ok {
+			t.Errorf("%s: %x decoded as %+v", name, payload, rec)
+		}
+	}
+	// Inside a frame with a good checksum, that is CauseDecode.
+	framed := reframe(append(append([]byte(nil), valid...), 0))
+	if _, report := scanFrames("mem", bytes.NewReader(framed), int64(len(framed))); report.Cause != CauseDecode {
+		t.Errorf("trailing byte in a checksummed payload: cause %v, want %v", report.Cause, CauseDecode)
+	}
+}
+
+// reframe puts a header with the right length and checksum in front of
+// any payload, decodable or not.
+func reframe(payload []byte) []byte {
+	frame := append(append([]byte(nil), frameMagic[:]...), 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(frame[4:], uint32(len(payload)))
+	crc := crc32.Update(crc32.Update(0, crcTable, frame[:8]), crcTable, payload)
+	binary.BigEndian.PutUint32(frame[8:], crc)
+	return append(frame, payload...)
+}
+
+// TestAppendAllocs pins the append path's steady state: once the staged
+// buffer has its working size, logging a transaction — redo record,
+// prepare, commit, the last two fsynced — allocates nothing.
+func TestAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	f := &waltest.File{}
+	l := NewFileLog(f)
+	defer l.Close()
+	txn := func() {
+		for _, r := range []Record{
+			{Kind: KindInsert, Txn: 1 << 40, Key: keyspace.New("k0000042"), Version: 12, Value: "payload-value"},
+			{Kind: KindPrepare, Txn: 1 << 40},
+			{Kind: KindCommit, Txn: 1 << 40},
+		} {
+			if err := l.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Let the file grow to more than the measured runs will write, then
+	// empty it: waltest.File keeps its capacity.
+	for i := 0; i < 400; i++ {
+		txn()
+	}
+	if err := l.TruncateAt(l.NextLSN() - 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Record{Kind: KindCommit, Txn: 2}); err != nil {
-		t.Fatal(err)
+	if n := testing.AllocsPerRun(200, txn); n != 0 {
+		t.Errorf("three appends allocate %.0f times, want 0", n)
 	}
-	l.Close()
-	got, err := ReadFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 || got[3].LSN != 4 || got[2].Key.Raw() != "b" {
-		t.Fatalf("mixed log read = %+v", got)
+	if l.SyncCount() == 0 {
+		t.Error("no append reached Sync: the measured path is not the durable one")
 	}
 }
 
@@ -129,8 +223,9 @@ func corpus(t *testing.T, dir string) (string, []Record) {
 // rejected before allocation, not drive a multi-gigabyte make.
 func TestReadFileLogBoundsFrameLength(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "huge.wal")
-	// A v1-style header claiming ~4 GiB, then a few bytes.
-	if err := os.WriteFile(path, []byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, 0o644); err != nil {
+	// A header claiming ~4 GiB, then a few bytes.
+	huge := append(append([]byte(nil), frameMagic[:]...), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2, 3)
+	if err := os.WriteFile(path, huge, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadFileLog(path); err == nil {
@@ -156,7 +251,7 @@ func TestSalvageBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a bit inside the payload of an interior frame (walking the
-	// v2 headers to find it), so the CRC — not a length check — is what
+	// headers to find it), so the CRC — not a length check — is what
 	// catches it.
 	var off, pos int
 	for frame := 0; ; frame++ {
@@ -304,6 +399,7 @@ func TestCorruptionCauseString(t *testing.T) {
 		CauseBadLength:      "bad-length",
 		CauseBadCRC:         "bad-crc",
 		CauseDecode:         "bad-payload",
+		CauseBadMagic:       "bad-magic",
 		CorruptionCause(42): "CorruptionCause(42)",
 	} {
 		if got := c.String(); got != want {

@@ -12,7 +12,6 @@
 package wal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -77,8 +76,7 @@ type Record struct {
 	Version version.V
 	Value   string
 	// Epoch is the configuration epoch a KindEpoch record fences at;
-	// zero on every other kind. (Gob keeps old logs readable: records
-	// written before this field exists decode with Epoch zero.)
+	// zero on every other kind.
 	Epoch uint64
 }
 
@@ -212,21 +210,23 @@ type File interface {
 	Close() error
 }
 
-// FileLog appends records to a file as checksummed v2 frames (see
+// FileLog appends records to a file as checksummed frames (see
 // frame.go), so a log can be reopened for appending and recovery can
 // distinguish every record that was fully written from torn or
 // corrupted bytes.
 //
-// Appends that need an fsync are group-committed: frames are staged in
-// the buffered writer under mu, and the appender that finds no sync in
-// flight flushes and fsyncs everything staged so far with mu released.
-// Appenders that arrive meanwhile stage behind it and form the next
-// group, which the first of them to wake leads. A lone appender is its
-// own group and pays exactly one write and one fsync, inline.
+// Appends that need an fsync are group-committed: each record is encoded
+// straight into the staged buffer under mu, and the appender that finds
+// no sync in flight writes and fsyncs everything staged so far with mu
+// released. Appenders that arrive meanwhile stage behind it and form the
+// next group, which the first of them to wake leads. A lone appender is
+// its own group and pays exactly one write and one fsync, inline — and,
+// once the buffer has grown to its working size, no allocation.
 type FileLog struct {
 	mu     sync.Mutex
 	f      File
-	w      *bufio.Writer // frames staged since the last flush
+	staged []byte // frames encoded since the last write to f
+	werr   error  // the first failed write; see flush
 	next   uint64
 	policy SyncPolicy
 	syncs  uint64
@@ -264,7 +264,7 @@ func OpenFileLog(path string) (*FileLog, error) {
 // handle. Most callers want OpenFileLog; this entry point exists so a
 // fault-injecting File wrapper can sit between the log and the disk.
 func NewFileLog(f File) *FileLog {
-	l := &FileLog{f: f, w: bufio.NewWriter(f)}
+	l := &FileLog{f: f}
 	l.syncDone.L = &l.mu
 	return l
 }
@@ -331,7 +331,7 @@ func (l *FileLog) TruncateAt(lastLSN uint64) error {
 	if l.next != lastLSN {
 		return nil
 	}
-	if err := l.w.Flush(); err != nil {
+	if err := l.flush(); err != nil {
 		return fmt.Errorf("wal: flush before truncate: %w", err)
 	}
 	if err := l.f.Truncate(0); err != nil {
@@ -352,20 +352,44 @@ func (l *FileLog) Append(r Record) error {
 	if l.closed {
 		return ErrClosed
 	}
-	l.next++
-	r.LSN = l.next
-	frame, err := encodeFrame(r)
+	if l.werr != nil {
+		return fmt.Errorf("wal: write frame: %w", l.werr)
+	}
+	r.LSN = l.next + 1
+	staged, err := appendFrame(l.staged, &r)
 	if err != nil {
 		return err
 	}
-	if _, err := l.w.Write(frame); err != nil {
-		return fmt.Errorf("wal: write frame: %w", err)
-	}
+	l.staged = staged
+	l.next++
 	if l.needsSync(r.Kind) {
 		return l.commitStaged()
 	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
+	return l.flush()
+}
+
+// stagedKeep is the largest staged buffer kept between writes; one that
+// a burst or a huge value grew past it goes back to the collector.
+const stagedKeep = 64 << 10
+
+// flush writes the staged frames to the file; callers hold l.mu. A
+// failed or short write may have left part of a frame in the file, and
+// a frame appended behind it would be stranded there at recovery, so the
+// first failure is kept and fails every later append.
+func (l *FileLog) flush() error {
+	if l.werr == nil && len(l.staged) > 0 {
+		n, err := l.f.Write(l.staged)
+		if err == nil && n < len(l.staged) {
+			err = io.ErrShortWrite
+		}
+		l.werr = err
+		l.staged = l.staged[:0]
+		if cap(l.staged) > stagedKeep {
+			l.staged = nil
+		}
+	}
+	if l.werr != nil {
+		return fmt.Errorf("wal: flush: %w", l.werr)
 	}
 	return nil
 }
@@ -408,8 +432,8 @@ func (l *FileLog) flushAndSync() error {
 	if l.closed {
 		return ErrClosed
 	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
+	if err := l.flush(); err != nil {
+		return err
 	}
 	l.syncing = true
 	l.mu.Unlock()
@@ -433,8 +457,8 @@ func (l *FileLog) Sync() error {
 	if l.closed {
 		return ErrClosed
 	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
+	if err := l.flush(); err != nil {
+		return err
 	}
 	return l.f.Sync()
 }
@@ -452,27 +476,24 @@ func (l *FileLog) Close() error {
 	for l.syncing {
 		l.syncDone.Wait()
 	}
-	if err := l.w.Flush(); err != nil {
+	if err := l.flush(); err != nil {
 		l.f.Close()
-		return fmt.Errorf("wal: flush on close: %w", err)
+		return err
 	}
 	return l.f.Close()
 }
 
-// ReadFileLog decodes every record in a log file, v1 and v2 frames
-// alike. A trailing partial frame (torn write during a crash) is
-// tolerated; a corrupt frame in the middle of the log — bad length,
-// failed checksum, undecodable payload — is an error. Use
-// SalvageFileLog to recover the valid prefix of a damaged log instead.
+// ReadFileLog decodes every record in a log file. A trailing partial
+// frame (torn write during a crash) is tolerated; a corrupt frame in the
+// middle of the log — bad length, failed checksum, undecodable payload —
+// is an error. Use SalvageFileLog to recover the valid prefix of a
+// damaged log instead.
 func ReadFileLog(path string) ([]Record, error) {
-	records, report, err := scanFile(path)
-	if err != nil {
-		return nil, err
+	records, report, err := ScanFileLog(path)
+	if err != nil || report == nil || report.Cause.Torn() {
+		return records, err
 	}
-	if report.Cause == CauseNone || report.Cause.Torn() {
-		return records, nil
-	}
-	return records, &report
+	return records, report
 }
 
 // FilterAfter returns the records with LSN strictly greater than lsn —
