@@ -35,7 +35,7 @@ func (k Key) AppendBinary(b []byte) []byte {
 }
 
 // GobEncode implements gob.GobEncoder so keys with unexported fields can
-// travel through the gob-based RPC transport and snapshot files.
+// travel in snapshot files.
 func (k Key) GobEncode() ([]byte, error) { return k.MarshalBinary() }
 
 // GobDecode implements gob.GobDecoder.

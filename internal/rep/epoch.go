@@ -23,15 +23,16 @@ var ErrStaleEpoch = errors.New("rep: stale configuration epoch")
 // Bypass reads never adopt or advance fences.
 const EpochBypass = ^uint64(0)
 
-// epochCtxKey carries the caller's configuration epoch in a context.
-type epochCtxKey struct{}
+// EpochKey is the context key of the caller's configuration epoch,
+// exported for the same reason MarksKey is.
+type EpochKey struct{}
 
 // WithEpoch returns a context whose directory operations carry the
 // given configuration epoch. The transport forwards it to remote
 // representatives; representatives fence operations whose epoch is
 // older than their fence and virally adopt newer ones.
 func WithEpoch(ctx context.Context, epoch uint64) context.Context {
-	return context.WithValue(ctx, epochCtxKey{}, epoch)
+	return context.WithValue(ctx, EpochKey{}, epoch)
 }
 
 // EpochFromContext extracts the caller epoch; zero means the caller is
@@ -40,7 +41,7 @@ func WithEpoch(ctx context.Context, epoch uint64) context.Context {
 // fence has advanced — that is the enforced form of the old GrowSuite
 // caveat that clients must not mix configurations.
 func EpochFromContext(ctx context.Context) uint64 {
-	e, _ := ctx.Value(epochCtxKey{}).(uint64)
+	e, _ := ctx.Value(EpochKey{}).(uint64)
 	return e
 }
 

@@ -5,8 +5,9 @@ import "context"
 // Call marks. Three things a coordinator knows about a call cut round
 // trips out of the point operations, and the Directory signatures have
 // no parameter for any of them, so they travel the way the epoch does:
-// a context value on the caller's side, an op tag on the wire
-// (transport), a context value again at the representative.
+// a context value on the caller's side, a flags byte in the request
+// header on the wire (transport), a context value again at the
+// representative.
 //
 //   - One-shot: the Lookup is the only thing its transaction does at
 //     this representative. Its lock point is the call itself, so the
@@ -27,41 +28,47 @@ import "context"
 //     joins the transaction like any batch call and keeps its lock: the
 //     coalesce that follows upgrades it.
 
-type oneShotKey struct{}
-type prepareRidesKey struct{}
-type aroundKey struct{}
+// Marks is the set of call marks a context carries. The bit values are
+// the transport's flags byte: part of the on-wire contract.
+type Marks uint8
+
+const (
+	OneShotMark Marks = 1 << iota
+	PrepareMark
+	AroundMark
+)
+
+// MarksKey is the context key of a call's Marks. It is exported so that
+// a transport's request context can answer for it without wrapping one
+// context in another.
+type MarksKey struct{}
+
+// MarksFrom returns the marks ctx carries.
+func MarksFrom(ctx context.Context) Marks {
+	m, _ := ctx.Value(MarksKey{}).(Marks)
+	return m
+}
+
+func withMark(ctx context.Context, m Marks) context.Context {
+	return context.WithValue(ctx, MarksKey{}, MarksFrom(ctx)|m)
+}
 
 // MarkOneShot marks the Lookups made under ctx as one-shot.
-func MarkOneShot(ctx context.Context) context.Context {
-	return context.WithValue(ctx, oneShotKey{}, true)
-}
+func MarkOneShot(ctx context.Context) context.Context { return withMark(ctx, OneShotMark) }
 
 // OneShot reports whether ctx carries the one-shot mark.
-func OneShot(ctx context.Context) bool {
-	v, _ := ctx.Value(oneShotKey{}).(bool)
-	return v
-}
+func OneShot(ctx context.Context) bool { return MarksFrom(ctx)&OneShotMark != 0 }
 
 // MarkPrepare marks the Inserts and Coalesces made under ctx as
 // carrying the transaction's prepare.
-func MarkPrepare(ctx context.Context) context.Context {
-	return context.WithValue(ctx, prepareRidesKey{}, true)
-}
+func MarkPrepare(ctx context.Context) context.Context { return withMark(ctx, PrepareMark) }
 
 // PrepareRides reports whether ctx carries the prepare mark.
-func PrepareRides(ctx context.Context) bool {
-	v, _ := ctx.Value(prepareRidesKey{}).(bool)
-	return v
-}
+func PrepareRides(ctx context.Context) bool { return MarksFrom(ctx)&PrepareMark != 0 }
 
 // MarkAround marks the SuccessorBatch calls made under ctx as reads of
 // the key's whole neighborhood.
-func MarkAround(ctx context.Context) context.Context {
-	return context.WithValue(ctx, aroundKey{}, true)
-}
+func MarkAround(ctx context.Context) context.Context { return withMark(ctx, AroundMark) }
 
 // Around reports whether ctx carries the neighborhood mark.
-func Around(ctx context.Context) bool {
-	v, _ := ctx.Value(aroundKey{}).(bool)
-	return v
-}
+func Around(ctx context.Context) bool { return MarksFrom(ctx)&AroundMark != 0 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,11 +20,11 @@ func TestFrameWriterAllocs(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	var stats WireStats
-	fw := newFrameWriter(io.Discard, 0, 0, &stats, func(err error) { t.Errorf("frame writer failed: %v", err) })
-	req := request{ID: 42, Op: opLookupOnce, Txn: 1 << 40, Deadline: 250_000, Key: keyspace.New("k0000042")}
+	fw := newFrameWriter(io.Discard, &stats, func(err error) { t.Errorf("frame writer failed: %v", err) })
+	req := request{ID: 42, Op: opLookup, Txn: 1 << 40, Deadline: 250_000, Marks: rep.OneShotMark, Key: keyspace.New("k0000042")}
 	send := func() {
 		req.ID++
-		if err := fw.enqueue(outMsg{req: &req, ver: wireVersion}); err != nil {
+		if err := fw.enqueue(outMsg{req: &req}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,9 +109,7 @@ func TestOversizeMessageBehindBatchFailsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	// The window holds the flush leader back long enough for the second
-	// call to queue behind the first.
-	c, err := Dial(srv.Addr(), WithBatchWindow(200*time.Millisecond))
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,28 +117,27 @@ func TestOversizeMessageBehindBatchFailsAlone(t *testing.T) {
 	c.mu.Lock()
 	conn := c.cc
 	c.mu.Unlock()
+	// The connection's writes now wait at a gate, so that the flush
+	// leader stays in its write while the second call queues behind the
+	// first.
+	gated := &gatedWriter{Writer: conn.conn, entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	conn.fw.w = gated
 
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.Lookup(ctx, 1, keyspace.New("k"))
+		first <- err
+	}()
+	<-gated.entered
 	big := strings.Repeat("x", maxFrameLen+1)
-	var wg sync.WaitGroup
-	var firstErr, secondErr error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_, firstErr = c.Lookup(ctx, 1, keyspace.New("k"))
-	}()
-	go func() {
-		defer wg.Done()
-		time.Sleep(50 * time.Millisecond)
-		secondErr = c.Insert(ctx, 2, keyspace.New("big"), 1, big)
-	}()
-	wg.Wait()
+	if err := c.Insert(ctx, 2, keyspace.New("big"), 1, big); err == nil || !strings.Contains(err.Error(), "frame bound") {
+		t.Errorf("oversized call = %v, want the frame-bound refusal", err)
+	}
+	close(gated.gate)
+	if err := <-first; err != nil {
+		t.Errorf("the call ahead of the oversized one failed: %v", err)
+	}
 
-	if firstErr != nil {
-		t.Errorf("the call ahead of the oversized one failed: %v", firstErr)
-	}
-	if secondErr == nil || !strings.Contains(secondErr.Error(), "frame bound") {
-		t.Errorf("oversized call = %v, want the frame-bound refusal", secondErr)
-	}
 	if conn.isBroken() {
 		t.Error("the connection was torn down")
 	}

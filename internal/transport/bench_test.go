@@ -29,7 +29,7 @@ func BenchmarkLocalLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkTCPRoundTrip measures a full gob request/response cycle over
+// BenchmarkTCPRoundTrip measures a full request/response cycle over
 // loopback.
 func BenchmarkTCPRoundTrip(b *testing.B) {
 	srv, err := Serve(rep.New("bench"), "127.0.0.1:0")
@@ -60,7 +60,7 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 // delayDir adds a fixed service time to every Lookup, standing in for
 // the lock waits, fsyncs, and network distance a loaded deployment sees.
 // Loopback RTT is near zero, so without it a quorum benchmark measures
-// only gob CPU cost and says nothing about pipelining.
+// only codec CPU cost and says nothing about pipelining.
 type delayDir struct {
 	rep.Directory
 	delay time.Duration
@@ -174,13 +174,13 @@ func (d nopDir) Commit(context.Context, lock.TxnID) error                  { ret
 func (d nopDir) Abort(context.Context, lock.TxnID) error                   { return nil }
 func (d nopDir) Status(context.Context, lock.TxnID) (rep.TxnStatus, error) { return 0, nil }
 
-// benchQuorumRound is the codec comparison harness: one round = a
-// 3-member Lookup fan-out plus a 3-member Abort fan-out (6 messages),
-// with `workers` rounds in flight over the same single connection per
-// member. Members answer instantly (nopDir), so ns/op is transport
-// cost — exactly what the gob→binary migration targets.
-func benchQuorumRound(b *testing.B, workers int, dialOpts ...DialOption) {
-	const members = 3
+// BenchmarkTCPQuorumRound measures what a quorum round costs the
+// transport: one round = a 3-member Lookup fan-out plus a 3-member Abort
+// fan-out (6 messages), with 16 rounds in flight over the same single
+// connection per member. Members answer instantly (nopDir), so ns/op is
+// transport cost: codec, framing, group commit, syscalls.
+func BenchmarkTCPQuorumRound(b *testing.B) {
+	const members, workers = 3, 16
 	ctx := context.Background()
 	clients := make([]*Client, members)
 	for i := range clients {
@@ -189,7 +189,7 @@ func benchQuorumRound(b *testing.B, workers int, dialOpts ...DialOption) {
 			b.Fatal(err)
 		}
 		defer srv.Close()
-		c, err := Dial(srv.Addr(), dialOpts...)
+		c, err := Dial(srv.Addr())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -241,34 +241,15 @@ func benchQuorumRound(b *testing.B, workers int, dialOpts ...DialOption) {
 	wg.Wait()
 }
 
-// BenchmarkTCPQuorumRound is the acceptance benchmark for the binary
-// codec: same machine, same harness, three codecs. "gob" is the
-// pre-codec baseline, "binary_nobatch" isolates the codec win
-// (every message in its own frame), "binary" adds group-commit
-// batching on top.
-func BenchmarkTCPQuorumRound(b *testing.B) {
-	const workers = 16
-	b.Run("gob", func(b *testing.B) {
-		benchQuorumRound(b, workers, WithGobProtocol())
-	})
-	b.Run("binary_nobatch", func(b *testing.B) {
-		benchQuorumRound(b, workers, WithMaxBatch(1))
-	})
-	b.Run("binary", func(b *testing.B) {
-		benchQuorumRound(b, workers)
-	})
-}
-
 // benchSingleConn saturates ONE client connection with pipelined
-// lookups from `workers` goroutines — the "single-connection
-// throughput" number the codec migration is judged on.
-func benchSingleConn(b *testing.B, workers int, dialOpts ...DialOption) {
+// lookups from `workers` goroutines: single-connection throughput.
+func benchSingleConn(b *testing.B, workers int) {
 	srv, err := Serve(nopDir{name: "s"}, "127.0.0.1:0", WithPerConnConcurrency(4*workers))
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr(), dialOpts...)
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -298,16 +279,10 @@ func benchSingleConn(b *testing.B, workers int, dialOpts ...DialOption) {
 	wg.Wait()
 }
 
-// BenchmarkTCPSingleConn sweeps codec × concurrency on one connection.
+// BenchmarkTCPSingleConn sweeps concurrency on one connection.
 func BenchmarkTCPSingleConn(b *testing.B) {
 	for _, workers := range []int{16, 64, 128} {
-		b.Run(fmt.Sprintf("gob/workers=%d", workers), func(b *testing.B) {
-			benchSingleConn(b, workers, WithGobProtocol())
-		})
-		b.Run(fmt.Sprintf("binary_nobatch/workers=%d", workers), func(b *testing.B) {
-			benchSingleConn(b, workers, WithMaxBatch(1))
-		})
-		b.Run(fmt.Sprintf("binary/workers=%d", workers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			benchSingleConn(b, workers)
 		})
 	}
@@ -319,7 +294,7 @@ func BenchmarkWireEncodeRequest(b *testing.B) {
 	buf := make([]byte, 0, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = appendRequest(buf[:0], &req, wireVersion)
+		buf = appendRequest(buf[:0], &req)
 	}
 	_ = buf
 }
@@ -351,7 +326,7 @@ func TestEncodeZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		buf = buf[:0]
 		for i := range reqs {
-			buf = appendRequest(buf, &reqs[i], wireVersion)
+			buf = appendRequest(buf, &reqs[i])
 		}
 		for i := range resps {
 			buf = appendResponse(buf, &resps[i])
@@ -368,13 +343,13 @@ func TestEncodeZeroAlloc(t *testing.T) {
 	}
 	var pcBuf []byte
 	for i := range twoPC {
-		pcBuf = appendRequest(pcBuf, &twoPC[i], wireVersion)
+		pcBuf = appendRequest(pcBuf, &twoPC[i])
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		r := wireReader{buf: pcBuf}
 		var req request
 		for r.remaining() > 0 {
-			if err := r.readRequest(&req, wireVersion); err != nil {
+			if err := r.readRequest(&req); err != nil {
 				t.Fatal(err)
 			}
 		}

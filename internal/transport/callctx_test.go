@@ -91,7 +91,7 @@ func TestRequestContextTimerIsLazy(t *testing.T) {
 // for, that Err goes by the clock with no timer armed, and that a
 // settled context stays settled.
 func TestCallCtx(t *testing.T) {
-	c := &callCtx{deadline: time.Now().Add(time.Hour), epoch: 300, op: opInsertPrepare}
+	c := &callCtx{deadline: time.Now().Add(time.Hour), epoch: 300, marks: rep.PrepareMark}
 	if d, ok := c.Deadline(); !ok || !d.Equal(c.deadline) {
 		t.Errorf("Deadline = %v, %v", d, ok)
 	}
@@ -102,11 +102,11 @@ func TestCallCtx(t *testing.T) {
 	if c.Value("some other key") != nil {
 		t.Error("Value answered for a key that is not its own")
 	}
-	for o, marked := range map[op]func(context.Context) bool{
-		opLookupOnce: rep.OneShot, opCoalescePrepare: rep.PrepareRides, opSuccessorBatchAround: rep.Around,
+	for m, marked := range map[rep.Marks]func(context.Context) bool{
+		rep.OneShotMark: rep.OneShot, rep.PrepareMark: rep.PrepareRides, rep.AroundMark: rep.Around,
 	} {
-		if !marked(&callCtx{op: o}) || marked(&callCtx{op: o.unmarked()}) {
-			t.Errorf("op %d: the mark does not follow the tag", o)
+		if !marked(&callCtx{marks: m}) || marked(&callCtx{marks: ^m}) {
+			t.Errorf("mark %#x: the context does not answer for exactly the bits it was given", m)
 		}
 	}
 	if rep.EpochFromContext(&callCtx{}) != 0 {

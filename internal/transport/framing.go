@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repdir/internal/obs"
 )
@@ -136,11 +135,11 @@ func RegisterWireStats(reg *obs.Registry, stats map[string]*WireStats) {
 			return out
 		})
 	}
-	counter("repdir_wire_frames_total", "Wire frames carried by the binary transport codec.",
+	counter("repdir_wire_frames_total", "Wire frames carried by the transport.",
 		func(d *wireDir) *atomic.Uint64 { return &d.frames })
-	counter("repdir_wire_bytes_total", "Wire frame payload bytes carried by the binary transport codec.",
+	counter("repdir_wire_bytes_total", "Wire frame payload bytes carried by the transport.",
 		func(d *wireDir) *atomic.Uint64 { return &d.bytes })
-	counter("repdir_wire_messages_total", "Request/response messages carried by the binary transport codec.",
+	counter("repdir_wire_messages_total", "Request/response messages carried by the transport.",
 		func(d *wireDir) *atomic.Uint64 { return &d.msgs })
 	sizes("repdir_wire_frame_bytes", "Distribution of frame payload sizes in bytes.",
 		func(d *wireDir) *obs.SizeHistogram { return &d.frameBytes })
@@ -148,17 +147,16 @@ func RegisterWireStats(reg *obs.Registry, stats map[string]*WireStats) {
 		func(d *wireDir) *obs.SizeHistogram { return &d.batch })
 }
 
-// outMsg is one message for a frameWriter to encode: a request, in the
-// layout of codec version ver, or a response.
+// outMsg is one message for a frameWriter to encode: a request or a
+// response.
 type outMsg struct {
 	req  *request
-	ver  byte
 	resp *response
 }
 
 func (m outMsg) appendTo(b []byte) []byte {
 	if m.req != nil {
-		return appendRequest(b, m.req, m.ver)
+		return appendRequest(b, m.req)
 	}
 	return appendResponse(b, m.resp)
 }
@@ -169,9 +167,7 @@ func (m outMsg) appendTo(b []byte) []byte {
 // messages enqueued while a write syscall is in flight ride out
 // together in the next frame. Under a single caller every message
 // flushes immediately (no added latency); under concurrent quorum
-// rounds, frames batch up automatically. An optional window makes the
-// flusher linger after the first message of a batch, trading a bounded
-// latency bump for bigger frames.
+// rounds, frames batch up automatically.
 //
 // The writer owns two buffers and never copies between them. Enqueuers
 // encode into pending under mu; the flusher swaps pending for the spare
@@ -187,13 +183,9 @@ func (m outMsg) appendTo(b []byte) []byte {
 // after a failure, so a partial frame cannot be followed by bytes the
 // peer would misparse.
 type frameWriter struct {
-	w      io.Writer
-	window time.Duration
-	// maxBatch caps messages per frame (0 = unbounded); used to pin
-	// down the unbatched baseline in benchmarks.
-	maxBatch int
-	stats    *WireStats
-	onErr    func(error)
+	w     io.Writer
+	stats *WireStats
+	onErr func(error)
 
 	mu       sync.Mutex
 	pending  []byte // frameHdrMax free bytes, then encoded messages awaiting flush
@@ -207,8 +199,8 @@ type frameWriter struct {
 	spareEnds []int
 }
 
-func newFrameWriter(w io.Writer, window time.Duration, maxBatch int, stats *WireStats, onErr func(error)) *frameWriter {
-	return &frameWriter{w: w, window: window, maxBatch: maxBatch, stats: stats, onErr: onErr,
+func newFrameWriter(w io.Writer, stats *WireStats, onErr func(error)) *frameWriter {
+	return &frameWriter{w: w, stats: stats, onErr: onErr,
 		pending: newFrameBuf(), spare: newFrameBuf()}
 }
 
@@ -244,16 +236,11 @@ func (fw *frameWriter) enqueue(m outMsg) error {
 	}
 	fw.flushing = true
 	fw.mu.Unlock()
-	if fw.window > 0 {
-		time.Sleep(fw.window)
-	} else if fw.maxBatch != 1 {
-		// Group-commit heuristic: yield once before writing, so
-		// runnable peers (quorum-round goroutines mid-send, handlers
-		// finishing together) get to enqueue into this frame. With an
-		// empty run queue this costs ~100ns; under load it turns N
-		// write syscalls into one.
-		runtime.Gosched()
-	}
+	// Group-commit heuristic: yield once before writing, so runnable
+	// peers (quorum-round goroutines mid-send, handlers finishing
+	// together) get to enqueue into this frame. With an empty run queue
+	// this costs ~100ns; under load it turns N write syscalls into one.
+	runtime.Gosched()
 	return fw.flushLoop()
 }
 
@@ -285,7 +272,7 @@ func (fw *frameWriter) flushLoop() error {
 }
 
 // writeFrames sends the messages of buf, which end at ends, as frames of
-// whole messages bounded by batchFlushBytes and maxBatch; a message over
+// whole messages bounded by batchFlushBytes; a message over
 // batchFlushBytes goes alone. The caller owns buf: each frame's length
 // prefix is written right before its body, over the free bytes at the
 // front or over messages already sent.
@@ -293,9 +280,6 @@ func (fw *frameWriter) writeFrames(buf []byte, ends []int) error {
 	start := frameHdrMax
 	for len(ends) > 0 {
 		take := len(ends)
-		if fw.maxBatch > 0 && take > fw.maxBatch {
-			take = fw.maxBatch
-		}
 		for take > 1 && ends[take-1]-start > batchFlushBytes {
 			take--
 		}

@@ -22,40 +22,42 @@ func fuzzKey(kind uint8, s string) keyspace.Key {
 	}
 }
 
-// FuzzCodecRoundTrip drives the binary codec from both ends: structured
-// inputs must encode→decode to identical messages for every
-// request/response variant, and the raw encoded bytes — plus arbitrary
-// mutations of them the fuzzer discovers — must never panic the
-// decoders or read out of bounds. The decoders see `raw` directly, so
-// the fuzzer explores corrupt framings as well as valid ones.
+// FuzzCodecRoundTrip drives the codec from both ends: structured inputs
+// must encode→decode to identical messages for every request/response
+// variant — every op, with an epoch, a deadline and, for half the
+// inputs, the marks the op takes — and the raw encoded bytes, plus
+// arbitrary mutations of them the fuzzer discovers, must never panic
+// the decoders or read out of bounds. The decoders see `raw` directly,
+// so the fuzzer explores corrupt framings as well as valid ones.
 func FuzzCodecRoundTrip(f *testing.F) {
-	f.Add(uint8(1), uint64(1), uint64(2), uint8(2), "key", uint8(0), "", uint64(3), "value", 4, uint8(0), "", []byte{})
-	f.Add(uint8(6), uint64(9), uint64(8), uint8(2), "k", uint8(1), "hi", uint64(1<<40), "v", 0, uint8(2), "msg", []byte{0x01, 0x02})
-	f.Add(uint8(12), uint64(0), uint64(0), uint8(0), "", uint8(2), "z", uint64(0), "", -1, uint8(9), "boom", []byte{0xff, 0xff, 0xff})
-	// The marked calls, tags 13-15, each with its own encoding as raw.
-	f.Add(uint8(12), uint64(7), uint64(9), uint8(2), "k", uint8(0), "", uint64(4), "v", 0, uint8(0), "", []byte{0x0d, 0x07, 0x09, 0x02, 0x01, 'k'})
-	f.Add(uint8(13), uint64(1), uint64(2), uint8(2), "ab", uint8(0), "", uint64(3), "xyz", 0, uint8(8), "no", []byte{0x0e, 0x01, 0x02, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'})
-	f.Add(uint8(14), uint64(1), uint64(2), uint8(0), "", uint8(1), "", uint64(5), "", 0, uint8(0), "", []byte{0x0f, 0x01, 0x02, 0x01, 0x03, 0x05})
-	// Tag 16, the neighborhood read; and under each of the three batch
-	// tags a count of 65, one over the page, which the request decoder
-	// refuses (TestWireRefusesOversizedBatch).
-	f.Add(uint8(15), uint64(1), uint64(2), uint8(2), "k", uint8(0), "", uint64(3), "v", 3, uint8(0), "", []byte{0x10, 0x01, 0x02, 0x02, 0x01, 'k', 0x03})
-	f.Add(uint8(15), uint64(1), uint64(2), uint8(2), "k", uint8(0), "", uint64(3), "v", rep.MaxBatch, uint8(0), "", []byte{0x10, 0x01, 0x02, 0x02, 0x01, 'k', 0x41})
-	f.Add(uint8(4), uint64(1), uint64(2), uint8(0), "", uint8(0), "", uint64(0), "", rep.MaxBatch, uint8(0), "", []byte{0x05, 0x01, 0x02, 0x01, 0x41})
-	f.Add(uint8(3), uint64(1), uint64(2), uint8(1), "", uint8(0), "", uint64(0), "", rep.MaxBatch, uint8(0), "", []byte{0x04, 0x01, 0x02, 0x03, 0x41})
+	// The op is tag%12 + 1, marked from tag 128 up.
+	f.Add(uint8(0), uint64(1), uint64(2), uint8(2), "key", uint8(0), "", uint64(3), "value", 4, uint8(0), "", []byte{})
+	f.Add(uint8(5), uint64(9), uint64(8), uint8(2), "k", uint8(1), "hi", uint64(1<<40), "v", 0, uint8(2), "msg", []byte{0x01, 0x02})
+	f.Add(uint8(11), uint64(0), uint64(0), uint8(0), "", uint8(2), "z", uint64(0), "", -1, uint8(9), "boom", []byte{0xff, 0xff, 0xff})
+	// The marked calls, each with its own encoding as raw.
+	f.Add(uint8(132), uint64(7), uint64(9), uint8(2), "k", uint8(0), "", uint64(4), "v", 0, uint8(0), "", []byte{0x01, 0x07, 0x09, 0x00, 0x00, 0x01, 0x02, 0x01, 'k'})
+	f.Add(uint8(137), uint64(1), uint64(2), uint8(2), "ab", uint8(0), "", uint64(3), "xyz", 0, uint8(8), "no", []byte{0x06, 0x01, 0x02, 0x00, 0x00, 0x02, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'})
+	f.Add(uint8(138), uint64(1), uint64(2), uint8(0), "", uint8(1), "", uint64(5), "", 0, uint8(0), "", []byte{0x07, 0x01, 0x02, 0x00, 0x00, 0x02, 0x01, 0x03, 0x05})
+	f.Add(uint8(136), uint64(1), uint64(2), uint8(2), "k", uint8(0), "", uint64(3), "v", 3, uint8(0), "", []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x04, 0x02, 0x01, 'k', 0x03})
+	// What the request decoder refuses: under each batch tag a count of
+	// 65, one over the page (TestWireRefusesOversizedBatch); a flag from
+	// the future; a mark on an op that does not take it.
+	f.Add(uint8(136), uint64(1), uint64(2), uint8(2), "k", uint8(0), "", uint64(3), "v", rep.MaxBatch, uint8(0), "", []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x04, 0x02, 0x01, 'k', 0x41})
+	f.Add(uint8(4), uint64(1), uint64(2), uint8(0), "", uint8(0), "", uint64(0), "", rep.MaxBatch, uint8(0), "", []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x00, 0x01, 0x41})
+	f.Add(uint8(3), uint64(1), uint64(2), uint8(1), "", uint8(0), "", uint64(0), "", rep.MaxBatch, uint8(0), "", []byte{0x04, 0x01, 0x02, 0x00, 0x00, 0x00, 0x03, 0x41})
+	f.Add(uint8(0), uint64(7), uint64(9), uint8(2), "k", uint8(0), "", uint64(0), "", 0, uint8(0), "", []byte{0x01, 0x07, 0x09, 0x00, 0x00, 0x08, 0x02, 0x01, 'k'})
+	f.Add(uint8(5), uint64(1), uint64(2), uint8(2), "ab", uint8(0), "", uint64(3), "xyz", 0, uint8(0), "", []byte{0x06, 0x01, 0x02, 0x00, 0x00, 0x01, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'})
 
 	f.Fuzz(func(t *testing.T, tag uint8, id, txn uint64, keyKind uint8, keyS string,
 		hiKind uint8, hiS string, ver uint64, value string, count int, codeByte uint8, msg string, raw []byte) {
 
-		// Structured round trip: a valid request of every op, at both
-		// codec versions (epoch rides the v2 header only).
-		wver := byte(tag%2) + 1
-		reqOp := op(tag%16) + 1
-		req := request{ID: id, Op: reqOp, Txn: txn}
-		if wver >= 2 {
-			req.Epoch = id ^ txn
+		// Structured round trip: a valid request of every op.
+		reqOp := op(tag%12) + 1
+		req := request{ID: id, Op: reqOp, Txn: txn, Epoch: id ^ txn, Deadline: ver ^ txn}
+		if tag >= 128 {
+			req.Marks = reqOp.marks()
 		}
-		switch reqOp.unmarked() {
+		switch reqOp {
 		case opLookup, opPredecessor, opSuccessor:
 			req.Key = fuzzKey(keyKind, keyS)
 		case opPredecessorBatch, opSuccessorBatch:
@@ -73,10 +75,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			req.Hi = fuzzKey(hiKind, hiS)
 			req.Version = version.V(ver)
 		}
-		encReq := appendRequest(nil, &req, wver)
+		encReq := appendRequest(nil, &req)
 		r := wireReader{buf: encReq}
 		var gotReq request
-		if err := r.readRequest(&gotReq, wver); err != nil {
+		if err := r.readRequest(&gotReq); err != nil {
 			t.Fatalf("valid request %+v failed to decode: %v", req, err)
 		}
 		if !reflect.DeepEqual(gotReq, req) {
@@ -91,7 +93,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if resp.Code != codeOK {
 			resp.Msg = msg
 		} else {
-			switch reqOp.unmarked() {
+			switch reqOp {
 			case opLookup:
 				resp.Found = ver%2 == 0
 				resp.Version = version.V(ver)
@@ -131,7 +133,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 		// Re-encoding the decoded message must be byte-identical
 		// (canonical encoding — no two spellings of one message).
-		if re := appendRequest(nil, &gotReq, wver); !bytes.Equal(re, encReq) {
+		if re := appendRequest(nil, &gotReq); !bytes.Equal(re, encReq) {
 			t.Fatalf("request re-encode differs:\n got  %#v\n want %#v", re, encReq)
 		}
 		if re := appendResponse(nil, &gotResp); !bytes.Equal(re, encResp) {
@@ -141,16 +143,14 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		// Adversarial half: arbitrary bytes must error or decode, never
 		// panic. Decode repeatedly to walk multi-message framings.
 		for _, buf := range [][]byte{raw, encReq, encResp} {
-			for _, dv := range []byte{1, 2} {
-				r := wireReader{buf: buf}
-				for r.remaining() > 0 {
-					var rq request
-					if err := r.readRequest(&rq, dv); err != nil {
-						break
-					}
+			r := wireReader{buf: buf}
+			for r.remaining() > 0 {
+				var rq request
+				if err := r.readRequest(&rq); err != nil {
+					break
 				}
 			}
-			r := wireReader{buf: buf}
+			r = wireReader{buf: buf}
 			for r.remaining() > 0 {
 				var rs response
 				if err := r.readResponse(&rs); err != nil {

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -59,8 +58,7 @@ func (d *markSpy) SuccessorBatch(ctx context.Context, id lock.TxnID, key keyspac
 
 // TestCallMarksCrossTheWire: the one-shot, prepare and neighborhood
 // marks set on the caller's context reach the served representative,
-// over both codecs and through Local, and an unmarked call arrives
-// unmarked.
+// over TCP and through Local, and an unmarked call arrives unmarked.
 func TestCallMarksCrossTheWire(t *testing.T) {
 	ctx := context.Background()
 	drive := func(t *testing.T, d rep.Directory, spy *markSpy) {
@@ -120,79 +118,80 @@ func TestCallMarksCrossTheWire(t *testing.T) {
 		spy := &markSpy{Rep: rep.New("A")}
 		drive(t, NewLocal(spy), spy)
 	})
-	for _, proto := range []string{ProtoBinary, ProtoGob} {
-		t.Run(proto, func(t *testing.T) {
-			spy := &markSpy{Rep: rep.New("A")}
-			srv, err := Serve(spy, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			var opts []DialOption
-			if proto == ProtoGob {
-				opts = append(opts, WithGobProtocol())
-			}
-			c, err := Dial(srv.Addr(), opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if c.Protocol() != proto {
-				t.Fatalf("protocol = %s", c.Protocol())
-			}
-			drive(t, c, spy)
-		})
-	}
+	t.Run("tcp", func(t *testing.T) {
+		spy := &markSpy{Rep: rep.New("A")}
+		srv, err := Serve(spy, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		drive(t, c, spy)
+	})
 }
 
 // TestUnknownTagFailsPromptly: a server that does not know a request's
-// tag — an older build sent one of the marked calls — must cost the
-// caller an error at once, not its deadline. On the binary codec the
-// server cannot skip a message whose layout it does not know, so it
-// drops the connection and the call fails as unavailable; on gob the
-// request decodes and the handler refuses it. The tag after the newest
-// — what tag 16, the neighborhood read, is to a build before it — and
-// one from further off.
+// tag or one of its marks, or is sent a mark on an op that does not take
+// it, must cost the caller an error at once, not its deadline. The
+// server cannot skip a message whose layout it does not know, and must
+// not run a call whose mark it would drop, so it closes the connection
+// and the call fails as unavailable. The tag after the newest and one
+// from further off; a flag from the future; OneShot on an Insert.
 func TestUnknownTagFailsPromptly(t *testing.T) {
-	for _, fromTheFuture := range []op{opSuccessorBatchAround + 1, 99} {
-		testUnknownTag(t, fromTheFuture)
+	srv, err := Serve(rep.New("A"), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func testUnknownTag(t *testing.T, fromTheFuture op) {
-	for _, proto := range []string{ProtoBinary, ProtoGob} {
-		t.Run(fmt.Sprintf("%s/tag%d", proto, fromTheFuture), func(t *testing.T) {
-			srv, err := Serve(rep.New("A"), "127.0.0.1:0")
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for name, req := range map[string]request{
+		"tag_13":          {Op: opName + 1, Txn: 1, Key: keyspace.New("k"), Count: 1},
+		"tag_99":          {Op: 99, Txn: 1, Key: keyspace.New("k"), Count: 1},
+		"future_flag":     {Op: opLookup, Txn: 1, Marks: rep.OneShotMark | 0x80, Key: keyspace.New("k")},
+		"misplaced_marks": {Op: opInsert, Txn: 1, Marks: rep.OneShotMark, Key: keyspace.New("k"), Version: 1, Value: "v"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// The request as it stands, past what call would make of it.
+			cc, err := c.ensureConn(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer srv.Close()
-			var opts []DialOption
-			if proto == ProtoGob {
-				opts = append(opts, WithGobProtocol())
+			pc := &pendingCall{req: req, ready: make(chan struct{}, 1)}
+			pc.req.ID = c.nextID.Add(1)
+			if !cc.register(pc) {
+				t.Fatal("the connection broke before the call")
 			}
-			c, err := Dial(srv.Addr(), opts...)
-			if err != nil {
+			if err := cc.fw.enqueue(outMsg{req: &pc.req}); err != nil {
 				t.Fatal(err)
 			}
-			defer c.Close()
-
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			start := time.Now()
-			_, err = c.call(ctx, request{Op: fromTheFuture, Txn: 1, Key: keyspace.New("k"), Count: 1})
-			if err == nil {
-				t.Fatal("a call with an unknown tag succeeded")
-			}
-			if ctx.Err() != nil || time.Since(start) > 5*time.Second {
-				t.Fatalf("unknown tag hung until the deadline: %v after %v", err, time.Since(start))
-			}
-			if proto == ProtoBinary && !errors.Is(err, ErrUnavailable) {
-				t.Errorf("binary: error = %v, want ErrUnavailable", err)
+			select {
+			case <-pc.ready:
+				if !errors.Is(pc.err, ErrUnavailable) {
+					t.Errorf("refused call = %+v, %v; want ErrUnavailable", pc.resp, pc.err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the refused call hung")
 			}
 			// The client is still usable: the next call redials.
-			if _, err := c.Lookup(context.Background(), 2, keyspace.New("k")); err != nil {
+			if _, err := c.Lookup(ctx, 2, keyspace.New("k")); err != nil {
 				t.Fatalf("call after the refused one: %v", err)
+			}
+			if err := c.Abort(ctx, 2); err != nil {
+				t.Fatal(err)
+			}
+			c.mu.Lock()
+			redialed := c.cc != cc
+			c.mu.Unlock()
+			if !redialed || !cc.isBroken() {
+				t.Error("the connection that carried the refused call is still in use")
 			}
 		})
 	}

@@ -7,9 +7,9 @@
 //
 //   - Local: a direct in-process hop with optional fault injection
 //     (crashed replica, added latency), used by simulations and tests.
-//   - Client/Server: a multiplexed TCP transport speaking the binary
-//     codec of wire.go (gob to a peer that predates it), used by the
-//     cmd/repdir-server and cmd/repdir-cli executables.
+//   - Client/Server: a multiplexed TCP transport speaking the one
+//     protocol of wire.go, used by the cmd/repdir-server and
+//     cmd/repdir-cli executables.
 //
 // Errors that the replication algorithm reacts to (wait-die aborts,
 // unavailable replicas, missing coalesce bounds) are mapped to wire codes
@@ -60,15 +60,10 @@ const (
 	codeUnknownTxn
 	codeRecovering
 	codeOther
-	// codeStaleEpoch arrived with wire v2 (epoch fencing); appended
-	// after codeOther so existing code values never change. An old
-	// client maps it through the default branch to an opaque error,
-	// which is right: it has no epoch machinery to react with.
+	// Epoch fencing, deadline propagation and admission control came
+	// later; their codes are appended after codeOther so that existing
+	// values never change.
 	codeStaleEpoch
-	// codeExpired and codeOverloaded arrived with wire v3 (deadline
-	// propagation and admission control), appended for the same reason.
-	// An old client sees them as opaque errors and does not retry,
-	// which is exactly the conservative behavior overload needs.
 	codeExpired
 	codeOverloaded
 )

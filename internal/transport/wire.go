@@ -4,20 +4,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"time"
 
 	"repdir/internal/keyspace"
 	"repdir/internal/rep"
 	"repdir/internal/version"
 )
 
-// Hand-rolled binary wire codec: fixed one-byte op tags, varint integer
-// fields and length-prefixed byte strings, so a request encodes with a
-// handful of appends into the frame writer's own buffer and decodes with
-// a handful of slice reads. Encoding allocates nothing and a round trip
-// allocates only the strings it delivers (TestEncodeZeroAlloc,
-// TestCallRoundTripAllocs); EXPERIMENTS.md, "Wire codec", has what that
-// bought over the reflection-driven gob codec the transport launched
-// with, which remains for peers that predate this one.
+// The wire codec: fixed one-byte op tags, varint integer fields and
+// length-prefixed byte strings, so a request encodes with a handful of
+// appends into the frame writer's own buffer and decodes with a handful
+// of slice reads. Encoding allocates nothing and a round trip allocates
+// only the strings it delivers (TestEncodeZeroAlloc,
+// TestCallRoundTripAllocs).
 //
 // Stream preamble (once per connection, client then server):
 //
@@ -25,11 +24,12 @@ import (
 //	| 0x00 | version |
 //	+------+---------+
 //
-// 0x00 can never begin a gob stream (gob frames open with a non-zero
-// message length), so a server can tell a binary client from a gob
-// client by its first byte, and a gob-only server feeds the preamble to
-// its decoder, errors, and closes — which a binary client takes as
-// "negotiate down to gob" (see ensureConn).
+// There is one protocol and no negotiation: a server that reads exactly
+// these two bytes echoes them, and closes the connection on anything
+// else; a client that does not read them back gives the connection up.
+// A change to any layout below is a new version, and peers either side
+// of it refuse each other at the first two bytes instead of misreading
+// a message later.
 //
 // After the preamble, both directions carry frames:
 //
@@ -42,43 +42,111 @@ import (
 // batching mechanism (see frameWriter). Messages are self-delimiting,
 // so the decoder simply reads until the frame is exhausted.
 //
-//	request:   tag(1) id(uvarint) txn(uvarint) fields...
+//	request:   tag(1) id(uvarint) txn(uvarint) epoch(uvarint) deadline(uvarint) marks(1) fields...
 //	response:  tag(1) id(uvarint) code(1) [msg(bytes) if code!=OK | fields if OK]
+//
+// epoch is the caller's configuration epoch (0 = unversioned), deadline
+// its remaining budget in microseconds (0 = none), marks the call marks
+// of rep/marks.go as a bitset. A tag the decoder does not know, a marks
+// bit it does not know and a mark on an op that does not take it are all
+// refused the same way: the decode fails, the connection closes, and the
+// caller gets ErrUnavailable at once, not a hang — running the plain
+// call instead would leave a lock nobody releases, skip a prepare, or
+// answer a delete's read with the successors alone.
 //
 // Keys reuse the keyspace wire kinds (1=LOW, 2=normal+bytes, 3=HIGH);
 // strings and byte fields are uvarint length + raw bytes. The exact
 // per-op field layouts are pinned byte-for-byte by
-// TestWireGoldenVectors; this encoding is an on-wire contract — extend
-// it with new tags, never by reshaping existing ones. Tags 13–16 are
-// such an extension: the one-shot Lookup, the Insert and Coalesce that
-// carry the prepare and the SuccessorBatch that reads a key's whole
-// neighborhood (rep/marks.go), each laid out exactly like its plain
-// form. A peer that predates them fails the decode and closes the
-// connection, so the caller gets ErrUnavailable at once, not a hang.
+// TestWireGoldenVectors.
+
+// op is the wire operation code: the one-byte message tag.
+type op int
 
 const (
-	// preambleByte opens a binary-codec stream; see above for why 0x00.
-	preambleByte = 0x00
-	// wireVersion is the codec version offered and echoed in preambles.
-	// Both sides speak min(offered, supported), so mixed-version pairs
-	// settle on the older layout.
-	//
-	// Version history:
-	//	1: initial binary codec.
-	//	2: request header gains the caller's configuration epoch
-	//	   (uvarint after txn), for epoch fencing (internal/reconfig).
-	//	   Response layouts are unchanged.
-	//	3: request header gains the caller's remaining deadline budget
-	//	   in microseconds (uvarint after epoch, 0 = no deadline), for
-	//	   server-side deadline propagation and expired-work rejection.
-	//	   Response layouts are unchanged.
-	wireVersion = 3
+	opLookup op = iota + 1
+	opPredecessor
+	opSuccessor
+	opPredecessorBatch
+	opSuccessorBatch
+	opInsert
+	opCoalesce
+	opPrepare
+	opCommit
+	opAbort
+	opStatus
+	opName
+)
+
+// marks returns the call marks a request with this op may carry.
+func (o op) marks() rep.Marks {
+	switch o {
+	case opLookup:
+		return rep.OneShotMark
+	case opInsert, opCoalesce:
+		return rep.PrepareMark
+	case opSuccessorBatch:
+		return rep.AroundMark
+	}
+	return 0
+}
+
+// request is the single wire request shape. ID matches the request to
+// its response: the connection is multiplexed, so responses may return
+// in any order.
+type request struct {
+	ID    uint64
+	Op    op
+	Txn   uint64
+	Epoch uint64
+	// Deadline is the client's remaining context budget in microseconds
+	// at send time (0 = no deadline); the server turns it into a
+	// per-request context and fast-rejects work it cannot finish in time.
+	Deadline uint64
+	Marks    rep.Marks
+	Key      keyspace.Key
+	Hi       keyspace.Key
+	Version  version.V
+	Value    string
+	Count    int
+
+	// Server-side bookkeeping, never on the wire: when the request was
+	// decoded, and the absolute deadline its budget implies.
+	arrived time.Time
+	expires time.Time
+}
+
+// response is the single wire response shape. ID echoes the request it
+// answers; Op echoes the request op so the decoder knows which result
+// fields follow.
+type response struct {
+	ID          uint64
+	Op          op
+	Code        code
+	Msg         string
+	Found       bool
+	Version     version.V
+	Value       string
+	Key         keyspace.Key
+	GapVersion  version.V
+	DeletedKeys []keyspace.Key
+	Neighbors   []rep.NeighborResult
+	TxnStatus   rep.TxnStatus
+	Name        string
+}
+
+const (
+	// wireVersion names the layouts above; it is offered and echoed in
+	// preambles, and a peer holding any other value is refused.
+	wireVersion = 4
 
 	// maxFrameLen bounds a received frame before its buffer is
 	// allocated, so a corrupt or hostile length prefix cannot balloon
 	// memory. Single messages above the bound fail at the sender.
 	maxFrameLen = 64 << 20
 )
+
+// preamble is what each side of a new connection sends the other.
+var preamble = [2]byte{0x00, wireVersion}
 
 // errWire wraps all decode-side framing violations.
 var errWire = errors.New("transport: wire codec")
@@ -116,20 +184,16 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// appendRequest appends one encoded request message to b, in the layout
-// of the negotiated codec version. It never fails and allocates only to
-// grow b.
-func appendRequest(b []byte, req *request, ver byte) []byte {
+// appendRequest appends one encoded request message to b. It never fails
+// and allocates only to grow b.
+func appendRequest(b []byte, req *request) []byte {
 	b = append(b, byte(req.Op))
 	b = appendUvarint(b, req.ID)
 	b = appendUvarint(b, req.Txn)
-	if ver >= 2 {
-		b = appendUvarint(b, req.Epoch)
-	}
-	if ver >= 3 {
-		b = appendUvarint(b, req.Deadline)
-	}
-	switch req.Op.unmarked() {
+	b = appendUvarint(b, req.Epoch)
+	b = appendUvarint(b, req.Deadline)
+	b = append(b, byte(req.Marks))
+	switch req.Op {
 	case opLookup, opPredecessor, opSuccessor:
 		b = appendKey(b, req.Key)
 	case opPredecessorBatch, opSuccessorBatch:
@@ -157,7 +221,7 @@ func appendResponse(b []byte, resp *response) []byte {
 	if resp.Code != codeOK {
 		return appendBytes(b, resp.Msg)
 	}
-	switch resp.Op.unmarked() {
+	switch resp.Op {
 	case opLookup:
 		b = appendBool(b, resp.Found)
 		b = appendUvarint(b, uint64(resp.Version))
@@ -279,18 +343,18 @@ func (r *wireReader) readCount(what string) uint64 {
 }
 
 // readRequest decodes the next request message into *req, overwriting
-// every field, in the layout of the negotiated codec version.
-func (r *wireReader) readRequest(req *request, ver byte) error {
+// every field.
+func (r *wireReader) readRequest(req *request) error {
 	*req = request{Op: op(r.readByte())}
 	req.ID = r.readUvarint()
 	req.Txn = r.readUvarint()
-	if ver >= 2 {
-		req.Epoch = r.readUvarint()
+	req.Epoch = r.readUvarint()
+	req.Deadline = r.readUvarint()
+	req.Marks = rep.Marks(r.readByte())
+	if bad := req.Marks &^ req.Op.marks(); bad != 0 {
+		r.fail("marks %#x not taken by request tag %d", bad, req.Op)
 	}
-	if ver >= 3 {
-		req.Deadline = r.readUvarint()
-	}
-	switch req.Op.unmarked() {
+	switch req.Op {
 	case opLookup, opPredecessor, opSuccessor:
 		req.Key = r.readKey()
 	case opPredecessorBatch, opSuccessorBatch:
@@ -324,7 +388,7 @@ func (r *wireReader) readResponse(resp *response) error {
 		resp.Msg = r.readString()
 		return r.err
 	}
-	switch resp.Op.unmarked() {
+	switch resp.Op {
 	case opLookup:
 		resp.Found, resp.Version, resp.Value = r.readBool(), r.readVersion(), r.readString()
 	case opPredecessor, opSuccessor:
