@@ -196,81 +196,88 @@ func BenchmarkAvailability(b *testing.B) {
 
 // --- operation micro-benchmarks ------------------------------------------
 
-// newBenchSuite builds an in-process 3-2-2 suite pre-loaded with n keys.
-func newBenchSuite(b *testing.B, n int) (*core.Suite, []string) {
-	b.Helper()
-	dirs := make([]rep.Directory, 3)
-	for i := range dirs {
-		dirs[i] = transport.NewLocal(rep.New(fmt.Sprintf("rep%d", i)))
+// eachFanOut runs fn against an in-process 3-2-2 suite pre-loaded with n
+// keys, once sending a round's member calls one after the other and once
+// sending them concurrently: the second is the only place fanOut's and
+// the 2PC rounds' goroutines show in a micro-benchmark.
+func eachFanOut(b *testing.B, n int, fn func(b *testing.B, suite *core.Suite, keys []string)) {
+	for _, mode := range []struct {
+		name     string
+		parallel bool
+	}{{"sequential", false}, {"parallel", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			dirs := make([]rep.Directory, 3)
+			for i := range dirs {
+				dirs[i] = transport.NewLocal(rep.New(fmt.Sprintf("rep%d", i)))
+			}
+			suite, err := core.NewSuite(quorum.NewUniform(dirs, 2, 2), core.WithParallelQuorum(mode.parallel))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			keys := make([]string, n)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("key-%08d", i)
+				if err := suite.Insert(ctx, keys[i], "value"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			fn(b, suite, keys)
+		})
 	}
-	suite, err := core.NewSuite(quorum.NewUniform(dirs, 2, 2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%08d", i)
-		if err := suite.Insert(ctx, keys[i], "value"); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return suite, keys
 }
 
 // BenchmarkSuiteLookup measures quorum lookups on a 1,000-entry 3-2-2
 // suite.
 func BenchmarkSuiteLookup(b *testing.B) {
-	suite, keys := newBenchSuite(b, 1000)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, found, err := suite.Lookup(ctx, keys[i%len(keys)]); err != nil || !found {
-			b.Fatalf("lookup: %v %v", found, err)
+	eachFanOut(b, 1000, func(b *testing.B, suite *core.Suite, keys []string) {
+		ctx := context.Background()
+		for i := 0; i < b.N; i++ {
+			if _, found, err := suite.Lookup(ctx, keys[i%len(keys)]); err != nil || !found {
+				b.Fatalf("lookup: %v %v", found, err)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkSuiteInsert measures quorum inserts.
 func BenchmarkSuiteInsert(b *testing.B) {
-	suite, _ := newBenchSuite(b, 0)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := suite.Insert(ctx, fmt.Sprintf("ins-%012d", i), "v"); err != nil {
-			b.Fatal(err)
+	eachFanOut(b, 0, func(b *testing.B, suite *core.Suite, _ []string) {
+		ctx := context.Background()
+		for i := 0; i < b.N; i++ {
+			if err := suite.Insert(ctx, fmt.Sprintf("ins-%012d", i), "v"); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkSuiteUpdate measures quorum updates of one hot entry.
 func BenchmarkSuiteUpdate(b *testing.B) {
-	suite, keys := newBenchSuite(b, 1)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := suite.Update(ctx, keys[0], "v2"); err != nil {
-			b.Fatal(err)
+	eachFanOut(b, 1, func(b *testing.B, suite *core.Suite, keys []string) {
+		ctx := context.Background()
+		for i := 0; i < b.N; i++ {
+			if err := suite.Update(ctx, keys[0], "v2"); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkSuiteScan measures a full ordered scan of a 200-entry suite
 // (one real-successor search per entry).
 func BenchmarkSuiteScan(b *testing.B) {
-	suite, _ := newBenchSuite(b, 200)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		entries, err := suite.Scan(ctx, "", 0)
-		if err != nil || len(entries) != 200 {
-			b.Fatalf("scan: %d entries, %v", len(entries), err)
+	eachFanOut(b, 200, func(b *testing.B, suite *core.Suite, _ []string) {
+		ctx := context.Background()
+		for i := 0; i < b.N; i++ {
+			entries, err := suite.Scan(ctx, "", 0)
+			if err != nil || len(entries) != 200 {
+				b.Fatalf("scan: %d entries, %v", len(entries), err)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkAvailabilityEmpirical measures the end-to-end availability
@@ -293,19 +300,18 @@ func BenchmarkAvailabilityEmpirical(b *testing.B) {
 // the real-predecessor/real-successor searches and coalescing; each
 // iteration deletes a freshly inserted key from a 1,000-entry directory.
 func BenchmarkSuiteDelete(b *testing.B) {
-	suite, _ := newBenchSuite(b, 1000)
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		key := fmt.Sprintf("del-%012d", i)
-		if err := suite.Insert(ctx, key, "v"); err != nil {
-			b.Fatal(err)
+	eachFanOut(b, 1000, func(b *testing.B, suite *core.Suite, _ []string) {
+		ctx := context.Background()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			key := fmt.Sprintf("del-%012d", i)
+			if err := suite.Insert(ctx, key, "v"); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := suite.Delete(ctx, key); err != nil {
+				b.Fatal(err)
+			}
 		}
-		b.StartTimer()
-		if err := suite.Delete(ctx, key); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }

@@ -12,7 +12,7 @@ func TestBackoffRespectsCancelledContext(t *testing.T) {
 	start := time.Now()
 	// Attempt high enough to hit the 2ms cap; a cancelled context must
 	// return without serving the wait.
-	backoff(ctx, 1000)
+	Backoff(ctx, 1000)
 	if elapsed := time.Since(start); elapsed > time.Millisecond {
 		t.Errorf("backoff slept %v despite cancelled context", elapsed)
 	}
@@ -20,7 +20,7 @@ func TestBackoffRespectsCancelledContext(t *testing.T) {
 
 func TestBackoffCapsDelay(t *testing.T) {
 	start := time.Now()
-	backoff(context.Background(), 1000)
+	Backoff(context.Background(), 1000)
 	elapsed := time.Since(start)
 	if elapsed < 2*time.Millisecond {
 		t.Errorf("backoff returned after %v, want >= 2ms cap", elapsed)

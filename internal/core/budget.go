@@ -124,13 +124,14 @@ func budgeted(err error) bool {
 		errors.Is(err, rep.ErrRecovering)
 }
 
-// decideRetry is the one retry policy shared by suite and router loops.
+// DecideRetry is the one retry policy shared by suite and router loops.
 // It reports whether err warrants another attempt and, when the refusal
 // is specifically a drained budget, the ErrBudgetExhausted cause for the
 // caller to wrap into its final error. b may be nil (no budget): then
 // unavailability retries are unlimited (the legacy behavior) and
-// overload-class errors are never retried.
-func decideRetry(err error, b *RetryBudget) (retry bool, cause error) {
+// overload-class errors (transport.ErrOverloaded, ErrExpired) are never
+// retried — the safe default against retry amplification.
+func DecideRetry(err error, b *RetryBudget) (retry bool, cause error) {
 	if overloadClass(err) {
 		if b == nil {
 			return false, nil

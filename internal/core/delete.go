@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/version"
 )
@@ -39,18 +38,13 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 	// each reader's neighborhood of x, cut at x, starts the two runs and
 	// answers the lookup.
 	runs := [2]*run{tx.newRun(readers, x, false), tx.newRun(readers, x, true)}
-	replies := make([]rep.LookupResult, len(readers))
-	errs := make([]error, len(readers))
-	around := rep.MarkAround(ctx)
+	tx.replies = slots(tx.replies, len(readers))
 	n := min(tx.suite.fanout, rep.MaxBatch) // each side; the wire admits no more
+	tx.round = round{kind: callAround, ctx: tx.mark(ctx, rep.AroundMark), key: x, n: n}
 	sp := tx.span("delete-read", key)
-	tx.fanOut(readers, func(i int, m quorum.Member) {
-		var hood []rep.NeighborResult
-		hood, errs[i] = m.Dir.SuccessorBatch(around, tx.txn.ID, x, n)
-		runs[1].replies[i], replies[i], runs[0].replies[i] = rep.SplitAround(hood, x)
-	})
+	tx.fanOut(readers)
 	sp.End()
-	if err := tx.roundError(readers, errs, "neighborhood of", x); err != nil {
+	if err := tx.roundError(readers, tx.errs, "neighborhood of", x); err != nil {
 		return err
 	}
 	for _, r := range runs {
@@ -65,7 +59,7 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 		}
 	}
 	succ, pred := bounds[0], bounds[1]
-	cur, err := tx.resolve(ctx, x, readers, replies)
+	cur, err := tx.resolve(ctx, x, readers, tx.replies)
 	if err != nil {
 		return err
 	}
@@ -83,42 +77,37 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 	// both bounds whatever they are, which also makes the transaction
 	// known to them before the coalesce.
 	boundSpan := tx.span("bound-copy", key)
-	var asked, copies []quorum.Member // one element per call
-	var askedFor, copied []int        // which bound each call is about
+	// One element per call, and which bound each call is about.
+	tx.asked, tx.askedFor, tx.copies, tx.copied = tx.asked[:0], tx.askedFor[:0], tx.copies[:0], tx.copied[:0]
 	for _, m := range writers {
 		tx.txn.Join(m.Dir)
 		ri := indexOf(readers, m)
 		for b := range bounds {
 			switch {
 			case ri < 0:
-				asked, askedFor = append(asked, m), append(askedFor, b)
+				tx.asked, tx.askedFor = append(tx.asked, m), append(tx.askedFor, b)
 			case !runs[b].holds(ri):
-				copies, copied = append(copies, m), append(copied, b)
+				tx.copies, tx.copied = append(tx.copies, m), append(tx.copied, b)
 			}
 		}
 	}
-	if len(asked) > 0 {
-		found := make([]rep.LookupResult, len(asked))
-		errs := make([]error, len(asked))
-		tx.fanOut(asked, func(i int, m quorum.Member) {
-			found[i], errs[i] = m.Dir.Lookup(ctx, tx.txn.ID, bounds[askedFor[i]].key)
-		})
-		if err := tx.roundError(asked, errs, "lookup bound of", x); err != nil {
+	if len(tx.asked) > 0 {
+		tx.replies = slots(tx.replies, len(tx.asked))
+		tx.round = round{kind: callBoundLookup, ctx: ctx, bounds: bounds}
+		tx.fanOut(tx.asked)
+		if err := tx.roundError(tx.asked, tx.errs, "lookup bound of", x); err != nil {
 			return err
 		}
-		for i, m := range asked {
-			if !found[i].Found {
-				copies, copied = append(copies, m), append(copied, askedFor[i])
+		for i, m := range tx.asked {
+			if !tx.replies[i].Found {
+				tx.copies, tx.copied = append(tx.copies, m), append(tx.copied, tx.askedFor[i])
 			}
 		}
 	}
-	if len(copies) > 0 {
-		errs := make([]error, len(copies))
-		tx.fanOut(copies, func(i int, m quorum.Member) {
-			nb := bounds[copied[i]]
-			errs[i] = m.Dir.Insert(ctx, tx.txn.ID, nb.key, nb.ver, nb.value)
-		})
-		if err := tx.roundError(copies, errs, "copy bound of", x); err != nil {
+	if len(tx.copies) > 0 {
+		tx.round = round{kind: callBoundCopy, ctx: ctx, bounds: bounds}
+		tx.fanOut(tx.copies)
+		if err := tx.roundError(tx.copies, tx.errs, "copy bound of", x); err != nil {
 			return err
 		}
 		tx.mutated = true
@@ -126,39 +115,41 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 	boundSpan.End()
 
 	// Coalesce the range in each member of the quorum.
-	obs := DeleteObservation{
-		Key:                  key,
-		EntriesCoalesced:     make([]int, 0, len(writers)),
-		Insertions:           len(copies),
-		PredecessorWalkSteps: runs[1].steps,
-		SuccessorWalkSteps:   runs[0].steps,
-		NeighborRPCs:         len(readers) + runs[0].rpcs + runs[1].rpcs,
-	}
 	// In a point write the coalesce is the last thing the transaction
 	// sends a member, and the reads above have made the transaction
 	// known to every one of them: it carries the prepare. That puts a
 	// log force inside the call, so the calls go out as a round.
 	coalesceSpan := tx.span("coalesce", key)
-	cctx := ctx
+	tx.round = round{kind: callCoalesce, ctx: ctx, key: pred.key, hi: succ.key, ver: ver.Next()}
 	if tx.shape == pointWrite {
-		cctx = rep.MarkPrepare(ctx)
+		tx.round.ctx = tx.mark(ctx, rep.PrepareMark)
 	}
-	results := make([]rep.CoalesceResult, len(writers))
-	errs = make([]error, len(writers))
-	tx.fanOut(writers, func(i int, m quorum.Member) {
-		results[i], errs[i] = m.Dir.Coalesce(cctx, tx.txn.ID, pred.key, succ.key, ver.Next())
-	})
+	tx.coalesced = slots(tx.coalesced, len(writers))
+	tx.fanOut(writers)
 	coalesceSpan.End()
-	if err := tx.roundError(writers, errs, "coalesce around", x); err != nil {
+	if err := tx.roundError(writers, tx.errs, "coalesce around", x); err != nil {
 		return err
 	}
 	tx.mutated = true
-	for i, m := range writers {
-		if tx.shape == pointWrite {
+	if tx.shape == pointWrite {
+		for _, m := range writers {
 			tx.txn.Voted(m.Dir)
 		}
-		obs.EntriesCoalesced = append(obs.EntriesCoalesced, len(results[i].DeletedKeys))
-		for _, dk := range results[i].DeletedKeys {
+	}
+	if tx.suite.metrics == nil && tx.suite.obs == nil {
+		return nil // nobody to report the section 4 statistics to
+	}
+	obs := DeleteObservation{
+		Key:                  key,
+		EntriesCoalesced:     make([]int, 0, len(writers)),
+		Insertions:           len(tx.copies),
+		PredecessorWalkSteps: runs[1].steps,
+		SuccessorWalkSteps:   runs[0].steps,
+		NeighborRPCs:         len(readers) + runs[0].rpcs + runs[1].rpcs,
+	}
+	for _, res := range tx.coalesced {
+		obs.EntriesCoalesced = append(obs.EntriesCoalesced, len(res.DeletedKeys))
+		for _, dk := range res.DeletedKeys {
 			if !dk.Equal(x) {
 				obs.GhostDeletions++
 			}
@@ -168,10 +159,10 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 	return nil
 }
 
-// indexOf finds m among members by name, or returns -1.
-func indexOf(members []quorum.Member, m quorum.Member) int {
+// indexOf finds m among members, or returns -1.
+func indexOf(members []member, m member) int {
 	for i, r := range members {
-		if r.Dir.Name() == m.Dir.Name() {
+		if r.idx == m.idx {
 			return i
 		}
 	}

@@ -29,9 +29,6 @@ func (s *Suite) Epoch() uint64 { return s.cfg.Epoch }
 // stampCtx attaches the suite's epoch to ctx unless the caller already
 // chose one (including rep.EpochBypass).
 func (s *Suite) stampCtx(ctx context.Context) context.Context {
-	if s.cfg.Epoch == 0 {
-		return ctx
-	}
 	if rep.EpochFromContext(ctx) != 0 {
 		return ctx
 	}
@@ -39,13 +36,11 @@ func (s *Suite) stampCtx(ctx context.Context) context.Context {
 }
 
 // wrapDir wraps a representative so every call carries the suite's
-// epoch. Idempotent per suite; Name passes through, so transaction
-// participant dedup (txn.Join, by name) is unaffected.
+// epoch (wrapping twice is harmless: the first stamp stands). Name
+// passes through, so transaction participant dedup (txn.Join, by name)
+// is unaffected.
 func (s *Suite) wrapDir(d rep.Directory) rep.Directory {
 	if s.cfg.Epoch == 0 {
-		return d
-	}
-	if sd, ok := d.(*stampedDir); ok && sd.s == s {
 		return d
 	}
 	return &stampedDir{d: d, s: s}

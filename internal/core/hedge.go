@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repdir/internal/keyspace"
+	"repdir/internal/lock"
 	"repdir/internal/obs"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
@@ -95,10 +96,6 @@ func (h *hedgeState) hedgeDelay() time.Duration {
 	return time.Duration(h.delay.Load())
 }
 
-type hedgeOption struct{ floor, ceil time.Duration }
-
-func (o hedgeOption) apply(s *Suite) { s.hedge = newHedgeState(o.floor, o.ceil) }
-
 // WithHedgedReads enables hedged quorum-read probes: a per-member
 // lookup probe outstanding longer than the observed p99 probe latency
 // (clamped to [floor, ceil]; zero values select DefaultHedgeFloor /
@@ -106,36 +103,54 @@ func (o hedgeOption) apply(s *Suite) { s.hedge = newHedgeState(o.floor, o.ceil) 
 // wins. Fires on ~1% of probes by construction. Most useful together
 // with WithParallelQuorum over a real network.
 func WithHedgedReads(floor, ceil time.Duration) Option {
-	return hedgeOption{floor: floor, ceil: ceil}
+	return func(s *Suite) { s.hedge = newHedgeState(floor, ceil) }
 }
 
-// hedgeSpares lists the store members eligible to back up this round's
-// probes: outside the read quorum, not witnesses (no values), not
-// excluded by earlier failures.
-func (tx *Tx) hedgeSpares(members []quorum.Member) []quorum.Member {
-	inRound := make(map[string]bool, len(members))
-	for _, m := range members {
-		inRound[m.Dir.Name()] = true
-	}
-	var spares []quorum.Member
-	for _, m := range tx.suite.cfg.Members {
-		if m.Witness || inRound[m.Dir.Name()] || tx.exclude[m.Dir.Name()] {
-			continue
+// hedgeRound is one quorum-read round with hedging armed: the spares
+// its probes may claim. It is made new for each round, because a losing
+// probe may still hold it after.
+type hedgeRound struct {
+	tx     *Tx
+	mu     sync.Mutex
+	spares []member
+	used   quorum.Set
+}
+
+// newHedgeRound lists the store members eligible to back up this
+// round's probes: outside the read quorum, not witnesses (no values),
+// not excluded by earlier failures.
+func (tx *Tx) newHedgeRound(members []member) *hedgeRound {
+	h := &hedgeRound{tx: tx}
+	skip := indexes(members) | tx.exclude
+	for _, m := range tx.suite.members {
+		if !m.Witness && !skip.Has(m.idx) {
+			h.spares = append(h.spares, m)
 		}
-		spares = append(spares, m)
 	}
-	return spares
+	return h
 }
 
-// hedgedProbe builds the per-member probe function for one quorum-read
-// round with hedging armed. Each slot races its member against at most
-// one spare; a spare substitutes for a member only if it carries at
-// least as many votes, so the effective read set still intersects every
-// write quorum. The winner's reply fills the slot and the loser is
-// cancelled. A primary that fails before the hedge delay simply fails
-// (failover across retries is the transaction retry loop's job, and
-// conflating it with hedging would turn every outage into doubled
-// traffic) — with one exception: an overload-class refusal
+// claim takes a spare that carries at least minVotes.
+func (h *hedgeRound) claim(minVotes int) (member, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, s := range h.spares {
+		if !h.used.Has(s.idx) && s.Votes >= minVotes {
+			h.used.Add(s.idx)
+			return s, true
+		}
+	}
+	return member{}, false
+}
+
+// lookup is one slot's probe of a hedged round. It races the slot's
+// member against at most one spare; a spare substitutes for a member
+// only if it carries at least as many votes, so the effective read set
+// still intersects every write quorum. The winner's reply is the slot's
+// and the loser is cancelled. A primary that fails before the hedge
+// delay simply fails (failover across retries is the transaction retry
+// loop's job, and conflating it with hedging would turn every outage
+// into doubled traffic) — with one exception: an overload-class refusal
 // (ErrOverloaded / ErrExpired) fires the spare immediately. The refused
 // member is alive and explicitly asking to lose traffic, the spare is
 // by construction outside the hot read quorum, and without the failover
@@ -143,116 +158,96 @@ func (tx *Tx) hedgeSpares(members []quorum.Member) []quorum.Member {
 // compounding rates — each member shedding fraction p fails ~2p of
 // rounds, which is exactly the retry-amplification spiral admission
 // control exists to prevent.
-func (tx *Tx) hedgedProbe(ctx context.Context, key keyspace.Key, members []quorum.Member, replies []rep.LookupResult, errs []error) func(int, quorum.Member) {
-	h := tx.suite.hedge
-	spares := tx.hedgeSpares(members)
-	var mu sync.Mutex
-	used := make([]bool, len(spares))
-	claim := func(minVotes int) (quorum.Member, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		for j, s := range spares {
-			if !used[j] && s.Votes >= minVotes {
-				used[j] = true
-				return s, true
-			}
-		}
-		return quorum.Member{}, false
+//
+// The loser's probe may still be running when the round, the operation
+// and the Tx's next operation are over. So a probe is handed what it
+// needs by value — the transaction ID, the key, a context that is not
+// the Tx's — and answers into a channel made here: it never reads the
+// Tx and never writes a slot.
+func (h *hedgeRound) lookup(ctx context.Context, m member, id lock.TxnID, key keyspace.Key) (rep.LookupResult, error) {
+	tx, est := h.tx, h.tx.suite.hedge
+	start := time.Now()
+	delay := est.hedgeDelay()
+	if delay == 0 || len(h.spares) == 0 {
+		r, err := m.Dir.Lookup(ctx, id, key)
+		est.observe(time.Since(start))
+		return r, err
 	}
-
 	type probeRes struct {
 		r     rep.LookupResult
 		err   error
 		hedge bool
 	}
-	return func(i int, m quorum.Member) {
-		start := time.Now()
-		delay := h.hedgeDelay()
-		if delay == 0 || len(spares) == 0 {
-			replies[i], errs[i] = m.Dir.Lookup(ctx, tx.txn.ID, key)
-			h.observe(time.Since(start))
-			return
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel() // release the loser
+	ch := make(chan probeRes, 2)
+	probe := func(d rep.Directory, hedge bool) {
+		r, err := d.Lookup(pctx, id, key)
+		ch <- probeRes{r: r, err: err, hedge: hedge}
+	}
+	go probe(m.Dir, false)
+	timer := time.NewTimer(delay)
+	defer timer.Stop()
+	timerC := timer.C
+	hedgeFired := false
+	hedgeFailed := false
+	var primaryErr *probeRes
+	fire := func() bool {
+		sp, ok := h.claim(m.Votes)
+		if !ok {
+			return false
 		}
-		pctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		ch := make(chan probeRes, 2)
-		go func() {
-			r, err := m.Dir.Lookup(pctx, tx.txn.ID, key)
-			ch <- probeRes{r: r, err: err}
-		}()
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		timerC := timer.C
-		hedgeFired := false
-		hedgeFailed := false
-		var primaryErr *probeRes
-		fire := func() bool {
-			sp, ok := claim(m.Votes)
-			if !ok {
-				return false
-			}
-			hedgeFired = true
-			tx.suite.counters.hedgedReads.Add(1)
-			tx.hedgeMsgs.Add(1)
-			d := tx.suite.wrapDir(sp.Dir)
-			tx.joinReader(d)
-			go func() {
-				r, err := d.Lookup(pctx, tx.txn.ID, key)
-				ch <- probeRes{r: r, err: err, hedge: true}
-			}()
-			return true
-		}
-		for {
-			select {
-			case <-timerC:
-				timerC = nil
-				fire() // no eligible spare: just wait the primary out
-			case res := <-ch:
-				if res.err == nil {
-					if res.hedge {
-						tx.suite.counters.hedgeWins.Add(1)
-					}
-					replies[i], errs[i] = res.r, nil
-					h.observe(time.Since(start))
-					cancel() // release the loser
-					return
-				}
+		hedgeFired = true
+		tx.suite.counters.hedgedReads.Add(1)
+		tx.hedgeMsgs.Add(1)
+		tx.joinReader(sp.Dir)
+		go probe(sp.Dir, true)
+		return true
+	}
+	defer func() { est.observe(time.Since(start)) }()
+	for {
+		select {
+		case <-timerC:
+			timerC = nil
+			fire() // no eligible spare: just wait the primary out
+		case res := <-ch:
+			if res.err == nil {
 				if res.hedge {
-					hedgeFailed = true
-					if primaryErr != nil {
-						// Both legs failed: report the primary's error, so
-						// exclusion and health accounting blame the right
-						// member.
-						replies[i], errs[i] = primaryErr.r, primaryErr.err
-						h.observe(time.Since(start))
-						return
-					}
-					// The hedge failed first; the primary is still in
-					// flight and remains the slot's answer.
+					tx.suite.counters.hedgeWins.Add(1)
+				}
+				return res.r, nil
+			}
+			if res.hedge {
+				hedgeFailed = true
+				if primaryErr != nil {
+					// Both legs failed: report the primary's error, so
+					// exclusion and health accounting blame the right
+					// member.
+					return primaryErr.r, primaryErr.err
+				}
+				// The hedge failed first; the primary is still in
+				// flight and remains the slot's answer.
+				continue
+			}
+			// The primary failed. An overload-class refusal fails over
+			// to the spare right now — don't wait out a hedge delay for
+			// a member that answered instantly with "go away".
+			if !hedgeFired && overloadClass(res.err) {
+				timerC = nil
+				if fire() {
+					r := res
+					primaryErr = &r
 					continue
 				}
-				// The primary failed. An overload-class refusal fails over
-				// to the spare right now — don't wait out a hedge delay for
-				// a member that answered instantly with "go away".
-				if !hedgeFired && overloadClass(res.err) {
-					timerC = nil
-					if fire() {
-						r := res
-						primaryErr = &r
-						continue
-					}
-				}
-				// With no hedge in flight (or one that already failed too)
-				// the slot fails now; otherwise hold the error and wait for
-				// the hedge's verdict.
-				if !hedgeFired || hedgeFailed {
-					replies[i], errs[i] = res.r, res.err
-					h.observe(time.Since(start))
-					return
-				}
-				r := res
-				primaryErr = &r
 			}
+			// With no hedge in flight (or one that already failed too)
+			// the slot fails now; otherwise hold the error and wait for
+			// the hedge's verdict.
+			if !hedgeFired || hedgeFailed {
+				return res.r, res.err
+			}
+			r := res
+			primaryErr = &r
 		}
 	}
 }

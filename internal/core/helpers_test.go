@@ -38,25 +38,23 @@ func (s *scriptSelector) set(read, write []int) {
 	s.readIdx, s.writeIdx = read, write
 }
 
-func (s *scriptSelector) Select(kind quorum.Kind, exclude map[string]bool) ([]quorum.Member, error) {
+func (s *scriptSelector) Select(kind quorum.Kind, exclude quorum.Set, dst []int) ([]int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	idx := s.readIdx
 	if kind == quorum.Write {
 		idx = s.writeIdx
 	}
-	var out []quorum.Member
+	dst = dst[:0]
 	for _, i := range idx {
-		m := s.cfg.Members[i]
-		if exclude[m.Dir.Name()] {
-			continue
+		if !exclude.Has(i) {
+			dst = append(dst, i)
 		}
-		out = append(out, m)
 	}
-	if len(out) == 0 {
+	if len(dst) == 0 {
 		return nil, quorum.ErrNoQuorum
 	}
-	return out, nil
+	return dst, nil
 }
 
 // recorder collects delete observations.

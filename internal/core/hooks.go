@@ -3,31 +3,41 @@
 // commit spanning a core.Tx per touched shard. The hooks expose exactly
 // what an external coordinator needs and nothing else: binding a Tx to a
 // caller-owned txn.Txn, reading the per-attempt outcome (mutated,
-// failed members, message count), and reusing the suite's retry
-// classification and backoff so router retries behave like suite
-// retries.
+// failed members), and reusing the suite's retry classification and
+// backoff so router retries behave like suite retries.
 package core
 
 import (
-	"context"
-
+	"repdir/internal/quorum"
 	"repdir/internal/txn"
 )
 
-// AttachTx binds a new Tx on s to the externally managed transaction t.
+// AttachTx binds a Tx on s to the externally managed transaction t.
 // The caller owns t's lifecycle: it must call t.Commit or t.Abort itself
-// (representatives the Tx touches join t automatically), and it must
-// discard the Tx afterwards. Operations on the Tx honor the exclude set
-// like a suite-managed attempt would; pass the same (mutable) map across
-// attempts so failed members accumulate. exclude may be nil.
+// (representatives the Tx touches join t automatically). Operations on
+// the Tx avoid the members in exclude like a suite-managed attempt
+// would; fold FailedMembers into it from one attempt to the next.
+//
+// The caller may keep nothing of the Tx past Discard: that is how it
+// says nobody holds the Tx any longer, and the suite runs a later
+// operation in the same memory. A caller that cannot say so — it handed
+// the Tx, or something that leads to it, to code it does not control —
+// does not call Discard, and the Tx is then safe to keep: once t is
+// finished it refuses every operation with txn.ErrFinished, and its
+// memory is never anyone else's.
 //
 // Member names must be unique across every suite attached to the same
 // transaction: the transaction dedups participants by name, so a name
 // collision would silently drop one suite's representative from
 // two-phase commit.
-func (s *Suite) AttachTx(t *txn.Txn, exclude map[string]bool) *Tx {
-	return &Tx{suite: s, txn: t, exclude: exclude}
+func (s *Suite) AttachTx(t *txn.Txn, exclude quorum.Set) *Tx {
+	tx := s.acquire()
+	tx.begin(t, manyOps, exclude, nil)
+	return tx
 }
+
+// Discard gives an attached Tx's memory back to its suite; see AttachTx.
+func (tx *Tx) Discard() { tx.suite.release(tx) }
 
 // Mutated reports whether any operation on the Tx wrote representative
 // state. A coordinator commits when any attached Tx mutated and may
@@ -35,40 +45,7 @@ func (s *Suite) AttachTx(t *txn.Txn, exclude map[string]bool) *Tx {
 // suite-managed transactions do.
 func (tx *Tx) Mutated() bool { return tx.mutated }
 
-// FailedMembers returns the representatives that became unavailable
-// during this attempt, for folding into the next attempt's exclusions.
-func (tx *Tx) FailedMembers() []string {
-	if len(tx.failed) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(tx.failed))
-	for name := range tx.failed {
-		out = append(out, name)
-	}
-	return out
-}
-
-// Messages returns how many representative messages this attempt has
-// sent — the paper's section 4 cost unit.
-func (tx *Tx) Messages() int { return tx.msgs }
-
-// Retryable reports whether an error from a suite or Tx operation is
-// worth re-running under a fresh attempt ID: wait-die kills, lost
-// replicas, recovering replicas, and externally decided attempts.
-// Semantic errors and quorum-collection failures are final.
-func Retryable(err error) bool { return retryable(err) }
-
-// DecideRetry is the budget-aware retry policy, for coordinators that
-// run their own retry loops (the shard router). It reports whether err
-// warrants another attempt; when the only obstacle is a drained retry
-// budget, cause is ErrBudgetExhausted for the caller to wrap into its
-// final error. b may be nil: then unavailability retries are unlimited
-// and overload-class errors (transport.ErrOverloaded, ErrExpired) are
-// never retried — the safe default against retry amplification.
-func DecideRetry(err error, b *RetryBudget) (retry bool, cause error) {
-	return decideRetry(err, b)
-}
-
-// Backoff waits briefly before a wait-die retry, linearly with the
-// attempt number (capped at 2ms), returning early if ctx is cancelled.
-func Backoff(ctx context.Context, attempt int) { backoff(ctx, attempt) }
+// FailedMembers returns the members, by index in the suite's
+// configuration, that became unavailable during this attempt, for
+// folding into the next attempt's exclusions.
+func (tx *Tx) FailedMembers() quorum.Set { return tx.failed }

@@ -27,7 +27,7 @@ import (
 
 // refNeighbor is the Figure 12 search for the real successor (or, with
 // desc, predecessor) of x over members, one neighbor per probe.
-func refNeighbor(ctx context.Context, tx *Tx, members []quorum.Member, x keyspace.Key, desc bool) (neighbor, int, error) {
+func refNeighbor(ctx context.Context, tx *Tx, members []member, x keyspace.Key, desc bool) (neighbor, int, error) {
 	end := keyspace.High()
 	if desc {
 		end = keyspace.Low()
@@ -70,7 +70,7 @@ func refNeighbor(ctx context.Context, tx *Tx, members []quorum.Member, x keyspac
 }
 
 // refWalk is the scan built on refNeighbor, one search per entry.
-func refWalk(ctx context.Context, tx *Tx, members []quorum.Member, from, bound keyspace.Key, desc bool, limit int) ([]KV, error) {
+func refWalk(ctx context.Context, tx *Tx, members []member, from, bound keyspace.Key, desc bool, limit int) ([]KV, error) {
 	if !ahead(desc, bound, from) {
 		return nil, nil
 	}
@@ -392,7 +392,7 @@ func TestMergeMatchesPerKeyWalk(t *testing.T) {
 // read (rep.MarkAround) replaced it: three calls to each reader, a batch
 // of n neighbors each way and a lookup of x. It is kept as the reference
 // the one call is compared with.
-func refDeleteRead(ctx context.Context, tx *Tx, readers []quorum.Member, x keyspace.Key, n int) (runs [2]*run, bounds [2]neighbor, cur rep.LookupResult, err error) {
+func refDeleteRead(ctx context.Context, tx *Tx, readers []member, x keyspace.Key, n int) (runs [2]*run, bounds [2]neighbor, cur rep.LookupResult, err error) {
 	runs = [2]*run{tx.newRun(readers, x, false), tx.newRun(readers, x, true)}
 	replies := make([]rep.LookupResult, len(readers))
 	for i, m := range readers {
@@ -625,14 +625,14 @@ func FuzzMergeRuns(f *testing.F) {
 		// last element of a reply may be the sentinel (step nibble 0xf).
 		n := 2 + int(data[0])%3
 		data = data[1:]
-		members := make([]quorum.Member, n)
+		members := make([]member, n)
 		replies := make([][]rep.NeighborResult, n)
 		end := keyspace.High()
 		if desc {
 			end = keyspace.Low()
 		}
 		for i := range members {
-			members[i] = quorum.Member{Dir: transport.NewLocal(rep.New(fmt.Sprintf("m%d", i))), Votes: 1}
+			members[i] = member{Member: quorum.Member{Dir: transport.NewLocal(rep.New(fmt.Sprintf("m%d", i))), Votes: 1}, idx: i}
 			at := 0
 			for len(data) >= 3 && data[0] != 0xff && len(replies[i]) < 8 {
 				members[i].Witness = data[0]&0x80 != 0

@@ -16,14 +16,7 @@ import (
 //
 // Pass after = "" to get the minimum entry.
 func (s *Suite) Successor(ctx context.Context, after string) (KV, bool, error) {
-	var kv KV
-	var found bool
-	err := s.runTxn(ctx, OpSuccessor, manyOps, func(tx *Tx) error {
-		var err error
-		kv, found, err = tx.SuccessorKey(ctx, lowerBound(after))
-		return err
-	})
-	return kv, found, err
+	return s.first(ctx, OpSuccessor, lowerBound(after), keyspace.High(), false)
 }
 
 // Predecessor is the mirror of Successor: the current entry with the
@@ -31,11 +24,13 @@ func (s *Suite) Successor(ctx context.Context, after string) (KV, bool, error) {
 // exists (the search reached the LOW sentinel). Pass before = "" to get
 // the maximum entry.
 func (s *Suite) Predecessor(ctx context.Context, before string) (KV, bool, error) {
-	var kv KV
-	var found bool
-	err := s.runTxn(ctx, OpPredecessor, manyOps, func(tx *Tx) error {
-		var err error
-		kv, found, err = tx.PredecessorKey(ctx, upperBound(before))
+	return s.first(ctx, OpPredecessor, upperBound(before), keyspace.Low(), true)
+}
+
+// first runs Tx.first as a transaction of its own.
+func (s *Suite) first(ctx context.Context, op string, from, bound keyspace.Key, desc bool) (kv KV, found bool, err error) {
+	err = s.runTxn(ctx, op, manyOps, func(tx *Tx) (err error) {
+		kv, found, err = tx.first(ctx, from, bound, desc)
 		return err
 	})
 	return kv, found, err

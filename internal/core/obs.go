@@ -5,16 +5,12 @@ import (
 )
 
 // observerOption attaches an obs.Observer to the suite.
-type observerOption struct{ o *obs.Observer }
-
-func (o observerOption) apply(s *Suite) { s.obs = o.o }
-
 // WithObserver instruments the suite with the observability layer:
 // every operation is traced (quorum rounds, neighbor walks, 2PC phases,
 // wait-die backoffs), timed into per-operation latency histograms, and
 // message-counted (the paper's section 4 cost unit). A nil observer
 // leaves the suite uninstrumented — identical to omitting the option.
-func WithObserver(o *obs.Observer) Option { return observerOption{o: o} }
+func WithObserver(o *obs.Observer) Option { return func(s *Suite) { s.obs = o } }
 
 // Observer returns the suite's observer, or nil when none is attached.
 func (s *Suite) Observer() *obs.Observer { return s.obs }

@@ -226,8 +226,9 @@ func reconcileSegment(ctx context.Context, tx *Tx, target rep.Directory, lo keys
 }
 
 // repairInstall performs the shared versioned-install step: look up what
-// the target holds (treating a recovering target as holding nothing)
-// and install (ver, value) if it is newer.
+// the target holds and install (ver, value) if it is newer. A recovering
+// target refuses reads but accepts writes; it is treated as holding
+// nothing, which is safe because the versioned install is idempotent.
 func repairInstall(ctx context.Context, tx *Tx, target rep.Directory, k keyspace.Key, ver version.V, value string, stats *RepairStats) error {
 	stats.Scanned++
 	tx.msgs++
@@ -257,7 +258,6 @@ func repairInstall(ctx context.Context, tx *Tx, target rep.Directory, k keyspace
 
 // repairEntry reconciles one key on the target within the transaction.
 func repairEntry(ctx context.Context, tx *Tx, target rep.Directory, key string, stats *RepairStats) error {
-	stats.Scanned++
 	k := keyspace.New(key)
 	// Current state, by quorum.
 	cur, err := tx.suiteLookup(ctx, k)
@@ -266,33 +266,9 @@ func repairEntry(ctx context.Context, tx *Tx, target rep.Directory, key string, 
 	}
 	if !cur.Found {
 		// Deleted between the scan and now; nothing to install.
+		stats.Scanned++
 		return nil
 	}
 	tx.txn.Join(target)
-	tx.msgs++
-	have, err := target.Lookup(ctx, tx.txn.ID, k)
-	if errors.Is(err, rep.ErrRecovering) {
-		// The target refuses reads while it rebuilds, but accepts
-		// writes. Treat it as holding nothing: the versioned install
-		// below is idempotent, so installing unconditionally is safe.
-		have = rep.LookupResult{}
-	} else if err != nil {
-		tx.noteFailure(target.Name(), err)
-		return err
-	}
-	switch {
-	case have.Found && have.Version >= cur.Version:
-		return nil
-	case have.Found:
-		stats.Freshened++
-	default:
-		stats.Copied++
-	}
-	tx.msgs++
-	if err := target.Insert(ctx, tx.txn.ID, k, cur.Version, cur.Value); err != nil {
-		tx.noteFailure(target.Name(), err)
-		return err
-	}
-	tx.mutated = true
-	return nil
+	return repairInstall(ctx, tx, target, k, cur.Version, cur.Value, stats)
 }

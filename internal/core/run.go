@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repdir/internal/keyspace"
-	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/version"
 )
@@ -36,7 +35,7 @@ type neighbor struct {
 // ghost.
 type merge struct {
 	desc    bool
-	members []quorum.Member
+	members []member
 	replies [][]rep.NeighborResult
 	pos     []int     // per member: its first element not yet crossed
 	maxGap  version.V // largest gap version crossed since the last current entry
@@ -74,7 +73,7 @@ func (m *merge) load(from keyspace.Key) error {
 // Version dominance (section 3.3) makes current data outrank stale data,
 // so ties occur only between equally current replies — and there a store
 // member's is preferred to a witness's, whose value is blank.
-func outranks(members []quorum.Member, i int, v version.V, best int, bestV version.V) bool {
+func outranks(members []member, i int, v version.V, best int, bestV version.V) bool {
 	return v > bestV || (best >= 0 && v == bestV && members[best].Witness && !members[i].Witness)
 }
 
@@ -135,7 +134,7 @@ type run struct {
 	errs []error
 	// ask and which are the members a round is sent to and their places
 	// in the quorum.
-	ask   []quorum.Member
+	ask   []member
 	which []int
 	// steps counts the keys decided and rpcs the batch calls sent: the
 	// section 4 statistics of a delete's search.
@@ -143,17 +142,25 @@ type run struct {
 }
 
 // newRun prepares a traversal from a key, exclusive, over a read quorum.
-func (tx *Tx) newRun(members []quorum.Member, from keyspace.Key, desc bool) *run {
+// The run is the Tx's one for that direction, and members the Tx's too:
+// both stand until the next run that way, or quorum of that kind.
+func (tx *Tx) newRun(members []member, from keyspace.Key, desc bool) *run {
 	for _, m := range members {
 		tx.joinReader(m.Dir)
 	}
-	n := len(members)
-	return &run{
-		merge: merge{desc: desc, members: members, replies: make([][]rep.NeighborResult, n), pos: make([]int, n), maxGap: version.Lowest},
+	r, n := &tx.runs[0], len(members)
+	if desc {
+		r = &tx.runs[1]
+	}
+	*r = run{
+		merge: merge{desc: desc, members: members, replies: slots(r.replies, n), pos: slots(r.pos, n), maxGap: version.Lowest},
 		tx:    tx,
 		at:    from,
-		errs:  make([]error, n),
+		errs:  slots(r.errs, n),
+		ask:   r.ask[:0],
+		which: r.which[:0],
 	}
+	return r
 }
 
 // probe asks member i for its next n neighbors beyond r.at; n is cut to
@@ -185,7 +192,8 @@ func (r *run) next(ctx context.Context, n int) (neighbor, error) {
 				}
 			}
 			sp := r.tx.span("neighbors", r.at.Raw())
-			r.tx.fanOut(r.ask, func(j int, _ quorum.Member) { r.probe(ctx, r.which[j], n) })
+			r.tx.round = round{kind: callNeighbors, ctx: ctx, run: r, n: n}
+			r.tx.fanOut(r.ask)
 			sp.End()
 			r.rpcs += len(r.ask)
 			if err := r.tx.roundError(r.members, r.errs, "neighbors of", r.at); err != nil {

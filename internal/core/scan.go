@@ -31,9 +31,8 @@ func (s *Suite) Scan(ctx context.Context, after string, limit int) ([]KV, error)
 }
 
 // scan runs fn, one of the scans, as a transaction of its own.
-func (s *Suite) scan(ctx context.Context, fn func(tx *Tx) ([]KV, error)) ([]KV, error) {
-	var out []KV
-	err := s.runTxn(ctx, OpScan, manyOps, func(tx *Tx) (err error) {
+func (s *Suite) scan(ctx context.Context, fn func(tx *Tx) ([]KV, error)) (out []KV, err error) {
+	err = s.runTxn(ctx, OpScan, manyOps, func(tx *Tx) (err error) {
 		out, err = fn(tx)
 		return err
 	})
@@ -160,10 +159,8 @@ func (tx *Tx) ScanReverseSpan(ctx context.Context, before keyspace.Key, limit in
 // concurrent writers or read-repair freshens either commit before the
 // count (and are locked out of changing mid-walk) or after it — never
 // half-observed. It costs one round per page of rep.MaxBatch entries.
-func (s *Suite) Count(ctx context.Context) (int, error) {
-	var n int
-	err := s.runTxn(ctx, OpCount, manyOps, func(tx *Tx) error {
-		var err error
+func (s *Suite) Count(ctx context.Context) (n int, err error) {
+	err = s.runTxn(ctx, OpCount, manyOps, func(tx *Tx) (err error) {
 		n, err = tx.Count(ctx)
 		return err
 	})

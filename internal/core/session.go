@@ -28,20 +28,13 @@ import (
 // WithLocalReads.
 var ErrNoLocalMember = errors.New("core: suite has no local read member")
 
-type localOption struct{ name string }
-
-func (o localOption) apply(s *Suite) { s.localMember = o.name }
-
 // WithLocalReads designates the named store member as the suite's local
 // read target: LocalLookup consults only that member. The member must
 // exist in the configuration and must not be a witness (witness replies
 // carry no values). Pair this with a sticky or locality selector that
 // keeps the member in every write quorum, so the local copy stays
 // current for data written through this suite.
-func WithLocalReads(member string) Option { return localOption{name: member} }
-
-// LocalMember returns the designated local read member ("" if none).
-func (s *Suite) LocalMember() string { return s.localMember }
+func WithLocalReads(member string) Option { return func(s *Suite) { s.localMember = member } }
 
 // OpLocalLookup labels single-member local reads in traces and
 // histograms, distinct from quorum lookups so the read-path win is
@@ -50,76 +43,34 @@ const OpLocalLookup = "lookup-local"
 
 // LookupV is Lookup plus the winning version: the entry's version when
 // found, the winning gap version otherwise. Sessions use it to advance
-// monotonic-read floors from quorum reads.
+// monotonic-read floors from quorum reads. It costs one round of R
+// messages: see pointRead.
 func (s *Suite) LookupV(ctx context.Context, key string) (string, bool, version.V, error) {
 	var res rep.LookupResult
-	err := s.runTxn(ctx, OpLookup, pointRead, func(tx *Tx) error {
-		k, err := validateKey(key)
-		if err != nil {
-			return err
-		}
-		res, err = tx.suiteLookup(ctx, k)
+	err := s.runTxn(ctx, OpLookup, pointRead, func(tx *Tx) (err error) {
+		res, err = tx.lookup(ctx, key)
 		return err
 	})
 	return res.Value, res.Found, res.Version, err
 }
 
-// InsertV is Insert plus the version the new entry was written with.
-func (s *Suite) InsertV(ctx context.Context, key, value string) (version.V, error) {
-	var ver version.V
-	err := s.runTxn(ctx, OpInsert, pointWrite, func(tx *Tx) error {
-		var err error
-		ver, err = tx.InsertV(ctx, key, value)
+// InsertV is Insert plus the version the new entry was written with. It
+// costs three rounds — read, write, commit: see pointWrite.
+func (s *Suite) InsertV(ctx context.Context, key, value string) (ver version.V, err error) {
+	err = s.runTxn(ctx, OpInsert, pointWrite, func(tx *Tx) (err error) {
+		ver, err = tx.write(ctx, key, value, false)
 		return err
 	})
 	return ver, err
 }
 
 // UpdateV is Update plus the version the replacement was written with.
-func (s *Suite) UpdateV(ctx context.Context, key, value string) (version.V, error) {
-	var ver version.V
-	err := s.runTxn(ctx, OpUpdate, pointWrite, func(tx *Tx) error {
-		var err error
-		ver, err = tx.UpdateV(ctx, key, value)
+func (s *Suite) UpdateV(ctx context.Context, key, value string) (ver version.V, err error) {
+	err = s.runTxn(ctx, OpUpdate, pointWrite, func(tx *Tx) (err error) {
+		ver, err = tx.write(ctx, key, value, true)
 		return err
 	})
 	return ver, err
-}
-
-// InsertV implements Insert within the transaction, returning the
-// version written.
-func (tx *Tx) InsertV(ctx context.Context, key, value string) (version.V, error) {
-	k, err := validateKey(key)
-	if err != nil {
-		return version.Lowest, err
-	}
-	cur, err := tx.suiteLookup(ctx, k)
-	if err != nil {
-		return version.Lowest, err
-	}
-	if cur.Found {
-		return version.Lowest, fmt.Errorf("%w: %s", ErrKeyExists, k)
-	}
-	ver := cur.Version.Next()
-	return ver, tx.writeEntry(ctx, k, ver, value)
-}
-
-// UpdateV implements Update within the transaction, returning the
-// version written.
-func (tx *Tx) UpdateV(ctx context.Context, key, value string) (version.V, error) {
-	k, err := validateKey(key)
-	if err != nil {
-		return version.Lowest, err
-	}
-	cur, err := tx.suiteLookup(ctx, k)
-	if err != nil {
-		return version.Lowest, err
-	}
-	if !cur.Found {
-		return version.Lowest, fmt.Errorf("%w: %s", ErrKeyNotFound, k)
-	}
-	ver := cur.Version.Next()
-	return ver, tx.writeEntry(ctx, k, ver, value)
 }
 
 // LocalLookup reads the key from the suite's designated local member
@@ -135,20 +86,16 @@ func (s *Suite) LocalLookup(ctx context.Context, key string) (string, bool, vers
 	if s.localMember == "" {
 		return "", false, version.Lowest, ErrNoLocalMember
 	}
-	m, ok := s.cfg.MemberByName(s.localMember)
-	if !ok {
-		return "", false, version.Lowest, fmt.Errorf("%w: %q left the configuration", ErrNoLocalMember, s.localMember)
-	}
 	var res rep.LookupResult
 	err := s.runTxn(ctx, OpLocalLookup, pointRead, func(tx *Tx) error {
 		k, err := validateKey(key)
 		if err != nil {
 			return err
 		}
-		d := s.wrapDir(m.Dir)
+		d := s.local
 		tx.msgs++
 		sp := tx.span("local-read", k.Raw())
-		res, err = d.Lookup(rep.MarkOneShot(ctx), tx.txn.ID, k)
+		res, err = d.Lookup(tx.mark(ctx, rep.OneShotMark), tx.txn.ID, k)
 		sp.End()
 		if err != nil {
 			tx.noteFailure(d.Name(), err)

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,7 +62,9 @@ var (
 // Suite is a replicated directory client. It is safe for concurrent use;
 // each operation runs its own transaction.
 type Suite struct {
-	cfg        quorum.Config
+	cfg quorum.Config
+	// members is cfg.Members as operations handle them, index for index.
+	members    []member
 	hasWitness bool
 	sel        quorum.Selector
 	ids        *txn.IDSource
@@ -79,8 +82,14 @@ type Suite struct {
 	// probe after the observed p99 probe latency (see hedge.go).
 	hedge *hedgeState
 	// localMember, when set (WithLocalReads), names the store member
-	// LocalLookup consults.
+	// LocalLookup consults, and local is that member.
 	localMember string
+	local       rep.Directory
+
+	// idle holds the transactions of operations that are over, for the
+	// next operations to run in (acquire, release).
+	idleMu sync.Mutex
+	idle   []*Tx
 
 	// Read-repair machinery (nil/zero unless WithReadRepair).
 	rrQueue   chan readRepairJob
@@ -96,61 +105,31 @@ type Suite struct {
 }
 
 // Option configures a Suite.
-type Option interface {
-	apply(*Suite)
-}
-
-type selectorOption struct{ sel quorum.Selector }
-
-func (o selectorOption) apply(s *Suite) { s.sel = o.sel }
+type Option func(*Suite)
 
 // WithSelector sets the quorum selection policy (default: a random
 // selector seeded with 1, matching the paper's simulations).
-func WithSelector(sel quorum.Selector) Option { return selectorOption{sel: sel} }
-
-type idsOption struct{ ids *txn.IDSource }
-
-func (o idsOption) apply(s *Suite) { s.ids = o.ids }
+func WithSelector(sel quorum.Selector) Option { return func(s *Suite) { s.sel = sel } }
 
 // WithIDSource sets the transaction ID source. Clients of the same suite
 // should share one source (or use distinct node tags) so wait-die sees a
 // consistent transaction age order.
-func WithIDSource(ids *txn.IDSource) Option { return idsOption{ids: ids} }
-
-type metricsOption struct{ m Metrics }
-
-func (o metricsOption) apply(s *Suite) { s.metrics = o.m }
+func WithIDSource(ids *txn.IDSource) Option { return func(s *Suite) { s.ids = ids } }
 
 // WithMetrics installs an observer for the paper's section 4 deletion
 // statistics.
-func WithMetrics(m Metrics) Option { return metricsOption{m: m} }
-
-type retriesOption struct{ n int }
-
-func (o retriesOption) apply(s *Suite) { s.maxRetries = o.n }
+func WithMetrics(m Metrics) Option { return func(s *Suite) { s.metrics = m } }
 
 // WithMaxRetries sets how many times an operation is retried after a
 // wait-die abort or a lost replica (default 256).
-func WithMaxRetries(n int) Option { return retriesOption{n: n} }
-
-type fanoutOption struct{ n int }
-
-func (o fanoutOption) apply(s *Suite) { s.fanout = o.n }
+func WithMaxRetries(n int) Option { return func(s *Suite) { s.maxRetries = n } }
 
 // WithParallelQuorum makes quorum fan-out (lookups and entry writes)
 // issue its per-member messages concurrently instead of sequentially.
 // Over a network this cuts a quorum round from the sum of member
 // latencies to the slowest member's latency. The default is sequential,
 // which keeps simulations deterministic.
-func WithParallelQuorum(on bool) Option { return parallelOption{on: on} }
-
-type parallelOption struct{ on bool }
-
-func (o parallelOption) apply(s *Suite) { s.parallel = o.on }
-
-type healthOption struct{ t *HealthTracker }
-
-func (o healthOption) apply(s *Suite) { s.health = o.t }
+func WithParallelQuorum(on bool) Option { return func(s *Suite) { s.parallel = on } }
 
 // WithHealth attaches a member health tracker: quorum fan-out outcomes
 // feed its per-member state machine, and quorum selection skips members
@@ -159,15 +138,7 @@ func (o healthOption) apply(s *Suite) { s.health = o.t }
 // leave no quorum, the exclusions are waived for that round, so the
 // breaker can only ever save work, never refuse an operation the
 // representatives could serve.
-func WithHealth(t *HealthTracker) Option { return healthOption{t: t} }
-
-type readRepairOption struct{ queue int }
-
-func (o readRepairOption) apply(s *Suite) {
-	if o.queue > 0 {
-		s.rrQueue = make(chan readRepairJob, o.queue)
-	}
-}
+func WithHealth(t *HealthTracker) Option { return func(s *Suite) { s.health = t } }
 
 // WithReadRepair enables asynchronous read repair with a bounded queue
 // of the given capacity: quorum reads that observe a responder holding
@@ -175,11 +146,13 @@ func (o readRepairOption) apply(s *Suite) {
 // freshen of that member. When the queue is full, observations are
 // dropped and counted (SuiteStats.ReadRepairDropped). Call Suite.Close
 // to stop the background worker.
-func WithReadRepair(queue int) Option { return readRepairOption{queue: queue} }
-
-type budgetOption struct{ b *RetryBudget }
-
-func (o budgetOption) apply(s *Suite) { s.budget = o.b }
+func WithReadRepair(queue int) Option {
+	return func(s *Suite) {
+		if queue > 0 {
+			s.rrQueue = make(chan readRepairJob, queue)
+		}
+	}
+}
 
 // WithRetryBudget caps the suite's unavailability-class retries
 // (unreachable/recovering replicas, shed or expired requests) with a
@@ -190,7 +163,7 @@ func (o budgetOption) apply(s *Suite) { s.budget = o.b }
 // *only* under a budget. Wait-die retries are exempt (deadlock
 // avoidance, not load). Budgets are shareable: pass the same one to
 // every suite and router in a process to cap their combined retry load.
-func WithRetryBudget(b *RetryBudget) Option { return budgetOption{b: b} }
+func WithRetryBudget(b *RetryBudget) Option { return func(s *Suite) { s.budget = b } }
 
 // WithNeighborFanout sets how many successive predecessors/successors
 // each neighbor probe fetches in one message during Delete's
@@ -198,7 +171,7 @@ func WithRetryBudget(b *RetryBudget) Option { return budgetOption{b: b} }
 // paper's base Figure 12 algorithm; the paper's section 4 suggests 3,
 // with which "the real predecessor and real successor will often be
 // located using one remote procedure call to each member of the quorum".
-func WithNeighborFanout(n int) Option { return fanoutOption{n: n} }
+func WithNeighborFanout(n int) Option { return func(s *Suite) { s.fanout = n } }
 
 // nextSuiteNode hands each Suite in this process a distinct wait-die node
 // tag, so transaction IDs from different suite clients sharing the same
@@ -219,7 +192,7 @@ func NewSuite(cfg quorum.Config, opts ...Option) (*Suite, error) {
 		fanout:     1,
 	}
 	for _, op := range opts {
-		op.apply(s)
+		op(s)
 	}
 	if s.sel == nil {
 		s.sel = quorum.NewRandomSelector(cfg, 1)
@@ -227,14 +200,17 @@ func NewSuite(cfg quorum.Config, opts ...Option) (*Suite, error) {
 	if s.fanout < 1 {
 		return nil, fmt.Errorf("core: neighbor fanout %d must be positive", s.fanout)
 	}
-	if s.localMember != "" {
-		m, ok := cfg.MemberByName(s.localMember)
-		if !ok {
-			return nil, fmt.Errorf("core: local read member %q is not in the configuration", s.localMember)
+	for i, m := range cfg.Members {
+		m.Dir = s.wrapDir(m.Dir)
+		s.members = append(s.members, member{Member: m, idx: i})
+		if m.Dir.Name() == s.localMember {
+			if s.local = m.Dir; m.Witness {
+				return nil, fmt.Errorf("core: local read member %q is a witness (holds no values)", s.localMember)
+			}
 		}
-		if m.Witness {
-			return nil, fmt.Errorf("core: local read member %q is a witness (holds no values)", s.localMember)
-		}
+	}
+	if s.localMember != "" && s.local == nil {
+		return nil, fmt.Errorf("core: local read member %q is not in the configuration", s.localMember)
 	}
 	if s.rrQueue != nil {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -253,32 +229,22 @@ func (s *Suite) Health() *HealthTracker { return s.health }
 func (s *Suite) Config() quorum.Config { return s.cfg }
 
 // Lookup returns the value stored under key and whether an entry exists.
-// It costs one round of R messages: see pointRead.
 func (s *Suite) Lookup(ctx context.Context, key string) (string, bool, error) {
-	var value string
-	var found bool
-	err := s.runTxn(ctx, OpLookup, pointRead, func(tx *Tx) error {
-		var err error
-		value, found, err = tx.Lookup(ctx, key)
-		return err
-	})
+	value, found, _, err := s.LookupV(ctx, key)
 	return value, found, err
 }
 
 // Insert creates an entry for key. It returns ErrKeyExists if one exists.
-// It costs three rounds — read, write, commit: see pointWrite.
 func (s *Suite) Insert(ctx context.Context, key, value string) error {
-	return s.runTxn(ctx, OpInsert, pointWrite, func(tx *Tx) error {
-		return tx.Insert(ctx, key, value)
-	})
+	_, err := s.InsertV(ctx, key, value)
+	return err
 }
 
 // Update replaces the value of an existing entry. It returns
 // ErrKeyNotFound if the key has no entry.
 func (s *Suite) Update(ctx context.Context, key, value string) error {
-	return s.runTxn(ctx, OpUpdate, pointWrite, func(tx *Tx) error {
-		return tx.Update(ctx, key, value)
-	})
+	_, err := s.UpdateV(ctx, key, value)
+	return err
 }
 
 // Delete removes the entry for key. It returns ErrKeyNotFound if the key
@@ -294,8 +260,47 @@ func (s *Suite) Delete(ctx context.Context, key string) error {
 // effect. fn may be re-executed after wait-die aborts or replica
 // failures, so it must be idempotent from the caller's perspective (pure
 // directory operations are).
+//
+// The Tx is fn's for the length of the call. One kept longer refuses
+// every operation with txn.ErrFinished once the transaction is over.
 func (s *Suite) RunInTxn(ctx context.Context, fn func(tx *Tx) error) error {
-	return s.runTxn(ctx, OpTxn, manyOps, fn)
+	// fn may keep the Tx, so it is never released: whoever holds a
+	// reference to it finds its own finished transaction behind it,
+	// never a later operation's.
+	return s.run(ctx, OpTxn, manyOps, s.acquire(), fn)
+}
+
+// acquire returns a Tx to run an operation in: one left by an earlier
+// operation if there is one.
+func (s *Suite) acquire() *Tx {
+	s.idleMu.Lock()
+	defer s.idleMu.Unlock()
+	if n := len(s.idle); n > 0 {
+		tx := s.idle[n-1]
+		s.idle = s.idle[:n-1]
+		return tx
+	}
+	tx := &Tx{suite: s}
+	tx.own.Parallel = s.parallel
+	if s.obs != nil {
+		tx.own.Phase = tx.observePhase
+	}
+	return tx
+}
+
+// release takes back the Tx of an operation that is over, dropping what
+// its slots still refer to. The caller, and whatever it called, must
+// have let go of it.
+func (s *Suite) release(tx *Tx) {
+	clear(tx.replies)
+	clear(tx.coalesced)
+	for i := range tx.runs {
+		clear(tx.runs[i].replies)
+	}
+	tx.txn, tx.trace, tx.round, tx.marked = nil, nil, round{}, markedCtx{}
+	s.idleMu.Lock()
+	s.idle = append(s.idle, tx)
+	s.idleMu.Unlock()
 }
 
 // txShape is what the suite knows about a transaction before running
@@ -341,13 +346,22 @@ const (
 	OpReadRepair  = "read-repair"
 )
 
-// runTxn is RunInTxn plus the operation label (for traces and
-// histograms) and the transaction's shape.
+// runTxn runs one of the suite's own operations: fn is the package's,
+// and lets go of the Tx when it returns.
+func (s *Suite) runTxn(ctx context.Context, op string, shape txShape, fn func(tx *Tx) error) error {
+	tx := s.acquire()
+	defer s.release(tx)
+	return s.run(ctx, op, shape, tx, fn)
+}
+
+// run is RunInTxn plus the operation label (for traces and histograms),
+// the transaction's shape, and the Tx to run it in, attempt after
+// attempt.
 //
 // Every call ends up in exactly one of the commits, failures, or
 // cancelled counters, so SuiteStats always satisfies
 // Commits + Failures + Cancelled == Calls at rest.
-func (s *Suite) runTxn(ctx context.Context, op string, shape txShape, fn func(tx *Tx) error) (err error) {
+func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn func(tx *Tx) error) (err error) {
 	s.counters.calls.Add(1)
 	trace := s.obs.StartTrace(op)
 	msgs := 0
@@ -359,12 +373,9 @@ func (s *Suite) runTxn(ctx context.Context, op string, shape txShape, fn func(tx
 		}()
 	}
 	base := s.ids.Next()
-	exclude := make(map[string]bool)
+	var exclude quorum.Set
 	var lastErr error
-	maxAttempts := s.maxRetries
-	if maxAttempts >= txn.MaxAttempts {
-		maxAttempts = txn.MaxAttempts - 1
-	}
+	maxAttempts := min(s.maxRetries, txn.MaxAttempts-1)
 	for attempt := 0; attempt <= maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			// The operation never got (another) attempt: it vanished from
@@ -376,18 +387,8 @@ func (s *Suite) runTxn(ctx context.Context, op string, shape txShape, fn func(tx
 		// Each retry runs under its own attempt ID (same wait-die age),
 		// so a dead attempt's two-phase-commit outcome can never be
 		// confused with a live one.
-		attemptTxn := txn.New(txn.AttemptID(base, attempt))
-		attemptTxn.Parallel = s.parallel
-		tx := &Tx{
-			suite:   s,
-			txn:     attemptTxn,
-			trace:   trace,
-			exclude: exclude,
-			shape:   shape,
-		}
-		if s.obs != nil {
-			attemptTxn.Phase = tx.observePhase
-		}
+		tx.own.Reset(txn.AttemptID(base, attempt))
+		tx.begin(&tx.own, shape, exclude, trace)
 		var retrySpan obs.SpanHandle
 		if attempt > 0 {
 			retrySpan = trace.StartSpan("retry")
@@ -412,9 +413,7 @@ func (s *Suite) runTxn(ctx context.Context, op string, shape txShape, fn func(tx
 		if errors.Is(err, lock.ErrDie) {
 			s.counters.dies.Add(1)
 		}
-		if len(tx.failed) > 0 {
-			s.counters.replicaLosses.Add(uint64(len(tx.failed)))
-		}
+		s.counters.replicaLosses.Add(uint64(bits.OnesCount64(uint64(tx.failed))))
 		if errors.Is(err, rep.ErrStaleEpoch) {
 			// Deliberately not retryable: the suite's whole configuration
 			// is outdated, so re-running under the same quorums cannot
@@ -423,7 +422,7 @@ func (s *Suite) runTxn(ctx context.Context, op string, shape txShape, fn func(tx
 			s.counters.staleEpoch.Add(1)
 			s.obs.StaleRejected()
 		}
-		retry, cause := decideRetry(err, s.budget)
+		retry, cause := DecideRetry(err, s.budget)
 		if !retry {
 			s.counters.failures.Add(1)
 			if cause != nil {
@@ -437,15 +436,13 @@ func (s *Suite) runTxn(ctx context.Context, op string, shape txShape, fn func(tx
 		}
 		s.counters.retries.Add(1)
 		// A replica that failed mid-operation is skipped on the retry.
-		for name := range tx.failed {
-			exclude[name] = true
-		}
+		exclude |= tx.failed
 		// Back off briefly after wait-die aborts so older transactions
 		// can finish; the transaction keeps its timestamp and therefore
 		// ages toward immunity.
 		if errors.Is(err, lock.ErrDie) {
 			sp := trace.StartSpan("wait-die-backoff")
-			backoff(ctx, attempt)
+			Backoff(ctx, attempt)
 			sp.End()
 		}
 	}
@@ -457,15 +454,12 @@ func (s *Suite) runTxn(ctx context.Context, op string, shape txShape, fn func(tx
 	return fmt.Errorf("%w: %w", ErrRetriesExhausted, lastErr)
 }
 
-// backoff waits linearly with the attempt number, capped at 2ms. A
-// cancelled context cuts the wait short so abandoned transactions stop
-// retry-sleeping promptly (the loop in RunInTxn then observes ctx.Err).
-func backoff(ctx context.Context, attempt int) {
-	d := time.Duration(attempt+1) * 50 * time.Microsecond
-	if d > 2*time.Millisecond {
-		d = 2 * time.Millisecond
-	}
-	t := time.NewTimer(d)
+// Backoff waits before a wait-die retry, linearly with the attempt
+// number, capped at 2ms. A cancelled context cuts the wait short so
+// abandoned transactions stop retry-sleeping promptly (the loop in
+// RunInTxn then observes ctx.Err).
+func Backoff(ctx context.Context, attempt int) {
+	t := time.NewTimer(min(time.Duration(attempt+1)*50*time.Microsecond, 2*time.Millisecond))
 	defer t.Stop()
 	select {
 	case <-t.C:

@@ -17,13 +17,31 @@ import (
 	"repdir/internal/version"
 )
 
+// member is one member of the suite's configuration as an operation
+// handles it: the representative, stamped with the suite's epoch, and
+// its index in the configuration, which is what sets of members go by.
+type member struct {
+	quorum.Member
+	idx int
+}
+
 // Tx is one transaction against a directory suite. All operations called
 // on a Tx are atomic as a group: they take effect only if the enclosing
 // RunInTxn commits. A Tx is not safe for concurrent use.
+//
+// A Tx is also the memory of the operation it runs — the quorums drawn,
+// the slots a round's replies land in, its traversals, the transaction's
+// participant list — all reused by the operation's next attempt and,
+// once the Tx is released, by the suite's next operation (Suite.release).
 type Tx struct {
-	suite   *Suite
-	txn     *txn.Txn
-	exclude map[string]bool
+	suite *Suite
+	// txn is the transaction's coordinator state: own, or the one the Tx
+	// is attached to (AttachTx). Once it is finished the Tx refuses
+	// every operation (selectQuorum).
+	txn *txn.Txn
+	own txn.Txn
+	// exclude are the members earlier attempts lost, by index.
+	exclude quorum.Set
 
 	// trace is the enclosing operation's trace (nil when the suite has
 	// no observer; every method on a nil trace no-ops). msgs counts the
@@ -37,10 +55,10 @@ type Tx struct {
 	// read is the quorum of a point write's version read: the members
 	// its write quorum is drawn from, and that can take the prepare on
 	// the write because they already know the transaction.
-	read []quorum.Member
+	read quorum.Set
 	// failed collects members that became unavailable during this
 	// attempt, so the retry can route around them.
-	failed map[string]bool
+	failed quorum.Set
 	// mutated records whether any representative state changed; pure
 	// read transactions release their locks with a cheap abort.
 	mutated bool
@@ -50,6 +68,64 @@ type Tx struct {
 	hedgeMsgs atomic.Int64
 	// observations buffers per-delete statistics until commit.
 	observations []DeleteObservation
+
+	// The rest is storage, meaningful only inside the operation that
+	// filled it: the quorums drawn (picks is what the selector wrote); a
+	// round's slots, one for each call; the traversals, one each way at
+	// a time; the call the round in progress makes, its calls in flight
+	// and its marked context.
+	picks            []int
+	readers, writers []member
+	asked, copies    []member // a delete's calls about its bounds,
+	askedFor, copied []int    // and which bound each is about
+	replies          []rep.LookupResult
+	errs             []error
+	coalesced        []rep.CoalesceResult
+	runs             [2]run
+	round            round
+	legs             sync.WaitGroup
+	marked           markedCtx
+}
+
+// begin readies the Tx for one attempt: transaction t, which is own
+// under a fresh ID or a coordinator's.
+func (tx *Tx) begin(t *txn.Txn, shape txShape, exclude quorum.Set, trace *obs.Trace) {
+	tx.txn, tx.shape, tx.exclude, tx.trace = t, shape, exclude, trace
+	tx.msgs, tx.read, tx.failed, tx.mutated = 0, 0, 0, false
+	tx.observations = tx.observations[:0]
+}
+
+// slots returns s at length n with every slot zero, in its old storage
+// when that is large enough.
+func slots[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// markedCtx is a context with call marks added (rep/marks.go) that
+// costs no allocation: the Tx owns the one it hands out. It is only for
+// calls that have all returned before the Tx is used for anything else.
+type markedCtx struct {
+	context.Context
+	marks rep.Marks
+}
+
+func (c *markedCtx) Value(key any) any {
+	if _, ok := key.(rep.MarksKey); ok {
+		return c.marks
+	}
+	return c.Context.Value(key)
+}
+
+// mark returns ctx with m added to its call marks, valid until the next
+// call of mark.
+func (tx *Tx) mark(ctx context.Context, m rep.Marks) context.Context {
+	tx.marked = markedCtx{ctx, rep.MarksFrom(ctx) | m}
+	return &tx.marked
 }
 
 // span opens a trace span named "name detail" when tracing is on; the
@@ -85,16 +161,14 @@ func isUnavailable(err error) bool {
 	return errors.Is(err, transport.ErrUnavailable) || errors.Is(err, rep.ErrRecovering)
 }
 
-// noteFailure records an unavailable member, feeding the health
-// tracker (every path that loses a member passes through here).
+// noteFailure records an unavailable representative, feeding the health
+// tracker (every path that loses a member passes through here). A
+// repair's target need not be a member; then only the tracker hears.
 func (tx *Tx) noteFailure(name string, err error) {
 	if !isUnavailable(err) {
 		return
 	}
-	if tx.failed == nil {
-		tx.failed = make(map[string]bool)
-	}
-	tx.failed[name] = true
+	tx.failed |= tx.suite.named(name)
 	if h := tx.suite.health; h != nil {
 		h.ReportFailure(name)
 	}
@@ -124,70 +198,85 @@ func (tx *Tx) flushMetrics() {
 	}
 }
 
-// readQuorum and writeQuorum assemble quorums honoring exclusions.
-func (tx *Tx) readQuorum() ([]quorum.Member, error) {
-	return tx.wrapMembers(tx.selectQuorum(quorum.Read))
+// readQuorum and writeQuorum assemble quorums honoring exclusions, each
+// in storage of its own: a quorum stands until the next of its kind is
+// drawn.
+func (tx *Tx) readQuorum() (members []member, err error) {
+	tx.readers, err = tx.selectQuorum(quorum.Read, tx.exclude, true, tx.readers)
+	return tx.readers, err
 }
 
-func (tx *Tx) writeQuorum() ([]quorum.Member, error) {
-	return tx.wrapMembers(tx.selectQuorum(quorum.Write))
+func (tx *Tx) writeQuorum() (members []member, err error) {
+	tx.writers, err = tx.selectQuorum(quorum.Write, tx.exclude, true, tx.writers)
+	return tx.writers, err
 }
 
-// wrapMembers rebinds a selected quorum to epoch-stamping directory
-// wrappers (no-op for epoch-zero suites). The slice is copied first —
-// selectors may return views of their own member storage.
-func (tx *Tx) wrapMembers(members []quorum.Member, err error) ([]quorum.Member, error) {
-	if err != nil || tx.suite.cfg.Epoch == 0 {
-		return members, err
+// selectQuorum draws a quorum into dst. With health set it adds the
+// health tracker's open circuits to the exclusions; if skipping Down
+// members leaves no quorum, they are waived for the round: the breaker
+// exists to avoid wasted probes, not to fail operations the
+// representatives might still serve.
+//
+// Every operation begins by drawing a quorum, so this is where a Tx
+// whose transaction is over — kept by a RunInTxn callback, or by a
+// coordinator past its Commit or Abort — is refused.
+func (tx *Tx) selectQuorum(kind quorum.Kind, exclude quorum.Set, health bool, dst []member) ([]member, error) {
+	if tx.txn.Finished() {
+		return dst[:0], txn.ErrFinished
 	}
-	out := make([]quorum.Member, len(members))
-	copy(out, members)
-	for i := range out {
-		out[i].Dir = tx.suite.wrapDir(out[i].Dir)
+	var open quorum.Set
+	if h := tx.suite.health; h != nil && health {
+		for name := range h.RoundExclusions() {
+			open |= tx.suite.named(name)
+		}
 	}
-	return out, nil
+	picks, err := tx.suite.sel.Select(kind, exclude|open, tx.picks)
+	if open != 0 && errors.Is(err, quorum.ErrNoQuorum) {
+		tx.suite.health.noteFallback()
+		picks, err = tx.suite.sel.Select(kind, exclude, tx.picks)
+	}
+	dst = dst[:0]
+	if err != nil {
+		return dst, err
+	}
+	tx.picks = picks
+	for _, i := range picks {
+		dst = append(dst, tx.suite.members[i])
+	}
+	return dst, nil
 }
 
-// selectQuorum merges the transaction's own exclusions with the health
-// tracker's open circuits. If skipping Down members leaves no quorum,
-// the health exclusions are waived for the round: the breaker exists to
-// avoid wasted probes, not to fail operations the representatives might
-// still serve.
-func (tx *Tx) selectQuorum(kind quorum.Kind) ([]quorum.Member, error) {
-	h := tx.suite.health
-	if h == nil {
-		return tx.suite.sel.Select(kind, tx.exclude)
+// named is the set of the member of that name: empty if there is none.
+func (s *Suite) named(name string) (set quorum.Set) {
+	for _, m := range s.members {
+		if m.Dir.Name() == name {
+			set.Add(m.idx)
+		}
 	}
-	open := h.RoundExclusions()
-	if len(open) == 0 {
-		return tx.suite.sel.Select(kind, tx.exclude)
+	return set
+}
+
+// indexes is the set of the given members.
+func indexes(members []member) (set quorum.Set) {
+	for _, m := range members {
+		set.Add(m.idx)
 	}
-	merged := make(map[string]bool, len(open)+len(tx.exclude))
-	for name := range tx.exclude {
-		merged[name] = true
-	}
-	for name := range open {
-		merged[name] = true
-	}
-	members, err := tx.suite.sel.Select(kind, merged)
-	if errors.Is(err, quorum.ErrNoQuorum) {
-		h.noteFallback()
-		return tx.suite.sel.Select(kind, tx.exclude)
-	}
-	return members, err
+	return set
 }
 
 // Lookup implements DirSuiteLookup (Figure 8) within the transaction.
 func (tx *Tx) Lookup(ctx context.Context, key string) (string, bool, error) {
+	res, err := tx.lookup(ctx, key)
+	return res.Value, res.Found, err
+}
+
+// lookup is suiteLookup of a caller's key.
+func (tx *Tx) lookup(ctx context.Context, key string) (rep.LookupResult, error) {
 	k, err := validateKey(key)
 	if err != nil {
-		return "", false, err
+		return rep.LookupResult{}, err
 	}
-	res, err := tx.suiteLookup(ctx, k)
-	if err != nil {
-		return "", false, err
-	}
-	return res.Value, res.Found, nil
+	return tx.suiteLookup(ctx, k)
 }
 
 // suiteLookup sends DirRepLookup to a read quorum and returns the reply
@@ -211,22 +300,25 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	if err != nil {
 		return rep.LookupResult{}, err
 	}
-	if tx.shape == pointRead {
+	hedged := tx.suite.hedge != nil
+	switch {
+	case tx.shape != pointRead:
+	case hedged:
+		// A hedge leg may outlive the round: its context must too.
 		ctx = rep.MarkOneShot(ctx)
+	default:
+		ctx = tx.mark(ctx, rep.OneShotMark)
 	}
 	for _, m := range members {
 		tx.joinReader(m.Dir)
 	}
 	sp := tx.span("quorum-read", key.Raw())
-	replies := make([]rep.LookupResult, len(members))
-	errs := make([]error, len(members))
-	do := func(i int, m quorum.Member) {
-		replies[i], errs[i] = m.Dir.Lookup(ctx, tx.txn.ID, key)
+	tx.replies = slots(tx.replies, len(members))
+	tx.round = round{kind: callLookup, ctx: ctx, key: key}
+	if hedged {
+		tx.round.kind, tx.round.hedge = callHedgedLookup, tx.newHedgeRound(members)
 	}
-	if tx.suite.hedge != nil {
-		do = tx.hedgedProbe(ctx, key, members, replies, errs)
-	}
-	tx.fanOut(members, do)
+	tx.fanOut(members)
 	if tx.hedgeMsgs.Load() > 0 {
 		// Hedge probes send extra messages from concurrent probe
 		// goroutines; they accumulate in an atomic and fold into the
@@ -234,19 +326,19 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 		tx.msgs += int(tx.hedgeMsgs.Swap(0))
 	}
 	sp.End()
-	if err := tx.roundError(members, errs, "lookup", key); err != nil {
+	if err := tx.roundError(members, tx.errs, "lookup", key); err != nil {
 		return rep.LookupResult{}, err
 	}
 	if tx.shape == pointWrite {
-		tx.read = members
+		tx.read = indexes(members)
 	}
-	return tx.resolve(ctx, key, members, replies)
+	return tx.resolve(ctx, key, members, tx.replies)
 }
 
 // resolve applies Figure 8 to one key's replies from a read quorum:
 // bestv starts at LowestVersion and the largest version wins (outranks),
 // so replies at LowestVersion leave the default "not present".
-func (tx *Tx) resolve(ctx context.Context, key keyspace.Key, members []quorum.Member, replies []rep.LookupResult) (rep.LookupResult, error) {
+func (tx *Tx) resolve(ctx context.Context, key keyspace.Key, members []member, replies []rep.LookupResult) (rep.LookupResult, error) {
 	best := rep.LookupResult{Found: false, Version: version.Lowest}
 	bestIdx := -1
 	for i := range members {
@@ -313,24 +405,20 @@ func (tx *Tx) repairsReads() bool {
 // holds the winning entry, so the chase fails only when every such
 // member is unreachable or the entry is gone — which is retryable
 // unavailability, not a semantic failure.
-func (tx *Tx) chaseValue(ctx context.Context, key keyspace.Key, best rep.LookupResult, members []quorum.Member) (rep.LookupResult, error) {
-	inRound := make(map[string]bool, len(members))
-	for _, m := range members {
-		inRound[m.Dir.Name()] = true
-	}
+func (tx *Tx) chaseValue(ctx context.Context, key keyspace.Key, best rep.LookupResult, members []member) (rep.LookupResult, error) {
+	skip := indexes(members) | tx.exclude
 	sp := tx.span("witness-chase", key.Raw())
 	defer sp.End()
 	var lastErr error
-	for _, m := range tx.suite.cfg.Members {
-		if m.Witness || inRound[m.Dir.Name()] || tx.exclude[m.Dir.Name()] {
+	for _, m := range tx.suite.members {
+		if m.Witness || skip.Has(m.idx) {
 			continue
 		}
-		d := tx.suite.wrapDir(m.Dir)
-		tx.joinReader(d)
+		tx.joinReader(m.Dir)
 		tx.msgs++
-		res, err := d.Lookup(ctx, tx.txn.ID, key)
+		res, err := m.Dir.Lookup(ctx, tx.txn.ID, key)
 		if err != nil {
-			tx.noteFailure(d.Name(), err)
+			tx.noteFailure(m.Dir.Name(), err)
 			lastErr = err
 			continue
 		}
@@ -348,27 +436,25 @@ func (tx *Tx) chaseValue(ctx context.Context, key keyspace.Key, best rep.LookupR
 // unavailable member is noted — a parallel fan-out can lose several
 // members at once, and each must be excluded from the retry together,
 // not one retry at a time — and the first error is returned.
-func (tx *Tx) roundError(members []quorum.Member, errs []error, verb string, key keyspace.Key) error {
+func (tx *Tx) roundError(members []member, errs []error, verb string, key keyspace.Key) error {
 	var first error
 	h := tx.suite.health
 	for i, m := range members {
-		if errs[i] == nil {
-			if h != nil {
-				h.ReportSuccess(m.Dir.Name())
-			}
-			continue
-		}
+		err := errs[i]
 		// Any reply at all — even an error like a wait-die kill — proves
 		// the member reachable; only unavailability counts against it.
 		// ErrRecovering is deliberate refusal, not unreachability, but it
 		// still must not feed ReportSuccess: a recovering member should
 		// not look healthy to read routing.
-		if h != nil && !isUnavailable(errs[i]) {
+		if h != nil && !isUnavailable(err) {
 			h.ReportSuccess(m.Dir.Name())
 		}
-		tx.noteFailure(m.Dir.Name(), errs[i])
+		if err == nil {
+			continue
+		}
+		tx.noteFailure(m.Dir.Name(), err)
 		if first == nil {
-			first = fmt.Errorf("%s %s at %s: %w", verb, key, m.Dir.Name(), errs[i])
+			first = fmt.Errorf("%s %s at %s: %w", verb, key, m.Dir.Name(), err)
 		}
 	}
 	return first
@@ -383,12 +469,76 @@ func (tx *Tx) joinReader(d rep.Directory) {
 	}
 }
 
-// fanOut runs do for each member, concurrently when the suite is
-// configured for parallel quorums; the caller has joined the members to
-// the transaction. do must only write to its own slot; error handling
-// happens after the barrier.
+// round is the call a quorum round makes at each of its members: which
+// one, and its arguments. Every call a round can be made of is in
+// Tx.call; an operation fills the round in and fans it out.
+type round struct {
+	kind callKind
+	to   []member
+	ctx  context.Context
+	// prepared is ctx with the prepare mark, for a write to a member
+	// that can take the prepare with it.
+	prepared context.Context
+	key, hi  keyspace.Key // the key; a coalesce's bounds
+	ver      version.V
+	value    string
+	n        int         // neighbors asked for
+	bounds   [2]neighbor // a delete's real successor and predecessor
+	run      *run
+	hedge    *hedgeRound
+}
+
+type callKind uint8
+
+const (
+	callLookup callKind = iota
+	callHedgedLookup
+	callInsert
+	callAround
+	callBoundLookup
+	callBoundCopy
+	callCoalesce
+	callNeighbors
+)
+
+// call makes the round's call at its i'th member and leaves the answer
+// in slot i. It writes nothing else: calls run concurrently, and error
+// handling happens after the barrier.
+func (tx *Tx) call(i int) {
+	c, d, id := &tx.round, tx.round.to[i].Dir, tx.txn.ID
+	switch c.kind {
+	case callLookup:
+		tx.replies[i], tx.errs[i] = d.Lookup(c.ctx, id, c.key)
+	case callHedgedLookup:
+		tx.replies[i], tx.errs[i] = c.hedge.lookup(c.ctx, c.to[i], id, c.key)
+	case callInsert:
+		ctx := c.ctx
+		if tx.read.Has(c.to[i].idx) {
+			ctx = c.prepared
+		}
+		tx.errs[i] = d.Insert(ctx, id, c.key, c.ver, c.value)
+	case callAround:
+		var hood []rep.NeighborResult
+		hood, tx.errs[i] = d.SuccessorBatch(c.ctx, id, c.key, c.n)
+		tx.runs[1].replies[i], tx.replies[i], tx.runs[0].replies[i] = rep.SplitAround(hood, c.key)
+	case callBoundLookup:
+		tx.replies[i], tx.errs[i] = d.Lookup(c.ctx, id, c.bounds[tx.askedFor[i]].key)
+	case callBoundCopy:
+		nb := &c.bounds[tx.copied[i]]
+		tx.errs[i] = d.Insert(c.ctx, id, nb.key, nb.ver, nb.value)
+	case callCoalesce:
+		tx.coalesced[i], tx.errs[i] = d.Coalesce(c.ctx, id, c.key, c.hi, c.ver)
+	case callNeighbors:
+		c.run.probe(c.ctx, c.run.which[i], c.n)
+	}
+}
+
+// fanOut makes tx.round's call at each member, concurrently when the
+// suite is configured for parallel quorums, and returns when all have
+// answered into their slots of tx.errs and the round's other slots; the
+// caller has joined the members to the transaction.
 //
-// The calling goroutine runs the first member's op inline and spawns
+// The calling goroutine makes the first member's call inline and spawns
 // goroutines only for the rest: it would otherwise just block on the
 // join, so the inline leg saves one spawn/schedule round per quorum
 // round. The concurrent legs also give the transport's group-commit
@@ -396,58 +546,68 @@ func (tx *Tx) joinReader(d rep.Directory) {
 // concurrent rounds headed for the same member coalesce into one
 // multi-message frame at the shared member connection, which is the
 // only layer that sees cross-transaction traffic.
-func (tx *Tx) fanOut(members []quorum.Member, do func(i int, m quorum.Member)) {
+func (tx *Tx) fanOut(members []member) {
 	tx.msgs += len(members)
+	tx.round.to = members
+	tx.errs = slots(tx.errs, len(members))
 	if !tx.suite.parallel || len(members) < 2 {
-		for i, m := range members {
-			do(i, m)
+		for i := range members {
+			tx.call(i)
 		}
 		return
 	}
-	var wg sync.WaitGroup
 	for i := 1; i < len(members); i++ {
-		wg.Add(1)
-		go func(i int, m quorum.Member) {
-			defer wg.Done()
-			do(i, m)
-		}(i, members[i])
+		tx.legs.Add(1)
+		go func() {
+			defer tx.legs.Done()
+			tx.call(i)
+		}()
 	}
-	do(0, members[0])
-	wg.Wait()
+	tx.call(0)
+	tx.legs.Wait()
 }
 
 // Insert implements DirSuiteInsert (Figure 9) within the transaction.
 func (tx *Tx) Insert(ctx context.Context, key, value string) error {
-	k, err := validateKey(key)
-	if err != nil {
-		return err
-	}
-	// Look the key up to learn the highest version previously associated
-	// with it.
-	cur, err := tx.suiteLookup(ctx, k)
-	if err != nil {
-		return err
-	}
-	if cur.Found {
-		return fmt.Errorf("%w: %s", ErrKeyExists, k)
-	}
-	return tx.writeEntry(ctx, k, cur.Version.Next(), value)
+	_, err := tx.write(ctx, key, value, false)
+	return err
 }
 
 // Update implements DirSuiteUpdate (analogous to Figure 9).
 func (tx *Tx) Update(ctx context.Context, key, value string) error {
+	_, err := tx.write(ctx, key, value, true)
+	return err
+}
+
+// InsertV is Insert, returning the version written.
+func (tx *Tx) InsertV(ctx context.Context, key, value string) (version.V, error) {
+	return tx.write(ctx, key, value, false)
+}
+
+// UpdateV is Update, returning the version written.
+func (tx *Tx) UpdateV(ctx context.Context, key, value string) (version.V, error) {
+	return tx.write(ctx, key, value, true)
+}
+
+// write creates the entry for key, or with update set replaces it: the
+// key is looked up to learn the highest version previously associated
+// with it, and the entry written with the next.
+func (tx *Tx) write(ctx context.Context, key, value string, update bool) (version.V, error) {
 	k, err := validateKey(key)
 	if err != nil {
-		return err
+		return version.Lowest, err
 	}
 	cur, err := tx.suiteLookup(ctx, k)
-	if err != nil {
-		return err
+	switch {
+	case err != nil:
+		return version.Lowest, err
+	case cur.Found && !update:
+		return version.Lowest, fmt.Errorf("%w: %s", ErrKeyExists, k)
+	case !cur.Found && update:
+		return version.Lowest, fmt.Errorf("%w: %s", ErrKeyNotFound, k)
 	}
-	if !cur.Found {
-		return fmt.Errorf("%w: %s", ErrKeyNotFound, k)
-	}
-	return tx.writeEntry(ctx, k, cur.Version.Next(), value)
+	ver := cur.Version.Next()
+	return ver, tx.writeEntry(ctx, k, ver, value)
 }
 
 // writeEntry inserts the entry into a write quorum.
@@ -471,25 +631,24 @@ func (tx *Tx) writeEntry(ctx context.Context, key keyspace.Key, ver version.V, v
 	for _, m := range members {
 		tx.txn.Join(m.Dir)
 	}
-	withPrepare := ctx
-	if tx.shape == pointWrite {
-		withPrepare = rep.MarkPrepare(ctx)
+	// tx.read is the members that know the transaction, so can take the
+	// prepare with the write: a representative refuses a write that
+	// carries the prepare from a transaction it does not know, as it
+	// refuses a Prepare — that is how a restart that lost the
+	// transaction's read lock is caught. It is empty in a transaction
+	// of another shape.
+	tx.round = round{kind: callInsert, ctx: ctx, key: key, ver: ver, value: value}
+	if tx.read != 0 {
+		tx.round.prepared = tx.mark(ctx, rep.PrepareMark)
 	}
 	sp := tx.span("quorum-write", key.Raw())
-	errs := make([]error, len(members))
-	tx.fanOut(members, func(i int, m quorum.Member) {
-		c := ctx
-		if tx.didRead(m) {
-			c = withPrepare
-		}
-		errs[i] = m.Dir.Insert(c, tx.txn.ID, key, ver, value)
-	})
+	tx.fanOut(members)
 	sp.End()
-	if err := tx.roundError(members, errs, "insert", key); err != nil {
+	if err := tx.roundError(members, tx.errs, "insert", key); err != nil {
 		return err
 	}
 	for _, m := range members {
-		if tx.didRead(m) {
+		if tx.read.Has(m.idx) {
 			tx.txn.Voted(m.Dir)
 		}
 	}
@@ -498,48 +657,35 @@ func (tx *Tx) writeEntry(ctx context.Context, key keyspace.Key, ver version.V, v
 }
 
 // entryWriters draws the write quorum for writeEntry.
-func (tx *Tx) entryWriters() ([]quorum.Member, error) {
-	if tx.shape != pointWrite {
-		return tx.writeQuorum()
-	}
+func (tx *Tx) entryWriters() ([]member, error) {
 	// Selectors take exclusions, not preferences: exclude everyone the
 	// read did not reach, if those it did reach have the votes. They
 	// answered a moment ago, so the health tracker has nothing to add.
-	all := tx.suite.cfg.Members
-	exclude := make(map[string]bool, len(all))
+	var others quorum.Set
 	votes := 0
-	for _, m := range all {
-		if tx.didRead(m) && !tx.exclude[m.Dir.Name()] {
+	for _, m := range tx.suite.members {
+		if tx.read.Has(m.idx) && !tx.exclude.Has(m.idx) {
 			votes += m.Votes
 		} else {
-			exclude[m.Dir.Name()] = true
+			others.Add(m.idx)
 		}
 	}
 	if votes >= tx.suite.cfg.W {
-		members, err := tx.wrapMembers(tx.suite.sel.Select(quorum.Write, exclude))
+		var err error
+		tx.writers, err = tx.selectQuorum(quorum.Write, others, false, tx.writers)
 		// A selector written for whole-suite draws may answer a narrowed
 		// one with what is left of its usual pick: count the votes.
-		if err == nil && votesOf(members) >= tx.suite.cfg.W {
-			return members, nil
+		if err == nil && votesOf(tx.writers) >= tx.suite.cfg.W {
+			return tx.writers, nil
 		}
 	}
 	return tx.writeQuorum()
 }
 
-func votesOf(members []quorum.Member) int {
+func votesOf(members []member) int {
 	votes := 0
 	for _, m := range members {
 		votes += m.Votes
 	}
 	return votes
-}
-
-// didRead reports whether m served this point write's version read
-// (never, in a transaction of another shape). Such a member knows the
-// transaction, so it can take the prepare with the write: a
-// representative refuses a write that carries the prepare from a
-// transaction it does not know, as it refuses a Prepare — that is how a
-// restart that lost the transaction's read lock is caught.
-func (tx *Tx) didRead(m quorum.Member) bool {
-	return indexOf(tx.read, m) >= 0
 }

@@ -18,16 +18,20 @@ type index struct {
 	root *inode
 	rng  *rand.Rand
 	seq  uint64
+	free *inode // removed nodes, for insert to use again
 }
 
 // inode is one granted lock in the treap.
 type inode struct {
 	lock     held
-	seq      uint64 // tie-breaker making keys unique
+	seq      uint64 // tie-breaker making keys unique; zero on the free list
 	priority int64
 	maxHi    keyspace.Key
 	left     *inode
 	right    *inode
+	// next is the Manager's: the same transaction's previous grant. On
+	// the free list it is the next free node.
+	next *inode
 }
 
 // newIndex builds an empty index with a deterministic priority source.
@@ -58,11 +62,13 @@ func (n *inode) fix() {
 // for O(log n) deletion on release).
 func (ix *index) insert(h held) *inode {
 	ix.seq++
-	n := &inode{
-		lock:     h,
-		seq:      ix.seq,
-		priority: ix.rng.Int63(),
+	n := ix.free
+	if n == nil {
+		n = new(inode)
+	} else {
+		ix.free = n.next
 	}
+	*n = inode{lock: h, seq: ix.seq, priority: ix.rng.Int63()}
 	n.fix()
 	ix.root = insertNode(ix.root, n)
 	return n
@@ -89,9 +95,12 @@ func insertNode(root, n *inode) *inode {
 	return root
 }
 
-// remove deletes the exact node (matched by key and sequence).
+// remove deletes the exact node (matched by key and sequence) and keeps
+// it for the next insert: the caller must not use it again.
 func (ix *index) remove(n *inode) {
 	ix.root = removeNode(ix.root, n)
+	*n = inode{next: ix.free}
+	ix.free = n
 }
 
 func removeNode(root, n *inode) *inode {

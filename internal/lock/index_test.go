@@ -147,3 +147,49 @@ func TestIndexSentinelRanges(t *testing.T) {
 		t.Fatal("conflict after removal")
 	}
 }
+
+// TestIndexRecyclesNodes fills and drains the index over and over, so
+// that from the second fill on every insert is served from the free
+// list, and demands the same answers as the linear reference throughout.
+func TestIndexRecyclesNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	ix := newIndex()
+	seen := make(map[*inode]bool)
+	recycled := 0
+	for fill := 0; fill < 20; fill++ {
+		ref := newRefIndex()
+		var live []*inode
+		for i := 0; i < 50; i++ {
+			a, b := rng.Intn(100), rng.Intn(100)
+			h := held{txn: TxnID(rng.Intn(9) + 1), mode: Mode(rng.Intn(2) + 1),
+				rng: interval.Span(keyspace.New(fmt.Sprintf("%02d", a)), keyspace.New(fmt.Sprintf("%02d", b)))}
+			n := ix.insert(h)
+			if seen[n] {
+				recycled++
+			}
+			seen[n] = true
+			if n.next != nil {
+				t.Fatalf("fill %d: a recycled node came back with its old chain", fill)
+			}
+			ref.locks[n] = h
+			live = append(live, n)
+			probe := interval.Point(keyspace.New(fmt.Sprintf("%02d", rng.Intn(100))))
+			gotID, got := ix.conflict(5, ModeModify, probe)
+			wantID, want := ref.conflict(5, ModeModify, probe)
+			if got != want || got && gotID != wantID {
+				t.Fatalf("fill %d: conflict at %s = (%d, %v), want (%d, %v)", fill, probe, gotID, got, wantID, want)
+			}
+		}
+		checkTreap(t, ix.root)
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		for _, n := range live {
+			ix.remove(n)
+		}
+		if ix.root != nil {
+			t.Fatalf("fill %d: index not empty after removing every lock", fill)
+		}
+	}
+	if len(seen) != 50 || recycled != 19*50 {
+		t.Errorf("%d nodes allocated and %d inserts recycled one; want 50 and %d", len(seen), recycled, 19*50)
+	}
+}

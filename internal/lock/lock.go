@@ -100,12 +100,14 @@ type Stats struct {
 // Manager grants and releases range locks for one directory
 // representative. Granted locks are indexed in an augmented interval
 // treap so conflict checks cost expected O(log n) rather than a scan of
-// every held lock. The zero value is not usable; construct with
-// NewManager.
+// every held lock, and each transaction's grants are chained through the
+// treap's own nodes, which the index recycles: granting and releasing an
+// uncontended lock allocates nothing. The zero value is not usable;
+// construct with NewManager.
 type Manager struct {
 	mu      sync.Mutex
 	idx     *index
-	byTxn   map[TxnID][]*inode
+	byTxn   map[TxnID]*inode // each transaction's newest grant; inode.next leads to the older ones
 	waiters map[chan struct{}]struct{}
 	stats   Stats
 }
@@ -114,7 +116,7 @@ type Manager struct {
 func NewManager() *Manager {
 	return &Manager{
 		idx:     newIndex(),
-		byTxn:   make(map[TxnID][]*inode),
+		byTxn:   make(map[TxnID]*inode),
 		waiters: make(map[chan struct{}]struct{}),
 	}
 }
@@ -123,12 +125,17 @@ func NewManager() *Manager {
 // incompatible lock is held by an older transaction. It returns ErrDie if
 // wait-die requires txn to abort, or ctx.Err() if the context ends first.
 func (m *Manager) Acquire(ctx context.Context, txn TxnID, mode Mode, rng interval.Range) error {
-	_, err := m.acquire(ctx, txn, mode, rng)
+	_, err := m.AcquireOne(ctx, txn, mode, rng)
 	return err
 }
 
 // Grant is one granted lock, held by a caller that gives it back itself.
-type Grant struct{ n *inode }
+// The node behind a grant is reused once the lock is released; seq is
+// what tells this grant from the node's next.
+type Grant struct {
+	n   *inode
+	seq uint64
+}
 
 // AcquireOne is Acquire for the lock of an operation that is the whole
 // of its transaction at this representative. Such a transaction's lock
@@ -136,52 +143,26 @@ type Grant struct{ n *inode }
 // soon as the operation has its answer: the caller passes the grant to
 // Release, and no other lock held under the same ID is touched.
 func (m *Manager) AcquireOne(ctx context.Context, txn TxnID, mode Mode, rng interval.Range) (Grant, error) {
-	n, err := m.acquire(ctx, txn, mode, rng)
-	return Grant{n}, err
-}
-
-// Release gives back a lock granted by AcquireOne and wakes all
-// waiters. A grant that ReleaseAll already swept is left alone.
-func (m *Manager) Release(g Grant) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	txn := g.n.lock.txn
-	nodes := m.byTxn[txn]
-	for i, n := range nodes {
-		if n != g.n {
-			continue
-		}
-		m.idx.remove(n)
-		if len(nodes) == 1 {
-			delete(m.byTxn, txn)
-		} else {
-			nodes[i] = nodes[len(nodes)-1]
-			m.byTxn[txn] = nodes[:len(nodes)-1]
-		}
-		m.wake()
-		return
-	}
-}
-
-func (m *Manager) acquire(ctx context.Context, txn TxnID, mode Mode, rng interval.Range) (*inode, error) {
 	if !rng.Valid() {
-		return nil, fmt.Errorf("lock: invalid range %s", rng)
+		return Grant{}, fmt.Errorf("lock: invalid range %s", rng)
 	}
 	for {
 		m.mu.Lock()
 		conflict, anyConflict := m.idx.conflict(txn, mode, rng)
 		if !anyConflict {
 			n := m.idx.insert(held{txn: txn, mode: mode, rng: rng})
-			m.byTxn[txn] = append(m.byTxn[txn], n)
+			n.next = m.byTxn[txn]
+			m.byTxn[txn] = n
 			m.stats.Grants++
+			g := Grant{n, n.seq}
 			m.mu.Unlock()
-			return n, nil
+			return g, nil
 		}
 		if txn > conflict {
 			// The requester is younger than some conflicting holder: die.
 			m.stats.Dies++
 			m.mu.Unlock()
-			return nil, ErrDie
+			return Grant{}, ErrDie
 		}
 		// The requester is older than every conflicting holder: wait for a
 		// release and retry.
@@ -196,9 +177,33 @@ func (m *Manager) acquire(ctx context.Context, txn TxnID, mode Mode, rng interva
 			m.mu.Lock()
 			delete(m.waiters, ch)
 			m.mu.Unlock()
-			return nil, ctx.Err()
+			return Grant{}, ctx.Err()
 		}
 	}
+}
+
+// Release gives back a lock granted by AcquireOne and wakes all
+// waiters. A grant that ReleaseAll already swept is left alone.
+func (m *Manager) Release(g Grant) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if g.n == nil || g.n.seq != g.seq {
+		return
+	}
+	txn := g.n.lock.txn
+	switch head := m.byTxn[txn]; {
+	case head != g.n:
+		for head.next != g.n {
+			head = head.next
+		}
+		head.next = g.n.next
+	case g.n.next == nil:
+		delete(m.byTxn, txn)
+	default:
+		m.byTxn[txn] = g.n.next
+	}
+	m.idx.remove(g.n)
+	m.wake()
 }
 
 // ReleaseAll drops every lock held by txn and wakes all waiters: strict
@@ -207,12 +212,14 @@ func (m *Manager) acquire(ctx context.Context, txn TxnID, mode Mode, rng interva
 func (m *Manager) ReleaseAll(txn TxnID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	nodes, ok := m.byTxn[txn]
-	if !ok {
+	n := m.byTxn[txn]
+	if n == nil {
 		return
 	}
-	for _, n := range nodes {
+	for n != nil {
+		next := n.next
 		m.idx.remove(n)
+		n = next
 	}
 	delete(m.byTxn, txn)
 	m.wake()
@@ -230,7 +237,11 @@ func (m *Manager) wake() {
 func (m *Manager) HeldBy(txn TxnID) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.byTxn[txn])
+	held := 0
+	for n := m.byTxn[txn]; n != nil; n = n.next {
+		held++
+	}
+	return held
 }
 
 // ActiveTransactions returns the number of transactions holding at least

@@ -184,9 +184,15 @@ func TestReleaseDropsOneLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.ReleaseAll(5)
+	// The swept grant's node is the next lock's now: giving the grant
+	// back again must leave that lock alone.
+	mustAcquire(t, m, 7, ModeLookup, rng("x", "z"))
 	m.Release(g)
-	if n := m.ActiveTransactions(); n != 1 { // the writer, txn 1
-		t.Fatalf("%d transactions hold locks, want 1", n)
+	if n := m.HeldBy(7); n != 1 {
+		t.Fatalf("a stale grant released the lock that reuses its node: transaction 7 holds %d", n)
+	}
+	if n := m.ActiveTransactions(); n != 2 { // the writer, txn 1, and txn 7
+		t.Fatalf("%d transactions hold locks, want 2", n)
 	}
 }
 

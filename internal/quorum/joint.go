@@ -78,14 +78,17 @@ func (j Joint) Config(epoch uint64) Config {
 	return Config{Epoch: epoch, Members: members, R: total, W: total}
 }
 
-// JointSelector assembles quorums satisfying both sides of a Joint.
-// Candidates are shuffled (seeded, deterministic) and witnesses ordered
-// last, mirroring RandomSelector.
+// JointSelector assembles quorums satisfying both sides of a Joint. It
+// indexes over Union(), which is the member list of the Config the
+// joint suite runs under, so its indexes are that configuration's.
+// Candidates are drawn in random order (seeded, deterministic) with
+// witnesses last, mirroring RandomSelector.
 type JointSelector struct {
-	j        Joint
-	oldVotes map[string]int
-	newVotes map[string]int
-	union    []Member
+	j Joint
+	// oldVotes and newVotes are each union member's votes on either
+	// side, zero where it is not a member.
+	oldVotes, newVotes []int
+	base               shuffle
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -95,57 +98,48 @@ var _ Selector = (*JointSelector)(nil)
 
 // NewJointSelector builds a joint selector with a deterministic seed.
 func NewJointSelector(j Joint, seed int64) *JointSelector {
+	union := j.Union()
 	s := &JointSelector{
 		j:        j,
-		oldVotes: make(map[string]int, len(j.Old.Members)),
-		newVotes: make(map[string]int, len(j.New.Members)),
-		union:    j.Union(),
+		oldVotes: make([]int, len(union)),
+		newVotes: make([]int, len(union)),
+		base:     newShuffle(union),
 		rng:      rand.New(rand.NewSource(seed)),
 	}
-	for _, m := range j.Old.Members {
-		s.oldVotes[m.Dir.Name()] = m.Votes
-	}
-	for _, m := range j.New.Members {
-		s.newVotes[m.Dir.Name()] = m.Votes
+	for i, u := range union {
+		if m, ok := j.Old.MemberByName(u.Dir.Name()); ok {
+			s.oldVotes[i] = m.Votes
+		}
+		if m, ok := j.New.MemberByName(u.Dir.Name()); ok {
+			s.newVotes[i] = m.Votes
+		}
 	}
 	return s
 }
 
-// Select implements Selector: greedily accumulate shuffled,
+// Select implements Selector: greedily accumulate randomly ordered,
 // witness-last candidates until the old-side AND new-side thresholds
 // for kind are both met.
-func (s *JointSelector) Select(kind Kind, exclude map[string]bool) ([]Member, error) {
-	s.mu.Lock()
-	order := make([]Member, len(s.union))
-	copy(order, s.union)
-	s.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	s.mu.Unlock()
-
+func (s *JointSelector) Select(kind Kind, exclude Set, dst []int) ([]int, error) {
+	order := s.base
 	needOld, needNew := s.j.Old.need(kind), s.j.New.need(kind)
-	var out []Member
 	gotOld, gotNew := 0, 0
-	for _, m := range witnessLast(order) {
-		if gotOld >= needOld && gotNew >= needNew {
-			return out, nil
-		}
-		name := m.Dir.Name()
-		if exclude[name] {
-			continue
-		}
-		ov, nv := s.oldVotes[name], s.newVotes[name]
-		if ov == 0 && nv == 0 {
-			continue
-		}
+	dst = dst[:0]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for p := 0; p < order.n && (gotOld < needOld || gotNew < needNew); p++ {
+		i := order.at(p, s.rng)
+		ov, nv := s.oldVotes[i], s.newVotes[i]
 		// Skip members that advance neither unmet threshold.
-		if (gotOld >= needOld || ov == 0) && (gotNew >= needNew || nv == 0) {
+		if exclude.Has(i) || (gotOld >= needOld || ov == 0) && (gotNew >= needNew || nv == 0) {
 			continue
 		}
-		out = append(out, m)
+		dst = append(dst, i)
 		gotOld += ov
 		gotNew += nv
 	}
 	if gotOld >= needOld && gotNew >= needNew {
-		return out, nil
+		return dst, nil
 	}
 	return nil, fmt.Errorf("%w: joint needs %d old + %d new votes, found %d + %d",
 		ErrNoQuorum, needOld, needNew, gotOld, gotNew)

@@ -83,7 +83,7 @@ func TestJointQuorumIntersection(t *testing.T) {
 		oldWrites := subsets(j.Old, j.Old.W)
 		newReads := subsets(j.New, j.New.R)
 		for round := 0; round < 20; round++ {
-			jr, err := sel.Select(Read, nil)
+			jr, err := pick(j.Union(), sel, Read)
 			if err != nil {
 				t.Fatalf("joint read select: %v", err)
 			}
@@ -93,7 +93,7 @@ func TestJointQuorumIntersection(t *testing.T) {
 						names(jr), names(ow), j.Old)
 				}
 			}
-			jw, err := sel.Select(Write, nil)
+			jw, err := pick(j.Union(), sel, Write)
 			if err != nil {
 				t.Fatalf("joint write select: %v", err)
 			}
@@ -121,7 +121,7 @@ func TestJointSelectorThresholds(t *testing.T) {
 		tried++
 		sel := NewJointSelector(j, rng.Int63())
 		for _, kind := range []Kind{Read, Write} {
-			got, err := sel.Select(kind, nil)
+			got, err := pick(j.Union(), sel, kind)
 			if err != nil {
 				t.Fatalf("select %v: %v", kind, err)
 			}
@@ -159,7 +159,7 @@ func TestJointSelectorExcludes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := NewJointSelector(j, 1)
-	got, err := sel.Select(Write, map[string]bool{"rep0": true})
+	got, err := pick(j.Union(), sel, Write, "rep0")
 	if err != nil {
 		t.Fatalf("select with one exclusion: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestJointSelectorExcludes(t *testing.T) {
 		}
 	}
 	// Excluding two old members leaves only 1 old vote < W_old=2.
-	if _, err := sel.Select(Write, map[string]bool{"rep0": true, "rep1": true}); err == nil {
+	if _, err := pick(j.Union(), sel, Write, "rep0", "rep1"); err == nil {
 		t.Fatal("want ErrNoQuorum when the old side cannot meet W")
 	}
 }

@@ -17,7 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repdir/internal/rep"
 )
@@ -50,7 +52,7 @@ type Config struct {
 	// statically configured suite that has never been reconfigured);
 	// reconfiguration bumps it and fences stale-epoch clients at the
 	// representatives (rep.ErrStaleEpoch).
-	Epoch uint64
+	Epoch   uint64
 	Members []Member
 	// R is the read quorum size in votes.
 	R int
@@ -94,6 +96,9 @@ func (c Config) WitnessVotes() int {
 func (c Config) Validate() error {
 	if len(c.Members) == 0 {
 		return errors.New("quorum: no members")
+	}
+	if len(c.Members) > MaxMembers {
+		return fmt.Errorf("quorum: %d members, at most %d", len(c.Members), MaxMembers)
 	}
 	for i, m := range c.Members {
 		if m.Dir == nil {
@@ -142,49 +147,30 @@ const (
 	Write
 )
 
-// Selector assembles quorums. Exclude lists representative names that
-// must not be used (e.g. members that just failed); a Selector returns
-// ErrNoQuorum when the remaining members cannot reach the vote threshold.
+// MaxMembers is the most members a configuration may have: a Set has
+// one bit for each.
+const MaxMembers = 64
+
+// Set is a set of members of one configuration, each named by its index
+// in Config.Members. Indexes are stable for the life of a Config value —
+// nothing reorders Members, and reconfiguration builds a new Config —
+// and mean nothing against another configuration.
+type Set uint64
+
+// Has reports whether member i is in the set.
+func (s Set) Has(i int) bool { return s&(1<<uint(i)) != 0 }
+
+// Add puts member i in the set.
+func (s *Set) Add(i int) { *s |= 1 << uint(i) }
+
+// Selector assembles quorums of the configuration it was built for.
+// Select appends to dst[:0] the indexes in Config.Members of a quorum
+// of the given kind that avoids the members in exclude (e.g. ones that
+// just failed), and returns ErrNoQuorum when the remaining members
+// cannot reach the vote threshold. Given a dst with room for every
+// member it allocates nothing.
 type Selector interface {
-	Select(kind Kind, exclude map[string]bool) ([]Member, error)
-}
-
-// witnessLast stably partitions candidates so store members come first:
-// witnesses are tie-breakers, entering a quorum only when the preceding
-// store members cannot reach the vote threshold alone. Relative order is
-// preserved within each class, so the enclosing policy (random, sticky,
-// locality) still governs.
-func witnessLast(candidates []Member) []Member {
-	out := make([]Member, 0, len(candidates))
-	for _, m := range candidates {
-		if !m.Witness {
-			out = append(out, m)
-		}
-	}
-	for _, m := range candidates {
-		if m.Witness {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// take greedily accumulates members from an ordered candidate list until
-// need votes are reached.
-func take(candidates []Member, need int, exclude map[string]bool) ([]Member, error) {
-	var out []Member
-	votes := 0
-	for _, m := range candidates {
-		if exclude[m.Dir.Name()] || m.Votes == 0 {
-			continue
-		}
-		out = append(out, m)
-		votes += m.Votes
-		if votes >= need {
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: need %d, found %d", ErrNoQuorum, need, votes)
+	Select(kind Kind, exclude Set, dst []int) ([]int, error)
 }
 
 // need returns the vote threshold for kind.
@@ -195,12 +181,82 @@ func (c Config) need(kind Kind) int {
 	return c.W
 }
 
+// take appends to dst[:0] the members in places 0, 1, … of an order of
+// n members — skipping those excluded and those without a vote — until
+// their votes reach kind's threshold. at gives the member in a place.
+func (c Config) take(kind Kind, exclude Set, dst []int, n int, at func(place int) int) ([]int, error) {
+	need, votes := c.need(kind), 0
+	dst = dst[:0]
+	for p := 0; p < n; p++ {
+		i := at(p)
+		if exclude.Has(i) || c.Members[i].Votes == 0 {
+			continue
+		}
+		dst = append(dst, i)
+		if votes += c.Members[i].Votes; votes >= need {
+			return dst, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: need %d, found %d", ErrNoQuorum, need, votes)
+}
+
+// witnessLast lists the member indexes, the store members before the
+// witnesses and each class in the given order: witnesses are
+// tie-breakers, entering a quorum only when the store members before
+// them cannot reach the vote threshold alone. It returns the list and
+// the number of store members.
+func witnessLast(members []Member) (order []uint8, stores int) {
+	for _, witness := range []bool{false, true} {
+		for i, m := range members {
+			if m.Witness == witness {
+				order = append(order, uint8(i))
+			}
+		}
+		if !witness {
+			stores = len(order)
+		}
+	}
+	return order, stores
+}
+
+// shuffle is a uniformly random order of the members, store members
+// before witnesses, drawn one member at a time as a selection consumes
+// it (a partial Fisher-Yates shuffle of each class): a quorum of two
+// costs two draws however many members there are.
+type shuffle struct {
+	order  [MaxMembers]uint8
+	stores int // order[:stores] are the store members
+	n      int
+}
+
+func newShuffle(members []Member) shuffle {
+	order, stores := witnessLast(members)
+	s := shuffle{stores: stores, n: len(order)}
+	copy(s.order[:], order)
+	return s
+}
+
+// at returns the member in place i of the order, drawing it first; the
+// places before i have been drawn. Callers hold the lock on rng.
+func (s *shuffle) at(i int, rng *rand.Rand) int {
+	end := s.n
+	if i < s.stores {
+		end = s.stores
+	}
+	if end-i > 1 {
+		j := i + rng.Intn(end-i)
+		s.order[i], s.order[j] = s.order[j], s.order[i]
+	}
+	return int(s.order[i])
+}
+
 // RandomSelector picks quorum members uniformly at random, the policy
 // used by the paper's section 4 simulations ("the members of quorums ...
 // were selected randomly from a uniform distribution"). Safe for
 // concurrent use.
 type RandomSelector struct {
-	cfg Config
+	cfg  Config
+	base shuffle // the undrawn order every selection starts from
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -210,17 +266,16 @@ var _ Selector = (*RandomSelector)(nil)
 
 // NewRandomSelector builds a random selector with a deterministic seed.
 func NewRandomSelector(cfg Config, seed int64) *RandomSelector {
-	return &RandomSelector{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	return &RandomSelector{cfg: cfg, base: newShuffle(cfg.Members), rng: rand.New(rand.NewSource(seed))}
 }
 
-// Select implements Selector.
-func (s *RandomSelector) Select(kind Kind, exclude map[string]bool) ([]Member, error) {
+// Select implements Selector. The lock is held for the draws alone: the
+// order they are made in is a copy on the caller's stack.
+func (s *RandomSelector) Select(kind Kind, exclude Set, dst []int) ([]int, error) {
+	order := s.base
 	s.mu.Lock()
-	order := make([]Member, len(s.cfg.Members))
-	copy(order, s.cfg.Members)
-	s.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	s.mu.Unlock()
-	return take(witnessLast(order), s.cfg.need(kind), exclude)
+	defer s.mu.Unlock()
+	return s.cfg.take(kind, exclude, dst, order.n, func(p int) int { return order.at(p, s.rng) })
 }
 
 // StickySelector always prefers members in a fixed order, so quorum
@@ -228,19 +283,21 @@ func (s *RandomSelector) Select(kind Kind, exclude map[string]bool) ([]Member, e
 // of the paper observes that with rarely-changing write quorums,
 // coalescing during deletions does almost no extra work.
 type StickySelector struct {
-	cfg Config
+	cfg   Config
+	order []uint8 // configuration order, witnesses last
 }
 
 var _ Selector = (*StickySelector)(nil)
 
 // NewStickySelector builds a selector preferring members in config order.
 func NewStickySelector(cfg Config) *StickySelector {
-	return &StickySelector{cfg: cfg}
+	order, _ := witnessLast(cfg.Members)
+	return &StickySelector{cfg: cfg, order: order}
 }
 
 // Select implements Selector.
-func (s *StickySelector) Select(kind Kind, exclude map[string]bool) ([]Member, error) {
-	return take(witnessLast(s.cfg.Members), s.cfg.need(kind), exclude)
+func (s *StickySelector) Select(kind Kind, exclude Set, dst []int) ([]int, error) {
+	return s.cfg.take(kind, exclude, dst, len(s.order), func(p int) int { return int(s.order[p]) })
 }
 
 // LocalitySelector implements the Figure 16 policy: reads are served
@@ -249,11 +306,13 @@ func (s *StickySelector) Select(kind Kind, exclude map[string]bool) ([]Member, e
 // round-robin so "the non-local write ... is evenly distributed among the
 // remote representatives".
 type LocalitySelector struct {
-	cfg    Config
-	locals map[string]bool
+	cfg Config
+	// order lists the locals, then the remotes, witnesses last; the
+	// remote store members are order[remote[0]:remote[1]].
+	order  []uint8
+	remote [2]int
 
-	mu   sync.Mutex
-	next int // round-robin cursor over remote members
+	next atomic.Uint64 // round-robin cursor over remote members
 }
 
 var _ Selector = (*LocalitySelector)(nil)
@@ -261,32 +320,35 @@ var _ Selector = (*LocalitySelector)(nil)
 // NewLocalitySelector builds a locality selector. localNames are the
 // representatives local to this client.
 func NewLocalitySelector(cfg Config, localNames []string) *LocalitySelector {
-	locals := make(map[string]bool, len(localNames))
-	for _, n := range localNames {
-		locals[n] = true
+	s := &LocalitySelector{cfg: cfg}
+	for _, witness := range []bool{false, true} {
+		for _, local := range []bool{true, false} {
+			from := len(s.order)
+			for i, m := range cfg.Members {
+				if m.Witness == witness && slices.Contains(localNames, m.Dir.Name()) == local {
+					s.order = append(s.order, uint8(i))
+				}
+			}
+			if !witness && !local {
+				s.remote = [2]int{from, len(s.order)}
+			}
+		}
 	}
-	return &LocalitySelector{cfg: cfg, locals: locals}
+	return s
 }
 
-// Select implements Selector.
-func (s *LocalitySelector) Select(kind Kind, exclude map[string]bool) ([]Member, error) {
-	var local, remote []Member
-	for _, m := range s.cfg.Members {
-		if s.locals[m.Dir.Name()] {
-			local = append(local, m)
-		} else {
-			remote = append(remote, m)
-		}
+// Select implements Selector. The remote store members are taken from
+// the cursor round, so successive writes hit different remotes.
+func (s *LocalitySelector) Select(kind Kind, exclude Set, dst []int) ([]int, error) {
+	k := s.next.Load()
+	if kind == Write {
+		k = s.next.Add(1) - 1
 	}
-	// Rotate the remote list so successive writes hit different remotes.
-	s.mu.Lock()
-	if len(remote) > 0 {
-		k := s.next % len(remote)
-		if kind == Write {
-			s.next++
+	lo, hi := s.remote[0], s.remote[1]
+	return s.cfg.take(kind, exclude, dst, len(s.order), func(p int) int {
+		if lo <= p && p < hi {
+			p = lo + int((uint64(p-lo)+k)%uint64(hi-lo))
 		}
-		remote = append(append([]Member{}, remote[k:]...), remote[:k]...)
-	}
-	s.mu.Unlock()
-	return take(witnessLast(append(local, remote...)), s.cfg.need(kind), exclude)
+		return int(s.order[p])
+	})
 }

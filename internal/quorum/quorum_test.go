@@ -17,6 +17,26 @@ func dirs(n int) []rep.Directory {
 	return out
 }
 
+// pick has sel select a quorum of members, the member list of the
+// configuration it was built for, and returns the members chosen;
+// exclude names the members to avoid.
+func pick(members []Member, sel Selector, kind Kind, exclude ...string) ([]Member, error) {
+	var set Set
+	for i, m := range members {
+		for _, name := range exclude {
+			if m.Dir.Name() == name {
+				set.Add(i)
+			}
+		}
+	}
+	idx, err := sel.Select(kind, set, make([]int, 0, len(members)))
+	var out []Member
+	for _, i := range idx {
+		out = append(out, members[i])
+	}
+	return out, err
+}
+
 func votes(members []Member) int {
 	total := 0
 	for _, m := range members {
@@ -81,7 +101,7 @@ func TestRandomSelectorMeetsThreshold(t *testing.T) {
 	sel := NewRandomSelector(cfg, 42)
 	for i := 0; i < 100; i++ {
 		for _, kind := range []Kind{Read, Write} {
-			got, err := sel.Select(kind, nil)
+			got, err := pick(cfg.Members, sel, kind)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +124,7 @@ func TestRandomSelectorVariesMembership(t *testing.T) {
 	sel := NewRandomSelector(cfg, 7)
 	distinct := map[string]bool{}
 	for i := 0; i < 200; i++ {
-		got, err := sel.Select(Read, nil)
+		got, err := pick(cfg.Members, sel, Read)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,9 +142,8 @@ func TestRandomSelectorVariesMembership(t *testing.T) {
 func TestRandomSelectorHonorsExclusions(t *testing.T) {
 	cfg := NewUniform(dirs(3), 2, 2)
 	sel := NewRandomSelector(cfg, 9)
-	exclude := map[string]bool{"rep0": true}
 	for i := 0; i < 50; i++ {
-		got, err := sel.Select(Write, exclude)
+		got, err := pick(cfg.Members, sel, Write, "rep0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +154,7 @@ func TestRandomSelectorHonorsExclusions(t *testing.T) {
 		}
 	}
 	// Excluding two of three makes quorum impossible.
-	_, err := sel.Select(Write, map[string]bool{"rep0": true, "rep1": true})
+	_, err := pick(cfg.Members, sel, Write, "rep0", "rep1")
 	if !errors.Is(err, ErrNoQuorum) {
 		t.Errorf("impossible quorum = %v, want ErrNoQuorum", err)
 	}
@@ -144,7 +163,7 @@ func TestRandomSelectorHonorsExclusions(t *testing.T) {
 func TestStickySelectorPrefersConfigOrder(t *testing.T) {
 	cfg := NewUniform(dirs(4), 2, 2)
 	sel := NewStickySelector(cfg)
-	got, err := sel.Select(Write, nil)
+	got, err := pick(cfg.Members, sel, Write)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +171,7 @@ func TestStickySelectorPrefersConfigOrder(t *testing.T) {
 		t.Errorf("sticky selection = %v", names(got))
 	}
 	// With rep0 excluded, shifts to the next members.
-	got, err = sel.Select(Write, map[string]bool{"rep0": true})
+	got, err = pick(cfg.Members, sel, Write, "rep0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +185,7 @@ func TestLocalitySelectorReadsLocalWritesSpread(t *testing.T) {
 	sel := NewLocalitySelector(cfg, []string{"rep0", "rep1"})
 
 	for i := 0; i < 10; i++ {
-		got, err := sel.Select(Read, nil)
+		got, err := pick(cfg.Members, sel, Read)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +195,7 @@ func TestLocalitySelectorReadsLocalWritesSpread(t *testing.T) {
 	}
 	remoteCounts := map[string]int{}
 	for i := 0; i < 100; i++ {
-		got, err := sel.Select(Write, nil)
+		got, err := pick(cfg.Members, sel, Write)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +215,7 @@ func TestLocalitySelectorReadsLocalWritesSpread(t *testing.T) {
 func TestLocalitySelectorFallsBackWhenLocalDown(t *testing.T) {
 	cfg := NewUniform(dirs(4), 2, 3)
 	sel := NewLocalitySelector(cfg, []string{"rep0", "rep1"})
-	got, err := sel.Select(Read, map[string]bool{"rep0": true})
+	got, err := pick(cfg.Members, sel, Read, "rep0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +241,7 @@ func TestZeroVoteMembersNeverSelected(t *testing.T) {
 	}
 	sel := NewRandomSelector(cfg, 3)
 	for i := 0; i < 100; i++ {
-		got, err := sel.Select(Read, nil)
+		got, err := pick(cfg.Members, sel, Read)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,8 +265,8 @@ func TestQuorumIntersectionProperty(t *testing.T) {
 			return true
 		}
 		sel := NewRandomSelector(cfg, seed)
-		readQ, err1 := sel.Select(Read, nil)
-		writeQ, err2 := sel.Select(Write, nil)
+		readQ, err1 := pick(cfg.Members, sel, Read)
+		writeQ, err2 := pick(cfg.Members, sel, Write)
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -100,7 +100,8 @@ const (
 )
 
 // neighborBatch reads the run of entries on one side of key, or on
-// both, in one pass over the tree, and widens the lock and reads again
+// both, in one pass over the tree, locks what it read, and reads again
+// only if the store was written in between — then widening the lock
 // until the run is stable under it.
 func (r *Rep) neighborBatch(ctx context.Context, txn lock.TxnID, key keyspace.Key, max int, s side) ([]NeighborResult, error) {
 	if max < 1 {
@@ -120,17 +121,27 @@ func (r *Rep) neighborBatch(ctx context.Context, txn lock.TxnID, key keyspace.Ke
 	if s == around {
 		size = 2*max + 1
 	}
-	out := make([]NeighborResult, 0, size)
+	var out []NeighborResult
 	var locked interval.Range
 	held := false
+	var read uint64 // r.writes when out was read
 	for {
 		r.mu.Lock()
 		if err := r.undecided(txn); err != nil {
 			r.mu.Unlock()
 			return nil, err
 		}
-		r.touch(txn)
-		out = out[:0]
+		r.txn(txn)
+		if held && r.writes == read {
+			// Nothing was written while the lock was waited for: what
+			// was read then is what the lock now protects.
+			r.mu.Unlock()
+			return out, nil
+		}
+		if out == nil {
+			out = make([]NeighborResult, 0, min(size, r.store.Len()))
+		}
+		out, read = out[:0], r.writes
 		rng := interval.Point(key) // grows to the lowest and highest key read
 		if s != above {
 			// Every entry below key, with the gap above it.

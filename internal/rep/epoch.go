@@ -45,17 +45,12 @@ func EpochFromContext(ctx context.Context) uint64 {
 	return e
 }
 
-// witnessOption marks the representative as a zero-data witness.
-type witnessOption struct{}
-
-func (witnessOption) apply(r *Rep) { r.witness = true }
-
 // AsWitness builds a witness representative: it participates in voting,
 // locking, and version bookkeeping exactly like a store member, but
 // blanks every value before storing or logging it. Entry and gap
 // versions — the part of the state that quorum intersection actually
 // needs — are kept in full.
-func AsWitness() Option { return witnessOption{} }
+func AsWitness() Option { return func(r *Rep) { r.witness = true } }
 
 // Witness reports whether this representative stores values.
 func (r *Rep) Witness() bool { return r.witness }
@@ -85,7 +80,7 @@ func (r *Rep) adoptLocked(epoch uint64) error {
 	if epoch == EpochBypass || epoch <= r.fence {
 		return nil
 	}
-	if err := r.appendRecords([]wal.Record{{Kind: wal.KindEpoch, Epoch: epoch}}); err != nil {
+	if err := r.appendRecord(wal.Record{Kind: wal.KindEpoch, Epoch: epoch}); err != nil {
 		return err
 	}
 	r.fence = epoch

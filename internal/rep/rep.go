@@ -133,11 +133,12 @@ type Directory interface {
 	Status(ctx context.Context, txn lock.TxnID) (TxnStatus, error)
 }
 
-// undoRec restores the store to its pre-operation state: entries in put
-// are re-stored, keys in del are removed.
-type undoRec struct {
-	put []btree.Entry
-	del []keyspace.Key
+// undoStep restores one entry to what it was before an operation
+// touched it: stored again as it was, or removed if the operation
+// created it.
+type undoStep struct {
+	was     btree.Entry
+	created bool
 }
 
 // txnState tracks one in-flight transaction at this representative.
@@ -146,12 +147,18 @@ type undoRec struct {
 // if Commit arrives. logging marks a Prepare, Commit or Abort that is
 // waiting for the log with r.mu released; every other call under the
 // same transaction ID waits in settled until it clears.
+//
+// undo and redo begin in the arrays beside them, which hold what one
+// write leaves behind, and the state itself is reused (Rep.idle): the
+// common transaction allocates nothing here.
 type txnState struct {
-	undo        []undoRec
+	undo        []undoStep
 	redo        []wal.Record
 	pendingRedo []wal.Record
 	prepared    bool
 	logging     bool
+	undo0       [2]undoStep
+	redo0       [1]wal.Record
 }
 
 // Rep is an in-process directory representative.
@@ -161,7 +168,9 @@ type Rep struct {
 
 	mu       sync.Mutex // guards store, txns, outcomes, and fence
 	store    *btree.Tree
+	writes   uint64 // counts the store's mutations: unchanged means a read still stands
 	txns     map[lock.TxnID]*txnState
+	idle     []*txnState         // forgotten states, for txn to use again
 	outcomes map[lock.TxnID]bool // decided 2PC participants: true = committed
 	stepDone sync.Cond           // on mu: some transaction's logging flag cleared
 	log      wal.Log
@@ -184,17 +193,11 @@ type Rep struct {
 var _ Directory = (*Rep)(nil)
 
 // Option configures a Rep.
-type Option interface {
-	apply(*Rep)
-}
-
-type logOption struct{ log wal.Log }
-
-func (o logOption) apply(r *Rep) { r.log = o.log }
+type Option func(*Rep)
 
 // WithLog attaches a write-ahead log; committed mutations become
 // recoverable through Recover.
-func WithLog(l wal.Log) Option { return logOption{log: l} }
+func WithLog(l wal.Log) Option { return func(r *Rep) { r.log = l } }
 
 // New returns an empty representative containing only the LOW and HIGH
 // sentinels, with the initial gap at version Lowest.
@@ -210,7 +213,7 @@ func New(name string, opts ...Option) *Rep {
 	r.store.Put(btree.Entry{Key: keyspace.Low(), Version: version.Lowest, GapAfter: version.Lowest})
 	r.store.Put(btree.Entry{Key: keyspace.High(), Version: version.Lowest})
 	for _, o := range opts {
-		o.apply(r)
+		o(r)
 	}
 	return r
 }
@@ -264,28 +267,23 @@ func (r *Rep) Lookup(ctx context.Context, txn lock.TxnID, key keyspace.Key) (Loo
 	if err := r.readable(); err != nil {
 		return LookupResult{}, err
 	}
-	if OneShot(ctx) {
-		g, err := r.locks.AcquireOne(ctx, txn, lock.ModeLookup, interval.Point(key))
-		if err != nil {
-			return LookupResult{}, err
-		}
-		r.stats.lookups.Add(1)
-		r.mu.Lock()
-		res, err := r.get(key)
-		r.mu.Unlock()
-		r.locks.Release(g)
-		return res, err
-	}
-	if err := r.locks.Acquire(ctx, txn, lock.ModeLookup, interval.Point(key)); err != nil {
+	g, err := r.locks.AcquireOne(ctx, txn, lock.ModeLookup, interval.Point(key))
+	if err != nil {
 		return LookupResult{}, err
 	}
 	r.stats.lookups.Add(1)
+	oneShot := OneShot(ctx)
+	if oneShot {
+		defer r.locks.Release(g) // once r.mu is let go
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.undecided(txn); err != nil {
-		return LookupResult{}, err
+	if !oneShot {
+		if err := r.undecided(txn); err != nil {
+			return LookupResult{}, err
+		}
+		r.txn(txn)
 	}
-	r.touch(txn)
 	return r.get(key)
 }
 
@@ -349,12 +347,8 @@ func (r *Rep) Insert(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver 
 	if err != nil {
 		return err
 	}
-	if old, ok := r.store.Get(key); ok {
-		st.undo = append(st.undo, undoRec{put: []btree.Entry{old}})
-	} else {
-		st.undo = append(st.undo, undoRec{del: []keyspace.Key{key}})
-	}
-	r.applyInsert(key, ver, value)
+	was, existed := r.applyInsert(key, ver, value)
+	st.undo = append(st.undo, undoStep{was: was, created: !existed})
 	r.stats.inserts.Add(1)
 	st.redo = append(st.redo, wal.Record{
 		Kind:    wal.KindInsert,
@@ -369,17 +363,20 @@ func (r *Rep) Insert(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver 
 	return nil
 }
 
-// applyInsert performs the store mutation for Insert; callers hold r.mu
+// applyInsert performs the store mutation for Insert and returns the
+// entry as it was, or its bare key if there was none; callers hold r.mu
 // (or have exclusive access during recovery).
-func (r *Rep) applyInsert(key keyspace.Key, ver version.V, value string) {
-	if old, ok := r.store.Get(key); ok {
-		old.Version = ver
-		old.Value = value
-		r.store.Put(old)
-		return
+func (r *Rep) applyInsert(key keyspace.Key, ver version.V, value string) (was btree.Entry, existed bool) {
+	r.writes++
+	if was, existed = r.store.Get(key); existed {
+		now := was
+		now.Version, now.Value = ver, value
+		r.store.Put(now)
+		return was, true
 	}
 	pred, _ := r.store.Lower(key)
 	r.store.Put(btree.Entry{Key: key, Version: ver, Value: value, GapAfter: pred.GapAfter})
+	return btree.Entry{Key: key}, false
 }
 
 // Coalesce implements Directory; under the prepare mark (marks.go) the
@@ -401,18 +398,15 @@ func (r *Rep) Coalesce(ctx context.Context, txn lock.TxnID, lo, hi keyspace.Key,
 	if err != nil {
 		return CoalesceResult{}, err
 	}
-	loEntry, ok := r.store.Get(lo)
-	if !ok {
-		return CoalesceResult{}, fmt.Errorf("%w: low bound %s", ErrMissingBound, lo)
-	}
-	if _, ok := r.store.Get(hi); !ok {
-		return CoalesceResult{}, fmt.Errorf("%w: high bound %s", ErrMissingBound, hi)
-	}
-	victims := r.store.Between(lo, hi)
-	undo := undoRec{put: append([]btree.Entry{loEntry}, victims...)}
-	st.undo = append(st.undo, undo)
-	if err := r.applyCoalesce(lo, hi, ver); err != nil {
+	bound, victims, err := r.applyCoalesce(lo, hi, ver)
+	if err != nil {
 		return CoalesceResult{}, err
+	}
+	st.undo = append(st.undo, undoStep{was: bound})
+	keys := make([]keyspace.Key, len(victims))
+	for i, e := range victims {
+		st.undo = append(st.undo, undoStep{was: e})
+		keys[i] = e.Key
 	}
 	r.stats.coalesces.Add(1)
 	r.stats.entriesCoalesced.Add(uint64(len(victims)))
@@ -423,10 +417,6 @@ func (r *Rep) Coalesce(ctx context.Context, txn lock.TxnID, lo, hi keyspace.Key,
 		Hi:      hi,
 		Version: ver,
 	})
-	keys := make([]keyspace.Key, len(victims))
-	for i, e := range victims {
-		keys[i] = e.Key
-	}
 	if PrepareRides(ctx) {
 		if err := r.vote(st, txn); err != nil {
 			return CoalesceResult{}, err
@@ -435,20 +425,24 @@ func (r *Rep) Coalesce(ctx context.Context, txn lock.TxnID, lo, hi keyspace.Key,
 	return CoalesceResult{DeletedKeys: keys}, nil
 }
 
-// applyCoalesce performs the store mutation for Coalesce; callers hold
-// r.mu (or have exclusive access during recovery).
-func (r *Rep) applyCoalesce(lo, hi keyspace.Key, ver version.V) error {
-	loEntry, ok := r.store.Get(lo)
+// applyCoalesce performs the store mutation for Coalesce, or none if a
+// bound is missing, and returns the low bound's entry as it was and the
+// entries removed; callers hold r.mu (or have exclusive access during
+// recovery).
+func (r *Rep) applyCoalesce(lo, hi keyspace.Key, ver version.V) (bound btree.Entry, victims []btree.Entry, err error) {
+	bound, ok := r.store.Get(lo)
 	if !ok {
-		return fmt.Errorf("%w: low bound %s", ErrMissingBound, lo)
+		return bound, nil, fmt.Errorf("%w: low bound %s", ErrMissingBound, lo)
 	}
 	if _, ok := r.store.Get(hi); !ok {
-		return fmt.Errorf("%w: high bound %s", ErrMissingBound, hi)
+		return bound, nil, fmt.Errorf("%w: high bound %s", ErrMissingBound, hi)
 	}
-	r.store.DeleteBetween(lo, hi)
-	loEntry.GapAfter = ver
-	r.store.Put(loEntry)
-	return nil
+	r.writes++
+	victims = r.store.DeleteBetween(lo, hi)
+	now := bound
+	now.GapAfter = ver
+	r.store.Put(now)
+	return bound, victims, nil
 }
 
 // Prepare implements Directory: phase one of two-phase commit. The
@@ -483,7 +477,7 @@ func (r *Rep) Prepare(ctx context.Context, txn lock.TxnID) error {
 		return fmt.Errorf("%w: txn %d", ErrUnknownTxn, txn)
 	}
 	if !st.prepared && len(st.redo) == 0 {
-		delete(r.txns, txn)
+		r.forget(txn, st)
 		r.mu.Unlock()
 		r.locks.ReleaseAll(txn)
 		r.stats.prepares.Add(1)
@@ -561,7 +555,7 @@ func (r *Rep) Commit(ctx context.Context, txn lock.TxnID) error {
 		case wal.KindInsert:
 			r.applyInsert(rec.Key, rec.Version, rec.Value)
 		case wal.KindCoalesce:
-			if err := r.applyCoalesce(rec.Key, rec.Hi, rec.Version); err != nil {
+			if _, _, err := r.applyCoalesce(rec.Key, rec.Hi, rec.Version); err != nil {
 				// The commit record is durable; the transaction state is
 				// retained so a retry re-applies from the top (both redo
 				// kinds are idempotent). This is unreachable while the
@@ -572,7 +566,7 @@ func (r *Rep) Commit(ctx context.Context, txn lock.TxnID) error {
 		}
 	}
 	r.outcomes[txn] = true
-	delete(r.txns, txn)
+	r.forget(txn, st)
 	r.mu.Unlock()
 	r.locks.ReleaseAll(txn)
 	r.stats.commits.Add(1)
@@ -597,12 +591,11 @@ func (r *Rep) Abort(ctx context.Context, txn lock.TxnID) error {
 	}
 	if st != nil {
 		for i := len(st.undo) - 1; i >= 0; i-- {
-			u := st.undo[i]
-			for _, k := range u.del {
-				r.store.Delete(k)
-			}
-			for _, e := range u.put {
-				r.store.Put(e)
+			r.writes++
+			if u := &st.undo[i]; u.created {
+				r.store.Delete(u.was.Key)
+			} else {
+				r.store.Put(u.was)
 			}
 		}
 		if st.prepared {
@@ -612,7 +605,7 @@ func (r *Rep) Abort(ctx context.Context, txn lock.TxnID) error {
 			}
 			r.outcomes[txn] = false
 		}
-		delete(r.txns, txn)
+		r.forget(txn, st)
 	}
 	r.mu.Unlock()
 	r.locks.ReleaseAll(txn)
@@ -647,9 +640,12 @@ func (r *Rep) logStep(st *txnState, txn lock.TxnID, redo []wal.Record, marker wa
 	}
 	st.logging = true
 	r.mu.Unlock()
-	err := r.appendRecords(redo)
+	var err error
+	for i := 0; i < len(redo) && err == nil; i++ {
+		err = r.appendRecord(redo[i])
+	}
 	if err == nil {
-		err = r.appendRecords([]wal.Record{{Kind: marker, Txn: uint64(txn)}})
+		err = r.appendRecord(wal.Record{Kind: marker, Txn: uint64(txn)})
 	}
 	r.mu.Lock()
 	st.logging = false
@@ -680,15 +676,6 @@ func (r *Rep) undecided(id lock.TxnID) error {
 	return nil
 }
 
-// touch registers the transaction so that Prepare can distinguish a
-// participant that really served this transaction from one that lost its
-// state in a crash; callers hold r.mu. Read-only operations register
-// too — every participant of a two-phase commit must be able to vouch
-// for its part.
-func (r *Rep) touch(id lock.TxnID) {
-	_ = r.txn(id)
-}
-
 // writer returns the state an Insert or Coalesce records itself in,
 // refusing an already-decided transaction. A write that carries the
 // prepare must find the transaction known — see Prepare's abort vote;
@@ -705,24 +692,40 @@ func (r *Rep) writer(ctx context.Context, id lock.TxnID) (*txnState, error) {
 }
 
 // txn returns (creating if needed) the state for txn; callers hold r.mu.
+// Reads register too, so that Prepare can distinguish a participant that
+// really served this transaction from one that lost its state in a
+// crash: every participant of a two-phase commit must be able to vouch
+// for its part.
 func (r *Rep) txn(id lock.TxnID) *txnState {
 	st, ok := r.txns[id]
 	if !ok {
-		st = &txnState{}
+		if n := len(r.idle); n > 0 {
+			st, r.idle = r.idle[n-1], r.idle[:n-1]
+		} else {
+			st = new(txnState)
+		}
+		st.undo, st.redo = st.undo0[:0], st.redo0[:0]
 		r.txns[id] = st
 	}
 	return st
 }
 
-// appendRecords writes records to the log if one is attached.
-func (r *Rep) appendRecords(recs []wal.Record) error {
+// forget drops txn's state, which is over, and keeps it for the next
+// transaction. Callers hold r.mu and do not touch st again: whoever
+// else wanted it waits in settled, and looks it up afresh.
+func (r *Rep) forget(id lock.TxnID, st *txnState) {
+	delete(r.txns, id)
+	*st = txnState{}
+	r.idle = append(r.idle, st)
+}
+
+// appendRecord writes a record to the log if one is attached.
+func (r *Rep) appendRecord(rec wal.Record) error {
 	if r.log == nil {
 		return nil
 	}
-	for _, rec := range recs {
-		if err := r.log.Append(rec); err != nil {
-			return fmt.Errorf("rep: %s: log append: %w", r.name, err)
-		}
+	if err := r.log.Append(rec); err != nil {
+		return fmt.Errorf("rep: %s: log append: %w", r.name, err)
 	}
 	return nil
 }

@@ -111,7 +111,7 @@ func (r *Rep) installAnalysis(a wal.Analysis) error {
 		case wal.KindInsert:
 			r.applyInsert(op.Key, op.Version, op.Value)
 		case wal.KindCoalesce:
-			if err := r.applyCoalesce(op.Key, op.Hi, op.Version); err != nil {
+			if _, _, err := r.applyCoalesce(op.Key, op.Hi, op.Version); err != nil {
 				return fmt.Errorf("replay txn %d: %w", op.Txn, err)
 			}
 		default:

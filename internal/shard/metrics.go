@@ -111,30 +111,24 @@ func (r *Router) OpLatency(op string) obs.HistogramSnapshot {
 // under the repdir_shard_* namespace.
 func (r *Router) RegisterMetrics(reg *obs.Registry) {
 	s := r.stats
+	// perShard samples one counter per shard and operation.
+	perShard := func(vecs []*obs.CounterVec) func() []obs.Sample {
+		return func() (out []obs.Sample) {
+			for i, vec := range vecs {
+				shard := strconv.Itoa(i)
+				for op, n := range vec.Snapshot() {
+					out = append(out, obs.Sample{Labels: []string{shard, op}, Value: float64(n)})
+				}
+			}
+			return out
+		}
+	}
 	reg.CounterVec("repdir_shard_point_ops_total",
 		"Point operations routed to each shard, by operation.",
-		[]string{"shard", "op"}, func() []obs.Sample {
-			var out []obs.Sample
-			for i, vec := range s.pointOps {
-				shard := strconv.Itoa(i)
-				for op, n := range vec.Snapshot() {
-					out = append(out, obs.Sample{Labels: []string{shard, op}, Value: float64(n)})
-				}
-			}
-			return out
-		})
+		[]string{"shard", "op"}, perShard(s.pointOps))
 	reg.CounterVec("repdir_shard_point_op_errors_total",
 		"Failed point operations per shard, by operation.",
-		[]string{"shard", "op"}, func() []obs.Sample {
-			var out []obs.Sample
-			for i, vec := range s.pointErrs {
-				shard := strconv.Itoa(i)
-				for op, n := range vec.Snapshot() {
-					out = append(out, obs.Sample{Labels: []string{shard, op}, Value: float64(n)})
-				}
-			}
-			return out
-		})
+		[]string{"shard", "op"}, perShard(s.pointErrs))
 	reg.CounterMap("repdir_shard_router_ops_total",
 		"Router transactions (stitched traversals, counts, cross-shard txns), by operation.",
 		"op", s.ops.Snapshot)

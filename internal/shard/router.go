@@ -11,6 +11,7 @@ import (
 	"repdir/internal/core"
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
+	"repdir/internal/quorum"
 	"repdir/internal/txn"
 	"repdir/internal/version"
 )
@@ -42,48 +43,30 @@ type Router struct {
 }
 
 // Option configures a Router.
-type Option interface {
-	apply(*Router)
-}
-
-type idsOption struct{ ids *txn.IDSource }
-
-func (o idsOption) apply(r *Router) { r.ids = o.ids }
+type Option func(*Router)
 
 // WithIDSource sets the transaction ID source for router transactions.
 // It must use a node tag distinct from every suite's own source, so
 // wait-die ages order consistently across router and suite transactions.
-func WithIDSource(ids *txn.IDSource) Option { return idsOption{ids: ids} }
-
-type retriesOption struct{ n int }
-
-func (o retriesOption) apply(r *Router) { r.maxRetries = o.n }
+func WithIDSource(ids *txn.IDSource) Option { return func(r *Router) { r.ids = ids } }
 
 // WithMaxRetries bounds how many times a router transaction is retried
 // after a wait-die abort or a lost replica (default 256, matching
 // core.Suite).
-func WithMaxRetries(n int) Option { return retriesOption{n: n} }
-
-type parallelOption struct{ on bool }
-
-func (o parallelOption) apply(r *Router) { r.parallel = o.on }
-
-type budgetOption struct{ b *core.RetryBudget }
-
-func (o budgetOption) apply(r *Router) { r.budget = o.b }
+func WithMaxRetries(n int) Option { return func(r *Router) { r.maxRetries = n } }
 
 // WithRetryBudget caps the router's unavailability-class transaction
 // retries with the same token-bucket policy as core.WithRetryBudget;
 // pass the very same budget to the router and its suites so their
 // combined retry load honors one cap. Wait-die retries are exempt.
-func WithRetryBudget(b *core.RetryBudget) Option { return budgetOption{b: b} }
+func WithRetryBudget(b *core.RetryBudget) Option { return func(r *Router) { r.budget = b } }
 
 // WithParallelStitch makes unlimited scans and counts fetch their
 // per-shard parts concurrently (one goroutine per shard; each shard's
 // core.Tx stays single-goroutine) and runs the shared transaction's 2PC
 // rounds in parallel. The default is sequential, which keeps simulations
 // deterministic.
-func WithParallelStitch(on bool) Option { return parallelOption{on: on} }
+func WithParallelStitch(on bool) Option { return func(r *Router) { r.parallel = on } }
 
 // nextRouterNode mirrors core's per-suite node tagging: routers count
 // down from the top of the 10-bit node-tag range while suites count up
@@ -124,7 +107,7 @@ func NewRouter(m *Map, suites []*core.Suite, opts ...Option) (*Router, error) {
 		stats:      newRouterStats(m.Shards()),
 	}
 	for _, op := range opts {
-		op.apply(r)
+		op(r)
 	}
 	if r.ids == nil {
 		r.ids = txn.NewIDSource(uint16(1<<10 - 1 - nextRouterNode.Add(1)%512))
@@ -205,34 +188,19 @@ func (r *Router) ownerOf(key string) (int, error) {
 
 // Lookup returns the value stored under key and whether an entry exists.
 func (r *Router) Lookup(ctx context.Context, key string) (string, bool, error) {
-	i, err := r.ownerOf(key)
-	if err != nil {
-		return "", false, err
-	}
-	value, found, err := r.suite(i).Lookup(ctx, key)
-	r.stats.point(i, core.OpLookup, err)
+	value, found, _, err := r.LookupV(ctx, key)
 	return value, found, err
 }
 
 // Insert creates an entry for key in its owning shard.
 func (r *Router) Insert(ctx context.Context, key, value string) error {
-	i, err := r.ownerOf(key)
-	if err != nil {
-		return err
-	}
-	err = r.suite(i).Insert(ctx, key, value)
-	r.stats.point(i, core.OpInsert, err)
+	_, err := r.InsertV(ctx, key, value)
 	return err
 }
 
 // Update replaces the value of an existing entry.
 func (r *Router) Update(ctx context.Context, key, value string) error {
-	i, err := r.ownerOf(key)
-	if err != nil {
-		return err
-	}
-	err = r.suite(i).Update(ctx, key, value)
-	r.stats.point(i, core.OpUpdate, err)
+	_, err := r.UpdateV(ctx, key, value)
 	return err
 }
 
@@ -299,10 +267,13 @@ func (r *Router) Delete(ctx context.Context, key string) error {
 // than after, ascending, across all shards, as one atomic cross-shard
 // transaction.
 func (r *Router) Scan(ctx context.Context, after string, limit int) ([]core.KV, error) {
-	var out []core.KV
-	err := r.runTxn(ctx, core.OpScan, func(x *Txn) error {
-		var err error
-		out, err = x.Scan(ctx, after, limit)
+	return r.scan(ctx, func(x *Txn) ([]core.KV, error) { return x.Scan(ctx, after, limit) })
+}
+
+// scan runs fn, one of the scans, as a transaction of its own.
+func (r *Router) scan(ctx context.Context, fn func(x *Txn) ([]core.KV, error)) (out []core.KV, err error) {
+	err = r.runTxn(ctx, core.OpScan, func(x *Txn) (err error) {
+		out, err = fn(x)
 		return err
 	})
 	return out, err
@@ -311,37 +282,19 @@ func (r *Router) Scan(ctx context.Context, after string, limit int) ([]core.KV, 
 // ScanRange returns up to limit current entries with after < key <
 // until, ascending. An empty until means "to the end".
 func (r *Router) ScanRange(ctx context.Context, after, until string, limit int) ([]core.KV, error) {
-	var out []core.KV
-	err := r.runTxn(ctx, core.OpScan, func(x *Txn) error {
-		var err error
-		out, err = x.ScanRange(ctx, after, until, limit)
-		return err
-	})
-	return out, err
+	return r.scan(ctx, func(x *Txn) ([]core.KV, error) { return x.ScanRange(ctx, after, until, limit) })
 }
 
 // ScanReverse returns up to limit current entries with keys strictly
 // less than before, descending. Pass before = "" to scan from the end.
 func (r *Router) ScanReverse(ctx context.Context, before string, limit int) ([]core.KV, error) {
-	var out []core.KV
-	err := r.runTxn(ctx, core.OpScan, func(x *Txn) error {
-		var err error
-		out, err = x.ScanReverse(ctx, before, limit)
-		return err
-	})
-	return out, err
+	return r.scan(ctx, func(x *Txn) ([]core.KV, error) { return x.ScanReverse(ctx, before, limit) })
 }
 
 // ScanPrefix returns the entries whose keys are tuple-encoded extensions
 // of the given prefix components (see keyspace.EncodeTuple), in order.
 func (r *Router) ScanPrefix(ctx context.Context, limit int, components ...string) ([]core.KV, error) {
-	var out []core.KV
-	err := r.runTxn(ctx, core.OpScan, func(x *Txn) error {
-		var err error
-		out, err = x.ScanPrefix(ctx, limit, components...)
-		return err
-	})
-	return out, err
+	return r.scan(ctx, func(x *Txn) ([]core.KV, error) { return x.ScanPrefix(ctx, limit, components...) })
 }
 
 // Count returns the total number of current entries across all shards.
@@ -392,27 +345,32 @@ func (r *Router) Predecessor(ctx context.Context, before string) (core.KV, bool,
 // through a single two-phase commit or has no effect. fn may be
 // re-executed after wait-die aborts or replica failures and must be
 // idempotent from the caller's perspective.
+//
+// The Txn is fn's for the length of the call; one kept longer refuses
+// every operation with txn.ErrFinished.
 func (r *Router) RunInTxn(ctx context.Context, fn func(x *Txn) error) error {
-	return r.runTxn(ctx, core.OpTxn, fn)
+	return r.run(ctx, core.OpTxn, true, fn)
 }
 
-// runTxn is the router's retry loop, mirroring core.Suite.runTxn: each
+// runTxn runs one of the router's own operations: fn is the package's,
+// and keeps nothing of the Txn when it returns.
+func (r *Router) runTxn(ctx context.Context, op string, fn func(x *Txn) error) error {
+	return r.run(ctx, op, false, fn)
+}
+
+// run is the router's retry loop, mirroring core.Suite.run: each
 // attempt runs under its own attempt ID (same wait-die age), failed
 // members accumulate into per-shard exclusion sets, and wait-die victims
 // back off linearly. The shared txn.Txn is committed when any shard
-// mutated and aborted (releasing read locks) otherwise.
-func (r *Router) runTxn(ctx context.Context, op string, fn func(x *Txn) error) error {
+// mutated and aborted (releasing read locks) otherwise. Unless the Txn
+// was handed out to a caller's fn, each shard's core.Tx goes back to its
+// suite when the attempt is over.
+func (r *Router) run(ctx context.Context, op string, handedOut bool, fn func(x *Txn) error) error {
 	start := time.Now()
 	base := r.ids.Next()
 	suites := r.Suites()
-	excludes := make([]map[string]bool, len(suites))
-	for i := range excludes {
-		excludes[i] = make(map[string]bool)
-	}
-	maxAttempts := r.maxRetries
-	if maxAttempts >= txn.MaxAttempts {
-		maxAttempts = txn.MaxAttempts - 1
-	}
+	excludes := make([]quorum.Set, len(suites))
+	maxAttempts := min(r.maxRetries, txn.MaxAttempts-1)
 	var lastErr error
 	for attempt := 0; attempt <= maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -432,11 +390,22 @@ func (r *Router) runTxn(ctx context.Context, op string, fn func(x *Txn) error) e
 		} else {
 			_ = t.Abort(ctx)
 		}
+		fanout := 0 // the shards the attempt touched
+		for i, tx := range x.txs {
+			if tx == nil {
+				continue
+			}
+			fanout++
+			excludes[i] |= tx.FailedMembers()
+			if !handedOut {
+				tx.Discard()
+			}
+		}
 		if err == nil {
 			if r.budget != nil {
 				r.budget.OnSuccess()
 			}
-			r.stats.done(op, time.Since(start), x.fanout(), attempt, nil)
+			r.stats.done(op, time.Since(start), fanout, attempt, nil)
 			return nil
 		}
 		lastErr = err
@@ -445,16 +414,8 @@ func (r *Router) runTxn(ctx context.Context, op string, fn func(x *Txn) error) e
 			if cause != nil {
 				err = fmt.Errorf("%w: %w", cause, err)
 			}
-			r.stats.done(op, time.Since(start), x.fanout(), attempt, err)
+			r.stats.done(op, time.Since(start), fanout, attempt, err)
 			return err
-		}
-		for i, tx := range x.txs {
-			if tx == nil {
-				continue
-			}
-			for _, name := range tx.FailedMembers() {
-				excludes[i][name] = true
-			}
 		}
 		if errors.Is(err, lock.ErrDie) {
 			core.Backoff(ctx, attempt)

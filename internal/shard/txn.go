@@ -3,10 +3,13 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"repdir/internal/core"
 	"repdir/internal/keyspace"
+	"repdir/internal/quorum"
 	"repdir/internal/txn"
 )
 
@@ -23,7 +26,7 @@ type Txn struct {
 	// transaction began; a concurrent SetSuite does not shift shards
 	// under a running transaction.
 	suites   []*core.Suite
-	excludes []map[string]bool
+	excludes []quorum.Set
 
 	// mu guards lazy Tx creation; parallel stitching instantiates
 	// several shards' transactions concurrently.
@@ -49,17 +52,6 @@ func (x *Txn) mutated() bool {
 		}
 	}
 	return false
-}
-
-// fanout counts the shards this transaction touched.
-func (x *Txn) fanout() int {
-	n := 0
-	for _, tx := range x.txs {
-		if tx != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Lookup reads key from its owning shard within the transaction.
@@ -155,47 +147,12 @@ func (x *Txn) subspans(after, until keyspace.Key) []span {
 
 // scanSpan stitches a forward scan. The shard ranges are disjoint and
 // ordered, so concatenating per-shard pages in shard order is the k-way
-// merge; stitchForward verifies the strict global ordering as it goes.
+// merge; stitch verifies the strict global ordering as it goes.
 func (x *Txn) scanSpan(ctx context.Context, after, until keyspace.Key, limit int) ([]core.KV, error) {
 	if !after.Less(until) {
 		return nil, nil
 	}
-	parts := x.subspans(after, until)
-	if limit > 0 {
-		// Limited scans visit shards in range order and stop as soon as
-		// the page fills, so lower shards satisfy the limit without
-		// read-locking higher ones.
-		var out []core.KV
-		for _, p := range parts {
-			page, err := x.shardTx(p.shard).ScanSpan(ctx, p.after, p.until, limit-len(out))
-			if err != nil {
-				return nil, err
-			}
-			if out, err = stitchForward(out, page); err != nil {
-				return nil, err
-			}
-			if len(out) >= limit {
-				break
-			}
-		}
-		return out, nil
-	}
-	pages := make([][]core.KV, len(parts))
-	err := x.gather(len(parts), func(j int) error {
-		var err error
-		pages[j], err = x.shardTx(parts[j].shard).ScanSpan(ctx, parts[j].after, parts[j].until, 0)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []core.KV
-	for _, page := range pages {
-		if out, err = stitchForward(out, page); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return x.stitch(ctx, x.subspans(after, until), limit, false)
 }
 
 // ScanReverse returns up to limit entries with keys strictly less than
@@ -208,55 +165,54 @@ func (x *Txn) scanReverseSpan(ctx context.Context, before keyspace.Key, limit in
 	if before.IsLow() {
 		return nil, nil
 	}
-	m := x.r.m
-	type rpart struct {
-		shard  int
-		before keyspace.Key
-	}
-	var parts []rpart
-	for i := m.Shards() - 1; i >= 0; i-- {
-		lo, hi := m.Lo(i), m.Hi(i)
-		if !lo.Less(before) {
-			// Every key in this shard is at or above before.
-			continue
+	// Every shard from the highest down with a key below before; one
+	// before ends in or below is bounded by it, the rest are unbounded.
+	parts := x.subspans(keyspace.Low(), before)
+	slices.Reverse(parts)
+	return x.stitch(ctx, parts, limit, true)
+}
+
+// stitch reads the parts in order, ascending or each of them descending
+// from its upper bound, and joins their pages. Limited scans visit shards
+// in order and stop as soon as the page fills, so earlier shards satisfy
+// the limit without read-locking later ones; unlimited ones gather.
+func (x *Txn) stitch(ctx context.Context, parts []span, limit int, desc bool) ([]core.KV, error) {
+	pages := make([][]core.KV, len(parts))
+	read := func(j, limit int) (err error) {
+		if tx, p := x.shardTx(parts[j].shard), parts[j]; desc {
+			pages[j], err = tx.ScanReverseSpan(ctx, p.until, limit)
+		} else {
+			pages[j], err = tx.ScanSpan(ctx, p.after, p.until, limit)
 		}
-		p := rpart{shard: i, before: before}
-		if !before.Less(hi) {
-			// before at or beyond the shard's end: locally unbounded.
-			p.before = keyspace.High()
-		}
-		parts = append(parts, p)
+		return err
 	}
-	if limit > 0 {
-		var out []core.KV
-		for _, p := range parts {
-			page, err := x.shardTx(p.shard).ScanReverseSpan(ctx, p.before, limit-len(out))
-			if err != nil {
-				return nil, err
-			}
-			if out, err = stitchReverse(out, page); err != nil {
-				return nil, err
-			}
+	if limit <= 0 {
+		if err := x.gather(len(parts), func(j int) error { return read(j, 0) }); err != nil {
+			return nil, err
+		}
+	}
+	var out []core.KV
+	for j, page := range pages {
+		if limit > 0 {
 			if len(out) >= limit {
 				break
 			}
+			if err := read(j, limit-len(out)); err != nil {
+				return nil, err
+			}
+			page = pages[j]
 		}
-		return out, nil
-	}
-	pages := make([][]core.KV, len(parts))
-	err := x.gather(len(parts), func(j int) error {
-		var err error
-		pages[j], err = x.shardTx(parts[j].shard).ScanReverseSpan(ctx, parts[j].before, 0)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []core.KV
-	for _, page := range pages {
-		if out, err = stitchReverse(out, page); err != nil {
-			return nil, err
+		// A page out of order with the one before means two shards
+		// returned overlapping keys — a duplicated boundary key or a
+		// misrouted write — and the scan fails rather than return a
+		// corrupt merge.
+		if len(out) > 0 && len(page) > 0 {
+			if c := strings.Compare(page[0].Key, out[len(out)-1].Key); c == 0 || (c > 0) == desc {
+				return nil, fmt.Errorf("shard: stitched scan out of order: %q then %q (boundary key served by two shards?)",
+					out[len(out)-1].Key, page[0].Key)
+			}
 		}
+		out = append(out, page...)
 	}
 	return out, nil
 }
@@ -288,46 +244,35 @@ func (x *Txn) Count(ctx context.Context) (int, error) {
 // == false, keep going) and a failed search (error, surfaced): without
 // it a down shard would silently vanish from the traversal.
 func (x *Txn) Successor(ctx context.Context, after string) (core.KV, bool, error) {
-	k := lower(after)
-	m := x.r.m
-	start := m.Owner(k)
-	for i := start; i < m.Shards(); i++ {
-		probe := k
-		if i != start {
-			// Every key in a higher shard lies above after.
-			probe = keyspace.Low()
-		}
-		kv, found, err := x.shardTx(i).SuccessorKey(ctx, probe)
-		if err != nil {
-			return core.KV{}, false, err
-		}
-		if found {
-			return kv, true, nil
-		}
-	}
-	return core.KV{}, false, nil
+	return x.neighbor(ctx, lower(after), false)
 }
 
 // Predecessor is the mirror of Successor, falling through to lower
 // shards.
 func (x *Txn) Predecessor(ctx context.Context, before string) (core.KV, bool, error) {
-	k := upper(before)
-	m := x.r.m
-	start := m.Owner(k)
-	for i := start; i >= 0; i-- {
-		probe := k
-		if i != start {
+	return x.neighbor(ctx, upper(before), true)
+}
+
+func (x *Txn) neighbor(ctx context.Context, k keyspace.Key, desc bool) (kv core.KV, found bool, err error) {
+	step, probe := 1, k
+	if desc {
+		step = -1
+	}
+	for i := x.r.m.Owner(k); i >= 0 && i < x.r.m.Shards() && !found; i += step {
+		if desc {
+			kv, found, err = x.shardTx(i).PredecessorKey(ctx, probe)
+			// Every key in a lower shard lies below before.
 			probe = keyspace.High()
+		} else {
+			kv, found, err = x.shardTx(i).SuccessorKey(ctx, probe)
+			// Every key in a higher shard lies above after.
+			probe = keyspace.Low()
 		}
-		kv, found, err := x.shardTx(i).PredecessorKey(ctx, probe)
 		if err != nil {
 			return core.KV{}, false, err
 		}
-		if found {
-			return kv, true, nil
-		}
 	}
-	return core.KV{}, false, nil
+	return kv, found, nil
 }
 
 // gather runs do(0..n-1), concurrently when the router is configured for
@@ -359,27 +304,6 @@ func (x *Txn) gather(n int, do func(j int) error) error {
 		}
 	}
 	return nil
-}
-
-// stitchForward appends page to acc, verifying the strict ascending
-// order across the shard boundary. A violation means two shards returned
-// overlapping keys — a duplicated boundary key or a misrouted write —
-// and the scan fails rather than return a corrupt merge.
-func stitchForward(acc, page []core.KV) ([]core.KV, error) {
-	if len(acc) > 0 && len(page) > 0 && page[0].Key <= acc[len(acc)-1].Key {
-		return nil, fmt.Errorf("shard: stitched scan out of order: %q then %q (boundary key served by two shards?)",
-			acc[len(acc)-1].Key, page[0].Key)
-	}
-	return append(acc, page...), nil
-}
-
-// stitchReverse is the descending mirror of stitchForward.
-func stitchReverse(acc, page []core.KV) ([]core.KV, error) {
-	if len(acc) > 0 && len(page) > 0 && page[0].Key >= acc[len(acc)-1].Key {
-		return nil, fmt.Errorf("shard: stitched reverse scan out of order: %q then %q (boundary key served by two shards?)",
-			acc[len(acc)-1].Key, page[0].Key)
-	}
-	return append(acc, page...), nil
 }
 
 // lower maps the string API's "" to "from the beginning".

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repdir/internal/txn"
 )
 
 // TestCrossShardTxnAtomicCommit: a transaction writing to two shards
@@ -181,4 +183,50 @@ func TestCountConsistentUnderConcurrentWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestKeptTxnFailsClosed keeps the Txn a RunInTxn callback was given.
+// Once the transaction is over every operation on it — on a shard it
+// touched and on one it did not — fails with txn.ErrFinished, while the
+// router's own scans, whose shard transactions go back to their suites
+// for reuse, run beside it under the race detector.
+func TestKeptTxnFailsClosed(t *testing.T) {
+	r, _ := newTestRouter(t, []string{"m"}, 1)
+	ctx := context.Background()
+	var kept *Txn
+	err := r.RunInTxn(ctx, func(x *Txn) error {
+		kept = x
+		return x.Insert(ctx, "a", "left")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if err := r.Insert(ctx, fmt.Sprintf("b%03d", i), "v"); err != nil {
+				t.Error(err)
+			}
+			if _, err := r.Scan(ctx, "", 0); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if _, _, err := kept.Lookup(ctx, "a"); !errors.Is(err, txn.ErrFinished) {
+			t.Fatalf("Lookup in a touched shard on a kept Txn = %v, want txn.ErrFinished", err)
+		}
+		if err := kept.Insert(ctx, "x", "right"); !errors.Is(err, txn.ErrFinished) {
+			t.Fatalf("Insert in an untouched shard on a kept Txn = %v, want txn.ErrFinished", err)
+		}
+		if _, err := kept.Scan(ctx, "", 0); !errors.Is(err, txn.ErrFinished) {
+			t.Fatalf("Scan on a kept Txn = %v, want txn.ErrFinished", err)
+		}
+	}
+	wg.Wait()
+	if n, err := r.Count(ctx); err != nil || n != 201 {
+		t.Fatalf("Count = %d, %v; want the 201 entries inserted", n, err)
+	}
 }

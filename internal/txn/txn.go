@@ -63,7 +63,8 @@ func AttemptID(base lock.TxnID, attempt int) lock.TxnID {
 
 // Txn tracks the representatives touched by one transaction and drives
 // atomic commit across them. It is safe for concurrent use, although
-// directory-suite operations use it from one goroutine.
+// directory-suite operations use it from one goroutine. Its participant
+// list is storage the Txn keeps: Reset begins another transaction in it.
 type Txn struct {
 	// ID is the transaction's identity and wait-die timestamp.
 	ID lock.TxnID
@@ -80,24 +81,39 @@ type Txn struct {
 
 	mu           sync.Mutex
 	participants []participant
-	seen         map[string]int // name → index into participants
 	done         bool
+	legs         sync.WaitGroup // a parallel round's calls in flight
 }
 
 // participant is one representative the transaction operated at.
 type participant struct {
-	dir rep.Directory
+	dir  rep.Directory
+	name string
 	// reader: nothing but reads was sent here, so once it has voted
 	// there is nothing left to tell it (rep.Prepare releases a reader).
 	reader bool
 	// voted: its last write carried the prepare (rep.MarkPrepare) and
 	// succeeded, so the prepare round has nothing to ask it.
 	voted bool
+	// refused: it answered the prepare round with an error.
+	refused bool
+	// asked and err are the round in progress: whether it goes to this
+	// participant, and what came back.
+	asked bool
+	err   error
 }
 
 // New begins a transaction with the given ID.
-func New(id lock.TxnID) *Txn {
-	return &Txn{ID: id, seen: make(map[string]int)}
+func New(id lock.TxnID) *Txn { return &Txn{ID: id} }
+
+// Reset begins another transaction, under the given ID, in the storage
+// of one that is over (or never began). Parallel and Phase stay as set.
+func (t *Txn) Reset(id lock.TxnID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ID, t.done = id, false
+	clear(t.participants)
+	t.participants = t.participants[:0]
 }
 
 // Join records d as a participant the transaction may have written at:
@@ -115,25 +131,38 @@ func (t *Txn) Join(d rep.Directory) { t.join(d, false) }
 func (t *Txn) JoinReader(d rep.Directory) { t.join(d, true) }
 
 func (t *Txn) join(d rep.Directory, reader bool) {
+	name := d.Name()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i, ok := t.seen[d.Name()]; ok {
-		if !reader {
-			t.participants[i].reader = false
-		}
+	if t.done {
+		return // the rounds have the list now, and would not reach d
+	}
+	if p := t.find(name); p != nil {
+		p.reader = p.reader && reader
 		return
 	}
-	t.seen[d.Name()] = len(t.participants)
-	t.participants = append(t.participants, participant{dir: d, reader: reader})
+	t.participants = append(t.participants, participant{dir: d, name: name, reader: reader})
+}
+
+// find returns the participant of that name, or nil; callers hold t.mu.
+// Participants are as few as a quorum's members: a scan beats a map.
+func (t *Txn) find(name string) *participant {
+	for i := range t.participants {
+		if t.participants[i].name == name {
+			return &t.participants[i]
+		}
+	}
+	return nil
 }
 
 // Voted records that d, already joined, has prepared: the caller's last
 // write to it carried the prepare and was acknowledged.
 func (t *Txn) Voted(d rep.Directory) {
+	name := d.Name()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i, ok := t.seen[d.Name()]; ok {
-		t.participants[i].voted = true
+	if p := t.find(name); p != nil {
+		p.voted = true
 	}
 }
 
@@ -141,34 +170,42 @@ func (t *Txn) Voted(d rep.Directory) {
 func (t *Txn) Participants() []rep.Directory {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return dirs(t.participants, func(participant) bool { return true })
-}
-
-// dirs lists the participants keep admits.
-func dirs(parts []participant, keep func(participant) bool) []rep.Directory {
-	out := make([]rep.Directory, 0, len(parts))
-	for _, p := range parts {
-		if keep(p) {
-			out = append(out, p.dir)
-		}
+	out := make([]rep.Directory, len(t.participants))
+	for i, p := range t.participants {
+		out[i] = p.dir
 	}
 	return out
 }
 
-// finish marks the transaction done and returns its participants.
-func (t *Txn) finish() ([]participant, error) {
+// finish marks the transaction done. From here on the participant list
+// belongs to the one Commit or Abort that got through.
+func (t *Txn) finish() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.done {
-		return nil, ErrFinished
+		return ErrFinished
 	}
 	t.done = true
-	return append([]participant(nil), t.participants...), nil
+	return nil
+}
+
+// Finished reports whether Commit or Abort has been called: whether the
+// transaction is past taking operations.
+func (t *Txn) Finished() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.done
 }
 
 // ErrFinished is returned by Commit and Abort when the transaction was
 // already completed.
 var ErrFinished = errors.New("txn: transaction already finished")
+
+// The participants a round goes to.
+func unvoted(p *participant) bool      { return !p.voted }
+func wrote(p *participant) bool        { return !p.reader }
+func stillHolding(p *participant) bool { return !p.reader || p.refused }
+func everyone(*participant) bool       { return true }
 
 // Commit atomically commits at every participant via two-phase commit:
 // every participant votes, then every participant that may have written
@@ -182,85 +219,82 @@ var ErrFinished = errors.New("txn: transaction already finished")
 // any prepare fails, the transaction is aborted wherever it may still
 // hold anything and the prepare error returned.
 func (t *Txn) Commit(ctx context.Context) error {
-	parts, err := t.finish()
-	if err != nil {
+	if err := t.finish(); err != nil {
 		return err
 	}
-	ask := dirs(parts, func(p participant) bool { return !p.voted })
-	prepErrs := t.observedRound(ctx, "prepare", ask, rep.Directory.Prepare)
+	t.round(ctx, "prepare", unvoted, rep.Directory.Prepare)
 	var first error
-	var refused map[string]bool
-	for i, d := range ask {
-		if prepErrs[i] == nil {
-			continue
+	for i := range t.participants {
+		p := &t.participants[i]
+		if p.refused = p.asked && p.err != nil; p.refused && first == nil {
+			first = fmt.Errorf("txn %d: prepare at %s: %w", t.ID, p.name, p.err)
 		}
-		if first == nil {
-			first = fmt.Errorf("txn %d: prepare at %s: %w", t.ID, d.Name(), prepErrs[i])
-			refused = make(map[string]bool)
-		}
-		refused[d.Name()] = true
 	}
 	if first != nil {
 		// A reader that voted yes has already let go of everything.
-		t.abortAll(ctx, dirs(parts, func(p participant) bool { return !p.reader || refused[p.dir.Name()] }))
+		t.decidedRound(ctx, "abort", stillHolding, rep.Directory.Abort)
 		return first
 	}
-	writers := dirs(parts, func(p participant) bool { return !p.reader })
-	commitErrs := t.decidedRound(ctx, "commit", writers, rep.Directory.Commit)
-	for i, d := range writers {
-		if commitErrs[i] != nil {
-			return fmt.Errorf("txn %d: commit at %s: %w", t.ID, d.Name(), commitErrs[i])
+	t.decidedRound(ctx, "commit", wrote, rep.Directory.Commit)
+	for _, p := range t.participants {
+		if p.asked && p.err != nil {
+			return fmt.Errorf("txn %d: commit at %s: %w", t.ID, p.name, p.err)
 		}
 	}
 	return nil
 }
 
-// observedRound is round wrapped in the Phase hook.
-func (t *Txn) observedRound(ctx context.Context, name string, parts []rep.Directory,
-	phase func(rep.Directory, context.Context, lock.TxnID) error) []error {
-	if t.Phase == nil || len(parts) == 0 {
-		return t.round(ctx, parts, phase)
-	}
-	done := t.Phase(name, len(parts))
-	errs := t.round(ctx, parts, phase)
-	if done != nil {
-		done()
-	}
-	return errs
-}
-
-// round drives one protocol phase at every participant, concurrently
-// when Parallel is set.
-func (t *Txn) round(ctx context.Context, parts []rep.Directory,
-	phase func(rep.Directory, context.Context, lock.TxnID) error) []error {
-	errs := make([]error, len(parts))
-	if !t.Parallel || len(parts) < 2 {
-		for i, p := range parts {
-			errs[i] = phase(p, ctx, t.ID)
+// round drives one protocol phase at the participants to admits, inside
+// the Phase hook, and reports whether any call failed. With Parallel set
+// the calls run concurrently — but for the last, which the calling
+// goroutine would otherwise only wait for.
+func (t *Txn) round(ctx context.Context, name string, to func(*participant) bool,
+	phase func(rep.Directory, context.Context, lock.TxnID) error) (failed bool) {
+	n := 0
+	for i := range t.participants {
+		p := &t.participants[i]
+		if p.asked, p.err = to(p), nil; p.asked {
+			n++
 		}
-		return errs
 	}
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p rep.Directory) {
-			defer wg.Done()
-			errs[i] = phase(p, ctx, t.ID)
-		}(i, p)
+	if n == 0 {
+		return false
 	}
-	wg.Wait()
-	return errs
+	if t.Phase != nil {
+		if done := t.Phase(name, n); done != nil {
+			defer done()
+		}
+	}
+	for i := range t.participants {
+		p := &t.participants[i]
+		if !p.asked {
+			continue
+		}
+		if n--; t.Parallel && n > 0 {
+			t.legs.Add(1)
+			go func() {
+				defer t.legs.Done()
+				p.err = phase(p.dir, ctx, t.ID)
+			}()
+			continue
+		}
+		p.err = phase(p.dir, ctx, t.ID)
+	}
+	t.legs.Wait()
+	for _, p := range t.participants {
+		failed = failed || p.asked && p.err != nil
+	}
+	return failed
 }
 
 // Abort aborts at every participant. Individual abort failures are
 // swallowed: an unreachable participant will discard the transaction as
 // presumed-abort when it recovers.
 func (t *Txn) Abort(ctx context.Context) error {
-	parts, err := t.finish()
-	if err != nil {
+	if err := t.finish(); err != nil {
 		return err
 	}
-	t.abortAll(ctx, dirs(parts, func(participant) bool { return true }))
+	t.decidedRound(ctx, "abort", everyone, rep.Directory.Abort)
 	return nil
 }
 
@@ -286,33 +320,14 @@ const decisionGrace = 2 * time.Second
 // configuration epoch survive) bounded by decisionGrace; a context that
 // dies mid-round gets one detached redelivery of the whole round, which
 // is safe because Commit and Abort are idempotent per participant.
-func (t *Txn) decidedRound(ctx context.Context, name string, parts []rep.Directory,
-	phase func(rep.Directory, context.Context, lock.TxnID) error) []error {
-	if len(parts) == 0 {
-		return nil
-	}
+func (t *Txn) decidedRound(ctx context.Context, name string, to func(*participant) bool,
+	phase func(rep.Directory, context.Context, lock.TxnID) error) {
 	if ctx.Err() == nil {
-		errs := t.observedRound(ctx, name, parts, phase)
-		if ctx.Err() == nil || !anyFailed(errs) {
-			return errs
+		if failed := t.round(ctx, name, to, phase); ctx.Err() == nil || !failed {
+			return
 		}
 	}
 	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), decisionGrace)
 	defer cancel()
-	return t.observedRound(dctx, name, parts, phase)
-}
-
-func anyFailed(errs []error) bool {
-	for _, err := range errs {
-		if err != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// abortAll aborts at every participant, best effort; see Abort and
-// decidedRound for why the round survives a dead context.
-func (t *Txn) abortAll(ctx context.Context, parts []rep.Directory) {
-	_ = t.decidedRound(ctx, "abort", parts, rep.Directory.Abort)
+	t.round(dctx, name, to, phase)
 }
