@@ -140,12 +140,14 @@ overload:
 	$(GO) run ./cmd/benchjson -out /tmp/BENCH_overload_smoke.json < /tmp/overload_smoke.out
 	$(GO) run ./cmd/benchjson -validate /tmp/BENCH_overload_smoke.json
 
-# Focused race pass over the overload-protection stack: admission
-# control, deadline propagation, retry budgets, and hedged reads are the
-# code paths densest in shared atomics and concurrent teardown, so they
-# get an extra -count=2 run beyond the suite-wide `race` target.
+# Focused race pass over the overload-protection stack and the release
+# rounds nobody waits for: admission control, deadline propagation,
+# retry budgets, hedged reads, and a read-only transaction's release
+# landing in `txn` while its suite or router runs other operations are
+# the code paths densest in shared atomics and concurrent teardown, so
+# they get an extra -count=2 run beyond the suite-wide `race` target.
 raceoverload:
-	$(GO) test -race -count 2 ./internal/transport/ ./internal/core/
+	$(GO) test -race -count 2 ./internal/transport/ ./internal/core/ ./internal/shard/ ./internal/txn/
 
 # Ledger regression diff: re-measures the overload curve and compares it
 # against the committed BENCH_overload.json, failing on ns/op, quantile,

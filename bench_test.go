@@ -24,6 +24,7 @@ import (
 	"repdir/internal/core"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
+	"repdir/internal/shard"
 	"repdir/internal/sim"
 	"repdir/internal/transport"
 )
@@ -196,24 +197,34 @@ func BenchmarkAvailability(b *testing.B) {
 
 // --- operation micro-benchmarks ------------------------------------------
 
+// fanOutModes are the two ways a round's member calls can be sent: one
+// after the other, and concurrently — the only place fanOut's and the 2PC
+// rounds' goroutines show in a micro-benchmark.
+var fanOutModes = []struct {
+	name     string
+	parallel bool
+}{{"sequential", false}, {"parallel", true}}
+
+// newBenchSuite builds an in-process 3-2-2 suite whose members are named
+// with prefix.
+func newBenchSuite(b *testing.B, prefix string, parallel bool) *core.Suite {
+	dirs := make([]rep.Directory, 3)
+	for i := range dirs {
+		dirs[i] = transport.NewLocal(rep.New(fmt.Sprintf("%s%d", prefix, i)))
+	}
+	suite, err := core.NewSuite(quorum.NewUniform(dirs, 2, 2), core.WithParallelQuorum(parallel))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return suite
+}
+
 // eachFanOut runs fn against an in-process 3-2-2 suite pre-loaded with n
-// keys, once sending a round's member calls one after the other and once
-// sending them concurrently: the second is the only place fanOut's and
-// the 2PC rounds' goroutines show in a micro-benchmark.
+// keys, in each of the fanOutModes.
 func eachFanOut(b *testing.B, n int, fn func(b *testing.B, suite *core.Suite, keys []string)) {
-	for _, mode := range []struct {
-		name     string
-		parallel bool
-	}{{"sequential", false}, {"parallel", true}} {
+	for _, mode := range fanOutModes {
 		b.Run(mode.name, func(b *testing.B) {
-			dirs := make([]rep.Directory, 3)
-			for i := range dirs {
-				dirs[i] = transport.NewLocal(rep.New(fmt.Sprintf("rep%d", i)))
-			}
-			suite, err := core.NewSuite(quorum.NewUniform(dirs, 2, 2), core.WithParallelQuorum(mode.parallel))
-			if err != nil {
-				b.Fatal(err)
-			}
+			suite := newBenchSuite(b, "rep", mode.parallel)
 			ctx := context.Background()
 			keys := make([]string, n)
 			for i := range keys {
@@ -278,6 +289,50 @@ func BenchmarkSuiteScan(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRouterScan measures a 10-entry scan through a router over four
+// in-process 3-2-2 shards of 1,000 entries in all, from a different key
+// each time — the scan of the lan-sharded-scan workload, without its
+// modelled round trip. With parallel on, a scan returns before its
+// release round has been answered, and the next one overlaps it.
+func BenchmarkRouterScan(b *testing.B) {
+	for _, mode := range fanOutModes {
+		b.Run(mode.name, func(b *testing.B) {
+			const keys = 1000
+			suites := make([]*core.Suite, 4)
+			for i := range suites {
+				suites[i] = newBenchSuite(b, fmt.Sprintf("s%dr", i), mode.parallel)
+			}
+			m, err := shard.NewMap("key-00000250", "key-00000500", "key-00000750")
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := shard.NewRouter(m, suites, shard.WithParallelStitch(mode.parallel))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			starts := make([]string, keys)
+			for i := range starts {
+				if err := r.Insert(ctx, fmt.Sprintf("key-%08d", i), "value"); err != nil {
+					b.Fatal(err)
+				}
+				starts[i] = fmt.Sprintf("key-%08d", i*37%(keys-10))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if page, err := r.Scan(ctx, starts[i%keys], 10); err != nil || len(page) != 10 {
+					b.Fatalf("scan: %d entries, %v", len(page), err)
+				}
+			}
+			b.StopTimer()
+			if err := r.Drain(ctx); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }
 
 // BenchmarkAvailabilityEmpirical measures the end-to-end availability

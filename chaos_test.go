@@ -620,7 +620,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 	// copies behind, so enqueues are expected but not guaranteed — the
 	// consistency checks above are the assertion; this is visibility.
 	dctx, dcancel := context.WithTimeout(ctx, 2*time.Second)
-	_ = suite.DrainReadRepair(dctx)
+	_ = suite.Drain(dctx)
 	dcancel()
 	st := suite.Stats()
 	t.Logf("read repair: enqueued=%d done=%d failed=%d copied=%d freshened=%d dropped=%d",

@@ -369,10 +369,15 @@ func parseTopology(replicas, splits string) (groups [][]string, splitKeys []stri
 // connect dials every representative, builds one suite per replica
 // group, and — when -splits sharded the keyspace — a router over them.
 // dirs collects every dialed replica across all groups, the participant
-// set cooperative termination needs.
+// set cooperative termination needs. closeAll closes the directory
+// before the connections: a read-only operation returns before the round
+// that releases its locks has been answered, and a process that hung up
+// first would leave those locks held at the representatives.
 func connect(groups [][]string, splitKeys []string, r, w int, parallel bool) (directory, []*core.Suite, []rep.Directory, func(), error) {
 	var clients []*transport.Client
+	closeDir := func() {}
 	closeAll := func() {
+		closeDir()
 		for _, c := range clients {
 			c.Close()
 		}
@@ -425,10 +430,12 @@ func connect(groups [][]string, splitKeys []string, r, w int, parallel bool) (di
 			cancel()
 			if rerr == nil && rec.Epoch != 0 {
 				suites[0].Close()
+				closeDir = func() { m.Suite().Close() }
 				return m, []*core.Suite{m.Suite()}, allDirs, closeAll, nil
 			}
 			m.Suite().Close()
 		}
+		closeDir = suites[0].Close
 		return suites[0], suites, allDirs, closeAll, nil
 	}
 	m, err := shard.NewMap(splitKeys...)
@@ -441,6 +448,7 @@ func connect(groups [][]string, splitKeys []string, r, w int, parallel bool) (di
 	if err != nil {
 		return fail(err)
 	}
+	closeDir = router.Close
 	return router, suites, allDirs, closeAll, nil
 }
 

@@ -190,3 +190,46 @@ func TestCLISemanticErrorsSurface(t *testing.T) {
 		t.Error("delete of missing key should surface ErrKeyNotFound")
 	}
 }
+
+// TestCLIScanReleasesBeforeExit: a scan returns before the round that
+// releases its read locks has been answered, so a CLI that hung up its
+// connections as soon as it had printed would leave those locks held at
+// the servers. Each invocation must be over, locks released, when run
+// returns — sharded or not.
+func TestCLIScanReleasesBeforeExit(t *testing.T) {
+	var reps []*rep.Rep
+	var groups []string
+	for g := 0; g < 2; g++ {
+		var addrs []string
+		for _, name := range []string{"A", "B", "C"} {
+			r := rep.New(name + strconv.Itoa(g))
+			srv, err := transport.Serve(r, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			reps = append(reps, r)
+			addrs = append(addrs, srv.Addr())
+		}
+		groups = append(groups, strings.Join(addrs, ","))
+	}
+	for _, base := range [][]string{
+		{"-replicas", groups[0]},
+		{"-replicas", strings.Join(groups, ";"), "-splits", "m"},
+	} {
+		for _, args := range [][]string{
+			append(base, "insert", "k"+strconv.Itoa(len(base)), "v"),
+			append(base, "scan"),
+			append(base, "scan", "", "1"),
+		} {
+			if err := run(args); err != nil {
+				t.Fatalf("run(%v): %v", args, err)
+			}
+			for _, r := range reps {
+				if n := r.Locks().ActiveTransactions(); n != 0 {
+					t.Errorf("after %v: %s still holds locks for %d transactions", args[len(base):], r.Name(), n)
+				}
+			}
+		}
+	}
+}

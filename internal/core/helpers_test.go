@@ -113,7 +113,7 @@ func newScriptedSuite(t *testing.T, names []string, r, w int) *testSuite {
 
 // newRandomSuite builds an n-replica suite with the default random
 // selector.
-func newRandomSuite(t *testing.T, names []string, r, w int, seed int64) *testSuite {
+func newRandomSuite(t *testing.T, names []string, r, w int, seed int64, opts ...Option) *testSuite {
 	t.Helper()
 	reps := make([]*rep.Rep, len(names))
 	locals := make([]*transport.Local, len(names))
@@ -125,7 +125,8 @@ func newRandomSuite(t *testing.T, names []string, r, w int, seed int64) *testSui
 	}
 	cfg := quorum.NewUniform(dirs, r, w)
 	rec := &recorder{}
-	s, err := NewSuite(cfg, WithSelector(quorum.NewRandomSelector(cfg, seed)), WithMetrics(rec))
+	opts = append([]Option{WithSelector(quorum.NewRandomSelector(cfg, seed)), WithMetrics(rec)}, opts...)
+	s, err := NewSuite(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,6 +252,9 @@ func TestObservedOpsMatchStats(t *testing.T) {
 	if err := ts.suite.Insert(ctx, "b", "dup"); err == nil {
 		t.Fatal("duplicate insert succeeded")
 	}
+	if err := ts.suite.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
 
 	counts := o.OpCounts()
 	if counts[OpInsert] != 4 || counts[OpUpdate] != 1 || counts[OpScan] != 1 || counts[OpDelete] != 1 {

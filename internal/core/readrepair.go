@@ -36,7 +36,7 @@ const readRepairTimeout = 2 * time.Second
 // enqueueReadRepair hands the job to the worker without blocking. After
 // Close, jobs are refused and counted as dropped — counting them as
 // enqueued would inflate ReadRepairEnqueued with work that can never be
-// attempted, and break the DrainReadRepair accounting.
+// attempted, and break the accounting Drain waits on.
 func (s *Suite) enqueueReadRepair(job readRepairJob) {
 	s.rrMu.RLock()
 	if !s.rrClosed {
@@ -103,42 +103,42 @@ func (s *Suite) repairKeyOn(ctx context.Context, key string, targets []rep.Direc
 	return total, firstErr
 }
 
-// DrainReadRepair blocks until every read repair enqueued so far has
-// been attempted (or ctx expires). Intended for tests and audits that
-// need the asynchronous freshens settled before inspecting replicas.
-// After Close it returns immediately: the worker is gone, so waiting
-// for queued jobs to be attempted would spin forever.
-func (s *Suite) DrainReadRepair(ctx context.Context) error {
-	if s.rrQueue == nil {
-		return nil
+// Drain blocks until every read-only operation's release round has
+// landed and every read repair enqueued so far been attempted (after
+// Close, queued ones are dropped), or until ctx is done.
+func (s *Suite) Drain(ctx context.Context) error {
+	for s.releasing.Load() > 0 || !s.repaired() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
-	for {
-		s.rrMu.RLock()
-		closed := s.rrClosed
-		s.rrMu.RUnlock()
-		if closed {
-			return nil
-		}
-		st := s.Stats()
-		if st.ReadRepairDone+st.ReadRepairFailed >= st.ReadRepairEnqueued {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
-	}
+	return nil
 }
 
-// Close stops the suite's background read-repair worker. Jobs still
-// queued when the worker stops are discarded and counted in
-// ReadRepairDropped, so the suite's accounting stays whole. It is a
-// no-op for suites without read repair and is safe to call more than
-// once. Operations remain usable after Close; only the asynchronous
+// repaired reports whether the read repairs enqueued so far are done.
+func (s *Suite) repaired() bool {
+	if s.rrQueue == nil {
+		return true
+	}
+	s.rrMu.RLock()
+	closed := s.rrClosed
+	s.rrMu.RUnlock()
+	st := s.Stats()
+	return closed || st.ReadRepairDone+st.ReadRepairFailed >= st.ReadRepairEnqueued
+}
+
+// Close waits for the release rounds in flight to land and stops the
+// suite's background read-repair worker. Jobs still queued when the
+// worker stops are discarded and counted in ReadRepairDropped, so the
+// suite's accounting stays whole. It is safe to call more than once.
+// Operations remain usable after Close; only the asynchronous
 // freshening stops (subsequent staleness observations count as
 // dropped).
 func (s *Suite) Close() {
+	for s.releasing.Load() > 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
 	if s.rrCancel == nil {
 		return
 	}

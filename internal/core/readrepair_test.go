@@ -40,7 +40,7 @@ func drain(t *testing.T, s *Suite) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := s.DrainReadRepair(ctx); err != nil {
+	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 }
@@ -176,8 +176,8 @@ func TestReadRepairQueueBounds(t *testing.T) {
 }
 
 // TestReadRepairCloseAccounting is the regression test for two Close
-// bugs: DrainReadRepair spun forever when jobs were still queued at
-// Close (the worker that would have attempted them is gone), and
+// bugs: the drain spun forever when jobs were still queued at Close (the
+// worker that would have attempted them is gone), and
 // enqueues arriving after Close were counted as enqueued although they
 // can never be attempted. Ordering covered: enqueue → Close → enqueue →
 // Drain. The suite is built by hand with no worker, so the queued jobs
@@ -211,8 +211,8 @@ func TestReadRepairCloseAccounting(t *testing.T) {
 	// for. Before the fix this spun until the context expired.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if err := s.DrainReadRepair(ctx); err != nil {
-		t.Errorf("DrainReadRepair after Close: %v", err)
+	if err := s.Drain(ctx); err != nil {
+		t.Errorf("Drain after Close: %v", err)
 	}
 
 	// Close is idempotent.

@@ -15,11 +15,12 @@ import (
 	"repdir/internal/txn"
 )
 
-// TestOperationAllocs pins what the point operations allocate from the
-// suite down to the lock table, over in-process members on 3-2-2 with a
+// TestOperationAllocs pins what the operations allocate from the suite
+// down to the lock table, over in-process members on 3-2-2 with a
 // sequential quorum: what is left is data — a delete's neighborhoods
-// and the keys it coalesced away, a tree node now and then — and none
-// of it the operation's own scaffolding.
+// and the keys it coalesced away, a scan's page and the batches its
+// members answered with, a tree node now and then — and none of it the
+// operation's own scaffolding.
 func TestOperationAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -45,6 +46,13 @@ func TestOperationAllocs(t *testing.T) {
 		{"Update", 20, func() error { return ts.suite.Update(ctx, doomed[0], "v2") }},
 		{"Insert", 22, func() error { i++; return ts.suite.Insert(ctx, fresh[i-1], "v") }},
 		{"Delete", 32, func() error { d++; return ts.suite.Delete(ctx, doomed[d]) }},
+		{"Scan", 6, func() error {
+			page, err := ts.suite.Scan(ctx, doomed[d], 10)
+			if err == nil && len(page) != 10 {
+				err = fmt.Errorf("scan of %d entries, want 10", len(page))
+			}
+			return err
+		}},
 	} {
 		n := testing.AllocsPerRun(runs-1, func() {
 			if err := op.do(); err != nil {

@@ -37,6 +37,7 @@ type tape struct {
 type tapedCall struct {
 	member, kind string
 	txn          lock.TxnID
+	epoch        uint64
 	start, end   int
 }
 
@@ -53,7 +54,7 @@ func (t *tape) begin(member, kind string, ctx context.Context, id lock.TxnID) in
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.clock++
-	t.calls = append(t.calls, tapedCall{member: member, kind: kind, txn: id, start: t.clock})
+	t.calls = append(t.calls, tapedCall{member: member, kind: kind, txn: id, epoch: rep.EpochFromContext(ctx), start: t.clock})
 	return len(t.calls) - 1
 }
 
@@ -242,15 +243,18 @@ func newTapedSuite(t *testing.T, tcp bool, seed int64, sel func(quorum.Config) q
 	return ts
 }
 
-// run performs one operation and returns the calls it made, having
-// checked that the suite's own message count for it, and the
-// representatives' counters, say the same.
+// run performs one operation and returns the calls it made, release
+// round included, having checked that the suite's own message count for
+// it, and the representatives' counters, say the same.
 func (ts *tapedSuite) run(t *testing.T, what string, op func() error) []tapedCall {
 	t.Helper()
 	ts.tape.take()
 	before := ts.served()
 	if err := op(); err != nil {
 		t.Fatalf("%s: %v", what, err)
+	}
+	if err := ts.suite.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	calls := ts.tape.take()
 	recent := ts.obs.Tracer().Recent()

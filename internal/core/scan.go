@@ -22,10 +22,11 @@ type KV struct {
 // search (Figure 12): a run over a read quorum, which drops ghosts by
 // quorum version comparison, so stale replicas can neither hide a current
 // entry nor resurrect a deleted one. It costs one round per page of
-// entries returned, and one more to release: the scan holds read locks on
-// the traversed range until it completes (strict two-phase locking), so
-// the result is a consistent snapshot. Each probe locks what it returns,
-// which may reach up to a page past the end of a bounded scan.
+// entries returned: the read locks on the traversed range are held until
+// the last page is answered (strict two-phase locking), so the result is
+// a consistent snapshot, and the round that releases them is sent as the
+// scan returns, unwaited for under parallel quorum. Each probe locks what
+// it returns, which may reach up to a page past the end of a bounded scan.
 func (s *Suite) Scan(ctx context.Context, after string, limit int) ([]KV, error) {
 	return s.scan(ctx, func(tx *Tx) ([]KV, error) { return tx.Scan(ctx, after, limit) })
 }
@@ -158,7 +159,8 @@ func (tx *Tx) ScanReverseSpan(ctx context.Context, before keyspace.Key, limit in
 // locking), so the total is quorum-consistent: entries installed by
 // concurrent writers or read-repair freshens either commit before the
 // count (and are locked out of changing mid-walk) or after it — never
-// half-observed. It costs one round per page of rep.MaxBatch entries.
+// half-observed. It costs one round per page of rep.MaxBatch entries;
+// the release round is sent as it returns, as Scan's is.
 func (s *Suite) Count(ctx context.Context) (n int, err error) {
 	err = s.runTxn(ctx, OpCount, manyOps, func(tx *Tx) (err error) {
 		n, err = tx.Count(ctx)

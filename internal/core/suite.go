@@ -87,9 +87,11 @@ type Suite struct {
 	local       rep.Directory
 
 	// idle holds the transactions of operations that are over, for the
-	// next operations to run in (acquire, release).
-	idleMu sync.Mutex
-	idle   []*Tx
+	// next operations to run in (acquire, release); releasing counts
+	// release rounds in flight (Drain).
+	idleMu    sync.Mutex
+	idle      []*Tx
+	releasing atomic.Int64
 
 	// Read-repair machinery (nil/zero unless WithReadRepair).
 	rrQueue   chan readRepairJob
@@ -267,7 +269,9 @@ func (s *Suite) RunInTxn(ctx context.Context, fn func(tx *Tx) error) error {
 	// fn may keep the Tx, so it is never released: whoever holds a
 	// reference to it finds its own finished transaction behind it,
 	// never a later operation's.
-	return s.run(ctx, OpTxn, manyOps, s.acquire(), fn)
+	tx := s.acquire()
+	tx.kept = true
+	return s.run(ctx, OpTxn, manyOps, tx, fn)
 }
 
 // acquire returns a Tx to run an operation in: one left by an earlier
@@ -282,6 +286,7 @@ func (s *Suite) acquire() *Tx {
 	}
 	tx := &Tx{suite: s}
 	tx.own.Parallel = s.parallel
+	tx.own.Landed = tx.landed
 	if s.obs != nil {
 		tx.own.Phase = tx.observePhase
 	}
@@ -289,9 +294,12 @@ func (s *Suite) acquire() *Tx {
 }
 
 // release takes back the Tx of an operation that is over, dropping what
-// its slots still refer to. The caller, and whatever it called, must
-// have let go of it.
+// its slots still refer to, unless a caller may hold it (RunInTxn). The
+// caller, whatever it called, and its release round must have let go.
 func (s *Suite) release(tx *Tx) {
+	if tx.kept {
+		return
+	}
 	clear(tx.replies)
 	clear(tx.coalesced)
 	for i := range tx.runs {
@@ -349,14 +357,13 @@ const (
 // runTxn runs one of the suite's own operations: fn is the package's,
 // and lets go of the Tx when it returns.
 func (s *Suite) runTxn(ctx context.Context, op string, shape txShape, fn func(tx *Tx) error) error {
-	tx := s.acquire()
-	defer s.release(tx)
-	return s.run(ctx, op, shape, tx, fn)
+	return s.run(ctx, op, shape, s.acquire(), fn)
 }
 
 // run is RunInTxn plus the operation label (for traces and histograms),
 // the transaction's shape, and the Tx to run it in, attempt after
-// attempt.
+// attempt; the Tx goes back when the operation is over, or when its
+// release round is.
 //
 // Every call ends up in exactly one of the commits, failures, or
 // cancelled counters, so SuiteStats always satisfies
@@ -372,6 +379,12 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 			s.obs.OpDone(op, time.Since(start), msgs, err)
 		}()
 	}
+	released := false
+	defer func() {
+		if !released {
+			s.release(tx)
+		}
+	}()
 	base := s.ids.Next()
 	var exclude quorum.Set
 	var lastErr error
@@ -394,9 +407,13 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 			retrySpan = trace.StartSpan("retry")
 		}
 		err := fn(tx)
-		if err == nil {
-			err = tx.finish(ctx)
-		} else {
+		// A read-only success releases once the caller has its result; a
+		// failed attempt, and a repair, release now (DESIGN.md §6 inv. 11).
+		release := err == nil && !tx.mutated && shape != repairOps
+		switch {
+		case err == nil && tx.mutated:
+			err = tx.txn.Commit(ctx)
+		case !release:
 			_ = tx.txn.Abort(ctx)
 		}
 		msgs += tx.msgs
@@ -407,6 +424,11 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 				s.budget.OnSuccess()
 			}
 			tx.flushMetrics()
+			if release { // the Tx is its release round's from here
+				s.releasing.Add(1)
+				released = true
+				msgs += tx.txn.Release(ctx)
+			}
 			return nil
 		}
 		lastErr = err

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repdir/internal/keyspace"
+	"repdir/internal/rep"
 )
 
 // SysPrefix reserves a key namespace for suite-internal records — today
@@ -25,6 +26,17 @@ const SysPrefix = "\x00"
 // reserved namespace. Sentinels are not system keys.
 func isSystemKey(k keyspace.Key) bool {
 	return !k.IsSentinel() && strings.HasPrefix(k.Raw(), SysPrefix)
+}
+
+// SysLookup reads a system entry as a transaction of its own, a point
+// read like Lookup: no lock outlives the call.
+func (s *Suite) SysLookup(ctx context.Context, key string) (string, bool, error) {
+	var res rep.LookupResult
+	err := s.runTxn(ctx, OpLookup, pointRead, func(tx *Tx) (err error) {
+		res, err = tx.suiteLookup(ctx, keyspace.New(key))
+		return err
+	})
+	return res.Value, res.Found, err
 }
 
 // SysLookup reads a system entry within the transaction. The key is

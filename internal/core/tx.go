@@ -42,6 +42,7 @@ type Tx struct {
 	own txn.Txn
 	// exclude are the members earlier attempts lost, by index.
 	exclude quorum.Set
+	kept    bool // handed to a caller's fn (RunInTxn): never released
 
 	// trace is the enclosing operation's trace (nil when the suite has
 	// no observer; every method on a nil trace no-ops). msgs counts the
@@ -174,17 +175,8 @@ func (tx *Tx) noteFailure(name string, err error) {
 	}
 }
 
-// finish commits a mutating transaction (two-phase commit across the
-// representatives that participated) or releases a read-only one.
-func (tx *Tx) finish(ctx context.Context) error {
-	if tx.mutated {
-		return tx.txn.Commit(ctx)
-	}
-	// Read-only: abort releases locks without logging; it cannot change
-	// any state because none was written. A point read joined nobody and
-	// sends nothing.
-	return tx.txn.Abort(ctx)
-}
+// landed is the own transaction's Landed hook: the Tx is free.
+func (tx *Tx) landed() { tx.suite.release(tx); tx.suite.releasing.Add(-1) }
 
 // flushMetrics reports buffered observations after a successful commit.
 func (tx *Tx) flushMetrics() {

@@ -22,12 +22,16 @@
 // All decisions are drawn from a per-member math/rand stream seeded from
 // the plan seed, and unavailability windows are measured in observed
 // calls rather than wall-clock time. A driver that issues operations
-// from one goroutine therefore gets a fully reproducible fault schedule
-// for a given seed — even with parallel quorum fan-out, which issues at
-// most one concurrent call per member per round. That holds by
-// construction, not by a sequential loop in the suite: every operation
-// sends a member one call a round, a delete too — its reads are one
-// neighborhood call a member (rep.MarkAround).
+// from one goroutine, and drains the suite (core.Suite.Drain,
+// shard.Router.Drain) between them, therefore gets a fully reproducible
+// fault schedule for a given seed — even with parallel quorum fan-out,
+// which issues at most one concurrent call per member per round. That
+// holds by construction, not by a sequential loop in the suite: every
+// operation sends a member one call a round, a delete too — its reads
+// are one neighborhood call a member (rep.MarkAround). The drain is the
+// driver's part: a read-only operation returns before the round that
+// releases its locks has been answered, and without it that round's
+// calls could meet the next operation's at a member in either order.
 package fault
 
 import (

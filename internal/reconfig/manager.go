@@ -230,14 +230,7 @@ func (m *Manager) install(rec Record, s *core.Suite) {
 // suite under the epoch bypass, so it works even when the suite's epoch
 // has just been fenced stale — which is exactly when it is needed.
 func readRecord(ctx context.Context, s *core.Suite) (Record, error) {
-	bctx := rep.WithEpoch(ctx, rep.EpochBypass)
-	var raw string
-	var found bool
-	err := s.RunInTxn(bctx, func(tx *core.Tx) error {
-		var err error
-		raw, found, err = tx.SysLookup(bctx, ConfigKey)
-		return err
-	})
+	raw, found, err := s.SysLookup(rep.WithEpoch(ctx, rep.EpochBypass), ConfigKey)
 	if err != nil {
 		return Record{}, fmt.Errorf("reconfig: read record: %w", err)
 	}

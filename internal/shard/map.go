@@ -53,15 +53,6 @@ func NewMap(splits ...string) (*Map, error) {
 // Shards returns how many ranges the map describes.
 func (m *Map) Shards() int { return len(m.splits) + 1 }
 
-// Splits returns the split points as strings, in order.
-func (m *Map) Splits() []string {
-	out := make([]string, len(m.splits))
-	for i, k := range m.splits {
-		out[i] = k.Raw()
-	}
-	return out
-}
-
 // Owner returns the index of the shard whose range contains k. The
 // sentinels map to the edge shards: LOW to shard 0, HIGH to the last.
 func (m *Map) Owner(k keyspace.Key) int {

@@ -40,6 +40,12 @@ type Router struct {
 	parallel   bool
 	budget     *core.RetryBudget
 	stats      *routerStats
+
+	// idle holds the Txns of transactions that are over (acquire,
+	// Txn.over); releasing counts release rounds in flight (Drain).
+	idleMu    sync.Mutex
+	idle      []*Txn
+	releasing atomic.Int64
 }
 
 // Option configures a Router.
@@ -115,18 +121,6 @@ func NewRouter(m *Map, suites []*core.Suite, opts ...Option) (*Router, error) {
 	return r, nil
 }
 
-// Map returns the router's shard map.
-func (r *Router) Map() *Map { return r.m }
-
-// Suites returns a snapshot of the per-shard suites in range order.
-func (r *Router) Suites() []*core.Suite {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*core.Suite, len(r.suites))
-	copy(out, r.suites)
-	return out
-}
-
 // suite returns shard i's current suite.
 func (r *Router) suite(i int) *core.Suite {
 	r.mu.RLock()
@@ -171,11 +165,29 @@ func (r *Router) SetSuite(i int, s *core.Suite) (*core.Suite, error) {
 	return old, nil
 }
 
-// Close shuts down every suite's background machinery.
+// Close drains the router and shuts its suites down.
 func (r *Router) Close() {
-	for _, s := range r.Suites() {
-		s.Close()
+	_ = r.Drain(context.Background()) // nothing cancels it
+	for i := range r.m.Shards() {
+		r.suite(i).Close()
 	}
+}
+
+// Drain blocks until the router's release rounds have landed and its
+// suites are drained (core.Suite.Drain), or until ctx is done.
+func (r *Router) Drain(ctx context.Context) error {
+	for r.releasing.Load() > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	for i := range r.m.Shards() {
+		if err := r.suite(i).Drain(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ownerOf validates a user key and returns its owning shard index.
@@ -265,7 +277,8 @@ func (r *Router) Delete(ctx context.Context, key string) error {
 
 // Scan returns up to limit current entries with keys strictly greater
 // than after, ascending, across all shards, as one atomic cross-shard
-// transaction.
+// transaction: core.Suite.Scan's rounds at each shard it reads, and one
+// release round to all of them, not waited for under parallel stitching.
 func (r *Router) Scan(ctx context.Context, after string, limit int) ([]core.KV, error) {
 	return r.scan(ctx, func(x *Txn) ([]core.KV, error) { return x.Scan(ctx, after, limit) })
 }
@@ -358,18 +371,46 @@ func (r *Router) runTxn(ctx context.Context, op string, fn func(x *Txn) error) e
 	return r.run(ctx, op, false, fn)
 }
 
+// acquire returns a Txn, an earlier transaction's if there is one, over
+// a snapshot of the current shard assignment.
+func (r *Router) acquire(kept bool) *Txn {
+	r.idleMu.Lock()
+	var x *Txn
+	if n := len(r.idle); n > 0 {
+		x, r.idle = r.idle[n-1], r.idle[:n-1]
+	}
+	r.idleMu.Unlock()
+	if x == nil {
+		x = &Txn{r: r}
+		x.t.Parallel, x.t.Landed = r.parallel, x.landed
+	}
+	r.mu.RLock()
+	x.suites = append(x.suites[:0], r.suites...)
+	r.mu.RUnlock()
+	x.excludes = append(x.excludes[:0], make([]quorum.Set, len(x.suites))...)
+	x.txs = append(x.txs[:0], make([]*core.Tx, len(x.suites))...)
+	x.kept = kept
+	return x
+}
+
 // run is the router's retry loop, mirroring core.Suite.run: each
 // attempt runs under its own attempt ID (same wait-die age), failed
 // members accumulate into per-shard exclusion sets, and wait-die victims
 // back off linearly. The shared txn.Txn is committed when any shard
-// mutated and aborted (releasing read locks) otherwise. Unless the Txn
-// was handed out to a caller's fn, each shard's core.Tx goes back to its
-// suite when the attempt is over.
-func (r *Router) run(ctx context.Context, op string, handedOut bool, fn func(x *Txn) error) error {
+// mutated and released otherwise (txn.Txn.Release). Unless the Txn was
+// handed out to a caller's fn (kept), each shard's core.Tx goes back to
+// its suite when the attempt is over, and the Txn to the router when the
+// transaction and its release round are.
+func (r *Router) run(ctx context.Context, op string, kept bool, fn func(x *Txn) error) error {
 	start := time.Now()
 	base := r.ids.Next()
-	suites := r.Suites()
-	excludes := make([]quorum.Set, len(suites))
+	x := r.acquire(kept)
+	released := false
+	defer func() {
+		if !released {
+			x.over()
+		}
+	}()
 	maxAttempts := min(r.maxRetries, txn.MaxAttempts-1)
 	var lastErr error
 	for attempt := 0; attempt <= maxAttempts; attempt++ {
@@ -377,29 +418,28 @@ func (r *Router) run(ctx context.Context, op string, handedOut bool, fn func(x *
 			r.stats.done(op, time.Since(start), 0, attempt, err)
 			return err
 		}
-		t := txn.New(txn.AttemptID(base, attempt))
-		t.Parallel = r.parallel
-		x := &Txn{r: r, t: t, suites: suites, txs: make([]*core.Tx, len(suites)), excludes: excludes}
+		x.t.Reset(txn.AttemptID(base, attempt))
 		err := fn(x)
-		if err == nil {
-			if x.mutated() {
-				err = t.Commit(ctx)
-			} else {
-				err = t.Abort(ctx)
-			}
-		} else {
-			_ = t.Abort(ctx)
-		}
-		fanout := 0 // the shards the attempt touched
+		mutated, fanout := false, 0 // fanout: the shards the attempt touched
 		for i, tx := range x.txs {
 			if tx == nil {
 				continue
 			}
-			fanout++
-			excludes[i] |= tx.FailedMembers()
-			if !handedOut {
+			mutated, fanout = mutated || tx.Mutated(), fanout+1
+			x.excludes[i] |= tx.FailedMembers()
+			if x.txs[i] = nil; !kept {
 				tx.Discard()
 			}
+		}
+		switch {
+		case err != nil:
+			_ = x.t.Abort(ctx)
+		case mutated:
+			err = x.t.Commit(ctx)
+		default: // read-only: the Txn is its release round's from here
+			r.releasing.Add(1)
+			released = true
+			x.t.Release(ctx)
 		}
 		if err == nil {
 			if r.budget != nil {

@@ -44,10 +44,10 @@ func TestRouterPointOpRouting(t *testing.T) {
 	}
 
 	// Each key landed in exactly its owning suite.
-	if n, err := r.Suites()[0].Count(ctx); err != nil || n != 1 {
+	if n, err := r.suite(0).Count(ctx); err != nil || n != 1 {
 		t.Fatalf("shard 0 count = (%d, %v), want 1", n, err)
 	}
-	if n, err := r.Suites()[1].Count(ctx); err != nil || n != 2 {
+	if n, err := r.suite(1).Count(ctx); err != nil || n != 2 {
 		t.Fatalf("shard 1 count = (%d, %v), want 2", n, err)
 	}
 

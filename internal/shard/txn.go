@@ -18,40 +18,52 @@ import (
 // on any shard — participates in one two-phase commit. Like core.Tx, a
 // Txn's operations are not safe for concurrent use by the caller; the
 // router's own parallel stitching keeps each shard's Tx on a single
-// goroutine.
+// goroutine. A Txn is also its transaction's memory, which the router
+// reuses (Router.acquire, Txn.over).
 type Txn struct {
 	r *Router
-	t *txn.Txn
+	t txn.Txn
 	// suites is the router's shard assignment snapshotted when the
 	// transaction began; a concurrent SetSuite does not shift shards
-	// under a running transaction.
+	// under a running transaction. excludes are the members each shard's
+	// earlier attempts lost.
 	suites   []*core.Suite
 	excludes []quorum.Set
+	kept     bool // handed to a caller's fn (RunInTxn): never reused
 
 	// mu guards lazy Tx creation; parallel stitching instantiates
 	// several shards' transactions concurrently.
 	mu  sync.Mutex
 	txs []*core.Tx
+
+	pages  [][]core.KV // storage for a traversal's parts
+	parts  []span
+	counts []int
 }
+
+// over hands the Txn back to the router, unless a caller may hold it.
+func (x *Txn) over() {
+	if x.kept {
+		return
+	}
+	clear(x.suites)
+	clear(x.pages)
+	x.r.idleMu.Lock()
+	x.r.idle = append(x.r.idle, x)
+	x.r.idleMu.Unlock()
+}
+
+// landed is the Txn's Landed hook.
+func (x *Txn) landed() { x.over(); x.r.releasing.Add(-1) }
 
 // shardTx returns shard i's transaction, binding one on first use.
 func (x *Txn) shardTx(i int) *core.Tx {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	if x.txs[i] == nil {
-		x.txs[i] = x.suites[i].AttachTx(x.t, x.excludes[i])
+		x.txs[i] = x.suites[i].AttachTx(&x.t, x.excludes[i])
 	}
 	return x.txs[i]
-}
-
-// mutated reports whether any shard's transaction wrote state.
-func (x *Txn) mutated() bool {
-	for _, tx := range x.txs {
-		if tx != nil && tx.Mutated() {
-			return true
-		}
-	}
-	return false
 }
 
 // Lookup reads key from its owning shard within the transaction.
@@ -123,8 +135,7 @@ type span struct {
 // keeps a boundary key from being consulted (and possibly returned)
 // twice.
 func (x *Txn) subspans(after, until keyspace.Key) []span {
-	m := x.r.m
-	var parts []span
+	m, parts := x.r.m, x.parts[:0]
 	for i := 0; i < m.Shards(); i++ {
 		lo, hi := m.Lo(i), m.Hi(i)
 		// No key k in [lo, hi) can satisfy after < k < until when the
@@ -142,6 +153,7 @@ func (x *Txn) subspans(after, until keyspace.Key) []span {
 		}
 		parts = append(parts, p)
 	}
+	x.parts = parts
 	return parts
 }
 
@@ -177,17 +189,14 @@ func (x *Txn) scanReverseSpan(ctx context.Context, before keyspace.Key, limit in
 // in order and stop as soon as the page fills, so earlier shards satisfy
 // the limit without read-locking later ones; unlimited ones gather.
 func (x *Txn) stitch(ctx context.Context, parts []span, limit int, desc bool) ([]core.KV, error) {
-	pages := make([][]core.KV, len(parts))
-	read := func(j, limit int) (err error) {
-		if tx, p := x.shardTx(parts[j].shard), parts[j]; desc {
-			pages[j], err = tx.ScanReverseSpan(ctx, p.until, limit)
-		} else {
-			pages[j], err = tx.ScanSpan(ctx, p.after, p.until, limit)
-		}
-		return err
-	}
+	x.pages = append(x.pages[:0], make([][]core.KV, len(parts))...)
+	pages := x.pages
 	if limit <= 0 {
-		if err := x.gather(len(parts), func(j int) error { return read(j, 0) }); err != nil {
+		err := x.gather(len(parts), func(j int) (err error) {
+			pages[j], err = x.read(ctx, parts[j], 0, desc)
+			return err
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -197,10 +206,10 @@ func (x *Txn) stitch(ctx context.Context, parts []span, limit int, desc bool) ([
 			if len(out) >= limit {
 				break
 			}
-			if err := read(j, limit-len(out)); err != nil {
+			var err error
+			if page, err = x.read(ctx, parts[j], limit-len(out), desc); err != nil {
 				return nil, err
 			}
-			page = pages[j]
 		}
 		// A page out of order with the one before means two shards
 		// returned overlapping keys — a duplicated boundary key or a
@@ -212,9 +221,23 @@ func (x *Txn) stitch(ctx context.Context, parts []span, limit int, desc bool) ([
 					out[len(out)-1].Key, page[0].Key)
 			}
 		}
-		out = append(out, page...)
+		// The first page is the result as it is; a second is appended to
+		// a copy of it, capped so that the first page's array is not.
+		if out == nil {
+			out = page
+		} else {
+			out = append(out[:len(out):len(out)], page...)
+		}
 	}
 	return out, nil
+}
+
+// read scans one part at its shard.
+func (x *Txn) read(ctx context.Context, p span, limit int, desc bool) ([]core.KV, error) {
+	if desc {
+		return x.shardTx(p.shard).ScanReverseSpan(ctx, p.until, limit)
+	}
+	return x.shardTx(p.shard).ScanSpan(ctx, p.after, p.until, limit)
 }
 
 // Count totals every shard's entries within this transaction: one
@@ -222,7 +245,8 @@ func (x *Txn) stitch(ctx context.Context, parts []span, limit int, desc bool) ([
 // installed by concurrent writers or read-repair freshens are either in
 // every shard's count or in none.
 func (x *Txn) Count(ctx context.Context) (int, error) {
-	counts := make([]int, len(x.suites))
+	x.counts = append(x.counts[:0], make([]int, len(x.suites))...)
+	counts := x.counts
 	err := x.gather(len(counts), func(j int) error {
 		var err error
 		counts[j], err = x.shardTx(j).Count(ctx)

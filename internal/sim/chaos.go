@@ -461,6 +461,25 @@ func (h *chaosHarness) abortStrays(ctx context.Context) (int, error) {
 	return total, nil
 }
 
+// drain waits until no release round is still in flight, so that no
+// call of one operation meets a call of the next at a member: the fault
+// schedule counts calls, and is the seed's alone only while a member
+// takes them one at a time (package fault). The drain is where a driver
+// stands between operations, next to settling in-doubt transactions.
+func (h *chaosHarness) drain() error {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if h.router != nil {
+		return h.router.Drain(ctx)
+	}
+	for _, s := range h.suites {
+		if err := s.Drain(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RunChaos executes one deterministic chaos soak and returns its
 // result. Violations are reported in the result, not as an error; the
 // error covers harness failures (quorum misconfiguration, a member that
@@ -486,6 +505,9 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	}
 
 	for op := 0; op < cfg.Operations; op++ {
+		if err := h.drain(); err != nil {
+			return res, fmt.Errorf("sim: chaos %s: drain: %w", cfg.Name, err)
+		}
 		// Midpoint storage-fault phase: in every shard, a minority of
 		// members lose part of their logs and must come back through the
 		// rebuild-from-peers path while the suite keeps serving around
@@ -659,6 +681,9 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	// Quiesce: stop injecting, heal every window (restarting crashed
 	// members from their logs), and settle every remaining in-doubt
 	// transaction — every coordinator is finished now.
+	if err := h.drain(); err != nil {
+		return res, fmt.Errorf("sim: chaos %s: drain: %w", cfg.Name, err)
+	}
 	for _, in := range h.injectors {
 		for _, m := range in.Members() {
 			m.Quiesce()
@@ -745,6 +770,10 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	if lo, hi := spec.CountBounds(); finalCount < lo || finalCount > hi {
 		res.Violations = append(res.Violations, fmt.Sprintf(
 			"final count %d != specification count [%d, %d]", finalCount, lo, hi))
+	}
+	// The count's release round is counted below with everything else.
+	if err := h.drain(); err != nil {
+		return res, fmt.Errorf("sim: chaos %s: drain: %w", cfg.Name, err)
 	}
 
 	for _, in := range h.injectors {

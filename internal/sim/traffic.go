@@ -231,7 +231,7 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 
 	dctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	if err := suite.DrainReadRepair(dctx); err != nil {
+	if err := suite.Drain(dctx); err != nil {
 		return res, fmt.Errorf("sim: traffic drain: %w", err)
 	}
 

@@ -19,18 +19,15 @@ type ctxSpy struct {
 }
 
 type ctxSeen struct {
-	err         error
-	took        time.Duration
-	timer, done bool
+	err   error
+	took  time.Duration
+	armed bool
 }
 
 func (d ctxSpy) Lookup(ctx context.Context, id lock.TxnID, key keyspace.Key) (rep.LookupResult, error) {
 	start := time.Now()
 	res, err := d.Rep.Lookup(ctx, id, key)
-	c := ctx.(*callCtx)
-	c.mu.Lock()
-	d.seen <- ctxSeen{err: err, took: time.Since(start), timer: c.timer != nil, done: c.done != nil}
-	c.mu.Unlock()
+	d.seen <- ctxSeen{err: err, took: time.Since(start), armed: ctx.(*callCtx).Armed()}
 	return res, err
 }
 
@@ -57,7 +54,7 @@ func TestRequestContextTimerIsLazy(t *testing.T) {
 	if _, err := c.Lookup(rep.MarkOneShot(free), 1, key); err != nil {
 		t.Fatal(err)
 	}
-	if seen := <-spy.seen; seen.err != nil || seen.timer || seen.done {
+	if seen := <-spy.seen; seen.err != nil || seen.armed {
 		t.Errorf("a lookup that never blocked: %+v, want no error, no timer, no channel", seen)
 	}
 
@@ -73,7 +70,7 @@ func TestRequestContextTimerIsLazy(t *testing.T) {
 	}
 	select {
 	case seen := <-spy.seen:
-		if !errors.Is(seen.err, context.DeadlineExceeded) || !seen.timer || !seen.done {
+		if !errors.Is(seen.err, context.DeadlineExceeded) || !seen.armed {
 			t.Errorf("a lookup blocked past its deadline: %+v, want DeadlineExceeded from an armed timer", seen)
 		}
 		if seen.took < budget/2 || seen.took > budget+2*time.Second {
@@ -91,8 +88,10 @@ func TestRequestContextTimerIsLazy(t *testing.T) {
 // for, that Err goes by the clock with no timer armed, and that a
 // settled context stays settled.
 func TestCallCtx(t *testing.T) {
-	c := &callCtx{deadline: time.Now().Add(time.Hour), epoch: 300, marks: rep.PrepareMark}
-	if d, ok := c.Deadline(); !ok || !d.Equal(c.deadline) {
+	at := time.Now().Add(time.Hour)
+	c := &callCtx{epoch: 300, marks: rep.PrepareMark}
+	c.Set(at)
+	if d, ok := c.Deadline(); !ok || !d.Equal(at) {
 		t.Errorf("Deadline = %v, %v", d, ok)
 	}
 	if rep.EpochFromContext(c) != 300 || !rep.PrepareRides(c) || rep.OneShot(c) || rep.Around(c) {
@@ -116,16 +115,17 @@ func TestCallCtx(t *testing.T) {
 		t.Errorf("Err before the deadline = %v", c.Err())
 	}
 
-	late := &callCtx{deadline: time.Now().Add(-time.Millisecond)}
-	if !errors.Is(late.Err(), context.DeadlineExceeded) || late.timer != nil {
-		t.Errorf("Err past the deadline = %v (timer armed: %v), want DeadlineExceeded by the clock", late.Err(), late.timer != nil)
+	late := &callCtx{}
+	late.Set(time.Now().Add(-time.Millisecond))
+	if !errors.Is(late.Err(), context.DeadlineExceeded) || late.Armed() {
+		t.Errorf("Err past the deadline = %v (armed: %v), want DeadlineExceeded by the clock", late.Err(), late.Armed())
 	}
 	select {
 	case <-late.Done():
 	default:
 		t.Error("Done of an expired context is open")
 	}
-	if late.settle(context.Canceled); !errors.Is(late.Err(), context.DeadlineExceeded) {
+	if late.End(context.Canceled); !errors.Is(late.Err(), context.DeadlineExceeded) {
 		t.Errorf("a settled context changed its mind: %v", late.Err())
 	}
 
@@ -135,7 +135,7 @@ func TestCallCtx(t *testing.T) {
 		t.Fatal("Done closed an hour early")
 	default:
 	}
-	c.settle(context.Canceled)
+	c.End(context.Canceled)
 	select {
 	case <-done:
 	default:

@@ -317,24 +317,15 @@ func errorResponse(req *request, err error) response {
 }
 
 // callCtx is the context a request's handler runs under, one object a
-// request. It answers for the request's deadline, for the caller's
-// configuration epoch (zero fences as an unversioned caller) and for
-// the call marks its header carried. A handler that never blocks never
-// calls Done, and for it the context costs no channel and no timer: the
-// first Done makes both. Err goes by the clock, so a handler that only
-// polls still sees its deadline pass.
+// request. It answers for the request's deadline (rep.Expiry: no channel
+// and no timer unless the handler waits), for the caller's configuration
+// epoch (zero fences as an unversioned caller) and for the call marks its
+// header carried.
 type callCtx struct {
-	deadline time.Time
-	epoch    uint64
-	marks    rep.Marks
-
-	mu    sync.Mutex
-	done  chan struct{} // made by the first Done
-	timer *time.Timer   // armed by the first Done, if the call is still live
-	err   error         // set once: the deadline passed or the handler returned
+	rep.Expiry
+	epoch uint64
+	marks rep.Marks
 }
-
-func (c *callCtx) Deadline() (time.Time, bool) { return c.deadline, true }
 
 func (c *callCtx) Value(key any) any {
 	switch key.(type) {
@@ -344,43 +335,6 @@ func (c *callCtx) Value(key any) any {
 		return c.marks
 	}
 	return nil
-}
-
-func (c *callCtx) Done() <-chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.done == nil {
-		c.done = make(chan struct{})
-		if c.err != nil {
-			close(c.done)
-		} else {
-			c.timer = time.AfterFunc(time.Until(c.deadline), func() { c.settle(context.DeadlineExceeded) })
-		}
-	}
-	return c.done
-}
-
-func (c *callCtx) Err() error { return c.settle(nil) }
-
-// settle ends the context with err — or, given nil, with
-// DeadlineExceeded once the deadline has passed — unless it has ended
-// already, and returns what it ended with: nil while it is live.
-func (c *callCtx) settle(err error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err == nil && !time.Now().Before(c.deadline) {
-		err = context.DeadlineExceeded
-	}
-	if c.err == nil && err != nil {
-		c.err = err
-		if c.done != nil {
-			close(c.done)
-		}
-		if c.timer != nil {
-			c.timer.Stop()
-		}
-	}
-	return c.err
 }
 
 // handle runs one request against the representative and leaves the
@@ -394,8 +348,9 @@ func (s *Server) handle(req *request, resp *response) {
 	if !req.expires.IsZero() && req.expires.Before(limit) {
 		limit = req.expires
 	}
-	ctx := &callCtx{deadline: limit, epoch: req.Epoch, marks: req.Marks}
-	defer ctx.settle(context.Canceled)
+	ctx := &callCtx{epoch: req.Epoch, marks: req.Marks}
+	ctx.Set(limit)
+	defer ctx.End(context.Canceled)
 	*resp = response{ID: req.ID, Op: req.Op}
 	txn := lock.TxnID(req.Txn)
 	var err error

@@ -76,13 +76,19 @@ type Txn struct {
 	// participants contacted; the returned func (which may be nil) runs
 	// when the round completes. The directory suite uses it to time 2PC
 	// phases and count their messages without this package depending on
-	// the observability layer. Set before the first Commit/Abort.
+	// the observability layer; Release's result counts its own round.
+	// Set before the first Commit/Abort.
 	Phase func(phase string, participants int) func()
+	// Landed is called once Release's round has been answered: from then
+	// on the Txn may be Reset. Set before the first Release.
+	Landed func()
 
 	mu           sync.Mutex
 	participants []participant
 	done         bool
 	legs         sync.WaitGroup // a parallel round's calls in flight
+	pending      atomic.Int32   // a detached round's calls in flight
+	grace        graceCtx       // what a decided round's calls run under
 }
 
 // participant is one representative the transaction operated at.
@@ -166,17 +172,6 @@ func (t *Txn) Voted(d rep.Directory) {
 	}
 }
 
-// Participants returns the joined representatives.
-func (t *Txn) Participants() []rep.Directory {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]rep.Directory, len(t.participants))
-	for i, p := range t.participants {
-		out[i] = p.dir
-	}
-	return out
-}
-
 // finish marks the transaction done. From here on the participant list
 // belongs to the one Commit or Abort that got through.
 func (t *Txn) finish() error {
@@ -222,7 +217,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	if err := t.finish(); err != nil {
 		return err
 	}
-	t.round(ctx, "prepare", unvoted, rep.Directory.Prepare)
+	t.round(ctx, "prepare", unvoted, rep.Directory.Prepare, false)
 	var first error
 	for i := range t.participants {
 		p := &t.participants[i]
@@ -232,10 +227,10 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 	if first != nil {
 		// A reader that voted yes has already let go of everything.
-		t.decidedRound(ctx, "abort", stillHolding, rep.Directory.Abort)
+		t.decidedRound(ctx, "abort", stillHolding, rep.Directory.Abort, false)
 		return first
 	}
-	t.decidedRound(ctx, "commit", wrote, rep.Directory.Commit)
+	t.decidedRound(ctx, "commit", wrote, rep.Directory.Commit, false)
 	for _, p := range t.participants {
 		if p.asked && p.err != nil {
 			return fmt.Errorf("txn %d: commit at %s: %w", t.ID, p.name, p.err)
@@ -245,46 +240,62 @@ func (t *Txn) Commit(ctx context.Context) error {
 }
 
 // round drives one protocol phase at the participants to admits, inside
-// the Phase hook, and reports whether any call failed. With Parallel set
-// the calls run concurrently — but for the last, which the calling
-// goroutine would otherwise only wait for.
+// the Phase hook, and reports how many it asked and whether any call
+// failed. With Parallel set the calls run concurrently — but for the
+// last, which the calling goroutine would otherwise only wait for. A
+// detached round spawns every call and returns; the last to be answered
+// ends it, and from the moment it is spawned the Txn may be somebody
+// else's.
 func (t *Txn) round(ctx context.Context, name string, to func(*participant) bool,
-	phase func(rep.Directory, context.Context, lock.TxnID) error) (failed bool) {
-	n := 0
+	phase func(rep.Directory, context.Context, lock.TxnID) error, detached bool) (asked int, failed bool) {
 	for i := range t.participants {
 		p := &t.participants[i]
 		if p.asked, p.err = to(p), nil; p.asked {
-			n++
+			asked++
 		}
 	}
-	if n == 0 {
-		return false
+	if asked == 0 {
+		return 0, false
 	}
-	if t.Phase != nil {
-		if done := t.Phase(name, n); done != nil {
+	if detached {
+		t.pending.Store(int32(asked))
+	} else if t.Phase != nil {
+		if done := t.Phase(name, asked); done != nil {
 			defer done()
 		}
 	}
-	for i := range t.participants {
+	for i, n := 0, asked; n > 0; i++ {
 		p := &t.participants[i]
 		if !p.asked {
 			continue
 		}
-		if n--; t.Parallel && n > 0 {
+		switch n--; {
+		case detached:
+			go func() {
+				p.err = phase(p.dir, ctx, t.ID)
+				if t.pending.Add(-1) == 0 {
+					t.grace.end()
+					t.Landed()
+				}
+			}()
+		case t.Parallel && n > 0:
 			t.legs.Add(1)
 			go func() {
 				defer t.legs.Done()
 				p.err = phase(p.dir, ctx, t.ID)
 			}()
-			continue
+		default:
+			p.err = phase(p.dir, ctx, t.ID)
 		}
-		p.err = phase(p.dir, ctx, t.ID)
+	}
+	if detached {
+		return asked, false
 	}
 	t.legs.Wait()
 	for _, p := range t.participants {
 		failed = failed || p.asked && p.err != nil
 	}
-	return failed
+	return asked, failed
 }
 
 // Abort aborts at every participant. Individual abort failures are
@@ -294,40 +305,95 @@ func (t *Txn) Abort(ctx context.Context) error {
 	if err := t.finish(); err != nil {
 		return err
 	}
-	t.decidedRound(ctx, "abort", everyone, rep.Directory.Abort)
+	t.decidedRound(ctx, "abort", everyone, rep.Directory.Abort, false)
 	return nil
 }
 
-// decisionGrace bounds a detached decided round when the caller's
-// context is dead. Commit and abort are never shed by admission control
-// and acquire no locks of their own, so even a saturated participant
-// answers quickly.
+// Release is Abort for a transaction that only read, called once the
+// caller has its result: its lock point was its last read, so strict
+// two-phase locking holds however late the locks go, and with Parallel
+// set Release returns as soon as its round is sent. It returns how many
+// participants it asked; Landed runs once all have answered.
+func (t *Txn) Release(ctx context.Context) (asked int) {
+	if t.finish() == nil && len(t.participants) > 0 {
+		asked = t.decidedRound(ctx, "abort", everyone, rep.Directory.Abort, t.Parallel)
+	}
+	if asked == 0 || !t.Parallel {
+		t.Landed()
+	}
+	return asked
+}
+
+// decisionGrace bounds a decided round run under the Txn's own context.
+// Commit and abort are never shed by admission control and acquire no
+// locks of their own, so even a saturated participant answers quickly.
 const decisionGrace = 2 * time.Second
 
 // decidedRound delivers a round whose outcome is already decided —
-// commit after a unanimous prepare vote, or abort. A decided round must
-// reach the participants even when the caller's context is dead: a
-// blown operation deadline is the most common reason an abort happens
-// at all, and a deadline can equally die between the prepare and commit
-// rounds. A participant the round never reaches is stuck holding locks
-// nobody else can release — wait-die never steals from a live holder,
-// an unprepared orphan is invisible to cooperative termination, and a
-// prepared in-doubt orphan waits for a txn.Resolve that nothing in the
-// live operation path drives. Each stuck lock then blocks later
-// operations on its keys into the same deadline death: a
-// self-sustaining congestion collapse. So a context dead on entry is
-// replaced by a detached one (cancellation dropped, values such as the
-// configuration epoch survive) bounded by decisionGrace; a context that
-// dies mid-round gets one detached redelivery of the whole round, which
-// is safe because Commit and Abort are idempotent per participant.
+// commit after a unanimous prepare vote, or abort — and returns how many
+// calls it made. A decided round must reach the participants even when
+// the caller's context is dead: a blown operation deadline is the most
+// common reason an abort happens at all, and a deadline can equally die
+// between the prepare and commit rounds. A participant the round never
+// reaches is stuck holding locks nobody else can release — wait-die
+// never steals from a live holder, an unprepared orphan is invisible to
+// cooperative termination, and a prepared in-doubt orphan waits for a
+// txn.Resolve that nothing in the live operation path drives. Each stuck
+// lock then blocks later operations on its keys into the same deadline
+// death: a self-sustaining congestion collapse. So a context dead on
+// entry is replaced by the Txn's own (the caller's values, the
+// configuration epoch among them; no cancellation; a deadline
+// decisionGrace away), and a context that dies mid-round gets one
+// redelivery of the whole round under it, which is safe because Commit
+// and Abort are idempotent per participant. A detached round, whose
+// caller may cancel the moment it returns, runs under the Txn's own
+// from the start.
 func (t *Txn) decidedRound(ctx context.Context, name string, to func(*participant) bool,
-	phase func(rep.Directory, context.Context, lock.TxnID) error) {
-	if ctx.Err() == nil {
-		if failed := t.round(ctx, name, to, phase); ctx.Err() == nil || !failed {
-			return
+	phase func(rep.Directory, context.Context, lock.TxnID) error, detached bool) (asked int) {
+	if !detached && ctx.Err() == nil {
+		var failed bool
+		if asked, failed = t.round(ctx, name, to, phase, false); ctx.Err() == nil || !failed {
+			return asked
 		}
 	}
-	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), decisionGrace)
-	defer cancel()
-	t.round(dctx, name, to, phase)
+	n, _ := t.round(t.grace.begin(ctx), name, to, phase, detached)
+	if n == 0 || !detached {
+		t.grace.end()
+	}
+	return asked + n
+}
+
+// graceCtx is the context a decided round runs under when it cannot use
+// its caller's: the caller's values, the configuration epoch among them;
+// no cancellation; a deadline decisionGrace from the round's start, with
+// no channel and no timer unless a call waits (rep.Expiry). It is the
+// Txn's, so a round builds none.
+type graceCtx struct {
+	rep.Expiry
+	mu     sync.Mutex
+	values context.Context // the caller's, during a round
+}
+
+func (c *graceCtx) begin(ctx context.Context) context.Context {
+	c.mu.Lock()
+	c.values = ctx
+	c.mu.Unlock()
+	c.Set(time.Now().Add(decisionGrace))
+	return c
+}
+
+// end closes the context once its round is over, and lets go of the
+// caller's.
+func (c *graceCtx) end() {
+	c.End(context.Canceled)
+	c.mu.Lock()
+	c.values = context.Background()
+	c.mu.Unlock()
+}
+
+func (c *graceCtx) Value(key any) any {
+	c.mu.Lock()
+	values := c.values
+	c.mu.Unlock()
+	return values.Value(key)
 }

@@ -234,8 +234,11 @@ func TestJoinDeduplicates(t *testing.T) {
 	tx := New(1)
 	tx.Join(r)
 	tx.Join(r)
-	if got := len(tx.Participants()); got != 1 {
-		t.Errorf("participants = %d, want 1", got)
+	if err := tx.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Counters().Aborts; got != 1 {
+		t.Errorf("aborts sent = %d, want 1 to the one participant", got)
 	}
 }
 
@@ -403,5 +406,43 @@ func TestRefusedPrepareAbortsWhoeverStillHolds(t *testing.T) {
 		if n := d.Locks().ActiveTransactions(); n != 0 {
 			t.Errorf("%s still holds locks for %d transactions", d.Name(), n)
 		}
+	}
+}
+
+// TestReleaseDetached: with Parallel set, Release sends the abort round
+// and returns; the round runs under the Txn's own context, so the
+// caller's cancelling at once takes nothing back, and over members that
+// never wait on Done it makes no channel and arms no timer. Landed runs
+// once, after every participant has let go.
+func TestReleaseDetached(t *testing.T) {
+	reps := []*rep.Rep{rep.New("A"), rep.New("B")}
+	tx := New(100)
+	tx.Parallel = true
+	landed := make(chan struct{}, 2)
+	tx.Landed = func() { landed <- struct{}{} }
+	for _, r := range reps {
+		if _, err := r.Lookup(ctx, tx.ID, keyspace.New("k")); err != nil {
+			t.Fatal(err)
+		}
+		tx.JoinReader(r)
+	}
+	callerCtx, cancel := context.WithCancel(ctx)
+	if n := tx.Release(callerCtx); n != 2 {
+		t.Fatalf("Release asked %d participants, want 2", n)
+	}
+	cancel()
+	<-landed
+	for _, r := range reps {
+		if n := r.Locks().ActiveTransactions(); n != 0 || r.Counters().Aborts != 1 {
+			t.Errorf("%s: %d transactions hold locks after %d aborts, want none after 1", r.Name(), n, r.Counters().Aborts)
+		}
+	}
+	if tx.grace.Armed() {
+		t.Error("a release nobody waited on made a channel and armed a timer")
+	}
+	select {
+	case <-landed:
+		t.Error("Landed ran twice")
+	default:
 	}
 }
