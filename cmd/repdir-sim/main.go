@@ -12,7 +12,6 @@
 //	repdir-sim -experiment heal    # circuit breaker + anti-entropy recovery curve
 //	repdir-sim -experiment storage # crash points, salvage recovery curve, rebuild throughput
 //	repdir-sim -experiment traffic # live instrumented traffic with a Delete trace
-//	repdir-sim -experiment shard   # keyspace sharding: write throughput at 1/2/4/8 shards
 //	repdir-sim -experiment workload # open-loop workload mixes with SLO verdicts
 //	repdir-sim -experiment overload # overload curve: goodput plateau + bounded tail past saturation
 //	repdir-sim -experiment all     # everything
@@ -45,7 +44,7 @@ import (
 
 // experiments lists every experiment, in the order -experiment all runs
 // them.
-var experiments = []string{"fig14", "fig15", "fig16", "sticky", "batch", "model", "skew", "scale", "shard", "conc", "chaos", "heal", "storage", "traffic", "workload", "overload"}
+var experiments = []string{"fig14", "fig15", "fig16", "sticky", "batch", "model", "skew", "scale", "conc", "chaos", "heal", "storage", "traffic", "workload", "overload"}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -229,18 +228,6 @@ func run(args []string) error {
 				return err
 			}
 			fmt.Print(sim.FormatStorage(res))
-			return nil
-		},
-		"shard": func() error {
-			opsPerClient := *ops
-			if opsPerClient == 0 {
-				opsPerClient = 400
-			}
-			points, err := sim.RunShardScaling([]int{1, 2, 4, 8}, *clients, opsPerClient, *latency)
-			if err != nil {
-				return err
-			}
-			fmt.Print(sim.FormatShardScaling(points, *latency))
 			return nil
 		},
 		"overload": func() error {

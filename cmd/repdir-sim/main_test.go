@@ -11,8 +11,10 @@ import (
 )
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-experiment", "nope"}); err == nil {
-		t.Error("unknown experiment should fail")
+	for _, exp := range []string{"nope", "shard"} {
+		if err := run([]string{"-experiment", exp}); err == nil {
+			t.Errorf("unknown experiment %q should fail", exp)
+		}
 	}
 }
 

@@ -127,8 +127,7 @@ type memberHealth struct {
 // HealthTracker maintains per-member health from quorum fan-out
 // outcomes and answers which members the next round should skip. It is
 // safe for concurrent use. A tracker is attached to a suite with
-// WithHealth; it also satisfies transport.HealthReporter, so the same
-// instance can be fed from a transport middleware stack.
+// WithHealth.
 type HealthTracker struct {
 	cfg HealthConfig
 

@@ -267,7 +267,7 @@ func (m *Member) restartLocked() {
 	t, err := m.restart()
 	if err != nil {
 		// Keep the member down; Heal and later restart attempts retry.
-		// The error is surfaced through RestartErr.
+		// The error is surfaced through Heal.
 		m.restartErr = err
 		m.down = 1
 		return
@@ -399,14 +399,6 @@ func (m *Member) LoseStorage() int {
 	return dropped
 }
 
-// NeedsRebuild reports that a LoseStorage injection has not yet been
-// answered by RebuildDone.
-func (m *Member) NeedsRebuild() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pendingRebuild
-}
-
 // RebuildDone clears recovering mode after a successful rebuild: the
 // member serves reads again.
 func (m *Member) RebuildDone() {
@@ -453,13 +445,6 @@ func (m *Member) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// RestartErr returns the error of the last failed restart, if any.
-func (m *Member) RestartErr() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.restartErr
 }
 
 // Rep returns the current incarnation of the wrapped representative.

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-
-	"repdir/internal/rep"
 )
 
 // Joint pairs the old and new configurations during a reconfiguration
@@ -158,18 +156,3 @@ func (c Config) MemberByName(name string) (Member, bool) {
 
 // ErrNotMember reports a representative name absent from a config.
 var ErrNotMember = errors.New("quorum: not a member")
-
-// ReplaceDir swaps the Directory handle for the named member, returning
-// a copy of the config. Reconfiguration uses it to rebind a spec-level
-// config to live connections.
-func (c Config) ReplaceDir(name string, d rep.Directory) (Config, error) {
-	out := c
-	out.Members = append([]Member(nil), c.Members...)
-	for i, m := range out.Members {
-		if m.Dir.Name() == name {
-			out.Members[i].Dir = d
-			return out, nil
-		}
-	}
-	return Config{}, fmt.Errorf("%w: %s", ErrNotMember, name)
-}

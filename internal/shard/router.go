@@ -11,6 +11,7 @@ import (
 	"repdir/internal/core"
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
+	"repdir/internal/obs"
 	"repdir/internal/quorum"
 	"repdir/internal/txn"
 	"repdir/internal/version"
@@ -39,7 +40,7 @@ type Router struct {
 	maxRetries int
 	parallel   bool
 	budget     *core.RetryBudget
-	stats      *routerStats
+	stats      routerStats
 
 	// idle holds the Txns of transactions that are over (acquire,
 	// Txn.over); releasing counts release rounds in flight (Drain).
@@ -110,7 +111,7 @@ func NewRouter(m *Map, suites []*core.Suite, opts ...Option) (*Router, error) {
 		m:          m,
 		suites:     suites,
 		maxRetries: 256,
-		stats:      newRouterStats(m.Shards()),
+		stats:      routerStats{fanout: obs.NewCounterVec()},
 	}
 	for _, op := range opts {
 		op(r)
@@ -223,9 +224,7 @@ func (r *Router) LookupV(ctx context.Context, key string) (string, bool, version
 	if err != nil {
 		return "", false, version.Lowest, err
 	}
-	value, found, ver, err := r.suite(i).LookupV(ctx, key)
-	r.stats.point(i, core.OpLookup, err)
-	return value, found, ver, err
+	return r.suite(i).LookupV(ctx, key)
 }
 
 // InsertV is Insert plus the version written.
@@ -234,9 +233,7 @@ func (r *Router) InsertV(ctx context.Context, key, value string) (version.V, err
 	if err != nil {
 		return version.Lowest, err
 	}
-	ver, err := r.suite(i).InsertV(ctx, key, value)
-	r.stats.point(i, core.OpInsert, err)
-	return ver, err
+	return r.suite(i).InsertV(ctx, key, value)
 }
 
 // UpdateV is Update plus the version written.
@@ -245,9 +242,7 @@ func (r *Router) UpdateV(ctx context.Context, key, value string) (version.V, err
 	if err != nil {
 		return version.Lowest, err
 	}
-	ver, err := r.suite(i).UpdateV(ctx, key, value)
-	r.stats.point(i, core.OpUpdate, err)
-	return ver, err
+	return r.suite(i).UpdateV(ctx, key, value)
 }
 
 // LocalLookup reads the key from the owning shard's designated local
@@ -259,9 +254,7 @@ func (r *Router) LocalLookup(ctx context.Context, key string) (string, bool, ver
 	if err != nil {
 		return "", false, version.Lowest, err
 	}
-	value, found, ver, err := r.suite(i).LocalLookup(ctx, key)
-	r.stats.point(i, core.OpLocalLookup, err)
-	return value, found, ver, err
+	return r.suite(i).LocalLookup(ctx, key)
 }
 
 // Delete removes the entry for key.
@@ -270,9 +263,7 @@ func (r *Router) Delete(ctx context.Context, key string) error {
 	if err != nil {
 		return err
 	}
-	err = r.suite(i).Delete(ctx, key)
-	r.stats.point(i, core.OpDelete, err)
-	return err
+	return r.suite(i).Delete(ctx, key)
 }
 
 // Scan returns up to limit current entries with keys strictly greater
@@ -285,7 +276,7 @@ func (r *Router) Scan(ctx context.Context, after string, limit int) ([]core.KV, 
 
 // scan runs fn, one of the scans, as a transaction of its own.
 func (r *Router) scan(ctx context.Context, fn func(x *Txn) ([]core.KV, error)) (out []core.KV, err error) {
-	err = r.runTxn(ctx, core.OpScan, func(x *Txn) (err error) {
+	err = r.runTxn(ctx, func(x *Txn) (err error) {
 		out, err = fn(x)
 		return err
 	})
@@ -316,7 +307,7 @@ func (r *Router) ScanPrefix(ctx context.Context, limit int, components ...string
 // read-repair installs can never be half-counted.
 func (r *Router) Count(ctx context.Context) (int, error) {
 	var n int
-	err := r.runTxn(ctx, core.OpCount, func(x *Txn) error {
+	err := r.runTxn(ctx, func(x *Txn) error {
 		var err error
 		n, err = x.Count(ctx)
 		return err
@@ -332,7 +323,7 @@ func (r *Router) Count(ctx context.Context) (int, error) {
 func (r *Router) Successor(ctx context.Context, after string) (core.KV, bool, error) {
 	var kv core.KV
 	var found bool
-	err := r.runTxn(ctx, core.OpSuccessor, func(x *Txn) error {
+	err := r.runTxn(ctx, func(x *Txn) error {
 		var err error
 		kv, found, err = x.Successor(ctx, after)
 		return err
@@ -345,7 +336,7 @@ func (r *Router) Successor(ctx context.Context, after string) (core.KV, bool, er
 func (r *Router) Predecessor(ctx context.Context, before string) (core.KV, bool, error) {
 	var kv core.KV
 	var found bool
-	err := r.runTxn(ctx, core.OpPredecessor, func(x *Txn) error {
+	err := r.runTxn(ctx, func(x *Txn) error {
 		var err error
 		kv, found, err = x.Predecessor(ctx, before)
 		return err
@@ -362,13 +353,13 @@ func (r *Router) Predecessor(ctx context.Context, before string) (core.KV, bool,
 // The Txn is fn's for the length of the call; one kept longer refuses
 // every operation with txn.ErrFinished.
 func (r *Router) RunInTxn(ctx context.Context, fn func(x *Txn) error) error {
-	return r.run(ctx, core.OpTxn, true, fn)
+	return r.run(ctx, true, fn)
 }
 
 // runTxn runs one of the router's own operations: fn is the package's,
 // and keeps nothing of the Txn when it returns.
-func (r *Router) runTxn(ctx context.Context, op string, fn func(x *Txn) error) error {
-	return r.run(ctx, op, false, fn)
+func (r *Router) runTxn(ctx context.Context, fn func(x *Txn) error) error {
+	return r.run(ctx, false, fn)
 }
 
 // acquire returns a Txn, an earlier transaction's if there is one, over
@@ -401,8 +392,7 @@ func (r *Router) acquire(kept bool) *Txn {
 // handed out to a caller's fn (kept), each shard's core.Tx goes back to
 // its suite when the attempt is over, and the Txn to the router when the
 // transaction and its release round are.
-func (r *Router) run(ctx context.Context, op string, kept bool, fn func(x *Txn) error) error {
-	start := time.Now()
+func (r *Router) run(ctx context.Context, kept bool, fn func(x *Txn) error) error {
 	base := r.ids.Next()
 	x := r.acquire(kept)
 	released := false
@@ -415,7 +405,7 @@ func (r *Router) run(ctx context.Context, op string, kept bool, fn func(x *Txn) 
 	var lastErr error
 	for attempt := 0; attempt <= maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			r.stats.done(op, time.Since(start), 0, attempt, err)
+			r.stats.done(0, attempt)
 			return err
 		}
 		x.t.Reset(txn.AttemptID(base, attempt))
@@ -445,7 +435,7 @@ func (r *Router) run(ctx context.Context, op string, kept bool, fn func(x *Txn) 
 			if r.budget != nil {
 				r.budget.OnSuccess()
 			}
-			r.stats.done(op, time.Since(start), fanout, attempt, nil)
+			r.stats.done(fanout, attempt)
 			return nil
 		}
 		lastErr = err
@@ -454,7 +444,7 @@ func (r *Router) run(ctx context.Context, op string, kept bool, fn func(x *Txn) 
 			if cause != nil {
 				err = fmt.Errorf("%w: %w", cause, err)
 			}
-			r.stats.done(op, time.Since(start), fanout, attempt, err)
+			r.stats.done(fanout, attempt)
 			return err
 		}
 		if errors.Is(err, lock.ErrDie) {
@@ -462,6 +452,6 @@ func (r *Router) run(ctx context.Context, op string, kept bool, fn func(x *Txn) 
 		}
 	}
 	err := fmt.Errorf("%w: %v", core.ErrRetriesExhausted, lastErr)
-	r.stats.done(op, time.Since(start), 0, maxAttempts+1, err)
+	r.stats.done(0, maxAttempts+1)
 	return err
 }

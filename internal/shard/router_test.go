@@ -66,14 +66,6 @@ func TestRouterPointOpRouting(t *testing.T) {
 	if _, _, err := r.Lookup(ctx, ""); err == nil {
 		t.Fatal("empty key accepted")
 	}
-
-	st := r.Stats()
-	if st.PointOps[0][core.OpInsert] != 1 || st.PointOps[1][core.OpInsert] != 2 {
-		t.Fatalf("point insert stats: %v", st.PointOps)
-	}
-	if st.PointOps[0][core.OpUpdate] != 1 || st.PointOps[1][core.OpDelete] != 1 {
-		t.Fatalf("point update/delete stats: %v", st.PointOps)
-	}
 }
 
 func TestRouterStatsAndMetrics(t *testing.T) {
@@ -90,19 +82,13 @@ func TestRouterStatsAndMetrics(t *testing.T) {
 	if _, err := r.Count(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st := r.Stats()
-	if st.RouterOps[core.OpScan] != 1 || st.RouterOps[core.OpCount] != 1 {
-		t.Fatalf("router op stats: %v", st.RouterOps)
-	}
 	// Both the scan and the count touched both shards.
+	st := r.Stats()
 	if st.CrossShard != 2 {
 		t.Fatalf("cross-shard txns = %d, want 2", st.CrossShard)
 	}
 	if st.Fanout["2"] != 2 {
 		t.Fatalf("fanout stats: %v", st.Fanout)
-	}
-	if r.OpLatency(core.OpScan).Count == 0 {
-		t.Fatal("scan latency histogram empty")
 	}
 }
 

@@ -49,21 +49,14 @@ type ChaosConfig struct {
 	// Keys is the size of the key universe; small universes maximize
 	// collisions, ghosts, and lock conflicts (default 48).
 	Keys int
-	// Seed drives the workload and the fault schedule.
+	// Seed drives the workload and the fault schedule, which draws from
+	// fault.DefaultPlan() and always includes the midpoint storage-fault
+	// phase.
 	Seed int64
-	// Plan is the fault schedule; the zero value means
-	// fault.DefaultPlan().
-	Plan fault.Plan
 	// Parallel enables parallel quorum fan-out, parallel two-phase
 	// commit rounds, and (when sharded) parallel stitching (default
 	// true, so races are exercised under -race).
 	Parallel *bool
-	// StorageFaults enables the midpoint storage-fault phase (default
-	// true): a minority of members lose part of their logs, restart in
-	// recovering mode, and are rebuilt from their peers while the
-	// workload keeps running. When sharded, every shard goes through the
-	// phase.
-	StorageFaults *bool
 	// Churn enables the membership-churn phase (default false): each
 	// shard's configuration becomes an epoch-fenced replicated record
 	// managed by reconfig.Manager, and a seed-derived schedule adds a
@@ -76,9 +69,11 @@ type ChaosConfig struct {
 	// conflicting younger transactions quickly, so this is a backstop
 	// rather than a pacing device (default 5s).
 	OpTimeout time.Duration
-	// MaxRetries is the suite's per-operation retry budget (default 32).
-	MaxRetries int
 }
+
+// chaosMaxRetries is each suite's and router's per-operation retry
+// budget.
+const chaosMaxRetries = 32
 
 // withDefaults fills in the zero-value defaults.
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -94,16 +89,9 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.Keys == 0 {
 		c.Keys = 48
 	}
-	if c.Plan == (fault.Plan{}) {
-		c.Plan = fault.DefaultPlan()
-	}
 	if c.Parallel == nil {
 		t := true
 		c.Parallel = &t
-	}
-	if c.StorageFaults == nil {
-		t := true
-		c.StorageFaults = &t
 	}
 	if c.Churn == nil {
 		f := false
@@ -111,9 +99,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	}
 	if c.OpTimeout == 0 {
 		c.OpTimeout = 5 * time.Second
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 32
 	}
 	if c.Name == "" {
 		if c.Shards > 1 {
@@ -269,7 +254,7 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		}
 		// Distinct per-shard fault streams; shard 0 keeps the historical
 		// seed so unsharded runs replay identically.
-		injector := fault.NewInjector(names, cfg.Plan, cfg.Seed+int64(i)*104729)
+		injector := fault.NewInjector(names, fault.DefaultPlan(), cfg.Seed+int64(i)*104729)
 		h.injectors = append(h.injectors, injector)
 
 		// Stack call counters over the fault members: the same middleware
@@ -303,7 +288,7 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 			return []core.Option{
 				core.WithIDSource(ids),
 				core.WithSelector(quorum.NewRandomSelector(qc, selSeed)),
-				core.WithMaxRetries(cfg.MaxRetries),
+				core.WithMaxRetries(chaosMaxRetries),
 				core.WithParallelQuorum(*cfg.Parallel),
 				core.WithHealth(health),
 				core.WithObserver(h.observer),
@@ -389,7 +374,7 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 	// from every suite's (suites use their shard index).
 	h.router, err = shard.NewRouter(m, h.suites,
 		shard.WithIDSource(txn.NewIDSource(1023)),
-		shard.WithMaxRetries(cfg.MaxRetries),
+		shard.WithMaxRetries(chaosMaxRetries),
 		shard.WithParallelStitch(*cfg.Parallel),
 	)
 	if err != nil {
@@ -512,7 +497,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		// members lose part of their logs and must come back through the
 		// rebuild-from-peers path while the suite keeps serving around
 		// them.
-		if *cfg.StorageFaults && op == cfg.Operations/2 {
+		if op == cfg.Operations/2 {
 			for i := range h.suites {
 				if err := storagePhase(h, i, &res); err != nil {
 					return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name, err)

@@ -15,19 +15,22 @@ import (
 	"repdir/internal/transport"
 )
 
+// healPenalty is the simulated connect-timeout a caller pays for every
+// message sent to the down member — the cost the circuit breaker exists
+// to stop paying. healStaleWrites is the number of updates applied while
+// the member is down, i.e. the catch-up work the recovery phase must
+// repair.
+const (
+	healPenalty     = 2 * time.Millisecond
+	healStaleWrites = 150
+)
+
 // HealConfig parameterizes the self-healing experiment.
 type HealConfig struct {
 	// Entries is the directory size seeded before measurement.
 	Entries int
 	// Ops is the number of lookups per measured phase.
 	Ops int
-	// Penalty is the simulated connect-timeout a caller pays for every
-	// message sent to the down member — the cost the circuit breaker
-	// exists to stop paying.
-	Penalty time.Duration
-	// StaleWrites is the number of updates applied while the member is
-	// down, i.e. the catch-up work the recovery phase must repair.
-	StaleWrites int
 	// PageSize and Pace tune the recovery repair (defaults 32, 2ms).
 	PageSize int
 	Pace     time.Duration
@@ -42,12 +45,6 @@ func (c HealConfig) withDefaults() HealConfig {
 	}
 	if c.Ops <= 0 {
 		c.Ops = 300
-	}
-	if c.Penalty <= 0 {
-		c.Penalty = 2 * time.Millisecond
-	}
-	if c.StaleWrites <= 0 {
-		c.StaleWrites = 150
 	}
 	if c.PageSize <= 0 {
 		c.PageSize = 32
@@ -75,8 +72,8 @@ type HealResult struct {
 	// BaselineAvg is mean lookup latency with every member healthy.
 	BaselineAvg time.Duration
 	// DegradedAvg is mean lookup latency with one member down and no
-	// breaker: every quorum that selects the dead member pays Penalty
-	// before routing around it.
+	// breaker: every quorum that selects the dead member pays
+	// healPenalty before routing around it.
 	DegradedAvg time.Duration
 	// TrippedAvg is mean lookup latency over the same outage with the
 	// health tracker attached, measured after the circuit opened; only
@@ -97,7 +94,7 @@ type HealResult struct {
 }
 
 // RunHeal measures what the self-healing machinery buys. One member of
-// a 3-2-2 suite "fails" such that every message to it costs Penalty
+// a 3-2-2 suite "fails" such that every message to it costs healPenalty
 // before failing — the connect-timeout model of a dead host. The
 // experiment measures steady-state lookup latency healthy, degraded
 // without a breaker, and degraded with the breaker open, then lets the
@@ -116,7 +113,7 @@ func RunHeal(cfg HealConfig) (HealResult, error) {
 		if i == 2 {
 			dirs[i] = transport.Wrap(local, func(transport.Op) error {
 				if down.Load() {
-					time.Sleep(cfg.Penalty)
+					time.Sleep(healPenalty)
 					return transport.ErrUnavailable
 				}
 				return nil
@@ -194,7 +191,7 @@ func RunHeal(cfg HealConfig) (HealResult, error) {
 	res.Probes = tracker.Stats().Probes
 
 	// The member misses writes while down, so recovery has real work.
-	for i := 0; i < cfg.StaleWrites; i++ {
+	for i := 0; i < healStaleWrites; i++ {
 		k := keys[rng.Intn(len(keys))]
 		if err := tripped.Update(ctx, k, fmt.Sprintf("v2-%d", i)); err != nil {
 			return res, fmt.Errorf("sim: stale write %s: %w", k, err)
@@ -231,7 +228,7 @@ func FormatHeal(r HealResult) string {
 	var b strings.Builder
 	cfg := r.Config
 	fmt.Fprintf(&b, "Self-healing — 3-2-2 suite, %d entries, one member down with a %v per-message timeout\n\n",
-		cfg.Entries, cfg.Penalty)
+		cfg.Entries, healPenalty)
 	fmt.Fprintf(&b, "  %-34s %12s\n", "phase (avg lookup latency)", "latency")
 	fmt.Fprintf(&b, "  %-34s %12v\n", "healthy baseline", r.BaselineAvg.Round(time.Microsecond))
 	fmt.Fprintf(&b, "  %-34s %12v\n", "member down, no breaker", r.DegradedAvg.Round(time.Microsecond))
@@ -240,7 +237,7 @@ func FormatHeal(r HealResult) string {
 		r.TripAfter, r.Probes)
 	fmt.Fprintf(&b, "  health counters: %+v\n", r.Health)
 	fmt.Fprintf(&b, "\n  recovery after the member returned (%d stale writes to catch up, page size %d, %v pace):\n",
-		cfg.StaleWrites, cfg.PageSize, cfg.Pace)
+		healStaleWrites, cfg.PageSize, cfg.Pace)
 	fmt.Fprintf(&b, "  %8s %8s %8s %10s %10s\n", "page", "scanned", "copied", "freshened", "elapsed")
 	for _, p := range r.Recovery {
 		fmt.Fprintf(&b, "  %8d %8d %8d %10d %10v\n",

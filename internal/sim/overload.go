@@ -15,6 +15,17 @@ import (
 	"repdir/internal/workload"
 )
 
+// The overload deployment's fixed service model. overloadServiceTime is
+// the brownout slow-link imposed on every member call: it pins the
+// suite's capacity low enough that modest offered rates saturate it, so
+// the curve is cheap to drive. overloadPerConn is each server's
+// per-connection worker pool; together they fix capacity at roughly
+// overloadPerConn/overloadServiceTime member-calls per second per member.
+const (
+	overloadServiceTime = 2 * time.Millisecond
+	overloadPerConn     = 8
+)
+
 // OverloadConfig parameterizes the overload-curve experiment: a real
 // TCP-loopback 3-2-2 suite with the full protection stack (deadline
 // propagation, CoDel admission, retry budgets, hedged reads) driven by
@@ -26,14 +37,6 @@ type OverloadConfig struct {
 	Duration time.Duration
 	// Workers is the driver's executor pool (default 64).
 	Workers int
-	// ServiceTime is the brownout slow-link imposed on every member
-	// call (default 2ms). It pins the suite's capacity low enough that
-	// modest offered rates saturate it, so the curve is cheap to drive.
-	ServiceTime time.Duration
-	// PerConn is each server's per-connection worker pool (default 8):
-	// together with ServiceTime it fixes capacity at roughly
-	// PerConn/ServiceTime member-calls per second per member.
-	PerConn int
 	// OpTimeout is the client deadline per operation (default 250ms);
 	// it propagates on the wire so servers can refuse doomed work.
 	OpTimeout time.Duration
@@ -58,12 +61,6 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 64
-	}
-	if c.ServiceTime <= 0 {
-		c.ServiceTime = 2 * time.Millisecond
-	}
-	if c.PerConn <= 0 {
-		c.PerConn = 8
 	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = 250 * time.Millisecond
@@ -150,7 +147,7 @@ func RunOverload(cfg OverloadConfig) (OverloadReport, error) {
 	dirs := make([]rep.Directory, len(names))
 	for i, n := range names {
 		brown := fault.NewBrownout(transport.NewLocal(rep.New(n)))
-		brown.SlowLink(cfg.ServiceTime)
+		brown.SlowLink(overloadServiceTime)
 		// The dispatch queue is sized to the driver's concurrency: with
 		// Workers in-flight operations fanning parallel quorum probes over
 		// one connection, bursts of up to ~2x Workers requests are honest
@@ -158,7 +155,7 @@ func RunOverload(cfg OverloadConfig) (OverloadReport, error) {
 		// standing delay.
 		srv, err := transport.Serve(brown, "127.0.0.1:0",
 			transport.WithAdmission(0, 0),
-			transport.WithPerConnConcurrency(cfg.PerConn),
+			transport.WithPerConnConcurrency(overloadPerConn),
 			transport.WithDispatchQueue(4*cfg.Workers))
 		if err != nil {
 			return report, fmt.Errorf("sim: overload serve %s: %w", n, err)
@@ -215,7 +212,7 @@ func RunOverload(cfg OverloadConfig) (OverloadReport, error) {
 	// post-protection goodput well below the knee and park every curve
 	// point under the true capacity, proving nothing about behavior past
 	// it.
-	rate := float64(cfg.PerConn) / cfg.ServiceTime.Seconds() / 4
+	rate := float64(overloadPerConn) / overloadServiceTime.Seconds() / 4
 	for i := 0; i < 6; i++ {
 		probe := base
 		probe.Mix.Name = fmt.Sprintf("cal@%.0f", rate)
@@ -281,17 +278,14 @@ func goodput(r workload.Result) float64 {
 	return float64(ok) / r.Elapsed.Seconds()
 }
 
-// FormatOverload renders the curve followed by benchmark lines for the
-// BENCH_overload.json ledger (`repdir-sim -experiment overload |
-// benchjson -out BENCH_overload.json`). Each line carries goodput and
-// the total sheds next to the latency quantiles; slo-ok is the
-// experiment verdict (plateau + bounded tail).
+// FormatOverload renders the curve, one row a load point, followed by
+// the plateau and tail verdicts.
 func FormatOverload(r OverloadReport) string {
 	var b strings.Builder
 	c := r.Config
 	fmt.Fprintf(&b,
 		"Overload curve — %d keys, 3-2-2 TCP suite, %v service time, CoDel admission, %v op deadline, seed %d\n",
-		c.Keys, c.ServiceTime, c.OpTimeout, c.Seed)
+		c.Keys, overloadServiceTime, c.OpTimeout, c.Seed)
 	fmt.Fprintf(&b, "capacity (calibrated goodput under protection): %.0f ops/s\n\n", r.Capacity)
 	fmt.Fprintf(&b, "  %-6s %9s %9s %9s %9s %9s %9s %10s %10s\n",
 		"load", "offered", "goodput", "errs", "cli-shed", "srv-shed", "expired", "p99", "p999")
@@ -318,24 +312,5 @@ func FormatOverload(r OverloadReport) string {
 		last.Result.Response.Quantile(0.999).Round(time.Microsecond), r.TailBound, verdict(r.TailBounded))
 	fmt.Fprintf(&b, "  client:  %d hedged reads, %d budget exhaustions\n",
 		r.HedgedReads, r.BudgetExhausted)
-
-	ok := 0
-	if r.Pass() {
-		ok = 1
-	}
-	for _, p := range r.Points {
-		nsOp := 0.0
-		if p.Result.Completed > 0 {
-			nsOp = float64(p.Result.Response.Sum.Nanoseconds()) / float64(p.Result.Completed)
-		}
-		sheds := p.Result.Shed + p.ServerShed + p.ServerExpired
-		fmt.Fprintf(&b,
-			"BenchmarkOverload/load=%.2gx/keys=%d \t%8d\t%12.0f ns/op\t%12d p50-ns\t%12d p99-ns\t%12d p999-ns\t%12.0f goodput-ops\t%12d shed\t%d slo-ok\n",
-			p.Multiple, c.Keys, p.Result.Completed, nsOp,
-			p.Result.Response.Quantile(0.50).Nanoseconds(),
-			p.Result.Response.Quantile(0.99).Nanoseconds(),
-			p.Result.Response.Quantile(0.999).Nanoseconds(),
-			p.Goodput, sheds, ok)
-	}
 	return b.String()
 }

@@ -20,8 +20,7 @@ import (
 // universe, driven by the internal/workload open-loop harness through
 // the standard mixes.
 type WorkloadConfig struct {
-	// Keys is the key-universe size (default 100,000; `make
-	// benchworkload` runs 1,000,000).
+	// Keys is the key-universe size (default 100,000).
 	Keys int
 	// Shards splits the universe over that many suites (default 4).
 	Shards int
@@ -95,8 +94,8 @@ type WorkloadReport struct {
 // RunWorkload builds the sharded deployment, preloads the universe, and
 // drives the standard mixes through it: zipfian read-heavy, uniform
 // update-heavy, zipfian scan-heavy, then read-heavy again through
-// client sessions (read-your-writes floors, lease-based local reads at
-// each suite's sticky first member).
+// client sessions (read-your-writes floors, local reads at each suite's
+// sticky first member under a client-side staleness lease).
 func RunWorkload(cfg WorkloadConfig) (WorkloadReport, error) {
 	cfg = cfg.withDefaults()
 	report := WorkloadReport{Config: cfg}
@@ -197,12 +196,8 @@ func RunWorkload(cfg WorkloadConfig) (WorkloadReport, error) {
 	return report, nil
 }
 
-// FormatWorkload renders the per-mix table followed by the same
-// measurements as testing-package benchmark lines, which `repdir-sim
-// -experiment workload | benchjson -out BENCH_workload.json` turns into
-// the committed ledger. Beyond the standard ns/op (mean response time),
-// each line carries the response-time quantiles and the SLO verdict as
-// custom value/unit pairs (p50-ns, p99-ns, p999-ns, slo-ok).
+// FormatWorkload renders the per-mix table: offered and completed work,
+// response-time quantiles and each mix's SLO verdict.
 func FormatWorkload(r WorkloadReport) string {
 	var b strings.Builder
 	c := r.Config
@@ -247,21 +242,6 @@ func FormatWorkload(r WorkloadReport) string {
 			m.Config.Mix.Name,
 			m.Response.Quantile(0.99).Round(time.Microsecond),
 			m.Service.Quantile(0.99).Round(time.Microsecond))
-	}
-	for _, m := range r.Mixes {
-		sloOK := 1
-		if m.Verdict.Checked && !m.Verdict.Pass {
-			sloOK = 0
-		}
-		nsOp := 0.0
-		if m.Completed > 0 {
-			nsOp = float64(m.Response.Sum.Nanoseconds()) / float64(m.Completed)
-		}
-		fmt.Fprintf(&b,
-			"BenchmarkWorkload/mix=%s/keys=%d \t%8d\t%12.0f ns/op\t%12d p50-ns\t%12d p99-ns\t%12d p999-ns\t%d slo-ok\n",
-			m.Config.Mix.Name, c.Keys, m.Completed, nsOp,
-			m.Verdict.P50.Nanoseconds(), m.Verdict.P99.Nanoseconds(),
-			m.Verdict.P999.Nanoseconds(), sloOK)
 	}
 	return b.String()
 }

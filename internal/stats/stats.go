@@ -127,54 +127,3 @@ func (a *Accumulator) Summarize() Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("%.2f %.0f %.2f", s.Avg, s.Max, s.StdDev)
 }
-
-// Histogram counts integer-valued observations into unit-wide buckets,
-// used to inspect the tail of the coalescing statistics.
-type Histogram struct {
-	counts map[int]int64
-	total  int64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int]int64)}
-}
-
-// Add records one observation of the integer value v.
-func (h *Histogram) Add(v int) {
-	h.counts[v]++
-	h.total++
-}
-
-// Count returns the number of observations of exactly v.
-func (h *Histogram) Count(v int) int64 { return h.counts[v] }
-
-// Total returns the total number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Quantile returns the smallest value v such that at least fraction q of
-// observations are <= v. q must be in (0, 1]. Returns 0 for an empty
-// histogram.
-func (h *Histogram) Quantile(q float64) int {
-	if h.total == 0 {
-		return 0
-	}
-	lo, hi := math.MaxInt, math.MinInt
-	for v := range h.counts {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	need := int64(math.Ceil(q * float64(h.total)))
-	var cum int64
-	for v := lo; v <= hi; v++ {
-		cum += h.counts[v]
-		if cum >= need {
-			return v
-		}
-	}
-	return hi
-}

@@ -127,26 +127,3 @@ func TestAccumulatorBoundsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []int{0, 0, 1, 1, 1, 2, 5} {
-		h.Add(v)
-	}
-	if h.Total() != 7 || h.Count(1) != 3 || h.Count(4) != 0 {
-		t.Error("histogram counts wrong")
-	}
-	if q := h.Quantile(0.5); q != 1 {
-		t.Errorf("median = %d, want 1", q)
-	}
-	if q := h.Quantile(1.0); q != 5 {
-		t.Errorf("p100 = %d, want 5", q)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram()
-	if h.Quantile(0.5) != 0 || h.Total() != 0 {
-		t.Error("empty histogram should report zeros")
-	}
-}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -238,32 +237,6 @@ func WrapStats(target rep.Directory) (*Middleware, *CallStats) {
 		Target: func() rep.Directory { return target },
 		Stats:  stats,
 	}, stats
-}
-
-// HealthReporter receives per-call reachability outcomes; it is
-// satisfied by core.HealthTracker, so a tracker can be fed from the
-// middleware stack instead of (or in addition to) quorum fan-out.
-type HealthReporter interface {
-	ReportSuccess(member string)
-	ReportFailure(member string)
-}
-
-// WrapHealth builds a Middleware over a fixed target that reports every
-// call's outcome to hr: ErrUnavailable counts as a failure, any other
-// completion (errors included — a reply proves reachability) as a
-// success.
-func WrapHealth(target rep.Directory, hr HealthReporter) *Middleware {
-	name := target.Name()
-	return &Middleware{
-		Target: func() rep.Directory { return target },
-		After: func(_ Op, err error) {
-			if errors.Is(err, ErrUnavailable) {
-				hr.ReportFailure(name)
-			} else {
-				hr.ReportSuccess(name)
-			}
-		},
-	}
 }
 
 // begin runs the Before hook and opens the stats window. It returns the

@@ -256,56 +256,6 @@ func TestMiddlewareAfterSeesOutcomes(t *testing.T) {
 	}
 }
 
-// countingReporter records reachability reports per member.
-type countingReporter struct {
-	mu               sync.Mutex
-	success, failure map[string]int
-}
-
-func (r *countingReporter) ReportSuccess(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.success[member]++
-}
-
-func (r *countingReporter) ReportFailure(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.failure[member]++
-}
-
-func TestWrapHealthReportsReachability(t *testing.T) {
-	rec := &countingReporter{success: map[string]int{}, failure: map[string]int{}}
-	local := NewLocal(rep.New("A"))
-	m := WrapHealth(local, rec)
-
-	// A completed call — even one returning a semantic error — proves
-	// the member reachable.
-	if err := m.Insert(ctx, 1, keyspace.New("k"), 1, "v"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Insert(ctx, 2, keyspace.Low(), 1, "x"); err == nil {
-		t.Fatal("sentinel insert should fail")
-	}
-	m.Abort(ctx, 1)
-	m.Abort(ctx, 2)
-
-	// Unavailability is the one failure class.
-	local.Crash()
-	if _, err := m.Lookup(ctx, 3, keyspace.New("k")); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("lookup on crashed member: %v", err)
-	}
-
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if rec.success["A"] != 4 {
-		t.Errorf("successes = %d, want 4 (semantic errors count as reachable)", rec.success["A"])
-	}
-	if rec.failure["A"] != 1 {
-		t.Errorf("failures = %d, want 1", rec.failure["A"])
-	}
-}
-
 // blockingDir delays Lookup until release closes, signalling entry.
 type blockingDir struct {
 	rep.Directory

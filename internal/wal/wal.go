@@ -575,20 +575,3 @@ func Analyze(records []Record) (Analysis, error) {
 	}
 	return a, nil
 }
-
-// Replay feeds the redo records of committed transactions, in commit
-// order, to apply. Unprepared transactions are dropped (presumed abort);
-// prepared-but-undecided transactions are also skipped here — use
-// Analyze to surface them for resolution.
-func Replay(records []Record, apply func(Record) error) error {
-	a, err := Analyze(records)
-	if err != nil {
-		return err
-	}
-	for _, op := range a.Committed {
-		if err := apply(op); err != nil {
-			return fmt.Errorf("wal: replay txn %d %s: %w", op.Txn, op.Kind, err)
-		}
-	}
-	return nil
-}

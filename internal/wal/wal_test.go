@@ -209,6 +209,21 @@ func TestFilterAfter(t *testing.T) {
 	}
 }
 
+// replayed returns the keys recovery replays from records: the redo
+// records Analyze files as committed, in order.
+func replayed(t *testing.T, records []Record) (Analysis, []string) {
+	t.Helper()
+	a, err := Analyze(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, r := range a.Committed {
+		keys = append(keys, r.Key.Raw())
+	}
+	return a, keys
+}
+
 func TestReplayCommitsOnly(t *testing.T) {
 	records := []Record{
 		rec(KindInsert, 1, "a"),
@@ -217,18 +232,14 @@ func TestReplayCommitsOnly(t *testing.T) {
 		rec(KindInsert, 3, "c"),
 		{Kind: KindCommit, Txn: 1},
 		{Kind: KindAbort, Txn: 3},
-		// txn 2 prepared but never committed: presumed abort.
+		// txn 2 prepared but never decided: in doubt, not replayed.
 	}
-	var applied []string
-	err := Replay(records, func(r Record) error {
-		applied = append(applied, r.Key.Raw())
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, applied := replayed(t, records)
 	if len(applied) != 1 || applied[0] != "a" {
 		t.Errorf("applied = %v, want [a]", applied)
+	}
+	if len(a.InDoubt) != 1 || len(a.InDoubt[2]) != 1 {
+		t.Errorf("in doubt = %v, want txn 2 with its one insert", a.InDoubt)
 	}
 }
 
@@ -239,14 +250,11 @@ func TestReplayPreservesIntraTxnOrder(t *testing.T) {
 		rec(KindInsert, 7, "z"),
 		{Kind: KindCommit, Txn: 7},
 	}
-	var order []string
-	if err := Replay(records, func(r Record) error {
-		order = append(order, r.Key.Raw())
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	_, order := replayed(t, records)
 	want := []string{"x", "y", "z"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
@@ -261,21 +269,15 @@ func TestReplayCommitOrderAcrossTxns(t *testing.T) {
 		{Kind: KindCommit, Txn: 1},
 		{Kind: KindCommit, Txn: 2},
 	}
-	var order []string
-	if err := Replay(records, func(r Record) error {
-		order = append(order, r.Key.Raw())
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if order[0] != "early" || order[1] != "late" {
+	_, order := replayed(t, records)
+	if len(order) != 2 || order[0] != "early" || order[1] != "late" {
 		t.Errorf("replay must follow commit order, got %v", order)
 	}
 }
 
 func TestReplayRejectsUnknownKind(t *testing.T) {
-	if err := Replay([]Record{{Kind: Kind(99)}}, func(Record) error { return nil }); err == nil {
-		t.Error("unknown kind should fail replay")
+	if _, err := Analyze([]Record{{Kind: Kind(99)}}); err == nil {
+		t.Error("unknown kind should fail analysis")
 	}
 }
 
