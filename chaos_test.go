@@ -111,13 +111,13 @@ func TestChaosSoak(t *testing.T) {
 				t.Errorf("seed %d: rebuild not counted in storage metrics: %+v", seed, res.Storage)
 			}
 			t.Logf("seed %d: applied=%d observed=%d indeterminate=%d lookups=%d audited=%d "+
-				"crashes=%d partitions=%d duplicates=%d drops=%d restarts=%d resolved=%d strays=%d repcalls=%d "+
+				"crashes=%d partitions=%d duplicates=%d drops=%d restarts=%d resolved=%d strays=%d calls=%d "+
 				"trips=%d fastfails=%d probes=%d healed=%d ghosts=%d "+
 				"storagelost=%d recordslost=%d rebuilds=%d rebuilt=%d gaps=%d",
 				seed, res.Applied, res.Observed, res.Indeterminate, res.Lookups, res.AuditedKeys,
 				res.Faults.Crashes+res.Faults.CrashAfters, res.Faults.Partitions,
 				res.Faults.Duplicates, res.Faults.DroppedReplies, res.Faults.Restarts,
-				res.Resolved, res.StraysAborted, res.RepCalls,
+				res.Resolved, res.StraysAborted, res.Faults.Calls,
 				res.Health.Trips, res.Health.FastFails, res.Health.Probes,
 				res.Heal.Copied+res.Heal.Freshened, res.GhostsLeft,
 				res.StorageLosses, res.RecordsLost, res.Rebuilds,
@@ -446,7 +446,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 	for i, n := range names {
 		logs[i] = &wal.MemoryLog{}
 		reps[i] = rep.New(n, rep.WithLog(logs[i]))
-		locals[i] = transport.NewLocal(newSwappableRep(&repMu, reps, i))
+		locals[i] = transport.NewLocal(reps[i])
 		dirs[i] = locals[i]
 	}
 	cfg := quorum.NewUniform(dirs, 2, 2)
@@ -493,6 +493,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 			repMu.Lock()
 			reps[i] = recovered
 			repMu.Unlock()
+			locals[i].Replace(recovered)
 			locals[i].Restart()
 			// In-doubt transactions stay blocked until the post-run
 			// resolution sweep — resolving here could race a live
@@ -627,17 +628,4 @@ func TestChaosConcurrentClients(t *testing.T) {
 		st.ReadRepairEnqueued, st.ReadRepairDone, st.ReadRepairFailed,
 		st.ReadRepairCopied, st.ReadRepairFreshened, st.ReadRepairDropped)
 	t.Logf("health: %+v", health.Stats())
-}
-
-// swappableRep lets the chaos goroutine atomically replace a crashed
-// replica with its recovered incarnation while clients keep using the
-// same rep.Directory handle.
-func newSwappableRep(mu *sync.Mutex, reps []*rep.Rep, idx int) rep.Directory {
-	return &transport.Middleware{
-		Target: func() rep.Directory {
-			mu.Lock()
-			defer mu.Unlock()
-			return reps[idx]
-		},
-	}
 }

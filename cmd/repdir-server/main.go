@@ -137,6 +137,13 @@ func run(args []string) error {
 		witnesses[wn] = true
 	}
 
+	// Recovery events (salvages, snapshot fallbacks, rebuilds) happen
+	// while the representatives open, so the observer that counts them
+	// for the metrics endpoint exists before they do.
+	var observer *obs.Observer
+	if *obsAddr != "" {
+		observer = obs.NewObserver(obs.ObserverConfig{NoTrace: true})
+	}
 	reps := make([]*rep.Rep, len(names))
 	durables := make([]*rep.Durability, len(names))
 	servers := make([]*transport.Server, len(names))
@@ -150,7 +157,7 @@ func run(args []string) error {
 				sp = fmt.Sprintf(sp, nm)
 			}
 		}
-		r, durability, err := buildRep(nm, wp, sp, policy, recoveryPolicy, witnesses[nm])
+		r, durability, err := buildRep(nm, wp, sp, policy, recoveryPolicy, witnesses[nm], observer)
 		if err != nil {
 			return fmt.Errorf("%s: %w", nm, err)
 		}
@@ -182,23 +189,7 @@ func run(args []string) error {
 	}
 
 	if *obsAddr != "" {
-		registry := obs.NewRegistry()
-		// Wire traffic (frames, batching factor, payload bytes) joins the
-		// representatives' own op counters on the metrics endpoint. A
-		// single-rep server keeps the historical "server" endpoint label;
-		// hosting several, each rep labels its own samples.
-		wire := make(map[string]*transport.WireStats, len(servers))
-		for i, srv := range servers {
-			ep := "server"
-			if multi {
-				ep = names[i]
-			}
-			wire[ep] = srv.WireStats()
-		}
-		transport.RegisterWireStats(registry, wire)
-		registerRepMetrics(registry, reps, names)
-		registerAdmissionMetrics(registry, servers, names, multi)
-		osrv, err := obs.Serve(*obsAddr, registry, true)
+		osrv, err := obs.Serve(*obsAddr, metricsRegistry(observer, reps, servers, names), true)
 		if err != nil {
 			return fmt.Errorf("obs: %w", err)
 		}
@@ -272,8 +263,9 @@ func checkpointLoop(d *rep.Durability, every time.Duration, stop <-chan struct{}
 
 // buildRep constructs the representative: durable (snapshot + WAL) when
 // paths are configured, volatile otherwise. A witness stores (and logs)
-// versions but no values.
-func buildRep(name, walPath, snapPath string, policy wal.SyncPolicy, recovery rep.RecoveryPolicy, witness bool) (*rep.Rep, *rep.Durability, error) {
+// versions but no values. Recovery events are counted on observer,
+// which may be nil.
+func buildRep(name, walPath, snapPath string, policy wal.SyncPolicy, recovery rep.RecoveryPolicy, witness bool, observer *obs.Observer) (*rep.Rep, *rep.Durability, error) {
 	var repOpts []rep.Option
 	if witness {
 		repOpts = append(repOpts, rep.AsWitness())
@@ -283,7 +275,7 @@ func buildRep(name, walPath, snapPath string, policy wal.SyncPolicy, recovery re
 	}
 	return rep.OpenDurable(name, walPath, snapPath,
 		rep.WithSyncPolicy(policy), rep.WithRecovery(recovery),
-		rep.WithRepOptions(repOpts...))
+		rep.WithRepOptions(repOpts...), rep.WithDurableObserver(observer))
 }
 
 // reportRecovery logs what OpenDurable found, loudly when it was not a
@@ -308,6 +300,29 @@ func reportRecovery(name string, rec rep.RecoveryReport) {
 	for _, w := range rec.Warnings {
 		fmt.Fprintf(os.Stderr, "repdir-server: %s: recovery: %s\n", name, w)
 	}
+}
+
+// metricsRegistry gathers what -obs.addr serves. Wire traffic (frames,
+// batching factor, payload bytes) joins the representatives' own op
+// counters, the admission decisions and the observer's storage-recovery
+// counters. A single-rep server keeps the historical "server" endpoint
+// label; hosting several, each rep labels its own samples.
+func metricsRegistry(observer *obs.Observer, reps []*rep.Rep, servers []*transport.Server, names []string) *obs.Registry {
+	registry := obs.NewRegistry()
+	multi := len(names) > 1
+	wire := make(map[string]*transport.WireStats, len(servers))
+	for i, srv := range servers {
+		ep := "server"
+		if multi {
+			ep = names[i]
+		}
+		wire[ep] = srv.WireStats()
+	}
+	transport.RegisterWireStats(registry, wire)
+	registerRepMetrics(registry, reps, names)
+	registerAdmissionMetrics(registry, servers, names, multi)
+	observer.Register(registry)
+	return registry
 }
 
 // registerRepMetrics exposes every hosted representative's cumulative

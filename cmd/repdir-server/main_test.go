@@ -2,17 +2,20 @@ package main
 
 import (
 	"context"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
+	"repdir/internal/obs"
 	"repdir/internal/rep"
 	"repdir/internal/wal"
 )
 
 func TestBuildRepVolatile(t *testing.T) {
-	r, d, err := buildRep("vol", "", "", wal.SyncOnCommit, rep.RecoverStrict, false)
+	r, d, err := buildRep("vol", "", "", wal.SyncOnCommit, rep.RecoverStrict, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +34,7 @@ func TestBuildRepRecoversFromWAL(t *testing.T) {
 	snapPath := filepath.Join(dir, "rep.snap")
 
 	// First life: write one committed entry and checkpoint.
-	r1, d1, err := buildRep("persist", walPath, snapPath, wal.SyncOnCommit, rep.RecoverStrict, false)
+	r1, d1, err := buildRep("persist", walPath, snapPath, wal.SyncOnCommit, rep.RecoverStrict, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +51,7 @@ func TestBuildRepRecoversFromWAL(t *testing.T) {
 	d1.Close()
 
 	// Second life: the entry survives via the snapshot.
-	r2, d2, err := buildRep("persist", walPath, snapPath, wal.SyncOnCommit, rep.RecoverStrict, false)
+	r2, d2, err := buildRep("persist", walPath, snapPath, wal.SyncOnCommit, rep.RecoverStrict, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +67,7 @@ func TestBuildRepWitnessDurable(t *testing.T) {
 	ctx := context.Background()
 	walPath := filepath.Join(t.TempDir(), "w.wal")
 
-	r1, d1, err := buildRep("W", walPath, "", wal.SyncOnCommit, rep.RecoverStrict, true)
+	r1, d1, err := buildRep("W", walPath, "", wal.SyncOnCommit, rep.RecoverStrict, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func TestBuildRepWitnessDurable(t *testing.T) {
 
 	// Second life: still a witness, version recovered, value blanked —
 	// the WAL itself must never have carried the value.
-	r2, d2, err := buildRep("W", walPath, "", wal.SyncOnCommit, rep.RecoverStrict, true)
+	r2, d2, err := buildRep("W", walPath, "", wal.SyncOnCommit, rep.RecoverStrict, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +106,55 @@ func TestBuildRepWitnessDurable(t *testing.T) {
 	r2.Commit(ctx, 2)
 }
 
+// TestSalvageCountsOnMetrics: a log whose last record was torn
+// mid-append, opened under -recovery salvage with -obs.addr set, shows
+// the salvage on the metrics endpoint's storage counters.
+func TestSalvageCountsOnMetrics(t *testing.T) {
+	ctx := context.Background()
+	walPath := filepath.Join(t.TempDir(), "A.wal")
+	r1, d1, err := buildRep("A", walPath, "", wal.SyncOnCommit, rep.RecoverStrict, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, k := range []string{"a", "b"} {
+		if err := r1.Insert(ctx, lock.TxnID(id+1), keyspace.New(k), 1, "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r1.Commit(ctx, lock.TxnID(id+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d1.Close()
+	info, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(walPath, info.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	policy, err := rep.ParseRecoveryPolicy("salvage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	observer := obs.NewObserver(obs.ObserverConfig{NoTrace: true})
+	r2, d2, err := buildRep("A", walPath, "", wal.SyncOnCommit, policy, false, observer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if d2.Recovery().Salvage == nil {
+		t.Fatal("the torn tail was not salvaged")
+	}
+	var out strings.Builder
+	if err := metricsRegistry(observer, []*rep.Rep{r2}, nil, []string{"A"}).WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "\nrepdir_storage_salvages_total 1\n") {
+		t.Errorf("metrics lack repdir_storage_salvages_total 1:\n%s", out.String())
+	}
+}
+
 func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-snap", "/tmp/x.snap"}); err == nil {
 		t.Error("-snap without -wal should fail")
@@ -119,7 +171,7 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 func TestBuildRepRejectsBadPath(t *testing.T) {
-	if _, _, err := buildRep("x", t.TempDir(), "", wal.SyncOnCommit, rep.RecoverStrict, false); err == nil {
+	if _, _, err := buildRep("x", t.TempDir(), "", wal.SyncOnCommit, rep.RecoverStrict, false, nil); err == nil {
 		t.Error("opening a directory as a WAL should fail")
 	}
 }

@@ -164,7 +164,7 @@ func WithReadRepair(queue int) Option {
 // into an overloaded system. ErrOverloaded/ErrExpired become retryable
 // *only* under a budget. Wait-die retries are exempt (deadlock
 // avoidance, not load). Budgets are shareable: pass the same one to
-// every suite and router in a process to cap their combined retry load.
+// every suite in a process to cap their combined retry load.
 func WithRetryBudget(b *RetryBudget) Option { return func(s *Suite) { s.budget = b } }
 
 // WithNeighborFanout sets how many successive predecessors/successors

@@ -1,8 +1,8 @@
 // Package fault injects deterministic, seed-driven faults between a
-// directory suite and its representatives. A Member wraps a
-// rep.Directory (it implements rep.Directory itself, so it composes with
-// transport.WrapStats and the rest of the middleware stack) and imposes,
-// per call:
+// directory suite and its representatives, and into the files beneath
+// them (FaultFile, RunCrashPoints). A Member is a transport.Middleware whose
+// hook is the member itself, so it is a rep.Directory like any other
+// connection, and imposes, per call:
 //
 //   - latency, injected on a fraction of calls (Plan.PDelay), drawn
 //     uniformly in [0, Plan.MaxLatency);
@@ -40,11 +40,9 @@ import (
 	"sync"
 	"time"
 
-	"repdir/internal/keyspace"
 	"repdir/internal/lock"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
-	"repdir/internal/version"
 	"repdir/internal/wal"
 )
 
@@ -122,9 +120,11 @@ type Stats struct {
 	StorageLosses uint64
 }
 
-// Member is a fault-injecting rep.Directory middleware. The zero value
-// is not usable; construct with NewMember or NewRecovering.
+// Member is a fault-injecting transport.Middleware over one
+// representative; it is its own hook. The zero value is not usable;
+// construct with NewMember or NewRecovering.
 type Member struct {
+	transport.Middleware
 	name string
 	plan Plan
 
@@ -141,20 +141,20 @@ type Member struct {
 	stats          Stats
 }
 
-var _ rep.Directory = (*Member)(nil)
-
 // NewMember wraps target with the plan's fault schedule. restart, when
 // non-nil, rebuilds the representative after a crash window (typically
 // from its write-ahead log); with a nil restart, crashes are downgraded
 // to partitions since there is nothing to lose state from.
 func NewMember(name string, target rep.Directory, restart func() (rep.Directory, error), plan Plan, seed int64) *Member {
-	return &Member{
+	m := &Member{
 		name:    name,
 		plan:    plan,
 		rng:     rand.New(rand.NewSource(seed)),
 		target:  target,
 		restart: restart,
 	}
+	m.Hook = m
+	return m
 }
 
 // NewRecovering builds a write-ahead-logged representative wrapped in a
@@ -314,30 +314,38 @@ func sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// invoke drives one delivery through the fault schedule.
-func invoke[T any](ctx context.Context, m *Member, call func(rep.Directory) (T, error)) (T, error) {
-	var zero T
+// Enter implements transport.Hook: it draws the delivery's faults, so
+// the decision stream advances once per call, in call order. A member
+// inside a down window refuses; a delivered call waits out its delay and
+// goes to the current incarnation, twice when duplicated.
+func (m *Member) Enter(ctx context.Context, _ transport.Op) (transport.Call, error) {
 	d := m.decide()
 	if d.unavailable {
-		return zero, transport.ErrUnavailable
+		return transport.Call{}, transport.ErrUnavailable
 	}
 	if err := sleep(ctx, d.delay); err != nil {
-		return zero, err
+		return transport.Call{}, err
 	}
-	res, err := call(d.target)
 	if d.duplicate {
 		m.note(func(s *Stats) { s.Duplicates++ })
-		res, err = call(d.target)
 	}
+	return transport.Call{Ctx: ctx, Dir: d.target, Twice: d.duplicate, Note: d}, nil
+}
+
+// Exit implements transport.Hook: after a crash-after the caller sees
+// ErrUnavailable for a call that executed, and a dropped reply replaces
+// a success with it.
+func (m *Member) Exit(c transport.Call, _ transport.Op, err error) error {
+	d := c.Note.(decision)
 	if d.crashAfter {
 		m.crashAfterCall()
-		return zero, transport.ErrUnavailable
+		return transport.ErrUnavailable
 	}
 	if d.dropReply && err == nil {
 		m.note(func(s *Stats) { s.DroppedReplies++ })
-		return zero, transport.ErrUnavailable
+		return transport.ErrUnavailable
 	}
-	return res, err
+	return err
 }
 
 // note updates stats under the lock.
@@ -485,86 +493,6 @@ func (m *Member) Strays() []lock.TxnID {
 	return nil
 }
 
-// Name implements rep.Directory. The name is stable across restarts.
+// Name implements transport.Hook (and so rep.Directory). The name is
+// stable across restarts.
 func (m *Member) Name() string { return m.name }
-
-// Lookup implements rep.Directory.
-func (m *Member) Lookup(ctx context.Context, id lock.TxnID, key keyspace.Key) (rep.LookupResult, error) {
-	return invoke(ctx, m, func(d rep.Directory) (rep.LookupResult, error) {
-		return d.Lookup(ctx, id, key)
-	})
-}
-
-// Predecessor implements rep.Directory.
-func (m *Member) Predecessor(ctx context.Context, id lock.TxnID, key keyspace.Key) (rep.NeighborResult, error) {
-	return invoke(ctx, m, func(d rep.Directory) (rep.NeighborResult, error) {
-		return d.Predecessor(ctx, id, key)
-	})
-}
-
-// Successor implements rep.Directory.
-func (m *Member) Successor(ctx context.Context, id lock.TxnID, key keyspace.Key) (rep.NeighborResult, error) {
-	return invoke(ctx, m, func(d rep.Directory) (rep.NeighborResult, error) {
-		return d.Successor(ctx, id, key)
-	})
-}
-
-// PredecessorBatch implements rep.Directory.
-func (m *Member) PredecessorBatch(ctx context.Context, id lock.TxnID, key keyspace.Key, max int) ([]rep.NeighborResult, error) {
-	return invoke(ctx, m, func(d rep.Directory) ([]rep.NeighborResult, error) {
-		return d.PredecessorBatch(ctx, id, key, max)
-	})
-}
-
-// SuccessorBatch implements rep.Directory.
-func (m *Member) SuccessorBatch(ctx context.Context, id lock.TxnID, key keyspace.Key, max int) ([]rep.NeighborResult, error) {
-	return invoke(ctx, m, func(d rep.Directory) ([]rep.NeighborResult, error) {
-		return d.SuccessorBatch(ctx, id, key, max)
-	})
-}
-
-// Insert implements rep.Directory.
-func (m *Member) Insert(ctx context.Context, id lock.TxnID, key keyspace.Key, ver version.V, value string) error {
-	_, err := invoke(ctx, m, func(d rep.Directory) (struct{}, error) {
-		return struct{}{}, d.Insert(ctx, id, key, ver, value)
-	})
-	return err
-}
-
-// Coalesce implements rep.Directory.
-func (m *Member) Coalesce(ctx context.Context, id lock.TxnID, lo, hi keyspace.Key, ver version.V) (rep.CoalesceResult, error) {
-	return invoke(ctx, m, func(d rep.Directory) (rep.CoalesceResult, error) {
-		return d.Coalesce(ctx, id, lo, hi, ver)
-	})
-}
-
-// Prepare implements rep.Directory.
-func (m *Member) Prepare(ctx context.Context, id lock.TxnID) error {
-	_, err := invoke(ctx, m, func(d rep.Directory) (struct{}, error) {
-		return struct{}{}, d.Prepare(ctx, id)
-	})
-	return err
-}
-
-// Commit implements rep.Directory.
-func (m *Member) Commit(ctx context.Context, id lock.TxnID) error {
-	_, err := invoke(ctx, m, func(d rep.Directory) (struct{}, error) {
-		return struct{}{}, d.Commit(ctx, id)
-	})
-	return err
-}
-
-// Abort implements rep.Directory.
-func (m *Member) Abort(ctx context.Context, id lock.TxnID) error {
-	_, err := invoke(ctx, m, func(d rep.Directory) (struct{}, error) {
-		return struct{}{}, d.Abort(ctx, id)
-	})
-	return err
-}
-
-// Status implements rep.Directory.
-func (m *Member) Status(ctx context.Context, id lock.TxnID) (rep.TxnStatus, error) {
-	return invoke(ctx, m, func(d rep.Directory) (rep.TxnStatus, error) {
-		return d.Status(ctx, id)
-	})
-}

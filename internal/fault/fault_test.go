@@ -2,11 +2,14 @@ package fault
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
 	"repdir/internal/rep"
+	"repdir/internal/transport"
 	"repdir/internal/wal"
 )
 
@@ -136,5 +139,86 @@ func TestInjectorResolvesInDoubtAfterCrashRestart(t *testing.T) {
 	res, err := mb.Lookup(ctx, 20, key)
 	if err != nil || !res.Found || res.Value != "v" {
 		t.Errorf("B lookup after resolve = %+v, %v; want found v", res, err)
+	}
+}
+
+// TestBrownoutSlowLink: a constant slow link — a transport.Local with a
+// fixed latency, as the overload harness builds each member — under a
+// fault member: the latency is imposed on every call, the wait honors
+// the caller's context, and the member counts both calls.
+func TestBrownoutSlowLink(t *testing.T) {
+	link := transport.NewLocal(rep.New("A"))
+	link.SetLatency(20 * time.Millisecond)
+	m := NewMember("A", link, nil, Plan{}, 1)
+
+	start := time.Now()
+	if _, err := m.Lookup(ctx, 1, keyspace.New("k")); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el < 20*time.Millisecond {
+		t.Fatalf("slow link not imposed: call took %v", el)
+	}
+
+	// An already-expired context must cut the wait short.
+	expired, cancel := context.WithCancel(ctx)
+	cancel()
+	start = time.Now()
+	if _, err := m.Lookup(expired, 2, keyspace.New("k")); !errors.Is(err, context.Canceled) {
+		t.Fatalf("expired context: err = %v", err)
+	}
+	if el := time.Since(start); el > 10*time.Millisecond {
+		t.Fatalf("cancelled call still waited %v", el)
+	}
+
+	if st := m.Stats(); st != (Stats{Calls: 2}) {
+		t.Fatalf("stats = %+v, want 2 calls and nothing injected", st)
+	}
+	m.Abort(ctx, 1)
+}
+
+// TestDeliverySemantics pins what each mid-transaction fault does to one
+// call: whether the representative executed it, what the caller got, and
+// what the member counted. A dropped reply and a crash after executing
+// both hide a call that happened behind ErrUnavailable and the zero
+// result; a duplicate executes twice and returns the second reply.
+func TestDeliverySemantics(t *testing.T) {
+	stored := rep.LookupResult{Found: true, Version: 1, Value: "v"}
+	for _, tc := range []struct {
+		name     string
+		plan     Plan
+		executed uint64 // lookups the representative ran
+		err      error
+		res      rep.LookupResult
+		stats    Stats
+		up       bool
+	}{
+		{"drop-reply", Plan{PDropReply: 1}, 1, transport.ErrUnavailable, rep.LookupResult{}, Stats{Calls: 1, DroppedReplies: 1}, true},
+		{"crash-after", Plan{PCrashAfter: 1}, 1, transport.ErrUnavailable, rep.LookupResult{}, Stats{Calls: 1, CrashAfters: 1}, false},
+		{"duplicate", Plan{PDuplicate: 1}, 2, nil, stored, Stats{Calls: 1, Duplicates: 1}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, _ := NewRecovering("A", tc.plan, 1)
+			r := m.Rep().(*rep.Rep)
+			key := keyspace.New("k")
+			if err := r.Insert(ctx, 1, key, stored.Version, stored.Value); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Commit(ctx, 1); err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Lookup(ctx, 2, key)
+			if !errors.Is(err, tc.err) || res != tc.res {
+				t.Errorf("caller got %+v, %v; want %+v, %v", res, err, tc.res, tc.err)
+			}
+			if got := r.Counters().Lookups; got != tc.executed {
+				t.Errorf("representative executed %d lookups, want %d", got, tc.executed)
+			}
+			if st := m.Stats(); st != tc.stats {
+				t.Errorf("stats = %+v, want %+v", st, tc.stats)
+			}
+			if m.Up() != tc.up {
+				t.Errorf("member up = %v, want %v", m.Up(), tc.up)
+			}
+		})
 	}
 }

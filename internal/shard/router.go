@@ -39,7 +39,6 @@ type Router struct {
 
 	maxRetries int
 	parallel   bool
-	budget     *core.RetryBudget
 	stats      routerStats
 
 	// idle holds the Txns of transactions that are over (acquire,
@@ -61,12 +60,6 @@ func WithIDSource(ids *txn.IDSource) Option { return func(r *Router) { r.ids = i
 // after a wait-die abort or a lost replica (default 256, matching
 // core.Suite).
 func WithMaxRetries(n int) Option { return func(r *Router) { r.maxRetries = n } }
-
-// WithRetryBudget caps the router's unavailability-class transaction
-// retries with the same token-bucket policy as core.WithRetryBudget;
-// pass the very same budget to the router and its suites so their
-// combined retry load honors one cap. Wait-die retries are exempt.
-func WithRetryBudget(b *core.RetryBudget) Option { return func(r *Router) { r.budget = b } }
 
 // WithParallelStitch makes unlimited scans and counts fetch their
 // per-shard parts concurrently (one goroutine per shard; each shard's
@@ -432,14 +425,11 @@ func (r *Router) run(ctx context.Context, kept bool, fn func(x *Txn) error) erro
 			x.t.Release(ctx)
 		}
 		if err == nil {
-			if r.budget != nil {
-				r.budget.OnSuccess()
-			}
 			r.stats.done(fanout, attempt)
 			return nil
 		}
 		lastErr = err
-		retry, cause := core.DecideRetry(err, r.budget)
+		retry, cause := core.DecideRetry(err, nil)
 		if !retry {
 			if cause != nil {
 				err = fmt.Errorf("%w: %w", cause, err)

@@ -141,13 +141,12 @@ type ChaosResult struct {
 	// abandoned while its member was unreachable cannot deliver its
 	// Abort there).
 	StraysAborted int
-	// Fault totals over all members of all shards.
+	// Fault totals over all members of all shards. They count at the
+	// member, so Faults.Calls includes the harness's own resolve and
+	// stray-sweep calls.
 	Faults fault.Stats
 	// Suite-level transaction counters, summed over shards.
 	Suite core.SuiteStats
-	// RepCalls is the total number of representative calls observed by
-	// the transport.WrapStats layer stacked over the fault members.
-	RepCalls uint64
 	// AuditedKeys is how many keys the final audit checked.
 	AuditedKeys int
 	// Health is the circuit-breaker activity over the run, summed over
@@ -210,7 +209,6 @@ type chaosHarness struct {
 	suites    []*core.Suite
 	healths   []*core.HealthTracker
 	healers   []*heal.Healer
-	stats     []*transport.CallStats
 	allDirs   []rep.Directory // every member of every shard
 	observer  *obs.Observer
 	router    *shard.Router
@@ -257,14 +255,7 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		injector := fault.NewInjector(names, fault.DefaultPlan(), cfg.Seed+int64(i)*104729)
 		h.injectors = append(h.injectors, injector)
 
-		// Stack call counters over the fault members: the same middleware
-		// layering a production deployment would use for observability.
-		dirs := make([]rep.Directory, cfg.Replicas)
-		for j, m := range injector.Members() {
-			var cs *transport.CallStats
-			dirs[j], cs = transport.WrapStats(m)
-			h.stats = append(h.stats, cs)
-		}
+		dirs := injector.Directories()
 		h.allDirs = append(h.allDirs, dirs...)
 
 		// Health-tracked membership: the breaker skips members inside
@@ -775,11 +766,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		}
 	}
 	res.Storage = h.observer.Storage()
-	for _, cs := range h.stats {
-		for _, os := range cs.Snapshot() {
-			res.RepCalls += os.Calls
-		}
-	}
 	for i, s := range h.suites {
 		st := s.Stats()
 		addSuiteStats(&res.Suite, st)

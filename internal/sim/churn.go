@@ -11,7 +11,6 @@ import (
 	"repdir/internal/heal"
 	"repdir/internal/reconfig"
 	"repdir/internal/rep"
-	"repdir/internal/transport"
 )
 
 // Membership churn: when ChaosConfig.Churn is set, the soak interleaves
@@ -119,9 +118,7 @@ func (h *chaosHarness) churnChange(cfg ChaosConfig, shard int, step churnStep) (
 			name = churnMemberName(cfg, shard, 1)
 			opts = append(opts, rep.AsWitness())
 		}
-		member := h.injectors[shard].Add(name, opts...)
-		dir, cs := transport.WrapStats(member)
-		h.stats = append(h.stats, cs)
+		dir := h.injectors[shard].Add(name, opts...)
 		h.allDirs = append(h.allDirs, dir)
 		r, w := balancedQuorums(votes + 1)
 		return reconfig.Change{

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repdir/internal/core"
-	"repdir/internal/fault"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
@@ -139,21 +138,22 @@ func RunOverload(cfg OverloadConfig) (OverloadReport, error) {
 	report := OverloadReport{Config: cfg, TailBound: bound}
 	ctx := context.Background()
 
-	// Three members behind real TCP loopback servers. The brownout slow
-	// link models each member's intrinsic service cost; CoDel admission
-	// and the dispatch queue sit above it exactly as in production.
+	// Three members behind real TCP loopback servers. A fixed in-process
+	// latency models each member's intrinsic service cost; CoDel
+	// admission and the dispatch queue sit above it exactly as in
+	// production.
 	names := []string{"ovA", "ovB", "ovC"}
 	servers := make([]*transport.Server, len(names))
 	dirs := make([]rep.Directory, len(names))
 	for i, n := range names {
-		brown := fault.NewBrownout(transport.NewLocal(rep.New(n)))
-		brown.SlowLink(overloadServiceTime)
+		member := transport.NewLocal(rep.New(n))
+		member.SetLatency(overloadServiceTime)
 		// The dispatch queue is sized to the driver's concurrency: with
 		// Workers in-flight operations fanning parallel quorum probes over
 		// one connection, bursts of up to ~2x Workers requests are honest
 		// load, and the CoDel controller (not the queue length) bounds the
 		// standing delay.
-		srv, err := transport.Serve(brown, "127.0.0.1:0",
+		srv, err := transport.Serve(member, "127.0.0.1:0",
 			transport.WithAdmission(0, 0),
 			transport.WithPerConnConcurrency(overloadPerConn),
 			transport.WithDispatchQueue(4*cfg.Workers))

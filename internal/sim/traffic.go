@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repdir/internal/core"
@@ -82,6 +83,42 @@ type TrafficResult struct {
 	DeleteTrace string
 }
 
+// callTimer is the transport hook behind repdir_rep_call_latency_seconds:
+// it times each call to one member by operation.
+type callTimer struct {
+	dir rep.Directory
+	mu  sync.Mutex
+	lat map[transport.Op]*obs.Histogram
+}
+
+func (t *callTimer) Name() string { return t.dir.Name() }
+
+func (t *callTimer) Enter(ctx context.Context, _ transport.Op) (transport.Call, error) {
+	return transport.Call{Ctx: ctx, Dir: t.dir, Note: time.Now()}, nil
+}
+
+func (t *callTimer) Exit(c transport.Call, op transport.Op, err error) error {
+	d := time.Since(c.Note.(time.Time))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.lat[op] == nil {
+		t.lat[op] = &obs.Histogram{}
+	}
+	t.lat[op].Observe(d)
+	return err
+}
+
+// samples appends the member's per-operation histograms, labeled member
+// then op.
+func (t *callTimer) samples(out []obs.HistSample) []obs.HistSample {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for op, h := range t.lat {
+		out = append(out, obs.HistSample{Labels: []string{t.Name(), string(op)}, Snap: h.Snapshot()})
+	}
+	return out
+}
+
 // RunTraffic drives a mixed workload against an instrumented 3-2-2
 // suite for the configured duration. All four single-key operations
 // plus scans run in a seeded random mix; read quorums rotate, so read
@@ -93,11 +130,12 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 
 	names := []string{"rep0", "rep1", "rep2"}
 	reps := make([]*rep.Rep, len(names))
-	stats := make([]*transport.CallStats, len(names))
+	timers := make([]*callTimer, len(names))
 	dirs := make([]rep.Directory, len(names))
 	for i, n := range names {
 		reps[i] = rep.New(n)
-		dirs[i], stats[i] = transport.WrapStats(transport.NewLocal(reps[i]))
+		timers[i] = &callTimer{dir: transport.NewLocal(reps[i]), lat: map[transport.Op]*obs.Histogram{}}
+		dirs[i] = &transport.Middleware{Hook: timers[i]}
 	}
 	qc := quorum.NewUniform(dirs, 2, 2)
 
@@ -133,8 +171,8 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 			"Per-member transport call latency by operation.",
 			[]string{"member", "op"}, func() []obs.HistSample {
 				var out []obs.HistSample
-				for i, cs := range stats {
-					out = append(out, cs.LatencySamples(names[i])...)
+				for _, t := range timers {
+					out = t.samples(out)
 				}
 				return out
 			})

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -35,6 +36,55 @@ func TestFrameWriterAllocs(t *testing.T) {
 	}
 	if sent := stats.Sent(); sent.Frames != sent.Msgs || sent.Msgs < 200 {
 		t.Errorf("sent %d messages in %d frames, want one frame each", sent.Msgs, sent.Frames)
+	}
+}
+
+// TestLocalCallAllocs pins the in-process transport at no cost of its
+// own: Lookup and Insert through Local allocate exactly what the same
+// calls on the representative do. The Middleware only calls each call's
+// closure, so the closure stays on the caller's stack.
+func TestLocalCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const keys = 1024
+	ks := make([]keyspace.Key, keys)
+	for i := range ks {
+		ks[i] = keyspace.New(fmt.Sprintf("k%06d", i))
+	}
+	oneShot := rep.MarkOneShot(ctx)
+	// measure runs the same insert-then-lookup sequence against a fresh
+	// representative, calling it through wrap.
+	measure := func(wrap func(*rep.Rep) rep.Directory) (insert, lookup float64) {
+		r := rep.New("allocs")
+		d := wrap(r)
+		id, i := lock.TxnID(1), 0
+		insert = testing.AllocsPerRun(keys-1, func() {
+			id++
+			i++
+			if err := d.Insert(ctx, id, ks[i%keys], 1, "v"); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Commit(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+		})
+		lookup = testing.AllocsPerRun(1000, func() {
+			id++
+			i++
+			if res, err := d.Lookup(oneShot, id, ks[i%keys]); err != nil || !res.Found {
+				t.Fatalf("Lookup = %+v, %v", res, err)
+			}
+		})
+		return insert, lookup
+	}
+	repIns, repLook := measure(func(r *rep.Rep) rep.Directory { return r })
+	locIns, locLook := measure(func(r *rep.Rep) rep.Directory { return NewLocal(r) })
+	if locIns != repIns || locLook != repLook {
+		t.Errorf("through Local, Insert + Commit allocates %.0f times and a one-shot Lookup %.0f; on the representative %.0f and %.0f",
+			locIns, locLook, repIns, repLook)
+	} else {
+		t.Logf("Insert + Commit: %.0f allocations, one-shot Lookup: %.0f, through Local and direct alike", locIns, locLook)
 	}
 }
 

@@ -5,29 +5,27 @@ import (
 	"sync"
 	"time"
 
-	"repdir/internal/keyspace"
-	"repdir/internal/lock"
 	"repdir/internal/rep"
-	"repdir/internal/version"
 )
 
 // Local is an in-process connection to a representative with fault
 // injection: the target can be crashed (calls fail with ErrUnavailable)
-// and a fixed per-call latency can be added. Local is safe for concurrent
-// use.
+// and a fixed per-call latency can be added. It is a Middleware whose
+// hook is the Local itself. Local is safe for concurrent use.
 type Local struct {
-	target rep.Directory
+	Middleware
 
 	mu      sync.Mutex
+	target  rep.Directory
 	down    bool
 	latency time.Duration
 }
 
-var _ rep.Directory = (*Local)(nil)
-
 // NewLocal wraps a representative.
 func NewLocal(target rep.Directory) *Local {
-	return &Local{target: target}
+	l := &Local{target: target}
+	l.Hook = l
+	return l
 }
 
 // Crash makes subsequent calls fail with ErrUnavailable.
@@ -76,13 +74,18 @@ func (l *Local) Up() bool {
 	return !l.down
 }
 
-// pre applies fault injection before a call.
-func (l *Local) pre(ctx context.Context) error {
+// Name implements Hook (and so rep.Directory).
+func (l *Local) Name() string { return l.dir().Name() }
+
+// Enter implements Hook: a crashed representative refuses the call, and
+// the latency is waited out, honoring the caller's context, before the
+// call goes to the representative current after the wait.
+func (l *Local) Enter(ctx context.Context, _ Op) (Call, error) {
 	l.mu.Lock()
-	down, latency := l.down, l.latency
+	target, down, latency := l.target, l.down, l.latency
 	l.mu.Unlock()
 	if down {
-		return ErrUnavailable
+		return Call{}, ErrUnavailable
 	}
 	if latency > 0 {
 		t := time.NewTimer(latency)
@@ -90,99 +93,12 @@ func (l *Local) pre(ctx context.Context) error {
 		select {
 		case <-t.C:
 		case <-ctx.Done():
-			return ctx.Err()
+			return Call{}, ctx.Err()
 		}
+		target = l.dir()
 	}
-	return nil
+	return Call{Ctx: ctx, Dir: target}, nil
 }
 
-// Name implements rep.Directory.
-func (l *Local) Name() string { return l.dir().Name() }
-
-// Lookup implements rep.Directory.
-func (l *Local) Lookup(ctx context.Context, txn lock.TxnID, key keyspace.Key) (rep.LookupResult, error) {
-	if err := l.pre(ctx); err != nil {
-		return rep.LookupResult{}, err
-	}
-	return l.dir().Lookup(ctx, txn, key)
-}
-
-// Predecessor implements rep.Directory.
-func (l *Local) Predecessor(ctx context.Context, txn lock.TxnID, key keyspace.Key) (rep.NeighborResult, error) {
-	if err := l.pre(ctx); err != nil {
-		return rep.NeighborResult{}, err
-	}
-	return l.dir().Predecessor(ctx, txn, key)
-}
-
-// Successor implements rep.Directory.
-func (l *Local) Successor(ctx context.Context, txn lock.TxnID, key keyspace.Key) (rep.NeighborResult, error) {
-	if err := l.pre(ctx); err != nil {
-		return rep.NeighborResult{}, err
-	}
-	return l.dir().Successor(ctx, txn, key)
-}
-
-// PredecessorBatch implements rep.Directory.
-func (l *Local) PredecessorBatch(ctx context.Context, txn lock.TxnID, key keyspace.Key, max int) ([]rep.NeighborResult, error) {
-	if err := l.pre(ctx); err != nil {
-		return nil, err
-	}
-	return l.dir().PredecessorBatch(ctx, txn, key, max)
-}
-
-// SuccessorBatch implements rep.Directory.
-func (l *Local) SuccessorBatch(ctx context.Context, txn lock.TxnID, key keyspace.Key, max int) ([]rep.NeighborResult, error) {
-	if err := l.pre(ctx); err != nil {
-		return nil, err
-	}
-	return l.dir().SuccessorBatch(ctx, txn, key, max)
-}
-
-// Insert implements rep.Directory.
-func (l *Local) Insert(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver version.V, value string) error {
-	if err := l.pre(ctx); err != nil {
-		return err
-	}
-	return l.dir().Insert(ctx, txn, key, ver, value)
-}
-
-// Coalesce implements rep.Directory.
-func (l *Local) Coalesce(ctx context.Context, txn lock.TxnID, lo, hi keyspace.Key, ver version.V) (rep.CoalesceResult, error) {
-	if err := l.pre(ctx); err != nil {
-		return rep.CoalesceResult{}, err
-	}
-	return l.dir().Coalesce(ctx, txn, lo, hi, ver)
-}
-
-// Prepare implements rep.Directory.
-func (l *Local) Prepare(ctx context.Context, txn lock.TxnID) error {
-	if err := l.pre(ctx); err != nil {
-		return err
-	}
-	return l.dir().Prepare(ctx, txn)
-}
-
-// Commit implements rep.Directory.
-func (l *Local) Commit(ctx context.Context, txn lock.TxnID) error {
-	if err := l.pre(ctx); err != nil {
-		return err
-	}
-	return l.dir().Commit(ctx, txn)
-}
-
-// Abort implements rep.Directory.
-func (l *Local) Abort(ctx context.Context, txn lock.TxnID) error {
-	if err := l.pre(ctx); err != nil {
-		return err
-	}
-	return l.dir().Abort(ctx, txn)
-}
-
-// Status implements rep.Directory.
-func (l *Local) Status(ctx context.Context, txn lock.TxnID) (rep.TxnStatus, error) {
-	if err := l.pre(ctx); err != nil {
-		return 0, err
-	}
-	return l.dir().Status(ctx, txn)
-}
+// Exit implements Hook; the call's error passes through.
+func (*Local) Exit(_ Call, _ Op, err error) error { return err }

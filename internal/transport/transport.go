@@ -11,6 +11,10 @@
 //     protocol of wire.go, used by the cmd/repdir-server and
 //     cmd/repdir-cli executables.
 //
+// Everything that decorates a representative in between — Local itself,
+// fault injection, the suite's epoch stamp, test partitions — is a Hook
+// on the one decorator, Middleware.
+//
 // Errors that the replication algorithm reacts to (wait-die aborts,
 // unavailable replicas, missing coalesce bounds) are mapped to wire codes
 // so errors.Is keeps working across the network.
