@@ -53,8 +53,11 @@ shard:
 
 # Storage-fault gate: the crash-point harness (power loss at every byte
 # boundary of a logged workload, one flipped bit at every byte — see
-# DESIGN.md section 11) plus a short chaos soak whose storage phase
-# wipes a minority of WALs mid-run and rebuilds them from peers. The
+# DESIGN.md section 11), a power loss at a whole suite that keeps only
+# what each log forced (an acknowledged write comes back in doubt and
+# resolves to commit; an aborted one stays aborted), plus a short chaos
+# soak whose storage phase wipes a minority of WALs mid-run and
+# rebuilds them from peers. The
 # soak seed doubles as the replay handle on failure. Recovery reads two
 # formats back that something else wrote — the log's record stream and
 # the wire's messages — so each decoder gets a moment of fuzzing here:
@@ -67,7 +70,7 @@ crash:
 	$(GO) test -run xxx -fuzz FuzzRecordRoundTrip -fuzztime 10s ./internal/wal/
 	$(GO) test -run xxx -fuzz FuzzAnalyze -fuzztime 10s ./internal/wal/
 	$(GO) test -run xxx -fuzz FuzzCodecRoundTrip -fuzztime 10s ./internal/transport/
-	$(GO) test -race -count 1 -run 'TestChaosSoakDeterministic' -v .
+	$(GO) test -race -count 1 -run 'TestChaosSoakDeterministic|TestPowerLoss' -v .
 
 # Reconfiguration gate: the epoch-fencing/joint-transition unit suite,
 # the membership-churn chaos soaks (three online reconfigurations —

@@ -134,14 +134,15 @@ func run() error {
 		stats.Scanned, stats.Copied, stats.Freshened)
 
 	fmt.Println("\n== incident 3: a coordinator dies between 2PC phases ==")
-	// Play a crashing coordinator by hand: prepare at r2 and r3, commit
-	// only at r2, then vanish.
+	// Play a crashing coordinator by hand: prepare at r2 and r3, each
+	// prepare naming the transaction's two writers, commit only at r2,
+	// then vanish.
 	const orphan = lock.TxnID(77 << 18)
 	for _, i := range []int{1, 2} {
 		if err := nodes[i].client.Insert(ctx, orphan, keyspace.New("cfg/orphan"), 1, "paid"); err != nil {
 			return err
 		}
-		if err := nodes[i].client.Prepare(ctx, orphan); err != nil {
+		if err := nodes[i].client.Prepare(rep.MarkWriters(ctx, 2), orphan); err != nil {
 			return err
 		}
 	}

@@ -254,7 +254,7 @@ func TestIntegrationInDoubtResolutionOverTCP(t *testing.T) {
 		if err := ts.clients[i].Insert(ctx, id, key, 1, "v"); err != nil {
 			t.Fatal(err)
 		}
-		if err := ts.clients[i].Prepare(ctx, id); err != nil {
+		if err := ts.clients[i].Prepare(rep.MarkWriters(ctx, 2), id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,7 +274,7 @@ func TestIntegrationInDoubtResolutionOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st != rep.StatusInDoubt {
+	if st.Fate() != rep.StatusInDoubt {
 		t.Fatalf("recovered replica status = %v, want in-doubt", st)
 	}
 

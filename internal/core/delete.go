@@ -80,7 +80,9 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 	// One element per call, and which bound each call is about.
 	tx.asked, tx.askedFor, tx.copies, tx.copied = tx.asked[:0], tx.askedFor[:0], tx.copies[:0], tx.copied[:0]
 	for _, m := range writers {
-		tx.txn.Join(m.Dir)
+		if err := tx.txn.Join(m.Dir); err != nil {
+			return err
+		}
 		ri := indexOf(readers, m)
 		for b := range bounds {
 			switch {

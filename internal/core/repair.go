@@ -200,7 +200,9 @@ func ReconcileReplica(ctx context.Context, s *Suite, target rep.Directory, opts 
 // target: the upper bounding entry installed if nb.key is a real entry,
 // then the segment coalesced at the walk's quorum-maximum gap version.
 func reconcileSegment(ctx context.Context, tx *Tx, target rep.Directory, lo keyspace.Key, nb neighbor, stats *RepairStats) error {
-	tx.txn.Join(target)
+	if err := tx.txn.Join(target); err != nil {
+		return err
+	}
 	if !nb.key.IsHigh() {
 		batch := RepairStats{}
 		if err := repairInstall(ctx, tx, target, nb.key, nb.ver, nb.value, &batch); err != nil {
@@ -269,6 +271,8 @@ func repairEntry(ctx context.Context, tx *Tx, target rep.Directory, key string, 
 		stats.Scanned++
 		return nil
 	}
-	tx.txn.Join(target)
+	if err := tx.txn.Join(target); err != nil {
+		return err
+	}
 	return repairInstall(ctx, tx, target, k, cur.Version, cur.Value, stats)
 }

@@ -305,7 +305,7 @@ func (s *Suite) release(tx *Tx) {
 	for i := range tx.runs {
 		clear(tx.runs[i].replies)
 	}
-	tx.txn, tx.trace, tx.round, tx.marked = nil, nil, round{}, markedCtx{}
+	tx.txn, tx.trace, tx.round, tx.marked = nil, nil, round{}, rep.Marked{}
 	s.idleMu.Lock()
 	s.idle = append(s.idle, tx)
 	s.idleMu.Unlock()

@@ -85,7 +85,7 @@ type Tx struct {
 	runs             [2]run
 	round            round
 	legs             sync.WaitGroup
-	marked           markedCtx
+	marked           rep.Marked
 }
 
 // begin readies the Tx for one attempt: transaction t, which is own
@@ -107,25 +107,16 @@ func slots[T any](s []T, n int) []T {
 	return s
 }
 
-// markedCtx is a context with call marks added (rep/marks.go) that
-// costs no allocation: the Tx owns the one it hands out. It is only for
-// calls that have all returned before the Tx is used for anything else.
-type markedCtx struct {
-	context.Context
-	marks rep.Marks
-}
-
-func (c *markedCtx) Value(key any) any {
-	if _, ok := key.(rep.MarksKey); ok {
-		return c.marks
-	}
-	return c.Context.Value(key)
-}
-
-// mark returns ctx with m added to its call marks, valid until the next
-// call of mark.
+// mark returns ctx with m added to its call marks (rep/marks.go) and,
+// with the prepare mark, the transaction's writer count — which from
+// then on admits no new writer (txn.Txn.Writers). It costs no
+// allocation: the Tx owns the context it hands out, which is valid until
+// the next call of mark, for calls that have all returned by then.
 func (tx *Tx) mark(ctx context.Context, m rep.Marks) context.Context {
-	tx.marked = markedCtx{ctx, rep.MarksFrom(ctx) | m}
+	tx.marked = rep.Marked{Context: ctx, Marks: rep.MarksFrom(ctx) | m}
+	if m&rep.PrepareMark != 0 {
+		tx.marked.Writers = tx.txn.Writers()
+	}
 	return &tx.marked
 }
 
@@ -621,7 +612,9 @@ func (tx *Tx) writeEntry(ctx context.Context, key keyspace.Key, ver version.V, v
 		return err
 	}
 	for _, m := range members {
-		tx.txn.Join(m.Dir)
+		if err := tx.txn.Join(m.Dir); err != nil {
+			return err
+		}
 	}
 	// tx.read is the members that know the transaction, so can take the
 	// prepare with the write: a representative refuses a write that

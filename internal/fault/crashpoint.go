@@ -194,7 +194,7 @@ func logWorkload(name, walPath string, commits int) (data []byte, offsets []int6
 				return nil, nil, nil, fmt.Errorf("fault: workload insert: %w", err)
 			}
 		}
-		if err := r.Prepare(ctx, txn); err != nil {
+		if err := r.Prepare(rep.MarkWriters(ctx, 1), txn); err != nil {
 			return nil, nil, nil, fmt.Errorf("fault: workload prepare: %w", err)
 		}
 		if err := r.Commit(ctx, txn); err != nil {

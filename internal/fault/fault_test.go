@@ -110,7 +110,7 @@ func TestInjectorResolvesInDoubtAfterCrashRestart(t *testing.T) {
 		if err := m.Insert(ctx, id, key, 1, "v"); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Prepare(ctx, id); err != nil {
+		if err := m.Prepare(rep.MarkWriters(ctx, 2), id); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -55,9 +55,10 @@ type keyState struct {
 // checks every successful observation against it.
 //
 // Failed mutations are the crux. A mutation that returns an error may
-// still have taken effect — the coordinator can pass the commit point
-// (first participant commit) and then lose a replica, or an internal
-// retry can commit before the attempt that finally reports failure — so
+// still have taken effect — the commit point is every writer holding a
+// prepare record, which an attempt can pass while its coordinator sees
+// a lost reply, or an internal retry can commit before the attempt that
+// finally reports failure — so
 // a failed mutation downgrades its key to Unknown rather than assuming
 // either outcome. The next successful observation of the key re-anchors
 // it: quorum intersection plus strict two-phase locking guarantee that

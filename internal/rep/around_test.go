@@ -188,7 +188,7 @@ func TestNeighborhoodRefusals(t *testing.T) {
 	if err := r.Insert(WithEpoch(ctx, 3), 50, k("x"), 1, "v"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Prepare(WithEpoch(ctx, 3), 50); err != nil {
+	if err := r.Prepare(MarkWriters(WithEpoch(ctx, 3), 1), 50); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Abort(ctx, 50); err != nil {

@@ -95,7 +95,7 @@ func TestInDoubtCommitLogFailureIsAtomic(t *testing.T) {
 	if err := r1.Insert(ctx, id, k("a"), 1, "v"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.Prepare(ctx, id); err != nil {
+	if err := r1.Prepare(MarkWriters(ctx, 1), id); err != nil {
 		t.Fatal(err)
 	}
 
@@ -111,7 +111,7 @@ func TestInDoubtCommitLogFailureIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := r2.Status(ctx, id); st != StatusInDoubt {
+	if st, _ := r2.Status(ctx, id); st.Fate() != StatusInDoubt {
 		t.Fatalf("status after recovery = %v, want in-doubt", st)
 	}
 	before := len(r2.Dump())
@@ -123,7 +123,7 @@ func TestInDoubtCommitLogFailureIsAtomic(t *testing.T) {
 	if got := len(r2.Dump()); got != before {
 		t.Errorf("store mutated by failed commit: %d entries, want %d", got, before)
 	}
-	if st, _ := r2.Status(ctx, id); st != StatusInDoubt {
+	if st, _ := r2.Status(ctx, id); st.Fate() != StatusInDoubt {
 		t.Errorf("status after failed commit = %v, want still in-doubt", st)
 	}
 	if got := r2.Counters().Commits; got != 0 {

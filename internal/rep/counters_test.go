@@ -26,7 +26,7 @@ func TestCountersTrackOperations(t *testing.T) {
 	if _, err := r.Coalesce(ctx, txn, k("a"), k("c"), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Prepare(ctx, txn); err != nil {
+	if err := r.Prepare(MarkWriters(ctx, 1), txn); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Commit(ctx, txn); err != nil {

@@ -7,12 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 
 	"repdir/internal/btree"
+	"repdir/internal/lock"
 	"repdir/internal/obs"
 	"repdir/internal/wal"
 )
@@ -26,10 +28,11 @@ var ErrBusy = errors.New("rep: transactions in flight")
 // as recoverable whenever the write-ahead log alone can rebuild state.
 var ErrSnapshotCorrupt = errors.New("rep: snapshot corrupt")
 
-// snapshotFile is the snapshot payload: the full entry dump (sentinels
-// and gap versions included) plus the LSN of the last write-ahead-log
-// record the snapshot covers.
-type snapshotFile struct {
+// Snapshot is the snapshot payload: the full entry dump (sentinels and
+// gap versions included) plus the LSN of the last write-ahead-log record
+// the snapshot covers, and what the truncated log held beside the
+// entries.
+type Snapshot struct {
 	Name    string
 	LastLSN uint64
 	Entries []btree.Entry
@@ -37,6 +40,11 @@ type snapshotFile struct {
 	// truncation would otherwise discard the KindEpoch records that
 	// made the fence durable.
 	Epoch uint64
+	// Outcomes are the decided transactions, true = committed: a sibling
+	// still in doubt about one asks this member's Status, and an answer
+	// of StatusUnknown for a transaction committed here could resolve it
+	// to abort.
+	Outcomes map[lock.TxnID]bool
 }
 
 // Snapshot container format: a 12-byte header — magic, payload length,
@@ -51,9 +59,9 @@ var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 // WriteSnapshot atomically writes a checksummed snapshot file: temp
 // file, fsync, rename, then fsync of the parent directory so the
 // rename itself survives power loss on journaled filesystems.
-func WriteSnapshot(path, name string, lastLSN uint64, entries []btree.Entry, epoch uint64) error {
+func WriteSnapshot(path string, snap Snapshot) error {
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(snapshotFile{Name: name, LastLSN: lastLSN, Entries: entries, Epoch: epoch}); err != nil {
+	if err := gob.NewEncoder(&payload).Encode(snap); err != nil {
 		return fmt.Errorf("rep: snapshot encode: %w", err)
 	}
 	head := make([]byte, snapHeaderLen)
@@ -94,62 +102,64 @@ func WriteSnapshot(path, name string, lastLSN uint64, entries []btree.Entry, epo
 // file is not an error; it returns ok = false. A file that exists but
 // is truncated or damaged returns an error wrapping ErrSnapshotCorrupt,
 // which OpenDurable downgrades to a WAL-only recovery when possible.
-func ReadSnapshot(path string) (name string, lastLSN uint64, entries []btree.Entry, epoch uint64, ok bool, err error) {
+func ReadSnapshot(path string) (snap Snapshot, ok bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return "", 0, nil, 0, false, nil
+			return snap, false, nil
 		}
-		return "", 0, nil, 0, false, fmt.Errorf("rep: open snapshot %q: %w", path, err)
+		return snap, false, fmt.Errorf("rep: open snapshot %q: %w", path, err)
 	}
 	if len(data) < snapHeaderLen || !bytes.Equal(data[:4], snapMagic[:]) {
-		return "", 0, nil, 0, false, fmt.Errorf("%w: %q: no snapshot header in its %d bytes", ErrSnapshotCorrupt, path, len(data))
+		return snap, false, fmt.Errorf("%w: %q: no snapshot header in its %d bytes", ErrSnapshotCorrupt, path, len(data))
 	}
 	payload := data[snapHeaderLen:]
 	if n := binary.BigEndian.Uint32(data[4:8]); int64(n) != int64(len(payload)) {
-		return "", 0, nil, 0, false, fmt.Errorf("%w: %q: header claims %d payload bytes, file holds %d",
+		return snap, false, fmt.Errorf("%w: %q: header claims %d payload bytes, file holds %d",
 			ErrSnapshotCorrupt, path, n, len(payload))
 	}
 	crc := crc32.Update(0, snapCRC, data[:8])
 	if crc32.Update(crc, snapCRC, payload) != binary.BigEndian.Uint32(data[8:12]) {
-		return "", 0, nil, 0, false, fmt.Errorf("%w: %q: checksum mismatch", ErrSnapshotCorrupt, path)
+		return snap, false, fmt.Errorf("%w: %q: checksum mismatch", ErrSnapshotCorrupt, path)
 	}
-	var snap snapshotFile
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
-		return "", 0, nil, 0, false, fmt.Errorf("%w: %q: %v", ErrSnapshotCorrupt, path, err)
+		return Snapshot{}, false, fmt.Errorf("%w: %q: %v", ErrSnapshotCorrupt, path, err)
 	}
-	return snap.Name, snap.LastLSN, snap.Entries, snap.Epoch, true, nil
+	return snap, true, nil
 }
 
-// seedStore replaces the representative's store with snapshot entries.
-// Used only during recovery, before the representative is shared.
-func (r *Rep) seedStore(entries []btree.Entry) {
+// seed replaces the representative's store with a snapshot's entries and
+// its decided transactions with the snapshot's. Used only during
+// recovery, before the representative is shared.
+func (r *Rep) seed(snap Snapshot) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	store := btree.New()
-	for _, e := range entries {
+	for _, e := range snap.Entries {
 		store.Put(e)
 	}
 	r.store = store
+	maps.Copy(r.outcomes, snap.Outcomes)
+	r.fence = max(r.fence, snap.Epoch)
 }
 
-// checkpointState atomically captures the entry dump and the last
-// log LSN while no transactions are in flight. A transaction stays in
-// r.txns until its commit record is durable and its effects are final,
-// and epoch records are appended under r.mu, so with r.mu held and
-// r.txns empty nothing is appending: every record at or below the
-// returned LSN is reflected in the entries, and none above it exists.
-func (r *Rep) checkpointState() ([]btree.Entry, uint64, uint64, error) {
+// checkpointState atomically captures what a snapshot holds while no
+// transactions are in flight. A transaction stays in r.txns until its
+// commit record is written and its effects are final, and epoch records
+// are appended under r.mu, so with r.mu held and r.txns empty nothing is
+// appending: every record at or below the snapshot's LSN is reflected in
+// it, and none above it exists.
+func (r *Rep) checkpointState() (Snapshot, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.txns) != 0 {
-		return nil, 0, 0, fmt.Errorf("%w: %d active", ErrBusy, len(r.txns))
+		return Snapshot{}, fmt.Errorf("%w: %d active", ErrBusy, len(r.txns))
 	}
-	var lastLSN uint64
+	snap := Snapshot{Name: r.name, Entries: r.store.Entries(), Epoch: r.fence, Outcomes: maps.Clone(r.outcomes)}
 	if r.log != nil {
-		lastLSN = r.log.NextLSN() - 1
+		snap.LastLSN = r.log.NextLSN() - 1
 	}
-	return r.store.Entries(), lastLSN, r.fence, nil
+	return snap, nil
 }
 
 // RecoveryPolicy selects how OpenDurable responds to storage damage
@@ -237,9 +247,10 @@ type durableConfig struct {
 }
 
 // WithSyncPolicy selects when the write-ahead log fsyncs (default
-// wal.SyncOnCommit: prepare and commit records are forced to disk, so
-// committed transactions survive machine crashes). Simulations and
-// benchmarks can pass wal.SyncNever to trade durability for speed.
+// wal.SyncOnCommit: prepare and abort records are forced to disk, so a
+// transaction every writer prepared survives machine crashes, to be
+// resolved to commit). Simulations and benchmarks can pass wal.SyncNever
+// to trade durability for speed.
 func WithSyncPolicy(p wal.SyncPolicy) DurableOption {
 	return func(c *durableConfig) { c.policy = p }
 }
@@ -288,19 +299,15 @@ func OpenDurable(name, walPath, snapPath string, opts ...DurableOption) (*Rep, *
 	}
 	report := RecoveryReport{Policy: cfg.recovery}
 
-	var (
-		seed      []btree.Entry
-		lastLSN   uint64
-		snapEpoch uint64
-	)
+	var seed Snapshot
 	if snapPath != "" {
-		snapName, lsn, entries, epoch, ok, err := ReadSnapshot(snapPath)
+		snap, ok, err := ReadSnapshot(snapPath)
 		switch {
 		case err == nil && ok:
-			if snapName != name {
-				return nil, nil, fmt.Errorf("rep: snapshot %q belongs to %q, not %q", snapPath, snapName, name)
+			if snap.Name != name {
+				return nil, nil, fmt.Errorf("rep: snapshot %q belongs to %q, not %q", snapPath, snap.Name, name)
 			}
-			seed, lastLSN, snapEpoch = entries, lsn, epoch
+			seed = snap
 			report.SnapshotLoaded = true
 		case err == nil:
 			// No snapshot; WAL-only recovery is the normal fresh path.
@@ -372,7 +379,7 @@ func OpenDurable(name, walPath, snapPath string, opts ...DurableOption) (*Rep, *
 		if err := archiveCorrupt(walPath, snapPath); err != nil {
 			return nil, nil, err
 		}
-		seed, lastLSN, snapEpoch, records = nil, 0, 0, nil
+		seed, records = Snapshot{}, nil
 		report.SnapshotLoaded = false
 		report.Rebuilt = true
 		report.NeedsRepair = true
@@ -381,7 +388,7 @@ func OpenDurable(name, walPath, snapPath string, opts ...DurableOption) (*Rep, *
 	}
 	report.WALRecords = len(records)
 
-	maxLSN := lastLSN
+	maxLSN := seed.LastLSN
 	for _, rec := range records {
 		if rec.LSN > maxLSN {
 			maxLSN = rec.LSN
@@ -395,10 +402,13 @@ func OpenDurable(name, walPath, snapPath string, opts ...DurableOption) (*Rep, *
 	log.StartAt(maxLSN + 1)
 
 	r := New(name, append(cfg.repOpts, WithLog(log))...)
-	if seed != nil {
-		r.seedStore(seed)
+	if report.SnapshotLoaded {
+		// A checkpoint truncated the log past the records that decided
+		// these transactions and made this fence durable; the snapshot
+		// is their only witness.
+		r.seed(seed)
 	}
-	a, err := wal.Analyze(wal.FilterAfter(records, lastLSN))
+	a, err := wal.Analyze(wal.FilterAfter(records, seed.LastLSN))
 	if err != nil {
 		log.Close()
 		return nil, nil, fmt.Errorf("rep: recover %s: %w", name, err)
@@ -406,11 +416,6 @@ func OpenDurable(name, walPath, snapPath string, opts ...DurableOption) (*Rep, *
 	if err := r.installAnalysis(a); err != nil {
 		log.Close()
 		return nil, nil, fmt.Errorf("rep: recover %s: %w", name, err)
-	}
-	if snapEpoch > r.fence {
-		// A checkpoint truncated the log past the KindEpoch record that
-		// made this fence durable; the snapshot is its only witness.
-		r.fence = snapEpoch
 	}
 	if report.Rebuilt {
 		// Everything this replica once knew is gone: gap versions are
@@ -471,16 +476,16 @@ func (d *Durability) Checkpoint() error {
 	if d.snapPath == "" {
 		return errors.New("rep: no snapshot path configured")
 	}
-	entries, lastLSN, epoch, err := d.rep.checkpointState()
+	snap, err := d.rep.checkpointState()
 	if err != nil {
 		return err
 	}
-	if err := WriteSnapshot(d.snapPath, d.rep.Name(), lastLSN, entries, epoch); err != nil {
+	if err := WriteSnapshot(d.snapPath, snap); err != nil {
 		return err
 	}
 	// A crash here leaves the full log alongside the snapshot; recovery
 	// skips the covered prefix by LSN. Truncation is pure compaction.
-	return d.log.TruncateAt(lastLSN)
+	return d.log.TruncateAt(snap.LastLSN)
 }
 
 // Close flushes and closes the log.

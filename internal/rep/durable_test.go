@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -127,11 +128,11 @@ func TestCrashBetweenSnapshotAndTruncateIsSafe(t *testing.T) {
 	}
 
 	// Write the snapshot by hand — the checkpoint's first half only.
-	entries, lastLSN, epoch, err := r.checkpointState()
+	snap, err := r.checkpointState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshot(snapPath, "win", lastLSN, entries, epoch); err != nil {
+	if err := WriteSnapshot(snapPath, snap); err != nil {
 		t.Fatal(err)
 	}
 	// "Crash": no truncate. Now delete a — its redo record refers to a
@@ -212,7 +213,7 @@ func TestUncommittedNeverSurvivesDurableReopen(t *testing.T) {
 	if err := r.Insert(ctx, 2, k("drop"), 1, "v"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Prepare(ctx, 2); err != nil {
+	if err := r.Prepare(MarkWriters(ctx, 1), 2); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
@@ -371,6 +372,10 @@ func TestDurableTortureLoop(t *testing.T) {
 	}
 }
 
+// TestDurableCommitSyncsWAL: under the default SyncOnCommit policy a
+// one-shot commit forces one record, the prepare it writes first as its
+// transaction's one writer — carrying the redo record to disk — and
+// writes its commit record unforced.
 func TestDurableCommitSyncsWAL(t *testing.T) {
 	walPath, snapPath := durablePaths(t)
 	r, d, err := OpenDurable("sync", walPath, snapPath)
@@ -379,10 +384,19 @@ func TestDurableCommitSyncsWAL(t *testing.T) {
 	}
 	defer d.Close()
 	commitInsert(t, r, 1, "a", 1)
-	// One transaction = one commit record; the default SyncOnCommit
-	// policy must have forced it (and its redo records) to disk.
-	if got := d.log.SyncCount(); got < 1 {
-		t.Fatalf("commit issued %d fsyncs, want >= 1", got)
+	if got := d.log.SyncCount(); got != 1 {
+		t.Fatalf("one-shot commit issued %d fsyncs, want 1, for its prepare", got)
+	}
+	records, err := wal.ReadFileLog(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []wal.Kind
+	for _, rec := range records {
+		kinds = append(kinds, rec.Kind)
+	}
+	if want := []wal.Kind{wal.KindInsert, wal.KindPrepare, wal.KindCommit}; !slices.Equal(kinds, want) || records[1].Writers != 1 {
+		t.Fatalf("log holds %v (prepare writers %d), want %v with the prepare naming 1 writer", kinds, records[1].Writers, want)
 	}
 }
 

@@ -61,7 +61,7 @@ func TestDecidedTxnGuards(t *testing.T) {
 	if err := r.Insert(ctx, 50, k("x"), 1, "v"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Prepare(ctx, 50); err != nil {
+	if err := r.Prepare(MarkWriters(ctx, 1), 50); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Abort(ctx, 50); err != nil {
@@ -89,7 +89,7 @@ func TestDecidedTxnGuards(t *testing.T) {
 	if err := r.Insert(ctx, 60, k("z"), 1, "v"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Prepare(ctx, 60); err != nil {
+	if err := r.Prepare(MarkWriters(ctx, 1), 60); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Commit(ctx, 60); err != nil {

@@ -1,6 +1,9 @@
 package rep
 
-import "context"
+import (
+	"context"
+	"math"
+)
 
 // Call marks. Three things a coordinator knows about a call cut round
 // trips out of the point operations, and the Directory signatures have
@@ -27,6 +30,13 @@ import "context"
 //     above it — instead of only the entries above (batch.go). The call
 //     joins the transaction like any batch call and keeps its lock: the
 //     coalesce that follows upgrades it.
+//
+// A prepare — Prepare, or a write the prepare rides on — also carries
+// the transaction's writer count: how many participants it wrote at.
+// The prepare record logs it and Status reports it, because a
+// transaction is committed once that many writers hold a prepare record
+// (txn.Resolve). The count travels like the marks, as its own context
+// value, and a prepare that names none is refused.
 
 // Marks is the set of call marks a context carries. The bit values are
 // the transport's flags byte: part of the on-wire contract.
@@ -72,3 +82,45 @@ func MarkAround(ctx context.Context) context.Context { return withMark(ctx, Arou
 
 // Around reports whether ctx carries the neighborhood mark.
 func Around(ctx context.Context) bool { return MarksFrom(ctx)&AroundMark != 0 }
+
+// WritersKey is the context key of the writer count a prepare carries,
+// exported for the same reason MarksKey is.
+type WritersKey struct{}
+
+// MaxWriters bounds a prepare's writer count: an in-doubt TxnStatus
+// holds it above the fate, and must fit an int32. A representative
+// refuses a prepare naming none, or more (ErrWriterCount).
+const MaxWriters = math.MaxInt32 >> writersShift
+
+// MarkWriters sets the writer count the prepares made under ctx carry.
+func MarkWriters(ctx context.Context, n int) context.Context {
+	return context.WithValue(ctx, WritersKey{}, n)
+}
+
+// WritersFrom returns the writer count ctx carries, zero if none.
+func WritersFrom(ctx context.Context) int {
+	n, _ := ctx.Value(WritersKey{}).(int)
+	return n
+}
+
+// Marked is a context with call marks and a writer count set that costs
+// no allocation when its owner keeps it: a coordinator embeds one and
+// hands out its address, for calls that have all returned before it is
+// set again.
+type Marked struct {
+	context.Context
+	Marks   Marks
+	Writers int
+}
+
+// Value answers for the marks and the writer count, and asks the
+// embedded context for everything else.
+func (c *Marked) Value(key any) any {
+	switch key.(type) {
+	case MarksKey:
+		return c.Marks
+	case WritersKey:
+		return c.Writers
+	}
+	return c.Context.Value(key)
+}

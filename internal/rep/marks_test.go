@@ -1,6 +1,7 @@
 package rep
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -106,7 +107,7 @@ func TestWriteCarriesPrepare(t *testing.T) {
 	mustInsert(t, r, 2, "c", 1, "vc")
 	mustInsert(t, r, 3, "b", 1, "vb")
 	before, logged := r.Counters(), len(log.Records())
-	riding := MarkPrepare(ctx)
+	riding := MarkWriters(MarkPrepare(ctx), 1)
 
 	// Unknown here: the write votes abort, as Prepare would.
 	if err := r.Insert(riding, 10, k("x"), 1, "v"); !errors.Is(err, ErrUnknownTxn) {
@@ -132,7 +133,7 @@ func TestWriteCarriesPrepare(t *testing.T) {
 	if err := r.Insert(riding, 20, k("x"), 1, "v"); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := r.Status(ctx, 20); st != StatusInDoubt {
+	if st, _ := r.Status(ctx, 20); st.Fate() != StatusInDoubt {
 		t.Fatalf("status after insert+prepare = %v, want in-doubt", st)
 	}
 	recs := log.Records()[logged:]
@@ -156,7 +157,7 @@ func TestWriteCarriesPrepare(t *testing.T) {
 	if err != nil || len(res.DeletedKeys) != 1 {
 		t.Fatalf("coalesce+prepare = %+v, %v", res, err)
 	}
-	if st, _ := r.Status(ctx, 30); st != StatusInDoubt {
+	if st, _ := r.Status(ctx, 30); st.Fate() != StatusInDoubt {
 		t.Fatalf("status after coalesce+prepare = %v, want in-doubt", st)
 	}
 	if err := r.Abort(ctx, 30); err != nil {
@@ -181,6 +182,48 @@ func TestWriteCarriesPrepare(t *testing.T) {
 	if c != want {
 		t.Errorf("counters = %+v, want %+v: a write that prepares is one write and no prepare", c, want)
 	}
+}
+
+// TestPrepareNeedsWriterCount: a prepare at a representative the
+// transaction wrote at must name a writer count in 1..MaxWriters — a
+// record counting nobody would let one prepare decide the transaction.
+// The refusal logs nothing and leaves the transaction unprepared; a
+// counted prepare then goes through, and a one-shot Commit counts its
+// one writer itself.
+func TestPrepareNeedsWriterCount(t *testing.T) {
+	log := &wal.MemoryLog{}
+	r := New("A", WithLog(log))
+	mustInsert(t, r, 1, "a", 1, "va")
+	if err := r.Insert(ctx, 2, k("b"), 1, "vb"); err != nil {
+		t.Fatal(err)
+	}
+	logged := len(log.Records())
+	for _, bad := range []context.Context{ctx, MarkWriters(ctx, MaxWriters+1), MarkWriters(ctx, -1)} {
+		if err := r.Prepare(bad, 2); !errors.Is(err, ErrWriterCount) {
+			t.Errorf("prepare naming writers %d = %v, want ErrWriterCount", WritersFrom(bad), err)
+		}
+	}
+	if err := r.Insert(MarkPrepare(ctx), 2, k("c"), 1, "vc"); !errors.Is(err, ErrWriterCount) {
+		t.Errorf("insert carrying a prepare with no count = %v, want ErrWriterCount", err)
+	}
+	if st, _ := r.Status(ctx, 2); st != StatusUnknown || len(log.Records()) != logged {
+		t.Fatalf("after refused prepares: status %v, %d records logged", st, len(log.Records())-logged)
+	}
+	if err := r.Prepare(MarkWriters(ctx, MaxWriters), 2); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := r.Status(ctx, 2); st != InDoubtOf(MaxWriters) || st.Writers() != MaxWriters {
+		t.Fatalf("status = %v, want in doubt of %d writers", st, MaxWriters)
+	}
+	if err := r.Abort(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	mustInsert(t, r, 3, "d", 1, "vd")
+	recs := log.Records()
+	if p := recs[len(recs)-2]; p.Kind != wal.KindPrepare || p.Writers != 1 || recs[len(recs)-1].Kind != wal.KindCommit {
+		t.Errorf("one-shot commit logged %+v, want a prepare of 1 writer and the commit", recs[len(recs)-2:])
+	}
+	idle(t, r)
 }
 
 // TestReaderPrepareReleasesAndForgets: a participant that only read

@@ -14,8 +14,9 @@ import (
 )
 
 // parkedCommit is a representative whose transaction parkedTxn has
-// overwritten key "a" ("old" -> "new") and whose Commit is inside the
-// log file's Sync, where it stays until open is called.
+// overwritten key "a" ("old" -> "new") and whose one-shot Commit is
+// inside the log file's Sync — forcing the prepare it writes first —
+// where it stays until open is called.
 type parkedCommit struct {
 	r    *Rep
 	log  *wal.FileLog
@@ -80,8 +81,10 @@ func TestLookupElsewhereRunsDuringCommitSync(t *testing.T) {
 }
 
 // TestLookupOfCommittingKeyWaitsForDurability: the committing
-// transaction keeps its range locks until its commit record is on disk,
-// so a reader of its key sees nothing until then and the new value after.
+// transaction keeps its range locks until its decision is on disk — a
+// one-shot commit's is the prepare it forces first — and its commit
+// record written, so a reader of its key sees nothing until then and the
+// new value after.
 func TestLookupOfCommittingKeyWaitsForDurability(t *testing.T) {
 	p := parkCommit(t)
 	waits := p.r.Locks().Stats().Waits
@@ -102,7 +105,7 @@ func TestLookupOfCommittingKeyWaitsForDurability(t *testing.T) {
 	}
 	select {
 	case res := <-got:
-		t.Fatalf("lookup(a) = %+v before the commit record was durable", res)
+		t.Fatalf("lookup(a) = %+v before the commit was durable", res)
 	default:
 	}
 	p.open()
@@ -161,18 +164,21 @@ func TestCallsUnderParkedTxnWaitForItsStep(t *testing.T) {
 	if res, err := p.r.Lookup(ctx, 40, k("a")); err != nil || res.Value != "new" {
 		t.Fatalf("lookup(a) = %+v, %v; want new", res, err)
 	}
-	var commits, others int
+	// A one-shot commit logs its prepare, then its commit.
+	var prepares, commits, others int
 	for _, rec := range fileRecords(t, p.file) {
 		switch {
 		case rec.Txn != uint64(parkedTxn):
+		case rec.Kind == wal.KindPrepare:
+			prepares++
 		case rec.Kind == wal.KindCommit:
 			commits++
 		case rec.Kind != wal.KindInsert:
 			others++
 		}
 	}
-	if commits != 1 || others != 0 {
-		t.Errorf("log holds %d commit and %d other markers for the transaction, want 1 and 0", commits, others)
+	if prepares != 1 || commits != 1 || others != 0 {
+		t.Errorf("log holds %d prepare, %d commit and %d other markers for the transaction, want 1, 1 and 0", prepares, commits, others)
 	}
 }
 
@@ -190,8 +196,9 @@ func fileRecords(t *testing.T, f *waltest.File) []wal.Record {
 	return records
 }
 
-// TestCheckpointBusyDuringCommitSync: a transaction whose commit record
-// is not yet durable is still in flight, so no snapshot is cut across it.
+// TestCheckpointBusyDuringCommitSync: a transaction whose commit is
+// still waiting for the log is in flight, so no snapshot is cut across
+// it.
 func TestCheckpointBusyDuringCommitSync(t *testing.T) {
 	p := parkCommit(t)
 	d := &Durability{rep: p.r, log: p.log, snapPath: filepath.Join(t.TempDir(), "rep.snap")}
@@ -241,5 +248,33 @@ func TestFailedSyncLeavesCommitRetryable(t *testing.T) {
 	}
 	if res, err := r.Lookup(ctx, 7, k("a")); err != nil || !res.Found || res.Value != "v" {
 		t.Errorf("lookup after retried commit = %+v, %v; want found v", res, err)
+	}
+}
+
+// TestAbortAfterFailedPrepareIsLogged: a prepare whose fsync failed was
+// refused, but its record was written and may reach the disk all the
+// same. The abort that follows is logged too, so the log never holds a
+// prepare alone: a restart finds the transaction aborted, not in doubt —
+// where, every writer having prepared, it would resolve to commit.
+func TestAbortAfterFailedPrepareIsLogged(t *testing.T) {
+	f := &waltest.File{}
+	r := New("A", WithLog(wal.NewFileLog(f)))
+	boom := errors.New("boom")
+	if err := r.Insert(ctx, 5, k("a"), 1, "v"); err != nil {
+		t.Fatal(err)
+	}
+	f.FailSync(boom)
+	if err := r.Prepare(MarkWriters(ctx, 2), 5); !errors.Is(err, boom) {
+		t.Fatalf("prepare over a failing fsync = %v, want the sync error", err)
+	}
+	if err := r.Abort(ctx, 5); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Recover("A", fileRecords(t, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := r2.Status(ctx, 5); st != StatusAborted {
+		t.Fatalf("status after restart = %v, want aborted", st)
 	}
 }

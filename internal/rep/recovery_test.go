@@ -81,7 +81,7 @@ func TestCorruptSnapshotFallsBackToWAL(t *testing.T) {
 	}
 	commitInsert(t, r, 1, "a", 1)
 	commitInsert(t, r, 2, "b", 2)
-	if err := WriteSnapshot(snapPath, "fb", 0, r.Dump(), 0); err != nil {
+	if err := WriteSnapshot(snapPath, Snapshot{Name: "fb", Entries: r.Dump()}); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
@@ -296,13 +296,13 @@ func TestBareGobSnapshotIsCorrupt(t *testing.T) {
 	walPath, snapPath := durablePaths(t)
 	seedDurable(t, "old", walPath, "", 2)
 	var bare bytes.Buffer
-	if err := gob.NewEncoder(&bare).Encode(snapshotFile{Name: "old", Entries: New("old").Dump()}); err != nil {
+	if err := gob.NewEncoder(&bare).Encode(Snapshot{Name: "old", Entries: New("old").Dump()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(snapPath, bare.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, _, err := ReadSnapshot(snapPath); !errors.Is(err, ErrSnapshotCorrupt) {
+	if _, _, err := ReadSnapshot(snapPath); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("ReadSnapshot = %v, want ErrSnapshotCorrupt", err)
 	}
 	r, d, err := OpenDurable("old", walPath, snapPath)

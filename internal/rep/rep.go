@@ -63,6 +63,11 @@ var (
 	// crash wiped its volatile state — in both cases committing would
 	// silently lose its writes or rest on locks it no longer holds.
 	ErrUnknownTxn = errors.New("rep: prepare of unknown transaction")
+	// ErrWriterCount is the refusal of a prepare, at a representative
+	// the transaction wrote at, that names no writer count or one above
+	// MaxWriters (marks.go): the prepare record would not say how many
+	// prepares make the transaction committed.
+	ErrWriterCount = errors.New("rep: prepare names no valid writer count")
 	// ErrRecovering is returned by read operations while the
 	// representative is rebuilding lost storage from its peers. A
 	// replica that forgot acknowledged writes must not serve reads —
@@ -70,7 +75,8 @@ var (
 	// would poison quorum version comparisons — but it keeps accepting
 	// writes so the rebuild itself and concurrent client traffic can
 	// install entries. The suite treats this error like an unavailable
-	// member and reads around it.
+	// member and reads around it. Status answers it in place of
+	// StatusUnknown: the member cannot vouch that it never prepared.
 	ErrRecovering = errors.New("rep: replica recovering from storage loss")
 )
 
@@ -144,7 +150,10 @@ type undoStep struct {
 // txnState tracks one in-flight transaction at this representative.
 // pendingRedo is set only on transactions reconstructed as in-doubt
 // during recovery: their effects were not applied and must be installed
-// if Commit arrives. logging marks a Prepare, Commit or Abort that is
+// if Commit arrives. writers is the writer count its prepare named.
+// logged marks a transaction whose prepare went to the log, durably or
+// not — an abort of it must be logged too, or a restart could find the
+// prepare alone. logging marks a Prepare, Commit or Abort that is
 // waiting for the log with r.mu released; every other call under the
 // same transaction ID waits in settled until it clears.
 //
@@ -155,7 +164,9 @@ type txnState struct {
 	undo        []undoStep
 	redo        []wal.Record
 	pendingRedo []wal.Record
+	writers     int
 	prepared    bool
+	logged      bool
 	logging     bool
 	undo0       [2]undoStep
 	redo0       [1]wal.Record
@@ -240,7 +251,8 @@ func Recover(name string, records []wal.Record, opts ...Option) (*Rep, error) {
 func (r *Rep) Name() string { return r.name }
 
 // SetRecovering marks (or clears) the replica as rebuilding from peers.
-// While set, read operations return ErrRecovering; writes, prepares,
+// While set, read operations (and Status, for a transaction it has no
+// record of) return ErrRecovering; writes, prepares,
 // and commits proceed so repair traffic and concurrent client writes
 // can land.
 func (r *Rep) SetRecovering(v bool) { r.recovering.Store(v) }
@@ -358,7 +370,7 @@ func (r *Rep) Insert(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver 
 		Value:   value,
 	})
 	if PrepareRides(ctx) {
-		return r.vote(st, txn)
+		return r.vote(st, txn, WritersFrom(ctx))
 	}
 	return nil
 }
@@ -418,7 +430,7 @@ func (r *Rep) Coalesce(ctx context.Context, txn lock.TxnID, lo, hi keyspace.Key,
 		Version: ver,
 	})
 	if PrepareRides(ctx) {
-		if err := r.vote(st, txn); err != nil {
+		if err := r.vote(st, txn, WritersFrom(ctx)); err != nil {
 			return CoalesceResult{}, err
 		}
 	}
@@ -446,7 +458,8 @@ func (r *Rep) applyCoalesce(lo, hi keyspace.Key, ver version.V) (bound btree.Ent
 }
 
 // Prepare implements Directory: phase one of two-phase commit. The
-// transaction's redo records and a prepare marker are forced to the log.
+// transaction's redo records and a prepare record naming the writer
+// count ctx carries (marks.go) are forced to the log.
 //
 // A participant that only read has nothing to force and nothing to
 // commit, so its yes vote is also its last act: it releases the
@@ -457,7 +470,7 @@ func (r *Rep) applyCoalesce(lo, hi keyspace.Key, ver version.V) (bound btree.Ent
 // crashed has lost read locks the transaction relied on, and says so
 // here with ErrUnknownTxn. Having logged nothing, a reader that crashes
 // after voting answers StatusUnknown, which cooperative termination
-// already counts as not-committed — the decision rests with the
+// does not count against the transaction: the writer count is of the
 // participants that wrote, and they do log.
 func (r *Rep) Prepare(ctx context.Context, txn lock.TxnID) error {
 	if err := r.checkEpoch(ctx); err != nil {
@@ -484,7 +497,7 @@ func (r *Rep) Prepare(ctx context.Context, txn lock.TxnID) error {
 		return nil
 	}
 	prepared := st.prepared
-	err := r.vote(st, txn)
+	err := r.vote(st, txn, WritersFrom(ctx))
 	r.mu.Unlock()
 	if err == nil && !prepared {
 		r.stats.prepares.Add(1)
@@ -493,11 +506,17 @@ func (r *Rep) Prepare(ctx context.Context, txn lock.TxnID) error {
 }
 
 // vote prepares a transaction that wrote here: its redo records and a
-// prepare marker are made durable. Callers hold r.mu.
-func (r *Rep) vote(st *txnState, txn lock.TxnID) error {
+// prepare record naming its writer count are made durable. A count
+// outside 1..MaxWriters — zero when the caller named none — is refused
+// with ErrWriterCount. Callers hold r.mu.
+func (r *Rep) vote(st *txnState, txn lock.TxnID, writers int) error {
 	if st.prepared {
 		return nil
 	}
+	if writers < 1 || writers > MaxWriters {
+		return fmt.Errorf("%w: %d (txn %d at %s)", ErrWriterCount, writers, txn, r.name)
+	}
+	st.writers, st.logged = writers, true
 	if err := r.logStep(st, txn, st.redo, wal.KindPrepare); err != nil {
 		return err
 	}
@@ -506,10 +525,12 @@ func (r *Rep) vote(st *txnState, txn lock.TxnID) error {
 }
 
 // Commit implements Directory: make the transaction's effects permanent
-// and release its locks. A Commit without a prior Prepare logs the redo
-// records first (one-shot commit for single-participant transactions).
+// and release its locks. A Commit without a prior Prepare prepares first,
+// as the transaction's one writer (one-shot commit for single-participant
+// transactions), so that the decision rests on a forced prepare record:
+// the commit record itself is written to the log but not forced.
 // Committing an in-doubt transaction reconstructed by recovery installs
-// its withheld effects after the commit record is durable. Every commit
+// its withheld effects after the commit record is logged. Every commit
 // that had something to commit is recorded in outcomes, so a duplicate
 // or late operation under the same transaction ID is answered with
 // ErrTxnDecided (or an idempotent nil for a re-commit) instead of
@@ -542,11 +563,11 @@ func (r *Rep) Commit(ctx context.Context, txn lock.TxnID) error {
 	// untouched (in-doubt effects stay withheld, state is retained) and
 	// the commit can be retried — never a mutated store with no commit
 	// record behind it.
-	var redo []wal.Record
-	if !st.prepared {
-		redo = st.redo
+	if err := r.vote(st, txn, 1); err != nil {
+		r.mu.Unlock()
+		return err
 	}
-	if err := r.logStep(st, txn, redo, wal.KindCommit); err != nil {
+	if err := r.logStep(st, txn, nil, wal.KindCommit); err != nil {
 		r.mu.Unlock()
 		return err
 	}
@@ -574,7 +595,9 @@ func (r *Rep) Commit(ctx context.Context, txn lock.TxnID) error {
 }
 
 // Abort implements Directory: undo the transaction's effects and release
-// its locks.
+// its locks. Aborting a transaction that logged its prepare logs the
+// abort, and the log forces it: every writer holding a prepare record
+// would otherwise make it committed (txn.Resolve).
 func (r *Rep) Abort(ctx context.Context, txn lock.TxnID) error {
 	r.adoptEpoch(ctx)
 	r.mu.Lock()
@@ -598,7 +621,7 @@ func (r *Rep) Abort(ctx context.Context, txn lock.TxnID) error {
 				r.store.Put(u.was)
 			}
 		}
-		if st.prepared {
+		if st.logged {
 			if err := r.logStep(st, txn, nil, wal.KindAbort); err != nil {
 				r.mu.Unlock()
 				return err
@@ -613,14 +636,15 @@ func (r *Rep) Abort(ctx context.Context, txn lock.TxnID) error {
 	return nil
 }
 
-// logStep is the durable part of Prepare, Commit and Abort: it appends
-// redo and then the marker record for txn, with r.mu released so that
-// neither the write nor the fsync stalls the representative. Callers
-// hold r.mu, and hold it again on return. Three things keep that safe:
+// logStep is the logged part of Prepare, Commit and Abort: it appends
+// redo and then the marker record for txn — a prepare naming st.writers
+// — with r.mu released so that neither the write nor an fsync stalls the
+// representative. Callers hold r.mu, and hold it again on return. Three
+// things keep that safe:
 //
 //   - The transaction's range locks stay held until its caller releases
 //     them after logStep returns, so no other transaction reads or logs
-//     behind a record that is not yet durable, and conflicting
+//     behind a record that is not yet written, and conflicting
 //     transactions reach the log in the order they commit.
 //   - st.logging admits one durable step per transaction: any other
 //     call under the same ID waits in settled and then sees the step's
@@ -645,7 +669,11 @@ func (r *Rep) logStep(st *txnState, txn lock.TxnID, redo []wal.Record, marker wa
 		err = r.appendRecord(redo[i])
 	}
 	if err == nil {
-		err = r.appendRecord(wal.Record{Kind: marker, Txn: uint64(txn)})
+		rec := wal.Record{Kind: marker, Txn: uint64(txn)}
+		if marker == wal.KindPrepare {
+			rec.Writers = uint64(st.writers)
+		}
+		err = r.appendRecord(rec)
 	}
 	r.mu.Lock()
 	st.logging = false

@@ -370,7 +370,7 @@ func TestRecoveryReplaysCommittedOnly(t *testing.T) {
 	if err := r.Insert(ctx, 6, k("zz"), 7, "indoubt"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Prepare(ctx, 6); err != nil {
+	if err := r.Prepare(MarkWriters(ctx, 1), 6); err != nil {
 		t.Fatal(err)
 	}
 	// Crash here: rebuild from the log.
@@ -406,7 +406,7 @@ func TestRecoveryReplaysCommittedOnly(t *testing.T) {
 		t.Fatalf("lookup of in-doubt key = %v, want ErrDie", err)
 	}
 	r2.Abort(ctx, 20)
-	if st, _ := r2.Status(ctx, 6); st != StatusInDoubt {
+	if st, _ := r2.Status(ctx, 6); st.Fate() != StatusInDoubt {
 		t.Fatalf("txn 6 status = %v, want in-doubt", st)
 	}
 	// Resolve by aborting: zz never existed.

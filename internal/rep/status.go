@@ -11,14 +11,18 @@ import (
 
 // TxnStatus is a representative's knowledge of a transaction's fate,
 // used by cooperative termination (txn.Resolve) to finish two-phase
-// commits whose coordinator crashed between phases.
+// commits whose coordinator crashed between phases. An in-doubt status
+// also carries the writer count the transaction's prepare named
+// (InDoubtOf): Fate is the status without it, Writers the count.
 type TxnStatus int
 
 const (
-	// StatusUnknown: this representative has no decided record of the
-	// transaction — it never prepared here (or its history was
-	// checkpointed away). For resolution purposes it counts as
-	// not-committed.
+	// StatusUnknown: this representative has no record of the
+	// transaction's fate — it never prepared here. For resolution it is
+	// no prepare: a writer that answers it has not prepared, and never
+	// will (Prepare refuses a transaction it does not know). A member
+	// recovering from storage loss cannot say so, and answers
+	// ErrRecovering instead (Status).
 	StatusUnknown TxnStatus = iota + 1
 	// StatusInDoubt: prepared here, outcome unknown. The transaction's
 	// write locks are held and its effects are withheld until Commit or
@@ -30,13 +34,26 @@ const (
 	StatusAborted
 )
 
+// writersShift is where a status keeps its writer count: above the fate.
+const writersShift = 3
+
+// InDoubtOf is StatusInDoubt for a transaction with the given number of
+// writers.
+func InDoubtOf(writers int) TxnStatus { return StatusInDoubt | TxnStatus(writers)<<writersShift }
+
+// Fate is the status without its writer count.
+func (s TxnStatus) Fate() TxnStatus { return s & (1<<writersShift - 1) }
+
+// Writers is the writer count an in-doubt status carries.
+func (s TxnStatus) Writers() int { return int(s >> writersShift) }
+
 // String names the status.
 func (s TxnStatus) String() string {
-	switch s {
+	switch s.Fate() {
 	case StatusUnknown:
 		return "unknown"
 	case StatusInDoubt:
-		return "in-doubt"
+		return fmt.Sprintf("in-doubt (writers: %d)", s.Writers())
 	case StatusCommitted:
 		return "committed"
 	case StatusAborted:
@@ -51,6 +68,11 @@ func (s TxnStatus) String() string {
 // Status(txn 0) probe under WithEpoch the wire-level "advance your
 // fence" verb (reconfig uses it to fence members it only reaches
 // through the generic Directory interface).
+//
+// A member rebuilt after storage loss (SetRecovering) may have lost a
+// prepare record, so while it recovers it does not answer
+// StatusUnknown: it returns ErrRecovering, which txn.Resolve counts as
+// no answer. Transaction 0 is no transaction, and is answered.
 func (r *Rep) Status(ctx context.Context, txn lock.TxnID) (TxnStatus, error) {
 	r.adoptEpoch(ctx)
 	r.mu.Lock()
@@ -62,7 +84,12 @@ func (r *Rep) Status(ctx context.Context, txn lock.TxnID) (TxnStatus, error) {
 		return StatusAborted, nil
 	}
 	if st, ok := r.txns[txn]; ok && st.prepared {
-		return StatusInDoubt, nil
+		return InDoubtOf(st.writers), nil
+	}
+	if txn != 0 {
+		if err := r.readable(); err != nil {
+			return 0, err
+		}
 	}
 	return StatusUnknown, nil
 }
@@ -121,10 +148,10 @@ func (r *Rep) installAnalysis(a wal.Analysis) error {
 	for id, committed := range a.Outcomes {
 		r.outcomes[lock.TxnID(id)] = committed
 	}
-	for id, recs := range a.InDoubt {
+	for id, p := range a.InDoubt {
 		txnID := lock.TxnID(id)
-		r.txns[txnID] = &txnState{prepared: true, pendingRedo: recs}
-		for _, rec := range recs {
+		r.txns[txnID] = &txnState{prepared: true, logged: true, writers: int(p.Writers), pendingRedo: p.Redo}
+		for _, rec := range p.Redo {
 			rng := interval.Point(rec.Key)
 			if rec.Kind == wal.KindCoalesce {
 				rng = interval.Span(rec.Key, rec.Hi)

@@ -174,7 +174,7 @@ func logStorageWorkload(walPath string, commits int) ([]byte, error) {
 		if err := r.Insert(ctx, txn, k, version.V(i), fmt.Sprintf("v%d", i)); err != nil {
 			return nil, fmt.Errorf("sim: curve insert: %w", err)
 		}
-		if err := r.Prepare(ctx, txn); err != nil {
+		if err := r.Prepare(rep.MarkWriters(ctx, 1), txn); err != nil {
 			return nil, err
 		}
 		if err := r.Commit(ctx, txn); err != nil {

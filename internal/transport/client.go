@@ -347,10 +347,13 @@ func (c *Client) ensureConn(ctx context.Context) (*clientConn, error) {
 // its own response or its own context.
 func (c *Client) call(ctx context.Context, req request) (response, error) {
 	// Carry the caller's configuration epoch across the wire so the
-	// remote representative can fence stale epochs, and those of its
-	// call marks that this op takes.
+	// remote representative can fence stale epochs, those of its call
+	// marks that this op takes, and the writer count of a prepare.
 	req.Epoch = rep.EpochFromContext(ctx)
 	req.Marks = rep.MarksFrom(ctx) & req.Op.marks()
+	if req.Op.prepares(req.Marks) {
+		req.Writers = uint64(rep.WritersFrom(ctx))
+	}
 	pc := pendingCallPool.Get().(*pendingCall)
 	pc.req = req
 	for attempt := 0; ; attempt++ {

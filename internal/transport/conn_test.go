@@ -95,7 +95,8 @@ func TestPreambleMismatchRefused(t *testing.T) {
 	defer good.Close()
 	for name, offer := range map[string][]byte{
 		"version_3":        {0x00, 3},
-		"version_5":        {0x00, 5},
+		"version_4":        {0x00, 4},
+		"version_6":        {0x00, 6},
 		"wrong_first_byte": {0x01, wireVersion},
 	} {
 		t.Run("server_offered_"+name, func(t *testing.T) {

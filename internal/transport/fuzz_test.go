@@ -35,18 +35,20 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(uint8(5), uint64(9), uint64(8), uint8(2), "k", uint8(1), "hi", uint64(1<<40), "v", 0, uint8(2), "msg", []byte{0x01, 0x02})
 	f.Add(uint8(11), uint64(0), uint64(0), uint8(0), "", uint8(2), "z", uint64(0), "", -1, uint8(9), "boom", []byte{0xff, 0xff, 0xff})
 	// The marked calls, each with its own encoding as raw.
-	f.Add(uint8(132), uint64(7), uint64(9), uint8(2), "k", uint8(0), "", uint64(4), "v", 0, uint8(0), "", []byte{0x01, 0x07, 0x09, 0x00, 0x00, 0x01, 0x02, 0x01, 'k'})
-	f.Add(uint8(137), uint64(1), uint64(2), uint8(2), "ab", uint8(0), "", uint64(3), "xyz", 0, uint8(8), "no", []byte{0x06, 0x01, 0x02, 0x00, 0x00, 0x02, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'})
-	f.Add(uint8(138), uint64(1), uint64(2), uint8(0), "", uint8(1), "", uint64(5), "", 0, uint8(0), "", []byte{0x07, 0x01, 0x02, 0x00, 0x00, 0x02, 0x01, 0x03, 0x05})
-	f.Add(uint8(136), uint64(1), uint64(2), uint8(2), "k", uint8(0), "", uint64(3), "v", 3, uint8(0), "", []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x04, 0x02, 0x01, 'k', 0x03})
+	f.Add(uint8(132), uint64(7), uint64(9), uint8(2), "k", uint8(0), "", uint64(4), "v", 0, uint8(0), "", []byte{0x01, 0x07, 0x09, 0x00, 0x00, 0x01, 0x00, 0x02, 0x01, 'k'})
+	f.Add(uint8(137), uint64(1), uint64(2), uint8(2), "ab", uint8(0), "", uint64(3), "xyz", 0, uint8(8), "no", []byte{0x06, 0x01, 0x02, 0x00, 0x00, 0x02, 0x03, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'})
+	f.Add(uint8(138), uint64(1), uint64(2), uint8(0), "", uint8(1), "", uint64(5), "", 0, uint8(0), "", []byte{0x07, 0x01, 0x02, 0x00, 0x00, 0x02, 0x05, 0x01, 0x03, 0x05})
+	f.Add(uint8(136), uint64(1), uint64(2), uint8(2), "k", uint8(0), "", uint64(3), "v", 3, uint8(0), "", []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x04, 0x00, 0x02, 0x01, 'k', 0x03})
 	// What the request decoder refuses: under each batch tag a count of
 	// 65, one over the page (TestWireRefusesOversizedBatch); a flag from
-	// the future; a mark on an op that does not take it.
-	f.Add(uint8(136), uint64(1), uint64(2), uint8(2), "k", uint8(0), "", uint64(3), "v", rep.MaxBatch, uint8(0), "", []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x04, 0x02, 0x01, 'k', 0x41})
-	f.Add(uint8(4), uint64(1), uint64(2), uint8(0), "", uint8(0), "", uint64(0), "", rep.MaxBatch, uint8(0), "", []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x00, 0x01, 0x41})
-	f.Add(uint8(3), uint64(1), uint64(2), uint8(1), "", uint8(0), "", uint64(0), "", rep.MaxBatch, uint8(0), "", []byte{0x04, 0x01, 0x02, 0x00, 0x00, 0x00, 0x03, 0x41})
-	f.Add(uint8(0), uint64(7), uint64(9), uint8(2), "k", uint8(0), "", uint64(0), "", 0, uint8(0), "", []byte{0x01, 0x07, 0x09, 0x00, 0x00, 0x08, 0x02, 0x01, 'k'})
-	f.Add(uint8(5), uint64(1), uint64(2), uint8(2), "ab", uint8(0), "", uint64(3), "xyz", 0, uint8(0), "", []byte{0x06, 0x01, 0x02, 0x00, 0x00, 0x01, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'})
+	// the future; a mark on an op that does not take it; a writer count on
+	// a call that carries no prepare.
+	f.Add(uint8(136), uint64(1), uint64(2), uint8(2), "k", uint8(0), "", uint64(3), "v", rep.MaxBatch, uint8(0), "", []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x04, 0x00, 0x02, 0x01, 'k', 0x41})
+	f.Add(uint8(4), uint64(1), uint64(2), uint8(0), "", uint8(0), "", uint64(0), "", rep.MaxBatch, uint8(0), "", []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01, 0x41})
+	f.Add(uint8(3), uint64(1), uint64(2), uint8(1), "", uint8(0), "", uint64(0), "", rep.MaxBatch, uint8(0), "", []byte{0x04, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x03, 0x41})
+	f.Add(uint8(0), uint64(7), uint64(9), uint8(2), "k", uint8(0), "", uint64(0), "", 0, uint8(0), "", []byte{0x01, 0x07, 0x09, 0x00, 0x00, 0x08, 0x00, 0x02, 0x01, 'k'})
+	f.Add(uint8(5), uint64(1), uint64(2), uint8(2), "ab", uint8(0), "", uint64(3), "xyz", 0, uint8(0), "", []byte{0x06, 0x01, 0x02, 0x00, 0x00, 0x01, 0x00, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'})
+	f.Add(uint8(8), uint64(1), uint64(2), uint8(0), "", uint8(0), "", uint64(0), "", 0, uint8(0), "", []byte{0x09, 0x01, 0x02, 0x00, 0x00, 0x00, 0x02})
 
 	f.Fuzz(func(t *testing.T, tag uint8, id, txn uint64, keyKind uint8, keyS string,
 		hiKind uint8, hiS string, ver uint64, value string, count int, codeByte uint8, msg string, raw []byte) {
@@ -56,6 +58,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		req := request{ID: id, Op: reqOp, Txn: txn, Epoch: id ^ txn, Deadline: ver ^ txn}
 		if tag >= 128 {
 			req.Marks = reqOp.marks()
+		}
+		if reqOp.prepares(req.Marks) {
+			req.Writers = ver % 5
 		}
 		switch reqOp {
 		case opLookup, opPredecessor, opSuccessor:
@@ -116,7 +121,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 					resp.DeletedKeys = []keyspace.Key{fuzzKey(2, keyS), keyspace.Low()}
 				}
 			case opStatus:
-				resp.TxnStatus = rep.TxnStatus(ver % 4)
+				resp.TxnStatus = rep.TxnStatus(ver % 64)
 			case opName:
 				resp.Name = value
 			}

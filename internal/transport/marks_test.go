@@ -73,7 +73,7 @@ func TestCallMarksCrossTheWire(t *testing.T) {
 		if err := d.Insert(ctx, 7, hi, 1, "v"); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Insert(rep.MarkPrepare(ctx), 7, key, 1, "v"); err != nil {
+		if err := d.Insert(rep.MarkWriters(rep.MarkPrepare(ctx), 1), 7, key, 1, "v"); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Commit(ctx, 7); err != nil {
@@ -82,11 +82,13 @@ func TestCallMarksCrossTheWire(t *testing.T) {
 		if _, err := d.Lookup(ctx, 9, keyspace.Low()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Coalesce(rep.MarkPrepare(ctx), 9, keyspace.Low(), hi, 2); err != nil {
+		// The writer count rides with the prepare, and comes back in the
+		// in-doubt status.
+		if _, err := d.Coalesce(rep.MarkWriters(rep.MarkPrepare(ctx), 3), 9, keyspace.Low(), hi, 2); err != nil {
 			t.Fatal(err)
 		}
-		if st, err := d.Status(ctx, 9); err != nil || st != rep.StatusInDoubt {
-			t.Fatalf("status after coalesce+prepare = %v, %v", st, err)
+		if st, err := d.Status(ctx, 9); err != nil || st != rep.InDoubtOf(3) {
+			t.Fatalf("status after coalesce+prepare = %v, %v; want in doubt of 3 writers", st, err)
 		}
 		if err := d.Commit(ctx, 9); err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ func TestMiddlewarePassThrough(t *testing.T) {
 	if err := m.Insert(ctx, 1, keyspace.New("k"), 1, "v"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Prepare(ctx, 1); err != nil {
+	if err := m.Prepare(rep.MarkWriters(ctx, 1), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Commit(ctx, 1); err != nil {

@@ -319,12 +319,13 @@ func errorResponse(req *request, err error) response {
 // callCtx is the context a request's handler runs under, one object a
 // request. It answers for the request's deadline (rep.Expiry: no channel
 // and no timer unless the handler waits), for the caller's configuration
-// epoch (zero fences as an unversioned caller) and for the call marks its
-// header carried.
+// epoch (zero fences as an unversioned caller) and for the call marks and
+// writer count its header carried.
 type callCtx struct {
 	rep.Expiry
-	epoch uint64
-	marks rep.Marks
+	epoch   uint64
+	marks   rep.Marks
+	writers int
 }
 
 func (c *callCtx) Value(key any) any {
@@ -333,6 +334,8 @@ func (c *callCtx) Value(key any) any {
 		return c.epoch
 	case rep.MarksKey:
 		return c.marks
+	case rep.WritersKey:
+		return c.writers
 	}
 	return nil
 }
@@ -348,7 +351,7 @@ func (s *Server) handle(req *request, resp *response) {
 	if !req.expires.IsZero() && req.expires.Before(limit) {
 		limit = req.expires
 	}
-	ctx := &callCtx{epoch: req.Epoch, marks: req.Marks}
+	ctx := &callCtx{epoch: req.Epoch, marks: req.Marks, writers: int(req.Writers)}
 	ctx.Set(limit)
 	defer ctx.End(context.Canceled)
 	*resp = response{ID: req.ID, Op: req.Op}

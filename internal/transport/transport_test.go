@@ -164,7 +164,7 @@ func TestTCPFullOperationSurface(t *testing.T) {
 	if err := c.Insert(ctx, 1, keyspace.New("d"), 1, "vd"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Prepare(ctx, 1); err != nil {
+	if err := c.Prepare(rep.MarkWriters(ctx, 1), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Commit(ctx, 1); err != nil {

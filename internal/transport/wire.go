@@ -42,17 +42,20 @@ import (
 // batching mechanism (see frameWriter). Messages are self-delimiting,
 // so the decoder simply reads until the frame is exhausted.
 //
-//	request:   tag(1) id(uvarint) txn(uvarint) epoch(uvarint) deadline(uvarint) marks(1) fields...
+//	request:   tag(1) id(uvarint) txn(uvarint) epoch(uvarint) deadline(uvarint) marks(1) writers(uvarint) fields...
 //	response:  tag(1) id(uvarint) code(1) [msg(bytes) if code!=OK | fields if OK]
 //
 // epoch is the caller's configuration epoch (0 = unversioned), deadline
 // its remaining budget in microseconds (0 = none), marks the call marks
-// of rep/marks.go as a bitset. A tag the decoder does not know, a marks
-// bit it does not know and a mark on an op that does not take it are all
-// refused the same way: the decode fails, the connection closes, and the
-// caller gets ErrUnavailable at once, not a hang — running the plain
-// call instead would leave a lock nobody releases, skip a prepare, or
-// answer a delete's read with the successors alone.
+// of rep/marks.go as a bitset, writers the writer count a prepare
+// carries (0 = none; rep/marks.go). A tag the decoder does not know, a
+// marks bit it does not know, a mark on an op that does not take it, a
+// writer count above rep.MaxWriters and one on a call that carries no
+// prepare are all refused the
+// same way: the decode fails, the connection closes, and the caller gets
+// ErrUnavailable at once, not a hang — running the plain call instead
+// would leave a lock nobody releases, skip a prepare, or answer a
+// delete's read with the successors alone.
 //
 // Keys reuse the keyspace wire kinds (1=LOW, 2=normal+bytes, 3=HIGH);
 // strings and byte fields are uvarint length + raw bytes. The exact
@@ -90,6 +93,12 @@ func (o op) marks() rep.Marks {
 	return 0
 }
 
+// prepares reports whether a request with this op and these marks
+// carries a prepare, and so may carry a writer count.
+func (o op) prepares(m rep.Marks) bool {
+	return o == opPrepare || m&rep.PrepareMark != 0
+}
+
 // request is the single wire request shape. ID matches the request to
 // its response: the connection is multiplexed, so responses may return
 // in any order.
@@ -103,6 +112,7 @@ type request struct {
 	// per-request context and fast-rejects work it cannot finish in time.
 	Deadline uint64
 	Marks    rep.Marks
+	Writers  uint64
 	Key      keyspace.Key
 	Hi       keyspace.Key
 	Version  version.V
@@ -137,7 +147,7 @@ type response struct {
 const (
 	// wireVersion names the layouts above; it is offered and echoed in
 	// preambles, and a peer holding any other value is refused.
-	wireVersion = 4
+	wireVersion = 5
 
 	// maxFrameLen bounds a received frame before its buffer is
 	// allocated, so a corrupt or hostile length prefix cannot balloon
@@ -193,6 +203,7 @@ func appendRequest(b []byte, req *request) []byte {
 	b = appendUvarint(b, req.Epoch)
 	b = appendUvarint(b, req.Deadline)
 	b = append(b, byte(req.Marks))
+	b = appendUvarint(b, req.Writers)
 	switch req.Op {
 	case opLookup, opPredecessor, opSuccessor:
 		b = appendKey(b, req.Key)
@@ -353,6 +364,12 @@ func (r *wireReader) readRequest(req *request) error {
 	req.Marks = rep.Marks(r.readByte())
 	if bad := req.Marks &^ req.Op.marks(); bad != 0 {
 		r.fail("marks %#x not taken by request tag %d", bad, req.Op)
+	}
+	switch req.Writers = r.readUvarint(); {
+	case req.Writers > rep.MaxWriters:
+		r.fail("writer count %d above %d", req.Writers, rep.MaxWriters)
+	case req.Writers != 0 && !req.Op.prepares(req.Marks):
+		r.fail("writer count %d on request tag %d, which carries no prepare", req.Writers, req.Op)
 	}
 	switch req.Op {
 	case opLookup, opPredecessor, opSuccessor:

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -15,11 +16,11 @@ import (
 // them changes, old and new builds can no longer talk, so a failure here
 // means "bump the wire version", never "update the expected bytes".
 func TestWireGoldenVectors(t *testing.T) {
-	if want := [2]byte{0x00, 0x04}; preamble != want {
+	if want := [2]byte{0x00, 0x05}; preamble != want {
 		t.Errorf("preamble % x, want % x", preamble, want)
 	}
 
-	// tag id txn epoch deadline marks, then the op's fields.
+	// tag id txn epoch deadline marks writers, then the op's fields.
 	reqVectors := []struct {
 		name string
 		req  request
@@ -28,89 +29,89 @@ func TestWireGoldenVectors(t *testing.T) {
 		{
 			name: "lookup",
 			req:  request{ID: 7, Op: opLookup, Txn: 9, Epoch: 5, Deadline: 300, Key: keyspace.New("k")},
-			want: []byte{0x01, 0x07, 0x09, 0x05, 0xac, 0x02, 0x00, 0x02, 0x01, 'k'},
+			want: []byte{0x01, 0x07, 0x09, 0x05, 0xac, 0x02, 0x00, 0x00, 0x02, 0x01, 'k'},
 		},
 		{
 			name: "lookup_no_epoch_no_deadline",
 			req:  request{ID: 7, Op: opLookup, Txn: 9, Key: keyspace.New("k")},
-			want: []byte{0x01, 0x07, 0x09, 0x00, 0x00, 0x00, 0x02, 0x01, 'k'},
+			want: []byte{0x01, 0x07, 0x09, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 'k'},
 		},
 		{
 			name: "predecessor",
 			req:  request{ID: 1, Op: opPredecessor, Txn: 2, Key: keyspace.High()},
-			want: []byte{0x02, 0x01, 0x02, 0x00, 0x00, 0x00, 0x03},
+			want: []byte{0x02, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x03},
 		},
 		{
 			name: "successor",
 			req:  request{ID: 1, Op: opSuccessor, Txn: 2, Key: keyspace.Low()},
-			want: []byte{0x03, 0x01, 0x02, 0x00, 0x00, 0x00, 0x01},
+			want: []byte{0x03, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01},
 		},
 		{
 			name: "predecessor_batch",
 			req:  request{ID: 1, Op: opPredecessorBatch, Txn: 2, Key: keyspace.New("b"), Count: 17},
-			want: []byte{0x04, 0x01, 0x02, 0x00, 0x00, 0x00, 0x02, 0x01, 'b', 0x11},
+			want: []byte{0x04, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x02, 0x01, 'b', 0x11},
 		},
 		{
 			name: "successor_batch",
 			req:  request{ID: 1, Op: opSuccessorBatch, Txn: 2, Key: keyspace.Low(), Count: 5},
-			want: []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x00, 0x01, 0x05},
+			want: []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01, 0x05},
 		},
 		{
 			name: "insert_big_epoch",
 			req:  request{ID: 1, Op: opInsert, Txn: 2, Epoch: 300, Key: keyspace.New("ab"), Version: 3, Value: "xyz"},
-			want: []byte{0x06, 0x01, 0x02, 0xac, 0x02, 0x00, 0x00, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'},
+			want: []byte{0x06, 0x01, 0x02, 0xac, 0x02, 0x00, 0x00, 0x00, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'},
 		},
 		{
 			name: "coalesce_full_range",
 			req:  request{ID: 1, Op: opCoalesce, Txn: 2, Key: keyspace.Low(), Hi: keyspace.High(), Version: 5},
-			want: []byte{0x07, 0x01, 0x02, 0x00, 0x00, 0x00, 0x01, 0x03, 0x05},
+			want: []byte{0x07, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01, 0x03, 0x05},
 		},
 		{
 			name: "prepare_deadline",
-			req:  request{ID: 200, Op: opPrepare, Txn: 300, Deadline: 1},
-			want: []byte{0x08, 0xc8, 0x01, 0xac, 0x02, 0x00, 0x01, 0x00},
+			req:  request{ID: 200, Op: opPrepare, Txn: 300, Deadline: 1, Writers: 3},
+			want: []byte{0x08, 0xc8, 0x01, 0xac, 0x02, 0x00, 0x01, 0x00, 0x03},
 		},
 		{
 			name: "commit",
 			req:  request{ID: 1, Op: opCommit, Txn: 2},
-			want: []byte{0x09, 0x01, 0x02, 0x00, 0x00, 0x00},
+			want: []byte{0x09, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00},
 		},
 		{
 			name: "abort",
 			req:  request{ID: 1, Op: opAbort, Txn: 2},
-			want: []byte{0x0a, 0x01, 0x02, 0x00, 0x00, 0x00},
+			want: []byte{0x0a, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00},
 		},
 		{
 			name: "status_bypass_epoch",
 			req:  request{ID: 1, Op: opStatus, Txn: 0, Epoch: ^uint64(0)},
-			want: []byte{0x0b, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00},
+			want: []byte{0x0b, 0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x00},
 		},
 		{
 			name: "name",
 			req:  request{ID: 1, Op: opName},
-			want: []byte{0x0c, 0x01, 0x00, 0x00, 0x00, 0x00},
+			want: []byte{0x0c, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00},
 		},
 		// The marked calls (rep/marks.go): the plain call's tag and
-		// fields, one bit in the flags byte.
+		// fields, one bit in the flags byte; a prepare, the writer count.
 		{
 			name: "lookup_one_shot",
 			req:  request{ID: 7, Op: opLookup, Txn: 9, Epoch: 5, Deadline: 300, Marks: rep.OneShotMark, Key: keyspace.New("k")},
-			want: []byte{0x01, 0x07, 0x09, 0x05, 0xac, 0x02, 0x01, 0x02, 0x01, 'k'},
+			want: []byte{0x01, 0x07, 0x09, 0x05, 0xac, 0x02, 0x01, 0x00, 0x02, 0x01, 'k'},
 		},
 		{
 			name: "insert_prepare",
-			req:  request{ID: 1, Op: opInsert, Txn: 2, Marks: rep.PrepareMark, Key: keyspace.New("ab"), Version: 3, Value: "xyz"},
-			want: []byte{0x06, 0x01, 0x02, 0x00, 0x00, 0x02, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'},
+			req:  request{ID: 1, Op: opInsert, Txn: 2, Marks: rep.PrepareMark, Writers: 2, Key: keyspace.New("ab"), Version: 3, Value: "xyz"},
+			want: []byte{0x06, 0x01, 0x02, 0x00, 0x00, 0x02, 0x02, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'},
 		},
 		{
 			name: "coalesce_prepare",
-			req:  request{ID: 1, Op: opCoalesce, Txn: 2, Marks: rep.PrepareMark, Key: keyspace.Low(), Hi: keyspace.High(), Version: 5},
-			want: []byte{0x07, 0x01, 0x02, 0x00, 0x00, 0x02, 0x01, 0x03, 0x05},
+			req:  request{ID: 1, Op: opCoalesce, Txn: 2, Marks: rep.PrepareMark, Writers: 2, Key: keyspace.Low(), Hi: keyspace.High(), Version: 5},
+			want: []byte{0x07, 0x01, 0x02, 0x00, 0x00, 0x02, 0x02, 0x01, 0x03, 0x05},
 		},
 		{
 			name: "successor_batch_around",
 			req:  request{ID: 1, Op: opSuccessorBatch, Txn: 2, Marks: rep.AroundMark, Key: keyspace.New("k"), Count: 3},
-			want: []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x04, 0x02, 0x01, 'k', 0x03},
+			want: []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x04, 0x00, 0x02, 0x01, 'k', 0x03},
 		},
 	}
 	for _, v := range reqVectors {
@@ -194,8 +195,8 @@ func TestWireGoldenVectors(t *testing.T) {
 		},
 		{
 			name: "status",
-			resp: response{ID: 1, Op: opStatus, Code: codeOK, TxnStatus: rep.TxnStatus(2)},
-			want: []byte{0x0b, 0x01, 0x00, 0x02},
+			resp: response{ID: 1, Op: opStatus, Code: codeOK, TxnStatus: rep.InDoubtOf(3)},
+			want: []byte{0x0b, 0x01, 0x00, 0x1a},
 		},
 		{
 			name: "name",
@@ -235,14 +236,14 @@ func wireRequestVariants() []request {
 		{ID: 9, Op: opSuccessorBatch, Txn: 10, Key: keyspace.New(""), Count: 0},
 		{ID: 11, Op: opInsert, Txn: 12, Key: keyspace.New("k"), Version: 1 << 40, Value: "value with spaces\x00and zero"},
 		{ID: 13, Op: opCoalesce, Txn: 14, Key: keyspace.Low(), Hi: keyspace.New("z"), Version: 7},
-		{ID: 15, Op: opPrepare, Txn: 16},
+		{ID: 15, Op: opPrepare, Txn: 16, Writers: 2},
 		{ID: 17, Op: opCommit, Txn: 18},
 		{ID: 19, Op: opAbort, Txn: 20},
 		{ID: 21, Op: opStatus, Txn: 22},
 		{ID: 23, Op: opName},
 		{ID: 25, Op: opLookup, Txn: 26, Marks: rep.OneShotMark, Key: keyspace.New("alpha")},
-		{ID: 27, Op: opInsert, Txn: 28, Marks: rep.PrepareMark, Key: keyspace.New("k"), Version: 9, Value: "v"},
-		{ID: 29, Op: opCoalesce, Txn: 30, Marks: rep.PrepareMark, Key: keyspace.New("a"), Hi: keyspace.High(), Version: 7},
+		{ID: 27, Op: opInsert, Txn: 28, Marks: rep.PrepareMark, Writers: 3, Key: keyspace.New("k"), Version: 9, Value: "v"},
+		{ID: 29, Op: opCoalesce, Txn: 30, Marks: rep.PrepareMark, Writers: 1, Key: keyspace.New("a"), Hi: keyspace.High(), Version: 7},
 		{ID: 31, Op: opSuccessorBatch, Txn: 32, Marks: rep.AroundMark, Key: keyspace.New("k"), Count: rep.MaxBatch},
 	}
 	for i := range reqs {
@@ -362,6 +363,30 @@ func TestWireRefusesStrayMarks(t *testing.T) {
 				t.Errorf("tag %d marks %#x: decoded %#x, %v", o, bit, got.Marks, err)
 			} else if !taken && !errors.Is(err, errWire) {
 				t.Errorf("tag %d marks %#x: error = %v, want a refused frame", o, bit, err)
+			}
+		}
+	}
+}
+
+// TestWireRefusesStrayWriterCount: a writer count is admitted on a call
+// that carries a prepare — Prepare, or a write with the prepare mark —
+// and refused on any other. A count above rep.MaxWriters is refused on
+// every call: a status could not carry it back.
+func TestWireRefusesStrayWriterCount(t *testing.T) {
+	for o := opLookup; o <= opName; o++ {
+		for _, marks := range []rep.Marks{0, o.marks()} {
+			for _, n := range []uint64{2, rep.MaxWriters, rep.MaxWriters + 1, math.MaxUint64} {
+				req := request{ID: 1, Op: o, Txn: 2, Marks: marks, Writers: n, Key: keyspace.New("k"), Hi: keyspace.New("z")}
+				r := wireReader{buf: appendRequest(nil, &req)}
+				var got request
+				err := r.readRequest(&got)
+				if o.prepares(marks) && n <= rep.MaxWriters {
+					if err != nil || got.Writers != n {
+						t.Errorf("tag %d marks %#x writers %d: decoded %d, %v", o, marks, n, got.Writers, err)
+					}
+				} else if !errors.Is(err, errWire) {
+					t.Errorf("tag %d marks %#x writers %d: error = %v, want a refused frame", o, marks, n, err)
+				}
 			}
 		}
 	}

@@ -2,6 +2,9 @@ package txn
 
 import (
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repdir/internal/keyspace"
@@ -29,7 +32,7 @@ func TestResolveSettlesCrashRestartedParticipant(t *testing.T) {
 		if err := r.Insert(ctx, id, key, 1, "v"); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Prepare(ctx, id); err != nil {
+		if err := r.Prepare(rep.MarkWriters(ctx, 2), id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +49,7 @@ func TestResolveSettlesCrashRestartedParticipant(t *testing.T) {
 	if got := b2.InDoubt(); len(got) != 1 || got[0] != id {
 		t.Fatalf("recovered in-doubt set = %v, want [%d]", got, id)
 	}
-	if st, _ := b2.Status(ctx, id); st != rep.StatusInDoubt {
+	if st, _ := b2.Status(ctx, id); st.Fate() != rep.StatusInDoubt {
 		t.Fatalf("recovered status = %v, want in-doubt", st)
 	}
 	// Effects are withheld until the decision arrives.
@@ -81,16 +84,16 @@ func TestResolveSettlesCrashRestartedParticipant(t *testing.T) {
 // TestResolveAfterReadOnlyParticipantCrash: a participant that only read
 // logs nothing at prepare or commit, so a crash leaves it with no memory
 // of the transaction. Cooperative termination must still drive the
-// participants that wrote to one outcome: the one a writer already
-// reached, or abort when no writer committed (the coordinator, which
-// reports success only after every commit, cannot have).
+// participants that wrote to one outcome — commit, whether or not a
+// writer was told: both writers prepared, and the reader's unknown is
+// not a writer's, so it counts for nothing.
 func TestResolveAfterReadOnlyParticipantCrash(t *testing.T) {
 	for _, tt := range []struct {
 		name      string
 		commitAtB bool // the coordinator reached the reader and writer B before dying
 		want      rep.TxnStatus
 	}{
-		{"no writer committed", false, rep.StatusAborted},
+		{"no writer committed", false, rep.StatusCommitted},
 		{"one writer committed", true, rep.StatusCommitted},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
@@ -111,7 +114,7 @@ func TestResolveAfterReadOnlyParticipantCrash(t *testing.T) {
 				}
 			}
 			for _, p := range []*rep.Rep{a, b, c} {
-				if err := p.Prepare(ctx, id); err != nil {
+				if err := p.Prepare(rep.MarkWriters(ctx, 2), id); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -160,5 +163,128 @@ func TestResolveAfterReadOnlyParticipantCrash(t *testing.T) {
 				t.Errorf("reader lookup after resolve: %v", err)
 			}
 		})
+	}
+}
+
+// TestResolveAfterCheckpointOfCommittedSibling: a member remembers what
+// it decided across a checkpoint. A prepared at writer count 2 and was
+// left in doubt; B committed, checkpointed — truncating the log that held
+// its prepare and commit records — and reopened. B must still answer
+// StatusCommitted, and A resolve to commit: an unknown B would be a
+// writer that never prepared, and would abort a committed transaction.
+func TestResolveAfterCheckpointOfCommittedSibling(t *testing.T) {
+	ctx := context.Background()
+	id := lock.TxnID(42)
+	key := keyspace.New("k")
+	dir := t.TempDir()
+	walB, snapB := filepath.Join(dir, "B.wal"), filepath.Join(dir, "B.snap")
+
+	a := rep.New("A", rep.WithLog(&wal.MemoryLog{}))
+	b, d, err := rep.OpenDurable("B", walB, snapB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*rep.Rep{a, b} {
+		if err := r.Insert(ctx, id, key, 1, "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Prepare(rep.MarkWriters(ctx, 2), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Commit(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if records, err := wal.ReadFileLog(walB); err != nil || len(records) != 0 {
+		t.Fatalf("B's log after the checkpoint holds %d records (%v), want none", len(records), err)
+	}
+	b2, d2, err := rep.OpenDurable("B", walB, snapB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if st, _ := b2.Status(ctx, id); st != rep.StatusCommitted {
+		t.Fatalf("B's status after checkpoint and reopen = %v, want committed", st)
+	}
+
+	res, err := Resolve(ctx, id, []rep.Directory{a, b2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Committed || len(res.Finished) != 1 || res.Finished[0] != "A" {
+		t.Fatalf("resolution = %+v, want committed, finished at A", res)
+	}
+	if got, err := a.Lookup(ctx, 50, key); err != nil || !got.Found {
+		t.Errorf("A lookup after resolve = %+v, %v; want the committed entry", got, err)
+	}
+}
+
+// TestResolveWaitsForARebuiltSibling: A prepared at writer count 2 and
+// was left in doubt (its commit call was lost, or a power cut took its
+// unforced commit record). B committed, checkpointed, and then lost its
+// storage: it reopens rebuilt, empty, with no record of the transaction.
+// B must not answer StatusUnknown — that would read as a writer that
+// never prepared, and abort a write the caller was told succeeded. It
+// answers ErrRecovering, and Resolve leaves A in doubt.
+func TestResolveWaitsForARebuiltSibling(t *testing.T) {
+	ctx := context.Background()
+	id := lock.TxnID(42)
+	key := keyspace.New("k")
+	dir := t.TempDir()
+	walB, snapB := filepath.Join(dir, "B.wal"), filepath.Join(dir, "B.snap")
+
+	a := rep.New("A", rep.WithLog(&wal.MemoryLog{}))
+	b, d, err := rep.OpenDurable("B", walB, snapB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*rep.Rep{a, b} {
+		if err := r.Insert(ctx, id, key, 1, "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Prepare(rep.MarkWriters(ctx, 2), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Commit(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(snapB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap[len(snap)/2] ^= 0xff
+	if err := os.WriteFile(snapB, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b2, d2, err := rep.OpenDurable("B", walB, snapB, rep.WithRecovery(rep.RecoverRebuild))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if !d2.Recovery().Rebuilt {
+		t.Fatalf("B reopened without a rebuild: %+v", d2.Recovery())
+	}
+	if st, err := b2.Status(ctx, id); !errors.Is(err, rep.ErrRecovering) {
+		t.Fatalf("rebuilt B's status = %v, %v; want ErrRecovering", st, err)
+	}
+
+	if res, err := Resolve(ctx, id, []rep.Directory{a, b2}); !errors.Is(err, ErrUnresolvable) {
+		t.Fatalf("resolve = %+v, %v; want ErrUnresolvable", res, err)
+	}
+	if st, _ := a.Status(ctx, id); st != rep.InDoubtOf(2) {
+		t.Errorf("A status = %v, want still in doubt of 2 writers", st)
 	}
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // ErrUnresolvable reports that cooperative termination could not reach a
-// safe decision because some participant was unreachable and no reachable
-// participant had committed: the unreachable one might hold the commit.
-var ErrUnresolvable = errors.New("txn: cannot resolve while a participant is unreachable and none committed")
+// safe decision: some participant was unreachable, and the reachable
+// ones had neither decided the transaction nor all prepared — the
+// unreachable one might hold the decision, or the missing prepare.
+var ErrUnresolvable = errors.New("txn: cannot resolve while a participant is unreachable and the others are undecided")
 
 // Resolution describes what Resolve decided and did.
 type Resolution struct {
@@ -36,43 +37,71 @@ type Resolution struct {
 // silent divergence, but the resolution itself may then fail partway.
 //
 // The decision rule for client-coordinated 2PC without a coordinator
-// log: the commit point is the first Commit applied at any participant
-// (the coordinator sends commits only after every participant prepared,
-// and reports success only after all commits applied). Therefore:
+// log: the commit point is the moment every writer holds a forced
+// prepare record. Every prepare names the writer count n (an in-doubt
+// Status reports it), no writer joins after a prepare has gone out, an
+// abort of a prepared writer is forced, no writer is asked to prepare
+// before every reader has voted yes (Txn.Commit; a point write's riding
+// prepare excepted, whose readers read only the key its writers lock),
+// and the coordinator commits exactly when every writer voted yes.
+// Therefore:
 //
-//   - if any participant reports Committed, the transaction committed:
-//     drive Commit at every in-doubt participant;
-//   - if every participant is reachable and none committed, the
-//     coordinator cannot have observed a successful commit: drive Abort
-//     at every in-doubt participant;
-//   - if some participant is unreachable and none of the reachable ones
-//     committed, no safe decision exists yet (ErrUnresolvable).
+//   - if any participant reports Committed, the transaction committed;
+//   - otherwise, if any reports Aborted, it aborted;
+//   - otherwise, if n participants report InDoubt, every writer
+//     prepared and none aborted: it committed;
+//   - otherwise, if every participant answered, fewer than n writers
+//     prepared, and one that has not never will (it refuses a prepare
+//     of a transaction it does not know; a member rebuilt after storage
+//     loss, which cannot vouch for that, answers rep.ErrRecovering and
+//     counts as not answering): it aborted;
+//   - otherwise a participant that did not answer may hold the decision
+//     or the missing prepare, and no safe decision exists yet
+//     (ErrUnresolvable).
+//
+// Every in-doubt participant is then driven to the decision. Readers
+// log nothing and answer StatusUnknown; they are not writers, so they
+// change no count.
 func Resolve(ctx context.Context, id lock.TxnID, participants []rep.Directory) (Resolution, error) {
 	var res Resolution
 	statuses := make(map[string]rep.TxnStatus, len(participants))
-	anyCommitted := false
-	anyUnreachable := false
+	committed, aborted, unreachable := false, false, false
+	prepared, writers := 0, 0
 	for _, p := range participants {
 		st, err := p.Status(ctx, id)
 		if err != nil {
-			anyUnreachable = true
+			unreachable = true
+			continue
+		}
+		if _, seen := statuses[p.Name()]; seen {
 			continue
 		}
 		statuses[p.Name()] = st
-		if st == rep.StatusCommitted {
-			anyCommitted = true
+		switch st.Fate() {
+		case rep.StatusCommitted:
+			committed = true
+		case rep.StatusAborted:
+			aborted = true
+		case rep.StatusInDoubt:
+			prepared++
+			writers = max(writers, st.Writers())
 		}
 	}
-	if !anyCommitted && anyUnreachable {
+	switch {
+	case committed:
+		res.Committed = true
+	case aborted:
+	case writers > 0 && prepared >= writers:
+		res.Committed = true
+	case unreachable:
 		return res, fmt.Errorf("%w (txn %d)", ErrUnresolvable, id)
 	}
-	res.Committed = anyCommitted
 	for _, p := range participants {
-		if statuses[p.Name()] != rep.StatusInDoubt {
+		if statuses[p.Name()].Fate() != rep.StatusInDoubt {
 			continue
 		}
 		var err error
-		if anyCommitted {
+		if res.Committed {
 			err = p.Commit(ctx, id)
 		} else {
 			err = p.Abort(ctx, id)

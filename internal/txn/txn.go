@@ -86,9 +86,12 @@ type Txn struct {
 	mu           sync.Mutex
 	participants []participant
 	done         bool
+	sealed       bool           // a prepare has gone out: the writers are fixed (Writers)
+	unsettled    int            // commit-round calls the last Commit could not deliver
 	legs         sync.WaitGroup // a parallel round's calls in flight
 	pending      atomic.Int32   // a detached round's calls in flight
 	grace        graceCtx       // what a decided round's calls run under
+	counted      rep.Marked     // what the prepare round's calls run under
 }
 
 // participant is one representative the transaction operated at.
@@ -117,37 +120,79 @@ func New(id lock.TxnID) *Txn { return &Txn{ID: id} }
 func (t *Txn) Reset(id lock.TxnID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.ID, t.done = id, false
+	t.ID, t.done, t.sealed, t.unsettled = id, false, false, 0
 	clear(t.participants)
 	t.participants = t.participants[:0]
 }
+
+// ErrSealed is returned by Join for a writer the transaction does not
+// already have once a prepare has gone out: the prepare carried the
+// writer count, and a writer it did not count could be left out of a
+// commit that counting decides (Resolve).
+var ErrSealed = errors.New("txn: no writer may join once a prepare has gone out")
 
 // Join records d as a participant the transaction may have written at:
 // it is asked to prepare, and told the outcome. Every representative
 // that received an operation under this transaction must be joined —
 // before the operation is sent, so that a failed or unanswered call is
-// still cleaned up — with Join or, for a read, JoinReader.
-func (t *Txn) Join(d rep.Directory) { t.join(d, false) }
+// still cleaned up — with Join or, for a read, JoinReader. Join refuses
+// a new writer once a prepare has gone out (ErrSealed), or once the
+// transaction is finished (ErrFinished).
+func (t *Txn) Join(d rep.Directory) error {
+	name := d.Name()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.done {
+		return ErrFinished // the rounds have the list now, and would not reach d
+	}
+	p := t.find(name)
+	switch {
+	case p != nil && !p.reader:
+		return nil
+	case t.sealed:
+		return fmt.Errorf("%w: txn %d at %s", ErrSealed, t.ID, name)
+	case p != nil:
+		p.reader = false
+	default:
+		t.participants = append(t.participants, participant{dir: d, name: name})
+	}
+	return nil
+}
 
 // JoinReader records d as a participant the transaction has only read
 // from, unless it is already known as more. A reader holds locks, so it
 // is asked to prepare — which verifies that it still holds them and
 // releases them — but it has nothing to commit, and Commit sends it no
 // second message. Abort reaches it like any participant.
-func (t *Txn) JoinReader(d rep.Directory) { t.join(d, true) }
-
-func (t *Txn) join(d rep.Directory, reader bool) {
+func (t *Txn) JoinReader(d rep.Directory) {
 	name := d.Name()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.done {
-		return // the rounds have the list now, and would not reach d
+	if t.done || t.find(name) != nil {
+		return // known already, or past the rounds that would reach d
 	}
-	if p := t.find(name); p != nil {
-		p.reader = p.reader && reader
-		return
+	t.participants = append(t.participants, participant{dir: d, name: name, reader: true})
+}
+
+// Writers returns the transaction's writer count — the participants
+// joined with Join — for a prepare about to go out, and fixes it: from
+// here on Join refuses a writer the transaction does not already have.
+func (t *Txn) Writers() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.sealed = true
+	return t.writers()
+}
+
+// writers counts the participants that may have written; callers hold
+// t.mu or own the participant list.
+func (t *Txn) writers() (n int) {
+	for i := range t.participants {
+		if !t.participants[i].reader {
+			n++
+		}
 	}
-	t.participants = append(t.participants, participant{dir: d, name: name, reader: reader})
+	return n
 }
 
 // find returns the participant of that name, or nil; callers hold t.mu.
@@ -197,34 +242,48 @@ func (t *Txn) Finished() bool {
 var ErrFinished = errors.New("txn: transaction already finished")
 
 // The participants a round goes to.
-func unvoted(p *participant) bool      { return !p.voted }
-func wrote(p *participant) bool        { return !p.reader }
-func stillHolding(p *participant) bool { return !p.reader || p.refused }
-func everyone(*participant) bool       { return true }
+func unvotedReader(p *participant) bool { return p.reader && !p.voted }
+func unvotedWriter(p *participant) bool { return !p.reader && !p.voted }
+func wrote(p *participant) bool         { return !p.reader }
+func stillHolding(p *participant) bool  { return !p.reader || p.refused }
+func everyone(*participant) bool        { return true }
 
 // Commit atomically commits at every participant via two-phase commit:
 // every participant votes, then every participant that may have written
 // is told to commit. A participant votes either in the prepare round
-// here or, before it, on the last write it was sent (Voted). The vote is
-// asked of every participant, a lone one and a reader included: one
-// that lost the transaction's state in a crash votes abort
-// (rep.ErrUnknownTxn) instead of silently acknowledging a commit that
-// would apply nothing, or that rests on read locks it no longer holds.
-// A reader's yes vote releases it, so the commit round passes it by. If
-// any prepare fails, the transaction is aborted wherever it may still
-// hold anything and the prepare error returned.
+// here or, before it, on the last write it was sent (Voted), and every
+// prepare carries the writer count. The vote is asked of every
+// participant, a lone one and a reader included: one that lost the
+// transaction's state in a crash votes abort (rep.ErrUnknownTxn) instead
+// of silently acknowledging a commit that would apply nothing, or that
+// rests on read locks it no longer holds. A reader's yes vote releases
+// it, so the commit round passes it by. If any prepare fails, the
+// transaction is aborted wherever it may still hold anything and the
+// prepare error returned.
+//
+// Once every writer holds a prepare record the transaction is committed
+// (Resolve), whatever becomes of an abort sent after it. So the readers
+// vote first, in a round of their own, and the writers not asked yet
+// only once every reader has voted yes: no writer prepares while a
+// reader can still refuse. A prepare that rode on a point write went out
+// before its readers voted, which is safe because those readers read
+// only the key the writers lock.
+//
+// Commit returns nil once every writer has voted yes. The commit round
+// still goes out at once, on the caller's time, so that locks are
+// released as soon as they can be; a participant it does not reach
+// stays in doubt, holding its locks, until Resolve settles it, and is
+// counted in Unsettled.
 func (t *Txn) Commit(ctx context.Context) error {
 	if err := t.finish(); err != nil {
 		return err
 	}
-	t.round(ctx, "prepare", unvoted, rep.Directory.Prepare, false)
-	var first error
-	for i := range t.participants {
-		p := &t.participants[i]
-		if p.refused = p.asked && p.err != nil; p.refused && first == nil {
-			first = fmt.Errorf("txn %d: prepare at %s: %w", t.ID, p.name, p.err)
-		}
+	t.counted = rep.Marked{Context: ctx, Marks: rep.MarksFrom(ctx), Writers: t.writers()}
+	first := t.prepare(unvotedReader)
+	if first == nil {
+		first = t.prepare(unvotedWriter)
 	}
+	t.counted = rep.Marked{}
 	if first != nil {
 		// A reader that voted yes has already let go of everything.
 		t.decidedRound(ctx, "abort", stillHolding, rep.Directory.Abort, false)
@@ -233,11 +292,28 @@ func (t *Txn) Commit(ctx context.Context) error {
 	t.decidedRound(ctx, "commit", wrote, rep.Directory.Commit, false)
 	for _, p := range t.participants {
 		if p.asked && p.err != nil {
-			return fmt.Errorf("txn %d: commit at %s: %w", t.ID, p.name, p.err)
+			t.unsettled++
 		}
 	}
 	return nil
 }
+
+// prepare runs a prepare round at the participants to admits, under
+// t.counted, and returns the first refusal.
+func (t *Txn) prepare(to func(*participant) bool) (first error) {
+	t.round(&t.counted, "prepare", to, rep.Directory.Prepare, false)
+	for i := range t.participants {
+		p := &t.participants[i]
+		if p.refused = p.asked && p.err != nil; p.refused && first == nil {
+			first = fmt.Errorf("txn %d: prepare at %s: %w", t.ID, p.name, p.err)
+		}
+	}
+	return first
+}
+
+// Unsettled is how many participants the last Commit's commit round did
+// not reach: each stays in doubt, holding its locks, until Resolve.
+func (t *Txn) Unsettled() int { return t.unsettled }
 
 // round drives one protocol phase at the participants to admits, inside
 // the Phase hook, and reports how many it asked and whether any call
@@ -299,8 +375,10 @@ func (t *Txn) round(ctx context.Context, name string, to func(*participant) bool
 }
 
 // Abort aborts at every participant. Individual abort failures are
-// swallowed: an unreachable participant will discard the transaction as
-// presumed-abort when it recovers.
+// swallowed: an unreachable participant that had not prepared discards
+// the transaction (presumed abort), and one that had stays in doubt
+// until Resolve settles it — by the abort a sibling logged, or, when
+// none did and every writer prepared, to commit.
 func (t *Txn) Abort(ctx context.Context) error {
 	if err := t.finish(); err != nil {
 		return err

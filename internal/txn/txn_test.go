@@ -349,7 +349,7 @@ func TestReadersAndVotersGetOneMessage(t *testing.T) {
 		}
 	}
 	tx.Join(voter)
-	if err := voter.Insert(rep.MarkPrepare(ctx), tx.ID, key, 1, "v"); err != nil {
+	if err := voter.Insert(rep.MarkWriters(rep.MarkPrepare(ctx), 2), tx.ID, key, 1, "v"); err != nil {
 		t.Fatal(err)
 	}
 	tx.Voted(voter)
@@ -374,7 +374,9 @@ func TestReadersAndVotersGetOneMessage(t *testing.T) {
 
 // TestRefusedPrepareAbortsWhoeverStillHolds: when a participant refuses,
 // the abort goes to the writers and to the readers that did not get to
-// vote yes — a reader that did has let go already.
+// vote yes — a reader that did has let go already. The readers vote
+// before any writer is asked, so a reader's refusal leaves the writers
+// unprepared.
 func TestRefusedPrepareAbortsWhoeverStillHolds(t *testing.T) {
 	var mu sync.Mutex
 	var calls []string
@@ -395,12 +397,12 @@ func TestRefusedPrepareAbortsWhoeverStillHolds(t *testing.T) {
 	if err := tx.Commit(ctx); !errors.Is(err, rep.ErrUnknownTxn) {
 		t.Fatalf("commit = %v, want the lost reader's abort vote", err)
 	}
-	want := []string{"prepare released", "prepare lost", "prepare writer", "abort lost", "abort writer"}
+	want := []string{"prepare released", "prepare lost", "abort lost", "abort writer"}
 	if !reflect.DeepEqual(calls, want) {
 		t.Fatalf("calls = %v, want %v", calls, want)
 	}
-	if st, _ := writer.Status(ctx, tx.ID); st != rep.StatusAborted {
-		t.Errorf("writer status = %v, want aborted", st)
+	if st, _ := writer.Status(ctx, tx.ID); st != rep.StatusUnknown {
+		t.Errorf("writer status = %v, want unknown: it was never asked to prepare", st)
 	}
 	for _, d := range []callLog{released, lost, writer} {
 		if n := d.Locks().ActiveTransactions(); n != 0 {
@@ -444,5 +446,122 @@ func TestReleaseDetached(t *testing.T) {
 	case <-landed:
 		t.Error("Landed ran twice")
 	default:
+	}
+}
+
+// lostCommitDir votes yes and never hears the commit: the shape of a
+// commit round whose call is lost after a unanimous vote.
+type lostCommitDir struct {
+	*rep.Rep
+}
+
+func (lostCommitDir) Commit(context.Context, lock.TxnID) error {
+	return errors.New("commit lost")
+}
+
+// TestCommitSucceedsOnceEveryWriterVoted: once every writer has voted
+// yes the transaction is committed, so a commit-round call that fails
+// does not fail Commit — the caller would retry a write that took
+// effect. It is counted, and the participant it missed stays in doubt,
+// knowing the writer count its prepare carried, until Resolve commits it.
+func TestCommitSucceedsOnceEveryWriterVoted(t *testing.T) {
+	a, b := rep.New("A"), rep.New("B")
+	tx := New(100)
+	for _, d := range []rep.Directory{a, lostCommitDir{b}} {
+		if err := d.Insert(ctx, tx.ID, keyspace.New("k"), 1, "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Join(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(ctx); err != nil {
+		t.Fatalf("commit after a unanimous vote = %v, want nil", err)
+	}
+	if n := tx.Unsettled(); n != 1 {
+		t.Errorf("Unsettled = %d, want 1", n)
+	}
+	if st, _ := b.Status(ctx, tx.ID); st != rep.InDoubtOf(2) {
+		t.Fatalf("B status = %v, want in doubt of 2 writers", st)
+	}
+	res, err := Resolve(ctx, tx.ID, []rep.Directory{a, b})
+	if err != nil || !res.Committed || len(res.Finished) != 1 || res.Finished[0] != "B" {
+		t.Fatalf("resolve = %+v, %v; want committed, finished at B", res, err)
+	}
+}
+
+// lostAbortDir never hears an abort.
+type lostAbortDir struct {
+	*rep.Rep
+}
+
+func (lostAbortDir) Abort(context.Context, lock.TxnID) error {
+	return errors.New("abort lost")
+}
+
+// TestReaderRefusalThenLostAbortResolvesToAbort: a transaction reads at
+// C and writes at A and B. C restarted and lost its read lock, so it
+// refuses the prepare, and the abort that follows reaches neither
+// writer. The writers were never asked to prepare — the readers vote
+// first — so Resolve aborts. Had the writers prepared beside the reader,
+// both would be in doubt and Resolve would commit a transaction whose
+// read locks were lost.
+func TestReaderRefusalThenLostAbortResolvesToAbort(t *testing.T) {
+	a, b, c := rep.New("A"), rep.New("B"), rep.New("C")
+	tx := New(100)
+	tx.JoinReader(c) // joined, but C has no record of the read: it restarted
+	for _, r := range []*rep.Rep{a, b} {
+		if err := r.Insert(ctx, tx.ID, keyspace.New("y"), 1, "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Join(lostAbortDir{r}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(ctx); !errors.Is(err, rep.ErrUnknownTxn) {
+		t.Fatalf("commit = %v, want the reader's abort vote", err)
+	}
+	for _, r := range []*rep.Rep{a, b} {
+		if st, _ := r.Status(ctx, tx.ID); st != rep.StatusUnknown {
+			t.Errorf("%s status = %v, want unknown: no writer may prepare before the reader votes", r.Name(), st)
+		}
+	}
+	res, err := Resolve(ctx, tx.ID, []rep.Directory{a, b, c})
+	if err != nil || res.Committed {
+		t.Fatalf("resolve = %+v, %v; want aborted", res, err)
+	}
+}
+
+// TestJoinRefusedOncePrepareWentOut: a prepare carries the writer count,
+// so once one has gone out (Writers) no new writer may join — not a new
+// participant, not a reader turned writer. A writer already counted, and
+// a reader, still may.
+func TestJoinRefusedOncePrepareWentOut(t *testing.T) {
+	a, b, c := rep.New("A"), rep.New("B"), rep.New("C")
+	tx := New(100)
+	tx.JoinReader(c)
+	if err := tx.Join(a); err != nil {
+		t.Fatal(err)
+	}
+	if n := tx.Writers(); n != 1 {
+		t.Fatalf("Writers = %d, want 1", n)
+	}
+	for _, d := range []*rep.Rep{b, c} {
+		if err := tx.Join(d); !errors.Is(err, ErrSealed) {
+			t.Errorf("Join(%s) after a prepare went out = %v, want ErrSealed", d.Name(), err)
+		}
+	}
+	if err := tx.Join(a); err != nil {
+		t.Errorf("Join of a counted writer = %v, want nil", err)
+	}
+	tx.JoinReader(b)
+	if err := tx.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Counters().Aborts + c.Counters().Aborts; got != 2 {
+		t.Errorf("the readers heard %d aborts, want 2", got)
+	}
+	if err := tx.Join(b); !errors.Is(err, ErrFinished) {
+		t.Errorf("Join after Abort = %v, want ErrFinished", err)
 	}
 }

@@ -17,7 +17,7 @@ import (
 // Frame format. A log is a sequence of frames, one record each; there is
 // one format, written and read:
 //
-//	[0:4]  magic  F7 'W' 'R' '3'
+//	[0:4]  magic  F7 'W' 'R' '4'
 //	[4:8]  payload length, big endian
 //	[8:12] CRC32C over bytes [0:8] and the payload
 //	[12:]  the record
@@ -34,16 +34,18 @@ import (
 //	version  uvarint
 //	value    uvarint length, then the bytes
 //	epoch    uvarint
+//	writers  uvarint
 //
 // The encoding is canonical: a varint with a padding byte, a sentinel key
-// with a spelling, or bytes left over after the epoch are CauseDecode, so
-// a payload that decodes re-encodes to itself.
-var frameMagic = [4]byte{0xF7, 'W', 'R', '3'}
+// with a spelling, or bytes left over after the writer count are
+// CauseDecode, so a payload that decodes re-encodes to itself.
+var frameMagic = [4]byte{0xF7, 'W', 'R', '4'}
 
-// oldFrameMagic opened the frames of the gob-payload format this one
-// replaced. The two differ in four bits, so no single flipped bit turns a
-// damaged log into an "old" one.
-var oldFrameMagic = [4]byte{0xF7, 'W', 'A', '2'}
+// oldFrameMagics opened the frames of the formats this one replaced: the
+// gob payload, then the record without a writer count. Each differs from
+// the current magic in at least three bits, so no single flipped bit
+// turns a damaged log into an "old" one.
+var oldFrameMagics = [...][4]byte{{0xF7, 'W', 'A', '2'}, {0xF7, 'W', 'R', '3'}}
 
 const frameHeaderLen = 12
 
@@ -54,7 +56,7 @@ const frameHeaderLen = 12
 const MaxFrameLen = 16 << 20
 
 // ErrOldFormat reports a log written before the frame format above: its
-// first frame opens with the old magic, or with the bare length prefix of
+// first frame opens with an old magic, or with the bare length prefix of
 // the format before that. Nothing here reads those, and quarantining the
 // whole file as damage would open the representative empty, so every
 // reader and every recovery policy refuses and leaves the file as it is.
@@ -76,6 +78,7 @@ func appendFrame(b []byte, r *Record) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(r.Value)))
 	b = append(b, r.Value...)
 	b = binary.AppendUvarint(b, r.Epoch)
+	b = binary.AppendUvarint(b, r.Writers)
 	payload := b[start+frameHeaderLen:]
 	if len(payload) > MaxFrameLen {
 		return b[:start], fmt.Errorf("wal: %d-byte record exceeds the %d-byte frame bound", len(payload), MaxFrameLen)
@@ -142,6 +145,7 @@ func decodeRecord(payload []byte) (rec Record, ok bool) {
 	rec.Version = version.V(r.uvarint())
 	rec.Value = string(r.bytes())
 	rec.Epoch = r.uvarint()
+	rec.Writers = r.uvarint()
 	return rec, !r.bad && len(r.b) == 0
 }
 
@@ -330,7 +334,11 @@ func ScanFileLog(path string) ([]Record, *CorruptionReport, error) {
 	var first [4]byte
 	if n, _ := f.ReadAt(first[:], 0); n == len(first) {
 		v1Len := binary.BigEndian.Uint32(first[:])
-		if first == oldFrameMagic || (v1Len > 0 && v1Len <= MaxFrameLen) {
+		old := v1Len > 0 && v1Len <= MaxFrameLen
+		for _, magic := range oldFrameMagics {
+			old = old || first == magic
+		}
+		if old {
 			return nil, nil, fmt.Errorf("%w: %q", ErrOldFormat, path)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -17,17 +18,20 @@ import (
 )
 
 // TestOldFormatRefused: a log whose first frame is in a format this
-// build no longer reads — the bare-length v1 fixture, or a v2 frame with
-// the old magic — is refused by every reader with ErrOldFormat and left
-// byte for byte as it was. Salvaging it would quarantine the whole file
-// and hand recovery an empty log.
+// build no longer reads — the bare-length v1 fixture, or a frame with
+// one of the old magics — is refused by every reader with ErrOldFormat
+// and left byte for byte as it was. Salvaging it would quarantine the
+// whole file and hand recovery an empty log.
 func TestOldFormatRefused(t *testing.T) {
 	v1, err := os.ReadFile(filepath.Join("testdata", "v1.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := append(append([]byte(nil), oldFrameMagic[:]...), 0, 0, 0, 1, 0xde, 0xad, 0xbe, 0xef, 0x00)
-	for name, data := range map[string][]byte{"v1": v1, "v2": v2} {
+	old := map[string][]byte{"v1": v1}
+	for i, magic := range oldFrameMagics {
+		old[fmt.Sprintf("v%d", i+2)] = append(append([]byte(nil), magic[:]...), 0, 0, 0, 1, 0xde, 0xad, 0xbe, 0xef, 0x00)
+	}
+	for name, data := range old {
 		path := filepath.Join(t.TempDir(), name+".wal")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -57,19 +61,19 @@ var goldenFrames = []struct {
 	rec Record
 	hex string
 }{
-	// magic | length | crc32c | kind lsn txn | key | hi | version | value | epoch
+	// magic | length | crc32c | kind lsn txn | key | hi | version | value | epoch | writers
 	{Record{LSN: 1, Kind: KindInsert, Txn: 7, Key: keyspace.New("alpha"), Version: 3, Value: "a"},
-		"f7575233 00000010 a22e4fa0 010107 0602616c706861 0102 03 0161 00"},
+		"f7575234 00000011 6e78356e 010107 0602616c706861 0102 03 0161 00 00"},
 	{Record{LSN: 2, Kind: KindCoalesce, Txn: 7, Key: keyspace.Low(), Hi: keyspace.High(), Version: 300},
-		"f7575233 0000000b aa7079b5 020207 0101 0103 ac02 00 00"},
-	{Record{LSN: 3, Kind: KindPrepare, Txn: 7},
-		"f7575233 0000000a e85ba043 030307 0102 0102 00 00 00"},
+		"f7575234 0000000c dd5f8faa 020207 0101 0103 ac02 00 00 00"},
+	{Record{LSN: 3, Kind: KindPrepare, Txn: 7, Writers: 2},
+		"f7575234 0000000b 05088e66 030307 0102 0102 00 00 00 02"},
 	{Record{LSN: 4, Kind: KindCommit, Txn: 1 << 40},
-		"f7575233 0000000f ef70345f 0404808080808020 0102 0102 00 00 00"},
+		"f7575234 00000010 fc2fb0a2 0404808080808020 0102 0102 00 00 00 00"},
 	{Record{LSN: 5, Kind: KindAbort, Txn: 8},
-		"f7575233 0000000a d34a4df3 050508 0102 0102 00 00 00"},
+		"f7575234 0000000b 561d9db5 050508 0102 0102 00 00 00 00"},
 	{Record{LSN: 6, Kind: KindEpoch, Epoch: 9},
-		"f7575233 0000000a a87a64d2 060600 0102 0102 00 00 09"},
+		"f7575234 0000000b 84b0a041 060600 0102 0102 00 00 09 00"},
 }
 
 func TestGoldenFrames(t *testing.T) {
@@ -101,7 +105,7 @@ func TestRecordEdgesRoundTrip(t *testing.T) {
 		{Kind: KindCoalesce, Key: keyspace.High(), Hi: keyspace.Low()},
 		{Kind: KindInsert, Key: keyspace.New(""), Value: ""},
 		{Kind: KindInsert, Key: keyspace.New("\x00\x01"), Value: "\x00"},
-		{LSN: ^uint64(0), Kind: KindEpoch, Txn: ^uint64(0), Version: ^version.V(0), Epoch: ^uint64(0)},
+		{LSN: ^uint64(0), Kind: KindEpoch, Txn: ^uint64(0), Version: ^version.V(0), Epoch: ^uint64(0), Writers: ^uint64(0)},
 	} {
 		frame, err := appendFrame(nil, &rec)
 		if err != nil {
@@ -121,7 +125,7 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid := frame[frameHeaderLen:] // 04 01 07 0102 0102 00 00 00
+	valid := frame[frameHeaderLen:] // 04 01 07 0102 0102 00 00 00 00
 	if _, ok := decodeRecord(valid); !ok {
 		t.Fatalf("valid payload %x refused", valid)
 	}
@@ -129,10 +133,11 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 		"trailing byte":          append(append([]byte(nil), valid...), 0),
 		"cut short":              valid[:len(valid)-1],
 		"padded varint":          append([]byte{0x84, 0x00}, valid[1:]...),
-		"sentinel with spelling": {4, 1, 7, 2, 1, 'x', 1, 2, 0, 0, 0},
-		"unknown key tag":        {4, 1, 7, 1, 9, 1, 2, 0, 0, 0},
-		"empty key":              {4, 1, 7, 0, 1, 2, 0, 0, 0},
-		"value past the end":     {4, 1, 7, 1, 2, 1, 2, 0, 200, 0},
+		"padded writer count":    append(append([]byte(nil), valid[:len(valid)-1]...), 0x80, 0x00),
+		"sentinel with spelling": {4, 1, 7, 2, 1, 'x', 1, 2, 0, 0, 0, 0},
+		"unknown key tag":        {4, 1, 7, 1, 9, 1, 2, 0, 0, 0, 0},
+		"empty key":              {4, 1, 7, 0, 1, 2, 0, 0, 0, 0},
+		"value past the end":     {4, 1, 7, 1, 2, 1, 2, 0, 200, 0, 0},
 	} {
 		if rec, ok := decodeRecord(payload); ok {
 			t.Errorf("%s: %x decoded as %+v", name, payload, rec)
@@ -157,7 +162,7 @@ func reframe(payload []byte) []byte {
 
 // TestAppendAllocs pins the append path's steady state: once the staged
 // buffer has its working size, logging a transaction — redo record,
-// prepare, commit, the last two fsynced — allocates nothing.
+// prepare, commit, the prepare fsynced — allocates nothing.
 func TestAppendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -168,7 +173,7 @@ func TestAppendAllocs(t *testing.T) {
 	txn := func() {
 		for _, r := range []Record{
 			{Kind: KindInsert, Txn: 1 << 40, Key: keyspace.New("k0000042"), Version: 12, Value: "payload-value"},
-			{Kind: KindPrepare, Txn: 1 << 40},
+			{Kind: KindPrepare, Txn: 1 << 40, Writers: 2},
 			{Kind: KindCommit, Txn: 1 << 40},
 		} {
 			if err := l.Append(r); err != nil {

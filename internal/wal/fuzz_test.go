@@ -27,13 +27,13 @@ func fuzzKey(kind uint8, s string) keyspace.Key {
 // decode to, and inside a frame whose checksum holds they are one record
 // or CauseDecode, never a panic.
 func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add(int64(KindInsert), uint64(1), uint64(7), uint8(2), "alpha", uint8(2), "", uint64(3), "a", uint64(0), []byte{})
-	f.Add(int64(KindCoalesce), uint64(2), uint64(7), uint8(0), "", uint8(1), "", uint64(300), "", uint64(0), []byte{4, 1, 7, 1, 2, 1, 2, 0, 0, 0})
-	f.Add(int64(KindEpoch), ^uint64(0), ^uint64(0), uint8(2), "\x00", uint8(2), "\xff", ^uint64(0), "\x00", ^uint64(0), []byte{4, 1, 7, 1, 2, 1, 2, 0, 0, 0, 0})
-	f.Add(int64(-1), uint64(0), uint64(0), uint8(2), "", uint8(2), "", uint64(0), "", uint64(0), []byte{0x84, 0, 1, 7, 1, 2, 1, 2, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, kind int64, lsn, txn uint64, keyKind uint8, key string, hiKind uint8, hi string, ver uint64, value string, epoch uint64, raw []byte) {
+	f.Add(int64(KindInsert), uint64(1), uint64(7), uint8(2), "alpha", uint8(2), "", uint64(3), "a", uint64(0), uint64(0), []byte{})
+	f.Add(int64(KindCoalesce), uint64(2), uint64(7), uint8(0), "", uint8(1), "", uint64(300), "", uint64(0), uint64(0), []byte{4, 1, 7, 1, 2, 1, 2, 0, 0, 0, 0})
+	f.Add(int64(KindEpoch), ^uint64(0), ^uint64(0), uint8(2), "\x00", uint8(2), "\xff", ^uint64(0), "\x00", ^uint64(0), ^uint64(0), []byte{4, 1, 7, 1, 2, 1, 2, 0, 0, 0, 0, 0})
+	f.Add(int64(-1), uint64(0), uint64(0), uint8(2), "", uint8(2), "", uint64(0), "", uint64(0), uint64(3), []byte{0x84, 0, 1, 7, 1, 2, 1, 2, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, kind int64, lsn, txn uint64, keyKind uint8, key string, hiKind uint8, hi string, ver uint64, value string, epoch, writers uint64, raw []byte) {
 		rec := Record{LSN: lsn, Kind: Kind(kind), Txn: txn, Key: fuzzKey(keyKind, key), Hi: fuzzKey(hiKind, hi),
-			Version: version.V(ver), Value: value, Epoch: epoch}
+			Version: version.V(ver), Value: value, Epoch: epoch, Writers: writers}
 		frame, err := appendFrame(nil, &rec)
 		if err != nil {
 			t.Fatal(err)
@@ -128,7 +128,7 @@ func FuzzSalvage(f *testing.F) {
 	}
 	want := []Record{
 		{Kind: KindInsert, Txn: 1, Key: keyspace.New("k1"), Version: 1, Value: "v1"},
-		{Kind: KindPrepare, Txn: 1},
+		{Kind: KindPrepare, Txn: 1, Writers: 2},
 		{Kind: KindCommit, Txn: 1},
 		{Kind: KindInsert, Txn: 2, Key: keyspace.New("k2"), Version: 2, Value: "v2"},
 		{Kind: KindCommit, Txn: 2},
@@ -170,7 +170,7 @@ func FuzzSalvage(f *testing.F) {
 		}
 		for i, r := range records {
 			w := want[i]
-			if r.Kind != w.Kind || r.Txn != w.Txn || r.Version != w.Version ||
+			if r.Kind != w.Kind || r.Txn != w.Txn || r.Version != w.Version || r.Writers != w.Writers ||
 				r.Value != w.Value || r.Key.Raw() != w.Key.Raw() || r.LSN != uint64(i+1) {
 				t.Fatalf("record %d = %+v, not a prefix of what was written (want %+v)", i, r, w)
 			}

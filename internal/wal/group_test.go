@@ -18,12 +18,65 @@ func gatedLog() (*FileLog, *waltest.File) {
 	return NewFileLog(f), f
 }
 
-// appendAsync appends a commit record for txn on its own goroutine and
+// appendAsync appends a prepare record for txn on its own goroutine and
 // returns the channel its result arrives on.
 func appendAsync(l *FileLog, txn uint64) <-chan error {
+	return appendKindAsync(l, KindPrepare, txn)
+}
+
+func appendKindAsync(l *FileLog, kind Kind, txn uint64) <-chan error {
 	done := make(chan error, 1)
-	go func() { done <- l.Append(Record{Kind: KindCommit, Txn: txn}) }()
+	go func() { done <- l.Append(Record{Kind: kind, Txn: txn}) }()
 	return done
+}
+
+// TestSyncOnCommitForcesPrepareAndAbort pins the default policy with the
+// file's gates: a prepare and an abort each return only after an fsync
+// that began once their frame was written, and a commit returns without
+// one — written to the file, durable only with the next fsync.
+func TestSyncOnCommitForcesPrepareAndAbort(t *testing.T) {
+	l, f := gatedLog()
+	select {
+	case err := <-appendKindAsync(l, KindCommit, 1):
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-f.Entered:
+		close(f.Release)
+		t.Fatal("a commit record began an fsync")
+	}
+	commitEnd := frameEnds(t, f.Bytes())[1]
+	if f.Durable() != 0 || l.SyncCount() != 0 {
+		t.Fatalf("after a commit: %d bytes durable, %d fsyncs; want the frame written and nothing forced", f.Durable(), l.SyncCount())
+	}
+	for _, kind := range []Kind{KindPrepare, KindAbort} {
+		txn := uint64(kind)
+		done := appendKindAsync(l, kind, txn)
+		select {
+		case <-f.Entered: // the fsync has begun, and noted how much it covers
+		case err := <-done:
+			t.Fatalf("%s returned (%v) without an fsync", kind, err)
+		}
+		end := frameEnds(t, f.Bytes())[txn]
+		select {
+		case err := <-done:
+			t.Fatalf("%s returned (%v) before its fsync did", kind, err)
+		default:
+		}
+		f.Release <- struct{}{}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if f.Durable() < end {
+			t.Fatalf("%s acknowledged with %d bytes durable; its frame ends at %d", kind, f.Durable(), end)
+		}
+	}
+	if f.Durable() < commitEnd {
+		t.Errorf("the prepare's fsync left the commit written before it undurable")
+	}
+	if got := l.SyncCount(); got != 2 {
+		t.Errorf("commit, prepare and abort cost %d fsyncs, want 2", got)
+	}
 }
 
 // awaitStaged returns once n records in all have been given LSNs. An
@@ -71,7 +124,7 @@ func TestGroupCommitNeverAcksBeforeDurable(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				txn := a*each + i
-				kind := KindCommit
+				kind := KindAbort
 				if i%2 == 0 {
 					kind = KindPrepare
 				}

@@ -4,9 +4,10 @@
 // The paper assumes each representative is held by a transactional storage
 // system that "stores critical information in a fashion that recovers from
 // failures" (section 3.1). This package supplies that substrate: mutating
-// operations are logged as redo records grouped by transaction; a commit
-// record makes the transaction's effects durable, and recovery replays the
-// redo records of committed transactions in log order. Because strict
+// operations are logged as redo records grouped by transaction, forced to
+// disk by the transaction's prepare record; a commit record makes them
+// effective, and recovery replays the redo records of committed
+// transactions in log order. Because strict
 // two-phase locking orders all conflicting operations, replaying commit
 // batches in log order reproduces the committed state.
 package wal
@@ -31,7 +32,8 @@ const (
 	// KindCoalesce records DirRepCoalesce(Key, Hi, Version).
 	KindCoalesce
 	// KindPrepare marks a transaction as prepared (two-phase commit
-	// phase one); its redo records precede it in the log.
+	// phase one); its redo records precede it in the log, and it names
+	// how many writers the transaction has (Record.Writers).
 	KindPrepare
 	// KindCommit makes a transaction's redo records effective.
 	KindCommit
@@ -78,6 +80,11 @@ type Record struct {
 	// Epoch is the configuration epoch a KindEpoch record fences at;
 	// zero on every other kind.
 	Epoch uint64
+	// Writers is the number of participants a KindPrepare record's
+	// transaction wrote at, this one included: once that many hold a
+	// prepare record, the transaction is committed (txn.Resolve). Zero
+	// on every other kind.
+	Writers uint64
 }
 
 // Log is an append-only record sink.
@@ -166,12 +173,18 @@ func (l *MemoryLog) DropTail(n int) int {
 type SyncPolicy int
 
 const (
-	// SyncOnCommit (the default) fsyncs after KindPrepare and KindCommit
-	// records — the two points where two-phase commit promises
-	// durability (a prepared participant must survive a crash in doubt;
-	// a committed transaction must survive, period). Redo records need
-	// no individual sync: they precede their prepare/commit in the log,
-	// so the decision record's sync carries them to disk too.
+	// SyncOnCommit (the default) fsyncs after KindPrepare and KindAbort
+	// records: the records two-phase commit's decision rests on. A
+	// transaction is committed once every writer holds a durable prepare
+	// record (txn.Resolve), so a prepare must survive a crash, and a
+	// commit record need not: it is written to the file before Append
+	// returns and reaches the disk with the next fsync, and a member
+	// that loses it comes back in doubt and is resolved to commit. An
+	// abort is forced because losing it would leave a transaction whose
+	// writers all prepared to be resolved to commit after its
+	// coordinator had reported it failed. Redo records need no sync of
+	// their own: they precede their prepare in the log, so its fsync
+	// carries them to disk too.
 	SyncOnCommit SyncPolicy = iota
 	// SyncNever leaves persistence timing to the OS. A crash can lose
 	// committed transactions; meant for simulations and benchmarks that
@@ -291,7 +304,7 @@ func (l *FileLog) needsSync(k Kind) bool {
 	case SyncAlways:
 		return true
 	case SyncOnCommit:
-		return k == KindPrepare || k == KindCommit
+		return k == KindPrepare || k == KindAbort
 	default:
 		return false
 	}
@@ -518,14 +531,22 @@ type Analysis struct {
 	// by commit; within one transaction, in execution order.
 	Committed []Record
 	// InDoubt maps each prepared-but-undecided transaction to its redo
-	// records in execution order.
-	InDoubt map[uint64][]Record
+	// records and its writer count.
+	InDoubt map[uint64]Prepared
 	// Outcomes records the decided transactions: true = committed,
 	// false = aborted.
 	Outcomes map[uint64]bool
 	// Epoch is the highest configuration epoch fence the log recorded
 	// (KindEpoch records); zero when the log holds none.
 	Epoch uint64
+}
+
+// Prepared is what the log holds of an in-doubt transaction: its redo
+// records in execution order, and the writer count its prepare record
+// named.
+type Prepared struct {
+	Redo    []Record
+	Writers uint64
 }
 
 // Analyze scans log records. Transactions with redo records but no
@@ -539,11 +560,11 @@ type Analysis struct {
 // decided and in doubt.
 func Analyze(records []Record) (Analysis, error) {
 	a := Analysis{
-		InDoubt:  make(map[uint64][]Record),
+		InDoubt:  make(map[uint64]Prepared),
 		Outcomes: make(map[uint64]bool),
 	}
 	pending := make(map[uint64][]Record)
-	prepared := make(map[uint64]bool)
+	prepared := make(map[uint64]uint64) // the writer count, by transaction
 	for _, r := range records {
 		if _, decided := a.Outcomes[r.Txn]; decided && r.Kind >= KindInsert && r.Kind <= KindAbort {
 			continue
@@ -552,7 +573,7 @@ func Analyze(records []Record) (Analysis, error) {
 		case KindInsert, KindCoalesce:
 			pending[r.Txn] = append(pending[r.Txn], r)
 		case KindPrepare:
-			prepared[r.Txn] = true
+			prepared[r.Txn] = r.Writers
 		case KindAbort:
 			delete(pending, r.Txn)
 			delete(prepared, r.Txn)
@@ -570,8 +591,8 @@ func Analyze(records []Record) (Analysis, error) {
 			return Analysis{}, fmt.Errorf("wal: unknown record kind %d", r.Kind)
 		}
 	}
-	for txn := range prepared {
-		a.InDoubt[txn] = pending[txn]
+	for txn, writers := range prepared {
+		a.InDoubt[txn] = Prepared{Redo: pending[txn], Writers: writers}
 	}
 	return a, nil
 }

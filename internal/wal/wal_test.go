@@ -228,7 +228,7 @@ func TestReplayCommitsOnly(t *testing.T) {
 	records := []Record{
 		rec(KindInsert, 1, "a"),
 		rec(KindInsert, 2, "b"),
-		{Kind: KindPrepare, Txn: 2},
+		{Kind: KindPrepare, Txn: 2, Writers: 3},
 		rec(KindInsert, 3, "c"),
 		{Kind: KindCommit, Txn: 1},
 		{Kind: KindAbort, Txn: 3},
@@ -238,8 +238,8 @@ func TestReplayCommitsOnly(t *testing.T) {
 	if len(applied) != 1 || applied[0] != "a" {
 		t.Errorf("applied = %v, want [a]", applied)
 	}
-	if len(a.InDoubt) != 1 || len(a.InDoubt[2]) != 1 {
-		t.Errorf("in doubt = %v, want txn 2 with its one insert", a.InDoubt)
+	if p := a.InDoubt[2]; len(a.InDoubt) != 1 || len(p.Redo) != 1 || p.Writers != 3 {
+		t.Errorf("in doubt = %v, want txn 2 with its one insert and 3 writers", a.InDoubt)
 	}
 }
 
@@ -313,19 +313,30 @@ func TestFileLogSyncPolicyOnCommit(t *testing.T) {
 	if got := l.SyncCount(); got != 0 {
 		t.Fatalf("redo records synced %d times, want 0", got)
 	}
-	// ...but prepare and commit each force the log to disk, carrying the
-	// redo records that precede them.
+	// ...the prepare forces the log to disk, carrying the redo records
+	// that precede it...
 	if err := l.Append(rec(KindPrepare, 1, "")); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.SyncCount(); got != 1 {
 		t.Fatalf("sync count after prepare = %d, want 1", got)
 	}
+	// ...the commit rests on it and does not...
 	if err := l.Append(rec(KindCommit, 1, "")); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.SyncCount(); got != 2 {
-		t.Fatalf("sync count after commit = %d, want 2", got)
+	if got := l.SyncCount(); got != 1 {
+		t.Fatalf("sync count after commit = %d, want still 1", got)
+	}
+	// ...and an abort forces the log again.
+	if err := l.Append(rec(KindPrepare, 2, "")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(rec(KindAbort, 2, "")); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.SyncCount(); got != 3 {
+		t.Fatalf("sync count after prepare and abort = %d, want 3", got)
 	}
 }
 
