@@ -8,8 +8,13 @@ GO ?= go
 
 check: vet obsdeps build race shard crash chaos reconfig workload overload raceoverload benchtest
 
+# vet also fails on any file gofmt would rewrite, bench/ included.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt would rewrite:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # internal/obs must stay stdlib-only: it sits at the bottom of the
 # import graph (core, transport, and heal all import it), so any

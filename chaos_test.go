@@ -83,10 +83,9 @@ func TestChaosSoak(t *testing.T) {
 				t.Errorf("seed %d: fault injector injected nothing", seed)
 			}
 			// Convergence phase: after the healer finishes, every replica
-			// must physically agree on every current entry; any leftover
-			// ghost must be provably dominated. Crash/restart seeds leave
-			// real divergence behind, so the healer must also have done
-			// actual catch-up work.
+			// must physically agree on every current entry and hold no
+			// ghost. Crash/restart seeds leave real divergence behind, so
+			// the healer must also have done actual catch-up work.
 			if !res.Converged {
 				t.Errorf("seed %d: replicas did not converge after healing", seed)
 			}
@@ -112,14 +111,14 @@ func TestChaosSoak(t *testing.T) {
 			}
 			t.Logf("seed %d: applied=%d observed=%d indeterminate=%d lookups=%d audited=%d "+
 				"crashes=%d partitions=%d duplicates=%d drops=%d restarts=%d resolved=%d strays=%d calls=%d "+
-				"trips=%d fastfails=%d probes=%d healed=%d ghosts=%d "+
+				"trips=%d fastfails=%d probes=%d healed=%d "+
 				"storagelost=%d recordslost=%d rebuilds=%d rebuilt=%d gaps=%d",
 				seed, res.Applied, res.Observed, res.Indeterminate, res.Lookups, res.AuditedKeys,
 				res.Faults.Crashes+res.Faults.CrashAfters, res.Faults.Partitions,
 				res.Faults.Duplicates, res.Faults.DroppedReplies, res.Faults.Restarts,
 				res.Resolved, res.StraysAborted, res.Faults.Calls,
 				res.Health.Trips, res.Health.FastFails, res.Health.Probes,
-				res.Heal.Copied+res.Heal.Freshened, res.GhostsLeft,
+				res.Heal.Copied+res.Heal.Freshened,
 				res.StorageLosses, res.RecordsLost, res.Rebuilds,
 				res.Rebuild.Copied+res.Rebuild.Freshened, res.Rebuild.Gaps)
 		})
@@ -182,12 +181,12 @@ func TestChaosSoakSharded(t *testing.T) {
 			}
 			t.Logf("seed %d: applied=%d observed=%d indeterminate=%d lookups=%d audited=%d "+
 				"counts=%d countfails=%d xshard=%d crashes=%d partitions=%d restarts=%d "+
-				"resolved=%d strays=%d healed=%d ghosts=%d rebuilds=%d",
+				"resolved=%d strays=%d healed=%d rebuilds=%d",
 				seed, res.Applied, res.Observed, res.Indeterminate, res.Lookups, res.AuditedKeys,
 				res.Counts, res.CountFailures, res.CrossShardTxns,
 				res.Faults.Crashes+res.Faults.CrashAfters, res.Faults.Partitions, res.Faults.Restarts,
 				res.Resolved, res.StraysAborted, res.Heal.Copied+res.Heal.Freshened,
-				res.GhostsLeft, res.Rebuilds)
+				res.Rebuilds)
 		})
 	}
 }
@@ -214,7 +213,7 @@ func TestChaosShardedDeterministic(t *testing.T) {
 		a.Faults != b.Faults || a.AuditedKeys != b.AuditedKeys ||
 		a.Health != b.Health || a.Heal != b.Heal ||
 		a.StraysAborted != b.StraysAborted ||
-		a.Converged != b.Converged || a.GhostsLeft != b.GhostsLeft {
+		a.Converged != b.Converged {
 		t.Errorf("same sharded seed, different runs:\n  %+v\n  %+v", a, b)
 	}
 }
@@ -239,7 +238,7 @@ func TestChaosSoakDeterministic(t *testing.T) {
 		a.Faults != b.Faults || a.AuditedKeys != b.AuditedKeys ||
 		a.Health != b.Health || a.Heal != b.Heal ||
 		a.StraysAborted != b.StraysAborted ||
-		a.Converged != b.Converged || a.GhostsLeft != b.GhostsLeft ||
+		a.Converged != b.Converged ||
 		a.StorageLosses != b.StorageLosses || a.RecordsLost != b.RecordsLost ||
 		a.Rebuilds != b.Rebuilds || a.Rebuild != b.Rebuild || a.Storage != b.Storage {
 		t.Errorf("same seed, different runs:\n  %+v\n  %+v", a, b)
@@ -337,12 +336,12 @@ func TestChaosSoakChurn(t *testing.T) {
 			}
 			t.Logf("seed %d: applied=%d observed=%d indeterminate=%d audited=%d "+
 				"reconfigs=%d epoch=%d staleprobes=%d stalerejects=%d witnessvotes=%d "+
-				"crashes=%d partitions=%d restarts=%d healed=%d ghosts=%d\nevents: %v",
+				"crashes=%d partitions=%d restarts=%d healed=%d\nevents: %v",
 				seed, res.Applied, res.Observed, res.Indeterminate, res.AuditedKeys,
 				res.Reconfigs, res.Epochs, res.StaleProbes,
 				res.Reconfig.StaleRejections, res.Reconfig.WitnessVotes,
 				res.Faults.Crashes+res.Faults.CrashAfters, res.Faults.Partitions,
-				res.Faults.Restarts, res.Heal.Copied+res.Heal.Freshened, res.GhostsLeft,
+				res.Faults.Restarts, res.Heal.Copied+res.Heal.Freshened,
 				res.ChurnEvents)
 		})
 	}
@@ -412,7 +411,7 @@ func TestChaosChurnDeterministic(t *testing.T) {
 		a.Faults != b.Faults || a.AuditedKeys != b.AuditedKeys ||
 		a.Health != b.Health || a.Heal != b.Heal ||
 		a.StraysAborted != b.StraysAborted ||
-		a.Converged != b.Converged || a.GhostsLeft != b.GhostsLeft ||
+		a.Converged != b.Converged ||
 		a.Reconfigs != b.Reconfigs || a.Epochs != b.Epochs ||
 		a.StaleProbes != b.StaleProbes {
 		t.Errorf("same churn seed, different runs:\n  %+v\n  %+v", a, b)
@@ -501,7 +500,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 			if round%3 == 0 {
 				// Bounded: repair may block behind in-doubt locks.
 				rctx, cancel := context.WithTimeout(ctx, 400*time.Millisecond)
-				_, _ = core.RepairReplica(rctx, suite, locals[i])
+				_, _ = core.RepairReplica(rctx, suite, locals[i], core.RepairOptions{})
 				cancel()
 			}
 		}

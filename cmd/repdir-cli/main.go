@@ -22,8 +22,9 @@
 //	scan   [after] [max]  list entries in key order
 //	resolve <txn-id>      cooperative termination of an in-doubt
 //	                      two-phase commit (coordinator crashed)
-//	repair <addr>         copy/freshen all current entries onto the
-//	                      replica at addr (read-repair after an outage)
+//	repair <addr>         bring the replica at addr fully current:
+//	                      copy/freshen every current entry, purge
+//	                      ghosts, install current gap versions
 //	reconfig show         print the replicated configuration record
 //	reconfig init         write the initial record (epoch 1) from the
 //	                      -replicas/-r/-w seed configuration
@@ -218,12 +219,12 @@ func run(args []string) error {
 			return err
 		}
 		defer target.Close()
-		stats, err := core.RepairReplica(ctx, owner, target)
+		stats, err := core.RepairReplica(ctx, owner, target, core.RepairOptions{})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("repaired %s: %d entries scanned, %d copied, %d freshened\n",
-			target.Name(), stats.Scanned, stats.Copied, stats.Freshened)
+		fmt.Printf("repaired %s: %d entries scanned, %d copied, %d freshened, %d gap segments\n",
+			target.Name(), stats.Scanned, stats.Copied, stats.Freshened, stats.Gaps)
 		return nil
 	case "reconfig":
 		if len(groups) > 1 {

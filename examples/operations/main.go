@@ -122,16 +122,16 @@ func run() error {
 	fmt.Println("r1 recovered (snapshot + log replay); suite kept serving meanwhile")
 
 	fmt.Println("\n== incident 2: repair brings r1 current again ==")
-	stats, err := core.RepairReplica(ctx, suite, nodes[0].client)
+	stats, err := core.RepairReplica(ctx, suite, nodes[0].client, core.RepairOptions{})
 	if err != nil {
 		// The first call after a bounce may hit the stale connection.
-		stats, err = core.RepairReplica(ctx, suite, nodes[0].client)
+		stats, err = core.RepairReplica(ctx, suite, nodes[0].client, core.RepairOptions{})
 	}
 	if err != nil {
 		return fmt.Errorf("repair: %w", err)
 	}
-	fmt.Printf("repair: %d scanned, %d copied, %d freshened\n",
-		stats.Scanned, stats.Copied, stats.Freshened)
+	fmt.Printf("repair: %d scanned, %d copied, %d freshened, %d gap segments\n",
+		stats.Scanned, stats.Copied, stats.Freshened, stats.Gaps)
 
 	fmt.Println("\n== incident 3: a coordinator dies between 2PC phases ==")
 	// Play a crashing coordinator by hand: prepare at r2 and r3, each

@@ -35,12 +35,12 @@ import (
 // back off" rather than retrying harder.
 var ErrBudgetExhausted = errors.New("core: retry budget exhausted")
 
-// Budget defaults: each success earns a tenth of a retry (so sustained
+// Budget shape: each success earns a tenth of a retry (so sustained
 // retry load is capped at ~10% of goodput), with a 10-token burst for
 // absorbing short blips from a standing start.
 const (
-	DefaultBudgetRatio = 0.1
-	DefaultBudgetBurst = 10
+	defaultBudgetRatio = 0.1
+	defaultBudgetBurst = 10
 )
 
 // RetryBudget is a token-bucket retry limiter, safe for concurrent use
@@ -51,21 +51,12 @@ type RetryBudget struct {
 	tokens float64
 	ratio  float64 // tokens earned per success
 	burst  float64 // bucket capacity
-
-	exhausted uint64 // Allow() calls refused for lack of tokens
 }
 
-// NewRetryBudget builds a budget that earns ratio tokens per success,
-// holds at most burst tokens, and starts full. Non-positive arguments
-// select the defaults.
-func NewRetryBudget(ratio float64, burst int) *RetryBudget {
-	if ratio <= 0 {
-		ratio = DefaultBudgetRatio
-	}
-	if burst <= 0 {
-		burst = DefaultBudgetBurst
-	}
-	return &RetryBudget{tokens: float64(burst), ratio: ratio, burst: float64(burst)}
+// NewRetryBudget builds a budget that earns a tenth of a token per
+// success, holds at most 10 tokens, and starts full.
+func NewRetryBudget() *RetryBudget {
+	return &RetryBudget{tokens: defaultBudgetBurst, ratio: defaultBudgetRatio, burst: defaultBudgetBurst}
 }
 
 // Allow consumes one token if available, reporting whether the caller
@@ -77,7 +68,6 @@ func (b *RetryBudget) Allow() bool {
 		b.tokens--
 		return true
 	}
-	b.exhausted++
 	return false
 }
 
@@ -90,21 +80,6 @@ func (b *RetryBudget) OnSuccess() {
 	if b.tokens > b.burst {
 		b.tokens = b.burst
 	}
-}
-
-// BudgetStats is a snapshot of a RetryBudget.
-type BudgetStats struct {
-	// Tokens is the current bucket level.
-	Tokens float64
-	// Exhausted counts retry requests refused for lack of tokens.
-	Exhausted uint64
-}
-
-// Stats snapshots the budget.
-func (b *RetryBudget) Stats() BudgetStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BudgetStats{Tokens: b.tokens, Exhausted: b.exhausted}
 }
 
 // overloadClass reports the errors that are retryable *only* against a

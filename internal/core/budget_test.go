@@ -14,16 +14,30 @@ import (
 	"repdir/internal/transport"
 )
 
+// newBudget builds a budget of another shape than NewRetryBudget's,
+// starting full.
+func newBudget(ratio float64, burst int) *RetryBudget {
+	return &RetryBudget{tokens: float64(burst), ratio: ratio, burst: float64(burst)}
+}
+
+// level reads the bucket.
+func (b *RetryBudget) level() float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.tokens
+}
+
 func TestRetryBudgetTokenBucket(t *testing.T) {
-	b := NewRetryBudget(0.5, 2)
+	if b := NewRetryBudget(); b.level() != defaultBudgetBurst || b.ratio != defaultBudgetRatio {
+		t.Fatalf("NewRetryBudget = %v tokens at ratio %v, want a full %d-token bucket at %v",
+			b.level(), b.ratio, defaultBudgetBurst, defaultBudgetRatio)
+	}
+	b := newBudget(0.5, 2)
 	if !b.Allow() || !b.Allow() {
 		t.Fatal("budget should start full")
 	}
 	if b.Allow() {
 		t.Fatal("empty bucket should refuse")
-	}
-	if got := b.Stats().Exhausted; got != 1 {
-		t.Fatalf("exhausted = %d, want 1", got)
 	}
 	// Two successes at ratio 0.5 earn one token.
 	b.OnSuccess()
@@ -35,14 +49,14 @@ func TestRetryBudgetTokenBucket(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.OnSuccess()
 	}
-	if got := b.Stats().Tokens; got != 2 {
+	if got := b.level(); got != 2 {
 		t.Fatalf("tokens = %v, want capped at 2", got)
 	}
 }
 
 func TestDecideRetryPolicy(t *testing.T) {
-	full := NewRetryBudget(0.1, 10)
-	empty := NewRetryBudget(0.1, 1)
+	full := NewRetryBudget()
+	empty := newBudget(0.1, 1)
 	empty.Allow() // drain
 
 	cases := []struct {
@@ -115,7 +129,7 @@ func TestBudgetExhaustionSurfacesFast(t *testing.T) {
 	sheds := []*shedDir{newShedDir(rep.New("A")), newShedDir(rep.New("B")), newShedDir(rep.New("C"))}
 	dirs := []rep.Directory{sheds[0], sheds[1], sheds[2]}
 	cfg := quorum.NewUniform(dirs, 2, 2)
-	budget := NewRetryBudget(0.5, 4)
+	budget := newBudget(0.5, 4)
 	suite, err := NewSuite(cfg, WithRetryBudget(budget))
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +175,7 @@ func TestBudgetExhaustionSurfacesFast(t *testing.T) {
 			t.Fatalf("lookup after recovery: %v", err)
 		}
 	}
-	if got := budget.Stats().Tokens; got < 1 {
+	if got := budget.level(); got < 1 {
 		t.Fatalf("budget did not refill after recovery: %v tokens", got)
 	}
 }

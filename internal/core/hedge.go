@@ -39,8 +39,8 @@ import (
 // to hedge (by then the probe is clearly stuck), and require a modest
 // sample before trusting the histogram at all.
 const (
-	DefaultHedgeFloor  = time.Millisecond
-	DefaultHedgeCeil   = 100 * time.Millisecond
+	defaultHedgeFloor  = time.Millisecond
+	defaultHedgeCeil   = 100 * time.Millisecond
 	hedgeWarmupProbes  = 64
 	hedgeRefreshProbes = 256
 )
@@ -56,19 +56,6 @@ type hedgeState struct {
 	// snapshot on the read hot path, so it refreshes every
 	// hedgeRefreshProbes observations instead.
 	delay atomic.Int64
-}
-
-func newHedgeState(floor, ceil time.Duration) *hedgeState {
-	if floor <= 0 {
-		floor = DefaultHedgeFloor
-	}
-	if ceil <= 0 {
-		ceil = DefaultHedgeCeil
-	}
-	if ceil < floor {
-		ceil = floor
-	}
-	return &hedgeState{floor: floor, ceil: ceil}
 }
 
 // observe feeds one probe's latency and periodically refreshes the
@@ -98,12 +85,11 @@ func (h *hedgeState) hedgeDelay() time.Duration {
 
 // WithHedgedReads enables hedged quorum-read probes: a per-member
 // lookup probe outstanding longer than the observed p99 probe latency
-// (clamped to [floor, ceil]; zero values select DefaultHedgeFloor /
-// DefaultHedgeCeil) is raced against a spare store member, first answer
-// wins. Fires on ~1% of probes by construction. Most useful together
-// with WithParallelQuorum over a real network.
-func WithHedgedReads(floor, ceil time.Duration) Option {
-	return func(s *Suite) { s.hedge = newHedgeState(floor, ceil) }
+// (clamped to [1ms, 100ms]) is raced against a spare store member,
+// first answer wins. Fires on ~1% of probes by construction. Most
+// useful together with WithParallelQuorum over a real network.
+func WithHedgedReads() Option {
+	return func(s *Suite) { s.hedge = &hedgeState{floor: defaultHedgeFloor, ceil: defaultHedgeCeil} }
 }
 
 // hedgeRound is one quorum-read round with hedging armed: the spares

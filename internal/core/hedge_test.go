@@ -11,8 +11,14 @@ import (
 	"repdir/internal/transport"
 )
 
+// withHedge is WithHedgedReads with the hedge delay clamped to
+// [floor, ceil] instead of [1ms, 100ms].
+func withHedge(floor, ceil time.Duration) Option {
+	return func(s *Suite) { s.hedge = &hedgeState{floor: floor, ceil: ceil} }
+}
+
 func TestHedgeStateDelay(t *testing.T) {
-	h := newHedgeState(time.Millisecond, 10*time.Millisecond)
+	h := &hedgeState{floor: time.Millisecond, ceil: 10 * time.Millisecond}
 	if h.hedgeDelay() != 0 {
 		t.Fatal("cold estimator must not hedge")
 	}
@@ -34,14 +40,14 @@ func TestHedgeStateDelay(t *testing.T) {
 
 	// Sub-floor latencies clamp up to the floor (never hedge
 	// sub-millisecond probes), absurd tails clamp down to the ceiling.
-	fast := newHedgeState(time.Millisecond, 10*time.Millisecond)
+	fast := &hedgeState{floor: time.Millisecond, ceil: 10 * time.Millisecond}
 	for i := 0; i < hedgeWarmupProbes; i++ {
 		fast.observe(time.Microsecond)
 	}
 	if got := fast.hedgeDelay(); got != time.Millisecond {
 		t.Fatalf("fast-path delay = %v, want clamped to 1ms floor", got)
 	}
-	slow := newHedgeState(time.Millisecond, 10*time.Millisecond)
+	slow := &hedgeState{floor: time.Millisecond, ceil: 10 * time.Millisecond}
 	for i := 0; i < hedgeWarmupProbes; i++ {
 		slow.observe(10 * time.Second)
 	}
@@ -95,7 +101,7 @@ func TestHedgedReadRescuesSlowReplica(t *testing.T) {
 	suite, err := NewSuite(cfg,
 		WithSelector(quorum.NewStickySelector(cfg)),
 		WithParallelQuorum(true),
-		WithHedgedReads(time.Millisecond, 5*time.Millisecond),
+		withHedge(time.Millisecond, 5*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +145,7 @@ func TestHedgeNoSpareFallsBack(t *testing.T) {
 	ctx := context.Background()
 	dirs := []rep.Directory{transport.NewLocal(rep.New("A")), transport.NewLocal(rep.New("B"))}
 	cfg := quorum.NewUniform(dirs, 2, 2)
-	suite, err := NewSuite(cfg, WithHedgedReads(time.Millisecond, 5*time.Millisecond))
+	suite, err := NewSuite(cfg, withHedge(time.Millisecond, 5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +179,7 @@ func TestHedgeWitnessNeverSpare(t *testing.T) {
 	}
 	suite, err := NewSuite(cfg,
 		WithSelector(quorum.NewStickySelector(cfg)),
-		WithHedgedReads(time.Millisecond, 5*time.Millisecond),
+		withHedge(time.Millisecond, 5*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -184,7 +184,7 @@ func TestReadsLeakNoLocks(t *testing.T) {
 	in.Suspend(true)
 	cfg := quorum.NewUniform(in.Directories(), 2, 2)
 	s, err := NewSuite(cfg, WithSelector(quorum.NewRandomSelector(cfg, 7)), WithParallelQuorum(true),
-		WithLocalReads("B"), WithHedgedReads(time.Microsecond, time.Millisecond))
+		WithLocalReads("B"), withHedge(time.Microsecond, time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"repdir/internal/keyspace"
 	"repdir/internal/rep"
 )
 
@@ -17,7 +18,9 @@ import (
 // RepairReplica: it re-reads the key by quorum inside its own
 // transaction and installs the current pair only if the target is still
 // behind, so a racing Update or Delete always wins by version
-// dominance and a stale install can never resurrect deleted data.
+// dominance and a stale install can never resurrect deleted data. It
+// touches only the one key: ghosts and gap versions around it are
+// RepairReplica's to bring current.
 //
 // The queue is bounded and lossy: read repair is an optimization, not a
 // correctness mechanism, so when the queue is full the observation is
@@ -98,9 +101,29 @@ func (s *Suite) repairKeyOn(ctx context.Context, key string, targets []rep.Direc
 			}
 			continue
 		}
-		total.add(stats)
+		total.Add(stats)
 	}
 	return total, firstErr
+}
+
+// repairEntry freshens one key on the target within the transaction.
+func repairEntry(ctx context.Context, tx *Tx, target rep.Directory, key string, stats *RepairStats) error {
+	k := keyspace.New(key)
+	// Current state, by quorum.
+	cur, err := tx.suiteLookup(ctx, k)
+	if err != nil {
+		return err
+	}
+	if !cur.Found {
+		// Deleted since the read that observed staleness; nothing to
+		// install.
+		stats.Scanned++
+		return nil
+	}
+	if err := tx.txn.Join(target); err != nil {
+		return err
+	}
+	return repairInstall(ctx, tx, target, k, cur.Version, cur.Value, stats)
 }
 
 // Drain blocks until every read-only operation's release round has

@@ -149,7 +149,7 @@ func TestReadRepairNoSelfLoop(t *testing.T) {
 	// lookup inside the repair observes C's staleness, but being a
 	// repair transaction it must fix C directly, not enqueue jobs.
 	ts.script.set([]int{1, 2}, []int{0, 1})
-	stats, err := RepairReplica(ctx, ts.suite, ts.locals[2])
+	stats, err := RepairReplica(ctx, ts.suite, ts.locals[2], RepairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

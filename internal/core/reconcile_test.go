@@ -53,7 +53,7 @@ func TestReconcileRebuildsLostReplica(t *testing.T) {
 		t.Fatalf("direct read on recovering replica = %v", err)
 	}
 
-	stats, err := ReconcileReplica(ctx, s, ts.locals[0], RepairOptions{PageSize: 3})
+	stats, err := RepairReplica(ctx, s, ts.locals[0], RepairOptions{PageSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestReconcileRebuildsLostReplica(t *testing.T) {
 	}
 
 	// Idempotency: a second pass finds nothing to do.
-	again, err := ReconcileReplica(ctx, s, ts.locals[0], RepairOptions{})
+	again, err := RepairReplica(ctx, s, ts.locals[0], RepairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestReconcileRebuildsLostReplica(t *testing.T) {
 // gap versions; C still holds the ghost. If A then loses its storage,
 // a future read quorum {A, C} contains no replica that remembers the
 // deletion — unless the rebuild restores A's gap versions, which is
-// exactly what ReconcileReplica (unlike plain RepairReplica) does.
+// exactly what RepairReplica's coalesces do.
 func TestReconcileRestoresDeletionDominance(t *testing.T) {
 	ctx := context.Background()
 	ts := newScriptedSuite(t, []string{"A", "B", "C"}, 2, 2)
@@ -113,7 +113,7 @@ func TestReconcileRestoresDeletionDominance(t *testing.T) {
 	// Rebuild A from a read quorum that must include B (C alone cannot
 	// vouch for the deletion).
 	ts.script.set([]int{1, 2}, []int{1, 2})
-	stats, err := ReconcileReplica(ctx, s, ts.locals[0], RepairOptions{})
+	stats, err := RepairReplica(ctx, s, ts.locals[0], RepairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +143,8 @@ func TestReconcileRestoresDeletionDominance(t *testing.T) {
 	}
 }
 
-// TestRepairEntryToleratesRecoveringTarget: the plain per-key repair
-// path must install unconditionally when the target refuses reads.
+// TestRepairEntryToleratesRecoveringTarget: read repair's single-key
+// freshen must install unconditionally when the target refuses reads.
 func TestRepairEntryToleratesRecoveringTarget(t *testing.T) {
 	ctx := context.Background()
 	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 3, 17)
@@ -155,9 +155,13 @@ func TestRepairEntryToleratesRecoveringTarget(t *testing.T) {
 		}
 	}
 	fresh := ts.loseStorage(2)
-	stats, err := RepairReplica(ctx, s, ts.locals[2])
-	if err != nil {
-		t.Fatal(err)
+	var stats RepairStats
+	for i := 0; i < 5; i++ {
+		st, err := s.repairKeyOn(ctx, fmt.Sprintf("r%d", i), []rep.Directory{ts.locals[2]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats.Add(st)
 	}
 	if stats.Copied != 5 {
 		t.Errorf("Copied = %d, want 5", stats.Copied)

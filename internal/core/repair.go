@@ -10,7 +10,7 @@ import (
 	"repdir/internal/version"
 )
 
-// RepairStats reports what RepairReplica or ReconcileReplica did.
+// RepairStats reports what RepairReplica (or a read repair) did.
 type RepairStats struct {
 	// Scanned is the number of current entries examined.
 	Scanned int
@@ -20,14 +20,13 @@ type RepairStats struct {
 	// Freshened is the number of entries whose stale version/value on
 	// the target was overwritten with the current one.
 	Freshened int
-	// Gaps is the number of gap segments whose current version was
-	// installed on the target (ReconcileReplica only; RepairReplica
-	// leaves gap versions alone).
+	// Gaps is the number of gap segments coalesced on the target at
+	// their current gap version.
 	Gaps int
 }
 
-// add folds another batch of repair work into the totals.
-func (s *RepairStats) add(o RepairStats) {
+// Add folds another batch of repair work into the totals.
+func (s *RepairStats) Add(o RepairStats) {
 	s.Scanned += o.Scanned
 	s.Copied += o.Copied
 	s.Freshened += o.Freshened
@@ -38,11 +37,11 @@ func (s *RepairStats) add(o RepairStats) {
 // uses when RepairOptions.PageSize is unset.
 const DefaultRepairPageSize = 64
 
-// RepairOptions tunes RepairReplicaOpts.
+// RepairOptions tunes RepairReplica.
 type RepairOptions struct {
-	// PageSize is the number of current entries repaired per
-	// transaction (default DefaultRepairPageSize). Each page is its own
-	// transaction, so the directory is never locked wholesale.
+	// PageSize is the number of segments repaired per transaction
+	// (default DefaultRepairPageSize). Each page is its own transaction,
+	// so the directory is never locked wholesale.
 	PageSize int
 	// OnPage, when non-nil, runs after each page's transaction commits,
 	// with the cumulative stats so far. Returning a non-nil error stops
@@ -51,98 +50,35 @@ type RepairOptions struct {
 	OnPage func(RepairStats) error
 }
 
-// RepairReplica brings one representative's entries up to date with the
-// suite: every current entry missing from the target is copied, and
-// every stale copy is freshened to the current version and value.
+// RepairReplica makes the target fully current: every current entry
+// installed at its current version and value, every ghost purged, and
+// every gap version brought up to the quorum maximum. It serves every
+// way a member falls behind — an outage that missed writes, a replica
+// that lost its storage, a newcomer seeded by reconfiguration, a
+// zero-vote hint — and repairs them alike. A recovered replica
+// otherwise catches up only incidentally, when it lands in write
+// quorums or serves as a coalesce bound, so a pass restores the read
+// performance an outage cost (the paper's footnote 6). A replica that
+// lost storage forgot not only entries but deletions, and a deletion
+// lives only in gap versions, so copying entries alone would leave it
+// answering version.Lowest for gaps it once knew dominated.
 //
-// A recovered replica otherwise catches up only incidentally — when it
-// lands in write quorums or serves as a coalesce bound — so a repair
-// pass restores full read performance after an outage (the paper's
-// footnote 6: failures that change quorums cost only performance; this
-// recovers that performance).
-//
-// Repair uses ordinary versioned inserts, so it is safe to run while the
-// suite is live: installing a current (version, value) pair at a replica
-// is exactly the bound-copying step of DirSuiteDelete, and range locking
-// serializes it against concurrent operations. Each entry is repaired in
-// its own transaction so the directory is never locked wholesale. Ghost
-// entries and stale gap versions on the target are left alone — they are
-// harmless by version dominance and are reclaimed by future coalesces.
-func RepairReplica(ctx context.Context, s *Suite, target rep.Directory) (RepairStats, error) {
-	return RepairReplicaOpts(ctx, s, target, RepairOptions{})
-}
-
-// RepairReplicaOpts is RepairReplica with paging and pacing control.
-func RepairReplicaOpts(ctx context.Context, s *Suite, target rep.Directory, opts RepairOptions) (RepairStats, error) {
-	target = s.wrapDir(target)
-	pageSize := opts.PageSize
-	if pageSize <= 0 {
-		pageSize = DefaultRepairPageSize
-	}
-	var stats RepairStats
-	after := ""
-	for {
-		// One page of current entries per repair batch. Batch-local
-		// stats are folded in only after the batch commits, so wait-die
-		// retries never double-count.
-		var page []KV
-		var batch RepairStats
-		err := s.runTxn(ctx, OpRepair, repairOps, func(tx *Tx) error {
-			batch = RepairStats{}
-			var err error
-			page, err = tx.Scan(ctx, after, pageSize)
-			if err != nil {
-				return err
-			}
-			for _, kv := range page {
-				if err := repairEntry(ctx, tx, target, kv.Key, &batch); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return stats, fmt.Errorf("core: repair %s: %w", target.Name(), err)
-		}
-		stats.add(batch)
-		if opts.OnPage != nil {
-			if err := opts.OnPage(stats); err != nil {
-				return stats, err
-			}
-		}
-		// A short page means the scan reached the end of the directory:
-		// stop here instead of paying one extra empty-scan transaction.
-		if len(page) < pageSize {
-			return stats, nil
-		}
-		after = page[len(page)-1].Key
-	}
-}
-
-// ReconcileReplica makes the target fully current: every current entry
-// installed at its current version and value, every ghost purged, and —
-// unlike RepairReplica — every gap version brought up to the quorum
-// maximum. It is the rebuild path for a replica that lost storage: such
-// a replica forgot not only entries but deletions, and a deletion lives
-// only in gap versions, so copying entries alone would leave the
-// replica answering version.Lowest for gaps it once knew dominated.
-//
-// The reconcile walks the keyspace left to right with a run (the Figure
-// 12 real-successor search), which already folds the quorum-maximum gap
+// The repair walks the keyspace left to right with a run (the Figure 12
+// real-successor search), which already folds the quorum-maximum gap
 // version over every range it crosses. For each segment between
 // adjacent current entries it installs the upper entry on the target
 // (versioned install, idempotent) and then coalesces the segment on the
 // target with that maximum gap version — purging any ghosts the target
 // still holds and installing a gap version that dominates everything
 // ever deleted in the segment, because a read quorum said so under
-// range locks. Versions are never invented, only copied.
+// range locks (the paper's coalesce, §3 and Figure 13). Versions are
+// never invented, only copied.
 //
-// Segments are paged PageSize per transaction, so the directory is
-// never locked wholesale; OnPage is the pacing hook, as in
-// RepairReplicaOpts. Safe to run while the suite is live, including
-// against a target in recovering mode (its reads bounce, its writes
-// land).
-func ReconcileReplica(ctx context.Context, s *Suite, target rep.Directory, opts RepairOptions) (RepairStats, error) {
+// Segments are paged PageSize per transaction; OnPage is the pacing
+// hook. Safe to run while the suite is live — range locking serializes
+// each page against concurrent operations — including against a target
+// in recovering mode (its reads bounce, its writes land).
+func RepairReplica(ctx context.Context, s *Suite, target rep.Directory, opts RepairOptions) (RepairStats, error) {
 	target = s.wrapDir(target)
 	pageSize := opts.PageSize
 	if pageSize <= 0 {
@@ -151,6 +87,8 @@ func ReconcileReplica(ctx context.Context, s *Suite, target rep.Directory, opts 
 	var stats RepairStats
 	after := keyspace.Low()
 	for {
+		// Batch-local stats are folded in only after the page commits, so
+		// wait-die retries never double-count.
 		var batch RepairStats
 		var next keyspace.Key
 		done := false
@@ -168,7 +106,7 @@ func ReconcileReplica(ctx context.Context, s *Suite, target rep.Directory, opts 
 				if err != nil {
 					return err
 				}
-				if err := reconcileSegment(ctx, tx, target, k, nb, &batch); err != nil {
+				if err := repairSegment(ctx, tx, target, k, nb, &batch); err != nil {
 					return err
 				}
 				if nb.key.IsHigh() {
@@ -181,9 +119,9 @@ func ReconcileReplica(ctx context.Context, s *Suite, target rep.Directory, opts 
 			return nil
 		})
 		if err != nil {
-			return stats, fmt.Errorf("core: reconcile %s: %w", target.Name(), err)
+			return stats, fmt.Errorf("core: repair %s: %w", target.Name(), err)
 		}
-		stats.add(batch)
+		stats.Add(batch)
 		if opts.OnPage != nil {
 			if err := opts.OnPage(stats); err != nil {
 				return stats, err
@@ -196,19 +134,17 @@ func ReconcileReplica(ctx context.Context, s *Suite, target rep.Directory, opts 
 	}
 }
 
-// reconcileSegment brings one segment (lo, nb.key] up to date on the
+// repairSegment brings one segment (lo, nb.key] up to date on the
 // target: the upper bounding entry installed if nb.key is a real entry,
 // then the segment coalesced at the walk's quorum-maximum gap version.
-func reconcileSegment(ctx context.Context, tx *Tx, target rep.Directory, lo keyspace.Key, nb neighbor, stats *RepairStats) error {
+func repairSegment(ctx context.Context, tx *Tx, target rep.Directory, lo keyspace.Key, nb neighbor, stats *RepairStats) error {
 	if err := tx.txn.Join(target); err != nil {
 		return err
 	}
 	if !nb.key.IsHigh() {
-		batch := RepairStats{}
-		if err := repairInstall(ctx, tx, target, nb.key, nb.ver, nb.value, &batch); err != nil {
+		if err := repairInstall(ctx, tx, target, nb.key, nb.ver, nb.value, stats); err != nil {
 			return err
 		}
-		stats.add(batch)
 	}
 	tx.msgs++
 	if _, err := target.Coalesce(ctx, tx.txn.ID, lo, nb.key, nb.maxGap); err != nil {
@@ -256,23 +192,4 @@ func repairInstall(ctx context.Context, tx *Tx, target rep.Directory, k keyspace
 	}
 	tx.mutated = true
 	return nil
-}
-
-// repairEntry reconciles one key on the target within the transaction.
-func repairEntry(ctx context.Context, tx *Tx, target rep.Directory, key string, stats *RepairStats) error {
-	k := keyspace.New(key)
-	// Current state, by quorum.
-	cur, err := tx.suiteLookup(ctx, k)
-	if err != nil {
-		return err
-	}
-	if !cur.Found {
-		// Deleted between the scan and now; nothing to install.
-		stats.Scanned++
-		return nil
-	}
-	if err := tx.txn.Join(target); err != nil {
-		return err
-	}
-	return repairInstall(ctx, tx, target, k, cur.Version, cur.Value, stats)
 }

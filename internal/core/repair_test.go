@@ -40,7 +40,7 @@ func TestRepairReplicaCatchesUpAfterOutage(t *testing.T) {
 
 	// A returns, stale. Repair it.
 	ts.locals[0].Restart()
-	stats, err := RepairReplica(ctx, s, ts.locals[0])
+	stats, err := RepairReplica(ctx, s, ts.locals[0], RepairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +68,91 @@ func TestRepairReplicaCatchesUpAfterOutage(t *testing.T) {
 			t.Errorf("A has stale %s after repair (found=%v ver=%d)", key, has, ver)
 		}
 	}
-	// The deletion is NOT resurrected: pre-09's ghost may linger on A,
-	// but quorum lookups stay correct.
+	// The deletion is NOT resurrected, and A no longer holds its ghost:
+	// the repair coalesced it away.
 	for i := 0; i < 10; i++ {
 		if _, found, err := s.Lookup(ctx, "pre-09"); err != nil || found {
 			t.Fatalf("pre-09 resurrected after repair: %v %v", found, err)
 		}
+	}
+	if has, _ := ts.repHas(0, "pre-09"); has {
+		t.Error("A still holds the ghost pre-09 after repair")
+	}
+}
+
+// TestRepairLeavesNoGhost repairs a live member — not recovering, just
+// stale — that missed updates, deletes and inserts, and checks that it
+// ends physically current: every current entry at its current version
+// and value, no ghost, nothing missing.
+func TestRepairLeavesNoGhost(t *testing.T) {
+	ctx := context.Background()
+	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 2, 108)
+	s := ts.suite
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := s.Insert(ctx, fmt.Sprintf("k%02d", 2*i), "v1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every member holds every entry, so C's ghosts below come only from
+	// the deletes it misses.
+	for i := range ts.reps {
+		if _, err := RepairReplica(ctx, s, ts.locals[i], RepairOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts.locals[2].Crash()
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("k%02d", 2*i)
+		var err error
+		switch i % 5 {
+		case 0:
+			err = s.Update(ctx, key, "v2")
+		case 1:
+			err = s.Delete(ctx, key)
+		case 2:
+			err = s.Insert(ctx, fmt.Sprintf("k%02d", 2*i+1), "v3")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts.locals[2].Restart()
+	if has, _ := ts.repHas(2, "k02"); !has {
+		t.Fatal("setup: C should hold the ghost k02 before repair")
+	}
+
+	stats, err := RepairReplica(ctx, s, ts.locals[2], RepairOptions{PageSize: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Copied == 0 || stats.Freshened == 0 {
+		t.Errorf("stats = %+v, want copies and freshens", stats)
+	}
+	current, err := s.Scan(ctx, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string, len(current))
+	for _, kv := range current {
+		want[kv.Key] = kv.Value
+	}
+	held := 0
+	for _, e := range ts.reps[2].Dump() {
+		if e.Key.IsSentinel() {
+			continue
+		}
+		held++
+		v, ok := want[e.Key.Raw()]
+		switch {
+		case !ok:
+			t.Errorf("C holds ghost %s after repair", e.Key.Raw())
+		case e.Value != v:
+			t.Errorf("C holds %s=%q, current is %q", e.Key.Raw(), e.Value, v)
+		}
+	}
+	if held != len(want) {
+		t.Errorf("C holds %d entries, want the %d current ones", held, len(want))
 	}
 }
 
@@ -85,10 +164,10 @@ func TestRepairIsIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := RepairReplica(ctx, ts.suite, ts.locals[1]); err != nil {
+	if _, err := RepairReplica(ctx, ts.suite, ts.locals[1], RepairOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := RepairReplica(ctx, ts.suite, ts.locals[1])
+	stats, err := RepairReplica(ctx, ts.suite, ts.locals[1], RepairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +179,7 @@ func TestRepairIsIdempotent(t *testing.T) {
 func TestRepairEmptySuite(t *testing.T) {
 	ctx := context.Background()
 	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 2, 103)
-	stats, err := RepairReplica(ctx, ts.suite, ts.locals[0])
+	stats, err := RepairReplica(ctx, ts.suite, ts.locals[0], RepairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +188,9 @@ func TestRepairEmptySuite(t *testing.T) {
 	}
 }
 
-// TestRepairPagingStopsOnShortPage pins the paging contract: a scan
-// page shorter than the page size proves the directory is exhausted, so
-// the repair must stop there instead of paying one extra transaction
-// for an empty confirming scan.
+// TestRepairPagingStopsOnShortPage pins the paging contract: the page
+// whose walk reaches the high sentinel ends the repair, with no extra
+// transaction to confirm the directory is exhausted.
 func TestRepairPagingStopsOnShortPage(t *testing.T) {
 	ctx := context.Background()
 	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 2, 106)
@@ -122,13 +200,13 @@ func TestRepairPagingStopsOnShortPage(t *testing.T) {
 		}
 	}
 
-	// 5 entries at page size 2: pages of 2, 2, 1. The short final page
-	// ends the repair — exactly 3 transactions, not a 4th empty scan.
+	// 5 entries at page size 2: six segments, the last one (k4, high],
+	// so pages of 2, 2 and 1 entries — exactly 3 transactions.
 	before := ts.suite.Stats().Commits
 	var pages int
 	var perPage []int
 	prev := 0
-	stats, err := RepairReplicaOpts(ctx, ts.suite, ts.locals[0], RepairOptions{
+	stats, err := RepairReplica(ctx, ts.suite, ts.locals[0], RepairOptions{
 		PageSize: 2,
 		OnPage: func(s RepairStats) error {
 			pages++
@@ -153,7 +231,7 @@ func TestRepairPagingStopsOnShortPage(t *testing.T) {
 	// OnPage errors abort the repair immediately and surface verbatim.
 	sentinel := errors.New("stop here")
 	calls := 0
-	_, err = RepairReplicaOpts(ctx, ts.suite, ts.locals[0], RepairOptions{
+	_, err = RepairReplica(ctx, ts.suite, ts.locals[0], RepairOptions{
 		PageSize: 2,
 		OnPage:   func(RepairStats) error { calls++; return sentinel },
 	})
@@ -208,12 +286,12 @@ func TestRepairDoesNotResurrectDeleted(t *testing.T) {
 		}
 	}
 
-	// A full repair pass over every replica must treat the ghost as
-	// harmless: nothing is copied anywhere (the key is not current), so
-	// the stale value cannot propagate.
+	// A full repair pass over every replica must not spread the ghost:
+	// nothing is copied anywhere (the key is not current), and C's copy
+	// is coalesced away.
 	ts.script.set([]int{0, 1}, []int{0, 1})
 	for i := range ts.reps {
-		stats, err := RepairReplica(ctx, s, ts.locals[i])
+		stats, err := RepairReplica(ctx, s, ts.locals[i], RepairOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,11 +305,17 @@ func TestRepairDoesNotResurrectDeleted(t *testing.T) {
 	if has, _ := ts.repHas(1, "k"); has {
 		t.Error("ghost spread to B")
 	}
+	if has, _ := ts.repHas(2, "k"); has {
+		t.Error("repair left the ghost on C")
+	}
 }
 
 // TestRepairRacingDeletes runs live RepairReplica passes concurrently
 // with deletes of every key and checks that no deletion is undone —
 // the async-race complement to the deterministic interleaving above.
+// Each repair page holds read-range locks on a read quorum for its walk
+// and write-range locks on the target for its coalesces, so a delete
+// either lands before a page reads its range or after it commits.
 func TestRepairRacingDeletes(t *testing.T) {
 	ctx := context.Background()
 	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 2, 107)
@@ -252,7 +336,7 @@ func TestRepairRacingDeletes(t *testing.T) {
 		// under wait-die, and a pass may legitimately fail if its
 		// transaction budget is spent racing.
 		for i := 0; i < 6; i++ {
-			_, _ = RepairReplicaOpts(ctx, s, ts.locals[2], RepairOptions{PageSize: 4})
+			_, _ = RepairReplica(ctx, s, ts.locals[2], RepairOptions{PageSize: 4})
 		}
 	}()
 	for i := 0; i < n; i++ {
@@ -263,7 +347,8 @@ func TestRepairRacingDeletes(t *testing.T) {
 	wg.Wait()
 
 	// Every deleted key stays deleted, on repeated reads across random
-	// quorums, and one more full repair pass changes nothing.
+	// quorums, and one more full repair pass installs nothing and leaves
+	// C empty.
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("k%02d", i)
@@ -272,12 +357,17 @@ func TestRepairRacingDeletes(t *testing.T) {
 			}
 		}
 	}
-	stats, err := RepairReplica(ctx, s, ts.locals[2])
+	stats, err := RepairReplica(ctx, s, ts.locals[2], RepairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Copied != 0 || stats.Freshened != 0 {
 		t.Errorf("post-race repair installed entries: %+v", stats)
+	}
+	for _, e := range ts.reps[2].Dump() {
+		if !e.Key.IsSentinel() {
+			t.Errorf("C holds ghost %s after the post-race repair", e.Key.Raw())
+		}
 	}
 }
 
@@ -296,7 +386,7 @@ func TestRepairZeroVoteHintReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats, err := RepairReplica(ctx, ts.suite, hint)
+	stats, err := RepairReplica(ctx, ts.suite, hint, RepairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

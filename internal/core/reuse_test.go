@@ -201,7 +201,7 @@ func TestStragglingHedgeLeg(t *testing.T) {
 	suite, err := NewSuite(cfg,
 		WithSelector(quorum.NewStickySelector(cfg)),
 		WithParallelQuorum(true),
-		WithHedgedReads(time.Millisecond, 2*time.Millisecond),
+		withHedge(time.Millisecond, 2*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -79,17 +79,17 @@ type suiteCounters struct {
 // snapshot freezes the counters.
 func (c *suiteCounters) snapshot() SuiteStats {
 	return SuiteStats{
-		Calls:               c.calls.Load(),
-		Commits:             c.commits.Load(),
-		Failures:            c.failures.Load(),
-		Cancelled:           c.cancelled.Load(),
-		Retries:             c.retries.Load(),
-		Dies:                c.dies.Load(),
-		ReplicaLosses:       c.replicaLosses.Load(),
-		ReadRepairEnqueued:  c.readRepairEnqueued.Load(),
-		ReadRepairDropped:   c.readRepairDropped.Load(),
-		ReadRepairDone:      c.readRepairDone.Load(),
-		ReadRepairFailed:    c.readRepairFailed.Load(),
+		Calls:                c.calls.Load(),
+		Commits:              c.commits.Load(),
+		Failures:             c.failures.Load(),
+		Cancelled:            c.cancelled.Load(),
+		Retries:              c.retries.Load(),
+		Dies:                 c.dies.Load(),
+		ReplicaLosses:        c.replicaLosses.Load(),
+		ReadRepairEnqueued:   c.readRepairEnqueued.Load(),
+		ReadRepairDropped:    c.readRepairDropped.Load(),
+		ReadRepairDone:       c.readRepairDone.Load(),
+		ReadRepairFailed:     c.readRepairFailed.Load(),
 		ReadRepairCopied:     c.readRepairCopied.Load(),
 		ReadRepairFreshened:  c.readRepairFreshened.Load(),
 		StaleEpochRejections: c.staleEpoch.Load(),

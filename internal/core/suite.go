@@ -470,8 +470,8 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 	}
 	s.counters.failures.Add(1)
 	// Both identities survive errors.Is: callers distinguishing "out of
-	// retries" from the underlying transient cause (heal.Rebuild retries
-	// reconciles that died of ErrUnavailable, not of logic errors) need
+	// retries" from the underlying transient cause (heal retries repair
+	// passes that died of ErrUnavailable, not of logic errors) need
 	// the full chain.
 	return fmt.Errorf("%w: %w", ErrRetriesExhausted, lastErr)
 }

@@ -17,7 +17,7 @@ import (
 //
 // At the representative layer system entries are ordinary entries: they
 // get versions, participate in quorum reads, are copied by
-// ReconcileReplica, and may serve as coalesce bounds for deletions of
+// RepairReplica, and may serve as coalesce bounds for deletions of
 // adjacent user keys — which is exactly what gives the configuration
 // record single-copy semantics for free.
 const SysPrefix = "\x00"

@@ -1,8 +1,8 @@
 // Package fault injects deterministic, seed-driven faults between a
-// directory suite and its representatives, and into the files beneath
-// them (FaultFile, RunCrashPoints). A Member is a transport.Middleware whose
-// hook is the member itself, so it is a rep.Directory like any other
-// connection, and imposes, per call:
+// directory suite and its representatives, and into the logs beneath
+// them (Member.LoseStorage, RunCrashPoints). A Member is a
+// transport.Middleware whose hook is the member itself, so it is a
+// rep.Directory like any other connection, and imposes, per call:
 //
 //   - latency, injected on a fraction of calls (Plan.PDelay), drawn
 //     uniformly in [0, Plan.MaxLatency);
@@ -385,7 +385,7 @@ func (m *Member) Crash() {
 // recovering mode — reads bounce with rep.ErrRecovering, because the
 // restarted state may have forgotten acknowledged writes, including
 // deletions that live only in gap versions — and stays that way until
-// RebuildDone after a rebuild-from-peers pass (heal.Healer.Rebuild)
+// RebuildDone after a rebuild-from-peers pass (heal.Healer.Repair)
 // has reconciled it. Returns how many log records were destroyed; a
 // member built without a log (NewMember with no wipe path) returns 0
 // and injects nothing.

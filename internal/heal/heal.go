@@ -8,7 +8,8 @@
 // failures cost.
 //
 // The healer is deliberately dumb about safety: every entry it installs
-// goes through the suite's ordinary versioned-install transactions, so
+// and every gap it coalesces goes through the suite's ordinary
+// range-locked transactions at versions a read quorum vouched for, so
 // version dominance — not the healer — guarantees that racing updates
 // and deletes win and that repairs are idempotent.
 package heal
@@ -31,7 +32,7 @@ import (
 
 // Config tunes the healer. The zero value means defaults.
 type Config struct {
-	// PageSize is the number of entries repaired per transaction
+	// PageSize is the number of segments repaired per transaction
 	// (default core.DefaultRepairPageSize).
 	PageSize int
 	// Pace is an optional sleep between repair pages, bounding the
@@ -42,7 +43,7 @@ type Config struct {
 	RepairTimeout time.Duration
 	// Obs, when non-nil, traces each repair pass (one span per
 	// committed page) and feeds the "heal" latency histogram. The
-	// per-entry repair transactions are additionally observed by the
+	// per-page repair transactions are additionally observed by the
 	// suite's own observer, if it has one.
 	Obs *obs.Observer
 }
@@ -66,15 +67,13 @@ type Stats struct {
 	// Started, Completed, Failed count repair passes.
 	Started, Completed, Failed uint64
 	// Scanned, Copied, Freshened total the entry work across all
-	// passes; Pages counts committed repair transactions.
-	Scanned, Copied, Freshened, Pages uint64
-	// Rebuilds counts full rebuild-from-peers passes (Rebuild); Gaps
-	// totals the gap segments those passes reconciled.
-	Rebuilds, Gaps uint64
-	// Retries counts rebuild attempts re-run after a transient peer
-	// error (an unavailable or still-recovering member, a wait-die
-	// loss). Each retry restarts the reconcile pass; the passes are
-	// idempotent, so only time is lost.
+	// passes, Gaps the gap segments coalesced; Pages counts committed
+	// repair transactions.
+	Scanned, Copied, Freshened, Gaps, Pages uint64
+	// Retries counts pass attempts re-run after a transient peer error
+	// (an unavailable or still-recovering member, a wait-die loss). Each
+	// retry restarts the pass; passes are idempotent, so only time is
+	// lost.
 	Retries uint64
 }
 
@@ -103,7 +102,6 @@ type Healer struct {
 	copied    atomic.Uint64
 	freshened atomic.Uint64
 	pages     atomic.Uint64
-	rebuilds  atomic.Uint64
 	gaps      atomic.Uint64
 	retries   atomic.Uint64
 }
@@ -165,14 +163,42 @@ func (h *Healer) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case member := <-h.jobs:
-			_, _ = h.repair(ctx, member, nil)
+			_, _ = h.pass(ctx, member, nil)
 		}
 	}
 }
 
-// repair runs one paced repair pass for member; progress, when non-nil,
-// observes cumulative stats after each committed page.
-func (h *Healer) repair(ctx context.Context, member string, progress func(core.RepairStats)) (core.RepairStats, error) {
+// Repair runs one synchronous repair pass for member, outside the
+// background queue: the member ends fully current, every current entry
+// installed, every ghost purged and every gap version brought up to the
+// quorum maximum (core.RepairReplica). That serves a member back from an
+// outage and one rebuilding lost storage alike; for the latter, the
+// caller flips it out of recovering mode (rep.Rep.SetRecovering(false))
+// once the pass returns cleanly. onPage, when non-nil, observes the
+// cumulative stats after each committed page, before the pace sleep,
+// letting callers chart recovery over time.
+func (h *Healer) Repair(ctx context.Context, member string, onPage func(core.RepairStats)) (core.RepairStats, error) {
+	if _, ok := h.targets[member]; !ok {
+		return core.RepairStats{}, fmt.Errorf("heal: unknown member %q", member)
+	}
+	h.mu.Lock()
+	if h.pending[member] {
+		h.mu.Unlock()
+		return core.RepairStats{}, fmt.Errorf("heal: repair of %q already pending", member)
+	}
+	h.pending[member] = true
+	h.mu.Unlock()
+	return h.pass(ctx, member, onPage)
+}
+
+// pass runs one paced, traced repair pass for member, which the caller
+// has marked pending. A pass reads whole quorums for every segment, so
+// one flaky peer mid-pass would otherwise fail it and leave the member
+// behind (or, rebuilding, in recovering mode) until someone noticed.
+// The pass is idempotent, so transient errors are retried in place with
+// bounded backoff; only persistent failure (or the repair timeout)
+// surfaces.
+func (h *Healer) pass(ctx context.Context, member string, onPage func(core.RepairStats)) (core.RepairStats, error) {
 	target := h.targets[member]
 	defer func() {
 		h.mu.Lock()
@@ -185,112 +211,11 @@ func (h *Healer) repair(ctx context.Context, member string, progress func(core.R
 	pageSpan := trace.StartSpan("page")
 	rctx, cancel := context.WithTimeout(ctx, h.cfg.RepairTimeout)
 	defer cancel()
-	var prev core.RepairStats
-	stats, err := core.RepairReplicaOpts(rctx, h.suite, target, core.RepairOptions{
-		PageSize: h.cfg.PageSize,
-		OnPage: func(cum core.RepairStats) error {
-			pageSpan.End()
-			pageSpan = trace.StartSpan("page")
-			h.pages.Add(1)
-			h.scanned.Add(uint64(cum.Scanned - prev.Scanned))
-			h.copied.Add(uint64(cum.Copied - prev.Copied))
-			h.freshened.Add(uint64(cum.Freshened - prev.Freshened))
-			prev = cum
-			if progress != nil {
-				progress(cum)
-			}
-			if h.cfg.Pace > 0 {
-				sleep := trace.StartSpan("pace")
-				t := time.NewTimer(h.cfg.Pace)
-				defer t.Stop()
-				select {
-				case <-t.C:
-				case <-rctx.Done():
-				}
-				sleep.End()
-				return rctx.Err()
-			}
-			return rctx.Err()
-		},
-	})
-	pageSpan.End()
-	trace.Finish(err, 0)
-	h.cfg.Obs.OpDone("heal", time.Since(start), 0, err)
-	if err != nil {
-		h.failed.Add(1)
-		return stats, err
-	}
-	h.completed.Add(1)
-	return stats, nil
-}
-
-// RepairNow runs one synchronous repair pass for member, outside the
-// background queue (callers own pacing and cancellation via ctx).
-func (h *Healer) RepairNow(ctx context.Context, member string) (core.RepairStats, error) {
-	return h.RepairNowPaced(ctx, member, nil)
-}
-
-// RepairNowPaced is RepairNow with a per-page progress callback: after
-// each committed repair page (and before the pace sleep) onPage
-// observes the cumulative stats, letting callers chart recovery over
-// time.
-func (h *Healer) RepairNowPaced(ctx context.Context, member string, onPage func(core.RepairStats)) (core.RepairStats, error) {
-	if _, ok := h.targets[member]; !ok {
-		return core.RepairStats{}, fmt.Errorf("heal: unknown member %q", member)
-	}
-	h.mu.Lock()
-	if h.pending[member] {
-		h.mu.Unlock()
-		return core.RepairStats{}, fmt.Errorf("heal: repair of %q already pending", member)
-	}
-	h.pending[member] = true
-	h.mu.Unlock()
-	return h.repair(ctx, member, onPage)
-}
-
-// Rebuild runs one synchronous full reconcile of member — the
-// rebuild-from-peers path for a replica that lost its storage. Beyond
-// what a repair pass does, a rebuild purges ghosts and installs current
-// gap versions via core.ReconcileReplica, so the member ends fully
-// current: a replica that forgot acknowledged deletions gets them back
-// (they live only in gap versions, which plain repair never touches).
-// The caller flips the member out of recovering mode afterwards
-// (rep.Rep.SetRecovering(false)) once the rebuild returns cleanly.
-func (h *Healer) Rebuild(ctx context.Context, member string) (core.RepairStats, error) {
-	target, ok := h.targets[member]
-	if !ok {
-		return core.RepairStats{}, fmt.Errorf("heal: unknown member %q", member)
-	}
-	h.mu.Lock()
-	if h.pending[member] {
-		h.mu.Unlock()
-		return core.RepairStats{}, fmt.Errorf("heal: repair of %q already pending", member)
-	}
-	h.pending[member] = true
-	h.mu.Unlock()
-	defer func() {
-		h.mu.Lock()
-		delete(h.pending, member)
-		h.mu.Unlock()
-	}()
-	h.started.Add(1)
-	h.rebuilds.Add(1)
-	h.cfg.Obs.RebuildStarted()
-	start := time.Now()
-	trace := h.cfg.Obs.StartTrace("rebuild " + member)
-	pageSpan := trace.StartSpan("page")
-	rctx, cancel := context.WithTimeout(ctx, h.cfg.RepairTimeout)
-	defer cancel()
-	// A rebuild reads whole quorums for every segment, so one flaky peer
-	// mid-pass used to fail the entire rebuild and leave the member in
-	// recovering mode until an operator noticed. The pass is idempotent,
-	// so transient errors are retried in place with bounded backoff;
-	// only persistent failure (or the rebuild timeout) surfaces.
 	var stats core.RepairStats
 	var err error
 	for attempt := 0; ; attempt++ {
 		var prev core.RepairStats
-		stats, err = core.ReconcileReplica(rctx, h.suite, target, core.RepairOptions{
+		stats, err = core.RepairReplica(rctx, h.suite, target, core.RepairOptions{
 			PageSize: h.cfg.PageSize,
 			OnPage: func(cum core.RepairStats) error {
 				pageSpan.End()
@@ -300,8 +225,10 @@ func (h *Healer) Rebuild(ctx context.Context, member string) (core.RepairStats, 
 				h.copied.Add(uint64(cum.Copied - prev.Copied))
 				h.freshened.Add(uint64(cum.Freshened - prev.Freshened))
 				h.gaps.Add(uint64(cum.Gaps - prev.Gaps))
-				h.cfg.Obs.RebuildProgress((cum.Copied + cum.Freshened) - (prev.Copied + prev.Freshened))
 				prev = cum
+				if onPage != nil {
+					onPage(cum)
+				}
 				if h.cfg.Pace > 0 {
 					sleep := trace.StartSpan("pace")
 					t := time.NewTimer(h.cfg.Pace)
@@ -315,12 +242,12 @@ func (h *Healer) Rebuild(ctx context.Context, member string) (core.RepairStats, 
 				return rctx.Err()
 			},
 		})
-		if err == nil || attempt >= rebuildRetries || !transientRebuildErr(err) || rctx.Err() != nil {
+		if err == nil || attempt >= passRetries || !transient(err) || rctx.Err() != nil {
 			break
 		}
 		h.retries.Add(1)
 		wait := trace.StartSpan("retry-backoff")
-		t := time.NewTimer(rebuildRetryBase << attempt)
+		t := time.NewTimer(passRetryBase << attempt)
 		select {
 		case <-t.C:
 		case <-rctx.Done():
@@ -330,7 +257,7 @@ func (h *Healer) Rebuild(ctx context.Context, member string) (core.RepairStats, 
 	}
 	pageSpan.End()
 	trace.Finish(err, 0)
-	h.cfg.Obs.OpDone("rebuild", time.Since(start), 0, err)
+	h.cfg.Obs.OpDone("heal", time.Since(start), 0, err)
 	if err != nil {
 		h.failed.Add(1)
 		return stats, err
@@ -339,19 +266,19 @@ func (h *Healer) Rebuild(ctx context.Context, member string) (core.RepairStats, 
 	return stats, nil
 }
 
-// Rebuild retry policy: up to rebuildRetries re-runs of a transiently
-// failed reconcile pass, backing off rebuildRetryBase doubled per
-// attempt (25, 50, 100, 200ms) — all inside the rebuild timeout.
+// Pass retry policy: up to passRetries re-runs of a transiently failed
+// pass, backing off passRetryBase doubled per attempt (25, 50, 100,
+// 200ms) — all inside the repair timeout.
 const (
-	rebuildRetries   = 4
-	rebuildRetryBase = 25 * time.Millisecond
+	passRetries   = 4
+	passRetryBase = 25 * time.Millisecond
 )
 
-// transientRebuildErr reports whether a rebuild failure is worth
-// retrying in place: a peer that is unreachable, still recovering, or
-// won a wait-die conflict may well be fine a moment later. Everything
-// else (context expiry, semantic errors) surfaces immediately.
-func transientRebuildErr(err error) bool {
+// transient reports whether a pass failure is worth retrying in place:
+// a peer that is unreachable, still recovering, or won a wait-die
+// conflict may well be fine a moment later. Everything else (context
+// expiry, semantic errors) surfaces immediately.
+func transient(err error) bool {
 	return errors.Is(err, transport.ErrUnavailable) ||
 		errors.Is(err, rep.ErrRecovering) ||
 		errors.Is(err, lock.ErrDie)
@@ -364,7 +291,8 @@ var ErrNotConverged = errors.New("heal: replicas still diverging after max passe
 
 // Converge repairs every target, repeating whole-suite passes until a
 // full pass finds nothing to copy or freshen — at which point every
-// replica physically holds every current entry at its current version.
+// replica physically holds every current entry at its current version,
+// and no ghost.
 // On a quiesced suite one pass plus one confirming pass suffices;
 // Converge allows a few extra in case repairs race live traffic, and
 // returns ErrNotConverged (with the work totals) if the budget runs
@@ -381,20 +309,14 @@ func (h *Healer) Converge(ctx context.Context) (core.RepairStats, error) {
 	for pass := 0; pass < maxPasses; pass++ {
 		var work core.RepairStats
 		for _, n := range names {
-			stats, err := h.RepairNow(ctx, n)
-			work.Scanned += stats.Scanned
-			work.Copied += stats.Copied
-			work.Freshened += stats.Freshened
+			stats, err := h.Repair(ctx, n, nil)
+			work.Add(stats)
 			if err != nil {
-				total.Scanned += work.Scanned
-				total.Copied += work.Copied
-				total.Freshened += work.Freshened
+				total.Add(work)
 				return total, fmt.Errorf("heal: converge %s: %w", n, err)
 			}
 		}
-		total.Scanned += work.Scanned
-		total.Copied += work.Copied
-		total.Freshened += work.Freshened
+		total.Add(work)
 		if work.Copied == 0 && work.Freshened == 0 {
 			return total, nil
 		}
@@ -414,7 +336,6 @@ func (h *Healer) Stats() Stats {
 		Copied:    h.copied.Load(),
 		Freshened: h.freshened.Load(),
 		Pages:     h.pages.Load(),
-		Rebuilds:  h.rebuilds.Load(),
 		Gaps:      h.gaps.Load(),
 		Retries:   h.retries.Load(),
 	}

@@ -163,11 +163,11 @@ func TestHealerNotify(t *testing.T) {
 	if st.Notified != 1 || st.Coalesced != 1 {
 		t.Errorf("stats = %+v, want 1 notified, 1 coalesced", st)
 	}
-	if _, err := h.RepairNow(context.Background(), "C"); err == nil {
-		t.Error("RepairNow succeeded while a pass for C is pending")
+	if _, err := h.Repair(context.Background(), "C", nil); err == nil {
+		t.Error("Repair succeeded while a pass for C is pending")
 	}
-	if _, err := h.RepairNow(context.Background(), "nobody"); err == nil {
-		t.Error("RepairNow accepted an unknown member")
+	if _, err := h.Repair(context.Background(), "nobody", nil); err == nil {
+		t.Error("Repair accepted an unknown member")
 	}
 }
 
@@ -206,9 +206,9 @@ func TestHealerConverge(t *testing.T) {
 
 // TestHealerRebuild wipes C entirely — fresh empty representative in
 // recovering mode, as rep.OpenDurable produces under RecoverRebuild —
-// and checks that Rebuild restores both the current entries and the
-// deletion knowledge (gap versions) plain repair would miss, with the
-// work visible in healer stats and storage metrics.
+// and checks that a repair pass restores both the current entries and
+// the deletion knowledge (gap versions), with the work visible in healer
+// stats and the pass in the observer's "heal" operations.
 func TestHealerRebuild(t *testing.T) {
 	ctx := context.Background()
 	f := newFixture(t)
@@ -231,7 +231,7 @@ func TestHealerRebuild(t *testing.T) {
 
 	o := obs.NewObserver(obs.ObserverConfig{NoTrace: true})
 	h := New(f.suite, f.dirs, Config{PageSize: 2, Obs: o})
-	stats, err := h.Rebuild(ctx, "C")
+	stats, err := h.Repair(ctx, "C", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,19 +251,18 @@ func TestHealerRebuild(t *testing.T) {
 	}
 
 	st := h.Stats()
-	if st.Rebuilds != 1 || st.Started != 1 || st.Completed != 1 {
-		t.Errorf("stats = %+v, want one completed rebuild", st)
+	if st.Started != 1 || st.Completed != 1 {
+		t.Errorf("stats = %+v, want one completed pass", st)
 	}
 	if st.Gaps == 0 || st.Copied != 5 || st.Pages == 0 {
 		t.Errorf("stats = %+v, want gap/copy/page work recorded", st)
 	}
-	ss := o.Storage()
-	if ss.Rebuilds != 1 || ss.RebuildEntries != 5 {
-		t.Errorf("storage stats = %+v, want 1 rebuild with 5 entries", ss)
+	if n := o.OpCounts()["heal"]; n != 1 {
+		t.Errorf("observer counted %d heal passes, want 1", n)
 	}
 
-	if _, err := h.Rebuild(ctx, "nobody"); err == nil {
-		t.Error("Rebuild accepted an unknown member")
+	if _, err := h.Repair(ctx, "nobody", nil); err == nil {
+		t.Error("Repair accepted an unknown member")
 	}
 }
 
@@ -277,7 +276,7 @@ func TestHealerPace(t *testing.T) {
 
 	h := New(f.suite, f.dirs, Config{PageSize: 2, Pace: 20 * time.Millisecond})
 	start := time.Now()
-	if _, err := h.RepairNow(ctx, "C"); err != nil {
+	if _, err := h.Repair(ctx, "C", nil); err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(start); took < 60*time.Millisecond {
@@ -292,7 +291,7 @@ func TestHealerPace(t *testing.T) {
 	f.locals[2].Restart()
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := h.RepairNow(cctx, "C"); err == nil {
+	if _, err := h.Repair(cctx, "C", nil); err == nil {
 		t.Error("repair ran to completion under a cancelled context")
 	}
 	if st := h.Stats(); st.Failed == 0 {
@@ -317,9 +316,9 @@ func (f *flakyDir) Lookup(ctx context.Context, txn lock.TxnID, key keyspace.Key)
 }
 
 // TestHealerRebuildRetriesTransient is the regression test for the old
-// behavior where one transient peer error failed an entire rebuild: the
-// rebuild must ride out a bounded number of blips, count the retries,
-// and still complete.
+// behavior where one transient peer error failed an entire rebuild: a
+// pass must ride out a bounded number of blips, count the retries, and
+// still complete.
 func TestHealerRebuildRetriesTransient(t *testing.T) {
 	ctx := context.Background()
 	f := newFixture(t)
@@ -340,7 +339,7 @@ func TestHealerRebuildRetriesTransient(t *testing.T) {
 
 	flaky := &flakyDir{Directory: f.locals[2], failures: 2}
 	h := New(f.suite, []rep.Directory{f.dirs[0], f.dirs[1], flaky}, Config{PageSize: 4})
-	stats, err := h.Rebuild(ctx, "C")
+	stats, err := h.Repair(ctx, "C", nil)
 	if err != nil {
 		t.Fatalf("rebuild did not survive transient blips: %v (stats %+v)", err, stats)
 	}
@@ -362,11 +361,11 @@ func TestHealerRebuildRetriesTransient(t *testing.T) {
 	f.locals[2].Crash()
 	wedged := &flakyDir{Directory: f.locals[2], failures: 1 << 30}
 	h2 := New(f.suite, []rep.Directory{f.dirs[0], f.dirs[1], wedged}, Config{PageSize: 4})
-	if _, err := h2.Rebuild(ctx, "C"); err == nil {
+	if _, err := h2.Repair(ctx, "C", nil); err == nil {
 		t.Fatal("rebuild succeeded against a persistently dead peer")
 	}
-	if st := h2.Stats(); st.Retries != rebuildRetries || st.Failed != 1 {
-		t.Errorf("stats = %+v, want %d retries and one failure", st, rebuildRetries)
+	if st := h2.Stats(); st.Retries != passRetries || st.Failed != 1 {
+		t.Errorf("stats = %+v, want %d retries and one failure", st, passRetries)
 	}
 	f.locals[2].Restart()
 }

@@ -126,12 +126,12 @@ func (m *Manager) Reconfigure(ctx context.Context, change Change) (Record, error
 		return Record{}, err
 	}
 
-	// Seed newcomers before they carry votes: reconcile, not repair,
-	// because a deletion lives only in gap versions and a member that
-	// missed it would otherwise resurrect ghosts into new quorums.
+	// Seed newcomers before they carry votes, gap versions included:
+	// a deletion lives only in gap versions, and a member that missed it
+	// would otherwise resurrect ghosts into new quorums.
 	cur := m.Suite()
 	for _, add := range change.Add {
-		if _, err := core.ReconcileReplica(ctx, cur, add.Dir, core.RepairOptions{}); err != nil {
+		if _, err := core.RepairReplica(ctx, cur, add.Dir, core.RepairOptions{}); err != nil {
 			return Record{}, fmt.Errorf("reconfig: seed %s: %w", add.Dir.Name(), err)
 		}
 	}
@@ -198,7 +198,7 @@ func (m *Manager) completeJoint(ctx context.Context, jrec Record) (Record, error
 		if err != nil {
 			return Record{}, err
 		}
-		if _, err := core.ReconcileReplica(ctx, js, d, core.RepairOptions{}); err != nil {
+		if _, err := core.RepairReplica(ctx, js, d, core.RepairOptions{}); err != nil {
 			return Record{}, fmt.Errorf("reconfig: catch up %s: %w", spec.Name, err)
 		}
 	}

@@ -421,7 +421,8 @@ func OpenDurable(name, walPath, snapPath string, opts ...DurableOption) (*Rep, *
 		// Everything this replica once knew is gone: gap versions are
 		// version.Lowest again, so its answers would lose every quorum
 		// version comparison they should win. Reads bounce until a
-		// rebuild (heal.Healer.Rebuild) reconciles it and clears this.
+		// repair pass from its peers (core.RepairReplica) reconciles it
+		// and clears this.
 		r.SetRecovering(true)
 	}
 	return r, &Durability{rep: r, log: log, walPath: walPath, snapPath: snapPath, recovery: report}, nil

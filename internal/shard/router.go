@@ -429,11 +429,7 @@ func (r *Router) run(ctx context.Context, kept bool, fn func(x *Txn) error) erro
 			return nil
 		}
 		lastErr = err
-		retry, cause := core.DecideRetry(err, nil)
-		if !retry {
-			if cause != nil {
-				err = fmt.Errorf("%w: %w", cause, err)
-			}
+		if retry, _ := core.DecideRetry(err, nil); !retry {
 			r.stats.done(fanout, attempt)
 			return err
 		}
@@ -441,7 +437,7 @@ func (r *Router) run(ctx context.Context, kept bool, fn func(x *Txn) error) erro
 			core.Backoff(ctx, attempt)
 		}
 	}
-	err := fmt.Errorf("%w: %v", core.ErrRetriesExhausted, lastErr)
+	err := fmt.Errorf("%w: %w", core.ErrRetriesExhausted, lastErr)
 	r.stats.done(0, maxAttempts+1)
 	return err
 }

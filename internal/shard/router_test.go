@@ -2,10 +2,12 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
 	"repdir/internal/core"
+	"repdir/internal/transport"
 )
 
 func TestRouterValidation(t *testing.T) {
@@ -151,6 +153,24 @@ func TestRouterSurfacesDownShard(t *testing.T) {
 	}
 	if out, err := r.ScanRange(ctx, "", "m", 0); err != nil || len(out) != 1 {
 		t.Fatalf("range scan confined to healthy shard = (%v, %v)", out, err)
+	}
+}
+
+// TestRouterRetriesExhaustedKeepsCause: a router transaction that runs
+// out of attempts reports both ErrRetriesExhausted and the error that
+// failed its last attempt.
+func TestRouterRetriesExhaustedKeepsCause(t *testing.T) {
+	r, locals := newTestRouter(t, []string{"m"}, 1, WithMaxRetries(0))
+	ctx := context.Background()
+	if err := r.Insert(ctx, "a", "v"); err != nil {
+		t.Fatal(err)
+	}
+	// Two of shard 0's three members down: every read quorum meets one.
+	locals[0][0].Crash()
+	locals[0][1].Crash()
+	_, err := r.Scan(ctx, "", 0)
+	if !errors.Is(err, core.ErrRetriesExhausted) || !errors.Is(err, transport.ErrUnavailable) {
+		t.Fatalf("scan with shard 0 down = %v, want ErrRetriesExhausted wrapping ErrUnavailable", err)
 	}
 }
 

@@ -178,13 +178,8 @@ type ChaosResult struct {
 	Reconfig obs.ReconfigStats
 	// Converged reports that after the healer finished, every replica
 	// physically held every current entry at an identical (version,
-	// value), with any leftover ghosts (GhostsLeft) provably harmless
-	// under version dominance.
+	// value), and nothing else.
 	Converged bool
-	// GhostsLeft counts stale non-current entries remaining on
-	// replicas after convergence — allowed, as long as quorum lookups
-	// prove them dominated.
-	GhostsLeft int
 	// Violations are single-copy-semantics contradictions; a correct
 	// implementation produces none.
 	Violations []string
@@ -691,10 +686,9 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 
 	// Convergence phase: per shard, the healer drives every replica to
 	// full agreement — each current entry installed everywhere at its
-	// current version — then the agreement is verified against the
-	// replicas' physical contents. Ghost entries may remain, but each
-	// must be provably dominated (a quorum lookup of its key must say
-	// not-present). The budget covers the whole phase — convergence,
+	// current version, every ghost purged — then the agreement is
+	// verified against the replicas' physical contents. The budget
+	// covers the whole phase — convergence,
 	// audit, final count — and scales with shard count, since each
 	// shard converges and audits in turn; a loaded CI machine running
 	// the suite alongside other packages must not turn slow into failed.
@@ -704,15 +698,14 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	convOK := true
 	for i := range h.suites {
 		conv, err := h.healers[i].Converge(ctx)
-		addRepairStats(&res.Heal, conv)
+		res.Heal.Add(conv)
 		if err != nil {
 			return res, fmt.Errorf("sim: chaos %s: convergence: %w", cfg.Name, err)
 		}
-		convViolations, ghosts, err := auditConvergence(ctx, h.suites[i], h.injectors[i])
+		convViolations, err := auditConvergence(ctx, h.suites[i], h.injectors[i])
 		if err != nil {
 			return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name, err)
 		}
-		res.GhostsLeft += ghosts
 		if len(convViolations) > 0 {
 			convOK = false
 			res.Violations = append(res.Violations, convViolations...)
@@ -818,14 +811,6 @@ func addHealthStats(dst *core.HealthStats, s core.HealthStats) {
 	dst.Fallbacks += s.Fallbacks
 }
 
-// addRepairStats folds one repair pass into a total.
-func addRepairStats(dst *core.RepairStats, s core.RepairStats) {
-	dst.Scanned += s.Scanned
-	dst.Copied += s.Copied
-	dst.Freshened += s.Freshened
-	dst.Gaps += s.Gaps
-}
-
 // storagePhase corrupts a minority of one shard's members' logs mid-run
 // and drives each through restart-in-recovering-mode and a synchronous
 // rebuild from its peers. Quorum intersection tolerates a minority
@@ -843,8 +828,12 @@ func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
 	for _, m := range members[:minority] {
 		res.RecordsLost += m.LoseStorage()
 		res.StorageLosses++
+		// The victim restarts empty-handed in recovering mode, as
+		// rep.OpenDurable opens a replica under RecoverRebuild, and is
+		// counted the same way.
+		h.observer.RebuildStarted()
 	}
-	// A rebuild pass is one reconcile transaction over the whole key
+	// A rebuild pass is one repair transaction over the whole key
 	// range, about 210 member calls at this harness's 48 keys, and the
 	// first call the fault plan fails costs the pass its only other read
 	// quorum (the victim refuses reads). Under DefaultPlan a call fails
@@ -886,7 +875,7 @@ func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
 			if _, err := h.abortStrays(ctx); err != nil {
 				return err
 			}
-			st, err := healer.Rebuild(ctx, m.Name())
+			st, err := healer.Repair(ctx, m.Name(), nil)
 			if err != nil {
 				if ctx.Err() != nil {
 					return fmt.Errorf("storage phase: rebuild %s: %w", m.Name(), err)
@@ -895,7 +884,8 @@ func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
 				continue // transient faults from live members; retry
 			}
 			res.Rebuilds++
-			addRepairStats(&res.Rebuild, st)
+			res.Rebuild.Add(st)
+			h.observer.RebuildProgress(st.Copied + st.Freshened)
 			m.RebuildDone()
 			break
 		}
@@ -905,18 +895,16 @@ func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
 
 // auditConvergence checks physical replica agreement after the healer
 // finished: every current entry (by quorum scan) must be present on
-// every replica with one identical (version, value), and every
-// non-current entry lingering on a replica must be dominated (its key
-// must read as not-present by quorum). Membership comes from the
-// suite's configuration, not the injector: under churn, removed members
-// are no longer obliged to hold anything, and witness members are
-// audited for versions only (blank values are their contract, not
-// divergence). It returns the violations found and the count of
-// harmless ghosts.
-func auditConvergence(ctx context.Context, suite *core.Suite, injector *fault.Injector) ([]string, int, error) {
+// every replica with one identical (version, value), and no replica may
+// hold anything else — a repaired member holds no ghost. Membership
+// comes from the suite's configuration, not the injector: under churn,
+// removed members are no longer obliged to hold anything, and witness
+// members are audited for versions only (blank values are their
+// contract, not divergence). It returns the violations found.
+func auditConvergence(ctx context.Context, suite *core.Suite, injector *fault.Injector) ([]string, error) {
 	current, err := suite.Scan(ctx, "", 0)
 	if err != nil {
-		return nil, 0, fmt.Errorf("convergence scan: %w", err)
+		return nil, fmt.Errorf("convergence scan: %w", err)
 	}
 	witness := make(map[string]bool)
 	for _, mem := range suite.Config().Members {
@@ -933,7 +921,7 @@ func auditConvergence(ctx context.Context, suite *core.Suite, injector *fault.In
 	for _, m := range audited {
 		d, ok := m.Rep().(dumper)
 		if !ok {
-			return nil, 0, fmt.Errorf("convergence: member %s not dumpable", m.Name())
+			return nil, fmt.Errorf("convergence: member %s not dumpable", m.Name())
 		}
 		entries := make(map[string]btree.Entry)
 		for _, e := range d.Dump() {
@@ -979,30 +967,15 @@ func auditConvergence(ctx context.Context, suite *core.Suite, injector *fault.In
 	}
 
 	// Ghosts: entries on some replica for keys that are not current.
-	// Harmless only if version dominance hides them from quorum reads.
-	ghosts := 0
-	checked := make(map[string]bool)
-	for name, entries := range dumps {
-		for key := range entries {
-			if currentSet[key] {
-				continue
-			}
-			ghosts++
-			if checked[key] {
-				continue
-			}
-			checked[key] = true
-			_, found, err := suite.Lookup(ctx, key)
-			if err != nil {
-				return violations, ghosts, fmt.Errorf("convergence ghost lookup %s: %w", key, err)
-			}
-			if found {
+	for _, m := range audited {
+		for key := range dumps[m.Name()] {
+			if !currentSet[key] {
 				violations = append(violations,
-					fmt.Sprintf("convergence: ghost %s on %s reads as present by quorum", key, name))
+					fmt.Sprintf("convergence: %s holds ghost %s", m.Name(), key))
 			}
 		}
 	}
-	return violations, ghosts, nil
+	return violations, nil
 }
 
 // RunChaosSeeds runs one soak per seed with the same base configuration.
@@ -1025,21 +998,21 @@ func RunChaosSeeds(base ChaosConfig, seeds []int64) ([]ChaosResult, error) {
 func FormatChaos(title string, results []ChaosResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-20s %6s %8s %8s %7s %7s %7s %7s %6s %6s %6s %8s %5s %5s %6s %6s %6s %5s %4s %5s %6s %6s %6s %5s %5s\n",
+	fmt.Fprintf(&b, "%-20s %6s %8s %8s %7s %7s %7s %7s %6s %6s %6s %8s %5s %5s %6s %6s %5s %4s %5s %6s %6s %6s %5s %5s\n",
 		"run", "ops", "applied", "observe", "indet", "lookups", "crash", "partn", "dup", "drop", "rstrt", "resolved", "viol",
-		"trips", "ffails", "healed", "ghosts", "conv", "fall", "slost", "rebld", "counts", "xshard", "recfg", "epoch")
+		"trips", "ffails", "healed", "conv", "fall", "slost", "rebld", "counts", "xshard", "recfg", "epoch")
 	for _, r := range results {
 		conv := "no"
 		if r.Converged {
 			conv = "yes"
 		}
-		fmt.Fprintf(&b, "%-20s %6d %8d %8d %7d %7d %7d %7d %6d %6d %6d %8d %5d %5d %6d %6d %6d %5s %4d %5d %6d %6d %6d %5d %5d\n",
+		fmt.Fprintf(&b, "%-20s %6d %8d %8d %7d %7d %7d %7d %6d %6d %6d %8d %5d %5d %6d %6d %5s %4d %5d %6d %6d %6d %5d %5d\n",
 			r.Config.Name, r.Config.Operations, r.Applied, r.Observed, r.Indeterminate,
 			r.Lookups, r.Faults.Crashes+r.Faults.CrashAfters, r.Faults.Partitions,
 			r.Faults.Duplicates, r.Faults.DroppedReplies, r.Faults.Restarts,
 			r.Resolved, len(r.Violations),
 			r.Health.Trips, r.Health.FastFails, r.Heal.Copied+r.Heal.Freshened,
-			r.GhostsLeft, conv, r.Health.Fallbacks, r.StorageLosses, r.Rebuilds,
+			conv, r.Health.Fallbacks, r.StorageLosses, r.Rebuilds,
 			r.Counts, r.CrossShardTxns, r.Reconfigs, r.Epochs)
 		for _, v := range r.Violations {
 			fmt.Fprintf(&b, "    VIOLATION: %s\n", v)

@@ -17,12 +17,14 @@ import (
 
 // healPenalty is the simulated connect-timeout a caller pays for every
 // message sent to the down member — the cost the circuit breaker exists
-// to stop paying. healStaleWrites is the number of updates applied while
-// the member is down, i.e. the catch-up work the recovery phase must
-// repair.
+// to stop paying. healStaleWrites and healStaleDeletes are the updates
+// and deletes applied while the member is down, i.e. the catch-up work
+// the recovery phase must repair; each delete the member misses leaves
+// it holding a ghost.
 const (
-	healPenalty     = 2 * time.Millisecond
-	healStaleWrites = 150
+	healPenalty      = 2 * time.Millisecond
+	healStaleWrites  = 150
+	healStaleDeletes = 20
 )
 
 // HealConfig parameterizes the self-healing experiment.
@@ -91,6 +93,9 @@ type HealResult struct {
 	Recovery   []RecoveryPoint
 	Repair     core.RepairStats
 	RepairTime time.Duration
+	// Ghosts counts entries the member still holds after the repair
+	// that are not current.
+	Ghosts int
 }
 
 // RunHeal measures what the self-healing machinery buys. One member of
@@ -107,9 +112,11 @@ func RunHeal(cfg HealConfig) (HealResult, error) {
 
 	names := []string{"rep0", "rep1", "rep2"}
 	var down atomic.Bool // rep2's failure switch
+	reps := make([]*rep.Rep, len(names))
 	dirs := make([]rep.Directory, len(names))
 	for i, n := range names {
-		local := transport.NewLocal(rep.New(n))
+		reps[i] = rep.New(n)
+		local := transport.NewLocal(reps[i])
 		if i == 2 {
 			dirs[i] = transport.Wrap(local, func(transport.Op) error {
 				if down.Load() {
@@ -190,11 +197,17 @@ func RunHeal(cfg HealConfig) (HealResult, error) {
 	}
 	res.Probes = tracker.Stats().Probes
 
-	// The member misses writes while down, so recovery has real work.
+	// The member misses writes and deletes while down, so recovery has
+	// real work.
 	for i := 0; i < healStaleWrites; i++ {
 		k := keys[rng.Intn(len(keys))]
 		if err := tripped.Update(ctx, k, fmt.Sprintf("v2-%d", i)); err != nil {
 			return res, fmt.Errorf("sim: stale write %s: %w", k, err)
+		}
+	}
+	for _, k := range keys[:min(healStaleDeletes, len(keys))] {
+		if err := tripped.Delete(ctx, k); err != nil {
+			return res, fmt.Errorf("sim: stale delete %s: %w", k, err)
 		}
 	}
 
@@ -204,7 +217,7 @@ func RunHeal(cfg HealConfig) (HealResult, error) {
 	healer := heal.New(tripped, dirs, heal.Config{PageSize: cfg.PageSize, Pace: cfg.Pace})
 	start := time.Now()
 	pages := 0
-	stats, err := healer.RepairNowPaced(ctx, "rep2", func(cum core.RepairStats) {
+	stats, err := healer.Repair(ctx, "rep2", func(cum core.RepairStats) {
 		pages++
 		res.Recovery = append(res.Recovery, RecoveryPoint{
 			Pages:     pages,
@@ -220,6 +233,20 @@ func RunHeal(cfg HealConfig) (HealResult, error) {
 	res.Repair = stats
 	res.RepairTime = time.Since(start)
 	res.Health = tracker.Stats()
+
+	current, err := tripped.Scan(ctx, "", 0)
+	if err != nil {
+		return res, fmt.Errorf("sim: scan after repair: %w", err)
+	}
+	live := make(map[string]bool, len(current))
+	for _, kv := range current {
+		live[kv.Key] = true
+	}
+	for _, e := range reps[2].Dump() {
+		if !e.Key.IsSentinel() && !live[e.Key.Raw()] {
+			res.Ghosts++
+		}
+	}
 	return res, nil
 }
 
@@ -236,15 +263,15 @@ func FormatHeal(r HealResult) string {
 	fmt.Fprintf(&b, "\n  breaker opened after %d operations; %d probe rounds during the open phase\n",
 		r.TripAfter, r.Probes)
 	fmt.Fprintf(&b, "  health counters: %+v\n", r.Health)
-	fmt.Fprintf(&b, "\n  recovery after the member returned (%d stale writes to catch up, page size %d, %v pace):\n",
-		healStaleWrites, cfg.PageSize, cfg.Pace)
+	fmt.Fprintf(&b, "\n  recovery after the member returned (%d stale writes and %d deletes to catch up, page size %d, %v pace):\n",
+		healStaleWrites, healStaleDeletes, cfg.PageSize, cfg.Pace)
 	fmt.Fprintf(&b, "  %8s %8s %8s %10s %10s\n", "page", "scanned", "copied", "freshened", "elapsed")
 	for _, p := range r.Recovery {
 		fmt.Fprintf(&b, "  %8d %8d %8d %10d %10v\n",
 			p.Pages, p.Scanned, p.Copied, p.Freshened, p.Elapsed.Round(time.Millisecond))
 	}
-	fmt.Fprintf(&b, "\n  repaired %d entries (%d copied, %d freshened) across %d entries scanned in %v\n",
+	fmt.Fprintf(&b, "\n  repaired %d entries (%d copied, %d freshened) and %d gap segments across %d entries scanned in %v; %d ghosts left\n",
 		r.Repair.Copied+r.Repair.Freshened, r.Repair.Copied, r.Repair.Freshened,
-		r.Repair.Scanned, r.RepairTime.Round(time.Millisecond))
+		r.Repair.Gaps, r.Repair.Scanned, r.RepairTime.Round(time.Millisecond), r.Ghosts)
 	return b.String()
 }

@@ -170,13 +170,12 @@ func RunOverload(cfg OverloadConfig) (OverloadReport, error) {
 		dirs[i] = client
 	}
 	qc := quorum.NewUniform(dirs, 2, 2)
-	budget := core.NewRetryBudget(core.DefaultBudgetRatio, core.DefaultBudgetBurst)
 	suite, err := core.NewSuite(qc,
 		core.WithSelector(quorum.NewStickySelector(qc)),
 		core.WithParallelQuorum(true),
 		core.WithIDSource(txn.NewIDSource(511)),
-		core.WithRetryBudget(budget),
-		core.WithHedgedReads(0, 0))
+		core.WithRetryBudget(core.NewRetryBudget()),
+		core.WithHedgedReads())
 	if err != nil {
 		return report, err
 	}

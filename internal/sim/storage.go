@@ -13,7 +13,6 @@ import (
 	"repdir/internal/heal"
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
-	"repdir/internal/obs"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
@@ -251,10 +250,9 @@ func measureRebuild(cfg StorageConfig, res *StorageResult) error {
 	fresh.SetRecovering(true)
 	locals[2].Replace(fresh)
 
-	observer := obs.NewObserver(obs.ObserverConfig{NoTrace: true})
-	healer := heal.New(suite, dirs, heal.Config{PageSize: cfg.PageSize, Obs: observer})
+	healer := heal.New(suite, dirs, heal.Config{PageSize: cfg.PageSize})
 	start := time.Now()
-	stats, err := healer.Rebuild(ctx, "rep2")
+	stats, err := healer.Repair(ctx, "rep2", nil)
 	if err != nil {
 		return fmt.Errorf("sim: rebuild: %w", err)
 	}
