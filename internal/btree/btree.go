@@ -145,33 +145,6 @@ func (t *Tree) Lower(key keyspace.Key) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Higher returns the entry with the smallest key strictly greater than
-// key.
-func (t *Tree) Higher(key keyspace.Key) (Entry, bool) {
-	leaf := t.leafFor(key)
-	// Index of first entry > key within the leaf.
-	i := sort.Search(len(leaf.entries), func(j int) bool {
-		return key.Less(leaf.entries[j].Key)
-	})
-	if i < len(leaf.entries) {
-		return leaf.entries[i], true
-	}
-	for nx := leaf.next; nx != nil; nx = nx.next {
-		if len(nx.entries) > 0 {
-			return nx.entries[0], true
-		}
-	}
-	return Entry{}, false
-}
-
-// Floor returns the entry with the largest key less than or equal to key.
-func (t *Tree) Floor(key keyspace.Key) (Entry, bool) {
-	if e, ok := t.Get(key); ok {
-		return e, true
-	}
-	return t.Lower(key)
-}
-
 // Min returns the smallest entry in the tree.
 func (t *Tree) Min() (Entry, bool) {
 	n := t.root

@@ -120,8 +120,8 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Lower(ke("a")); ok {
 		t.Error("Lower on empty tree should miss")
 	}
-	if _, ok := tr.Higher(ke("a")); ok {
-		t.Error("Higher on empty tree should miss")
+	if _, _, floorOK, higherOK := floorAndHigher(tr, ke("a")); floorOK || higherOK {
+		t.Error("AscendFloor on empty tree should yield nothing")
 	}
 	if tr.Delete(ke("a")) {
 		t.Error("Delete on empty tree should report absent")
@@ -181,11 +181,27 @@ func TestSentinelsStoreAndNavigate(t *testing.T) {
 	if p, ok := tr.Lower(ke("m")); !ok || !p.Key.IsLow() {
 		t.Error("Lower(m) should be LOW")
 	}
-	if s, ok := tr.Higher(ke("m")); !ok || !s.Key.IsHigh() {
-		t.Error("Higher(m) should be HIGH")
+	if _, s, _, ok := floorAndHigher(tr, ke("m")); !ok || !s.Key.IsHigh() {
+		t.Error("the entry above m should be HIGH")
 	}
 }
 
+// floorAndHigher reads, through AscendFloor, the entry with the largest
+// key at or below key and the entry with the smallest key above it.
+func floorAndHigher(tr *Tree, key keyspace.Key) (floor, higher Entry, floorOK, higherOK bool) {
+	tr.AscendFloor(key, func(e Entry) bool {
+		if !key.Less(e.Key) {
+			floor, floorOK = e, true
+			return true
+		}
+		higher, higherOK = e, true
+		return false
+	})
+	return floor, higher, floorOK, higherOK
+}
+
+// TestLowerHigherFloor checks the three neighbors of a probe: Lower, and
+// the floor and the entry above it as AscendFloor yields them.
 func TestLowerHigherFloor(t *testing.T) {
 	tr := NewWithDegree(2)
 	for _, s := range []string{"b", "d", "f", "h"} {
@@ -214,13 +230,12 @@ func TestLowerHigherFloor(t *testing.T) {
 				(ok && !e.Key.Equal(ke(tt.wantLower))) {
 				t.Errorf("Lower(%q) = %v, %v; want %q, %v", tt.probe, e.Key, ok, tt.wantLower, tt.lowerOK)
 			}
-			if e, ok := tr.Higher(ke(tt.probe)); ok != tt.higherOK ||
-				(ok && !e.Key.Equal(ke(tt.wantHigher))) {
-				t.Errorf("Higher(%q) = %v, %v; want %q, %v", tt.probe, e.Key, ok, tt.wantHigher, tt.higherOK)
+			floor, higher, floorOK, higherOK := floorAndHigher(tr, ke(tt.probe))
+			if higherOK != tt.higherOK || (higherOK && !higher.Key.Equal(ke(tt.wantHigher))) {
+				t.Errorf("above %q = %v, %v; want %q, %v", tt.probe, higher.Key, higherOK, tt.wantHigher, tt.higherOK)
 			}
-			if e, ok := tr.Floor(ke(tt.probe)); ok != tt.floorOK ||
-				(ok && !e.Key.Equal(ke(tt.wantFloor))) {
-				t.Errorf("Floor(%q) = %v, %v; want %q, %v", tt.probe, e.Key, ok, tt.wantFloor, tt.floorOK)
+			if floorOK != tt.floorOK || (floorOK && !floor.Key.Equal(ke(tt.wantFloor))) {
+				t.Errorf("floor of %q = %v, %v; want %q, %v", tt.probe, floor.Key, floorOK, tt.wantFloor, tt.floorOK)
 			}
 		})
 	}
@@ -452,7 +467,8 @@ func TestRandomizedAgainstModel(t *testing.T) {
 	}
 }
 
-// checkNavigation verifies Lower/Higher against the model for probe s.
+// checkNavigation verifies Lower, and the entry above s as AscendFloor
+// yields it, against the model for probe s.
 func checkNavigation(t *testing.T, tr *Tree, model map[string]Entry, s string) {
 	t.Helper()
 	var lower, higher string
@@ -468,8 +484,8 @@ func checkNavigation(t *testing.T, tr *Tree, model map[string]Entry, s string) {
 	if e, ok := tr.Lower(ke(s)); ok != hasLower || (ok && e.Key.Raw() != lower) {
 		t.Fatalf("Lower(%q) = %v, %v; want %q, %v", s, e.Key, ok, lower, hasLower)
 	}
-	if e, ok := tr.Higher(ke(s)); ok != hasHigher || (ok && e.Key.Raw() != higher) {
-		t.Fatalf("Higher(%q) = %v, %v; want %q, %v", s, e.Key, ok, higher, hasHigher)
+	if _, e, _, ok := floorAndHigher(tr, ke(s)); ok != hasHigher || (ok && e.Key.Raw() != higher) {
+		t.Fatalf("above %q = %v, %v; want %q, %v", s, e.Key, ok, higher, hasHigher)
 	}
 }
 

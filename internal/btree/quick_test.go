@@ -12,7 +12,7 @@ import (
 
 // TestQuickTreeMatchesSortedMap is a property-based test: any sequence of
 // puts and deletes leaves the tree agreeing with a map, scanning in
-// sorted order, and answering Lower/Higher/Floor like the model.
+// sorted order, and walking from a floor (AscendFloor) like the model.
 func TestQuickTreeMatchesSortedMap(t *testing.T) {
 	property := func(ops []uint16, degreeRaw uint8) bool {
 		degree := int(degreeRaw)%6 + 2
@@ -69,18 +69,18 @@ func TestQuickTreeMatchesSortedMap(t *testing.T) {
 			} else if idx > 0 {
 				wantFloor, hasFloor = want[idx-1], true
 			}
-			if e, ok := tr.Floor(keyspace.New(s)); ok != hasFloor || (ok && e.Key.Raw() != wantFloor) {
-				t.Logf("Floor(%s) mismatch", s)
+			floor, higher, floorOK, higherOK := floorAndHigher(tr, keyspace.New(s))
+			if floorOK != hasFloor || (floorOK && floor.Key.Raw() != wantFloor) {
+				t.Logf("floor of %s mismatch", s)
 				return false
 			}
-			// Higher: smallest > s.
+			// Above: smallest > s.
 			hidx := idx
 			if hidx < len(want) && want[hidx] == s {
 				hidx++
 			}
-			if e, ok := tr.Higher(keyspace.New(s)); ok != (hidx < len(want)) ||
-				(ok && e.Key.Raw() != want[hidx]) {
-				t.Logf("Higher(%s) mismatch", s)
+			if higherOK != (hidx < len(want)) || (higherOK && higher.Key.Raw() != want[hidx]) {
+				t.Logf("above %s mismatch", s)
 				return false
 			}
 		}

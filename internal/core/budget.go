@@ -18,6 +18,7 @@
 // and capping them would break ordinary high-contention operation.
 // Likewise exempt are ErrTxnDecided/ErrUnknownTxn (attempt-resolution
 // races, not load).
+
 package core
 
 import (

@@ -53,49 +53,17 @@ func (s HealthState) String() string {
 	}
 }
 
-// HealthTransition reports one state change, delivered to OnTransition
-// subscribers (e.g. an anti-entropy healer watching for recoveries).
-type HealthTransition struct {
-	Member   string
-	From, To HealthState
-}
-
-// Recovered reports whether the transition is a return to service from
-// an open circuit — the moment an anti-entropy repair pass becomes
-// worthwhile.
-func (t HealthTransition) Recovered() bool {
-	return t.To == HealthUp && (t.From == HealthDown || t.From == HealthProbation)
-}
+// downAfter is the consecutive-failure count that opens the circuit.
+// The first failure already moves Up to Suspect.
+const downAfter = 3
 
 // HealthConfig tunes the state machine. The zero value means defaults.
 type HealthConfig struct {
-	// SuspectAfter is the consecutive-failure count that moves Up to
-	// Suspect (default 1).
-	SuspectAfter int
-	// DownAfter is the consecutive-failure count that opens the circuit
-	// (default 3).
-	DownAfter int
 	// ProbeAfter is how many quorum rounds a Down member is skipped
 	// before it is offered again as a Probation probe (default 8).
 	// Probing is paced in rounds, not wall-clock time, so schedules
 	// driven from one goroutine stay deterministic.
 	ProbeAfter int
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 1
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 3
-	}
-	if c.DownAfter < c.SuspectAfter {
-		c.DownAfter = c.SuspectAfter
-	}
-	if c.ProbeAfter <= 0 {
-		c.ProbeAfter = 8
-	}
-	return c
 }
 
 // HealthStats counts tracker events, cumulative since construction.
@@ -133,7 +101,6 @@ type HealthTracker struct {
 
 	mu      sync.Mutex
 	members map[string]*memberHealth
-	subs    []func(HealthTransition)
 
 	transitions atomic.Uint64
 	trips       atomic.Uint64
@@ -148,8 +115,11 @@ type HealthTracker struct {
 // by the report methods.
 func NewHealthTracker(names []string, cfg HealthConfig) *HealthTracker {
 	t := &HealthTracker{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		members: make(map[string]*memberHealth, len(names)),
+	}
+	if t.cfg.ProbeAfter <= 0 {
+		t.cfg.ProbeAfter = 8
 	}
 	for _, n := range names {
 		t.members[n] = &memberHealth{state: HealthUp}
@@ -157,41 +127,21 @@ func NewHealthTracker(names []string, cfg HealthConfig) *HealthTracker {
 	return t
 }
 
-// OnTransition subscribes fn to every state change. Subscriptions must
-// be made before the tracker is shared; fn runs synchronously on the
-// goroutine that reported the outcome and must not call back into the
-// tracker.
-func (t *HealthTracker) OnTransition(fn func(HealthTransition)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.subs = append(t.subs, fn)
-}
-
-// setLocked moves a member to state, recording the transition. Callers
-// hold t.mu; fired transitions are returned for delivery after unlock.
-func (t *HealthTracker) setLocked(name string, m *memberHealth, to HealthState) (HealthTransition, bool) {
+// setLocked moves a member to state, counting the transition. Callers
+// hold t.mu.
+func (t *HealthTracker) setLocked(m *memberHealth, to HealthState) {
 	if m.state == to {
-		return HealthTransition{}, false
+		return
 	}
-	tr := HealthTransition{Member: name, From: m.state, To: to}
+	from := m.state
 	m.state = to
 	t.transitions.Add(1)
-	if to == HealthDown {
+	switch {
+	case to == HealthDown:
 		m.skips = 0
 		t.trips.Add(1)
-	}
-	if tr.Recovered() {
+	case to == HealthUp && (from == HealthDown || from == HealthProbation):
 		t.recoveries.Add(1)
-	}
-	return tr, true
-}
-
-// publish delivers transitions to subscribers outside the lock.
-func (t *HealthTracker) publish(subs []func(HealthTransition), trs []HealthTransition) {
-	for _, tr := range trs {
-		for _, fn := range subs {
-			fn(tr)
-		}
 	}
 }
 
@@ -199,48 +149,29 @@ func (t *HealthTracker) publish(subs []func(HealthTransition), trs []HealthTrans
 // including semantic errors, proves the member is reachable).
 func (t *HealthTracker) ReportSuccess(name string) {
 	t.mu.Lock()
-	m, ok := t.members[name]
-	if !ok {
-		t.mu.Unlock()
-		return
-	}
-	m.fails = 0
-	tr, fired := t.setLocked(name, m, HealthUp)
-	subs := t.subs
-	t.mu.Unlock()
-	if fired {
-		t.publish(subs, []HealthTransition{tr})
+	defer t.mu.Unlock()
+	if m, ok := t.members[name]; ok {
+		m.fails = 0
+		t.setLocked(m, HealthUp)
 	}
 }
 
 // ReportFailure records that a call to the member found it unreachable.
 func (t *HealthTracker) ReportFailure(name string) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	m, ok := t.members[name]
 	if !ok {
-		t.mu.Unlock()
 		return
 	}
 	m.fails++
-	var trs []HealthTransition
 	switch {
-	case m.state == HealthProbation:
-		// The probe failed; re-open the circuit for another pace.
-		if tr, ok := t.setLocked(name, m, HealthDown); ok {
-			trs = append(trs, tr)
-		}
-	case m.fails >= t.cfg.DownAfter:
-		if tr, ok := t.setLocked(name, m, HealthDown); ok {
-			trs = append(trs, tr)
-		}
-	case m.fails >= t.cfg.SuspectAfter && m.state == HealthUp:
-		if tr, ok := t.setLocked(name, m, HealthSuspect); ok {
-			trs = append(trs, tr)
-		}
+	case m.state == HealthProbation, m.fails >= downAfter:
+		// A failed probe re-opens the circuit for another pace.
+		t.setLocked(m, HealthDown)
+	case m.state == HealthUp:
+		t.setLocked(m, HealthSuspect)
 	}
-	subs := t.subs
-	t.mu.Unlock()
-	t.publish(subs, trs)
 }
 
 // RoundExclusions returns the members the next quorum round should
@@ -250,16 +181,14 @@ func (t *HealthTracker) ReportFailure(name string) {
 // nothing is excluded.
 func (t *HealthTracker) RoundExclusions() map[string]bool {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	var out map[string]bool
-	var trs []HealthTransition
 	for name, m := range t.members {
 		if m.state != HealthDown {
 			continue
 		}
 		if m.skips >= t.cfg.ProbeAfter {
-			if tr, ok := t.setLocked(name, m, HealthProbation); ok {
-				trs = append(trs, tr)
-			}
+			t.setLocked(m, HealthProbation)
 			t.probes.Add(1)
 			continue
 		}
@@ -270,9 +199,6 @@ func (t *HealthTracker) RoundExclusions() map[string]bool {
 		}
 		out[name] = true
 	}
-	subs := t.subs
-	t.mu.Unlock()
-	t.publish(subs, trs)
 	return out
 }
 

@@ -14,10 +14,8 @@ import (
 // Up -> Suspect -> Down -> (paced skips) -> Probation -> Down on a
 // failed probe, and Probation -> Up on a successful one.
 func TestHealthStateMachine(t *testing.T) {
-	cfg := HealthConfig{SuspectAfter: 1, DownAfter: 3, ProbeAfter: 2}
+	cfg := HealthConfig{ProbeAfter: 2}
 	h := NewHealthTracker([]string{"A", "B"}, cfg)
-	var trs []HealthTransition
-	h.OnTransition(func(tr HealthTransition) { trs = append(trs, tr) })
 
 	if got := h.State("A"); got != HealthUp {
 		t.Fatalf("initial state = %v, want up", got)
@@ -38,12 +36,17 @@ func TestHealthStateMachine(t *testing.T) {
 		t.Fatalf("after success = %v, want up", got)
 	}
 
-	// DownAfter consecutive failures open the circuit.
-	for i := 0; i < cfg.DownAfter; i++ {
+	// downAfter consecutive failures open the circuit; the ones before
+	// leave the member suspect.
+	for i := 1; i < downAfter; i++ {
 		h.ReportFailure("A")
+		if got := h.State("A"); got != HealthSuspect {
+			t.Fatalf("after %d failures = %v, want suspect", i, got)
+		}
 	}
+	h.ReportFailure("A")
 	if got := h.State("A"); got != HealthDown {
-		t.Fatalf("after %d failures = %v, want down", cfg.DownAfter, got)
+		t.Fatalf("after %d failures = %v, want down", downAfter, got)
 	}
 
 	// While down, the member is excluded for ProbeAfter rounds...
@@ -80,33 +83,11 @@ func TestHealthStateMachine(t *testing.T) {
 		t.Fatalf("after successful probe = %v, want up", got)
 	}
 
-	// The subscriber saw the whole walk, ending in a recovery.
-	want := []HealthTransition{
-		{Member: "A", From: HealthUp, To: HealthSuspect},
-		{Member: "A", From: HealthSuspect, To: HealthUp},
-		{Member: "A", From: HealthUp, To: HealthSuspect},
-		{Member: "A", From: HealthSuspect, To: HealthDown},
-		{Member: "A", From: HealthDown, To: HealthProbation},
-		{Member: "A", From: HealthProbation, To: HealthDown},
-		{Member: "A", From: HealthDown, To: HealthProbation},
-		{Member: "A", From: HealthProbation, To: HealthUp},
-	}
-	if len(trs) != len(want) {
-		t.Fatalf("transitions = %v, want %v", trs, want)
-	}
-	for i := range want {
-		if trs[i] != want[i] {
-			t.Errorf("transition %d = %v, want %v", i, trs[i], want[i])
-		}
-	}
-	last := trs[len(trs)-1]
-	if !last.Recovered() {
-		t.Errorf("final transition %v not Recovered()", last)
-	}
-
+	// The walk was up→suspect→up→suspect→down→probation→down→
+	// probation→up: eight transitions, ending in a recovery.
 	st := h.Stats()
-	if st.Trips != 2 || st.Recoveries != 1 || st.Probes != 2 {
-		t.Errorf("stats = %+v, want 2 trips, 1 recovery, 2 probes", st)
+	if st.Transitions != 8 || st.Trips != 2 || st.Recoveries != 1 || st.Probes != 2 {
+		t.Errorf("stats = %+v, want 8 transitions, 2 trips, 1 recovery, 2 probes", st)
 	}
 	if st.FastFails != uint64(2*cfg.ProbeAfter) {
 		t.Errorf("fast fails = %d, want %d", st.FastFails, 2*cfg.ProbeAfter)
@@ -160,7 +141,7 @@ func healthTestSuite(t *testing.T, cfg HealthConfig) (*Suite, *HealthTracker, *t
 // fast-fail it for the paced rounds, and re-admit it after restart.
 func TestSuiteHealthBreaker(t *testing.T) {
 	ctx := context.Background()
-	cfg := HealthConfig{SuspectAfter: 1, DownAfter: 2, ProbeAfter: 2}
+	cfg := HealthConfig{ProbeAfter: 2}
 	s, h, ts := healthTestSuite(t, cfg)
 
 	// Healthy warm-up.
@@ -226,7 +207,7 @@ func TestSuiteHealthBreaker(t *testing.T) {
 // but only after genuinely retrying them, and the waiver is counted.
 func TestSuiteHealthFallback(t *testing.T) {
 	ctx := context.Background()
-	cfg := HealthConfig{SuspectAfter: 1, DownAfter: 1, ProbeAfter: 100}
+	cfg := HealthConfig{ProbeAfter: 100}
 	s, h, ts := healthTestSuite(t, cfg)
 
 	if err := s.Insert(ctx, "k", "v"); err != nil {

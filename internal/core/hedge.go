@@ -19,6 +19,7 @@
 // (txn.JoinReader is concurrency-safe), so its read lock is released
 // with everyone else's. Witnesses are never spares (no values), and
 // members excluded by earlier failures are not considered.
+
 package core
 
 import (

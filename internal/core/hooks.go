@@ -5,6 +5,7 @@
 // caller-owned txn.Txn, reading the per-attempt outcome (mutated,
 // failed members), and reusing the suite's retry classification and
 // backoff so router retries behave like suite retries.
+
 package core
 
 import (

@@ -16,34 +16,23 @@ func WithObserver(o *obs.Observer) Option { return func(s *Suite) { s.obs = o } 
 func (s *Suite) Observer() *obs.Observer { return s.obs }
 
 // RegisterMetrics exposes the suite's counters — and, when attached,
-// its observer, health tracker, and read-repair queue — on reg under
-// repdir_* names for the Prometheus text endpoint.
+// its observer and health tracker — on reg under repdir_* names for the
+// Prometheus text endpoint.
 func (s *Suite) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterMap("repdir_suite_events_total",
 		"Cumulative suite transaction events, by event kind.",
 		"event", func() map[string]uint64 {
 			st := s.Stats()
 			return map[string]uint64{
-				"calls":                 st.Calls,
-				"commits":               st.Commits,
-				"failures":              st.Failures,
-				"cancelled":             st.Cancelled,
-				"retries":               st.Retries,
-				"dies":                  st.Dies,
-				"replica_losses":        st.ReplicaLosses,
-				"read_repair_enqueued":  st.ReadRepairEnqueued,
-				"read_repair_dropped":   st.ReadRepairDropped,
-				"read_repair_done":      st.ReadRepairDone,
-				"read_repair_failed":    st.ReadRepairFailed,
-				"read_repair_copied":    st.ReadRepairCopied,
-				"read_repair_freshened": st.ReadRepairFreshened,
+				"calls":          st.Calls,
+				"commits":        st.Commits,
+				"failures":       st.Failures,
+				"cancelled":      st.Cancelled,
+				"retries":        st.Retries,
+				"dies":           st.Dies,
+				"replica_losses": st.ReplicaLosses,
 			}
 		})
-	if s.rrQueue != nil {
-		reg.Gauge("repdir_read_repair_queue_depth",
-			"Read-repair jobs waiting for the background worker.",
-			func() float64 { return float64(len(s.rrQueue)) })
-	}
 	if h := s.health; h != nil {
 		reg.GaugeMap("repdir_health_state",
 			"Member health state (1=up, 2=suspect, 3=down, 4=probation).",

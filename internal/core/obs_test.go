@@ -151,14 +151,14 @@ var expositionLine = regexp.MustCompile(
 	`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0-9.e+\-]+|\+Inf|NaN)$`)
 
 // TestMetricsEndpoint drives traffic through a fully instrumented suite
-// (observer + health + read repair), serves its registry over HTTP, and
+// (observer + health), serves its registry over HTTP, and
 // checks the exposition parses as Prometheus text and carries the suite
 // counters, health states, op histograms, and messages/op gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	ctx := context.Background()
 	health := NewHealthTracker([]string{"A", "B", "C"}, HealthConfig{})
 	ts, _ := newObservedSuite(t, []string{"A", "B", "C"}, 2, 2,
-		WithHealth(health), WithReadRepair(16))
+		WithHealth(health))
 	ts.script.set([]int{0, 1}, []int{0, 1})
 
 	if err := ts.suite.Insert(ctx, "k", "v"); err != nil {
@@ -212,7 +212,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`repdir_health_state{member="A"} 1`,
 		`repdir_health_state{member="B"} 1`,
 		`repdir_health_state{member="C"} 1`,
-		`repdir_read_repair_queue_depth`,
 		`repdir_op_latency_seconds_bucket{op="delete",le="+Inf"} 1`,
 		`repdir_op_latency_seconds_count{op="lookup"} 1`,
 		`repdir_txn_phase_latency_seconds_count{phase="commit"}`,

@@ -142,34 +142,3 @@ func TestReconcileRestoresDeletionDominance(t *testing.T) {
 		}
 	}
 }
-
-// TestRepairEntryToleratesRecoveringTarget: read repair's single-key
-// freshen must install unconditionally when the target refuses reads.
-func TestRepairEntryToleratesRecoveringTarget(t *testing.T) {
-	ctx := context.Background()
-	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 3, 17)
-	s := ts.suite
-	for i := 0; i < 5; i++ {
-		if err := s.Insert(ctx, fmt.Sprintf("r%d", i), "v"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fresh := ts.loseStorage(2)
-	var stats RepairStats
-	for i := 0; i < 5; i++ {
-		st, err := s.repairKeyOn(ctx, fmt.Sprintf("r%d", i), []rep.Directory{ts.locals[2]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats.Add(st)
-	}
-	if stats.Copied != 5 {
-		t.Errorf("Copied = %d, want 5", stats.Copied)
-	}
-	fresh.SetRecovering(false)
-	for i := 0; i < 5; i++ {
-		if has, _ := ts.repHas(2, fmt.Sprintf("r%d", i)); !has {
-			t.Errorf("r%d missing after repair of recovering target", i)
-		}
-	}
-}

@@ -102,6 +102,42 @@ func TestWriteRightAfterScan(t *testing.T) {
 	quiet(t, s, reps)
 }
 
+// TestCloseWaitsForRelease: a process that scans and closes its suite at
+// once, as a one-shot client does before it exits, leaves no read lock
+// behind: Close returns only after the scan's release round has landed
+// at every member it read.
+func TestCloseWaitsForRelease(t *testing.T) {
+	ctx := context.Background()
+	reps := make([]*rep.Rep, 3)
+	dirs := make([]rep.Directory, 3)
+	for i, name := range []string{"A", "B", "C"} {
+		reps[i] = rep.New(name)
+		dirs[i] = &abortGate{Directory: transport.NewLocal(reps[i]), Delay: 5 * time.Millisecond}
+	}
+	cfg := quorum.NewUniform(dirs, 2, 2)
+	s, err := NewSuite(cfg, WithSelector(quorum.NewRandomSelector(cfg, 1)), WithParallelQuorum(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := s.Insert(ctx, fmt.Sprintf("k%02d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if page, err := s.Scan(ctx, "", 10); err != nil || len(page) != 10 {
+		t.Fatalf("scan: %v, %v", page, err)
+	}
+	if n := s.releasing.Load(); n != 1 {
+		t.Fatalf("%d releases in flight after the scan, want its one", n)
+	}
+	s.Close()
+	for _, r := range reps {
+		if n := r.Locks().ActiveTransactions(); n != 0 {
+			t.Errorf("%s: %d transactions hold locks after Close", r.Name(), n)
+		}
+	}
+}
+
 // TestDeadAttemptReleasesBeforeRetry: a read-only attempt that dies is
 // aborted inline, so the retry never meets its own earlier attempt's
 // locks. An older writer holds a key at A; the scan, reading at A and B,

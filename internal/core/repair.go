@@ -7,10 +7,9 @@ import (
 
 	"repdir/internal/keyspace"
 	"repdir/internal/rep"
-	"repdir/internal/version"
 )
 
-// RepairStats reports what RepairReplica (or a read repair) did.
+// RepairStats reports what RepairReplica did.
 type RepairStats struct {
 	// Scanned is the number of current entries examined.
 	Scanned int
@@ -46,7 +45,7 @@ type RepairOptions struct {
 	// OnPage, when non-nil, runs after each page's transaction commits,
 	// with the cumulative stats so far. Returning a non-nil error stops
 	// the repair and surfaces that error — the hook is the pacing and
-	// cancellation point for background anti-entropy (package heal).
+	// cancellation point for anti-entropy (package heal).
 	OnPage func(RepairStats) error
 }
 
@@ -135,15 +134,38 @@ func RepairReplica(ctx context.Context, s *Suite, target rep.Directory, opts Rep
 }
 
 // repairSegment brings one segment (lo, nb.key] up to date on the
-// target: the upper bounding entry installed if nb.key is a real entry,
-// then the segment coalesced at the walk's quorum-maximum gap version.
+// target: the upper bounding entry installed if nb.key is a real entry
+// and the target holds it at a lower version or not at all, then the
+// segment coalesced at the walk's quorum-maximum gap version. A
+// recovering target refuses reads but accepts writes; it is treated as
+// holding nothing, which is safe because the versioned install is
+// idempotent.
 func repairSegment(ctx context.Context, tx *Tx, target rep.Directory, lo keyspace.Key, nb neighbor, stats *RepairStats) error {
 	if err := tx.txn.Join(target); err != nil {
 		return err
 	}
 	if !nb.key.IsHigh() {
-		if err := repairInstall(ctx, tx, target, nb.key, nb.ver, nb.value, stats); err != nil {
+		stats.Scanned++
+		tx.msgs++
+		have, err := target.Lookup(ctx, tx.txn.ID, nb.key)
+		if errors.Is(err, rep.ErrRecovering) {
+			have = rep.LookupResult{}
+		} else if err != nil {
+			tx.noteFailure(target.Name(), err)
 			return err
+		}
+		if !have.Found || have.Version < nb.ver {
+			if have.Found {
+				stats.Freshened++
+			} else {
+				stats.Copied++
+			}
+			tx.msgs++
+			if err := target.Insert(ctx, tx.txn.ID, nb.key, nb.ver, nb.value); err != nil {
+				tx.noteFailure(target.Name(), err)
+				return err
+			}
+			tx.mutated = true
 		}
 	}
 	tx.msgs++
@@ -160,36 +182,5 @@ func repairSegment(ctx context.Context, tx *Tx, target rep.Directory, lo keyspac
 	}
 	tx.mutated = true
 	stats.Gaps++
-	return nil
-}
-
-// repairInstall performs the shared versioned-install step: look up what
-// the target holds and install (ver, value) if it is newer. A recovering
-// target refuses reads but accepts writes; it is treated as holding
-// nothing, which is safe because the versioned install is idempotent.
-func repairInstall(ctx context.Context, tx *Tx, target rep.Directory, k keyspace.Key, ver version.V, value string, stats *RepairStats) error {
-	stats.Scanned++
-	tx.msgs++
-	have, err := target.Lookup(ctx, tx.txn.ID, k)
-	if errors.Is(err, rep.ErrRecovering) {
-		have = rep.LookupResult{}
-	} else if err != nil {
-		tx.noteFailure(target.Name(), err)
-		return err
-	}
-	switch {
-	case have.Found && have.Version >= ver:
-		return nil
-	case have.Found:
-		stats.Freshened++
-	default:
-		stats.Copied++
-	}
-	tx.msgs++
-	if err := target.Insert(ctx, tx.txn.ID, k, ver, value); err != nil {
-		tx.noteFailure(target.Name(), err)
-		return err
-	}
-	tx.mutated = true
 	return nil
 }

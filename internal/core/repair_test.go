@@ -266,7 +266,7 @@ func TestRepairDoesNotResurrectDeleted(t *testing.T) {
 
 	// The racing repair's install lands at C after the delete commits:
 	// re-install the stale (1, "v1") pair directly, exactly what
-	// repairEntry would have written had its quorum read run before the
+	// a repair would have written had its quorum read run before the
 	// delete and its install after.
 	id := lock.TxnID(9999)
 	if err := ts.reps[2].Insert(ctx, id, keyspace.New("k"), 1, "v1"); err != nil {

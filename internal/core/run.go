@@ -223,17 +223,6 @@ func (r *run) next(ctx context.Context, n int) (neighbor, error) {
 			}
 			nb.value, nb.ver = res.Value, res.Version
 		}
-		if r.tx.repairsReads() {
-			var stale []rep.Directory
-			for i, m := range r.members {
-				if v, _ := r.answer(i, key); v < nb.ver {
-					stale = append(stale, m.Dir)
-				}
-			}
-			if len(stale) > 0 {
-				r.tx.suite.enqueueReadRepair(readRepairJob{key: key.Raw(), stale: stale})
-			}
-		}
 		return nb, nil
 	}
 }

@@ -157,9 +157,8 @@ func (tx *Tx) ScanReverseSpan(ctx context.Context, before keyspace.Key, limit in
 // Count returns the number of current entries as one atomic transaction.
 // The whole keyspace is read-locked for the duration (strict two-phase
 // locking), so the total is quorum-consistent: entries installed by
-// concurrent writers or read-repair freshens either commit before the
-// count (and are locked out of changing mid-walk) or after it — never
-// half-observed. It costs one round per page of rep.MaxBatch entries;
+// concurrent writers or repairs either commit before the count (and are
+// locked out of changing mid-walk) or after it — never half-observed. It costs one round per page of rep.MaxBatch entries;
 // the release round is sent as it returns, as Scan's is.
 func (s *Suite) Count(ctx context.Context) (n int, err error) {
 	err = s.runTxn(ctx, OpCount, manyOps, func(tx *Tx) (err error) {

@@ -27,18 +27,6 @@ type SuiteStats struct {
 	// excluded from a retry; one attempt can lose several at once under
 	// parallel fan-out.
 	ReplicaLosses uint64
-	// ReadRepairEnqueued counts stale-responder observations handed to
-	// the read-repair worker; ReadRepairDropped counts observations
-	// discarded because the bounded queue was full.
-	ReadRepairEnqueued uint64
-	ReadRepairDropped  uint64
-	// ReadRepairDone and ReadRepairFailed count completed freshen
-	// transactions; ReadRepairCopied and ReadRepairFreshened count the
-	// entries they installed (missing vs stale on the target).
-	ReadRepairDone      uint64
-	ReadRepairFailed    uint64
-	ReadRepairCopied    uint64
-	ReadRepairFreshened uint64
 	// StaleEpochRejections counts operations that failed because this
 	// suite's configuration epoch was fenced as stale by a
 	// representative (rep.ErrStaleEpoch); the suite must be rebuilt from
@@ -57,23 +45,17 @@ type SuiteStats struct {
 
 // suiteCounters is the mutable, atomic backing store.
 type suiteCounters struct {
-	calls               atomic.Uint64
-	commits             atomic.Uint64
-	failures            atomic.Uint64
-	cancelled           atomic.Uint64
-	retries             atomic.Uint64
-	dies                atomic.Uint64
-	replicaLosses       atomic.Uint64
-	readRepairEnqueued  atomic.Uint64
-	readRepairDropped   atomic.Uint64
-	readRepairDone      atomic.Uint64
-	readRepairFailed    atomic.Uint64
-	readRepairCopied    atomic.Uint64
-	readRepairFreshened atomic.Uint64
-	staleEpoch          atomic.Uint64
-	budgetExhausted     atomic.Uint64
-	hedgedReads         atomic.Uint64
-	hedgeWins           atomic.Uint64
+	calls           atomic.Uint64
+	commits         atomic.Uint64
+	failures        atomic.Uint64
+	cancelled       atomic.Uint64
+	retries         atomic.Uint64
+	dies            atomic.Uint64
+	replicaLosses   atomic.Uint64
+	staleEpoch      atomic.Uint64
+	budgetExhausted atomic.Uint64
+	hedgedReads     atomic.Uint64
+	hedgeWins       atomic.Uint64
 }
 
 // snapshot freezes the counters.
@@ -86,12 +68,6 @@ func (c *suiteCounters) snapshot() SuiteStats {
 		Retries:              c.retries.Load(),
 		Dies:                 c.dies.Load(),
 		ReplicaLosses:        c.replicaLosses.Load(),
-		ReadRepairEnqueued:   c.readRepairEnqueued.Load(),
-		ReadRepairDropped:    c.readRepairDropped.Load(),
-		ReadRepairDone:       c.readRepairDone.Load(),
-		ReadRepairFailed:     c.readRepairFailed.Load(),
-		ReadRepairCopied:     c.readRepairCopied.Load(),
-		ReadRepairFreshened:  c.readRepairFreshened.Load(),
 		StaleEpochRejections: c.staleEpoch.Load(),
 		BudgetExhausted:      c.budgetExhausted.Load(),
 		HedgedReads:          c.hedgedReads.Load(),

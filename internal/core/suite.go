@@ -19,6 +19,22 @@
 //     version number exceeding everything previously associated with any
 //     key in the range — eliminating ghosts as a side effect.
 //
+// Each of the paper's algorithm figures is one function, pinned by one
+// test:
+//
+//	Paper      What                       Function          Test
+//	Figure 7   range-lock compatibility   lock.Compatible   lock_test.go TestCompatibilityMatrix
+//	Figure 8   DirSuiteLookup             Tx.resolve        paper_test.go TestPaperFigures1to5
+//	Figure 9   DirSuiteInsert             Tx.write          suite_test.go TestInsertAfterDeleteGetsHigherVersion
+//	Figure 10  a delete's bound copy      Tx.Delete         paper_test.go TestPaperFigures10and11
+//	Figure 11  a coalesce sweeps a ghost  rep.Rep.Coalesce  paper_test.go TestPaperFigures10and11
+//	Figure 12  real neighbor search       run.next          merge_test.go TestMergeMatchesPerKeyWalk
+//	Figure 13  DirSuiteDelete             Tx.Delete         paper_test.go TestVersionDominanceInvariant
+//	§4         messages per operation     Tx.fanOut         rounds_test.go TestPointOperationRounds
+//
+// RepairReplica brings a lagging member current with Figure 13's
+// coalesce, walking the keyspace with Figure 12's search.
+//
 // Every suite operation runs as an atomic transaction across the
 // representatives it touches: strict two-phase locking at each
 // representative plus two-phase commit (package txn). Transactions killed
@@ -92,18 +108,6 @@ type Suite struct {
 	idleMu    sync.Mutex
 	idle      []*Tx
 	releasing atomic.Int64
-
-	// Read-repair machinery (nil/zero unless WithReadRepair).
-	rrQueue   chan readRepairJob
-	rrCancel  context.CancelFunc
-	rrWG      sync.WaitGroup
-	closeOnce sync.Once
-	// rrMu orders enqueues against Close: enqueueReadRepair holds the
-	// read side while it checks rrClosed and sends, Close holds the
-	// write side while flipping rrClosed, so no job can slip into the
-	// queue after Close has drained it.
-	rrMu     sync.RWMutex
-	rrClosed bool
 }
 
 // Option configures a Suite.
@@ -141,20 +145,6 @@ func WithParallelQuorum(on bool) Option { return func(s *Suite) { s.parallel = o
 // breaker can only ever save work, never refuse an operation the
 // representatives could serve.
 func WithHealth(t *HealthTracker) Option { return func(s *Suite) { s.health = t } }
-
-// WithReadRepair enables asynchronous read repair with a bounded queue
-// of the given capacity: quorum reads that observe a responder holding
-// a stale or missing copy of the winning entry enqueue a single-key
-// freshen of that member. When the queue is full, observations are
-// dropped and counted (SuiteStats.ReadRepairDropped). Call Suite.Close
-// to stop the background worker.
-func WithReadRepair(queue int) Option {
-	return func(s *Suite) {
-		if queue > 0 {
-			s.rrQueue = make(chan readRepairJob, queue)
-		}
-	}
-}
 
 // WithRetryBudget caps the suite's unavailability-class retries
 // (unreachable/recovering replicas, shed or expired requests) with a
@@ -214,18 +204,8 @@ func NewSuite(cfg quorum.Config, opts ...Option) (*Suite, error) {
 	if s.localMember != "" && s.local == nil {
 		return nil, fmt.Errorf("core: local read member %q is not in the configuration", s.localMember)
 	}
-	if s.rrQueue != nil {
-		ctx, cancel := context.WithCancel(context.Background())
-		s.rrCancel = cancel
-		s.rrWG.Add(1)
-		go s.readRepairWorker(ctx)
-	}
 	return s, nil
 }
-
-// Health returns the suite's health tracker, or nil when none is
-// attached.
-func (s *Suite) Health() *HealthTracker { return s.health }
 
 // Config returns the suite's quorum configuration.
 func (s *Suite) Config() quorum.Config { return s.cfg }
@@ -311,6 +291,23 @@ func (s *Suite) release(tx *Tx) {
 	s.idleMu.Unlock()
 }
 
+// Drain blocks until every read-only operation's release round has
+// landed, or until ctx is done.
+func (s *Suite) Drain(ctx context.Context) error {
+	for s.releasing.Load() > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return nil
+}
+
+// Close waits for the release rounds in flight to land, so a process
+// that exits after it strands no read locks at the representatives. The
+// suite stays usable.
+func (s *Suite) Close() { _ = s.Drain(context.Background()) }
+
 // txShape is what the suite knows about a transaction before running
 // it, which decides how many rounds its member calls can be folded
 // into. The suite's own point operations know they are the whole
@@ -322,10 +319,9 @@ const (
 	// manyOps: any number of operations. Strict two-phase locking at
 	// every member, then a prepare round, then a commit round.
 	manyOps txShape = iota
-	// repairOps is manyOps for the suite's internal repairs (read
-	// repair, RepairReplica), whose quorum reads never enqueue further
-	// read repairs, so a freshen that observes more staleness cannot
-	// loop on itself.
+	// repairOps is manyOps for RepairReplica's pages, which release
+	// inline even when they wrote nothing: the next page would meet the
+	// last one's locks.
 	repairOps
 	// pointRead: exactly one quorum read. Each member call is one-shot
 	// (rep.MarkOneShot): it is the transaction's lock point at that
@@ -351,7 +347,6 @@ const (
 	OpSuccessor   = "successor"
 	OpTxn         = "txn"
 	OpRepair      = "repair"
-	OpReadRepair  = "read-repair"
 )
 
 // runTxn runs one of the suite's own operations: fn is the package's,

@@ -349,28 +349,7 @@ func (tx *Tx) resolve(ctx context.Context, key keyspace.Key, members []member, r
 		}
 		best = chased
 	}
-	if tx.repairsReads() && best.Found {
-		var stale []rep.Directory
-		for i := range members {
-			if replies[i].Version < best.Version {
-				stale = append(stale, members[i].Dir)
-			}
-		}
-		if len(stale) > 0 {
-			tx.suite.enqueueReadRepair(readRepairJob{key: key.Raw(), stale: stale})
-		}
-	}
 	return best, nil
-}
-
-// repairsReads reports whether this transaction's quorum reads feed
-// read repair: responders whose reply lost to a winning entry hold a
-// stale or missing copy, and an asynchronous freshen of just that key
-// on just those members is enqueued. Only entry wins trigger it — a
-// winning gap (not-present) needs no install, and lingering ghosts are
-// harmless by version dominance.
-func (tx *Tx) repairsReads() bool {
-	return tx.suite.rrQueue != nil && tx.shape != repairOps
 }
 
 // chaseValue fetches the value behind a winning witness reply from a

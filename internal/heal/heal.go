@@ -1,11 +1,12 @@
-// Package heal runs automatic anti-entropy for a directory suite: when
-// a member returns from an outage (a health-tracker down→up
-// transition, or an explicit Notify), a background worker brings it
-// fully current with paced core.RepairReplica passes. Keyspace
-// (arXiv:1209.3913) calls this catch-up replication and treats it as
-// the availability workhorse of a replicated store; here it is the
-// mechanism that recovers the performance the paper's footnote 6 says
-// failures cost.
+// Package heal runs anti-entropy for a directory suite: Repair brings
+// one member fully current with a paced, traced core.RepairReplica pass
+// that retries transient peer errors in place, and Converge repeats
+// passes over every member until one finds nothing to do. The caller
+// decides when a member needs it — back from an outage, rebuilding lost
+// storage, or newly added. Keyspace (arXiv:1209.3913) calls this
+// catch-up replication and treats it as the availability workhorse of a
+// replicated store; here it is the mechanism that recovers the
+// performance the paper's footnote 6 says failures cost.
 //
 // The healer is deliberately dumb about safety: every entry it installs
 // and every gap it coalesces goes through the suite's ordinary
@@ -19,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -60,10 +60,6 @@ func (c Config) withDefaults() Config {
 
 // Stats counts the healer's cumulative work.
 type Stats struct {
-	// Notified counts recovery notifications accepted; Coalesced counts
-	// notifications merged into an already-pending repair for the same
-	// member.
-	Notified, Coalesced uint64
 	// Started, Completed, Failed count repair passes.
 	Started, Completed, Failed uint64
 	// Scanned, Copied, Freshened total the entry work across all
@@ -77,24 +73,12 @@ type Stats struct {
 	Retries uint64
 }
 
-// Healer repairs recovered members in the background. Construct with
-// New, feed it with Notify (or wire it to a core.HealthTracker via
-// Watch), and drive it with Run.
+// Healer repairs a suite's members on request. Construct with New.
 type Healer struct {
 	suite   *core.Suite
 	cfg     Config
 	targets map[string]rep.Directory
 
-	jobs chan string
-	mu   sync.Mutex
-	// pending marks members queued or being repaired, so a flurry of
-	// transitions coalesces into one pass (a member that recovers again
-	// mid-repair is simply caught by that repair's later pages or a
-	// fresh notification after it finishes).
-	pending map[string]bool
-
-	notified  atomic.Uint64
-	coalesced atomic.Uint64
 	started   atomic.Uint64
 	completed atomic.Uint64
 	failed    atomic.Uint64
@@ -114,8 +98,6 @@ func New(suite *core.Suite, targets []rep.Directory, cfg Config) *Healer {
 		suite:   suite,
 		cfg:     cfg.withDefaults(),
 		targets: make(map[string]rep.Directory, len(targets)),
-		jobs:    make(chan string, len(targets)*2+4),
-		pending: make(map[string]bool),
 	}
 	for _, t := range targets {
 		h.targets[t.Name()] = t
@@ -123,88 +105,26 @@ func New(suite *core.Suite, targets []rep.Directory, cfg Config) *Healer {
 	return h
 }
 
-// Watch subscribes the healer to a health tracker: every recovery
-// transition (down/probation → up) queues a repair of that member.
-// Call before the tracker starts receiving reports.
-func (h *Healer) Watch(t *core.HealthTracker) {
-	t.OnTransition(func(tr core.HealthTransition) {
-		if tr.Recovered() {
-			h.Notify(tr.Member)
-		}
-	})
-}
-
-// Notify queues a repair pass for the named member. It reports whether
-// the notification was accepted: unknown members are ignored, and a
-// member already pending coalesces into the queued pass.
-func (h *Healer) Notify(member string) bool {
-	if _, ok := h.targets[member]; !ok {
-		return false
-	}
-	h.mu.Lock()
-	if h.pending[member] {
-		h.mu.Unlock()
-		h.coalesced.Add(1)
-		return false
-	}
-	h.pending[member] = true
-	h.mu.Unlock()
-	h.notified.Add(1)
-	h.jobs <- member
-	return true
-}
-
-// Run processes repair jobs until ctx is cancelled. It always returns
-// ctx.Err(); repair failures are counted, not fatal (the member may
-// have crashed again mid-repair — a later recovery re-notifies).
-func (h *Healer) Run(ctx context.Context) error {
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case member := <-h.jobs:
-			_, _ = h.pass(ctx, member, nil)
-		}
-	}
-}
-
-// Repair runs one synchronous repair pass for member, outside the
-// background queue: the member ends fully current, every current entry
-// installed, every ghost purged and every gap version brought up to the
-// quorum maximum (core.RepairReplica). That serves a member back from an
-// outage and one rebuilding lost storage alike; for the latter, the
-// caller flips it out of recovering mode (rep.Rep.SetRecovering(false))
-// once the pass returns cleanly. onPage, when non-nil, observes the
-// cumulative stats after each committed page, before the pace sleep,
-// letting callers chart recovery over time.
+// Repair runs one repair pass for member: the member ends fully
+// current, every current entry installed, every ghost purged and every
+// gap version brought up to the quorum maximum (core.RepairReplica).
+// That serves a member back from an outage and one rebuilding lost
+// storage alike; for the latter, the caller flips it out of recovering
+// mode (rep.Rep.SetRecovering(false)) once the pass returns cleanly.
+// onPage, when non-nil, observes the cumulative stats after each
+// committed page, before the pace sleep, letting callers chart recovery
+// over time.
+//
+// A pass reads whole quorums for every segment, so one flaky peer
+// mid-pass would otherwise fail it and leave the member behind (or,
+// rebuilding, in recovering mode) until someone noticed. The pass is
+// idempotent, so transient errors are retried in place with bounded
+// backoff; only persistent failure (or the repair timeout) surfaces.
 func (h *Healer) Repair(ctx context.Context, member string, onPage func(core.RepairStats)) (core.RepairStats, error) {
-	if _, ok := h.targets[member]; !ok {
+	target, ok := h.targets[member]
+	if !ok {
 		return core.RepairStats{}, fmt.Errorf("heal: unknown member %q", member)
 	}
-	h.mu.Lock()
-	if h.pending[member] {
-		h.mu.Unlock()
-		return core.RepairStats{}, fmt.Errorf("heal: repair of %q already pending", member)
-	}
-	h.pending[member] = true
-	h.mu.Unlock()
-	return h.pass(ctx, member, onPage)
-}
-
-// pass runs one paced, traced repair pass for member, which the caller
-// has marked pending. A pass reads whole quorums for every segment, so
-// one flaky peer mid-pass would otherwise fail it and leave the member
-// behind (or, rebuilding, in recovering mode) until someone noticed.
-// The pass is idempotent, so transient errors are retried in place with
-// bounded backoff; only persistent failure (or the repair timeout)
-// surfaces.
-func (h *Healer) pass(ctx context.Context, member string, onPage func(core.RepairStats)) (core.RepairStats, error) {
-	target := h.targets[member]
-	defer func() {
-		h.mu.Lock()
-		delete(h.pending, member)
-		h.mu.Unlock()
-	}()
 	h.started.Add(1)
 	start := time.Now()
 	trace := h.cfg.Obs.StartTrace("heal " + member)
@@ -327,8 +247,6 @@ func (h *Healer) Converge(ctx context.Context) (core.RepairStats, error) {
 // Stats returns the healer's cumulative counters.
 func (h *Healer) Stats() Stats {
 	return Stats{
-		Notified:  h.notified.Load(),
-		Coalesced: h.coalesced.Load(),
 		Started:   h.started.Load(),
 		Completed: h.completed.Load(),
 		Failed:    h.failed.Load(),

@@ -71,103 +71,36 @@ func (f *fixture) divergeC(t *testing.T, n int) []string {
 	return keys
 }
 
-// TestHealerRepairsOnRecovery wires a healer to a health tracker and
-// checks the end-to-end loop: a down→up transition queues a repair
-// pass that brings the recovered member fully current.
+// TestHealerRepairsOnRecovery checks one pass over a member back from
+// an outage: it brings the member fully current, page by page, and the
+// healer's counters and the onPage hook account for the work.
 func TestHealerRepairsOnRecovery(t *testing.T) {
 	f := newFixture(t)
 	keys := f.divergeC(t, 8)
 
-	tracker := core.NewHealthTracker(f.names, core.HealthConfig{DownAfter: 1})
 	h := New(f.suite, f.dirs, Config{PageSize: 4})
-	h.Watch(tracker)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- h.Run(ctx) }()
-
-	// Drive the tracker through C's outage and recovery; the recovery
-	// transition must notify the healer.
-	tracker.ReportFailure("C")
-	if got := tracker.State("C"); got != core.HealthDown {
-		t.Fatalf("state = %v, want down", got)
+	pages := 0
+	stats, err := h.Repair(context.Background(), "C", func(core.RepairStats) { pages++ })
+	if err != nil {
+		t.Fatal(err)
 	}
-	tracker.ReportSuccess("C")
-
-	// The background pass catches C up.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		missing := 0
-		for _, k := range keys {
-			if !f.has(2, k) {
-				missing++
-			}
+	for _, k := range keys {
+		if !f.has(2, k) {
+			t.Errorf("after repair, C is missing %s", k)
 		}
-		if missing == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("C still missing %d keys; healer stats %+v", missing, h.Stats())
-		}
-		time.Sleep(time.Millisecond)
 	}
-
-	// The last page's counters, and Completed after them, trail the
-	// last key's arrival at C briefly: read the stats once the pass is
-	// over.
-	for time.Now().Before(deadline) && h.Stats().Completed == 0 {
-		time.Sleep(time.Millisecond)
+	if stats.Copied != len(keys) {
+		t.Errorf("Copied = %d, want %d", stats.Copied, len(keys))
 	}
 	st := h.Stats()
-	if st.Completed == 0 {
-		t.Errorf("stats = %+v, want a completed pass", st)
-	}
-	if st.Notified == 0 || st.Started == 0 {
-		t.Errorf("stats = %+v, want a notified, started pass", st)
+	if st.Started != 1 || st.Completed != 1 {
+		t.Errorf("stats = %+v, want one started, completed pass", st)
 	}
 	if st.Copied != uint64(len(keys)) {
 		t.Errorf("copied = %d, want %d", st.Copied, len(keys))
 	}
-	if st.Pages < 2 {
-		t.Errorf("pages = %d, want >= 2 at page size 4 with 8 entries", st.Pages)
-	}
-
-	// Run exits on cancellation.
-	cancel()
-	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Errorf("Run returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not exit after cancel")
-	}
-}
-
-// TestHealerNotify checks the queueing contract directly: unknown
-// members are rejected, duplicate notifications coalesce.
-func TestHealerNotify(t *testing.T) {
-	f := newFixture(t)
-	h := New(f.suite, f.dirs, Config{})
-
-	if h.Notify("nobody") {
-		t.Error("unknown member accepted")
-	}
-	if !h.Notify("C") {
-		t.Error("first notification rejected")
-	}
-	if h.Notify("C") {
-		t.Error("duplicate notification not coalesced")
-	}
-	st := h.Stats()
-	if st.Notified != 1 || st.Coalesced != 1 {
-		t.Errorf("stats = %+v, want 1 notified, 1 coalesced", st)
-	}
-	if _, err := h.Repair(context.Background(), "C", nil); err == nil {
-		t.Error("Repair succeeded while a pass for C is pending")
-	}
-	if _, err := h.Repair(context.Background(), "nobody", nil); err == nil {
-		t.Error("Repair accepted an unknown member")
+	if st.Pages < 2 || st.Pages != uint64(pages) {
+		t.Errorf("pages = %d (onPage ran %d times), want >= 2 at page size 4 with 8 entries", st.Pages, pages)
 	}
 }
 

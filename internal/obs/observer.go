@@ -7,10 +7,6 @@ import (
 
 // ObserverConfig tunes an Observer. The zero value means defaults.
 type ObserverConfig struct {
-	// TraceRing is the number of recent completed traces retained
-	// (default 64). Zero or negative uses the default; set Tracing
-	// false to disable tracing entirely.
-	TraceRing int
 	// NoTrace disables per-operation tracing; histograms and counters
 	// are still collected.
 	NoTrace bool
@@ -92,7 +88,7 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		opMsgs:   NewCounterVec(),
 	}
 	if !cfg.NoTrace {
-		o.tracer = NewTracer(TracerConfig{Ring: cfg.TraceRing, SlowOp: cfg.SlowOp, OnSlow: cfg.OnSlow})
+		o.tracer = NewTracer(TracerConfig{SlowOp: cfg.SlowOp, OnSlow: cfg.OnSlow})
 	}
 	return o
 }

@@ -63,7 +63,7 @@ type Option func(*Manager)
 func WithResolver(r Resolver) Option { return func(m *Manager) { m.resolver = r } }
 
 // WithSuiteOptions supplies the core.Option set for every suite the
-// manager builds (selector, parallelism, health, read repair). It is
+// manager builds (selector, parallelism, health). It is
 // called once per configuration change with the new configuration. For
 // joint configurations the manager appends its own JointSelector after
 // these options, since only it enforces the two-sided thresholds.
@@ -204,7 +204,8 @@ func (m *Manager) buildSuite(rec Record) (*core.Suite, error) {
 }
 
 // install swaps the manager to a new record and suite and fires the
-// OnChange hook. The previous suite's background workers are stopped.
+// OnChange hook. The previous suite is closed: its release rounds in
+// flight land first.
 // Epochs only move forward: a concurrent Refresh racing a transition
 // must not reinstate a superseded record.
 func (m *Manager) install(rec Record, s *core.Suite) {

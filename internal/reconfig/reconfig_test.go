@@ -80,7 +80,11 @@ func TestGrowSeededOnlineAndFencesOldEpoch(t *testing.T) {
 	oldSuite := m.Suite()
 
 	newcomerRep := rep.New("D")
-	rec, err := m.Grow(ctx, transport.NewLocal(newcomerRep), 1, 3, 2)
+	rec, err := m.Reconfigure(ctx, Change{
+		Add: []Addition{{Dir: transport.NewLocal(newcomerRep), Votes: 1}},
+		R:   3,
+		W:   2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

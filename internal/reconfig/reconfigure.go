@@ -223,17 +223,6 @@ func (m *Manager) completeJoint(ctx context.Context, jrec Record) (Record, error
 	return srec, nil
 }
 
-// Grow adds one member with the given votes and switches to quorum
-// sizes r and w — the epoch-fenced replacement for the old operator
-// procedure that returned a config and hoped clients would all switch.
-func (m *Manager) Grow(ctx context.Context, newcomer rep.Directory, votes, r, w int) (Record, error) {
-	return m.Reconfigure(ctx, Change{
-		Add: []Addition{{Dir: newcomer, Votes: votes}},
-		R:   r,
-		W:   w,
-	})
-}
-
 // jointSuiteAt builds a joint-quorum suite stamped with the given epoch
 // (the CAS write of a joint record runs under the old epoch; the joint
 // phase itself runs under the new one).

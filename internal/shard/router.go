@@ -297,7 +297,7 @@ func (r *Router) ScanPrefix(ctx context.Context, limit int, components ...string
 // Count returns the total number of current entries across all shards.
 // Every shard is counted inside the same transaction — one consistent
 // cut across the whole sharded directory — so concurrent writers and
-// read-repair installs can never be half-counted.
+// repairs can never be half-counted.
 func (r *Router) Count(ctx context.Context) (int, error) {
 	var n int
 	err := r.runTxn(ctx, func(x *Txn) error {

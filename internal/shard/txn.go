@@ -242,8 +242,8 @@ func (x *Txn) read(ctx context.Context, p span, limit int, desc bool) ([]core.KV
 
 // Count totals every shard's entries within this transaction: one
 // consistent cut across the whole sharded directory, so entries being
-// installed by concurrent writers or read-repair freshens are either in
-// every shard's count or in none.
+// installed by concurrent writers or repairs are either in every
+// shard's count or in none.
 func (x *Txn) Count(ctx context.Context) (int, error) {
 	x.counts = append(x.counts[:0], make([]int, len(x.suites))...)
 	counts := x.counts

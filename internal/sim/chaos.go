@@ -792,12 +792,6 @@ func addSuiteStats(dst *core.SuiteStats, s core.SuiteStats) {
 	dst.Retries += s.Retries
 	dst.Dies += s.Dies
 	dst.ReplicaLosses += s.ReplicaLosses
-	dst.ReadRepairEnqueued += s.ReadRepairEnqueued
-	dst.ReadRepairDropped += s.ReadRepairDropped
-	dst.ReadRepairDone += s.ReadRepairDone
-	dst.ReadRepairFailed += s.ReadRepairFailed
-	dst.ReadRepairCopied += s.ReadRepairCopied
-	dst.ReadRepairFreshened += s.ReadRepairFreshened
 	dst.StaleEpochRejections += s.StaleEpochRejections
 }
 

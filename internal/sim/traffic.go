@@ -18,8 +18,8 @@ import (
 )
 
 // TrafficConfig parameterizes the live-traffic experiment: a fully
-// instrumented suite (observer, health tracker, read repair, per-member
-// call stats) driven by a mixed workload for a wall-clock duration, so
+// instrumented suite (observer, health tracker, per-member call stats)
+// driven by a mixed workload for a wall-clock duration, so
 // an operator can scrape /metrics and inspect traces against something
 // that behaves like a real deployment.
 type TrafficConfig struct {
@@ -121,8 +121,7 @@ func (t *callTimer) samples(out []obs.HistSample) []obs.HistSample {
 
 // RunTraffic drives a mixed workload against an instrumented 3-2-2
 // suite for the configured duration. All four single-key operations
-// plus scans run in a seeded random mix; read quorums rotate, so read
-// repair sees genuine staleness.
+// plus scans run in a seeded random mix.
 func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 	cfg = cfg.withDefaults()
 	res := TrafficResult{Config: cfg}
@@ -139,15 +138,12 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 	}
 	qc := quorum.NewUniform(dirs, 2, 2)
 
-	// A deep ring so Delete traces survive the flood of read-repair
-	// traces the background worker interleaves.
-	observer := obs.NewObserver(obs.ObserverConfig{TraceRing: 256})
+	observer := obs.NewObserver(obs.ObserverConfig{})
 	health := core.NewHealthTracker(names, core.HealthConfig{})
 	suite, err := core.NewSuite(qc,
 		core.WithSelector(quorum.NewRandomSelector(qc, cfg.Seed)),
 		core.WithObserver(observer),
 		core.WithHealth(health),
-		core.WithReadRepair(64),
 	)
 	if err != nil {
 		return res, err
@@ -257,8 +253,6 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 	res.Response = rec.Response()
 	res.Service = rec.Service()
 
-	// Snapshot a Delete trace before draining: the drain's read-repair
-	// traces would otherwise push every workload trace out of the ring.
 	recent := observer.Tracer().Recent()
 	for i := len(recent) - 1; i >= 0; i-- {
 		if recent[i].Op == core.OpDelete {
@@ -301,9 +295,6 @@ func FormatTraffic(r TrafficResult) string {
 	}
 	fmt.Fprintf(&b, "\n  accounting: %d calls = %d commits + %d failures + %d cancelled\n",
 		r.Suite.Calls, r.Suite.Commits, r.Suite.Failures, r.Suite.Cancelled)
-	fmt.Fprintf(&b, "  read repair: enqueued=%d done=%d copied=%d freshened=%d dropped=%d\n",
-		r.Suite.ReadRepairEnqueued, r.Suite.ReadRepairDone,
-		r.Suite.ReadRepairCopied, r.Suite.ReadRepairFreshened, r.Suite.ReadRepairDropped)
 	fmt.Fprintf(&b, "  neighbor probes per delete: %.2f (paper section 4 predicts ~2 with batching)\n",
 		r.ProbesPerDelete)
 	if r.Response.Count > 0 {

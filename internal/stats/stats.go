@@ -38,13 +38,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddN records n copies of the observation x.
-func (a *Accumulator) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		a.Add(x)
-	}
-}
-
 // Count returns the number of observations recorded.
 func (a *Accumulator) Count() int64 { return a.n }
 
@@ -79,29 +72,6 @@ func (a *Accumulator) StdDev() float64 {
 		return 0
 	}
 	return math.Sqrt(a.m2 / float64(a.n))
-}
-
-// Merge folds the observations of o into a. The result is as if every
-// observation seen by either accumulator had been Added to a single one.
-func (a *Accumulator) Merge(o *Accumulator) {
-	if o.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *o
-		return
-	}
-	n := a.n + o.n
-	delta := o.mean - a.mean
-	mean := a.mean + delta*float64(o.n)/float64(n)
-	m2 := a.m2 + o.m2 + delta*delta*float64(a.n)*float64(o.n)/float64(n)
-	if o.max > a.max {
-		a.max = o.max
-	}
-	if o.min < a.min {
-		a.min = o.min
-	}
-	a.n, a.mean, a.m2 = n, mean, m2
 }
 
 // Summary is a frozen snapshot of an Accumulator, convenient for tables.

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -37,60 +36,6 @@ func TestSingleObservation(t *testing.T) {
 	a.Add(-3)
 	if a.Mean() != -3 || a.Max() != -3 || a.Min() != -3 || a.StdDev() != 0 {
 		t.Error("single observation stats wrong")
-	}
-}
-
-func TestAddN(t *testing.T) {
-	var a, b Accumulator
-	a.AddN(4, 3)
-	for i := 0; i < 3; i++ {
-		b.Add(4)
-	}
-	if a.Count() != b.Count() || !almost(a.Mean(), b.Mean()) {
-		t.Error("AddN should equal repeated Add")
-	}
-}
-
-func TestMergeMatchesCombinedStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var left, right, all Accumulator
-	for i := 0; i < 500; i++ {
-		x := rng.NormFloat64()*3 + 1
-		all.Add(x)
-		if i%2 == 0 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	left.Merge(&right)
-	if left.Count() != all.Count() {
-		t.Fatalf("count %d != %d", left.Count(), all.Count())
-	}
-	if math.Abs(left.Mean()-all.Mean()) > 1e-9 {
-		t.Errorf("merged mean %v != %v", left.Mean(), all.Mean())
-	}
-	if math.Abs(left.StdDev()-all.StdDev()) > 1e-9 {
-		t.Errorf("merged stddev %v != %v", left.StdDev(), all.StdDev())
-	}
-	if left.Max() != all.Max() || left.Min() != all.Min() {
-		t.Error("merged extrema wrong")
-	}
-}
-
-func TestMergeEmptySides(t *testing.T) {
-	var a, empty Accumulator
-	a.Add(1)
-	a.Add(3)
-	before := a.Summarize()
-	a.Merge(&empty)
-	if a.Summarize() != before {
-		t.Error("merging an empty accumulator should be a no-op")
-	}
-	var b Accumulator
-	b.Merge(&a)
-	if b.Summarize() != before {
-		t.Error("merging into an empty accumulator should copy")
 	}
 }
 
