@@ -103,12 +103,13 @@ workload:
 overload:
 	$(GO) run ./cmd/repdir-sim -experiment overload
 
-# Focused race pass over the overload-protection stack and the release
-# rounds nobody waits for: admission control, deadline propagation,
-# retry budgets, hedged reads, and a read-only transaction's release
-# landing in `txn` while its suite or router runs other operations are
-# the code paths densest in shared atomics and concurrent teardown, so
-# they get an extra -count=2 run beyond the suite-wide `race` target.
+# Focused race pass over the overload-protection stack and the rounds
+# nobody waits for: admission control, deadline propagation, retry
+# budgets, hedged reads, and a read-only transaction's release or a
+# point write's commit round landing in `txn` while its suite or router
+# runs other operations are the code paths densest in shared atomics and
+# concurrent teardown, so they get an extra -count=2 run beyond the
+# suite-wide `race` target.
 raceoverload:
 	$(GO) test -race -count 2 ./internal/transport/ ./internal/core/ ./internal/shard/ ./internal/txn/
 

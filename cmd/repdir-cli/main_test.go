@@ -191,12 +191,14 @@ func TestCLISemanticErrorsSurface(t *testing.T) {
 	}
 }
 
-// TestCLIScanReleasesBeforeExit: a scan returns before the round that
-// releases its read locks has been answered, so a CLI that hung up its
-// connections as soon as it had printed would leave those locks held at
-// the servers. Each invocation must be over, locks released, when run
-// returns — sharded or not.
-func TestCLIScanReleasesBeforeExit(t *testing.T) {
+// TestCLIReleasesBeforeExit: a scan returns before the round that
+// releases its read locks has been answered, and a point write before its
+// commit round has, so a CLI that hung up its connections as soon as it
+// had printed would leave locks held at the servers, and a write's
+// members in doubt. Each invocation must be over, locks released and
+// writes committed, when run returns — sharded or not, with -parallel at
+// its default.
+func TestCLIReleasesBeforeExit(t *testing.T) {
 	var reps []*rep.Rep
 	var groups []string
 	for g := 0; g < 2; g++ {
@@ -217,10 +219,13 @@ func TestCLIScanReleasesBeforeExit(t *testing.T) {
 		{"-replicas", groups[0]},
 		{"-replicas", strings.Join(groups, ";"), "-splits", "m"},
 	} {
+		key := "k" + strconv.Itoa(len(base))
 		for _, args := range [][]string{
-			append(base, "insert", "k"+strconv.Itoa(len(base)), "v"),
+			append(base, "insert", key, "v"),
+			append(base, "update", key, "v2"),
 			append(base, "scan"),
 			append(base, "scan", "", "1"),
+			append(base, "delete", key),
 		} {
 			if err := run(args); err != nil {
 				t.Fatalf("run(%v): %v", args, err)
@@ -228,6 +233,9 @@ func TestCLIScanReleasesBeforeExit(t *testing.T) {
 			for _, r := range reps {
 				if n := r.Locks().ActiveTransactions(); n != 0 {
 					t.Errorf("after %v: %s still holds locks for %d transactions", args[len(base):], r.Name(), n)
+				}
+				if ids := r.InDoubt(); len(ids) != 0 {
+					t.Errorf("after %v: %s is in doubt about %v", args[len(base):], r.Name(), ids)
 				}
 			}
 		}

@@ -94,12 +94,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// A write returns at its commit point, before its commit round has
+	// landed: Close waits for those rounds before the connections go.
+	defer suite.Close()
 
 	fmt.Println("== normal operation: writes, a checkpoint, more writes ==")
 	for i := 0; i < 6; i++ {
 		if err := suite.Insert(ctx, fmt.Sprintf("cfg/%02d", i), "v1"); err != nil {
 			return err
 		}
+	}
+	// Checkpoint a member no commit is still on its way to.
+	if err := suite.Drain(ctx); err != nil {
+		return err
 	}
 	if err := nodes[0].durability.Checkpoint(); err != nil {
 		return fmt.Errorf("checkpoint r1: %w", err)
@@ -112,6 +119,11 @@ func run() error {
 	}
 
 	fmt.Println("\n== incident 1: r1 crashes; the suite runs on; r1 recovers from disk ==")
+	// Crash it between writes: one whose commit round it missed would come
+	// back in doubt, its keys locked until resolved (incident 3).
+	if err := suite.Drain(ctx); err != nil {
+		return err
+	}
 	addr := nodes[0].crash()
 	if err := suite.Update(ctx, "cfg/03", "v2-during-outage"); err != nil {
 		return fmt.Errorf("update during outage: %w", err)

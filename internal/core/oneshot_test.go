@@ -20,8 +20,9 @@ import (
 // past the call that serves them, against point writers, with every
 // quorum drawn at random and every member a different distance away.
 // Each key has one writer, so "the last acknowledged version" of a key
-// is a number the writer can publish. Per key the history must be
-// linearizable:
+// is a number the writer can publish. Half the writers run under
+// parallel quorum, so their writes are acknowledged before their commit
+// rounds land. Per key the history must be linearizable:
 //
 //   - a read that begins after a write was acknowledged sees that write
 //     or a later one;
@@ -192,6 +193,9 @@ func TestReadsLeakNoLocks(t *testing.T) {
 		if err := s.Insert(ctx, fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := s.Drain(ctx); err != nil { // no commit may meet a fault
+		t.Fatal(err)
 	}
 	in.Suspend(false)
 

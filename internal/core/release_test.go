@@ -11,26 +11,47 @@ import (
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
+	"repdir/internal/txn"
 )
 
-// The tests in this file hold a read-only operation's release round to
-// what Suite.run promises: it is sent when it always was, to everyone it
-// always was, and the caller does not wait for it — yet nothing the
+// The tests in this file hold the round an operation sends after
+// returning — a read-only operation's release, a point write's commit —
+// to what Suite.run promises: it is sent when it always was, to everyone
+// it always was, and the caller does not wait for it — yet nothing the
 // operation owned is reused before it has landed.
 
-// abortGate holds the Aborts sent to one member, in the manner of
-// waltest.File's Sync: each announces itself on Entered, waits for a
-// value from Release, then sleeps for Delay. Leave a channel nil to skip
-// its step; close Release to let every later Abort through. Then, as a
-// transport client does, it refuses a context that is done.
-type abortGate struct {
+// decisionGate holds the Aborts sent to one member, or with Commits set
+// the Commits, in the manner of waltest.File's Sync: each announces
+// itself on Entered, waits for a value from Release, then sleeps for
+// Delay. Leave a channel nil to skip its step; close Release to let every
+// later call through. Then, as a transport client does, it refuses a
+// context that is done.
+type decisionGate struct {
 	rep.Directory
+	Commits bool
 	Entered chan struct{}
 	Release chan struct{}
 	Delay   time.Duration
 }
 
-func (g *abortGate) Abort(ctx context.Context, id lock.TxnID) error {
+func (g *decisionGate) Abort(ctx context.Context, id lock.TxnID) error {
+	if err := g.hold(ctx, !g.Commits); err != nil {
+		return err
+	}
+	return g.Directory.Abort(ctx, id)
+}
+
+func (g *decisionGate) Commit(ctx context.Context, id lock.TxnID) error {
+	if err := g.hold(ctx, g.Commits); err != nil {
+		return err
+	}
+	return g.Directory.Commit(ctx, id)
+}
+
+func (g *decisionGate) hold(ctx context.Context, on bool) error {
+	if !on {
+		return nil
+	}
 	if g.Entered != nil {
 		g.Entered <- struct{}{}
 	}
@@ -38,25 +59,31 @@ func (g *abortGate) Abort(ctx context.Context, id lock.TxnID) error {
 		<-g.Release
 	}
 	time.Sleep(g.Delay)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return g.Directory.Abort(ctx, id)
+	return ctx.Err()
 }
 
-// quiet checks that after a Drain no representative holds a lock or
-// remembers a transaction.
+// quiet checks that after a Drain no representative holds anything.
 func quiet(t *testing.T, s *Suite, reps []*rep.Rep) {
 	t.Helper()
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	holdNothing(t, reps, "after Drain")
+}
+
+// holdNothing checks that no representative holds a lock, remembers a
+// transaction or is in doubt about one.
+func holdNothing(t *testing.T, reps []*rep.Rep, when string) {
+	t.Helper()
 	for _, r := range reps {
 		if n := r.Locks().ActiveTransactions(); n != 0 {
-			t.Errorf("%s: %d transactions hold locks after Drain", r.Name(), n)
+			t.Errorf("%s: %d transactions hold locks %s", r.Name(), n, when)
 		}
 		if st := r.Strays(); len(st) != 0 {
-			t.Errorf("%s: stray transactions %v after Drain", r.Name(), st)
+			t.Errorf("%s: stray transactions %v %s", r.Name(), st, when)
+		}
+		if st := r.InDoubt(); len(st) != 0 {
+			t.Errorf("%s: in doubt about %v %s", r.Name(), st, when)
 		}
 	}
 }
@@ -72,7 +99,7 @@ func TestWriteRightAfterScan(t *testing.T) {
 	dirs := make([]rep.Directory, 3)
 	for i, name := range []string{"A", "B", "C"} {
 		reps[i] = rep.New(name)
-		dirs[i] = &abortGate{Directory: transport.NewLocal(reps[i]), Delay: time.Millisecond}
+		dirs[i] = &decisionGate{Directory: transport.NewLocal(reps[i]), Delay: time.Millisecond}
 	}
 	cfg := quorum.NewUniform(dirs, 2, 2)
 	s, err := NewSuite(cfg, WithSelector(quorum.NewRandomSelector(cfg, 1)), WithParallelQuorum(true))
@@ -112,7 +139,7 @@ func TestCloseWaitsForRelease(t *testing.T) {
 	dirs := make([]rep.Directory, 3)
 	for i, name := range []string{"A", "B", "C"} {
 		reps[i] = rep.New(name)
-		dirs[i] = &abortGate{Directory: transport.NewLocal(reps[i]), Delay: 5 * time.Millisecond}
+		dirs[i] = &decisionGate{Directory: transport.NewLocal(reps[i]), Delay: 5 * time.Millisecond}
 	}
 	cfg := quorum.NewUniform(dirs, 2, 2)
 	s, err := NewSuite(cfg, WithSelector(quorum.NewRandomSelector(cfg, 1)), WithParallelQuorum(true))
@@ -124,6 +151,9 @@ func TestCloseWaitsForRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if page, err := s.Scan(ctx, "", 10); err != nil || len(page) != 10 {
 		t.Fatalf("scan: %v, %v", page, err)
 	}
@@ -131,11 +161,7 @@ func TestCloseWaitsForRelease(t *testing.T) {
 		t.Fatalf("%d releases in flight after the scan, want its one", n)
 	}
 	s.Close()
-	for _, r := range reps {
-		if n := r.Locks().ActiveTransactions(); n != 0 {
-			t.Errorf("%s: %d transactions hold locks after Close", r.Name(), n)
-		}
-	}
+	holdNothing(t, reps, "after Close")
 }
 
 // TestDeadAttemptReleasesBeforeRetry: a read-only attempt that dies is
@@ -150,6 +176,9 @@ func TestDeadAttemptReleasesBeforeRetry(t *testing.T) {
 		if err := ts.suite.Insert(ctx, fmt.Sprintf("k%02d", i), "v"); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := ts.suite.Drain(ctx); err != nil {
+		t.Fatal(err)
 	}
 	const holder = lock.TxnID(1) // older than every ID the suite hands out
 	if err := ts.reps[0].Insert(ctx, holder, keyspace.New("k05"), 9, "held"); err != nil {
@@ -214,7 +243,7 @@ func TestReleaseOutlivesCancel(t *testing.T) {
 	dirs := make([]rep.Directory, 3)
 	for i, name := range []string{"A", "B", "C"} {
 		reps[i] = rep.New(name)
-		dirs[i] = &abortGate{Directory: transport.NewLocal(&tapedDir{inner: reps[i], t: tp}), Release: release}
+		dirs[i] = &decisionGate{Directory: transport.NewLocal(&tapedDir{inner: reps[i], t: tp}), Release: release}
 	}
 	cfg := quorum.NewUniform(dirs, 2, 2)
 	s, err := NewSuite(cfg, WithSelector(quorum.NewRandomSelector(cfg, 1)), WithParallelQuorum(true))
@@ -226,6 +255,9 @@ func TestReleaseOutlivesCancel(t *testing.T) {
 		if err := s.Insert(rep.WithEpoch(context.Background(), epoch), fmt.Sprintf("k%02d", i), "v"); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
 		tp.take()
@@ -267,7 +299,7 @@ func TestTxHeldUntilReleaseLands(t *testing.T) {
 	ctx := context.Background()
 	reps := make([]*rep.Rep, 3)
 	dirs := make([]rep.Directory, 3)
-	gate := &abortGate{Entered: make(chan struct{}, 1), Release: make(chan struct{})}
+	gate := &decisionGate{Entered: make(chan struct{}, 1), Release: make(chan struct{})}
 	for i, name := range []string{"A", "B", "C"} {
 		reps[i] = rep.New(name)
 		dirs[i] = transport.NewLocal(reps[i])
@@ -284,6 +316,9 @@ func TestTxHeldUntilReleaseLands(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
 	page, err := s.Scan(ctx, "", 10)
 	if err != nil || len(page) != 10 {
 		t.Fatalf("scan: %v, %v", page, err)
@@ -293,15 +328,25 @@ func TestTxHeldUntilReleaseLands(t *testing.T) {
 	if n := s.releasing.Load(); n != 1 {
 		t.Fatalf("%d releases in flight, want the scan's", n)
 	}
-	// Writes and reads beyond the scanned range, in other memory.
+	// Writes and reads beyond the scanned range, in other memory. Each
+	// waits for the commit round of the write before it to land: every
+	// abort at A is held, so an attempt that met those locks and died
+	// could not let go of A.
+	settle := func() {
+		for s.releasing.Load() > 1 {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("z%02d", i)
 		if err := s.Insert(ctx, key, "v"); err != nil {
 			t.Fatal(err)
 		}
+		settle()
 		if err := s.Update(ctx, key, "v2"); err != nil {
 			t.Fatal(err)
 		}
+		settle()
 		if v, found, err := s.Lookup(ctx, key); err != nil || !found || v != "v2" {
 			t.Fatalf("lookup %s = %q, %v, %v", key, v, found, err)
 		}
@@ -309,6 +354,7 @@ func TestTxHeldUntilReleaseLands(t *testing.T) {
 			if err := s.Delete(ctx, key); err != nil {
 				t.Fatal(err)
 			}
+			settle()
 		}
 	}
 	s.idleMu.Lock()
@@ -336,4 +382,202 @@ func TestTxHeldUntilReleaseLands(t *testing.T) {
 		t.Errorf("%d Txs came back when the release landed, want the scan's one", back)
 	}
 	quiet(t, s, reps)
+}
+
+// TestLookupAfterWriteReturns: a point write returns at its commit
+// point, before its commit round has landed. A's Commits are held, so
+// Update returns while A still holds the key's write lock, prepared. A
+// Lookup begun after that reads at A and at C, which never saw the write:
+// it must not answer while A holds the lock — C's old version would win
+// if A's lock were gone and its store not yet written — and must answer
+// with the new value once the commit is let through.
+func TestLookupAfterWriteReturns(t *testing.T) {
+	ctx := context.Background()
+	reps := make([]*rep.Rep, 3)
+	dirs := make([]rep.Directory, 3)
+	for i, name := range []string{"A", "B", "C"} {
+		reps[i] = rep.New(name)
+		dirs[i] = transport.NewLocal(reps[i])
+	}
+	gate := &decisionGate{Directory: dirs[0], Commits: true}
+	dirs[0] = gate
+	cfg := quorum.NewUniform(dirs, 2, 2)
+	ids := txn.NewIDSource(1) // one age order: the reader is younger than the writer
+	newSuite := func(members []int) *Suite {
+		s, err := NewSuite(cfg, WithSelector(fixedSelector(members, members)(cfg)), WithParallelQuorum(true), WithIDSource(ids))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	writer, reader := newSuite([]int{0, 1}), newSuite([]int{0, 2})
+	if err := reader.Insert(ctx, "k", "v1"); err != nil {
+		t.Fatal(err)
+	}
+	reader.Close()
+	gate.Entered, gate.Release = make(chan struct{}, 1), make(chan struct{})
+
+	wrote := make(chan error, 1)
+	go func() { wrote <- writer.Update(ctx, "k", "v2") }()
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Update waited for its commit round")
+	}
+	<-gate.Entered
+	read := make(chan string, 1)
+	go func() {
+		v, _, err := reader.Lookup(ctx, "k")
+		if err != nil {
+			t.Error(err)
+		}
+		read <- v
+	}()
+	for reader.Stats().Dies < 3 {
+		select {
+		case v := <-read:
+			t.Fatalf("a Lookup begun after the Update returned answered %q while A held the write's commit", v)
+		default:
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	close(gate.Release)
+	if v := <-read; v != "v2" {
+		t.Fatalf("Lookup after the commit landed = %q, want v2", v)
+	}
+	quiet(t, writer, reps)
+}
+
+// TestCloseWaitsForCommit: a process that writes and closes its suite at
+// once, as a one-shot client does before it exits, leaves nothing behind:
+// Close returns only after the write's commit round has landed, so no
+// member holds a lock, remembers the transaction or is in doubt about it.
+func TestCloseWaitsForCommit(t *testing.T) {
+	ctx := context.Background()
+	reps := make([]*rep.Rep, 3)
+	dirs := make([]rep.Directory, 3)
+	for i, name := range []string{"A", "B", "C"} {
+		reps[i] = rep.New(name)
+		dirs[i] = &decisionGate{Directory: transport.NewLocal(reps[i]), Commits: true, Delay: 5 * time.Millisecond}
+	}
+	cfg := quorum.NewUniform(dirs, 2, 2)
+	s, err := NewSuite(cfg, WithSelector(quorum.NewRandomSelector(cfg, 1)), WithParallelQuorum(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Insert(ctx, "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Update(ctx, "k", "v2"); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.releasing.Load(); n != 1 {
+		t.Fatalf("%d rounds in flight after the update, want its commit round", n)
+	}
+	s.Close()
+	holdNothing(t, reps, "after Close")
+}
+
+// TestWriteRightAfterWrite: a caller that writes a key and at once writes
+// it again finds its first write's locks still held wherever the commit
+// round has not landed. The second write dies and retries — a few times,
+// not the suite's whole budget — until it has, and then builds on the
+// first: it installs the next version.
+func TestWriteRightAfterWrite(t *testing.T) {
+	ctx := context.Background()
+	reps := make([]*rep.Rep, 3)
+	dirs := make([]rep.Directory, 3)
+	for i, name := range []string{"A", "B", "C"} {
+		reps[i] = rep.New(name)
+		dirs[i] = &decisionGate{Directory: transport.NewLocal(reps[i]), Commits: true, Delay: time.Millisecond}
+	}
+	cfg := quorum.NewUniform(dirs, 2, 2)
+	s, err := NewSuite(cfg, WithSelector(quorum.NewRandomSelector(cfg, 1)), WithParallelQuorum(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Insert(ctx, "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	const mostDies = 32
+	for i := 0; i < 20; i++ {
+		first, err := s.UpdateV(ctx, "k", "a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dies := s.Stats().Dies
+		second, err := s.UpdateV(ctx, "k", "b")
+		if err != nil {
+			t.Fatalf("update right after an update: %v", err)
+		}
+		if second != first.Next() {
+			t.Fatalf("update right after the one that installed version %d installed %d, want %d", first, second, first.Next())
+		}
+		if d := s.Stats().Dies - dies; d > mostDies {
+			t.Errorf("update right after an update died %d times, want at most %d", d, mostDies)
+		}
+	}
+	if s.Stats().Dies == 0 {
+		t.Error("no write met the last one's locks; the test needs the commit to arrive late")
+	}
+	quiet(t, s, reps)
+}
+
+// TestUpdateOverWireAllocs pins a point write over the wire, commit round
+// included: a parallel-quorum Update over transport.Serve/Dial, and the
+// Drain that waits for its commit round to land. The round it sends after
+// returning runs under the transaction's own context, which every call
+// waits on over the wire; that context keeps its channel and timer from
+// one round to the next, so the round costs no more than the same
+// Update's commit round did when its caller waited for it (9).
+func TestUpdateOverWireAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	dirs := make([]rep.Directory, 3)
+	for i, name := range []string{"A", "B", "C"} {
+		srv, err := transport.Serve(rep.New(name), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		c, err := transport.Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		dirs[i] = c
+	}
+	s, err := NewSuite(quorum.NewUniform(dirs, 2, 2), WithParallelQuorum(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Insert(ctx, "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	update := func() {
+		if err := s.Update(ctx, "k", "v"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		update() // pools, maps and buffers reach their working size
+	}
+	const most = 9
+	if n := testing.AllocsPerRun(500, update); n > most {
+		t.Errorf("one Update over the wire allocates %.0f times, commit round included; want at most %d", n, most)
+	} else {
+		t.Logf("one Update over the wire: %.0f allocations", n)
+	}
 }

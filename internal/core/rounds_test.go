@@ -243,11 +243,14 @@ func newTapedSuite(t *testing.T, tcp bool, seed int64, sel func(quorum.Config) q
 	return ts
 }
 
-// run performs one operation and returns the calls it made, release
-// round included, having checked that the suite's own message count for
-// it, and the representatives' counters, say the same.
+// run performs one operation and returns the calls it made, release or
+// commit round included, having checked that the suite's own message
+// count for it, and the representatives' counters, say the same.
 func (ts *tapedSuite) run(t *testing.T, what string, op func() error) []tapedCall {
 	t.Helper()
+	if err := ts.suite.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	ts.tape.take()
 	before := ts.served()
 	if err := op(); err != nil {

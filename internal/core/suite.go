@@ -103,8 +103,8 @@ type Suite struct {
 	local       rep.Directory
 
 	// idle holds the transactions of operations that are over, for the
-	// next operations to run in (acquire, release); releasing counts
-	// release rounds in flight (Drain).
+	// next operations to run in (acquire, release); releasing counts the
+	// rounds in flight that operations sent after returning (Drain).
 	idleMu    sync.Mutex
 	idle      []*Tx
 	releasing atomic.Int64
@@ -291,8 +291,9 @@ func (s *Suite) release(tx *Tx) {
 	s.idleMu.Unlock()
 }
 
-// Drain blocks until every read-only operation's release round has
-// landed, or until ctx is done.
+// Drain blocks until the rounds that operations sent after returning —
+// a read-only operation's release, a point write's commit — have landed,
+// or until ctx is done.
 func (s *Suite) Drain(ctx context.Context) error {
 	for s.releasing.Load() > 0 {
 		if err := ctx.Err(); err != nil {
@@ -303,9 +304,9 @@ func (s *Suite) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Close waits for the release rounds in flight to land, so a process
-// that exits after it strands no read locks at the representatives. The
-// suite stays usable.
+// Close waits for the release and commit rounds in flight to land, so a
+// process that exits after it strands no locks at the representatives
+// and leaves no transaction in doubt. The suite stays usable.
 func (s *Suite) Close() { _ = s.Drain(context.Background()) }
 
 // txShape is what the suite knows about a transaction before running
@@ -331,7 +332,9 @@ const (
 	// pointWrite: exactly one Insert, Update or Delete. The write quorum
 	// is drawn from the members that served the version read where their
 	// votes suffice, and the last write to each such member carries the
-	// prepare (rep.MarkPrepare): read, write, commit.
+	// prepare (rep.MarkPrepare): read, write, commit. The write is the
+	// commit point, so under parallel quorum the caller does not wait for
+	// the commit round (txn.Txn.Release).
 	pointWrite
 )
 
@@ -402,10 +405,14 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 			retrySpan = trace.StartSpan("retry")
 		}
 		err := fn(tx)
-		// A read-only success releases once the caller has its result; a
-		// failed attempt, and a repair, release now (DESIGN.md §6 inv. 11).
-		release := err == nil && !tx.mutated && shape != repairOps
+		// A success whose last round cannot change its result — a
+		// read-only one, and a point write once it has voted — sends that
+		// round once the caller has it; a failed attempt, a repair and any
+		// other write end now (DESIGN.md §6 inv. 11).
+		release := err == nil && (shape == pointWrite || !tx.mutated && shape != repairOps)
 		switch {
+		case release && tx.mutated:
+			err = tx.txn.Vote(ctx)
 		case err == nil && tx.mutated:
 			err = tx.txn.Commit(ctx)
 		case !release:

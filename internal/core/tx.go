@@ -169,7 +169,8 @@ func (tx *Tx) noteFailure(name string, err error) {
 // landed is the own transaction's Landed hook: the Tx is free.
 func (tx *Tx) landed() { tx.suite.release(tx); tx.suite.releasing.Add(-1) }
 
-// flushMetrics reports buffered observations after a successful commit.
+// flushMetrics reports buffered observations once the transaction has
+// committed, before a release round may take the Tx.
 func (tx *Tx) flushMetrics() {
 	for _, o := range tx.observations {
 		if tx.suite.metrics != nil {

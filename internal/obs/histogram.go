@@ -114,21 +114,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Merge returns the bucket-wise sum of two snapshots (same fixed
-// layout, so merging is exact). Max merges as the larger of the two.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	out := s
-	out.Count += o.Count
-	out.Sum += o.Sum
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	for i := range out.Counts {
-		out.Counts[i] += o.Counts[i]
-	}
-	return out
-}
-
 // Mean returns the average observed duration.
 func (s HistogramSnapshot) Mean() time.Duration {
 	if s.Count == 0 {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -105,30 +104,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge checks that merging snapshots is bucket-exact.
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(time.Microsecond)
-	a.Observe(time.Millisecond)
-	b.Observe(time.Millisecond)
-	b.Observe(time.Second)
-	m := a.Snapshot().Merge(b.Snapshot())
-	if m.Count != 4 {
-		t.Fatalf("merged count = %d", m.Count)
-	}
-	if m.Sum != time.Microsecond+2*time.Millisecond+time.Second {
-		t.Errorf("merged sum = %v", m.Sum)
-	}
-	if m.Counts[bucketFor(time.Millisecond)] != 2 {
-		t.Errorf("merged ms bucket = %d, want 2", m.Counts[bucketFor(time.Millisecond)])
-	}
-	// Merge with an empty snapshot is the identity.
-	id := a.Snapshot().Merge(HistogramSnapshot{})
-	if id != a.Snapshot() {
-		t.Error("merge with zero snapshot changed the histogram")
-	}
-}
-
 // TestQuantileOverflowReportsMax is the regression test for the
 // overflow-clamp bug: a histogram whose observations all land in the
 // +Inf bucket used to report its quantiles as the largest finite bucket
@@ -178,8 +153,7 @@ func TestQuantileOverflowReportsMax(t *testing.T) {
 
 // TestQuantileBucketEdges pins Quantile at exact bucket boundaries:
 // exact powers of two sit in their own bucket (a quantile there reports
-// the bound itself), sub-µs observations report the 1µs bound, and Max
-// survives Merge.
+// the bound itself), and sub-µs observations report the 1µs bound.
 func TestQuantileBucketEdges(t *testing.T) {
 	// Exact powers of two: an observation at 1µs<<i reports bound i.
 	for i := 0; i < numFinite; i++ {
@@ -198,78 +172,6 @@ func TestQuantileBucketEdges(t *testing.T) {
 	}
 	if got := sub.Snapshot().Max; got != 10*time.Nanosecond {
 		t.Errorf("sub-µs max = %v", got)
-	}
-	// Max merges as the larger of the two sides, both ways.
-	var a, b Histogram
-	a.Observe(time.Hour * 24)
-	b.Observe(time.Millisecond)
-	if got := a.Snapshot().Merge(b.Snapshot()).Max; got != 24*time.Hour {
-		t.Errorf("merged max = %v", got)
-	}
-	if got := b.Snapshot().Merge(a.Snapshot()).Max; got != 24*time.Hour {
-		t.Errorf("merged max (reversed) = %v", got)
-	}
-}
-
-// TestMergePreservesQuantileBounds is a property test over random
-// histogram pairs: the merged snapshot's quantile at any q is never
-// below the smaller of the two parts' quantiles, and never above
-// max(part quantiles, merged Max). The upper bound needs the merged Max
-// term because merging can push a rank into the overflow bucket — where
-// the exact maximum (possibly from a part whose own q-quantile was
-// finite) is the honest answer, not either part's finite bound. When the
-// merged quantile stays finite it must sit within the parts' bounds
-// exactly.
-func TestMergePreservesQuantileBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(1983))
-	quantiles := []float64{0.01, 0.5, 0.9, 0.99, 0.999, 1}
-	for trial := 0; trial < 200; trial++ {
-		var a, b Histogram
-		fill := func(h *Histogram) {
-			n := 1 + rng.Intn(64)
-			for i := 0; i < n; i++ {
-				// Spread across the full range, overflow included.
-				d := time.Duration(rng.Int63n(int64(90 * time.Second)))
-				if rng.Intn(10) == 0 {
-					d += BucketBound(numFinite - 1) // force overflow
-				}
-				h.Observe(d)
-			}
-		}
-		fill(&a)
-		fill(&b)
-		sa, sb := a.Snapshot(), b.Snapshot()
-		m := sa.Merge(sb)
-		if m.Count != sa.Count+sb.Count {
-			t.Fatalf("trial %d: merged count %d != %d+%d", trial, m.Count, sa.Count, sb.Count)
-		}
-		// The merged max is exactly the larger side's max.
-		wantMax := sa.Max
-		if sb.Max > wantMax {
-			wantMax = sb.Max
-		}
-		if m.Max != wantMax {
-			t.Fatalf("trial %d: merged max %v, want %v", trial, m.Max, wantMax)
-		}
-		for _, q := range quantiles {
-			qa, qb, qm := sa.Quantile(q), sb.Quantile(q), m.Quantile(q)
-			lo, hi := qa, qb
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if qm < lo {
-				t.Fatalf("trial %d: merged Quantile(%v) = %v below both parts (lo %v)",
-					trial, q, qm, lo)
-			}
-			if qm <= BucketBound(numFinite-1) && qm > hi {
-				t.Fatalf("trial %d: finite merged Quantile(%v) = %v above both parts (hi %v)",
-					trial, q, qm, hi)
-			}
-			if qm > hi && qm != m.Max {
-				t.Fatalf("trial %d: merged Quantile(%v) = %v above both parts but not the merged max %v",
-					trial, q, qm, m.Max)
-			}
-		}
 	}
 }
 

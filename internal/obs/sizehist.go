@@ -12,9 +12,8 @@ import (
 // messages per batch, entries per page). Bucket i's inclusive upper
 // bound is 1<<i, so the finite bounds run 1, 2, 4, ... 2^26, plus one
 // +Inf overflow bucket — the same constant-relative-error tradeoff the
-// latency histograms make, reusing NumBuckets so snapshots stay
-// mergeable with the same code shapes. All mutators are lock-free
-// atomic adds; the zero value is ready to use.
+// latency histograms make, reusing NumBuckets. All mutators are
+// lock-free atomic adds; the zero value is ready to use.
 type SizeHistogram struct {
 	counts [NumBuckets]atomic.Uint64
 	sum    atomic.Uint64

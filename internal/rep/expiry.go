@@ -12,8 +12,8 @@ import (
 // rounds run under. A call that never waits on Done costs no channel and
 // no timer — the first Done makes both — and Err goes by the clock, so a
 // call that only polls still sees the deadline pass. The owner embeds an
-// Expiry, answers Value itself, Ends it when the call is over, and may
-// Set it again for another.
+// Expiry, answers Value itself, Ends it (or lets it Idle) when the call
+// is over, and may Set it again for another.
 type Expiry struct {
 	mu    sync.Mutex
 	at    time.Time
@@ -22,11 +22,28 @@ type Expiry struct {
 	err   error         // set once: the deadline passed, or End
 }
 
-// Set readies e for a call due at the given time.
+// Set readies e for a call due at the given time. A channel that neither
+// a deadline nor End has closed serves this call too, its timer re-armed.
 func (e *Expiry) Set(at time.Time) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.at, e.done, e.timer, e.err = at, nil, nil, nil
+	e.at = at
+	switch {
+	case e.err != nil:
+		e.done, e.timer, e.err = nil, nil, nil
+	case e.timer != nil:
+		e.timer.Reset(time.Until(at))
+	}
+}
+
+// Idle ends a call that nothing waits on any more without closing e: the
+// timer stops, and the channel stays open for the next Set.
+func (e *Expiry) Idle() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.timer != nil {
+		e.timer.Stop()
+	}
 }
 
 func (e *Expiry) Deadline() (time.Time, bool) { return e.at, true }
@@ -39,7 +56,8 @@ func (e *Expiry) Done() <-chan struct{} {
 		if e.done = done; e.err != nil {
 			close(done)
 		} else {
-			e.timer = time.AfterFunc(time.Until(e.at), func() { e.end(context.DeadlineExceeded, done) })
+			// By the clock: a firing that Set overtook ends nothing.
+			e.timer = time.AfterFunc(time.Until(e.at), func() { e.end(nil, done) })
 		}
 	}
 	return e.done
@@ -60,7 +78,7 @@ func (e *Expiry) Armed() bool {
 // end ends the context with err — or, given nil, with DeadlineExceeded
 // once the deadline has passed — unless it has ended already, and
 // returns what it ended with: nil while it is live. A timer names the
-// call it was armed for (of), and ends no later one.
+// channel it was armed for (of), and ends no later one.
 func (e *Expiry) end(err error, of chan struct{}) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -199,9 +199,10 @@ func TestRouterTxnHeldUntilReleaseLands(t *testing.T) {
 // TestRouterScanAllocs pins what a 10-entry scan through a parallel
 // router over four in-process 3-2-2 shards allocates, its release round
 // included (the run drains): the page, the batches two members answered
-// with, and one closure for each goroutine a round spawns — the batch
-// round's one and the release round's two. The router's per-transaction
-// state, its shard slots and its 2PC bookkeeping are reused.
+// with, and the closure of the goroutine the batch round spawns; the
+// release round starts its two through funcs its txn.Txn keeps. The
+// router's per-transaction state, its shard slots and its 2PC
+// bookkeeping are reused.
 func TestRouterScanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")

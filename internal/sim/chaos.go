@@ -614,6 +614,9 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		// next calls, so the chaos resumes immediately. Failures are
 		// still tolerated (a window can reopen mid-count).
 		if (op+1)%250 == 0 {
+			if err := h.drain(); err != nil {
+				return res, fmt.Errorf("sim: chaos %s: drain: %w", cfg.Name, err)
+			}
 			var n int
 			cerr := errors.New("count never attempted")
 			for try := 0; try < 3 && cerr != nil; try++ {

@@ -30,7 +30,14 @@ type ScalabilityPoint struct {
 // grow, each client updating its own key range. Every replica charges a
 // fixed per-message latency, so throughput growth reflects genuine
 // operation overlap across disjoint ranges rather than CPU parallelism.
+//
+// A client updates its keysPerClient keys in turn: one that rewrote a
+// single key back to back would meet its own last update's locks, held
+// until that update's commit round lands after the update has returned,
+// which is not the concurrency measured here.
 func RunScalability(clientCounts []int, opsPerClient int, perMessage time.Duration) ([]ScalabilityPoint, error) {
+	const keysPerClient = 4
+	key := func(c, i int) string { return fmt.Sprintf("key-%03d-%d", c, i%keysPerClient) }
 	ctx := context.Background()
 	var out []ScalabilityPoint
 	for _, clients := range clientCounts {
@@ -46,9 +53,14 @@ func RunScalability(clientCounts []int, opsPerClient int, perMessage time.Durati
 			return nil, err
 		}
 		for c := 0; c < clients; c++ {
-			if err := suite.Insert(ctx, fmt.Sprintf("key-%03d", c), "0"); err != nil {
-				return nil, err
+			for i := 0; i < keysPerClient; i++ {
+				if err := suite.Insert(ctx, key(c, i), "0"); err != nil {
+					return nil, err
+				}
 			}
+		}
+		if err := suite.Drain(ctx); err != nil {
+			return nil, err
 		}
 
 		var wg sync.WaitGroup
@@ -58,9 +70,8 @@ func RunScalability(clientCounts []int, opsPerClient int, perMessage time.Durati
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
-				key := fmt.Sprintf("key-%03d", c)
 				for i := 0; i < opsPerClient; i++ {
-					if err := suite.Update(ctx, key, fmt.Sprintf("%d", i)); err != nil {
+					if err := suite.Update(ctx, key(c, i), fmt.Sprintf("%d", i)); err != nil {
 						errCh <- fmt.Errorf("client %d: %w", c, err)
 						return
 					}
@@ -73,6 +84,7 @@ func RunScalability(clientCounts []int, opsPerClient int, perMessage time.Durati
 			return nil, err
 		}
 		elapsed := time.Since(start)
+		suite.Close()
 		total := clients * opsPerClient
 		out = append(out, ScalabilityPoint{
 			Clients:       clients,

@@ -87,11 +87,19 @@ type Txn struct {
 	participants []participant
 	done         bool
 	sealed       bool           // a prepare has gone out: the writers are fixed (Writers)
-	unsettled    int            // commit-round calls the last Commit could not deliver
+	commitDue    bool           // Vote decided commit, and no commit round has gone out
 	legs         sync.WaitGroup // a parallel round's calls in flight
 	pending      atomic.Int32   // a detached round's calls in flight
 	grace        graceCtx       // what a decided round's calls run under
 	counted      rep.Marked     // what the prepare round's calls run under
+
+	// The round in progress, as its spawned calls read it, and one func a
+	// participant slot that makes the slot's call (leg): kept, so that
+	// spawning a call allocates nothing.
+	ctx      context.Context
+	call     func(rep.Directory, context.Context, lock.TxnID) error
+	detached bool
+	legFns   []func()
 }
 
 // participant is one representative the transaction operated at.
@@ -120,7 +128,7 @@ func New(id lock.TxnID) *Txn { return &Txn{ID: id} }
 func (t *Txn) Reset(id lock.TxnID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.ID, t.done, t.sealed, t.unsettled = id, false, false, 0
+	t.ID, t.done, t.sealed, t.commitDue = id, false, false, false
 	clear(t.participants)
 	t.participants = t.participants[:0]
 }
@@ -218,7 +226,7 @@ func (t *Txn) Voted(d rep.Directory) {
 }
 
 // finish marks the transaction done. From here on the participant list
-// belongs to the one Commit or Abort that got through.
+// belongs to the one Vote, Abort or Release that got through.
 func (t *Txn) finish() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -229,16 +237,16 @@ func (t *Txn) finish() error {
 	return nil
 }
 
-// Finished reports whether Commit or Abort has been called: whether the
-// transaction is past taking operations.
+// Finished reports whether Vote (or Commit), Abort or Release has been
+// called: whether the transaction is past taking operations.
 func (t *Txn) Finished() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.done
 }
 
-// ErrFinished is returned by Commit and Abort when the transaction was
-// already completed.
+// ErrFinished is returned by Vote, Commit and Abort when the transaction
+// was already completed.
 var ErrFinished = errors.New("txn: transaction already finished")
 
 // The participants a round goes to.
@@ -248,9 +256,8 @@ func wrote(p *participant) bool         { return !p.reader }
 func stillHolding(p *participant) bool  { return !p.reader || p.refused }
 func everyone(*participant) bool        { return true }
 
-// Commit atomically commits at every participant via two-phase commit:
-// every participant votes, then every participant that may have written
-// is told to commit. A participant votes either in the prepare round
+// Vote is the first phase of two-phase commit, and the decision: every
+// participant votes. A participant votes either in the prepare round
 // here or, before it, on the last write it was sent (Voted), and every
 // prepare carries the writer count. The vote is asked of every
 // participant, a lone one and a reader included: one that lost the
@@ -269,12 +276,10 @@ func everyone(*participant) bool        { return true }
 // before its readers voted, which is safe because those readers read
 // only the key the writers lock.
 //
-// Commit returns nil once every writer has voted yes. The commit round
-// still goes out at once, on the caller's time, so that locks are
-// released as soon as they can be; a participant it does not reach
-// stays in doubt, holding its locks, until Resolve settles it, and is
-// counted in Unsettled.
-func (t *Txn) Commit(ctx context.Context) error {
+// Vote returns nil once every writer has voted yes: the transaction is
+// committed, and its commit round — to every participant that may have
+// written — is due. Release sends it; Commit is Vote and the round.
+func (t *Txn) Vote(ctx context.Context) error {
 	if err := t.finish(); err != nil {
 		return err
 	}
@@ -289,12 +294,23 @@ func (t *Txn) Commit(ctx context.Context) error {
 		t.decidedRound(ctx, "abort", stillHolding, rep.Directory.Abort, false)
 		return first
 	}
-	t.decidedRound(ctx, "commit", wrote, rep.Directory.Commit, false)
-	for _, p := range t.participants {
-		if p.asked && p.err != nil {
-			t.unsettled++
-		}
+	t.commitDue = true
+	return nil
+}
+
+// Commit atomically commits at every participant via two-phase commit:
+// Vote, and then the commit round on the caller's time, answered before
+// Commit returns — for a caller that goes on to read what it wrote, or
+// to run another transaction that must not meet this one's locks.
+// Commit returns nil once every writer has voted yes; a participant the
+// commit round does not reach stays in doubt, holding its locks, until
+// Resolve settles it.
+func (t *Txn) Commit(ctx context.Context) error {
+	if err := t.Vote(ctx); err != nil {
+		return err
 	}
+	t.commitDue = false
+	t.decidedRound(ctx, "commit", wrote, rep.Directory.Commit, false)
 	return nil
 }
 
@@ -311,17 +327,11 @@ func (t *Txn) prepare(to func(*participant) bool) (first error) {
 	return first
 }
 
-// Unsettled is how many participants the last Commit's commit round did
-// not reach: each stays in doubt, holding its locks, until Resolve.
-func (t *Txn) Unsettled() int { return t.unsettled }
-
 // round drives one protocol phase at the participants to admits, inside
 // the Phase hook, and reports how many it asked and whether any call
 // failed. With Parallel set the calls run concurrently — but for the
 // last, which the calling goroutine would otherwise only wait for. A
-// detached round spawns every call and returns; the last to be answered
-// ends it, and from the moment it is spawned the Txn may be somebody
-// else's.
+// detached round spawns every call and returns.
 func (t *Txn) round(ctx context.Context, name string, to func(*participant) bool,
 	phase func(rep.Directory, context.Context, lock.TxnID) error, detached bool) (asked int, failed bool) {
 	for i := range t.participants {
@@ -340,6 +350,7 @@ func (t *Txn) round(ctx context.Context, name string, to func(*participant) bool
 			defer done()
 		}
 	}
+	t.ctx, t.call, t.detached = ctx, phase, detached
 	for i, n := 0, asked; n > 0; i++ {
 		p := &t.participants[i]
 		if !p.asked {
@@ -347,19 +358,10 @@ func (t *Txn) round(ctx context.Context, name string, to func(*participant) bool
 		}
 		switch n--; {
 		case detached:
-			go func() {
-				p.err = phase(p.dir, ctx, t.ID)
-				if t.pending.Add(-1) == 0 {
-					t.grace.end()
-					t.Landed()
-				}
-			}()
+			t.spawn(i)
 		case t.Parallel && n > 0:
 			t.legs.Add(1)
-			go func() {
-				defer t.legs.Done()
-				p.err = phase(p.dir, ctx, t.ID)
-			}()
+			t.spawn(i)
 		default:
 			p.err = phase(p.dir, ctx, t.ID)
 		}
@@ -368,10 +370,35 @@ func (t *Txn) round(ctx context.Context, name string, to func(*participant) bool
 		return asked, false
 	}
 	t.legs.Wait()
+	t.ctx = nil
 	for _, p := range t.participants {
 		failed = failed || p.asked && p.err != nil
 	}
 	return asked, failed
+}
+
+// spawn starts participant i's call of the round in progress on a
+// goroutine of its own, through the slot's func, made once.
+func (t *Txn) spawn(i int) {
+	for j := len(t.legFns); j <= i; j++ {
+		t.legFns = append(t.legFns, func() { t.leg(j) })
+	}
+	go t.legFns[i]()
+}
+
+// leg makes participant i's call of the round in progress. The last call
+// of a detached round to be answered ends the round, and from then on
+// the Txn may be somebody else's.
+func (t *Txn) leg(i int) {
+	p := &t.participants[i]
+	p.err = t.call(p.dir, t.ctx, t.ID)
+	switch {
+	case !t.detached:
+		t.legs.Done()
+	case t.pending.Add(-1) == 0:
+		t.grace.end()
+		t.Landed()
+	}
 }
 
 // Abort aborts at every participant. Individual abort failures are
@@ -387,13 +414,19 @@ func (t *Txn) Abort(ctx context.Context) error {
 	return nil
 }
 
-// Release is Abort for a transaction that only read, called once the
-// caller has its result: its lock point was its last read, so strict
-// two-phase locking holds however late the locks go, and with Parallel
-// set Release returns as soon as its round is sent. It returns how many
-// participants it asked; Landed runs once all have answered.
+// Release sends the round that ends a transaction whose result is
+// already fixed, once the caller has it: the commit round due after a
+// yes Vote, or, for a transaction that only read, an abort to every
+// participant. Either way the transaction's lock point is behind it, so
+// strict two-phase locking holds however late the locks go, and with
+// Parallel set Release returns as soon as its round is sent. It returns
+// how many participants it asked; Landed runs once all have answered.
 func (t *Txn) Release(ctx context.Context) (asked int) {
-	if t.finish() == nil && len(t.participants) > 0 {
+	switch {
+	case t.commitDue:
+		t.commitDue = false
+		asked = t.decidedRound(ctx, "commit", wrote, rep.Directory.Commit, t.Parallel)
+	case t.finish() == nil && len(t.participants) > 0:
 		asked = t.decidedRound(ctx, "abort", everyone, rep.Directory.Abort, t.Parallel)
 	}
 	if asked == 0 || !t.Parallel {
@@ -444,8 +477,9 @@ func (t *Txn) decidedRound(ctx context.Context, name string, to func(*participan
 // graceCtx is the context a decided round runs under when it cannot use
 // its caller's: the caller's values, the configuration epoch among them;
 // no cancellation; a deadline decisionGrace from the round's start, with
-// no channel and no timer unless a call waits (rep.Expiry). It is the
-// Txn's, so a round builds none.
+// no channel and no timer unless a call waits (rep.Expiry), and then the
+// same ones for every later round. It is the Txn's, so a round builds
+// none.
 type graceCtx struct {
 	rep.Expiry
 	mu     sync.Mutex
@@ -460,10 +494,10 @@ func (c *graceCtx) begin(ctx context.Context) context.Context {
 	return c
 }
 
-// end closes the context once its round is over, and lets go of the
-// caller's.
+// end lets go of the caller's context once the round is over, and keeps
+// the channel and timer for the next (rep.Expiry.Idle).
 func (c *graceCtx) end() {
-	c.End(context.Canceled)
+	c.Idle()
 	c.mu.Lock()
 	c.values = context.Background()
 	c.mu.Unlock()

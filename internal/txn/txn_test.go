@@ -449,6 +449,51 @@ func TestReleaseDetached(t *testing.T) {
 	}
 }
 
+// TestReleaseSendsTheDueCommit: after a yes Vote the transaction is
+// committed, and Release sends its commit round — to the writers, not to
+// the reader the vote released — detached with Parallel set. Landed runs
+// once, after both writers have committed.
+func TestReleaseSendsTheDueCommit(t *testing.T) {
+	a, b, c := rep.New("A"), rep.New("B"), rep.New("C")
+	key := keyspace.New("k")
+	tx := New(100)
+	tx.Parallel = true
+	landed := make(chan struct{}, 2)
+	tx.Landed = func() { landed <- struct{}{} }
+	tx.JoinReader(c)
+	if _, err := c.Lookup(ctx, tx.ID, key); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*rep.Rep{a, b} {
+		if err := tx.Join(r); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Insert(ctx, tx.ID, key, 1, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Vote(ctx); err != nil {
+		t.Fatalf("vote = %v, want yes", err)
+	}
+	if n := tx.Release(ctx); n != 2 {
+		t.Fatalf("Release asked %d participants, want the 2 writers", n)
+	}
+	<-landed
+	for _, r := range []*rep.Rep{a, b} {
+		if st, _ := r.Status(ctx, tx.ID); st != rep.StatusCommitted || r.Locks().ActiveTransactions() != 0 {
+			t.Errorf("%s: status %v with %d transactions holding locks, want committed and none", r.Name(), st, r.Locks().ActiveTransactions())
+		}
+	}
+	if n := c.Counters().Commits; n != 0 || c.Locks().ActiveTransactions() != 0 {
+		t.Errorf("the reader heard %d commits and holds locks for %d transactions, want none", n, c.Locks().ActiveTransactions())
+	}
+	select {
+	case <-landed:
+		t.Error("Landed ran twice")
+	default:
+	}
+}
+
 // lostCommitDir votes yes and never hears the commit: the shape of a
 // commit round whose call is lost after a unanimous vote.
 type lostCommitDir struct {
@@ -462,8 +507,8 @@ func (lostCommitDir) Commit(context.Context, lock.TxnID) error {
 // TestCommitSucceedsOnceEveryWriterVoted: once every writer has voted
 // yes the transaction is committed, so a commit-round call that fails
 // does not fail Commit — the caller would retry a write that took
-// effect. It is counted, and the participant it missed stays in doubt,
-// knowing the writer count its prepare carried, until Resolve commits it.
+// effect. The participant it missed stays in doubt, knowing the writer
+// count its prepare carried, until Resolve commits it.
 func TestCommitSucceedsOnceEveryWriterVoted(t *testing.T) {
 	a, b := rep.New("A"), rep.New("B")
 	tx := New(100)
@@ -477,9 +522,6 @@ func TestCommitSucceedsOnceEveryWriterVoted(t *testing.T) {
 	}
 	if err := tx.Commit(ctx); err != nil {
 		t.Fatalf("commit after a unanimous vote = %v, want nil", err)
-	}
-	if n := tx.Unsettled(); n != 1 {
-		t.Errorf("Unsettled = %d, want 1", n)
 	}
 	if st, _ := b.Status(ctx, tx.ID); st != rep.InDoubtOf(2) {
 		t.Fatalf("B status = %v, want in doubt of 2 writers", st)
