@@ -57,13 +57,16 @@ shard:
 	$(GO) test -race -count 1 -run 'TestChaosSoakSharded|TestChaosShardedDeterministic' -v .
 
 # Storage-fault gate: the crash-point harness (power loss at every byte
-# boundary of a logged workload, one flipped bit at every byte — see
-# DESIGN.md section 11), a power loss at a whole suite that keeps only
-# what each log forced (an acknowledged write comes back in doubt and
-# resolves to commit; an aborted one stays aborted), plus a short chaos
-# soak whose storage phase wipes a minority of WALs mid-run and
-# rebuilds them from peers. The
-# soak seed doubles as the replay handle on failure. Recovery reads two
+# boundary and one flipped bit at every byte of a logged workload's
+# fresh log and of the log its checkpoint, after the third commit,
+# compacted — damage inside the section either log opens with must be
+# refused, and a cut after it recover the state acknowledged last before
+# the cut; see DESIGN.md section 11), a power loss at a whole
+# suite that keeps only what each log forced (an acknowledged write comes
+# back in doubt and resolves to commit; an aborted one stays aborted),
+# plus a short chaos soak whose storage phase wipes a minority of WALs
+# mid-run and rebuilds them from peers. The soak seed doubles as the
+# replay handle on failure. Recovery reads two
 # formats back that something else wrote — the log's record stream and
 # the wire's messages — so each decoder gets a moment of fuzzing here:
 # the record codec must round-trip every record and refuse every byte

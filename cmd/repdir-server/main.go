@@ -2,20 +2,22 @@
 // server.
 //
 //	repdir-server -name A -addr 127.0.0.1:7001 \
-//	              -wal /var/lib/repdir/A.wal -snap /var/lib/repdir/A.snap \
-//	              -checkpoint 5m
+//	              -wal /var/lib/repdir/A.wal -checkpoint 5m
 //
 // With -wal, committed state is logged and recovered across restarts;
-// with -snap, periodic checkpoints bound the log's size and recovery
-// time. Without -wal the representative is volatile. A directory suite
-// is formed by pointing repdir-cli (or any client built on the library)
-// at several servers.
+// with -checkpoint, the log is periodically compacted — replaced by one
+// that opens with the representative's state — bounding its size and
+// recovery time. Without -wal the representative is volatile. A
+// directory suite is formed by pointing repdir-cli (or any client built
+// on the library) at several servers.
 //
 // The -recovery flag picks what to do with a damaged log: "strict"
 // (default) refuses to start on anything worse than a torn tail,
 // "salvage" recovers the longest valid prefix and quarantines the rest,
 // and "rebuild" additionally opens empty when even salvage fails,
-// leaving the replica to be rebuilt from its peers.
+// leaving the replica to be rebuilt from its peers. Every log opens with
+// a checkpoint section, written whole before it became the log (a new
+// log holds an empty one), so damage inside it is beyond salvage.
 //
 // -name and -addr accept comma-separated lists of equal length to serve
 // several representatives from one process — e.g. one member of every
@@ -23,8 +25,8 @@
 //
 //	repdir-server -name s0r0,s1r0 -addr 127.0.0.1:7001,127.0.0.1:8001
 //
-// In that mode -wal and -snap, when set, are templates that must
-// contain %s, expanded with each representative's name.
+// In that mode -wal, when set, is a template that must contain %s,
+// expanded with each representative's name.
 //
 // -admit turns on CoDel-style overload shedding: when the dispatch
 // queue's delay stays above -admit.target (default 5ms) for a full
@@ -70,8 +72,7 @@ func run(args []string) error {
 		name     = fs.String("name", "rep", "representative name, or comma-separated names to serve several (must be unique within a suite)")
 		addr     = fs.String("addr", "127.0.0.1:7001", "listen address, or comma-separated addresses matching -name")
 		walPath  = fs.String("wal", "", "write-ahead log file (empty = volatile; %s template with multiple -name entries)")
-		snapPath = fs.String("snap", "", "snapshot file for checkpoints (requires -wal; %s template with multiple -name entries)")
-		every    = fs.Duration("checkpoint", 0, "checkpoint interval (0 = never; requires -snap)")
+		every    = fs.Duration("checkpoint", 0, "log compaction interval (0 = never; requires -wal)")
 		fsync    = fs.String("fsync", "commit", "WAL fsync policy: commit, never, or always")
 		recovery = fs.String("recovery", "strict", "WAL recovery policy: strict, salvage, or rebuild")
 		conc     = fs.Int("concurrency", transport.DefaultPerConnConcurrency,
@@ -88,11 +89,8 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *snapPath != "" && *walPath == "" {
-		return errors.New("-snap requires -wal")
-	}
-	if *every > 0 && *snapPath == "" {
-		return errors.New("-checkpoint requires -snap")
+	if *every > 0 && *walPath == "" {
+		return errors.New("-checkpoint requires -wal")
 	}
 	policy, err := parseSyncPolicy(*fsync)
 	if err != nil {
@@ -119,9 +117,6 @@ func run(args []string) error {
 	if multi && *walPath != "" && !strings.Contains(*walPath, "%s") {
 		return errors.New("-wal must contain %s when serving multiple representatives")
 	}
-	if multi && *snapPath != "" && !strings.Contains(*snapPath, "%s") {
-		return errors.New("-snap must contain %s when serving multiple representatives")
-	}
 	witnesses := make(map[string]bool)
 	for _, wn := range splitList(*witness) {
 		found := false
@@ -137,9 +132,9 @@ func run(args []string) error {
 		witnesses[wn] = true
 	}
 
-	// Recovery events (salvages, snapshot fallbacks, rebuilds) happen
-	// while the representatives open, so the observer that counts them
-	// for the metrics endpoint exists before they do.
+	// Recovery events (salvages, rebuilds) happen while the
+	// representatives open, so the observer that counts them for the
+	// metrics endpoint exists before they do.
 	var observer *obs.Observer
 	if *obsAddr != "" {
 		observer = obs.NewObserver(obs.ObserverConfig{NoTrace: true})
@@ -148,16 +143,11 @@ func run(args []string) error {
 	durables := make([]*rep.Durability, len(names))
 	servers := make([]*transport.Server, len(names))
 	for i, nm := range names {
-		wp, sp := *walPath, *snapPath
-		if multi {
-			if wp != "" {
-				wp = fmt.Sprintf(wp, nm)
-			}
-			if sp != "" {
-				sp = fmt.Sprintf(sp, nm)
-			}
+		wp := *walPath
+		if multi && wp != "" {
+			wp = fmt.Sprintf(wp, nm)
 		}
-		r, durability, err := buildRep(nm, wp, sp, policy, recoveryPolicy, witnesses[nm], observer)
+		r, durability, err := buildRep(nm, wp, policy, recoveryPolicy, witnesses[nm], observer)
 		if err != nil {
 			return fmt.Errorf("%s: %w", nm, err)
 		}
@@ -261,11 +251,11 @@ func checkpointLoop(d *rep.Durability, every time.Duration, stop <-chan struct{}
 	}
 }
 
-// buildRep constructs the representative: durable (snapshot + WAL) when
-// paths are configured, volatile otherwise. A witness stores (and logs)
-// versions but no values. Recovery events are counted on observer,
-// which may be nil.
-func buildRep(name, walPath, snapPath string, policy wal.SyncPolicy, recovery rep.RecoveryPolicy, witness bool, observer *obs.Observer) (*rep.Rep, *rep.Durability, error) {
+// buildRep constructs the representative: durable when a WAL path is
+// configured, volatile otherwise. A witness stores (and logs) versions
+// but no values. Recovery events are counted on observer, which may be
+// nil.
+func buildRep(name, walPath string, policy wal.SyncPolicy, recovery rep.RecoveryPolicy, witness bool, observer *obs.Observer) (*rep.Rep, *rep.Durability, error) {
 	var repOpts []rep.Option
 	if witness {
 		repOpts = append(repOpts, rep.AsWitness())
@@ -273,7 +263,7 @@ func buildRep(name, walPath, snapPath string, policy wal.SyncPolicy, recovery re
 	if walPath == "" {
 		return rep.New(name, repOpts...), nil, nil
 	}
-	return rep.OpenDurable(name, walPath, snapPath,
+	return rep.OpenDurable(name, walPath,
 		rep.WithSyncPolicy(policy), rep.WithRecovery(recovery),
 		rep.WithRepOptions(repOpts...), rep.WithDurableObserver(observer))
 }
@@ -282,11 +272,7 @@ func buildRep(name, walPath, snapPath string, policy wal.SyncPolicy, recovery re
 // clean start: an operator restarting after a disk fault needs to know
 // whether writes were salvaged away and a repair is due.
 func reportRecovery(name string, rec rep.RecoveryReport) {
-	fmt.Printf("%s: recovered %d WAL records under the %s policy (snapshot loaded: %v)\n",
-		name, rec.WALRecords, rec.Policy, rec.SnapshotLoaded)
-	if rec.SnapshotCorrupt {
-		fmt.Fprintf(os.Stderr, "repdir-server: %s: snapshot failed verification; recovered from the WAL alone\n", name)
-	}
+	fmt.Printf("%s: recovered %d WAL records under the %s policy\n", name, rec.WALRecords, rec.Policy)
 	if rec.Salvage != nil {
 		fmt.Fprintf(os.Stderr, "repdir-server: %s: WAL damage: %s (tail preserved at %s)\n",
 			name, rec.Salvage.Error(), rec.Salvage.SidecarPath)
@@ -296,9 +282,6 @@ func reportRecovery(name string, rec rep.RecoveryReport) {
 	}
 	if rec.NeedsRepair {
 		fmt.Fprintf(os.Stderr, "repdir-server: %s: acknowledged writes may be missing; reconcile against peers\n", name)
-	}
-	for _, w := range rec.Warnings {
-		fmt.Fprintf(os.Stderr, "repdir-server: %s: recovery: %s\n", name, w)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 )
 
 func TestBuildRepVolatile(t *testing.T) {
-	r, d, err := buildRep("vol", "", "", wal.SyncOnCommit, rep.RecoverStrict, false, nil)
+	r, d, err := buildRep("vol", "", wal.SyncOnCommit, rep.RecoverStrict, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,10 +31,9 @@ func TestBuildRepRecoversFromWAL(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "rep.wal")
-	snapPath := filepath.Join(dir, "rep.snap")
 
 	// First life: write one committed entry and checkpoint.
-	r1, d1, err := buildRep("persist", walPath, snapPath, wal.SyncOnCommit, rep.RecoverStrict, false, nil)
+	r1, d1, err := buildRep("persist", walPath, wal.SyncOnCommit, rep.RecoverStrict, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +49,8 @@ func TestBuildRepRecoversFromWAL(t *testing.T) {
 	}
 	d1.Close()
 
-	// Second life: the entry survives via the snapshot.
-	r2, d2, err := buildRep("persist", walPath, snapPath, wal.SyncOnCommit, rep.RecoverStrict, false, nil)
+	// Second life: the entry survives in the compacted log.
+	r2, d2, err := buildRep("persist", walPath, wal.SyncOnCommit, rep.RecoverStrict, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestBuildRepWitnessDurable(t *testing.T) {
 	ctx := context.Background()
 	walPath := filepath.Join(t.TempDir(), "w.wal")
 
-	r1, d1, err := buildRep("W", walPath, "", wal.SyncOnCommit, rep.RecoverStrict, true, nil)
+	r1, d1, err := buildRep("W", walPath, wal.SyncOnCommit, rep.RecoverStrict, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestBuildRepWitnessDurable(t *testing.T) {
 
 	// Second life: still a witness, version recovered, value blanked —
 	// the WAL itself must never have carried the value.
-	r2, d2, err := buildRep("W", walPath, "", wal.SyncOnCommit, rep.RecoverStrict, true, nil)
+	r2, d2, err := buildRep("W", walPath, wal.SyncOnCommit, rep.RecoverStrict, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestBuildRepWitnessDurable(t *testing.T) {
 func TestSalvageCountsOnMetrics(t *testing.T) {
 	ctx := context.Background()
 	walPath := filepath.Join(t.TempDir(), "A.wal")
-	r1, d1, err := buildRep("A", walPath, "", wal.SyncOnCommit, rep.RecoverStrict, false, nil)
+	r1, d1, err := buildRep("A", walPath, wal.SyncOnCommit, rep.RecoverStrict, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestSalvageCountsOnMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	observer := obs.NewObserver(obs.ObserverConfig{NoTrace: true})
-	r2, d2, err := buildRep("A", walPath, "", wal.SyncOnCommit, policy, false, observer)
+	r2, d2, err := buildRep("A", walPath, wal.SyncOnCommit, policy, false, observer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +155,11 @@ func TestSalvageCountsOnMetrics(t *testing.T) {
 }
 
 func TestRunFlagValidation(t *testing.T) {
-	if err := run([]string{"-snap", "/tmp/x.snap"}); err == nil {
-		t.Error("-snap without -wal should fail")
+	if err := run([]string{"-checkpoint", "5m"}); err == nil {
+		t.Error("-checkpoint without -wal should fail")
 	}
 	if err := run([]string{"-name", "A", "-addr", "127.0.0.1:0", "-witness", "Z"}); err == nil {
 		t.Error("-witness naming a rep not in -name should fail")
-	}
-	if err := run([]string{"-checkpoint", "5m", "-wal", "/tmp/x.wal"}); err == nil {
-		t.Error("-checkpoint without -snap should fail")
 	}
 	if err := run([]string{"-recovery", "optimistic"}); err == nil {
 		t.Error("unknown -recovery policy should fail")
@@ -171,7 +167,7 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 func TestBuildRepRejectsBadPath(t *testing.T) {
-	if _, _, err := buildRep("x", t.TempDir(), "", wal.SyncOnCommit, rep.RecoverStrict, false, nil); err == nil {
+	if _, _, err := buildRep("x", t.TempDir(), wal.SyncOnCommit, rep.RecoverStrict, false, nil); err == nil {
 		t.Error("opening a directory as a WAL should fail")
 	}
 }

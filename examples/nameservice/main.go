@@ -20,7 +20,6 @@ import (
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
-	"repdir/internal/wal"
 )
 
 func main() {
@@ -40,9 +39,9 @@ func run() error {
 	// Start three representative servers, each with its own WAL.
 	names := []string{"ns-east", "ns-west", "ns-central"}
 	servers := make([]*transport.Server, len(names))
-	logs := make([]*wal.FileLog, len(names))
+	logs := make([]*rep.Durability, len(names))
 	for i, n := range names {
-		r, l, err := recoverRep(n, filepath.Join(dir, n+".wal"))
+		r, l, err := rep.OpenDurable(n, filepath.Join(dir, n+".wal"))
 		if err != nil {
 			return err
 		}
@@ -118,7 +117,7 @@ func run() error {
 	// Recover the crashed replica from its write-ahead log and rebind.
 	fmt.Println("\n== recovering ns-east from its write-ahead log ==")
 	logs[0].Close()
-	r0, l0, err := recoverRep("ns-east", filepath.Join(dir, "ns-east.wal"))
+	r0, l0, err := rep.OpenDurable("ns-east", filepath.Join(dir, "ns-east.wal"))
 	if err != nil {
 		return err
 	}
@@ -165,22 +164,4 @@ func run() error {
 	fmt.Println("all lookups correct with the stale replica back in rotation:")
 	fmt.Println("  version numbers on entries and gaps outvote its stale state")
 	return nil
-}
-
-// recoverRep builds a representative from its WAL (fresh if none).
-func recoverRep(name, walPath string) (*rep.Rep, *wal.FileLog, error) {
-	records, err := wal.ReadFileLog(walPath)
-	if err != nil {
-		records = nil // fresh replica
-	}
-	l, err := wal.OpenFileLog(walPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := rep.Recover(name, records, rep.WithLog(l))
-	if err != nil {
-		l.Close()
-		return nil, nil, err
-	}
-	return r, l, nil
 }

@@ -1,5 +1,5 @@
 // Operations: the runbook walkthrough. A durable 3-2-2 deployment
-// (write-ahead logs + snapshot checkpoints) is driven through the
+// (write-ahead logs, compacted by checkpoints) is driven through the
 // incidents an operator actually faces:
 //
 //  1. a replica crashes and recovers its committed state from disk;
@@ -35,7 +35,6 @@ func main() {
 type node struct {
 	name       string
 	walPath    string
-	snapPath   string
 	durability *rep.Durability
 	server     *transport.Server
 	client     *transport.Client
@@ -43,7 +42,7 @@ type node struct {
 
 // start (re)opens the durable representative and serves it.
 func (n *node) start(addr string) error {
-	r, d, err := rep.OpenDurable(n.name, n.walPath, n.snapPath)
+	r, d, err := rep.OpenDurable(n.name, n.walPath)
 	if err != nil {
 		return err
 	}
@@ -72,11 +71,7 @@ func run() error {
 	nodes := make([]*node, 3)
 	dirs := make([]rep.Directory, 3)
 	for i, name := range []string{"r1", "r2", "r3"} {
-		nodes[i] = &node{
-			name:     name,
-			walPath:  filepath.Join(dir, name+".wal"),
-			snapPath: filepath.Join(dir, name+".snap"),
-		}
+		nodes[i] = &node{name: name, walPath: filepath.Join(dir, name+".wal")}
 		if err := nodes[i].start("127.0.0.1:0"); err != nil {
 			return err
 		}
@@ -111,7 +106,7 @@ func run() error {
 	if err := nodes[0].durability.Checkpoint(); err != nil {
 		return fmt.Errorf("checkpoint r1: %w", err)
 	}
-	fmt.Println("checkpointed r1 (snapshot written, log truncated)")
+	fmt.Println("checkpointed r1 (log compacted to its state)")
 	for i := 6; i < 10; i++ {
 		if err := suite.Insert(ctx, fmt.Sprintf("cfg/%02d", i), "v1"); err != nil {
 			return err
@@ -131,7 +126,7 @@ func run() error {
 	if err := nodes[0].start(addr); err != nil {
 		return err
 	}
-	fmt.Println("r1 recovered (snapshot + log replay); suite kept serving meanwhile")
+	fmt.Println("r1 recovered (compacted log replayed); suite kept serving meanwhile")
 
 	fmt.Println("\n== incident 2: repair brings r1 current again ==")
 	stats, err := core.RepairReplica(ctx, suite, nodes[0].client, core.RepairOptions{})

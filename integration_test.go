@@ -63,7 +63,7 @@ func newTCPSuite(t *testing.T, r, w int) *tcpSuite {
 func (ts *tcpSuite) startServer(i int, addr string) {
 	ts.t.Helper()
 	walPath := filepath.Join(ts.dir, ts.names[i]+".wal")
-	records, err := wal.ReadFileLog(walPath)
+	records, _, err := wal.ScanFileLog(walPath)
 	if err != nil {
 		records = nil
 	}

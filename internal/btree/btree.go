@@ -275,7 +275,7 @@ func (t *Tree) DeleteBetween(lo, hi keyspace.Key) []Entry {
 }
 
 // Entries returns all entries in ascending order. Intended for tests,
-// snapshots, and small directories.
+// checkpoints, and small directories.
 func (t *Tree) Entries() []Entry {
 	out := make([]Entry, 0, t.length)
 	t.Ascend(func(e Entry) bool {

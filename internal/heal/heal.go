@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repdir/internal/core"
@@ -58,36 +57,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts the healer's cumulative work.
-type Stats struct {
-	// Started, Completed, Failed count repair passes.
-	Started, Completed, Failed uint64
-	// Scanned, Copied, Freshened total the entry work across all
-	// passes, Gaps the gap segments coalesced; Pages counts committed
-	// repair transactions.
-	Scanned, Copied, Freshened, Gaps, Pages uint64
-	// Retries counts pass attempts re-run after a transient peer error
-	// (an unavailable or still-recovering member, a wait-die loss). Each
-	// retry restarts the pass; passes are idempotent, so only time is
-	// lost.
-	Retries uint64
-}
-
 // Healer repairs a suite's members on request. Construct with New.
 type Healer struct {
 	suite   *core.Suite
 	cfg     Config
 	targets map[string]rep.Directory
-
-	started   atomic.Uint64
-	completed atomic.Uint64
-	failed    atomic.Uint64
-	scanned   atomic.Uint64
-	copied    atomic.Uint64
-	freshened atomic.Uint64
-	pages     atomic.Uint64
-	gaps      atomic.Uint64
-	retries   atomic.Uint64
 }
 
 // New builds a healer over the suite for the given repair targets
@@ -125,7 +99,6 @@ func (h *Healer) Repair(ctx context.Context, member string, onPage func(core.Rep
 	if !ok {
 		return core.RepairStats{}, fmt.Errorf("heal: unknown member %q", member)
 	}
-	h.started.Add(1)
 	start := time.Now()
 	trace := h.cfg.Obs.StartTrace("heal " + member)
 	pageSpan := trace.StartSpan("page")
@@ -134,18 +107,11 @@ func (h *Healer) Repair(ctx context.Context, member string, onPage func(core.Rep
 	var stats core.RepairStats
 	var err error
 	for attempt := 0; ; attempt++ {
-		var prev core.RepairStats
 		stats, err = core.RepairReplica(rctx, h.suite, target, core.RepairOptions{
 			PageSize: h.cfg.PageSize,
 			OnPage: func(cum core.RepairStats) error {
 				pageSpan.End()
 				pageSpan = trace.StartSpan("page")
-				h.pages.Add(1)
-				h.scanned.Add(uint64(cum.Scanned - prev.Scanned))
-				h.copied.Add(uint64(cum.Copied - prev.Copied))
-				h.freshened.Add(uint64(cum.Freshened - prev.Freshened))
-				h.gaps.Add(uint64(cum.Gaps - prev.Gaps))
-				prev = cum
 				if onPage != nil {
 					onPage(cum)
 				}
@@ -165,7 +131,6 @@ func (h *Healer) Repair(ctx context.Context, member string, onPage func(core.Rep
 		if err == nil || attempt >= passRetries || !transient(err) || rctx.Err() != nil {
 			break
 		}
-		h.retries.Add(1)
 		wait := trace.StartSpan("retry-backoff")
 		t := time.NewTimer(passRetryBase << attempt)
 		select {
@@ -178,12 +143,7 @@ func (h *Healer) Repair(ctx context.Context, member string, onPage func(core.Rep
 	pageSpan.End()
 	trace.Finish(err, 0)
 	h.cfg.Obs.OpDone("heal", time.Since(start), 0, err)
-	if err != nil {
-		h.failed.Add(1)
-		return stats, err
-	}
-	h.completed.Add(1)
-	return stats, nil
+	return stats, err
 }
 
 // Pass retry policy: up to passRetries re-runs of a transiently failed
@@ -242,19 +202,4 @@ func (h *Healer) Converge(ctx context.Context) (core.RepairStats, error) {
 		}
 	}
 	return total, ErrNotConverged
-}
-
-// Stats returns the healer's cumulative counters.
-func (h *Healer) Stats() Stats {
-	return Stats{
-		Started:   h.started.Load(),
-		Completed: h.completed.Load(),
-		Failed:    h.failed.Load(),
-		Scanned:   h.scanned.Load(),
-		Copied:    h.copied.Load(),
-		Freshened: h.freshened.Load(),
-		Pages:     h.pages.Load(),
-		Gaps:      h.gaps.Load(),
-		Retries:   h.retries.Load(),
-	}
 }

@@ -73,7 +73,7 @@ func (f *fixture) divergeC(t *testing.T, n int) []string {
 
 // TestHealerRepairsOnRecovery checks one pass over a member back from
 // an outage: it brings the member fully current, page by page, and the
-// healer's counters and the onPage hook account for the work.
+// returned stats and the onPage hook account for the work.
 func TestHealerRepairsOnRecovery(t *testing.T) {
 	f := newFixture(t)
 	keys := f.divergeC(t, 8)
@@ -92,15 +92,8 @@ func TestHealerRepairsOnRecovery(t *testing.T) {
 	if stats.Copied != len(keys) {
 		t.Errorf("Copied = %d, want %d", stats.Copied, len(keys))
 	}
-	st := h.Stats()
-	if st.Started != 1 || st.Completed != 1 {
-		t.Errorf("stats = %+v, want one started, completed pass", st)
-	}
-	if st.Copied != uint64(len(keys)) {
-		t.Errorf("copied = %d, want %d", st.Copied, len(keys))
-	}
-	if st.Pages < 2 || st.Pages != uint64(pages) {
-		t.Errorf("pages = %d (onPage ran %d times), want >= 2 at page size 4 with 8 entries", st.Pages, pages)
+	if pages < 2 {
+		t.Errorf("onPage ran %d times, want >= 2 at page size 4 with 8 entries", pages)
 	}
 }
 
@@ -140,8 +133,8 @@ func TestHealerConverge(t *testing.T) {
 // TestHealerRebuild wipes C entirely — fresh empty representative in
 // recovering mode, as rep.OpenDurable produces under RecoverRebuild —
 // and checks that a repair pass restores both the current entries and
-// the deletion knowledge (gap versions), with the work visible in healer
-// stats and the pass in the observer's "heal" operations.
+// the deletion knowledge (gap versions), with the work visible in the
+// returned stats and the pass in the observer's "heal" operations.
 func TestHealerRebuild(t *testing.T) {
 	ctx := context.Background()
 	f := newFixture(t)
@@ -164,7 +157,8 @@ func TestHealerRebuild(t *testing.T) {
 
 	o := obs.NewObserver(obs.ObserverConfig{NoTrace: true})
 	h := New(f.suite, f.dirs, Config{PageSize: 2, Obs: o})
-	stats, err := h.Repair(ctx, "C", nil)
+	pages := 0
+	stats, err := h.Repair(ctx, "C", func(core.RepairStats) { pages++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +177,8 @@ func TestHealerRebuild(t *testing.T) {
 		}
 	}
 
-	st := h.Stats()
-	if st.Started != 1 || st.Completed != 1 {
-		t.Errorf("stats = %+v, want one completed pass", st)
-	}
-	if st.Gaps == 0 || st.Copied != 5 || st.Pages == 0 {
-		t.Errorf("stats = %+v, want gap/copy/page work recorded", st)
+	if pages == 0 {
+		t.Error("onPage never ran: no page committed")
 	}
 	if n := o.OpCounts()["heal"]; n != 1 {
 		t.Errorf("observer counted %d heal passes, want 1", n)
@@ -216,7 +206,7 @@ func TestHealerPace(t *testing.T) {
 		t.Errorf("paced repair took %v, want >= 60ms", took)
 	}
 	// The pace is also the cancellation point: an expired context stops
-	// the pass between pages and counts a failure.
+	// the pass between pages and fails it.
 	f.locals[2].Crash()
 	if err := f.suite.Insert(ctx, "late", "v"); err != nil {
 		t.Fatal(err)
@@ -226,9 +216,6 @@ func TestHealerPace(t *testing.T) {
 	cancel()
 	if _, err := h.Repair(cctx, "C", nil); err == nil {
 		t.Error("repair ran to completion under a cancelled context")
-	}
-	if st := h.Stats(); st.Failed == 0 {
-		t.Errorf("stats = %+v, want a failed pass", st)
 	}
 }
 
@@ -250,8 +237,8 @@ func (f *flakyDir) Lookup(ctx context.Context, txn lock.TxnID, key keyspace.Key)
 
 // TestHealerRebuildRetriesTransient is the regression test for the old
 // behavior where one transient peer error failed an entire rebuild: a
-// pass must ride out a bounded number of blips, count the retries, and
-// still complete.
+// pass must ride out a bounded number of blips, retrying, and still
+// complete.
 func TestHealerRebuildRetriesTransient(t *testing.T) {
 	ctx := context.Background()
 	f := newFixture(t)
@@ -276,12 +263,10 @@ func TestHealerRebuildRetriesTransient(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebuild did not survive transient blips: %v (stats %+v)", err, stats)
 	}
-	st := h.Stats()
-	if st.Retries == 0 {
-		t.Errorf("stats = %+v, want retries > 0", st)
-	}
-	if st.Completed != 1 || st.Failed != 0 {
-		t.Errorf("stats = %+v, want one completed pass and no failures", st)
+	// The suite retries nothing itself, so each blip failed a pass
+	// attempt that the healer ran again.
+	if flaky.failures != 0 {
+		t.Errorf("%d blips left unmet, want the pass to have met both", flaky.failures)
 	}
 	for _, k := range keys {
 		if !f.has(2, k) {
@@ -293,12 +278,19 @@ func TestHealerRebuildRetriesTransient(t *testing.T) {
 	// budget is exhausted.
 	f.locals[2].Crash()
 	wedged := &flakyDir{Directory: f.locals[2], failures: 1 << 30}
-	h2 := New(f.suite, []rep.Directory{f.dirs[0], f.dirs[1], wedged}, Config{PageSize: 4})
+	o := obs.NewObserver(obs.ObserverConfig{})
+	h2 := New(f.suite, []rep.Directory{f.dirs[0], f.dirs[1], wedged}, Config{PageSize: 4, Obs: o})
 	if _, err := h2.Repair(ctx, "C", nil); err == nil {
 		t.Fatal("rebuild succeeded against a persistently dead peer")
 	}
-	if st := h2.Stats(); st.Retries != passRetries || st.Failed != 1 {
-		t.Errorf("stats = %+v, want %d retries and one failure", st, passRetries)
+	retries := 0
+	for _, sp := range o.Tracer().Recent()[0].Spans {
+		if sp.Name == "retry-backoff" {
+			retries++
+		}
+	}
+	if retries != passRetries {
+		t.Errorf("the pass was retried %d times, want %d", retries, passRetries)
 	}
 	f.locals[2].Restart()
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// Wire codes for the three key kinds, used by MarshalBinary and the RPC
+// Wire codes for the three key kinds, used by AppendBinary and the RPC
 // layer. The values are part of the on-wire contract; do not renumber.
 const (
 	wireLow    byte = 1
@@ -15,14 +15,8 @@ const (
 
 var errShortKey = errors.New("keyspace: truncated key encoding")
 
-// MarshalBinary encodes the key as a one-byte kind tag followed by the
-// spelling for normal keys. It never fails.
-func (k Key) MarshalBinary() ([]byte, error) {
-	return k.AppendBinary(make([]byte, 0, 1+len(k.s))), nil
-}
-
-// AppendBinary appends the MarshalBinary encoding of the key to b, for
-// callers that encode into a buffer they reuse.
+// AppendBinary appends the key's encoding to b: a one-byte kind tag
+// followed by the spelling for normal keys.
 func (k Key) AppendBinary(b []byte) []byte {
 	switch k.k {
 	case kindLow:
@@ -34,14 +28,7 @@ func (k Key) AppendBinary(b []byte) []byte {
 	}
 }
 
-// GobEncode implements gob.GobEncoder so keys with unexported fields can
-// travel in snapshot files.
-func (k Key) GobEncode() ([]byte, error) { return k.MarshalBinary() }
-
-// GobDecode implements gob.GobDecoder.
-func (k *Key) GobDecode(data []byte) error { return k.UnmarshalBinary(data) }
-
-// UnmarshalBinary decodes a key produced by MarshalBinary.
+// UnmarshalBinary decodes a key produced by AppendBinary.
 func (k *Key) UnmarshalBinary(data []byte) error {
 	if len(data) == 0 {
 		return errShortKey

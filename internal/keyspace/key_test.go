@@ -142,10 +142,7 @@ func TestCompareTotalOrderProperty(t *testing.T) {
 // Property: binary round trip preserves keys, including sentinels.
 func TestBinaryRoundTripProperty(t *testing.T) {
 	roundTrip := func(k Key) bool {
-		data, err := k.MarshalBinary()
-		if err != nil {
-			return false
-		}
+		data := k.AppendBinary(nil)
 		var back Key
 		if err := back.UnmarshalBinary(data); err != nil {
 			return false

@@ -10,11 +10,6 @@ type ObserverConfig struct {
 	// NoTrace disables per-operation tracing; histograms and counters
 	// are still collected.
 	NoTrace bool
-	// SlowOp, when positive, logs (or hands to OnSlow) every completed
-	// trace at or over this duration.
-	SlowOp time.Duration
-	// OnSlow overrides the default slow-trace logger.
-	OnSlow func(TraceSnapshot)
 }
 
 // Observer aggregates the instrumentation one directory suite emits:
@@ -44,12 +39,11 @@ type Observer struct {
 
 	// Storage-fault counters: what recovery salvaged, what it gave up
 	// on, and how far rebuild-from-peers has gotten.
-	walSalvages       atomic.Uint64
-	salvagedRecords   atomic.Uint64
-	quarantinedBytes  atomic.Uint64
-	snapshotFallbacks atomic.Uint64
-	rebuilds          atomic.Uint64
-	rebuildEntries    atomic.Uint64
+	walSalvages      atomic.Uint64
+	salvagedRecords  atomic.Uint64
+	quarantinedBytes atomic.Uint64
+	rebuilds         atomic.Uint64
+	rebuildEntries   atomic.Uint64
 
 	// Reconfiguration counters: epoch transitions committed, operations
 	// fenced for carrying a stale epoch, and read-quorum votes served by
@@ -68,9 +62,6 @@ type StorageStats struct {
 	SalvagedRecords uint64
 	// QuarantinedBytes counts unreadable tail bytes moved to sidecars.
 	QuarantinedBytes uint64
-	// SnapshotFallbacks counts corrupt snapshots abandoned in favor of
-	// WAL-only recovery.
-	SnapshotFallbacks uint64
 	// Rebuilds counts replicas that opened empty and were rebuilt from
 	// a quorum of peers.
 	Rebuilds uint64
@@ -88,7 +79,7 @@ func NewObserver(cfg ObserverConfig) *Observer {
 		opMsgs:   NewCounterVec(),
 	}
 	if !cfg.NoTrace {
-		o.tracer = NewTracer(TracerConfig{SlowOp: cfg.SlowOp, OnSlow: cfg.OnSlow})
+		o.tracer = NewTracer()
 	}
 	return o
 }
@@ -159,15 +150,6 @@ func (o *Observer) SalvageObserved(records int, quarantined int64) {
 	}
 }
 
-// SnapshotFallback records one corrupt snapshot abandoned for WAL-only
-// recovery.
-func (o *Observer) SnapshotFallback() {
-	if o == nil {
-		return
-	}
-	o.snapshotFallbacks.Add(1)
-}
-
 // RebuildStarted records one replica opening empty for rebuild from
 // peers.
 func (o *Observer) RebuildStarted() {
@@ -215,12 +197,11 @@ func (o *Observer) Storage() StorageStats {
 		return StorageStats{}
 	}
 	return StorageStats{
-		Salvages:          o.walSalvages.Load(),
-		SalvagedRecords:   o.salvagedRecords.Load(),
-		QuarantinedBytes:  o.quarantinedBytes.Load(),
-		SnapshotFallbacks: o.snapshotFallbacks.Load(),
-		Rebuilds:          o.rebuilds.Load(),
-		RebuildEntries:    o.rebuildEntries.Load(),
+		Salvages:         o.walSalvages.Load(),
+		SalvagedRecords:  o.salvagedRecords.Load(),
+		QuarantinedBytes: o.quarantinedBytes.Load(),
+		Rebuilds:         o.rebuilds.Load(),
+		RebuildEntries:   o.rebuildEntries.Load(),
 	}
 }
 
@@ -371,9 +352,6 @@ func (o *Observer) Register(reg *Registry) {
 	reg.Counter("repdir_storage_quarantined_bytes_total",
 		"Unreadable WAL tail bytes moved to quarantine sidecars.",
 		o.quarantinedBytes.Load)
-	reg.Counter("repdir_storage_snapshot_fallbacks_total",
-		"Corrupt snapshots abandoned in favor of WAL-only recovery.",
-		o.snapshotFallbacks.Load)
 	reg.Counter("repdir_storage_rebuilds_total",
 		"Replicas opened empty and rebuilt from a quorum of peers.",
 		o.rebuilds.Load)
@@ -392,7 +370,5 @@ func (o *Observer) Register(reg *Registry) {
 	if o.tracer != nil {
 		reg.Counter("repdir_traces_finished_total",
 			"Operation traces completed.", o.tracer.Finished)
-		reg.Counter("repdir_traces_slow_total",
-			"Completed traces at or over the slow-op threshold.", o.tracer.Slow)
 	}
 }

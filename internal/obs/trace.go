@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"log"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,8 +80,7 @@ type TraceSnapshot struct {
 	Spans []Span
 }
 
-// Finish completes the trace, publishing it to the tracer's ring buffer
-// and, when it exceeded the slow-op threshold, to the slow-op hook.
+// Finish completes the trace, publishing it to the tracer's ring buffer.
 // Finishing a trace twice is a no-op.
 func (t *Trace) Finish(err error, messages int) {
 	if t == nil {
@@ -108,50 +106,23 @@ func (t *Trace) Finish(err error, messages int) {
 	t.tracer.record(snap)
 }
 
-// TracerConfig tunes a Tracer. The zero value means defaults.
-type TracerConfig struct {
-	// Ring is the number of recent completed traces kept (default 64).
-	Ring int
-	// SlowOp, when positive, is the duration at or above which a
-	// completed trace is handed to OnSlow.
-	SlowOp time.Duration
-	// OnSlow receives slow traces; nil with SlowOp set logs them via
-	// the standard library logger. It runs synchronously on the
-	// goroutine finishing the operation, so it should be quick.
-	OnSlow func(TraceSnapshot)
-}
+// traceRing is the number of recent completed traces a Tracer keeps.
+const traceRing = 64
 
 // Tracer hands out traces and retains a ring buffer of recently
 // completed ones for inspection ("where did that slow Lookup spend its
 // time?"). Safe for concurrent use; nil-receiver safe.
 type Tracer struct {
-	slow   time.Duration
-	onSlow func(TraceSnapshot)
-
 	mu   sync.Mutex
-	ring []TraceSnapshot
+	ring [traceRing]TraceSnapshot
 	next int
 	full bool
 
-	total     atomic.Uint64
-	slowCount atomic.Uint64
+	total atomic.Uint64
 }
 
 // NewTracer builds a tracer.
-func NewTracer(cfg TracerConfig) *Tracer {
-	if cfg.Ring <= 0 {
-		cfg.Ring = 64
-	}
-	t := &Tracer{
-		slow:   cfg.SlowOp,
-		onSlow: cfg.OnSlow,
-		ring:   make([]TraceSnapshot, cfg.Ring),
-	}
-	if t.slow > 0 && t.onSlow == nil {
-		t.onSlow = func(s TraceSnapshot) { log.Printf("obs: slow operation:\n%s", FormatTrace(s)) }
-	}
-	return t
-}
+func NewTracer() *Tracer { return new(Tracer) }
 
 // Start begins a trace for the named operation. A nil tracer returns a
 // nil trace, on which every method is a no-op.
@@ -175,12 +146,6 @@ func (t *Tracer) record(snap TraceSnapshot) {
 		t.next, t.full = 0, true
 	}
 	t.mu.Unlock()
-	if t.slow > 0 && snap.Duration >= t.slow {
-		t.slowCount.Add(1)
-		if t.onSlow != nil {
-			t.onSlow(snap)
-		}
-	}
 }
 
 // Recent returns the retained traces, oldest first.
@@ -198,22 +163,12 @@ func (t *Tracer) Recent() []TraceSnapshot {
 	return out
 }
 
-// Finished returns how many traces have completed; Slow how many of
-// those crossed the slow-op threshold.
+// Finished returns how many traces have completed.
 func (t *Tracer) Finished() uint64 {
 	if t == nil {
 		return 0
 	}
 	return t.total.Load()
-}
-
-// Slow returns the number of completed traces at or over the slow-op
-// threshold.
-func (t *Tracer) Slow() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.slowCount.Load()
 }
 
 // FormatTrace renders a snapshot as an indented text timeline.

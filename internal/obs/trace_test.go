@@ -2,6 +2,7 @@ package obs
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 // TestTraceSpans checks span recording and snapshot publication.
 func TestTraceSpans(t *testing.T) {
-	tr := NewTracer(TracerConfig{Ring: 8})
+	tr := NewTracer()
 	trace := tr.Start("delete")
 	a := trace.StartSpan("quorum-read k1")
 	a.End()
@@ -50,7 +51,7 @@ func TestTraceSpans(t *testing.T) {
 // TestTraceConcurrentSpans opens spans from several goroutines, as a
 // parallel quorum fan-out does; -race checks the locking.
 func TestTraceConcurrentSpans(t *testing.T) {
-	tr := NewTracer(TracerConfig{})
+	tr := NewTracer()
 	trace := tr.Start("lookup")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -72,35 +73,17 @@ func TestTraceConcurrentSpans(t *testing.T) {
 // TestTracerRing checks the ring buffer wraps, keeping the newest
 // traces in oldest-first order.
 func TestTracerRing(t *testing.T) {
-	tr := NewTracer(TracerConfig{Ring: 3})
-	for i := 0; i < 5; i++ {
-		trace := tr.Start(string(rune('a' + i)))
+	tr := NewTracer()
+	for i := 0; i < traceRing+2; i++ {
+		trace := tr.Start(fmt.Sprint(i))
 		trace.Finish(nil, i)
 	}
 	recent := tr.Recent()
-	if len(recent) != 3 {
+	if len(recent) != traceRing {
 		t.Fatalf("recent = %d", len(recent))
 	}
-	if recent[0].Op != "c" || recent[2].Op != "e" {
-		t.Errorf("ring order: %s %s %s", recent[0].Op, recent[1].Op, recent[2].Op)
-	}
-}
-
-// TestTracerSlowHook checks the slow-op threshold fires the hook with
-// the finished trace.
-func TestTracerSlowHook(t *testing.T) {
-	var got []TraceSnapshot
-	tr := NewTracer(TracerConfig{
-		SlowOp: time.Nanosecond, // everything is slow
-		OnSlow: func(s TraceSnapshot) { got = append(got, s) },
-	})
-	trace := tr.Start("update")
-	trace.Finish(errors.New("boom"), 3)
-	if len(got) != 1 || got[0].Op != "update" || got[0].Err != "boom" {
-		t.Fatalf("slow hook got %+v", got)
-	}
-	if tr.Slow() != 1 {
-		t.Errorf("slow count = %d", tr.Slow())
+	if first, last := recent[0].Op, recent[traceRing-1].Op; first != "2" || last != fmt.Sprint(traceRing+1) {
+		t.Errorf("ring keeps %s..%s, want 2..%d", first, last, traceRing+1)
 	}
 }
 
@@ -115,7 +98,7 @@ func TestNilSafety(t *testing.T) {
 	sp := trace.StartSpan("x") // nil trace
 	sp.End()
 	trace.Finish(nil, 1)
-	if tr.Recent() != nil || tr.Finished() != 0 || tr.Slow() != 0 {
+	if tr.Recent() != nil || tr.Finished() != 0 {
 		t.Error("nil tracer returned data")
 	}
 	var o *Observer

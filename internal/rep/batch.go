@@ -104,6 +104,9 @@ const (
 // only if the store was written in between — then widening the lock
 // until the run is stable under it.
 func (r *Rep) neighborBatch(ctx context.Context, txn lock.TxnID, key keyspace.Key, max int, s side) ([]NeighborResult, error) {
+	if txn == 0 {
+		return nil, ErrReservedTxn
+	}
 	if max < 1 {
 		return nil, fmt.Errorf("rep: batch size %d must be positive", max)
 	}

@@ -1,23 +1,37 @@
 package rep
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
 
+	"repdir/internal/btree"
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
+	"repdir/internal/version"
 	"repdir/internal/wal"
 )
 
-// durablePaths returns WAL and snapshot paths in a temp dir.
-func durablePaths(t *testing.T) (string, string) {
+// durablePath returns a WAL path in a temp dir.
+func durablePath(t *testing.T) string {
 	t.Helper()
-	dir := t.TempDir()
-	return filepath.Join(dir, "rep.wal"), filepath.Join(dir, "rep.snap")
+	return filepath.Join(t.TempDir(), "rep.wal")
+}
+
+// readLog returns the records of the log at path, which must scan clean.
+func readLog(t *testing.T, path string) []wal.Record {
+	t.Helper()
+	records, report, err := wal.ScanFileLog(path)
+	if err != nil || report != nil {
+		t.Fatalf("read %s: %v %v", path, report, err)
+	}
+	return records
 }
 
 // commitInsert runs one committed insert through a fresh transaction.
@@ -32,8 +46,8 @@ func commitInsert(t *testing.T, r *Rep, id lock.TxnID, key string, ver int) {
 }
 
 func TestOpenDurableFresh(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	r, d, err := OpenDurable("fresh", walPath, snapPath)
+	walPath := durablePath(t)
+	r, d, err := OpenDurable("fresh", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +58,8 @@ func TestOpenDurableFresh(t *testing.T) {
 }
 
 func TestDurableSurvivesReopen(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	r, d, err := OpenDurable("dur", walPath, snapPath)
+	walPath := durablePath(t)
+	r, d, err := OpenDurable("dur", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +67,7 @@ func TestDurableSurvivesReopen(t *testing.T) {
 	commitInsert(t, r, 2, "b", 1)
 	d.Close()
 
-	r2, d2, err := OpenDurable("dur", walPath, snapPath)
+	r2, d2, err := OpenDurable("dur", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +82,8 @@ func TestDurableSurvivesReopen(t *testing.T) {
 }
 
 func TestCheckpointTruncatesAndRecovers(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	r, d, err := OpenDurable("cp", walPath, snapPath)
+	walPath := durablePath(t)
+	r, d, err := OpenDurable("cp", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,19 +93,23 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// The log is now empty on disk.
-	records, err := wal.ReadFileLog(walPath)
-	if err != nil {
-		t.Fatal(err)
+	// The log's history is cut: it holds the checkpoint section alone, no
+	// prepare of the twenty transactions, closed by a commit of
+	// transaction 0 naming the representative.
+	records := readLog(t, walPath)
+	for _, rec := range records {
+		if rec.Kind == wal.KindPrepare {
+			t.Fatalf("log still holds a prepare after checkpoint: %+v", rec)
+		}
 	}
-	if len(records) != 0 {
-		t.Errorf("log should be truncated after checkpoint, has %d records", len(records))
+	if last := records[len(records)-1]; last.Kind != wal.KindCommit || last.Txn != 0 || last.Value != "cp" {
+		t.Errorf("log after checkpoint ends with %+v, want the commit of transaction 0 naming cp", last)
 	}
 	// Post-checkpoint writes land in the fresh log.
 	commitInsert(t, r, 100, "post", 1)
 	d.Close()
 
-	r2, d2, err := OpenDurable("cp", walPath, snapPath)
+	r2, d2, err := OpenDurable("cp", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,13 +124,15 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	r2.Commit(ctx, 200)
 }
 
+// TestCrashBetweenSnapshotAndTruncateIsSafe crashes a checkpoint at
+// each step of its swap (wal.FileLog.Compact). Before the rename the old
+// log is at the path and the fsynced compacted one beside it; after it,
+// the compacted log alone. Either recovers the state the checkpoint
+// captured, the temp file is never read, and an append acknowledged
+// after the swap lands in the compacted log and survives a reopen.
 func TestCrashBetweenSnapshotAndTruncateIsSafe(t *testing.T) {
-	// Simulate the crash window: snapshot written, log NOT truncated.
-	// Recovery must skip the covered prefix by LSN instead of replaying
-	// it twice (double-replay of a coalesce whose bound was later
-	// deleted would fail).
-	walPath, snapPath := durablePaths(t)
-	r, d, err := OpenDurable("win", walPath, snapPath)
+	walPath := durablePath(t)
+	r, d, err := OpenDurable("win", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,48 +146,164 @@ func TestCrashBetweenSnapshotAndTruncateIsSafe(t *testing.T) {
 	if err := r.Commit(ctx, 4); err != nil {
 		t.Fatal(err)
 	}
-
-	// Write the snapshot by hand — the checkpoint's first half only.
-	snap, err := r.checkpointState()
-	if err != nil {
+	checkpointed := r.Dump()
+	old := readFile(t, walPath)
+	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSnapshot(snapPath, snap); err != nil {
-		t.Fatal(err)
-	}
-	// "Crash": no truncate. Now delete a — its redo record refers to a
-	// state the snapshot already contains.
+	compacted := readFile(t, walPath)
+	// Delete a, acknowledged on the compacted log; then the process dies
+	// without closing it.
 	if _, err := r.Coalesce(ctx, 5, keyspace.Low(), k("c"), 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Commit(ctx, 5); err != nil {
 		t.Fatal(err)
 	}
+	appended := r.Dump()
+	crashed := readFile(t, walPath)
+
+	garbage := []byte("not a log at all")
+	for _, tc := range []struct {
+		name      string
+		log, temp []byte
+		want      []btree.Entry
+	}{
+		// The temp file is the compacted log, whole and fsynced: were it
+		// read, the report would count its records, not the old log's.
+		{"before the rename", old, compacted, checkpointed},
+		{"after the rename", compacted, nil, checkpointed},
+		{"after an append to the compacted log", crashed, garbage, appended},
+	} {
+		p := filepath.Join(t.TempDir(), "rep.wal")
+		writeFile(t, p, tc.log)
+		if tc.temp != nil {
+			writeFile(t, p+".compact", tc.temp)
+		}
+		r2, d2, err := OpenDurable("win", p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := r2.Dump(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: recovered %v, want %v", tc.name, got, tc.want)
+		}
+		if records := readLog(t, p); d2.Recovery().WALRecords != len(records) {
+			t.Errorf("%s: recovered %d records, the log holds %d", tc.name, d2.Recovery().WALRecords, len(records))
+		}
+		// A leftover temp file does not stand in the next checkpoint's way.
+		if err := d2.Checkpoint(); err != nil {
+			t.Fatalf("%s: checkpoint over a leftover temp file: %v", tc.name, err)
+		}
+		d2.Close()
+		r3, d3, err := OpenDurable("win", p)
+		if err != nil {
+			t.Fatalf("%s: reopen after the second checkpoint: %v", tc.name, err)
+		}
+		if got := r3.Dump(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: after a second checkpoint, recovered %v, want %v", tc.name, got, tc.want)
+		}
+		d3.Close()
+	}
+	d.Close()
+}
+
+// TestCheckpointRoundTrip: a checkpoint keeps everything a replay of the
+// whole log restores. A seeded mix of inserts, updates and deletes
+// leaves gap versions of its own on most gaps, beside an epoch advance
+// and transactions committed and aborted; after a checkpoint, close and
+// reopen, the entries, the fence and the status of every decided
+// transaction are what they were, and transaction 0 is no transaction.
+func TestCheckpointRoundTrip(t *testing.T) {
+	walPath := durablePath(t)
+	r, d, err := OpenDurable("rt", walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(40))
+	var decided []lock.TxnID
+	for id := lock.TxnID(1); id <= 300; id++ {
+		ver := version.V(id)
+		entries := r.Dump()
+		switch op := rng.Intn(10); {
+		case op < 5: // insert, or update a key already there
+			if err := r.Insert(ctx, id, k(fmt.Sprintf("k%02d", rng.Intn(40))), ver, fmt.Sprintf("v%d", id)); err != nil {
+				t.Fatal(err)
+			}
+		case len(entries) > 2: // delete an entry: coalesce its neighbors
+			i := 1 + rng.Intn(len(entries)-2)
+			if _, err := r.Coalesce(ctx, id, entries[i-1].Key, entries[i+1].Key, ver); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			continue
+		}
+		if err := r.Prepare(MarkWriters(ctx, 1), id); err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(5) == 0 {
+			err = r.Abort(ctx, id)
+		} else {
+			err = r.Commit(ctx, id)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		decided = append(decided, id)
+	}
+	if _, err := r.AdvanceEpoch(7); err != nil {
+		t.Fatal(err)
+	}
+	before := r.Dump()
+	statuses := make(map[lock.TxnID]TxnStatus, len(decided))
+	for _, id := range decided {
+		statuses[id], _ = r.Status(ctx, id)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	d.Close()
 
-	// Full log + snapshot on disk. Recovery must produce: c present,
-	// a and b absent.
-	r2, d2, err := OpenDurable("win", walPath, snapPath)
+	r2, d2, err := OpenDurable("rt", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	tests := []struct {
-		key  string
-		want bool
-	}{{"a", false}, {"b", false}, {"c", true}}
-	for _, tt := range tests {
-		res, err := r2.Lookup(ctx, 300, k(tt.key))
-		if err != nil || res.Found != tt.want {
-			t.Errorf("recovered lookup(%s) = %+v, %v; want found=%v", tt.key, res, err, tt.want)
+	if got := r2.Dump(); !slices.Equal(got, before) {
+		t.Errorf("entries after checkpoint and reopen:\n got %v\nwant %v", got, before)
+	}
+	if got := r2.Fence(); got != 7 {
+		t.Errorf("fence after checkpoint and reopen = %d, want 7", got)
+	}
+	for _, id := range decided {
+		if got, _ := r2.Status(ctx, id); got != statuses[id] {
+			t.Errorf("status of transaction %d after checkpoint and reopen = %v, want %v", id, got, statuses[id])
 		}
 	}
-	r2.Commit(ctx, 300)
+	if got, _ := r2.Status(ctx, 0); got != StatusUnknown {
+		t.Errorf("status of transaction 0 = %v, want unknown", got)
+	}
+}
+
+// readFile and writeFile are os.ReadFile and os.WriteFile for tests.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestCheckpointRefusesWhileBusy(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	r, d, err := OpenDurable("busy", walPath, snapPath)
+	walPath := durablePath(t)
+	r, d, err := OpenDurable("busy", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +322,12 @@ func TestCheckpointRefusesWhileBusy(t *testing.T) {
 	}
 }
 
+// TestOpenDurableRejectsForeignSnapshot: a log whose checkpoint section
+// names another representative is refused under every policy, and left
+// as it was.
 func TestOpenDurableRejectsForeignSnapshot(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	r, d, err := OpenDurable("mine", walPath, snapPath)
+	walPath := durablePath(t)
+	r, d, err := OpenDurable("mine", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +336,28 @@ func TestOpenDurableRejectsForeignSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Close()
-	if _, _, err := OpenDurable("theirs", walPath, snapPath); err == nil {
-		t.Error("opening with a mismatched name should fail")
+	before := readFile(t, walPath)
+	for _, policy := range []RecoveryPolicy{RecoverStrict, RecoverSalvage, RecoverRebuild} {
+		if _, _, err := OpenDurable("theirs", walPath, WithRecovery(policy)); err == nil {
+			t.Errorf("%s: opening another representative's log should fail", policy)
+		}
+		if !bytes.Equal(readFile(t, walPath), before) {
+			t.Fatalf("%s: the refusal modified the log", policy)
+		}
+	}
+	r2, d2, err := OpenDurable("mine", walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if res, err := r2.Lookup(ctx, 10, k("a")); err != nil || !res.Found {
+		t.Errorf("lookup(a) in its own log = %+v, %v", res, err)
 	}
 }
 
 func TestUncommittedNeverSurvivesDurableReopen(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	r, d, err := OpenDurable("unc", walPath, snapPath)
+	walPath := durablePath(t)
+	r, d, err := OpenDurable("unc", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +370,7 @@ func TestUncommittedNeverSurvivesDurableReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Close()
-	r2, d2, err := OpenDurable("unc", walPath, snapPath)
+	r2, d2, err := OpenDurable("unc", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +388,8 @@ func TestUncommittedNeverSurvivesDurableReopen(t *testing.T) {
 // keys through a file-backed log: the framed WAL writes must serialize
 // correctly under contention, and recovery must see all of them.
 func TestDurableConcurrentCommits(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	r, d, err := OpenDurable("conc", walPath, snapPath)
+	walPath := durablePath(t)
+	r, d, err := OpenDurable("conc", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +422,7 @@ func TestDurableConcurrentCommits(t *testing.T) {
 	}
 	d.Close()
 
-	r2, d2, err := OpenDurable("conc", walPath, snapPath)
+	r2, d2, err := OpenDurable("conc", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,14 +433,15 @@ func TestDurableConcurrentCommits(t *testing.T) {
 }
 
 // TestCheckpointKeepsCommitsThatRaceIt: a checkpoint on a live
-// representative writes its snapshot with nothing held, so transactions
-// commit meanwhile. Their records are in the log alone; compacting the
-// log then would discard commits that were acknowledged.
+// representative writes its compacted log with nothing held, so
+// transactions commit meanwhile. Their records are in the old log alone;
+// swapping the compacted one in then would discard commits that were
+// acknowledged.
 func TestCheckpointKeepsCommitsThatRaceIt(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	// The race is between the snapshot write and the commits, not the
-	// commits' own fsyncs; without them the run takes a moment.
-	r, d, err := OpenDurable("live", walPath, snapPath, WithSyncPolicy(wal.SyncNever))
+	walPath := durablePath(t)
+	// The race is between the compacted log's write and the commits,
+	// not the commits' own fsyncs; without them the run takes a moment.
+	r, d, err := OpenDurable("live", walPath, WithSyncPolicy(wal.SyncNever))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +471,7 @@ func TestCheckpointKeepsCommitsThatRaceIt(t *testing.T) {
 	}
 	d.Close()
 
-	r2, d2, err := OpenDurable("live", walPath, snapPath)
+	r2, d2, err := OpenDurable("live", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,12 +484,12 @@ func TestCheckpointKeepsCommitsThatRaceIt(t *testing.T) {
 // TestDurableTortureLoop interleaves committed work, checkpoints, and
 // reopen-from-disk "crashes", auditing the full contents each life.
 func TestDurableTortureLoop(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
+	walPath := durablePath(t)
 	oracle := map[string]bool{}
 	nextTxn := lock.TxnID(1)
 
 	for life := 0; life < 6; life++ {
-		r, d, err := OpenDurable("torture", walPath, snapPath)
+		r, d, err := OpenDurable("torture", walPath)
 		if err != nil {
 			t.Fatalf("life %d: %v", life, err)
 		}
@@ -361,8 +515,8 @@ func TestDurableTortureLoop(t *testing.T) {
 			nextTxn++
 			oracle[key] = true
 		}
-		// Checkpoint on even lives, skip on odd (exercising both the
-		// snapshot+log and log-only recovery paths).
+		// Checkpoint on even lives, skip on odd (exercising recovery of
+		// a compacted log with and without records after its section).
 		if life%2 == 0 {
 			if err := d.Checkpoint(); err != nil {
 				t.Fatalf("life %d checkpoint: %v", life, err)
@@ -377,8 +531,8 @@ func TestDurableTortureLoop(t *testing.T) {
 // transaction's one writer — carrying the redo record to disk — and
 // writes its commit record unforced.
 func TestDurableCommitSyncsWAL(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	r, d, err := OpenDurable("sync", walPath, snapPath)
+	walPath := durablePath(t)
+	r, d, err := OpenDurable("sync", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,22 +541,22 @@ func TestDurableCommitSyncsWAL(t *testing.T) {
 	if got := d.log.SyncCount(); got != 1 {
 		t.Fatalf("one-shot commit issued %d fsyncs, want 1, for its prepare", got)
 	}
-	records, err := wal.ReadFileLog(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := readLog(t, walPath)
 	var kinds []wal.Kind
 	for _, rec := range records {
 		kinds = append(kinds, rec.Kind)
 	}
-	if want := []wal.Kind{wal.KindInsert, wal.KindPrepare, wal.KindCommit}; !slices.Equal(kinds, want) || records[1].Writers != 1 {
-		t.Fatalf("log holds %v (prepare writers %d), want %v with the prepare naming 1 writer", kinds, records[1].Writers, want)
+	// The log opens with the section of an empty representative it was
+	// created with.
+	want := []wal.Kind{wal.KindCoalesce, wal.KindEpoch, wal.KindCommit, wal.KindInsert, wal.KindPrepare, wal.KindCommit}
+	if !slices.Equal(kinds, want) || records[4].Writers != 1 {
+		t.Fatalf("log holds %v, want %v with the prepare naming 1 writer", kinds, want)
 	}
 }
 
 func TestDurableSyncNeverOptsOut(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	r, d, err := OpenDurable("nosync", walPath, snapPath, WithSyncPolicy(wal.SyncNever))
+	walPath := durablePath(t)
+	r, d, err := OpenDurable("nosync", walPath, WithSyncPolicy(wal.SyncNever))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,3 +566,58 @@ func TestDurableSyncNeverOptsOut(t *testing.T) {
 		t.Fatalf("SyncNever issued %d fsyncs", got)
 	}
 }
+
+// TestTransactionZeroIsReserved: the records of a checkpoint section are
+// logged under transaction 0, so no call may write, lock or decide
+// under it — a committed write of its would be read back as part of
+// the section, and skipped. Every transactional call refuses it before
+// taking a lock, the log never holds a record of it outside a section,
+// and Status of it, the fence probe, still answers.
+func TestTransactionZeroIsReserved(t *testing.T) {
+	walPath := durablePath(t)
+	r, d, err := OpenDurable("zero", walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	commitInsert(t, r, 1, "a", 1)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for what, err := range map[string]error{
+		"Insert":          r.Insert(ctx, 0, k("b"), 2, "v"),
+		"Coalesce":        second(r.Coalesce(ctx, 0, keyspace.Low(), k("a"), 2)),
+		"Lookup":          second(r.Lookup(ctx, 0, k("a"))),
+		"Lookup one-shot": second(r.Lookup(MarkOneShot(ctx), 0, k("a"))),
+		"Successor":       second(r.Successor(ctx, 0, k("a"))),
+		"Prepare":         r.Prepare(MarkWriters(ctx, 1), 0),
+		"Commit":          r.Commit(ctx, 0),
+		"Abort":           r.Abort(ctx, 0),
+	} {
+		if !errors.Is(err, ErrReservedTxn) {
+			t.Errorf("%s under transaction 0 = %v, want ErrReservedTxn", what, err)
+		}
+	}
+	if st, err := r.Status(ctx, 0); err != nil || st != StatusUnknown {
+		t.Errorf("Status(0) = %v, %v, want unknown", st, err)
+	}
+	// No lock was left behind under transaction 0.
+	commitInsert(t, r, 2, "b", 1)
+	if _, err := r.Coalesce(ctx, 3, keyspace.Low(), k("b"), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Commit(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+
+	records := readLog(t, walPath)
+	end := slices.IndexFunc(records, func(rec wal.Record) bool { return rec.Kind == wal.KindCommit && rec.Txn == 0 })
+	for _, rec := range records[end+1:] {
+		if rec.Txn == 0 {
+			t.Errorf("log holds %+v, a record of transaction 0 after its section", rec)
+		}
+	}
+}
+
+// second returns the error of a call that also returns a result.
+func second[T any](_ T, err error) error { return err }

@@ -189,19 +189,16 @@ func fileRecords(t *testing.T, f *waltest.File) []wal.Record {
 	if err := os.WriteFile(path, f.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	records, err := wal.ReadFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := readLog(t, path)
 	return records
 }
 
 // TestCheckpointBusyDuringCommitSync: a transaction whose commit is
-// still waiting for the log is in flight, so no snapshot is cut across
+// still waiting for the log is in flight, so no checkpoint is cut across
 // it.
 func TestCheckpointBusyDuringCommitSync(t *testing.T) {
 	p := parkCommit(t)
-	d := &Durability{rep: p.r, log: p.log, snapPath: filepath.Join(t.TempDir(), "rep.snap")}
+	d := &Durability{rep: p.r, log: p.log, walPath: filepath.Join(t.TempDir(), "rep.wal")}
 	if err := d.Checkpoint(); !errors.Is(err, ErrBusy) {
 		t.Fatalf("checkpoint during commit sync = %v, want ErrBusy", err)
 	}

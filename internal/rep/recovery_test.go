@@ -2,9 +2,9 @@ package rep
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repdir/internal/lock"
@@ -26,9 +26,9 @@ func flipByte(t *testing.T, path string, frac float64) {
 }
 
 // seedDurable opens, commits n inserts, and closes, leaving files behind.
-func seedDurable(t *testing.T, name, walPath, snapPath string, n int) {
+func seedDurable(t *testing.T, name, walPath string, n int) {
 	t.Helper()
-	r, d, err := OpenDurable(name, walPath, snapPath)
+	r, d, err := OpenDurable(name, walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,106 +70,110 @@ func TestRecoveringModeBouncesReads(t *testing.T) {
 	r.Commit(ctx, 15)
 }
 
-func TestCorruptSnapshotFallsBackToWAL(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	// Commit, checkpoint, then commit more WITHOUT truncating history:
-	// easiest is to never checkpoint, so the WAL reaches back to LSN 1
-	// and can cover for the snapshot entirely.
-	r, d, err := OpenDurable("fb", walPath, snapPath)
+// TestCorruptSnapshotWithTruncatedWAL damages the checkpoint section a
+// compacted log opens with: cut at a frame boundary inside it, which
+// scans clean but has no closing record, one flipped bit in it, and a
+// cut inside its first frame. The
+// history before the checkpoint is gone, so nothing can recover "a"
+// locally: strict and salvage refuse, leaving the log as it was, and
+// rebuild archives it and opens empty in recovering mode — never an
+// empty store opened as if nothing were wrong.
+func TestCorruptSnapshotWithTruncatedWAL(t *testing.T) {
+	walPath := durablePath(t)
+	r, d, err := OpenDurable("gone", walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	commitInsert(t, r, 1, "a", 1)
-	commitInsert(t, r, 2, "b", 2)
-	if err := WriteSnapshot(snapPath, Snapshot{Name: "fb", Entries: r.Dump()}); err != nil {
+	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	section := readFile(t, walPath)
+	commitInsert(t, r, 2, "b", 2)
 	d.Close()
-	flipByte(t, snapPath, 0.5)
+	whole := readFile(t, walPath)
 
-	// Even the strict policy tolerates this: the WAL alone rebuilds it.
-	o := obs.NewObserver(obs.ObserverConfig{NoTrace: true})
-	r2, d2, err := OpenDurable("fb", walPath, snapPath, WithDurableObserver(o))
-	if err != nil {
-		t.Fatalf("corrupt snapshot with full WAL should fall back: %v", err)
+	cut := append([]byte(nil), section[:len(section)/2]...)
+	records, report, err := wal.ScanFileLog(writeTemp(t, cut))
+	for report != nil && report.Cause.Torn() {
+		// Back up to the last whole frame, so the scan is clean.
+		cut = cut[:report.Offset]
+		records, report, err = wal.ScanFileLog(writeTemp(t, cut))
 	}
-	defer d2.Close()
-	rec := d2.Recovery()
-	if !rec.SnapshotCorrupt || rec.SnapshotLoaded || len(rec.Warnings) == 0 {
-		t.Errorf("recovery report = %+v", rec)
+	if err != nil || len(records) == 0 {
+		t.Fatalf("no whole frame in the first half of the section: %d records, %v", len(records), err)
 	}
-	for _, key := range []string{"a", "b"} {
-		res, err := r2.Lookup(ctx, 10, k(key))
-		if err != nil || !res.Found {
-			t.Errorf("%s lost in WAL fallback: %+v %v", key, res, err)
+	flipped := append([]byte(nil), whole...)
+	flipped[len(section)/2] ^= 0x40
+
+	for _, damage := range []struct {
+		name string
+		log  []byte
+	}{
+		{"cut at a frame boundary", cut},
+		{"bit flip", flipped},
+		// With no whole frame left, nothing says a section was there.
+		{"cut inside the first frame", section[:5]},
+	} {
+		for _, policy := range []RecoveryPolicy{RecoverStrict, RecoverSalvage} {
+			p := writeTemp(t, damage.log)
+			if _, _, err := OpenDurable("gone", p, WithRecovery(policy)); err == nil {
+				t.Errorf("%s, %s: open over a damaged checkpoint section should fail", damage.name, policy)
+			}
+			if !bytes.Equal(readFile(t, p), damage.log) {
+				t.Errorf("%s, %s: the refusal modified the log", damage.name, policy)
+			}
+			if _, err := os.Stat(p + ".quarantine"); !os.IsNotExist(err) {
+				t.Errorf("%s, %s: the refusal wrote a quarantine sidecar", damage.name, policy)
+			}
 		}
-	}
-	r2.Commit(ctx, 10)
-	if s := o.Storage(); s.SnapshotFallbacks != 1 {
-		t.Errorf("SnapshotFallbacks = %d, want 1", s.SnapshotFallbacks)
+		// Rebuild opens empty, recovering, with the evidence archived.
+		p := writeTemp(t, damage.log)
+		o := obs.NewObserver(obs.ObserverConfig{NoTrace: true})
+		r2, d2, err := OpenDurable("gone", p, WithRecovery(RecoverRebuild), WithDurableObserver(o))
+		if err != nil {
+			t.Fatalf("%s, rebuild: %v", damage.name, err)
+		}
+		rec := d2.Recovery()
+		if !rec.Rebuilt || !rec.NeedsRepair {
+			t.Errorf("%s: recovery report = %+v", damage.name, rec)
+		}
+		if !r2.Recovering() {
+			t.Errorf("%s: rebuilt replica should open in recovering mode", damage.name)
+		}
+		if r2.Len() != 2 {
+			t.Errorf("%s: rebuilt replica should hold only sentinels, got %d", damage.name, r2.Len())
+		}
+		if archived, err := os.ReadFile(p + ".corrupt"); err != nil || !bytes.Equal(archived, damage.log) {
+			t.Errorf("%s: damaged log not archived whole (%v)", damage.name, err)
+		}
+		if s := o.Storage(); s.Rebuilds != 1 {
+			t.Errorf("%s: Rebuilds = %d, want 1", damage.name, s.Rebuilds)
+		}
+		// Writes land while recovering, and versions restart from scratch.
+		commitInsert(t, r2, 7, "x", 1)
+		r2.SetRecovering(false)
+		res, err := r2.Lookup(ctx, 20, k("x"))
+		if err != nil || !res.Found {
+			t.Errorf("%s: post-rebuild write lost: %+v %v", damage.name, res, err)
+		}
+		r2.Commit(ctx, 20)
+		d2.Close()
 	}
 }
 
-func TestCorruptSnapshotWithTruncatedWAL(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	r, d, err := OpenDurable("gone", walPath, snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitInsert(t, r, 1, "a", 1)
-	if err := d.Checkpoint(); err != nil { // truncates the WAL
-		t.Fatal(err)
-	}
-	commitInsert(t, r, 2, "b", 2)
-	d.Close()
-	flipByte(t, snapPath, 0.5)
-
-	// The WAL starts after the checkpoint; nothing can recover "a"
-	// locally. Strict and salvage must refuse...
-	if _, _, err := OpenDurable("gone", walPath, snapPath); err == nil {
-		t.Fatal("strict open over unrecoverable snapshot should fail")
-	}
-	if _, _, err := OpenDurable("gone", walPath, snapPath, WithRecovery(RecoverSalvage)); err == nil {
-		t.Fatal("salvage open over unrecoverable snapshot should fail")
-	}
-	// ...and rebuild opens empty, recovering, with the evidence archived.
-	o := obs.NewObserver(obs.ObserverConfig{NoTrace: true})
-	r2, d2, err := OpenDurable("gone", walPath, snapPath,
-		WithRecovery(RecoverRebuild), WithDurableObserver(o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	rec := d2.Recovery()
-	if !rec.Rebuilt || !rec.NeedsRepair || !rec.SnapshotCorrupt {
-		t.Errorf("recovery report = %+v", rec)
-	}
-	if !r2.Recovering() {
-		t.Error("rebuilt replica should open in recovering mode")
-	}
-	if r2.Len() != 2 {
-		t.Errorf("rebuilt replica should hold only sentinels, got %d", r2.Len())
-	}
-	if _, err := os.Stat(snapPath + ".corrupt"); err != nil {
-		t.Errorf("corrupt snapshot not archived: %v", err)
-	}
-	if s := o.Storage(); s.Rebuilds != 1 {
-		t.Errorf("Rebuilds = %d, want 1", s.Rebuilds)
-	}
-	// Writes land while recovering, and versions restart from scratch.
-	commitInsert(t, r2, 7, "x", 1)
-	r2.SetRecovering(false)
-	res, err := r2.Lookup(ctx, 20, k("x"))
-	if err != nil || !res.Found {
-		t.Errorf("post-rebuild write lost: %+v %v", res, err)
-	}
-	r2.Commit(ctx, 20)
+// writeTemp writes data to a fresh log path and returns the path.
+func writeTemp(t *testing.T, data []byte) string {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), "rep.wal")
+	writeFile(t, p, data)
+	return p
 }
 
 func TestMidLogCorruptionPolicies(t *testing.T) {
-	openWith := func(t *testing.T, policy RecoveryPolicy) (string, string) {
-		walPath, snapPath := durablePaths(t)
-		r, d, err := OpenDurable("mid", walPath, snapPath)
+	openWith := func(t *testing.T, policy RecoveryPolicy) string {
+		walPath := durablePath(t)
+		r, d, err := OpenDurable("mid", walPath)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,16 +182,16 @@ func TestMidLogCorruptionPolicies(t *testing.T) {
 		}
 		d.Close()
 		flipByte(t, walPath, 0.6)
-		return walPath, snapPath
+		return walPath
 	}
 
 	t.Run("strict", func(t *testing.T) {
-		walPath, snapPath := openWith(t, RecoverStrict)
+		walPath := openWith(t, RecoverStrict)
 		before, err := os.ReadFile(walPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = OpenDurable("mid", walPath, snapPath)
+		_, _, err = OpenDurable("mid", walPath)
 		if err == nil {
 			t.Fatal("strict open over mid-log corruption should fail")
 		}
@@ -209,15 +213,15 @@ func TestMidLogCorruptionPolicies(t *testing.T) {
 		if _, err := os.Stat(walPath + ".quarantine"); !os.IsNotExist(err) {
 			t.Error("strict refusal wrote a quarantine sidecar")
 		}
-		if _, _, err := OpenDurable("mid", walPath, snapPath); err == nil {
+		if _, _, err := OpenDurable("mid", walPath); err == nil {
 			t.Fatal("second strict open should still refuse")
 		}
 	})
 
 	t.Run("salvage", func(t *testing.T) {
-		walPath, snapPath := openWith(t, RecoverSalvage)
+		walPath := openWith(t, RecoverSalvage)
 		o := obs.NewObserver(obs.ObserverConfig{NoTrace: true})
-		r, d, err := OpenDurable("mid", walPath, snapPath,
+		r, d, err := OpenDurable("mid", walPath,
 			WithRecovery(RecoverSalvage), WithDurableObserver(o))
 		if err != nil {
 			t.Fatal(err)
@@ -237,7 +241,7 @@ func TestMidLogCorruptionPolicies(t *testing.T) {
 			t.Errorf("storage stats = %+v", s)
 		}
 		// The log was truncated to the valid prefix, so a reopen is clean.
-		r2, d2, err := OpenDurable("mid", walPath, snapPath)
+		r2, d2, err := OpenDurable("mid", walPath)
 		if err != nil {
 			t.Fatalf("reopen after salvage should be clean: %v", err)
 		}
@@ -246,8 +250,8 @@ func TestMidLogCorruptionPolicies(t *testing.T) {
 	})
 
 	t.Run("rebuild", func(t *testing.T) {
-		walPath, snapPath := openWith(t, RecoverRebuild)
-		r, d, err := OpenDurable("mid", walPath, snapPath, WithRecovery(RecoverRebuild))
+		walPath := openWith(t, RecoverRebuild)
+		r, d, err := OpenDurable("mid", walPath, WithRecovery(RecoverRebuild))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,8 +266,8 @@ func TestMidLogCorruptionPolicies(t *testing.T) {
 }
 
 func TestTornTailRecoversUnderStrict(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	seedDurable(t, "torn", walPath, snapPath, 3)
+	walPath := durablePath(t)
+	seedDurable(t, "torn", walPath, 3)
 	// Append garbage shorter than a header: a torn final append.
 	f, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
@@ -272,7 +276,7 @@ func TestTornTailRecoversUnderStrict(t *testing.T) {
 	f.Write([]byte{0xF7, 'W'})
 	f.Close()
 
-	r, d, err := OpenDurable("torn", walPath, snapPath)
+	r, d, err := OpenDurable("torn", walPath)
 	if err != nil {
 		t.Fatalf("torn tail must not fail strict recovery: %v", err)
 	}
@@ -288,36 +292,6 @@ func TestTornTailRecoversUnderStrict(t *testing.T) {
 	r.Commit(ctx, 10)
 }
 
-// TestBareGobSnapshotIsCorrupt: a snapshot without the checksummed
-// header — what builds before the header wrote — is not read on trust.
-// It is a corrupt snapshot like any other: abandoned when the log covers
-// for it, refused when it does not.
-func TestBareGobSnapshotIsCorrupt(t *testing.T) {
-	walPath, snapPath := durablePaths(t)
-	seedDurable(t, "old", walPath, "", 2)
-	var bare bytes.Buffer
-	if err := gob.NewEncoder(&bare).Encode(Snapshot{Name: "old", Entries: New("old").Dump()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snapPath, bare.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadSnapshot(snapPath); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("ReadSnapshot = %v, want ErrSnapshotCorrupt", err)
-	}
-	r, d, err := OpenDurable("old", walPath, snapPath)
-	if err != nil {
-		t.Fatalf("the log covers for the snapshot: %v", err)
-	}
-	defer d.Close()
-	if rec := d.Recovery(); rec.SnapshotLoaded || !rec.SnapshotCorrupt {
-		t.Errorf("recovery report = %+v", rec)
-	}
-	if r.Len() != 4 {
-		t.Errorf("recovered %d entries from the log, want 4", r.Len())
-	}
-}
-
 // TestOldFormatLogRefusedUnderEveryPolicy: a log this build cannot read
 // is not damage. Salvage would quarantine all of it and rebuild would
 // archive it, and either way the representative would open empty, so
@@ -328,11 +302,11 @@ func TestOldFormatLogRefusedUnderEveryPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, policy := range []RecoveryPolicy{RecoverStrict, RecoverSalvage, RecoverRebuild} {
-		walPath, snapPath := durablePaths(t)
+		walPath := durablePath(t)
 		if err := os.WriteFile(walPath, old, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := OpenDurable("old", walPath, snapPath, WithRecovery(policy)); !errors.Is(err, wal.ErrOldFormat) {
+		if _, _, err := OpenDurable("old", walPath, WithRecovery(policy)); !errors.Is(err, wal.ErrOldFormat) {
 			t.Errorf("%s: OpenDurable = %v, want wal.ErrOldFormat", policy, err)
 		}
 		if after, err := os.ReadFile(walPath); err != nil || !bytes.Equal(after, old) {
@@ -360,5 +334,118 @@ func TestParseRecoveryPolicy(t *testing.T) {
 	}
 	if _, err := ParseRecoveryPolicy("yolo"); err == nil {
 		t.Error("unknown policy should error")
+	}
+}
+
+// TestFreshLogOpensWithSection: a missing log is created holding the
+// section of an empty representative, so no log this build writes
+// lacks one. Creation is a rename of a fsynced temp file, so a crash
+// before it leaves no log, and the next open starts over, ignoring the
+// temp file. A log that is there but holds no whole record — empty, or
+// cut inside its first frame — has lost its section: strict and
+// salvage refuse it untouched, and rebuild opens empty and recovering.
+func TestFreshLogOpensWithSection(t *testing.T) {
+	walPath := durablePath(t)
+	writeFile(t, walPath+".compact", []byte("a temp file a crash left behind"))
+	_, d, err := OpenDurable("new", walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	records := readLog(t, walPath)
+	if owner, whole, err := checkpointOwner(walPath, records); owner != "new" || !whole || err != nil {
+		t.Fatalf("fresh log %+v: section of %q (whole %v, %v), want one naming new", records, owner, whole, err)
+	}
+	if len(records) != 3 || records[0].LSN != 1 {
+		t.Errorf("fresh log holds %+v, want the three-record section of an empty representative from LSN 1", records)
+	}
+	if _, err := os.Stat(walPath + ".compact"); !os.IsNotExist(err) {
+		t.Errorf("temp file left beside the created log (%v)", err)
+	}
+	section := readFile(t, walPath)
+
+	for _, damage := range []struct {
+		name string
+		log  []byte
+	}{
+		{"empty", nil},
+		{"cut inside the first frame", section[:5]},
+	} {
+		for _, policy := range []RecoveryPolicy{RecoverStrict, RecoverSalvage} {
+			p := writeTemp(t, damage.log)
+			if _, _, err := OpenDurable("new", p, WithRecovery(policy)); err == nil {
+				t.Errorf("%s, %s: a log with no whole record opened", damage.name, policy)
+			}
+			if !bytes.Equal(readFile(t, p), damage.log) {
+				t.Errorf("%s, %s: the refusal modified the log", damage.name, policy)
+			}
+		}
+		// Rebuild archives it and opens empty, recovering, on a log
+		// created whole.
+		p := writeTemp(t, damage.log)
+		r, d, err := OpenDurable("new", p, WithRecovery(RecoverRebuild))
+		if err != nil {
+			t.Fatalf("%s, rebuild: %v", damage.name, err)
+		}
+		d.Close()
+		if !d.Recovery().Rebuilt || !r.Recovering() || !bytes.Equal(readFile(t, p), section) {
+			t.Errorf("%s, rebuild: report %+v, recovering %v, log %x", damage.name, d.Recovery(), r.Recovering(), readFile(t, p))
+		}
+	}
+}
+
+// TestEarlierBuildLog: a log written before checkpoint sections opens
+// with a transaction's record. From LSN 1 it is the whole history and
+// is read as it is. From a later LSN, a snapshot checkpoint cut it and
+// the rest of the history is in a snapshot file this build does not
+// read: every policy refuses it with wal.ErrOldFormat, file untouched.
+func TestEarlierBuildLog(t *testing.T) {
+	write := func(t *testing.T, first uint64) string {
+		t.Helper()
+		p := durablePath(t)
+		l, err := wal.OpenFileLog(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.StartAt(first)
+		for _, rec := range []wal.Record{
+			{Kind: wal.KindInsert, Txn: 7, Key: k("a"), Version: 1, Value: "v"},
+			{Kind: wal.KindPrepare, Txn: 7, Writers: 1},
+			{Kind: wal.KindCommit, Txn: 7},
+		} {
+			if err := l.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	r, d, err := OpenDurable("old", write(t, 1))
+	if err != nil {
+		t.Fatalf("a whole log from an earlier build: %v", err)
+	}
+	if res, err := r.Lookup(ctx, 10, k("a")); err != nil || !res.Found {
+		t.Errorf("a lost from an earlier build's log: %+v %v", res, err)
+	}
+	r.Commit(ctx, 10)
+	d.Close()
+
+	for _, policy := range []RecoveryPolicy{RecoverStrict, RecoverSalvage, RecoverRebuild} {
+		p := write(t, 40)
+		before := readFile(t, p)
+		if _, _, err := OpenDurable("old", p, WithRecovery(policy)); !errors.Is(err, wal.ErrOldFormat) {
+			t.Errorf("%s: OpenDurable over a log cut by a snapshot = %v, want wal.ErrOldFormat", policy, err)
+		}
+		if !bytes.Equal(readFile(t, p), before) {
+			t.Errorf("%s: refused log was modified", policy)
+		}
+		for _, moved := range []string{p + ".quarantine", p + ".corrupt"} {
+			if _, err := os.Stat(moved); !os.IsNotExist(err) {
+				t.Errorf("%s: %s exists after a refusal", policy, moved)
+			}
+		}
 	}
 }

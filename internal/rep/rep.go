@@ -68,6 +68,11 @@ var (
 	// MaxWriters (marks.go): the prepare record would not say how many
 	// prepares make the transaction committed.
 	ErrWriterCount = errors.New("rep: prepare names no valid writer count")
+	// ErrReservedTxn refuses a transactional call under transaction 0:
+	// the records of a log's checkpoint section are logged under it
+	// (durable.go), so no transaction may write, lock or decide under
+	// it. No IDSource issues it. Status of transaction 0 is answered.
+	ErrReservedTxn = errors.New("rep: transaction 0 is reserved")
 	// ErrRecovering is returned by read operations while the
 	// representative is rebuilding lost storage from its peers. A
 	// replica that forgot acknowledged writes must not serve reads —
@@ -190,7 +195,7 @@ type Rep struct {
 	// fence is the configuration epoch this representative is fenced
 	// at: fenced operations from callers with an older epoch are
 	// rejected with ErrStaleEpoch (see epoch.go). Durable via KindEpoch
-	// log records and the snapshot epoch.
+	// log records, which a checkpoint carries over.
 	fence uint64
 	// witness marks a zero-data member: values are blanked before
 	// storage and logging (see AsWitness).
@@ -273,6 +278,9 @@ func (r *Rep) readable() error {
 // one-shot mark (marks.go), only until the answer is read: the call
 // then leaves neither a lock nor a transaction record behind.
 func (r *Rep) Lookup(ctx context.Context, txn lock.TxnID, key keyspace.Key) (LookupResult, error) {
+	if txn == 0 {
+		return LookupResult{}, ErrReservedTxn
+	}
 	if err := r.checkEpoch(ctx); err != nil {
 		return LookupResult{}, err
 	}
@@ -338,6 +346,9 @@ func first(batch []NeighborResult, err error) (NeighborResult, error) {
 // (marks.go) the transaction is prepared before the call returns.
 // Locks RepModify(key, key).
 func (r *Rep) Insert(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver version.V, value string) error {
+	if txn == 0 {
+		return ErrReservedTxn
+	}
 	if key.IsSentinel() {
 		return fmt.Errorf("%w: insert %s", ErrSentinel, key)
 	}
@@ -395,6 +406,9 @@ func (r *Rep) applyInsert(key keyspace.Key, ver version.V, value string) (was bt
 // transaction is prepared before the call returns.
 // Locks RepModify(lo, hi).
 func (r *Rep) Coalesce(ctx context.Context, txn lock.TxnID, lo, hi keyspace.Key, ver version.V) (CoalesceResult, error) {
+	if txn == 0 {
+		return CoalesceResult{}, ErrReservedTxn
+	}
 	if !lo.Less(hi) {
 		return CoalesceResult{}, fmt.Errorf("%w: %s..%s", ErrBadRange, lo, hi)
 	}
@@ -473,6 +487,9 @@ func (r *Rep) applyCoalesce(lo, hi keyspace.Key, ver version.V) (bound btree.Ent
 // does not count against the transaction: the writer count is of the
 // participants that wrote, and they do log.
 func (r *Rep) Prepare(ctx context.Context, txn lock.TxnID) error {
+	if txn == 0 {
+		return ErrReservedTxn
+	}
 	if err := r.checkEpoch(ctx); err != nil {
 		return err
 	}
@@ -536,6 +553,9 @@ func (r *Rep) vote(st *txnState, txn lock.TxnID, writers int) error {
 // ErrTxnDecided (or an idempotent nil for a re-commit) instead of
 // silently seeding fresh transaction state.
 func (r *Rep) Commit(ctx context.Context, txn lock.TxnID) error {
+	if txn == 0 {
+		return ErrReservedTxn
+	}
 	r.adoptEpoch(ctx)
 	r.mu.Lock()
 	st := r.settled(txn)
@@ -599,6 +619,9 @@ func (r *Rep) Commit(ctx context.Context, txn lock.TxnID) error {
 // abort, and the log forces it: every writer holding a prepare record
 // would otherwise make it committed (txn.Resolve).
 func (r *Rep) Abort(ctx context.Context, txn lock.TxnID) error {
+	if txn == 0 {
+		return ErrReservedTxn
+	}
 	r.adoptEpoch(ctx)
 	r.mu.Lock()
 	st := r.settled(txn)
@@ -650,7 +673,8 @@ func (r *Rep) Abort(ctx context.Context, txn lock.TxnID) error {
 //     call under the same ID waits in settled and then sees the step's
 //     result, exactly as it did when r.mu was held throughout.
 //   - The transaction stays in r.txns for the whole wait, so
-//     checkpointState answers ErrBusy and no snapshot is cut across it.
+//     checkpointRecords answers ErrBusy and no checkpoint is cut across
+//     it.
 //
 // On failure the transaction's state is as it was before the call, and
 // the step can be retried.

@@ -146,7 +146,9 @@ func (r *Rep) installAnalysis(a wal.Analysis) error {
 		}
 	}
 	for id, committed := range a.Outcomes {
-		r.outcomes[lock.TxnID(id)] = committed
+		if id != 0 { // the commit that closes a checkpoint section
+			r.outcomes[lock.TxnID(id)] = committed
+		}
 	}
 	for id, p := range a.InDoubt {
 		txnID := lock.TxnID(id)

@@ -144,6 +144,12 @@ func TestRouterTxnHeldUntilReleaseLands(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The inserts return before their commit rounds land. A scan that
+	// met one's locks would die and abort inline, through the gate, and
+	// never return: only the scan's release may be held there.
+	if err := r.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
 	page, err := r.Scan(ctx, "", 10)
 	if err != nil || len(page) != 10 {
 		t.Fatalf("scan: %v, %v", page, err)

@@ -163,7 +163,7 @@ func RunStorage(cfg StorageConfig) (StorageResult, error) {
 // fresh durable representative and returns the finished log bytes.
 func logStorageWorkload(walPath string, commits int) ([]byte, error) {
 	ctx := context.Background()
-	r, d, err := rep.OpenDurable("curve", walPath, "")
+	r, d, err := rep.OpenDurable("curve", walPath)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +206,7 @@ func salvageCurvePoint(dir string, data []byte, off int64, res *StorageResult) (
 		return 0, err
 	}
 	start := time.Now()
-	_, d, err := rep.OpenDurable("curve", scratch, "", rep.WithRecovery(rep.RecoverSalvage))
+	_, d, err := rep.OpenDurable("curve", scratch, rep.WithRecovery(rep.RecoverSalvage))
 	if err != nil {
 		return 0, err
 	}
@@ -275,8 +275,8 @@ func FormatStorage(r StorageResult) string {
 	var b strings.Builder
 	cfg := r.Config
 	fmt.Fprintf(&b, "Storage faults — crash points, salvage recovery curve, rebuild from peers\n\n")
-	fmt.Fprintf(&b, "  crash-point harness (%d commits, %d-byte log): %d truncations, %d bit flips, %d strict refusals, %d salvaged opens in %v\n",
-		r.Crash.Commits, r.Crash.WALBytes, r.Crash.TruncationPoints, r.Crash.BitFlipPoints,
+	fmt.Fprintf(&b, "  crash-point harness (%d commits, %d-byte fresh and %d-byte compacted log): %d truncations, %d bit flips, %d strict refusals, %d salvaged opens in %v\n",
+		r.Crash.Commits, r.Crash.FreshBytes, r.Crash.WALBytes, r.Crash.TruncationPoints, r.Crash.BitFlipPoints,
 		r.Crash.StrictRefusals, r.Crash.SalvagedOpens, r.CrashTime.Round(time.Millisecond))
 	fmt.Fprintf(&b, "\n  salvage recovery vs corruption point (%d commits, %d-byte log, one flipped bit):\n",
 		cfg.Commits, r.WALBytes)

@@ -18,13 +18,15 @@ func TestRunStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Crash.TruncationPoints != int(res.Crash.WALBytes)+1 {
-		t.Errorf("crash pass tried %d truncation points over %d bytes",
-			res.Crash.TruncationPoints, res.Crash.WALBytes)
+	if logs := res.Crash.FreshBytes + res.Crash.WALBytes; res.Crash.TruncationPoints != int(logs)+2 {
+		t.Errorf("crash pass tried %d truncation points over two logs of %d bytes",
+			res.Crash.TruncationPoints, logs)
 	}
-	// Each commit logs three records: the insert, the prepare, the commit.
-	if res.Records != 3*40 {
-		t.Errorf("clean curve log recovered %d records, want %d", res.Records, 3*40)
+	// The log opens with the three-record section of an empty
+	// representative it was created with, and each commit logs three
+	// records: the insert, the prepare, the commit.
+	if res.Records != 3+3*40 {
+		t.Errorf("clean curve log recovered %d records, want %d", res.Records, 3+3*40)
 	}
 	if len(res.Points) != 5 {
 		t.Fatalf("curve has %d points, want 5", len(res.Points))

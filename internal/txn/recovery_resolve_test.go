@@ -168,8 +168,8 @@ func TestResolveAfterReadOnlyParticipantCrash(t *testing.T) {
 
 // TestResolveAfterCheckpointOfCommittedSibling: a member remembers what
 // it decided across a checkpoint. A prepared at writer count 2 and was
-// left in doubt; B committed, checkpointed — truncating the log that held
-// its prepare and commit records — and reopened. B must still answer
+// left in doubt; B committed, checkpointed — compacting away the log
+// that held its prepare and commit records — and reopened. B must still answer
 // StatusCommitted, and A resolve to commit: an unknown B would be a
 // writer that never prepared, and would abort a committed transaction.
 func TestResolveAfterCheckpointOfCommittedSibling(t *testing.T) {
@@ -177,10 +177,10 @@ func TestResolveAfterCheckpointOfCommittedSibling(t *testing.T) {
 	id := lock.TxnID(42)
 	key := keyspace.New("k")
 	dir := t.TempDir()
-	walB, snapB := filepath.Join(dir, "B.wal"), filepath.Join(dir, "B.snap")
+	walB := filepath.Join(dir, "B.wal")
 
 	a := rep.New("A", rep.WithLog(&wal.MemoryLog{}))
-	b, d, err := rep.OpenDurable("B", walB, snapB)
+	b, d, err := rep.OpenDurable("B", walB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,10 +201,16 @@ func TestResolveAfterCheckpointOfCommittedSibling(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if records, err := wal.ReadFileLog(walB); err != nil || len(records) != 0 {
-		t.Fatalf("B's log after the checkpoint holds %d records (%v), want none", len(records), err)
+	records, _, err := wal.ScanFileLog(walB)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b2, d2, err := rep.OpenDurable("B", walB, snapB)
+	for _, rec := range records {
+		if rec.Kind == wal.KindPrepare {
+			t.Fatalf("B's log after the checkpoint still holds a prepare: %+v", rec)
+		}
+	}
+	b2, d2, err := rep.OpenDurable("B", walB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +234,8 @@ func TestResolveAfterCheckpointOfCommittedSibling(t *testing.T) {
 // TestResolveWaitsForARebuiltSibling: A prepared at writer count 2 and
 // was left in doubt (its commit call was lost, or a power cut took its
 // unforced commit record). B committed, checkpointed, and then lost its
-// storage: it reopens rebuilt, empty, with no record of the transaction.
+// storage — its compacted log damaged — and reopens rebuilt, empty, with
+// no record of the transaction.
 // B must not answer StatusUnknown — that would read as a writer that
 // never prepared, and abort a write the caller was told succeeded. It
 // answers ErrRecovering, and Resolve leaves A in doubt.
@@ -237,10 +244,10 @@ func TestResolveWaitsForARebuiltSibling(t *testing.T) {
 	id := lock.TxnID(42)
 	key := keyspace.New("k")
 	dir := t.TempDir()
-	walB, snapB := filepath.Join(dir, "B.wal"), filepath.Join(dir, "B.snap")
+	walB := filepath.Join(dir, "B.wal")
 
 	a := rep.New("A", rep.WithLog(&wal.MemoryLog{}))
-	b, d, err := rep.OpenDurable("B", walB, snapB)
+	b, d, err := rep.OpenDurable("B", walB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,15 +268,15 @@ func TestResolveWaitsForARebuiltSibling(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := os.ReadFile(snapB)
+	log, err := os.ReadFile(walB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap[len(snap)/2] ^= 0xff
-	if err := os.WriteFile(snapB, snap, 0o644); err != nil {
+	log[len(log)/2] ^= 0xff
+	if err := os.WriteFile(walB, log, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	b2, d2, err := rep.OpenDurable("B", walB, snapB, rep.WithRecovery(rep.RecoverRebuild))
+	b2, d2, err := rep.OpenDurable("B", walB, rep.WithRecovery(rep.RecoverRebuild))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -294,25 +294,6 @@ func scanFrames(path string, r io.Reader, size int64) ([]Record, CorruptionRepor
 	}
 }
 
-// SalvageFileLog recovers the longest valid prefix of a log file. When
-// the scan stops before a clean EOF — a torn append or mid-log
-// corruption — the unreadable tail is moved to a sidecar file
-// (path + ".quarantine"), the log is truncated to the valid prefix, and
-// the returned report says what happened; a nil report means the log
-// was clean. Unlike ReadFileLog, mid-log corruption is not an error:
-// the caller gets everything before it plus the evidence.
-//
-// Truncating matters beyond hygiene: the log is appended to in place,
-// so leaving damaged bytes in the middle would strand every later
-// append behind them on the next recovery.
-func SalvageFileLog(path string) ([]Record, *CorruptionReport, error) {
-	records, report, err := ScanFileLog(path)
-	if err != nil || report == nil {
-		return records, report, err
-	}
-	return records, report, Quarantine(path, report)
-}
-
 // ScanFileLog recovers the longest valid prefix of a log file without
 // modifying the file. A nil report means the log was clean; otherwise
 // the report says why the scan stopped, and the caller decides whether
@@ -349,11 +330,15 @@ func ScanFileLog(path string) ([]Record, *CorruptionReport, error) {
 	return records, &report, nil
 }
 
-// Quarantine performs the repair half of SalvageFileLog on a report
-// returned by ScanFileLog: everything from report.Offset on moves to the
-// ".quarantine" sidecar and the log is truncated to its valid prefix,
-// fsyncing both files and the directory so the surgery itself survives
-// a crash. The report's QuarantinedBytes and SidecarPath are filled in.
+// Quarantine repairs a log on a report returned by ScanFileLog:
+// everything from report.Offset on moves to the ".quarantine" sidecar
+// and the log is truncated to its valid prefix, fsyncing both files and
+// the directory so the surgery itself survives a crash. The report's
+// QuarantinedBytes and SidecarPath are filled in.
+//
+// Truncating matters beyond hygiene: the log is appended to in place,
+// so leaving damaged bytes in the middle would strand every later
+// append behind them on the next recovery.
 func Quarantine(path string, report *CorruptionReport) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {

@@ -36,14 +36,8 @@ func TestOldFormatRefused(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadFileLog(path); !errors.Is(err, ErrOldFormat) {
-			t.Errorf("%s: ReadFileLog = %v, want ErrOldFormat", name, err)
-		}
 		if _, _, err := ScanFileLog(path); !errors.Is(err, ErrOldFormat) {
 			t.Errorf("%s: ScanFileLog = %v, want ErrOldFormat", name, err)
-		}
-		if _, _, err := SalvageFileLog(path); !errors.Is(err, ErrOldFormat) {
-			t.Errorf("%s: SalvageFileLog = %v, want ErrOldFormat", name, err)
 		}
 		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, data) {
 			t.Errorf("%s: refused log was modified (%v)", name, err)
@@ -186,9 +180,7 @@ func TestAppendAllocs(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		txn()
 	}
-	if err := l.TruncateAt(l.NextLSN() - 1); err != nil {
-		t.Fatal(err)
-	}
+	f.Truncate(0)
 	if n := testing.AllocsPerRun(200, txn); n != 0 {
 		t.Errorf("three appends allocate %.0f times, want 0", n)
 	}
@@ -233,10 +225,7 @@ func TestReadFileLogBoundsFrameLength(t *testing.T) {
 	if err := os.WriteFile(path, huge, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFileLog(path); err == nil {
-		t.Fatal("absurd length prefix should be an error")
-	}
-	records, report, err := SalvageFileLog(path)
+	records, report, err := ScanFileLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,9 +234,10 @@ func TestReadFileLogBoundsFrameLength(t *testing.T) {
 	}
 }
 
-// TestSalvageBitFlip flips one bit mid-log: ReadFileLog must error,
-// SalvageFileLog must recover the prefix, quarantine the tail, and
-// truncate the log so future appends land after the valid prefix.
+// TestSalvageBitFlip flips one bit mid-log: ScanFileLog must recover
+// the prefix and report the bad checksum, and Quarantine must move the tail
+// aside and truncate the log so future appends land after the valid
+// prefix.
 func TestSalvageBitFlip(t *testing.T) {
 	dir := t.TempDir()
 	path, _ := corpus(t, dir)
@@ -272,11 +262,7 @@ func TestSalvageBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := ReadFileLog(path); err == nil {
-		t.Fatal("mid-log corruption must fail the strict reader")
-	}
-
-	records, report, err := SalvageFileLog(path)
+	records, report, err := scanAndQuarantine(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +297,7 @@ func TestSalvageBitFlip(t *testing.T) {
 		t.Errorf("log size after salvage = %d, want %d", info.Size(), report.Offset)
 	}
 	// The salvaged log must now be clean, and appendable.
-	again, rep2, err := SalvageFileLog(path)
+	again, rep2, err := ScanFileLog(path)
 	if err != nil || rep2 != nil {
 		t.Fatalf("second salvage: %d records, report %+v, err %v", len(again), rep2, err)
 	}
@@ -324,10 +310,7 @@ func TestSalvageBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	final, err := ReadFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	final := scanClean(t, path)
 	if len(final) != len(records)+1 || final[len(final)-1].Txn != 9 {
 		t.Fatalf("post-salvage append lost: %+v", final)
 	}
@@ -348,7 +331,7 @@ func TestSalvageEveryTruncationPoint(t *testing.T) {
 		if err := os.WriteFile(p, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		records, report, err := SalvageFileLog(p)
+		records, report, err := scanAndQuarantine(p)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -376,7 +359,7 @@ func TestSalvageCleanLogUntouched(t *testing.T) {
 	dir := t.TempDir()
 	path, want := corpus(t, dir)
 	before, _ := os.Stat(path)
-	records, report, err := SalvageFileLog(path)
+	records, report, err := scanAndQuarantine(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,6 +376,17 @@ func TestSalvageCleanLogUntouched(t *testing.T) {
 	if _, err := os.Stat(path + ".quarantine"); !os.IsNotExist(err) {
 		t.Error("clean salvage wrote a sidecar")
 	}
+}
+
+// scanAndQuarantine salvages a log the way rep.OpenDurable does under
+// the salvage policy: the longest valid prefix, and whatever follows it
+// quarantined.
+func scanAndQuarantine(path string) ([]Record, *CorruptionReport, error) {
+	records, report, err := ScanFileLog(path)
+	if err != nil || report == nil {
+		return records, report, err
+	}
+	return records, report, Quarantine(path, report)
 }
 
 // TestCorruptionCauseString covers the names used in reports and logs.

@@ -96,9 +96,9 @@ func FuzzReadFileLog(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		records, err := ReadFileLog(path)
+		records, _, err := ScanFileLog(path)
 		if err != nil {
-			return // corrupt interior frames may fail, but not panic
+			return // an old format may fail, but not panic
 		}
 		// Salvaged records must be rewritable and re-readable.
 		out, err := OpenFileLog(filepath.Join(t.TempDir(), "rewrite.wal"))
@@ -161,7 +161,7 @@ func FuzzSalvage(f *testing.F) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		records, report, err := SalvageFileLog(p)
+		records, report, err := scanAndQuarantine(p)
 		if err != nil {
 			t.Fatalf("salvage error: %v", err)
 		}
@@ -180,7 +180,7 @@ func FuzzSalvage(f *testing.F) {
 				t.Fatalf("report.Records = %d, got %d records", report.Records, len(records))
 			}
 			// After quarantine the log must read back clean.
-			again, rep2, err := SalvageFileLog(p)
+			again, rep2, err := ScanFileLog(p)
 			if err != nil || rep2 != nil || len(again) != len(records) {
 				t.Fatalf("post-quarantine rescan: %d records, report %+v, err %v", len(again), rep2, err)
 			}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -293,24 +295,38 @@ func TestCloseFlushesStaged(t *testing.T) {
 	}
 }
 
-// TestTruncateAtFlushesStaged: a staged frame is written before the file
-// is cut, not after — it must not reappear in a log whose snapshot
-// already covers it.
-func TestTruncateAtFlushesStaged(t *testing.T) {
+// TestCompactFlushesStaged: a compaction waits out the fsync in flight,
+// and a frame staged behind it is written to the old file before the
+// swap, not to the compacted log after it: the checkpoint already holds
+// it.
+func TestCompactFlushesStaged(t *testing.T) {
 	l, f, first, second := stagedBehindSync(t)
-	if err := l.TruncateAt(2); err != nil {
-		t.Fatal(err)
+	path := filepath.Join(t.TempDir(), "rep.wal")
+	compacted := make(chan error, 1)
+	go func() { compacted <- l.Compact(path, 2, []Record{{Kind: KindEpoch, Epoch: 1}}) }()
+	// Nothing marks "waiting for the sync"; the pause only gives a
+	// compaction that wrongly does not wait the time to show it.
+	time.Sleep(20 * time.Millisecond)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("log swapped in with an fsync in flight (stat: %v)", err)
 	}
 	close(f.Release)
-	for _, done := range []<-chan error{first, second} {
+	for _, done := range []<-chan error{compacted, first, second} {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := l.Append(Record{Kind: KindCommit, Txn: 3}); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(f.Bytes()); got != 0 {
-		t.Fatalf("%d bytes in the file after TruncateAt, want 0", got)
+	if got := len(frameEnds(t, f.Bytes())); got != 2 {
+		t.Fatalf("old file holds %d frames, want both appended before the swap", got)
+	}
+	records := scanClean(t, path)
+	if len(records) != 2 || records[0].Kind != KindEpoch || records[0].LSN != 3 || records[1].Txn != 3 || records[1].LSN != 4 {
+		t.Fatalf("compacted log holds %+v, want the epoch record at LSN 3 and the commit appended after it at 4", records)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"repdir/internal/keyspace"
@@ -66,9 +67,10 @@ func (k Kind) String() string {
 }
 
 // Record is one log entry. Key/Hi/Version/Value are meaningful only for
-// the redo kinds. LSN is the record's log sequence number, assigned by
-// the Log on Append; snapshots remember the last LSN they cover so that
-// recovery replays only newer records (see rep.Durability).
+// the redo kinds, and Value for the commit record that closes a
+// checkpoint (see FileLog.Compact). LSN is the record's log sequence
+// number, assigned by the Log on Append; LSNs rise strictly within a
+// log file, across compactions too.
 type Record struct {
 	LSN     uint64
 	Kind    Kind
@@ -219,7 +221,6 @@ func (p SyncPolicy) String() string {
 type File interface {
 	io.Writer
 	Sync() error
-	Truncate(size int64) error
 	Close() error
 }
 
@@ -262,7 +263,7 @@ var _ Log = (*FileLog)(nil)
 
 // OpenFileLog opens (creating or appending to) a log file. When
 // appending to an existing log, call StartAt with one past the last LSN
-// already in the file (ReadFileLog reveals it) so sequence numbers stay
+// already in the file (ScanFileLog reveals it) so sequence numbers stay
 // monotone; rep.OpenDurable does this automatically. The sync policy
 // defaults to SyncOnCommit.
 func OpenFileLog(path string) (*FileLog, error) {
@@ -327,32 +328,116 @@ func (l *FileLog) NextLSN() uint64 {
 	return l.next + 1
 }
 
-// TruncateAt discards the log file's contents if the last record
-// appended is still lastLSN, and otherwise does nothing. A checkpoint
-// passes the LSN its snapshot covers: a record appended since is in the
-// log alone, so the file is left as it is and compaction waits for the
-// next checkpoint. The check and the truncation share one hold of the
-// log mutex, so no append can slip between them. LSNs keep counting
-// from where they were, so snapshots that recorded a last-covered LSN
-// remain valid whether or not the truncation completed before a crash.
-func (l *FileLog) TruncateAt(lastLSN uint64) error {
+// CreateFileLog puts a new log file at path holding records, numbered
+// from LSN 1: as Compact does, it writes them to a temp file beside path
+// and fsyncs it, renames it over path and fsyncs the directory. A crash
+// at any step leaves no log at path, or this one whole. Open it with
+// OpenFileLog and StartAt one past the last record's LSN.
+func CreateFileLog(path string, records []Record) error {
+	f, err := writeTemp(path, 0, records)
+	if err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("wal: create %q: %w", path, err)
+	}
+	if err := os.Rename(f.Name(), path); err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("wal: create %q: %w", path, err)
+	}
+	return SyncDir(filepath.Dir(path))
+}
+
+// Compact replaces the log file at path with a compacted one: records,
+// a checkpoint of everything the log held through lastLSN, numbered on
+// from lastLSN. They are written as frames to a temp file beside path
+// (path + ".compact") and fsynced with the log mutex free. Then, under
+// it, the temp file takes the log's place if the last record appended
+// is still lastLSN: once any fsync in flight has ended, it is renamed
+// over path and the directory fsynced before an append can land in it,
+// and appends go on numbering after the compacted records. A record
+// appended after lastLSN is in the old log alone, so then the log is
+// left whole, Compact returns nil, and the next checkpoint compacts it.
+// A crash at any step leaves the old log or the compacted one at path;
+// nothing reads the temp file. Calls must not overlap.
+func (l *FileLog) Compact(path string, lastLSN uint64, records []Record) error {
+	f, err := writeTemp(path, lastLSN, records)
+	if err != nil {
+		return err
+	}
+	installed := false
+	defer func() {
+		if !installed {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for l.syncing {
+		l.syncDone.Wait()
+	}
 	if l.closed {
 		return ErrClosed
 	}
 	if l.next != lastLSN {
 		return nil
 	}
+	// Anything staged was numbered at or below lastLSN, so the
+	// checkpoint holds it: it goes to the old file, not the new one.
 	if err := l.flush(); err != nil {
-		return fmt.Errorf("wal: flush before truncate: %w", err)
+		return err
 	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: truncate: %w", err)
+	if err := os.Rename(f.Name(), path); err != nil {
+		return fmt.Errorf("wal: compact: %w", err)
 	}
-	// The file is opened O_APPEND, so subsequent writes land at the new
-	// end-of-file; no seek needed.
+	installed = true
+	old := l.f
+	l.f, l.next = f, lastLSN+uint64(len(records))
+	old.Close() // what it holds is no longer the log, so its error is moot
+	if err := SyncDir(filepath.Dir(path)); err != nil {
+		// Until the rename is durable a crash can bring the old log
+		// back, and with it lose whatever the new one was told.
+		l.werr = err
+		return err
+	}
 	return nil
+}
+
+// writeTemp writes records as frames, stamping their LSNs on from
+// lastLSN, to the temp file beside path (path + ".compact", truncated
+// first) and fsyncs it. It returns the file open for appending, or
+// removes it and fails.
+func writeTemp(path string, lastLSN uint64, records []Record) (*os.File, error) {
+	tmp := path + ".compact"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	var b []byte
+	for i := range records {
+		records[i].LSN = lastLSN + 1 + uint64(i)
+		if b, err = appendFrame(b, &records[i]); err != nil {
+			break
+		}
+		if len(b) >= stagedKeep || i == len(records)-1 {
+			if _, err = f.Write(b); err != nil {
+				break
+			}
+			b = b[:0]
+		}
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return nil, fmt.Errorf("wal: write %q: %w", tmp, err)
+	}
+	return f, nil
 }
 
 // Append stamps the record's LSN and stages its frame. A record the
@@ -494,31 +579,6 @@ func (l *FileLog) Close() error {
 		return err
 	}
 	return l.f.Close()
-}
-
-// ReadFileLog decodes every record in a log file. A trailing partial
-// frame (torn write during a crash) is tolerated; a corrupt frame in the
-// middle of the log — bad length, failed checksum, undecodable payload —
-// is an error. Use SalvageFileLog to recover the valid prefix of a
-// damaged log instead.
-func ReadFileLog(path string) ([]Record, error) {
-	records, report, err := ScanFileLog(path)
-	if err != nil || report == nil || report.Cause.Torn() {
-		return records, err
-	}
-	return records, report
-}
-
-// FilterAfter returns the records with LSN strictly greater than lsn —
-// the ones a snapshot covering up to lsn has not yet captured.
-func FilterAfter(records []Record, lsn uint64) []Record {
-	var out []Record
-	for _, r := range records {
-		if r.LSN > lsn {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Analysis is the outcome of scanning a log: the redo records of

@@ -62,10 +62,7 @@ func TestFileLogRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := scanClean(t, path)
 	if len(got) != len(want) {
 		t.Fatalf("read %d records, want %d", len(got), len(want))
 	}
@@ -96,10 +93,7 @@ func TestFileLogAppendReopens(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Close()
-	got, err := ReadFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := scanClean(t, path)
 	if len(got) != 2 {
 		t.Fatalf("read %d records after reopen, want 2", len(got))
 	}
@@ -121,9 +115,9 @@ func TestFileLogToleratesTornTail(t *testing.T) {
 	}
 	f.Write([]byte{0x13, 0x37, 0x00})
 	f.Close()
-	got, err := ReadFileLog(path)
-	if err != nil {
-		t.Fatal(err)
+	got, report, err := ScanFileLog(path)
+	if err != nil || report == nil || !report.Cause.Torn() {
+		t.Fatalf("torn tail: report %v, %v", report, err)
 	}
 	if len(got) != 2 {
 		t.Fatalf("torn tail should preserve %d intact records, got %d", 2, len(got))
@@ -161,10 +155,7 @@ func TestFileLogLSNAcrossReopenAndTruncate(t *testing.T) {
 	l1.Append(rec(KindCommit, 1, ""))
 	l1.Close()
 
-	records, err := ReadFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records := scanClean(t, path)
 	if records[1].LSN != 2 {
 		t.Fatalf("persisted LSN = %d, want 2", records[1].LSN)
 	}
@@ -173,39 +164,27 @@ func TestFileLogLSNAcrossReopenAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.StartAt(records[len(records)-1].LSN + 1)
-	// A truncation for a snapshot that covers only LSN 1 must leave the
-	// log alone: record 2 is nowhere else.
-	if err := l2.TruncateAt(1); err != nil {
+	// A compaction of a checkpoint that covers only LSN 1 must leave the
+	// log alone, and no temp file beside it: record 2 is nowhere else.
+	if err := l2.Compact(path, 1, []Record{rec(KindInsert, 0, "a")}); err != nil {
 		t.Fatal(err)
 	}
-	if records, err = ReadFileLog(path); err != nil || len(records) != 2 {
-		t.Fatalf("after stale TruncateAt: %d records (err %v), want 2", len(records), err)
+	if records = scanClean(t, path); len(records) != 2 {
+		t.Fatalf("after a stale Compact: %d records, want 2", len(records))
 	}
-	// Truncate keeps counting.
-	if err := l2.TruncateAt(2); err != nil {
+	if _, err := os.Stat(path + ".compact"); !os.IsNotExist(err) {
+		t.Errorf("a stale Compact left its temp file behind (stat: %v)", err)
+	}
+	// The compacted records are numbered on from the log, and appends
+	// keep counting after them.
+	if err := l2.Compact(path, 2, []Record{rec(KindInsert, 0, "a"), rec(KindCommit, 0, "")}); err != nil {
 		t.Fatal(err)
 	}
 	l2.Append(rec(KindInsert, 2, "b"))
 	l2.Close()
-	records, err = ReadFileLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 1 || records[0].LSN != 3 {
-		t.Fatalf("after truncate: %+v, want single record with LSN 3", records)
-	}
-}
-
-func TestFilterAfter(t *testing.T) {
-	records := []Record{{LSN: 1}, {LSN: 2}, {LSN: 3}, {LSN: 4}}
-	if got := FilterAfter(records, 2); len(got) != 2 || got[0].LSN != 3 {
-		t.Errorf("FilterAfter(2) = %+v", got)
-	}
-	if got := FilterAfter(records, 0); len(got) != 4 {
-		t.Errorf("FilterAfter(0) should keep everything")
-	}
-	if got := FilterAfter(records, 9); got != nil {
-		t.Errorf("FilterAfter beyond end = %+v", got)
+	records = scanClean(t, path)
+	if len(records) != 3 || records[0].LSN != 3 || records[1].LSN != 4 || records[2].LSN != 5 || records[2].Key.Raw() != "b" {
+		t.Fatalf("after compaction: %+v, want the two compacted records at LSNs 3 and 4 and b's at 5", records)
 	}
 }
 
@@ -374,4 +353,15 @@ func TestSyncPolicyString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(p), got, want)
 		}
 	}
+}
+
+// scanClean returns the records of the log at path, which must scan to
+// a clean end.
+func scanClean(t *testing.T, path string) []Record {
+	t.Helper()
+	records, report, err := ScanFileLog(path)
+	if err != nil || report != nil {
+		t.Fatalf("scan %s: %v %v", path, report, err)
+	}
+	return records
 }

@@ -57,13 +57,13 @@ func (f *File) Sync() error {
 	return nil
 }
 
-// Truncate implements wal.File.
-func (f *File) Truncate(size int64) error {
+// Truncate cuts the file to its first size bytes, keeping the capacity
+// it grew to.
+func (f *File) Truncate(size int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.data = f.data[:size]
-	f.durable = min(f.durable, int(size))
-	return nil
+	f.durable = min(f.durable, size)
 }
 
 // Close implements wal.File.
