@@ -98,7 +98,7 @@ workload:
 	$(GO) run ./cmd/repdir-sim -experiment workload -keys 20000 -rate 2000 -duration 1s
 
 # Overload gate: a TCP 3-2-2 suite with the full protection stack —
-# deadline propagation, CoDel admission, retry budgets, hedged reads —
+# deadline propagation, CoDel admission, no retry of a refusal —
 # driven at 0.5/1/1.5/2x its calibrated capacity, at full length (1s
 # points proved too noisy to gate on — a bad patch in one window flips
 # the verdict). repdir-sim exits non-zero unless goodput at 2x stays
@@ -107,12 +107,11 @@ overload:
 	$(GO) run ./cmd/repdir-sim -experiment overload
 
 # Focused race pass over the overload-protection stack and the rounds
-# nobody waits for: admission control, deadline propagation, retry
-# budgets, hedged reads, and a read-only transaction's release or a
-# point write's commit round landing in `txn` while its suite or router
-# runs other operations are the code paths densest in shared atomics and
-# concurrent teardown, so they get an extra -count=2 run beyond the
-# suite-wide `race` target.
+# nobody waits for: admission control, deadline propagation, and a
+# read-only transaction's release or a point write's commit round
+# landing in `txn` while its suite or router runs other operations are
+# the code paths densest in shared atomics and concurrent teardown, so
+# they get an extra -count=2 run beyond the suite-wide `race` target.
 raceoverload:
 	$(GO) test -race -count 2 ./internal/transport/ ./internal/core/ ./internal/shard/ ./internal/txn/
 

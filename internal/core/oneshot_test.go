@@ -174,9 +174,9 @@ func TestOneShotReadsLinearizePerKey(t *testing.T) {
 // crashes right after executing them, used to leave a read lock behind
 // until an abort or a sweep of strays found it. A one-shot read releases
 // before it answers, so whatever happens to the answer nothing is left:
-// after a storm of lookups, local lookups and hedged lookups through
-// members that drop replies and crash after executing, no member holds a
-// lock or a transaction record — with no abort sent and no sweep run.
+// after a storm of lookups and local lookups through members that drop
+// replies and crash after executing, no member holds a lock or a
+// transaction record — with no abort sent and no sweep run.
 func TestReadsLeakNoLocks(t *testing.T) {
 	ctx := context.Background()
 	plan := fault.Plan{PDropReply: 0.15, PCrashAfter: 0.05, PDuplicate: 0.05, DownMin: 1, DownMax: 3,
@@ -185,7 +185,7 @@ func TestReadsLeakNoLocks(t *testing.T) {
 	in.Suspend(true)
 	cfg := quorum.NewUniform(in.Directories(), 2, 2)
 	s, err := NewSuite(cfg, WithSelector(quorum.NewRandomSelector(cfg, 7)), WithParallelQuorum(true),
-		WithLocalReads("B"), withHedge(time.Microsecond, time.Millisecond))
+		WithLocalReads("B"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +223,6 @@ func TestReadsLeakNoLocks(t *testing.T) {
 	}
 	if faults.DroppedReplies == 0 || faults.CrashAfters == 0 {
 		t.Fatalf("the plan injected %d dropped replies and %d crashes after execution; want both", faults.DroppedReplies, faults.CrashAfters)
-	}
-	if st := s.Stats(); st.HedgedReads == 0 {
-		t.Error("no hedge fired")
 	}
 	t.Logf("%d of 600 reads failed; %d replies dropped, %d crashes after executing", failed, faults.DroppedReplies, faults.CrashAfters)
 	for _, m := range in.Members() {

@@ -6,12 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repdir/internal/keyspace"
-	"repdir/internal/quorum"
-	"repdir/internal/rep"
-	"repdir/internal/transport"
 	"repdir/internal/txn"
 )
 
@@ -150,98 +146,3 @@ func TestKeptTxFailsClosed(t *testing.T) {
 
 func second[T any](_ T, err error) error        { return err }
 func third[T, U any](_ T, _ U, err error) error { return err }
-
-// gatedDir holds up the Lookups sent to one member while its gate is
-// shut; waiting counts the ones held.
-type gatedDir struct {
-	*transport.Middleware
-	mu      sync.Mutex
-	gate    chan struct{} // nil: open
-	waiting int
-}
-
-func newGatedDir(inner rep.Directory) *gatedDir {
-	g := &gatedDir{}
-	g.Middleware = transport.Wrap(inner, func(op transport.Op) error {
-		if op != transport.OpLookup {
-			return nil
-		}
-		g.mu.Lock()
-		gate := g.gate
-		if gate != nil {
-			g.waiting++
-		}
-		g.mu.Unlock()
-		if gate != nil {
-			<-gate
-		}
-		return nil
-	})
-	return g
-}
-
-func (g *gatedDir) held() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.waiting
-}
-
-// TestStragglingHedgeLeg leaves a hedge probe stuck at the spare while
-// the primary answers, the round ends, and the suite goes on to run
-// other operations in the same memory. When the probe is let go it must
-// touch none of that: it was handed its transaction ID, key and context
-// by value and answers into a channel of its own.
-func TestStragglingHedgeLeg(t *testing.T) {
-	ctx := context.Background()
-	slow := newSlowDir(rep.New("A"))
-	spare := newGatedDir(rep.New("C"))
-	dirs := []rep.Directory{slow, transport.NewLocal(rep.New("B")), spare}
-	cfg := quorum.NewUniform(dirs, 2, 2)
-	// The sticky selector always reads {A, B}, so C is the spare.
-	suite, err := NewSuite(cfg,
-		WithSelector(quorum.NewStickySelector(cfg)),
-		WithParallelQuorum(true),
-		withHedge(time.Millisecond, 2*time.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < hedgeWarmupProbes; i++ {
-		if err := suite.Insert(ctx, fmt.Sprintf("k%03d", i), "v"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if suite.hedge.hedgeDelay() == 0 {
-		t.Fatal("estimator should be warm")
-	}
-	// A answers late enough for the hedge to fire, and C not at all.
-	gate := make(chan struct{})
-	spare.mu.Lock()
-	spare.gate = gate
-	spare.mu.Unlock()
-	slow.setDelay(20 * time.Millisecond)
-	if v, found, err := suite.Lookup(ctx, "k000"); err != nil || !found || v != "v" {
-		t.Fatalf("lookup behind a stuck hedge = %q, %v, %v", v, found, err)
-	}
-	if spare.held() != 1 || suite.Stats().HedgedReads != 1 {
-		t.Fatalf("%d probes held at the spare, %d hedges fired; want one of each", spare.held(), suite.Stats().HedgedReads)
-	}
-	slow.setDelay(0)
-	spare.mu.Lock()
-	spare.gate = nil
-	spare.mu.Unlock()
-	// The operations that inherit the memory, with the straggler let go
-	// in the middle of them.
-	for i := 0; i < 2*hedgeWarmupProbes; i++ {
-		if i == hedgeWarmupProbes {
-			close(gate)
-		}
-		key := fmt.Sprintf("k%03d", i%hedgeWarmupProbes)
-		if err := suite.Update(ctx, key, "v2"); err != nil {
-			t.Fatal(err)
-		}
-		if v, found, err := suite.Lookup(ctx, key); err != nil || !found || v != "v2" {
-			t.Fatalf("lookup of %s = %q, %v, %v; want v2", key, v, found, err)
-		}
-	}
-}

@@ -32,30 +32,18 @@ type SuiteStats struct {
 	// representative (rep.ErrStaleEpoch); the suite must be rebuilt from
 	// the current configuration record.
 	StaleEpochRejections uint64
-	// BudgetExhausted counts operations that failed with
-	// ErrBudgetExhausted: the error class was retryable, but the retry
-	// budget (WithRetryBudget) had no tokens left.
-	BudgetExhausted uint64
-	// HedgedReads counts backup quorum-read probes fired by read
-	// hedging (WithHedgedReads); HedgeWins counts the ones whose answer
-	// arrived before the primary's.
-	HedgedReads uint64
-	HedgeWins   uint64
 }
 
 // suiteCounters is the mutable, atomic backing store.
 type suiteCounters struct {
-	calls           atomic.Uint64
-	commits         atomic.Uint64
-	failures        atomic.Uint64
-	cancelled       atomic.Uint64
-	retries         atomic.Uint64
-	dies            atomic.Uint64
-	replicaLosses   atomic.Uint64
-	staleEpoch      atomic.Uint64
-	budgetExhausted atomic.Uint64
-	hedgedReads     atomic.Uint64
-	hedgeWins       atomic.Uint64
+	calls         atomic.Uint64
+	commits       atomic.Uint64
+	failures      atomic.Uint64
+	cancelled     atomic.Uint64
+	retries       atomic.Uint64
+	dies          atomic.Uint64
+	replicaLosses atomic.Uint64
+	staleEpoch    atomic.Uint64
 }
 
 // snapshot freezes the counters.
@@ -69,9 +57,6 @@ func (c *suiteCounters) snapshot() SuiteStats {
 		Dies:                 c.dies.Load(),
 		ReplicaLosses:        c.replicaLosses.Load(),
 		StaleEpochRejections: c.staleEpoch.Load(),
-		BudgetExhausted:      c.budgetExhausted.Load(),
-		HedgedReads:          c.hedgedReads.Load(),
-		HedgeWins:            c.hedgeWins.Load(),
 	}
 }
 

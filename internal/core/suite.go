@@ -91,12 +91,6 @@ type Suite struct {
 	health     *HealthTracker
 	obs        *obs.Observer
 	counters   suiteCounters
-	// budget, when set (WithRetryBudget), caps unavailability-class
-	// retries at a fraction of recent successes (see budget.go).
-	budget *RetryBudget
-	// hedge, when set (WithHedgedReads), fires a backup quorum-read
-	// probe after the observed p99 probe latency (see hedge.go).
-	hedge *hedgeState
 	// localMember, when set (WithLocalReads), names the store member
 	// LocalLookup consults, and local is that member.
 	localMember string
@@ -145,17 +139,6 @@ func WithParallelQuorum(on bool) Option { return func(s *Suite) { s.parallel = o
 // breaker can only ever save work, never refuse an operation the
 // representatives could serve.
 func WithHealth(t *HealthTracker) Option { return func(s *Suite) { s.health = t } }
-
-// WithRetryBudget caps the suite's unavailability-class retries
-// (unreachable/recovering replicas, shed or expired requests) with a
-// token-bucket budget: each committed operation earns a fraction of a
-// retry token, each budgeted retry spends one, and when the bucket is
-// empty the operation fails with ErrBudgetExhausted instead of retrying
-// into an overloaded system. ErrOverloaded/ErrExpired become retryable
-// *only* under a budget. Wait-die retries are exempt (deadlock
-// avoidance, not load). Budgets are shareable: pass the same one to
-// every suite in a process to cap their combined retry load.
-func WithRetryBudget(b *RetryBudget) Option { return func(s *Suite) { s.budget = b } }
 
 // WithNeighborFanout sets how many successive predecessors/successors
 // each neighbor probe fetches in one message during Delete's
@@ -422,9 +405,6 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 		retrySpan.End()
 		if err == nil {
 			s.counters.commits.Add(1)
-			if s.budget != nil {
-				s.budget.OnSuccess()
-			}
 			tx.flushMetrics()
 			if release { // the Tx is its release round's from here
 				s.releasing.Add(1)
@@ -446,16 +426,8 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 			s.counters.staleEpoch.Add(1)
 			s.obs.StaleRejected()
 		}
-		retry, cause := DecideRetry(err, s.budget)
-		if !retry {
+		if !Retryable(err) {
 			s.counters.failures.Add(1)
-			if cause != nil {
-				// The error class was retryable; only the drained budget
-				// stopped it. Surface both identities so callers can back
-				// off on ErrBudgetExhausted yet still see the root cause.
-				s.counters.budgetExhausted.Add(1)
-				return fmt.Errorf("%w: %w", cause, err)
-			}
 			return err
 		}
 		s.counters.retries.Add(1)
@@ -491,12 +463,20 @@ func Backoff(ctx context.Context, attempt int) {
 	}
 }
 
-// retryable reports whether the operation should be re-run: wait-die
-// victims always retry; losing a replica retries with that replica
-// excluded; an attempt externally decided (by a resolver) re-runs under a
-// fresh attempt ID. Quorum-collection failures are final (not enough
-// replicas are up), as are semantic errors.
-func retryable(err error) bool {
+// Retryable reports whether an operation that failed with err should be
+// re-run; it is the one retry rule of the suite and the shard router.
+// Wait-die victims always retry; losing a replica retries with that
+// replica excluded; an attempt externally decided (by a resolver) re-runs
+// under a fresh attempt ID. A server's refusal — shed
+// (transport.ErrOverloaded) or expired (transport.ErrExpired) — is never
+// retried, whatever else the error wraps: the member is alive and asking
+// for less work, and a retry would only add it back. Quorum-collection
+// failures are final (not enough replicas are up), as are semantic
+// errors.
+func Retryable(err error) bool {
+	if errors.Is(err, transport.ErrOverloaded) || errors.Is(err, transport.ErrExpired) {
+		return false
+	}
 	return errors.Is(err, lock.ErrDie) ||
 		errors.Is(err, transport.ErrUnavailable) ||
 		errors.Is(err, rep.ErrRecovering) ||

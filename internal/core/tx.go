@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repdir/internal/keyspace"
@@ -63,10 +62,6 @@ type Tx struct {
 	// mutated records whether any representative state changed; pure
 	// read transactions release their locks with a cheap abort.
 	mutated bool
-	// hedgeMsgs counts messages sent by hedge probe goroutines during a
-	// quorum round; folded into msgs after the round's barrier (msgs
-	// itself is not written concurrently).
-	hedgeMsgs atomic.Int64
 	// observations buffers per-delete statistics until commit.
 	observations []DeleteObservation
 
@@ -284,13 +279,7 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	if err != nil {
 		return rep.LookupResult{}, err
 	}
-	hedged := tx.suite.hedge != nil
-	switch {
-	case tx.shape != pointRead:
-	case hedged:
-		// A hedge leg may outlive the round: its context must too.
-		ctx = rep.MarkOneShot(ctx)
-	default:
+	if tx.shape == pointRead {
 		ctx = tx.mark(ctx, rep.OneShotMark)
 	}
 	for _, m := range members {
@@ -299,16 +288,7 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	sp := tx.span("quorum-read", key.Raw())
 	tx.replies = slots(tx.replies, len(members))
 	tx.round = round{kind: callLookup, ctx: ctx, key: key}
-	if hedged {
-		tx.round.kind, tx.round.hedge = callHedgedLookup, tx.newHedgeRound(members)
-	}
 	tx.fanOut(members)
-	if tx.hedgeMsgs.Load() > 0 {
-		// Hedge probes send extra messages from concurrent probe
-		// goroutines; they accumulate in an atomic and fold into the
-		// transaction's count here, after the round's barrier.
-		tx.msgs += int(tx.hedgeMsgs.Swap(0))
-	}
 	sp.End()
 	if err := tx.roundError(members, tx.errs, "lookup", key); err != nil {
 		return rep.LookupResult{}, err
@@ -448,14 +428,12 @@ type round struct {
 	n        int         // neighbors asked for
 	bounds   [2]neighbor // a delete's real successor and predecessor
 	run      *run
-	hedge    *hedgeRound
 }
 
 type callKind uint8
 
 const (
 	callLookup callKind = iota
-	callHedgedLookup
 	callInsert
 	callAround
 	callBoundLookup
@@ -472,8 +450,6 @@ func (tx *Tx) call(i int) {
 	switch c.kind {
 	case callLookup:
 		tx.replies[i], tx.errs[i] = d.Lookup(c.ctx, id, c.key)
-	case callHedgedLookup:
-		tx.replies[i], tx.errs[i] = c.hedge.lookup(c.ctx, c.to[i], id, c.key)
 	case callInsert:
 		ctx := c.ctx
 		if tx.read.Has(c.to[i].idx) {

@@ -429,7 +429,7 @@ func (r *Router) run(ctx context.Context, kept bool, fn func(x *Txn) error) erro
 			return nil
 		}
 		lastErr = err
-		if retry, _ := core.DecideRetry(err, nil); !retry {
+		if !core.Retryable(err) {
 			r.stats.done(fanout, attempt)
 			return err
 		}

@@ -27,8 +27,8 @@ const (
 
 // OverloadConfig parameterizes the overload-curve experiment: a real
 // TCP-loopback 3-2-2 suite with the full protection stack (deadline
-// propagation, CoDel admission, retry budgets, hedged reads) driven by
-// the open-loop harness at multiples of its measured capacity.
+// propagation, CoDel admission, a client that never retries a refusal)
+// driven by the open-loop harness at multiples of its measured capacity.
 type OverloadConfig struct {
 	// Keys is the preloaded key-universe size (default 2000).
 	Keys int
@@ -109,9 +109,6 @@ type OverloadReport struct {
 	// work is bounded even past saturation.
 	TailBounded bool
 	TailBound   time.Duration
-	// HedgedReads / BudgetExhausted are the client suite's totals for
-	// the whole experiment.
-	HedgedReads, BudgetExhausted uint64
 }
 
 // Pass is the experiment's acceptance verdict.
@@ -120,11 +117,11 @@ func (r OverloadReport) Pass() bool { return r.Plateau && r.TailBounded }
 // RunOverload builds the deployment, measures its capacity with a
 // saturating calibration burst, then drives the open-loop harness at
 // each configured multiple of that capacity. Every server runs CoDel
-// admission over a brownout-pinned service time; the client suite runs
-// retry budgets and hedged reads; every operation carries a propagated
-// deadline. The report's verdict is the graceful-degradation claim:
-// past saturation, goodput plateaus and the tail stays bounded while
-// the excess is shed, visibly, at the driver and the servers.
+// admission over a brownout-pinned service time; the client suite never
+// retries a refusal (core.Retryable); every operation carries a
+// propagated deadline. The report's verdict is the graceful-degradation
+// claim: past saturation, goodput plateaus and the tail stays bounded
+// while the excess is shed, visibly, at the driver and the servers.
 func RunOverload(cfg OverloadConfig) (OverloadReport, error) {
 	cfg = cfg.withDefaults()
 	// The tail bound is 4x the op deadline, rounded up to the response
@@ -173,9 +170,7 @@ func RunOverload(cfg OverloadConfig) (OverloadReport, error) {
 	suite, err := core.NewSuite(qc,
 		core.WithSelector(quorum.NewStickySelector(qc)),
 		core.WithParallelQuorum(true),
-		core.WithIDSource(txn.NewIDSource(511)),
-		core.WithRetryBudget(core.NewRetryBudget()),
-		core.WithHedgedReads())
+		core.WithIDSource(txn.NewIDSource(511)))
 	if err != nil {
 		return report, err
 	}
@@ -262,9 +257,6 @@ func RunOverload(cfg OverloadConfig) (OverloadReport, error) {
 	report.FinalGoodput = last.Goodput
 	report.Plateau = report.FinalGoodput >= 0.8*report.PeakGoodput
 	report.TailBounded = last.Result.Response.Quantile(0.999) <= report.TailBound
-	st := suite.Stats()
-	report.HedgedReads = st.HedgedReads
-	report.BudgetExhausted = st.BudgetExhausted
 	return report, nil
 }
 
@@ -309,7 +301,5 @@ func FormatOverload(r OverloadReport) string {
 	last := r.Points[len(r.Points)-1]
 	fmt.Fprintf(&b, "  tail:    p999 %v vs bound %v — %s\n",
 		last.Result.Response.Quantile(0.999).Round(time.Microsecond), r.TailBound, verdict(r.TailBounded))
-	fmt.Fprintf(&b, "  client:  %d hedged reads, %d budget exhaustions\n",
-		r.HedgedReads, r.BudgetExhausted)
 	return b.String()
 }

@@ -36,17 +36,16 @@ var ErrUnavailable = errors.New("transport: representative unavailable")
 // ErrExpired reports that a request's propagated deadline had already
 // passed (or provably could not be met) when the server would have
 // started it, so the server refused to burn a worker on an answer the
-// client can no longer use. Clients treat it like overload: retrying is
-// pointless without both remaining deadline and retry budget.
+// client can no longer use. Clients treat it like overload and never
+// retry it (core.Retryable).
 var ErrExpired = errors.New("transport: request deadline expired before service")
 
 // ErrOverloaded reports that the server shed the request under
 // admission control: its dispatch queue's measured delay exceeded the
 // target for a sustained interval, so the newest arrivals are rejected
 // instead of queued (queueing them would only push every request past
-// its deadline — the metastable-collapse mode). Clients must not retry
-// on overload except against an explicit retry budget: blind retries
-// multiply the very load being shed.
+// its deadline — the metastable-collapse mode). Clients never retry it
+// (core.Retryable): a retry multiplies the very load being shed.
 var ErrOverloaded = errors.New("transport: server overloaded, request shed")
 
 // code is the wire form of the errors the algorithm must distinguish.

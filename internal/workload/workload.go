@@ -212,9 +212,8 @@ type Result struct {
 	LocalReads, LocalFallbacks uint64
 	// ErrorKinds splits Errors by cause, so an overload run can account
 	// for every refused operation: "overloaded" (server shed),
-	// "expired" (deadline refused at the server), "budget" (client
-	// retry budget drained), "unavailable", "deadline" (client context
-	// elapsed), "other".
+	// "expired" (deadline refused at the server), "unavailable",
+	// "deadline" (client context elapsed), "other".
 	ErrorKinds map[string]uint64
 	// Verdict is the SLO evaluation (Checked false when no SLO set).
 	Verdict Verdict
@@ -283,12 +282,11 @@ const (
 var opLabels = [...]string{"lookup", "update", "insert", "scan"}
 
 // Error-kind buckets for Result.ErrorKinds. Overload accounting needs
-// every refused operation attributed: a shed, an expiry, and a drained
-// budget are three different stories about the same slow server.
+// every refused operation attributed: a shed and an expiry are two
+// different stories about the same slow server.
 const (
 	errOverloaded = iota
 	errExpired
-	errBudget
 	errUnavailable
 	errDeadline
 	errOther
@@ -296,15 +294,11 @@ const (
 )
 
 var errKindLabels = [numErrKinds]string{
-	"overloaded", "expired", "budget", "unavailable", "deadline", "other",
+	"overloaded", "expired", "unavailable", "deadline", "other",
 }
 
 func errKind(err error) int {
 	switch {
-	case errors.Is(err, core.ErrBudgetExhausted):
-		// Budget wraps the overload-class root cause; the budget verdict
-		// is the useful one (the client stopped, not the server).
-		return errBudget
 	case errors.Is(err, transport.ErrOverloaded):
 		return errOverloaded
 	case errors.Is(err, transport.ErrExpired):

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -408,9 +407,6 @@ func TestErrKindClassification(t *testing.T) {
 		{transport.ErrUnavailable, "unavailable"},
 		{context.DeadlineExceeded, "deadline"},
 		{core.ErrKeyExists, "other"},
-		// The budget wraps its overload-class root cause; the budget
-		// verdict must win over the wrapped kind.
-		{fmt.Errorf("%w: %w", core.ErrBudgetExhausted, transport.ErrOverloaded), "budget"},
 	}
 	for _, c := range cases {
 		if got := errKindLabels[errKind(c.err)]; got != c.want {
