@@ -24,14 +24,21 @@ func TestRetryable(t *testing.T) {
 		{"die", lock.ErrDie, true},
 		// A lost or recovering member retries, with that member excluded.
 		{"unavailable", transport.ErrUnavailable, true},
+		{"unavailable_and_die", fmt.Errorf("%w: %w", transport.ErrUnavailable, lock.ErrDie), true},
 		{"recovering", rep.ErrRecovering, true},
+		// An operation out of retries keeps its cause in the chain, and
+		// the cause decides.
+		{"die_exhausted", fmt.Errorf("%w: %w", ErrRetriesExhausted, lock.ErrDie), true},
+		{"unavailable_exhausted", fmt.Errorf("%w: %w", ErrRetriesExhausted, transport.ErrUnavailable), true},
 		// A resolver decided the attempt: re-run under a fresh attempt ID.
 		{"txn_decided", rep.ErrTxnDecided, true},
 		{"unknown_txn", rep.ErrUnknownTxn, true},
-		// A server's refusal is never retried, even beside a lost member.
+		// A server's refusal is never retried, whatever else the error
+		// wraps.
 		{"overloaded", transport.ErrOverloaded, false},
 		{"expired", transport.ErrExpired, false},
 		{"overloaded_and_unavailable", fmt.Errorf("%w: %w", transport.ErrOverloaded, transport.ErrUnavailable), false},
+		{"overloaded_and_die", fmt.Errorf("%w: %w", transport.ErrOverloaded, lock.ErrDie), false},
 		// Semantic errors are final.
 		{"semantic", ErrKeyExists, false},
 		{"stale_epoch", rep.ErrStaleEpoch, false},
