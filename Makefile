@@ -98,7 +98,8 @@ workload:
 	$(GO) run ./cmd/repdir-sim -experiment workload -keys 20000 -rate 2000 -duration 1s
 
 # Overload gate: a TCP 3-2-2 suite with the full protection stack —
-# deadline propagation, CoDel admission, no retry of a refusal —
+# deadline propagation, CoDel admission, no retry of a refusal, a
+# point read's failover to a spare member —
 # driven at 0.5/1/1.5/2x its calibrated capacity, at full length (1s
 # points proved too noisy to gate on — a bad patch in one window flips
 # the verdict). repdir-sim exits non-zero unless goodput at 2x stays

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -80,6 +81,7 @@ type Tx struct {
 	runs             [2]run
 	round            round
 	legs             sync.WaitGroup
+	spareMu          sync.Mutex // guards round.taken
 	marked           rep.Marked
 }
 
@@ -287,8 +289,10 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	}
 	sp := tx.span("quorum-read", key.Raw())
 	tx.replies = slots(tx.replies, len(members))
-	tx.round = round{kind: callLookup, ctx: ctx, key: key}
+	taken := indexes(members) | tx.exclude
+	tx.round = round{kind: callLookup, ctx: ctx, key: key, taken: taken}
 	tx.fanOut(members)
+	tx.msgs += bits.OnesCount64(uint64(tx.round.taken &^ taken))
 	sp.End()
 	if err := tx.roundError(members, tx.errs, "lookup", key); err != nil {
 		return rep.LookupResult{}, err
@@ -297,6 +301,34 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 		tx.read = indexes(members)
 	}
 	return tx.resolve(ctx, key, members, tx.replies)
+}
+
+// failover asks a point read's refused probe (transport.ErrOverloaded,
+// ErrExpired) again, once, of a spare: a store member outside the read
+// quorum and the exclusions, with at least the refusing member's votes,
+// so the read set still meets every write quorum. The spare answers into
+// slot i and takes the member's place; if it fails too, the refusal
+// stands. The call is inside the round: it returns before fanOut does.
+func (tx *Tx) failover(i int) {
+	c, err := &tx.round, tx.errs[i]
+	if tx.shape != pointRead || !errors.Is(err, transport.ErrOverloaded) && !errors.Is(err, transport.ErrExpired) {
+		return
+	}
+	var spare member
+	tx.spareMu.Lock()
+	for _, m := range tx.suite.members {
+		if !m.Witness && !c.taken.Has(m.idx) && m.Votes >= c.to[i].Votes {
+			spare = m
+			c.taken.Add(m.idx)
+			break
+		}
+	}
+	tx.spareMu.Unlock()
+	if spare.Dir != nil {
+		if r, err := spare.Dir.Lookup(c.ctx, tx.txn.ID, c.key); err == nil {
+			c.to[i], tx.replies[i], tx.errs[i] = spare, r, nil
+		}
+	}
 }
 
 // resolve applies Figure 8 to one key's replies from a read quorum:
@@ -428,6 +460,7 @@ type round struct {
 	n        int         // neighbors asked for
 	bounds   [2]neighbor // a delete's real successor and predecessor
 	run      *run
+	taken    quorum.Set // the quorum, exclusions and spares taken (Tx.failover)
 }
 
 type callKind uint8
@@ -443,13 +476,14 @@ const (
 )
 
 // call makes the round's call at its i'th member and leaves the answer
-// in slot i. It writes nothing else: calls run concurrently, and error
-// handling happens after the barrier.
+// in slot i, of the members too (Tx.failover). It writes nothing else:
+// calls run concurrently, and error handling happens after the barrier.
 func (tx *Tx) call(i int) {
 	c, d, id := &tx.round, tx.round.to[i].Dir, tx.txn.ID
 	switch c.kind {
 	case callLookup:
 		tx.replies[i], tx.errs[i] = d.Lookup(c.ctx, id, c.key)
+		tx.failover(i)
 	case callInsert:
 		ctx := c.ctx
 		if tx.read.Has(c.to[i].idx) {

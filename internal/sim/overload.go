@@ -118,8 +118,8 @@ func (r OverloadReport) Pass() bool { return r.Plateau && r.TailBounded }
 // saturating calibration burst, then drives the open-loop harness at
 // each configured multiple of that capacity. Every server runs CoDel
 // admission over a brownout-pinned service time; the client suite never
-// retries a refusal (core.Retryable); every operation carries a
-// propagated deadline. The report's verdict is the graceful-degradation
+// retries a refusal (core.Retryable), but a point read asks the spare
+// member once instead; every operation carries a propagated deadline. The report's verdict is the graceful-degradation
 // claim: past saturation, goodput plateaus and the tail stays bounded
 // while the excess is shed, visibly, at the driver and the servers.
 func RunOverload(cfg OverloadConfig) (OverloadReport, error) {

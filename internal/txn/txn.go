@@ -458,12 +458,12 @@ const decisionGrace = 2 * time.Second
 // redelivery of the whole round under it, which is safe because Commit
 // and Abort are idempotent per participant. A detached round, whose
 // caller may cancel the moment it returns, runs under the Txn's own
-// from the start.
+// from the start. Dead means dead by the clock too (live).
 func (t *Txn) decidedRound(ctx context.Context, name string, to func(*participant) bool,
 	phase func(rep.Directory, context.Context, lock.TxnID) error, detached bool) (asked int) {
 	if !detached && ctx.Err() == nil {
 		var failed bool
-		if asked, failed = t.round(ctx, name, to, phase, false); ctx.Err() == nil || !failed {
+		if asked, failed = t.round(ctx, name, to, phase, false); !failed || live(ctx) {
 			return asked
 		}
 	}
@@ -472,6 +472,14 @@ func (t *Txn) decidedRound(ctx context.Context, name string, to func(*participan
 		t.grace.end()
 	}
 	return asked + n
+}
+
+// live reports whether ctx can still carry a call. The transport goes by
+// the clock and refuses a call past its deadline before the context's
+// own timer fires, so a round can fail of a deadline ctx.Err misses.
+func live(ctx context.Context) bool {
+	d, ok := ctx.Deadline()
+	return ctx.Err() == nil && (!ok || time.Now().Before(d))
 }
 
 // graceCtx is the context a decided round runs under when it cannot use

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
@@ -168,6 +169,67 @@ func TestAbortDeadContextStillReleasesLocks(t *testing.T) {
 	}
 	if err := r.Commit(ctx, 200); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// clockAbortDir refuses an abort past its context's deadline by the
+// clock, as the transport client does, after taking delay to get to it.
+type clockAbortDir struct {
+	*rep.Rep
+	delay time.Duration
+}
+
+func (d clockAbortDir) Abort(ctx context.Context, id lock.TxnID) error {
+	time.Sleep(d.delay)
+	if at, ok := ctx.Deadline(); ok && !time.Now().Before(at) {
+		return context.DeadlineExceeded
+	}
+	return d.Rep.Abort(ctx, id)
+}
+
+// lateTimerCtx has a deadline whose timer has not fired yet: Err stays
+// nil however far the clock is past it, as in a loaded process.
+type lateTimerCtx struct {
+	context.Context
+	at time.Time
+}
+
+func (c lateTimerCtx) Deadline() (time.Time, bool) { return c.at, true }
+
+// TestAbortRedeliveredPastDeadlineByTheClock: an abort round whose
+// context is past its deadline by the clock, on entry or by the time
+// the round is over, is delivered under the Txn's own context, though
+// the context's Err is still nil. Judged by Err alone, the round was
+// refused at the participant and never redelivered, and the
+// transaction held its locks there for good.
+func TestAbortRedeliveredPastDeadlineByTheClock(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		in    time.Duration // deadline from now
+		delay time.Duration // the participant's time to get to the abort
+	}{
+		{"dead_on_entry", -time.Millisecond, 0},
+		{"dies_mid_round", 20 * time.Millisecond, 40 * time.Millisecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := rep.New("A")
+			tx := New(100)
+			if err := r.Insert(ctx, tx.ID, keyspace.New("k"), 1, "v"); err != nil {
+				t.Fatal(err)
+			}
+			tx.Join(clockAbortDir{Rep: r, delay: c.delay})
+			if err := tx.Abort(lateTimerCtx{Context: ctx, at: time.Now().Add(c.in)}); err != nil {
+				t.Fatal(err)
+			}
+			// Transaction 200 is younger than 100: wait-die would kill it
+			// on the spot if the lock were still held.
+			if err := r.Insert(ctx, 200, keyspace.New("k"), 2, "w"); err != nil {
+				t.Fatalf("lock still held after the abort: %v", err)
+			}
+			if err := r.Abort(ctx, 200); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
