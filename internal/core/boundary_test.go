@@ -11,7 +11,7 @@ import (
 // The tests in this file pin down the ordered-traversal boundary
 // semantics the shard router composes on: empty spans, bounds that fall
 // exactly on stored keys, reverse scans starting below every key, limits
-// exceeding the population, and neighbor searches at the keyspace
+// exceeding the population, and one-entry walks at the keyspace
 // extremes. Each case must behave identically whether the suite serves a
 // whole keyspace or one shard's slice of it.
 
@@ -133,60 +133,80 @@ func TestScanReverseLimitExceedsPopulation(t *testing.T) {
 	}
 }
 
+// TestNeighborsAtExtremes runs the one-entry walk — a scan of limit 1 —
+// at the ends of the keyspace: past the last key or before the first,
+// each reports an empty page, a definitive answer and not an error.
 func TestNeighborsAtExtremes(t *testing.T) {
 	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 2, 1)
 	ctx := context.Background()
 
-	// Empty directory: both searches reach the far sentinel and report
-	// "no neighbor" as a definitive answer, not an error.
-	if kv, found, err := ts.suite.Successor(ctx, ""); err != nil || found {
-		t.Fatalf("Successor on empty suite = (%v, %v, %v), want not found", kv, found, err)
+	// Empty directory: both walks reach the far sentinel.
+	if got, err := ts.suite.Scan(ctx, "", 1); err != nil || len(got) != 0 {
+		t.Fatalf("Scan(\"\", 1) on empty suite = (%v, %v), want empty", got, err)
 	}
-	if kv, found, err := ts.suite.Predecessor(ctx, ""); err != nil || found {
-		t.Fatalf("Predecessor on empty suite = (%v, %v, %v), want not found", kv, found, err)
+	if got, err := ts.suite.ScanReverse(ctx, "", 1); err != nil || len(got) != 0 {
+		t.Fatalf("ScanReverse(\"\", 1) on empty suite = (%v, %v), want empty", got, err)
 	}
 
 	ts.prepopulate(t, "b", "c", "d")
 	cases := []struct {
-		op        string
-		arg       string
-		wantKey   string
-		wantFound bool
+		reverse bool
+		arg     string
+		want    string // "" for an empty page
 	}{
-		{"succ", "", "b", true},  // successor from the very beginning
-		{"succ", "a", "b", true}, // from below all keys
-		{"succ", "b", "c", true},
-		{"succ", "d", "", false}, // no successor of the maximum
-		{"succ", "z", "", false},
-		{"pred", "", "d", true}, // predecessor from the very end
-		{"pred", "z", "d", true},
-		{"pred", "c", "b", true},
-		{"pred", "b", "", false}, // no predecessor of the minimum
-		{"pred", "a", "", false},
+		{false, "", "b"},  // from the very beginning
+		{false, "a", "b"}, // from below all keys
+		{false, "b", "c"},
+		{false, "d", ""}, // nothing above the maximum
+		{false, "z", ""},
+		{true, "", "d"}, // from the very end
+		{true, "z", "d"},
+		{true, "c", "b"},
+		{true, "b", ""}, // nothing below the minimum
+		{true, "a", ""},
 	}
 	for _, tc := range cases {
-		var kv KV
-		var found bool
-		var err error
-		if tc.op == "succ" {
-			kv, found, err = ts.suite.Successor(ctx, tc.arg)
-		} else {
-			kv, found, err = ts.suite.Predecessor(ctx, tc.arg)
+		scan, name := ts.suite.Scan, "Scan"
+		if tc.reverse {
+			scan, name = ts.suite.ScanReverse, "ScanReverse"
 		}
+		got, err := scan(ctx, tc.arg, 1)
 		if err != nil {
-			t.Fatalf("%s(%q): %v", tc.op, tc.arg, err)
+			t.Fatalf("%s(%q, 1): %v", name, tc.arg, err)
 		}
-		if found != tc.wantFound || kv.Key != tc.wantKey {
-			t.Fatalf("%s(%q) = (%q, %v), want (%q, %v)",
-				tc.op, tc.arg, kv.Key, found, tc.wantKey, tc.wantFound)
+		key := ""
+		if len(got) > 0 {
+			key = got[0].Key
 		}
+		if len(got) > 1 || key != tc.want {
+			t.Fatalf("%s(%q, 1) = %v, want %q", name, tc.arg, got, tc.want)
+		}
+	}
+
+	// From the sentinels themselves there is nothing to ask: the
+	// Key-typed forms answer locally, with no representative probes.
+	before := neighborProbes(ts)
+	err := ts.suite.RunInTxn(ctx, func(tx *Tx) error {
+		if page, err := tx.ScanSpan(ctx, keyspace.High(), keyspace.High(), 1); err != nil || len(page) != 0 {
+			t.Fatalf("ScanSpan(High, High, 1) = (%v, %v), want empty", page, err)
+		}
+		if page, err := tx.ScanReverseSpan(ctx, keyspace.Low(), 1); err != nil || len(page) != 0 {
+			t.Fatalf("ScanReverseSpan(Low, 1) = (%v, %v), want empty", page, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("RunInTxn: %v", err)
+	}
+	if after := neighborProbes(ts); after != before {
+		t.Fatalf("walks from the sentinels issued %d neighbor probes, want 0", after-before)
 	}
 }
 
 // TestNeighborFailureIsNotNotFound is the contract the router's
-// shard-fallthrough depends on: a search that cannot complete must
-// surface an error, never a quiet found == false that would make a
-// stitched traversal silently skip a shard's keys.
+// stitching depends on: a walk that cannot complete must surface an
+// error, never a quiet empty page that would make a stitched traversal
+// silently skip a shard's keys.
 func TestNeighborFailureIsNotNotFound(t *testing.T) {
 	ts := newScriptedSuite(t, []string{"A", "B", "C"}, 2, 2)
 	ts.script.set([]int{0, 1}, []int{0, 1})
@@ -195,20 +215,11 @@ func TestNeighborFailureIsNotNotFound(t *testing.T) {
 
 	ts.locals[0].Crash()
 	ts.locals[1].Crash()
-	_, found, err := ts.suite.Successor(ctx, "")
-	if err == nil {
-		t.Fatalf("Successor with majority down = found %v, want error", found)
+	if got, err := ts.suite.Scan(ctx, "", 1); err == nil {
+		t.Fatalf("Scan(\"\", 1) with majority down = %v, want error", got)
 	}
-	if found {
-		t.Fatal("Successor with majority down reported found")
-	}
-
-	_, found, err = ts.suite.Predecessor(ctx, "")
-	if err == nil {
-		t.Fatalf("Predecessor with majority down = found %v, want error", found)
-	}
-	if found {
-		t.Fatal("Predecessor with majority down reported found")
+	if got, err := ts.suite.ScanReverse(ctx, "", 1); err == nil {
+		t.Fatalf("ScanReverse(\"\", 1) with majority down = %v, want error", got)
 	}
 }
 

@@ -331,16 +331,16 @@ func TestMergeMatchesPerKeyWalk(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: the walk collected %v, the per-key walk %v", what, got, want)
 				}
-				kv, found, err := tx.first(ctx, from, end, desc)
+				first, err := tx.collect(ctx, from, end, desc, 1)
 				if err != nil {
 					return err
 				}
-				all, err := refWalk(ctx, tx, members, from, end, desc, 1)
+				wantFirst, err := refWalk(ctx, tx, members, from, end, desc, 1)
 				if err != nil {
 					return err
 				}
-				if found != (len(all) == 1) || found && kv != all[0] {
-					t.Fatalf("%s: first = %v, %v; the per-key walk finds %v", what, kv, found, all)
+				if !reflect.DeepEqual(first, wantFirst) {
+					t.Fatalf("%s: the one-entry walk collected %v, the per-key walk %v", what, first, wantFirst)
 				}
 				if !desc {
 					n, err := tx.CountSpan(ctx, from, bound)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repdir/internal/keyspace"
 	"repdir/internal/txn"
 )
 
@@ -116,7 +115,6 @@ func TestKeptTxFailsClosed(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		for _, tx := range kept {
 			for name, err := range map[string]error{
-				"First":  third(tx.SuccessorKey(ctx, keyspace.Low())),
 				"Lookup": third(tx.Lookup(ctx, "k")),
 				"Insert": tx.Insert(ctx, "fresh", "v"),
 				"Update": tx.Update(ctx, "k", "v3"),

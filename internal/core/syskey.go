@@ -12,8 +12,8 @@ import (
 // the replicated configuration record (package reconfig). The prefix
 // byte sorts below every user key, so system entries cluster at the
 // bottom of the keyspace. validateKey rejects it from the public API,
-// and the iteration operations (Scan, Count, Successor, Predecessor)
-// skip over system entries, so user-visible state never includes them.
+// and the traversals (Scan, ScanReverse, ScanRange, Count) skip over
+// system entries, so user-visible state never includes them.
 //
 // At the representative layer system entries are ordinary entries: they
 // get versions, participate in quorum reads, are copied by

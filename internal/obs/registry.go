@@ -275,34 +275,3 @@ func (r *Registry) Handler() http.Handler {
 		_ = r.WritePrometheus(w)
 	})
 }
-
-// snapshotMap renders every family's current samples as a flat
-// name{labels}→value map, the shape expvar wants.
-func (r *Registry) snapshotMap() map[string]any {
-	r.mu.Lock()
-	families := append([]family(nil), r.families...)
-	r.mu.Unlock()
-	out := make(map[string]any)
-	for _, f := range families {
-		if f.kind == "histogram" {
-			if f.collectSize != nil {
-				for _, s := range f.collectSize() {
-					ls := labelString(f.labels, s.Labels, "", "")
-					out[f.name+ls+"_count"] = s.Snap.Count
-					out[f.name+ls+"_sum"] = s.Snap.Sum
-				}
-				continue
-			}
-			for _, s := range f.collectHist() {
-				ls := labelString(f.labels, s.Labels, "", "")
-				out[f.name+ls+"_count"] = s.Snap.Count
-				out[f.name+ls+"_sum_seconds"] = s.Snap.Sum.Seconds()
-			}
-			continue
-		}
-		for _, s := range f.collect() {
-			out[f.name+labelString(f.labels, s.Labels, "", "")] = s.Value
-		}
-	}
-	return out
-}

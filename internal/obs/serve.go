@@ -5,36 +5,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-// expvarMu serializes the check-then-publish against expvar's global
-// namespace (expvar.Publish panics on duplicates and offers no query
-// under lock).
-var expvarMu sync.Mutex
-
-// PublishExpvar publishes the registry's current samples as one expvar
-// variable (visible at /debug/vars), flattening labels into the key.
-// Publishing the same name twice is a no-op, so the call is safe from
-// re-constructed serving stacks.
-func (r *Registry) PublishExpvar(name string) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.snapshotMap() }))
-}
 
 // NewMux returns an http mux serving the observability endpoints:
 //
 //	/metrics       Prometheus text exposition of reg
-//	/debug/vars    expvar (reg is published as "repdir")
+//	/debug/vars    expvar: Go's own memstats and cmdline
 //	/debug/pprof   runtime profiles, when withPprof is set
 //
 // The mux is also usable as a library handler inside a larger server.
 func NewMux(reg *Registry, withPprof bool) *http.ServeMux {
-	reg.PublishExpvar("repdir")
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/vars", expvar.Handler())

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
@@ -15,9 +16,11 @@ import (
 // TestSerializableCountersOnOneRep runs concurrent read-modify-write
 // transactions against a single representative. Strict two-phase locking
 // plus wait-die retry must serialize them: no lost updates, final value
-// equals the number of committed increments.
+// equals the number of committed increments. The run is bounded: a
+// transaction that starves fails the test instead of spinning it slowly.
 func TestSerializableCountersOnOneRep(t *testing.T) {
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
 	r := New("A")
 	key := keyspace.New("counter")
 
@@ -58,8 +61,17 @@ func TestSerializableCountersOnOneRep(t *testing.T) {
 						return
 					}
 					// Wait-die victim: abort and retry with the same
-					// (aging) ID.
-					r.Abort(ctx, id)
+					// (aging) ID, after a pause, as Suite.run backs off
+					// after a die. The lock manager keeps no wait queue:
+					// a victim that re-reads at once is granted its read
+					// lock past the older transaction waiting to upgrade,
+					// and the older one starves.
+					r.Abort(context.Background(), id)
+					if err := ctx.Err(); err != nil {
+						errs <- fmt.Errorf("transaction %d still dying at the deadline: %w", id, err)
+						return
+					}
+					time.Sleep(50 * time.Microsecond)
 				}
 			}
 		}()

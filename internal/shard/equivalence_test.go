@@ -1,13 +1,10 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
-
-	"repdir/internal/keyspace"
 )
 
 // TestEquivalenceTable pins down the boundary placements the router's
@@ -129,36 +126,5 @@ func TestEquivalenceRandom(t *testing.T) {
 			probes := append(append([]string{}, universe...), splits...)
 			checkOrderedOps(t, p, probes)
 		})
-	}
-}
-
-// TestEquivalencePrefix checks ScanPrefix stitching over tuple-encoded
-// keys, with a split point landing inside one tuple prefix's range.
-func TestEquivalencePrefix(t *testing.T) {
-	// Tuple keys sort by component; one split lands exactly at the start
-	// of the "b" prefix group, another inside it.
-	p := newPair(t, []string{"b", keyspace.EncodeTuple("b", "2").Raw()}, 3)
-	type row struct{ a, b string }
-	rows := []row{
-		{"a", "1"}, {"a", "2"},
-		{"b", "1"}, {"b", "2"}, {"b", "3"},
-		{"c", "1"},
-	}
-	for _, r := range rows {
-		p.insertTuple(t, r.a, r.b)
-	}
-	ctx := context.Background()
-	for _, prefix := range []string{"a", "b", "c", "d"} {
-		got, err := p.router.ScanPrefix(ctx, 0, prefix)
-		if err != nil {
-			t.Fatalf("router ScanPrefix(%q): %v", prefix, err)
-		}
-		want, err := p.ref.ScanPrefix(ctx, 0, prefix)
-		if err != nil {
-			t.Fatalf("reference ScanPrefix(%q): %v", prefix, err)
-		}
-		if !sameKVs(got, want) {
-			t.Fatalf("ScanPrefix(%q): router %v, reference %v", prefix, got, want)
-		}
 	}
 }

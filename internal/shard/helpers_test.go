@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repdir/internal/core"
-	"repdir/internal/keyspace"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
@@ -84,11 +83,6 @@ func (p *pair) insert(t testing.TB, key, value string) {
 	if err := p.ref.Insert(ctx, key, value); err != nil {
 		t.Fatalf("reference insert %q: %v", key, err)
 	}
-}
-
-func (p *pair) insertTuple(t testing.TB, components ...string) {
-	t.Helper()
-	p.insert(t, keyspace.EncodeTuple(components...).Raw(), fmt.Sprint(components))
 }
 
 func (p *pair) update(t testing.TB, key, value string) {
@@ -171,30 +165,6 @@ func checkOrderedOps(t testing.TB, p *pair, probes []string) {
 			if !sameKVs(got, want) {
 				t.Fatalf("ScanReverse(%q,%d): router %v, reference %v", a, lim, got, want)
 			}
-		}
-
-		gotKV, gotFound, err := p.router.Successor(ctx, a)
-		if err != nil {
-			t.Fatalf("router Successor(%q): %v", a, err)
-		}
-		wantKV, wantFound, err := p.ref.Successor(ctx, a)
-		if err != nil {
-			t.Fatalf("reference Successor(%q): %v", a, err)
-		}
-		if gotFound != wantFound || gotKV != wantKV {
-			t.Fatalf("Successor(%q): router (%v,%v), reference (%v,%v)", a, gotKV, gotFound, wantKV, wantFound)
-		}
-
-		gotKV, gotFound, err = p.router.Predecessor(ctx, a)
-		if err != nil {
-			t.Fatalf("router Predecessor(%q): %v", a, err)
-		}
-		wantKV, wantFound, err = p.ref.Predecessor(ctx, a)
-		if err != nil {
-			t.Fatalf("reference Predecessor(%q): %v", a, err)
-		}
-		if gotFound != wantFound || gotKV != wantKV {
-			t.Fatalf("Predecessor(%q): router (%v,%v), reference (%v,%v)", a, gotKV, gotFound, wantKV, wantFound)
 		}
 	}
 

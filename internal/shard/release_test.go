@@ -168,8 +168,8 @@ func TestRouterTxnHeldUntilReleaseLands(t *testing.T) {
 		if got, err := r.Scan(ctx, "y", 3); err != nil || len(got) != min(i+1, 3) {
 			t.Fatalf("scan of shard 1: %v, %v", got, err)
 		}
-		if _, found, err := r.Successor(ctx, key); err != nil || found {
-			t.Fatalf("successor of %s: %v, %v", key, found, err)
+		if got, err := r.Scan(ctx, key, 1); err != nil || len(got) != 0 {
+			t.Fatalf("scan past %s: %v, %v", key, got, err)
 		}
 	}
 	for r.releasing.Load() > 1 { // the shard 1 transactions' releases

@@ -22,10 +22,10 @@ import (
 //
 // Point operations (Lookup, Insert, Update, Delete) are delegated to the
 // owning suite, which runs them with its own retry loop and counters.
-// Ordered operations (Scan and friends, Count, Predecessor, Successor)
-// and RunInTxn run as router transactions: one txn.Txn shared by a
-// core.Tx per touched shard, committed with a single two-phase commit,
-// so a cross-shard result is as atomic as a single-suite one.
+// Ordered operations (Scan, ScanReverse, ScanRange, Count) and RunInTxn
+// run as router transactions: one txn.Txn shared by a core.Tx per
+// touched shard, committed with a single two-phase commit, so a
+// cross-shard result is as atomic as a single-suite one.
 type Router struct {
 	m   *Map
 	ids *txn.IDSource
@@ -288,12 +288,6 @@ func (r *Router) ScanReverse(ctx context.Context, before string, limit int) ([]c
 	return r.scan(ctx, func(x *Txn) ([]core.KV, error) { return x.ScanReverse(ctx, before, limit) })
 }
 
-// ScanPrefix returns the entries whose keys are tuple-encoded extensions
-// of the given prefix components (see keyspace.EncodeTuple), in order.
-func (r *Router) ScanPrefix(ctx context.Context, limit int, components ...string) ([]core.KV, error) {
-	return r.scan(ctx, func(x *Txn) ([]core.KV, error) { return x.ScanPrefix(ctx, limit, components...) })
-}
-
 // Count returns the total number of current entries across all shards.
 // Every shard is counted inside the same transaction — one consistent
 // cut across the whole sharded directory — so concurrent writers and
@@ -306,35 +300,6 @@ func (r *Router) Count(ctx context.Context) (int, error) {
 		return err
 	})
 	return n, err
-}
-
-// Successor returns the current entry with the smallest key strictly
-// greater than after, searching the owning shard first and falling
-// through to higher shards while each returns a definitive "no
-// successor". found == false means no shard holds one; errors are
-// search failures and never imply emptiness.
-func (r *Router) Successor(ctx context.Context, after string) (core.KV, bool, error) {
-	var kv core.KV
-	var found bool
-	err := r.runTxn(ctx, func(x *Txn) error {
-		var err error
-		kv, found, err = x.Successor(ctx, after)
-		return err
-	})
-	return kv, found, err
-}
-
-// Predecessor is the mirror of Successor, falling through to lower
-// shards. Pass before = "" for the maximum entry.
-func (r *Router) Predecessor(ctx context.Context, before string) (core.KV, bool, error) {
-	var kv core.KV
-	var found bool
-	err := r.runTxn(ctx, func(x *Txn) error {
-		var err error
-		kv, found, err = x.Predecessor(ctx, before)
-		return err
-	})
-	return kv, found, err
 }
 
 // RunInTxn runs fn as one atomic cross-shard transaction: every

@@ -142,10 +142,10 @@ func TestRouterSurfacesDownShard(t *testing.T) {
 	if _, err := r.Count(ctx); err == nil {
 		t.Fatal("count with shard 1 down returned no error")
 	}
-	// Successor("a") lives entirely in shard 1 territory after the
-	// fallthrough: it must error, not report "no successor".
-	if _, found, err := r.Successor(ctx, "b"); err == nil {
-		t.Fatalf("successor with shard 1 down = found %v, want error", found)
+	// A one-entry scan from "b" finds nothing left in shard 0 and falls
+	// through to shard 1: it must error, not return an empty page.
+	if got, err := r.Scan(ctx, "b", 1); err == nil {
+		t.Fatalf("one-entry scan with shard 1 down = %v, want error", got)
 	}
 	// But operations confined to the healthy shard still work.
 	if v, found, err := r.Lookup(ctx, "a"); err != nil || !found || v != "v" {

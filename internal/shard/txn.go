@@ -113,13 +113,6 @@ func (x *Txn) ScanRange(ctx context.Context, after, until string, limit int) ([]
 	return x.scanSpan(ctx, lower(after), upper(until), limit)
 }
 
-// ScanPrefix returns the entries whose keys extend the tuple-encoded
-// prefix, in order.
-func (x *Txn) ScanPrefix(ctx context.Context, limit int, components ...string) ([]core.KV, error) {
-	after, until := keyspace.TuplePrefixRange(components...)
-	return x.scanSpan(ctx, after, until, limit)
-}
-
 // span is the slice of one shard a bounded traversal must visit, with
 // the requested bounds translated into the shard's local terms: a bound
 // outside the shard's range becomes the local "unbounded" sentinel.
@@ -260,43 +253,6 @@ func (x *Txn) Count(ctx context.Context) (int, error) {
 		total += c
 	}
 	return total, nil
-}
-
-// Successor finds the first entry above after, starting in the owning
-// shard and falling through to higher shards. The fallthrough relies on
-// the core distinction between "definitively no successor here" (found
-// == false, keep going) and a failed search (error, surfaced): without
-// it a down shard would silently vanish from the traversal.
-func (x *Txn) Successor(ctx context.Context, after string) (core.KV, bool, error) {
-	return x.neighbor(ctx, lower(after), false)
-}
-
-// Predecessor is the mirror of Successor, falling through to lower
-// shards.
-func (x *Txn) Predecessor(ctx context.Context, before string) (core.KV, bool, error) {
-	return x.neighbor(ctx, upper(before), true)
-}
-
-func (x *Txn) neighbor(ctx context.Context, k keyspace.Key, desc bool) (kv core.KV, found bool, err error) {
-	step, probe := 1, k
-	if desc {
-		step = -1
-	}
-	for i := x.r.m.Owner(k); i >= 0 && i < x.r.m.Shards() && !found; i += step {
-		if desc {
-			kv, found, err = x.shardTx(i).PredecessorKey(ctx, probe)
-			// Every key in a lower shard lies below before.
-			probe = keyspace.High()
-		} else {
-			kv, found, err = x.shardTx(i).SuccessorKey(ctx, probe)
-			// Every key in a higher shard lies above after.
-			probe = keyspace.Low()
-		}
-		if err != nil {
-			return core.KV{}, false, err
-		}
-	}
-	return kv, found, nil
 }
 
 // gather runs do(0..n-1), concurrently when the router is configured for

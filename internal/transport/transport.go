@@ -63,12 +63,13 @@ const (
 	codeUnknownTxn
 	codeRecovering
 	codeOther
-	// Epoch fencing, deadline propagation and admission control came
-	// later; their codes are appended after codeOther so that existing
-	// values never change.
+	// Epoch fencing, deadline propagation, admission control and the
+	// reserved transaction 0 came later; their codes are appended after
+	// codeOther so that existing values never change.
 	codeStaleEpoch
 	codeExpired
 	codeOverloaded
+	codeReservedTxn
 )
 
 // codeErrors pairs each wire code with the error whose identity it
@@ -89,6 +90,7 @@ var codeErrors = []struct {
 	{codeStaleEpoch, rep.ErrStaleEpoch},
 	{codeExpired, ErrExpired},
 	{codeOverloaded, ErrOverloaded},
+	{codeReservedTxn, rep.ErrReservedTxn},
 }
 
 // encodeError maps an error to its wire code plus display message.

@@ -32,6 +32,7 @@ func TestErrorCodesRoundTrip(t *testing.T) {
 		// A rebuilding replica bounces reads with ErrRecovering; the suite
 		// only routes around it if the identity survives the wire.
 		{"recovering", fmt.Errorf("read: %w", rep.ErrRecovering), rep.ErrRecovering},
+		{"reserved txn", rep.ErrReservedTxn, rep.ErrReservedTxn},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -227,6 +228,10 @@ func TestTCPErrorIdentity(t *testing.T) {
 	}
 	c.Abort(ctx, 20)
 	c.Abort(ctx, 10)
+	// Transaction 0 is the log's own; a member refuses calls under it.
+	if _, err := c.Lookup(ctx, 0, keyspace.New("k")); !errors.Is(err, rep.ErrReservedTxn) {
+		t.Errorf("lookup under transaction 0 over TCP = %v, want ErrReservedTxn", err)
+	}
 }
 
 func TestTCPConcurrentClients(t *testing.T) {
