@@ -17,7 +17,7 @@ vet:
 	fi
 
 # internal/obs must stay stdlib-only: it sits at the bottom of the
-# import graph (core, transport, and heal all import it), so any
+# import graph (core and transport import it), so any
 # dependency it grows is a dependency of everything.
 obsdeps:
 	@deps=$$($(GO) list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' repdir/internal/obs | grep -v '^repdir/internal/obs$$' || true); \

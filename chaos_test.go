@@ -112,7 +112,7 @@ func TestChaosSoak(t *testing.T) {
 			t.Logf("seed %d: applied=%d observed=%d indeterminate=%d lookups=%d audited=%d "+
 				"crashes=%d partitions=%d duplicates=%d drops=%d restarts=%d resolved=%d strays=%d calls=%d "+
 				"trips=%d fastfails=%d probes=%d healed=%d "+
-				"storagelost=%d recordslost=%d rebuilds=%d rebuilt=%d gaps=%d",
+				"storagelost=%d recordslost=%d rebuilds=%d rebuilt=%d gaps=%d timeouts=%d",
 				seed, res.Applied, res.Observed, res.Indeterminate, res.Lookups, res.AuditedKeys,
 				res.Faults.Crashes+res.Faults.CrashAfters, res.Faults.Partitions,
 				res.Faults.Duplicates, res.Faults.DroppedReplies, res.Faults.Restarts,
@@ -120,7 +120,7 @@ func TestChaosSoak(t *testing.T) {
 				res.Health.Trips, res.Health.FastFails, res.Health.Probes,
 				res.Heal.Copied+res.Heal.Freshened,
 				res.StorageLosses, res.RecordsLost, res.Rebuilds,
-				res.Rebuild.Copied+res.Rebuild.Freshened, res.Rebuild.Gaps)
+				res.Rebuild.Copied+res.Rebuild.Freshened, res.Rebuild.Gaps, res.Timeouts)
 		})
 	}
 }
@@ -181,12 +181,12 @@ func TestChaosSoakSharded(t *testing.T) {
 			}
 			t.Logf("seed %d: applied=%d observed=%d indeterminate=%d lookups=%d audited=%d "+
 				"counts=%d countfails=%d xshard=%d crashes=%d partitions=%d restarts=%d "+
-				"resolved=%d strays=%d healed=%d rebuilds=%d",
+				"resolved=%d strays=%d healed=%d rebuilds=%d timeouts=%d",
 				seed, res.Applied, res.Observed, res.Indeterminate, res.Lookups, res.AuditedKeys,
 				res.Counts, res.CountFailures, res.CrossShardTxns,
 				res.Faults.Crashes+res.Faults.CrashAfters, res.Faults.Partitions, res.Faults.Restarts,
 				res.Resolved, res.StraysAborted, res.Heal.Copied+res.Heal.Freshened,
-				res.Rebuilds)
+				res.Rebuilds, res.Timeouts)
 		})
 	}
 }
@@ -265,7 +265,6 @@ func TestChaosSoakChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
 	}
-	churn := true
 	seeds := []int64{1, 2, 3}
 	if *chaosSeed != 0 {
 		seeds = []int64{*chaosSeed}
@@ -273,7 +272,7 @@ func TestChaosSoakChurn(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {
-			res, err := sim.RunChaos(sim.ChaosConfig{Seed: seed, Operations: 800, Churn: &churn})
+			res, err := sim.RunChaos(sim.ChaosConfig{Seed: seed, Operations: 800, Churn: true})
 			if err != nil {
 				t.Fatalf("seed %d: %v\nreplay: go test -run TestChaosSoakChurn -chaos.seed=%d", seed, err, seed)
 			}
@@ -336,12 +335,12 @@ func TestChaosSoakChurn(t *testing.T) {
 			}
 			t.Logf("seed %d: applied=%d observed=%d indeterminate=%d audited=%d "+
 				"reconfigs=%d epoch=%d staleprobes=%d stalerejects=%d witnessvotes=%d "+
-				"crashes=%d partitions=%d restarts=%d healed=%d\nevents: %v",
+				"crashes=%d partitions=%d restarts=%d healed=%d timeouts=%d\nevents: %v",
 				seed, res.Applied, res.Observed, res.Indeterminate, res.AuditedKeys,
 				res.Reconfigs, res.Epochs, res.StaleProbes,
 				res.Reconfig.StaleRejections, res.Reconfig.WitnessVotes,
 				res.Faults.Crashes+res.Faults.CrashAfters, res.Faults.Partitions,
-				res.Faults.Restarts, res.Heal.Copied+res.Heal.Freshened,
+				res.Faults.Restarts, res.Heal.Copied+res.Heal.Freshened, res.Timeouts,
 				res.ChurnEvents)
 		})
 	}
@@ -355,12 +354,11 @@ func TestChaosSoakChurnSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
 	}
-	churn := true
 	seed := int64(2)
 	if *chaosSeed != 0 {
 		seed = *chaosSeed
 	}
-	res, err := sim.RunChaos(sim.ChaosConfig{Seed: seed, Shards: 2, Operations: 800, Churn: &churn})
+	res, err := sim.RunChaos(sim.ChaosConfig{Seed: seed, Shards: 2, Operations: 800, Churn: true})
 	if err != nil {
 		t.Fatalf("seed %d: %v\nreplay: go test -run TestChaosSoakChurnSharded -chaos.seed=%d", seed, err, seed)
 	}
@@ -383,9 +381,9 @@ func TestChaosSoakChurnSharded(t *testing.T) {
 		t.Errorf("seed %d: replicas did not converge after healing", seed)
 	}
 	t.Logf("seed %d: applied=%d audited=%d xshard=%d reconfigs=%d epochs=%d "+
-		"staleprobes=%d witnessvotes=%d\nevents: %v",
+		"staleprobes=%d witnessvotes=%d timeouts=%d\nevents: %v",
 		seed, res.Applied, res.AuditedKeys, res.CrossShardTxns, res.Reconfigs,
-		res.Epochs, res.StaleProbes, res.Reconfig.WitnessVotes, res.ChurnEvents)
+		res.Epochs, res.StaleProbes, res.Reconfig.WitnessVotes, res.Timeouts, res.ChurnEvents)
 }
 
 // TestChaosChurnDeterministic replays one churn seed twice and
@@ -396,8 +394,7 @@ func TestChaosChurnDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
 	}
-	churn := true
-	cfg := sim.ChaosConfig{Seed: 9, Operations: 400, Churn: &churn}
+	cfg := sim.ChaosConfig{Seed: 9, Operations: 400, Churn: true}
 	a, err := sim.RunChaos(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -102,7 +102,7 @@ func run(args []string) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return errors.New("missing subcommand (lookup, insert, update, delete, bench)")
+		return errors.New("missing subcommand (lookup, insert, update, delete, scan, resolve, repair, reconfig, bench, load)")
 	}
 
 	groups, splitKeys, err := parseTopology(*replicas, *splits)

@@ -7,6 +7,8 @@
 //	repdir-sim -experiment sticky  # section 5 sticky-quorum ablation
 //	repdir-sim -experiment batch   # section 4 neighbor-batching ablation
 //	repdir-sim -experiment model   # section 5 analytic model vs simulation
+//	repdir-sim -experiment skew    # uniform vs Zipf(1.3) key-selection ablation
+//	repdir-sim -experiment scale   # throughput as concurrent clients grow
 //	repdir-sim -experiment conc    # section 2 concurrency comparison
 //	repdir-sim -experiment chaos   # fault-injection soak (crash/partition/duplicate)
 //	repdir-sim -experiment heal    # circuit breaker + anti-entropy recovery curve

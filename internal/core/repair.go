@@ -45,7 +45,7 @@ type RepairOptions struct {
 	// OnPage, when non-nil, runs after each page's transaction commits,
 	// with the cumulative stats so far. Returning a non-nil error stops
 	// the repair and surfaces that error — the hook is the pacing and
-	// cancellation point for anti-entropy (package heal).
+	// cancellation point for anti-entropy.
 	OnPage func(RepairStats) error
 }
 

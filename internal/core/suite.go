@@ -442,9 +442,9 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 	}
 	s.counters.failures.Add(1)
 	// Both identities survive errors.Is: callers distinguishing "out of
-	// retries" from the underlying transient cause (heal retries repair
-	// passes that died of ErrUnavailable, not of logic errors) need
-	// the full chain.
+	// retries" from the underlying transient cause (the chaos soak
+	// re-runs repair passes that died of ErrUnavailable, not of logic
+	// errors) need the full chain.
 	return fmt.Errorf("%w: %w", ErrRetriesExhausted, lastErr)
 }
 

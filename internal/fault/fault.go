@@ -385,7 +385,7 @@ func (m *Member) Crash() {
 // recovering mode — reads bounce with rep.ErrRecovering, because the
 // restarted state may have forgotten acknowledged writes, including
 // deletions that live only in gap versions — and stays that way until
-// RebuildDone after a rebuild-from-peers pass (heal.Healer.Repair)
+// RebuildDone after a rebuild-from-peers pass (core.RepairReplica)
 // has reconciled it. Returns how many log records were destroyed; a
 // member built without a log (NewMember with no wipe path) returns 0
 // and injects nothing.

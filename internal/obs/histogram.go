@@ -2,7 +2,7 @@
 // per-operation traces, fixed log-bucket latency histograms, and a
 // Prometheus-text exposition registry, all stdlib-only (enforced by
 // `make obsdeps`). The package deliberately knows nothing about the
-// directory suite — core, transport, and heal emit into it through
+// directory suite — core and transport emit into it through
 // plain values and callbacks, so obs sits at the bottom of the
 // dependency order next to keyspace and version.
 //
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -195,18 +194,6 @@ func (v *HistogramVec) With(label string) *Histogram {
 	h = &Histogram{}
 	v.m[label] = h
 	return h
-}
-
-// Labels returns the known labels, sorted.
-func (v *HistogramVec) Labels() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]string, 0, len(v.m))
-	for l := range v.m {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Snapshot copies every label's histogram.

@@ -190,8 +190,8 @@ func TestHistogramVec(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := v.Labels(); len(got) != 2 || got[0] != "insert" || got[1] != "lookup" {
-		t.Errorf("labels = %v", got)
+	if n := len(v.Snapshot()); n != 2 {
+		t.Errorf("%d labels, want insert and lookup", n)
 	}
 	if s := v.Snapshot()["lookup"]; s.Count != 400 {
 		t.Errorf("lookup count = %d", s.Count)

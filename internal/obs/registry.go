@@ -97,13 +97,6 @@ func (r *Registry) HistogramVec(name, help string, labels []string, fn func() []
 	r.add(family{name: name, help: help, kind: "histogram", labels: labels, collectHist: fn})
 }
 
-// Histogram registers a single unlabeled histogram.
-func (r *Registry) Histogram(name, help string, h *Histogram) {
-	r.HistogramVec(name, help, nil, func() []HistSample {
-		return []HistSample{{Snap: h.Snapshot()}}
-	})
-}
-
 // CounterMap registers a one-label counter family collected from a
 // label→count map (the shape most snapshot methods already return).
 func (r *Registry) CounterMap(name, help, label string, fn func() map[string]uint64) {

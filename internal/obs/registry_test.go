@@ -85,7 +85,9 @@ func TestRegistryExposition(t *testing.T) {
 	h.Observe(time.Microsecond)
 	h.Observe(500 * time.Microsecond)
 	h.Observe(2 * time.Second)
-	reg.Histogram("test_latency_seconds", "Latency.", &h)
+	reg.HistogramVec("test_latency_seconds", "Latency.", nil, func() []HistSample {
+		return []HistSample{{Snap: h.Snapshot()}}
+	})
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {

@@ -78,7 +78,7 @@ func WithSelectorSeed(seed int64) Option { return func(m *Manager) { m.selSeed =
 
 // WithOnChange installs a hook fired after the manager switches to a
 // new configuration, with the record and the freshly built suite.
-// Harnesses use it to rewire healers, routers, and stats collection.
+// Harnesses use it to rewire routers and stats collection.
 func WithOnChange(f func(Record, *core.Suite)) Option {
 	return func(m *Manager) { m.onChange = f }
 }

@@ -12,7 +12,6 @@ import (
 	"repdir/internal/btree"
 	"repdir/internal/core"
 	"repdir/internal/fault"
-	"repdir/internal/heal"
 	"repdir/internal/lock"
 	"repdir/internal/model"
 	"repdir/internal/obs"
@@ -31,11 +30,6 @@ import (
 // (model.Sequential). The whole run — workload and fault schedule — is
 // a deterministic function of Seed.
 type ChaosConfig struct {
-	// Name labels the run; empty defaults to "chaos-<seed>" (with a
-	// "-<shards>s" suffix when sharded).
-	Name string
-	// Replicas, R, W describe each suite (defaults 3-2-2).
-	Replicas, R, W int
 	// Shards is the number of keyspace shards (default 1). With one
 	// shard the workload drives a bare core.Suite, exactly as earlier
 	// harness versions did. With more, one suite per shard sits behind a
@@ -46,71 +40,59 @@ type ChaosConfig struct {
 	Shards int
 	// Operations is the number of workload operations (default 1000).
 	Operations int
-	// Keys is the size of the key universe; small universes maximize
-	// collisions, ghosts, and lock conflicts (default 48).
-	Keys int
 	// Seed drives the workload and the fault schedule, which draws from
 	// fault.DefaultPlan() and always includes the midpoint storage-fault
 	// phase.
 	Seed int64
-	// Parallel enables parallel quorum fan-out, parallel two-phase
-	// commit rounds, and (when sharded) parallel stitching (default
-	// true, so races are exercised under -race).
-	Parallel *bool
-	// Churn enables the membership-churn phase (default false): each
-	// shard's configuration becomes an epoch-fenced replicated record
-	// managed by reconfig.Manager, and a seed-derived schedule adds a
-	// member, adds a witness, and removes-with-reweight mid-run, racing
-	// the reconfigurations against the fault schedule. Requires
+	// Churn enables the membership-churn phase: each shard's
+	// configuration becomes an epoch-fenced replicated record managed by
+	// reconfig.Manager, and a seed-derived schedule adds a member, adds a
+	// witness, and removes-with-reweight mid-run, racing the
+	// reconfigurations against the fault schedule. Requires
 	// Operations >= 32.
-	Churn *bool
-	// OpTimeout bounds each operation; in-doubt transactions can hold
-	// locks until the between-ops resolution pass, and wait-die kills
-	// conflicting younger transactions quickly, so this is a backstop
-	// rather than a pacing device (default 5s).
-	OpTimeout time.Duration
+	Churn bool
 }
 
-// chaosMaxRetries is each suite's and router's per-operation retry
-// budget.
-const chaosMaxRetries = 32
+// The soak's fixed shape. Each shard is a 3-2-2 suite (chaosReplicas,
+// chaosR, chaosW) with parallel quorum fan-out, parallel two-phase
+// commit rounds and, when sharded, parallel stitching, so races are
+// exercised under -race. The key universe is chaosKeys keys: a small
+// universe maximizes collisions, ghosts, and lock conflicts.
+// chaosOpTimeout bounds each operation; in-doubt transactions can hold
+// locks until the between-ops resolution pass, and wait-die kills
+// conflicting younger transactions quickly, so it is a backstop rather
+// than a pacing device. chaosMaxRetries is each suite's and router's
+// per-operation retry budget.
+const (
+	chaosReplicas   = 3
+	chaosR, chaosW  = 2, 2
+	chaosKeys       = 48
+	chaosOpTimeout  = 5 * time.Second
+	chaosMaxRetries = 32
+)
 
 // withDefaults fills in the zero-value defaults.
 func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.Replicas == 0 {
-		c.Replicas, c.R, c.W = 3, 2, 2
-	}
 	if c.Shards == 0 {
 		c.Shards = 1
 	}
 	if c.Operations == 0 {
 		c.Operations = 1000
 	}
-	if c.Keys == 0 {
-		c.Keys = 48
-	}
-	if c.Parallel == nil {
-		t := true
-		c.Parallel = &t
-	}
-	if c.Churn == nil {
-		f := false
-		c.Churn = &f
-	}
-	if c.OpTimeout == 0 {
-		c.OpTimeout = 5 * time.Second
-	}
-	if c.Name == "" {
-		if c.Shards > 1 {
-			c.Name = fmt.Sprintf("chaos-%d-%ds", c.Seed, c.Shards)
-		} else {
-			c.Name = fmt.Sprintf("chaos-%d", c.Seed)
-		}
-		if *c.Churn {
-			c.Name += "-churn"
-		}
-	}
 	return c
+}
+
+// Name labels the run: "chaos-<seed>", with a "-<shards>s" suffix when
+// sharded and "-churn" under churn.
+func (c ChaosConfig) Name() string {
+	name := fmt.Sprintf("chaos-%d", c.Seed)
+	if c.Shards > 1 {
+		name += fmt.Sprintf("-%ds", c.Shards)
+	}
+	if c.Churn {
+		name += "-churn"
+	}
+	return name
 }
 
 // ChaosResult reports one soak.
@@ -124,6 +106,11 @@ type ChaosResult struct {
 	// FailedLookups counts lookups that returned an error (no check
 	// possible).
 	FailedLookups int
+	// Timeouts counts workload operations that waited out
+	// chaosOpTimeout and ended with context.DeadlineExceeded. It is
+	// wall-clock bound (a loaded machine can add one), so it stays out
+	// of the determinism comparisons.
+	Timeouts int
 	// Counts is the number of Count observations checked against the
 	// specification's [min, max] bounds — periodic mid-run checks plus
 	// the exact post-audit check. CountFailures counts mid-run Count
@@ -176,9 +163,9 @@ type ChaosResult struct {
 	// Reconfig is the run's reconfiguration metric counters (the same
 	// counters a production observer would export).
 	Reconfig obs.ReconfigStats
-	// Converged reports that after the healer finished, every replica
-	// physically held every current entry at an identical (version,
-	// value), and nothing else.
+	// Converged reports that after the convergence passes finished,
+	// every replica physically held every current entry at an identical
+	// (version, value), and nothing else.
 	Converged bool
 	// Violations are single-copy-semantics contradictions; a correct
 	// implementation produces none.
@@ -197,13 +184,12 @@ type chaosDirectory interface {
 }
 
 // chaosHarness is the built topology of one soak: per-shard fault
-// injectors, suites, and healers, plus the router (nil when unsharded)
-// and the directory facade the workload drives.
+// injectors and suites, plus the router (nil when unsharded) and the
+// directory facade the workload drives.
 type chaosHarness struct {
 	injectors []*fault.Injector
 	suites    []*core.Suite
 	healths   []*core.HealthTracker
-	healers   []*heal.Healer
 	allDirs   []rep.Directory // every member of every shard
 	observer  *obs.Observer
 	router    *shard.Router
@@ -222,14 +208,14 @@ type chaosHarness struct {
 // single-suite harness versions used, so old replay seeds stay valid.
 func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("sim: chaos %s: invalid shard count %d", cfg.Name, cfg.Shards)
+		return nil, fmt.Errorf("sim: chaos %s: invalid shard count %d", cfg.Name(), cfg.Shards)
 	}
-	if cfg.Shards > 1 && cfg.Keys < cfg.Shards {
+	if cfg.Shards > 1 && chaosKeys < cfg.Shards {
 		return nil, fmt.Errorf("sim: chaos %s: %d shards need at least %d keys, have %d",
-			cfg.Name, cfg.Shards, cfg.Shards, cfg.Keys)
+			cfg.Name(), cfg.Shards, cfg.Shards, chaosKeys)
 	}
 	h := &chaosHarness{observer: obs.NewObserver(obs.ObserverConfig{NoTrace: true})}
-	if *cfg.Churn {
+	if cfg.Churn {
 		plan, err := newChurnPlan(cfg)
 		if err != nil {
 			return nil, err
@@ -237,7 +223,7 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		h.churn = plan
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		names := make([]string, cfg.Replicas)
+		names := make([]string, chaosReplicas)
 		for j := range names {
 			if cfg.Shards == 1 {
 				names[j] = fmt.Sprintf("rep%d", j)
@@ -267,7 +253,7 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		}
 		health := core.NewHealthTracker(trackNames, core.HealthConfig{ProbeAfter: 4})
 		h.healths = append(h.healths, health)
-		qcfg := quorum.NewUniform(dirs, cfg.R, cfg.W)
+		qcfg := quorum.NewUniform(dirs, chaosR, chaosW)
 		ids := txn.NewIDSource(uint16(i))
 		selSeed := cfg.Seed + 1 + int64(i)
 		suiteOpts := func(qc quorum.Config) []core.Option {
@@ -275,7 +261,7 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 				core.WithIDSource(ids),
 				core.WithSelector(quorum.NewRandomSelector(qc, selSeed)),
 				core.WithMaxRetries(chaosMaxRetries),
-				core.WithParallelQuorum(*cfg.Parallel),
+				core.WithParallelQuorum(true),
 				core.WithHealth(health),
 				core.WithObserver(h.observer),
 			}
@@ -316,7 +302,7 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 				}
 				if attempt >= 20 || ictx.Err() != nil {
 					icancel()
-					return nil, fmt.Errorf("sim: chaos %s: init shard %d: %w", cfg.Name, i, err)
+					return nil, fmt.Errorf("sim: chaos %s: init shard %d: %w", cfg.Name(), i, err)
 				}
 				if herr := injector.Heal(); herr != nil {
 					icancel()
@@ -328,11 +314,6 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 			suite = manager.Suite()
 		}
 		h.suites = append(h.suites, suite)
-
-		// One healer per shard serves both the midpoint rebuild phase and
-		// the post-run convergence phase; the shared observer carries the
-		// storage metrics.
-		h.healers = append(h.healers, heal.New(suite, dirs, heal.Config{Obs: h.observer}))
 	}
 
 	if cfg.Shards == 1 {
@@ -350,7 +331,7 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 	// [i*Keys/Shards, (i+1)*Keys/Shards).
 	splits := make([]string, cfg.Shards-1)
 	for i := range splits {
-		splits[i] = fmt.Sprintf("k%04d", (i+1)*cfg.Keys/cfg.Shards)
+		splits[i] = fmt.Sprintf("k%04d", (i+1)*chaosKeys/cfg.Shards)
 	}
 	m, err := shard.NewMap(splits...)
 	if err != nil {
@@ -361,7 +342,7 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 	h.router, err = shard.NewRouter(m, h.suites,
 		shard.WithIDSource(txn.NewIDSource(1023)),
 		shard.WithMaxRetries(chaosMaxRetries),
-		shard.WithParallelStitch(*cfg.Parallel),
+		shard.WithParallelStitch(true),
 	)
 	if err != nil {
 		return nil, err
@@ -466,7 +447,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 
 	spec := model.NewSequential()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	key := func() string { return fmt.Sprintf("k%04d", rng.Intn(cfg.Keys)) }
+	key := func() string { return fmt.Sprintf("k%04d", rng.Intn(chaosKeys)) }
 	// The sharded workload widens the op mix with cross-shard
 	// transactional upserts; the unsharded mix (and its rng stream) is
 	// unchanged from earlier harness versions.
@@ -477,7 +458,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 
 	for op := 0; op < cfg.Operations; op++ {
 		if err := h.drain(); err != nil {
-			return res, fmt.Errorf("sim: chaos %s: drain: %w", cfg.Name, err)
+			return res, fmt.Errorf("sim: chaos %s: drain: %w", cfg.Name(), err)
 		}
 		// Midpoint storage-fault phase: in every shard, a minority of
 		// members lose part of their logs and must come back through the
@@ -486,7 +467,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		if op == cfg.Operations/2 {
 			for i := range h.suites {
 				if err := storagePhase(h, i, &res); err != nil {
-					return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name, err)
+					return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name(), err)
 				}
 			}
 		}
@@ -496,7 +477,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		if h.churn != nil {
 			for h.churn.next < len(h.churn.steps) && h.churn.steps[h.churn.next].AtOp == op {
 				if err := churnPhase(h, cfg, op, h.churn.steps[h.churn.next], &res); err != nil {
-					return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name, err)
+					return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name(), err)
 				}
 				h.churn.next++
 			}
@@ -511,12 +492,13 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 			}
 		}
 
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.OpTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), chaosOpTimeout)
 		k := key()
 		val := fmt.Sprintf("v%d", op)
+		var err error
 		switch rng.Intn(opKinds) {
 		case 0, 1, 2: // insert
-			err := h.dir.Insert(ctx, k, val)
+			err = h.dir.Insert(ctx, k, val)
 			switch {
 			case err == nil:
 				spec.Applied(k, val, true)
@@ -529,7 +511,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 				res.Indeterminate++
 			}
 		case 3, 4: // update
-			err := h.dir.Update(ctx, k, val)
+			err = h.dir.Update(ctx, k, val)
 			switch {
 			case err == nil:
 				spec.Applied(k, val, true)
@@ -544,7 +526,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 				res.Indeterminate++
 			}
 		case 5, 6: // delete
-			err := h.dir.Delete(ctx, k)
+			err = h.dir.Delete(ctx, k)
 			switch {
 			case err == nil:
 				spec.Applied(k, "", false)
@@ -558,7 +540,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 			}
 		case 10, 11: // cross-shard transactional upsert (sharded only)
 			k2 := key()
-			err := h.router.RunInTxn(ctx, func(x *shard.Txn) error {
+			err = h.router.RunInTxn(ctx, func(x *shard.Txn) error {
 				for _, kk := range []string{k, k2} {
 					_, found, err := x.Lookup(ctx, kk)
 					if err != nil {
@@ -589,7 +571,8 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 				res.Indeterminate++
 			}
 		default: // lookup
-			got, found, err := h.dir.Lookup(ctx, k)
+			got, found, lerr := h.dir.Lookup(ctx, k)
+			err = lerr
 			if err != nil {
 				res.FailedLookups++
 			} else {
@@ -600,6 +583,9 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 			}
 		}
 		cancel()
+		if errors.Is(err, context.DeadlineExceeded) {
+			res.Timeouts++
+		}
 
 		// Periodic Count-vs-model assertion: a Count between operations
 		// of the sequential driver must land inside the specification's
@@ -615,7 +601,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		// still tolerated (a window can reopen mid-count).
 		if (op+1)%250 == 0 {
 			if err := h.drain(); err != nil {
-				return res, fmt.Errorf("sim: chaos %s: drain: %w", cfg.Name, err)
+				return res, fmt.Errorf("sim: chaos %s: drain: %w", cfg.Name(), err)
 			}
 			var n int
 			cerr := errors.New("count never attempted")
@@ -633,10 +619,10 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 				}
 				strays, err := h.abortStrays(context.Background())
 				if err != nil {
-					return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name, err)
+					return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name(), err)
 				}
 				res.StraysAborted += strays
-				cctx, ccancel := context.WithTimeout(context.Background(), cfg.OpTimeout)
+				cctx, ccancel := context.WithTimeout(context.Background(), chaosOpTimeout)
 				n, cerr = h.dir.Count(cctx)
 				ccancel()
 			}
@@ -656,7 +642,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	// members from their logs), and settle every remaining in-doubt
 	// transaction — every coordinator is finished now.
 	if err := h.drain(); err != nil {
-		return res, fmt.Errorf("sim: chaos %s: drain: %w", cfg.Name, err)
+		return res, fmt.Errorf("sim: chaos %s: drain: %w", cfg.Name(), err)
 	}
 	for _, in := range h.injectors {
 		for _, m := range in.Members() {
@@ -669,7 +655,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	for pass := 0; len(h.allInDoubt()) > 0; pass++ {
 		if pass > 10 {
 			return res, fmt.Errorf("sim: chaos %s: in-doubt transactions would not settle: %v",
-				cfg.Name, h.allInDoubt())
+				cfg.Name(), h.allInDoubt())
 		}
 		n, rerr := h.resolve(context.Background())
 		res.Resolved += n
@@ -683,11 +669,11 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	// coordinator is finished now, so presumed abort applies.
 	strays, err := h.abortStrays(context.Background())
 	if err != nil {
-		return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name, err)
+		return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name(), err)
 	}
 	res.StraysAborted += strays
 
-	// Convergence phase: per shard, the healer drives every replica to
+	// Convergence phase: per shard, converge drives every replica to
 	// full agreement — each current entry installed everywhere at its
 	// current version, every ghost purged — then the agreement is
 	// verified against the replicas' physical contents. The budget
@@ -700,14 +686,14 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	defer cancel()
 	convOK := true
 	for i := range h.suites {
-		conv, err := h.healers[i].Converge(ctx)
+		conv, err := converge(ctx, h.suites[i])
 		res.Heal.Add(conv)
 		if err != nil {
-			return res, fmt.Errorf("sim: chaos %s: convergence: %w", cfg.Name, err)
+			return res, fmt.Errorf("sim: chaos %s: convergence: %w", cfg.Name(), err)
 		}
 		convViolations, err := auditConvergence(ctx, h.suites[i], h.injectors[i])
 		if err != nil {
-			return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name, err)
+			return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name(), err)
 		}
 		if len(convViolations) > 0 {
 			convOK = false
@@ -723,7 +709,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		for pass := 0; pass < 2; pass++ {
 			got, found, err := h.dir.Lookup(ctx, k)
 			if err != nil {
-				return res, fmt.Errorf("sim: chaos %s: audit lookup %s: %w", cfg.Name, k, err)
+				return res, fmt.Errorf("sim: chaos %s: audit lookup %s: %w", cfg.Name(), k, err)
 			}
 			if verr := spec.CheckLookup(k, got, found); verr != nil {
 				res.Violations = append(res.Violations, fmt.Sprintf("audit: %v", verr))
@@ -736,7 +722,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	// shard, stitched by the router when sharded.
 	finalCount, err := h.dir.Count(ctx)
 	if err != nil {
-		return res, fmt.Errorf("sim: chaos %s: final count: %w", cfg.Name, err)
+		return res, fmt.Errorf("sim: chaos %s: final count: %w", cfg.Name(), err)
 	}
 	res.Counts++
 	if lo, hi := spec.CountBounds(); finalCount < lo || finalCount > hi {
@@ -745,7 +731,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	}
 	// The count's release round is counted below with everything else.
 	if err := h.drain(); err != nil {
-		return res, fmt.Errorf("sim: chaos %s: drain: %w", cfg.Name, err)
+		return res, fmt.Errorf("sim: chaos %s: drain: %w", cfg.Name(), err)
 	}
 
 	for _, in := range h.injectors {
@@ -814,8 +800,7 @@ func addHealthStats(dst *core.HealthStats, s core.HealthStats) {
 // rebuilding, so the workload around this phase keeps completing
 // against the rest.
 func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
-	injector, healer := h.injectors[shardIdx], h.healers[shardIdx]
-	members := injector.Members()
+	members := h.injectors[shardIdx].Members()
 	minority := (len(members) - 1) / 2
 	if minority < 1 {
 		return nil
@@ -872,7 +857,7 @@ func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
 			if _, err := h.abortStrays(ctx); err != nil {
 				return err
 			}
-			st, err := healer.Repair(ctx, m.Name(), nil)
+			st, err := repairRetrying(ctx, h.suites[shardIdx], m)
 			if err != nil {
 				if ctx.Err() != nil {
 					return fmt.Errorf("storage phase: rebuild %s: %w", m.Name(), err)
@@ -890,7 +875,73 @@ func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
 	return nil
 }
 
-// auditConvergence checks physical replica agreement after the healer
+// Soak repair retry: a pass that failed transiently is re-run up to
+// repairRetries times, backing off repairRetryBase doubled per attempt
+// (25, 50, 100, 200ms), all inside the caller's context.
+const (
+	repairRetries   = 4
+	repairRetryBase = 25 * time.Millisecond
+)
+
+// repairRetrying runs one core.RepairReplica pass over target and
+// re-runs it while it fails transiently: a peer that is unreachable,
+// still recovering, or won a wait-die conflict may well be fine a
+// moment later. A pass reads whole quorums for every segment, so one
+// flaky peer mid-pass would otherwise fail it; the pass is idempotent,
+// so running it again is safe. Everything else (context expiry,
+// semantic errors) surfaces at once. The retry serves the soak's
+// storage and convergence phases only: reconfiguration seeds its
+// newcomers with plain passes.
+func repairRetrying(ctx context.Context, s *core.Suite, target rep.Directory) (core.RepairStats, error) {
+	for attempt := 0; ; attempt++ {
+		stats, err := core.RepairReplica(ctx, s, target, core.RepairOptions{})
+		transient := errors.Is(err, transport.ErrUnavailable) ||
+			errors.Is(err, rep.ErrRecovering) ||
+			errors.Is(err, lock.ErrDie)
+		if !transient || attempt >= repairRetries || ctx.Err() != nil {
+			return stats, err
+		}
+		t := time.NewTimer(repairRetryBase << attempt)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+		}
+		t.Stop()
+	}
+}
+
+// converge repairs every member of the suite's configuration, in name
+// order, repeating whole passes until one copies and freshens nothing —
+// at which point every replica physically holds every current entry at
+// its current version, and no ghost. On a quiesced suite one pass plus
+// one confirming pass suffices; the budget of 6 allows a few extra in
+// case repairs race live traffic. It returns the work totals.
+func converge(ctx context.Context, s *core.Suite) (core.RepairStats, error) {
+	var dirs []rep.Directory
+	for _, m := range s.Config().Members {
+		dirs = append(dirs, m.Dir)
+	}
+	sort.Slice(dirs, func(i, j int) bool { return dirs[i].Name() < dirs[j].Name() })
+	var total core.RepairStats
+	for pass := 0; pass < 6; pass++ {
+		var work core.RepairStats
+		for _, d := range dirs {
+			stats, err := repairRetrying(ctx, s, d)
+			work.Add(stats)
+			if err != nil {
+				total.Add(work)
+				return total, fmt.Errorf("converge %s: %w", d.Name(), err)
+			}
+		}
+		total.Add(work)
+		if work.Copied == 0 && work.Freshened == 0 {
+			return total, nil
+		}
+	}
+	return total, errors.New("replicas still diverging after 6 passes")
+}
+
+// auditConvergence checks physical replica agreement after converge
 // finished: every current entry (by quorum scan) must be present on
 // every replica with one identical (version, value), and no replica may
 // hold anything else — a repaired member holds no ghost. Membership
@@ -981,7 +1032,6 @@ func RunChaosSeeds(base ChaosConfig, seeds []int64) ([]ChaosResult, error) {
 	for _, seed := range seeds {
 		cfg := base
 		cfg.Seed = seed
-		cfg.Name = ""
 		res, err := RunChaos(cfg)
 		if err != nil {
 			return out, fmt.Errorf("seed %d: %w", seed, err)
@@ -1004,7 +1054,7 @@ func FormatChaos(title string, results []ChaosResult) string {
 			conv = "yes"
 		}
 		fmt.Fprintf(&b, "%-20s %6d %8d %8d %7d %7d %7d %7d %6d %6d %6d %8d %5d %5d %6d %6d %5s %4d %5d %6d %6d %6d %5d %5d\n",
-			r.Config.Name, r.Config.Operations, r.Applied, r.Observed, r.Indeterminate,
+			r.Config.Name(), r.Config.Operations, r.Applied, r.Observed, r.Indeterminate,
 			r.Lookups, r.Faults.Crashes+r.Faults.CrashAfters, r.Faults.Partitions,
 			r.Faults.Duplicates, r.Faults.DroppedReplies, r.Faults.Restarts,
 			r.Resolved, len(r.Violations),

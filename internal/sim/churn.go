@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repdir/internal/core"
-	"repdir/internal/heal"
 	"repdir/internal/reconfig"
 	"repdir/internal/rep"
 )
@@ -62,7 +61,7 @@ func newChurnPlan(cfg ChaosConfig) (*churnPlan, error) {
 	n := cfg.Operations
 	if n < churnMinOps {
 		return nil, fmt.Errorf("sim: chaos %s: churn needs at least %d operations, have %d",
-			cfg.Name, churnMinOps, n)
+			cfg.Name(), churnMinOps, n)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed*31 + 104651))
 	jitter := func(width int) int {
@@ -82,9 +81,9 @@ func newChurnPlan(cfg ChaosConfig) (*churnPlan, error) {
 // the harness's member naming so logs and audits read uniformly.
 func churnMemberName(cfg ChaosConfig, shard, k int) string {
 	if cfg.Shards == 1 {
-		return fmt.Sprintf("rep%d", cfg.Replicas+k)
+		return fmt.Sprintf("rep%d", chaosReplicas+k)
 	}
-	return fmt.Sprintf("s%dr%d", shard, cfg.Replicas+k)
+	return fmt.Sprintf("s%dr%d", shard, chaosReplicas+k)
 }
 
 // churnNames lists every newcomer the plan will add to a shard, so the
@@ -307,18 +306,8 @@ func churnPhase(h *chaosHarness, cfg ChaosConfig, op int, step churnStep, res *C
 	return nil
 }
 
-// memberDirs lists a suite's member directories in config order.
-func memberDirs(s *core.Suite) []rep.Directory {
-	cfg := s.Config()
-	out := make([]rep.Directory, len(cfg.Members))
-	for i, m := range cfg.Members {
-		out[i] = m.Dir
-	}
-	return out
-}
-
 // rewireShard is the manager's OnChange hook for one shard: point the
-// harness — suite slot, healer, router — at the freshly installed
+// harness — suite slot, router — at the freshly installed
 // configuration, so the workload and the later convergence phase drive
 // the epoch in force rather than a superseded one.
 func (h *chaosHarness) rewireShard(shard int, s *core.Suite) {
@@ -326,7 +315,6 @@ func (h *chaosHarness) rewireShard(shard int, s *core.Suite) {
 		return // manager bootstrap; the harness wires slots right after Init
 	}
 	h.suites[shard] = s
-	h.healers[shard] = heal.New(s, memberDirs(s), heal.Config{Obs: h.observer})
 	if h.router != nil {
 		if _, err := h.router.SetSuite(shard, s); err != nil && h.wireErr == nil {
 			h.wireErr = fmt.Errorf("sim: churn rewire shard %d: %w", shard, err)

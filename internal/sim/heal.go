@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repdir/internal/core"
-	"repdir/internal/heal"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
@@ -214,18 +213,22 @@ func RunHeal(cfg HealConfig) (HealResult, error) {
 	// Phase 4: the member returns; paced anti-entropy catches it up.
 	// Each committed repair page is one point on the recovery curve.
 	down.Store(false)
-	healer := heal.New(tripped, dirs, heal.Config{PageSize: cfg.PageSize, Pace: cfg.Pace})
 	start := time.Now()
 	pages := 0
-	stats, err := healer.Repair(ctx, "rep2", func(cum core.RepairStats) {
-		pages++
-		res.Recovery = append(res.Recovery, RecoveryPoint{
-			Pages:     pages,
-			Scanned:   cum.Scanned,
-			Copied:    cum.Copied,
-			Freshened: cum.Freshened,
-			Elapsed:   time.Since(start),
-		})
+	stats, err := core.RepairReplica(ctx, tripped, dirs[2], core.RepairOptions{
+		PageSize: cfg.PageSize,
+		OnPage: func(cum core.RepairStats) error {
+			pages++
+			res.Recovery = append(res.Recovery, RecoveryPoint{
+				Pages:     pages,
+				Scanned:   cum.Scanned,
+				Copied:    cum.Copied,
+				Freshened: cum.Freshened,
+				Elapsed:   time.Since(start),
+			})
+			time.Sleep(cfg.Pace)
+			return nil
+		},
 	})
 	if err != nil {
 		return res, fmt.Errorf("sim: recovery repair: %w", err)

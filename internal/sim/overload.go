@@ -20,9 +20,16 @@ import (
 // the curve is cheap to drive. overloadPerConn is each server's
 // per-connection worker pool; together they fix capacity at roughly
 // overloadPerConn/overloadServiceTime member-calls per second per member.
+// The driver runs overloadWorkers executors; reads are Zipf-skewed by
+// overloadZipfS, and overloadHotFraction of updates land on a 16-key
+// write-hot set so saturation includes wait-die lock pressure, not just
+// queueing.
 const (
 	overloadServiceTime = 2 * time.Millisecond
 	overloadPerConn     = 8
+	overloadWorkers     = 64
+	overloadZipfS       = 1.2
+	overloadHotFraction = 0.25
 )
 
 // OverloadConfig parameterizes the overload-curve experiment: a real
@@ -34,16 +41,9 @@ type OverloadConfig struct {
 	Keys int
 	// Duration bounds each load point's arrival schedule (default 2s).
 	Duration time.Duration
-	// Workers is the driver's executor pool (default 64).
-	Workers int
 	// OpTimeout is the client deadline per operation (default 250ms);
 	// it propagates on the wire so servers can refuse doomed work.
 	OpTimeout time.Duration
-	// ZipfS skews reads (default 1.2); HotFraction of updates land on a
-	// 16-key write-hot set (default 0.25) so saturation includes
-	// wait-die lock pressure, not just queueing.
-	ZipfS       float64
-	HotFraction float64
 	// Points are the offered-load multiples of measured capacity
 	// (default 0.5, 1, 1.5, 2 — the last point is the verdict point).
 	Points []float64
@@ -58,17 +58,8 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	if c.Duration <= 0 {
 		c.Duration = 2 * time.Second
 	}
-	if c.Workers <= 0 {
-		c.Workers = 64
-	}
 	if c.OpTimeout <= 0 {
 		c.OpTimeout = 250 * time.Millisecond
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.2
-	}
-	if c.HotFraction == 0 {
-		c.HotFraction = 0.25
 	}
 	if len(c.Points) == 0 {
 		c.Points = []float64{0.5, 1, 1.5, 2}
@@ -146,14 +137,14 @@ func RunOverload(cfg OverloadConfig) (OverloadReport, error) {
 		member := transport.NewLocal(rep.New(n))
 		member.SetLatency(overloadServiceTime)
 		// The dispatch queue is sized to the driver's concurrency: with
-		// Workers in-flight operations fanning parallel quorum probes over
-		// one connection, bursts of up to ~2x Workers requests are honest
-		// load, and the CoDel controller (not the queue length) bounds the
-		// standing delay.
+		// overloadWorkers in-flight operations fanning parallel quorum
+		// probes over one connection, bursts of up to ~2x that many
+		// requests are honest load, and the CoDel controller (not the
+		// queue length) bounds the standing delay.
 		srv, err := transport.Serve(member, "127.0.0.1:0",
 			transport.WithAdmission(0, 0),
 			transport.WithPerConnConcurrency(overloadPerConn),
-			transport.WithDispatchQueue(4*cfg.Workers))
+			transport.WithDispatchQueue(4*overloadWorkers))
 		if err != nil {
 			return report, fmt.Errorf("sim: overload serve %s: %w", n, err)
 		}
@@ -183,9 +174,9 @@ func RunOverload(cfg OverloadConfig) (OverloadReport, error) {
 		Mix:         workload.ReadHeavy,
 		Keys:        cfg.Keys,
 		Duration:    cfg.Duration,
-		Workers:     cfg.Workers,
-		ZipfS:       cfg.ZipfS,
-		HotFraction: cfg.HotFraction,
+		Workers:     overloadWorkers,
+		ZipfS:       overloadZipfS,
+		HotFraction: overloadHotFraction,
 		OpTimeout:   cfg.OpTimeout,
 		Seed:        cfg.Seed,
 	}

@@ -15,12 +15,11 @@ import (
 // here — at test scale the quantiles are too noisy to pin.
 func TestRunOverload(t *testing.T) {
 	cfg := OverloadConfig{
-		Keys:        500,
-		Duration:    600 * time.Millisecond,
-		OpTimeout:   150 * time.Millisecond,
-		Points:      []float64{0.5, 2},
-		Seed:        7,
-		HotFraction: 0.25,
+		Keys:      500,
+		Duration:  600 * time.Millisecond,
+		OpTimeout: 150 * time.Millisecond,
+		Points:    []float64{0.5, 2},
+		Seed:      7,
 	}
 	report, err := RunOverload(cfg)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 
 	"repdir/internal/core"
 	"repdir/internal/fault"
-	"repdir/internal/heal"
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
 	"repdir/internal/quorum"
@@ -250,9 +249,8 @@ func measureRebuild(cfg StorageConfig, res *StorageResult) error {
 	fresh.SetRecovering(true)
 	locals[2].Replace(fresh)
 
-	healer := heal.New(suite, dirs, heal.Config{PageSize: cfg.PageSize})
 	start := time.Now()
-	stats, err := healer.Repair(ctx, "rep2", nil)
+	stats, err := core.RepairReplica(ctx, suite, dirs[2], core.RepairOptions{PageSize: cfg.PageSize})
 	if err != nil {
 		return fmt.Errorf("sim: rebuild: %w", err)
 	}

@@ -27,13 +27,6 @@ type TrafficConfig struct {
 	Entries int
 	// Duration bounds the mixed workload phase (default 2s).
 	Duration time.Duration
-	// Rate is the intended arrival rate in operations per second
-	// (default 500). Operations are issued by a single closed-loop
-	// client, but latency is charged from each operation's *intended*
-	// start on this schedule: when the suite runs slower than the
-	// schedule, the backlog counts against response time instead of
-	// silently stretching the arrival gaps (coordinated omission).
-	Rate float64
 	// Seed fixes the workload. Zero is a valid, replayable seed — it is
 	// deliberately not coerced, so `-seed 0` reproduces the same run
 	// every time rather than silently becoming seed 1.
@@ -45,15 +38,20 @@ type TrafficConfig struct {
 	Registry *obs.Registry
 }
 
+// trafficRate is the intended arrival rate in operations per second.
+// Operations are issued by a single closed-loop client, but latency is
+// charged from each operation's *intended* start on this schedule: when
+// the suite runs slower than the schedule, the backlog counts against
+// response time instead of silently stretching the arrival gaps
+// (coordinated omission).
+const trafficRate = 500
+
 func (c TrafficConfig) withDefaults() TrafficConfig {
 	if c.Entries <= 0 {
 		c.Entries = 100
 	}
 	if c.Duration <= 0 {
 		c.Duration = 2 * time.Second
-	}
-	if c.Rate <= 0 {
-		c.Rate = 500
 	}
 	return c
 }
@@ -71,7 +69,7 @@ type TrafficResult struct {
 	// neighbor-probe cost column.
 	ProbesPerDelete float64
 	// Response is latency measured from each operation's intended
-	// arrival time on the Rate schedule; Service is measured from when
+	// arrival time on the trafficRate schedule; Service is measured from when
 	// the operation actually started executing. Service is what this
 	// experiment used to report implicitly (and what any closed-loop
 	// driver reports); the gap between the two tails is the queueing
@@ -226,13 +224,13 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 		}
 	}
 
-	// Arrivals follow the Rate schedule; latency is charged from each
+	// Arrivals follow the trafficRate schedule; latency is charged from each
 	// operation's intended start, not from when the single closed-loop
 	// client got around to it. This run used to measure service time
 	// only, which understated the tail whenever the suite fell behind
 	// the offered load.
 	rec := workload.NewRecorder()
-	interval := time.Duration(float64(time.Second) / cfg.Rate)
+	interval := time.Second / trafficRate
 	startAt := time.Now()
 	deadline := startAt.Add(cfg.Duration)
 	for n := 0; ; n++ {
@@ -298,7 +296,7 @@ func FormatTraffic(r TrafficResult) string {
 	fmt.Fprintf(&b, "  neighbor probes per delete: %.2f (paper section 4 predicts ~2 with batching)\n",
 		r.ProbesPerDelete)
 	if r.Response.Count > 0 {
-		fmt.Fprintf(&b, "\n  latency (%d ops at %.0f/s intended):\n", r.Response.Count, r.Config.Rate)
+		fmt.Fprintf(&b, "\n  latency (%d ops at %d/s intended):\n", r.Response.Count, trafficRate)
 		fmt.Fprintf(&b, "  %-10s %12s %12s %12s %12s\n", "", "p50", "p99", "p999", "max")
 		row := func(name string, s obs.HistogramSnapshot) {
 			fmt.Fprintf(&b, "  %-10s %12v %12v %12v %12v\n", name,

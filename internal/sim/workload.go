@@ -31,21 +31,29 @@ type WorkloadConfig struct {
 	Duration time.Duration
 	// Workers is the executor pool per mix (default 32).
 	Workers int
-	// ZipfS is the zipfian skew for the read-heavy mixes (default 1.2);
-	// the update-heavy mix runs uniform to spread write locks.
-	ZipfS float64
-	// Sessions is the client-session count for the session mix
-	// (default 8).
-	Sessions int
 	// Seed fixes every mix's operation stream. Zero is a valid,
 	// replayable seed (not coerced).
 	Seed int64
-	// SLO is the per-mix latency objective. The zero value gets the
-	// default gate: p50 ≤ 50ms, p99 ≤ 500ms, p999 ≤ 2s, shed ≤ 0.1% —
-	// generous enough for a noisy CI host, tight enough that a
-	// coordinated-omission regression (which inflates the response tail
-	// by the backlog it hides) fails loudly.
-	SLO workload.SLO
+}
+
+// The workload experiment's fixed mix parameters: the read-heavy mixes
+// draw keys Zipf-skewed by workloadZipfS (the update-heavy mix runs
+// uniform to spread write locks), and the session mix runs
+// workloadSessions client sessions. workloadSLO is every mix's latency
+// objective: p50 ≤ 50ms, p99 ≤ 500ms, p999 ≤ 2s, shed ≤ 0.1% —
+// generous enough for a noisy CI host, tight enough that a
+// coordinated-omission regression (which inflates the response tail by
+// the backlog it hides) fails loudly.
+const (
+	workloadZipfS    = 1.2
+	workloadSessions = 8
+)
+
+var workloadSLO = workload.SLO{
+	P50:             50 * time.Millisecond,
+	P99:             500 * time.Millisecond,
+	P999:            2 * time.Second,
+	MaxShedFraction: 0.001,
 }
 
 func (c WorkloadConfig) withDefaults() WorkloadConfig {
@@ -63,20 +71,6 @@ func (c WorkloadConfig) withDefaults() WorkloadConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 32
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 1.2
-	}
-	if c.Sessions <= 0 {
-		c.Sessions = 8
-	}
-	if c.SLO == (workload.SLO{}) {
-		c.SLO = workload.SLO{
-			P50:             50 * time.Millisecond,
-			P99:             500 * time.Millisecond,
-			P999:            2 * time.Second,
-			MaxShedFraction: 0.001,
-		}
 	}
 	return c
 }
@@ -151,11 +145,11 @@ func RunWorkload(cfg WorkloadConfig) (WorkloadReport, error) {
 		Duration: cfg.Duration,
 		Workers:  cfg.Workers,
 		Seed:     cfg.Seed,
-		SLO:      cfg.SLO,
+		SLO:      workloadSLO,
 	}
 	mixes := []workload.Config{
 		func(c workload.Config) workload.Config {
-			c.Mix, c.ZipfS = workload.ReadHeavy, cfg.ZipfS
+			c.Mix, c.ZipfS = workload.ReadHeavy, workloadZipfS
 			return c
 		}(base),
 		func(c workload.Config) workload.Config {
@@ -163,8 +157,8 @@ func RunWorkload(cfg WorkloadConfig) (WorkloadReport, error) {
 			return c
 		}(base),
 		func(c workload.Config) workload.Config {
-			c.Mix, c.ZipfS = workload.ScanHeavy, cfg.ZipfS
-			// A scan reads ~ScanLimit entries stitched across shard
+			c.Mix, c.ZipfS = workload.ScanHeavy, workloadZipfS
+			// A scan reads ~50 entries stitched across shard
 			// boundaries — dozens of point-ops' worth of work — so both
 			// the offered rate and the latency objective scale: 1/16th
 			// the rate, 4x the objective. Holding scans to the point-op
@@ -179,9 +173,9 @@ func RunWorkload(cfg WorkloadConfig) (WorkloadReport, error) {
 			return c
 		}(base),
 		func(c workload.Config) workload.Config {
-			c.Mix, c.ZipfS = workload.ReadHeavy, cfg.ZipfS
+			c.Mix, c.ZipfS = workload.ReadHeavy, workloadZipfS
 			c.Mix.Name = "read-heavy-sessions"
-			c.Sessions = cfg.Sessions
+			c.Sessions = workloadSessions
 			c.LeaseTTL = time.Second
 			return c
 		}(base),

@@ -62,7 +62,7 @@ type VersionedDirectory interface {
 }
 
 // Mix is an operation mix: relative weights, not percentages (they are
-// normalized). Scan weight drives ScanLimit-entry range scans.
+// normalized). Scan weight drives scanLimit-entry range scans.
 type Mix struct {
 	Name   string
 	Lookup int
@@ -70,6 +70,9 @@ type Mix struct {
 	Insert int
 	Scan   int
 }
+
+// scanLimit is the entry budget of every scan a mix issues.
+const scanLimit = 50
 
 // The standard mixes, YCSB-flavored: C-like read-heavy, A-like
 // update-heavy, E-like scan-heavy.
@@ -133,8 +136,6 @@ type Config struct {
 	// in the request header, so servers can fast-reject work this
 	// driver will no longer wait for.
 	OpTimeout time.Duration
-	// ScanLimit is the entry budget per scan (default 50).
-	ScanLimit int
 	// Seed fixes the operation/key sequence. Zero is a valid,
 	// replayable seed (it is NOT coerced — see the zero-seed bugfix in
 	// internal/sim).
@@ -168,9 +169,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
-	}
-	if c.ScanLimit <= 0 {
-		c.ScanLimit = 50
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 500 * time.Millisecond
@@ -523,7 +521,7 @@ func execute(ctx context.Context, dir Directory, sessions []*Session, cfg Config
 		}
 		return err
 	case opScan:
-		_, err := dir.Scan(ctx, o.key, cfg.ScanLimit)
+		_, err := dir.Scan(ctx, o.key, scanLimit)
 		return err
 	}
 	return fmt.Errorf("workload: unknown op %d", o.kind)
