@@ -39,9 +39,13 @@ race:
 # 1000 ops each, crash/partition/duplicate/drop injection under -race,
 # every completed operation checked against the sequential model. A
 # failing seed is printed and replays with -chaos.seed=N. Set
-# REPDIR_CHAOS_LONG=1 for the long soak (20 seeds x 10000 ops).
+# REPDIR_CHAOS_LONG=1 for the long soak (20 seeds x 10000 ops). Then the
+# per-key history check of the writes that build on a remembered
+# version instead of reading it: racing suites, stale hints, and every
+# key's history one a single copy could have produced.
 chaos:
 	$(GO) test -race -count 1 -run 'TestChaosSoak' -v .
+	$(GO) test -race -count 3 -run 'TestHintedWritesLinearizePerKey' -v ./internal/core/
 
 # Sharding gate: the router/suite equivalence suite (every traversal op
 # against the same data through a router and through one suite must

@@ -17,6 +17,7 @@
 package btree
 
 import (
+	"slices"
 	"sort"
 
 	"repdir/internal/keyspace"
@@ -38,11 +39,19 @@ type Entry struct {
 }
 
 // Tree is a B+tree of entries ordered by Entry.Key. Construct with New.
+//
+// Nodes are made with room for all they can hold, and a node a merge
+// empties is kept for the next split: deleting and inserting around the
+// same keys, which merges and splits the same nodes, allocates nothing.
 type Tree struct {
 	root   *node
 	degree int
 	length int
+	spare  [2][]*node // emptied leaves [0] and inner nodes [1], at most maxSpare each
 }
+
+// maxSpare bounds the emptied nodes of each kind a tree keeps.
+const maxSpare = 64
 
 // node is either a leaf (children == nil) holding entries, or an inner
 // node holding separator keys and children. Separator keys[i] bounds the
@@ -140,34 +149,6 @@ func (t *Tree) Lower(key keyspace.Key) (Entry, bool) {
 	for p := leaf.prev; p != nil; p = p.prev {
 		if len(p.entries) > 0 {
 			return p.entries[len(p.entries)-1], true
-		}
-	}
-	return Entry{}, false
-}
-
-// Min returns the smallest entry in the tree.
-func (t *Tree) Min() (Entry, bool) {
-	n := t.root
-	for !n.isLeaf() {
-		n = n.children[0]
-	}
-	for ; n != nil; n = n.next {
-		if len(n.entries) > 0 {
-			return n.entries[0], true
-		}
-	}
-	return Entry{}, false
-}
-
-// Max returns the largest entry in the tree.
-func (t *Tree) Max() (Entry, bool) {
-	n := t.root
-	for !n.isLeaf() {
-		n = n.children[len(n.children)-1]
-	}
-	for ; n != nil; n = n.prev {
-		if len(n.entries) > 0 {
-			return n.entries[len(n.entries)-1], true
 		}
 	}
 	return Entry{}, false
@@ -317,10 +298,8 @@ func (t *Tree) leafFor(key keyspace.Key) *node {
 // growRoot splits a full root, increasing tree height by one.
 func (t *Tree) growRoot() {
 	old := t.root
-	t.root = &node{
-		keys:     []keyspace.Key{},
-		children: []*node{old},
-	}
+	t.root = t.newNode(false)
+	t.root.children = append(t.root.children, old)
 	t.splitChild(t.root, 0)
 }
 
@@ -333,9 +312,7 @@ func (t *Tree) insert(n *node, e Entry) bool {
 				n.entries[i] = e
 				return true
 			}
-			n.entries = append(n.entries, Entry{})
-			copy(n.entries[i+1:], n.entries[i:])
-			n.entries[i] = e
+			n.entries = slices.Insert(n.entries, i, e)
 			return false
 		}
 		i := n.childIndex(e.Key)
@@ -355,12 +332,10 @@ func (t *Tree) splitChild(parent *node, i int) {
 	var right *node
 	if child.isLeaf() {
 		mid := len(child.entries) / 2
-		right = &node{
-			entries: append([]Entry{}, child.entries[mid:]...),
-			next:    child.next,
-			prev:    child,
-		}
-		child.entries = child.entries[:mid:mid]
+		right = t.newNode(true)
+		right.entries = append(right.entries, child.entries[mid:]...)
+		right.next, right.prev = child.next, child
+		child.entries = slices.Delete(child.entries, mid, len(child.entries))
 		if right.next != nil {
 			right.next.prev = right
 		}
@@ -369,19 +344,45 @@ func (t *Tree) splitChild(parent *node, i int) {
 	} else {
 		mid := len(child.keys) / 2
 		sep = child.keys[mid]
-		right = &node{
-			keys:     append([]keyspace.Key{}, child.keys[mid+1:]...),
-			children: append([]*node{}, child.children[mid+1:]...),
-		}
-		child.keys = child.keys[:mid:mid]
-		child.children = child.children[: mid+1 : mid+1]
+		right = t.newNode(false)
+		right.keys = append(right.keys, child.keys[mid+1:]...)
+		right.children = append(right.children, child.children[mid+1:]...)
+		child.keys = slices.Delete(child.keys, mid, len(child.keys))
+		child.children = slices.Delete(child.children, mid+1, len(child.children))
 	}
-	parent.keys = append(parent.keys, keyspace.Key{})
-	copy(parent.keys[i+1:], parent.keys[i:])
-	parent.keys[i] = sep
-	parent.children = append(parent.children, nil)
-	copy(parent.children[i+2:], parent.children[i+1:])
-	parent.children[i+1] = right
+	parent.keys = slices.Insert(parent.keys, i, sep)
+	parent.children = slices.Insert(parent.children, i+1, right)
+}
+
+// newNode returns an empty leaf, or inner node, with room for as many
+// items as it can hold.
+func (t *Tree) newNode(leaf bool) *node {
+	spare := &t.spare[0]
+	if !leaf {
+		spare = &t.spare[1]
+	}
+	if n := len(*spare); n > 0 {
+		fresh := (*spare)[n-1]
+		*spare = (*spare)[:n-1]
+		return fresh
+	}
+	if leaf {
+		return &node{entries: make([]Entry, 0, t.maxItems())}
+	}
+	return &node{keys: make([]keyspace.Key, 0, t.maxItems()), children: make([]*node, 0, t.maxItems()+1)}
+}
+
+// recycle keeps n, which a merge emptied, for a later newNode.
+func (t *Tree) recycle(n *node) {
+	spare := &t.spare[0]
+	if !n.isLeaf() {
+		spare = &t.spare[1]
+	}
+	if len(*spare) < maxSpare {
+		*n = node{entries: slices.Delete(n.entries, 0, len(n.entries)),
+			keys: slices.Delete(n.keys, 0, len(n.keys)), children: slices.Delete(n.children, 0, len(n.children))}
+		*spare = append(*spare, n)
+	}
 }
 
 // delete removes key from the subtree rooted at n. Every node descended
@@ -394,7 +395,7 @@ func (t *Tree) delete(n *node, key keyspace.Key) bool {
 			if !ok {
 				return false
 			}
-			n.entries = append(n.entries[:i], n.entries[i+1:]...)
+			n.entries = slices.Delete(n.entries, i, i+1)
 			return true
 		}
 		i := n.childIndex(key)
@@ -430,8 +431,8 @@ func (t *Tree) borrowFromLeft(parent *node, i int) {
 	left, child := parent.children[i-1], parent.children[i]
 	if child.isLeaf() {
 		last := left.entries[len(left.entries)-1]
-		left.entries = left.entries[: len(left.entries)-1 : len(left.entries)-1]
-		child.entries = append([]Entry{last}, child.entries...)
+		left.entries = slices.Delete(left.entries, len(left.entries)-1, len(left.entries))
+		child.entries = slices.Insert(child.entries, 0, last)
 		parent.keys[i-1] = last.Key
 		return
 	}
@@ -439,10 +440,10 @@ func (t *Tree) borrowFromLeft(parent *node, i int) {
 	sep := parent.keys[i-1]
 	lastKey := left.keys[len(left.keys)-1]
 	lastChild := left.children[len(left.children)-1]
-	left.keys = left.keys[: len(left.keys)-1 : len(left.keys)-1]
-	left.children = left.children[: len(left.children)-1 : len(left.children)-1]
-	child.keys = append([]keyspace.Key{sep}, child.keys...)
-	child.children = append([]*node{lastChild}, child.children...)
+	left.keys = slices.Delete(left.keys, len(left.keys)-1, len(left.keys))
+	left.children = slices.Delete(left.children, len(left.children)-1, len(left.children))
+	child.keys = slices.Insert(child.keys, 0, sep)
+	child.children = slices.Insert(child.children, 0, lastChild)
 	parent.keys[i-1] = lastKey
 }
 
@@ -451,7 +452,7 @@ func (t *Tree) borrowFromRight(parent *node, i int) {
 	child, right := parent.children[i], parent.children[i+1]
 	if child.isLeaf() {
 		first := right.entries[0]
-		right.entries = append(right.entries[:0:0], right.entries[1:]...)
+		right.entries = slices.Delete(right.entries, 0, 1)
 		child.entries = append(child.entries, first)
 		parent.keys[i] = right.entries[0].Key
 		return
@@ -459,8 +460,8 @@ func (t *Tree) borrowFromRight(parent *node, i int) {
 	sep := parent.keys[i]
 	firstKey := right.keys[0]
 	firstChild := right.children[0]
-	right.keys = append(right.keys[:0:0], right.keys[1:]...)
-	right.children = append(right.children[:0:0], right.children[1:]...)
+	right.keys = slices.Delete(right.keys, 0, 1)
+	right.children = slices.Delete(right.children, 0, 1)
 	child.keys = append(child.keys, sep)
 	child.children = append(child.children, firstChild)
 	parent.keys[i] = firstKey
@@ -481,6 +482,7 @@ func (t *Tree) mergeChildren(parent *node, i int) {
 		left.keys = append(left.keys, right.keys...)
 		left.children = append(left.children, right.children...)
 	}
-	parent.keys = append(parent.keys[:i], parent.keys[i+1:]...)
-	parent.children = append(parent.children[:i+1], parent.children[i+2:]...)
+	t.recycle(right)
+	parent.keys = slices.Delete(parent.keys, i, i+1)
+	parent.children = slices.Delete(parent.children, i+1, i+2)
 }

@@ -111,11 +111,8 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Get(ke("a")); ok {
 		t.Error("Get on empty tree should miss")
 	}
-	if _, ok := tr.Min(); ok {
-		t.Error("Min on empty tree should miss")
-	}
-	if _, ok := tr.Max(); ok {
-		t.Error("Max on empty tree should miss")
+	if es := tr.Entries(); len(es) != 0 {
+		t.Errorf("Entries of an empty tree = %v", es)
 	}
 	if _, ok := tr.Lower(ke("a")); ok {
 		t.Error("Lower on empty tree should miss")
@@ -172,11 +169,8 @@ func TestSentinelsStoreAndNavigate(t *testing.T) {
 	tr.Put(Entry{Key: keyspace.Low(), GapAfter: 0})
 	tr.Put(Entry{Key: keyspace.High()})
 	tr.Put(entry("m", 1))
-	if lo, ok := tr.Min(); !ok || !lo.Key.IsLow() {
-		t.Error("Min should be LOW")
-	}
-	if hi, ok := tr.Max(); !ok || !hi.Key.IsHigh() {
-		t.Error("Max should be HIGH")
+	if es := tr.Entries(); len(es) != 3 || !es[0].Key.IsLow() || !es[2].Key.IsHigh() {
+		t.Errorf("Entries = %v, want LOW first and HIGH last", es)
 	}
 	if p, ok := tr.Lower(ke("m")); !ok || !p.Key.IsLow() {
 		t.Error("Lower(m) should be LOW")

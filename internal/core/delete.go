@@ -133,6 +133,7 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 		return err
 	}
 	tx.mutated = true
+	tx.learned = append(tx.learned, learned{x.Raw(), hint{false, ver.Next()}})
 	if tx.shape == pointWrite {
 		for _, m := range writers {
 			tx.txn.Voted(m.Dir)

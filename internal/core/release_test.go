@@ -535,7 +535,9 @@ func TestWriteRightAfterWrite(t *testing.T) {
 // returning runs under the transaction's own context, which every call
 // waits on over the wire; that context keeps its channel and timer from
 // one round to the next, so the round costs no more than the same
-// Update's commit round did when its caller waited for it (9).
+// Update's commit round did when its caller waited for it. The suite
+// knows the key's version, so the Update sends no read: two rounds, not
+// three (measured 5; 8 when it read).
 func TestUpdateOverWireAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -574,7 +576,7 @@ func TestUpdateOverWireAllocs(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		update() // pools, maps and buffers reach their working size
 	}
-	const most = 9
+	const most = 6
 	if n := testing.AllocsPerRun(500, update); n > most {
 		t.Errorf("one Update over the wire allocates %.0f times, commit round included; want at most %d", n, most)
 	} else {

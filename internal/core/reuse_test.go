@@ -92,6 +92,7 @@ func TestKeptTxFailsClosed(t *testing.T) {
 	}
 	kept = append(kept, attached)
 
+	before := ts.suite.Stats().Calls // before the other callers start
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
@@ -111,7 +112,6 @@ func TestKeptTxFailsClosed(t *testing.T) {
 			}
 		}()
 	}
-	before := ts.suite.Stats().Calls
 	for i := 0; i < 200; i++ {
 		for _, tx := range kept {
 			for name, err := range map[string]error{

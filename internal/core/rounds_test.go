@@ -51,6 +51,9 @@ func (t *tape) begin(member, kind string, ctx context.Context, id lock.TxnID) in
 	if rep.Around(ctx) {
 		kind += "+around"
 	}
+	if rep.Expects(ctx) {
+		kind += "+expect"
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.clock++
@@ -306,9 +309,12 @@ func (ts *tapedSuite) idle(t *testing.T, what string) {
 
 // TestPointOperationRounds is the table the message diet is held to: on
 // a healthy 3-2-2 suite, whatever quorums the random selector draws, a
-// lookup is 2 messages in 1 round, an insert or update 6 in 3, a local
-// lookup 1 in 1, and a delete 6 in 3 (one more message for each bound a
-// writer lacks and is sent a copy of, in one more round).
+// lookup is 2 messages in 1 round, an insert or update of a key the
+// suite knows no version of 6 in 3, one of a key it knows 4 in 2 (the
+// write checks the version instead of a read), a local lookup 1 in 1,
+// and a delete 6 in 3 (one more message for each bound a writer lacks
+// and is sent a copy of, in one more round). A version the suite knows
+// wrongly costs the 2 refused writes and their 2 aborts on top of the 6.
 func TestPointOperationRounds(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -351,28 +357,57 @@ func TestPointOperationRounds(t *testing.T) {
 					t.Errorf("%s: calls %v, want 1 one-shot lookup at B", what("lookup-local"), got)
 				}
 
+				// The suite inserted d and knows its version; it knows none
+				// of c and e.
+				cold := []string{"lookup", "lookup", "insert+prepare", "insert+prepare", "commit", "commit"}
+				warm := []string{"insert+prepare+expect", "insert+prepare+expect", "commit", "commit"}
 				for _, w := range []struct {
-					op  string
-					run func() error
+					op   string
+					run  func() error
+					want []string
 				}{
-					{"insert", func() error { return ts.suite.Insert(ctx, "e", "v") }},
-					{"update", func() error { return ts.suite.Update(ctx, "d", "v1") }},
-					{"insertV", func() error { _, err := ts.suite.InsertV(ctx, "c", "v"); return err }},
-					{"updateV", func() error { _, err := ts.suite.UpdateV(ctx, "d", "v2"); return err }},
+					{"insert", func() error { return ts.suite.Insert(ctx, "e", "v") }, cold},
+					{"update", func() error { return ts.suite.Update(ctx, "d", "v1") }, warm},
+					{"insertV", func() error { _, err := ts.suite.InsertV(ctx, "c", "v"); return err }, cold},
+					{"updateV", func() error { _, err := ts.suite.UpdateV(ctx, "d", "v2"); return err }, warm},
 				} {
 					calls = ts.run(t, what(w.op), w.run)
-					want := []string{"lookup", "lookup", "insert+prepare", "insert+prepare", "commit", "commit"}
-					if got := kinds(calls); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: calls %v, want %v", what(w.op), got, want)
+					if got := kinds(calls); !reflect.DeepEqual(got, w.want) {
+						t.Errorf("%s: calls %v, want %v", what(w.op), got, w.want)
 						continue
 					}
-					if n := len(phases(calls)); n != 3 {
+					if n := len(phases(calls)); n != len(w.want)/2 {
 						t.Errorf("%s: %d rounds", what(w.op), n)
 					}
-					readers, writers, committed := membersOf(calls, "lookup"), membersOf(calls, "insert+prepare"), membersOf(calls, "commit")
-					if !reflect.DeepEqual(readers, writers) || !reflect.DeepEqual(writers, committed) {
+					readers, writers, committed := membersOf(calls, "lookup"), membersOf(calls, w.want[len(w.want)-3]), membersOf(calls, "commit")
+					if readers != nil && !reflect.DeepEqual(readers, writers) || !reflect.DeepEqual(writers, committed) {
 						t.Errorf("%s: read %v, wrote %v, committed %v: want one pair of members", what(w.op), readers, writers, committed)
 					}
+				}
+				if got := ts.obs.MessagesPerOp(OpUpdate); got != 4 {
+					t.Errorf("seed %d: messages per update = %v, want 4", seed, got)
+				}
+
+				// Every member moves d past the version the suite knows, as
+				// a write through another suite and a repair would: the
+				// write is refused, aborted, and then reads.
+				for _, r := range ts.reps {
+					id := lock.TxnID(1 << 40)
+					if err := r.Insert(ctx, id, keyspace.New("d"), 10, "elsewhere"); err != nil {
+						t.Fatal(err)
+					}
+					if err := r.Commit(ctx, id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var ver version.V
+				calls = ts.run(t, what("stale update"), func() (err error) {
+					ver, err = ts.suite.UpdateV(ctx, "d", "v3")
+					return err
+				})
+				stale := append([]string{"insert+prepare+expect", "insert+prepare+expect", "abort", "abort"}, cold...)
+				if got := kinds(calls); !reflect.DeepEqual(got, stale) || ver != 11 {
+					t.Errorf("%s: calls %v wrote version %d, want %v and version 11", what("stale update"), got, ver, stale)
 				}
 
 				// A delete reads (one neighborhood of the key at each
@@ -402,9 +437,6 @@ func TestPointOperationRounds(t *testing.T) {
 				// The observer's per-operation mean is the same count.
 				if got := ts.obs.MessagesPerOp(OpLookup); got != 2 {
 					t.Errorf("seed %d: messages per lookup = %v, want 2", seed, got)
-				}
-				if got := ts.obs.MessagesPerOp(OpUpdate); got != 6 {
-					t.Errorf("seed %d: messages per update = %v, want 6", seed, got)
 				}
 				if got := ts.obs.MessagesPerOp(OpLocalLookup); got != 1 {
 					t.Errorf("seed %d: messages per local lookup = %v, want 1", seed, got)
@@ -728,7 +760,9 @@ func TestReadOnlyParticipantCrashStillAborts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := writer.Insert(ctx, "k", "v1"); err != nil {
+			// The rival inserts k, so the writer knows no version of it
+			// and reads one.
+			if err := rival.Insert(ctx, "k", "v1"); err != nil {
 				t.Fatal(err)
 			}
 			restarting.restart = func() {

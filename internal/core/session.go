@@ -55,7 +55,9 @@ func (s *Suite) LookupV(ctx context.Context, key string) (string, bool, version.
 }
 
 // InsertV is Insert plus the version the new entry was written with. It
-// costs three rounds — read, write, commit: see pointWrite.
+// costs two rounds, write and commit, where the suite remembers the
+// key's version, and three, read first, where it does not: see
+// pointWrite.
 func (s *Suite) InsertV(ctx context.Context, key, value string) (ver version.V, err error) {
 	err = s.runTxn(ctx, OpInsert, pointWrite, func(tx *Tx) (err error) {
 		ver, err = tx.write(ctx, key, value, false)

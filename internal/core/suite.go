@@ -12,7 +12,8 @@
 //     versions), the reply is unambiguous even after deletions.
 //   - Insert (Figure 9) looks the key up in a read quorum and writes the
 //     entry with one more than the highest version seen to a write
-//     quorum. Update is analogous.
+//     quorum. Update is analogous. Where write quorums intersect, a
+//     version the suite remembers is checked by the write quorum instead.
 //   - Delete (Figure 13) locates the key's real predecessor and real
 //     successor (Figure 12), copies them to write-quorum members that
 //     lack them, and coalesces the whole range into a single gap with a
@@ -25,7 +26,7 @@
 //	Paper      What                       Function          Test
 //	Figure 7   range-lock compatibility   lock.Compatible   lock_test.go TestCompatibilityMatrix
 //	Figure 8   DirSuiteLookup             Tx.resolve        paper_test.go TestPaperFigures1to5
-//	Figure 9   DirSuiteInsert             Tx.write          suite_test.go TestInsertAfterDeleteGetsHigherVersion
+//	Figure 9   DirSuiteInsert             Tx.write          suite_test.go TestInsertAfterDeleteGetsHigherVersion, hinted_test.go TestHintedWritesLinearizePerKey
 //	Figure 10  a delete's bound copy      Tx.Delete         paper_test.go TestPaperFigures10and11
 //	Figure 11  a coalesce sweeps a ghost  rep.Rep.Coalesce  paper_test.go TestPaperFigures10and11
 //	Figure 12  real neighbor search       run.next          merge_test.go TestMergeMatchesPerKeyWalk
@@ -91,6 +92,7 @@ type Suite struct {
 	health     *HealthTracker
 	obs        *obs.Observer
 	counters   suiteCounters
+	hints      hints
 	// localMember, when set (WithLocalReads), names the store member
 	// LocalLookup consults, and local is that member.
 	localMember string
@@ -174,6 +176,9 @@ func NewSuite(cfg quorum.Config, opts ...Option) (*Suite, error) {
 	}
 	if s.fanout < 1 {
 		return nil, fmt.Errorf("core: neighbor fanout %d must be positive", s.fanout)
+	}
+	if cfg.WritesIntersect() {
+		s.hints.m = make(map[string]hint)
 	}
 	for i, m := range cfg.Members {
 		m.Dir = s.wrapDir(m.Dir)
@@ -312,12 +317,14 @@ const (
 	// member, so the member releases before it answers, nothing joins
 	// the transaction and no second round is sent.
 	pointRead
-	// pointWrite: exactly one Insert, Update or Delete. The write quorum
-	// is drawn from the members that served the version read where their
-	// votes suffice, and the last write to each such member carries the
-	// prepare (rep.MarkPrepare): read, write, commit. The write is the
-	// commit point, so under parallel quorum the caller does not wait for
-	// the commit round (txn.Txn.Release).
+	// pointWrite: exactly one Insert, Update or Delete. An insert or
+	// update whose version the suite remembers writes at once, the
+	// prepare and the expectation riding (Tx.write): write, commit.
+	// Otherwise the write quorum is drawn from the members that served
+	// the version read where their votes suffice, and the write to each
+	// carries the prepare (rep.MarkPrepare): read, write, commit. The
+	// write is the commit point, so under parallel quorum the caller
+	// does not wait for the commit round (txn.Txn.Release).
 	pointWrite
 )
 
@@ -381,6 +388,8 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 		// confused with a live one.
 		tx.own.Reset(txn.AttemptID(base, attempt))
 		tx.begin(&tx.own, shape, exclude, trace)
+		// A retry reads what it writes on: the hint may be what failed.
+		tx.hinted = attempt == 0
 		var retrySpan obs.SpanHandle
 		if attempt > 0 {
 			retrySpan = trace.StartSpan("retry")
@@ -404,6 +413,9 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 		if err == nil {
 			s.counters.commits.Add(1)
 			tx.flushMetrics()
+			for _, l := range tx.learned {
+				s.hints.learn(l.key, l.hint)
+			}
 			if release { // the Tx is its release round's from here
 				s.releasing.Add(1)
 				released = true
@@ -465,7 +477,8 @@ func Backoff(ctx context.Context, attempt int) {
 // re-run; it is the one retry rule of the suite and the shard router.
 // Wait-die victims always retry; losing a replica retries with that
 // replica excluded; an attempt externally decided (by a resolver) re-runs
-// under a fresh attempt ID. A server's refusal — shed
+// under a fresh attempt ID; a write refused because the version it
+// built on has moved reads the key on the retry. A server's refusal — shed
 // (transport.ErrOverloaded) or expired (transport.ErrExpired) — is never
 // retried, whatever else the error wraps: the member is alive and asking
 // for less work, and a retry would only add it back. Quorum-collection
@@ -479,7 +492,8 @@ func Retryable(err error) bool {
 		errors.Is(err, transport.ErrUnavailable) ||
 		errors.Is(err, rep.ErrRecovering) ||
 		errors.Is(err, rep.ErrTxnDecided) ||
-		errors.Is(err, rep.ErrUnknownTxn)
+		errors.Is(err, rep.ErrUnknownTxn) ||
+		errors.Is(err, rep.ErrVersionMoved)
 }
 
 // validateKey rejects empty keys and keys in the reserved system

@@ -64,5 +64,9 @@ func (tx *Tx) SysPut(ctx context.Context, key, value string) error {
 	if err != nil {
 		return err
 	}
-	return tx.writeEntry(ctx, k, cur.Version.Next(), value)
+	members, err := tx.entryWriters()
+	if err != nil {
+		return err
+	}
+	return tx.writeEntry(ctx, k, cur.Version.Next(), value, members, 0)
 }

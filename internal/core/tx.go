@@ -53,9 +53,12 @@ type Tx struct {
 
 	// shape is what the suite promised about the transaction (suite.go).
 	shape txShape
-	// read is the quorum of a point write's version read: the members
-	// its write quorum is drawn from, and that can take the prepare on
-	// the write because they already know the transaction.
+	// hinted lets a point write build on the version the suite
+	// remembers (Tx.write): the first attempt of an operation may.
+	hinted bool
+	// read is the members that can take the prepare on a point write:
+	// those that served its version read, and so know the transaction,
+	// and those asked to check the version it builds on instead.
 	read quorum.Set
 	// failed collects members that became unavailable during this
 	// attempt, so the retry can route around them.
@@ -63,8 +66,10 @@ type Tx struct {
 	// mutated records whether any representative state changed; pure
 	// read transactions release their locks with a cheap abort.
 	mutated bool
-	// observations buffers per-delete statistics until commit.
+	// observations buffers per-delete statistics until commit, and
+	// learned the versions written, for the suite's hints.
 	observations []DeleteObservation
+	learned      []learned
 
 	// The rest is storage, meaningful only inside the operation that
 	// filled it: the quorums drawn (picks is what the selector wrote); a
@@ -89,8 +94,8 @@ type Tx struct {
 // under a fresh ID or a coordinator's.
 func (tx *Tx) begin(t *txn.Txn, shape txShape, exclude quorum.Set, trace *obs.Trace) {
 	tx.txn, tx.shape, tx.exclude, tx.trace = t, shape, exclude, trace
-	tx.msgs, tx.read, tx.failed, tx.mutated = 0, 0, 0, false
-	tx.observations = tx.observations[:0]
+	tx.msgs, tx.read, tx.failed, tx.mutated, tx.hinted = 0, 0, 0, false, false
+	tx.observations, tx.learned = tx.observations[:0], tx.learned[:0]
 }
 
 // slots returns s at length n with every slot zero, in its old storage
@@ -300,7 +305,13 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	if tx.shape == pointWrite {
 		tx.read = indexes(members)
 	}
-	return tx.resolve(ctx, key, members, tx.replies)
+	res, err := tx.resolve(ctx, key, members, tx.replies)
+	if err == nil && (tx.shape == pointRead || tx.shape == pointWrite) {
+		// A point read or a write's version read: what it saw is
+		// committed.
+		tx.suite.hints.learn(key.Raw(), hint{res.Found, res.Version})
+	}
+	return res, err
 }
 
 // failover asks a point read's refused probe (transport.ErrOverloaded,
@@ -565,10 +576,32 @@ func (tx *Tx) UpdateV(ctx context.Context, key, value string) (version.V, error)
 // write creates the entry for key, or with update set replaces it: the
 // key is looked up to learn the highest version previously associated
 // with it, and the entry written with the next.
+//
+// A point write whose suite remembers that version, with the entry (or
+// gap) it needs, writes at once instead, each member of the write quorum
+// checking under its write lock that it holds nothing newer. Write
+// quorums intersect (quorum.Config.WritesIntersect), so if none does, no
+// committed write is newer. Otherwise a member refuses, and the retry
+// reads.
 func (tx *Tx) write(ctx context.Context, key, value string, update bool) (version.V, error) {
 	k, err := validateKey(key)
 	if err != nil {
 		return version.Lowest, err
+	}
+	if h, ok := tx.hint(k); ok && h.found == update {
+		members, err := tx.writeQuorum()
+		if err != nil {
+			return version.Lowest, err
+		}
+		if votesOf(members) >= tx.suite.cfg.W { // see entryWriters
+			expect := rep.ExpectGapMark
+			if update {
+				expect = rep.ExpectEntryMark
+			}
+			tx.read = indexes(members)
+			ver := h.ver.Next()
+			return ver, tx.writeEntry(ctx, k, ver, value, members, expect)
+		}
 	}
 	cur, err := tx.suiteLookup(ctx, k)
 	switch {
@@ -580,41 +613,56 @@ func (tx *Tx) write(ctx context.Context, key, value string, update bool) (versio
 		return version.Lowest, fmt.Errorf("%w: %s", ErrKeyNotFound, k)
 	}
 	ver := cur.Version.Next()
-	return ver, tx.writeEntry(ctx, k, ver, value)
+	members, err := tx.entryWriters()
+	if err != nil {
+		return version.Lowest, err
+	}
+	return ver, tx.writeEntry(ctx, k, ver, value, members, 0)
 }
 
-// writeEntry inserts the entry into a write quorum.
+// hint returns what the suite remembers of key, for a point write's
+// first attempt.
+func (tx *Tx) hint(key keyspace.Key) (hint, bool) {
+	if tx.shape != pointWrite || !tx.hinted {
+		return hint{}, false
+	}
+	h := &tx.suite.hints
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	v, ok := h.m[key.Raw()]
+	return v, ok
+}
+
+// writeEntry inserts the entry into the write quorum members, with the
+// expectation mark expect on a write that read nothing.
 //
-// A point write draws the quorum from the members that served its
-// version read, where their votes suffice. They are participants
+// A point write that read draws the quorum from the members that served
+// its version read, where their votes suffice. They are participants
 // already, so the transaction gains none by writing, and none is left a
 // pure reader that a message of its own would have to release. And the
 // write is the last the transaction sends them, so it carries the
-// prepare: read, write, commit — three rounds. A member the read did
-// not reach (the draw fell back to the whole suite) gets a plain write
-// and is asked to prepare in a round of its own, as in any transaction;
-// so is a member that only read — after this round has been
-// acknowledged, because until then the transaction is still acquiring
-// locks and may release none.
-func (tx *Tx) writeEntry(ctx context.Context, key keyspace.Key, ver version.V, value string) error {
-	members, err := tx.entryWriters()
-	if err != nil {
-		return err
-	}
+// prepare: read, write, commit — three rounds, or two, write and
+// commit, where the write checks the version instead of a read. A
+// member the read did not reach (the draw fell back to the whole suite)
+// gets a plain write and is asked to prepare in a round of its own, as
+// in any transaction; so is a member that only read — after this round
+// has been acknowledged, because until then the transaction is still
+// acquiring locks and may release none.
+func (tx *Tx) writeEntry(ctx context.Context, key keyspace.Key, ver version.V, value string, members []member, expect rep.Marks) error {
 	for _, m := range members {
 		if err := tx.txn.Join(m.Dir); err != nil {
 			return err
 		}
 	}
-	// tx.read is the members that know the transaction, so can take the
-	// prepare with the write: a representative refuses a write that
-	// carries the prepare from a transaction it does not know, as it
-	// refuses a Prepare — that is how a restart that lost the
-	// transaction's read lock is caught. It is empty in a transaction
-	// of another shape.
+	// tx.read is the members that can take the prepare with the write:
+	// a representative refuses a write that carries the prepare from a
+	// transaction it does not know, as it refuses a Prepare — that is
+	// how a restart that lost the transaction's read lock is caught —
+	// unless the write carries an expectation, which it checks under the
+	// write lock instead. It is empty in a transaction of another shape.
 	tx.round = round{kind: callInsert, ctx: ctx, key: key, ver: ver, value: value}
 	if tx.read != 0 {
-		tx.round.prepared = tx.mark(ctx, rep.PrepareMark)
+		tx.round.prepared = tx.mark(ctx, rep.PrepareMark|expect)
 	}
 	sp := tx.span("quorum-write", key.Raw())
 	tx.fanOut(members)
@@ -628,6 +676,7 @@ func (tx *Tx) writeEntry(ctx context.Context, key keyspace.Key, ver version.V, v
 		}
 	}
 	tx.mutated = true
+	tx.learned = append(tx.learned, learned{key.Raw(), hint{true, ver}})
 	return nil
 }
 

@@ -90,6 +90,13 @@ func (c Config) WitnessVotes() int {
 	return total
 }
 
+// WritesIntersect reports whether every two write quorums share a member
+// (2W > total votes). Validate does not ask for it: R + W > total is what
+// reads need. A write that builds on a version its suite remembers, and
+// checks that version at its own write quorum instead of reading it
+// (core.Tx.write), needs it too.
+func (c Config) WritesIntersect() bool { return 2*c.W > c.TotalVotes() }
+
 // Validate checks the weighted-voting constraints: positive quorums, at
 // least one vote somewhere, quorums collectible from the total, and the
 // intersection property R + W > total votes.

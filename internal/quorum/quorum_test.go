@@ -96,6 +96,31 @@ func TestValidateWeighted(t *testing.T) {
 	}
 }
 
+// TestWritesIntersect: two write quorums share a member exactly when 2W
+// exceeds the total votes, witnesses' votes counted like any others.
+func TestWritesIntersect(t *testing.T) {
+	ds := dirs(3)
+	for _, tt := range []struct {
+		name string
+		cfg  Config
+		want bool
+	}{
+		{"3-2-2", NewUniform(dirs(3), 2, 2), true},
+		{"4-3-2", NewUniform(dirs(4), 3, 2), false},
+		{"5-3-3", NewUniform(dirs(5), 3, 3), true},
+		{"weighted 2+1+1 R=2 W=3", Config{Members: []Member{{Dir: ds[0], Votes: 2}, {Dir: ds[1], Votes: 1}, {Dir: ds[2], Votes: 1}}, R: 2, W: 3}, true},
+		{"weighted 2+1+1 R=3 W=2", Config{Members: []Member{{Dir: ds[0], Votes: 2}, {Dir: ds[1], Votes: 1}, {Dir: ds[2], Votes: 1}}, R: 3, W: 2}, false},
+		{"witness 1+1+1w R=2 W=2", Config{Members: []Member{{Dir: ds[0], Votes: 1}, {Dir: ds[1], Votes: 1}, {Dir: ds[2], Votes: 1, Witness: true}}, R: 2, W: 2}, true},
+	} {
+		if err := tt.cfg.Validate(); err != nil {
+			t.Fatalf("%s: %v", tt.name, err)
+		}
+		if got := tt.cfg.WritesIntersect(); got != tt.want {
+			t.Errorf("%s: WritesIntersect = %v, want %v", tt.name, got, tt.want)
+		}
+	}
+}
+
 func TestRandomSelectorMeetsThreshold(t *testing.T) {
 	cfg := NewUniform(dirs(5), 3, 3)
 	sel := NewRandomSelector(cfg, 42)

@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// Call marks. Three things a coordinator knows about a call cut round
+// Call marks. Four things a coordinator knows about a call cut round
 // trips out of the point operations, and the Directory signatures have
 // no parameter for any of them, so they travel the way the epoch does:
 // a context value on the caller's side, a flags byte in the request
@@ -20,10 +20,16 @@ import (
 //   - Prepare rides: the Insert or Coalesce is the transaction's last
 //     write here, so the representative prepares as soon as it has
 //     applied it, as if Prepare had followed in a message of its own.
-//     The coordinator sends it only where the transaction has operated
-//     before: like Prepare, the call votes ErrUnknownTxn if the
-//     representative does not know the transaction, because then a
-//     crash has lost locks the transaction still relies on.
+//     Like Prepare, the call votes ErrUnknownTxn if the representative
+//     does not know the transaction, because then a crash has lost locks
+//     the transaction still relies on — unless it also carries an
+//     expectation (next item), which stands in for those locks.
+//   - Expect: the Insert at version v is a point write's whole read: the
+//     coordinator remembers the key's entry (ExpectEntryMark) or gap
+//     (ExpectGapMark) at v-1 instead of reading it. A representative
+//     that does not know the transaction checks under the key's lock
+//     that it holds nothing newer (Rep.expected), and may then open the
+//     transaction with the prepare riding.
 //   - Around: the SuccessorBatch is a delete's whole read of key x. The
 //     representative answers with the neighborhood of x — the max
 //     entries below it, x's own entry if it stores one, the max entries
@@ -46,6 +52,8 @@ const (
 	OneShotMark Marks = 1 << iota
 	PrepareMark
 	AroundMark
+	ExpectEntryMark
+	ExpectGapMark
 )
 
 // MarksKey is the context key of a call's Marks. It is exported so that
@@ -82,6 +90,9 @@ func MarkAround(ctx context.Context) context.Context { return withMark(ctx, Arou
 
 // Around reports whether ctx carries the neighborhood mark.
 func Around(ctx context.Context) bool { return MarksFrom(ctx)&AroundMark != 0 }
+
+// Expects reports whether ctx carries either expectation mark.
+func Expects(ctx context.Context) bool { return MarksFrom(ctx)&(ExpectEntryMark|ExpectGapMark) != 0 }
 
 // WritersKey is the context key of the writer count a prepare carries,
 // exported for the same reason MarksKey is.

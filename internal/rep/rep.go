@@ -83,6 +83,10 @@ var (
 	// member and reads around it. Status answers it in place of
 	// StatusUnknown: the member cannot vouch that it never prepared.
 	ErrRecovering = errors.New("rep: replica recovering from storage loss")
+	// ErrVersionMoved is the refusal of an Insert whose expectation
+	// (marks.go) the key's stored version contradicts: the coordinator's
+	// remembered version is stale, and it must read the key instead.
+	ErrVersionMoved = errors.New("rep: key's version moved past the expected one")
 )
 
 // LookupResult is the reply to Lookup. When Found is false, Version is
@@ -343,8 +347,9 @@ func first(batch []NeighborResult, err error) (NeighborResult, error) {
 // Insert implements Directory. Creating a new entry splits the gap it
 // lands in; both halves keep the gap's version number. Overwriting an
 // existing entry leaves gap versions untouched. Under the prepare mark
-// (marks.go) the transaction is prepared before the call returns.
-// Locks RepModify(key, key).
+// (marks.go) the transaction is prepared before the call returns; under
+// an expectation, the call is refused, keeping nothing, if the key's
+// version has moved past it. Locks RepModify(key, key).
 func (r *Rep) Insert(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver version.V, value string) error {
 	if txn == 0 {
 		return ErrReservedTxn
@@ -365,6 +370,12 @@ func (r *Rep) Insert(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver 
 		return err
 	}
 	r.mu.Lock()
+	if err := r.expected(ctx, txn, key, ver); err != nil {
+		r.mu.Unlock()
+		r.locks.ReleaseAll(txn)
+		r.stats.inserts.Add(1) // served, if only to say no
+		return err
+	}
 	defer r.mu.Unlock()
 	st, err := r.writer(ctx, txn)
 	if err != nil {
@@ -384,6 +395,34 @@ func (r *Rep) Insert(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver 
 		return r.vote(st, txn, WritersFrom(ctx))
 	}
 	return nil
+}
+
+// expected checks the expectation an Insert at version ver carries
+// (marks.go) for a transaction neither known here nor decided; a
+// duplicate is not checked again. It refuses a version above ver-1, or
+// ver-1 in the other form: an older one only means this member missed
+// writes. The key's RepModify lock is held, so nothing moves meanwhile;
+// a member rebuilding lost storage refuses as it refuses reads. Callers
+// hold r.mu.
+func (r *Rep) expected(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver version.V) error {
+	m := MarksFrom(ctx) & (ExpectEntryMark | ExpectGapMark)
+	if m == 0 || r.settled(txn) != nil {
+		return nil
+	}
+	if _, decided := r.outcomes[txn]; decided {
+		return nil
+	}
+	if err := r.readable(); err != nil {
+		return err
+	}
+	cur, err := r.get(key)
+	if err != nil {
+		return err
+	}
+	if cur.Version.Next() < ver || cur.Version.Next() == ver && cur.Found == (m == ExpectEntryMark) {
+		return nil
+	}
+	return fmt.Errorf("%w: %s holds version %d (entry %v) at %s, insert at %d", ErrVersionMoved, key, cur.Version, cur.Found, r.name, ver)
 }
 
 // applyInsert performs the store mutation for Insert and returns the
@@ -732,12 +771,13 @@ func (r *Rep) undecided(id lock.TxnID) error {
 // refusing an already-decided transaction. A write that carries the
 // prepare must find the transaction known — see Prepare's abort vote;
 // the lock the write took on its way in is swept by the Abort that
-// answers the refusal. Callers hold r.mu.
+// answers the refusal — unless it carries an expectation, which
+// expected has checked. Callers hold r.mu.
 func (r *Rep) writer(ctx context.Context, id lock.TxnID) (*txnState, error) {
 	if err := r.undecided(id); err != nil {
 		return nil, err
 	}
-	if _, known := r.txns[id]; !known && PrepareRides(ctx) {
+	if _, known := r.txns[id]; !known && PrepareRides(ctx) && !Expects(ctx) {
 		return nil, fmt.Errorf("%w: txn %d", ErrUnknownTxn, id)
 	}
 	return r.txn(id), nil

@@ -34,9 +34,12 @@ type ScalabilityPoint struct {
 // A client updates its keysPerClient keys in turn: one that rewrote a
 // single key back to back would meet its own last update's locks, held
 // until that update's commit round lands after the update has returned,
-// which is not the concurrency measured here.
+// which is not the concurrency measured here. An update of a key the
+// suite knows the version of returns after one round, and under the race
+// detector a commit round can lag several of them, so the turn is
+// sixteen keys long.
 func RunScalability(clientCounts []int, opsPerClient int, perMessage time.Duration) ([]ScalabilityPoint, error) {
-	const keysPerClient = 4
+	const keysPerClient = 16
 	key := func(c, i int) string { return fmt.Sprintf("key-%03d-%d", c, i%keysPerClient) }
 	ctx := context.Background()
 	var out []ScalabilityPoint

@@ -37,6 +37,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	// The marked calls, each with its own encoding as raw.
 	f.Add(uint8(132), uint64(7), uint64(9), uint8(2), "k", uint8(0), "", uint64(4), "v", 0, uint8(0), "", []byte{0x01, 0x07, 0x09, 0x00, 0x00, 0x01, 0x00, 0x02, 0x01, 'k'})
 	f.Add(uint8(137), uint64(1), uint64(2), uint8(2), "ab", uint8(0), "", uint64(3), "xyz", 0, uint8(8), "no", []byte{0x06, 0x01, 0x02, 0x00, 0x00, 0x02, 0x03, 0x02, 0x02, 'a', 'b', 0x03, 0x03, 'x', 'y', 'z'})
+	f.Add(uint8(137), uint64(1), uint64(2), uint8(2), "k", uint8(0), "", uint64(4), "v", 0, uint8(codeVersionMoved), "moved", []byte{0x06, 0x01, 0x02, 0x00, 0x00, 0x0a, 0x02, 0x02, 0x01, 'k', 0x04, 0x01, 'v'})
 	f.Add(uint8(138), uint64(1), uint64(2), uint8(0), "", uint8(1), "", uint64(5), "", 0, uint8(0), "", []byte{0x07, 0x01, 0x02, 0x00, 0x00, 0x02, 0x05, 0x01, 0x03, 0x05})
 	f.Add(uint8(136), uint64(1), uint64(2), uint8(2), "k", uint8(0), "", uint64(3), "v", 3, uint8(0), "", []byte{0x05, 0x01, 0x02, 0x00, 0x00, 0x04, 0x00, 0x02, 0x01, 'k', 0x03})
 	// What the request decoder refuses: under each batch tag a count of
@@ -94,7 +95,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 
 		// Structured round trip: a response for the same op, OK or error.
-		resp := response{ID: id, Op: reqOp, Code: code(codeByte % 11)}
+		resp := response{ID: id, Op: reqOp, Code: code(codeByte % uint8(codeVersionMoved+1))}
 		if resp.Code != codeOK {
 			resp.Msg = msg
 		} else {

@@ -63,13 +63,15 @@ const (
 	codeUnknownTxn
 	codeRecovering
 	codeOther
-	// Epoch fencing, deadline propagation, admission control and the
-	// reserved transaction 0 came later; their codes are appended after
-	// codeOther so that existing values never change.
+	// Epoch fencing, deadline propagation, admission control, the
+	// reserved transaction 0 and the expected-version write came later;
+	// their codes are appended after codeOther so that existing values
+	// never change.
 	codeStaleEpoch
 	codeExpired
 	codeOverloaded
 	codeReservedTxn
+	codeVersionMoved
 )
 
 // codeErrors pairs each wire code with the error whose identity it
@@ -91,6 +93,7 @@ var codeErrors = []struct {
 	{codeExpired, ErrExpired},
 	{codeOverloaded, ErrOverloaded},
 	{codeReservedTxn, rep.ErrReservedTxn},
+	{codeVersionMoved, rep.ErrVersionMoved},
 }
 
 // encodeError maps an error to its wire code plus display message.

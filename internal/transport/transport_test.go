@@ -33,6 +33,7 @@ func TestErrorCodesRoundTrip(t *testing.T) {
 		// only routes around it if the identity survives the wire.
 		{"recovering", fmt.Errorf("read: %w", rep.ErrRecovering), rep.ErrRecovering},
 		{"reserved txn", rep.ErrReservedTxn, rep.ErrReservedTxn},
+		{"version moved", fmt.Errorf("insert: %w", rep.ErrVersionMoved), rep.ErrVersionMoved},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -51,6 +52,20 @@ func TestErrorCodesRoundTrip(t *testing.T) {
 	}
 	if back := decodeError(codeOther, "mystery"); back == nil || back.Error() != "mystery" {
 		t.Errorf("other error should carry its message, got %v", back)
+	}
+}
+
+// TestErrorCodesNeverMove pins every wire code's value: a code is only
+// ever appended, so a peer from either side of the addition still names
+// the errors both know the same way.
+func TestErrorCodesNeverMove(t *testing.T) {
+	for c, want := range map[code]int{codeOK: 0, codeDie: 1, codeSentinel: 2, codeMissingBound: 3,
+		codeBadRange: 4, codeNoNeighbor: 5, codeUnavailable: 6, codeTxnDecided: 7, codeUnknownTxn: 8,
+		codeRecovering: 9, codeOther: 10, codeStaleEpoch: 11, codeExpired: 12, codeOverloaded: 13,
+		codeReservedTxn: 14, codeVersionMoved: 15} {
+		if int(c) != want {
+			t.Errorf("a code is numbered %d, want %d", c, want)
+		}
 	}
 }
 

@@ -85,7 +85,9 @@ func (o op) marks() rep.Marks {
 	switch o {
 	case opLookup:
 		return rep.OneShotMark
-	case opInsert, opCoalesce:
+	case opInsert:
+		return rep.PrepareMark | rep.ExpectEntryMark | rep.ExpectGapMark
+	case opCoalesce:
 		return rep.PrepareMark
 	case opSuccessorBatch:
 		return rep.AroundMark

@@ -368,6 +368,19 @@ func TestWireRefusesStrayMarks(t *testing.T) {
 	}
 }
 
+// TestExpectMarksOnInsertOnly: the expectation marks ride an Insert and
+// nothing else — a member checks them only where it applies a write at
+// one key — and an Insert takes both.
+func TestExpectMarksOnInsertOnly(t *testing.T) {
+	for o := opLookup; o <= opName; o++ {
+		for _, m := range []rep.Marks{rep.ExpectEntryMark, rep.ExpectGapMark} {
+			if got := o.marks()&m != 0; got != (o == opInsert) {
+				t.Errorf("tag %d takes mark %#x: %v", o, m, got)
+			}
+		}
+	}
+}
+
 // TestWireRefusesStrayWriterCount: a writer count is admitted on a call
 // that carries a prepare — Prepare, or a write with the prepare mark —
 // and refused on any other. A count above rep.MaxWriters is refused on

@@ -295,3 +295,44 @@ func TestResolveWaitsForARebuiltSibling(t *testing.T) {
 		t.Errorf("A status = %v, want still in doubt of 2 writers", st)
 	}
 }
+
+// TestResolveExpectedInsertAfterCrash: a point write that built on a
+// remembered version opens its transaction at each writer with one
+// Insert that carries the expectation and the prepare. Both writers
+// crash after it and come back from their logs with the transaction in
+// doubt, naming two writers; two prepares of two writers make it
+// committed. Had the coordinator died before reaching B, B would not
+// know the transaction, and it would abort.
+func TestResolveExpectedInsertAfterCrash(t *testing.T) {
+	ctx := context.Background()
+	key := keyspace.New("k")
+	riding := &rep.Marked{Context: ctx, Marks: rep.PrepareMark | rep.ExpectGapMark, Writers: 2}
+	for _, reached := range []int{2, 1} {
+		logs := []*wal.MemoryLog{{}, {}}
+		var members []rep.Directory
+		for i, name := range []string{"A", "B"} {
+			r := rep.New(name, rep.WithLog(logs[i]))
+			if i < reached {
+				if err := r.Insert(riding, 7, key, 1, "v"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r2, err := rep.Recover(name, logs[i].Records(), rep.WithLog(logs[i]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, _ := r2.Status(ctx, 7); i < reached && st != rep.InDoubtOf(2) {
+				t.Fatalf("%s after the crash: status %v, want in doubt of 2 writers", name, st)
+			}
+			members = append(members, r2)
+		}
+		res, err := Resolve(ctx, 7, members)
+		if err != nil || res.Committed != (reached == 2) || len(res.Finished) != reached {
+			t.Fatalf("%d of 2 writers reached: resolution %+v, %v", reached, res, err)
+		}
+		got, err := members[0].Lookup(rep.MarkOneShot(ctx), 8, key)
+		if err != nil || got.Found != (reached == 2) {
+			t.Errorf("%d of 2 writers reached: A holds %+v, %v", reached, got, err)
+		}
+	}
+}
