@@ -92,10 +92,10 @@ func TestChaosSoak(t *testing.T) {
 			if res.Faults.Restarts > 0 && res.Heal.Scanned == 0 {
 				t.Errorf("seed %d: healer scanned nothing despite %d restarts", seed, res.Faults.Restarts)
 			}
-			// The breaker must have seen the injected outages: windows
-			// long enough to trip it occur on every default-plan seed.
-			if res.Health.Trips == 0 {
-				t.Errorf("seed %d: circuit breaker never opened despite %d outage windows",
+			// The workload must have met the injected outages: some
+			// call reached a member inside a crash or partition window.
+			if res.Faults.Rejected == 0 {
+				t.Errorf("seed %d: no call met a down member despite %d outage windows",
 					seed, res.Faults.Crashes+res.Faults.Partitions)
 			}
 			// The storage-fault phase must have run: a minority of members
@@ -111,14 +111,13 @@ func TestChaosSoak(t *testing.T) {
 			}
 			t.Logf("seed %d: applied=%d observed=%d indeterminate=%d lookups=%d audited=%d "+
 				"crashes=%d partitions=%d duplicates=%d drops=%d restarts=%d resolved=%d strays=%d calls=%d "+
-				"trips=%d fastfails=%d probes=%d healed=%d "+
+				"rejected=%d healed=%d "+
 				"storagelost=%d recordslost=%d rebuilds=%d rebuilt=%d gaps=%d timeouts=%d",
 				seed, res.Applied, res.Observed, res.Indeterminate, res.Lookups, res.AuditedKeys,
 				res.Faults.Crashes+res.Faults.CrashAfters, res.Faults.Partitions,
 				res.Faults.Duplicates, res.Faults.DroppedReplies, res.Faults.Restarts,
 				res.Resolved, res.StraysAborted, res.Faults.Calls,
-				res.Health.Trips, res.Health.FastFails, res.Health.Probes,
-				res.Heal.Copied+res.Heal.Freshened,
+				res.Faults.Rejected, res.Heal.Copied+res.Heal.Freshened,
 				res.StorageLosses, res.RecordsLost, res.Rebuilds,
 				res.Rebuild.Copied+res.Rebuild.Freshened, res.Rebuild.Gaps, res.Timeouts)
 		})
@@ -211,7 +210,7 @@ func TestChaosShardedDeterministic(t *testing.T) {
 		a.Counts != b.Counts || a.CountFailures != b.CountFailures ||
 		a.CrossShardTxns != b.CrossShardTxns ||
 		a.Faults != b.Faults || a.AuditedKeys != b.AuditedKeys ||
-		a.Health != b.Health || a.Heal != b.Heal ||
+		a.Heal != b.Heal ||
 		a.StraysAborted != b.StraysAborted ||
 		a.Converged != b.Converged {
 		t.Errorf("same sharded seed, different runs:\n  %+v\n  %+v", a, b)
@@ -236,7 +235,7 @@ func TestChaosSoakDeterministic(t *testing.T) {
 	if a.Applied != b.Applied || a.Observed != b.Observed ||
 		a.Indeterminate != b.Indeterminate || a.Lookups != b.Lookups ||
 		a.Faults != b.Faults || a.AuditedKeys != b.AuditedKeys ||
-		a.Health != b.Health || a.Heal != b.Heal ||
+		a.Heal != b.Heal ||
 		a.StraysAborted != b.StraysAborted ||
 		a.Converged != b.Converged ||
 		a.StorageLosses != b.StorageLosses || a.RecordsLost != b.RecordsLost ||
@@ -406,7 +405,7 @@ func TestChaosChurnDeterministic(t *testing.T) {
 	if a.Applied != b.Applied || a.Observed != b.Observed ||
 		a.Indeterminate != b.Indeterminate || a.Lookups != b.Lookups ||
 		a.Faults != b.Faults || a.AuditedKeys != b.AuditedKeys ||
-		a.Health != b.Health || a.Heal != b.Heal ||
+		a.Heal != b.Heal ||
 		a.StraysAborted != b.StraysAborted ||
 		a.Converged != b.Converged ||
 		a.Reconfigs != b.Reconfigs || a.Epochs != b.Epochs ||
@@ -447,11 +446,7 @@ func TestChaosConcurrentClients(t *testing.T) {
 	}
 	cfg := quorum.NewUniform(dirs, 2, 2)
 	ids := txn.NewIDSource(0)
-	// Health-tracked membership: the breaker fast-fails calls to crashed
-	// members while clients keep racing.
-	health := core.NewHealthTracker(names, core.HealthConfig{ProbeAfter: 4})
-	suite, err := core.NewSuite(cfg, core.WithIDSource(ids), core.WithMaxRetries(48),
-		core.WithHealth(health))
+	suite, err := core.NewSuite(cfg, core.WithIDSource(ids), core.WithMaxRetries(48))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,6 +604,4 @@ func TestChaosConcurrentClients(t *testing.T) {
 			}
 		}
 	}
-
-	t.Logf("health: %+v", health.Stats())
 }

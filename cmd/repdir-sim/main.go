@@ -11,7 +11,7 @@
 //	repdir-sim -experiment scale   # throughput as concurrent clients grow
 //	repdir-sim -experiment conc    # section 2 concurrency comparison
 //	repdir-sim -experiment chaos   # fault-injection soak (crash/partition/duplicate)
-//	repdir-sim -experiment heal    # circuit breaker + anti-entropy recovery curve
+//	repdir-sim -experiment heal    # lookup cost of a down member + anti-entropy recovery curve
 //	repdir-sim -experiment storage # crash points, salvage recovery curve, rebuild throughput
 //	repdir-sim -experiment traffic # live instrumented traffic with a Delete trace
 //	repdir-sim -experiment workload # open-loop workload mixes with SLO verdicts

@@ -32,8 +32,8 @@ func TestRunSmallExperiments(t *testing.T) {
 
 // TestRunTrafficServesMetrics is the end-to-end check of the
 // observability wiring: a short traffic run with -obs.addr must serve a
-// Prometheus exposition carrying the live suite's histograms, health
-// states, and paper-metric gauges while the workload is still running.
+// Prometheus exposition carrying the live suite's histograms and
+// paper-metric gauges while the workload is still running.
 func TestRunTrafficServesMetrics(t *testing.T) {
 	// Reserve an ephemeral port, release it, and hand it to the flag.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -55,7 +55,6 @@ func TestRunTrafficServesMetrics(t *testing.T) {
 	wanted := []string{
 		"repdir_ops_total{op=",
 		"# TYPE repdir_op_latency_seconds histogram",
-		`repdir_health_state{member="rep0"}`,
 		"repdir_messages_per_op{op=",
 		"repdir_suite_events_total{event=\"commits\"}",
 		"repdir_rep_call_latency_seconds_bucket{member=\"rep0\",op=\"lookup\"",

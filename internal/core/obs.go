@@ -16,8 +16,8 @@ func WithObserver(o *obs.Observer) Option { return func(s *Suite) { s.obs = o } 
 func (s *Suite) Observer() *obs.Observer { return s.obs }
 
 // RegisterMetrics exposes the suite's counters — and, when attached,
-// its observer and health tracker — on reg under repdir_* names for the
-// Prometheus text endpoint.
+// its observer — on reg under repdir_* names for the Prometheus text
+// endpoint.
 func (s *Suite) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterMap("repdir_suite_events_total",
 		"Cumulative suite transaction events, by event kind.",
@@ -33,30 +33,5 @@ func (s *Suite) RegisterMetrics(reg *obs.Registry) {
 				"replica_losses": st.ReplicaLosses,
 			}
 		})
-	if h := s.health; h != nil {
-		reg.GaugeMap("repdir_health_state",
-			"Member health state (1=up, 2=suspect, 3=down, 4=probation).",
-			"member", func() map[string]float64 {
-				snap := h.Snapshot()
-				out := make(map[string]float64, len(snap))
-				for name, st := range snap {
-					out[name] = float64(st)
-				}
-				return out
-			})
-		reg.CounterMap("repdir_health_events_total",
-			"Cumulative health tracker events, by event kind.",
-			"event", func() map[string]uint64 {
-				hs := h.Stats()
-				return map[string]uint64{
-					"transitions": hs.Transitions,
-					"trips":       hs.Trips,
-					"recoveries":  hs.Recoveries,
-					"probes":      hs.Probes,
-					"fast_fails":  hs.FastFails,
-					"fallbacks":   hs.Fallbacks,
-				}
-			})
-	}
 	s.obs.Register(reg)
 }

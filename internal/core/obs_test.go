@@ -17,7 +17,7 @@ import (
 )
 
 // newObservedSuite is newScriptedSuite plus an attached observer.
-func newObservedSuite(t *testing.T, names []string, r, w int, opts ...Option) (*testSuite, *obs.Observer) {
+func newObservedSuite(t *testing.T, names []string, r, w int) (*testSuite, *obs.Observer) {
 	t.Helper()
 	reps := make([]*rep.Rep, len(names))
 	locals := make([]*transport.Local, len(names))
@@ -30,8 +30,7 @@ func newObservedSuite(t *testing.T, names []string, r, w int, opts ...Option) (*
 	cfg := quorum.NewUniform(dirs, r, w)
 	script := &scriptSelector{cfg: cfg}
 	o := obs.NewObserver(obs.ObserverConfig{})
-	opts = append([]Option{WithSelector(script), WithObserver(o)}, opts...)
-	s, err := NewSuite(cfg, opts...)
+	s, err := NewSuite(cfg, WithSelector(script), WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +149,13 @@ func TestCancelledOpsAreCounted(t *testing.T) {
 var expositionLine = regexp.MustCompile(
 	`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0-9.e+\-]+|\+Inf|NaN)$`)
 
-// TestMetricsEndpoint drives traffic through a fully instrumented suite
-// (observer + health), serves its registry over HTTP, and
-// checks the exposition parses as Prometheus text and carries the suite
-// counters, health states, op histograms, and messages/op gauges.
+// TestMetricsEndpoint drives traffic through an observed suite, serves
+// its registry over HTTP, and checks the exposition parses as
+// Prometheus text and carries the suite counters, op histograms, and
+// messages/op gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	ctx := context.Background()
-	health := NewHealthTracker([]string{"A", "B", "C"}, HealthConfig{})
-	ts, _ := newObservedSuite(t, []string{"A", "B", "C"}, 2, 2,
-		WithHealth(health))
+	ts, _ := newObservedSuite(t, []string{"A", "B", "C"}, 2, 2)
 	ts.script.set([]int{0, 1}, []int{0, 1})
 
 	if err := ts.suite.Insert(ctx, "k", "v"); err != nil {
@@ -209,9 +206,6 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	for _, want := range []string{
 		`repdir_suite_events_total{event="commits"} 3`,
-		`repdir_health_state{member="A"} 1`,
-		`repdir_health_state{member="B"} 1`,
-		`repdir_health_state{member="C"} 1`,
 		`repdir_op_latency_seconds_bucket{op="delete",le="+Inf"} 1`,
 		`repdir_op_latency_seconds_count{op="lookup"} 1`,
 		`repdir_txn_phase_latency_seconds_count{phase="commit"}`,

@@ -8,7 +8,9 @@ import (
 // TestRetryExcludesAllLostMembers: when a quorum round loses several
 // members at once (routine with parallel fan-out), every unavailable
 // member must be noted and excluded from the next attempt together —
-// one retry, not one retry per lost member.
+// one retry, not one retry per lost member. The exclusion lasts as long
+// as the operation that lost the members: the next operation draws them
+// again and pays for them anew.
 func TestRetryExcludesAllLostMembers(t *testing.T) {
 	ctx := context.Background()
 	ts := newScriptedSuite(t, []string{"A", "B", "C", "D", "E"}, 3, 3)
@@ -30,5 +32,16 @@ func TestRetryExcludesAllLostMembers(t *testing.T) {
 	}
 	if st.ReplicaLosses != 2 {
 		t.Errorf("replica losses = %d, want 2", st.ReplicaLosses)
+	}
+
+	if err := suite.Insert(ctx, "k2", "v"); err != nil {
+		t.Fatalf("second insert with two lost members = %v, want success via retry", err)
+	}
+	st = suite.Stats()
+	if st.Retries != 2 {
+		t.Errorf("retries after second insert = %d, want 2 (one per operation)", st.Retries)
+	}
+	if st.ReplicaLosses != 4 {
+		t.Errorf("replica losses after second insert = %d, want 4 (two per operation)", st.ReplicaLosses)
 	}
 }

@@ -103,9 +103,6 @@ func (s *Suite) LocalLookup(ctx context.Context, key string) (string, bool, vers
 			tx.noteFailure(d.Name(), err)
 			return fmt.Errorf("local lookup %s at %s: %w", k, d.Name(), err)
 		}
-		if h := s.health; h != nil {
-			h.ReportSuccess(d.Name())
-		}
 		return nil
 	})
 	return res.Value, res.Found, res.Version, err

@@ -89,7 +89,6 @@ type Suite struct {
 	maxRetries int
 	fanout     int
 	parallel   bool
-	health     *HealthTracker
 	obs        *obs.Observer
 	counters   suiteCounters
 	hints      hints
@@ -132,15 +131,6 @@ func WithMaxRetries(n int) Option { return func(s *Suite) { s.maxRetries = n } }
 // latencies to the slowest member's latency. The default is sequential,
 // which keeps simulations deterministic.
 func WithParallelQuorum(on bool) Option { return func(s *Suite) { s.parallel = on } }
-
-// WithHealth attaches a member health tracker: quorum fan-out outcomes
-// feed its per-member state machine, and quorum selection skips members
-// whose circuit is open (HealthDown) instead of spending a call — and,
-// over a network, a timeout — on them every round. If skipping would
-// leave no quorum, the exclusions are waived for that round, so the
-// breaker can only ever save work, never refuse an operation the
-// representatives could serve.
-func WithHealth(t *HealthTracker) Option { return func(s *Suite) { s.health = t } }
 
 // WithNeighborFanout sets how many successive predecessors/successors
 // each neighbor probe fetches in one message during Delete's

@@ -155,16 +155,12 @@ func isUnavailable(err error) bool {
 	return errors.Is(err, transport.ErrUnavailable) || errors.Is(err, rep.ErrRecovering)
 }
 
-// noteFailure records an unavailable representative, feeding the health
-// tracker (every path that loses a member passes through here). A
-// repair's target need not be a member; then only the tracker hears.
+// noteFailure records an unavailable representative: the retry
+// excludes it (every path that loses a member passes through here). A
+// repair's target need not be a member; then nothing is noted.
 func (tx *Tx) noteFailure(name string, err error) {
-	if !isUnavailable(err) {
-		return
-	}
-	tx.failed |= tx.suite.named(name)
-	if h := tx.suite.health; h != nil {
-		h.ReportFailure(name)
+	if isUnavailable(err) {
+		tx.failed |= tx.suite.named(name)
 	}
 }
 
@@ -188,39 +184,24 @@ func (tx *Tx) flushMetrics() {
 // in storage of its own: a quorum stands until the next of its kind is
 // drawn.
 func (tx *Tx) readQuorum() (members []member, err error) {
-	tx.readers, err = tx.selectQuorum(quorum.Read, tx.exclude, true, tx.readers)
+	tx.readers, err = tx.selectQuorum(quorum.Read, tx.exclude, tx.readers)
 	return tx.readers, err
 }
 
 func (tx *Tx) writeQuorum() (members []member, err error) {
-	tx.writers, err = tx.selectQuorum(quorum.Write, tx.exclude, true, tx.writers)
+	tx.writers, err = tx.selectQuorum(quorum.Write, tx.exclude, tx.writers)
 	return tx.writers, err
 }
 
-// selectQuorum draws a quorum into dst. With health set it adds the
-// health tracker's open circuits to the exclusions; if skipping Down
-// members leaves no quorum, they are waived for the round: the breaker
-// exists to avoid wasted probes, not to fail operations the
-// representatives might still serve.
-//
+// selectQuorum draws a quorum into dst, skipping the excluded members.
 // Every operation begins by drawing a quorum, so this is where a Tx
 // whose transaction is over — kept by a RunInTxn callback, or by a
 // coordinator past its Commit or Abort — is refused.
-func (tx *Tx) selectQuorum(kind quorum.Kind, exclude quorum.Set, health bool, dst []member) ([]member, error) {
+func (tx *Tx) selectQuorum(kind quorum.Kind, exclude quorum.Set, dst []member) ([]member, error) {
 	if tx.txn.Finished() {
 		return dst[:0], txn.ErrFinished
 	}
-	var open quorum.Set
-	if h := tx.suite.health; h != nil && health {
-		for name := range h.RoundExclusions() {
-			open |= tx.suite.named(name)
-		}
-	}
-	picks, err := tx.suite.sel.Select(kind, exclude|open, tx.picks)
-	if open != 0 && errors.Is(err, quorum.ErrNoQuorum) {
-		tx.suite.health.noteFallback()
-		picks, err = tx.suite.sel.Select(kind, exclude, tx.picks)
-	}
+	picks, err := tx.suite.sel.Select(kind, exclude, tx.picks)
 	dst = dst[:0]
 	if err != nil {
 		return dst, err
@@ -424,17 +405,8 @@ func (tx *Tx) chaseValue(ctx context.Context, key keyspace.Key, best rep.LookupR
 // not one retry at a time — and the first error is returned.
 func (tx *Tx) roundError(members []member, errs []error, verb string, key keyspace.Key) error {
 	var first error
-	h := tx.suite.health
 	for i, m := range members {
 		err := errs[i]
-		// Any reply at all — even an error like a wait-die kill — proves
-		// the member reachable; only unavailability counts against it.
-		// ErrRecovering is deliberate refusal, not unreachability, but it
-		// still must not feed ReportSuccess: a recovering member should
-		// not look healthy to read routing.
-		if h != nil && !isUnavailable(err) {
-			h.ReportSuccess(m.Dir.Name())
-		}
 		if err == nil {
 			continue
 		}
@@ -683,8 +655,7 @@ func (tx *Tx) writeEntry(ctx context.Context, key keyspace.Key, ver version.V, v
 // entryWriters draws the write quorum for writeEntry.
 func (tx *Tx) entryWriters() ([]member, error) {
 	// Selectors take exclusions, not preferences: exclude everyone the
-	// read did not reach, if those it did reach have the votes. They
-	// answered a moment ago, so the health tracker has nothing to add.
+	// read did not reach, if those it did reach have the votes.
 	var others quorum.Set
 	votes := 0
 	for _, m := range tx.suite.members {
@@ -696,7 +667,7 @@ func (tx *Tx) entryWriters() ([]member, error) {
 	}
 	if votes >= tx.suite.cfg.W {
 		var err error
-		tx.writers, err = tx.selectQuorum(quorum.Write, others, false, tx.writers)
+		tx.writers, err = tx.selectQuorum(quorum.Write, others, tx.writers)
 		// A selector written for whole-suite draws may answer a narrowed
 		// one with what is left of its usual pick: count the votes.
 		if err == nil && votesOf(tx.writers) >= tx.suite.cfg.W {

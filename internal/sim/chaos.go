@@ -136,9 +136,6 @@ type ChaosResult struct {
 	Suite core.SuiteStats
 	// AuditedKeys is how many keys the final audit checked.
 	AuditedKeys int
-	// Health is the circuit-breaker activity over the run, summed over
-	// shards.
-	Health core.HealthStats
 	// Heal is the total work of the post-run convergence phase.
 	Heal core.RepairStats
 	// StorageLosses counts members whose logs the storage-fault phase
@@ -189,7 +186,6 @@ type chaosDirectory interface {
 type chaosHarness struct {
 	injectors []*fault.Injector
 	suites    []*core.Suite
-	healths   []*core.HealthTracker
 	allDirs   []rep.Directory // every member of every shard
 	observer  *obs.Observer
 	router    *shard.Router
@@ -239,20 +235,6 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		dirs := injector.Directories()
 		h.allDirs = append(h.allDirs, dirs...)
 
-		// Health-tracked membership: the breaker skips members inside
-		// unavailability windows after a few failures, probing them back
-		// in on a paced schedule. All tracker updates happen on the
-		// driver goroutine (fan-out outcomes are folded sequentially
-		// after each round), so the soak stays a pure function of the
-		// seed. Under churn the tracker is built over the full eventual
-		// membership, newcomers included, so one tracker per shard spans
-		// every epoch.
-		trackNames := names
-		if h.churn != nil {
-			trackNames = append(append([]string{}, names...), churnNames(cfg, i)...)
-		}
-		health := core.NewHealthTracker(trackNames, core.HealthConfig{ProbeAfter: 4})
-		h.healths = append(h.healths, health)
 		qcfg := quorum.NewUniform(dirs, chaosR, chaosW)
 		ids := txn.NewIDSource(uint16(i))
 		selSeed := cfg.Seed + 1 + int64(i)
@@ -262,7 +244,6 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 				core.WithSelector(quorum.NewRandomSelector(qc, selSeed)),
 				core.WithMaxRetries(chaosMaxRetries),
 				core.WithParallelQuorum(true),
-				core.WithHealth(health),
 				core.WithObserver(h.observer),
 			}
 		}
@@ -760,7 +741,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 				"accounting: shard %d: commits %d + failures %d + cancelled %d != calls %d",
 				i, st.Commits, st.Failures, st.Cancelled, st.Calls))
 		}
-		addHealthStats(&res.Health, h.healths[i].Stats())
 	}
 	if h.router != nil {
 		res.CrossShardTxns = h.router.Stats().CrossShard
@@ -782,16 +762,6 @@ func addSuiteStats(dst *core.SuiteStats, s core.SuiteStats) {
 	dst.Dies += s.Dies
 	dst.ReplicaLosses += s.ReplicaLosses
 	dst.StaleEpochRejections += s.StaleEpochRejections
-}
-
-// addHealthStats folds one tracker's counters into a total.
-func addHealthStats(dst *core.HealthStats, s core.HealthStats) {
-	dst.Transitions += s.Transitions
-	dst.Trips += s.Trips
-	dst.Recoveries += s.Recoveries
-	dst.Probes += s.Probes
-	dst.FastFails += s.FastFails
-	dst.Fallbacks += s.Fallbacks
 }
 
 // storagePhase corrupts a minority of one shard's members' logs mid-run
@@ -1045,21 +1015,20 @@ func RunChaosSeeds(base ChaosConfig, seeds []int64) ([]ChaosResult, error) {
 func FormatChaos(title string, results []ChaosResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-20s %6s %8s %8s %7s %7s %7s %7s %6s %6s %6s %8s %5s %5s %6s %6s %5s %4s %5s %6s %6s %6s %5s %5s\n",
+	fmt.Fprintf(&b, "%-20s %6s %8s %8s %7s %7s %7s %7s %6s %6s %6s %8s %5s %6s %5s %5s %6s %6s %6s %5s %5s\n",
 		"run", "ops", "applied", "observe", "indet", "lookups", "crash", "partn", "dup", "drop", "rstrt", "resolved", "viol",
-		"trips", "ffails", "healed", "conv", "fall", "slost", "rebld", "counts", "xshard", "recfg", "epoch")
+		"healed", "conv", "slost", "rebld", "counts", "xshard", "recfg", "epoch")
 	for _, r := range results {
 		conv := "no"
 		if r.Converged {
 			conv = "yes"
 		}
-		fmt.Fprintf(&b, "%-20s %6d %8d %8d %7d %7d %7d %7d %6d %6d %6d %8d %5d %5d %6d %6d %5s %4d %5d %6d %6d %6d %5d %5d\n",
+		fmt.Fprintf(&b, "%-20s %6d %8d %8d %7d %7d %7d %7d %6d %6d %6d %8d %5d %6d %5s %5d %6d %6d %6d %5d %5d\n",
 			r.Config.Name(), r.Config.Operations, r.Applied, r.Observed, r.Indeterminate,
 			r.Lookups, r.Faults.Crashes+r.Faults.CrashAfters, r.Faults.Partitions,
 			r.Faults.Duplicates, r.Faults.DroppedReplies, r.Faults.Restarts,
 			r.Resolved, len(r.Violations),
-			r.Health.Trips, r.Health.FastFails, r.Heal.Copied+r.Heal.Freshened,
-			conv, r.Health.Fallbacks, r.StorageLosses, r.Rebuilds,
+			r.Heal.Copied+r.Heal.Freshened, conv, r.StorageLosses, r.Rebuilds,
 			r.Counts, r.CrossShardTxns, r.Reconfigs, r.Epochs)
 		for _, v := range r.Violations {
 			fmt.Fprintf(&b, "    VIOLATION: %s\n", v)

@@ -86,12 +86,6 @@ func churnMemberName(cfg ChaosConfig, shard, k int) string {
 	return fmt.Sprintf("s%dr%d", shard, chaosReplicas+k)
 }
 
-// churnNames lists every newcomer the plan will add to a shard, so the
-// health tracker can be built over the full eventual membership.
-func churnNames(cfg ChaosConfig, shard int) []string {
-	return []string{churnMemberName(cfg, shard, 0), churnMemberName(cfg, shard, 1)}
-}
-
 // balancedQuorums picks R and W for a vote total: a majority write
 // quorum and the matching read quorum, the tightest pair satisfying
 // R + W = total + 1.

@@ -15,43 +15,34 @@ import (
 )
 
 // healPenalty is the simulated connect-timeout a caller pays for every
-// message sent to the down member — the cost the circuit breaker exists
-// to stop paying. healStaleWrites and healStaleDeletes are the updates
-// and deletes applied while the member is down, i.e. the catch-up work
-// the recovery phase must repair; each delete the member misses leaves
-// it holding a ghost.
+// message sent to the down member: an operation whose quorum draws it
+// pays once, and its retry routes around the member. healStaleWrites
+// and healStaleDeletes are the updates and deletes applied while the
+// member is down, i.e. the catch-up work the recovery phase must
+// repair; each delete the member misses leaves it holding a ghost.
+// healEntries is the directory size seeded before measurement;
+// healPageSize and healPace tune the recovery repair.
 const (
 	healPenalty      = 2 * time.Millisecond
 	healStaleWrites  = 150
 	healStaleDeletes = 20
+	healEntries      = 200
+	healPageSize     = 32
+	healPace         = 2 * time.Millisecond
 )
 
 // HealConfig parameterizes the self-healing experiment.
 type HealConfig struct {
-	// Entries is the directory size seeded before measurement.
-	Entries int
-	// Ops is the number of lookups per measured phase.
+	// Ops is the number of lookups per measured phase (default 300).
 	Ops int
-	// PageSize and Pace tune the recovery repair (defaults 32, 2ms).
-	PageSize int
-	Pace     time.Duration
 	// Seed fixes the workload. Zero is a valid, replayable seed (not
 	// coerced).
 	Seed int64
 }
 
 func (c HealConfig) withDefaults() HealConfig {
-	if c.Entries <= 0 {
-		c.Entries = 200
-	}
 	if c.Ops <= 0 {
 		c.Ops = 300
-	}
-	if c.PageSize <= 0 {
-		c.PageSize = 32
-	}
-	if c.Pace <= 0 {
-		c.Pace = 2 * time.Millisecond
 	}
 	return c
 }
@@ -66,26 +57,16 @@ type RecoveryPoint struct {
 	Elapsed   time.Duration
 }
 
-// HealResult reports the three measured phases plus the recovery curve.
+// HealResult reports the two measured phases plus the recovery curve.
 type HealResult struct {
 	Config HealConfig
 
 	// BaselineAvg is mean lookup latency with every member healthy.
 	BaselineAvg time.Duration
-	// DegradedAvg is mean lookup latency with one member down and no
-	// breaker: every quorum that selects the dead member pays
-	// healPenalty before routing around it.
+	// DegradedAvg is mean lookup latency with one member down: every
+	// lookup whose quorum selects the dead member pays healPenalty
+	// before its retry routes around it.
 	DegradedAvg time.Duration
-	// TrippedAvg is mean lookup latency over the same outage with the
-	// health tracker attached, measured after the circuit opened; only
-	// paced probe rounds still touch the dead member.
-	TrippedAvg time.Duration
-	// TripAfter is how many operations the breaker needed to open.
-	TripAfter int
-	// Probes is how many probe rounds ran during the tripped phase.
-	Probes uint64
-	// Health is the tracker's final counters.
-	Health core.HealthStats
 
 	// Recovery is the catch-up curve after the member returns; Repair
 	// and RepairTime total it.
@@ -97,13 +78,12 @@ type HealResult struct {
 	Ghosts int
 }
 
-// RunHeal measures what the self-healing machinery buys. One member of
-// a 3-2-2 suite "fails" such that every message to it costs healPenalty
-// before failing — the connect-timeout model of a dead host. The
-// experiment measures steady-state lookup latency healthy, degraded
-// without a breaker, and degraded with the breaker open, then lets the
-// member return stale and records the paced anti-entropy catch-up
-// curve.
+// RunHeal measures what a down member costs and how it catches up. One
+// member of a 3-2-2 suite "fails" such that every message to it costs
+// healPenalty before failing — the connect-timeout model of a dead
+// host. The experiment measures steady-state lookup latency healthy and
+// with the member down, then lets the member return stale and records
+// the paced anti-entropy catch-up curve.
 func RunHeal(cfg HealConfig) (HealResult, error) {
 	cfg = cfg.withDefaults()
 	res := HealResult{Config: cfg}
@@ -130,7 +110,7 @@ func RunHeal(cfg HealConfig) (HealResult, error) {
 	}
 	qc := quorum.NewUniform(dirs, 2, 2)
 
-	keys := make([]string, cfg.Entries)
+	keys := make([]string, healEntries)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%04d", i)
 	}
@@ -157,66 +137,44 @@ func RunHeal(cfg HealConfig) (HealResult, error) {
 		return time.Since(start) / time.Duration(ops), nil
 	}
 
-	// Phase 1: healthy baseline, no breaker involved.
-	plain, err := core.NewSuite(qc, core.WithSelector(quorum.NewRandomSelector(qc, cfg.Seed+1)))
+	// Phase 1: healthy baseline.
+	suite, err := core.NewSuite(qc, core.WithSelector(quorum.NewRandomSelector(qc, cfg.Seed+1)))
 	if err != nil {
 		return res, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	if res.BaselineAvg, err = measure(plain, rng, cfg.Ops); err != nil {
+	if res.BaselineAvg, err = measure(suite, rng, cfg.Ops); err != nil {
 		return res, err
 	}
 
-	// Phase 2: rep2 down, still no breaker. Every operation whose quorum
-	// draws rep2 pays the timeout before retrying around it — each round.
+	// Phase 2: rep2 down. Every operation whose quorum draws rep2 pays
+	// the timeout before retrying around it.
 	down.Store(true)
-	if res.DegradedAvg, err = measure(plain, rng, cfg.Ops); err != nil {
+	if res.DegradedAvg, err = measure(suite, rng, cfg.Ops); err != nil {
 		return res, err
 	}
-
-	// Phase 3: same outage, breaker attached. ProbeAfter is set long
-	// enough that the steady state is visible between probes.
-	tracker := core.NewHealthTracker(names, core.HealthConfig{ProbeAfter: 25})
-	tripped, err := core.NewSuite(qc,
-		core.WithSelector(quorum.NewRandomSelector(qc, cfg.Seed+3)),
-		core.WithHealth(tracker))
-	if err != nil {
-		return res, err
-	}
-	for res.TripAfter = 0; tracker.State("rep2") != core.HealthDown; res.TripAfter++ {
-		if res.TripAfter > cfg.Ops {
-			return res, fmt.Errorf("sim: breaker never opened")
-		}
-		if _, _, err := tripped.Lookup(ctx, keys[rng.Intn(len(keys))]); err != nil {
-			return res, err
-		}
-	}
-	if res.TrippedAvg, err = measure(tripped, rng, cfg.Ops); err != nil {
-		return res, err
-	}
-	res.Probes = tracker.Stats().Probes
 
 	// The member misses writes and deletes while down, so recovery has
 	// real work.
 	for i := 0; i < healStaleWrites; i++ {
 		k := keys[rng.Intn(len(keys))]
-		if err := tripped.Update(ctx, k, fmt.Sprintf("v2-%d", i)); err != nil {
+		if err := suite.Update(ctx, k, fmt.Sprintf("v2-%d", i)); err != nil {
 			return res, fmt.Errorf("sim: stale write %s: %w", k, err)
 		}
 	}
-	for _, k := range keys[:min(healStaleDeletes, len(keys))] {
-		if err := tripped.Delete(ctx, k); err != nil {
+	for _, k := range keys[:healStaleDeletes] {
+		if err := suite.Delete(ctx, k); err != nil {
 			return res, fmt.Errorf("sim: stale delete %s: %w", k, err)
 		}
 	}
 
-	// Phase 4: the member returns; paced anti-entropy catches it up.
+	// Phase 3: the member returns; paced anti-entropy catches it up.
 	// Each committed repair page is one point on the recovery curve.
 	down.Store(false)
 	start := time.Now()
 	pages := 0
-	stats, err := core.RepairReplica(ctx, tripped, dirs[2], core.RepairOptions{
-		PageSize: cfg.PageSize,
+	stats, err := core.RepairReplica(ctx, suite, dirs[2], core.RepairOptions{
+		PageSize: healPageSize,
 		OnPage: func(cum core.RepairStats) error {
 			pages++
 			res.Recovery = append(res.Recovery, RecoveryPoint{
@@ -226,7 +184,7 @@ func RunHeal(cfg HealConfig) (HealResult, error) {
 				Freshened: cum.Freshened,
 				Elapsed:   time.Since(start),
 			})
-			time.Sleep(cfg.Pace)
+			time.Sleep(healPace)
 			return nil
 		},
 	})
@@ -235,9 +193,8 @@ func RunHeal(cfg HealConfig) (HealResult, error) {
 	}
 	res.Repair = stats
 	res.RepairTime = time.Since(start)
-	res.Health = tracker.Stats()
 
-	current, err := tripped.Scan(ctx, "", 0)
+	current, err := suite.Scan(ctx, "", 0)
 	if err != nil {
 		return res, fmt.Errorf("sim: scan after repair: %w", err)
 	}
@@ -256,18 +213,13 @@ func RunHeal(cfg HealConfig) (HealResult, error) {
 // FormatHeal renders the experiment as a text report.
 func FormatHeal(r HealResult) string {
 	var b strings.Builder
-	cfg := r.Config
 	fmt.Fprintf(&b, "Self-healing — 3-2-2 suite, %d entries, one member down with a %v per-message timeout\n\n",
-		cfg.Entries, healPenalty)
+		healEntries, healPenalty)
 	fmt.Fprintf(&b, "  %-34s %12s\n", "phase (avg lookup latency)", "latency")
 	fmt.Fprintf(&b, "  %-34s %12v\n", "healthy baseline", r.BaselineAvg.Round(time.Microsecond))
-	fmt.Fprintf(&b, "  %-34s %12v\n", "member down, no breaker", r.DegradedAvg.Round(time.Microsecond))
-	fmt.Fprintf(&b, "  %-34s %12v\n", "member down, breaker open", r.TrippedAvg.Round(time.Microsecond))
-	fmt.Fprintf(&b, "\n  breaker opened after %d operations; %d probe rounds during the open phase\n",
-		r.TripAfter, r.Probes)
-	fmt.Fprintf(&b, "  health counters: %+v\n", r.Health)
+	fmt.Fprintf(&b, "  %-34s %12v\n", "member down", r.DegradedAvg.Round(time.Microsecond))
 	fmt.Fprintf(&b, "\n  recovery after the member returned (%d stale writes and %d deletes to catch up, page size %d, %v pace):\n",
-		healStaleWrites, healStaleDeletes, cfg.PageSize, cfg.Pace)
+		healStaleWrites, healStaleDeletes, healPageSize, healPace)
 	fmt.Fprintf(&b, "  %8s %8s %8s %10s %10s\n", "page", "scanned", "copied", "freshened", "elapsed")
 	for _, p := range r.Recovery {
 		fmt.Fprintf(&b, "  %8d %8d %8d %10d %10v\n",

@@ -1,22 +1,12 @@
 package sim
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestRunHeal runs a scaled-down self-healing experiment end to end.
 func TestRunHeal(t *testing.T) {
-	cfg := HealConfig{Entries: 60, Ops: 80, PageSize: 16, Pace: time.Millisecond, Seed: 1}
-	res, err := RunHeal(cfg)
+	res, err := RunHeal(HealConfig{Ops: 80, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.TripAfter > cfg.Ops {
-		t.Errorf("breaker opened after %d operations, want within %d", res.TripAfter, cfg.Ops)
-	}
-	if res.Probes == 0 {
-		t.Error("no probe round ran while the breaker was open")
 	}
 	if len(res.Recovery) == 0 {
 		t.Fatal("empty recovery curve")

@@ -18,10 +18,10 @@ import (
 )
 
 // TrafficConfig parameterizes the live-traffic experiment: a fully
-// instrumented suite (observer, health tracker, per-member call stats)
-// driven by a mixed workload for a wall-clock duration, so
-// an operator can scrape /metrics and inspect traces against something
-// that behaves like a real deployment.
+// instrumented suite (observer, per-member call stats) driven by a
+// mixed workload for a wall-clock duration, so an operator can scrape
+// /metrics and inspect traces against something that behaves like a
+// real deployment.
 type TrafficConfig struct {
 	// Entries is the directory size seeded before the mixed phase.
 	Entries int
@@ -32,9 +32,9 @@ type TrafficConfig struct {
 	// every time rather than silently becoming seed 1.
 	Seed int64
 	// Registry, when non-nil, receives every metric family the run
-	// exports (suite counters, health states, op and per-member call
-	// latency histograms, rep counters) before traffic starts — pass the
-	// registry an obs.Server is already scraping to watch the run live.
+	// exports (suite counters, op and per-member call latency
+	// histograms, rep counters) before traffic starts — pass the registry
+	// an obs.Server is already scraping to watch the run live.
 	Registry *obs.Registry
 }
 
@@ -63,7 +63,6 @@ type TrafficResult struct {
 	Config   TrafficConfig
 	Ops      map[string]uint64
 	Suite    core.SuiteStats
-	Health   core.HealthStats
 	Messages map[string]float64
 	// ProbesPerDelete is the live counterpart of the paper's section 4
 	// neighbor-probe cost column.
@@ -137,11 +136,9 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 	qc := quorum.NewUniform(dirs, 2, 2)
 
 	observer := obs.NewObserver(obs.ObserverConfig{})
-	health := core.NewHealthTracker(names, core.HealthConfig{})
 	suite, err := core.NewSuite(qc,
 		core.WithSelector(quorum.NewRandomSelector(qc, cfg.Seed)),
 		core.WithObserver(observer),
-		core.WithHealth(health),
 	)
 	if err != nil {
 		return res, err
@@ -267,7 +264,6 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 
 	res.Ops = observer.OpCounts()
 	res.Suite = suite.Stats()
-	res.Health = health.Stats()
 	res.Messages = make(map[string]float64, len(res.Ops))
 	for op := range res.Ops {
 		res.Messages[op] = observer.MessagesPerOp(op)

@@ -81,7 +81,6 @@ func TestRunTraffic(t *testing.T) {
 		"repdir_rep_ops_total{member=\"rep0\",op=\"lookups\"}",
 		"repdir_rep_call_latency_seconds_count{member=\"rep1\",op=\"lookup\"}",
 		"repdir_suite_events_total{event=\"commits\"}",
-		"repdir_health_state{member=\"rep2\"} 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
