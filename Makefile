@@ -37,14 +37,16 @@ race:
 
 # Deterministic fault-injection soak (see EXPERIMENTS.md): five seeds,
 # 1000 ops each, crash/partition/duplicate/drop injection under -race,
-# every completed operation checked against the sequential model. A
-# failing seed is printed and replays with -chaos.seed=N. Set
-# REPDIR_CHAOS_LONG=1 for the long soak (20 seeds x 10000 ops). Then the
-# per-key history check of the writes that build on a remembered
-# version instead of reading it: racing suites, stale hints, and every
-# key's history one a single copy could have produced.
+# every operation recorded with its version in a model.History and each
+# key's history checked by its four rules. A failing seed is printed and
+# replays with -chaos.seed=N. Set REPDIR_CHAOS_LONG=1 for the long soak
+# (20 seeds x 10000 ops). Then the same checker under contention: eight
+# clients on eight shared keys while replicas crash and recover, and the
+# writes that build on a remembered version instead of reading it
+# (racing suites, stale hints).
 chaos:
 	$(GO) test -race -count 1 -run 'TestChaosSoak' -v .
+	$(GO) test -race -count 3 -run 'TestChaosConcurrentClients' .
 	$(GO) test -race -count 3 -run 'TestHintedWritesLinearizePerKey' -v ./internal/core/
 
 # Sharding gate: the router/suite equivalence suite (every traversal op

@@ -9,6 +9,7 @@ import (
 	"os"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"repdir/internal/sim"
 	"repdir/internal/transport"
 	"repdir/internal/txn"
+	"repdir/internal/version"
 	"repdir/internal/wal"
 )
 
@@ -32,10 +34,10 @@ var chaosSeed = flag.Int64("chaos.seed", 0, "replay a single chaos soak seed")
 // thousands of randomized operations against a write-ahead-logged 3-2-2
 // suite while internal/fault crashes members (recovering them from
 // their logs), partitions them, delays and double-delivers calls, and
-// drops replies mid-transaction. Every completed operation is checked
-// against the sequential specification in internal/model, in-doubt
-// two-phase commits are settled by cooperative termination, and a final
-// audit re-reads every touched key. The workload and fault schedule are
+// drops replies mid-transaction. Every operation is recorded, with the
+// version it read or wrote, in a model.History whose per-key rules the
+// run must pass; in-doubt two-phase commits are settled by cooperative
+// termination, and a final audit re-reads every touched key. The workload and fault schedule are
 // a pure function of the seed, so any failure reproduces from the seed
 // this test prints.
 func TestChaosSoak(t *testing.T) {
@@ -130,7 +132,7 @@ func TestChaosSoak(t *testing.T) {
 // upserts, cooperative termination running across the union of all
 // shards' members (a cross-shard in-doubt transaction needs every
 // participant for a safe decision), and periodic sharded Counts checked
-// against the sequential model's [min, max] bounds — the torn-cut
+// against the history's [min, max] bounds — the torn-cut
 // detector for the router's one-transaction stitching.
 func TestChaosSoakSharded(t *testing.T) {
 	if testing.Short() {
@@ -418,190 +420,203 @@ func TestChaosChurnDeterministic(t *testing.T) {
 }
 
 // TestChaosConcurrentClients keeps the live-coordinator coverage the
-// deterministic soak cannot provide: several clients race each other
-// (each owning a disjoint key range) while a chaos goroutine crashes
-// replicas out from under them and recovers them from their logs.
-// Operations may fail when quorums are unreachable — failures are fine,
-// wrong answers are not. Ground truth is the same sequential
-// specification the soak uses; disjoint key ranges keep its per-key
-// anchoring sound under concurrency.
+// deterministic soak cannot provide: eight clients, coordinated by two
+// suites, race each other on one shared set of eight keys while a chaos
+// goroutine crashes replicas out from under them and recovers them from
+// their logs. Operations may
+// fail when quorums are unreachable — failures are fine, wrong answers
+// are not. Every operation goes into one model.History with the version
+// it read or wrote, and each key's history must pass its four rules:
+// they need no single client, only the versions. It runs on 3-2-2, where
+// the suite writes on versions it remembers, and on 4-3-2, where two
+// write quorums can miss each other and no write may.
 func TestChaosConcurrentClients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test")
 	}
-	ctx := context.Background()
-	names := []string{"A", "B", "C"}
+	for _, tc := range []struct{ members, r, w int }{{3, 2, 2}, {4, 3, 2}} {
+		t.Run(fmt.Sprintf("%d-%d-%d", tc.members, tc.r, tc.w), func(t *testing.T) {
+			ctx := context.Background()
+			names := []string{"A", "B", "C", "D"}[:tc.members]
 
-	// WAL-backed replicas so crashes are recoverable.
-	logs := make([]*wal.MemoryLog, len(names))
-	locals := make([]*transport.Local, len(names))
-	dirs := make([]rep.Directory, len(names))
-	var repMu sync.Mutex // guards replica swap during crash/recover
-	reps := make([]*rep.Rep, len(names))
-	for i, n := range names {
-		logs[i] = &wal.MemoryLog{}
-		reps[i] = rep.New(n, rep.WithLog(logs[i]))
-		locals[i] = transport.NewLocal(reps[i])
-		dirs[i] = locals[i]
-	}
-	cfg := quorum.NewUniform(dirs, 2, 2)
-	ids := txn.NewIDSource(0)
-	suite, err := core.NewSuite(cfg, core.WithIDSource(ids), core.WithMaxRetries(48))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer suite.Close()
-
-	spec := model.NewSequential()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-
-	// Chaos: crash one replica (drop its volatile state), let the suite
-	// run degraded, recover it from its log, sometimes repair it.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(13))
-		for round := 0; ; round++ {
-			select {
-			case <-stop:
-				return
-			case <-time.After(15 * time.Millisecond):
+			// WAL-backed replicas so crashes are recoverable.
+			logs := make([]*wal.MemoryLog, len(names))
+			locals := make([]*transport.Local, len(names))
+			dirs := make([]rep.Directory, len(names))
+			var repMu sync.Mutex // guards replica swap during crash/recover
+			reps := make([]*rep.Rep, len(names))
+			for i, n := range names {
+				logs[i] = &wal.MemoryLog{}
+				reps[i] = rep.New(n, rep.WithLog(logs[i]))
+				locals[i] = transport.NewLocal(reps[i])
+				dirs[i] = locals[i]
 			}
-			i := rng.Intn(len(names))
-			locals[i].Crash()
-			time.Sleep(20 * time.Millisecond)
-			// Recover from the WAL: in-flight state is gone, committed
-			// state returns; any in-doubt transactions keep their keys
-			// locked until a resolver finishes them.
-			recovered, err := rep.Recover(names[i], logs[i].Records(), rep.WithLog(logs[i]))
-			if err != nil {
-				t.Errorf("chaos recover %s: %v", names[i], err)
-				return
+			cfg := quorum.NewUniform(dirs, tc.r, tc.w)
+			// Two suites coordinate, each for half of the clients, so a
+			// version one remembers goes stale whenever the other writes.
+			suites := make([]*core.Suite, 2)
+			for i := range suites {
+				s, err := core.NewSuite(cfg, core.WithIDSource(txn.NewIDSource(uint16(i))),
+					core.WithSelector(quorum.NewRandomSelector(cfg, int64(i+1))), core.WithMaxRetries(48))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				suites[i] = s
 			}
-			repMu.Lock()
-			reps[i] = recovered
-			repMu.Unlock()
-			locals[i].Replace(recovered)
-			locals[i].Restart()
-			// In-doubt transactions stay blocked until the post-run
-			// resolution sweep — resolving here could race a live
-			// coordinator. Sometimes run a repair pass.
-			if round%3 == 0 {
-				// Bounded: repair may block behind in-doubt locks.
-				rctx, cancel := context.WithTimeout(ctx, 400*time.Millisecond)
-				_, _ = core.RepairReplica(rctx, suite, locals[i], core.RepairOptions{})
-				cancel()
-			}
-		}
-	}()
+			suite := suites[0]
 
-	// Clients.
-	const clients = 4
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + c)))
-			deadline := time.Now().Add(1500 * time.Millisecond)
-			for i := 0; time.Now().Before(deadline); i++ {
-				key := fmt.Sprintf("c%d-k%d", c, rng.Intn(8))
-				val := fmt.Sprintf("v%d-%d", c, i)
-				_, exists, level := spec.Get(key)
-				certain := level == model.Full
-				// Bound every operation: an in-doubt transaction from a
-				// crash may hold locks that an older transaction would
-				// otherwise wait on forever.
-				ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-				switch rng.Intn(3) {
-				case 0:
-					var err error
-					if exists || !certain {
-						// Upsert semantics when uncertain: try update,
-						// fall back to insert.
-						err = suite.Update(ctx, key, val)
-						if errors.Is(err, core.ErrKeyNotFound) {
-							err = suite.Insert(ctx, key, val)
-						}
-					} else {
-						err = suite.Insert(ctx, key, val)
+			hist := model.NewHistory()
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+
+			// Chaos: crash one replica (drop its volatile state), let the suite
+			// run degraded, recover it from its log, sometimes repair it.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(13))
+				for round := 0; ; round++ {
+					select {
+					case <-stop:
+						return
+					case <-time.After(15 * time.Millisecond):
 					}
-					switch {
-					case err == nil:
-						spec.Applied(key, val, true)
-					case errors.Is(err, core.ErrKeyExists):
-						spec.InsertExists(key, val)
-					default:
-						spec.Indeterminate(key)
+					i := rng.Intn(len(names))
+					locals[i].Crash()
+					time.Sleep(20 * time.Millisecond)
+					// Recover from the WAL: in-flight state is gone, committed
+					// state returns; any in-doubt transactions keep their keys
+					// locked until a resolver finishes them.
+					recovered, err := rep.Recover(names[i], logs[i].Records(), rep.WithLog(logs[i]))
+					if err != nil {
+						t.Errorf("chaos recover %s: %v", names[i], err)
+						return
 					}
-				case 1:
-					err := suite.Delete(ctx, key)
-					switch {
-					case err == nil:
-						spec.Applied(key, "", false)
-					case errors.Is(err, core.ErrKeyNotFound):
-						spec.DeleteNotFound(key)
-					default:
-						spec.Indeterminate(key)
-					}
-				case 2:
-					got, found, lerr := suite.Lookup(ctx, key)
-					if lerr == nil {
-						if verr := spec.CheckLookup(key, got, found); verr != nil {
-							t.Errorf("client %d: %v", c, verr)
-							cancel()
-							return
-						}
+					repMu.Lock()
+					reps[i] = recovered
+					repMu.Unlock()
+					locals[i].Replace(recovered)
+					locals[i].Restart()
+					// In-doubt transactions stay blocked until the post-run
+					// resolution sweep — resolving here could race a live
+					// coordinator. Sometimes run a repair pass.
+					if round%3 == 0 {
+						// Bounded: repair may block behind in-doubt locks.
+						rctx, cancel := context.WithTimeout(ctx, 400*time.Millisecond)
+						_, _ = core.RepairReplica(rctx, suite, locals[i], core.RepairOptions{})
+						cancel()
 					}
 				}
-				cancel()
-			}
-		}(c)
-	}
+			}()
 
-	// Wait for clients, stop chaos.
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	time.Sleep(1600 * time.Millisecond)
-	close(stop)
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("chaos test wedged")
-	}
+			// Clients. tally counts the outcomes: acknowledged writes and
+			// deletes, ambiguous ones, and reads.
+			const clients, keys = 8, 8
+			var tally [3]atomic.Int64
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(100 + c)))
+					suite := suites[c%len(suites)]
+					deadline := time.Now().Add(1500 * time.Millisecond)
+					for i := 0; time.Now().Before(deadline); i++ {
+						key := fmt.Sprintf("k%d", rng.Intn(keys))
+						val := fmt.Sprintf("v%d-%d", c, i)
+						// Bound every operation: an in-doubt transaction from a
+						// crash may hold locks that an older transaction would
+						// otherwise wait on forever.
+						ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+						var o *model.Op
+						var ver version.V
+						var err error
+						switch rng.Intn(4) {
+						case 0:
+							o = hist.Invoke(model.Write, key, val)
+							ver, err = suite.InsertV(ctx, key, val)
+						case 1:
+							o = hist.Invoke(model.Write, key, val)
+							ver, err = suite.UpdateV(ctx, key, val)
+						case 2:
+							o = hist.Invoke(model.Delete, key, "")
+							ver, err = suite.DeleteV(ctx, key)
+						default:
+							o = hist.Invoke(model.Read, key, "")
+							got, found, rver, lerr := suite.LookupV(ctx, key)
+							if lerr == nil {
+								hist.Read(o, got, found, rver)
+							} else {
+								hist.Return(o, model.Fail, 0)
+							}
+						}
+						cancel()
+						switch {
+						case o.Kind == model.Read:
+							tally[2].Add(1)
+						case err == nil:
+							hist.Return(o, model.Ok, ver)
+							tally[0].Add(1)
+						default:
+							// Even a refusal: an earlier attempt of the same
+							// operation may have taken effect before a crash
+							// lost its reply.
+							hist.Return(o, model.Indeterminate, 0)
+							tally[1].Add(1)
+						}
+					}
+				}(c)
+			}
 
-	// Heal everything, finish anything left in doubt (all coordinators
-	// are done now, so resolution is safe), then run the final audit:
-	// fully-known keys must match the specification exactly; uncertain
-	// keys are re-anchored by their first read and must at least read
-	// stably after that.
-	for _, l := range locals {
-		l.Restart()
-	}
-	repMu.Lock()
-	current := append([]*rep.Rep(nil), reps...)
-	repMu.Unlock()
-	for _, r := range current {
-		for _, id := range r.InDoubt() {
-			if _, err := txn.Resolve(ctx, id, dirs); err != nil &&
-				!errors.Is(err, txn.ErrUnresolvable) {
-				t.Errorf("post-run resolve %d: %v", id, err)
+			// Wait for clients, stop chaos.
+			done := make(chan struct{})
+			go func() {
+				wg.Wait()
+				close(done)
+			}()
+			time.Sleep(1600 * time.Millisecond)
+			close(stop)
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("chaos test wedged")
 			}
-		}
-	}
-	for _, key := range spec.Keys() {
-		for pass := 0; pass < 3; pass++ {
-			got, found, err := suite.Lookup(ctx, key)
-			if err != nil {
-				t.Fatalf("final audit %s: %v", key, err)
+
+			// Heal everything, finish anything left in doubt (all coordinators
+			// are done now, so resolution is safe), then read every key three
+			// times into the history and check it.
+			for _, l := range locals {
+				l.Restart()
 			}
-			if verr := spec.CheckLookup(key, got, found); verr != nil {
-				t.Errorf("final audit: %v", verr)
-				break
+			repMu.Lock()
+			current := append([]*rep.Rep(nil), reps...)
+			repMu.Unlock()
+			for _, r := range current {
+				for _, id := range r.InDoubt() {
+					if _, err := txn.Resolve(ctx, id, dirs); err != nil &&
+						!errors.Is(err, txn.ErrUnresolvable) {
+						t.Errorf("post-run resolve %d: %v", id, err)
+					}
+				}
 			}
-		}
+			for k := 0; k < keys; k++ {
+				key := fmt.Sprintf("k%d", k)
+				for pass := 0; pass < 3; pass++ {
+					o := hist.Invoke(model.Read, key, "")
+					got, found, ver, err := suite.LookupV(ctx, key)
+					if err != nil {
+						t.Fatalf("final audit %s: %v", key, err)
+					}
+					hist.Read(o, got, found, ver)
+				}
+			}
+			for _, v := range hist.Check() {
+				t.Error(v)
+			}
+			t.Logf("%d writes and deletes acknowledged, %d failed, %d reads", tally[0].Load(), tally[1].Load(), tally[2].Load())
+			if tally[0].Load() == 0 || tally[2].Load() == 0 {
+				t.Error("no write was acknowledged or nothing was read: the test proves nothing")
+			}
+		})
 	}
 }

@@ -65,16 +65,17 @@ import (
 	"repdir/internal/shard"
 	"repdir/internal/transport"
 	"repdir/internal/txn"
+	"repdir/internal/version"
 )
 
 // directory is the client-facing surface the subcommands need; both a
 // single *core.Suite and a *shard.Router satisfy it, so the command
 // logic is indifferent to whether -splits sharded the keyspace.
 type directory interface {
-	Lookup(ctx context.Context, key string) (string, bool, error)
-	Insert(ctx context.Context, key, value string) error
-	Update(ctx context.Context, key, value string) error
-	Delete(ctx context.Context, key string) error
+	LookupV(ctx context.Context, key string) (string, bool, version.V, error)
+	InsertV(ctx context.Context, key, value string) (version.V, error)
+	UpdateV(ctx context.Context, key, value string) (version.V, error)
+	DeleteV(ctx context.Context, key string) (version.V, error)
 	Scan(ctx context.Context, after string, limit int) ([]core.KV, error)
 }
 
@@ -123,7 +124,7 @@ func run(args []string) error {
 		if len(rest) != 1 {
 			return errors.New("usage: lookup <key>")
 		}
-		value, found, err := dir.Lookup(ctx, rest[0])
+		value, found, _, err := dir.LookupV(ctx, rest[0])
 		if err != nil {
 			return err
 		}
@@ -133,21 +134,22 @@ func run(args []string) error {
 		}
 		fmt.Printf("%s = %s\n", rest[0], value)
 		return nil
-	case "insert":
+	case "insert", "update":
 		if len(rest) != 2 {
-			return errors.New("usage: insert <key> <value>")
+			return fmt.Errorf("usage: %s <key> <value>", cmd)
 		}
-		return dir.Insert(ctx, rest[0], rest[1])
-	case "update":
-		if len(rest) != 2 {
-			return errors.New("usage: update <key> <value>")
+		write := dir.InsertV
+		if cmd == "update" {
+			write = dir.UpdateV
 		}
-		return dir.Update(ctx, rest[0], rest[1])
+		_, err := write(ctx, rest[0], rest[1])
+		return err
 	case "delete":
 		if len(rest) != 1 {
 			return errors.New("usage: delete <key>")
 		}
-		return dir.Delete(ctx, rest[0])
+		_, err := dir.DeleteV(ctx, rest[0])
+		return err
 	case "scan":
 		after := ""
 		limit := 0
@@ -303,14 +305,14 @@ func load(groups [][]string, splitKeys []string, r, w int, parallel bool, client
 				var err error
 				switch rng.Intn(4) {
 				case 0, 1:
-					_, _, err = dir.Lookup(ctx, key)
+					_, _, _, err = dir.LookupV(ctx, key)
 				case 2:
-					err = dir.Update(ctx, key, fmt.Sprintf("v%d", i))
+					_, err = dir.UpdateV(ctx, key, fmt.Sprintf("v%d", i))
 					if errors.Is(err, core.ErrKeyNotFound) {
-						err = dir.Insert(ctx, key, fmt.Sprintf("v%d", i))
+						_, err = dir.InsertV(ctx, key, fmt.Sprintf("v%d", i))
 					}
 				case 3:
-					err = dir.Delete(ctx, key)
+					_, err = dir.DeleteV(ctx, key)
 					if errors.Is(err, core.ErrKeyNotFound) {
 						err = nil
 					}
@@ -618,15 +620,15 @@ func bench(dir directory, n int, timeout time.Duration) error {
 	for i := 0; i < n; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		key := fmt.Sprintf("bench-%d-%d", start.UnixNano(), i)
-		if err := dir.Insert(ctx, key, "x"); err != nil {
+		if _, err := dir.InsertV(ctx, key, "x"); err != nil {
 			cancel()
 			return fmt.Errorf("cycle %d insert: %w", i, err)
 		}
-		if _, found, err := dir.Lookup(ctx, key); err != nil || !found {
+		if _, found, _, err := dir.LookupV(ctx, key); err != nil || !found {
 			cancel()
 			return fmt.Errorf("cycle %d lookup: found=%v err=%v", i, found, err)
 		}
-		if err := dir.Delete(ctx, key); err != nil {
+		if _, err := dir.DeleteV(ctx, key); err != nil {
 			cancel()
 			return fmt.Errorf("cycle %d delete: %w", i, err)
 		}

@@ -19,18 +19,24 @@ import (
 // is read, coalesce, commit: three rounds, as many messages as an
 // insert, where no ghost hides the neighbors and no writer lacks one.
 func (tx *Tx) Delete(ctx context.Context, key string) error {
+	_, err := tx.delete(ctx, key)
+	return err
+}
+
+// delete is Delete, returning the version of the gap it coalesces.
+func (tx *Tx) delete(ctx context.Context, key string) (version.V, error) {
 	x, err := validateKey(key)
 	if err != nil {
-		return err
+		return version.Lowest, err
 	}
 	writers, err := tx.writeQuorum()
 	if err != nil {
-		return err
+		return version.Lowest, err
 	}
 	readers := writers
 	if votesOf(writers) < tx.suite.cfg.R {
 		if readers, err = tx.readQuorum(); err != nil {
-			return err
+			return version.Lowest, err
 		}
 	}
 
@@ -45,26 +51,26 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 	tx.fanOut(readers)
 	sp.End()
 	if err := tx.roundError(readers, tx.errs, "neighborhood of", x); err != nil {
-		return err
+		return version.Lowest, err
 	}
 	for _, r := range runs {
 		if err := r.load(x); err != nil {
-			return err
+			return version.Lowest, err
 		}
 	}
 	var bounds [2]neighbor
 	for b, r := range runs {
 		if bounds[b], err = r.next(ctx, tx.suite.fanout); err != nil {
-			return err
+			return version.Lowest, err
 		}
 	}
 	succ, pred := bounds[0], bounds[1]
 	cur, err := tx.resolve(ctx, x, readers, tx.replies)
 	if err != nil {
-		return err
+		return version.Lowest, err
 	}
 	if !cur.Found {
-		return fmt.Errorf("%w: %s", ErrKeyNotFound, x)
+		return version.Lowest, fmt.Errorf("%w: %s", ErrKeyNotFound, x)
 	}
 	// The version number of the coalesced gap must be higher than the
 	// maximum of any version numbers in the range coalesced.
@@ -81,7 +87,7 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 	tx.asked, tx.askedFor, tx.copies, tx.copied = tx.asked[:0], tx.askedFor[:0], tx.copies[:0], tx.copied[:0]
 	for _, m := range writers {
 		if err := tx.txn.Join(m.Dir); err != nil {
-			return err
+			return version.Lowest, err
 		}
 		ri := indexOf(readers, m)
 		for b := range bounds {
@@ -98,7 +104,7 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 		tx.round = round{kind: callBoundLookup, ctx: ctx, bounds: bounds}
 		tx.fanOut(tx.asked)
 		if err := tx.roundError(tx.asked, tx.errs, "lookup bound of", x); err != nil {
-			return err
+			return version.Lowest, err
 		}
 		for i, m := range tx.asked {
 			if !tx.replies[i].Found {
@@ -110,7 +116,7 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 		tx.round = round{kind: callBoundCopy, ctx: ctx, bounds: bounds}
 		tx.fanOut(tx.copies)
 		if err := tx.roundError(tx.copies, tx.errs, "copy bound of", x); err != nil {
-			return err
+			return version.Lowest, err
 		}
 		tx.mutated = true
 	}
@@ -130,7 +136,7 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 	tx.fanOut(writers)
 	coalesceSpan.End()
 	if err := tx.roundError(writers, tx.errs, "coalesce around", x); err != nil {
-		return err
+		return version.Lowest, err
 	}
 	tx.mutated = true
 	tx.learned = append(tx.learned, learned{x.Raw(), hint{false, ver.Next()}})
@@ -140,7 +146,7 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 		}
 	}
 	if tx.suite.metrics == nil && tx.suite.obs == nil {
-		return nil // nobody to report the section 4 statistics to
+		return ver.Next(), nil // nobody to report the section 4 statistics to
 	}
 	obs := DeleteObservation{
 		Key:                  key,
@@ -159,7 +165,7 @@ func (tx *Tx) Delete(ctx context.Context, key string) error {
 		}
 	}
 	tx.observations = append(tx.observations, obs)
-	return nil
+	return ver.Next(), nil
 }
 
 // indexOf finds m among members, or returns -1.

@@ -12,6 +12,7 @@ import (
 
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
+	"repdir/internal/model"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
@@ -36,32 +37,16 @@ func (d *expectCounter) Insert(ctx context.Context, id lock.TxnID, key keyspace.
 	return err
 }
 
-// histOp is one completed operation on one key, on a clock that ticks
-// at every call and every return: a versioned write (InsertV, UpdateV),
-// a delete, or a point read (LookupV).
-type histOp struct {
-	kind       string
-	found      bool
-	ver        version.V
-	value      string
-	start, end int64
-}
-
 // TestHintedWritesLinearizePerKey is the safety net of the writes that
 // build on a version their suite remembers instead of reading it. Three
 // suites, each with its own hints and selector, one of them sequential,
 // share members at different latencies; on each of four keys several
 // writers race — so a suite's hint goes stale whenever another suite
-// writes — and readers read beside them. Per key, the history must be
-// one a single copy could have produced:
-//
-//   - no two acknowledged writes carry one version;
-//   - a write begun after another's acknowledgement has a higher version;
-//   - a read begun after a write's acknowledgement sees that version or
-//     a later one, and every entry a read returns is an acknowledged
-//     write, value and all;
-//   - the final quorum read returns the value of the highest version
-//     acknowledged, unless a delete came after it.
+// writes — and readers read beside them. Every write, delete and read
+// goes into a model.History with the version it wrote or saw, and each
+// key's history, closed by a final quorum read, must pass its four
+// rules. Nothing here fails ambiguously, so a write refused with
+// ErrKeyExists or ErrKeyNotFound took no effect: no read may return it.
 //
 // On 3-2-2 (2W > V) the suites write on hints, and some are refused. On
 // 4-3-2 two write quorums can miss each other, so no check at a write
@@ -92,23 +77,15 @@ func TestHintedWritesLinearizePerKey(t *testing.T) {
 				}
 				suites[i] = s
 			}
-			var clock atomic.Int64
-			var mu sync.Mutex
-			hist := map[string][]histOp{}
+			hist := model.NewHistory()
 			keys := []string{"k0", "k1", "k2", "k3"}
 			for _, k := range keys {
-				op := histOp{kind: "write", value: "initial", start: clock.Add(1)}
-				var err error
-				if op.ver, err = suites[0].InsertV(ctx, k, op.value); err != nil {
+				o := hist.Invoke(model.Write, k, "initial")
+				ver, err := suites[0].InsertV(ctx, k, "initial")
+				if err != nil {
 					t.Fatal(err)
 				}
-				op.end = clock.Add(1)
-				hist[k] = append(hist[k], op)
-			}
-			record := func(key string, op histOp) {
-				mu.Lock()
-				hist[key] = append(hist[key], op)
-				mu.Unlock()
+				hist.Return(o, model.Ok, ver)
 			}
 			const writesEach = 120
 			var writers, readers sync.WaitGroup
@@ -122,27 +99,28 @@ func TestHintedWritesLinearizePerKey(t *testing.T) {
 						for n := 0; n < writesEach; n++ {
 							key := keys[rng.Intn(len(keys))]
 							value := fmt.Sprintf("s%d-%d", seed, n)
-							op := histOp{start: clock.Add(1)}
+							var o *model.Op
+							var ver version.V
 							var err error
 							switch p := rng.Intn(10); {
 							case p < 7:
-								op.kind = "write"
-								op.ver, err = s.UpdateV(ctx, key, value)
+								o = hist.Invoke(model.Write, key, value)
+								ver, err = s.UpdateV(ctx, key, value)
 							case p < 9:
-								op.kind = "write"
-								op.ver, err = s.InsertV(ctx, key, value)
+								o = hist.Invoke(model.Write, key, value)
+								ver, err = s.InsertV(ctx, key, value)
 							default:
-								op.kind = "delete"
-								err = s.Delete(ctx, key)
+								o = hist.Invoke(model.Delete, key, "")
+								ver, err = s.DeleteV(ctx, key)
 							}
-							op.end, op.value = clock.Add(1), value
 							switch {
 							case errors.Is(err, ErrKeyExists) || errors.Is(err, ErrKeyNotFound):
+								hist.Return(o, model.Fail, 0)
 							case err != nil:
-								t.Errorf("%s of %s: %v", op.kind, key, err)
+								t.Errorf("%v of %s: %v", o, key, err)
 								return
 							default:
-								record(key, op)
+								hist.Return(o, model.Ok, ver)
 							}
 						}
 					}(int64(10*si + w))
@@ -158,14 +136,13 @@ func TestHintedWritesLinearizePerKey(t *testing.T) {
 						default:
 						}
 						key := keys[rng.Intn(len(keys))]
-						op := histOp{kind: "read", start: clock.Add(1)}
+						o := hist.Invoke(model.Read, key, "")
 						value, found, ver, err := s.LookupV(ctx, key)
-						op.end, op.found, op.ver, op.value = clock.Add(1), found, ver, value
 						if err != nil {
 							t.Errorf("read of %s: %v", key, err)
 							return
 						}
-						record(key, op)
+						hist.Read(o, value, found, ver)
 					}
 				}(int64(100 + si))
 			}
@@ -179,11 +156,15 @@ func TestHintedWritesLinearizePerKey(t *testing.T) {
 			}
 
 			for _, key := range keys {
+				o := hist.Invoke(model.Read, key, "")
 				value, found, ver, err := suites[2].LookupV(ctx, key)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkKeyHistory(t, key, hist[key], histOp{kind: "final", found: found, ver: ver, value: value, start: clock.Add(1)})
+				hist.Read(o, value, found, ver)
+			}
+			for _, v := range hist.Check() {
+				t.Error(v)
 			}
 			t.Logf("%d writes carried an expectation, %d of them refused", expected.Load(), moved.Load())
 			if cfg.WritesIntersect() && (expected.Load() == 0 || moved.Load() == 0) {
@@ -193,57 +174,5 @@ func TestHintedWritesLinearizePerKey(t *testing.T) {
 				t.Errorf("%d writes built on a hint where write quorums need not intersect", expected.Load())
 			}
 		})
-	}
-}
-
-// checkKeyHistory checks one key's completed operations and its final
-// read against the single-copy rules of TestHintedWritesLinearizePerKey.
-func checkKeyHistory(t *testing.T, key string, ops []histOp, final histOp) {
-	t.Helper()
-	acked := map[version.V]histOp{}
-	var top histOp
-	for _, w := range ops {
-		if w.kind != "write" {
-			continue
-		}
-		if other, dup := acked[w.ver]; dup {
-			t.Errorf("%s: writes %q and %q were both acknowledged at version %d", key, other.value, w.value, w.ver)
-		}
-		acked[w.ver] = w
-		if w.ver > top.ver {
-			top = w
-		}
-	}
-	all := append(ops[:len(ops):len(ops)], final)
-	var lastDelete int64 // when the last delete was acknowledged
-	for _, a := range ops {
-		if a.kind == "delete" {
-			lastDelete = max(lastDelete, a.end)
-		}
-		if a.kind != "write" {
-			continue
-		}
-		for _, b := range all {
-			if b.start <= a.end {
-				continue
-			}
-			switch {
-			case b.kind == "write" && b.ver <= a.ver:
-				t.Errorf("%s: write %q at version %d began after write %q at version %d was acknowledged", key, b.value, b.ver, a.value, a.ver)
-			case (b.kind == "read" || b.kind == "final") && b.ver < a.ver:
-				t.Errorf("%s: %s at version %d began after write %q at version %d was acknowledged", key, b.kind, b.ver, a.value, a.ver)
-			}
-		}
-	}
-	for _, r := range all {
-		if r.kind != "read" && r.kind != "final" || !r.found {
-			continue
-		}
-		if w, ok := acked[r.ver]; !ok || w.value != r.value {
-			t.Errorf("%s: %s saw %q at version %d, which no acknowledged write wrote", key, r.kind, r.value, r.ver)
-		}
-	}
-	if lastDelete < top.start && (!final.found || final.ver != top.ver || final.value != top.value) {
-		t.Errorf("%s: final read %+v, want %q at version %d, the last write acknowledged", key, final, top.value, top.ver)
 	}
 }

@@ -583,3 +583,45 @@ func TestUpdateOverWireAllocs(t *testing.T) {
 		t.Logf("one Update over the wire: %.0f allocations", n)
 	}
 }
+
+// TestDeleteAllocs pins what a point Delete allocates in process, the
+// lan-churn benchmark's deployment: one suite over three members, a
+// sequential quorum, no log. Delete runs DeleteV and drops the version,
+// whose closure does not escape: 10 allocations, one of them the key's
+// name, as when Delete ran its transaction itself.
+func TestDeleteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	ctx := context.Background()
+	dirs := make([]rep.Directory, 3)
+	for i, name := range []string{"A", "B", "C"} {
+		dirs[i] = transport.NewLocal(rep.New(name))
+	}
+	s, err := NewSuite(quorum.NewUniform(dirs, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs, warm = 300, 50
+	for i := 0; i < runs+warm+1; i++ {
+		if err := s.Insert(ctx, fmt.Sprintf("k%04d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	del := func() {
+		if err := s.Delete(ctx, fmt.Sprintf("k%04d", next)); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for i := 0; i < warm; i++ {
+		del() // pools, maps and buffers reach their working size
+	}
+	const most = 10
+	if n := testing.AllocsPerRun(runs, del); n > most {
+		t.Errorf("one Delete allocates %.1f times, its key's name included; want at most %d", n, most)
+	} else {
+		t.Logf("one Delete: %.1f allocations", n)
+	}
+}

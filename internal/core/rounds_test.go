@@ -401,6 +401,7 @@ func TestPointOperationRounds(t *testing.T) {
 					}
 				}
 				var ver version.V
+				before := ts.suite.Stats()
 				calls = ts.run(t, what("stale update"), func() (err error) {
 					ver, err = ts.suite.UpdateV(ctx, "d", "v3")
 					return err
@@ -409,28 +410,49 @@ func TestPointOperationRounds(t *testing.T) {
 				if got := kinds(calls); !reflect.DeepEqual(got, stale) || ver != 11 {
 					t.Errorf("%s: calls %v wrote version %d, want %v and version 11", what("stale update"), got, ver, stale)
 				}
+				// The refusal is a retry, and no wait-die death.
+				if st := ts.suite.Stats(); st.Retries-before.Retries != 1 || st.Dies != before.Dies {
+					t.Errorf("%s: %d retries and %d deaths, want 1 and 0", what("stale update"), st.Retries-before.Retries, st.Dies-before.Dies)
+				}
 
 				// A delete reads (one neighborhood of the key at each
 				// writer), coalesces and commits, all at its write quorum:
 				// 6 messages in 3 rounds, plus one round of copies where a
 				// writer lacks a bound. No member only reads, so none is
-				// sent a prepare of its own.
-				calls = ts.run(t, what("delete"), func() error { return ts.suite.Delete(ctx, "f") })
-				writers := membersOf(calls, "coalesce+prepare")
-				copies := count(calls, "insert")
-				wantPhases := []string{"neighbor+around", "coalesce+prepare", "commit"}
-				if copies > 0 {
-					wantPhases = []string{"neighbor+around", "insert", "coalesce+prepare", "commit"}
-				}
-				if got := phases(calls); !reflect.DeepEqual(got, wantPhases) || len(calls) != 6+copies || count(calls, "neighbor+around") != 2 {
-					t.Errorf("%s: %d calls %v in rounds %v, want 6 + %d copies in %v", what("delete"), len(calls), kinds(calls), got, copies, wantPhases)
-				}
-				if got := membersOf(calls, "neighbor+around", "insert", "commit"); len(writers) != 2 || !reflect.DeepEqual(got, writers) {
-					t.Errorf("%s: calls went to %v, want all of them at the two writers %v", what("delete"), got, writers)
-				}
-				ts.ghostFree(t, what("delete"), copies)
-				if copies == 0 {
-					deletesWithoutCopies++
+				// sent a prepare of its own. DeleteV costs the same, and
+				// its version is the gap's a lookup of the key then reports.
+				for _, d := range []struct {
+					op, key string
+					run     func(key string) (version.V, error)
+				}{
+					{"delete", "f", func(key string) (version.V, error) { return 0, ts.suite.Delete(ctx, key) }},
+					{"deleteV", "b", func(key string) (version.V, error) { return ts.suite.DeleteV(ctx, key) }},
+				} {
+					calls = ts.run(t, what(d.op), func() (err error) {
+						ver, err = d.run(d.key)
+						return err
+					})
+					writers := membersOf(calls, "coalesce+prepare")
+					copies := count(calls, "insert")
+					wantPhases := []string{"neighbor+around", "coalesce+prepare", "commit"}
+					if copies > 0 {
+						wantPhases = []string{"neighbor+around", "insert", "coalesce+prepare", "commit"}
+					}
+					if got := phases(calls); !reflect.DeepEqual(got, wantPhases) || len(calls) != 6+copies || count(calls, "neighbor+around") != 2 {
+						t.Errorf("%s: %d calls %v in rounds %v, want 6 + %d copies in %v", what(d.op), len(calls), kinds(calls), got, copies, wantPhases)
+					}
+					if got := membersOf(calls, "neighbor+around", "insert", "commit"); len(writers) != 2 || !reflect.DeepEqual(got, writers) {
+						t.Errorf("%s: calls went to %v, want all of them at the two writers %v", what(d.op), got, writers)
+					}
+					ts.ghostFree(t, what(d.op), copies)
+					if copies == 0 && d.op == "delete" {
+						deletesWithoutCopies++
+					}
+					if d.op == "deleteV" {
+						if _, found, gap, err := ts.suite.LookupV(ctx, d.key); err != nil || found || gap != ver {
+							t.Errorf("%s: lookup after found=%v at version %d (%v), want a miss at %d", what(d.op), found, gap, err, ver)
+						}
+					}
 				}
 				ts.idle(t, what("all"))
 

@@ -75,6 +75,15 @@ func (s *Suite) UpdateV(ctx context.Context, key, value string) (ver version.V, 
 	return ver, err
 }
 
+// DeleteV is Delete plus the version of the gap written over the key.
+func (s *Suite) DeleteV(ctx context.Context, key string) (ver version.V, err error) {
+	err = s.runTxn(ctx, OpDelete, pointWrite, func(tx *Tx) (err error) {
+		ver, err = tx.delete(ctx, key)
+		return err
+	})
+	return ver, err
+}
+
 // LocalLookup reads the key from the suite's designated local member
 // only: one representative message instead of a read quorum. The reply
 // is whatever that member holds — current for everything written through

@@ -18,8 +18,8 @@ type SuiteStats struct {
 	// Cancelled is the number of operations abandoned because their
 	// context was done before an attempt could start.
 	Cancelled uint64
-	// Retries is the number of extra attempts caused by wait-die aborts
-	// or lost replicas.
+	// Retries is the number of extra attempts: every failure Retryable
+	// accepts, rep.ErrVersionMoved refusals of hinted writes included.
 	Retries uint64
 	// Dies is the number of attempts killed by wait-die.
 	Dies uint64

@@ -210,9 +210,8 @@ func (s *Suite) Update(ctx context.Context, key, value string) error {
 // Delete removes the entry for key. It returns ErrKeyNotFound if the key
 // has no entry.
 func (s *Suite) Delete(ctx context.Context, key string) error {
-	return s.runTxn(ctx, OpDelete, pointWrite, func(tx *Tx) error {
-		return tx.Delete(ctx, key)
-	})
+	_, err := s.DeleteV(ctx, key)
+	return err
 }
 
 // RunInTxn runs fn as one atomic transaction: all directory operations

@@ -166,17 +166,3 @@ func mean(dist []float64) float64 {
 	}
 	return m
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

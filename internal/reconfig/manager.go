@@ -10,6 +10,7 @@ import (
 	"repdir/internal/obs"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
+	"repdir/internal/version"
 )
 
 // Errors reported by the manager.
@@ -298,31 +299,38 @@ func (m *Manager) do(ctx context.Context, fn func(s *core.Suite) error) error {
 // against — a caller that bypasses the manager and holds a stale suite
 // fails loudly with rep.ErrStaleEpoch instead.
 
-// Lookup returns the value stored under key and whether it exists.
-func (m *Manager) Lookup(ctx context.Context, key string) (string, bool, error) {
-	var v string
-	var found bool
-	err := m.do(ctx, func(s *core.Suite) error {
-		var err error
-		v, found, err = s.Lookup(ctx, key)
+// LookupV returns the value stored under key, whether it exists, and
+// the winning version (core.Suite.LookupV).
+func (m *Manager) LookupV(ctx context.Context, key string) (v string, found bool, ver version.V, err error) {
+	err = m.do(ctx, func(s *core.Suite) (err error) {
+		v, found, ver, err = s.LookupV(ctx, key)
 		return err
 	})
-	return v, found, err
+	return v, found, ver, err
 }
 
-// Insert creates an entry for key.
-func (m *Manager) Insert(ctx context.Context, key, value string) error {
-	return m.do(ctx, func(s *core.Suite) error { return s.Insert(ctx, key, value) })
+// InsertV creates an entry for key and returns the version written.
+func (m *Manager) InsertV(ctx context.Context, key, value string) (version.V, error) {
+	return m.write(ctx, func(s *core.Suite) (version.V, error) { return s.InsertV(ctx, key, value) })
 }
 
-// Update replaces the value of an existing entry.
-func (m *Manager) Update(ctx context.Context, key, value string) error {
-	return m.do(ctx, func(s *core.Suite) error { return s.Update(ctx, key, value) })
+// UpdateV replaces an existing entry's value; it returns the version written.
+func (m *Manager) UpdateV(ctx context.Context, key, value string) (version.V, error) {
+	return m.write(ctx, func(s *core.Suite) (version.V, error) { return s.UpdateV(ctx, key, value) })
 }
 
-// Delete removes the entry for key.
-func (m *Manager) Delete(ctx context.Context, key string) error {
-	return m.do(ctx, func(s *core.Suite) error { return s.Delete(ctx, key) })
+// DeleteV removes key's entry; it returns the version of the gap written.
+func (m *Manager) DeleteV(ctx context.Context, key string) (version.V, error) {
+	return m.write(ctx, func(s *core.Suite) (version.V, error) { return s.DeleteV(ctx, key) })
+}
+
+// write runs one of the suite's versioned writes through do.
+func (m *Manager) write(ctx context.Context, fn func(s *core.Suite) (version.V, error)) (ver version.V, err error) {
+	err = m.do(ctx, func(s *core.Suite) (err error) {
+		ver, err = fn(s)
+		return err
+	})
+	return ver, err
 }
 
 // Scan returns up to limit entries with keys strictly greater than

@@ -54,10 +54,10 @@ func TestInitCreatesRecordAndFences(t *testing.T) {
 		t.Fatalf("second init = %+v, %v", rec2, err)
 	}
 	// Delegated operations work at the new epoch.
-	if err := m.Insert(ctx, "k", "v"); err != nil {
+	if _, err := m.InsertV(ctx, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	if v, found, err := m.Lookup(ctx, "k"); err != nil || !found || v != "v" {
+	if v, found, _, err := m.LookupV(ctx, "k"); err != nil || !found || v != "v" {
 		t.Fatalf("lookup = %q %v %v", v, found, err)
 	}
 }
@@ -69,11 +69,11 @@ func TestGrowSeededOnlineAndFencesOldEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if err := m.Insert(ctx, fmt.Sprintf("k%d", i), "v"); err != nil {
+		if _, err := m.InsertV(ctx, fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Delete(ctx, "k3"); err != nil {
+	if _, err := m.DeleteV(ctx, "k3"); err != nil {
 		t.Fatal(err)
 	}
 	// The suite a bypassing client might still hold.
@@ -98,7 +98,7 @@ func TestGrowSeededOnlineAndFencesOldEpoch(t *testing.T) {
 	}
 	// The grown suite answers correctly, including the deletion.
 	for i := 0; i < 8; i++ {
-		v, found, err := m.Lookup(ctx, fmt.Sprintf("k%d", i))
+		v, found, _, err := m.LookupV(ctx, fmt.Sprintf("k%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestGrowSeededOnlineAndFencesOldEpoch(t *testing.T) {
 		t.Error("stale rejection not counted in suite stats")
 	}
 	// Writes through the manager continue.
-	if err := m.Insert(ctx, "post", "v"); err != nil {
+	if _, err := m.InsertV(ctx, "post", "v"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -131,7 +131,7 @@ func TestRemoveAndReweight(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := m.Insert(ctx, fmt.Sprintf("k%d", i), "v"); err != nil {
+		if _, err := m.InsertV(ctx, fmt.Sprintf("k%d", i), "v"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestRemoveAndReweight(t *testing.T) {
 		t.Fatalf("record = %+v", rec)
 	}
 	for i := 0; i < 5; i++ {
-		if _, found, err := m.Lookup(ctx, fmt.Sprintf("k%d", i)); err != nil || !found {
+		if _, found, _, err := m.LookupV(ctx, fmt.Sprintf("k%d", i)); err != nil || !found {
 			t.Fatalf("k%d lost across remove/reweight: %v %v", i, found, err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestWitnessJoinsAndValuesChase(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := m.Insert(ctx, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)); err != nil {
+		if _, err := m.InsertV(ctx, fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,23 +195,23 @@ func TestWitnessJoinsAndValuesChase(t *testing.T) {
 	// chase must fill the value in).
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 6; i++ {
-			v, found, err := m.Lookup(ctx, fmt.Sprintf("k%d", i))
+			v, found, _, err := m.LookupV(ctx, fmt.Sprintf("k%d", i))
 			if err != nil || !found || v != fmt.Sprintf("v%d", i) {
 				t.Fatalf("round %d: k%d = %q %v %v", round, i, v, found, err)
 			}
 		}
 	}
 	// Updates and deletes keep working with the witness voting.
-	if err := m.Update(ctx, "k0", "v0x"); err != nil {
+	if _, err := m.UpdateV(ctx, "k0", "v0x"); err != nil {
 		t.Fatal(err)
 	}
-	if v, _, _ := m.Lookup(ctx, "k0"); v != "v0x" {
+	if v, _, _, _ := m.LookupV(ctx, "k0"); v != "v0x" {
 		t.Fatalf("k0 = %q after update", v)
 	}
-	if err := m.Delete(ctx, "k1"); err != nil {
+	if _, err := m.DeleteV(ctx, "k1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, found, _ := m.Lookup(ctx, "k1"); found {
+	if _, found, _, _ := m.LookupV(ctx, "k1"); found {
 		t.Error("k1 survived delete with witness")
 	}
 	// Scans never leak the config record or witness blanks.
@@ -248,7 +248,7 @@ func TestConcurrentReconfigureConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// m2 still works for reads/writes: its first fenced op refreshes.
-	if err := m2.Insert(ctx, "from-m2", "v"); err != nil {
+	if _, err := m2.InsertV(ctx, "from-m2", "v"); err != nil {
 		t.Fatal(err)
 	}
 	if m2.Epoch() != m.Epoch() {
@@ -262,7 +262,7 @@ func TestCrashMidTransitionResumes(t *testing.T) {
 	if _, err := m.Init(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Insert(ctx, "k", "v"); err != nil {
+	if _, err := m.InsertV(ctx, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a reconfigurer that crashed right after committing the
@@ -298,7 +298,7 @@ func TestCrashMidTransitionResumes(t *testing.T) {
 	if final.Phase != PhaseStable || final.Epoch != rec.Epoch+2 {
 		t.Fatalf("resumed record = %+v", final)
 	}
-	if v, found, err := m2.Lookup(ctx, "k"); err != nil || !found || v != "v" {
+	if v, found, _, err := m2.LookupV(ctx, "k"); err != nil || !found || v != "v" {
 		t.Fatalf("k = %q %v %v after resumed transition", v, found, err)
 	}
 }

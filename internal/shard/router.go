@@ -252,11 +252,17 @@ func (r *Router) LocalLookup(ctx context.Context, key string) (string, bool, ver
 
 // Delete removes the entry for key.
 func (r *Router) Delete(ctx context.Context, key string) error {
+	_, err := r.DeleteV(ctx, key)
+	return err
+}
+
+// DeleteV is Delete plus the version of the gap written over the key.
+func (r *Router) DeleteV(ctx context.Context, key string) (version.V, error) {
 	i, err := r.ownerOf(key)
 	if err != nil {
-		return err
+		return version.Lowest, err
 	}
-	return r.suite(i).Delete(ctx, key)
+	return r.suite(i).DeleteV(ctx, key)
 }
 
 // Scan returns up to limit current entries with keys strictly greater

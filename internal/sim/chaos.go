@@ -21,21 +21,22 @@ import (
 	"repdir/internal/shard"
 	"repdir/internal/transport"
 	"repdir/internal/txn"
+	"repdir/internal/version"
 )
 
 // ChaosConfig parameterizes one chaos soak: a live suite driven through
 // randomized operations while the fault injector crashes, partitions,
-// delays, and double-delivers underneath it, with every completed
-// operation checked against the sequential specification
-// (model.Sequential). The whole run — workload and fault schedule — is
-// a deterministic function of Seed.
+// delays, and double-delivers underneath it, with every operation
+// recorded in a model.History and each key's history checked against a
+// single copy by its versions. The whole run — workload and fault
+// schedule — is a deterministic function of Seed.
 type ChaosConfig struct {
 	// Shards is the number of keyspace shards (default 1). With one
 	// shard the workload drives a bare core.Suite, exactly as earlier
 	// harness versions did. With more, one suite per shard sits behind a
 	// shard.Router whose split points divide the key universe evenly,
 	// every shard gets its own fault injector, and the workload gains
-	// cross-shard transactional upserts plus periodic Count-vs-model
+	// cross-shard transactional upserts plus periodic Count-vs-history
 	// assertions that would catch a router stitching a torn cut.
 	Shards int
 	// Operations is the number of workload operations (default 1000).
@@ -99,9 +100,9 @@ func (c ChaosConfig) Name() string {
 type ChaosResult struct {
 	Config ChaosConfig
 	// Applied counts mutations that reported success; Observed counts
-	// error replies that were reconciled as observations (ErrKeyExists /
-	// ErrKeyNotFound); Indeterminate counts ambiguous mutation failures;
-	// Lookups counts successful lookups checked against the spec.
+	// refusals (ErrKeyExists / ErrKeyNotFound, see model.History.Refused);
+	// Indeterminate counts ambiguous mutation failures; Lookups counts
+	// successful lookups.
 	Applied, Observed, Indeterminate, Lookups int
 	// FailedLookups counts lookups that returned an error (no check
 	// possible).
@@ -112,7 +113,7 @@ type ChaosResult struct {
 	// of the determinism comparisons.
 	Timeouts int
 	// Counts is the number of Count observations checked against the
-	// specification's [min, max] bounds — periodic mid-run checks plus
+	// history's [min, max] bounds — periodic mid-run checks plus
 	// the exact post-audit check. CountFailures counts mid-run Count
 	// calls that failed under active fault windows (tolerated: a failed
 	// count asserts nothing).
@@ -169,14 +170,14 @@ type ChaosResult struct {
 	Violations []string
 }
 
-// chaosDirectory is the client surface the workload drives: a bare
-// *core.Suite when Shards == 1, a *shard.Router otherwise. Both present
-// the same directory API.
+// chaosDirectory is the client surface the workload drives, each point
+// operation with the version it read or wrote: a bare *core.Suite when
+// Shards == 1 (its reconfig.Manager under churn), a *shard.Router else.
 type chaosDirectory interface {
-	Lookup(ctx context.Context, key string) (string, bool, error)
-	Insert(ctx context.Context, key, value string) error
-	Update(ctx context.Context, key, value string) error
-	Delete(ctx context.Context, key string) error
+	LookupV(ctx context.Context, key string) (string, bool, version.V, error)
+	InsertV(ctx context.Context, key, value string) (version.V, error)
+	UpdateV(ctx context.Context, key, value string) (version.V, error)
+	DeleteV(ctx context.Context, key string) (version.V, error)
 	Count(ctx context.Context) (int, error)
 }
 
@@ -426,7 +427,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		return res, err
 	}
 
-	spec := model.NewSequential()
+	hist := model.NewHistory()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	key := func() string { return fmt.Sprintf("k%04d", rng.Intn(chaosKeys)) }
 	// The sharded workload widens the op mix with cross-shard
@@ -477,50 +478,38 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		k := key()
 		val := fmt.Sprintf("v%d", op)
 		var err error
-		switch rng.Intn(opKinds) {
-		case 0, 1, 2: // insert
-			err = h.dir.Insert(ctx, k, val)
+		switch kind := rng.Intn(opKinds); kind {
+		case 0, 1, 2, 3, 4, 5, 6: // insert, update, delete
+			var o *model.Op
+			var ver version.V
 			switch {
-			case err == nil:
-				spec.Applied(k, val, true)
-				res.Applied++
-			case errors.Is(err, core.ErrKeyExists):
-				spec.InsertExists(k, val)
-				res.Observed++
+			case kind < 3:
+				o = hist.Invoke(model.Write, k, val)
+				ver, err = h.dir.InsertV(ctx, k, val)
+			case kind < 5:
+				o = hist.Invoke(model.Write, k, val)
+				ver, err = h.dir.UpdateV(ctx, k, val)
 			default:
-				spec.Indeterminate(k)
-				res.Indeterminate++
+				o = hist.Invoke(model.Delete, k, "")
+				ver, err = h.dir.DeleteV(ctx, k)
 			}
-		case 3, 4: // update
-			err = h.dir.Update(ctx, k, val)
 			switch {
 			case err == nil:
-				spec.Applied(k, val, true)
+				hist.Return(o, model.Ok, ver)
 				res.Applied++
-			case errors.Is(err, core.ErrKeyNotFound):
-				if verr := spec.UpdateNotFound(k); verr != nil {
-					res.Violations = append(res.Violations, fmt.Sprintf("op %d: %v", op, verr))
-				}
+			case errors.Is(err, core.ErrKeyExists) || errors.Is(err, core.ErrKeyNotFound):
+				hist.Refused(k, o, errors.Is(err, core.ErrKeyExists))
 				res.Observed++
 			default:
-				spec.Indeterminate(k)
-				res.Indeterminate++
-			}
-		case 5, 6: // delete
-			err = h.dir.Delete(ctx, k)
-			switch {
-			case err == nil:
-				spec.Applied(k, "", false)
-				res.Applied++
-			case errors.Is(err, core.ErrKeyNotFound):
-				spec.DeleteNotFound(k)
-				res.Observed++
-			default:
-				spec.Indeterminate(k)
+				hist.Return(o, model.Indeterminate, 0)
 				res.Indeterminate++
 			}
 		case 10, 11: // cross-shard transactional upsert (sharded only)
 			k2 := key()
+			ops := []*model.Op{hist.Invoke(model.Write, k, val)}
+			if k2 != k {
+				ops = append(ops, hist.Invoke(model.Write, k2, val))
+			}
 			err = h.router.RunInTxn(ctx, func(x *shard.Txn) error {
 				for _, kk := range []string{k, k2} {
 					_, found, err := x.Lookup(ctx, kk)
@@ -537,30 +526,27 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 				}
 				return nil
 			})
+			// Both keys got val or neither did, with no version in
+			// hand: the reads that return val place it.
+			out := model.Ok
 			if err == nil {
-				// Atomic: both keys now certainly hold val.
-				spec.Applied(k, val, true)
-				spec.Applied(k2, val, true)
 				res.Applied++
 			} else {
-				// Atomic even in failure — either both keys got val or
-				// neither did — but which of the two happened is unknown.
-				spec.Indeterminate(k)
-				if k2 != k {
-					spec.Indeterminate(k2)
-				}
+				out = model.Indeterminate
 				res.Indeterminate++
 			}
+			for _, o := range ops {
+				hist.Return(o, out, 0)
+			}
 		default: // lookup
-			got, found, lerr := h.dir.Lookup(ctx, k)
-			err = lerr
-			if err != nil {
+			o := hist.Invoke(model.Read, k, "")
+			got, found, ver, lerr := h.dir.LookupV(ctx, k)
+			if err = lerr; err != nil {
+				hist.Return(o, model.Fail, 0)
 				res.FailedLookups++
 			} else {
+				hist.Read(o, got, found, ver)
 				res.Lookups++
-				if verr := spec.CheckLookup(k, got, found); verr != nil {
-					res.Violations = append(res.Violations, fmt.Sprintf("op %d: %v", op, verr))
-				}
 			}
 		}
 		cancel()
@@ -568,8 +554,8 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 			res.Timeouts++
 		}
 
-		// Periodic Count-vs-model assertion: a Count between operations
-		// of the sequential driver must land inside the specification's
+		// Periodic Count-vs-history assertion: a Count between
+		// operations of the one client must land inside the history's
 		// bounds. Under sharding this is the torn-cut detector — a
 		// router counting shards outside one consistent transaction
 		// could observe half of a cross-shard upsert and drift outside
@@ -611,9 +597,9 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 				res.CountFailures++
 			} else {
 				res.Counts++
-				if lo, hi := spec.CountBounds(); n < lo || n > hi {
+				if lo, hi := hist.CountBounds(); n < lo || n > hi {
 					res.Violations = append(res.Violations, fmt.Sprintf(
-						"op %d: count %d outside specification bounds [%d, %d]", op, n, lo, hi))
+						"op %d: count %d outside the history's bounds [%d, %d]", op, n, lo, hi))
 				}
 			}
 		}
@@ -683,32 +669,31 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	}
 	res.Converged = convOK
 
-	// Final audit: every touched key must agree with the specification.
-	// Keys left uncertain by ambiguous failures are re-anchored by the
-	// first read and must at least read stably on the second.
-	for _, k := range spec.Keys() {
+	// Final audit: every key a write touched is read twice more, into
+	// the history; the second read must not go below the first.
+	for _, k := range hist.Keys() {
 		for pass := 0; pass < 2; pass++ {
-			got, found, err := h.dir.Lookup(ctx, k)
+			o := hist.Invoke(model.Read, k, "")
+			got, found, ver, err := h.dir.LookupV(ctx, k)
 			if err != nil {
 				return res, fmt.Errorf("sim: chaos %s: audit lookup %s: %w", cfg.Name(), k, err)
 			}
-			if verr := spec.CheckLookup(k, got, found); verr != nil {
-				res.Violations = append(res.Violations, fmt.Sprintf("audit: %v", verr))
-			}
+			hist.Read(o, got, found, ver)
 		}
 		res.AuditedKeys++
 	}
-	// Post-audit the specification is fully anchored, so its count
-	// bounds collapse and Count must match exactly — across every
-	// shard, stitched by the router when sharded.
+	res.Violations = append(res.Violations, hist.Check()...)
+	// Post-audit every key's last operation is a read above everything
+	// indeterminate, so the count bounds collapse and Count must match
+	// exactly — across every shard, stitched by the router when sharded.
 	finalCount, err := h.dir.Count(ctx)
 	if err != nil {
 		return res, fmt.Errorf("sim: chaos %s: final count: %w", cfg.Name(), err)
 	}
 	res.Counts++
-	if lo, hi := spec.CountBounds(); finalCount < lo || finalCount > hi {
+	if lo, hi := hist.CountBounds(); finalCount < lo || finalCount > hi {
 		res.Violations = append(res.Violations, fmt.Sprintf(
-			"final count %d != specification count [%d, %d]", finalCount, lo, hi))
+			"final count %d != history's count [%d, %d]", finalCount, lo, hi))
 	}
 	// The count's release round is counted below with everything else.
 	if err := h.drain(); err != nil {
