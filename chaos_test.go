@@ -102,14 +102,10 @@ func TestChaosSoak(t *testing.T) {
 			}
 			// The storage-fault phase must have run: a minority of members
 			// lost log records mid-run and came back through the
-			// rebuild-from-peers path, visible in the storage metrics the
-			// observer would export in production.
+			// rebuild-from-peers path.
 			if res.StorageLosses == 0 || res.Rebuilds == 0 {
 				t.Errorf("seed %d: storage phase injected %d losses, completed %d rebuilds",
 					seed, res.StorageLosses, res.Rebuilds)
-			}
-			if res.Storage.Rebuilds == 0 {
-				t.Errorf("seed %d: rebuild not counted in storage metrics: %+v", seed, res.Storage)
 			}
 			t.Logf("seed %d: applied=%d observed=%d indeterminate=%d lookups=%d audited=%d "+
 				"crashes=%d partitions=%d duplicates=%d drops=%d restarts=%d resolved=%d strays=%d calls=%d "+
@@ -241,7 +237,7 @@ func TestChaosSoakDeterministic(t *testing.T) {
 		a.StraysAborted != b.StraysAborted ||
 		a.Converged != b.Converged ||
 		a.StorageLosses != b.StorageLosses || a.RecordsLost != b.RecordsLost ||
-		a.Rebuilds != b.Rebuilds || a.Rebuild != b.Rebuild || a.Storage != b.Storage {
+		a.Rebuilds != b.Rebuilds || a.Rebuild != b.Rebuild {
 		t.Errorf("same seed, different runs:\n  %+v\n  %+v", a, b)
 	}
 	// Outcome accounting must balance under fault injection too: every
@@ -299,17 +295,6 @@ func TestChaosSoakChurn(t *testing.T) {
 			// switch fenced the old configuration's client.
 			if res.StaleProbes != 3 {
 				t.Errorf("seed %d: %d stale-epoch probes fenced, want 3", seed, res.StaleProbes)
-			}
-			// The observer counts an advance when the manager's record write
-			// reports success. A write that commits but loses its reply to
-			// the fault schedule is adopted by the next attempt's refresh
-			// instead (the ErrConflict branch of the churn loop) and goes
-			// uncounted, so the count may fall short of the final epoch,
-			// which is pinned above: under DefaultPlan it does on one seed
-			// in six (3 of seeds 1-16 before the point operations were cut
-			// to fewer calls, 2 of them after — seed 1 among those).
-			if res.Reconfig.Epochs < 1 || res.Reconfig.Epochs > 7 {
-				t.Errorf("seed %d: observer counted %d epoch advances, want at most the 7 made and at least Init's", seed, res.Reconfig.Epochs)
 			}
 			if res.Reconfig.StaleRejections == 0 {
 				t.Errorf("seed %d: no stale-epoch rejection ever counted", seed)

@@ -132,13 +132,6 @@ func run(args []string) error {
 		witnesses[wn] = true
 	}
 
-	// Recovery events (salvages, rebuilds) happen while the
-	// representatives open, so the observer that counts them for the
-	// metrics endpoint exists before they do.
-	var observer *obs.Observer
-	if *obsAddr != "" {
-		observer = obs.NewObserver(obs.ObserverConfig{NoTrace: true})
-	}
 	reps := make([]*rep.Rep, len(names))
 	durables := make([]*rep.Durability, len(names))
 	servers := make([]*transport.Server, len(names))
@@ -147,7 +140,7 @@ func run(args []string) error {
 		if multi && wp != "" {
 			wp = fmt.Sprintf(wp, nm)
 		}
-		r, durability, err := buildRep(nm, wp, policy, recoveryPolicy, witnesses[nm], observer)
+		r, durability, err := buildRep(nm, wp, policy, recoveryPolicy, witnesses[nm])
 		if err != nil {
 			return fmt.Errorf("%s: %w", nm, err)
 		}
@@ -179,7 +172,7 @@ func run(args []string) error {
 	}
 
 	if *obsAddr != "" {
-		osrv, err := obs.Serve(*obsAddr, metricsRegistry(observer, reps, servers, names), true)
+		osrv, err := obs.Serve(*obsAddr, metricsRegistry(reps, durables, servers, names), true)
 		if err != nil {
 			return fmt.Errorf("obs: %w", err)
 		}
@@ -253,9 +246,8 @@ func checkpointLoop(d *rep.Durability, every time.Duration, stop <-chan struct{}
 
 // buildRep constructs the representative: durable when a WAL path is
 // configured, volatile otherwise. A witness stores (and logs) versions
-// but no values. Recovery events are counted on observer, which may be
-// nil.
-func buildRep(name, walPath string, policy wal.SyncPolicy, recovery rep.RecoveryPolicy, witness bool, observer *obs.Observer) (*rep.Rep, *rep.Durability, error) {
+// but no values.
+func buildRep(name, walPath string, policy wal.SyncPolicy, recovery rep.RecoveryPolicy, witness bool) (*rep.Rep, *rep.Durability, error) {
 	var repOpts []rep.Option
 	if witness {
 		repOpts = append(repOpts, rep.AsWitness())
@@ -265,7 +257,7 @@ func buildRep(name, walPath string, policy wal.SyncPolicy, recovery rep.Recovery
 	}
 	return rep.OpenDurable(name, walPath,
 		rep.WithSyncPolicy(policy), rep.WithRecovery(recovery),
-		rep.WithRepOptions(repOpts...), rep.WithDurableObserver(observer))
+		rep.WithRepOptions(repOpts...))
 }
 
 // reportRecovery logs what OpenDurable found, loudly when it was not a
@@ -287,10 +279,11 @@ func reportRecovery(name string, rec rep.RecoveryReport) {
 
 // metricsRegistry gathers what -obs.addr serves. Wire traffic (frames,
 // batching factor, payload bytes) joins the representatives' own op
-// counters, the admission decisions and the observer's storage-recovery
-// counters. A single-rep server keeps the historical "server" endpoint
+// counters, the admission decisions and what recovery found when the
+// durable representatives opened (durables holds nil for a volatile
+// one). A single-rep server keeps the historical "server" endpoint
 // label; hosting several, each rep labels its own samples.
-func metricsRegistry(observer *obs.Observer, reps []*rep.Rep, servers []*transport.Server, names []string) *obs.Registry {
+func metricsRegistry(reps []*rep.Rep, durables []*rep.Durability, servers []*transport.Server, names []string) *obs.Registry {
 	registry := obs.NewRegistry()
 	multi := len(names) > 1
 	wire := make(map[string]*transport.WireStats, len(servers))
@@ -304,8 +297,41 @@ func metricsRegistry(observer *obs.Observer, reps []*rep.Rep, servers []*transpo
 	transport.RegisterWireStats(registry, wire)
 	registerRepMetrics(registry, reps, names)
 	registerAdmissionMetrics(registry, servers, names, multi)
-	observer.Register(registry)
+	registerStorageMetrics(registry, durables)
 	return registry
+}
+
+// registerStorageMetrics sums the representatives' recovery reports,
+// the one record of what each open salvaged or gave up on. A salvage
+// that ended in a rebuild counts as the rebuild alone.
+func registerStorageMetrics(reg *obs.Registry, durables []*rep.Durability) {
+	var salvages, records, quarantined, rebuilds uint64
+	for _, d := range durables {
+		if d == nil {
+			continue
+		}
+		switch rec := d.Recovery(); {
+		case rec.Rebuilt:
+			rebuilds++
+		case rec.Salvage != nil:
+			salvages++
+			records += uint64(rec.Salvage.Records)
+			quarantined += uint64(rec.Salvage.QuarantinedBytes)
+		}
+	}
+	total := func(v uint64) func() uint64 { return func() uint64 { return v } }
+	reg.Counter("repdir_storage_salvages_total",
+		"WAL recoveries that stopped before a clean EOF and quarantined a tail.",
+		total(salvages))
+	reg.Counter("repdir_storage_salvaged_records_total",
+		"Valid records recovered by WAL salvage scans.",
+		total(records))
+	reg.Counter("repdir_storage_quarantined_bytes_total",
+		"Unreadable WAL tail bytes moved to quarantine sidecars.",
+		total(quarantined))
+	reg.Counter("repdir_storage_rebuilds_total",
+		"Replicas opened empty and rebuilt from a quorum of peers.",
+		total(rebuilds))
 }
 
 // registerRepMetrics exposes every hosted representative's cumulative

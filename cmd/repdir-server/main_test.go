@@ -4,18 +4,18 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
-	"repdir/internal/obs"
 	"repdir/internal/rep"
 	"repdir/internal/wal"
 )
 
 func TestBuildRepVolatile(t *testing.T) {
-	r, d, err := buildRep("vol", "", wal.SyncOnCommit, rep.RecoverStrict, false, nil)
+	r, d, err := buildRep("vol", "", wal.SyncOnCommit, rep.RecoverStrict, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestBuildRepRecoversFromWAL(t *testing.T) {
 	walPath := filepath.Join(dir, "rep.wal")
 
 	// First life: write one committed entry and checkpoint.
-	r1, d1, err := buildRep("persist", walPath, wal.SyncOnCommit, rep.RecoverStrict, false, nil)
+	r1, d1, err := buildRep("persist", walPath, wal.SyncOnCommit, rep.RecoverStrict, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestBuildRepRecoversFromWAL(t *testing.T) {
 	d1.Close()
 
 	// Second life: the entry survives in the compacted log.
-	r2, d2, err := buildRep("persist", walPath, wal.SyncOnCommit, rep.RecoverStrict, false, nil)
+	r2, d2, err := buildRep("persist", walPath, wal.SyncOnCommit, rep.RecoverStrict, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestBuildRepWitnessDurable(t *testing.T) {
 	ctx := context.Background()
 	walPath := filepath.Join(t.TempDir(), "w.wal")
 
-	r1, d1, err := buildRep("W", walPath, wal.SyncOnCommit, rep.RecoverStrict, true, nil)
+	r1, d1, err := buildRep("W", walPath, wal.SyncOnCommit, rep.RecoverStrict, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestBuildRepWitnessDurable(t *testing.T) {
 
 	// Second life: still a witness, version recovered, value blanked —
 	// the WAL itself must never have carried the value.
-	r2, d2, err := buildRep("W", walPath, wal.SyncOnCommit, rep.RecoverStrict, true, nil)
+	r2, d2, err := buildRep("W", walPath, wal.SyncOnCommit, rep.RecoverStrict, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +105,13 @@ func TestBuildRepWitnessDurable(t *testing.T) {
 	r2.Commit(ctx, 2)
 }
 
-// TestSalvageCountsOnMetrics: a log whose last record was torn
-// mid-append, opened under -recovery salvage with -obs.addr set, shows
-// the salvage on the metrics endpoint's storage counters.
-func TestSalvageCountsOnMetrics(t *testing.T) {
+// salvagedMetrics opens, under -recovery salvage, a log whose last
+// record was torn mid-append, and renders what -obs.addr would serve.
+func salvagedMetrics(t *testing.T) string {
+	t.Helper()
 	ctx := context.Background()
 	walPath := filepath.Join(t.TempDir(), "A.wal")
-	r1, d1, err := buildRep("A", walPath, wal.SyncOnCommit, rep.RecoverStrict, false, nil)
+	r1, d1, err := buildRep("A", walPath, wal.SyncOnCommit, rep.RecoverStrict, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,21 +136,56 @@ func TestSalvageCountsOnMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observer := obs.NewObserver(obs.ObserverConfig{NoTrace: true})
-	r2, d2, err := buildRep("A", walPath, wal.SyncOnCommit, policy, false, observer)
+	r2, d2, err := buildRep("A", walPath, wal.SyncOnCommit, policy, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close()
+	t.Cleanup(func() { d2.Close() })
 	if d2.Recovery().Salvage == nil {
 		t.Fatal("the torn tail was not salvaged")
 	}
 	var out strings.Builder
-	if err := metricsRegistry(observer, []*rep.Rep{r2}, nil, []string{"A"}).WritePrometheus(&out); err != nil {
+	if err := metricsRegistry([]*rep.Rep{r2}, []*rep.Durability{d2}, nil, []string{"A"}).WritePrometheus(&out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "\nrepdir_storage_salvages_total 1\n") {
-		t.Errorf("metrics lack repdir_storage_salvages_total 1:\n%s", out.String())
+	return out.String()
+}
+
+// TestSalvageCountsOnMetrics: a log whose last record was torn
+// mid-append, opened under -recovery salvage with -obs.addr set, shows
+// the salvage on the metrics endpoint's storage counters.
+func TestSalvageCountsOnMetrics(t *testing.T) {
+	out := salvagedMetrics(t)
+	if !strings.Contains(out, "\nrepdir_storage_salvages_total 1\n") {
+		t.Errorf("metrics lack repdir_storage_salvages_total 1:\n%s", out)
+	}
+}
+
+// TestMetricsFamilies pins the families the server exports: each one is
+// fed by something the server runs.
+func TestMetricsFamilies(t *testing.T) {
+	var got []string
+	for _, line := range strings.Split(salvagedMetrics(t), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			got = append(got, f[2])
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		"repdir_admission_total",
+		"repdir_rep_ops_total",
+		"repdir_storage_quarantined_bytes_total",
+		"repdir_storage_rebuilds_total",
+		"repdir_storage_salvaged_records_total",
+		"repdir_storage_salvages_total",
+		"repdir_wire_batch_size",
+		"repdir_wire_bytes_total",
+		"repdir_wire_frame_bytes",
+		"repdir_wire_frames_total",
+		"repdir_wire_messages_total",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("metric families = %v, want %v", got, want)
 	}
 }
 
@@ -167,7 +202,7 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 func TestBuildRepRejectsBadPath(t *testing.T) {
-	if _, _, err := buildRep("x", t.TempDir(), wal.SyncOnCommit, rep.RecoverStrict, false, nil); err == nil {
+	if _, _, err := buildRep("x", t.TempDir(), wal.SyncOnCommit, rep.RecoverStrict, false); err == nil {
 		t.Error("opening a directory as a WAL should fail")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,44 +57,66 @@ func TestParallelQuorumCorrectness(t *testing.T) {
 	}
 }
 
+// overlapHook is a Local that records, across every member sharing it,
+// the most calls in flight at once.
+type overlapHook struct {
+	*transport.Local
+	cur, peak *atomic.Int32
+}
+
+func (h overlapHook) Enter(ctx context.Context, op transport.Op) (transport.Call, error) {
+	n := h.cur.Add(1)
+	for p := h.peak.Load(); n > p && !h.peak.CompareAndSwap(p, n); p = h.peak.Load() {
+	}
+	c, err := h.Local.Enter(ctx, op)
+	if err != nil {
+		h.cur.Add(-1)
+	}
+	return c, err
+}
+
+func (h overlapHook) Exit(c transport.Call, op transport.Op, err error) error {
+	h.cur.Add(-1)
+	return h.Local.Exit(c, op, err)
+}
+
+// TestParallelQuorumCutsLatency: a parallel round sends its members'
+// calls at once, so they overlap; a sequential one sends them one
+// after another. Each call waits out a delay, so a parallel round that
+// overlapped nothing would cost as much as a sequential one.
 func TestParallelQuorumCutsLatency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
 	ctx := context.Background()
-	const delay = 4 * time.Millisecond
-
-	seq, _ := latencySuite(t, delay, false)
-	par, _ := latencySuite(t, delay, true)
-	if err := seq.Insert(ctx, "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.Insert(ctx, "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-
-	const rounds = 10
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, _, err := seq.Lookup(ctx, "k"); err != nil {
+	for _, parallel := range []bool{false, true} {
+		var cur, peak atomic.Int32
+		dirs := make([]rep.Directory, 3)
+		for i, n := range []string{"A", "B", "C"} {
+			l := transport.NewLocal(rep.New(n))
+			l.SetLatency(4 * time.Millisecond)
+			dirs[i] = &transport.Middleware{Hook: overlapHook{l, &cur, &peak}}
+		}
+		// Full quorums maximize fan-out.
+		s, err := NewSuite(quorum.NewUniform(dirs, 3, 3), WithParallelQuorum(parallel))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	seqDur := time.Since(start)
-
-	start = time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, _, err := par.Lookup(ctx, "k"); err != nil {
+		if err := s.Insert(ctx, "k", "v"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	parDur := time.Since(start)
-
-	// Sequential pays 3x the per-member latency per round; parallel pays
-	// about 1x. Require at least a 1.8x improvement to avoid flakiness.
-	if float64(seqDur)/float64(parDur) < 1.8 {
-		t.Errorf("parallel quorum should cut latency: sequential %v vs parallel %v",
-			seqDur, parDur)
+		if err := s.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		peak.Store(0)
+		for i := 0; i < 10; i++ {
+			if _, _, err := s.Lookup(ctx, "k"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		switch got := peak.Load(); {
+		case parallel && got < 2:
+			t.Errorf("parallel lookups: at most %d call in flight, want the legs to overlap", got)
+		case !parallel && got != 1:
+			t.Errorf("sequential lookups: %d calls in flight at once, want 1", got)
+		}
 	}
 }
 

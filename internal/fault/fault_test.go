@@ -10,6 +10,7 @@ import (
 	"repdir/internal/lock"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
+	"repdir/internal/txn"
 	"repdir/internal/wal"
 )
 
@@ -99,8 +100,9 @@ func TestCrashLosesVolatileStateRecoversCommitted(t *testing.T) {
 }
 
 // TestInjectorResolvesInDoubtAfterCrashRestart: a crash between the two
-// phases of 2PC leaves the restarted member in doubt; Injector.Resolve
-// must drive it to the decision the surviving participant recorded.
+// phases of 2PC leaves the restarted member in doubt; txn.Resolve over
+// the injector's members must drive it to the decision the surviving
+// participant recorded.
 func TestInjectorResolvesInDoubtAfterCrashRestart(t *testing.T) {
 	in := NewInjector([]string{"A", "B"}, Plan{}, 1)
 	ma, mb := in.Members()[0], in.Members()[1]
@@ -117,28 +119,35 @@ func TestInjectorResolvesInDoubtAfterCrashRestart(t *testing.T) {
 	if err := ma.Commit(ctx, id); err != nil {
 		t.Fatal(err)
 	}
+	inDoubt := func() []lock.TxnID {
+		var out []lock.TxnID
+		for _, m := range in.Members() {
+			out = append(out, m.InDoubt()...)
+		}
+		return out
+	}
 
 	mb.Crash()
 	if err := mb.Heal(); err != nil {
 		t.Fatal(err)
 	}
-	if got := in.InDoubt(); len(got) != 1 || got[0] != id {
+	if got := inDoubt(); len(got) != 1 || got[0] != id {
 		t.Fatalf("in-doubt after crash-restart = %v, want [%d]", got, id)
 	}
 
-	n, err := in.Resolve(ctx)
+	res, err := txn.Resolve(ctx, id, in.Directories())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
+	if n := len(res.Finished); n != 1 {
 		t.Errorf("resolved participants = %d, want 1", n)
 	}
-	if got := in.InDoubt(); len(got) != 0 {
+	if got := inDoubt(); len(got) != 0 {
 		t.Errorf("in-doubt after resolve = %v, want none", got)
 	}
-	res, err := mb.Lookup(ctx, 20, key)
-	if err != nil || !res.Found || res.Value != "v" {
-		t.Errorf("B lookup after resolve = %+v, %v; want found v", res, err)
+	lres, err := mb.Lookup(ctx, 20, key)
+	if err != nil || !lres.Found || lres.Value != "v" {
+		t.Errorf("B lookup after resolve = %+v, %v; want found v", lres, err)
 	}
 }
 

@@ -1,20 +1,13 @@
 package fault
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sort"
 
-	"repdir/internal/lock"
 	"repdir/internal/rep"
-	"repdir/internal/transport"
-	"repdir/internal/txn"
 )
 
 // Injector manages a suite's worth of fault members built over
-// write-ahead-logged representatives, and drives cooperative
-// termination of the in-doubt two-phase commits its crashes create.
+// write-ahead-logged representatives.
 type Injector struct {
 	plan    Plan
 	seed    int64
@@ -74,72 +67,6 @@ func (in *Injector) Heal() error {
 		}
 	}
 	return first
-}
-
-// InDoubt returns the union of the members' in-doubt transactions,
-// sorted for deterministic resolution order.
-func (in *Injector) InDoubt() []lock.TxnID {
-	seen := make(map[lock.TxnID]bool)
-	var out []lock.TxnID
-	for _, m := range in.members {
-		for _, id := range m.InDoubt() {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Resolve runs cooperative termination (txn.Resolve) for every in-doubt
-// transaction currently visible. It must only be called while no
-// coordinator is live (e.g. between operations of a sequential driver).
-// Transactions that cannot be decided yet — some participant is inside
-// an unavailability window and none committed — are left for a later
-// pass; resolution calls themselves pass through the fault schedule, so
-// a pass can also be cut short by a fresh fault. Resolve returns how
-// many participants it drove to a decision.
-func (in *Injector) Resolve(ctx context.Context) (finished int, err error) {
-	dirs := in.Directories()
-	for _, id := range in.InDoubt() {
-		res, rerr := txn.Resolve(ctx, id, dirs)
-		finished += len(res.Finished)
-		if rerr == nil {
-			continue
-		}
-		if errors.Is(rerr, txn.ErrUnresolvable) || errors.Is(rerr, transport.ErrUnavailable) {
-			continue // some participant is down; retry on a later pass
-		}
-		if err == nil {
-			err = fmt.Errorf("fault: resolve txn %d: %w", id, rerr)
-		}
-	}
-	return finished, err
-}
-
-// AbortStrays sweeps every member's never-prepared in-flight
-// transactions with a unilateral Abort, reclaiming locks leaked by
-// coordinators that died — or gave up while the member was unreachable,
-// so their Abort never arrived. Presumed abort makes this safe for
-// unprepared transactions, but ONLY while no coordinator is live: a
-// live coordinator's transaction is indistinguishable from a stray.
-// It returns the number of participants aborted.
-func (in *Injector) AbortStrays(ctx context.Context) (int, error) {
-	aborted := 0
-	for _, m := range in.members {
-		for _, id := range m.Strays() {
-			if err := m.Abort(ctx, id); err != nil {
-				if errors.Is(err, transport.ErrUnavailable) {
-					continue // down again; a later pass can retry
-				}
-				return aborted, fmt.Errorf("fault: abort stray txn %d at %s: %w", id, m.Name(), err)
-			}
-			aborted++
-		}
-	}
-	return aborted, nil
 }
 
 // Stats returns every member's injection counters, keyed by name.

@@ -37,36 +37,10 @@ type Observer struct {
 	ghostDeletions  atomic.Uint64
 	boundInsertions atomic.Uint64
 
-	// Storage-fault counters: what recovery salvaged, what it gave up
-	// on, and how far rebuild-from-peers has gotten.
-	walSalvages      atomic.Uint64
-	salvagedRecords  atomic.Uint64
-	quarantinedBytes atomic.Uint64
-	rebuilds         atomic.Uint64
-	rebuildEntries   atomic.Uint64
-
-	// Reconfiguration counters: epoch transitions committed, operations
-	// fenced for carrying a stale epoch, and read-quorum votes served by
-	// zero-data witness replicas.
-	reconfigEpochs  atomic.Uint64
+	// Reconfiguration counters: operations fenced for carrying a stale
+	// epoch, and read-quorum votes served by zero-data witness replicas.
 	staleRejections atomic.Uint64
 	witnessVotes    atomic.Uint64
-}
-
-// StorageStats is a snapshot of the storage-fault counters.
-type StorageStats struct {
-	// Salvages counts WAL recoveries that stopped before a clean EOF
-	// and quarantined a tail.
-	Salvages uint64
-	// SalvagedRecords counts records recovered by those salvages.
-	SalvagedRecords uint64
-	// QuarantinedBytes counts unreadable tail bytes moved to sidecars.
-	QuarantinedBytes uint64
-	// Rebuilds counts replicas that opened empty and were rebuilt from
-	// a quorum of peers.
-	Rebuilds uint64
-	// RebuildEntries counts entries installed on rebuilding replicas.
-	RebuildEntries uint64
 }
 
 // NewObserver builds an observer.
@@ -137,44 +111,6 @@ func (o *Observer) DeleteObserved(neighborProbes, walkSteps, ghostDeletions, bou
 	o.boundInsertions.Add(uint64(boundInsertions))
 }
 
-// SalvageObserved records one WAL salvage: how many records survived
-// and how many tail bytes were quarantined.
-func (o *Observer) SalvageObserved(records int, quarantined int64) {
-	if o == nil {
-		return
-	}
-	o.walSalvages.Add(1)
-	o.salvagedRecords.Add(uint64(records))
-	if quarantined > 0 {
-		o.quarantinedBytes.Add(uint64(quarantined))
-	}
-}
-
-// RebuildStarted records one replica opening empty for rebuild from
-// peers.
-func (o *Observer) RebuildStarted() {
-	if o == nil {
-		return
-	}
-	o.rebuilds.Add(1)
-}
-
-// RebuildProgress records entries installed on a rebuilding replica.
-func (o *Observer) RebuildProgress(entries int) {
-	if o == nil || entries <= 0 {
-		return
-	}
-	o.rebuildEntries.Add(uint64(entries))
-}
-
-// EpochAdvanced records one committed configuration-epoch transition.
-func (o *Observer) EpochAdvanced() {
-	if o == nil {
-		return
-	}
-	o.reconfigEpochs.Add(1)
-}
-
 // StaleRejected records one operation fenced with rep.ErrStaleEpoch.
 func (o *Observer) StaleRejected() {
 	if o == nil {
@@ -191,24 +127,8 @@ func (o *Observer) WitnessVotes(n int) {
 	o.witnessVotes.Add(uint64(n))
 }
 
-// Storage returns a snapshot of the storage-fault counters.
-func (o *Observer) Storage() StorageStats {
-	if o == nil {
-		return StorageStats{}
-	}
-	return StorageStats{
-		Salvages:         o.walSalvages.Load(),
-		SalvagedRecords:  o.salvagedRecords.Load(),
-		QuarantinedBytes: o.quarantinedBytes.Load(),
-		Rebuilds:         o.rebuilds.Load(),
-		RebuildEntries:   o.rebuildEntries.Load(),
-	}
-}
-
 // ReconfigStats is a snapshot of the reconfiguration counters.
 type ReconfigStats struct {
-	// Epochs counts committed configuration-epoch transitions.
-	Epochs uint64
 	// StaleRejections counts operations fenced with rep.ErrStaleEpoch.
 	StaleRejections uint64
 	// WitnessVotes counts read-quorum votes served by witness replicas.
@@ -221,7 +141,6 @@ func (o *Observer) Reconfig() ReconfigStats {
 		return ReconfigStats{}
 	}
 	return ReconfigStats{
-		Epochs:          o.reconfigEpochs.Load(),
 		StaleRejections: o.staleRejections.Load(),
 		WitnessVotes:    o.witnessVotes.Load(),
 	}
@@ -343,24 +262,6 @@ func (o *Observer) Register(reg *Registry) {
 	reg.Gauge("repdir_neighbor_probes_per_delete",
 		"Mean neighbor probes per committed Delete (Figure 12 message count).",
 		o.ProbesPerDelete)
-	reg.Counter("repdir_storage_salvages_total",
-		"WAL recoveries that stopped before a clean EOF and quarantined a tail.",
-		o.walSalvages.Load)
-	reg.Counter("repdir_storage_salvaged_records_total",
-		"Valid records recovered by WAL salvage scans.",
-		o.salvagedRecords.Load)
-	reg.Counter("repdir_storage_quarantined_bytes_total",
-		"Unreadable WAL tail bytes moved to quarantine sidecars.",
-		o.quarantinedBytes.Load)
-	reg.Counter("repdir_storage_rebuilds_total",
-		"Replicas opened empty and rebuilt from a quorum of peers.",
-		o.rebuilds.Load)
-	reg.Counter("repdir_storage_rebuild_entries_total",
-		"Entries installed on rebuilding replicas by rebuild-from-peers.",
-		o.rebuildEntries.Load)
-	reg.Counter("repdir_reconfig_epochs_total",
-		"Configuration-epoch transitions committed by reconfiguration.",
-		o.reconfigEpochs.Load)
 	reg.Counter("repdir_reconfig_stale_rejections_total",
 		"Operations fenced for carrying a stale configuration epoch.",
 		o.staleRejections.Load)

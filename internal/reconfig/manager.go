@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repdir/internal/core"
-	"repdir/internal/obs"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/version"
@@ -47,7 +46,6 @@ type Manager struct {
 	suiteOpts func(quorum.Config) []core.Option
 	selSeed   int64
 	onChange  func(Record, *core.Suite)
-	obs       *obs.Observer
 
 	mu    sync.Mutex
 	suite *core.Suite
@@ -83,9 +81,6 @@ func WithSelectorSeed(seed int64) Option { return func(m *Manager) { m.selSeed =
 func WithOnChange(f func(Record, *core.Suite)) Option {
 	return func(m *Manager) { m.onChange = f }
 }
-
-// WithObserver wires epoch transitions into an observer. Nil is fine.
-func WithObserver(o *obs.Observer) Option { return func(m *Manager) { m.obs = o } }
 
 // NewManager builds a manager over a seed configuration. The seed is
 // the bootstrap connection set: the record, once it exists, is
@@ -387,7 +382,6 @@ func (m *Manager) Init(ctx context.Context) (Record, error) {
 		}
 		return Record{}, err
 	}
-	m.obs.EpochAdvanced()
 	if err := m.fenceEpoch(ctx, epoch, init.Current.Members, init.Current); err != nil {
 		return Record{}, err
 	}

@@ -150,7 +150,6 @@ func (m *Manager) Reconfigure(ctx context.Context, change Change) (Record, error
 	if err := m.casWriteRecord(ctx, writeSuite, rec.Epoch, jrec); err != nil {
 		return Record{}, err
 	}
-	m.obs.EpochAdvanced()
 
 	return m.completeJoint(ctx, jrec)
 }
@@ -207,7 +206,6 @@ func (m *Manager) completeJoint(ctx context.Context, jrec Record) (Record, error
 	if err := m.casWriteRecord(ctx, js, jrec.Epoch, srec); err != nil {
 		return Record{}, err
 	}
-	m.obs.EpochAdvanced()
 	// Fence the stable epoch. The blocking side is again the old one:
 	// joint quorums need old-side votes, so blocking the old side blocks
 	// joint-epoch stragglers too; removed members are part of the union

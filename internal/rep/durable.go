@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"repdir/internal/lock"
-	"repdir/internal/obs"
 	"repdir/internal/wal"
 )
 
@@ -184,7 +183,6 @@ type DurableOption func(*durableConfig)
 type durableConfig struct {
 	policy   wal.SyncPolicy
 	recovery RecoveryPolicy
-	obs      *obs.Observer
 	repOpts  []Option
 }
 
@@ -200,13 +198,6 @@ func WithSyncPolicy(p wal.SyncPolicy) DurableOption {
 // WithRecovery selects the recovery policy (default RecoverStrict).
 func WithRecovery(p RecoveryPolicy) DurableOption {
 	return func(c *durableConfig) { c.recovery = p }
-}
-
-// WithDurableObserver wires recovery events (salvages, quarantined
-// bytes, rebuilds) into an observer's storage counters. A nil observer
-// is fine.
-func WithDurableObserver(o *obs.Observer) DurableOption {
-	return func(c *durableConfig) { c.obs = o }
 }
 
 // WithRepOptions forwards representative options (e.g. AsWitness) to
@@ -286,7 +277,6 @@ func OpenDurable(name, walPath string, opts ...DurableOption) (*Rep, *Durability
 			if err := wal.Quarantine(walPath, salvage); err != nil {
 				return nil, nil, err
 			}
-			cfg.obs.SalvageObserved(salvage.Records, salvage.QuarantinedBytes)
 		}
 		if rebuild {
 			if err := archiveCorrupt(walPath); err != nil {
@@ -295,7 +285,6 @@ func OpenDurable(name, walPath string, opts ...DurableOption) (*Rep, *Durability
 			fresh = true
 			report.Rebuilt = true
 			report.NeedsRepair = true
-			cfg.obs.RebuildStarted()
 		}
 	}
 	if fresh {

@@ -145,9 +145,6 @@ type ChaosResult struct {
 	StorageLosses, RecordsLost, Rebuilds int
 	// Rebuild is the total work of those rebuild passes.
 	Rebuild core.RepairStats
-	// Storage is the run's storage-recovery metric counters (the same
-	// counters a production observer would export).
-	Storage obs.StorageStats
 	// Reconfigs counts completed configuration changes across shards;
 	// Epochs sums the final configuration epoch over shards; StaleProbes
 	// counts old-epoch clients observed to fail loudly with
@@ -158,8 +155,8 @@ type ChaosResult struct {
 	Epochs      uint64
 	StaleProbes int
 	ChurnEvents []string
-	// Reconfig is the run's reconfiguration metric counters (the same
-	// counters a production observer would export).
+	// Reconfig is what the suites' observer counted: operations fenced
+	// with rep.ErrStaleEpoch and read-quorum votes served by witnesses.
 	Reconfig obs.ReconfigStats
 	// Converged reports that after the convergence passes finished,
 	// every replica physically held every current entry at an identical
@@ -198,6 +195,9 @@ type chaosHarness struct {
 	managers []*reconfig.Manager
 	churn    *churnPlan
 	wireErr  error
+	// retired holds the suites an epoch change replaced, whose
+	// operations the accounting still covers.
+	retired []*core.Suite
 }
 
 // buildChaosHarness constructs the per-shard machinery. With one shard
@@ -265,7 +265,6 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 			manager, err := reconfig.NewManager(qcfg,
 				reconfig.WithSuiteOptions(suiteOpts),
 				reconfig.WithSelectorSeed(selSeed),
-				reconfig.WithObserver(h.observer),
 				reconfig.WithOnChange(func(_ reconfig.Record, s *core.Suite) {
 					h.rewireShard(shardIdx, s)
 				}),
@@ -336,16 +335,15 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 // allInDoubt returns the union of every shard's in-doubt transactions,
 // sorted for deterministic resolution order.
 func (h *chaosHarness) allInDoubt() []lock.TxnID {
-	if len(h.injectors) == 1 {
-		return h.injectors[0].InDoubt()
-	}
 	seen := make(map[lock.TxnID]bool)
 	var out []lock.TxnID
 	for _, in := range h.injectors {
-		for _, id := range in.InDoubt() {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
+		for _, m := range in.Members() {
+			for _, id := range m.InDoubt() {
+				if !seen[id] {
+					seen[id] = true
+					out = append(out, id)
+				}
 			}
 		}
 	}
@@ -353,16 +351,16 @@ func (h *chaosHarness) allInDoubt() []lock.TxnID {
 	return out
 }
 
-// resolve runs cooperative termination across every shard at once. A
-// cross-shard transaction's participants live under different
-// injectors, and a safe decision needs all of them: resolving with one
-// shard's members alone could abort that shard's prepared participant
-// while another shard's had already committed. Single-shard harnesses
-// delegate to the injector unchanged.
+// resolve runs cooperative termination (txn.Resolve) for every in-doubt
+// transaction, across every shard at once. A cross-shard transaction's
+// participants live under different injectors, and a safe decision
+// needs all of them: resolving with one shard's members alone could
+// abort that shard's prepared participant while another shard's had
+// already committed. It must only run while no coordinator is live.
+// Transactions that cannot be decided yet (some participant is down and
+// none committed) are left for a later pass. It returns how many
+// participants it drove to a decision.
 func (h *chaosHarness) resolve(ctx context.Context) (finished int, err error) {
-	if len(h.injectors) == 1 {
-		return h.injectors[0].Resolve(ctx)
-	}
 	for _, id := range h.allInDoubt() {
 		res, rerr := txn.Resolve(ctx, id, h.allDirs)
 		finished += len(res.Finished)
@@ -379,20 +377,50 @@ func (h *chaosHarness) resolve(ctx context.Context) (finished int, err error) {
 	return finished, err
 }
 
-// abortStrays sweeps stray locks on every shard. Presumed abort is a
-// per-participant decision (an unprepared participant can never be part
-// of a committed transaction, cross-shard or not), so the per-injector
-// sweep stays sound under sharding.
+// abortStrays sweeps every member's never-prepared transactions with a
+// unilateral Abort, reclaiming the locks of operations abandoned while
+// the member was unreachable, whose Abort never arrived. Presumed abort
+// makes this safe ONLY while no coordinator is live (a live
+// coordinator's transaction is indistinguishable from a stray), and
+// per participant: an unprepared one is never part of a committed
+// transaction, cross-shard or not. It returns the number aborted.
 func (h *chaosHarness) abortStrays(ctx context.Context) (int, error) {
-	total := 0
+	aborted := 0
 	for _, in := range h.injectors {
-		n, err := in.AbortStrays(ctx)
-		total += n
-		if err != nil {
-			return total, err
+		for _, m := range in.Members() {
+			for _, id := range m.Strays() {
+				if err := m.Abort(ctx, id); err != nil {
+					if errors.Is(err, transport.ErrUnavailable) {
+						continue // down again; a later pass can retry
+					}
+					return aborted, fmt.Errorf("abort stray txn %d at %s: %w", id, m.Name(), err)
+				}
+				aborted++
+			}
 		}
 	}
-	return total, nil
+	return aborted, nil
+}
+
+// settle is the operator's checkpoint between workload operations: end
+// every open fault window in every shard (restarting crashed members
+// from their logs), settle in-doubt transactions, and sweep stray
+// locks, so that what runs next can assemble quorums and is not blocked
+// behind leaked locks. The periodic count, the storage phase and the
+// churn phase run it. The fault schedule counts calls, so these calls'
+// order is part of every seed's replay. It returns the participants
+// resolved and the strays aborted.
+func (h *chaosHarness) settle(ctx context.Context) (resolved, strays int, err error) {
+	for _, in := range h.injectors {
+		if err := in.Heal(); err != nil {
+			return 0, 0, err
+		}
+	}
+	if resolved, err = h.resolve(ctx); err != nil {
+		return resolved, 0, err
+	}
+	strays, err = h.abortStrays(ctx)
+	return resolved, strays, err
 }
 
 // drain waits until no release round is still in flight, so that no
@@ -560,10 +588,9 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		// router counting shards outside one consistent transaction
 		// could observe half of a cross-shard upsert and drift outside
 		// the bounds. Counting needs to read-lock the whole keyspace,
-		// so first checkpoint the topology the way an operator would:
-		// end open fault windows, settle in-doubt commits, and sweep
-		// stray locks — a count attempted mid-outage just times out and
-		// asserts nothing. The plan reopens fresh windows with the very
+		// so first settle the topology the way an operator would — a
+		// count attempted mid-outage just times out and asserts
+		// nothing. The plan reopens fresh windows with the very
 		// next calls, so the chaos resumes immediately. Failures are
 		// still tolerated (a window can reopen mid-count).
 		if (op+1)%250 == 0 {
@@ -573,22 +600,12 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 			var n int
 			cerr := errors.New("count never attempted")
 			for try := 0; try < 3 && cerr != nil; try++ {
-				for _, in := range h.injectors {
-					if err := in.Heal(); err != nil {
-						return res, err
-					}
-				}
-				if rn, rerr := h.resolve(context.Background()); true {
-					res.Resolved += rn
-					if rerr != nil {
-						return res, rerr
-					}
-				}
-				strays, err := h.abortStrays(context.Background())
+				resolved, strays, err := h.settle(context.Background())
+				res.Resolved += resolved
+				res.StraysAborted += strays
 				if err != nil {
 					return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name(), err)
 				}
-				res.StraysAborted += strays
 				cctx, ccancel := context.WithTimeout(context.Background(), chaosOpTimeout)
 				n, cerr = h.dir.Count(cctx)
 				ccancel()
@@ -713,8 +730,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 			res.Faults.StorageLosses += s.StorageLosses
 		}
 	}
-	res.Storage = h.observer.Storage()
-	for i, s := range h.suites {
+	for _, s := range append(h.retired, h.suites...) {
 		st := s.Stats()
 		addSuiteStats(&res.Suite, st)
 		// Every operation a suite accepted must land in exactly one
@@ -722,9 +738,10 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 		// counter. (Router transactions attach to suites without going
 		// through their counters, so the identity holds per suite.)
 		if got := st.Commits + st.Failures + st.Cancelled; got != st.Calls {
+			qc := s.Config()
 			res.Violations = append(res.Violations, fmt.Sprintf(
-				"accounting: shard %d: commits %d + failures %d + cancelled %d != calls %d",
-				i, st.Commits, st.Failures, st.Cancelled, st.Calls))
+				"accounting: suite of %s at epoch %d: commits %d + failures %d + cancelled %d != calls %d",
+				qc.Members[0].Dir.Name(), qc.Epoch, st.Commits, st.Failures, st.Cancelled, st.Calls))
 		}
 	}
 	if h.router != nil {
@@ -765,10 +782,6 @@ func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
 	for _, m := range members[:minority] {
 		res.RecordsLost += m.LoseStorage()
 		res.StorageLosses++
-		// The victim restarts empty-handed in recovering mode, as
-		// rep.OpenDurable opens a replica under RecoverRebuild, and is
-		// counted the same way.
-		h.observer.RebuildStarted()
 	}
 	// A rebuild pass is one repair transaction over the whole key
 	// range, about 210 member calls at this harness's 48 keys, and the
@@ -787,30 +800,16 @@ func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
 			if attempt >= rebuildAttempts {
 				return fmt.Errorf("storage phase: rebuild of %s would not complete: %w", m.Name(), lastErr)
 			}
-			// End every open window, in every shard — the
-			// operator-intervention analogue: the victim restarts from
-			// its damaged log in recovering mode (refusing reads until
-			// rebuilt), everyone else comes back intact, so this rebuild
-			// attempt can assemble read quorums instead of waiting out
-			// call-counted fault windows, and cross-shard in-doubt
-			// transactions can reach every participant. Fresh windows
-			// the plan opens mid-attempt fail that attempt; the next one
-			// heals them again.
-			for _, in := range h.injectors {
-				if err := in.Heal(); err != nil {
-					return fmt.Errorf("storage phase: %w", err)
-				}
-			}
-			// A damaged log may have forgotten prepares and aborts:
-			// settle in-doubt transactions and sweep stray locks so the
-			// rebuild's repair transactions are not blocked behind them.
-			// No coordinator is live between workload operations, so both
-			// sweeps are safe here.
-			if _, err := h.resolve(ctx); err != nil {
-				return err
-			}
-			if _, err := h.abortStrays(ctx); err != nil {
-				return err
+			// Settle every shard: the victim restarts from its damaged
+			// log in recovering mode (refusing reads until rebuilt),
+			// everyone else comes back intact, so this rebuild attempt
+			// can assemble read quorums instead of waiting out
+			// call-counted fault windows; and a damaged log may have
+			// forgotten prepares and aborts, whose locks would block the
+			// rebuild's repair transactions. Fresh windows the plan opens
+			// mid-attempt fail that attempt; the next one settles again.
+			if _, _, err := h.settle(ctx); err != nil {
+				return fmt.Errorf("storage phase: %w", err)
 			}
 			st, err := repairRetrying(ctx, h.suites[shardIdx], m)
 			if err != nil {
@@ -822,7 +821,6 @@ func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
 			}
 			res.Rebuilds++
 			res.Rebuild.Add(st)
-			h.observer.RebuildProgress(st.Copied + st.Freshened)
 			m.RebuildDone()
 			break
 		}

@@ -165,10 +165,9 @@ func churnApplied(cfg ChaosConfig, shard int, step churnStep, rec reconfig.Recor
 }
 
 // churnPhase applies one scheduled step to every shard with
-// operator-style retries: each attempt first checkpoints the topology
-// (heal open fault windows, settle in-doubt commits, sweep stray
-// locks), resumes any pending transition, and only then drives the
-// change. After the switch it probes that a client still holding the
+// operator-style retries: each attempt first settles the topology
+// (chaosHarness.settle), resumes any pending transition, and only then
+// drives the change. After the switch it probes that a client still holding the
 // old configuration fails loudly with rep.ErrStaleEpoch — the
 // "clients must not mix configurations" invariant, asserted live under
 // the fault schedule.
@@ -210,22 +209,13 @@ func churnPhase(h *chaosHarness, cfg ChaosConfig, op int, step churnStep, res *C
 					in.Suspend(true)
 				}
 			}
-			// Operator checkpoint, mirroring the storage phase: end fault
-			// windows in every shard so quorums and fences can assemble,
-			// and clear transaction debris so reconfiguration's own
+			// Settle every shard, as the storage phase does, so quorums
+			// and fences can assemble and reconfiguration's own
 			// transactions are not blocked behind leaked locks. Fresh
 			// windows the plan opens mid-attempt fail the attempt; the
-			// next one heals them again.
-			for _, in := range h.injectors {
-				if herr := in.Heal(); herr != nil {
-					return fmt.Errorf("churn: %w", herr)
-				}
-			}
-			if _, rerr := h.resolve(ctx); rerr != nil {
-				return rerr
-			}
-			if _, serr := h.abortStrays(ctx); serr != nil {
-				return serr
+			// next one settles again.
+			if _, _, serr := h.settle(ctx); serr != nil {
+				return fmt.Errorf("churn: %w", serr)
 			}
 			// Resume first: a prior attempt may have committed the joint
 			// record and died, in which case the change is already in
@@ -303,11 +293,13 @@ func churnPhase(h *chaosHarness, cfg ChaosConfig, op int, step churnStep, res *C
 // rewireShard is the manager's OnChange hook for one shard: point the
 // harness — suite slot, router — at the freshly installed
 // configuration, so the workload and the later convergence phase drive
-// the epoch in force rather than a superseded one.
+// the epoch in force rather than a superseded one. The superseded suite
+// is kept for the run's accounting.
 func (h *chaosHarness) rewireShard(shard int, s *core.Suite) {
 	if shard >= len(h.suites) {
 		return // manager bootstrap; the harness wires slots right after Init
 	}
+	h.retired = append(h.retired, h.suites[shard])
 	h.suites[shard] = s
 	if h.router != nil {
 		if _, err := h.router.SetSuite(shard, s); err != nil && h.wireErr == nil {
