@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race benchall benchtest workload overload raceoverload chaos crash shard reconfig obsdeps
+.PHONY: check vet build test race benchall benchtest workload overload raceoverload chaos crash shard reconfig obsdeps seedlines
 
 check: vet obsdeps build race shard crash chaos reconfig workload overload raceoverload benchtest
 
@@ -43,11 +43,21 @@ race:
 # (20 seeds x 10000 ops). Then the same checker under contention: eight
 # clients on eight shared keys while replicas crash and recover, and the
 # writes that build on a remembered version instead of reading it
-# (racing suites, stale hints).
+# (racing suites, stale hints). A change that should not alter what
+# the soaks do diffs `make seedlines` at its parent and at itself.
 chaos:
 	$(GO) test -race -count 1 -run 'TestChaosSoak' -v .
 	$(GO) test -race -count 3 -run 'TestChaosConcurrentClients' .
 	$(GO) test -race -count 3 -run 'TestHintedWritesLinearizePerKey' -v ./internal/core/
+
+# The summary lines of the four single-client soaks, and nothing else:
+# each seed's `seed N:` line and each churn run's `events:` line, with
+# the test's file:line prefix cut so an edit to chaos_test.go does not
+# show, plus any FAIL line. The soaks are deterministic per seed, so the
+# same code prints the same lines. Not part of check.
+seedlines:
+	@$(GO) test -count 1 -run '^(TestChaosSoak|TestChaosSoakSharded|TestChaosSoakChurn|TestChaosSoakChurnSharded)$$' -v . | \
+		grep -Eo '(seed [0-9]+:|events:).*|^(--- )?FAIL.*'
 
 # Sharding gate: the router/suite equivalence suite (every traversal op
 # against the same data through a router and through one suite must

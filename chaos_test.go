@@ -296,12 +296,12 @@ func TestChaosSoakChurn(t *testing.T) {
 			if res.StaleProbes != 3 {
 				t.Errorf("seed %d: %d stale-epoch probes fenced, want 3", seed, res.StaleProbes)
 			}
-			if res.Reconfig.StaleRejections == 0 {
+			if res.Suite.StaleEpochRejections == 0 {
 				t.Errorf("seed %d: no stale-epoch rejection ever counted", seed)
 			}
 			// The witness must actually have served read-quorum votes
 			// after joining (workload plus final audit reads).
-			if res.Reconfig.WitnessVotes == 0 {
+			if res.Suite.WitnessVotes == 0 {
 				t.Errorf("seed %d: witness never served a read-quorum vote", seed)
 			}
 			// The usual soak guarantees still hold under churn.
@@ -324,7 +324,7 @@ func TestChaosSoakChurn(t *testing.T) {
 				"crashes=%d partitions=%d restarts=%d healed=%d timeouts=%d\nevents: %v",
 				seed, res.Applied, res.Observed, res.Indeterminate, res.AuditedKeys,
 				res.Reconfigs, res.Epochs, res.StaleProbes,
-				res.Reconfig.StaleRejections, res.Reconfig.WitnessVotes,
+				res.Suite.StaleEpochRejections, res.Suite.WitnessVotes,
 				res.Faults.Crashes+res.Faults.CrashAfters, res.Faults.Partitions,
 				res.Faults.Restarts, res.Heal.Copied+res.Heal.Freshened, res.Timeouts,
 				res.ChurnEvents)
@@ -369,7 +369,7 @@ func TestChaosSoakChurnSharded(t *testing.T) {
 	t.Logf("seed %d: applied=%d audited=%d xshard=%d reconfigs=%d epochs=%d "+
 		"staleprobes=%d witnessvotes=%d timeouts=%d\nevents: %v",
 		seed, res.Applied, res.AuditedKeys, res.CrossShardTxns, res.Reconfigs,
-		res.Epochs, res.StaleProbes, res.Reconfig.WitnessVotes, res.Timeouts, res.ChurnEvents)
+		res.Epochs, res.StaleProbes, res.Suite.WitnessVotes, res.Timeouts, res.ChurnEvents)
 }
 
 // TestChaosChurnDeterministic replays one churn seed twice and

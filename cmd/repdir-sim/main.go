@@ -13,7 +13,7 @@
 //	repdir-sim -experiment chaos   # fault-injection soak (crash/partition/duplicate)
 //	repdir-sim -experiment heal    # lookup cost of a down member + anti-entropy recovery curve
 //	repdir-sim -experiment storage # crash points, salvage recovery curve, rebuild throughput
-//	repdir-sim -experiment traffic # live instrumented traffic with a Delete trace
+//	repdir-sim -experiment traffic # live traffic: messages/op, probes per delete, latency
 //	repdir-sim -experiment workload # open-loop workload mixes with SLO verdicts
 //	repdir-sim -experiment overload # overload curve: goodput plateau + bounded tail past saturation
 //	repdir-sim -experiment all     # everything
@@ -29,8 +29,10 @@
 //	repdir-sim -experiment traffic -duration 5m -obs.addr :8080 &
 //	curl localhost:8080/metrics
 //
-// The traffic experiment registers its live suite with that endpoint;
-// -duration stretches its workload long enough to scrape mid-run.
+// Only the traffic experiment registers anything with that endpoint —
+// its suite's event counters, its members' call counters and call
+// latency histograms; under the others /metrics stays empty. -duration
+// stretches its workload long enough to scrape mid-run.
 package main
 
 import (

@@ -30,10 +30,11 @@ func TestRunSmallExperiments(t *testing.T) {
 	}
 }
 
-// TestRunTrafficServesMetrics is the end-to-end check of the
-// observability wiring: a short traffic run with -obs.addr must serve a
-// Prometheus exposition carrying the live suite's histograms and
-// paper-metric gauges while the workload is still running.
+// TestRunTrafficServesMetrics is the end-to-end check of the metrics
+// wiring: a short traffic run with -obs.addr must serve a Prometheus
+// exposition carrying the suite's event counters, the members' call
+// counters and their call latency histograms while the workload is
+// still running.
 func TestRunTrafficServesMetrics(t *testing.T) {
 	// Reserve an ephemeral port, release it, and hand it to the flag.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -50,13 +51,12 @@ func TestRunTrafficServesMetrics(t *testing.T) {
 	}()
 
 	// Scrape mid-run until the exposition is populated: a family's header
-	// is there from the start, but a sample only once an operation has
-	// been counted, and rep0's only once a quorum has included it.
+	// is there from the start, but a member's samples only once a quorum
+	// has included it.
 	wanted := []string{
-		"repdir_ops_total{op=",
-		"# TYPE repdir_op_latency_seconds histogram",
-		"repdir_messages_per_op{op=",
 		"repdir_suite_events_total{event=\"commits\"}",
+		"repdir_rep_ops_total{member=\"rep0\",op=\"lookups\"}",
+		"# TYPE repdir_rep_call_latency_seconds histogram",
 		"repdir_rep_call_latency_seconds_bucket{member=\"rep0\",op=\"lookup\"",
 	}
 	missing := wanted

@@ -47,9 +47,7 @@ func (tx *Tx) delete(ctx context.Context, key string) (version.V, error) {
 	tx.replies = slots(tx.replies, len(readers))
 	n := min(tx.suite.fanout, rep.MaxBatch) // each side; the wire admits no more
 	tx.round = round{kind: callAround, ctx: tx.mark(ctx, rep.AroundMark), key: x, n: n}
-	sp := tx.span("delete-read", key)
 	tx.fanOut(readers)
-	sp.End()
 	if err := tx.roundError(readers, tx.errs, "neighborhood of", x); err != nil {
 		return version.Lowest, err
 	}
@@ -82,7 +80,6 @@ func (tx *Tx) delete(ctx context.Context, key string) (version.V, error) {
 	// whether it holds them; the others are asked, in one round — about
 	// both bounds whatever they are, which also makes the transaction
 	// known to them before the coalesce.
-	boundSpan := tx.span("bound-copy", key)
 	// One element per call, and which bound each call is about.
 	tx.asked, tx.askedFor, tx.copies, tx.copied = tx.asked[:0], tx.askedFor[:0], tx.copies[:0], tx.copied[:0]
 	for _, m := range writers {
@@ -120,21 +117,18 @@ func (tx *Tx) delete(ctx context.Context, key string) (version.V, error) {
 		}
 		tx.mutated = true
 	}
-	boundSpan.End()
 
 	// Coalesce the range in each member of the quorum.
 	// In a point write the coalesce is the last thing the transaction
 	// sends a member, and the reads above have made the transaction
 	// known to every one of them: it carries the prepare. That puts a
 	// log force inside the call, so the calls go out as a round.
-	coalesceSpan := tx.span("coalesce", key)
 	tx.round = round{kind: callCoalesce, ctx: ctx, key: pred.key, hi: succ.key, ver: ver.Next()}
 	if tx.shape == pointWrite {
 		tx.round.ctx = tx.mark(ctx, rep.PrepareMark)
 	}
 	tx.coalesced = slots(tx.coalesced, len(writers))
 	tx.fanOut(writers)
-	coalesceSpan.End()
 	if err := tx.roundError(writers, tx.errs, "coalesce around", x); err != nil {
 		return version.Lowest, err
 	}
@@ -145,7 +139,7 @@ func (tx *Tx) delete(ctx context.Context, key string) (version.V, error) {
 			tx.txn.Voted(m.Dir)
 		}
 	}
-	if tx.suite.metrics == nil && tx.suite.obs == nil {
+	if tx.suite.metrics == nil {
 		return ver.Next(), nil // nobody to report the section 4 statistics to
 	}
 	obs := DeleteObservation{

@@ -33,7 +33,7 @@ import (
 // two-phase commit.
 func (s *Suite) AttachTx(t *txn.Txn, exclude quorum.Set) *Tx {
 	tx := s.acquire()
-	tx.begin(t, manyOps, exclude, nil)
+	tx.begin(t, manyOps, exclude)
 	return tx
 }
 

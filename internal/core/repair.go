@@ -91,7 +91,7 @@ func RepairReplica(ctx context.Context, s *Suite, target rep.Directory, opts Rep
 		var batch RepairStats
 		var next keyspace.Key
 		done := false
-		err := s.runTxn(ctx, OpRepair, repairOps, func(tx *Tx) error {
+		err := s.runTxn(ctx, repairOps, func(tx *Tx) error {
 			batch = RepairStats{}
 			done = false
 			members, err := tx.readQuorum()
@@ -146,7 +146,6 @@ func repairSegment(ctx context.Context, tx *Tx, target rep.Directory, lo keyspac
 	}
 	if !nb.key.IsHigh() {
 		stats.Scanned++
-		tx.msgs++
 		have, err := target.Lookup(ctx, tx.txn.ID, nb.key)
 		if errors.Is(err, rep.ErrRecovering) {
 			have = rep.LookupResult{}
@@ -160,7 +159,6 @@ func repairSegment(ctx context.Context, tx *Tx, target rep.Directory, lo keyspac
 			} else {
 				stats.Copied++
 			}
-			tx.msgs++
 			if err := target.Insert(ctx, tx.txn.ID, nb.key, nb.ver, nb.value); err != nil {
 				tx.noteFailure(target.Name(), err)
 				return err
@@ -168,7 +166,6 @@ func repairSegment(ctx context.Context, tx *Tx, target rep.Directory, lo keyspac
 			tx.mutated = true
 		}
 	}
-	tx.msgs++
 	if _, err := target.Coalesce(ctx, tx.txn.ID, lo, nb.key, nb.maxGap); err != nil {
 		if errors.Is(err, rep.ErrMissingBound) {
 			// lo vanished from the target since we installed it — a

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repdir/internal/lock"
-	"repdir/internal/obs"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
@@ -133,8 +132,8 @@ func TestShedSurfacesWithoutRetry(t *testing.T) {
 
 // TestPointReadFailsOverOnRefusal: a point read whose read-quorum member
 // sheds its probe asks the spare store member instead, inside the same
-// round. The read succeeds, nothing is retried, and the operation counts
-// the spare's message. Two refusals share the one spare, so that read
+// round. The read succeeds, nothing is retried, and each of the three
+// members is asked once. Two refusals share the one spare, so that read
 // fails with the refusal. A read in a transaction of another shape,
 // whose calls leave locks, does not fail over; nor does a point read
 // that lost a member, which is retried without it.
@@ -143,10 +142,9 @@ func TestPointReadFailsOverOnRefusal(t *testing.T) {
 	sheds := []*shedDir{newShedDir(rep.New("A")), newShedDir(rep.New("B")), newShedDir(rep.New("C"))}
 	dirs := []rep.Directory{sheds[0], sheds[1], sheds[2]}
 	cfg := quorum.NewUniform(dirs, 2, 2)
-	o := obs.NewObserver(obs.ObserverConfig{})
 	// The sticky selector reads {A, B}: C is the spare. The two probes
 	// of a round, and their failovers, run at once.
-	suite, err := NewSuite(cfg, WithSelector(quorum.NewStickySelector(cfg)), WithObserver(o), WithParallelQuorum(true))
+	suite, err := NewSuite(cfg, WithSelector(quorum.NewStickySelector(cfg)), WithParallelQuorum(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +175,6 @@ func TestPointReadFailsOverOnRefusal(t *testing.T) {
 	}
 	if got := suite.Stats().Retries; got != retries {
 		t.Fatalf("the failover was retried %d times", got-retries)
-	}
-	recent := o.Tracer().Recent()
-	if last := recent[len(recent)-1]; last.Op != "lookup" || last.Messages != 3 {
-		t.Fatalf("last trace %s with %d messages; want a lookup with 3", last.Op, last.Messages)
 	}
 
 	sheds[1].on.Store(true)
@@ -220,7 +214,8 @@ func TestPointReadFailsOverOnRefusal(t *testing.T) {
 // cannot take its place — the read set would no longer meet every write
 // quorum — and a witness has no values to answer with, so in both cases
 // the refusal stands and the spare is not asked. A spare with as many
-// votes takes the place of a member with as few.
+// votes takes the place of a member with as few. A lookup adds its read
+// quorum's witness votes to SuiteStats.WitnessVotes, and only those.
 func TestFailoverSpares(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -241,8 +236,17 @@ func TestFailoverSpares(t *testing.T) {
 				{Dir: sheds[0], Votes: 2}, {Dir: sheds[1], Votes: 1},
 				{Dir: sheds[2], Votes: c.c.Votes, Witness: c.c.Witness},
 			}, R: c.r, W: c.w}
-			// The sticky selector reads {A, B}: C is the one candidate.
-			suite, err := NewSuite(cfg, WithSelector(quorum.NewStickySelector(cfg)))
+			// Reads go to {A, B}: C is the one candidate. Writes go to
+			// {A, B} too, as the sticky selector's would, unless W needs C:
+			// with fewer_votes C then lacks "k", so the last read ranks A's
+			// entry above C's empty reply.
+			write := []int{0, 1}
+			if c.c.Witness {
+				write = []int{0, 1, 2}
+			}
+			script := &scriptSelector{cfg: cfg}
+			script.set([]int{0, 1}, write)
+			suite, err := NewSuite(cfg, WithSelector(script))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,10 +263,20 @@ func TestFailoverSpares(t *testing.T) {
 			if got := sheds[2].lookups.Load(); got != before {
 				t.Fatalf("C was asked in place of A")
 			}
+			sheds[0].on.Store(false)
 			if c.c.Witness {
+				if got := suite.Stats().WitnessVotes; got != 0 {
+					t.Fatalf("%d witness votes before any read quorum held C", got)
+				}
+				script.set([]int{0, 2}, write)
+				if v, found, err := suite.Lookup(ctx, "k"); err != nil || !found || v != "v" {
+					t.Fatalf("point read at A and the witness = %q, %v, %v; want the value", v, found, err)
+				}
+				if got := suite.Stats().WitnessVotes; got != 2 {
+					t.Fatalf("a read quorum holding the 2-vote witness added %d witness votes, want 2", got)
+				}
 				return
 			}
-			sheds[0].on.Store(false)
 			sheds[1].on.Store(true)
 			if v, found, err := suite.Lookup(ctx, "k"); err != nil || !found || v != "v" {
 				t.Fatalf("point read with B (1 vote) shedding = %q, %v, %v; want the value from A and C", v, found, err)

@@ -14,7 +14,6 @@ import (
 
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
-	"repdir/internal/obs"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
@@ -194,12 +193,11 @@ func (d *tapedDir) Status(ctx context.Context, id lock.TxnID) (rep.TxnStatus, er
 }
 
 // tapedSuite is a healthy 3-2-2 suite whose representatives A, B, C
-// record on one tape, with an observer for the suite's own count.
+// record on one tape.
 type tapedSuite struct {
 	suite *Suite
 	reps  []*rep.Rep
 	tape  *tape
-	obs   *obs.Observer
 	rec   *recorder
 }
 
@@ -209,7 +207,7 @@ type tapedSuite struct {
 // seeded random selector.
 func newTapedSuite(t *testing.T, tcp bool, seed int64, sel func(quorum.Config) quorum.Selector, opts ...Option) *tapedSuite {
 	t.Helper()
-	ts := &tapedSuite{tape: &tape{}, obs: obs.NewObserver(obs.ObserverConfig{}), rec: &recorder{}}
+	ts := &tapedSuite{tape: &tape{}, rec: &recorder{}}
 	dirs := make([]rep.Directory, 3)
 	for i, name := range []string{"A", "B", "C"} {
 		r := rep.New(name)
@@ -236,7 +234,7 @@ func newTapedSuite(t *testing.T, tcp bool, seed int64, sel func(quorum.Config) q
 	if sel != nil {
 		s = sel(cfg)
 	}
-	opts = append([]Option{WithSelector(s), WithObserver(ts.obs), WithMetrics(ts.rec), WithLocalReads("B")}, opts...)
+	opts = append([]Option{WithSelector(s), WithMetrics(ts.rec), WithLocalReads("B")}, opts...)
 	suite, err := NewSuite(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -247,8 +245,8 @@ func newTapedSuite(t *testing.T, tcp bool, seed int64, sel func(quorum.Config) q
 }
 
 // run performs one operation and returns the calls it made, release or
-// commit round included, having checked that the suite's own message
-// count for it, and the representatives' counters, say the same.
+// commit round included, having checked that the representatives'
+// counters say the same.
 func (ts *tapedSuite) run(t *testing.T, what string, op func() error) []tapedCall {
 	t.Helper()
 	if err := ts.suite.Drain(context.Background()); err != nil {
@@ -263,10 +261,6 @@ func (ts *tapedSuite) run(t *testing.T, what string, op func() error) []tapedCal
 		t.Fatal(err)
 	}
 	calls := ts.tape.take()
-	recent := ts.obs.Tracer().Recent()
-	if got := recent[len(recent)-1].Messages; got != len(calls) {
-		t.Errorf("%s: the suite counted %d messages, the representatives served %d: %v", what, got, len(calls), kinds(calls))
-	}
 	if got := ts.served() - before; got != uint64(len(calls)) {
 		t.Errorf("%s: the representatives' counters went up by %d, they served %d calls: %v", what, got, len(calls), kinds(calls))
 	}
@@ -384,9 +378,6 @@ func TestPointOperationRounds(t *testing.T) {
 						t.Errorf("%s: read %v, wrote %v, committed %v: want one pair of members", what(w.op), readers, writers, committed)
 					}
 				}
-				if got := ts.obs.MessagesPerOp(OpUpdate); got != 4 {
-					t.Errorf("seed %d: messages per update = %v, want 4", seed, got)
-				}
 
 				// Every member moves d past the version the suite knows, as
 				// a write through another suite and a repair would: the
@@ -455,14 +446,6 @@ func TestPointOperationRounds(t *testing.T) {
 					}
 				}
 				ts.idle(t, what("all"))
-
-				// The observer's per-operation mean is the same count.
-				if got := ts.obs.MessagesPerOp(OpLookup); got != 2 {
-					t.Errorf("seed %d: messages per lookup = %v, want 2", seed, got)
-				}
-				if got := ts.obs.MessagesPerOp(OpLocalLookup); got != 1 {
-					t.Errorf("seed %d: messages per local lookup = %v, want 1", seed, got)
-				}
 			}
 			if tc.seeds >= 40 && (deletesWithoutCopies == 0 || deletesWithoutCopies == int(tc.seeds)) {
 				t.Errorf("%d of %d deletes copied no bound; want both kinds covered", deletesWithoutCopies, tc.seeds)
@@ -557,12 +540,6 @@ func TestRangeOperationRounds(t *testing.T) {
 					}
 				}
 				ts.idle(t, what("all"))
-
-				for op, want := range map[string]float64{OpScan: 4, OpCount: float64(2*readRounds + 2), OpDelete: 6} {
-					if got := ts.obs.MessagesPerOp(op); got != want {
-						t.Errorf("seed %d: messages per %s = %v, want %v", seed, op, got, want)
-					}
-				}
 			}
 		})
 	}

@@ -191,10 +191,8 @@ func (r *run) next(ctx context.Context, n int) (neighbor, error) {
 					r.ask, r.which = append(r.ask, m), append(r.which, i)
 				}
 			}
-			sp := r.tx.span("neighbors", r.at.Raw())
 			r.tx.round = round{kind: callNeighbors, ctx: ctx, run: r, n: n}
 			r.tx.fanOut(r.ask)
-			sp.End()
 			r.rpcs += len(r.ask)
 			if err := r.tx.roundError(r.members, r.errs, "neighbors of", r.at); err != nil {
 				return neighbor{}, err

@@ -33,7 +33,7 @@ func (s *Suite) Scan(ctx context.Context, after string, limit int) ([]KV, error)
 
 // scan runs fn, one of the scans, as a transaction of its own.
 func (s *Suite) scan(ctx context.Context, fn func(tx *Tx) ([]KV, error)) (out []KV, err error) {
-	err = s.runTxn(ctx, OpScan, manyOps, func(tx *Tx) (err error) {
+	err = s.runTxn(ctx, manyOps, func(tx *Tx) (err error) {
 		out, err = fn(tx)
 		return err
 	})
@@ -152,7 +152,7 @@ func (tx *Tx) ScanReverseSpan(ctx context.Context, before keyspace.Key, limit in
 // locked out of changing mid-walk) or after it — never half-observed. It costs one round per page of rep.MaxBatch entries;
 // the release round is sent as it returns, as Scan's is.
 func (s *Suite) Count(ctx context.Context) (n int, err error) {
-	err = s.runTxn(ctx, OpCount, manyOps, func(tx *Tx) (err error) {
+	err = s.runTxn(ctx, manyOps, func(tx *Tx) (err error) {
 		n, err = tx.Count(ctx)
 		return err
 	})

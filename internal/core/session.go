@@ -36,18 +36,13 @@ var ErrNoLocalMember = errors.New("core: suite has no local read member")
 // current for data written through this suite.
 func WithLocalReads(member string) Option { return func(s *Suite) { s.localMember = member } }
 
-// OpLocalLookup labels single-member local reads in traces and
-// histograms, distinct from quorum lookups so the read-path win is
-// measurable per operation.
-const OpLocalLookup = "lookup-local"
-
 // LookupV is Lookup plus the winning version: the entry's version when
 // found, the winning gap version otherwise. Sessions use it to advance
 // monotonic-read floors from quorum reads. It costs one round of R
 // messages: see pointRead.
 func (s *Suite) LookupV(ctx context.Context, key string) (string, bool, version.V, error) {
 	var res rep.LookupResult
-	err := s.runTxn(ctx, OpLookup, pointRead, func(tx *Tx) (err error) {
+	err := s.runTxn(ctx, pointRead, func(tx *Tx) (err error) {
 		res, err = tx.lookup(ctx, key)
 		return err
 	})
@@ -59,7 +54,7 @@ func (s *Suite) LookupV(ctx context.Context, key string) (string, bool, version.
 // key's version, and three, read first, where it does not: see
 // pointWrite.
 func (s *Suite) InsertV(ctx context.Context, key, value string) (ver version.V, err error) {
-	err = s.runTxn(ctx, OpInsert, pointWrite, func(tx *Tx) (err error) {
+	err = s.runTxn(ctx, pointWrite, func(tx *Tx) (err error) {
 		ver, err = tx.write(ctx, key, value, false)
 		return err
 	})
@@ -68,7 +63,7 @@ func (s *Suite) InsertV(ctx context.Context, key, value string) (ver version.V, 
 
 // UpdateV is Update plus the version the replacement was written with.
 func (s *Suite) UpdateV(ctx context.Context, key, value string) (ver version.V, err error) {
-	err = s.runTxn(ctx, OpUpdate, pointWrite, func(tx *Tx) (err error) {
+	err = s.runTxn(ctx, pointWrite, func(tx *Tx) (err error) {
 		ver, err = tx.write(ctx, key, value, true)
 		return err
 	})
@@ -77,7 +72,7 @@ func (s *Suite) UpdateV(ctx context.Context, key, value string) (ver version.V, 
 
 // DeleteV is Delete plus the version of the gap written over the key.
 func (s *Suite) DeleteV(ctx context.Context, key string) (ver version.V, err error) {
-	err = s.runTxn(ctx, OpDelete, pointWrite, func(tx *Tx) (err error) {
+	err = s.runTxn(ctx, pointWrite, func(tx *Tx) (err error) {
 		ver, err = tx.delete(ctx, key)
 		return err
 	})
@@ -98,16 +93,13 @@ func (s *Suite) LocalLookup(ctx context.Context, key string) (string, bool, vers
 		return "", false, version.Lowest, ErrNoLocalMember
 	}
 	var res rep.LookupResult
-	err := s.runTxn(ctx, OpLocalLookup, pointRead, func(tx *Tx) error {
+	err := s.runTxn(ctx, pointRead, func(tx *Tx) error {
 		k, err := validateKey(key)
 		if err != nil {
 			return err
 		}
 		d := s.local
-		tx.msgs++
-		sp := tx.span("local-read", k.Raw())
 		res, err = d.Lookup(tx.mark(ctx, rep.OneShotMark), tx.txn.ID, k)
-		sp.End()
 		if err != nil {
 			tx.noteFailure(d.Name(), err)
 			return fmt.Errorf("local lookup %s at %s: %w", k, d.Name(), err)

@@ -1,6 +1,10 @@
 package core
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repdir/internal/obs"
+)
 
 // SuiteStats counts transaction-level events on a Suite. All fields are
 // cumulative since the suite was created.
@@ -32,6 +36,9 @@ type SuiteStats struct {
 	// representative (rep.ErrStaleEpoch); the suite must be rebuilt from
 	// the current configuration record.
 	StaleEpochRejections uint64
+	// WitnessVotes counts read-quorum votes served by zero-data witness
+	// replicas: each lookup's read quorum adds its witnesses' votes.
+	WitnessVotes uint64
 }
 
 // suiteCounters is the mutable, atomic backing store.
@@ -44,6 +51,7 @@ type suiteCounters struct {
 	dies          atomic.Uint64
 	replicaLosses atomic.Uint64
 	staleEpoch    atomic.Uint64
+	witnessVotes  atomic.Uint64
 }
 
 // snapshot freezes the counters.
@@ -57,10 +65,33 @@ func (c *suiteCounters) snapshot() SuiteStats {
 		Dies:                 c.dies.Load(),
 		ReplicaLosses:        c.replicaLosses.Load(),
 		StaleEpochRejections: c.staleEpoch.Load(),
+		WitnessVotes:         c.witnessVotes.Load(),
 	}
 }
 
 // Stats returns a snapshot of the suite's transaction counters.
 func (s *Suite) Stats() SuiteStats {
 	return s.counters.snapshot()
+}
+
+// RegisterMetrics exposes every SuiteStats counter on reg as one
+// repdir_suite_events_total sample, labelled by event kind, for the
+// Prometheus text endpoint.
+func (s *Suite) RegisterMetrics(reg *obs.Registry) {
+	reg.CounterMap("repdir_suite_events_total",
+		"Cumulative suite transaction events, by event kind.",
+		"event", func() map[string]uint64 {
+			st := s.Stats()
+			return map[string]uint64{
+				"calls":                  st.Calls,
+				"commits":                st.Commits,
+				"failures":               st.Failures,
+				"cancelled":              st.Cancelled,
+				"retries":                st.Retries,
+				"dies":                   st.Dies,
+				"replica_losses":         st.ReplicaLosses,
+				"stale_epoch_rejections": st.StaleEpochRejections,
+				"witness_votes":          st.WitnessVotes,
+			}
+		})
 }

@@ -56,7 +56,6 @@ import (
 
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
-	"repdir/internal/obs"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
@@ -89,7 +88,6 @@ type Suite struct {
 	maxRetries int
 	fanout     int
 	parallel   bool
-	obs        *obs.Observer
 	counters   suiteCounters
 	hints      hints
 	// localMember, when set (WithLocalReads), names the store member
@@ -117,7 +115,7 @@ func WithSelector(sel quorum.Selector) Option { return func(s *Suite) { s.sel = 
 // consistent transaction age order.
 func WithIDSource(ids *txn.IDSource) Option { return func(s *Suite) { s.ids = ids } }
 
-// WithMetrics installs an observer for the paper's section 4 deletion
+// WithMetrics installs a collector for the paper's section 4 deletion
 // statistics.
 func WithMetrics(m Metrics) Option { return func(s *Suite) { s.metrics = m } }
 
@@ -228,7 +226,7 @@ func (s *Suite) RunInTxn(ctx context.Context, fn func(tx *Tx) error) error {
 	// never a later operation's.
 	tx := s.acquire()
 	tx.kept = true
-	return s.run(ctx, OpTxn, manyOps, tx, fn)
+	return s.run(ctx, manyOps, tx, fn)
 }
 
 // acquire returns a Tx to run an operation in: one left by an earlier
@@ -244,9 +242,6 @@ func (s *Suite) acquire() *Tx {
 	tx := &Tx{suite: s}
 	tx.own.Parallel = s.parallel
 	tx.own.Landed = tx.landed
-	if s.obs != nil {
-		tx.own.Phase = tx.observePhase
-	}
 	return tx
 }
 
@@ -262,7 +257,7 @@ func (s *Suite) release(tx *Tx) {
 	for i := range tx.runs {
 		clear(tx.runs[i].replies)
 	}
-	tx.txn, tx.trace, tx.round, tx.marked = nil, nil, round{}, rep.Marked{}
+	tx.txn, tx.round, tx.marked = nil, round{}, rep.Marked{}
 	s.idleMu.Lock()
 	s.idle = append(s.idle, tx)
 	s.idleMu.Unlock()
@@ -317,43 +312,21 @@ const (
 	pointWrite
 )
 
-// Operation labels used for traces and per-operation histograms.
-const (
-	OpLookup = "lookup"
-	OpInsert = "insert"
-	OpUpdate = "update"
-	OpDelete = "delete"
-	OpScan   = "scan"
-	OpCount  = "count"
-	OpTxn    = "txn"
-	OpRepair = "repair"
-)
-
 // runTxn runs one of the suite's own operations: fn is the package's,
 // and lets go of the Tx when it returns.
-func (s *Suite) runTxn(ctx context.Context, op string, shape txShape, fn func(tx *Tx) error) error {
-	return s.run(ctx, op, shape, s.acquire(), fn)
+func (s *Suite) runTxn(ctx context.Context, shape txShape, fn func(tx *Tx) error) error {
+	return s.run(ctx, shape, s.acquire(), fn)
 }
 
-// run is RunInTxn plus the operation label (for traces and histograms),
-// the transaction's shape, and the Tx to run it in, attempt after
-// attempt; the Tx goes back when the operation is over, or when its
-// release round is.
+// run is RunInTxn plus the transaction's shape and the Tx to run it in,
+// attempt after attempt; the Tx goes back when the operation is over,
+// or when its release round is.
 //
 // Every call ends up in exactly one of the commits, failures, or
 // cancelled counters, so SuiteStats always satisfies
 // Commits + Failures + Cancelled == Calls at rest.
-func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn func(tx *Tx) error) (err error) {
+func (s *Suite) run(ctx context.Context, shape txShape, tx *Tx, fn func(tx *Tx) error) error {
 	s.counters.calls.Add(1)
-	trace := s.obs.StartTrace(op)
-	msgs := 0
-	if s.obs != nil {
-		start := time.Now()
-		defer func() {
-			trace.Finish(err, msgs)
-			s.obs.OpDone(op, time.Since(start), msgs, err)
-		}()
-	}
 	released := false
 	defer func() {
 		if !released {
@@ -376,13 +349,9 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 		// so a dead attempt's two-phase-commit outcome can never be
 		// confused with a live one.
 		tx.own.Reset(txn.AttemptID(base, attempt))
-		tx.begin(&tx.own, shape, exclude, trace)
+		tx.begin(&tx.own, shape, exclude)
 		// A retry reads what it writes on: the hint may be what failed.
 		tx.hinted = attempt == 0
-		var retrySpan obs.SpanHandle
-		if attempt > 0 {
-			retrySpan = trace.StartSpan("retry")
-		}
 		err := fn(tx)
 		// A success whose last round cannot change its result — a
 		// read-only one, and a point write once it has voted — sends that
@@ -397,8 +366,6 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 		case !release:
 			_ = tx.txn.Abort(ctx)
 		}
-		msgs += tx.msgs
-		retrySpan.End()
 		if err == nil {
 			s.counters.commits.Add(1)
 			tx.flushMetrics()
@@ -408,7 +375,7 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 			if release { // the Tx is its release round's from here
 				s.releasing.Add(1)
 				released = true
-				msgs += tx.txn.Release(ctx)
+				tx.txn.Release(ctx)
 			}
 			return nil
 		}
@@ -423,7 +390,6 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 			// succeed. The error surfaces to the caller (reconfig.Manager
 			// refreshes the configuration and retries there).
 			s.counters.staleEpoch.Add(1)
-			s.obs.StaleRejected()
 		}
 		if !Retryable(err) {
 			s.counters.failures.Add(1)
@@ -436,9 +402,7 @@ func (s *Suite) run(ctx context.Context, op string, shape txShape, tx *Tx, fn fu
 		// can finish; the transaction keeps its timestamp and therefore
 		// ages toward immunity.
 		if errors.Is(err, lock.ErrDie) {
-			sp := trace.StartSpan("wait-die-backoff")
 			Backoff(ctx, attempt)
-			sp.End()
 		}
 	}
 	s.counters.failures.Add(1)

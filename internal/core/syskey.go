@@ -32,7 +32,7 @@ func isSystemKey(k keyspace.Key) bool {
 // read like Lookup: no lock outlives the call.
 func (s *Suite) SysLookup(ctx context.Context, key string) (string, bool, error) {
 	var res rep.LookupResult
-	err := s.runTxn(ctx, OpLookup, pointRead, func(tx *Tx) (err error) {
+	err := s.runTxn(ctx, pointRead, func(tx *Tx) (err error) {
 		res, err = tx.suiteLookup(ctx, keyspace.New(key))
 		return err
 	})

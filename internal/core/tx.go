@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
-	"time"
 
 	"repdir/internal/keyspace"
-	"repdir/internal/obs"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
@@ -43,13 +40,6 @@ type Tx struct {
 	// exclude are the members earlier attempts lost, by index.
 	exclude quorum.Set
 	kept    bool // handed to a caller's fn (RunInTxn): never released
-
-	// trace is the enclosing operation's trace (nil when the suite has
-	// no observer; every method on a nil trace no-ops). msgs counts the
-	// representative messages this attempt sent — the paper's section 4
-	// cost unit — and is folded into the operation total by runTxn.
-	trace *obs.Trace
-	msgs  int
 
 	// shape is what the suite promised about the transaction (suite.go).
 	shape txShape
@@ -92,9 +82,9 @@ type Tx struct {
 
 // begin readies the Tx for one attempt: transaction t, which is own
 // under a fresh ID or a coordinator's.
-func (tx *Tx) begin(t *txn.Txn, shape txShape, exclude quorum.Set, trace *obs.Trace) {
-	tx.txn, tx.shape, tx.exclude, tx.trace = t, shape, exclude, trace
-	tx.msgs, tx.read, tx.failed, tx.mutated, tx.hinted = 0, 0, 0, false, false
+func (tx *Tx) begin(t *txn.Txn, shape txShape, exclude quorum.Set) {
+	tx.txn, tx.shape, tx.exclude = t, shape, exclude
+	tx.read, tx.failed, tx.mutated, tx.hinted = 0, 0, false, false
 	tx.observations, tx.learned = tx.observations[:0], tx.learned[:0]
 }
 
@@ -122,31 +112,6 @@ func (tx *Tx) mark(ctx context.Context, m rep.Marks) context.Context {
 	return &tx.marked
 }
 
-// span opens a trace span named "name detail" when tracing is on; the
-// two-part form keeps the string concatenation off untraced paths. The
-// zero SpanHandle it returns otherwise is a no-op.
-func (tx *Tx) span(name, detail string) obs.SpanHandle {
-	if tx.trace == nil {
-		return obs.SpanHandle{}
-	}
-	if detail != "" {
-		name = name + " " + detail
-	}
-	return tx.trace.StartSpan(name)
-}
-
-// observePhase is the txn.Txn Phase hook: it counts the round's
-// messages, opens a 2PC span, and feeds the phase histogram.
-func (tx *Tx) observePhase(phase string, participants int) func() {
-	tx.msgs += participants
-	sp := tx.span("2pc-"+phase, "")
-	start := time.Now()
-	return func() {
-		sp.End()
-		tx.suite.obs.PhaseDone(phase, time.Since(start))
-	}
-}
-
 // isUnavailable reports whether an error means the member cannot serve
 // this round: unreachable over the transport, or alive but refusing
 // reads while it rebuilds lost storage (rep.ErrRecovering). Both are
@@ -170,13 +135,11 @@ func (tx *Tx) landed() { tx.suite.release(tx); tx.suite.releasing.Add(-1) }
 // flushMetrics reports buffered observations once the transaction has
 // committed, before a release round may take the Tx.
 func (tx *Tx) flushMetrics() {
+	if tx.suite.metrics == nil {
+		return
+	}
 	for _, o := range tx.observations {
-		if tx.suite.metrics != nil {
-			tx.suite.metrics.ObserveDelete(o)
-		}
-		tx.suite.obs.DeleteObserved(o.NeighborRPCs,
-			o.PredecessorWalkSteps+o.SuccessorWalkSteps,
-			o.GhostDeletions, o.Insertions)
+		tx.suite.metrics.ObserveDelete(o)
 	}
 }
 
@@ -273,13 +236,9 @@ func (tx *Tx) suiteLookup(ctx context.Context, key keyspace.Key) (rep.LookupResu
 	for _, m := range members {
 		tx.joinReader(m.Dir)
 	}
-	sp := tx.span("quorum-read", key.Raw())
 	tx.replies = slots(tx.replies, len(members))
-	taken := indexes(members) | tx.exclude
-	tx.round = round{kind: callLookup, ctx: ctx, key: key, taken: taken}
+	tx.round = round{kind: callLookup, ctx: ctx, key: key, taken: indexes(members) | tx.exclude}
 	tx.fanOut(members)
-	tx.msgs += bits.OnesCount64(uint64(tx.round.taken &^ taken))
-	sp.End()
 	if err := tx.roundError(members, tx.errs, "lookup", key); err != nil {
 		return rep.LookupResult{}, err
 	}
@@ -342,7 +301,7 @@ func (tx *Tx) resolve(ctx context.Context, key keyspace.Key, members []member, r
 				wv += m.Votes
 			}
 		}
-		tx.suite.obs.WitnessVotes(wv)
+		tx.suite.counters.witnessVotes.Add(uint64(wv))
 	}
 	// A witness holds versions but no values: when the winning entry
 	// reply came from one, chase the value from a store member before
@@ -374,15 +333,12 @@ func (tx *Tx) resolve(ctx context.Context, key keyspace.Key, members []member, r
 // unavailability, not a semantic failure.
 func (tx *Tx) chaseValue(ctx context.Context, key keyspace.Key, best rep.LookupResult, members []member) (rep.LookupResult, error) {
 	skip := indexes(members) | tx.exclude
-	sp := tx.span("witness-chase", key.Raw())
-	defer sp.End()
 	var lastErr error
 	for _, m := range tx.suite.members {
 		if m.Witness || skip.Has(m.idx) {
 			continue
 		}
 		tx.joinReader(m.Dir)
-		tx.msgs++
 		res, err := m.Dir.Lookup(ctx, tx.txn.ID, key)
 		if err != nil {
 			tx.noteFailure(m.Dir.Name(), err)
@@ -503,7 +459,6 @@ func (tx *Tx) call(i int) {
 // multi-message frame at the shared member connection, which is the
 // only layer that sees cross-transaction traffic.
 func (tx *Tx) fanOut(members []member) {
-	tx.msgs += len(members)
 	tx.round.to = members
 	tx.errs = slots(tx.errs, len(members))
 	if !tx.suite.parallel || len(members) < 2 {
@@ -636,9 +591,7 @@ func (tx *Tx) writeEntry(ctx context.Context, key keyspace.Key, ver version.V, v
 	if tx.read != 0 {
 		tx.round.prepared = tx.mark(ctx, rep.PrepareMark|expect)
 	}
-	sp := tx.span("quorum-write", key.Raw())
 	tx.fanOut(members)
-	sp.End()
 	if err := tx.roundError(members, tx.errs, "insert", key); err != nil {
 		return err
 	}

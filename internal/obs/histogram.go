@@ -1,15 +1,10 @@
-// Package obs is the suite's observability layer: lightweight
-// per-operation traces, fixed log-bucket latency histograms, and a
-// Prometheus-text exposition registry, all stdlib-only (enforced by
-// `make obsdeps`). The package deliberately knows nothing about the
-// directory suite — core and transport emit into it through
-// plain values and callbacks, so obs sits at the bottom of the
-// dependency order next to keyspace and version.
-//
-// Everything here is designed to be safe to leave wired in production
-// paths: histograms are a handful of atomic adds per observation, and
-// every trace entry point is nil-receiver safe, so an unconfigured
-// suite pays only a nil check.
+// Package obs is the metrics layer: fixed log-bucket latency and size
+// histograms, and a Prometheus-text exposition registry, all
+// stdlib-only (enforced by `make obsdeps`). The package deliberately
+// knows nothing about the directory suite — core, transport and the
+// binaries register callbacks that read counters they already keep, so
+// obs sits at the bottom of the dependency order next to keyspace and
+// version. A histogram observation is a handful of atomic adds.
 package obs
 
 import (
@@ -232,16 +227,6 @@ func (v *CounterVec) Add(label string, n uint64) {
 		v.mu.Unlock()
 	}
 	c.Add(n)
-}
-
-// Get returns the label's current count (0 for unknown labels).
-func (v *CounterVec) Get(label string) uint64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if c, ok := v.m[label]; ok {
-		return c.Load()
-	}
-	return 0
 }
 
 // Snapshot copies every label's count.

@@ -212,10 +212,7 @@ func TestCounterVec(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := v.Get("ops"); got != 1000 {
-		t.Errorf("ops = %d", got)
-	}
-	if got := v.Get("absent"); got != 0 {
-		t.Errorf("absent = %d", got)
+	if got := v.Snapshot(); len(got) != 1 || got["ops"] != 1000 {
+		t.Errorf("snapshot = %v, want ops 1000 and nothing else", got)
 	}
 }

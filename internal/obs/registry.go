@@ -12,7 +12,7 @@ import (
 	"sync"
 )
 
-// Sample is one labeled value of a counter or gauge family. Labels are
+// Sample is one labeled value of a counter family. Labels are
 // positional, matching the label names the family was registered with.
 type Sample struct {
 	Labels []string
@@ -76,20 +76,9 @@ func (r *Registry) Counter(name, help string, fn func() uint64) {
 		collect: func() []Sample { return []Sample{{Value: float64(fn())}} }})
 }
 
-// Gauge registers an unlabeled gauge read from fn.
-func (r *Registry) Gauge(name, help string, fn func() float64) {
-	r.add(family{name: name, help: help, kind: "gauge",
-		collect: func() []Sample { return []Sample{{Value: fn()}} }})
-}
-
 // CounterVec registers a labeled counter family collected from fn.
 func (r *Registry) CounterVec(name, help string, labels []string, fn func() []Sample) {
 	r.add(family{name: name, help: help, kind: "counter", labels: labels, collect: fn})
-}
-
-// GaugeVec registers a labeled gauge family collected from fn.
-func (r *Registry) GaugeVec(name, help string, labels []string, fn func() []Sample) {
-	r.add(family{name: name, help: help, kind: "gauge", labels: labels, collect: fn})
 }
 
 // HistogramVec registers a labeled histogram family collected from fn.
@@ -105,19 +94,6 @@ func (r *Registry) CounterMap(name, help, label string, fn func() map[string]uin
 		out := make([]Sample, 0, len(m))
 		for l, v := range m {
 			out = append(out, Sample{Labels: []string{l}, Value: float64(v)})
-		}
-		return out
-	})
-}
-
-// GaugeMap registers a one-label gauge family collected from a
-// label→value map.
-func (r *Registry) GaugeMap(name, help, label string, fn func() map[string]float64) {
-	r.GaugeVec(name, help, []string{label}, func() []Sample {
-		m := fn()
-		out := make([]Sample, 0, len(m))
-		for l, v := range m {
-			out = append(out, Sample{Labels: []string{l}, Value: v})
 		}
 		return out
 	})

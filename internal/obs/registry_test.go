@@ -76,11 +76,10 @@ func validatePrometheus(t *testing.T, r io.Reader) map[string]float64 {
 func TestRegistryExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test_ops_total", "Total ops.", func() uint64 { return 42 })
-	reg.Gauge("test_depth", "Queue depth.", func() float64 { return 2.5 })
 	reg.CounterMap("test_events_total", "Events by kind.", "kind",
 		func() map[string]uint64 { return map[string]uint64{"a": 1, "b": 2} })
-	reg.GaugeMap("test_state", `States with "quotes" and \slashes\.`, "member",
-		func() map[string]float64 { return map[string]float64{`m"1\`: 3} })
+	reg.CounterMap("test_state_total", `States with "quotes" and \slashes\.`, "member",
+		func() map[string]uint64 { return map[string]uint64{`m"1\`: 3} })
 	var h Histogram
 	h.Observe(time.Microsecond)
 	h.Observe(500 * time.Microsecond)
@@ -99,13 +98,10 @@ func TestRegistryExposition(t *testing.T) {
 	if samples["test_ops_total"] != 42 {
 		t.Errorf("counter = %v", samples["test_ops_total"])
 	}
-	if samples["test_depth"] != 2.5 {
-		t.Errorf("gauge = %v", samples["test_depth"])
-	}
 	if samples[`test_events_total{kind="a"}`] != 1 || samples[`test_events_total{kind="b"}`] != 2 {
 		t.Errorf("labeled counter missing: %v", text)
 	}
-	if samples[`test_state{member="m\"1\\"}`] != 3 {
+	if samples[`test_state_total{member="m\"1\\"}`] != 3 {
 		t.Errorf("escaped label missing from:\n%s", text)
 	}
 	if samples["test_latency_seconds_count"] != 3 {

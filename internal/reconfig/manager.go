@@ -62,7 +62,7 @@ type Option func(*Manager)
 func WithResolver(r Resolver) Option { return func(m *Manager) { m.resolver = r } }
 
 // WithSuiteOptions supplies the core.Option set for every suite the
-// manager builds (selector, parallelism, observer). It is called once
+// manager builds (selector, parallelism). It is called once
 // per configuration change with the new configuration. For joint
 // configurations the manager appends its own JointSelector after these
 // options, since only it enforces the two-sided thresholds.

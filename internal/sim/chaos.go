@@ -14,7 +14,6 @@ import (
 	"repdir/internal/fault"
 	"repdir/internal/lock"
 	"repdir/internal/model"
-	"repdir/internal/obs"
 	"repdir/internal/quorum"
 	"repdir/internal/reconfig"
 	"repdir/internal/rep"
@@ -133,7 +132,9 @@ type ChaosResult struct {
 	// member, so Faults.Calls includes the harness's own resolve and
 	// stray-sweep calls.
 	Faults fault.Stats
-	// Suite-level transaction counters, summed over shards.
+	// Suite-level transaction counters, summed over every suite any
+	// shard ran, those an epoch change retired and a manager's transient
+	// ones included: stale-epoch fences and witness votes among them.
 	Suite core.SuiteStats
 	// AuditedKeys is how many keys the final audit checked.
 	AuditedKeys int
@@ -155,9 +156,6 @@ type ChaosResult struct {
 	Epochs      uint64
 	StaleProbes int
 	ChurnEvents []string
-	// Reconfig is what the suites' observer counted: operations fenced
-	// with rep.ErrStaleEpoch and read-quorum votes served by witnesses.
-	Reconfig obs.ReconfigStats
 	// Converged reports that after the convergence passes finished,
 	// every replica physically held every current entry at an identical
 	// (version, value), and nothing else.
@@ -185,7 +183,6 @@ type chaosHarness struct {
 	injectors []*fault.Injector
 	suites    []*core.Suite
 	allDirs   []rep.Directory // every member of every shard
-	observer  *obs.Observer
 	router    *shard.Router
 	dir       chaosDirectory
 	// Churn machinery (nil/empty unless ChaosConfig.Churn): one
@@ -195,9 +192,11 @@ type chaosHarness struct {
 	managers []*reconfig.Manager
 	churn    *churnPlan
 	wireErr  error
-	// retired holds the suites an epoch change replaced, whose
-	// operations the accounting still covers.
-	retired []*core.Suite
+	// built holds every suite the harness or a manager built, those an
+	// epoch change replaced and a manager's transient ones included: the
+	// accounting covers their operations. Suites are built on the one
+	// goroutine that drives the workload and the churn schedule.
+	built []*core.Suite
 }
 
 // buildChaosHarness constructs the per-shard machinery. With one shard
@@ -211,7 +210,7 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		return nil, fmt.Errorf("sim: chaos %s: %d shards need at least %d keys, have %d",
 			cfg.Name(), cfg.Shards, cfg.Shards, chaosKeys)
 	}
-	h := &chaosHarness{observer: obs.NewObserver(obs.ObserverConfig{NoTrace: true})}
+	h := &chaosHarness{}
 	if cfg.Churn {
 		plan, err := newChurnPlan(cfg)
 		if err != nil {
@@ -245,7 +244,7 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 				core.WithSelector(quorum.NewRandomSelector(qc, selSeed)),
 				core.WithMaxRetries(chaosMaxRetries),
 				core.WithParallelQuorum(true),
-				core.WithObserver(h.observer),
+				func(s *core.Suite) { h.built = append(h.built, s) },
 			}
 		}
 		var suite *core.Suite
@@ -730,7 +729,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 			res.Faults.StorageLosses += s.StorageLosses
 		}
 	}
-	for _, s := range append(h.retired, h.suites...) {
+	for _, s := range h.built {
 		st := s.Stats()
 		addSuiteStats(&res.Suite, st)
 		// Every operation a suite accepted must land in exactly one
@@ -750,7 +749,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	for _, m := range h.managers {
 		res.Epochs += m.Epoch()
 	}
-	res.Reconfig = h.observer.Reconfig()
 	return res, nil
 }
 
@@ -764,6 +762,7 @@ func addSuiteStats(dst *core.SuiteStats, s core.SuiteStats) {
 	dst.Dies += s.Dies
 	dst.ReplicaLosses += s.ReplicaLosses
 	dst.StaleEpochRejections += s.StaleEpochRejections
+	dst.WitnessVotes += s.WitnessVotes
 }
 
 // storagePhase corrupts a minority of one shard's members' logs mid-run

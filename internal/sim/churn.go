@@ -293,13 +293,11 @@ func churnPhase(h *chaosHarness, cfg ChaosConfig, op int, step churnStep, res *C
 // rewireShard is the manager's OnChange hook for one shard: point the
 // harness — suite slot, router — at the freshly installed
 // configuration, so the workload and the later convergence phase drive
-// the epoch in force rather than a superseded one. The superseded suite
-// is kept for the run's accounting.
+// the epoch in force rather than a superseded one.
 func (h *chaosHarness) rewireShard(shard int, s *core.Suite) {
 	if shard >= len(h.suites) {
 		return // manager bootstrap; the harness wires slots right after Init
 	}
-	h.retired = append(h.retired, h.suites[shard])
 	h.suites[shard] = s
 	if h.router != nil {
 		if _, err := h.router.SetSuite(shard, s); err != nil && h.wireErr == nil {

@@ -17,11 +17,10 @@ import (
 	"repdir/internal/workload"
 )
 
-// TrafficConfig parameterizes the live-traffic experiment: a fully
-// instrumented suite (observer, per-member call stats) driven by a
-// mixed workload for a wall-clock duration, so an operator can scrape
-// /metrics and inspect traces against something that behaves like a
-// real deployment.
+// TrafficConfig parameterizes the live-traffic experiment: a suite whose
+// members are timed call by call, driven by a mixed workload for a
+// wall-clock duration, so an operator can scrape /metrics against
+// something that behaves like a real deployment.
 type TrafficConfig struct {
 	// Entries is the directory size seeded before the mixed phase.
 	Entries int
@@ -32,9 +31,9 @@ type TrafficConfig struct {
 	// every time rather than silently becoming seed 1.
 	Seed int64
 	// Registry, when non-nil, receives every metric family the run
-	// exports (suite counters, op and per-member call latency
-	// histograms, rep counters) before traffic starts — pass the registry
-	// an obs.Server is already scraping to watch the run live.
+	// exports (suite counters, rep counters, per-member call latency
+	// histograms) before traffic starts — pass the registry an
+	// obs.Server is already scraping to watch the run live.
 	Registry *obs.Registry
 }
 
@@ -56,14 +55,18 @@ func (c TrafficConfig) withDefaults() TrafficConfig {
 	return c
 }
 
-// TrafficResult reports the run's accounting plus one rendered Delete
-// trace, the per-operation observability the tables elsewhere in this
-// package summarize away.
+// TrafficResult reports the run's accounting, by operation type where
+// the tables elsewhere in this package summarize it away.
 type TrafficResult struct {
-	Config   TrafficConfig
+	Config TrafficConfig
+	// Ops counts the mixed phase's operations by type; Messages is the
+	// mean member calls each sent, its release or commit round included
+	// (the paper's section 4 cost unit), counted by the members that
+	// serve them.
 	Ops      map[string]uint64
-	Suite    core.SuiteStats
 	Messages map[string]float64
+	// Suite is the suite's own accounting, the seeding inserts included.
+	Suite core.SuiteStats
 	// ProbesPerDelete is the live counterpart of the paper's section 4
 	// neighbor-probe cost column.
 	ProbesPerDelete float64
@@ -75,9 +78,6 @@ type TrafficResult struct {
 	// delay coordinated omission hides.
 	Response obs.HistogramSnapshot
 	Service  obs.HistogramSnapshot
-	// DeleteTrace is the most recent Delete's span timeline, rendered by
-	// obs.FormatTrace (empty if the workload never deleted).
-	DeleteTrace string
 }
 
 // callTimer is the transport hook behind repdir_rep_call_latency_seconds:
@@ -116,9 +116,9 @@ func (t *callTimer) samples(out []obs.HistSample) []obs.HistSample {
 	return out
 }
 
-// RunTraffic drives a mixed workload against an instrumented 3-2-2
-// suite for the configured duration. All four single-key operations
-// plus scans run in a seeded random mix.
+// RunTraffic drives a mixed workload against a 3-2-2 suite for the
+// configured duration. All four single-key operations plus scans run in
+// a seeded random mix.
 func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 	cfg = cfg.withDefaults()
 	res := TrafficResult{Config: cfg}
@@ -135,10 +135,10 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 	}
 	qc := quorum.NewUniform(dirs, 2, 2)
 
-	observer := obs.NewObserver(obs.ObserverConfig{})
+	deletes := &collector{}
 	suite, err := core.NewSuite(qc,
 		core.WithSelector(quorum.NewRandomSelector(qc, cfg.Seed)),
-		core.WithObserver(observer),
+		core.WithMetrics(deletes),
 	)
 	if err != nil {
 		return res, err
@@ -189,13 +189,13 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 			} else if !found {
 				return "", fmt.Errorf("sim: traffic key %s vanished", k)
 			}
-			return core.OpLookup, nil
+			return "lookup", nil
 		case r < 7: // update
 			k := live[rng.Intn(len(live))]
 			if err := suite.Update(ctx, k, fmt.Sprintf("v%d", op)); err != nil {
 				return "", fmt.Errorf("sim: traffic update %s: %w", k, err)
 			}
-			return core.OpUpdate, nil
+			return "update", nil
 		case r < 8: // insert a fresh key
 			k := fmt.Sprintf("key-%05d", next)
 			next++
@@ -203,7 +203,7 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 				return "", fmt.Errorf("sim: traffic insert %s: %w", k, err)
 			}
 			live = append(live, k)
-			return core.OpInsert, nil
+			return "insert", nil
 		case r < 9 && len(live) > 1: // delete, keeping the set non-empty
 			i := rng.Intn(len(live))
 			k := live[i]
@@ -212,12 +212,12 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 			}
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
-			return core.OpDelete, nil
+			return "delete", nil
 		default: // short scan
 			if _, err := suite.Scan(ctx, live[rng.Intn(len(live))], 8); err != nil {
 				return "", fmt.Errorf("sim: traffic scan: %w", err)
 			}
-			return core.OpScan, nil
+			return "scan", nil
 		}
 	}
 
@@ -226,6 +226,19 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 	// client got around to it. This run used to measure service time
 	// only, which understated the tail whenever the suite fell behind
 	// the offered load.
+	//
+	// An operation's messages are the calls the members served while it
+	// ran: the one client runs on a sequential quorum, so each
+	// operation's release or commit round has landed by the time it
+	// returns.
+	calls := func() (n uint64) {
+		for _, r := range reps {
+			c := r.Counters()
+			n += c.Lookups + c.NeighborProbes + c.Inserts + c.Coalesces + c.Prepares + c.Commits + c.Aborts
+		}
+		return n
+	}
+	msgs := map[string]uint64{}
 	rec := workload.NewRecorder()
 	interval := time.Second / trafficRate
 	startAt := time.Now()
@@ -238,23 +251,16 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 		if d := time.Until(intended); d > 0 {
 			time.Sleep(d)
 		}
-		execStart := time.Now()
+		execStart, before := time.Now(), calls()
 		label, err := doOp(n)
 		if err != nil {
 			return res, err
 		}
 		rec.Record(label, intended, execStart, time.Now())
+		msgs[label] += calls() - before
 	}
 	res.Response = rec.Response()
 	res.Service = rec.Service()
-
-	recent := observer.Tracer().Recent()
-	for i := len(recent) - 1; i >= 0; i-- {
-		if recent[i].Op == core.OpDelete {
-			res.DeleteTrace = obs.FormatTrace(recent[i])
-			break
-		}
-	}
 
 	dctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
@@ -262,21 +268,22 @@ func RunTraffic(cfg TrafficConfig) (TrafficResult, error) {
 		return res, fmt.Errorf("sim: traffic drain: %w", err)
 	}
 
-	res.Ops = observer.OpCounts()
 	res.Suite = suite.Stats()
-	res.Messages = make(map[string]float64, len(res.Ops))
-	for op := range res.Ops {
-		res.Messages[op] = observer.MessagesPerOp(op)
+	res.Ops = make(map[string]uint64, len(msgs))
+	res.Messages = make(map[string]float64, len(msgs))
+	for op, h := range rec.PerOp() {
+		res.Ops[op] = h.Count
+		res.Messages[op] = float64(msgs[op]) / float64(h.Count)
 	}
-	res.ProbesPerDelete = observer.ProbesPerDelete()
+	res.ProbesPerDelete = deletes.rpcs.Mean()
 	return res, nil
 }
 
-// FormatTraffic renders the run as a text report: per-op throughput and
-// live messages/op, the suite's outcome accounting, and a Delete trace.
+// FormatTraffic renders the run as a text report: per-op counts and
+// live messages/op, the suite's outcome accounting, and latency.
 func FormatTraffic(r TrafficResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Live traffic — instrumented 3-2-2 suite, %d seeded entries, %v mixed workload\n\n",
+	fmt.Fprintf(&b, "Live traffic — 3-2-2 suite, %d seeded entries, %v mixed workload\n\n",
 		r.Config.Entries, r.Config.Duration)
 	ops := make([]string, 0, len(r.Ops))
 	for op := range r.Ops {
@@ -287,8 +294,8 @@ func FormatTraffic(r TrafficResult) string {
 	for _, op := range ops {
 		fmt.Fprintf(&b, "  %-12s %8d %14.2f\n", op, r.Ops[op], r.Messages[op])
 	}
-	fmt.Fprintf(&b, "\n  accounting: %d calls = %d commits + %d failures + %d cancelled\n",
-		r.Suite.Calls, r.Suite.Commits, r.Suite.Failures, r.Suite.Cancelled)
+	fmt.Fprintf(&b, "\n  accounting, the %d seeding inserts included: %d calls = %d commits + %d failures + %d cancelled\n",
+		r.Config.Entries, r.Suite.Calls, r.Suite.Commits, r.Suite.Failures, r.Suite.Cancelled)
 	fmt.Fprintf(&b, "  neighbor probes per delete: %.2f (paper section 4 predicts ~2 with batching)\n",
 		r.ProbesPerDelete)
 	if r.Response.Count > 0 {
@@ -302,12 +309,6 @@ func FormatTraffic(r TrafficResult) string {
 		row("service", r.Service)
 		fmt.Fprintf(&b, "  omission delta at p99: %v (what a closed-loop driver would have hidden)\n",
 			r.Response.Quantile(0.99)-r.Service.Quantile(0.99))
-	}
-	if r.DeleteTrace != "" {
-		fmt.Fprintf(&b, "\n  most recent delete trace:\n")
-		for _, line := range strings.Split(strings.TrimRight(r.DeleteTrace, "\n"), "\n") {
-			fmt.Fprintf(&b, "    %s\n", line)
-		}
 	}
 	return b.String()
 }

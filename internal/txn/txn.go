@@ -71,14 +71,6 @@ type Txn struct {
 	// Parallel makes the prepare, commit, and abort rounds contact
 	// participants concurrently. Set before the first Commit/Abort.
 	Parallel bool
-	// Phase, when non-nil, is called as each two-phase-commit round
-	// ("prepare", "commit", "abort") starts, with the number of
-	// participants contacted; the returned func (which may be nil) runs
-	// when the round completes. The directory suite uses it to time 2PC
-	// phases and count their messages without this package depending on
-	// the observability layer; Release's result counts its own round.
-	// Set before the first Commit/Abort.
-	Phase func(phase string, participants int) func()
 	// Landed is called once Release's round has been answered: from then
 	// on the Txn may be Reset. Set before the first Release.
 	Landed func()
@@ -124,7 +116,7 @@ type participant struct {
 func New(id lock.TxnID) *Txn { return &Txn{ID: id} }
 
 // Reset begins another transaction, under the given ID, in the storage
-// of one that is over (or never began). Parallel and Phase stay as set.
+// of one that is over (or never began). Parallel stays as set.
 func (t *Txn) Reset(id lock.TxnID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -291,7 +283,7 @@ func (t *Txn) Vote(ctx context.Context) error {
 	t.counted = rep.Marked{}
 	if first != nil {
 		// A reader that voted yes has already let go of everything.
-		t.decidedRound(ctx, "abort", stillHolding, rep.Directory.Abort, false)
+		t.decidedRound(ctx, stillHolding, rep.Directory.Abort, false)
 		return first
 	}
 	t.commitDue = true
@@ -310,14 +302,14 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return err
 	}
 	t.commitDue = false
-	t.decidedRound(ctx, "commit", wrote, rep.Directory.Commit, false)
+	t.decidedRound(ctx, wrote, rep.Directory.Commit, false)
 	return nil
 }
 
 // prepare runs a prepare round at the participants to admits, under
 // t.counted, and returns the first refusal.
 func (t *Txn) prepare(to func(*participant) bool) (first error) {
-	t.round(&t.counted, "prepare", to, rep.Directory.Prepare, false)
+	t.round(&t.counted, to, rep.Directory.Prepare, false)
 	for i := range t.participants {
 		p := &t.participants[i]
 		if p.refused = p.asked && p.err != nil; p.refused && first == nil {
@@ -327,12 +319,12 @@ func (t *Txn) prepare(to func(*participant) bool) (first error) {
 	return first
 }
 
-// round drives one protocol phase at the participants to admits, inside
-// the Phase hook, and reports how many it asked and whether any call
-// failed. With Parallel set the calls run concurrently — but for the
-// last, which the calling goroutine would otherwise only wait for. A
-// detached round spawns every call and returns.
-func (t *Txn) round(ctx context.Context, name string, to func(*participant) bool,
+// round drives one protocol phase at the participants to admits, and
+// reports how many it asked and whether any call failed. With Parallel
+// set the calls run concurrently — but for the last, which the calling
+// goroutine would otherwise only wait for. A detached round spawns every
+// call and returns.
+func (t *Txn) round(ctx context.Context, to func(*participant) bool,
 	phase func(rep.Directory, context.Context, lock.TxnID) error, detached bool) (asked int, failed bool) {
 	for i := range t.participants {
 		p := &t.participants[i]
@@ -345,10 +337,6 @@ func (t *Txn) round(ctx context.Context, name string, to func(*participant) bool
 	}
 	if detached {
 		t.pending.Store(int32(asked))
-	} else if t.Phase != nil {
-		if done := t.Phase(name, asked); done != nil {
-			defer done()
-		}
 	}
 	t.ctx, t.call, t.detached = ctx, phase, detached
 	for i, n := 0, asked; n > 0; i++ {
@@ -410,7 +398,7 @@ func (t *Txn) Abort(ctx context.Context) error {
 	if err := t.finish(); err != nil {
 		return err
 	}
-	t.decidedRound(ctx, "abort", everyone, rep.Directory.Abort, false)
+	t.decidedRound(ctx, everyone, rep.Directory.Abort, false)
 	return nil
 }
 
@@ -419,20 +407,20 @@ func (t *Txn) Abort(ctx context.Context) error {
 // yes Vote, or, for a transaction that only read, an abort to every
 // participant. Either way the transaction's lock point is behind it, so
 // strict two-phase locking holds however late the locks go, and with
-// Parallel set Release returns as soon as its round is sent. It returns
-// how many participants it asked; Landed runs once all have answered.
-func (t *Txn) Release(ctx context.Context) (asked int) {
+// Parallel set Release returns as soon as its round is sent. Landed
+// runs once every participant it asked has answered.
+func (t *Txn) Release(ctx context.Context) {
+	asked := 0
 	switch {
 	case t.commitDue:
 		t.commitDue = false
-		asked = t.decidedRound(ctx, "commit", wrote, rep.Directory.Commit, t.Parallel)
+		asked = t.decidedRound(ctx, wrote, rep.Directory.Commit, t.Parallel)
 	case t.finish() == nil && len(t.participants) > 0:
-		asked = t.decidedRound(ctx, "abort", everyone, rep.Directory.Abort, t.Parallel)
+		asked = t.decidedRound(ctx, everyone, rep.Directory.Abort, t.Parallel)
 	}
 	if asked == 0 || !t.Parallel {
 		t.Landed()
 	}
-	return asked
 }
 
 // decisionGrace bounds a decided round run under the Txn's own context.
@@ -459,15 +447,15 @@ const decisionGrace = 2 * time.Second
 // and Abort are idempotent per participant. A detached round, whose
 // caller may cancel the moment it returns, runs under the Txn's own
 // from the start. Dead means dead by the clock too (live).
-func (t *Txn) decidedRound(ctx context.Context, name string, to func(*participant) bool,
+func (t *Txn) decidedRound(ctx context.Context, to func(*participant) bool,
 	phase func(rep.Directory, context.Context, lock.TxnID) error, detached bool) (asked int) {
 	if !detached && ctx.Err() == nil {
 		var failed bool
-		if asked, failed = t.round(ctx, name, to, phase, false); !failed || live(ctx) {
+		if asked, failed = t.round(ctx, to, phase, false); !failed || live(ctx) {
 			return asked
 		}
 	}
-	n, _ := t.round(t.grace.begin(ctx), name, to, phase, detached)
+	n, _ := t.round(t.grace.begin(ctx), to, phase, detached)
 	if n == 0 || !detached {
 		t.grace.end()
 	}
