@@ -38,8 +38,10 @@ race:
 # Deterministic fault-injection soak (see EXPERIMENTS.md): five seeds,
 # 1000 ops each, crash/partition/duplicate/drop injection under -race,
 # every operation recorded with its version in a model.History and each
-# key's history checked by its four rules. A failing seed is printed and
-# replays with -chaos.seed=N. Set REPDIR_CHAOS_LONG=1 for the long soak
+# key's history checked by its four rules. The members reap the
+# transactions they were left holding on one harness clock, which moves
+# only between operations, so a failing seed is printed and replays
+# with -chaos.seed=N. Set REPDIR_CHAOS_LONG=1 for the long soak
 # (20 seeds x 10000 ops). Then the same checker under contention: eight
 # clients on eight shared keys while replicas crash and recover, and the
 # writes that build on a remembered version instead of reading it
@@ -53,8 +55,9 @@ chaos:
 # The summary lines of the four single-client soaks, and nothing else:
 # each seed's `seed N:` line and each churn run's `events:` line, with
 # the test's file:line prefix cut so an edit to chaos_test.go does not
-# show, plus any FAIL line. The soaks are deterministic per seed, so the
-# same code prints the same lines. Not part of check.
+# show, plus any FAIL line. The soaks are deterministic per seed, reaps
+# included (reaped= sums the members' rep.Counters.Reaped), so the same
+# code prints the same lines. Not part of check.
 seedlines:
 	@$(GO) test -count 1 -run '^(TestChaosSoak|TestChaosSoakSharded|TestChaosSoakChurn|TestChaosSoakChurnSharded)$$' -v . | \
 		grep -Eo '(seed [0-9]+:|events:).*|^(--- )?FAIL.*'
@@ -129,8 +132,9 @@ overload:
 # landing in `txn` while its suite or router runs other operations are
 # the code paths densest in shared atomics and concurrent teardown, so
 # they get an extra -count=2 run beyond the suite-wide `race` target.
+# So does a member's reaper, whose timer aborts strays beside its calls.
 raceoverload:
-	$(GO) test -race -count 2 ./internal/transport/ ./internal/core/ ./internal/shard/ ./internal/txn/
+	$(GO) test -race -count 2 ./internal/transport/ ./internal/core/ ./internal/shard/ ./internal/txn/ ./internal/rep/
 
 # The repository benchmark (BENCHMARK.json, bench/) is a module of its
 # own, so `go vet ./...` and `go test ./...` at the root do not see it:

@@ -108,13 +108,13 @@ func TestChaosSoak(t *testing.T) {
 					seed, res.StorageLosses, res.Rebuilds)
 			}
 			t.Logf("seed %d: applied=%d observed=%d indeterminate=%d lookups=%d audited=%d "+
-				"crashes=%d partitions=%d duplicates=%d drops=%d restarts=%d resolved=%d strays=%d calls=%d "+
+				"crashes=%d partitions=%d duplicates=%d drops=%d restarts=%d resolved=%d reaped=%d calls=%d "+
 				"rejected=%d healed=%d "+
 				"storagelost=%d recordslost=%d rebuilds=%d rebuilt=%d gaps=%d timeouts=%d",
 				seed, res.Applied, res.Observed, res.Indeterminate, res.Lookups, res.AuditedKeys,
 				res.Faults.Crashes+res.Faults.CrashAfters, res.Faults.Partitions,
 				res.Faults.Duplicates, res.Faults.DroppedReplies, res.Faults.Restarts,
-				res.Resolved, res.StraysAborted, res.Faults.Calls,
+				res.Resolved, res.Reaped, res.Faults.Calls,
 				res.Faults.Rejected, res.Heal.Copied+res.Heal.Freshened,
 				res.StorageLosses, res.RecordsLost, res.Rebuilds,
 				res.Rebuild.Copied+res.Rebuild.Freshened, res.Rebuild.Gaps, res.Timeouts)
@@ -178,11 +178,11 @@ func TestChaosSoakSharded(t *testing.T) {
 			}
 			t.Logf("seed %d: applied=%d observed=%d indeterminate=%d lookups=%d audited=%d "+
 				"counts=%d countfails=%d xshard=%d crashes=%d partitions=%d restarts=%d "+
-				"resolved=%d strays=%d healed=%d rebuilds=%d timeouts=%d",
+				"resolved=%d reaped=%d healed=%d rebuilds=%d timeouts=%d",
 				seed, res.Applied, res.Observed, res.Indeterminate, res.Lookups, res.AuditedKeys,
 				res.Counts, res.CountFailures, res.CrossShardTxns,
 				res.Faults.Crashes+res.Faults.CrashAfters, res.Faults.Partitions, res.Faults.Restarts,
-				res.Resolved, res.StraysAborted, res.Heal.Copied+res.Heal.Freshened,
+				res.Resolved, res.Reaped, res.Heal.Copied+res.Heal.Freshened,
 				res.Rebuilds, res.Timeouts)
 		})
 	}
@@ -209,7 +209,7 @@ func TestChaosShardedDeterministic(t *testing.T) {
 		a.CrossShardTxns != b.CrossShardTxns ||
 		a.Faults != b.Faults || a.AuditedKeys != b.AuditedKeys ||
 		a.Heal != b.Heal ||
-		a.StraysAborted != b.StraysAborted ||
+		a.Reaped != b.Reaped ||
 		a.Converged != b.Converged {
 		t.Errorf("same sharded seed, different runs:\n  %+v\n  %+v", a, b)
 	}
@@ -234,7 +234,7 @@ func TestChaosSoakDeterministic(t *testing.T) {
 		a.Indeterminate != b.Indeterminate || a.Lookups != b.Lookups ||
 		a.Faults != b.Faults || a.AuditedKeys != b.AuditedKeys ||
 		a.Heal != b.Heal ||
-		a.StraysAborted != b.StraysAborted ||
+		a.Reaped != b.Reaped ||
 		a.Converged != b.Converged ||
 		a.StorageLosses != b.StorageLosses || a.RecordsLost != b.RecordsLost ||
 		a.Rebuilds != b.Rebuilds || a.Rebuild != b.Rebuild {
@@ -393,7 +393,7 @@ func TestChaosChurnDeterministic(t *testing.T) {
 		a.Indeterminate != b.Indeterminate || a.Lookups != b.Lookups ||
 		a.Faults != b.Faults || a.AuditedKeys != b.AuditedKeys ||
 		a.Heal != b.Heal ||
-		a.StraysAborted != b.StraysAborted ||
+		a.Reaped != b.Reaped ||
 		a.Converged != b.Converged ||
 		a.Reconfigs != b.Reconfigs || a.Epochs != b.Epochs ||
 		a.StaleProbes != b.StaleProbes {
@@ -402,6 +402,32 @@ func TestChaosChurnDeterministic(t *testing.T) {
 	if fmt.Sprint(a.ChurnEvents) != fmt.Sprint(b.ChurnEvents) {
 		t.Errorf("same churn seed, different schedules:\n  %v\n  %v", a.ChurnEvents, b.ChurnEvents)
 	}
+}
+
+// incarnationLog is the log one incarnation of a replica writes. A crash
+// fences it: a call still running on the crashed incarnation — it
+// entered before the crash, and a reap may free the lock it waits for —
+// must not append behind the incarnation recovered from the same
+// records, as no call of a dead process does.
+type incarnationLog struct {
+	*wal.MemoryLog
+	mu     sync.Mutex
+	fenced bool
+}
+
+func (l *incarnationLog) Append(r wal.Record) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.fenced {
+		return wal.ErrClosed
+	}
+	return l.MemoryLog.Append(r)
+}
+
+func (l *incarnationLog) fence() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.fenced = true
 }
 
 // TestChaosConcurrentClients keeps the live-coordinator coverage the
@@ -424,15 +450,18 @@ func TestChaosConcurrentClients(t *testing.T) {
 			ctx := context.Background()
 			names := []string{"A", "B", "C", "D"}[:tc.members]
 
-			// WAL-backed replicas so crashes are recoverable.
+			// WAL-backed replicas so crashes are recoverable. Each
+			// incarnation writes its log through a handle its crash fences.
 			logs := make([]*wal.MemoryLog, len(names))
+			handles := make([]*incarnationLog, len(names))
 			locals := make([]*transport.Local, len(names))
 			dirs := make([]rep.Directory, len(names))
 			var repMu sync.Mutex // guards replica swap during crash/recover
 			reps := make([]*rep.Rep, len(names))
 			for i, n := range names {
 				logs[i] = &wal.MemoryLog{}
-				reps[i] = rep.New(n, rep.WithLog(logs[i]))
+				handles[i] = &incarnationLog{MemoryLog: logs[i]}
+				reps[i] = rep.New(n, rep.WithLog(handles[i]))
 				locals[i] = transport.NewLocal(reps[i])
 				dirs[i] = locals[i]
 			}
@@ -469,11 +498,13 @@ func TestChaosConcurrentClients(t *testing.T) {
 					}
 					i := rng.Intn(len(names))
 					locals[i].Crash()
+					handles[i].fence()
 					time.Sleep(20 * time.Millisecond)
 					// Recover from the WAL: in-flight state is gone, committed
 					// state returns; any in-doubt transactions keep their keys
 					// locked until a resolver finishes them.
-					recovered, err := rep.Recover(names[i], logs[i].Records(), rep.WithLog(logs[i]))
+					handles[i] = &incarnationLog{MemoryLog: logs[i]}
+					recovered, err := rep.Recover(names[i], logs[i].Records(), rep.WithLog(handles[i]))
 					if err != nil {
 						t.Errorf("chaos recover %s: %v", names[i], err)
 						return

@@ -162,15 +162,25 @@ func TestSalvageCountsOnMetrics(t *testing.T) {
 }
 
 // TestMetricsFamilies pins the families the server exports: each one is
-// fed by something the server runs.
+// fed by something the server runs. It pins the op labels of the
+// members' counters too, reaps among them.
 func TestMetricsFamilies(t *testing.T) {
-	var got []string
+	var got, ops []string
 	for _, line := range strings.Split(salvagedMetrics(t), "\n") {
 		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
 			got = append(got, f[2])
 		}
+		if _, op, ok := strings.Cut(line, `repdir_rep_ops_total{member="A",op="`); ok {
+			ops = append(ops, op[:strings.IndexByte(op, '"')])
+		}
 	}
 	slices.Sort(got)
+	slices.Sort(ops)
+	wantOps := []string{"aborts", "coalesces", "commits", "entries_coalesced", "inserts",
+		"lookups", "neighbor_probes", "prepares", "reaped", "stale_rejections"}
+	if !slices.Equal(ops, wantOps) {
+		t.Errorf("repdir_rep_ops_total ops = %v, want %v", ops, wantOps)
+	}
 	want := []string{
 		"repdir_admission_total",
 		"repdir_rep_ops_total",

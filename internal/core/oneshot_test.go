@@ -225,10 +225,9 @@ func TestReadsLeakNoLocks(t *testing.T) {
 		t.Fatalf("the plan injected %d dropped replies and %d crashes after execution; want both", faults.DroppedReplies, faults.CrashAfters)
 	}
 	t.Logf("%d of 600 reads failed; %d replies dropped, %d crashes after executing", failed, faults.DroppedReplies, faults.CrashAfters)
+	// A transaction is known at a member only while it holds a lock
+	// there (rep.Rep.join), so a member that holds none remembers none.
 	for _, m := range in.Members() {
-		if strays := m.Strays(); len(strays) != 0 {
-			t.Errorf("%s holds stray transactions %v", m.Name(), strays)
-		}
 		r, ok := m.Rep().(*rep.Rep)
 		if !ok {
 			t.Fatalf("%s is a %T", m.Name(), m.Rep())

@@ -94,6 +94,7 @@ func RepairReplica(ctx context.Context, s *Suite, target rep.Directory, opts Rep
 		err := s.runTxn(ctx, repairOps, func(tx *Tx) error {
 			batch = RepairStats{}
 			done = false
+			answered := false // a call of the attempt by the target
 			members, err := tx.readQuorum()
 			if err != nil {
 				return err
@@ -105,7 +106,7 @@ func RepairReplica(ctx context.Context, s *Suite, target rep.Directory, opts Rep
 				if err != nil {
 					return err
 				}
-				if err := repairSegment(ctx, tx, target, k, nb, &batch); err != nil {
+				if err := repairSegment(ctx, tx, target, &answered, k, nb, &batch); err != nil {
 					return err
 				}
 				if nb.key.IsHigh() {
@@ -139,14 +140,19 @@ func RepairReplica(ctx context.Context, s *Suite, target rep.Directory, opts Rep
 // segment coalesced at the walk's quorum-maximum gap version. A
 // recovering target refuses reads but accepts writes; it is treated as
 // holding nothing, which is safe because the versioned install is
-// idempotent.
-func repairSegment(ctx context.Context, tx *Tx, target rep.Directory, lo keyspace.Key, nb neighbor, stats *RepairStats) error {
+// idempotent. Once the target has answered a call of the attempt — or the
+// walk's, as a member — its calls are continuing (rep/marks.go).
+func repairSegment(ctx context.Context, tx *Tx, target rep.Directory, answered *bool, lo keyspace.Key, nb neighbor, stats *RepairStats) error {
 	if err := tx.txn.Join(target); err != nil {
 		return err
 	}
+	onward := func() context.Context {
+		return tx.onward(ctx, *answered || tx.known&tx.suite.named(target.Name()) != 0)
+	}
 	if !nb.key.IsHigh() {
 		stats.Scanned++
-		have, err := target.Lookup(ctx, tx.txn.ID, nb.key)
+		have, err := target.Lookup(onward(), tx.txn.ID, nb.key)
+		*answered = *answered || err == nil
 		if errors.Is(err, rep.ErrRecovering) {
 			have = rep.LookupResult{}
 		} else if err != nil {
@@ -159,14 +165,14 @@ func repairSegment(ctx context.Context, tx *Tx, target rep.Directory, lo keyspac
 			} else {
 				stats.Copied++
 			}
-			if err := target.Insert(ctx, tx.txn.ID, nb.key, nb.ver, nb.value); err != nil {
+			if err := target.Insert(onward(), tx.txn.ID, nb.key, nb.ver, nb.value); err != nil {
 				tx.noteFailure(target.Name(), err)
 				return err
 			}
-			tx.mutated = true
+			tx.mutated, *answered = true, true
 		}
 	}
-	if _, err := target.Coalesce(ctx, tx.txn.ID, lo, nb.key, nb.maxGap); err != nil {
+	if _, err := target.Coalesce(onward(), tx.txn.ID, lo, nb.key, nb.maxGap); err != nil {
 		if errors.Is(err, rep.ErrMissingBound) {
 			// lo vanished from the target since we installed it — a
 			// concurrent Delete coalesced it away. That delete's own
@@ -177,7 +183,7 @@ func repairSegment(ctx context.Context, tx *Tx, target rep.Directory, lo keyspac
 		tx.noteFailure(target.Name(), err)
 		return err
 	}
-	tx.mutated = true
+	tx.mutated, *answered = true, true
 	stats.Gaps++
 	return nil
 }

@@ -257,7 +257,7 @@ func (s *Suite) release(tx *Tx) {
 	for i := range tx.runs {
 		clear(tx.runs[i].replies)
 	}
-	tx.txn, tx.round, tx.marked = nil, round{}, rep.Marked{}
+	tx.txn, tx.round, tx.marked, tx.cont = nil, round{}, rep.Marked{}, rep.Marked{}
 	s.idleMu.Lock()
 	s.idle = append(s.idle, tx)
 	s.idleMu.Unlock()

@@ -53,6 +53,9 @@ type Tx struct {
 	// failed collects members that became unavailable during this
 	// attempt, so the retry can route around them.
 	failed quorum.Set
+	// known is the members that answered a call of this attempt: every
+	// later call to them is continuing (rep/marks.go).
+	known quorum.Set
 	// mutated records whether any representative state changed; pure
 	// read transactions release their locks with a cheap abort.
 	mutated bool
@@ -77,14 +80,14 @@ type Tx struct {
 	round            round
 	legs             sync.WaitGroup
 	spareMu          sync.Mutex // guards round.taken
-	marked           rep.Marked
+	marked, cont     rep.Marked
 }
 
 // begin readies the Tx for one attempt: transaction t, which is own
 // under a fresh ID or a coordinator's.
 func (tx *Tx) begin(t *txn.Txn, shape txShape, exclude quorum.Set) {
 	tx.txn, tx.shape, tx.exclude = t, shape, exclude
-	tx.read, tx.failed, tx.mutated, tx.hinted = 0, 0, false, false
+	tx.read, tx.failed, tx.known, tx.mutated, tx.hinted = 0, 0, 0, false, false
 	tx.observations, tx.learned = tx.observations[:0], tx.learned[:0]
 }
 
@@ -110,6 +113,16 @@ func (tx *Tx) mark(ctx context.Context, m rep.Marks) context.Context {
 		tx.marked.Writers = tx.txn.Writers()
 	}
 	return &tx.marked
+}
+
+// onward is ctx with the continuing mark for calls to members that know
+// the transaction, in the Tx's own context as mark's; ctx for others.
+func (tx *Tx) onward(ctx context.Context, known bool) context.Context {
+	if !known {
+		return ctx
+	}
+	tx.cont = rep.Marked{Context: ctx, Marks: rep.MarksFrom(ctx) | rep.ContinuingMark, Writers: rep.WritersFrom(ctx)}
+	return &tx.cont
 }
 
 // isUnavailable reports whether an error means the member cannot serve
@@ -339,12 +352,13 @@ func (tx *Tx) chaseValue(ctx context.Context, key keyspace.Key, best rep.LookupR
 			continue
 		}
 		tx.joinReader(m.Dir)
-		res, err := m.Dir.Lookup(ctx, tx.txn.ID, key)
+		res, err := m.Dir.Lookup(tx.onward(ctx, tx.known.Has(m.idx)), tx.txn.ID, key)
 		if err != nil {
 			tx.noteFailure(m.Dir.Name(), err)
 			lastErr = err
 			continue
 		}
+		tx.known.Add(m.idx)
 		if res.Found && res.Version >= best.Version {
 			return res, nil
 		}
@@ -358,12 +372,14 @@ func (tx *Tx) chaseValue(ctx context.Context, key keyspace.Key, best rep.LookupR
 // roundError folds the per-member errors of one quorum round. Every
 // unavailable member is noted — a parallel fan-out can lose several
 // members at once, and each must be excluded from the retry together,
-// not one retry at a time — and the first error is returned.
+// not one retry at a time — every member that answered is known, and
+// the first error is returned.
 func (tx *Tx) roundError(members []member, errs []error, verb string, key keyspace.Key) error {
 	var first error
 	for i, m := range members {
 		err := errs[i]
 		if err == nil {
+			tx.known.Add(m.idx)
 			continue
 		}
 		tx.noteFailure(m.Dir.Name(), err)
@@ -390,8 +406,9 @@ type round struct {
 	kind callKind
 	to   []member
 	ctx  context.Context
-	// prepared is ctx with the prepare mark, for a write to a member
-	// that can take the prepare with it.
+	// cont is ctx for a known member, and prepared ctx with the prepare
+	// mark, for a write to a member that can take the prepare with it.
+	cont     context.Context
 	prepared context.Context
 	key, hi  keyspace.Key // the key; a coalesce's bounds
 	ver      version.V
@@ -418,30 +435,32 @@ const (
 // in slot i, of the members too (Tx.failover). It writes nothing else:
 // calls run concurrently, and error handling happens after the barrier.
 func (tx *Tx) call(i int) {
-	c, d, id := &tx.round, tx.round.to[i].Dir, tx.txn.ID
+	c, d, id, ctx := &tx.round, tx.round.to[i].Dir, tx.txn.ID, tx.round.ctx
+	if tx.known.Has(c.to[i].idx) {
+		ctx = c.cont
+	}
 	switch c.kind {
 	case callLookup:
-		tx.replies[i], tx.errs[i] = d.Lookup(c.ctx, id, c.key)
+		tx.replies[i], tx.errs[i] = d.Lookup(ctx, id, c.key)
 		tx.failover(i)
 	case callInsert:
-		ctx := c.ctx
 		if tx.read.Has(c.to[i].idx) {
 			ctx = c.prepared
 		}
 		tx.errs[i] = d.Insert(ctx, id, c.key, c.ver, c.value)
 	case callAround:
 		var hood []rep.NeighborResult
-		hood, tx.errs[i] = d.SuccessorBatch(c.ctx, id, c.key, c.n)
+		hood, tx.errs[i] = d.SuccessorBatch(ctx, id, c.key, c.n)
 		tx.runs[1].replies[i], tx.replies[i], tx.runs[0].replies[i] = rep.SplitAround(hood, c.key)
 	case callBoundLookup:
-		tx.replies[i], tx.errs[i] = d.Lookup(c.ctx, id, c.bounds[tx.askedFor[i]].key)
+		tx.replies[i], tx.errs[i] = d.Lookup(ctx, id, c.bounds[tx.askedFor[i]].key)
 	case callBoundCopy:
 		nb := &c.bounds[tx.copied[i]]
-		tx.errs[i] = d.Insert(c.ctx, id, nb.key, nb.ver, nb.value)
+		tx.errs[i] = d.Insert(ctx, id, nb.key, nb.ver, nb.value)
 	case callCoalesce:
-		tx.coalesced[i], tx.errs[i] = d.Coalesce(c.ctx, id, c.key, c.hi, c.ver)
+		tx.coalesced[i], tx.errs[i] = d.Coalesce(ctx, id, c.key, c.hi, c.ver)
 	case callNeighbors:
-		c.run.probe(c.ctx, c.run.which[i], c.n)
+		c.run.probe(ctx, c.run.which[i], c.n)
 	}
 }
 
@@ -461,6 +480,7 @@ func (tx *Tx) call(i int) {
 func (tx *Tx) fanOut(members []member) {
 	tx.round.to = members
 	tx.errs = slots(tx.errs, len(members))
+	tx.round.cont = tx.onward(tx.round.ctx, tx.known&indexes(members) != 0)
 	if !tx.suite.parallel || len(members) < 2 {
 		for i := range members {
 			tx.call(i)
@@ -582,13 +602,16 @@ func (tx *Tx) writeEntry(ctx context.Context, key keyspace.Key, ver version.V, v
 		}
 	}
 	// tx.read is the members that can take the prepare with the write:
-	// a representative refuses a write that carries the prepare from a
-	// transaction it does not know, as it refuses a Prepare — that is
-	// how a restart that lost the transaction's read lock is caught —
-	// unless the write carries an expectation, which it checks under the
-	// write lock instead. It is empty in a transaction of another shape.
+	// those that served the read know the transaction, and the write is
+	// continuing there — a representative refuses it if a restart lost
+	// the transaction's read lock, as it refuses a Prepare. Those asked
+	// to check an expectation instead do so under the write lock. It is
+	// empty in a transaction of another shape.
 	tx.round = round{kind: callInsert, ctx: ctx, key: key, ver: ver, value: value}
 	if tx.read != 0 {
+		if tx.read&tx.known != 0 { // they served the read
+			expect |= rep.ContinuingMark
+		}
 		tx.round.prepared = tx.mark(ctx, rep.PrepareMark|expect)
 	}
 	tx.fanOut(members)

@@ -478,21 +478,6 @@ func (m *Member) InDoubt() []lock.TxnID {
 	return nil
 }
 
-// Strays lists the current incarnation's in-flight-but-never-prepared
-// transactions (see rep.Rep.Strays), or nil while the member is down.
-func (m *Member) Strays() []lock.TxnID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.down > 0 {
-		return nil
-	}
-	type strayer interface{ Strays() []lock.TxnID }
-	if r, ok := m.target.(strayer); ok {
-		return r.Strays()
-	}
-	return nil
-}
-
 // Name implements transport.Hook (and so rep.Directory). The name is
 // stable across restarts.
 func (m *Member) Name() string { return m.name }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 
 	"repdir/internal/rep"
 )
@@ -11,13 +12,15 @@ import (
 type Injector struct {
 	plan    Plan
 	seed    int64
+	opts    []rep.Option
 	members []*Member
 }
 
 // NewInjector builds one recovering member per name, with per-member
-// fault streams derived deterministically from seed.
-func NewInjector(names []string, plan Plan, seed int64) *Injector {
-	in := &Injector{plan: plan, seed: seed}
+// fault streams derived deterministically from seed. The rep options
+// apply to every member the injector builds, and to its restarts.
+func NewInjector(names []string, plan Plan, seed int64, opts ...rep.Option) *Injector {
+	in := &Injector{plan: plan, seed: seed, opts: opts}
 	for _, n := range names {
 		in.Add(n)
 	}
@@ -31,7 +34,7 @@ func NewInjector(names []string, plan Plan, seed int64) *Injector {
 // the same seed. Extra rep options (rep.AsWitness, ...) pass through to
 // the representative and its restarts.
 func (in *Injector) Add(name string, opts ...rep.Option) *Member {
-	m, _ := NewRecovering(name, in.plan, in.seed+int64(len(in.members))*7919, opts...)
+	m, _ := NewRecovering(name, in.plan, in.seed+int64(len(in.members))*7919, slices.Concat(in.opts, opts)...)
 	in.members = append(in.members, m)
 	return m
 }

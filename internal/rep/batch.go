@@ -130,11 +130,14 @@ func (r *Rep) neighborBatch(ctx context.Context, txn lock.TxnID, key keyspace.Ke
 	var read uint64 // r.writes when out was read
 	for {
 		r.mu.Lock()
-		if err := r.undecided(txn); err != nil {
+		err := r.undecided(txn)
+		if held {
+			_, err = r.join(ctx, txn)
+		}
+		if err != nil {
 			r.mu.Unlock()
 			return nil, err
 		}
-		r.txn(txn)
 		if held && r.writes == read {
 			// Nothing was written while the lock was waited for: what
 			// was read then is what the lock now protects.

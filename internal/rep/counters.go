@@ -27,6 +27,9 @@ type Counters struct {
 	// StaleRejections counts fenced operations refused because the
 	// caller carried an outdated configuration epoch.
 	StaleRejections uint64
+	// Reaped counts transactions aborted here at their deadline
+	// (reap.go): no message asked for those aborts.
+	Reaped uint64
 }
 
 // counters is the atomic backing store embedded in Rep.
@@ -40,6 +43,7 @@ type counters struct {
 	commits          atomic.Uint64
 	aborts           atomic.Uint64
 	staleRejections  atomic.Uint64
+	reaped           atomic.Uint64
 }
 
 func (c *counters) snapshot() Counters {
@@ -53,6 +57,7 @@ func (c *counters) snapshot() Counters {
 		Commits:          c.commits.Load(),
 		Aborts:           c.aborts.Load(),
 		StaleRejections:  c.staleRejections.Load(),
+		Reaped:           c.reaped.Load(),
 	}
 }
 
@@ -69,6 +74,7 @@ func (c Counters) Map() map[string]uint64 {
 		"commits":           c.Commits,
 		"aborts":            c.Aborts,
 		"stale_rejections":  c.StaleRejections,
+		"reaped":            c.Reaped,
 	}
 }
 

@@ -69,10 +69,10 @@ func TestCountersTrackOperations(t *testing.T) {
 
 	// The map form carries every field under its exposition name.
 	m := r.Counters().Map()
-	if len(m) != 9 {
-		t.Errorf("map has %d entries, want 9: %v", len(m), m)
+	if len(m) != 10 {
+		t.Errorf("map has %d entries, want 10: %v", len(m), m)
 	}
-	if m["inserts"] != 4 || m["neighbor_probes"] != 2 || m["aborts"] != 1 {
+	if reaped, ok := m["reaped"]; !ok || reaped != 0 || m["inserts"] != 4 || m["neighbor_probes"] != 2 || m["aborts"] != 1 {
 		t.Errorf("map = %v", m)
 	}
 }

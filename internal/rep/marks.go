@@ -6,11 +6,11 @@ import (
 )
 
 // Call marks. Four things a coordinator knows about a call cut round
-// trips out of the point operations, and the Directory signatures have
-// no parameter for any of them, so they travel the way the epoch does:
-// a context value on the caller's side, a flags byte in the request
-// header on the wire (transport), a context value again at the
-// representative.
+// trips out of the point operations, and a fifth keeps a restart from
+// going unnoticed. The Directory signatures have no parameter for any
+// of them, so they travel the way the epoch does: a context value on
+// the caller's side, a flags byte in the request header on the wire
+// (transport), a context value again at the representative.
 //
 //   - One-shot: the Lookup is the only thing its transaction does at
 //     this representative. Its lock point is the call itself, so the
@@ -20,10 +20,9 @@ import (
 //   - Prepare rides: the Insert or Coalesce is the transaction's last
 //     write here, so the representative prepares as soon as it has
 //     applied it, as if Prepare had followed in a message of its own.
-//     Like Prepare, the call votes ErrUnknownTxn if the representative
-//     does not know the transaction, because then a crash has lost locks
-//     the transaction still relies on — unless it also carries an
-//     expectation (next item), which stands in for those locks.
+//     It is the transaction's first call here only if it also carries an
+//     expectation (next item), which stands in for a read; otherwise it
+//     is continuing (below).
 //   - Expect: the Insert at version v is a point write's whole read: the
 //     coordinator remembers the key's entry (ExpectEntryMark) or gap
 //     (ExpectGapMark) at v-1 instead of reading it. A representative
@@ -36,6 +35,11 @@ import (
 //     above it — instead of only the entries above (batch.go). The call
 //     joins the transaction like any batch call and keeps its lock: the
 //     coalesce that follows upgrades it.
+//   - Continuing: an earlier call of the transaction was answered here.
+//     A representative that does not know the transaction — a restart
+//     lost it, or its deadline reaped it (reap.go) — refuses the call
+//     with ErrUnknownTxn instead of opening it afresh without the locks,
+//     undo and redo the earlier calls left.
 //
 // A prepare — Prepare, or a write the prepare rides on — also carries
 // the transaction's writer count: how many participants it wrote at.
@@ -54,6 +58,7 @@ const (
 	AroundMark
 	ExpectEntryMark
 	ExpectGapMark
+	ContinuingMark
 )
 
 // MarksKey is the context key of a call's Marks. It is exported so that
@@ -93,6 +98,9 @@ func Around(ctx context.Context) bool { return MarksFrom(ctx)&AroundMark != 0 }
 
 // Expects reports whether ctx carries either expectation mark.
 func Expects(ctx context.Context) bool { return MarksFrom(ctx)&(ExpectEntryMark|ExpectGapMark) != 0 }
+
+// Continuing reports whether ctx carries the continuing mark.
+func Continuing(ctx context.Context) bool { return MarksFrom(ctx)&ContinuingMark != 0 }
 
 // WritersKey is the context key of the writer count a prepare carries,
 // exported for the same reason MarksKey is.

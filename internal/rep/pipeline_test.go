@@ -228,8 +228,8 @@ func TestFailedSyncLeavesCommitRetryable(t *testing.T) {
 	if st, _ := r.Status(ctx, 5); st != StatusUnknown {
 		t.Errorf("status after failed commit = %v, want unknown (undecided)", st)
 	}
-	if got := r.Strays(); len(got) != 1 || got[0] != 5 {
-		t.Errorf("in-flight transactions after failed commit = %v, want [5]", got)
+	if held, active := r.Locks().HeldBy(5), r.Locks().ActiveTransactions(); held != 1 || active != 1 {
+		t.Errorf("after failed commit txn 5 holds %d locks of %d transactions, want its one lock alone", held, active)
 	}
 	if got := r.Counters().Commits; got != 0 {
 		t.Errorf("commits counter = %d after failed commit, want 0", got)

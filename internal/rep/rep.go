@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repdir/internal/btree"
 	"repdir/internal/interval"
@@ -57,12 +58,12 @@ var (
 	// has already recorded (e.g. a resolver finished it). The caller
 	// must retry under a fresh attempt ID.
 	ErrTxnDecided = errors.New("rep: transaction already decided")
-	// ErrUnknownTxn is the abort vote — of Prepare, or of a write that
-	// carries the prepare — for a transaction this representative has
-	// no record of: either the transaction never operated here, or a
-	// crash wiped its volatile state — in both cases committing would
-	// silently lose its writes or rest on locks it no longer holds.
-	ErrUnknownTxn = errors.New("rep: prepare of unknown transaction")
+	// ErrUnknownTxn is the abort vote — of Prepare, or of a continuing
+	// call (marks.go) — for a transaction this representative has no
+	// record of: it never operated here, or a crash or its deadline
+	// (reap.go) wiped its state — committing would silently lose its
+	// writes or rest on locks it no longer holds.
+	ErrUnknownTxn = errors.New("rep: unknown transaction")
 	// ErrWriterCount is the refusal of a prepare, at a representative
 	// the transaction wrote at, that names no writer count or one above
 	// MaxWriters (marks.go): the prepare record would not say how many
@@ -164,7 +165,8 @@ type undoStep struct {
 // not — an abort of it must be logged too, or a restart could find the
 // prepare alone. logging marks a Prepare, Commit or Abort that is
 // waiting for the log with r.mu released; every other call under the
-// same transaction ID waits in settled until it clears.
+// same transaction ID waits in settled until it clears. due is the
+// deadline its calls set (reap.go).
 //
 // undo and redo begin in the arrays beside them, which hold what one
 // write leaves behind, and the state itself is reused (Rep.idle): the
@@ -177,6 +179,7 @@ type txnState struct {
 	prepared    bool
 	logged      bool
 	logging     bool
+	due         time.Time
 	undo0       [2]undoStep
 	redo0       [1]wal.Record
 }
@@ -208,6 +211,10 @@ type Rep struct {
 	// recovering gates reads while lost storage is rebuilt from peers;
 	// see ErrRecovering.
 	recovering atomic.Bool
+
+	clock  Clock // the reaper's (reap.go), its timer, and when it is due
+	reaper Timer
+	reapAt time.Time
 }
 
 var _ Directory = (*Rep)(nil)
@@ -228,6 +235,7 @@ func New(name string, opts ...Option) *Rep {
 		store:    btree.New(),
 		txns:     make(map[lock.TxnID]*txnState),
 		outcomes: make(map[lock.TxnID]bool),
+		clock:    wallClock{},
 	}
 	r.stepDone.L = &r.mu
 	r.store.Put(btree.Entry{Key: keyspace.Low(), Version: version.Lowest, GapAfter: version.Lowest})
@@ -303,10 +311,9 @@ func (r *Rep) Lookup(ctx context.Context, txn lock.TxnID, key keyspace.Key) (Loo
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !oneShot {
-		if err := r.undecided(txn); err != nil {
+		if _, err := r.join(ctx, txn); err != nil {
 			return LookupResult{}, err
 		}
-		r.txn(txn)
 	}
 	return r.get(key)
 }
@@ -377,7 +384,7 @@ func (r *Rep) Insert(ctx context.Context, txn lock.TxnID, key keyspace.Key, ver 
 		return err
 	}
 	defer r.mu.Unlock()
-	st, err := r.writer(ctx, txn)
+	st, err := r.join(ctx, txn)
 	if err != nil {
 		return err
 	}
@@ -459,7 +466,7 @@ func (r *Rep) Coalesce(ctx context.Context, txn lock.TxnID, lo, hi keyspace.Key,
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st, err := r.writer(ctx, txn)
+	st, err := r.join(ctx, txn)
 	if err != nil {
 		return CoalesceResult{}, err
 	}
@@ -600,11 +607,6 @@ func (r *Rep) Commit(ctx context.Context, txn lock.TxnID) error {
 	st := r.settled(txn)
 	if committed, decided := r.outcomes[txn]; decided {
 		r.mu.Unlock()
-		// Sweep locks even on the decided path: a duplicate operation
-		// arriving after the decision can have re-acquired a lock under
-		// this ID before being bounced with ErrTxnDecided, and nothing
-		// else will ever release it.
-		r.locks.ReleaseAll(txn)
 		if committed {
 			return nil // idempotent re-commit
 		}
@@ -612,10 +614,8 @@ func (r *Rep) Commit(ctx context.Context, txn lock.TxnID) error {
 	}
 	if st == nil {
 		// No record of the transaction at all: nothing committed here,
-		// so nothing is counted. Locks are still swept in case a failed
-		// operation acquired one before registering the transaction.
+		// so nothing is counted; a call refused under it holds no lock.
 		r.mu.Unlock()
-		r.locks.ReleaseAll(txn)
 		return nil
 	}
 	// Log before mutating the store: if an append fails, the store is
@@ -666,35 +666,42 @@ func (r *Rep) Abort(ctx context.Context, txn lock.TxnID) error {
 	st := r.settled(txn)
 	if committed, decided := r.outcomes[txn]; decided {
 		r.mu.Unlock()
-		// Same decided-path sweep as Commit: a late duplicate operation
-		// may have re-acquired a lock under this ID.
-		r.locks.ReleaseAll(txn)
 		if !committed {
 			return nil // idempotent re-abort
 		}
 		return fmt.Errorf("%w: abort of committed txn %d", ErrTxnDecided, txn)
 	}
 	if st != nil {
-		for i := len(st.undo) - 1; i >= 0; i-- {
-			r.writes++
-			if u := &st.undo[i]; u.created {
-				r.store.Delete(u.was.Key)
-			} else {
-				r.store.Put(u.was)
-			}
+		if err := r.drop(txn, st); err != nil {
+			r.mu.Unlock()
+			return err
 		}
-		if st.logged {
-			if err := r.logStep(st, txn, nil, wal.KindAbort); err != nil {
-				r.mu.Unlock()
-				return err
-			}
-			r.outcomes[txn] = false
-		}
-		r.forget(txn, st)
 	}
 	r.mu.Unlock()
 	r.locks.ReleaseAll(txn)
 	r.stats.aborts.Add(1)
+	return nil
+}
+
+// drop undoes txn's writes, logs its abort if it logged its prepare (on
+// failure it stays known), and forgets it; callers hold r.mu, and
+// release its locks once they let go of it.
+func (r *Rep) drop(txn lock.TxnID, st *txnState) error {
+	for i := len(st.undo) - 1; i >= 0; i-- {
+		r.writes++
+		if u := &st.undo[i]; u.created {
+			r.store.Delete(u.was.Key)
+		} else {
+			r.store.Put(u.was)
+		}
+	}
+	if st.logged {
+		if err := r.logStep(st, txn, nil, wal.KindAbort); err != nil {
+			return err
+		}
+		r.outcomes[txn] = false
+	}
+	r.forget(txn, st)
 	return nil
 }
 
@@ -767,30 +774,31 @@ func (r *Rep) undecided(id lock.TxnID) error {
 	return nil
 }
 
-// writer returns the state an Insert or Coalesce records itself in,
-// refusing an already-decided transaction. A write that carries the
-// prepare must find the transaction known — see Prepare's abort vote;
-// the lock the write took on its way in is swept by the Abort that
-// answers the refusal — unless it carries an expectation, which
-// expected has checked. Callers hold r.mu.
-func (r *Rep) writer(ctx context.Context, id lock.TxnID) (*txnState, error) {
-	if err := r.undecided(id); err != nil {
+// join returns the state a call that holds its lock records itself in —
+// reads too, so that Prepare can tell a participant from one a crash
+// wiped — with the call's deadline (reap.go), in a forgotten state if
+// there is one. It refuses a decided transaction, an unknown one under
+// the continuing mark, and a call past its deadline, which a reap may
+// have overtaken; what an unknown one's call took is given back.
+func (r *Rep) join(ctx context.Context, id lock.TxnID) (*txnState, error) {
+	err, left := r.undecided(id), budget(ctx)
+	st, known := r.txns[id]
+	switch {
+	case err != nil:
+	case !known && Continuing(ctx):
+		err = fmt.Errorf("%w: txn %d", ErrUnknownTxn, id)
+	case left <= 0:
+		err = context.DeadlineExceeded
+	}
+	if err != nil {
+		if !known {
+			r.mu.Unlock()
+			r.locks.ReleaseAll(id)
+			r.mu.Lock()
+		}
 		return nil, err
 	}
-	if _, known := r.txns[id]; !known && PrepareRides(ctx) && !Expects(ctx) {
-		return nil, fmt.Errorf("%w: txn %d", ErrUnknownTxn, id)
-	}
-	return r.txn(id), nil
-}
-
-// txn returns (creating if needed) the state for txn; callers hold r.mu.
-// Reads register too, so that Prepare can distinguish a participant that
-// really served this transaction from one that lost its state in a
-// crash: every participant of a two-phase commit must be able to vouch
-// for its part.
-func (r *Rep) txn(id lock.TxnID) *txnState {
-	st, ok := r.txns[id]
-	if !ok {
+	if !known {
 		if n := len(r.idle); n > 0 {
 			st, r.idle = r.idle[n-1], r.idle[:n-1]
 		} else {
@@ -799,7 +807,8 @@ func (r *Rep) txn(id lock.TxnID) *txnState {
 		st.undo, st.redo = st.undo0[:0], st.redo0[:0]
 		r.txns[id] = st
 	}
-	return st
+	r.renew(st, left)
+	return st, nil
 }
 
 // forget drops txn's state, which is over, and keeps it for the next

@@ -107,26 +107,6 @@ func (r *Rep) InDoubt() []lock.TxnID {
 	return out
 }
 
-// Strays lists in-flight transactions that were never prepared here.
-// While its coordinator lives, such a transaction is simply active; but
-// a coordinator that died (or could not reach this member with its
-// Abort — e.g. the member was partitioned away when the operation was
-// given up) leaves the transaction holding locks forever. Two-phase
-// commit's presumed-abort rule makes unprepared transactions safe to
-// abort unilaterally, so a caller that knows no coordinator is live can
-// sweep Strays with Abort to reclaim their locks.
-func (r *Rep) Strays() []lock.TxnID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []lock.TxnID
-	for id, st := range r.txns {
-		if !st.prepared {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // installAnalysis loads a log analysis into a freshly built
 // representative: committed effects are applied, and in-doubt
 // transactions are reconstructed as prepared — their effects withheld as

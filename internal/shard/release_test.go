@@ -71,7 +71,8 @@ func newParallelRouter(t testing.TB, splits []string, gates func(shard, member i
 }
 
 // quiet checks that after a Drain no representative holds a lock or
-// remembers a transaction.
+// remembers a transaction: a transaction is known at one only while it
+// holds a lock there (rep.Rep.join).
 func quiet(t *testing.T, r *Router, reps []*rep.Rep) {
 	t.Helper()
 	if err := r.Drain(context.Background()); err != nil {
@@ -80,9 +81,6 @@ func quiet(t *testing.T, r *Router, reps []*rep.Rep) {
 	for _, rp := range reps {
 		if n := rp.Locks().ActiveTransactions(); n != 0 {
 			t.Errorf("%s: %d transactions hold locks after Drain", rp.Name(), n)
-		}
-		if st := rp.Strays(); len(st) != 0 {
-			t.Errorf("%s: stray transactions %v after Drain", rp.Name(), st)
 		}
 	}
 }

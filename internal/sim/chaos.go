@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repdir/internal/btree"
@@ -123,14 +124,11 @@ type ChaosResult struct {
 	// Resolved counts in-doubt participants driven to a decision by the
 	// between-ops and post-run resolution passes.
 	Resolved int
-	// StraysAborted counts never-prepared participants whose leaked
-	// locks the post-run presumed-abort sweep reclaimed (an operation
-	// abandoned while its member was unreachable cannot deliver its
-	// Abort there).
-	StraysAborted int
+	// Reaped sums rep.Counters.Reaped over the members' last
+	// incarnations: strays aborted at their deadlines.
+	Reaped uint64
 	// Fault totals over all members of all shards. They count at the
-	// member, so Faults.Calls includes the harness's own resolve and
-	// stray-sweep calls.
+	// member, so Faults.Calls includes the harness's own resolve calls.
 	Faults fault.Stats
 	// Suite-level transaction counters, summed over every suite any
 	// shard ran, those an epoch change retired and a manager's transient
@@ -180,6 +178,7 @@ type chaosDirectory interface {
 // injectors and suites, plus the router (nil when unsharded) and the
 // directory facade the workload drives.
 type chaosHarness struct {
+	clock     chaosClock
 	injectors []*fault.Injector
 	suites    []*core.Suite
 	allDirs   []rep.Directory // every member of every shard
@@ -229,7 +228,7 @@ func buildChaosHarness(cfg ChaosConfig) (*chaosHarness, error) {
 		}
 		// Distinct per-shard fault streams; shard 0 keeps the historical
 		// seed so unsharded runs replay identically.
-		injector := fault.NewInjector(names, fault.DefaultPlan(), cfg.Seed+int64(i)*104729)
+		injector := fault.NewInjector(names, fault.DefaultPlan(), cfg.Seed+int64(i)*104729, rep.WithClock(&h.clock))
 		h.injectors = append(h.injectors, injector)
 
 		dirs := injector.Directories()
@@ -355,11 +354,13 @@ func (h *chaosHarness) allInDoubt() []lock.TxnID {
 // participants live under different injectors, and a safe decision
 // needs all of them: resolving with one shard's members alone could
 // abort that shard's prepared participant while another shard's had
-// already committed. It must only run while no coordinator is live.
-// Transactions that cannot be decided yet (some participant is down and
-// none committed) are left for a later pass. It returns how many
-// participants it drove to a decision.
+// already committed. It must only run while no coordinator is live, so
+// it first lets the members reap their strays (chaosClock). Transactions
+// that cannot be decided yet (some participant is down and none
+// committed) are left for a later pass. It returns how many participants
+// it drove to a decision.
 func (h *chaosHarness) resolve(ctx context.Context) (finished int, err error) {
+	h.clock.leap()
 	for _, id := range h.allInDoubt() {
 		res, rerr := txn.Resolve(ctx, id, h.allDirs)
 		finished += len(res.Finished)
@@ -376,50 +377,56 @@ func (h *chaosHarness) resolve(ctx context.Context) (finished int, err error) {
 	return finished, err
 }
 
-// abortStrays sweeps every member's never-prepared transactions with a
-// unilateral Abort, reclaiming the locks of operations abandoned while
-// the member was unreachable, whose Abort never arrived. Presumed abort
-// makes this safe ONLY while no coordinator is live (a live
-// coordinator's transaction is indistinguishable from a stray), and
-// per participant: an unprepared one is never part of a committed
-// transaction, cross-shard or not. It returns the number aborted.
-func (h *chaosHarness) abortStrays(ctx context.Context) (int, error) {
-	aborted := 0
-	for _, in := range h.injectors {
-		for _, m := range in.Members() {
-			for _, id := range m.Strays() {
-				if err := m.Abort(ctx, id); err != nil {
-					if errors.Is(err, transport.ErrUnavailable) {
-						continue // down again; a later pass can retry
-					}
-					return aborted, fmt.Errorf("abort stray txn %d at %s: %w", id, m.Name(), err)
-				}
-				aborted++
-			}
-		}
-	}
-	return aborted, nil
-}
-
 // settle is the operator's checkpoint between workload operations: end
 // every open fault window in every shard (restarting crashed members
-// from their logs), settle in-doubt transactions, and sweep stray
-// locks, so that what runs next can assemble quorums and is not blocked
-// behind leaked locks. The periodic count, the storage phase and the
-// churn phase run it. The fault schedule counts calls, so these calls'
-// order is part of every seed's replay. It returns the participants
-// resolved and the strays aborted.
-func (h *chaosHarness) settle(ctx context.Context) (resolved, strays int, err error) {
+// from their logs) and resolve, so that what runs next can assemble
+// quorums and is not blocked behind leaked locks. The periodic count,
+// the storage phase and the churn phase run it. The fault schedule
+// counts calls, so these calls' order is part of every seed's replay. It
+// returns the participants resolved.
+func (h *chaosHarness) settle(ctx context.Context) (int, error) {
 	for _, in := range h.injectors {
 		if err := in.Heal(); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
-	if resolved, err = h.resolve(ctx); err != nil {
-		return resolved, 0, err
+	return h.resolve(ctx)
+}
+
+// chaosClock is the members' one clock (rep.WithClock). It stands still
+// while an operation runs; resolve's leap moves it past every deadline
+// and runs the reapers on its own goroutine, so reaps replay exactly.
+type chaosClock struct {
+	mu     sync.Mutex
+	now    time.Time
+	reaper []func()
+}
+
+func (c *chaosClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *chaosClock) AfterFunc(_ time.Duration, f func()) rep.Timer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reaper = append(c.reaper, f)
+	return c
+}
+
+// Reset leaves the timer to the next leap, which passes every deadline:
+// rep.CallTimeout, and the 60 s the harness gives a call at most.
+func (c *chaosClock) Reset(time.Duration) bool { return true }
+
+func (c *chaosClock) leap() {
+	c.mu.Lock()
+	c.now = c.now.Add(2 * time.Minute)
+	reaper := c.reaper
+	c.mu.Unlock()
+	for _, reap := range reaper {
+		reap()
 	}
-	strays, err = h.abortStrays(ctx)
-	return resolved, strays, err
 }
 
 // drain waits until no release round is still in flight, so that no
@@ -491,9 +498,9 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 				h.churn.next++
 			}
 		}
-		// Settle any in-doubt two-phase commits left by crashes before
-		// the next operation; between operations no coordinator is
-		// live, so cooperative termination is safe.
+		// Settle any in-doubt two-phase commits left by crashes, and let
+		// the members reap strays, before the next operation; between
+		// operations no coordinator is live, so both are safe.
 		if n, rerr := h.resolve(context.Background()); true {
 			res.Resolved += n
 			if rerr != nil {
@@ -599,9 +606,8 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 			var n int
 			cerr := errors.New("count never attempted")
 			for try := 0; try < 3 && cerr != nil; try++ {
-				resolved, strays, err := h.settle(context.Background())
+				resolved, err := h.settle(context.Background())
 				res.Resolved += resolved
-				res.StraysAborted += strays
 				if err != nil {
 					return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name(), err)
 				}
@@ -622,8 +628,8 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	}
 
 	// Quiesce: stop injecting, heal every window (restarting crashed
-	// members from their logs), and settle every remaining in-doubt
-	// transaction — every coordinator is finished now.
+	// members from their logs), and resolve, at least once — every
+	// coordinator is finished now.
 	if err := h.drain(); err != nil {
 		return res, fmt.Errorf("sim: chaos %s: drain: %w", cfg.Name(), err)
 	}
@@ -635,7 +641,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 			return res, err
 		}
 	}
-	for pass := 0; len(h.allInDoubt()) > 0; pass++ {
+	for pass := 0; pass == 0 || len(h.allInDoubt()) > 0; pass++ {
 		if pass > 10 {
 			return res, fmt.Errorf("sim: chaos %s: in-doubt transactions would not settle: %v",
 				cfg.Name(), h.allInDoubt())
@@ -646,15 +652,6 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 			return res, rerr
 		}
 	}
-	// Sweep stray locks: operations the driver gave up on while a
-	// member was unreachable never delivered their Abort there, and an
-	// unprepared transaction holds its locks until one arrives. Every
-	// coordinator is finished now, so presumed abort applies.
-	strays, err := h.abortStrays(context.Background())
-	if err != nil {
-		return res, fmt.Errorf("sim: chaos %s: %w", cfg.Name(), err)
-	}
-	res.StraysAborted += strays
 
 	// Convergence phase: per shard, converge drives every replica to
 	// full agreement — each current entry installed everywhere at its
@@ -717,6 +714,9 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 	}
 
 	for _, in := range h.injectors {
+		for _, m := range in.Members() {
+			res.Reaped += m.Rep().(*rep.Rep).Counters().Reaped
+		}
 		for _, s := range in.Stats() {
 			res.Faults.Calls += s.Calls
 			res.Faults.Rejected += s.Rejected
@@ -807,7 +807,7 @@ func storagePhase(h *chaosHarness, shardIdx int, res *ChaosResult) error {
 			// forgotten prepares and aborts, whose locks would block the
 			// rebuild's repair transactions. Fresh windows the plan opens
 			// mid-attempt fail that attempt; the next one settles again.
-			if _, _, err := h.settle(ctx); err != nil {
+			if _, err := h.settle(ctx); err != nil {
 				return fmt.Errorf("storage phase: %w", err)
 			}
 			st, err := repairRetrying(ctx, h.suites[shardIdx], m)

@@ -214,7 +214,7 @@ func churnPhase(h *chaosHarness, cfg ChaosConfig, op int, step churnStep, res *C
 			// transactions are not blocked behind leaked locks. Fresh
 			// windows the plan opens mid-attempt fail the attempt; the
 			// next one settles again.
-			if _, _, serr := h.settle(ctx); serr != nil {
+			if _, serr := h.settle(ctx); serr != nil {
 				return fmt.Errorf("churn: %w", serr)
 			}
 			// Resume first: a prior attempt may have committed the joint

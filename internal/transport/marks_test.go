@@ -31,6 +31,9 @@ func (d *markSpy) note(call string, ctx context.Context) {
 	if rep.Around(ctx) {
 		call += "+around"
 	}
+	if rep.Continuing(ctx) {
+		call += "+cont"
+	}
 	d.mu.Lock()
 	d.seen = append(d.seen, call)
 	d.mu.Unlock()
@@ -56,9 +59,10 @@ func (d *markSpy) SuccessorBatch(ctx context.Context, id lock.TxnID, key keyspac
 	return d.Rep.SuccessorBatch(ctx, id, key, max)
 }
 
-// TestCallMarksCrossTheWire: the one-shot, prepare and neighborhood
-// marks set on the caller's context reach the served representative,
-// over TCP and through Local, and an unmarked call arrives unmarked.
+// TestCallMarksCrossTheWire: the one-shot, prepare, neighborhood and
+// continuing marks set on the caller's context reach the served
+// representative, over TCP and through Local, and an unmarked call
+// arrives unmarked.
 func TestCallMarksCrossTheWire(t *testing.T) {
 	ctx := context.Background()
 	drive := func(t *testing.T, d rep.Directory, spy *markSpy) {
@@ -70,7 +74,7 @@ func TestCallMarksCrossTheWire(t *testing.T) {
 		if _, err := d.Lookup(ctx, 7, key); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Insert(ctx, 7, hi, 1, "v"); err != nil {
+		if err := d.Insert(&rep.Marked{Context: ctx, Marks: rep.ContinuingMark}, 7, hi, 1, "v"); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Insert(rep.MarkWriters(rep.MarkPrepare(ctx), 1), 7, key, 1, "v"); err != nil {
@@ -105,7 +109,7 @@ func TestCallMarksCrossTheWire(t *testing.T) {
 		if err := d.Abort(ctx, 11); err != nil {
 			t.Fatal(err)
 		}
-		want := "lookup+once lookup insert insert+prepare lookup coalesce+prepare successors+around successors"
+		want := "lookup+once lookup insert+cont insert+prepare lookup coalesce+prepare successors+around successors"
 		spy.mu.Lock()
 		got := strings.Join(spy.seen, " ")
 		spy.mu.Unlock()

@@ -17,10 +17,6 @@ import (
 // a server runs at once when WithPerConnConcurrency is not given.
 const DefaultPerConnConcurrency = 32
 
-// callTimeout caps how long one request (including its lock waits) may
-// run on the server.
-const callTimeout = 30 * time.Second
-
 // ServerOption configures Serve.
 type ServerOption func(*Server)
 
@@ -344,10 +340,10 @@ func (c *callCtx) Value(key any) any {
 // reply in *resp. The handler's deadline is the client's own when the
 // request carries one — which is what keeps one short-deadline call from
 // cancelling a long-deadline sibling on the same connection — capped by
-// the server's call timeout, so a client claiming an hour of budget
-// cannot pin a worker that long.
+// rep.CallTimeout, so a client claiming an hour of budget cannot pin a
+// worker that long, nor keep a transaction it abandoned alive that long.
 func (s *Server) handle(req *request, resp *response) {
-	limit := req.arrived.Add(callTimeout)
+	limit := req.arrived.Add(rep.CallTimeout)
 	if !req.expires.IsZero() && req.expires.Before(limit) {
 		limit = req.expires
 	}

@@ -84,13 +84,15 @@ const (
 func (o op) marks() rep.Marks {
 	switch o {
 	case opLookup:
-		return rep.OneShotMark
+		return rep.ContinuingMark | rep.OneShotMark
 	case opInsert:
-		return rep.PrepareMark | rep.ExpectEntryMark | rep.ExpectGapMark
+		return rep.ContinuingMark | rep.PrepareMark | rep.ExpectEntryMark | rep.ExpectGapMark
 	case opCoalesce:
-		return rep.PrepareMark
+		return rep.ContinuingMark | rep.PrepareMark
 	case opSuccessorBatch:
-		return rep.AroundMark
+		return rep.ContinuingMark | rep.AroundMark
+	case opPredecessor, opSuccessor, opPredecessorBatch:
+		return rep.ContinuingMark
 	}
 	return 0
 }

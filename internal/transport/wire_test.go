@@ -381,6 +381,28 @@ func TestExpectMarksOnInsertOnly(t *testing.T) {
 	}
 }
 
+// TestContinuingMarkOnDataOps: every data call may say it is not its
+// transaction's first at the member, and no other may: Prepare, Commit
+// and Abort answer a transaction the member does not know by rules of
+// their own, and Status only asks about one.
+func TestContinuingMarkOnDataOps(t *testing.T) {
+	for o := opLookup; o <= opName; o++ {
+		data := o < opPrepare
+		if got := o.marks()&rep.ContinuingMark != 0; got != data {
+			t.Errorf("tag %d takes the continuing mark: %v", o, got)
+		}
+		req := request{ID: 1, Op: o, Txn: 2, Marks: rep.ContinuingMark, Key: keyspace.New("k"), Hi: keyspace.New("z"), Count: 1}
+		r := wireReader{buf: appendRequest(nil, &req)}
+		var got request
+		err := r.readRequest(&got)
+		if data && (err != nil || got.Marks != rep.ContinuingMark) {
+			t.Errorf("tag %d continuing: decoded %#x, %v", o, got.Marks, err)
+		} else if !data && !errors.Is(err, errWire) {
+			t.Errorf("tag %d continuing: error = %v, want a refused frame", o, err)
+		}
+	}
+}
+
 // TestWireRefusesStrayWriterCount: a writer count is admitted on a call
 // that carries a prepare — Prepare, or a write with the prepare mark —
 // and refused on any other. A count above rep.MaxWriters is refused on
