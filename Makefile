@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race benchall benchtest workload overload raceoverload chaos crash shard reconfig obsdeps seedlines
+.PHONY: check vet build test race benchall benchtest overload raceoverload chaos crash shard reconfig obsdeps seedlines
 
-check: vet obsdeps build race shard crash chaos reconfig workload overload raceoverload benchtest
+check: vet obsdeps build race shard crash chaos reconfig overload raceoverload benchtest
 
 # vet also fails on any file gofmt would rewrite, bench/ included.
 vet:
@@ -107,14 +107,6 @@ crash:
 reconfig:
 	$(GO) test -race -count 1 ./internal/reconfig/
 	$(GO) test -race -count 1 -run 'TestChaosSoakChurn|TestChaosChurnDeterministic' -v .
-
-# Workload gate: a scaled-down open-loop run (20k keys, 1s mixes) of
-# the four standard mixes over four sticky 3-2-2 shards, with
-# coordinated-omission-safe latency capture. repdir-sim exits non-zero
-# when any mix misses its SLO — shedding or a blown tail fails `make
-# check`.
-workload:
-	$(GO) run ./cmd/repdir-sim -experiment workload -keys 20000 -rate 2000 -duration 1s
 
 # Overload gate: a TCP 3-2-2 suite with the full protection stack —
 # deadline propagation, CoDel admission, no retry of a refusal, a

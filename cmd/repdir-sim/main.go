@@ -1,38 +1,32 @@
 // Command repdir-sim regenerates the paper's evaluation (section 4 and
-// the section 5 discussion) as text tables:
+// the section 5 discussion) as text tables, and runs the simulator's
+// fault soaks and its one open-loop curve:
 //
-//	repdir-sim -experiment fig14   # Figure 14: config sweep at ~100 entries
-//	repdir-sim -experiment fig15   # Figure 15: 3-2-2 at 100/1k/10k entries
-//	repdir-sim -experiment fig16   # Figure 16: locality configuration
-//	repdir-sim -experiment sticky  # section 5 sticky-quorum ablation
-//	repdir-sim -experiment batch   # section 4 neighbor-batching ablation
-//	repdir-sim -experiment model   # section 5 analytic model vs simulation
-//	repdir-sim -experiment skew    # uniform vs Zipf(1.3) key-selection ablation
-//	repdir-sim -experiment scale   # throughput as concurrent clients grow
-//	repdir-sim -experiment conc    # section 2 concurrency comparison
-//	repdir-sim -experiment chaos   # fault-injection soak (crash/partition/duplicate)
-//	repdir-sim -experiment heal    # lookup cost of a down member + anti-entropy recovery curve
-//	repdir-sim -experiment storage # crash points, salvage recovery curve, rebuild throughput
-//	repdir-sim -experiment traffic # live traffic: messages/op, probes per delete, latency
-//	repdir-sim -experiment workload # open-loop workload mixes with SLO verdicts
+//	repdir-sim -experiment fig14    # Figure 14: config sweep at ~100 entries
+//	repdir-sim -experiment fig15    # Figure 15: 3-2-2 at 100/1k/10k entries
+//	repdir-sim -experiment fig16    # Figure 16: locality configuration
+//	repdir-sim -experiment sticky   # section 5 sticky-quorum ablation
+//	repdir-sim -experiment batch    # section 4 neighbor-batching ablation
+//	repdir-sim -experiment model    # section 5 analytic model vs simulation
+//	repdir-sim -experiment skew     # uniform vs Zipf(1.3) key-selection ablation
+//	repdir-sim -experiment scale    # throughput as concurrent clients grow
+//	repdir-sim -experiment conc     # section 2 concurrency comparison
+//	repdir-sim -experiment chaos    # fault-injection soak (crash/partition/duplicate)
+//	repdir-sim -experiment heal     # lookup cost of a down member + anti-entropy recovery curve
+//	repdir-sim -experiment storage  # crash points, salvage recovery curve, rebuild throughput
 //	repdir-sim -experiment overload # overload curve: goodput plateau + bounded tail past saturation
-//	repdir-sim -experiment all     # everything
+//	repdir-sim -experiment all      # everything
 //
 // The -ops flag overrides the per-run operation count (the paper used
 // 10,000 for Figure 14 and 100,000 for Figure 15); -seed fixes the
-// random workload.
+// random workload. -keys and -duration size the overload curve's key
+// universe and the length of each of its load points. A failed soak or
+// a failed overload verdict exits 1.
 //
-// With -obs.addr the process serves its observability endpoints for
-// the whole run — Prometheus text exposition on /metrics, expvar on
-// /debug/vars, pprof under /debug/pprof/:
-//
-//	repdir-sim -experiment traffic -duration 5m -obs.addr :8080 &
-//	curl localhost:8080/metrics
-//
-// Only the traffic experiment registers anything with that endpoint —
-// its suite's event counters, its members' call counters and call
-// latency histograms; under the others /metrics stays empty. -duration
-// stretches its workload long enough to scrape mid-run.
+// Messages per operation, the paper's cost unit, are the Figure 14-16
+// tables here; for the suite as deployed they are pinned by
+// internal/core's rounds_test.go and read as the benchmark's
+// msgs_per_op (bench/). Live metrics come from repdir-server -obs.addr.
 package main
 
 import (
@@ -42,13 +36,12 @@ import (
 	"strings"
 	"time"
 
-	"repdir/internal/obs"
 	"repdir/internal/sim"
 )
 
 // experiments lists every experiment, in the order -experiment all runs
 // them.
-var experiments = []string{"fig14", "fig15", "fig16", "sticky", "batch", "model", "skew", "scale", "conc", "chaos", "heal", "storage", "traffic", "workload", "overload"}
+var experiments = []string{"fig14", "fig15", "fig16", "sticky", "batch", "model", "skew", "scale", "conc", "chaos", "heal", "storage", "overload"}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -57,36 +50,49 @@ func main() {
 	}
 }
 
+// flags holds the parameters the experiments read.
+type flags struct {
+	seed               int64
+	ops, clients, keys int
+	latency, duration  time.Duration
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("repdir-sim", flag.ContinueOnError)
-	var (
-		experiment = fs.String("experiment", "all", strings.Join(experiments, ", ")+", or all")
-		seed       = fs.Int64("seed", 1983, "workload seed")
-		ops        = fs.Int("ops", 0, "override operations per run (0 = paper's values)")
-		clients    = fs.Int("clients", 8, "concurrent clients for the concurrency comparison")
-		latency    = fs.Duration("latency", 200*time.Microsecond, "simulated per-message latency for the concurrency comparison")
-		obsAddr    = fs.String("obs.addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (empty = off)")
-		duration   = fs.Duration("duration", 0, "workload length for the traffic and workload experiments (0 = default)")
-		keys       = fs.Int("keys", 0, "key-universe size for the workload experiment (0 = default)")
-		rate       = fs.Float64("rate", 0, "open-loop arrival rate for the workload experiment, ops/sec (0 = default)")
-	)
+	var f flags
+	experiment := fs.String("experiment", "all", strings.Join(experiments, ", ")+", or all")
+	fs.Int64Var(&f.seed, "seed", 1983, "workload seed")
+	fs.IntVar(&f.ops, "ops", 0, "override operations per run (0 = paper's values)")
+	fs.IntVar(&f.clients, "clients", 8, "concurrent clients for the concurrency comparison")
+	fs.DurationVar(&f.latency, "latency", 200*time.Microsecond, "simulated per-message latency for the concurrency comparison")
+	fs.DurationVar(&f.duration, "duration", 0, "length of each overload load point (0 = default)")
+	fs.IntVar(&f.keys, "keys", 0, "key-universe size for the overload experiment (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	registry := obs.NewRegistry()
-	if *obsAddr != "" {
-		srv, err := obs.Serve(*obsAddr, registry, true)
-		if err != nil {
-			return fmt.Errorf("obs: %w", err)
+	runs := f.runs()
+	if *experiment != "all" {
+		fn, ok := runs[*experiment]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q (want %s, or all)", *experiment, strings.Join(experiments, ", "))
 		}
-		defer srv.Close()
-		fmt.Printf("[observability on http://%s/metrics]\n", srv.Addr())
+		return timed(*experiment, fn)
 	}
+	for _, name := range experiments {
+		if err := timed(name, runs[name]); err != nil {
+			return err
+		}
+		fmt.Println()
+	}
+	return nil
+}
 
-	runs := map[string]func() error{
+// runs maps each experiment's name to the function that runs it under f.
+func (f *flags) runs() map[string]func() error {
+	return map[string]func() error{
 		"fig14": func() error {
-			results, err := runFigure14(*seed, *ops)
+			results, err := runFigure14(f.seed, f.ops)
 			if err != nil {
 				return err
 			}
@@ -95,11 +101,11 @@ func run(args []string) error {
 			return nil
 		},
 		"fig15": func() error {
-			opsPerRun := *ops
+			opsPerRun := f.ops
 			if opsPerRun == 0 {
 				opsPerRun = 100000
 			}
-			results, err := sim.RunFigure15(*seed, opsPerRun)
+			results, err := sim.RunFigure15(f.seed, opsPerRun)
 			if err != nil {
 				return err
 			}
@@ -108,7 +114,7 @@ func run(args []string) error {
 			return nil
 		},
 		"fig16": func() error {
-			opsPerType := *ops
+			opsPerType := f.ops
 			if opsPerType == 0 {
 				opsPerType = 2000
 			}
@@ -120,11 +126,11 @@ func run(args []string) error {
 			return nil
 		},
 		"sticky": func() error {
-			opsPerRun := *ops
+			opsPerRun := f.ops
 			if opsPerRun == 0 {
 				opsPerRun = 10000
 			}
-			random, sticky, err := sim.RunStickyQuorumAblation(*seed, opsPerRun)
+			random, sticky, err := sim.RunStickyQuorumAblation(f.seed, opsPerRun)
 			if err != nil {
 				return err
 			}
@@ -134,11 +140,11 @@ func run(args []string) error {
 			return nil
 		},
 		"batch": func() error {
-			opsPerRun := *ops
+			opsPerRun := f.ops
 			if opsPerRun == 0 {
 				opsPerRun = 10000
 			}
-			single, batched, err := sim.RunBatchingAblation(*seed, opsPerRun)
+			single, batched, err := sim.RunBatchingAblation(f.seed, opsPerRun)
 			if err != nil {
 				return err
 			}
@@ -148,11 +154,11 @@ func run(args []string) error {
 			return nil
 		},
 		"skew": func() error {
-			opsPerRun := *ops
+			opsPerRun := f.ops
 			if opsPerRun == 0 {
 				opsPerRun = 10000
 			}
-			uniform, skewed, err := sim.RunSkewAblation(*seed, opsPerRun, 1.3)
+			uniform, skewed, err := sim.RunSkewAblation(f.seed, opsPerRun, 1.3)
 			if err != nil {
 				return err
 			}
@@ -162,7 +168,7 @@ func run(args []string) error {
 			return nil
 		},
 		"model": func() error {
-			comps, err := sim.RunModelComparison(*seed, *ops)
+			comps, err := sim.RunModelComparison(f.seed, f.ops)
 			if err != nil {
 				return err
 			}
@@ -170,25 +176,25 @@ func run(args []string) error {
 			return nil
 		},
 		"scale": func() error {
-			opsPerClient := *ops
+			opsPerClient := f.ops
 			if opsPerClient == 0 {
 				opsPerClient = 25
 			}
-			points, err := sim.RunScalability([]int{1, 2, 4, 8, 16}, opsPerClient, *latency)
+			points, err := sim.RunScalability([]int{1, 2, 4, 8, 16}, opsPerClient, f.latency)
 			if err != nil {
 				return err
 			}
-			fmt.Print(sim.FormatScalability(points, *latency))
+			fmt.Print(sim.FormatScalability(points, f.latency))
 			return nil
 		},
 		"chaos": func() error {
-			opsPerSeed := *ops
+			opsPerSeed := f.ops
 			if opsPerSeed == 0 {
 				opsPerSeed = 2000
 			}
 			seeds := make([]int64, 5)
 			for i := range seeds {
-				seeds[i] = *seed + int64(i)
+				seeds[i] = f.seed + int64(i)
 			}
 			results, err := sim.RunChaosSeeds(sim.ChaosConfig{Operations: opsPerSeed}, seeds)
 			if err != nil {
@@ -206,28 +212,15 @@ func run(args []string) error {
 			return nil
 		},
 		"heal": func() error {
-			res, err := sim.RunHeal(sim.HealConfig{Seed: *seed, Ops: *ops})
+			res, err := sim.RunHeal(sim.HealConfig{Seed: f.seed, Ops: f.ops})
 			if err != nil {
 				return err
 			}
 			fmt.Print(sim.FormatHeal(res))
 			return nil
 		},
-		"traffic": func() error {
-			res, err := sim.RunTraffic(sim.TrafficConfig{
-				Seed:     *seed,
-				Entries:  *ops,
-				Duration: *duration,
-				Registry: registry,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Print(sim.FormatTraffic(res))
-			return nil
-		},
 		"storage": func() error {
-			res, err := sim.RunStorage(sim.StorageConfig{Seed: *seed, Commits: *ops})
+			res, err := sim.RunStorage(sim.StorageConfig{Seed: f.seed, Commits: f.ops})
 			if err != nil {
 				return err
 			}
@@ -236,9 +229,9 @@ func run(args []string) error {
 		},
 		"overload": func() error {
 			report, err := sim.RunOverload(sim.OverloadConfig{
-				Keys:     *keys,
-				Duration: *duration,
-				Seed:     *seed,
+				Keys:     f.keys,
+				Duration: f.duration,
+				Seed:     f.seed,
 			})
 			if err != nil {
 				return err
@@ -250,31 +243,12 @@ func run(args []string) error {
 			}
 			return nil
 		},
-		"workload": func() error {
-			report, err := sim.RunWorkload(sim.WorkloadConfig{
-				Keys:     *keys,
-				Rate:     *rate,
-				Duration: *duration,
-				Seed:     *seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Print(sim.FormatWorkload(report))
-			for _, m := range report.Mixes {
-				if m.Verdict.Checked && !m.Verdict.Pass {
-					return fmt.Errorf("workload: mix %s missed its SLO: %v",
-						m.Config.Mix.Name, m.Verdict.Failures)
-				}
-			}
-			return nil
-		},
 		"conc": func() error {
-			opsPerClient := *ops
+			opsPerClient := f.ops
 			if opsPerClient == 0 {
 				opsPerClient = 25
 			}
-			res, err := sim.RunConcurrencyComparison(*clients, opsPerClient, *latency)
+			res, err := sim.RunConcurrencyComparison(f.clients, opsPerClient, f.latency)
 			if err != nil {
 				return err
 			}
@@ -283,21 +257,6 @@ func run(args []string) error {
 			return nil
 		},
 	}
-
-	if *experiment != "all" {
-		fn, ok := runs[*experiment]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (want %s, or all)", *experiment, strings.Join(experiments, ", "))
-		}
-		return timed(*experiment, fn)
-	}
-	for _, name := range experiments {
-		if err := timed(name, runs[name]); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
 }
 
 // runFigure14 honors the -ops override.

@@ -1,4 +1,4 @@
-package workload
+package core
 
 import (
 	"context"
@@ -8,6 +8,19 @@ import (
 
 	"repdir/internal/version"
 )
+
+// Versioned is what a Session reads and writes through: the
+// version-returning operations and the one-member local read. *Suite
+// and *shard.Router both implement it; local reads need WithLocalReads
+// on the suite, or on each shard's suite.
+type Versioned interface {
+	LookupV(ctx context.Context, key string) (string, bool, version.V, error)
+	UpdateV(ctx context.Context, key, value string) (version.V, error)
+	InsertV(ctx context.Context, key, value string) (version.V, error)
+	LocalLookup(ctx context.Context, key string) (string, bool, version.V, error)
+}
+
+var _ Versioned = (*Suite)(nil)
 
 // Session is one client's view of the directory with session guarantees
 // layered over the suite's single-copy semantics:
@@ -19,7 +32,7 @@ import (
 //     read can never travel back in time past an earlier one.
 //
 // On the fast path, reads go to the target's designated local member
-// (core.WithLocalReads) — one message instead of a read quorum. The
+// (WithLocalReads) — one message instead of a read quorum. The
 // local reply is trusted only while two checks hold: the session's lease
 // on the member is unexpired, and the reply's version meets the key's
 // floor. Either failing falls back to a quorum read (which also renews
@@ -34,7 +47,7 @@ import (
 // clients through quorums excluding the member. The floor makes the
 // session's own writes immune to even that window.
 type Session struct {
-	dir      VersionedDirectory
+	dir      Versioned
 	leaseTTL time.Duration
 
 	mu     sync.Mutex
@@ -48,7 +61,7 @@ type Session struct {
 // NewSession opens a session over dir with the given lease TTL. The
 // lease starts expired; the first read takes the quorum path and renews
 // it.
-func NewSession(dir VersionedDirectory, leaseTTL time.Duration) *Session {
+func NewSession(dir Versioned, leaseTTL time.Duration) *Session {
 	return &Session{
 		dir:      dir,
 		leaseTTL: leaseTTL,

@@ -22,7 +22,7 @@ import (
 // old. With a sticky write-quorum policy that always includes the local
 // member, the local copy is too old only when some *other* client wrote
 // through a quorum excluding it, so the fallback is the exception, not
-// the rule. internal/workload builds the session layer on top of these.
+// the rule. Session (clientsession.go) is the layer built on these.
 
 // ErrNoLocalMember reports a LocalLookup on a suite built without
 // WithLocalReads.

@@ -161,47 +161,6 @@ func (s HistogramSnapshot) String() string {
 		s.Quantile(0.50), s.Quantile(0.99))
 }
 
-// HistogramVec is a set of histograms keyed by one label value (the
-// operation name, the 2PC phase, ...). Labels are created on first use.
-type HistogramVec struct {
-	mu sync.RWMutex
-	m  map[string]*Histogram
-}
-
-// NewHistogramVec builds an empty vector.
-func NewHistogramVec() *HistogramVec {
-	return &HistogramVec{m: make(map[string]*Histogram)}
-}
-
-// With returns the histogram for the label, creating it if needed.
-func (v *HistogramVec) With(label string) *Histogram {
-	v.mu.RLock()
-	h, ok := v.m[label]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if h, ok = v.m[label]; ok {
-		return h
-	}
-	h = &Histogram{}
-	v.m[label] = h
-	return h
-}
-
-// Snapshot copies every label's histogram.
-func (v *HistogramVec) Snapshot() map[string]HistogramSnapshot {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]HistogramSnapshot, len(v.m))
-	for l, h := range v.m {
-		out[l] = h.Snapshot()
-	}
-	return out
-}
-
 // CounterVec is a set of monotonic counters keyed by one label value.
 type CounterVec struct {
 	mu sync.RWMutex

@@ -175,29 +175,6 @@ func TestQuantileBucketEdges(t *testing.T) {
 	}
 }
 
-// TestHistogramVec checks lazy label creation and concurrent access.
-func TestHistogramVec(t *testing.T) {
-	v := NewHistogramVec()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				v.With("lookup").Observe(time.Microsecond)
-				v.With("insert").Observe(time.Millisecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := len(v.Snapshot()); n != 2 {
-		t.Errorf("%d labels, want insert and lookup", n)
-	}
-	if s := v.Snapshot()["lookup"]; s.Count != 400 {
-		t.Errorf("lookup count = %d", s.Count)
-	}
-}
-
 // TestCounterVec checks lazy creation and concurrent adds.
 func TestCounterVec(t *testing.T) {
 	v := NewCounterVec()

@@ -19,19 +19,12 @@ type Sample struct {
 	Value  float64
 }
 
-// HistSample is one labeled histogram of a histogram family.
-type HistSample struct {
-	Labels []string
-	Snap   HistogramSnapshot
-}
-
 // family is one registered metric family. Exactly one of collect /
-// collectHist / collectSize is set, depending on kind.
+// collectSize is set, depending on kind.
 type family struct {
 	name, help, kind string
 	labels           []string
 	collect          func() []Sample
-	collectHist      func() []HistSample
 	collectSize      func() []SizeSample
 }
 
@@ -79,11 +72,6 @@ func (r *Registry) Counter(name, help string, fn func() uint64) {
 // CounterVec registers a labeled counter family collected from fn.
 func (r *Registry) CounterVec(name, help string, labels []string, fn func() []Sample) {
 	r.add(family{name: name, help: help, kind: "counter", labels: labels, collect: fn})
-}
-
-// HistogramVec registers a labeled histogram family collected from fn.
-func (r *Registry) HistogramVec(name, help string, labels []string, fn func() []HistSample) {
-	r.add(family{name: name, help: help, kind: "histogram", labels: labels, collectHist: fn})
 }
 
 // CounterMap registers a one-label counter family collected from a
@@ -159,23 +147,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range families {
 		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		if f.kind == "histogram" {
-			if f.collectSize != nil {
-				samples := f.collectSize()
-				sort.Slice(samples, func(i, j int) bool {
-					return labelLess(samples[i].Labels, samples[j].Labels)
-				})
-				for _, s := range samples {
-					writeSizeHistogram(bw, f, s)
-				}
-				continue
-			}
-			samples := f.collectHist()
+		if f.collectSize != nil {
+			samples := f.collectSize()
 			sort.Slice(samples, func(i, j int) bool {
 				return labelLess(samples[i].Labels, samples[j].Labels)
 			})
 			for _, s := range samples {
-				writeHistogram(bw, f, s)
+				writeSizeHistogram(bw, f, s)
 			}
 			continue
 		}
@@ -189,24 +167,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// writeHistogram renders one histogram sample: cumulative buckets with
-// le bounds in seconds, then _sum and _count.
-func writeHistogram(w io.Writer, f family, s HistSample) {
-	var cum uint64
-	for i := 0; i < NumBuckets; i++ {
-		cum += s.Snap.Counts[i]
-		le := "+Inf"
-		if b := BucketBound(i); b >= 0 {
-			le = formatValue(b.Seconds())
-		}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", f.name,
-			labelString(f.labels, s.Labels, "le", le), cum)
-	}
-	ls := labelString(f.labels, s.Labels, "", "")
-	fmt.Fprintf(w, "%s_sum%s %s\n", f.name, ls, formatValue(s.Snap.Sum.Seconds()))
-	fmt.Fprintf(w, "%s_count%s %d\n", f.name, ls, s.Snap.Count)
 }
 
 // writeSizeHistogram renders one unitless histogram sample: cumulative

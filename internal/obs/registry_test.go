@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // promLine matches one sample line of the text exposition format.
@@ -80,12 +79,12 @@ func TestRegistryExposition(t *testing.T) {
 		func() map[string]uint64 { return map[string]uint64{"a": 1, "b": 2} })
 	reg.CounterMap("test_state_total", `States with "quotes" and \slashes\.`, "member",
 		func() map[string]uint64 { return map[string]uint64{`m"1\`: 3} })
-	var h Histogram
-	h.Observe(time.Microsecond)
-	h.Observe(500 * time.Microsecond)
-	h.Observe(2 * time.Second)
-	reg.HistogramVec("test_latency_seconds", "Latency.", nil, func() []HistSample {
-		return []HistSample{{Snap: h.Snapshot()}}
+	var h SizeHistogram
+	h.Observe(1)
+	h.Observe(500)
+	h.Observe(2 << 20)
+	reg.SizeHistogramVec("test_frame_bytes", "Frame sizes.", nil, func() []SizeSample {
+		return []SizeSample{{Snap: h.Snapshot()}}
 	})
 
 	var b strings.Builder
@@ -104,17 +103,17 @@ func TestRegistryExposition(t *testing.T) {
 	if samples[`test_state_total{member="m\"1\\"}`] != 3 {
 		t.Errorf("escaped label missing from:\n%s", text)
 	}
-	if samples["test_latency_seconds_count"] != 3 {
-		t.Errorf("histogram count = %v", samples["test_latency_seconds_count"])
+	if samples["test_frame_bytes_count"] != 3 {
+		t.Errorf("histogram count = %v", samples["test_frame_bytes_count"])
 	}
-	if samples[`test_latency_seconds_bucket{le="+Inf"}`] != 3 {
+	if samples[`test_frame_bytes_bucket{le="+Inf"}`] != 3 {
 		t.Error("+Inf bucket != count")
 	}
 	// Buckets are cumulative and monotone.
 	prev := -1.0
 	count := 0
 	for line := range samples {
-		if strings.HasPrefix(line, "test_latency_seconds_bucket") {
+		if strings.HasPrefix(line, "test_frame_bytes_bucket") {
 			count++
 		}
 	}
@@ -122,8 +121,7 @@ func TestRegistryExposition(t *testing.T) {
 		t.Errorf("rendered %d buckets, want %d", count, NumBuckets)
 	}
 	for i := 0; i < numFinite; i++ {
-		key := fmt.Sprintf(`test_latency_seconds_bucket{le="%s"}`,
-			strconv.FormatFloat(BucketBound(i).Seconds(), 'g', -1, 64))
+		key := fmt.Sprintf(`test_frame_bytes_bucket{le="%d"}`, SizeBucketBound(i))
 		v, ok := samples[key]
 		if !ok {
 			t.Fatalf("missing bucket %s", key)

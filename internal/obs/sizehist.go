@@ -113,9 +113,9 @@ type SizeSample struct {
 	Snap   SizeSnapshot
 }
 
-// SizeHistogramVec registers a labeled unitless histogram family whose
-// bucket bounds are rendered as plain integers (bytes, counts) rather
-// than seconds.
+// SizeHistogramVec registers a labeled unitless histogram family, the
+// only histogram kind the registry renders: cumulative buckets with
+// integer le bounds (bytes, counts), then _sum and _count.
 func (r *Registry) SizeHistogramVec(name, help string, labels []string, fn func() []SizeSample) {
 	r.add(family{name: name, help: help, kind: "histogram", labels: labels, collectSize: fn})
 }

@@ -10,6 +10,9 @@ import (
 	"repdir/internal/transport"
 )
 
+// A core.Session runs over a router as over one suite.
+var _ core.Versioned = (*Router)(nil)
+
 func TestRouterValidation(t *testing.T) {
 	m, err := NewMap("m")
 	if err != nil {

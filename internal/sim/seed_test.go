@@ -9,9 +9,6 @@ import "testing"
 // not thinking about it — was unreplayable as itself. Defaults must
 // never touch the seed.
 func TestZeroSeedPreserved(t *testing.T) {
-	if got := (TrafficConfig{}).withDefaults().Seed; got != 0 {
-		t.Errorf("TrafficConfig zero seed coerced to %d", got)
-	}
 	if got := (StorageConfig{}).withDefaults().Seed; got != 0 {
 		t.Errorf("StorageConfig zero seed coerced to %d", got)
 	}
@@ -19,7 +16,7 @@ func TestZeroSeedPreserved(t *testing.T) {
 		t.Errorf("HealConfig zero seed coerced to %d", got)
 	}
 	// Non-zero seeds pass through untouched too.
-	if got := (TrafficConfig{Seed: 42}).withDefaults().Seed; got != 42 {
+	if got := (StorageConfig{Seed: 42}).withDefaults().Seed; got != 42 {
 		t.Errorf("seed 42 rewritten to %d", got)
 	}
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // Local is an in-process connection to a representative with fault
-// injection: the target can be crashed (calls fail with ErrUnavailable)
-// and a fixed per-call latency can be added. It is a Middleware whose
-// hook is the Local itself. Local is safe for concurrent use.
+// injection: the target can be cut off (Crash: calls that enter after it
+// fail with ErrUnavailable) and a fixed per-call latency can be added.
+// It is a Middleware whose hook is the Local itself. Local is safe for
+// concurrent use.
 type Local struct {
 	Middleware
 
@@ -28,7 +29,13 @@ func NewLocal(target rep.Directory) *Local {
 	return l
 }
 
-// Crash makes subsequent calls fail with ErrUnavailable.
+// Crash makes subsequent calls fail with ErrUnavailable. It is a
+// partition, not a process death: a call that entered before it runs on
+// at the target, and its reply passes through. A harness that recovers
+// the target from a log it shares across incarnations must therefore
+// fence the dead incarnation's log at the crash, or such a call appends
+// behind the recovered incarnation's back (incarnationLog in the root
+// package's chaos_test.go does this).
 func (l *Local) Crash() {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -14,28 +14,19 @@ import (
 // slowness; service time — execution start to completion — is what a
 // closed-loop driver would have measured. Both feed internal/obs
 // histograms, so snapshots merge and quantiles (overflow-exact, see
-// obs.HistogramSnapshot.Max) come for free. Safe for concurrent use.
+// obs.HistogramSnapshot.Max) come for free. The zero value is ready;
+// safe for concurrent use.
 type Recorder struct {
 	response obs.Histogram
 	service  obs.Histogram
-	perOp    *obs.HistogramVec
-}
-
-// NewRecorder builds an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{perOp: obs.NewHistogramVec()}
 }
 
 // Record captures one operation. intended may equal execStart (a
 // closed-loop caller that genuinely had no schedule), in which case
 // response and service coincide.
-func (r *Recorder) Record(op string, intended, execStart, done time.Time) {
-	resp := done.Sub(intended)
-	r.response.Observe(resp)
+func (r *Recorder) Record(intended, execStart, done time.Time) {
+	r.response.Observe(done.Sub(intended))
 	r.service.Observe(done.Sub(execStart))
-	if op != "" {
-		r.perOp.With(op).Observe(resp)
-	}
 }
 
 // Response snapshots the response-time histogram (from intended start).
@@ -43,12 +34,3 @@ func (r *Recorder) Response() obs.HistogramSnapshot { return r.response.Snapshot
 
 // Service snapshots the service-time histogram (from execution start).
 func (r *Recorder) Service() obs.HistogramSnapshot { return r.service.Snapshot() }
-
-// PerOp snapshots the per-operation response-time histograms.
-func (r *Recorder) PerOp() map[string]obs.HistogramSnapshot { return r.perOp.Snapshot() }
-
-// OmissionDelta is the headline coordinated-omission number: how much
-// of the response-time tail the service-time view hides, at quantile q.
-func (r *Recorder) OmissionDelta(q float64) time.Duration {
-	return r.Response().Quantile(q) - r.Service().Quantile(q)
-}

@@ -4,21 +4,11 @@ import (
 	"context"
 
 	"repdir/internal/core"
-	"repdir/internal/shard"
 )
 
 // SuiteRunner adapts a suite's transactional API to Preload batching.
 func SuiteRunner(s *core.Suite) TxnRunner {
 	return func(ctx context.Context, fn func(Inserter) error) error {
 		return s.RunInTxn(ctx, func(tx *core.Tx) error { return fn(tx) })
-	}
-}
-
-// RouterRunner adapts a router's cross-shard transactional API to
-// Preload batching. Batches of contiguous keys mostly land on one
-// shard, so the cross-shard 2PC usually degenerates to a single suite's.
-func RouterRunner(r *shard.Router) TxnRunner {
-	return func(ctx context.Context, fn func(Inserter) error) error {
-		return r.RunInTxn(ctx, func(x *shard.Txn) error { return fn(x) })
 	}
 }

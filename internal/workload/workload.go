@@ -1,7 +1,7 @@
-// Package workload is the repo's measuring stick: a YCSB-style
-// open-loop workload driver over the directory API (core.Suite or
-// shard.Router), with coordinated-omission-safe latency capture and
-// machine-checkable SLO verdicts.
+// Package workload is the open-loop driver behind repdir-sim's
+// overload curve: a YCSB-style operation stream over the directory API
+// (core.Suite or shard.Router), with coordinated-omission-safe latency
+// capture and every refused operation attributed to its cause.
 //
 // # Open loop, and why
 //
@@ -15,14 +15,6 @@
 // start time, so queueing delay caused by the system's own slowness
 // counts against it. When even the queue overflows, arrivals are shed
 // and counted — backpressure is reported, never hidden.
-//
-// # Sessions
-//
-// The read-heavy mix can route lookups through client sessions
-// (session.go): read-your-writes version floors plus lease-based local
-// reads at a sticky quorum member, turning an R-message quorum read into
-// one message on the fast path. Run reports local-read hit/fallback
-// counts so the read-path win is visible next to its latency cost.
 package workload
 
 import (
@@ -37,7 +29,6 @@ import (
 	"repdir/internal/core"
 	"repdir/internal/obs"
 	"repdir/internal/transport"
-	"repdir/internal/version"
 )
 
 // Directory is the slice of the directory API the driver exercises.
@@ -46,55 +37,21 @@ type Directory interface {
 	Lookup(ctx context.Context, key string) (string, bool, error)
 	Insert(ctx context.Context, key, value string) error
 	Update(ctx context.Context, key, value string) error
-	Scan(ctx context.Context, after string, limit int) ([]core.KV, error)
-}
-
-// VersionedDirectory adds the session primitives: version-returning
-// writes/reads and single-member local reads. *core.Suite and
-// *shard.Router both implement it (local reads additionally need
-// core.WithLocalReads on the suite(s)).
-type VersionedDirectory interface {
-	Directory
-	LookupV(ctx context.Context, key string) (string, bool, version.V, error)
-	UpdateV(ctx context.Context, key, value string) (version.V, error)
-	InsertV(ctx context.Context, key, value string) (version.V, error)
-	LocalLookup(ctx context.Context, key string) (string, bool, version.V, error)
 }
 
 // Mix is an operation mix: relative weights, not percentages (they are
-// normalized). Scan weight drives scanLimit-entry range scans.
+// normalized).
 type Mix struct {
 	Name   string
 	Lookup int
 	Update int
 	Insert int
-	Scan   int
 }
 
-// scanLimit is the entry budget of every scan a mix issues.
-const scanLimit = 50
+// ReadHeavy is the YCSB-B-like mix the overload curve drives.
+var ReadHeavy = Mix{Name: "read-heavy", Lookup: 95, Update: 5}
 
-// The standard mixes, YCSB-flavored: C-like read-heavy, A-like
-// update-heavy, E-like scan-heavy.
-var (
-	ReadHeavy   = Mix{Name: "read-heavy", Lookup: 95, Update: 5}
-	UpdateHeavy = Mix{Name: "update-heavy", Lookup: 50, Update: 50}
-	ScanHeavy   = Mix{Name: "scan-heavy", Lookup: 20, Update: 5, Scan: 75}
-)
-
-func (m Mix) total() int { return m.Lookup + m.Update + m.Insert + m.Scan }
-
-// SLO is a latency objective on response time (intended-start to
-// completion). Zero fields are unchecked.
-type SLO struct {
-	P50  time.Duration
-	P99  time.Duration
-	P999 time.Duration
-	// MaxShedFraction bounds Shed/Offered (default: any shedding fails
-	// the verdict when an SLO is set, because shed arrivals are load the
-	// system refused, not latency it served).
-	MaxShedFraction float64
-}
+func (m Mix) total() int { return m.Lookup + m.Update + m.Insert }
 
 // Config parameterizes one open-loop run.
 type Config struct {
@@ -140,15 +97,6 @@ type Config struct {
 	// replayable seed (it is NOT coerced — see the zero-seed bugfix in
 	// internal/sim).
 	Seed int64
-	// SLO, when any field is set, produces a pass/fail verdict.
-	SLO SLO
-	// Sessions, when > 0, routes lookups through that many client
-	// sessions with read-your-writes floors and lease-based local reads
-	// (requires a VersionedDirectory target with local members).
-	Sessions int
-	// LeaseTTL bounds how long a session trusts its local member
-	// between quorum refreshes (default 500ms).
-	LeaseTTL time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -169,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
-	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 500 * time.Millisecond
 	}
 	if c.HotFraction > 0 && c.HotKeys <= 0 {
 		c.HotKeys = 16
@@ -202,60 +147,11 @@ type Result struct {
 	// tails is the omission delta.
 	Response obs.HistogramSnapshot
 	Service  obs.HistogramSnapshot
-	// PerOp breaks response time down by operation label.
-	PerOp map[string]obs.HistogramSnapshot
-	// LocalReads / LocalFallbacks count session lookups served by the
-	// one-message local path vs falling back to a quorum read (floor
-	// violation, lease expiry, or local-read error).
-	LocalReads, LocalFallbacks uint64
 	// ErrorKinds splits Errors by cause, so an overload run can account
 	// for every refused operation: "overloaded" (server shed),
 	// "expired" (deadline refused at the server), "unavailable",
 	// "deadline" (client context elapsed), "other".
 	ErrorKinds map[string]uint64
-	// Verdict is the SLO evaluation (Checked false when no SLO set).
-	Verdict Verdict
-}
-
-// Verdict is the SLO evaluation of a run.
-type Verdict struct {
-	Checked        bool
-	P50, P99, P999 time.Duration
-	ShedFraction   float64
-	Pass           bool
-	// Failures lists which objectives missed, for human logs.
-	Failures []string
-}
-
-// evaluate builds the verdict from the response capture.
-func (c Config) evaluate(res *Result) {
-	v := &res.Verdict
-	v.P50 = res.Response.Quantile(0.50)
-	v.P99 = res.Response.Quantile(0.99)
-	v.P999 = res.Response.Quantile(0.999)
-	if res.Offered > 0 {
-		v.ShedFraction = float64(res.Shed) / float64(res.Offered)
-	}
-	slo := c.SLO
-	if slo.P50 == 0 && slo.P99 == 0 && slo.P999 == 0 {
-		return
-	}
-	v.Checked = true
-	v.Pass = true
-	check := func(name string, got, want time.Duration) {
-		if want > 0 && got > want {
-			v.Pass = false
-			v.Failures = append(v.Failures, fmt.Sprintf("%s %v > %v", name, got, want))
-		}
-	}
-	check("p50", v.P50, slo.P50)
-	check("p99", v.P99, slo.P99)
-	check("p999", v.P999, slo.P999)
-	if v.ShedFraction > slo.MaxShedFraction {
-		v.Pass = false
-		v.Failures = append(v.Failures,
-			fmt.Sprintf("shed %.2f%% > %.2f%%", 100*v.ShedFraction, 100*slo.MaxShedFraction))
-	}
 }
 
 // op is one scheduled operation: what to do, on which key, and when it
@@ -265,7 +161,6 @@ type op struct {
 	key      string
 	value    string
 	intended time.Time
-	session  int
 }
 
 type opKind uint8
@@ -274,10 +169,7 @@ const (
 	opLookup opKind = iota
 	opUpdate
 	opInsert
-	opScan
 )
-
-var opLabels = [...]string{"lookup", "update", "insert", "scan"}
 
 // Error-kind buckets for Result.ErrorKinds. Overload accounting needs
 // every refused operation attributed: a shed and an expiry are two
@@ -384,11 +276,11 @@ type Inserter interface {
 //		return s.RunInTxn(ctx, func(tx *core.Tx) error { return fn(txInserter{ctx, tx}) })
 //	}
 //
-// SuiteRunner and RouterRunner build these for the two concrete targets.
+// SuiteRunner builds one for a suite.
 type TxnRunner func(ctx context.Context, fn func(Inserter) error) error
 
 // Run drives one open-loop run against dir. The universe must already
-// be preloaded. Sessions require dir to implement VersionedDirectory.
+// be preloaded.
 func Run(ctx context.Context, dir Directory, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	res := Result{Config: cfg}
@@ -396,19 +288,7 @@ func Run(ctx context.Context, dir Directory, cfg Config) (Result, error) {
 		return res, errors.New("workload: empty mix")
 	}
 
-	var sessions []*Session
-	if cfg.Sessions > 0 {
-		vdir, ok := dir.(VersionedDirectory)
-		if !ok {
-			return res, errors.New("workload: sessions need a versioned directory target")
-		}
-		sessions = make([]*Session, cfg.Sessions)
-		for i := range sessions {
-			sessions[i] = NewSession(vdir, cfg.LeaseTTL)
-		}
-	}
-
-	rec := NewRecorder()
+	var rec Recorder
 	queue := make(chan op, cfg.QueueDepth)
 	var offered, shed, completed, errs atomic.Uint64
 	var errKinds [numErrKinds]atomic.Uint64
@@ -426,11 +306,11 @@ func Run(ctx context.Context, dir Directory, cfg Config) (Result, error) {
 				if cfg.OpTimeout > 0 {
 					opCtx, cancel = context.WithTimeout(ctx, cfg.OpTimeout)
 				}
-				err := execute(opCtx, dir, sessions, cfg, o)
+				err := execute(opCtx, dir, o)
 				if cancel != nil {
 					cancel()
 				}
-				rec.Record(opLabels[o.kind], o.intended, execStart, time.Now())
+				rec.Record(o.intended, execStart, time.Now())
 				completed.Add(1)
 				if err != nil {
 					errs.Add(1)
@@ -478,12 +358,6 @@ func Run(ctx context.Context, dir Directory, cfg Config) (Result, error) {
 	}
 	res.Response = rec.Response()
 	res.Service = rec.Service()
-	res.PerOp = rec.PerOp()
-	for _, s := range sessions {
-		lr, lf := s.Stats()
-		res.LocalReads += lr
-		res.LocalFallbacks += lf
-	}
 	for i := range errKinds {
 		if n := errKinds[i].Load(); n > 0 {
 			if res.ErrorKinds == nil {
@@ -492,43 +366,29 @@ func Run(ctx context.Context, dir Directory, cfg Config) (Result, error) {
 			res.ErrorKinds[errKindLabels[i]] = n
 		}
 	}
-	cfg.evaluate(&res)
 	return res, nil
 }
 
 // execute runs one operation. Semantic errors that the workload itself
 // provokes (inserting an existing key) are not failures.
-func execute(ctx context.Context, dir Directory, sessions []*Session, cfg Config, o op) error {
+func execute(ctx context.Context, dir Directory, o op) error {
 	switch o.kind {
 	case opLookup:
-		if len(sessions) > 0 {
-			s := sessions[o.session%len(sessions)]
-			_, _, err := s.Lookup(ctx, o.key)
-			return err
-		}
 		_, _, err := dir.Lookup(ctx, o.key)
 		return err
 	case opUpdate:
-		if len(sessions) > 0 {
-			s := sessions[o.session%len(sessions)]
-			return s.Update(ctx, o.key, o.value)
-		}
 		return dir.Update(ctx, o.key, o.value)
-	case opInsert:
+	default:
 		err := dir.Insert(ctx, o.key, o.value)
 		if errors.Is(err, core.ErrKeyExists) {
 			return nil
 		}
 		return err
-	case opScan:
-		_, err := dir.Scan(ctx, o.key, scanLimit)
-		return err
 	}
-	return fmt.Errorf("workload: unknown op %d", o.kind)
 }
 
-// opGen deterministically generates the operation stream: one rng, one
-// zipf source, round-robin session assignment.
+// opGen deterministically generates the operation stream: one rng and
+// one zipf source.
 type opGen struct {
 	cfg    Config
 	rng    *rand.Rand
@@ -567,20 +427,18 @@ func (g *opGen) next() op {
 	m := g.cfg.Mix
 	r := g.rng.Intn(m.total())
 	g.seq++
-	o := op{session: int(g.seq)}
+	var o op
 	switch {
 	case r < m.Lookup:
 		o.kind, o.key = opLookup, g.pickKey()
 	case r < m.Lookup+m.Update:
 		o.kind, o.key = opUpdate, g.pickWriteKey()
 		o.value = fmt.Sprintf("u%d", g.seq)
-	case r < m.Lookup+m.Update+m.Insert:
+	default:
 		o.kind = opInsert
 		o.key = Key(g.insert)
 		g.insert++
 		o.value = "v0"
-	default:
-		o.kind, o.key = opScan, g.pickKey()
 	}
 	return o
 }

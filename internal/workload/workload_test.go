@@ -10,10 +10,12 @@ import (
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
-	"repdir/internal/version"
 )
 
-// newSuite builds a 3-2-2 sticky suite with rep0 as local read member.
+// updateHeavy is a YCSB-A-like mix, for tests that need many updates.
+var updateHeavy = Mix{Name: "update-heavy", Lookup: 50, Update: 50}
+
+// newSuite builds a 3-2-2 sticky suite.
 func newSuite(t *testing.T, names ...string) *core.Suite {
 	t.Helper()
 	if len(names) == 0 {
@@ -26,7 +28,6 @@ func newSuite(t *testing.T, names ...string) *core.Suite {
 	cfg := quorum.NewUniform(dirs, 2, 2)
 	s, err := core.NewSuite(cfg,
 		core.WithSelector(quorum.NewStickySelector(cfg)),
-		core.WithLocalReads(names[0]),
 		core.WithParallelQuorum(true))
 	if err != nil {
 		t.Fatalf("NewSuite: %v", err)
@@ -37,8 +38,8 @@ func newSuite(t *testing.T, names ...string) *core.Suite {
 // TestPreloadAndRun drives a short open-loop mixed run end to end
 // against a real suite and checks the accounting identities: every
 // offered arrival is either completed or shed, the latency captures
-// cover every completed operation, and response >= service at every
-// recorded point in aggregate.
+// cover every completed operation, and response >= service in
+// aggregate.
 func TestPreloadAndRun(t *testing.T) {
 	ctx := context.Background()
 	s := newSuite(t)
@@ -54,16 +55,12 @@ func TestPreloadAndRun(t *testing.T) {
 	}
 
 	res, err := Run(ctx, s, Config{
-		Mix:      Mix{Name: "mixed", Lookup: 60, Update: 20, Insert: 10, Scan: 10},
+		Mix:      Mix{Name: "mixed", Lookup: 60, Update: 20, Insert: 20},
 		Keys:     keys,
 		Rate:     2000,
 		Duration: 300 * time.Millisecond,
 		Workers:  8,
 		Seed:     7,
-		// Latency-only objective: under -race everything runs ~10x
-		// slower and some shedding is expected, so allow it here — the
-		// backpressure test asserts shed gating on its own.
-		SLO: SLO{P999: time.Minute, MaxShedFraction: 1},
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -86,23 +83,13 @@ func TestPreloadAndRun(t *testing.T) {
 		t.Errorf("aggregate response %v < service %v — intended-start accounting lost time",
 			res.Response.Sum, res.Service.Sum)
 	}
-	var perOpTotal uint64
-	for _, s := range res.PerOp {
-		perOpTotal += s.Count
-	}
-	if perOpTotal != res.Completed {
-		t.Errorf("per-op total %d != completed %d", perOpTotal, res.Completed)
-	}
-	if !res.Verdict.Checked || !res.Verdict.Pass {
-		t.Errorf("verdict = %+v, want checked pass", res.Verdict)
-	}
 }
 
 // TestRunDeterministicStream pins that the operation stream is a pure
 // function of the seed: two generators with the same seed produce the
 // same sequence, and seed zero is a valid seed distinct from seed one.
 func TestRunDeterministicStream(t *testing.T) {
-	cfg := Config{Keys: 100, Mix: UpdateHeavy, ZipfS: 1.2}.withDefaults()
+	cfg := Config{Keys: 100, Mix: updateHeavy, ZipfS: 1.2}.withDefaults()
 	a, b := newOpGen(cfg), newOpGen(cfg)
 	for i := 0; i < 500; i++ {
 		oa, ob := a.next(), b.next()
@@ -141,9 +128,9 @@ func (d *slowDir) Lookup(ctx context.Context, key string) (string, bool, error) 
 
 // TestBackpressureSheds overloads a deliberately slow target: with one
 // worker, a tiny queue, and arrivals far beyond capacity, the driver
-// must shed (not block the clock), the verdict must fail on shedding,
-// and the response tail must dwarf the service tail (the coordinated
-// omission a closed-loop driver would have hidden).
+// must shed (not block the clock), and the response tail must dwarf the
+// service tail (the coordinated omission a closed-loop driver would have
+// hidden).
 func TestBackpressureSheds(t *testing.T) {
 	ctx := context.Background()
 	s := newSuite(t, "sl0", "sl1", "sl2")
@@ -160,7 +147,6 @@ func TestBackpressureSheds(t *testing.T) {
 		Workers:    1,
 		QueueDepth: 4,
 		Seed:       1,
-		SLO:        SLO{P99: 100 * time.Second}, // latency passes; shedding must fail it
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -168,179 +154,24 @@ func TestBackpressureSheds(t *testing.T) {
 	if res.Shed == 0 {
 		t.Fatalf("overloaded run shed nothing (offered %d, completed %d)", res.Offered, res.Completed)
 	}
-	if res.Verdict.Pass {
-		t.Errorf("verdict passed despite %.1f%% shed", 100*res.Verdict.ShedFraction)
-	}
 	if res.Response.Quantile(0.99) <= res.Service.Quantile(0.99) {
 		t.Errorf("response p99 %v <= service p99 %v — queueing delay not charged",
 			res.Response.Quantile(0.99), res.Service.Quantile(0.99))
 	}
 }
 
-// stubVDir is a scripted VersionedDirectory for session-logic tests.
-type stubVDir struct {
-	Directory
-	localVer  version.V
-	localVal  string
-	quorumVer version.V
-	quorumVal string
-	writeVer  version.V
-
-	localCalls, quorumCalls int
-}
-
-func (d *stubVDir) LookupV(ctx context.Context, key string) (string, bool, version.V, error) {
-	d.quorumCalls++
-	return d.quorumVal, true, d.quorumVer, nil
-}
-
-func (d *stubVDir) LocalLookup(ctx context.Context, key string) (string, bool, version.V, error) {
-	d.localCalls++
-	return d.localVal, true, d.localVer, nil
-}
-
-func (d *stubVDir) UpdateV(ctx context.Context, key, value string) (version.V, error) {
-	return d.writeVer, nil
-}
-
-func (d *stubVDir) InsertV(ctx context.Context, key, value string) (version.V, error) {
-	return d.writeVer, nil
-}
-
-// TestSessionReadYourWrites scripts the floor check: after a write at
-// version 5, a local member still at version 3 must NOT serve the read
-// — the session falls back to the quorum path.
-func TestSessionReadYourWrites(t *testing.T) {
-	ctx := context.Background()
-	d := &stubVDir{localVer: 3, localVal: "stale", quorumVer: 5, quorumVal: "fresh", writeVer: 5}
-	s := NewSession(d, time.Minute)
-
-	// Write raises the floor to 5 and grants the lease.
-	if err := s.Update(ctx, "k", "fresh"); err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	val, _, err := s.Lookup(ctx, "k")
-	if err != nil {
-		t.Fatalf("Lookup: %v", err)
-	}
-	if val != "fresh" {
-		t.Fatalf("read-your-writes violated: got %q from the stale local copy", val)
-	}
-	if d.localCalls != 1 || d.quorumCalls != 1 {
-		t.Errorf("calls local=%d quorum=%d, want the local probe then the fallback", d.localCalls, d.quorumCalls)
-	}
-	lr, lf := s.Stats()
-	if lr != 0 || lf != 1 {
-		t.Errorf("stats local=%d fallback=%d, want 0/1", lr, lf)
-	}
-
-	// Once the local copy catches up, reads stay local.
-	d.localVer, d.localVal = 5, "fresh"
-	if val, _, err = s.Lookup(ctx, "k"); err != nil || val != "fresh" {
-		t.Fatalf("caught-up local read: %q, %v", val, err)
-	}
-	lr, _ = s.Stats()
-	if lr != 1 {
-		t.Errorf("caught-up read not served locally (local=%d)", lr)
-	}
-
-	// Monotonic reads: the quorum read advanced the floor to 5; a local
-	// copy sliding back below it (impossible for one member, but models
-	// a reconfigured target) must not serve.
-	d.localVer = 4
-	if _, _, err := s.Lookup(ctx, "k"); err != nil {
-		t.Fatalf("Lookup: %v", err)
-	}
-	if _, lf = s.Stats(); lf != 2 {
-		t.Errorf("regressed local copy served (fallbacks=%d, want 2)", lf)
-	}
-}
-
-// TestSessionLeaseExpiry pins the lease gate: with an expired lease the
-// session must not touch the local member at all, and a successful
-// quorum read renews the lease.
-func TestSessionLeaseExpiry(t *testing.T) {
-	ctx := context.Background()
-	d := &stubVDir{localVer: 9, localVal: "v", quorumVer: 9, quorumVal: "v", writeVer: 9}
-	s := NewSession(d, 50*time.Millisecond)
-
-	// The lease starts expired: first read is a quorum read.
-	if _, _, err := s.Lookup(ctx, "k"); err != nil {
-		t.Fatalf("Lookup: %v", err)
-	}
-	if d.localCalls != 0 || d.quorumCalls != 1 {
-		t.Fatalf("pre-lease calls local=%d quorum=%d", d.localCalls, d.quorumCalls)
-	}
-	// The quorum read granted the lease: next read is local.
-	if _, _, err := s.Lookup(ctx, "k"); err != nil {
-		t.Fatalf("Lookup: %v", err)
-	}
-	if d.localCalls != 1 {
-		t.Fatalf("leased read not local (local=%d)", d.localCalls)
-	}
-	// Let the lease lapse: back to the quorum path.
-	time.Sleep(60 * time.Millisecond)
-	if _, _, err := s.Lookup(ctx, "k"); err != nil {
-		t.Fatalf("Lookup: %v", err)
-	}
-	if d.localCalls != 1 || d.quorumCalls != 2 {
-		t.Errorf("post-expiry calls local=%d quorum=%d, want 1/2", d.localCalls, d.quorumCalls)
-	}
-}
-
-// TestSessionsEndToEnd runs the read-heavy mix through sessions against
-// a real sticky suite: local reads must dominate (the read-path win the
-// harness exists to measure) and nothing may error.
-func TestSessionsEndToEnd(t *testing.T) {
-	ctx := context.Background()
-	s := newSuite(t, "se0", "se1", "se2")
-	const keys = 100
-	if err := Preload(ctx, s, keys, 32, 4, SuiteRunner(s)); err != nil {
-		t.Fatalf("Preload: %v", err)
-	}
-	res, err := Run(ctx, s, Config{
-		Mix:      ReadHeavy,
-		Keys:     keys,
-		Rate:     2000,
-		Duration: 250 * time.Millisecond,
-		Workers:  8,
-		Sessions: 4,
-		LeaseTTL: time.Second,
-		Seed:     3,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Errors != 0 {
-		t.Errorf("%d errors", res.Errors)
-	}
-	if res.LocalReads == 0 {
-		t.Fatal("no lookups served by the local path")
-	}
-	if res.LocalReads < res.LocalFallbacks {
-		t.Errorf("local path lost to fallbacks (%d local, %d fallback) under sticky quorums",
-			res.LocalReads, res.LocalFallbacks)
-	}
-}
-
-// TestRecorder pins the response/service split and the omission delta.
+// TestRecorder pins the response/service split.
 func TestRecorder(t *testing.T) {
-	r := NewRecorder()
+	var r Recorder
 	base := time.Unix(0, 0)
 	// Intended at t=0, started at t=40ms (queued), done at t=50ms.
-	r.Record("lookup", base, base.Add(40*time.Millisecond), base.Add(50*time.Millisecond))
+	r.Record(base, base.Add(40*time.Millisecond), base.Add(50*time.Millisecond))
 	resp, svc := r.Response(), r.Service()
 	if resp.Max != 50*time.Millisecond {
 		t.Errorf("response max = %v, want 50ms", resp.Max)
 	}
 	if svc.Max != 10*time.Millisecond {
 		t.Errorf("service max = %v, want 10ms", svc.Max)
-	}
-	if d := r.OmissionDelta(1); d <= 0 {
-		t.Errorf("omission delta = %v, want positive", d)
-	}
-	if per := r.PerOp(); per["lookup"].Count != 1 {
-		t.Errorf("per-op capture missing: %+v", per)
 	}
 }
 
@@ -351,7 +182,7 @@ func TestRecorder(t *testing.T) {
 func TestHotKeyMix(t *testing.T) {
 	cfg := Config{
 		Keys:        10_000,
-		Mix:         UpdateHeavy,
+		Mix:         updateHeavy,
 		HotFraction: 0.5,
 		HotKeys:     4,
 		Seed:        11,
