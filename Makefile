@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race benchall benchtest overload raceoverload chaos crash shard reconfig obsdeps seedlines
+.PHONY: check vet build test race benchall benchtest overload raceoverload chaos crash shard reconfig obsdeps seedlines size
 
 check: vet obsdeps build race shard crash chaos reconfig overload raceoverload benchtest
 
@@ -17,7 +17,7 @@ vet:
 	fi
 
 # internal/obs must stay stdlib-only: it sits at the bottom of the
-# import graph (core and transport import it), so any
+# import graph (transport, shard and repdir-server import it), so any
 # dependency it grows is a dependency of everything.
 obsdeps:
 	@deps=$$($(GO) list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' repdir/internal/obs | grep -v '^repdir/internal/obs$$' || true); \
@@ -135,6 +135,15 @@ raceoverload:
 # `bash bench/run.sh`; see bench/README.md.
 benchtest:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The four sizes a simplification is measured by: non-test and test Go
+# lines outside bench/, `func With…` option constructors, and `*Stats`
+# structs outside bench/. Not part of check.
+size:
+	@echo "non-test Go lines: $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$(find . -name '*.go' -not -path './bench/*' -name '*_test.go' | xargs cat | wc -l)"
+	@echo "func With...:      $$(find . -name '*.go' -not -name '*_test.go' | xargs grep -h '^func With' | wc -l)"
+	@echo "Stats structs:     $$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs grep -hE '^type [A-Za-z0-9_]*Stats struct' | wc -l)"
 
 # Every benchmark in the repo (paper figures included), human-readable.
 benchall:

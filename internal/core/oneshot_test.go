@@ -174,9 +174,9 @@ func TestOneShotReadsLinearizePerKey(t *testing.T) {
 // crashes right after executing them, used to leave a read lock behind
 // until an abort or a sweep of strays found it. A one-shot read releases
 // before it answers, so whatever happens to the answer nothing is left:
-// after a storm of lookups and local lookups through members that drop
-// replies and crash after executing, no member holds a lock or a
-// transaction record — with no abort sent and no sweep run.
+// after a storm of lookups through members that drop replies and crash
+// after executing, no member holds a lock or a transaction record —
+// with no abort sent and no sweep run.
 func TestReadsLeakNoLocks(t *testing.T) {
 	ctx := context.Background()
 	plan := fault.Plan{PDropReply: 0.15, PCrashAfter: 0.05, PDuplicate: 0.05, DownMin: 1, DownMax: 3,
@@ -184,8 +184,7 @@ func TestReadsLeakNoLocks(t *testing.T) {
 	in := fault.NewInjector([]string{"A", "B", "C"}, plan, 7)
 	in.Suspend(true)
 	cfg := quorum.NewUniform(in.Directories(), 2, 2)
-	s, err := NewSuite(cfg, WithSelector(quorum.NewRandomSelector(cfg, 7)), WithParallelQuorum(true),
-		WithLocalReads("B"))
+	s, err := NewSuite(cfg, WithSelector(quorum.NewRandomSelector(cfg, 7)), WithParallelQuorum(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,13 +201,7 @@ func TestReadsLeakNoLocks(t *testing.T) {
 	failed := 0
 	for i := 0; i < 600; i++ {
 		key := fmt.Sprintf("k%d", i%8)
-		var err error
-		if i%3 == 0 {
-			_, _, _, err = s.LocalLookup(ctx, key)
-		} else {
-			_, _, err = s.Lookup(ctx, key)
-		}
-		if err != nil {
+		if _, _, err := s.Lookup(ctx, key); err != nil {
 			failed++ // two members down at once; nothing to do with locks
 		}
 	}

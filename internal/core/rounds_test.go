@@ -234,7 +234,7 @@ func newTapedSuite(t *testing.T, tcp bool, seed int64, sel func(quorum.Config) q
 	if sel != nil {
 		s = sel(cfg)
 	}
-	opts = append([]Option{WithSelector(s), WithMetrics(ts.rec), WithLocalReads("B")}, opts...)
+	opts = append([]Option{WithSelector(s), WithMetrics(ts.rec)}, opts...)
 	suite, err := NewSuite(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -340,14 +340,6 @@ func TestPointOperationRounds(t *testing.T) {
 				})
 				if got := kinds(calls); !reflect.DeepEqual(got, []string{"lookup+once", "lookup+once"}) {
 					t.Errorf("%s: calls %v, want 2 one-shot lookups", what("lookup"), got)
-				}
-
-				calls = ts.run(t, what("lookup-local"), func() error {
-					_, _, _, err := ts.suite.LocalLookup(ctx, "d")
-					return err
-				})
-				if got := kinds(calls); !reflect.DeepEqual(got, []string{"lookup+once"}) || calls[0].member != "B" {
-					t.Errorf("%s: calls %v, want 1 one-shot lookup at B", what("lookup-local"), got)
 				}
 
 				// The suite inserted d and knows its version; it knows none

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"repdir/internal/obs"
-)
+import "sync/atomic"
 
 // SuiteStats counts transaction-level events on a Suite. All fields are
 // cumulative since the suite was created.
@@ -72,26 +68,4 @@ func (c *suiteCounters) snapshot() SuiteStats {
 // Stats returns a snapshot of the suite's transaction counters.
 func (s *Suite) Stats() SuiteStats {
 	return s.counters.snapshot()
-}
-
-// RegisterMetrics exposes every SuiteStats counter on reg as one
-// repdir_suite_events_total sample, labelled by event kind, for the
-// Prometheus text endpoint.
-func (s *Suite) RegisterMetrics(reg *obs.Registry) {
-	reg.CounterMap("repdir_suite_events_total",
-		"Cumulative suite transaction events, by event kind.",
-		"event", func() map[string]uint64 {
-			st := s.Stats()
-			return map[string]uint64{
-				"calls":                  st.Calls,
-				"commits":                st.Commits,
-				"failures":               st.Failures,
-				"cancelled":              st.Cancelled,
-				"retries":                st.Retries,
-				"dies":                   st.Dies,
-				"replica_losses":         st.ReplicaLosses,
-				"stale_epoch_rejections": st.StaleEpochRejections,
-				"witness_votes":          st.WitnessVotes,
-			}
-		})
 }

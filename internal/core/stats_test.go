@@ -1,19 +1,9 @@
 package core
 
 import (
-	"bufio"
 	"context"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"regexp"
-	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
-
-	"repdir/internal/obs"
 )
 
 func TestStatsCountCommitsAndFailures(t *testing.T) {
@@ -119,90 +109,5 @@ func TestCancelledOpsAreCounted(t *testing.T) {
 	if got := st.Commits + st.Failures + st.Cancelled; got != st.Calls {
 		t.Errorf("accounting: commits %d + failures %d + cancelled %d != calls %d",
 			st.Commits, st.Failures, st.Cancelled, st.Calls)
-	}
-}
-
-// expositionLine matches one sample line of the Prometheus text format.
-var expositionLine = regexp.MustCompile(
-	`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (-?[0-9.e+\-]+|\+Inf|NaN)$`)
-
-// TestMetricsEndpoint serves what RegisterMetrics writes over HTTP and
-// pins it: one family, repdir_suite_events_total, with one sample for
-// each SuiteStats counter and no other, each reading the counter.
-func TestMetricsEndpoint(t *testing.T) {
-	ctx := context.Background()
-	ts := newScriptedSuite(t, []string{"A", "B", "C"}, 2, 2)
-	ts.script.set([]int{0, 1}, []int{0, 1})
-	for _, op := range []func() error{
-		func() error { return ts.suite.Insert(ctx, "k", "v") },
-		func() error { _, _, err := ts.suite.Lookup(ctx, "k"); return err },
-		func() error { return ts.suite.Delete(ctx, "k") },
-	} {
-		if err := op(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	reg := obs.NewRegistry()
-	ts.suite.RegisterMetrics(reg)
-	srv := httptest.NewServer(reg.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
-		t.Errorf("content type = %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var families []string
-	samples := map[string]string{}
-	sc := bufio.NewScanner(strings.NewReader(string(body)))
-	for sc.Scan() {
-		line := sc.Text()
-		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
-			families = append(families, f[2]+" "+f[3])
-		}
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		m := expositionLine.FindStringSubmatch(line)
-		if m == nil {
-			t.Errorf("unparseable exposition line: %q", line)
-			continue
-		}
-		samples[m[1]+m[2]] = m[3]
-	}
-	if want := []string{"repdir_suite_events_total counter"}; !slices.Equal(families, want) {
-		t.Errorf("families = %v, want %v", families, want)
-	}
-	st := ts.suite.Stats()
-	want := map[string]uint64{
-		"calls":                  st.Calls,
-		"cancelled":              st.Cancelled,
-		"commits":                st.Commits,
-		"dies":                   st.Dies,
-		"failures":               st.Failures,
-		"replica_losses":         st.ReplicaLosses,
-		"retries":                st.Retries,
-		"stale_epoch_rejections": st.StaleEpochRejections,
-		"witness_votes":          st.WitnessVotes,
-	}
-	if len(samples) != len(want) {
-		t.Errorf("%d samples %v, want one for each of %d events", len(samples), samples, len(want))
-	}
-	for event, v := range want {
-		name := `repdir_suite_events_total{event="` + event + `"}`
-		if got, ok := samples[name]; !ok || got != strconv.FormatUint(v, 10) {
-			t.Errorf("%s = %q, want %d", name, got, v)
-		}
-	}
-	if st.Commits != 3 || st.Calls != 3 {
-		t.Errorf("commits %d of %d calls, want 3 of 3", st.Commits, st.Calls)
 	}
 }

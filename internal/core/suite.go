@@ -60,6 +60,7 @@ import (
 	"repdir/internal/rep"
 	"repdir/internal/transport"
 	"repdir/internal/txn"
+	"repdir/internal/version"
 )
 
 // Errors reported by suite operations.
@@ -90,10 +91,6 @@ type Suite struct {
 	parallel   bool
 	counters   suiteCounters
 	hints      hints
-	// localMember, when set (WithLocalReads), names the store member
-	// LocalLookup consults, and local is that member.
-	localMember string
-	local       rep.Directory
 
 	// idle holds the transactions of operations that are over, for the
 	// next operations to run in (acquire, release); releasing counts the
@@ -171,14 +168,6 @@ func NewSuite(cfg quorum.Config, opts ...Option) (*Suite, error) {
 	for i, m := range cfg.Members {
 		m.Dir = s.wrapDir(m.Dir)
 		s.members = append(s.members, member{Member: m, idx: i})
-		if m.Dir.Name() == s.localMember {
-			if s.local = m.Dir; m.Witness {
-				return nil, fmt.Errorf("core: local read member %q is a witness (holds no values)", s.localMember)
-			}
-		}
-	}
-	if s.localMember != "" && s.local == nil {
-		return nil, fmt.Errorf("core: local read member %q is not in the configuration", s.localMember)
 	}
 	return s, nil
 }
@@ -210,6 +199,48 @@ func (s *Suite) Update(ctx context.Context, key, value string) error {
 func (s *Suite) Delete(ctx context.Context, key string) error {
 	_, err := s.DeleteV(ctx, key)
 	return err
+}
+
+// LookupV is Lookup plus the winning version: the entry's version when
+// found, the winning gap version otherwise. It costs one round of R
+// messages: see pointRead.
+func (s *Suite) LookupV(ctx context.Context, key string) (string, bool, version.V, error) {
+	var res rep.LookupResult
+	err := s.runTxn(ctx, pointRead, func(tx *Tx) (err error) {
+		res, err = tx.lookup(ctx, key)
+		return err
+	})
+	return res.Value, res.Found, res.Version, err
+}
+
+// InsertV is Insert plus the version the new entry was written with. It
+// costs two rounds, write and commit, where the suite remembers the
+// key's version, and three, read first, where it does not: see
+// pointWrite.
+func (s *Suite) InsertV(ctx context.Context, key, value string) (ver version.V, err error) {
+	err = s.runTxn(ctx, pointWrite, func(tx *Tx) (err error) {
+		ver, err = tx.write(ctx, key, value, false)
+		return err
+	})
+	return ver, err
+}
+
+// UpdateV is Update plus the version the replacement was written with.
+func (s *Suite) UpdateV(ctx context.Context, key, value string) (ver version.V, err error) {
+	err = s.runTxn(ctx, pointWrite, func(tx *Tx) (err error) {
+		ver, err = tx.write(ctx, key, value, true)
+		return err
+	})
+	return ver, err
+}
+
+// DeleteV is Delete plus the version of the gap written over the key.
+func (s *Suite) DeleteV(ctx context.Context, key string) (ver version.V, err error) {
+	err = s.runTxn(ctx, pointWrite, func(tx *Tx) (err error) {
+		ver, err = tx.delete(ctx, key)
+		return err
+	})
+	return ver, err
 }
 
 // RunInTxn runs fn as one atomic transaction: all directory operations

@@ -11,6 +11,7 @@ import (
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
+	"repdir/internal/version"
 )
 
 func TestNewSuiteValidates(t *testing.T) {
@@ -439,5 +440,54 @@ func TestRandomizedOracle(t *testing.T) {
 		if found != exists || (found && v != want) {
 			t.Errorf("final: %s = (%q,%v), oracle (%q,%v)", key, v, found, want, exists)
 		}
+	}
+}
+
+// TestVersionedOps pins the version-returning variants: versions start
+// above the gap version and advance by one per write, and LookupV
+// reports the same version the write returned.
+func TestVersionedOps(t *testing.T) {
+	ctx := context.Background()
+	dirs := make([]rep.Directory, 3)
+	for i, n := range []string{"rep0", "rep1", "rep2"} {
+		dirs[i] = transport.NewLocal(rep.New(n))
+	}
+	cfg := quorum.NewUniform(dirs, 2, 2)
+	s, err := NewSuite(cfg, WithSelector(quorum.NewStickySelector(cfg)))
+	if err != nil {
+		t.Fatalf("NewSuite: %v", err)
+	}
+
+	v1, err := s.InsertV(ctx, "a", "1")
+	if err != nil {
+		t.Fatalf("InsertV: %v", err)
+	}
+	v2, err := s.UpdateV(ctx, "a", "2")
+	if err != nil {
+		t.Fatalf("UpdateV: %v", err)
+	}
+	if v2 != v1.Next() {
+		t.Errorf("update version %v, want %v", v2, v1.Next())
+	}
+	val, found, vr, err := s.LookupV(ctx, "a")
+	if err != nil || !found || val != "2" {
+		t.Fatalf("LookupV = %q, %v, %v", val, found, err)
+	}
+	if vr != v2 {
+		t.Errorf("LookupV version %v, want %v", vr, v2)
+	}
+	// A missing key reports found=false with the winning gap version.
+	_, found, gv, err := s.LookupV(ctx, "zzz")
+	if err != nil || found {
+		t.Fatalf("LookupV missing = %v, %v", found, err)
+	}
+	if gv < version.Lowest {
+		t.Errorf("gap version %v", gv)
+	}
+	if _, err := s.InsertV(ctx, "a", "x"); !errors.Is(err, ErrKeyExists) {
+		t.Errorf("InsertV existing: %v", err)
+	}
+	if _, err := s.UpdateV(ctx, "zzz", "x"); !errors.Is(err, ErrKeyNotFound) {
+		t.Errorf("UpdateV missing: %v", err)
 	}
 }

@@ -74,19 +74,6 @@ func (r *Registry) CounterVec(name, help string, labels []string, fn func() []Sa
 	r.add(family{name: name, help: help, kind: "counter", labels: labels, collect: fn})
 }
 
-// CounterMap registers a one-label counter family collected from a
-// label→count map (the shape most snapshot methods already return).
-func (r *Registry) CounterMap(name, help, label string, fn func() map[string]uint64) {
-	r.CounterVec(name, help, []string{label}, func() []Sample {
-		m := fn()
-		out := make([]Sample, 0, len(m))
-		for l, v := range m {
-			out = append(out, Sample{Labels: []string{l}, Value: float64(v)})
-		}
-		return out
-	})
-}
-
 // escapeLabel escapes a label value per the exposition format.
 func escapeLabel(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)

@@ -75,10 +75,12 @@ func validatePrometheus(t *testing.T, r io.Reader) map[string]float64 {
 func TestRegistryExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test_ops_total", "Total ops.", func() uint64 { return 42 })
-	reg.CounterMap("test_events_total", "Events by kind.", "kind",
-		func() map[string]uint64 { return map[string]uint64{"a": 1, "b": 2} })
-	reg.CounterMap("test_state_total", `States with "quotes" and \slashes\.`, "member",
-		func() map[string]uint64 { return map[string]uint64{`m"1\`: 3} })
+	reg.CounterVec("test_events_total", "Events by kind.", []string{"kind"},
+		func() []Sample {
+			return []Sample{{Labels: []string{"b"}, Value: 2}, {Labels: []string{"a"}, Value: 1}}
+		})
+	reg.CounterVec("test_state_total", `States with "quotes" and \slashes\.`, []string{"member"},
+		func() []Sample { return []Sample{{Labels: []string{`m"1\`}, Value: 3}} })
 	var h SizeHistogram
 	h.Observe(1)
 	h.Observe(500)
@@ -99,6 +101,10 @@ func TestRegistryExposition(t *testing.T) {
 	}
 	if samples[`test_events_total{kind="a"}`] != 1 || samples[`test_events_total{kind="b"}`] != 2 {
 		t.Errorf("labeled counter missing: %v", text)
+	}
+	// Samples render sorted by label value, whatever order fn returns.
+	if a, b := strings.Index(text, `test_events_total{kind="a"}`), strings.Index(text, `test_events_total{kind="b"}`); a > b {
+		t.Errorf("samples out of label order:\n%s", text)
 	}
 	if samples[`test_state_total{member="m\"1\\"}`] != 3 {
 		t.Errorf("escaped label missing from:\n%s", text)

@@ -238,18 +238,6 @@ func (r *Router) UpdateV(ctx context.Context, key, value string) (version.V, err
 	return r.suite(i).UpdateV(ctx, key, value)
 }
 
-// LocalLookup reads the key from the owning shard's designated local
-// member (core.WithLocalReads on that shard's suite): one message
-// instead of a read quorum, with the staleness contract documented on
-// core.Suite.LocalLookup.
-func (r *Router) LocalLookup(ctx context.Context, key string) (string, bool, version.V, error) {
-	i, err := r.ownerOf(key)
-	if err != nil {
-		return "", false, version.Lowest, err
-	}
-	return r.suite(i).LocalLookup(ctx, key)
-}
-
 // Delete removes the entry for key.
 func (r *Router) Delete(ctx context.Context, key string) error {
 	_, err := r.DeleteV(ctx, key)

@@ -10,9 +10,6 @@ import (
 	"repdir/internal/transport"
 )
 
-// A core.Session runs over a router as over one suite.
-var _ core.Versioned = (*Router)(nil)
-
 func TestRouterValidation(t *testing.T) {
 	m, err := NewMap("m")
 	if err != nil {
@@ -70,6 +67,32 @@ func TestRouterPointOpRouting(t *testing.T) {
 	}
 	if _, _, err := r.Lookup(ctx, ""); err == nil {
 		t.Fatal("empty key accepted")
+	}
+}
+
+// TestRouterVersionedOps pins the version-returning point ops through a
+// router: each reaches the owning shard's suite and reports the version
+// that suite holds.
+func TestRouterVersionedOps(t *testing.T) {
+	r, _ := newTestRouter(t, []string{"m"}, 1)
+	ctx := context.Background()
+
+	v, err := r.InsertV(ctx, "x", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if val, found, got, err := r.suite(1).LookupV(ctx, "x"); err != nil || !found || val != "1" || got != v {
+		t.Fatalf("owner LookupV(x) = (%q, %v, %v, %v), want (1, true, %v)", val, found, got, err, v)
+	}
+	if u, err := r.UpdateV(ctx, "x", "2"); err != nil || u != v.Next() {
+		t.Fatalf("UpdateV(x) = (%v, %v), want %v", u, err, v.Next())
+	}
+	g, err := r.DeleteV(ctx, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, found, got, err := r.LookupV(ctx, "x"); err != nil || found || got != g {
+		t.Fatalf("LookupV(x) after delete = (%v, %v, %v), want not found at %v", found, got, err, g)
 	}
 }
 
