@@ -124,9 +124,10 @@ overload:
 # landing in `txn` while its suite or router runs other operations are
 # the code paths densest in shared atomics and concurrent teardown, so
 # they get an extra -count=2 run beyond the suite-wide `race` target.
-# So does a member's reaper, whose timer aborts strays beside its calls.
+# So do a member's reaper, whose timer aborts strays beside its calls,
+# and the parked workers (internal/legs) a parallel round's calls run on.
 raceoverload:
-	$(GO) test -race -count 2 ./internal/transport/ ./internal/core/ ./internal/shard/ ./internal/txn/ ./internal/rep/
+	$(GO) test -race -count 2 ./internal/transport/ ./internal/core/ ./internal/shard/ ./internal/txn/ ./internal/rep/ ./internal/legs/
 
 # The repository benchmark (BENCHMARK.json, bench/) is a module of its
 # own, so `go vet ./...` and `go test ./...` at the root do not see it:

@@ -536,7 +536,9 @@ func TestWriteRightAfterWrite(t *testing.T) {
 // one round to the next, so the round costs no more than the same
 // Update's commit round did when its caller waited for it. The suite
 // knows the key's version, so the Update sends no read: two rounds, not
-// three (measured 5; 8 when it read).
+// three. Measured 4, with its concurrent calls on parked workers
+// (package legs); 5 when each had a goroutine of its own, 8 when the
+// Update also read.
 func TestUpdateOverWireAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -575,7 +577,7 @@ func TestUpdateOverWireAllocs(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		update() // pools, maps and buffers reach their working size
 	}
-	const most = 6
+	const most = 4
 	if n := testing.AllocsPerRun(500, update); n > most {
 		t.Errorf("one Update over the wire allocates %.0f times, commit round included; want at most %d", n, most)
 	} else {

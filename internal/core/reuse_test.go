@@ -15,49 +15,61 @@ import (
 // sequential quorum: what is left is data — a delete's neighborhoods
 // and the keys it coalesced away, a scan's page and the batches its
 // members answered with, a tree node now and then — and none of it the
-// operation's own scaffolding.
+// operation's own scaffolding. With a parallel quorum a Lookup and a
+// Scan, its release round drained, allocate no more: their concurrent
+// calls run on parked workers (package legs) through funcs the Tx and
+// its txn.Txn keep.
 func TestOperationAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
 	const runs = 500
 	ctx := context.Background()
-	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 2, 1)
-	ts.suite.metrics = nil // as deployed: nobody is listening for delete statistics
-	fresh, doomed := make([]string, runs+1), make([]string, runs+1)
-	for i := range fresh {
-		fresh[i], doomed[i] = fmt.Sprintf("fresh-%04d", i), fmt.Sprintf("doomed-%04d", i)
-		if err := ts.suite.Insert(ctx, doomed[i], "v"); err != nil {
-			t.Fatal(err)
+	for _, parallel := range []bool{false, true} {
+		ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 2, 1, WithParallelQuorum(parallel))
+		ts.suite.metrics = nil // as deployed: nobody is listening for delete statistics
+		fresh, doomed := make([]string, runs+1), make([]string, runs+1)
+		for i := range fresh {
+			fresh[i], doomed[i] = fmt.Sprintf("fresh-%04d", i), fmt.Sprintf("doomed-%04d", i)
+			if err := ts.suite.Insert(ctx, doomed[i], "v"); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	var i, d int
-	for _, op := range []struct {
-		name string
-		most float64
-		do   func() error
-	}{
-		{"Lookup", 6, func() error { _, _, err := ts.suite.Lookup(ctx, doomed[0]); return err }},
-		{"Update", 20, func() error { return ts.suite.Update(ctx, doomed[0], "v2") }},
-		{"Insert", 22, func() error { i++; return ts.suite.Insert(ctx, fresh[i-1], "v") }},
-		{"Delete", 32, func() error { d++; return ts.suite.Delete(ctx, doomed[d]) }},
-		{"Scan", 6, func() error {
-			page, err := ts.suite.Scan(ctx, doomed[d], 10)
-			if err == nil && len(page) != 10 {
-				err = fmt.Errorf("scan of %d entries, want 10", len(page))
+		var i, d int
+		for _, op := range []struct {
+			name     string
+			most     float64
+			parallel bool // also pinned with a parallel quorum
+			do       func() error
+		}{
+			{"Lookup", 0, true, func() error { _, _, err := ts.suite.Lookup(ctx, doomed[0]); return err }},
+			{"Update", 0, false, func() error { return ts.suite.Update(ctx, doomed[0], "v2") }},
+			{"Insert", 0, false, func() error { i++; return ts.suite.Insert(ctx, fresh[i-1], "v") }},
+			{"Delete", 9, false, func() error { d++; return ts.suite.Delete(ctx, doomed[d]) }},
+			{"Scan", 3, true, func() error {
+				page, err := ts.suite.Scan(ctx, doomed[d], 10)
+				if err == nil && len(page) != 10 {
+					err = fmt.Errorf("scan of %d entries, want 10", len(page))
+				}
+				return err
+			}},
+		} {
+			if parallel && !op.parallel {
+				continue
 			}
-			return err
-		}},
-	} {
-		n := testing.AllocsPerRun(runs-1, func() {
-			if err := op.do(); err != nil {
-				t.Fatalf("%s: %v", op.name, err)
+			n := testing.AllocsPerRun(runs-1, func() {
+				if err := op.do(); err != nil {
+					t.Fatalf("%s (parallel %v): %v", op.name, parallel, err)
+				}
+				if err := ts.suite.Drain(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n > op.most {
+				t.Errorf("one %s (parallel %v) allocates %.0f times, want at most %.0f", op.name, parallel, n, op.most)
+			} else {
+				t.Logf("one %s (parallel %v): %.0f allocations", op.name, parallel, n)
 			}
-		})
-		if n > op.most {
-			t.Errorf("one %s allocates %.0f times, want at most %.0f", op.name, n, op.most)
-		} else {
-			t.Logf("one %s: %.0f allocations", op.name, n)
 		}
 	}
 }

@@ -271,6 +271,7 @@ func (s *Suite) acquire() *Tx {
 		return tx
 	}
 	tx := &Tx{suite: s}
+	tx.leg = func(i int) { tx.call(i); tx.legs.Done() }
 	tx.own.Parallel = s.parallel
 	tx.own.Landed = tx.landed
 	return tx

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repdir/internal/keyspace"
+	"repdir/internal/legs"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/transport"
@@ -79,6 +80,7 @@ type Tx struct {
 	runs             [2]run
 	round            round
 	legs             sync.WaitGroup
+	leg              func(int)  // call(i), then legs.Done: a worker's leg of the round
 	spareMu          sync.Mutex // guards round.taken
 	marked, cont     rep.Marked
 }
@@ -469,14 +471,15 @@ func (tx *Tx) call(i int) {
 // answered into their slots of tx.errs and the round's other slots; the
 // caller has joined the members to the transaction.
 //
-// The calling goroutine makes the first member's call inline and spawns
-// goroutines only for the rest: it would otherwise just block on the
-// join, so the inline leg saves one spawn/schedule round per quorum
-// round. The concurrent legs also give the transport's group-commit
-// framing (transport/framing.go) its batching opportunity — ops from
-// concurrent rounds headed for the same member coalesce into one
-// multi-message frame at the shared member connection, which is the
-// only layer that sees cross-transaction traffic.
+// The calling goroutine makes the first member's call inline and hands
+// the rest to parked workers (package legs) through tx.leg, the one func
+// the Tx keeps for it: it would otherwise just block on the join, so the
+// inline leg saves one handover per quorum round. The concurrent legs
+// also give the transport's group-commit framing (transport/framing.go)
+// its batching opportunity — ops from concurrent rounds headed for the
+// same member coalesce into one multi-message frame at the shared
+// member connection, which is the only layer that sees
+// cross-transaction traffic.
 func (tx *Tx) fanOut(members []member) {
 	tx.round.to = members
 	tx.errs = slots(tx.errs, len(members))
@@ -487,12 +490,9 @@ func (tx *Tx) fanOut(members []member) {
 		}
 		return
 	}
+	tx.legs.Add(len(members) - 1)
 	for i := 1; i < len(members); i++ {
-		tx.legs.Add(1)
-		go func() {
-			defer tx.legs.Done()
-			tx.call(i)
-		}()
+		legs.Go(tx.leg, i)
 	}
 	tx.call(0)
 	tx.legs.Wait()

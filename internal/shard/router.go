@@ -326,6 +326,7 @@ func (r *Router) acquire(kept bool) *Txn {
 	if x == nil {
 		x = &Txn{r: r}
 		x.t.Parallel, x.t.Landed = r.parallel, x.landed
+		x.leg = func(j int) { x.errs[j] = x.do(j); x.legs.Done() }
 	}
 	r.mu.RLock()
 	x.suites = append(x.suites[:0], r.suites...)

@@ -9,6 +9,7 @@ import (
 
 	"repdir/internal/core"
 	"repdir/internal/keyspace"
+	"repdir/internal/legs"
 	"repdir/internal/quorum"
 	"repdir/internal/txn"
 )
@@ -39,6 +40,13 @@ type Txn struct {
 	pages  [][]core.KV // storage for a traversal's parts
 	parts  []span
 	counts []int
+
+	// The gather in progress (gather): its call, an error slot an index,
+	// its calls in flight, and the func a worker runs for one index.
+	do   func(int) error
+	errs []error
+	legs sync.WaitGroup
+	leg  func(int)
 }
 
 // over hands the Txn back to the router, unless a caller may hold it.
@@ -256,7 +264,8 @@ func (x *Txn) Count(ctx context.Context) (int, error) {
 }
 
 // gather runs do(0..n-1), concurrently when the router is configured for
-// parallel stitching. Each index must touch a distinct shard: the
+// parallel stitching: do(0) on the calling goroutine, the rest on parked
+// workers (package legs). Each index must touch a distinct shard: the
 // per-shard core.Tx is single-goroutine.
 func (x *Txn) gather(n int, do func(j int) error) error {
 	if !x.r.parallel || n < 2 {
@@ -267,18 +276,15 @@ func (x *Txn) gather(n int, do func(j int) error) error {
 		}
 		return nil
 	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
+	x.do, x.errs = do, append(x.errs[:0], make([]error, n)...)
+	x.legs.Add(n - 1)
 	for j := 1; j < n; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			errs[j] = do(j)
-		}(j)
+		legs.Go(x.leg, j)
 	}
-	errs[0] = do(0)
-	wg.Wait()
-	for _, err := range errs {
+	x.errs[0] = do(0)
+	x.legs.Wait()
+	x.do = nil
+	for _, err := range x.errs {
 		if err != nil {
 			return err
 		}

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repdir/internal/legs"
 	"repdir/internal/lock"
 	"repdir/internal/rep"
 )
@@ -85,13 +86,13 @@ type Txn struct {
 	grace        graceCtx       // what a decided round's calls run under
 	counted      rep.Marked     // what the prepare round's calls run under
 
-	// The round in progress, as its spawned calls read it, and one func a
-	// participant slot that makes the slot's call (leg): kept, so that
-	// spawning a call allocates nothing.
+	// The round in progress, as its spawned calls read it, and the func
+	// a parked worker (package legs) runs to make one participant's call
+	// (leg): made once, so that spawning a call allocates nothing.
 	ctx      context.Context
 	call     func(rep.Directory, context.Context, lock.TxnID) error
 	detached bool
-	legFns   []func()
+	legFn    func(int)
 }
 
 // participant is one representative the transaction operated at.
@@ -321,9 +322,9 @@ func (t *Txn) prepare(to func(*participant) bool) (first error) {
 
 // round drives one protocol phase at the participants to admits, and
 // reports how many it asked and whether any call failed. With Parallel
-// set the calls run concurrently — but for the last, which the calling
-// goroutine would otherwise only wait for. A detached round spawns every
-// call and returns.
+// set the calls run concurrently, on parked workers — but for the last,
+// which the calling goroutine would otherwise only wait for. A detached
+// round spawns every call and returns.
 func (t *Txn) round(ctx context.Context, to func(*participant) bool,
 	phase func(rep.Directory, context.Context, lock.TxnID) error, detached bool) (asked int, failed bool) {
 	for i := range t.participants {
@@ -339,6 +340,9 @@ func (t *Txn) round(ctx context.Context, to func(*participant) bool,
 		t.pending.Store(int32(asked))
 	}
 	t.ctx, t.call, t.detached = ctx, phase, detached
+	if t.legFn == nil {
+		t.legFn = t.leg
+	}
 	for i, n := 0, asked; n > 0; i++ {
 		p := &t.participants[i]
 		if !p.asked {
@@ -346,10 +350,10 @@ func (t *Txn) round(ctx context.Context, to func(*participant) bool,
 		}
 		switch n--; {
 		case detached:
-			t.spawn(i)
+			legs.Go(t.legFn, i)
 		case t.Parallel && n > 0:
 			t.legs.Add(1)
-			t.spawn(i)
+			legs.Go(t.legFn, i)
 		default:
 			p.err = phase(p.dir, ctx, t.ID)
 		}
@@ -363,15 +367,6 @@ func (t *Txn) round(ctx context.Context, to func(*participant) bool,
 		failed = failed || p.asked && p.err != nil
 	}
 	return asked, failed
-}
-
-// spawn starts participant i's call of the round in progress on a
-// goroutine of its own, through the slot's func, made once.
-func (t *Txn) spawn(i int) {
-	for j := len(t.legFns); j <= i; j++ {
-		t.legFns = append(t.legFns, func() { t.leg(j) })
-	}
-	go t.legFns[i]()
 }
 
 // leg makes participant i's call of the round in progress. The last call
