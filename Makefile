@@ -125,9 +125,11 @@ overload:
 # the code paths densest in shared atomics and concurrent teardown, so
 # they get an extra -count=2 run beyond the suite-wide `race` target.
 # So do a member's reaper, whose timer aborts strays beside its calls,
-# and the parked workers (internal/legs) a parallel round's calls run on.
+# the parked workers (internal/legs) a parallel round's calls run on,
+# and a fault member's crash, which fences an incarnation that calls
+# still in flight go on running on (internal/fault).
 raceoverload:
-	$(GO) test -race -count 2 ./internal/transport/ ./internal/core/ ./internal/shard/ ./internal/txn/ ./internal/rep/ ./internal/legs/
+	$(GO) test -race -count 2 ./internal/transport/ ./internal/core/ ./internal/shard/ ./internal/txn/ ./internal/rep/ ./internal/legs/ ./internal/fault/
 
 # The repository benchmark (BENCHMARK.json, bench/) is a module of its
 # own, so `go vet ./...` and `go test ./...` at the root do not see it:

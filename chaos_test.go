@@ -14,14 +14,12 @@ import (
 	"time"
 
 	"repdir/internal/core"
+	"repdir/internal/fault"
 	"repdir/internal/model"
 	"repdir/internal/quorum"
-	"repdir/internal/rep"
 	"repdir/internal/sim"
-	"repdir/internal/transport"
 	"repdir/internal/txn"
 	"repdir/internal/version"
-	"repdir/internal/wal"
 )
 
 // chaosSeed, when non-zero, replays a single soak seed — the one a
@@ -404,32 +402,6 @@ func TestChaosChurnDeterministic(t *testing.T) {
 	}
 }
 
-// incarnationLog is the log one incarnation of a replica writes. A crash
-// fences it: a call still running on the crashed incarnation — it
-// entered before the crash, and a reap may free the lock it waits for —
-// must not append behind the incarnation recovered from the same
-// records, as no call of a dead process does.
-type incarnationLog struct {
-	*wal.MemoryLog
-	mu     sync.Mutex
-	fenced bool
-}
-
-func (l *incarnationLog) Append(r wal.Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.fenced {
-		return wal.ErrClosed
-	}
-	return l.MemoryLog.Append(r)
-}
-
-func (l *incarnationLog) fence() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.fenced = true
-}
-
 // TestChaosConcurrentClients keeps the live-coordinator coverage the
 // deterministic soak cannot provide: eight clients, coordinated by two
 // suites, race each other on one shared set of eight keys while a chaos
@@ -450,21 +422,10 @@ func TestChaosConcurrentClients(t *testing.T) {
 			ctx := context.Background()
 			names := []string{"A", "B", "C", "D"}[:tc.members]
 
-			// WAL-backed replicas so crashes are recoverable. Each
-			// incarnation writes its log through a handle its crash fences.
-			logs := make([]*wal.MemoryLog, len(names))
-			handles := make([]*incarnationLog, len(names))
-			locals := make([]*transport.Local, len(names))
-			dirs := make([]rep.Directory, len(names))
-			var repMu sync.Mutex // guards replica swap during crash/recover
-			reps := make([]*rep.Rep, len(names))
-			for i, n := range names {
-				logs[i] = &wal.MemoryLog{}
-				handles[i] = &incarnationLog{MemoryLog: logs[i]}
-				reps[i] = rep.New(n, rep.WithLog(handles[i]))
-				locals[i] = transport.NewLocal(reps[i])
-				dirs[i] = locals[i]
-			}
+			// Fault members with a zero plan: they crash only when told,
+			// and restart from their write-ahead logs.
+			in := fault.NewInjector(names, fault.Plan{}, 1)
+			members, dirs := in.Members(), in.Directories()
 			cfg := quorum.NewUniform(dirs, tc.r, tc.w)
 			// Two suites coordinate, each for half of the clients, so a
 			// version one remembers goes stale whenever the other writes.
@@ -485,7 +446,10 @@ func TestChaosConcurrentClients(t *testing.T) {
 			var wg sync.WaitGroup
 
 			// Chaos: crash one replica (drop its volatile state), let the suite
-			// run degraded, recover it from its log, sometimes repair it.
+			// run degraded, restart it from its log, sometimes repair it. Each
+			// crash is logged, so a failure prints what was crashed when: the
+			// replay handle of a run on the wall clock.
+			begin := time.Now()
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -497,30 +461,23 @@ func TestChaosConcurrentClients(t *testing.T) {
 					case <-time.After(15 * time.Millisecond):
 					}
 					i := rng.Intn(len(names))
-					locals[i].Crash()
-					handles[i].fence()
+					members[i].Crash()
+					t.Logf("crash: round %d, member %s, %d ms in", round, names[i], time.Since(begin).Milliseconds())
 					time.Sleep(20 * time.Millisecond)
-					// Recover from the WAL: in-flight state is gone, committed
-					// state returns; any in-doubt transactions keep their keys
-					// locked until a resolver finishes them.
-					handles[i] = &incarnationLog{MemoryLog: logs[i]}
-					recovered, err := rep.Recover(names[i], logs[i].Records(), rep.WithLog(handles[i]))
-					if err != nil {
-						t.Errorf("chaos recover %s: %v", names[i], err)
+					// In-flight state is gone, committed state returns; any
+					// in-doubt transactions keep their keys locked until a
+					// resolver finishes them.
+					if err := members[i].Heal(); err != nil {
+						t.Errorf("chaos restart %s: %v", names[i], err)
 						return
 					}
-					repMu.Lock()
-					reps[i] = recovered
-					repMu.Unlock()
-					locals[i].Replace(recovered)
-					locals[i].Restart()
 					// In-doubt transactions stay blocked until the post-run
 					// resolution sweep — resolving here could race a live
 					// coordinator. Sometimes run a repair pass.
 					if round%3 == 0 {
 						// Bounded: repair may block behind in-doubt locks.
 						rctx, cancel := context.WithTimeout(ctx, 400*time.Millisecond)
-						_, _ = core.RepairReplica(rctx, suite, locals[i], core.RepairOptions{})
+						_, _ = core.RepairReplica(rctx, suite, members[i], core.RepairOptions{})
 						cancel()
 					}
 				}
@@ -601,14 +558,11 @@ func TestChaosConcurrentClients(t *testing.T) {
 			// Heal everything, finish anything left in doubt (all coordinators
 			// are done now, so resolution is safe), then read every key three
 			// times into the history and check it.
-			for _, l := range locals {
-				l.Restart()
+			if err := in.Heal(); err != nil {
+				t.Fatal(err)
 			}
-			repMu.Lock()
-			current := append([]*rep.Rep(nil), reps...)
-			repMu.Unlock()
-			for _, r := range current {
-				for _, id := range r.InDoubt() {
+			for _, m := range members {
+				for _, id := range m.InDoubt() {
 					if _, err := txn.Resolve(ctx, id, dirs); err != nil &&
 						!errors.Is(err, txn.ErrUnresolvable) {
 						t.Errorf("post-run resolve %d: %v", id, err)

@@ -85,8 +85,8 @@ func run() error {
 	}
 
 	fmt.Println("\n== two registry replicas fail; membership keeps answering ==")
-	locals[0].Crash()
-	locals[4].Crash()
+	locals[0].Partition()
+	locals[4].Partition()
 	for _, node := range []string{"node-a", "node-b", "node-e"} {
 		in, err := members.Contains(ctx, node)
 		if err != nil {
@@ -99,8 +99,8 @@ func run() error {
 	}
 	fmt.Println("node-f joined with two replicas down (3 of 5 votes still form quorums)")
 
-	locals[0].Restart()
-	locals[4].Restart()
+	locals[0].Heal()
+	locals[4].Heal()
 	roster, err = suite.Scan(ctx, "", 0)
 	if err != nil {
 		return err

@@ -245,7 +245,7 @@ func TestUnanimousUpdateAvailability(t *testing.T) {
 	if err := s.Insert(ctx, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	locals[3].Crash()
+	locals[3].Partition()
 	if err := s.Insert(ctx, "k2", "v"); err == nil {
 		t.Error("unanimous write must fail with a replica down")
 	}

@@ -213,8 +213,8 @@ func TestNeighborFailureIsNotNotFound(t *testing.T) {
 	ts.prepopulate(t, "b", "c")
 	ctx := context.Background()
 
-	ts.locals[0].Crash()
-	ts.locals[1].Crash()
+	ts.locals[0].Partition()
+	ts.locals[1].Partition()
 	if got, err := ts.suite.Scan(ctx, "", 1); err == nil {
 		t.Fatalf("Scan(\"\", 1) with majority down = %v, want error", got)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repdir/internal/fault"
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
 	"repdir/internal/quorum"
@@ -83,11 +84,12 @@ func (r *recorder) last(t *testing.T) DeleteObservation {
 
 // testSuite bundles a suite with direct access to its representatives.
 type testSuite struct {
-	suite  *Suite
-	reps   []*rep.Rep
-	locals []*transport.Local
-	script *scriptSelector
-	rec    *recorder
+	suite   *Suite
+	reps    []*rep.Rep
+	locals  []*transport.Local
+	members []*fault.Member
+	script  *scriptSelector
+	rec     *recorder
 }
 
 // newScriptedSuite builds an n-replica suite driven by a script selector.

@@ -221,11 +221,7 @@ func TestReadsLeakNoLocks(t *testing.T) {
 	// A transaction is known at a member only while it holds a lock
 	// there (rep.Rep.join), so a member that holds none remembers none.
 	for _, m := range in.Members() {
-		r, ok := m.Rep().(*rep.Rep)
-		if !ok {
-			t.Fatalf("%s is a %T", m.Name(), m.Rep())
-		}
-		if n := r.Locks().ActiveTransactions(); n != 0 {
+		if n := m.Rep().Locks().ActiveTransactions(); n != 0 {
 			t.Errorf("%d transactions hold locks at %s", n, m.Name())
 		}
 	}

@@ -135,7 +135,7 @@ func TestParallelQuorumReplicaFailure(t *testing.T) {
 	if err := s.Insert(ctx, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	locals[1].Crash()
+	locals[1].Partition()
 	for i := 0; i < 10; i++ {
 		if v, found, err := s.Lookup(ctx, "k"); err != nil || !found || v != "v" {
 			t.Fatalf("parallel lookup with failure: %q %v %v", v, found, err)

@@ -20,8 +20,8 @@ func TestRetryExcludesAllLostMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts.script.set([]int{0, 1, 2}, []int{0, 1, 2})
-	ts.locals[1].Crash()
-	ts.locals[2].Crash()
+	ts.locals[1].Partition()
+	ts.locals[2].Partition()
 
 	if err := suite.Insert(ctx, "k", "v"); err != nil {
 		t.Fatalf("insert with two lost members = %v, want success via retry", err)

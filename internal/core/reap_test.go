@@ -85,7 +85,7 @@ func TestDeadCoordinatorReaped(t *testing.T) {
 	}
 	reps := func() (out []*rep.Rep) {
 		for _, m := range in.Members() {
-			out = append(out, m.Rep().(*rep.Rep))
+			out = append(out, m.Rep())
 		}
 		return out
 	}

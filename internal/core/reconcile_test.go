@@ -6,18 +6,42 @@ import (
 	"fmt"
 	"testing"
 
+	"repdir/internal/fault"
+	"repdir/internal/quorum"
 	"repdir/internal/rep"
 	"repdir/internal/version"
 )
 
+// newMemberSuite builds a suite over three zero-plan fault members,
+// whose storage a test can lose.
+func newMemberSuite(t *testing.T, r, w int, sel func(quorum.Config) quorum.Selector) *testSuite {
+	t.Helper()
+	in := fault.NewInjector([]string{"A", "B", "C"}, fault.Plan{}, 1)
+	ts := &testSuite{members: in.Members()}
+	for _, m := range ts.members {
+		ts.reps = append(ts.reps, m.Rep())
+	}
+	cfg := quorum.NewUniform(in.Directories(), r, w)
+	s, err := NewSuite(cfg, WithSelector(sel(cfg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.suite = s
+	return ts
+}
+
 // loseStorage models replica i coming back from a disk failure with
-// nothing: a fresh representative in recovering mode takes its place.
-func (ts *testSuite) loseStorage(i int) *rep.Rep {
-	fresh := rep.New(ts.reps[i].Name())
-	fresh.SetRecovering(true)
-	ts.reps[i] = fresh
-	ts.locals[i].Replace(fresh)
-	return fresh
+// nothing: each storage loss destroys part of its log's tail, until
+// none is left, and it restarts empty and recovering.
+func (ts *testSuite) loseStorage(t *testing.T, i int) *rep.Rep {
+	m := ts.members[i]
+	for m.LoseStorage() > 0 {
+	}
+	if err := m.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	ts.reps[i] = m.Rep()
+	return ts.reps[i]
 }
 
 // TestReconcileRebuildsLostReplica wipes one replica of a fully
@@ -26,7 +50,7 @@ func (ts *testSuite) loseStorage(i int) *rep.Rep {
 // replica byte for byte.
 func TestReconcileRebuildsLostReplica(t *testing.T) {
 	ctx := context.Background()
-	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 3, 404)
+	ts := newMemberSuite(t, 2, 3, func(cfg quorum.Config) quorum.Selector { return quorum.NewRandomSelector(cfg, 404) })
 	s := ts.suite
 
 	for i := 0; i < 10; i++ {
@@ -43,7 +67,7 @@ func TestReconcileRebuildsLostReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh := ts.loseStorage(0)
+	fresh := ts.loseStorage(t, 0)
 
 	// While it rebuilds, the suite still serves reads around it.
 	if _, found, err := s.Lookup(ctx, "k01"); err != nil || !found {
@@ -53,7 +77,7 @@ func TestReconcileRebuildsLostReplica(t *testing.T) {
 		t.Fatalf("direct read on recovering replica = %v", err)
 	}
 
-	stats, err := RepairReplica(ctx, s, ts.locals[0], RepairOptions{PageSize: 3})
+	stats, err := RepairReplica(ctx, s, ts.members[0], RepairOptions{PageSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +103,7 @@ func TestReconcileRebuildsLostReplica(t *testing.T) {
 	}
 
 	// Idempotency: a second pass finds nothing to do.
-	again, err := RepairReplica(ctx, s, ts.locals[0], RepairOptions{})
+	again, err := RepairReplica(ctx, s, ts.members[0], RepairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,24 +120,25 @@ func TestReconcileRebuildsLostReplica(t *testing.T) {
 // exactly what RepairReplica's coalesces do.
 func TestReconcileRestoresDeletionDominance(t *testing.T) {
 	ctx := context.Background()
-	ts := newScriptedSuite(t, []string{"A", "B", "C"}, 2, 2)
+	script := &scriptSelector{}
+	ts := newMemberSuite(t, 2, 2, func(quorum.Config) quorum.Selector { return script })
 	s := ts.suite
 	ts.prepopulate(t, "k")
 
 	// Delete k with quorum {A, B}: their gap versions now dominate the
 	// ghost k@1 that C keeps.
-	ts.script.set([]int{0, 1}, []int{0, 1})
+	script.set([]int{0, 1}, []int{0, 1})
 	if err := s.Delete(ctx, "k"); err != nil {
 		t.Fatal(err)
 	}
 
 	// A forgets everything.
-	fresh := ts.loseStorage(0)
+	fresh := ts.loseStorage(t, 0)
 
 	// Rebuild A from a read quorum that must include B (C alone cannot
 	// vouch for the deletion).
-	ts.script.set([]int{1, 2}, []int{1, 2})
-	stats, err := RepairReplica(ctx, s, ts.locals[0], RepairOptions{})
+	script.set([]int{1, 2}, []int{1, 2})
+	stats, err := RepairReplica(ctx, s, ts.members[0], RepairOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +149,7 @@ func TestReconcileRestoresDeletionDominance(t *testing.T) {
 
 	// The poisoned quorum: {A, C}. C offers the ghost k@1; A must beat
 	// it with the reconciled gap version, or the deletion resurrects.
-	ts.script.set([]int{0, 2}, []int{0, 2})
+	script.set([]int{0, 2}, []int{0, 2})
 	if _, found, err := s.Lookup(ctx, "k"); err != nil {
 		t.Fatal(err)
 	} else if found {

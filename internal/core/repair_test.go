@@ -23,7 +23,7 @@ func TestRepairReplicaCatchesUpAfterOutage(t *testing.T) {
 		}
 	}
 	// A goes down; the suite keeps mutating.
-	ts.locals[0].Crash()
+	ts.locals[0].Partition()
 	for i := 0; i < 10; i++ {
 		if err := s.Insert(ctx, fmt.Sprintf("out-%02d", i), "v1"); err != nil {
 			t.Fatal(err)
@@ -39,7 +39,7 @@ func TestRepairReplicaCatchesUpAfterOutage(t *testing.T) {
 	}
 
 	// A returns, stale. Repair it.
-	ts.locals[0].Restart()
+	ts.locals[0].Heal()
 	stats, err := RepairReplica(ctx, s, ts.locals[0], RepairOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestRepairLeavesNoGhost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts.locals[2].Crash()
+	ts.locals[2].Partition()
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("k%02d", 2*i)
 		var err error
@@ -117,7 +117,7 @@ func TestRepairLeavesNoGhost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts.locals[2].Restart()
+	ts.locals[2].Heal()
 	if has, _ := ts.repHas(2, "k02"); !has {
 		t.Fatal("setup: C should hold the ghost k02 before repair")
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repdir/internal/fault"
 	"repdir/internal/keyspace"
 	"repdir/internal/lock"
 	"repdir/internal/quorum"
@@ -729,15 +730,12 @@ func TestReadOnlyParticipantCrashStillAborts(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tp := &tape{}
-			var reps [3]*rep.Rep
-			var locals [3]*transport.Local
+			a, b, c := fault.NewMember("A", fault.Plan{}, 1), rep.New("B"), rep.New("C")
 			dirs := make([]rep.Directory, 3)
-			for i, name := range []string{"A", "B", "C"} {
-				reps[i] = rep.New(name)
-				locals[i] = transport.NewLocal(&tapedDir{inner: reps[i], t: tp})
-				dirs[i] = locals[i]
+			for i, d := range []rep.Directory{a, b, c} {
+				dirs[i] = transport.NewLocal(&tapedDir{inner: d, t: tp})
 			}
-			restarting := &restartingDir{Local: locals[0]}
+			restarting := &restartingDir{Local: dirs[0].(*transport.Local)}
 			dirs[0] = restarting
 			cfg := quorum.NewUniform(dirs, 2, 2)
 			writer, err := NewSuite(cfg, WithSelector(fixedSelector(tc.read, tc.write)(cfg)))
@@ -756,19 +754,10 @@ func TestReadOnlyParticipantCrashStillAborts(t *testing.T) {
 				t.Fatal(err)
 			}
 			restarting.restart = func() {
-				fresh := rep.New("A")
-				for _, e := range reps[0].Dump() {
-					if !e.Key.IsSentinel() {
-						if err := fresh.Insert(ctx, 1, e.Key, e.Version, e.Value); err != nil {
-							t.Error(err)
-						}
-					}
-				}
-				if err := fresh.Commit(ctx, 1); err != nil {
+				a.Crash()
+				if err := a.Heal(); err != nil {
 					t.Error(err)
 				}
-				reps[0] = fresh
-				locals[0].Replace(&tapedDir{inner: fresh, t: tp})
 				if err := rival.Update(ctx, "k", "rival"); err != nil {
 					t.Errorf("rival update: %v", err)
 				}
@@ -809,7 +798,7 @@ func TestReadOnlyParticipantCrashStillAborts(t *testing.T) {
 			if !refused {
 				t.Errorf("no %s reached the restarted member under the first attempt: %v", tc.refusedCall, kinds(calls))
 			}
-			for _, r := range reps {
+			for _, r := range []*rep.Rep{a.Rep(), b, c} {
 				if n := r.Locks().ActiveTransactions(); n != 0 {
 					t.Errorf("%d transactions still hold locks at %s", n, r.Name())
 				}

@@ -136,7 +136,7 @@ func TestScanSurvivesReplicaFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts.locals[2].Crash()
+	ts.locals[2].Partition()
 	got, err := ts.suite.Scan(ctx, "", 0)
 	if err != nil {
 		t.Fatalf("scan with a replica down: %v", err)

@@ -93,7 +93,7 @@ func TestSetSurvivesReplicaFailure(t *testing.T) {
 	if err := set.Add(ctx, "m"); err != nil {
 		t.Fatal(err)
 	}
-	ts.locals[1].Crash()
+	ts.locals[1].Partition()
 	if ok, err := set.Contains(ctx, "m"); err != nil || !ok {
 		t.Fatalf("membership with replica down: %v %v", ok, err)
 	}

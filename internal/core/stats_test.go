@@ -35,7 +35,7 @@ func TestStatsCountReplicaLosses(t *testing.T) {
 	if err := s.Insert(ctx, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
-	ts.locals[0].Crash()
+	ts.locals[0].Partition()
 	// Hammer lookups until a quorum draw includes the dead replica and
 	// triggers a retry with exclusion.
 	for i := 0; i < 30; i++ {

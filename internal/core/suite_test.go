@@ -192,7 +192,7 @@ func TestSurvivesReplicaFailure(t *testing.T) {
 	if err := s.Insert(ctx, "k1", "v1"); err != nil {
 		t.Fatal(err)
 	}
-	ts.locals[0].Crash()
+	ts.locals[0].Partition()
 	if v, found, err := s.Lookup(ctx, "k1"); err != nil || !found || v != "v1" {
 		t.Fatalf("lookup with A down = %q, %v, %v", v, found, err)
 	}
@@ -202,8 +202,8 @@ func TestSurvivesReplicaFailure(t *testing.T) {
 	if err := s.Delete(ctx, "k1"); err != nil {
 		t.Fatalf("delete with A down: %v", err)
 	}
-	ts.locals[0].Restart()
-	// After restart, A may hold stale data; quorum reads stay correct.
+	ts.locals[0].Heal()
+	// Healed, A may hold stale data; quorum reads stay correct.
 	for i := 0; i < 10; i++ {
 		if _, found, err := s.Lookup(ctx, "k1"); err != nil || found {
 			t.Fatalf("k1 should stay deleted (attempt %d): %v %v", i, found, err)
@@ -217,8 +217,8 @@ func TestSurvivesReplicaFailure(t *testing.T) {
 func TestTwoFailuresExhaustQuorum(t *testing.T) {
 	ctx := context.Background()
 	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 2, 19)
-	ts.locals[0].Crash()
-	ts.locals[1].Crash()
+	ts.locals[0].Partition()
+	ts.locals[1].Partition()
 	err := ts.suite.Insert(ctx, "k", "v")
 	if err == nil {
 		t.Fatal("insert with two of three replicas down must fail")
@@ -244,7 +244,7 @@ func TestReadOneWriteAllConfig(t *testing.T) {
 		}
 	}
 	// With one replica down, writes are impossible but reads proceed.
-	ts.locals[2].Crash()
+	ts.locals[2].Partition()
 	if err := s.Insert(ctx, "k2", "v"); err == nil {
 		t.Error("write-all insert must fail with a replica down")
 	}

@@ -42,8 +42,8 @@ func TestWeightedVotesHeavyReplica(t *testing.T) {
 	// Every write quorum includes the heavy replica, so it always holds
 	// current data; the two light replicas down still leave R=2
 	// readable through it.
-	locals[1].Crash()
-	locals[2].Crash()
+	locals[1].Partition()
+	locals[2].Partition()
 	if v, found, err := s.Lookup(ctx, "k"); err != nil || !found || v != "v" {
 		t.Fatalf("lookup via heavy replica = %q %v %v", v, found, err)
 	}
@@ -51,15 +51,15 @@ func TestWeightedVotesHeavyReplica(t *testing.T) {
 	if err := s.Insert(ctx, "k2", "v"); err == nil {
 		t.Fatal("write must fail with both light replicas down")
 	}
-	locals[1].Restart()
+	locals[1].Heal()
 	if err := s.Insert(ctx, "k2", "v"); err != nil {
 		t.Fatalf("write with heavy + one light: %v", err)
 	}
 
 	// Conversely, the heavy replica down kills everything: reads could
 	// muster 2 votes from the two lights, writes cannot reach 3.
-	locals[2].Restart()
-	locals[0].Crash()
+	locals[2].Heal()
+	locals[0].Partition()
 	if _, found, err := s.Lookup(ctx, "k2"); err != nil || !found {
 		t.Fatalf("read from two lights (2 votes) should work: %v %v", found, err)
 	}
@@ -86,8 +86,8 @@ func TestWeightedZeroVoteReplicaIsInvisible(t *testing.T) {
 	if hintHolds {
 		t.Fatal("unreachable")
 	}
-	// Crashing the zero-vote member changes nothing.
-	locals[3].Crash()
+	// Partitioning the zero-vote member changes nothing.
+	locals[3].Partition()
 	if err := s.Update(ctx, "k", "v2"); err != nil {
 		t.Fatalf("update with hint down: %v", err)
 	}

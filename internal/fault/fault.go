@@ -120,68 +120,63 @@ type Stats struct {
 	StorageLosses uint64
 }
 
-// Member is a fault-injecting transport.Middleware over one
-// representative; it is its own hook. The zero value is not usable;
-// construct with NewMember or NewRecovering.
+// Member is one in-process representative that can crash: it owns the
+// representative's write-ahead log, its current incarnation and its
+// up/down state, and injects its plan's faults as a
+// transport.Middleware that is its own hook. A zero Plan injects
+// nothing; the member still crashes when told to (Crash, LoseStorage).
+// A crash fences the dead incarnation: its log handle is closed, so a
+// call still running on it cannot append (wal.ErrClosed), and every
+// call that entered it fails its reply, as a dead process answers
+// nothing. The zero value is not usable; construct with NewMember.
 type Member struct {
 	transport.Middleware
 	name string
-	plan Plan
+	opts []rep.Option // every incarnation's, after its rep.WithLog
 
 	mu             sync.Mutex
+	plan           Plan
 	rng            *rand.Rand
-	target         rep.Directory
-	restart        func() (rep.Directory, error)
-	wipe           func(frac float64) int // damage the log's tail (LoseStorage)
+	log            *wal.MemoryLog // the next restart's; the incarnation's until it crashes
+	target         *rep.Rep
+	incarnation    uint64 // counts crashes
+	down           int    // calls left in a window the plan opened
+	held           bool   // crashed by hand: down until Heal
 	suspended      bool
-	down           int
-	lost           bool // down window opened by a crash: restart must rebuild
+	lost           bool // crashed: the end of the window restarts from the log
 	pendingRebuild bool // storage was lost: recovering mode until RebuildDone
 	restartErr     error
 	stats          Stats
 }
 
-// NewMember wraps target with the plan's fault schedule. restart, when
-// non-nil, rebuilds the representative after a crash window (typically
-// from its write-ahead log); with a nil restart, crashes are downgraded
-// to partitions since there is nothing to lose state from.
-func NewMember(name string, target rep.Directory, restart func() (rep.Directory, error), plan Plan, seed int64) *Member {
+// NewMember builds a write-ahead-logged representative wrapped in a
+// fault member whose crashes drop volatile state and whose restarts
+// rebuild it with rep.Recover from the log. Extra rep options
+// (rep.AsWitness, ...) apply to the initial representative and to
+// every restart.
+func NewMember(name string, plan Plan, seed int64, opts ...rep.Option) *Member {
 	m := &Member{
-		name:    name,
-		plan:    plan,
-		rng:     rand.New(rand.NewSource(seed)),
-		target:  target,
-		restart: restart,
+		name: name,
+		opts: opts,
+		plan: plan,
+		rng:  rand.New(rand.NewSource(seed)),
+		log:  &wal.MemoryLog{},
 	}
+	m.target = rep.New(name, m.repOpts()...)
 	m.Hook = m
 	return m
 }
 
-// NewRecovering builds a write-ahead-logged representative wrapped in a
-// fault member whose crashes drop volatile state and whose restarts
-// rebuild it with rep.Recover from the log. The log is returned for
-// inspection. Extra rep options (rep.AsWitness, ...) apply to the
-// initial representative and to every restart.
-func NewRecovering(name string, plan Plan, seed int64, opts ...rep.Option) (*Member, *wal.MemoryLog) {
-	log := &wal.MemoryLog{}
-	repOpts := append([]rep.Option{rep.WithLog(log)}, opts...)
-	m := NewMember(name, rep.New(name, repOpts...), func() (rep.Directory, error) {
-		return rep.Recover(name, log.Records(), repOpts...)
-	}, plan, seed)
-	m.wipe = func(frac float64) int {
-		n := int(float64(len(log.Records())) * frac)
-		if n < 1 {
-			n = 1
-		}
-		return log.DropTail(n)
-	}
-	return m, log
+// repOpts are the options of an incarnation writing m.log.
+func (m *Member) repOpts() []rep.Option {
+	return append([]rep.Option{rep.WithLog(m.log)}, m.opts...)
 }
 
 // decision is everything one delivery drew from the member's stream.
 type decision struct {
 	unavailable bool
-	target      rep.Directory
+	target      *rep.Rep
+	incarnation uint64
 	delay       time.Duration
 	duplicate   bool
 	dropReply   bool
@@ -195,18 +190,21 @@ func (m *Member) decide() decision {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.Calls++
-	if m.down > 0 {
-		m.down--
+	if m.down > 0 || m.held {
 		m.stats.Rejected++
-		if m.down == 0 {
-			m.restartLocked()
+		if m.down > 0 {
+			m.down--
+			if m.down == 0 {
+				m.restartLocked()
+			}
 		}
 		return decision{unavailable: true}
 	}
+	d := decision{target: m.target, incarnation: m.incarnation}
 	if m.suspended {
 		// Maintenance window: deliver cleanly and draw nothing from the
 		// decision stream, so the schedule resumes where it left off.
-		return decision{target: m.target}
+		return d
 	}
 	roll := m.rng.Float64()
 	switch {
@@ -216,12 +214,10 @@ func (m *Member) decide() decision {
 		return decision{unavailable: true}
 	case roll < m.plan.PCrash+m.plan.PPartition:
 		m.down = m.windowLocked()
-		m.lost = false
 		m.stats.Partitions++
 		m.stats.Rejected++
 		return decision{unavailable: true}
 	}
-	d := decision{target: m.target}
 	if m.plan.MaxLatency > 0 && m.rng.Float64() < m.plan.PDelay {
 		d.delay = time.Duration(m.rng.Int63n(int64(m.plan.MaxLatency)))
 	}
@@ -243,17 +239,23 @@ func (m *Member) windowLocked() int {
 	return lo + m.rng.Intn(hi-lo+1)
 }
 
-// crashLocked opens a crash window; callers hold m.mu. With no restart
-// hook the member cannot lose state, so the window is a partition.
+// crashLocked opens a crash window; callers hold m.mu.
 func (m *Member) crashLocked() {
 	m.down = m.windowLocked()
-	if m.restart != nil {
-		m.lost = true
-		m.stats.Crashes++
-	} else {
-		m.lost = false
-		m.stats.Partitions++
+	m.fenceLocked()
+	m.stats.Crashes++
+}
+
+// fenceLocked kills the current incarnation, once; callers hold m.mu.
+// Its log handle closes and the member keeps a reopened copy for the
+// restart, and the calls that entered it fail their replies at Exit.
+func (m *Member) fenceLocked() {
+	if m.lost {
+		return
 	}
+	m.lost = true
+	m.incarnation++
+	m.log = m.log.Reopen()
 }
 
 // restartLocked ends a down window; callers hold m.mu. After a crash
@@ -261,10 +263,10 @@ func (m *Member) crashLocked() {
 // state returns, in-flight transactions are gone, and prepared-but-
 // undecided transactions come back in doubt with their locks held.
 func (m *Member) restartLocked() {
-	if !m.lost {
+	if !m.lost || m.held {
 		return
 	}
-	t, err := m.restart()
+	t, err := rep.Recover(m.name, m.log.Records(), m.repOpts()...)
 	if err != nil {
 		// Keep the member down; Heal and later restart attempts retry.
 		// The error is surfaced through Heal.
@@ -281,22 +283,8 @@ func (m *Member) restartLocked() {
 		// forgotten acknowledged writes, including deletions that live
 		// only in gap versions. Its answers must not reach quorums until
 		// a rebuild from peers reconciles it (RebuildDone).
-		if rr, ok := t.(interface{ SetRecovering(bool) }); ok {
-			rr.SetRecovering(true)
-		}
+		t.SetRecovering(true)
 	}
-}
-
-// crashAfterCall crashes the member after it executed a call.
-func (m *Member) crashAfterCall() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.down > 0 {
-		return
-	}
-	m.crashLocked()
-	m.stats.Crashes-- // counted as CrashAfters instead
-	m.stats.CrashAfters++
 }
 
 // sleep waits for the injected latency, honoring the caller's context.
@@ -327,32 +315,35 @@ func (m *Member) Enter(ctx context.Context, _ transport.Op) (transport.Call, err
 		return transport.Call{}, err
 	}
 	if d.duplicate {
-		m.note(func(s *Stats) { s.Duplicates++ })
+		m.mu.Lock()
+		m.stats.Duplicates++
+		m.mu.Unlock()
 	}
 	return transport.Call{Ctx: ctx, Dir: d.target, Twice: d.duplicate, Note: d}, nil
 }
 
-// Exit implements transport.Hook: after a crash-after the caller sees
-// ErrUnavailable for a call that executed, and a dropped reply replaces
-// a success with it.
+// Exit implements transport.Hook: a call whose incarnation crashed
+// under it, one that crashed the member after executing, and a dropped
+// reply all replace the reply with ErrUnavailable.
 func (m *Member) Exit(c transport.Call, _ transport.Op, err error) error {
 	d := c.Note.(decision)
-	if d.crashAfter {
-		m.crashAfterCall()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch {
+	case d.incarnation != m.incarnation:
 		return transport.ErrUnavailable
-	}
-	if d.dropReply && err == nil {
-		m.note(func(s *Stats) { s.DroppedReplies++ })
+	case d.crashAfter:
+		if m.down == 0 {
+			m.crashLocked()
+			m.stats.Crashes-- // counted as CrashAfters instead
+			m.stats.CrashAfters++
+		}
+		return transport.ErrUnavailable
+	case d.dropReply && err == nil:
+		m.stats.DroppedReplies++
 		return transport.ErrUnavailable
 	}
 	return err
-}
-
-// note updates stats under the lock.
-func (m *Member) note(f func(*Stats)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f(&m.stats)
 }
 
 // Heal ends any open down window immediately, restarting a crashed
@@ -361,22 +352,24 @@ func (m *Member) note(f func(*Stats)) {
 func (m *Member) Heal() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.down > 0 {
-		m.down = 0
-		m.restartLocked()
-	}
+	m.held = false
+	m.down = 0
+	m.restartLocked()
 	return m.restartErr
 }
 
-// Crash opens a crash window immediately, as if PCrash had fired: the
-// member goes unavailable and its volatile state will be dropped, to be
-// rebuilt from its log when the window ends. A no-op while already down.
+// Crash kills the current incarnation, as if PCrash had fired, also
+// inside a partition window: volatile state is lost, and the member is
+// down until Heal restarts it from its log. Windows the plan opens go
+// on counting calls meanwhile.
 func (m *Member) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.down == 0 {
-		m.crashLocked()
+	if !m.lost {
+		m.fenceLocked()
+		m.stats.Crashes++
 	}
+	m.held = true
 }
 
 // LoseStorage injects a storage failure: a deterministic fraction of
@@ -386,25 +379,21 @@ func (m *Member) Crash() {
 // restarted state may have forgotten acknowledged writes, including
 // deletions that live only in gap versions — and stays that way until
 // RebuildDone after a rebuild-from-peers pass (core.RepairReplica)
-// has reconciled it. Returns how many log records were destroyed; a
-// member built without a log (NewMember with no wipe path) returns 0
-// and injects nothing.
+// has reconciled it. Returns how many log records were destroyed, zero
+// once the log is empty.
 func (m *Member) LoseStorage() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.wipe == nil || m.restart == nil {
-		return 0
-	}
-	dropped := m.wipe(0.25 + 0.75*m.rng.Float64())
-	m.pendingRebuild = true
-	m.stats.StorageLosses++
-	if m.down == 0 {
+	frac := 0.25 + 0.75*m.rng.Float64()
+	if m.down == 0 && !m.held {
 		m.crashLocked()
 		m.stats.Crashes-- // counted as a storage loss, not a plain crash
 	} else {
-		m.lost = true // whatever the window was, the restart must replay
+		m.fenceLocked() // whatever the window was, the restart must replay
 	}
-	return dropped
+	m.pendingRebuild = true
+	m.stats.StorageLosses++
+	return m.log.DropTail(max(int(float64(len(m.log.Records()))*frac), 1))
 }
 
 // RebuildDone clears recovering mode after a successful rebuild: the
@@ -413,9 +402,7 @@ func (m *Member) RebuildDone() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.pendingRebuild = false
-	if rr, ok := m.target.(interface{ SetRecovering(bool) }); ok {
-		rr.SetRecovering(false)
-	}
+	m.target.SetRecovering(false)
 }
 
 // Quiesce zeroes the member's plan, stopping all future injection; an
@@ -445,7 +432,7 @@ func (m *Member) Suspend(v bool) {
 func (m *Member) Up() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.down == 0
+	return m.down == 0 && !m.held
 }
 
 // Stats returns a snapshot of the member's injection counters.
@@ -455,8 +442,8 @@ func (m *Member) Stats() Stats {
 	return m.stats
 }
 
-// Rep returns the current incarnation of the wrapped representative.
-func (m *Member) Rep() rep.Directory {
+// Rep returns the current incarnation of the representative.
+func (m *Member) Rep() *rep.Rep {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.target
@@ -468,14 +455,10 @@ func (m *Member) Rep() rep.Directory {
 func (m *Member) InDoubt() []lock.TxnID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.down > 0 {
+	if m.down > 0 || m.held {
 		return nil
 	}
-	type inDoubter interface{ InDoubt() []lock.TxnID }
-	if r, ok := m.target.(inDoubter); ok {
-		return r.InDoubt()
-	}
-	return nil
+	return m.target.InDoubt()
 }
 
 // Name implements transport.Hook (and so rep.Directory). The name is

@@ -11,7 +11,6 @@ import (
 	"repdir/internal/rep"
 	"repdir/internal/transport"
 	"repdir/internal/txn"
-	"repdir/internal/wal"
 )
 
 var ctx = context.Background()
@@ -21,7 +20,7 @@ var ctx = context.Background()
 // faults in the same places.
 func TestMemberScheduleIsDeterministic(t *testing.T) {
 	run := func() ([]bool, Stats) {
-		m, _ := NewRecovering("A", DefaultPlan(), 77)
+		m := NewMember("A", DefaultPlan(), 77)
 		outcomes := make([]bool, 0, 1500)
 		for i := 0; i < 1500; i++ {
 			_, err := m.Lookup(ctx, lock.TxnID(i+1), keyspace.New("x"))
@@ -51,8 +50,8 @@ func TestMemberScheduleIsDeterministic(t *testing.T) {
 // transactions (and their locks) while committed state survives via
 // recovery from the write-ahead log.
 func TestCrashLosesVolatileStateRecoversCommitted(t *testing.T) {
-	log := &wal.MemoryLog{}
-	r := rep.New("A", rep.WithLog(log))
+	m := NewMember("A", Plan{PCrash: 1, DownMin: 2, DownMax: 2}, 1)
+	r := m.Rep()
 	if err := r.Insert(ctx, 1, keyspace.New("committed"), 1, "v1"); err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +62,6 @@ func TestCrashLosesVolatileStateRecoversCommitted(t *testing.T) {
 	if err := r.Insert(ctx, 2, keyspace.New("inflight"), 1, "v2"); err != nil {
 		t.Fatal(err)
 	}
-
-	m := NewMember("A", r, func() (rep.Directory, error) {
-		return rep.Recover("A", log.Records(), rep.WithLog(log))
-	}, Plan{PCrash: 1, DownMin: 2, DownMax: 2}, 1)
 
 	if _, err := m.Lookup(ctx, 3, keyspace.New("committed")); err == nil {
 		t.Fatal("first call under PCrash=1 should find the member crashed")
@@ -151,38 +146,65 @@ func TestInjectorResolvesInDoubtAfterCrashRestart(t *testing.T) {
 	}
 }
 
-// TestBrownoutSlowLink: a constant slow link — a transport.Local with a
-// fixed latency, as the overload harness builds each member — under a
-// fault member: the latency is imposed on every call, the wait honors
-// the caller's context, and the member counts both calls.
-func TestBrownoutSlowLink(t *testing.T) {
-	link := transport.NewLocal(rep.New("A"))
-	link.SetLatency(20 * time.Millisecond)
-	m := NewMember("A", link, nil, Plan{}, 1)
-
-	start := time.Now()
-	if _, err := m.Lookup(ctx, 1, keyspace.New("k")); err != nil {
+// TestCrashInsidePartitionLosesVolatileState: a Crash while a partition
+// window is open is still a crash: when the member comes back, the
+// transaction in flight at the crash and its lock are gone.
+func TestCrashInsidePartitionLosesVolatileState(t *testing.T) {
+	m := NewMember("A", Plan{PPartition: 1, DownMin: 5, DownMax: 5}, 1)
+	key := keyspace.New("k")
+	if err := m.Rep().Insert(ctx, 2, key, 1, "v"); err != nil {
 		t.Fatal(err)
 	}
-	if el := time.Since(start); el < 20*time.Millisecond {
-		t.Fatalf("slow link not imposed: call took %v", el)
+	if _, err := m.Lookup(ctx, 3, key); !errors.Is(err, transport.ErrUnavailable) {
+		t.Fatalf("first call under PPartition=1 = %v, want the member partitioned", err)
 	}
+	m.Crash()
+	if err := m.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	if n := m.Rep().Locks().ActiveTransactions(); n != 0 {
+		t.Errorf("%d transactions survived the crash, want none", n)
+	}
+	if st := m.Stats(); st.Crashes != 1 || st.Restarts != 1 {
+		t.Errorf("stats = %+v, want one crash and one restart", st)
+	}
+}
 
-	// An already-expired context must cut the wait short.
-	expired, cancel := context.WithCancel(ctx)
-	cancel()
-	start = time.Now()
-	if _, err := m.Lookup(expired, 2, keyspace.New("k")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("expired context: err = %v", err)
+// TestCrashFencesInFlightCall: a call held at the member in a lock wait
+// when the member crashes still runs at the dead incarnation once the
+// lock frees — nothing stops its goroutine — but its log append is
+// refused, its reply fails, and the restart does not replay it.
+func TestCrashFencesInFlightCall(t *testing.T) {
+	m := NewMember("A", Plan{}, 1)
+	dead, key := m.Rep(), keyspace.New("k")
+	if _, err := dead.Lookup(ctx, 2, key); err != nil {
+		t.Fatal(err)
 	}
-	if el := time.Since(start); el > 10*time.Millisecond {
-		t.Fatalf("cancelled call still waited %v", el)
+	// The older transaction 1 waits for the younger reader's lock, with
+	// its prepare riding on the insert.
+	done := make(chan error, 1)
+	go func() {
+		done <- m.Insert(rep.MarkWriters(rep.MarkPrepare(ctx), 1), 1, key, 1, "v")
+	}()
+	for dead.Locks().Stats().Waits == 0 {
+		time.Sleep(time.Millisecond)
 	}
-
-	if st := m.Stats(); st != (Stats{Calls: 2}) {
-		t.Fatalf("stats = %+v, want 2 calls and nothing injected", st)
+	m.Crash()
+	if err := dead.Abort(ctx, 2); err != nil {
+		t.Fatal(err)
 	}
-	m.Abort(ctx, 1)
+	if err := <-done; !errors.Is(err, transport.ErrUnavailable) {
+		t.Errorf("call across the crash = %v, want ErrUnavailable", err)
+	}
+	if ids := dead.InDoubt(); len(ids) != 0 {
+		t.Errorf("the dead incarnation prepared %v: its log took the append", ids)
+	}
+	if err := m.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	if ids := m.Rep().InDoubt(); len(ids) != 0 {
+		t.Errorf("the restart replayed a prepare of %v from the dead incarnation", ids)
+	}
 }
 
 // TestDeliverySemantics pins what each mid-transaction fault does to one
@@ -206,8 +228,8 @@ func TestDeliverySemantics(t *testing.T) {
 		{"duplicate", Plan{PDuplicate: 1}, 2, nil, stored, Stats{Calls: 1, Duplicates: 1}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m, _ := NewRecovering("A", tc.plan, 1)
-			r := m.Rep().(*rep.Rep)
+			m := NewMember("A", tc.plan, 1)
+			r := m.Rep()
 			key := keyspace.New("k")
 			if err := r.Insert(ctx, 1, key, stored.Version, stored.Value); err != nil {
 				t.Fatal(err)

@@ -34,7 +34,7 @@ func NewInjector(names []string, plan Plan, seed int64, opts ...rep.Option) *Inj
 // the same seed. Extra rep options (rep.AsWitness, ...) pass through to
 // the representative and its restarts.
 func (in *Injector) Add(name string, opts ...rep.Option) *Member {
-	m, _ := NewRecovering(name, in.plan, in.seed+int64(len(in.members))*7919, slices.Concat(in.opts, opts)...)
+	m := NewMember(name, in.plan, in.seed+int64(len(in.members))*7919, slices.Concat(in.opts, opts)...)
 	in.members = append(in.members, m)
 	return m
 }

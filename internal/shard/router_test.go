@@ -130,8 +130,8 @@ func TestRouterRetriesAroundCrashedReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	locals[0][0].Crash()
-	defer locals[0][0].Restart()
+	locals[0][0].Partition()
+	defer locals[0][0].Heal()
 
 	if _, _, err := r.Lookup(ctx, "a"); err != nil {
 		t.Fatalf("lookup with crashed minority: %v", err)
@@ -159,7 +159,7 @@ func TestRouterSurfacesDownShard(t *testing.T) {
 		}
 	}
 	for _, l := range locals[1] {
-		l.Crash()
+		l.Partition()
 	}
 
 	if _, err := r.Scan(ctx, "", 0); err == nil {
@@ -192,8 +192,8 @@ func TestRouterRetriesExhaustedKeepsCause(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two of shard 0's three members down: every read quorum meets one.
-	locals[0][0].Crash()
-	locals[0][1].Crash()
+	locals[0][0].Partition()
+	locals[0][1].Partition()
 	_, err := r.Scan(ctx, "", 0)
 	if !errors.Is(err, core.ErrRetriesExhausted) || !errors.Is(err, transport.ErrUnavailable) {
 		t.Fatalf("scan with shard 0 down = %v, want ErrRetriesExhausted wrapping ErrUnavailable", err)

@@ -29,7 +29,7 @@ type AvailabilityResult struct {
 }
 
 // RunAvailabilityEmpirical measures operation availability end-to-end:
-// in each trial every replica is independently crashed with probability
+// in each trial every replica is independently partitioned with probability
 // 1-p, then one Lookup and one Update are attempted through the real
 // suite machinery (quorum selection, retry with exclusion, two-phase
 // commit). This validates the analytic quorum probabilities of package
@@ -62,9 +62,9 @@ func RunAvailabilityEmpirical(n, r, w int, p float64, trials int, seed int64) (A
 	for trial := 0; trial < trials; trial++ {
 		for _, l := range reps {
 			if rng.Float64() < p {
-				l.Restart()
+				l.Heal()
 			} else {
-				l.Crash()
+				l.Partition()
 			}
 		}
 		if _, found, err := suite.Lookup(ctx, "probe"); err == nil && found {
@@ -77,7 +77,7 @@ func RunAvailabilityEmpirical(n, r, w int, p float64, trials int, seed int64) (A
 		}
 	}
 	for _, l := range reps {
-		l.Restart()
+		l.Heal()
 	}
 	res.MeasuredRead = float64(readOK) / float64(trials)
 	res.MeasuredWrite = float64(writeOK) / float64(trials)

@@ -715,7 +715,7 @@ func RunChaos(cfg ChaosConfig) (ChaosResult, error) {
 
 	for _, in := range h.injectors {
 		for _, m := range in.Members() {
-			res.Reaped += m.Rep().(*rep.Rep).Counters().Reaped
+			res.Reaped += m.Rep().Counters().Reaped
 		}
 		for _, s := range in.Stats() {
 			res.Faults.Calls += s.Calls
@@ -916,15 +916,10 @@ func auditConvergence(ctx context.Context, suite *core.Suite, injector *fault.In
 			audited = append(audited, m)
 		}
 	}
-	type dumper interface{ Dump() []btree.Entry }
 	dumps := make(map[string]map[string]btree.Entry)
 	for _, m := range audited {
-		d, ok := m.Rep().(dumper)
-		if !ok {
-			return nil, fmt.Errorf("convergence: member %s not dumpable", m.Name())
-		}
 		entries := make(map[string]btree.Entry)
-		for _, e := range d.Dump() {
+		for _, e := range m.Rep().Dump() {
 			if e.Key.IsLow() || e.Key.IsHigh() {
 				continue
 			}

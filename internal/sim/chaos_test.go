@@ -15,7 +15,7 @@ import (
 )
 
 // repairFixture is a 3-replica 2/2 suite whose member C missed a run of
-// inserts while crashed and is back, behind.
+// inserts while partitioned and is back, behind.
 type repairFixture struct {
 	suite  *core.Suite
 	reps   []*rep.Rep
@@ -40,7 +40,7 @@ func newRepairFixture(t *testing.T, n int) *repairFixture {
 		t.Fatal(err)
 	}
 	f.suite = s
-	f.locals[2].Crash()
+	f.locals[2].Partition()
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("k%02d", i)
 		if err := s.Insert(context.Background(), k, "v"); err != nil {
@@ -48,7 +48,7 @@ func newRepairFixture(t *testing.T, n int) *repairFixture {
 		}
 		f.keys = append(f.keys, k)
 	}
-	f.locals[2].Restart()
+	f.locals[2].Heal()
 	return f
 }
 

@@ -14,7 +14,6 @@ import (
 	"repdir/internal/lock"
 	"repdir/internal/quorum"
 	"repdir/internal/rep"
-	"repdir/internal/transport"
 	"repdir/internal/version"
 )
 
@@ -222,18 +221,12 @@ func salvageCurvePoint(dir string, data []byte, off int64, res *StorageResult) (
 	return rec.WALRecords, nil
 }
 
-// measureRebuild seeds a 3-2-2 suite, empties one member as a
-// storage-loss victim, and times the rebuild from its peers.
+// measureRebuild seeds a 3-2-2 suite, destroys one member's whole log
+// as a storage-loss victim, and times the rebuild from its peers.
 func measureRebuild(cfg StorageConfig, res *StorageResult) error {
 	ctx := context.Background()
-	names := []string{"rep0", "rep1", "rep2"}
-	locals := make([]*transport.Local, len(names))
-	dirs := make([]rep.Directory, len(names))
-	for i, n := range names {
-		locals[i] = transport.NewLocal(rep.New(n))
-		dirs[i] = locals[i]
-	}
-	qc := quorum.NewUniform(dirs, 2, 2)
+	in := fault.NewInjector([]string{"rep0", "rep1", "rep2"}, fault.Plan{}, cfg.Seed)
+	qc := quorum.NewUniform(in.Directories(), 2, 2)
 	suite, err := core.NewSuite(qc, core.WithSelector(quorum.NewRandomSelector(qc, cfg.Seed)))
 	if err != nil {
 		return err
@@ -244,17 +237,21 @@ func measureRebuild(cfg StorageConfig, res *StorageResult) error {
 		}
 	}
 
-	// rep2 loses its storage: fresh, empty, recovering.
-	fresh := rep.New("rep2")
-	fresh.SetRecovering(true)
-	locals[2].Replace(fresh)
+	// rep2 loses its storage: each loss destroys part of its log's tail,
+	// so it restarts empty and recovering.
+	victim := in.Members()[2]
+	for victim.LoseStorage() > 0 {
+	}
+	if err := victim.Heal(); err != nil {
+		return err
+	}
 
 	start := time.Now()
-	stats, err := core.RepairReplica(ctx, suite, dirs[2], core.RepairOptions{PageSize: cfg.PageSize})
+	stats, err := core.RepairReplica(ctx, suite, victim, core.RepairOptions{PageSize: cfg.PageSize})
 	if err != nil {
 		return fmt.Errorf("sim: rebuild: %w", err)
 	}
-	fresh.SetRecovering(false)
+	victim.RebuildDone()
 	elapsed := time.Since(start)
 	installed := stats.Copied + stats.Freshened
 	res.Rebuild = RebuildMeasure{

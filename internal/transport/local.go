@@ -8,16 +8,19 @@ import (
 	"repdir/internal/rep"
 )
 
-// Local is an in-process connection to a representative with fault
-// injection: the target can be cut off (Crash: calls that enter after it
-// fail with ErrUnavailable) and a fixed per-call latency can be added.
-// It is a Middleware whose hook is the Local itself. Local is safe for
+// Local is an in-process connection to a representative that can be
+// partitioned and slowed: while partitioned (Partition, until Heal)
+// calls that enter fail with ErrUnavailable, and a fixed per-call
+// latency can be added. A partition leaves the representative's state
+// intact, and a call that entered before it runs on and its reply
+// passes; a crash, which loses volatile state, is fault.Member's. Local
+// is a Middleware whose hook is the Local itself, and is safe for
 // concurrent use.
 type Local struct {
 	Middleware
 
-	mu      sync.Mutex
 	target  rep.Directory
+	mu      sync.Mutex
 	down    bool
 	latency time.Duration
 }
@@ -29,42 +32,18 @@ func NewLocal(target rep.Directory) *Local {
 	return l
 }
 
-// Crash makes subsequent calls fail with ErrUnavailable. It is a
-// partition, not a process death: a call that entered before it runs on
-// at the target, and its reply passes through. A harness that recovers
-// the target from a log it shares across incarnations must therefore
-// fence the dead incarnation's log at the crash, or such a call appends
-// behind the recovered incarnation's back (incarnationLog in the root
-// package's chaos_test.go does this).
-func (l *Local) Crash() {
+// Partition makes subsequent calls fail with ErrUnavailable.
+func (l *Local) Partition() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.down = true
 }
 
-// Restart makes the representative reachable again. The underlying state
-// is whatever the wrapped representative holds; pair with rep.Recover to
-// model a crash that loses volatile state.
-func (l *Local) Restart() {
+// Heal makes the representative reachable again.
+func (l *Local) Heal() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.down = false
-}
-
-// Replace swaps the wrapped representative — modeling a machine that
-// came back from a failure with different local state, e.g. an empty
-// representative after its storage was lost and archived.
-func (l *Local) Replace(target rep.Directory) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.target = target
-}
-
-// dir returns the current wrapped representative.
-func (l *Local) dir() rep.Directory {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.target
 }
 
 // SetLatency adds a fixed delay to every call.
@@ -82,14 +61,13 @@ func (l *Local) Up() bool {
 }
 
 // Name implements Hook (and so rep.Directory).
-func (l *Local) Name() string { return l.dir().Name() }
+func (l *Local) Name() string { return l.target.Name() }
 
-// Enter implements Hook: a crashed representative refuses the call, and
-// the latency is waited out, honoring the caller's context, before the
-// call goes to the representative current after the wait.
+// Enter implements Hook: a partitioned representative refuses the call,
+// and the latency is waited out, honoring the caller's context.
 func (l *Local) Enter(ctx context.Context, _ Op) (Call, error) {
 	l.mu.Lock()
-	target, down, latency := l.target, l.down, l.latency
+	down, latency := l.down, l.latency
 	l.mu.Unlock()
 	if down {
 		return Call{}, ErrUnavailable
@@ -102,9 +80,8 @@ func (l *Local) Enter(ctx context.Context, _ Op) (Call, error) {
 		case <-ctx.Done():
 			return Call{}, ctx.Err()
 		}
-		target = l.dir()
 	}
-	return Call{Ctx: ctx, Dir: target}, nil
+	return Call{Ctx: ctx, Dir: l.target}, nil
 }
 
 // Exit implements Hook; the call's error passes through.

@@ -98,24 +98,24 @@ func TestLocalPassThrough(t *testing.T) {
 	}
 }
 
-func TestLocalCrashRestart(t *testing.T) {
+func TestLocalPartitionHeal(t *testing.T) {
 	l := NewLocal(rep.New("A"))
-	l.Crash()
+	l.Partition()
 	if l.Up() {
-		t.Error("crashed replica should report down")
+		t.Error("partitioned replica should report down")
 	}
 	if _, err := l.Lookup(ctx, 1, keyspace.New("k")); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("call on crashed replica = %v, want ErrUnavailable", err)
+		t.Errorf("call on partitioned replica = %v, want ErrUnavailable", err)
 	}
 	if err := l.Insert(ctx, 1, keyspace.New("k"), 1, "v"); !errors.Is(err, ErrUnavailable) {
-		t.Errorf("insert on crashed replica = %v", err)
+		t.Errorf("insert on partitioned replica = %v", err)
 	}
-	l.Restart()
+	l.Heal()
 	if !l.Up() {
-		t.Error("restarted replica should report up")
+		t.Error("healed replica should report up")
 	}
 	if _, err := l.Lookup(ctx, 1, keyspace.New("k")); err != nil {
-		t.Errorf("call after restart: %v", err)
+		t.Errorf("call after heal: %v", err)
 	}
 	l.Abort(ctx, 1)
 }

@@ -129,7 +129,7 @@ func TestResolveAbortsWhenAParticipantAborted(t *testing.T) {
 	}
 	b := crashRecover(t, "B", id, "k", 2, false)
 	down := transport.NewLocal(rep.New("C"))
-	down.Crash()
+	down.Partition()
 
 	res, err := Resolve(ctx, id, []rep.Directory{a, b, down})
 	if err != nil {
@@ -152,7 +152,7 @@ func TestResolveWaitsWhileAPrepareMayBeMissing(t *testing.T) {
 	a := crashRecover(t, "A", id, "k", 3, false)
 	b := crashRecover(t, "B", id, "k", 3, false)
 	down := transport.NewLocal(rep.New("C"))
-	down.Crash()
+	down.Partition()
 
 	if _, err := Resolve(ctx, id, []rep.Directory{a, b, down}); !errors.Is(err, ErrUnresolvable) {
 		t.Fatalf("resolve = %v, want ErrUnresolvable", err)
@@ -172,7 +172,7 @@ func TestResolveRefusesWithUnreachableParticipant(t *testing.T) {
 	const id = lock.TxnID(9999)
 	a := crashRecover(t, "A", id, "k", 2, false)
 	down := transport.NewLocal(crashRecover(t, "B", id, "k", 2, false))
-	down.Crash()
+	down.Partition()
 
 	_, err := Resolve(ctx, id, []rep.Directory{a, down})
 	if !errors.Is(err, ErrUnresolvable) {
@@ -184,7 +184,7 @@ func TestResolveRefusesWithUnreachableParticipant(t *testing.T) {
 	}
 
 	// Once the unreachable participant returns, resolution proceeds.
-	down.Restart()
+	down.Heal()
 	res, err := Resolve(ctx, id, []rep.Directory{a, down})
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repdir/internal/keyspace"
@@ -166,6 +167,17 @@ func (l *MemoryLog) DropTail(n int) int {
 	}
 	l.records = l.records[:len(l.records)-n]
 	return n
+}
+
+// Reopen closes the log and returns an open one holding its records,
+// whose LSNs go on from where these stop: a restarted process's handle
+// on what its dead predecessor persisted, which that predecessor can
+// no longer append to (ErrClosed).
+func (l *MemoryLog) Reopen() *MemoryLog {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.closed = true
+	return &MemoryLog{records: slices.Clone(l.records), next: l.next}
 }
 
 // SyncPolicy controls when FileLog forces appended records to stable
