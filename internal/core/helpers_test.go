@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"testing/quick"
 
 	"repdir/internal/fault"
 	"repdir/internal/keyspace"
@@ -15,12 +18,6 @@ import (
 	"repdir/internal/version"
 )
 
-// quickCheckSmall runs a testing/quick property with a bounded case
-// count, for properties whose individual cases are relatively expensive.
-func quickCheckSmall(property any, maxCount int) error {
-	return quick.Check(property, &quick.Config{MaxCount: maxCount})
-}
-
 // scriptSelector returns exactly the members whose indices are configured,
 // letting tests reproduce the paper's figure-by-figure quorum choices.
 type scriptSelector struct {
@@ -30,8 +27,6 @@ type scriptSelector struct {
 	readIdx  []int
 	writeIdx []int
 }
-
-var _ quorum.Selector = (*scriptSelector)(nil)
 
 func (s *scriptSelector) set(read, write []int) {
 	s.mu.Lock()
@@ -64,8 +59,6 @@ type recorder struct {
 	obs []DeleteObservation
 }
 
-var _ Metrics = (*recorder)(nil)
-
 func (r *recorder) ObserveDelete(o DeleteObservation) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -85,54 +78,125 @@ func (r *recorder) last(t *testing.T) DeleteObservation {
 // testSuite bundles a suite with direct access to its representatives.
 type testSuite struct {
 	suite   *Suite
+	cfg     quorum.Config
 	reps    []*rep.Rep
 	locals  []*transport.Local
+	hooks   []*hook
+	counts  *counts
 	members []*fault.Member
 	script  *scriptSelector
 	rec     *recorder
 }
 
-// newScriptedSuite builds an n-replica suite driven by a script selector.
-func newScriptedSuite(t *testing.T, names []string, r, w int) *testSuite {
-	t.Helper()
-	reps := make([]*rep.Rep, len(names))
-	locals := make([]*transport.Local, len(names))
-	dirs := make([]rep.Directory, len(names))
-	for i, n := range names {
-		reps[i] = rep.New(n)
-		locals[i] = transport.NewLocal(reps[i])
-		dirs[i] = locals[i]
-	}
-	cfg := quorum.NewUniform(dirs, r, w)
-	script := &scriptSelector{cfg: cfg}
-	rec := &recorder{}
-	s, err := NewSuite(cfg, WithSelector(script), WithMetrics(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &testSuite{suite: s, reps: reps, locals: locals, script: script, rec: rec}
+// counts is what the hooks of one suite's members count between them.
+type counts struct {
+	inFlight, peak  atomic.Int32 // data-path calls in flight now, and at most
+	expected, moved atomic.Int64 // inserts built on a hint, and those refused as stale
 }
 
-// newRandomSuite builds an n-replica suite with the default random
-// selector.
-func newRandomSuite(t *testing.T, names []string, r, w int, seed int64, opts ...Option) *testSuite {
+// hook is a member as a test's clients reach it: a transport.Local (its
+// latency and partitions) behind the faults a test injects at the
+// client's side of the wire and the counts it watches. Prepare, Commit
+// and Abort are never refused: a member's data path fails while
+// transaction control still drains.
+type hook struct {
+	*transport.Local
+	c       *counts
+	shed    atomic.Bool // refuse with ErrOverloaded, as a server's admission control
+	limited atomic.Bool // lost once budget more data-path calls have passed
+	budget  atomic.Int64
+	lookups atomic.Int64 // lookups sent, refused or not
+}
+
+// lose lets n more data-path calls pass, then fails every one with
+// ErrUnavailable; heal ends it.
+func (h *hook) lose(n int64) { h.budget.Store(n); h.limited.Store(true) }
+func (h *hook) heal()        { h.limited.Store(false) }
+
+func (h *hook) Enter(ctx context.Context, op transport.Op) (transport.Call, error) {
+	switch op {
+	case transport.OpPrepare, transport.OpCommit, transport.OpAbort:
+	case transport.OpLookup:
+		h.lookups.Add(1)
+		fallthrough
+	default:
+		if h.shed.Load() {
+			return transport.Call{}, fmt.Errorf("%w: shed by %s", transport.ErrOverloaded, h.Name())
+		}
+		if h.limited.Load() && h.budget.Add(-1) < 0 {
+			return transport.Call{}, fmt.Errorf("%w: %s lost", transport.ErrUnavailable, h.Name())
+		}
+		if op == transport.OpInsert && rep.Expects(ctx) {
+			h.c.expected.Add(1)
+		}
+	}
+	n := h.c.inFlight.Add(1)
+	for p := h.c.peak.Load(); n > p && !h.c.peak.CompareAndSwap(p, n); p = h.c.peak.Load() {
+	}
+	c, err := h.Local.Enter(ctx, op)
+	if err != nil {
+		h.c.inFlight.Add(-1)
+	}
+	return c, err
+}
+
+func (h *hook) Exit(c transport.Call, op transport.Op, err error) error {
+	h.c.inFlight.Add(-1)
+	if errors.Is(err, rep.ErrVersionMoved) {
+		h.c.moved.Add(1)
+	}
+	return h.Local.Exit(c, op, err)
+}
+
+// newHooked returns a member over target whose hook counts into c.
+func newHooked(target rep.Directory, c *counts) (*hook, rep.Directory) {
+	h := &hook{Local: transport.NewLocal(target), c: c}
+	return h, &transport.Middleware{Hook: h}
+}
+
+// newSuite builds a suite over fresh members named names, each behind
+// its hook, whose quorums sel draws.
+func newSuite(t *testing.T, names []string, r, w int, sel func(quorum.Config) quorum.Selector, opts ...Option) *testSuite {
 	t.Helper()
-	reps := make([]*rep.Rep, len(names))
-	locals := make([]*transport.Local, len(names))
+	ts := &testSuite{counts: &counts{}, rec: &recorder{}}
 	dirs := make([]rep.Directory, len(names))
 	for i, n := range names {
-		reps[i] = rep.New(n)
-		locals[i] = transport.NewLocal(reps[i])
-		dirs[i] = locals[i]
+		ts.reps = append(ts.reps, rep.New(n))
+		h, dir := newHooked(ts.reps[i], ts.counts)
+		ts.hooks, ts.locals, dirs[i] = append(ts.hooks, h), append(ts.locals, h.Local), dir
 	}
-	cfg := quorum.NewUniform(dirs, r, w)
-	rec := &recorder{}
-	opts = append([]Option{WithSelector(quorum.NewRandomSelector(cfg, seed)), WithMetrics(rec)}, opts...)
-	s, err := NewSuite(cfg, opts...)
+	ts.cfg = quorum.NewUniform(dirs, r, w)
+	s, err := NewSuite(ts.cfg, append([]Option{WithSelector(sel(ts.cfg)), WithMetrics(ts.rec)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testSuite{suite: s, reps: reps, locals: locals, rec: rec}
+	ts.suite = s
+	return ts
+}
+
+// newScriptedSuite builds a suite driven by a script selector.
+func newScriptedSuite(t *testing.T, names []string, r, w int) *testSuite {
+	var script *scriptSelector
+	ts := newSuite(t, names, r, w, func(cfg quorum.Config) quorum.Selector {
+		script = &scriptSelector{cfg: cfg}
+		return script
+	})
+	ts.script = script
+	return ts
+}
+
+// newRandomSuite builds a suite with the default random selector.
+func newRandomSuite(t *testing.T, names []string, r, w int, seed int64, opts ...Option) *testSuite {
+	return newSuite(t, names, r, w, func(cfg quorum.Config) quorum.Selector { return quorum.NewRandomSelector(cfg, seed) }, opts...)
+}
+
+// joinKeys returns a page's keys, space-separated.
+func joinKeys(page []KV) string {
+	keys := make([]string, len(page))
+	for i, kv := range page {
+		keys[i] = kv.Key
+	}
+	return strings.Join(keys, " ")
 }
 
 // prepopulate writes entries with version 1 directly into every replica,

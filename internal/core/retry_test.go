@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,38 +51,6 @@ func TestRetryable(t *testing.T) {
 	}
 }
 
-// shedDir wraps a representative and, while switched on, sheds every
-// data-path call with ErrOverloaded — an overloaded server's admission
-// controller as seen from the client. 2PC resolution always passes,
-// exactly like the real controller's sheddability rule.
-// It counts the lookups it is sent, shed or not; with lost set it
-// answers them as an unreachable member would.
-type shedDir struct {
-	*transport.Middleware
-	on, lost atomic.Bool
-	lookups  atomic.Int64
-}
-
-func newShedDir(inner rep.Directory) *shedDir {
-	s := &shedDir{}
-	s.Middleware = transport.Wrap(inner, func(op transport.Op) error {
-		switch op {
-		case transport.OpPrepare, transport.OpCommit, transport.OpAbort:
-			return nil
-		case transport.OpLookup:
-			s.lookups.Add(1)
-		}
-		if s.on.Load() {
-			return fmt.Errorf("%w: chaos shed %s", transport.ErrOverloaded, inner.Name())
-		}
-		if s.lost.Load() {
-			return fmt.Errorf("%w: %s", transport.ErrUnavailable, inner.Name())
-		}
-		return nil
-	})
-	return s
-}
-
 // TestShedSurfacesWithoutRetry: a suite whose replicas shed every
 // request must surface transport.ErrOverloaded on the first attempt,
 // long before the caller's deadline. Shed replicas are alive, so they
@@ -91,26 +58,21 @@ func newShedDir(inner rep.Directory) *shedDir {
 // remaining attempt against servers asking it to stop.
 func TestShedSurfacesWithoutRetry(t *testing.T) {
 	ctx := context.Background()
-	sheds := []*shedDir{newShedDir(rep.New("A")), newShedDir(rep.New("B")), newShedDir(rep.New("C"))}
-	dirs := []rep.Directory{sheds[0], sheds[1], sheds[2]}
-	cfg := quorum.NewUniform(dirs, 2, 2)
-	suite, err := NewSuite(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 2, 1)
+	suite, sheds := ts.suite, ts.hooks
 	if err := suite.Insert(ctx, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
 
 	// 100% shed: every data-path call fails with ErrOverloaded.
 	for _, s := range sheds {
-		s.on.Store(true)
+		s.shed.Store(true)
 	}
 	retries := suite.Stats().Retries
 	dctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 	defer cancel()
 	start := time.Now()
-	_, _, err = suite.Lookup(dctx, "k")
+	_, _, err := suite.Lookup(dctx, "k")
 	elapsed := time.Since(start)
 	if !errors.Is(err, transport.ErrOverloaded) {
 		t.Fatalf("lookup under total shed = %v, want ErrOverloaded", err)
@@ -123,7 +85,7 @@ func TestShedSurfacesWithoutRetry(t *testing.T) {
 	}
 
 	for _, s := range sheds {
-		s.on.Store(false)
+		s.shed.Store(false)
 	}
 	if _, _, err := suite.Lookup(ctx, "k"); err != nil {
 		t.Fatalf("lookup after the shed: %v", err)
@@ -139,15 +101,10 @@ func TestShedSurfacesWithoutRetry(t *testing.T) {
 // that lost a member, which is retried without it.
 func TestPointReadFailsOverOnRefusal(t *testing.T) {
 	ctx := context.Background()
-	sheds := []*shedDir{newShedDir(rep.New("A")), newShedDir(rep.New("B")), newShedDir(rep.New("C"))}
-	dirs := []rep.Directory{sheds[0], sheds[1], sheds[2]}
-	cfg := quorum.NewUniform(dirs, 2, 2)
 	// The sticky selector reads {A, B}: C is the spare. The two probes
 	// of a round, and their failovers, run at once.
-	suite, err := NewSuite(cfg, WithSelector(quorum.NewStickySelector(cfg)), WithParallelQuorum(true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := newSuite(t, []string{"A", "B", "C"}, 2, 2, func(cfg quorum.Config) quorum.Selector { return quorum.NewStickySelector(cfg) }, WithParallelQuorum(true))
+	suite, sheds := ts.suite, ts.hooks
 	defer suite.Close()
 	if err := suite.Insert(ctx, "k", "v"); err != nil {
 		t.Fatal(err)
@@ -164,7 +121,7 @@ func TestPointReadFailsOverOnRefusal(t *testing.T) {
 		return n
 	}
 
-	sheds[0].on.Store(true)
+	sheds[0].shed.Store(true)
 	retries, before := suite.Stats().Retries, lookups()
 	v, found, err := suite.Lookup(ctx, "k")
 	if err != nil || !found || v != "v" {
@@ -177,7 +134,7 @@ func TestPointReadFailsOverOnRefusal(t *testing.T) {
 		t.Fatalf("the failover was retried %d times", got-retries)
 	}
 
-	sheds[1].on.Store(true)
+	sheds[1].shed.Store(true)
 	before = lookups()
 	if _, _, err := suite.Lookup(ctx, "k"); !errors.Is(err, transport.ErrOverloaded) {
 		t.Fatalf("point read with A and B shedding = %v, want ErrOverloaded", err)
@@ -186,7 +143,7 @@ func TestPointReadFailsOverOnRefusal(t *testing.T) {
 		t.Fatalf("the spare was asked %d times for two refusals; want once", got[2]-before[2])
 	}
 
-	sheds[1].on.Store(false)
+	sheds[1].shed.Store(false)
 	before = lookups()
 	err = suite.RunInTxn(ctx, func(tx *Tx) error {
 		_, _, err := tx.Lookup(ctx, "k")
@@ -199,8 +156,8 @@ func TestPointReadFailsOverOnRefusal(t *testing.T) {
 		t.Fatalf("a read in a transaction asked the spare %d times; want none", got[2]-before[2])
 	}
 
-	sheds[0].on.Store(false)
-	sheds[0].lost.Store(true)
+	sheds[0].shed.Store(false)
+	sheds[0].lose(0)
 	retries = suite.Stats().Retries
 	if _, _, err := suite.Lookup(ctx, "k"); err != nil {
 		t.Fatalf("point read with A lost: %v", err)
@@ -231,10 +188,14 @@ func TestFailoverSpares(t *testing.T) {
 			if c.c.Witness {
 				opts = append(opts, rep.AsWitness())
 			}
-			sheds := []*shedDir{newShedDir(rep.New("A")), newShedDir(rep.New("B")), newShedDir(rep.New("C", opts...))}
+			var sheds [3]*hook
+			var dirs [3]rep.Directory
+			for i, r := range []*rep.Rep{rep.New("A"), rep.New("B"), rep.New("C", opts...)} {
+				sheds[i], dirs[i] = newHooked(r, &counts{})
+			}
 			cfg := quorum.Config{Members: []quorum.Member{
-				{Dir: sheds[0], Votes: 2}, {Dir: sheds[1], Votes: 1},
-				{Dir: sheds[2], Votes: c.c.Votes, Witness: c.c.Witness},
+				{Dir: dirs[0], Votes: 2}, {Dir: dirs[1], Votes: 1},
+				{Dir: dirs[2], Votes: c.c.Votes, Witness: c.c.Witness},
 			}, R: c.r, W: c.w}
 			// Reads go to {A, B}: C is the one candidate. Writes go to
 			// {A, B} too, as the sticky selector's would, unless W needs C:
@@ -255,7 +216,7 @@ func TestFailoverSpares(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sheds[0].on.Store(true)
+			sheds[0].shed.Store(true)
 			before := sheds[2].lookups.Load()
 			if _, _, err := suite.Lookup(ctx, "k"); !errors.Is(err, transport.ErrOverloaded) {
 				t.Fatalf("point read with A shedding = %v, want ErrOverloaded", err)
@@ -263,7 +224,7 @@ func TestFailoverSpares(t *testing.T) {
 			if got := sheds[2].lookups.Load(); got != before {
 				t.Fatalf("C was asked in place of A")
 			}
-			sheds[0].on.Store(false)
+			sheds[0].shed.Store(false)
 			if c.c.Witness {
 				if got := suite.Stats().WitnessVotes; got != 0 {
 					t.Fatalf("%d witness votes before any read quorum held C", got)
@@ -277,7 +238,7 @@ func TestFailoverSpares(t *testing.T) {
 				}
 				return
 			}
-			sheds[1].on.Store(true)
+			sheds[1].shed.Store(true)
 			if v, found, err := suite.Lookup(ctx, "k"); err != nil || !found || v != "v" {
 				t.Fatalf("point read with B (1 vote) shedding = %q, %v, %v; want the value from A and C", v, found, err)
 			}

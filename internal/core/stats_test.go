@@ -28,33 +28,6 @@ func TestStatsCountCommitsAndFailures(t *testing.T) {
 	}
 }
 
-func TestStatsCountReplicaLosses(t *testing.T) {
-	ctx := context.Background()
-	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 2, 72)
-	s := ts.suite
-	if err := s.Insert(ctx, "k", "v"); err != nil {
-		t.Fatal(err)
-	}
-	ts.locals[0].Partition()
-	// Hammer lookups until a quorum draw includes the dead replica and
-	// triggers a retry with exclusion.
-	for i := 0; i < 30; i++ {
-		if _, _, err := s.Lookup(ctx, "k"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.ReplicaLosses == 0 {
-		t.Error("replica losses should be counted")
-	}
-	if st.Retries == 0 {
-		t.Error("retries should be counted")
-	}
-	if st.Failures != 0 {
-		t.Errorf("no operation should have failed, got %d", st.Failures)
-	}
-}
-
 func TestStatsCountWaitDie(t *testing.T) {
 	ctx := context.Background()
 	ts := newRandomSuite(t, []string{"A", "B", "C"}, 2, 2, 73)

@@ -26,7 +26,7 @@
 //	Paper      What                       Function          Test
 //	Figure 7   range-lock compatibility   lock.Compatible   lock_test.go TestCompatibilityMatrix
 //	Figure 8   DirSuiteLookup             Tx.resolve        paper_test.go TestPaperFigures1to5
-//	Figure 9   DirSuiteInsert             Tx.write          suite_test.go TestInsertAfterDeleteGetsHigherVersion, hinted_test.go TestHintedWritesLinearizePerKey
+//	Figure 9   DirSuiteInsert             Tx.write          suite_test.go TestInsertAfterDeleteGetsHigherVersion, perkey_test.go TestPointOpsLinearizePerKey
 //	Figure 10  a delete's bound copy      Tx.Delete         paper_test.go TestPaperFigures10and11
 //	Figure 11  a coalesce sweeps a ghost  rep.Rep.Coalesce  paper_test.go TestPaperFigures10and11
 //	Figure 12  real neighbor search       run.next          merge_test.go TestMergeMatchesPerKeyWalk
